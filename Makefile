@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet race verify fuzz chaos bench bench-skew bench-obs trace-smoke serve-smoke cluster-smoke cluster-bench metrics-smoke stream-smoke load-smoke clean
+.PHONY: all build test vet race verify bench-test fuzz chaos bench bench-skew bench-obs trace-smoke serve-smoke cluster-smoke cluster-bench metrics-smoke stream-smoke load-smoke clean
 
 all: verify
 
@@ -16,9 +16,13 @@ test:
 # Race-checked run of the fault-tolerance, observability and serving
 # surfaces (the chaos acceptance tests, the concurrent registry tests, the
 # query-service concurrency tests, and the pool-aliasing test), plus the
-# warp/algorithm layers whose per-worker scratch reuse must stay race-free.
+# warp/algorithm layers whose per-worker scratch reuse must stay race-free,
+# and the ICM runtime, whose scatter plan is built once per graph by whichever
+# of several concurrent runs gets there first (repeated: the window is the
+# first instant of a fresh graph).
 race:
-	$(GO) test -race ./internal/engine/... ./internal/chaos/... ./internal/cluster/... ./internal/obs/... ./internal/serve/... ./internal/warp/... ./internal/algorithms/...
+	$(GO) test -race ./internal/engine/... ./internal/chaos/... ./internal/cluster/... ./internal/obs/... ./internal/serve/... ./internal/warp/... ./internal/algorithms/... ./internal/core/...
+	$(GO) test -race -count=10 -run 'TestPlanSharedByConcurrentRuns' ./internal/core/
 
 # Fuzz smoke: every fuzz target in the codec, state, warp and graph-format
 # layers for FUZZTIME each (Go allows one -fuzz target per invocation).
@@ -38,6 +42,12 @@ verify:
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test $(SHORT) -race ./...
+
+# The benchmark is a module of its own (benchmark/go.mod), which `./...` from
+# the root does not descend into: its unit tests, plus every workload run at
+# -quick size with its verification checks.
+bench-test:
+	cd benchmark && $(GO) test ./...
 
 # The fault-injection demonstration: SSSP under seeded faults vs fault-free.
 chaos:

@@ -120,7 +120,7 @@ func TestIncrementalMatchesFullRecompute(t *testing.T) {
 					}
 					prior := run(g1, nil)
 					full := run(g2, nil)
-					incr := run(g2, core.SeedFromResult(g2, prior))
+					incr := run(g2, prior.Seed().StatesFor(g2))
 					requireSameStates(t, label, full, incr)
 				}
 			}

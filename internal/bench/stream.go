@@ -219,7 +219,7 @@ func Stream(cfg Config) (*StreamReport, error) {
 // seeded from a prefix-window run, verifying bit-identity.
 func streamCell(cfg Config, g *tgraph.Graph, al Algo, seedWin ival.Interval) (StreamRow, error) {
 	name := strings.ToLower(string(al))
-	run := func(target *tgraph.Graph, seed *core.Result) (*core.Result, error) {
+	run := func(target *tgraph.Graph, prior *core.Result) (*core.Result, error) {
 		prog, opts, err := algorithms.New(target, name, algorithms.Params{
 			Source: target.VertexAt(0).ID,
 		})
@@ -227,8 +227,8 @@ func streamCell(cfg Config, g *tgraph.Graph, al Algo, seedWin ival.Interval) (St
 			return nil, err
 		}
 		opts.NumWorkers = cfg.Workers
-		if seed != nil {
-			opts.SeedStates = core.SeedFromResult(target, seed)
+		if prior != nil {
+			opts.SeedStates = prior.Seed().StatesFor(target)
 		}
 		return core.Run(target, prog, opts)
 	}

@@ -262,9 +262,11 @@ func New(cfg Config) (*Coordinator, error) {
 	// Build (and discard) shard 0 once: surfaces unsupported options —
 	// aggregators, master compute — at coordinator startup instead of as a
 	// worker-side error frame after the cluster assembled.
-	if _, err := core.NewShard(g, prog, opts, 0); err != nil {
+	probe, err := core.NewShard(g, prog, opts, 0)
+	if err != nil {
 		return nil, err
 	}
+	probe.Close()
 	return &Coordinator{
 		cfg:    cfg,
 		g:      g,

@@ -184,6 +184,12 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 		pending: map[pendKey][]byte{}, hbStop: make(chan struct{}),
 	}
 	defer w.stopHeartbeat()
+	defer func() {
+		// loop is the only goroutine that steps the shard, and it has returned.
+		if w.sh != nil {
+			w.sh.Close()
+		}
+	}()
 	// A canceled context unblocks the frame read by closing the conn.
 	watchDone := make(chan struct{})
 	defer close(watchDone)

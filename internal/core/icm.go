@@ -187,16 +187,36 @@ func (r *Result) StateByID(id tgraph.VertexID) *PartitionedState {
 	return r.states[i]
 }
 
-// SeedFromResult builds the Options.SeedStates slice for running over g by
-// carrying each vertex's terminal state out of a prior run, matched by
+// Seed is the terminal vertex states of a finished run, keyed by vertex id
+// and detached from the run's graph: whoever retains one (the serve layer's
+// seed cache) keeps the states alive and nothing else — not the graph the
+// run was over, nor what is memoised on it.
+type Seed struct {
+	ids    []tgraph.VertexID
+	states []*PartitionedState
+}
+
+// Seed captures the run's terminal states for seeding later runs.
+func (r *Result) Seed() *Seed {
+	ids := make([]tgraph.VertexID, len(r.states))
+	for i := range ids {
+		ids[i] = r.Graph.VertexAt(i).ID
+	}
+	return &Seed{ids: ids, states: r.states}
+}
+
+// StatesFor builds the Options.SeedStates slice for running over g by
+// carrying each vertex's terminal state out of the prior run, matched by
 // vertex ID; vertices g has that the prior run lacked stay unseeded (nil).
 // The prior run's graph must agree with g below its own time cut — the
 // serve layer guarantees this by only seeding window extensions of the
 // same epoch-stable graph.
-func SeedFromResult(g *tgraph.Graph, prior *Result) []*PartitionedState {
+func (s *Seed) StatesFor(g *tgraph.Graph) []*PartitionedState {
 	seeds := make([]*PartitionedState, g.NumVertices())
-	for i := 0; i < g.NumVertices(); i++ {
-		seeds[i] = prior.StateByID(g.VertexAt(i).ID)
+	for i, id := range s.ids {
+		if j := g.IndexOf(id); j >= 0 {
+			seeds[j] = s.states[i]
+		}
 	}
 	return seeds
 }

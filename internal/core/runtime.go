@@ -1,7 +1,6 @@
 package core
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -21,9 +20,7 @@ type runtime struct {
 	opts      Options
 	combine   warp.CombineFunc // nil when absent or disabled
 	states    []*PartitionedState
-	edgeParts [][]ival.Interval // per edge: lifespan partitioned at property boundaries
-	edgeMatch [][]ival.Interval // per edge piece: the interval that triggers scatter
-	targets   [][]target        // per vertex: edges scatter traverses and their far endpoints
+	plan      *scatterPlan // shared with every run over g under the same planKey; read-only
 	threshold float64
 
 	// Per-worker reusable scratch; sized lazily at the first Run call, when
@@ -47,22 +44,13 @@ type runtime struct {
 	err   error
 }
 
-// target is one edge a vertex's scatter traverses, with the dense index of
-// the endpoint messages go to.
-type target struct {
-	edge int32
-	dst  int32
-}
-
 func newRuntime(g *tgraph.Graph, prog Program, opts Options) *runtime {
 	rt := &runtime{
 		g:         g,
 		prog:      prog,
 		opts:      opts,
 		states:    make([]*PartitionedState, g.NumVertices()),
-		edgeParts: make([][]ival.Interval, g.NumEdges()),
-		edgeMatch: make([][]ival.Interval, g.NumEdges()),
-		targets:   make([][]target, g.NumVertices()),
+		plan:      planFor(g, &opts),
 		threshold: opts.SuppressionThreshold,
 	}
 	if rt.threshold <= 0 {
@@ -71,64 +59,7 @@ func newRuntime(g *tgraph.Graph, prog Program, opts Options) *runtime {
 	if wc, ok := prog.(WarpCombiner); ok && !opts.DisableWarpCombiner {
 		rt.combine = wc.CombineWarp
 	}
-	for i := 0; i < g.NumEdges(); i++ {
-		e := g.Edge(i)
-		rt.edgeParts[i] = edgePartition(e, opts.PropLabels)
-		rt.edgeMatch[i] = rt.edgeParts[i]
-		if opts.ScatterSlackLabel != "" {
-			match := make([]ival.Interval, len(rt.edgeParts[i]))
-			for k, piece := range rt.edgeParts[i] {
-				slack, _ := e.Props.ValueAt(opts.ScatterSlackLabel, piece.Start)
-				match[k] = piece.Translate(slack)
-			}
-			rt.edgeMatch[i] = match
-		}
-	}
-	for v := 0; v < g.NumVertices(); v++ {
-		if !opts.Reverse || opts.Undirected {
-			for _, ei := range g.OutEdges(v) {
-				rt.targets[v] = append(rt.targets[v], target{edge: ei, dst: int32(g.IndexOf(g.Edge(int(ei)).Dst))})
-			}
-		}
-		if opts.Reverse || opts.Undirected {
-			for _, ei := range g.InEdges(v) {
-				rt.targets[v] = append(rt.targets[v], target{edge: ei, dst: int32(g.IndexOf(g.Edge(int(ei)).Src))})
-			}
-		}
-	}
 	return rt
-}
-
-// edgePartition splits an edge's lifespan at the boundaries of its property
-// values so that each scatter call sees time-invariant properties.
-func edgePartition(e *tgraph.Edge, labels []string) []ival.Interval {
-	bounds := []ival.Time{e.Lifespan.Start, e.Lifespan.End}
-	add := func(entries []tgraph.PropEntry) {
-		for _, p := range entries {
-			x := p.Interval.Intersect(e.Lifespan)
-			if !x.IsEmpty() {
-				bounds = append(bounds, x.Start, x.End)
-			}
-		}
-	}
-	if len(labels) == 0 {
-		for _, entries := range e.Props.All() {
-			add(entries)
-		}
-	} else {
-		for _, l := range labels {
-			add(e.Props.Entries(l))
-		}
-	}
-	sort.Slice(bounds, func(a, b int) bool { return bounds[a] < bounds[b] })
-	var parts []ival.Interval
-	for i := 0; i+1 < len(bounds); i++ {
-		if bounds[i] == bounds[i+1] {
-			continue
-		}
-		parts = append(parts, ival.New(bounds[i], bounds[i+1]))
-	}
-	return parts
 }
 
 // runtimeSnapshot is the ICM-level state a rollback must restore: cloned
@@ -276,12 +207,13 @@ func (rt *runtime) Run(ctx *engine.Context, msgs []engine.Message) {
 		// frontier messages the prior run sent — messages into already-
 		// converged regions fold to no-ops, messages past the old cut
 		// propagate the extension.
-		if len(rt.targets[i]) == 0 {
+		targets := rt.plan.targetsOf(i)
+		if len(targets) == 0 {
 			return
 		}
 		rt.activeIntervals.Add(int64(st.NumParts()))
 		for _, p := range st.Parts() {
-			rt.scatterPart(vc, ctx, rt.targets[i], p.Interval, p.Value)
+			rt.scatterPart(vc, ctx, targets, p.Interval, p.Value)
 		}
 		return
 	}
@@ -323,14 +255,15 @@ func (rt *runtime) Run(ctx *engine.Context, msgs []engine.Message) {
 	// Scatter step: align updated state partitions with the traversed
 	// edges' property partitions; one scatter call per non-empty
 	// intersection.
-	if len(rt.targets[i]) == 0 {
+	targets := rt.plan.targetsOf(i)
+	if len(targets) == 0 {
 		return
 	}
 	upds := coalesceIntervals(vc.updated)
 	for _, p := range st.Parts() {
 		for _, u := range upds {
 			if x := u.Intersect(p.Interval); !x.IsEmpty() {
-				rt.scatterPart(vc, ctx, rt.targets[i], x, p.Value)
+				rt.scatterPart(vc, ctx, targets, x, p.Value)
 			}
 		}
 	}
@@ -430,14 +363,15 @@ func coalesceIntervals(ivs []ival.Interval) []ival.Interval {
 // scatterPart invokes Scatter for one updated 〈interval, state〉 against
 // every overlapping edge property piece.
 func (rt *runtime) scatterPart(vc *VertexCtx, ctx *engine.Context, targets []target, upd ival.Interval, state any) {
+	pieces, match := rt.plan.pieces, rt.plan.match
 	for _, tg := range targets {
 		e := rt.g.Edge(int(tg.edge))
-		for pi, piece := range rt.edgeParts[tg.edge] {
-			x := rt.edgeMatch[tg.edge][pi].Intersect(upd)
+		for pi := tg.lo; pi < tg.hi; pi++ {
+			x := match[pi].Intersect(upd)
 			if x.IsEmpty() {
 				continue
 			}
-			vc.piece = piece
+			vc.piece = pieces[pi]
 			vc.scatterX = x
 			vc.scatterTo = int(tg.dst)
 			vc.inScatter = true

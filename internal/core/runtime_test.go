@@ -151,27 +151,3 @@ func TestActivateAllCoversGaps(t *testing.T) {
 		t.Errorf("forced-active vertex must compute every superstep: %v", p.tuples)
 	}
 }
-
-func TestEdgePartitionSplitsAtPropertyBounds(t *testing.T) {
-	b := tgraph.NewBuilder(2, 1)
-	b.AddVertex(0, ival.New(0, 10)).AddVertex(1, ival.New(0, 10))
-	b.AddEdge(0, 0, 1, ival.New(0, 10))
-	b.SetEdgeProp(0, "w", ival.New(2, 5), 1)
-	b.SetEdgeProp(0, "w", ival.New(5, 9), 2)
-	g := b.MustBuild()
-	parts := edgePartition(g.Edge(0), nil)
-	want := []ival.Interval{ival.New(0, 2), ival.New(2, 5), ival.New(5, 9), ival.New(9, 10)}
-	if len(parts) != len(want) {
-		t.Fatalf("parts = %v, want %v", parts, want)
-	}
-	for i := range want {
-		if parts[i] != want[i] {
-			t.Fatalf("parts = %v, want %v", parts, want)
-		}
-	}
-	// Restricting to an absent label keeps the lifespan whole.
-	parts = edgePartition(g.Edge(0), []string{"other"})
-	if len(parts) != 1 || parts[0] != ival.New(0, 10) {
-		t.Fatalf("filtered parts = %v", parts)
-	}
-}

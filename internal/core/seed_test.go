@@ -65,7 +65,7 @@ func TestOverlaySeedUniformValueFuses(t *testing.T) {
 	requireParts(t, st, [3]int64{0, 20, -1})
 }
 
-func TestSeedFromResultAlignsByVertexID(t *testing.T) {
+func TestSeedAlignsByVertexID(t *testing.T) {
 	build := func(ids ...int64) *tgraph.Graph {
 		b := tgraph.NewBuilder(len(ids), 0)
 		for _, id := range ids {
@@ -83,7 +83,7 @@ func TestSeedFromResultAlignsByVertexID(t *testing.T) {
 		seedParts(t, ival.New(0, 10), [3]int64{0, 10, 5}),
 		seedParts(t, ival.New(0, 10), [3]int64{0, 10, 9}),
 	}}
-	seeds := SeedFromResult(next, r)
+	seeds := r.Seed().StatesFor(next)
 	if len(seeds) != 3 {
 		t.Fatalf("len(seeds) = %d", len(seeds))
 	}

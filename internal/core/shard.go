@@ -77,6 +77,10 @@ func NewShard(g *tgraph.Graph, prog Program, opts Options, shard int) (*Shard, e
 	return &Shard{rt: rt, sh: sh, g: g}, nil
 }
 
+// Close recycles the shard's message buffers once the run is over (after
+// EncodeOwnedStates); the shard must not be stepped afterwards.
+func (s *Shard) Close() { s.sh.Close() }
+
 // ID returns the shard index; NumShards the cluster width.
 func (s *Shard) ID() int        { return s.sh.ID() }
 func (s *Shard) NumShards() int { return s.sh.NumShards() }

@@ -211,7 +211,7 @@ type worker struct {
 	local  []int32     // dense vertex indices owned by this worker
 	inbox  []*msgSlab  // per local slot; arena-pooled, nil when empty
 	active []bool      // per local slot; dedup bitmap behind the frontier
-	outbox [][]Message // per destination worker, refilled every superstep
+	outbox [][]Message // per destination worker, refilled every superstep; arena-pooled across runs
 
 	// Dense frontier: slots activated since the last compute phase, appended
 	// at delivery time (activation order), sorted at compute start. Grow-only.
@@ -328,6 +328,40 @@ func New(numVertices int, program Program, cfg Config) (*Engine, error) {
 	return e, nil
 }
 
+// drawOutboxes starts the worker's outboxes from pooled buffers, so a run
+// begins at the capacity an earlier one grew to. Only workers that will
+// execute draw: a shard's engine has routing entries for every worker but
+// sends from one.
+func (w *worker) drawOutboxes() {
+	for d := range w.outbox {
+		w.outbox[d] = outboxArena.get().msgs
+	}
+}
+
+// releaseBuffers hands the engine's pooled buffers back for the next run:
+// undelivered inbox slabs (MaxSupersteps or a failure can end a run with
+// messages still queued) and every outbox. An outbox is scrubbed over its
+// whole capacity, not its length — truncating it between supersteps leaves
+// that superstep's payloads behind — so, like an inbox slab, it never pins
+// or aliases a payload into a later run. Nothing may send afterwards except
+// through a fresh append: the outboxes are left nil.
+func (e *Engine) releaseBuffers() {
+	for _, w := range e.workers {
+		for s, sl := range w.inbox {
+			if sl != nil {
+				w.inbox[s] = nil
+				msgArena.put(sl)
+			}
+		}
+		for d, ob := range w.outbox {
+			if cap(ob) > 0 {
+				outboxArena.put(&msgSlab{msgs: ob[:cap(ob)]})
+			}
+			w.outbox[d] = nil
+		}
+	}
+}
+
 // RegisterAggregator installs a named aggregator before Run.
 func (e *Engine) RegisterAggregator(name string, agg *Aggregator) {
 	e.aggs[name] = agg
@@ -346,6 +380,12 @@ func (e *Engine) owner(v int32) (wid, slot int) {
 // Config.Context is canceled the run aborts at the next superstep barrier
 // with an error wrapping ErrCanceled, leaving no goroutines behind.
 func (e *Engine) Run() (*Metrics, error) {
+	// Every return below is past a phase barrier: no worker goroutine is
+	// left to touch a buffer.
+	defer e.releaseBuffers()
+	for _, w := range e.workers {
+		w.drawOutboxes()
+	}
 	start := time.Now()
 	e.base = e.rawView()
 	if e.traced {
@@ -508,16 +548,6 @@ func (e *Engine) Run() (*Metrics, error) {
 		if delivered == 0 && e.cfg.ActivateAll && e.cfg.MaxSupersteps == 0 && e.cfg.Master == nil {
 			// Nothing can ever change again and nothing will stop us.
 			return nil, fmt.Errorf("%w: ActivateAll needs MaxSupersteps or a Master", ErrBadConfig)
-		}
-	}
-	// Return undelivered inbox slabs (MaxSupersteps can end a run with
-	// messages still queued) to the arena for the next run.
-	for _, w := range e.workers {
-		for s, sl := range w.inbox {
-			if sl != nil {
-				w.inbox[s] = nil
-				msgArena.put(sl)
-			}
 		}
 	}
 	e.ec.makespanNS.Store(time.Since(start).Nanoseconds())

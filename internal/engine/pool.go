@@ -70,14 +70,20 @@ func (a *messageArena) stats() (hits, misses, bytesReused int64) {
 var (
 	// msgArena feeds worker inbox slabs.
 	msgArena messageArena
+	// outboxArena feeds worker outboxes. A run holds a few of them, each
+	// orders of magnitude larger than an inbox slab, hence an arena of their
+	// own: out of msgArena a new run would mostly draw inbox-sized slabs and
+	// grow them all over again.
+	outboxArena messageArena
 	// batchSlabs feeds the encode buffers of the transport ship phase.
 	batchSlabs codec.SlabPool
 )
 
-// poolStats folds the message arena and batch slab statistics into the
+// poolStats folds the message arenas' and batch slab statistics into the
 // totals the obs gauges publish.
 func poolStats() (hits, misses, bytesReused int64) {
 	h, m, b := msgArena.stats()
 	h2, m2, b2 := batchSlabs.Stats()
-	return h + h2, m + m2, b + b2
+	h3, m3, b3 := outboxArena.stats()
+	return h + h2 + h3, m + m2 + m3, b + b2 + b3
 }

@@ -140,3 +140,54 @@ func TestPoolGaugesPublished(t *testing.T) {
 		t.Errorf("%s = %d, want > 0 (first delivery of each slot must miss)", obs.GPoolMisses, misses)
 	}
 }
+
+// TestOutboxesRecycledScrubbed checks the outbox half of the arena contract:
+// when a run ends its outboxes go back to the arena with nothing behind the
+// length either — exchange truncates an outbox without clearing it, so the
+// release must scrub the whole capacity — and the next engine starts from
+// that capacity instead of growing its own.
+func TestOutboxesRecycledScrubbed(t *testing.T) {
+	e, err := New(4, idleProgram{}, Config{NumWorkers: 2, PayloadCodec: codec.Int64{}})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	ctx := &Context{eng: e, w: e.workers[0]}
+	for i := 0; i < 100; i++ {
+		ctx.Send(1, ival.Universe, int64(777))
+	}
+	w := e.workers[0]
+	grown := cap(w.outbox[1])
+	w.outbox[1] = w.outbox[1][:0] // as the exchange phase leaves it
+	e.releaseBuffers()
+	for d, ob := range w.outbox {
+		if ob != nil {
+			t.Errorf("outbox %d still held after release", d)
+		}
+	}
+
+	e2, err := New(4, idleProgram{}, Config{NumWorkers: 2, PayloadCodec: codec.Int64{}})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	reused := false
+	for _, w2 := range e2.workers {
+		w2.drawOutboxes()
+		for d, ob := range w2.outbox {
+			if len(ob) != 0 {
+				t.Errorf("fresh outbox %d has length %d", d, len(ob))
+			}
+			for _, m := range ob[:cap(ob)] {
+				if m != (Message{}) {
+					t.Fatalf("pooled outbox still holds %+v", m)
+				}
+			}
+			reused = reused || cap(ob) == grown
+		}
+	}
+	if raceEnabled {
+		return // sync.Pool drops puts at random under the race detector
+	}
+	if !reused {
+		t.Errorf("second engine did not start from the released outbox (capacity %d)", grown)
+	}
+}

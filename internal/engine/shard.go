@@ -101,8 +101,14 @@ func NewShard(numVertices int, program Program, cfg Config, shard int) (*Shard, 
 	if shard < 0 || shard >= len(e.workers) {
 		return nil, fmt.Errorf("%w: shard %d out of range for %d workers", ErrBadConfig, shard, len(e.workers))
 	}
+	e.workers[shard].drawOutboxes()
 	return &Shard{eng: e, w: e.workers[shard], id: shard, snap: snap}, nil
 }
+
+// Close returns the shard's pooled message buffers for the next run or
+// shard in this process to reuse. The shard must not be stepped afterwards;
+// a shard that is merely dropped is collected like any other garbage.
+func (s *Shard) Close() { s.eng.releaseBuffers() }
 
 // ID returns the shard index.
 func (s *Shard) ID() int { return s.id }

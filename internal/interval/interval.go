@@ -8,8 +8,8 @@
 package interval
 
 import (
-	"fmt"
 	"math"
+	"strconv"
 )
 
 // Time is a discrete time-point in the time domain Ω.
@@ -171,15 +171,23 @@ func (iv Interval) Translate(delta Time) Interval {
 func (iv Interval) Clamp(bounds Interval) Interval { return iv.Intersect(bounds) }
 
 // String renders the interval in the paper's [s, e) notation, using ∞ for
-// unbounded ends.
+// unbounded ends. Result rendering calls it once per state partition, so it
+// formats by hand into a stack buffer: one allocation, the string itself.
 func (iv Interval) String() string {
 	if iv.IsEmpty() {
 		return "[)"
 	}
+	var buf [2*20 + len("[, )")]byte // two int64s at their widest
+	b := append(buf[:0], '[')
+	b = strconv.AppendInt(b, iv.Start, 10)
+	b = append(b, ", "...)
 	if iv.End == Infinity {
-		return fmt.Sprintf("[%d, ∞)", iv.Start)
+		b = append(b, "∞"...)
+	} else {
+		b = strconv.AppendInt(b, iv.End, 10)
 	}
-	return fmt.Sprintf("[%d, %d)", iv.Start, iv.End)
+	b = append(b, ')')
+	return string(b)
 }
 
 // Valid reports whether the interval is non-empty and has a non-negative

@@ -1,6 +1,8 @@
 package interval
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -111,15 +113,49 @@ func TestTranslateSaturates(t *testing.T) {
 	}
 }
 
+// TestString pins String byte for byte against the fmt forms it replaced —
+// served and CLI results are compared as strings — and, through fmt itself,
+// that %v still reaches it.
 func TestString(t *testing.T) {
-	if s := New(2, 7).String(); s != "[2, 7)" {
-		t.Errorf("String = %q", s)
+	sprintf := func(iv Interval) string {
+		if iv.IsEmpty() {
+			return "[)"
+		}
+		if iv.End == Infinity {
+			return fmt.Sprintf("[%d, ∞)", iv.Start)
+		}
+		return fmt.Sprintf("[%d, %d)", iv.Start, iv.End)
 	}
-	if s := From(2).String(); s != "[2, ∞)" {
-		t.Errorf("String = %q", s)
+	cases := []struct {
+		iv   Interval
+		want string
+	}{
+		{Empty, "[)"},
+		{New(5, 5), "[)"},
+		{New(9, 2), "[)"},
+		{New(2, 7), "[2, 7)"},
+		{From(3), "[3, ∞)"},
+		{New(-2, 7), "[-2, 7)"},
+		{Universe, "[0, ∞)"},
+		{Point(41), "[41, 42)"},
+		{New(math.MinInt64, -1), "[-9223372036854775808, -1)"},
+		{New(math.MinInt64, Infinity-1), "[-9223372036854775808, 9223372036854775806)"},
+		{New(math.MinInt64, Infinity), "[-9223372036854775808, ∞)"},
 	}
-	if s := Empty.String(); s != "[)" {
-		t.Errorf("String = %q", s)
+	for _, c := range cases {
+		if got := c.iv.String(); got != c.want || got != sprintf(c.iv) {
+			t.Errorf("String(%d, %d) = %q, want %q (fmt form %q)", c.iv.Start, c.iv.End, got, c.want, sprintf(c.iv))
+		}
+		if got := fmt.Sprintf("%v", c.iv); got != c.want {
+			t.Errorf("%%v of (%d, %d) = %q, want %q", c.iv.Start, c.iv.End, got, c.want)
+		}
+	}
+	r := rand.New(rand.NewSource(1))
+	for i := 0; i < 1000; i++ {
+		iv := randomInterval(r)
+		if got, want := iv.String(), sprintf(iv); got != want {
+			t.Fatalf("String(%d, %d) = %q, fmt form %q", iv.Start, iv.End, got, want)
+		}
 	}
 }
 

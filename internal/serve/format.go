@@ -35,9 +35,9 @@ func FormatResult(r *core.Result, top int) []string {
 	lines := make([]string, 0, r.Graph.NumVertices())
 	for _, id := range sortedIDs(r.Graph, top) {
 		st := r.StateByID(id)
-		var parts []string
+		parts := make([]string, 0, st.NumParts())
 		for _, p := range st.Parts() {
-			parts = append(parts, fmt.Sprintf("%v=%v", p.Interval, p.Value))
+			parts = append(parts, p.Interval.String()+"="+fmt.Sprintf("%v", p.Value))
 		}
 		lines = append(lines, fmt.Sprintf("vertex %d: %s", id, strings.Join(parts, " ")))
 	}
@@ -69,10 +69,10 @@ func buildResult(p *prepared, r *core.Result) *RunResult {
 	}
 	for _, id := range sortedIDs(r.Graph, 0) {
 		st := r.StateByID(id)
-		v := VertexResult{ID: int64(id)}
+		v := VertexResult{ID: int64(id), Parts: make([]StatePart, 0, st.NumParts())}
 		for _, part := range st.Parts() {
 			v.Parts = append(v.Parts, StatePart{
-				Interval: fmt.Sprintf("%v", part.Interval),
+				Interval: part.Interval.String(),
 				Value:    fmt.Sprintf("%v", part.Value),
 			})
 		}

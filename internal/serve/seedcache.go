@@ -32,12 +32,14 @@ type seedKey struct {
 
 // seedEntry is one retained run: terminal states over the window
 // [key.start, end), computed under effective epoch eff (0 for static
-// graphs, whose version never changes).
+// graphs, whose version never changes). It holds the states detached from
+// the run's graph, so a retained entry does not pin the window's slice of
+// the graph.
 type seedEntry struct {
-	key seedKey
-	end ival.Time
-	eff uint64
-	res *core.Result
+	key  seedKey
+	end  ival.Time
+	eff  uint64
+	seed *core.Seed
 }
 
 func newSeedCache(max int) *seedCache {

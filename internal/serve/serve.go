@@ -606,7 +606,7 @@ func (s *Server) runBSP(ctx context.Context, p *prepared) (*RunResult, error) {
 	seedable := algorithms.SupportsIncremental(p.algo)
 	if seedable && !p.noCache {
 		if e, ok := s.seeds.lookup(skey, p.window.End); ok && s.seedValid(p, e) {
-			opts.SeedStates = core.SeedFromResult(g, e.res)
+			opts.SeedStates = e.seed.StatesFor(g)
 			s.m.seedHits.Inc()
 		}
 	}
@@ -642,7 +642,7 @@ func (s *Server) runBSP(ctx context.Context, p *prepared) (*RunResult, error) {
 	// Retain the terminal states for future window extensions. Unbounded
 	// windows are never retained: nothing can extend past infinity.
 	if seedable && !p.noCache && p.window.End != ival.Infinity {
-		s.seeds.put(&seedEntry{key: skey, end: p.window.End, eff: p.eff, res: r})
+		s.seeds.put(&seedEntry{key: skey, end: p.window.End, eff: p.eff, seed: r.Seed()})
 		s.m.seedStores.Inc()
 		s.m.seedSize.Set(int64(s.seeds.len()))
 	}

@@ -13,6 +13,7 @@ import (
 	"iter"
 	"slices"
 	"sort"
+	"sync"
 
 	ival "graphite/internal/interval"
 )
@@ -134,6 +135,25 @@ type Graph struct {
 	dstIdx   []int32            // edge index -> dense destination vertex index
 	lifespan ival.Interval      // hull of all vertex lifespans
 	horizon  ival.Time          // cached largest finite boundary (see Horizon)
+	derived  sync.Map           // see Derived
+}
+
+// Derived returns the value attached to the graph under key, creating it
+// with build on first use. It is the hook by which a layer above keeps what
+// it computes from the immutable graph — and from nothing else — with the
+// graph: derived once, shared by every user of the graph, and collected
+// with it, so nothing above needs a cache to size or to invalidate. Under
+// concurrent first use build may run more than once; one result wins and is
+// what every caller gets. Use a key type private to the calling package.
+//
+// Values copy what they need out of the graph instead of pointing into it: a
+// mapped graph's storage is unmapped by Close, not collected.
+func (g *Graph) Derived(key any, build func() any) any {
+	if v, ok := g.derived.Load(key); ok {
+		return v
+	}
+	v, _ := g.derived.LoadOrStore(key, build())
+	return v
 }
 
 // NumVertices returns |V|.
