@@ -19,9 +19,11 @@ test:
 # warp/algorithm layers whose per-worker scratch reuse must stay race-free,
 # and the ICM runtime, whose scatter plan is built once per graph by whichever
 # of several concurrent runs gets there first (repeated: the window is the
-# first instant of a fresh graph).
+# first instant of a fresh graph), and the graph, stream and live layers:
+# derived graphs share property slabs with their source across concurrent
+# queries, and an epoch is materialized while readers hold the previous one.
 race:
-	$(GO) test -race ./internal/engine/... ./internal/chaos/... ./internal/cluster/... ./internal/obs/... ./internal/serve/... ./internal/warp/... ./internal/algorithms/... ./internal/core/...
+	$(GO) test -race ./internal/engine/... ./internal/chaos/... ./internal/cluster/... ./internal/obs/... ./internal/serve/... ./internal/warp/... ./internal/algorithms/... ./internal/core/... ./internal/tgraph/... ./internal/stream/... ./internal/live/...
 	$(GO) test -race -count=10 -run 'TestPlanSharedByConcurrentRuns' ./internal/core/
 
 # Fuzz smoke: every fuzz target in the codec, state, warp and graph-format
@@ -35,6 +37,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzWarp -fuzztime $(FUZZTIME) ./internal/warp
 	$(GO) test -run '^$$' -fuzz FuzzFormatRoundTrip -fuzztime $(FUZZTIME) ./internal/tgraph
 	$(GO) test -run '^$$' -fuzz FuzzSnapshotMutation -fuzztime $(FUZZTIME) ./internal/tgraph
+	$(GO) test -run '^$$' -fuzz FuzzSlice -fuzztime $(FUZZTIME) ./internal/tgraph
 
 # The full gate: everything vetted, built, and race-tested. Long-running
 # chaos tests honour -short via `make verify SHORT=-short`.

@@ -4,8 +4,8 @@ import (
 	"errors"
 	"math/rand"
 	"sync"
-	"sync/atomic"
 	"testing"
+	"time"
 
 	"graphite/internal/codec"
 	ival "graphite/internal/interval"
@@ -147,30 +147,44 @@ func TestFrontierTracksFlags(t *testing.T) {
 	}
 }
 
-// spinProgram burns a little CPU per vertex and stays quiet, so a skewed
-// partition gives one worker a visibly long compute phase for thieves to
-// relieve.
-type spinProgram struct{ sink int64 }
+// gateProgram makes the owner of every vertex wait for a thief: a vertex run
+// by worker 0 blocks until some vertex has run on another worker — which, all
+// vertices being worker 0's, can only be a stolen one — or until giveUp fires
+// and opens the gate for good, so a scheduler that never steals fails the
+// assertion instead of hanging.
+type gateProgram struct {
+	stolen chan struct{}
+	open   sync.Once
+	giveUp <-chan time.Time
+}
 
-func (p *spinProgram) Init(*Context) {}
+func (p *gateProgram) Init(*Context) {}
 
-func (p *spinProgram) Run(ctx *Context, msgs []Message) {
-	var acc int64
-	for i := 0; i < 20000; i++ {
-		acc += int64(i) ^ acc<<1
+func (p *gateProgram) Run(ctx *Context, msgs []Message) {
+	if ctx.Worker() != 0 {
+		p.open.Do(func() { close(p.stolen) })
+		return
 	}
-	atomic.AddInt64(&p.sink, acc)
+	select {
+	case <-p.stolen:
+	case <-p.giveUp:
+		p.open.Do(func() { close(p.stolen) })
+	}
 }
 
 // TestStealsHappenAndAreCounted forces total skew — every vertex on worker 0
-// of two, chunk size 1, slow vertices — and requires the idle worker to have
-// stolen at least one chunk, with the registry counter and trace totals
-// agreeing.
+// of two, chunk size 1, worker 0 held on its first vertex until worker 1 has
+// claimed a chunk — and requires the idle worker to have stolen at least one
+// chunk, with the registry counter and trace totals agreeing.
 func TestStealsHappenAndAreCounted(t *testing.T) {
 	const n = 64
 	reg := obs.NewRegistry()
 	rec := &obs.Recorder{}
-	e, err := New(n, &spinProgram{}, Config{
+	giveUp := time.Minute
+	if d, ok := t.Deadline(); ok {
+		giveUp = time.Until(d) / 2
+	}
+	e, err := New(n, &gateProgram{stolen: make(chan struct{}), giveUp: time.After(giveUp)}, Config{
 		NumWorkers:    2,
 		Steal:         true,
 		StealChunk:    1,

@@ -2,7 +2,8 @@ package serve
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"strconv"
 	"strings"
 
 	"graphite/internal/core"
@@ -21,11 +22,27 @@ func sortedIDs(g *tgraph.Graph, top int) []tgraph.VertexID {
 	for i := 0; i < g.NumVertices(); i++ {
 		ids = append(ids, g.VertexAt(i).ID)
 	}
-	sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
+	slices.Sort(ids)
 	if top > 0 && len(ids) > top {
 		ids = ids[:top]
 	}
 	return ids
+}
+
+// formatValue renders one state value exactly as fmt's %v does, without
+// fmt's reflection for the types the shipped algorithms keep as state.
+func formatValue(v any) string {
+	switch x := v.(type) {
+	case int64:
+		return strconv.FormatInt(x, 10)
+	case float64:
+		return strconv.FormatFloat(x, 'g', -1, 64)
+	case bool:
+		return strconv.FormatBool(x)
+	case string:
+		return x
+	}
+	return fmt.Sprintf("%v", v)
 }
 
 // FormatResult renders a run's final per-vertex states exactly as
@@ -37,7 +54,7 @@ func FormatResult(r *core.Result, top int) []string {
 		st := r.StateByID(id)
 		parts := make([]string, 0, st.NumParts())
 		for _, p := range st.Parts() {
-			parts = append(parts, p.Interval.String()+"="+fmt.Sprintf("%v", p.Value))
+			parts = append(parts, p.Interval.String()+"="+formatValue(p.Value))
 		}
 		lines = append(lines, fmt.Sprintf("vertex %d: %s", id, strings.Join(parts, " ")))
 	}
@@ -45,8 +62,8 @@ func FormatResult(r *core.Result, top int) []string {
 }
 
 // buildResult shapes a finished core run into the wire result. Interval and
-// value strings use the same verbs as FormatResult so FormatLines round-trips
-// exactly.
+// value strings are rendered as FormatResult renders them so FormatLines
+// round-trips exactly.
 func buildResult(p *prepared, r *core.Result) *RunResult {
 	res := &RunResult{
 		Graph:       p.graphName,
@@ -73,7 +90,7 @@ func buildResult(p *prepared, r *core.Result) *RunResult {
 		for _, part := range st.Parts() {
 			v.Parts = append(v.Parts, StatePart{
 				Interval: part.Interval.String(),
-				Value:    fmt.Sprintf("%v", part.Value),
+				Value:    formatValue(part.Value),
 			})
 		}
 		res.Vertices = append(res.Vertices, v)

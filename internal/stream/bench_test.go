@@ -1,0 +1,104 @@
+package stream
+
+import (
+	"slices"
+	"testing"
+
+	"graphite/internal/gen"
+	"graphite/internal/tgraph"
+)
+
+// eventsOf decomposes a graph into the time-ordered event log that builds
+// it: within a time-point additions come before the properties that need
+// their owner, removals last. Every gen graph qualifies (property values
+// tile their owner's lifespan, so "set" events alone express them).
+func eventsOf(g *tgraph.Graph) []Event {
+	var evs []Event
+	for i := range g.Vertices() {
+		v := g.VertexAt(i)
+		evs = append(evs, Event{Op: AddVertex, T: v.Lifespan.Start, V: v.ID})
+		for label, entries := range v.Props.All() {
+			for _, p := range entries {
+				evs = append(evs, Event{Op: SetVertexProp, T: p.Interval.Start, V: v.ID, Label: label, Value: p.Value})
+			}
+		}
+		if !v.Lifespan.IsUnbounded() {
+			evs = append(evs, Event{Op: RemoveVertex, T: v.Lifespan.End, V: v.ID})
+		}
+	}
+	for i := range g.Edges() {
+		e := g.Edge(i)
+		evs = append(evs, Event{Op: AddEdge, T: e.Lifespan.Start, E: e.ID, Src: e.Src, Dst: e.Dst})
+		for label, entries := range e.Props.All() {
+			for _, p := range entries {
+				evs = append(evs, Event{Op: SetEdgeProp, T: p.Interval.Start, E: e.ID, Label: label, Value: p.Value})
+			}
+		}
+		if !e.Lifespan.IsUnbounded() {
+			evs = append(evs, Event{Op: RemoveEdge, T: e.Lifespan.End, E: e.ID})
+		}
+	}
+	class := [...]int{AddVertex: 0, AddEdge: 1, SetVertexProp: 2, SetEdgeProp: 2, RemoveEdge: 3, RemoveVertex: 4}
+	slices.SortStableFunc(evs, func(a, b Event) int {
+		if a.T != b.T {
+			return int(a.T - b.T)
+		}
+		return class[a.Op] - class[b.Op]
+	})
+	return evs
+}
+
+// TestAccumulatorRebuildsGeneratedGraphs replays whole generated graphs
+// through the accumulator: the materialized graph must equal the original
+// entity for entity — dense order, clipped property runs and all.
+func TestAccumulatorRebuildsGeneratedGraphs(t *testing.T) {
+	for _, p := range []gen.Profile{gen.MAGLike(0.1), gen.TwitterLike(0.1), gen.USRNLike(0.1)} {
+		g, err := gen.Generate(p, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		acc := NewAccumulator()
+		for _, ev := range eventsOf(g) {
+			if err := acc.Apply(ev); err != nil {
+				t.Fatalf("%s: %v", p.Name, err)
+			}
+		}
+		got, err := acc.Graph(0)
+		if err != nil {
+			t.Fatalf("%s: %v", p.Name, err)
+		}
+		if err := tgraph.Equal(got, g); err != nil {
+			t.Errorf("%s: materialized graph differs: %v", p.Name, err)
+		}
+	}
+}
+
+var sinkGraph *tgraph.Graph
+
+// BenchmarkAccumulatorGraph materializes live_refresh's graph half-way
+// through its event log, when most entities are still open: what every
+// ingested batch pays to publish an epoch.
+func BenchmarkAccumulatorGraph(b *testing.B) {
+	g, err := gen.Generate(gen.MAGLike(0.5), 42)
+	if err != nil {
+		b.Fatal(err)
+	}
+	acc := NewAccumulator()
+	for _, ev := range eventsOf(g) {
+		if ev.T >= g.Horizon()/2 {
+			break
+		}
+		if err := acc.Apply(ev); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s, err := acc.Graph(0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sinkGraph = s
+	}
+}

@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -348,7 +349,7 @@ func (a *Accumulator) Graph(horizon ival.Time) (*tgraph.Graph, error) {
 	for id := range a.vspans {
 		vids = append(vids, id)
 	}
-	sort.Slice(vids, func(i, j int) bool { return vids[i] < vids[j] })
+	slices.Sort(vids)
 	for _, id := range vids {
 		s := a.vspans[id]
 		life := ival.New(s.start, end(s))
@@ -356,13 +357,15 @@ func (a *Accumulator) Graph(horizon ival.Time) (*tgraph.Graph, error) {
 			continue
 		}
 		b.AddVertex(id, life)
-		a.flushProps(b.SetVertexProp, id, 0, a.vprops[id], a.vruns[id], life)
+		flushProps(a.vprops[id], a.vruns[id], life, func(label string, entries []tgraph.PropEntry) {
+			b.SetVertexProps(id, label, entries)
+		})
 	}
 	eids := make([]tgraph.EdgeID, 0, len(a.espans))
 	for id := range a.espans {
 		eids = append(eids, id)
 	}
-	sort.Slice(eids, func(i, j int) bool { return eids[i] < eids[j] })
+	slices.Sort(eids)
 	for _, id := range eids {
 		s := a.espans[id]
 		life := ival.New(s.start, end(s))
@@ -371,36 +374,42 @@ func (a *Accumulator) Graph(horizon ival.Time) (*tgraph.Graph, error) {
 		}
 		tails := a.etails[id]
 		b.AddEdge(id, tails[0], tails[1], life)
-		for label, entries := range a.eprops[id] {
-			for _, p := range entries {
-				if x := p.Interval.Intersect(life); !x.IsEmpty() {
-					b.SetEdgeProp(id, label, x, p.Value)
-				}
-			}
-		}
-		for label, run := range a.eruns[id] {
-			if x := ival.New(run.start, life.End).Intersect(life); !x.IsEmpty() {
-				b.SetEdgeProp(id, label, x, run.value)
-			}
-		}
+		flushProps(a.eprops[id], a.eruns[id], life, func(label string, entries []tgraph.PropEntry) {
+			b.SetEdgeProps(id, label, entries)
+		})
 	}
 	return b.Build()
 }
 
-// flushProps writes closed entries plus the open runs, clipped to life.
-func (a *Accumulator) flushProps(set func(tgraph.VertexID, string, ival.Interval, int64) *tgraph.Builder,
-	vid tgraph.VertexID, _ tgraph.EdgeID, closed map[string][]tgraph.PropEntry,
-	runs map[string]propRun, life ival.Interval) {
+// flushProps hands set each label's timeline clipped to life: the closed
+// entries, already in time order, then the open run. Each timeline is a fresh
+// exactly-sized slice the builder keeps.
+func flushProps(closed map[string][]tgraph.PropEntry, runs map[string]propRun, life ival.Interval,
+	set func(label string, entries []tgraph.PropEntry)) {
+	open := func(run propRun) (tgraph.PropEntry, bool) {
+		x := ival.New(run.start, life.End).Intersect(life)
+		return tgraph.PropEntry{Interval: x, Value: run.value}, !x.IsEmpty()
+	}
 	for label, entries := range closed {
+		out := make([]tgraph.PropEntry, 0, len(entries)+1)
 		for _, p := range entries {
 			if x := p.Interval.Intersect(life); !x.IsEmpty() {
-				set(vid, label, x, p.Value)
+				out = append(out, tgraph.PropEntry{Interval: x, Value: p.Value})
 			}
 		}
+		if run, ok := runs[label]; ok {
+			if p, ok := open(run); ok {
+				out = append(out, p)
+			}
+		}
+		set(label, out)
 	}
 	for label, run := range runs {
-		if x := ival.New(run.start, life.End).Intersect(life); !x.IsEmpty() {
-			set(vid, label, x, run.value)
+		if _, done := closed[label]; done {
+			continue
+		}
+		if p, ok := open(run); ok {
+			set(label, []tgraph.PropEntry{p})
 		}
 	}
 }

@@ -1,9 +1,10 @@
 package tgraph
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	ival "graphite/internal/interval"
 )
@@ -27,6 +28,8 @@ var (
 type Builder struct {
 	vertices []Vertex
 	edges    []Edge
+	srcIdx   []int32 // edge index -> dense source vertex index
+	dstIdx   []int32 // edge index -> dense destination vertex index
 	vseen    map[VertexID]int32
 	eseen    map[EdgeID]int32
 	err      error
@@ -37,6 +40,8 @@ func NewBuilder(vcap, ecap int) *Builder {
 	return &Builder{
 		vertices: make([]Vertex, 0, vcap),
 		edges:    make([]Edge, 0, ecap),
+		srcIdx:   make([]int32, 0, ecap),
+		dstIdx:   make([]int32, 0, ecap),
 		vseen:    make(map[VertexID]int32, vcap),
 		eseen:    make(map[EdgeID]int32, ecap),
 	}
@@ -87,38 +92,86 @@ func (b *Builder) AddEdge(id EdgeID, src, dst VertexID, lifespan ival.Interval) 
 	}
 	b.eseen[id] = int32(len(b.edges))
 	b.edges = append(b.edges, Edge{ID: id, Src: src, Dst: dst, Lifespan: lifespan})
+	b.srcIdx = append(b.srcIdx, si)
+	b.dstIdx = append(b.dstIdx, di)
 	return b
+}
+
+// vertexOwner returns the vertex a property is for, recording
+// ErrUnknownPropOwner if there is none.
+func (b *Builder) vertexOwner(id VertexID) *Vertex {
+	vi, ok := b.vseen[id]
+	if !ok {
+		b.fail(fmt.Errorf("%w: vertex %d", ErrUnknownPropOwner, id))
+		return nil
+	}
+	return &b.vertices[vi]
+}
+
+func (b *Builder) edgeOwner(id EdgeID) *Edge {
+	ei, ok := b.eseen[id]
+	if !ok {
+		b.fail(fmt.Errorf("%w: edge %d", ErrUnknownPropOwner, id))
+		return nil
+	}
+	return &b.edges[ei]
+}
+
+// fits reports whether a property interval is a non-empty part of its
+// owner's lifespan (Constraint 3), recording ErrPropOutlives if not.
+func (b *Builder) fits(kind string, id int64, life ival.Interval, label string, interval ival.Interval) bool {
+	if life.ContainsInterval(interval) && !interval.IsEmpty() {
+		return true
+	}
+	b.fail(fmt.Errorf("%w: %s %d prop %q %v outside %v", ErrPropOutlives, kind, id, label, interval, life))
+	return false
 }
 
 // SetVertexProp attaches 〈vid, label, value, interval〉 to a vertex.
 func (b *Builder) SetVertexProp(id VertexID, label string, interval ival.Interval, value int64) *Builder {
-	vi, ok := b.vseen[id]
-	if !ok {
-		b.fail(fmt.Errorf("%w: vertex %d", ErrUnknownPropOwner, id))
-		return b
+	if v := b.vertexOwner(id); v != nil && b.fits("vertex", int64(id), v.Lifespan, label, interval) {
+		v.Props.Add(label, PropEntry{Interval: interval, Value: value})
 	}
-	v := &b.vertices[vi]
-	if !v.Lifespan.ContainsInterval(interval) || interval.IsEmpty() {
-		b.fail(fmt.Errorf("%w: vertex %d prop %q %v outside %v", ErrPropOutlives, id, label, interval, v.Lifespan))
-		return b
-	}
-	v.Props.Add(label, PropEntry{Interval: interval, Value: value})
 	return b
 }
 
 // SetEdgeProp attaches 〈eid, label, value, interval〉 to an edge.
 func (b *Builder) SetEdgeProp(id EdgeID, label string, interval ival.Interval, value int64) *Builder {
-	ei, ok := b.eseen[id]
-	if !ok {
-		b.fail(fmt.Errorf("%w: edge %d", ErrUnknownPropOwner, id))
+	if e := b.edgeOwner(id); e != nil && b.fits("edge", int64(id), e.Lifespan, label, interval) {
+		e.Props.Add(label, PropEntry{Interval: interval, Value: value})
+	}
+	return b
+}
+
+// SetVertexProps attaches a run of values of one label to a vertex, each
+// checked as SetVertexProp checks it, for one owner lookup. The builder keeps
+// entries; the caller must not use the slice afterwards.
+func (b *Builder) SetVertexProps(id VertexID, label string, entries []PropEntry) *Builder {
+	v := b.vertexOwner(id)
+	if v == nil || len(entries) == 0 {
 		return b
 	}
-	e := &b.edges[ei]
-	if !e.Lifespan.ContainsInterval(interval) || interval.IsEmpty() {
-		b.fail(fmt.Errorf("%w: edge %d prop %q %v outside %v", ErrPropOutlives, id, label, interval, e.Lifespan))
+	for _, p := range entries {
+		if !b.fits("vertex", int64(id), v.Lifespan, label, p.Interval) {
+			return b
+		}
+	}
+	v.Props.addAll(label, entries)
+	return b
+}
+
+// SetEdgeProps is SetVertexProps for an edge.
+func (b *Builder) SetEdgeProps(id EdgeID, label string, entries []PropEntry) *Builder {
+	e := b.edgeOwner(id)
+	if e == nil || len(entries) == 0 {
 		return b
 	}
-	e.Props.Add(label, PropEntry{Interval: interval, Value: value})
+	for _, p := range entries {
+		if !b.fits("edge", int64(id), e.Lifespan, label, p.Interval) {
+			return b
+		}
+	}
+	e.Props.addAll(label, entries)
 	return b
 }
 
@@ -130,36 +183,33 @@ func (b *Builder) Build() (*Graph, error) {
 	if b.err != nil {
 		return nil, b.err
 	}
-	g := &Graph{
-		vertices: b.vertices,
-		edges:    b.edges,
-		vindex:   b.vseen,
-		out:      make([][]int32, len(b.vertices)),
-		in:       make([][]int32, len(b.vertices)),
-		srcIdx:   make([]int32, len(b.edges)),
-		dstIdx:   make([]int32, len(b.edges)),
-	}
-	for i := range g.vertices {
-		v := &g.vertices[i]
-		if err := normalizeProps(v.Props, fmt.Sprintf("vertex %d", v.ID)); err != nil {
-			return nil, err
+	for i := range b.vertices {
+		if err := normalizeProps(b.vertices[i].Props); err != nil {
+			return nil, fmt.Errorf("%w: vertex %d %s", ErrPropConflict, b.vertices[i].ID, err)
 		}
-		g.lifespan = g.lifespan.Union(v.Lifespan)
 	}
-	for i := range g.edges {
-		e := &g.edges[i]
-		if err := normalizeProps(e.Props, fmt.Sprintf("edge %d", e.ID)); err != nil {
-			return nil, err
+	for i := range b.edges {
+		if err := normalizeProps(b.edges[i].Props); err != nil {
+			return nil, fmt.Errorf("%w: edge %d %s", ErrPropConflict, b.edges[i].ID, err)
 		}
-		si := g.vindex[e.Src]
-		di := g.vindex[e.Dst]
-		g.srcIdx[i] = si
-		g.dstIdx[i] = di
-		g.out[si] = append(g.out[si], int32(i))
-		g.in[di] = append(g.in[di], int32(i))
 	}
-	g.horizon = g.computeHorizon()
-	return g, nil
+	return assemble(b.vertices, b.edges, b.srcIdx, b.dstIdx, b.vseen, sortedByID(b.vertices)), nil
+}
+
+// sortedByID returns the vertex indices ordered by id. Ids usually arrive
+// ascending (generators, the stream accumulator, written files), which one
+// scan detects; only then-unsorted tables pay for a sort.
+func sortedByID(vertices []Vertex) []int32 {
+	perm := make([]int32, len(vertices))
+	sorted := true
+	for i := range perm {
+		perm[i] = int32(i)
+		sorted = sorted && (i == 0 || vertices[i-1].ID < vertices[i].ID)
+	}
+	if !sorted {
+		slices.SortFunc(perm, func(a, b int32) int { return cmp.Compare(vertices[a].ID, vertices[b].ID) })
+	}
+	return perm
 }
 
 // MustBuild is Build that panics on error; for tests and examples.
@@ -171,19 +221,21 @@ func (b *Builder) MustBuild() *Graph {
 	return g
 }
 
+func byStart(a, b PropEntry) int { return cmp.Compare(a.Interval.Start, b.Interval.Start) }
+
 // normalizeProps sorts each label's entries by start and rejects entries with
 // intersecting intervals and different values (Definition 1). Entries with
 // intersecting intervals and the same value are rejected too: they indicate a
-// malformed input.
-func normalizeProps(p Props, owner string) error {
-	for label, entries := range p.All() {
-		sort.Slice(entries, func(i, j int) bool {
-			return entries[i].Interval.Start < entries[j].Interval.Start
-		})
+// malformed input. The error names the label and the pair; the caller, which
+// knows the owner, wraps it — nothing is formatted unless validation fails.
+func normalizeProps(p Props) error {
+	for li, entries := range p.entries {
+		if !slices.IsSortedFunc(entries, byStart) {
+			slices.SortFunc(entries, byStart)
+		}
 		for i := 1; i < len(entries); i++ {
 			if entries[i-1].Interval.Intersects(entries[i].Interval) {
-				return fmt.Errorf("%w: %s label %q: %v and %v",
-					ErrPropConflict, owner, label, entries[i-1].Interval, entries[i].Interval)
+				return fmt.Errorf("label %q: %v and %v", p.labels[li], entries[i-1].Interval, entries[i].Interval)
 			}
 		}
 	}

@@ -211,15 +211,8 @@ func encodeSnapCSR(rows [][]int32, ne int) []byte {
 }
 
 func encodeSnapVIndex(g *Graph) []byte {
-	perm := make([]int32, len(g.vertices))
-	for i := range perm {
-		perm[i] = int32(i)
-	}
-	sort.Slice(perm, func(a, b int) bool {
-		return g.vertices[perm[a]].ID < g.vertices[perm[b]].ID
-	})
-	buf := make([]byte, 4*len(perm))
-	for i, p := range perm {
+	buf := make([]byte, 4*len(g.vsorted))
+	for i, p := range g.vsorted {
 		binary.LittleEndian.PutUint32(buf[4*i:], uint32(p))
 	}
 	return buf

@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"iter"
 	"slices"
-	"sort"
 	"sync"
 
 	ival "graphite/internal/interval"
@@ -88,17 +87,47 @@ func (p Props) All() iter.Seq2[string, []PropEntry] {
 	}
 }
 
+// search returns the sorted position of label and whether it is present.
+// Linear scan: property sets carry at most a handful of labels.
+func (p Props) search(label string) (int, bool) {
+	i := 0
+	for i < len(p.labels) && p.labels[i] < label {
+		i++
+	}
+	return i, i < len(p.labels) && p.labels[i] == label
+}
+
 // Add appends one value to label, inserting the label at its sorted
 // position if new. Entries within a label are kept in insertion order;
 // Builder.Build sorts and validates them.
 func (p *Props) Add(label string, e PropEntry) {
-	i := sort.SearchStrings(p.labels, label)
-	if i < len(p.labels) && p.labels[i] == label {
+	if i, ok := p.search(label); ok {
 		p.entries[i] = append(p.entries[i], e)
-		return
+	} else {
+		p.insert(i, label, []PropEntry{e})
+	}
+}
+
+// addAll appends a run of values to label. A new label takes es itself as
+// its entry slice: the caller gives the slice up.
+func (p *Props) addAll(label string, es []PropEntry) {
+	if i, ok := p.search(label); ok {
+		p.entries[i] = append(p.entries[i], es...)
+	} else {
+		p.insert(i, label, es)
+	}
+}
+
+func (p *Props) insert(i int, label string, es []PropEntry) {
+	if p.labels == nil {
+		// Room for two labels (the travel-time/travel-cost pair every
+		// generated and ingested edge carries) in one allocation per header
+		// slice, rather than one per label.
+		p.labels = make([]string, 0, 2)
+		p.entries = make([][]PropEntry, 0, 2)
 	}
 	p.labels = slices.Insert(p.labels, i, label)
-	p.entries = slices.Insert(p.entries, i, []PropEntry{e})
+	p.entries = slices.Insert(p.entries, i, es)
 }
 
 // Vertex is a temporal vertex 〈vid, τ〉 with optional temporal properties.
@@ -120,15 +149,15 @@ type Edge struct {
 
 // Graph is an immutable temporal property graph.
 //
-// Exactly one of vindex/vsorted is populated: graphs built in memory carry
-// the hash index, graphs decoded from a mapped snapshot carry the sorted
-// permutation (no per-open map construction) and look ids up by binary
-// search.
+// Every graph carries vsorted, the vertex indices ordered by id, which
+// IndexOf searches and from which a derived graph (Slice, ExtractPartition)
+// takes its own index by filtering. A graph built in memory also keeps the
+// Builder's id map, which answers IndexOf without the search.
 type Graph struct {
 	vertices []Vertex
 	edges    []Edge
-	vindex   map[VertexID]int32 // VertexID -> index into vertices
-	vsorted  []int32            // vertex indices sorted by id (mapped graphs)
+	vindex   map[VertexID]int32 // VertexID -> index into vertices (built graphs)
+	vsorted  []int32            // vertex indices sorted by id
 	out      [][]int32          // vertex index -> indices into edges (out-edges)
 	in       [][]int32          // vertex index -> indices into edges (in-edges)
 	srcIdx   []int32            // edge index -> dense source vertex index
@@ -136,6 +165,52 @@ type Graph struct {
 	lifespan ival.Interval      // hull of all vertex lifespans
 	horizon  ival.Time          // cached largest finite boundary (see Horizon)
 	derived  sync.Map           // see Derived
+}
+
+// assemble is the one tail of graph construction in memory: entity tables
+// that already satisfy the constraints, each edge's dense endpoint indices
+// and the id index in, graph out. It validates nothing — Builder.Build
+// checks before it calls, Slice and ExtractPartition start from a graph that
+// was checked — and adds what is derived from the tables: adjacency, the
+// lifespan hull and the horizon. Adjacency rows are sub-slices of one shared
+// array filled by counting, in ascending edge order per vertex, so the
+// allocation count is the same for every |V| and |E|.
+func assemble(vertices []Vertex, edges []Edge, srcIdx, dstIdx []int32, vindex map[VertexID]int32, vsorted []int32) *Graph {
+	g := &Graph{
+		vertices: vertices,
+		edges:    edges,
+		vindex:   vindex,
+		vsorted:  vsorted,
+		srcIdx:   srcIdx,
+		dstIdx:   dstIdx,
+	}
+	for i := range vertices {
+		g.lifespan = g.lifespan.Union(vertices[i].Lifespan)
+	}
+	nv, ne := len(vertices), len(edges)
+	deg := make([]int32, 2*nv) // out-degrees, then in-degrees
+	for i := range edges {
+		deg[srcIdx[i]]++
+		deg[nv+int(dstIdx[i])]++
+	}
+	rows := make([][]int32, 2*nv)
+	slots := make([]int32, 2*ne)
+	g.out, g.in = rows[:nv:nv], rows[nv:]
+	outAt, inAt := 0, ne
+	for v := 0; v < nv; v++ {
+		od, id := int(deg[v]), int(deg[nv+v])
+		g.out[v] = slots[outAt : outAt : outAt+od]
+		g.in[v] = slots[inAt : inAt : inAt+id]
+		outAt += od
+		inAt += id
+	}
+	for i := range edges {
+		s, d := srcIdx[i], dstIdx[i]
+		g.out[s] = append(g.out[s], int32(i)) // within capacity: never reallocates
+		g.in[d] = append(g.in[d], int32(i))
+	}
+	g.horizon = g.computeHorizon()
+	return g
 }
 
 // Derived returns the value attached to the graph under key, creating it

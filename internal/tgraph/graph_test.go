@@ -137,6 +137,93 @@ func TestConstraint3PropertyIntegrity(t *testing.T) {
 	}
 }
 
+// TestPropConflictNamesOwner pins the conflict error text: the owner is only
+// formatted once validation has failed, and must read as it always has.
+func TestPropConflictNamesOwner(t *testing.T) {
+	b := NewBuilder(0, 0)
+	b.AddVertex(1, ival.New(0, 10)).AddVertex(2, ival.New(0, 10))
+	b.AddEdge(7, 1, 2, ival.New(0, 10))
+	b.SetEdgeProp(7, "w", ival.New(4, 9), 2).SetEdgeProp(7, "w", ival.New(0, 5), 1)
+	_, err := b.Build()
+	want := `tgraph: overlapping values for one property label (Definition 1): edge 7 label "w": [0, 5) and [4, 9)`
+	if !errors.Is(err, ErrPropConflict) || err.Error() != want {
+		t.Errorf("edge conflict: got %v, want %s", err, want)
+	}
+
+	b = NewBuilder(0, 0)
+	b.AddVertex(3, ival.New(0, 10))
+	b.SetVertexProps(3, "x", []PropEntry{{ival.New(0, 5), 1}, {ival.New(4, 9), 1}})
+	_, err = b.Build()
+	want = `tgraph: overlapping values for one property label (Definition 1): vertex 3 label "x": [0, 5) and [4, 9)`
+	if !errors.Is(err, ErrPropConflict) || err.Error() != want {
+		t.Errorf("vertex conflict: got %v, want %s", err, want)
+	}
+}
+
+// TestSetPropsInBulk: a label's timeline handed over whole builds the graph
+// the entry-by-entry calls build, under the same checks.
+func TestSetPropsInBulk(t *testing.T) {
+	one := NewBuilder(2, 1)
+	one.AddVertex(1, ival.New(0, 9)).AddVertex(2, ival.New(0, 9)).AddEdge(5, 1, 2, ival.New(1, 8))
+	one.SetVertexProp(1, "b", ival.New(0, 4), 1).SetVertexProp(1, "b", ival.New(4, 9), 2).SetVertexProp(1, "a", ival.New(2, 3), 7)
+	one.SetEdgeProp(5, "w", ival.New(5, 8), 3).SetEdgeProp(5, "w", ival.New(1, 5), 4) // out of order: Build sorts
+
+	bulk := NewBuilder(2, 1)
+	bulk.AddVertex(1, ival.New(0, 9)).AddVertex(2, ival.New(0, 9)).AddEdge(5, 1, 2, ival.New(1, 8))
+	bulk.SetVertexProps(1, "b", []PropEntry{{ival.New(0, 4), 1}}).SetVertexProps(1, "b", []PropEntry{{ival.New(4, 9), 2}})
+	bulk.SetVertexProps(1, "a", []PropEntry{{ival.New(2, 3), 7}}).SetVertexProps(2, "none", nil)
+	bulk.SetEdgeProps(5, "w", []PropEntry{{ival.New(5, 8), 3}, {ival.New(1, 5), 4}})
+	if err := Equal(bulk.MustBuild(), one.MustBuild()); err != nil {
+		t.Fatalf("bulk-built graph differs: %v", err)
+	}
+
+	for name, tc := range map[string]struct {
+		set  func(b *Builder)
+		want error
+	}{
+		"unknown vertex": {func(b *Builder) { b.SetVertexProps(9, "x", []PropEntry{{ival.New(0, 1), 1}}) }, ErrUnknownPropOwner},
+		"unknown edge":   {func(b *Builder) { b.SetEdgeProps(9, "x", []PropEntry{{ival.New(0, 1), 1}}) }, ErrUnknownPropOwner},
+		"vertex escapes": {func(b *Builder) { b.SetVertexProps(1, "x", []PropEntry{{ival.New(0, 4), 1}, {ival.New(4, 12), 1}}) }, ErrPropOutlives},
+		"edge escapes":   {func(b *Builder) { b.SetEdgeProps(5, "x", []PropEntry{{ival.New(0, 4), 1}}) }, ErrPropOutlives},
+		"empty interval": {func(b *Builder) { b.SetEdgeProps(5, "x", []PropEntry{{ival.New(4, 4), 1}}) }, ErrPropOutlives},
+	} {
+		b := NewBuilder(2, 1)
+		b.AddVertex(1, ival.New(0, 9)).AddVertex(2, ival.New(0, 9)).AddEdge(5, 1, 2, ival.New(1, 8))
+		tc.set(b)
+		if _, err := b.Build(); !errors.Is(err, tc.want) {
+			t.Errorf("%s: got %v, want %v", name, err, tc.want)
+		}
+	}
+}
+
+// TestIndexOfUnorderedIDs: ids added out of dense order are indexed for the
+// built graph and, through the sorted index it carries, for its snapshot.
+func TestIndexOfUnorderedIDs(t *testing.T) {
+	ids := []VertexID{40, -3, 17, 8, 1 << 40}
+	b := NewBuilder(len(ids), 0)
+	for _, id := range ids {
+		b.AddVertex(id, ival.New(0, 5))
+	}
+	g := b.MustBuild()
+	// A decoded graph has no id map: it answers by searching the sorted
+	// index the built graph wrote.
+	decoded, err := ReadSnapshot(bytes.NewReader(EncodeSnapshot(g, nil)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := Equal(g, decoded); err != nil {
+		t.Fatal(err)
+	}
+	for i, id := range ids {
+		if g.IndexOf(id) != i || decoded.IndexOf(id) != i {
+			t.Errorf("IndexOf(%d) = %d by map, %d by search; want %d", id, g.IndexOf(id), decoded.IndexOf(id), i)
+		}
+	}
+	if g.IndexOf(9) != -1 || decoded.IndexOf(9) != -1 {
+		t.Errorf("absent id found")
+	}
+}
+
 func TestInvalidLifespan(t *testing.T) {
 	b := NewBuilder(0, 0)
 	b.AddVertex(1, ival.New(5, 5))

@@ -19,6 +19,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"slices"
 )
 
 // Partition file layout inside a directory produced by WritePartitionFile
@@ -159,37 +160,37 @@ const maxSaneCount = 1 << 31
 // (vertex-derived, identical by construction) and its time horizon, which
 // would otherwise shrink with the dropped edges and desynchronize
 // horizon-dependent algorithms across workers.
+//
+// A subgraph of a valid graph is valid, so nothing is re-checked. The
+// partition shares g's vertex table, property sets and id map (immutable
+// heap objects, and EncodeSnapshot copies them into the file anyway); its
+// edge table, endpoint indices and sorted index are its own, so like a slice
+// it holds nothing a mapped g loses on Close.
 func ExtractPartition(g *Graph, assign []int32, shard int) (*Graph, error) {
 	if len(assign) != g.NumVertices() {
 		return nil, fmt.Errorf("%w: assignment covers %d vertices, graph has %d",
 			ErrPartitionMismatch, len(assign), g.NumVertices())
 	}
+	touches := func(i int) bool {
+		return int(assign[g.srcIdx[i]]) == shard || int(assign[g.dstIdx[i]]) == shard
+	}
 	kept := 0
 	for i := range g.edges {
-		if int(assign[g.srcIdx[i]]) == shard || int(assign[g.dstIdx[i]]) == shard {
+		if touches(i) {
 			kept++
 		}
 	}
-	b := NewBuilder(g.NumVertices(), kept)
-	for i := range g.vertices {
-		v := &g.vertices[i]
-		b.AddVertex(v.ID, v.Lifespan)
-		// Props are immutable once built; aliasing the slices is safe and
-		// EncodeSnapshot copies them into the file anyway.
-		b.vertices[i].Props = v.Props
-	}
+	edges := make([]Edge, 0, kept)
+	ends := make([]int32, 2*kept)
+	srcIdx, dstIdx := ends[:0:kept], ends[kept:kept]
 	for i := range g.edges {
-		if int(assign[g.srcIdx[i]]) != shard && int(assign[g.dstIdx[i]]) != shard {
-			continue
+		if touches(i) {
+			edges = append(edges, g.edges[i])
+			srcIdx = append(srcIdx, g.srcIdx[i])
+			dstIdx = append(dstIdx, g.dstIdx[i])
 		}
-		e := &g.edges[i]
-		b.AddEdge(e.ID, e.Src, e.Dst, e.Lifespan)
-		b.edges[len(b.edges)-1].Props = e.Props
 	}
-	pg, err := b.Build()
-	if err != nil {
-		return nil, err
-	}
+	pg := assemble(g.vertices, edges, srcIdx, dstIdx, g.vindex, slices.Clone(g.vsorted))
 	pg.horizon = g.horizon
 	return pg, nil
 }
