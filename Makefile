@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet race verify bench-test fuzz chaos bench bench-skew bench-obs trace-smoke serve-smoke cluster-smoke cluster-bench metrics-smoke stream-smoke load-smoke clean
+.PHONY: all build test vet race verify bench-test bench-core fuzz chaos bench bench-skew bench-obs trace-smoke serve-smoke cluster-smoke cluster-bench metrics-smoke stream-smoke load-smoke clean
 
 all: verify
 
@@ -51,6 +51,13 @@ verify:
 # -quick size with its verification checks.
 bench-test:
 	cd benchmark && $(GO) test ./...
+
+# The per-vertex micro-benchmarks of the ICM runtime (PartitionedState.Set at
+# 1, 8 and 64 partitions; one PageRank-shaped hub's superstep), one iteration
+# each: they check their own fixtures, so CI running them keeps them honest.
+# For numbers, drop -benchtime and add -benchmem -count.
+bench-core:
+	$(GO) test -run '^$$' -bench 'StateSet|VertexStep' -benchtime=1x ./internal/core
 
 # The fault-injection demonstration: SSSP under seeded faults vs fault-free.
 chaos:

@@ -30,11 +30,7 @@ type lccVal struct {
 
 // NewLCC precomputes the temporal out-degree partitions.
 func NewLCC(g *tgraph.Graph) *LCC {
-	a := &LCC{degParts: make([][]IntervalValue, g.NumVertices())}
-	for v := 0; v < g.NumVertices(); v++ {
-		a.degParts[v] = degreePartition(g, v)
-	}
-	return a
+	return &LCC{degParts: degreePartitions(g)}
 }
 
 // Init seeds an empty state.

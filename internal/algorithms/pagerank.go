@@ -1,7 +1,7 @@
 package algorithms
 
 import (
-	"sort"
+	"slices"
 
 	"graphite/internal/codec"
 	"graphite/internal/core"
@@ -35,34 +35,62 @@ func NewPageRank(g *tgraph.Graph, iterations int, damping float64) *PageRank {
 	if a.Damping <= 0 {
 		a.Damping = 0.85
 	}
-	a.degParts = make([][]IntervalValue, g.NumVertices())
-	for v := 0; v < g.NumVertices(); v++ {
-		a.degParts[v] = degreePartition(g, v)
-	}
+	a.degParts = degreePartitions(g)
 	return a
 }
 
-// degreePartition splits a vertex's lifespan at its out-edges' lifespan
-// boundaries and annotates each piece with the out-degree.
-func degreePartition(g *tgraph.Graph, v int) []IntervalValue {
+// degreePartitions splits every vertex's lifespan at its out-edges' lifespan
+// boundaries and annotates each piece with the out-degree. All vertices'
+// pieces share one slab, sized by a counting sweep before the filling one;
+// one bounds scratch serves every vertex in both sweeps, and the degrees come
+// from a running sum of edge starts and ends per bound rather than a count
+// over the edges per piece.
+func degreePartitions(g *tgraph.Graph) [][]IntervalValue {
+	nV := g.NumVertices()
+	var bounds []ival.Time
+	off := make([]int, nV+1)
+	for v := 0; v < nV; v++ {
+		bounds = degreeBounds(bounds[:0], g, v)
+		off[v+1] = off[v] + len(bounds) - 1
+	}
+	slab := make([]IntervalValue, off[nV])
+	parts := make([][]IntervalValue, nV)
+	var delta []int64 // per bound: edges starting there minus edges ending there
+	for v := 0; v < nV; v++ {
+		bounds = degreeBounds(bounds[:0], g, v)
+		delta = append(delta[:0], make([]int64, len(bounds))...)
+		life := g.VertexAt(v).Lifespan
+		for _, ei := range g.OutEdges(v) {
+			if x := g.Edge(int(ei)).Lifespan.Intersect(life); !x.IsEmpty() {
+				i, _ := slices.BinarySearch(bounds, x.Start)
+				j, _ := slices.BinarySearch(bounds, x.End)
+				delta[i]++
+				delta[j]--
+			}
+		}
+		pieces := slab[off[v]:off[v+1]:off[v+1]]
+		deg := int64(0)
+		for i := range pieces {
+			deg += delta[i]
+			pieces[i] = IntervalValue{Interval: ival.New(bounds[i], bounds[i+1]), Value: deg}
+		}
+		parts[v] = pieces
+	}
+	return parts
+}
+
+// degreeBounds appends, ascending and distinct, the ends of vertex v's
+// lifespan and of each of its out-edges' lifespans within it.
+func degreeBounds(bounds []ival.Time, g *tgraph.Graph, v int) []ival.Time {
 	life := g.VertexAt(v).Lifespan
-	bounds := []ival.Time{life.Start, life.End}
+	bounds = append(bounds, life.Start, life.End)
 	for _, ei := range g.OutEdges(v) {
-		x := g.Edge(int(ei)).Lifespan.Intersect(life)
-		if !x.IsEmpty() {
+		if x := g.Edge(int(ei)).Lifespan.Intersect(life); !x.IsEmpty() {
 			bounds = append(bounds, x.Start, x.End)
 		}
 	}
-	sort.Slice(bounds, func(a, b int) bool { return bounds[a] < bounds[b] })
-	var out []IntervalValue
-	for i := 0; i+1 < len(bounds); i++ {
-		if bounds[i] == bounds[i+1] {
-			continue
-		}
-		piece := ival.New(bounds[i], bounds[i+1])
-		out = append(out, IntervalValue{Interval: piece, Value: int64(g.OutDegreeAt(v, piece.Start))})
-	}
-	return out
+	slices.Sort(bounds)
+	return slices.Compact(bounds)
 }
 
 // Init seeds the uniform rank.
@@ -93,12 +121,26 @@ func (a *PageRank) Scatter(v *core.VertexCtx, e *tgraph.Edge, t ival.Interval, s
 		return nil
 	}
 	rank := state.(float64)
-	for _, dp := range a.degParts[v.Index()] {
-		x := dp.Interval.Intersect(t)
-		if x.IsEmpty() || dp.Value == 0 {
+	// The degree pieces are sorted, disjoint and cover the lifespan: start at
+	// the one holding t.Start and stop at the first one past t.
+	parts := a.degParts[v.Index()]
+	first, end := 0, len(parts)
+	for first < end {
+		mid := int(uint(first+end) >> 1)
+		if parts[mid].Interval.End <= t.Start {
+			first = mid + 1
+		} else {
+			end = mid
+		}
+	}
+	for _, dp := range parts[first:] {
+		if dp.Interval.Start >= t.End {
+			break
+		}
+		if dp.Value == 0 {
 			continue
 		}
-		v.Emit(x, rank/float64(dp.Value))
+		v.Emit(dp.Interval.Intersect(t), rank/float64(dp.Value))
 	}
 	return nil
 }

@@ -80,9 +80,9 @@ func IntervalSize(iv ival.Interval) int {
 	case iv.IsEmpty():
 		return 1
 	case iv.IsUnit(), iv.IsUnbounded():
-		return 1 + uvarintLen(uint64(iv.Start))
+		return 1 + UvarintLen(uint64(iv.Start))
 	default:
-		return 1 + uvarintLen(uint64(iv.Start)) + uvarintLen(uint64(iv.End-iv.Start))
+		return 1 + UvarintLen(uint64(iv.Start)) + UvarintLen(uint64(iv.End-iv.Start))
 	}
 }
 
@@ -90,7 +90,8 @@ func IntervalSize(iv ival.Interval) int {
 // against: two 8-byte longs.
 const FixedIntervalSize = 16
 
-func uvarintLen(v uint64) int {
+// UvarintLen returns the number of bytes binary.AppendUvarint gives v.
+func UvarintLen(v uint64) int {
 	n := 1
 	for v >= 0x80 {
 		v >>= 7

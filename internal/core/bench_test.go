@@ -1,0 +1,126 @@
+package core
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"graphite/internal/codec"
+	ival "graphite/internal/interval"
+	"graphite/internal/tgraph"
+)
+
+// BenchmarkStateSet measures PartitionedState.Set on a state of P partitions
+// of width 4 with pairwise distinct values. "overwrite" replaces one middle
+// partition with a value neither neighbour holds, again and again: one
+// located partition, two failed seam tests, nothing moved — the cost must not
+// grow with P. "straddle" writes one value from inside a partition, across
+// its right neighbour, into the one after (at P = 1: strictly inside the only
+// partition), then writes the old values back piece by piece, so every op
+// splits, drops or fuses partitions and moves the tail.
+func BenchmarkStateSet(b *testing.B) {
+	for _, p := range []int{1, 8, 64} {
+		build := func() (*PartitionedState, []any) {
+			s := NewPartitionedState(ival.New(0, ival.Time(4*p)), int64(0))
+			vals := make([]any, p+2) // boxed once; Set takes any
+			for i := range vals {
+				vals[i] = int64(i)
+			}
+			for i := 1; i < p; i++ {
+				s.Set(ival.New(ival.Time(4*i), ival.Time(4*i+4)), vals[i])
+			}
+			if s.NumParts() != p {
+				b.Fatalf("built %d partitions, want %d", s.NumParts(), p)
+			}
+			return s, vals
+		}
+		b.Run(fmt.Sprintf("overwrite/P=%d", p), func(b *testing.B) {
+			s, vals := build()
+			mid := s.Parts()[p/2].Interval
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s.Set(mid, vals[p+(i&1)])
+			}
+			if s.NumParts() != p {
+				b.Fatalf("overwrite changed the partition count to %d", s.NumParts())
+			}
+		})
+		b.Run(fmt.Sprintf("straddle/P=%d", p), func(b *testing.B) {
+			s, vals := build()
+			first := max(0, p/2-1)
+			last := min(p-1, first+2)
+			across := ival.New(ival.Time(4*first+1), ival.Time(4*last+3))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s.Set(across, vals[p])
+				for k := first; k <= last; k++ {
+					s.Set(ival.New(ival.Time(4*k), ival.Time(4*k+4)).Intersect(across), vals[k])
+				}
+			}
+			if s.NumParts() != p {
+				b.Fatalf("straddle and restore left %d partitions, want %d", s.NumParts(), p)
+			}
+		})
+	}
+}
+
+// vertexStepGraph is one PageRank-shaped hub: 24 snapshots, 24 feeders whose
+// edges into the hub start one snapshot apart (so the hub's rank differs at
+// every time-point and its state settles at 24 partitions), and 1 000
+// out-edges to sinks with gen.SkewedLike's lifespan mix — 65 % alive for one
+// snapshot, the rest for a random longer stretch.
+func vertexStepGraph(tb testing.TB) *tgraph.Graph {
+	const snapshots, sinks = 24, 1000
+	life := ival.New(0, snapshots)
+	r := rand.New(rand.NewSource(1))
+	b := tgraph.NewBuilder(1+sinks+snapshots, sinks+snapshots)
+	for id := 0; id <= sinks+snapshots; id++ {
+		b.AddVertex(tgraph.VertexID(id), life)
+	}
+	for k := 1; k <= sinks; k++ {
+		start, length := r.Intn(snapshots), 1
+		if r.Float64() < 0.35 {
+			length = 2 + r.Intn(snapshots)
+		}
+		alive := ival.New(ival.Time(start), ival.Time(start+length)).Intersect(life)
+		b.AddEdge(tgraph.EdgeID(k), 0, tgraph.VertexID(k), alive)
+	}
+	for k := 0; k < snapshots; k++ {
+		b.AddEdge(tgraph.EdgeID(sinks+1+k), tgraph.VertexID(sinks+1+k), 0, ival.New(ival.Time(k), snapshots))
+	}
+	g, err := b.Build()
+	if err != nil {
+		tb.Fatalf("build: %v", err)
+	}
+	return g
+}
+
+// BenchmarkVertexStep runs five PageRank supersteps over vertexStepGraph on
+// one worker. The hub's step is nearly all of it: per superstep 24 warp
+// tuples, 24 state updates into a 24-partition state, and the scatter
+// alignment of 24 updated partitions against 1 000 edges of which each
+// partition overlaps a few dozen.
+func BenchmarkVertexStep(b *testing.B) {
+	g := vertexStepGraph(b)
+	prog := newPRGateProg(g, 4)
+	opts := Options{
+		NumWorkers:      1,
+		ActivateAll:     true,
+		MaxSupersteps:   prog.iters + 1,
+		PayloadCodec:    codec.Float64{},
+		ReceiverCombine: true,
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r, err := Run(g, prog, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if got := r.State(0).NumParts(); got != 24 {
+			b.Fatalf("hub settled at %d partitions, want 24", got)
+		}
+	}
+}

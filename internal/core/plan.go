@@ -23,11 +23,14 @@ type scatterPlan struct {
 }
 
 // target is one edge a vertex's scatter traverses: the dense index of the
-// endpoint messages go to, and the edge's piece range pieces[lo:hi].
+// endpoint messages go to, the edge's piece range pieces[lo:hi], and the
+// smallest interval covering match[lo:hi] — an update that misses the hull
+// meets none of the pieces, so scatter skips the edge without reading them.
 type target struct {
 	edge   int32
 	dst    int32
 	lo, hi int32
+	hull   ival.Interval
 }
 
 func (p *scatterPlan) targetsOf(v int) []target {
@@ -147,15 +150,22 @@ func buildScatterPlan(g *tgraph.Graph, key planKey) *scatterPlan {
 	}
 	p.targets = make([]target, 0, n)
 	p.targetOff = make([]int32, nV+1)
+	add := func(ei int32, dst int) {
+		tg := target{edge: ei, dst: int32(dst), lo: pieceOff[ei], hi: pieceOff[ei+1]}
+		for _, m := range p.match[tg.lo:tg.hi] {
+			tg.hull = tg.hull.Union(m)
+		}
+		p.targets = append(p.targets, tg)
+	}
 	for v := 0; v < nV; v++ {
 		if forward {
 			for _, ei := range g.OutEdges(v) {
-				p.targets = append(p.targets, target{edge: ei, dst: int32(g.DstIndex(int(ei))), lo: pieceOff[ei], hi: pieceOff[ei+1]})
+				add(ei, g.DstIndex(int(ei)))
 			}
 		}
 		if backward {
 			for _, ei := range g.InEdges(v) {
-				p.targets = append(p.targets, target{edge: ei, dst: int32(g.SrcIndex(int(ei))), lo: pieceOff[ei], hi: pieceOff[ei+1]})
+				add(ei, g.SrcIndex(int(ei)))
 			}
 		}
 		p.targetOff[v+1] = int32(len(p.targets))

@@ -114,6 +114,15 @@ func checkPlanAgainstOracle(g *tgraph.Graph, opts Options) error {
 			if !slices.Equal(p.match[tg.lo:tg.hi], match[tg.edge]) {
 				return fmt.Errorf("edge %d match = %v, oracle %v", tg.edge, p.match[tg.lo:tg.hi], match[tg.edge])
 			}
+			// The hull is the tightest interval scatter may skip the edge by:
+			// it covers every match interval and touches the outermost two.
+			var hull ival.Interval
+			for _, m := range match[tg.edge] {
+				hull = hull.Union(m)
+			}
+			if tg.hull != hull {
+				return fmt.Errorf("edge %d hull = %v, oracle %v over %v", tg.edge, tg.hull, hull, match[tg.edge])
+			}
 			refs += len(parts[tg.edge])
 		}
 	}
@@ -226,7 +235,7 @@ func TestPlanSplitsAtPropertyBounds(t *testing.T) {
 	if !slices.Equal(p.pieces, want) {
 		t.Fatalf("pieces = %v, want %v", p.pieces, want)
 	}
-	if tg := p.targetsOf(0); len(tg) != 1 || tg[0] != (target{edge: 0, dst: 1, lo: 0, hi: 4}) {
+	if tg := p.targetsOf(0); len(tg) != 1 || tg[0] != (target{edge: 0, dst: 1, lo: 0, hi: 4, hull: ival.New(0, 10)}) {
 		t.Fatalf("targets of vertex 0 = %+v", tg)
 	}
 	if tg := p.targetsOf(1); len(tg) != 0 {
@@ -242,6 +251,9 @@ func TestPlanSplitsAtPropertyBounds(t *testing.T) {
 	wantMatch := []ival.Interval{ival.New(0, 2), ival.New(3, 6), ival.New(7, 11), ival.New(9, 10)}
 	if !slices.Equal(p.match, wantMatch) || !slices.Equal(p.pieces, want) {
 		t.Fatalf("slack: pieces = %v match = %v, want %v / %v", p.pieces, p.match, want, wantMatch)
+	}
+	if hull := p.targetsOf(0)[0].hull; hull != ival.New(0, 11) {
+		t.Fatalf("slack: hull = %v, want the translated pieces' cover [0, 11)", hull)
 	}
 }
 

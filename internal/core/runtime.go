@@ -361,10 +361,15 @@ func coalesceIntervals(ivs []ival.Interval) []ival.Interval {
 }
 
 // scatterPart invokes Scatter for one updated 〈interval, state〉 against
-// every overlapping edge property piece.
+// every overlapping edge property piece, in target then piece order. Edges
+// whose hull the update misses are passed over on one comparison.
 func (rt *runtime) scatterPart(vc *VertexCtx, ctx *engine.Context, targets []target, upd ival.Interval, state any) {
 	pieces, match := rt.plan.pieces, rt.plan.match
-	for _, tg := range targets {
+	for k := range targets {
+		tg := &targets[k]
+		if !tg.hull.Intersects(upd) {
+			continue
+		}
 		e := rt.g.Edge(int(tg.edge))
 		for pi := tg.lo; pi < tg.hi; pi++ {
 			x := match[pi].Intersect(upd)

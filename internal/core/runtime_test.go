@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	ival "graphite/internal/interval"
@@ -149,5 +150,99 @@ func TestActivateAllCoversGaps(t *testing.T) {
 	}
 	if p.tuples[2] == 0 || p.tuples[3] == 0 {
 		t.Errorf("forced-active vertex must compute every superstep: %v", p.tuples)
+	}
+}
+
+// ---- scatter alignment against the all-pairs reference ----
+
+// scatterCall is one Scatter invocation as the program sees it.
+type scatterCall struct {
+	dst         int
+	when, piece ival.Interval
+	value       any
+}
+
+// scatterRecProg writes a few sub-intervals of every vertex in superstep 1 —
+// two of them adjacent, so the update list coalesces, and with different
+// values, so one update spans several partitions — and records the ordered
+// Scatter calls that follow, per source vertex.
+type scatterRecProg struct {
+	writes [][]ival.Interval
+	calls  [][]scatterCall
+}
+
+func (p *scatterRecProg) Init(v *VertexCtx) { v.SetState(v.Lifespan(), int64(0)) }
+
+func (p *scatterRecProg) Compute(v *VertexCtx, t ival.Interval, state any, msgs []any) {
+	s, w := t.Start, ival.Time(64)
+	if t.End != ival.Infinity && t.End-t.Start < w {
+		w = t.End - t.Start
+	}
+	for k, iv := range []ival.Interval{
+		ival.New(s, s+w/4),
+		ival.New(s+w/2, s+3*w/4),
+		ival.New(s+w/4, s+w/4+1),
+		ival.New(s+w, t.End),
+	} {
+		if !iv.IsEmpty() && t.ContainsInterval(iv) {
+			v.SetState(iv, int64(k+1))
+			p.writes[v.Index()] = append(p.writes[v.Index()], iv)
+		}
+	}
+}
+
+func (p *scatterRecProg) Scatter(v *VertexCtx, e *tgraph.Edge, t ival.Interval, state any) []OutMsg {
+	p.calls[v.Index()] = append(p.calls[v.Index()], scatterCall{dst: v.scatterTo, when: t, piece: v.ScatterPiece(), value: state})
+	return []OutMsg{{Value: state}}
+}
+
+// TestScatterMatchesAllPairsOracle holds the scatter step of one superstep to
+// the alignment it replaced: every updated partition against every piece of
+// every traversed edge, no edge skipped, over the per-edge oracle tables of
+// plan_test.go. The ordered stream of (destination, interval, piece, state)
+// must be the same call for call — message order is what PageRank's float
+// folds and the bit-identity matrices rest on.
+func TestScatterMatchesAllPairsOracle(t *testing.T) {
+	for gname, g := range planTestGraphs(t) {
+		for oname, opts := range planOptionShapes() {
+			prog := &scatterRecProg{
+				writes: make([][]ival.Interval, g.NumVertices()),
+				calls:  make([][]scatterCall, g.NumVertices()),
+			}
+			opts.NumWorkers, opts.MaxSupersteps = 2, 1
+			r, err := Run(g, prog, opts)
+			if err != nil {
+				t.Fatalf("%s under %s: %v", gname, oname, err)
+			}
+			pieces, match, targets := oracleTables(g, opts)
+			total := 0
+			for v := 0; v < g.NumVertices(); v++ {
+				var want []scatterCall
+				upds := coalesceIntervals(slices.Clone(prog.writes[v]))
+				for _, p := range r.State(v).Parts() {
+					for _, u := range upds {
+						x := u.Intersect(p.Interval)
+						if x.IsEmpty() {
+							continue
+						}
+						for _, tg := range targets[v] {
+							for k, m := range match[tg.edge] {
+								if y := m.Intersect(x); !y.IsEmpty() {
+									want = append(want, scatterCall{dst: int(tg.dst), when: y, piece: pieces[tg.edge][k], value: p.Value})
+								}
+							}
+						}
+					}
+				}
+				if !slices.Equal(prog.calls[v], want) {
+					t.Fatalf("%s under %s: vertex %d scatter stream differs\n  got    %v\n  oracle %v",
+						gname, oname, v, prog.calls[v], want)
+				}
+				total += len(want)
+			}
+			if total == 0 {
+				t.Errorf("%s under %s: no scatter call was made; the test compared nothing", gname, oname)
+			}
+		}
 	}
 }

@@ -305,6 +305,11 @@ func decodeRuntimeSnapshot(data []byte, numV int, pc codec.Payload) (*runtimeSna
 			}
 			st.parts = append(st.parts, warp.IntervalValue{Interval: iv, Value: val})
 		}
+		// A CRC-valid checkpoint can still carry a partition list that was
+		// never a state; Set would splice into it and corrupt it silently.
+		if err := st.Invariant(); err != nil {
+			return nil, snapCorrupt(fmt.Sprintf("state of vertex %d (%v)", v, err))
+		}
 		snap.states[v] = st
 	}
 	counters := [7]*int64{&snap.warpCalls, &snap.warpSuppressed, &snap.stateUpdates,

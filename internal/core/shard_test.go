@@ -8,12 +8,16 @@ package core_test
 // the property the process-kill chaos tests rely on.
 
 import (
+	"encoding/binary"
+	"errors"
 	"reflect"
 	"testing"
 
 	"graphite/internal/algorithms"
+	"graphite/internal/codec"
 	"graphite/internal/core"
 	"graphite/internal/engine"
+	ival "graphite/internal/interval"
 	"graphite/internal/tgraph"
 )
 
@@ -239,5 +243,70 @@ func TestShardGating(t *testing.T) {
 	bad.NumWorkers = 2
 	if _, err := core.NewShard(g, prog, bad, 2); err == nil {
 		t.Error("out-of-range shard accepted")
+	}
+}
+
+// TestSnapshotDecodeRejectsMalformedStates hands AssembleResult — the same
+// decoder RestoreDurable uses — snapshots that are well-formed byte for byte
+// but whose partition lists were never a state. PartitionedState.Set splices
+// in place on the strength of "sorted, adjacent, covering, maximally fused",
+// so each of these must be refused as corrupt rather than adopted.
+func TestSnapshotDecodeRejectsMalformedStates(t *testing.T) {
+	type part struct {
+		iv  ival.Interval
+		val any
+	}
+	g := tgraph.TransitExample()
+	pc := codec.Int64{}
+	// blob encodes one state for vertex 0 in the snapshot wire format
+	// documented in shard.go.
+	blob := func(life ival.Interval, parts []part) []byte {
+		buf := []byte{1}                   // version
+		buf = binary.AppendUvarint(buf, 1) // one state
+		buf = binary.AppendUvarint(buf, 0) // vertex index
+		buf = codec.AppendInterval(buf, life)
+		buf = binary.AppendUvarint(buf, uint64(len(parts)))
+		for _, p := range parts {
+			buf = codec.AppendInterval(buf, p.iv)
+			if p.val == nil {
+				buf = append(buf, 0)
+				continue
+			}
+			buf = pc.Append(append(buf, 1), p.val)
+		}
+		for c := 0; c < 7; c++ { // the runtime counters
+			buf = binary.AppendUvarint(buf, 0)
+		}
+		return buf
+	}
+	life := ival.New(2, 10)
+	one, two := int64(1), int64(2)
+
+	good := []part{{ival.New(2, 4), one}, {ival.New(4, 10), two}}
+	r, err := core.AssembleResult(g, pc, [][]byte{blob(life, good)}, nil)
+	if err != nil {
+		t.Fatalf("well-formed state refused: %v", err)
+	}
+	if got := r.State(0).NumParts(); got != 2 {
+		t.Fatalf("well-formed state decoded to %d partitions, want 2", got)
+	}
+
+	for name, parts := range map[string][]part{
+		"no partitions":       nil,
+		"unfused equal":       {{ival.New(2, 4), one}, {ival.New(4, 10), one}},
+		"unfused nil":         {{ival.New(2, 4), nil}, {ival.New(4, 10), nil}},
+		"gap":                 {{ival.New(2, 4), one}, {ival.New(5, 10), two}},
+		"overlap":             {{ival.New(2, 5), one}, {ival.New(4, 10), two}},
+		"out of order":        {{ival.New(4, 10), two}, {ival.New(2, 4), one}},
+		"empty partition":     {{ival.New(2, 4), one}, {ival.New(4, 4), two}, {ival.New(4, 10), one}},
+		"starts before life":  {{ival.New(0, 4), one}, {ival.New(4, 10), two}},
+		"ends after life":     {{ival.New(2, 4), one}, {ival.New(4, 12), two}},
+		"stops short of life": {{ival.New(2, 4), one}, {ival.New(4, 8), two}},
+		"unbounded tail":      {{ival.New(2, 4), one}, {ival.From(4), two}},
+	} {
+		_, err := core.AssembleResult(g, pc, [][]byte{blob(life, parts)}, nil)
+		if !errors.Is(err, codec.ErrCorrupt) {
+			t.Errorf("%s: err = %v, want codec.ErrCorrupt", name, err)
+		}
 	}
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"reflect"
 	"testing"
 
 	ival "graphite/internal/interval"
@@ -9,10 +8,12 @@ import (
 )
 
 // FuzzStateSet drives PartitionedState.Set with a fuzzer-chosen lifespan and
-// op sequence against a point-wise model, checking after every op that the
-// partition invariant holds, fusion is maximal, out-of-range updates fail
-// without mutating the state, and the swap-buffer repartitioning (parts and
-// spare ping-pong since the zero-allocation rework) never corrupts values.
+// op sequence against two references: the rebuild-and-fuse Set the in-place
+// splice replaced (oracleSet), which it must match partition for partition,
+// and a point-wise model. After every op the partition invariant holds
+// (fusion is maximal), and out-of-range updates fail without mutating the
+// state. Values come from stateSetPalette, so equal-but-not-identical and
+// identical-but-not-equal neighbours meet at the seams.
 func FuzzStateSet(f *testing.F) {
 	f.Add([]byte{4, 10, 0, 0, 2, 1, 3, 4, 2, 1, 15, 3})
 	f.Add([]byte{0, 200, 2, 3, 1, 9, 15, 4})
@@ -34,7 +35,10 @@ func FuzzStateSet(f *testing.F) {
 		if next()%8 == 0 {
 			life = ival.From(base)
 		}
-		s := NewPartitionedState(life, int64(-1))
+		palette := stateSetPalette()
+		init := palette[int(next())%len(palette)]
+		s := NewPartitionedState(life, init)
+		oracle := append([]warp.IntervalValue(nil), s.Parts()...)
 
 		// The point-wise model: sample points cover every finite boundary the
 		// ops can produce, plus a far point for unbounded lifespans.
@@ -43,10 +47,10 @@ func FuzzStateSet(f *testing.F) {
 			samples = append(samples, p)
 		}
 		samples = append(samples, ival.Infinity-1)
-		model := map[ival.Time]int64{}
+		model := map[ival.Time]any{}
 		for _, p := range samples {
 			if life.Contains(p) {
-				model[p] = -1
+				model[p] = init
 			}
 		}
 
@@ -58,21 +62,11 @@ func FuzzStateSet(f *testing.F) {
 			} else {
 				iv = ival.New(start, start+ival.Time(b%6)) // width 0 = empty
 			}
-			val := int64(next() % 5)
+			val := palette[int(next())%len(palette)]
 
-			before := append([]warp.IntervalValue(nil), s.Parts()...)
-			err := s.Set(iv, val)
+			oracle = checkSetAgainstOracle(t, s, oracle, iv, val)
 			if iv.IsEmpty() || !life.ContainsInterval(iv) {
-				if err == nil {
-					t.Fatalf("op %d: Set(%v) inside lifespan %v must fail", op, iv, life)
-				}
-				if !reflect.DeepEqual(before, s.Parts()) {
-					t.Fatalf("op %d: failed Set(%v) mutated the state: %v -> %v", op, iv, before, s.Parts())
-				}
-				continue
-			}
-			if err != nil {
-				t.Fatalf("op %d: Set(%v, %d) in lifespan %v: %v", op, iv, val, life, err)
+				continue // checked above: failed on both sides, nothing changed
 			}
 			for _, p := range samples {
 				if iv.Contains(p) && life.Contains(p) {
@@ -80,24 +74,16 @@ func FuzzStateSet(f *testing.F) {
 				}
 			}
 
-			if err := s.Invariant(); err != nil {
-				t.Fatalf("op %d: after Set(%v, %d): %v", op, iv, val, err)
-			}
-			parts := s.Parts()
-			for k := 1; k < len(parts); k++ {
-				if parts[k-1].Interval.Meets(parts[k].Interval) &&
-					warp.ValueEqual(parts[k-1].Value, parts[k].Value) {
-					t.Fatalf("op %d: unfused equal partitions %v and %v", op, parts[k-1], parts[k])
-				}
-			}
 			for _, p := range samples {
 				got, ok := s.Get(p)
 				want, inLife := model[p]
 				if ok != inLife {
 					t.Fatalf("op %d: Get(%d) ok=%v, want %v (lifespan %v)", op, p, ok, inLife, life)
 				}
-				if ok && got.(int64) != want {
-					t.Fatalf("op %d: Get(%d) = %v, model %d\nparts: %v", op, p, got, want, parts)
+				// A fused partition keeps its earlier half's value, so Get may
+				// return an equal value rather than the identical one.
+				if ok && !sameValue(got, want) && !warp.ValueEqual(got, want) {
+					t.Fatalf("op %d: Get(%d) = %v, model %v\nparts: %v", op, p, got, want, s.Parts())
 				}
 			}
 		}

@@ -52,8 +52,12 @@ func (c *Context) Send(dst int, when ival.Interval, value any) {
 	}
 	w.sentMsgs++
 	ivalBytes := int64(codec.IntervalSize(when))
-	w.sentBytes += ivalBytes + c.payloadSize(value)
+	size := ivalBytes + c.payloadSize(value)
+	w.sentBytes += size
 	w.classBytes[codec.ClassOf(when)] += ivalBytes
+	if w.outBytes != nil {
+		w.outBytes[dw] += int64(codec.UvarintLen(uint64(dst))) + size
+	}
 }
 
 // payloadSize estimates encoded payload bytes, preferring the configured

@@ -212,6 +212,10 @@ type worker struct {
 	inbox  []*msgSlab  // per local slot; arena-pooled, nil when empty
 	active []bool      // per local slot; dedup bitmap behind the frontier
 	outbox [][]Message // per destination worker, refilled every superstep; arena-pooled across runs
+	// outBytes, kept only by a Shard's worker, is the encoded size of each
+	// outbox's messages, summed as they are sent, so Shard.Outbound can
+	// allocate every batch once at its final size.
+	outBytes []int64
 
 	// Dense frontier: slots activated since the last compute phase, appended
 	// at delivery time (activation order), sorted at compute start. Grow-only.

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"runtime/debug"
 	"slices"
+
+	"graphite/internal/codec"
 )
 
 // This file exposes one engine worker as an externally-driven shard, the
@@ -101,8 +103,10 @@ func NewShard(numVertices int, program Program, cfg Config, shard int) (*Shard, 
 	if shard < 0 || shard >= len(e.workers) {
 		return nil, fmt.Errorf("%w: shard %d out of range for %d workers", ErrBadConfig, shard, len(e.workers))
 	}
-	e.workers[shard].drawOutboxes()
-	return &Shard{eng: e, w: e.workers[shard], id: shard, snap: snap}, nil
+	w := e.workers[shard]
+	w.drawOutboxes()
+	w.outBytes = make([]int64, len(e.workers))
+	return &Shard{eng: e, w: w, id: shard, snap: snap}, nil
 }
 
 // Close returns the shard's pooled message buffers for the next run or
@@ -166,7 +170,8 @@ func (s *Shard) Compute() error {
 // every other shard per superstep), nil at this shard's own index. The
 // self-addressed outbox is retained for Deliver. Batches are freshly
 // allocated: they are handed to the wire asynchronously, so the pooled-slab
-// discipline of the in-process hot path does not apply.
+// discipline of the in-process hot path does not apply. Each is allocated
+// once, at the size Context.Send summed up for it.
 func (s *Shard) Outbound() ([][]byte, error) {
 	e, w := s.eng, s.w
 	if err := e.takeErr(); err != nil {
@@ -177,9 +182,11 @@ func (s *Shard) Outbound() ([][]byte, error) {
 		if dst == s.id {
 			continue
 		}
-		out[dst] = encodeBatch(nil, w.outbox[dst], e.cfg.PayloadCodec)
+		size := codec.UvarintLen(uint64(len(w.outbox[dst]))) + int(w.outBytes[dst])
+		out[dst] = encodeBatch(make([]byte, 0, size), w.outbox[dst], e.cfg.PayloadCodec)
 		w.outbox[dst] = w.outbox[dst][:0]
 	}
+	clear(w.outBytes)
 	return out, nil
 }
 
@@ -402,6 +409,7 @@ func (s *Shard) RestoreDurable(data []byte) error {
 	for d := range w.outbox {
 		w.outbox[d] = w.outbox[d][:0]
 	}
+	clear(w.outBytes)
 	w.resetPartials()
 	e.clearErr()
 	e.superstp = int(superstep)

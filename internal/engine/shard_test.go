@@ -1,0 +1,113 @@
+package engine
+
+import (
+	"reflect"
+	"testing"
+
+	"graphite/internal/codec"
+	ival "graphite/internal/interval"
+)
+
+// snapIdleProgram is the least a Shard accepts: no work, an empty snapshot.
+type snapIdleProgram struct{ idleProgram }
+
+func (snapIdleProgram) Snapshot() any                                  { return nil }
+func (snapIdleProgram) Restore(any)                                    {}
+func (snapIdleProgram) AppendSnapshot(b []byte, _ any) ([]byte, error) { return b, nil }
+func (snapIdleProgram) DecodeSnapshot([]byte) (any, error)             { return nil, nil }
+
+// outboundFixture is a 3-worker shard 0 over 300 vertices and a send script
+// covering every interval encoding class, one- and two-byte vertex indices,
+// and payloads of every varint width.
+func outboundFixture(t testing.TB) (*Shard, func()) {
+	t.Helper()
+	s, err := NewShard(300, snapIdleProgram{}, Config{NumWorkers: 3, PayloadCodec: codec.Int64{}}, 0)
+	if err != nil {
+		t.Fatalf("NewShard: %v", err)
+	}
+	ctx := &Context{eng: s.eng, w: s.w}
+	intervals := []ival.Interval{ival.Universe, ival.Point(3), ival.New(2, 900), ival.Empty, ival.From(70000)}
+	vals := make([]any, 64) // boxed once; Send takes any
+	for i := range vals {
+		vals[i] = int64(1)<<uint(i) - 7
+	}
+	send := func() {
+		for dst := 0; dst < 300; dst++ {
+			ctx.Send(dst, intervals[dst%len(intervals)], vals[dst%len(vals)])
+		}
+	}
+	return s, send
+}
+
+// TestOutboundBatchesExactlySized pins what Context.Send's running byte count
+// is for: every batch Outbound returns was allocated once at its final size —
+// nothing grown, nothing spare — and still decodes to the messages sent, in
+// order; and the count starts over after Outbound and after RestoreDurable.
+func TestOutboundBatchesExactlySized(t *testing.T) {
+	s, send := outboundFixture(t)
+	for round := 0; round < 3; round++ {
+		if round == 2 {
+			// A restore discards the outboxes; the byte counts must go with
+			// them, or the next superstep's batches come out oversized.
+			ckpt, err := s.CaptureDurable()
+			if err != nil {
+				t.Fatalf("capture: %v", err)
+			}
+			send()
+			if err := s.RestoreDurable(ckpt); err != nil {
+				t.Fatalf("restore: %v", err)
+			}
+		}
+		send()
+		want := make([][]Message, 3)
+		for d := range want {
+			want[d] = append([]Message(nil), s.w.outbox[d]...)
+		}
+		out, err := s.Outbound()
+		if err != nil {
+			t.Fatalf("Outbound: %v", err)
+		}
+		if out[0] != nil {
+			t.Fatalf("round %d: own index carries a batch", round)
+		}
+		for d := 1; d < 3; d++ {
+			if len(out[d]) != cap(out[d]) {
+				t.Errorf("round %d: batch for shard %d has len %d, cap %d; want allocated at its exact size",
+					round, d, len(out[d]), cap(out[d]))
+			}
+			got, err := decodeBatch(out[d], codec.Int64{})
+			if err != nil {
+				t.Fatalf("round %d: decode batch %d: %v", round, d, err)
+			}
+			if !reflect.DeepEqual(got, want[d]) {
+				t.Errorf("round %d: batch for shard %d does not decode to what was sent", round, d)
+			}
+		}
+		if len(s.w.outbox[0]) != len(want[0]) {
+			t.Errorf("round %d: Outbound drained the self-addressed outbox", round)
+		}
+		s.w.outbox[0] = s.w.outbox[0][:0]
+	}
+}
+
+// TestOutboundAllocsPerBatch gates the encode path: one allocation for the
+// slice of batches and one per destination batch, whatever their size.
+func TestOutboundAllocsPerBatch(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc gate skipped under -race")
+	}
+	s, send := outboundFixture(t)
+	step := func() {
+		send()
+		if _, err := s.Outbound(); err != nil {
+			t.Fatal(err)
+		}
+		s.w.outbox[0] = s.w.outbox[0][:0]
+	}
+	step() // grow the outboxes and the sizing scratch
+	const batches = 2
+	if allocs := testing.AllocsPerRun(50, step); allocs > 1+batches {
+		t.Errorf("send + Outbound allocates %.1f per superstep, want at most %d (the batch list and one per batch)",
+			allocs, 1+batches)
+	}
+}
