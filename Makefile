@@ -52,12 +52,14 @@ verify:
 bench-test:
 	cd benchmark && $(GO) test ./...
 
-# The per-vertex micro-benchmarks of the ICM runtime (PartitionedState.Set at
-# 1, 8 and 64 partitions; one PageRank-shaped hub's superstep), one iteration
-# each: they check their own fixtures, so CI running them keeps them honest.
-# For numbers, drop -benchtime and add -benchmem -count.
+# The micro-benchmarks of the ICM runtime (PartitionedState.Set at 1, 8 and
+# 64 partitions; one PageRank-shaped hub's superstep; one SSSP-shaped vertex's
+# scatter step reading its properties from the plan; the scatter plan's cold
+# build and memoised lookup), one iteration each: they check their own
+# fixtures, so CI running them keeps them honest. For numbers, drop -benchtime
+# and add -benchmem -count.
 bench-core:
-	$(GO) test -run '^$$' -bench 'StateSet|VertexStep' -benchtime=1x ./internal/core
+	$(GO) test -run '^$$' -bench 'StateSet|VertexStep|ScatterProps|NewRuntime' -benchtime=1x ./internal/core
 
 # The fault-injection demonstration: SSSP under seeded faults vs fault-free.
 chaos:

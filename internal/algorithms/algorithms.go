@@ -21,11 +21,24 @@ import (
 // Unreachable is the state value of a vertex interval no journey reaches.
 const Unreachable = int64(math.MaxInt64)
 
-// travelProps reads the travel-time and travel-cost properties of an edge at
-// time-point t. Both must be present for the edge to be traversable.
-func travelProps(e *tgraph.Edge, t ival.Time) (tt, tc int64, ok bool) {
-	tt, ok1 := e.Props.ValueAt(tgraph.PropTravelTime, t)
-	tc, ok2 := e.Props.ValueAt(tgraph.PropTravelCost, t)
+// The path algorithms declare the travel labels through travelLabels, so a
+// slot constant names the same label in Options.PropLabels and in
+// VertexCtx.PieceProp.
+const (
+	slotTravelTime = iota
+	slotTravelCost
+)
+
+func travelLabels() []string {
+	return []string{slotTravelTime: tgraph.PropTravelTime, slotTravelCost: tgraph.PropTravelCost}
+}
+
+// pieceTravel reads the travel-time and travel-cost properties of the edge
+// piece being scattered over. Both must be present for the edge to be
+// traversable.
+func pieceTravel(v *core.VertexCtx) (tt, tc int64, ok bool) {
+	tt, ok1 := v.PieceProp(slotTravelTime)
+	tc, ok2 := v.PieceProp(slotTravelCost)
 	return tt, tc, ok1 && ok2
 }
 

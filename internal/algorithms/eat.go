@@ -50,7 +50,7 @@ func (a *EAT) Scatter(v *core.VertexCtx, e *tgraph.Edge, t ival.Interval, state 
 	if state.(int64) == Unreachable {
 		return nil
 	}
-	tt, _, ok := travelProps(e, t.Start)
+	tt, _, ok := pieceTravel(v)
 	if !ok {
 		return nil
 	}
@@ -65,7 +65,7 @@ func (a *EAT) CombineWarp(x, y any) any { return minInt64(x, y) }
 // Options returns the run options EAT needs.
 func (a *EAT) Options() core.Options {
 	return core.Options{
-		PropLabels:      []string{tgraph.PropTravelTime, tgraph.PropTravelCost},
+		PropLabels:      travelLabels(),
 		PayloadCodec:    codec.Int64{},
 		ReceiverCombine: true,
 	}

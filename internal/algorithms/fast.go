@@ -72,7 +72,7 @@ func (a *FAST) Scatter(v *core.VertexCtx, e *tgraph.Edge, t ival.Interval, state
 	if s0 == fastNone {
 		return nil
 	}
-	tt, _, ok := travelProps(e, t.Start)
+	tt, _, ok := pieceTravel(v)
 	if !ok {
 		return nil
 	}
@@ -99,7 +99,7 @@ func (a *FAST) CombineWarp(x, y any) any { return maxInt64(x, y) }
 // Options returns the run options FAST needs.
 func (a *FAST) Options() core.Options {
 	return core.Options{
-		PropLabels:      []string{tgraph.PropTravelTime, tgraph.PropTravelCost},
+		PropLabels:      travelLabels(),
 		PayloadCodec:    codec.Int64{},
 		ReceiverCombine: true,
 	}

@@ -58,7 +58,7 @@ func (a *LD) Scatter(v *core.VertexCtx, e *tgraph.Edge, t ival.Interval, state a
 		return nil
 	}
 	piece := v.ScatterPiece()
-	tt, _, ok := travelProps(e, piece.Start)
+	tt, _, ok := pieceTravel(v)
 	if !ok {
 		return nil
 	}
@@ -94,7 +94,7 @@ func (a *LD) Options() core.Options {
 	return core.Options{
 		Reverse:           true,
 		ScatterSlackLabel: tgraph.PropTravelTime,
-		PropLabels:        []string{tgraph.PropTravelTime, tgraph.PropTravelCost},
+		PropLabels:        travelLabels(),
 		PayloadCodec:      codec.Int64{},
 		ReceiverCombine:   true,
 	}

@@ -41,7 +41,7 @@ func (a *RH) Scatter(v *core.VertexCtx, e *tgraph.Edge, t ival.Interval, state a
 	if state.(int64) == 0 {
 		return nil
 	}
-	tt, _, ok := travelProps(e, t.Start)
+	tt, _, ok := pieceTravel(v)
 	if !ok {
 		return nil
 	}
@@ -55,7 +55,7 @@ func (a *RH) CombineWarp(x, y any) any { return maxInt64(x, y) }
 // Options returns the run options RH needs.
 func (a *RH) Options() core.Options {
 	return core.Options{
-		PropLabels:      []string{tgraph.PropTravelTime, tgraph.PropTravelCost},
+		PropLabels:      travelLabels(),
 		PayloadCodec:    codec.Int64{},
 		ReceiverCombine: true,
 	}

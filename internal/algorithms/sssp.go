@@ -54,7 +54,7 @@ func (a *SSSP) Scatter(v *core.VertexCtx, e *tgraph.Edge, t ival.Interval, state
 	if cost == Unreachable {
 		return nil
 	}
-	tt, tc, ok := travelProps(e, t.Start)
+	tt, tc, ok := pieceTravel(v)
 	if !ok {
 		return nil
 	}
@@ -69,7 +69,7 @@ func (a *SSSP) CombineWarp(x, y any) any { return minInt64(x, y) }
 // Options returns the run options SSSP needs.
 func (a *SSSP) Options() core.Options {
 	return core.Options{
-		PropLabels:      []string{tgraph.PropTravelTime, tgraph.PropTravelCost},
+		PropLabels:      travelLabels(),
 		PayloadCodec:    codec.Int64{},
 		ReceiverCombine: true,
 	}

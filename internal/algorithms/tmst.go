@@ -58,7 +58,7 @@ func (a *TMST) Scatter(v *core.VertexCtx, e *tgraph.Edge, t ival.Interval, state
 	if state.(tmstValue).A == Unreachable {
 		return nil
 	}
-	tt, _, ok := travelProps(e, t.Start)
+	tt, _, ok := pieceTravel(v)
 	if !ok {
 		return nil
 	}
@@ -78,7 +78,7 @@ func (a *TMST) CombineWarp(x, y any) any {
 // Options returns the run options TMST needs.
 func (a *TMST) Options() core.Options {
 	return core.Options{
-		PropLabels:      []string{tgraph.PropTravelTime, tgraph.PropTravelCost},
+		PropLabels:      travelLabels(),
 		PayloadCodec:    codec.PairCodec{},
 		ReceiverCombine: true,
 	}

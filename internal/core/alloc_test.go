@@ -22,7 +22,8 @@ import (
 const allocUnreachable = int64(math.MaxInt64)
 
 // ssspGateProg mirrors algorithms.SSSP: unbounded [t, ∞) message intervals,
-// int64 costs, min warp combiner.
+// int64 costs, min warp combiner; like it, it must run with PropLabels
+// {travel-time, travel-cost}.
 type ssspGateProg struct {
 	source tgraph.VertexID
 	start  ival.Time
@@ -55,8 +56,8 @@ func (a *ssspGateProg) Scatter(v *VertexCtx, e *tgraph.Edge, t ival.Interval, st
 	if cost == allocUnreachable {
 		return nil
 	}
-	tt, ok1 := e.Props.ValueAt(tgraph.PropTravelTime, t.Start)
-	tc, ok2 := e.Props.ValueAt(tgraph.PropTravelCost, t.Start)
+	tt, ok1 := v.PieceProp(0)
+	tc, ok2 := v.PieceProp(1)
 	if !ok1 || !ok2 {
 		return nil
 	}

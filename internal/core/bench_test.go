@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"graphite/internal/codec"
+	"graphite/internal/engine"
 	ival "graphite/internal/interval"
 	"graphite/internal/tgraph"
 )
@@ -123,4 +124,103 @@ func BenchmarkVertexStep(b *testing.B) {
 			b.Fatalf("hub settled at %d partitions, want 24", got)
 		}
 	}
+}
+
+// scatterPropsProg is SSSP's Scatter up to the Emit: it reads both travel
+// properties of the piece and builds the message interval and cost, folding
+// them into sink so the reads are not dead code. Emitting is left out because
+// the engine's outbox would grow with b.N.
+type scatterPropsProg struct{ calls, sink int64 }
+
+func (p *scatterPropsProg) Init(v *VertexCtx) { v.SetState(v.Lifespan(), int64(0)) }
+
+func (p *scatterPropsProg) Compute(*VertexCtx, ival.Interval, any, []any) {}
+
+func (p *scatterPropsProg) Scatter(v *VertexCtx, e *tgraph.Edge, t ival.Interval, state any) []OutMsg {
+	p.calls++
+	tt, ok1 := v.PieceProp(0)
+	tc, ok2 := v.PieceProp(1)
+	if !ok1 || !ok2 {
+		return nil
+	}
+	p.sink += int64(ival.SatAdd(t.Start, tt)) ^ (state.(int64) + tc)
+	return nil
+}
+
+// atVertex runs fn in place of vertex 0's first superstep, handing it the
+// ICM runtime under the engine and a live engine context.
+type atVertex struct {
+	rt *runtime
+	fn func(rt *runtime, ctx *engine.Context)
+}
+
+func (a *atVertex) Init(ctx *engine.Context) { a.rt.Init(ctx) }
+
+func (a *atVertex) Run(ctx *engine.Context, _ []engine.Message) {
+	if ctx.Vertex() == 0 && ctx.Superstep() == 1 {
+		a.fn(a.rt, ctx)
+	}
+}
+
+// BenchmarkScatterProps measures the scatter step of one SSSP-shaped vertex:
+// 1 000 out-edges of two pieces each, both travel labels on every piece, and
+// one updated partition covering them all, so each op is 2 000 Scatter calls
+// that read two properties each from the plan. It reports the time per
+// Scatter call and fails if the step allocates.
+func BenchmarkScatterProps(b *testing.B) {
+	const edges, half = 1000, 10
+	life := ival.New(0, 2*half)
+	gb := tgraph.NewBuilder(1+edges, edges)
+	for id := 0; id <= edges; id++ {
+		gb.AddVertex(tgraph.VertexID(id), life)
+	}
+	for k := 1; k <= edges; k++ {
+		gb.AddEdge(tgraph.EdgeID(k), 0, tgraph.VertexID(k), life)
+		for h, iv := range []ival.Interval{ival.New(0, half), ival.New(half, 2*half)} {
+			gb.SetEdgeProp(tgraph.EdgeID(k), tgraph.PropTravelTime, iv, int64(1+h))
+			gb.SetEdgeProp(tgraph.EdgeID(k), tgraph.PropTravelCost, iv, int64(k+h))
+		}
+	}
+	g, err := gb.Build()
+	if err != nil {
+		b.Fatalf("build: %v", err)
+	}
+
+	prog := &scatterPropsProg{}
+	var calls int64
+	var allocs float64
+	opts := Options{
+		NumWorkers:    1,
+		MaxSupersteps: 1,
+		PropLabels:    []string{tgraph.PropTravelTime, tgraph.PropTravelCost},
+	}
+	opts.WrapProgram = func(p engine.Program) engine.Program {
+		return &atVertex{rt: p.(*runtime), fn: func(rt *runtime, ctx *engine.Context) {
+			vc := &rt.workspace(ctx).vc
+			*vc = VertexCtx{rt: rt, eng: ctx, idx: 0, v: g.VertexAt(0)}
+			targets, state := rt.plan.targetsOf(0), any(int64(0))
+			step := func() { rt.scatterPart(vc, ctx, targets, life, state) }
+			step()
+			calls = prog.calls
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				step()
+			}
+			b.StopTimer()
+			allocs = testing.AllocsPerRun(10, step)
+		}}
+	}
+	if _, err := Run(g, prog, opts); err != nil {
+		b.Fatal(err)
+	}
+	if calls != 2*edges {
+		b.Fatalf("one step made %d Scatter calls, want %d", calls, 2*edges)
+	}
+	if allocs != 0 {
+		b.Fatalf("the scatter step allocates %.1f objects, want 0", allocs)
+	}
+	if prog.sink == 0 {
+		b.Fatal("Scatter read no property")
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(calls), "ns/scatter")
 }

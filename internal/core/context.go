@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 
 	"graphite/internal/engine"
@@ -21,6 +22,8 @@ type VertexCtx struct {
 	inScatter bool
 	allowed   ival.Interval   // interval the current compute tuple covers
 	piece     ival.Interval   // edge property piece of the current scatter call
+	props     []int64         // its value per Options.PropLabels slot; nil outside Scatter
+	propMask  uint8           // bit s: props[s] is a value the edge has, not a filler
 	scatterX  ival.Interval   // scatter overlap: default message interval
 	scatterTo int             // destination of the current scatter call
 	updated   []ival.Interval // state intervals written during this superstep
@@ -113,6 +116,34 @@ func (c *VertexCtx) Emit(when ival.Interval, value any) {
 // updated state; reverse-traversal algorithms need the piece itself to
 // compute departure windows).
 func (c *VertexCtx) ScatterPiece() ival.Interval { return c.piece }
+
+// ErrPieceProp is the failure of a PieceProp call the scatter plan cannot
+// answer: one made outside Scatter, or for a slot Options.PropLabels does not
+// declare.
+var ErrPieceProp = errors.New("core: no such piece property")
+
+// PieceProp returns, during a Scatter call, the value of the edge property
+// Options.PropLabels[slot] on the piece being scattered over, and whether the
+// edge has one there. Pieces are cut where those labels change value, so this
+// is Props.ValueAt(label, t) for every time-point t of the piece, read from
+// the scatter plan instead of looked up by label. Any other call — outside
+// Scatter, a slot outside PropLabels (or past its first 8 entries), a run
+// that declares no PropLabels — fails the run with ErrPieceProp.
+func (c *VertexCtx) PieceProp(slot int) (int64, bool) {
+	if uint(slot) >= uint(len(c.props)) {
+		c.failPieceProp(slot)
+		return 0, false
+	}
+	return c.props[slot], c.propMask&(1<<slot) != 0
+}
+
+func (c *VertexCtx) failPieceProp(slot int) {
+	where := "outside Scatter"
+	if c.inScatter {
+		where = fmt.Sprintf("with %d label slots declared", c.rt.plan.slots)
+	}
+	c.rt.fail(fmt.Errorf("%w: vertex %d asked for slot %d %s", ErrPieceProp, c.v.ID, slot, where))
+}
 
 // SendTo sends a message directly to the vertex at dense index dst, valid
 // for the given interval, bypassing scatter. Pregel-style algorithms that

@@ -12,15 +12,26 @@ import (
 // graph and on the Options fields in planKey: each traversed edge's lifespan
 // cut at its property boundaries (Sec. IV-A3), the interval that triggers
 // scatter for each piece, and per vertex the edges scatter traverses with
-// their far endpoints. It is immutable once built, laid out CSR-flat in four
-// pointer-free arrays, and holds values only — nothing in it points into the
-// graph's storage.
+// their far endpoints, and per piece the value of every declared property
+// label. It is immutable once built, laid out CSR-flat in pointer-free arrays,
+// and holds values only — nothing in it points into the graph's storage.
+//
+// A piece is cut at every value boundary of the declared labels, so each
+// label is constant over it: the value the plan holds is what Props.ValueAt
+// returns at any time-point of the piece, absence included.
 type scatterPlan struct {
 	pieces    []ival.Interval // every edge's pieces, edge after edge
 	match     []ival.Interval // per piece: what an update must intersect; aliases pieces without a slack label
+	slots     int             // value columns per piece: one per Options.PropLabels entry, at most maxPropSlots
+	values    []int64         // piece k's value of label slot s is values[k*slots+s]; 0 where absent
+	present   []uint8         // per piece: bit s is set when label slot s has a value on the piece
 	targetOff []int32         // vertex v's targets are targets[targetOff[v]:targetOff[v+1]]
 	targets   []target
 }
+
+// maxPropSlots is the number of labels a plan carries values for: one
+// presence bit each in a piece's mask byte. Labels past it still cut pieces.
+const maxPropSlots = 8
 
 // target is one edge a vertex's scatter traverses: the dense index of the
 // endpoint messages go to, the edge's piece range pieces[lo:hi], and the
@@ -98,15 +109,18 @@ func planFor(g *tgraph.Graph, opts *Options) *scatterPlan {
 
 // buildScatterPlan lays the plan out in two sweeps over the edges — count the
 // pieces, then fill exactly-sized arrays — sharing one boundary scratch, so
-// the number of allocations does not depend on the size of the graph.
+// the number of allocations does not depend on the size of the graph. Each
+// sweep looks an edge's labels up once: pieces, match intervals and values are
+// all read off the entry slices edgeBounds found.
 func buildScatterPlan(g *tgraph.Graph, key planKey) *scatterPlan {
 	nE, nV := g.NumEdges(), g.NumVertices()
 	var stack [32]ival.Time
 	bounds := stack[:0]
+	var held [maxPropSlots][]tgraph.PropEntry
 
 	pieceOff := make([]int32, nE+1)
 	for i := 0; i < nE; i++ {
-		bounds = edgeBounds(bounds[:0], g.Edge(i), key.labels)
+		bounds = edgeBounds(bounds[:0], g.Edge(i), key.labels, &held)
 		n := int32(0)
 		for b := 0; b+1 < len(bounds); b++ {
 			if bounds[b] != bounds[b+1] {
@@ -116,14 +130,29 @@ func buildScatterPlan(g *tgraph.Graph, key planKey) *scatterPlan {
 		pieceOff[i+1] = pieceOff[i] + n
 	}
 
-	p := &scatterPlan{pieces: make([]ival.Interval, pieceOff[nE])}
+	p := &scatterPlan{
+		pieces: make([]ival.Interval, pieceOff[nE]),
+		slots:  min(len(key.labels), maxPropSlots),
+	}
 	p.match = p.pieces
 	if key.slackLabel != "" {
 		p.match = make([]ival.Interval, len(p.pieces))
 	}
+	if p.slots > 0 {
+		p.values = make([]int64, len(p.pieces)*p.slots)
+		p.present = make([]uint8, len(p.pieces))
+	}
 	for i := 0; i < nE; i++ {
 		e := g.Edge(i)
-		bounds = edgeBounds(bounds[:0], e, key.labels)
+		bounds = edgeBounds(bounds[:0], e, key.labels, &held)
+		var slack []tgraph.PropEntry
+		if key.slackLabel != "" {
+			slack = e.Props.Entries(key.slackLabel)
+		}
+		// Pieces ascend and so do a label's entries, so one cursor per entry
+		// slice finds every piece's value without searching.
+		var cur [maxPropSlots]int
+		slackCur := 0
 		k := pieceOff[i]
 		for b := 0; b+1 < len(bounds); b++ {
 			if bounds[b] == bounds[b+1] {
@@ -131,9 +160,21 @@ func buildScatterPlan(g *tgraph.Graph, key planKey) *scatterPlan {
 			}
 			piece := ival.New(bounds[b], bounds[b+1])
 			p.pieces[k] = piece
+			if p.slots > 0 {
+				vals := p.values[int(k)*p.slots:][:p.slots]
+				var mask uint8
+				for s := range vals {
+					var ok bool
+					if cur[s], vals[s], ok = valueFrom(held[s], cur[s], piece.Start); ok {
+						mask |= 1 << s
+					}
+				}
+				p.present[k] = mask
+			}
 			if key.slackLabel != "" {
-				slack, _ := e.Props.ValueAt(key.slackLabel, piece.Start)
-				p.match[k] = piece.Translate(slack)
+				var by int64
+				slackCur, by, _ = valueFrom(slack, slackCur, piece.Start)
+				p.match[k] = piece.Translate(by)
 			}
 			k++
 		}
@@ -173,18 +214,28 @@ func buildScatterPlan(g *tgraph.Graph, key planKey) *scatterPlan {
 	return p
 }
 
-// edgeBounds appends, sorted ascending, the lifespan ends of e and the ends
-// of every property value of the given labels (all labels when none are
-// given) clipped to the lifespan. Consecutive distinct bounds delimit the
-// pieces over which the edge's properties are time-invariant. Entries arrive
-// nearly sorted, so an insertion sort finishes in about one pass (slices.Sort
-// made the cold build 16 % slower).
-func edgeBounds(bounds []ival.Time, e *tgraph.Edge, labels []string) []ival.Time {
-	bounds = append(bounds, e.Lifespan.Start, e.Lifespan.End)
+// edgeBounds appends, sorted ascending, the lifespan ends of e and between
+// them the ends of every property value of the given labels (all labels when
+// none are given) that fall inside the lifespan. Consecutive distinct bounds
+// delimit the pieces over which those properties are time-invariant. It
+// leaves in held the entry slices of the first maxPropSlots labels (nil for a
+// label e lacks). Only the bounds inside the lifespan need sorting, and they
+// arrive nearly sorted, so an insertion sort finishes in about one pass
+// (slices.Sort made the cold build 16 % slower).
+func edgeBounds(bounds []ival.Time, e *tgraph.Edge, labels []string, held *[maxPropSlots][]tgraph.PropEntry) []ival.Time {
+	life := e.Lifespan
+	bounds = append(bounds, life.Start)
 	add := func(entries []tgraph.PropEntry) {
 		for _, p := range entries {
-			if x := p.Interval.Intersect(e.Lifespan); !x.IsEmpty() {
-				bounds = append(bounds, x.Start, x.End)
+			x := p.Interval.Intersect(life)
+			if x.IsEmpty() {
+				continue
+			}
+			if x.Start != life.Start {
+				bounds = append(bounds, x.Start)
+			}
+			if x.End != life.End {
+				bounds = append(bounds, x.End)
 			}
 		}
 	}
@@ -192,15 +243,33 @@ func edgeBounds(bounds []ival.Time, e *tgraph.Edge, labels []string) []ival.Time
 		for _, entries := range e.Props.All() {
 			add(entries)
 		}
-	} else {
-		for _, l := range labels {
-			add(e.Props.Entries(l))
-		}
 	}
-	for i := 1; i < len(bounds); i++ {
-		for j := i; j > 0 && bounds[j] < bounds[j-1]; j-- {
+	for s, l := range labels {
+		entries := e.Props.Entries(l)
+		if s < maxPropSlots {
+			held[s] = entries
+		}
+		add(entries)
+	}
+	for i := 2; i < len(bounds); i++ {
+		for j := i; j > 1 && bounds[j] < bounds[j-1]; j-- {
 			bounds[j], bounds[j-1] = bounds[j-1], bounds[j]
 		}
 	}
-	return bounds
+	return append(bounds, life.End)
+}
+
+// valueFrom is Props.ValueAt for a caller asking at ascending time-points: it
+// returns the value in force at t among entries[c:] and the cursor to pass
+// with the next, later t. Entries are sorted by start (the Builder and the
+// snapshot decoder both guarantee it), so the first one ending after t is the
+// only one that can hold t.
+func valueFrom(entries []tgraph.PropEntry, c int, t ival.Time) (int, int64, bool) {
+	for c < len(entries) && entries[c].Interval.End <= t {
+		c++
+	}
+	if c < len(entries) && entries[c].Interval.Start <= t {
+		return c, entries[c].Value, true
+	}
+	return c, 0, false
 }

@@ -87,14 +87,54 @@ func oracleTables(g *tgraph.Graph, opts Options) (parts, match [][]ival.Interval
 	return parts, match, targets
 }
 
+// checkPieceValues holds the value columns of pieces[lo:hi], the pieces of
+// edge e, to the lookup they replaced: for every label slot, what the plan
+// holds is what Props.ValueAt returns by label at the first, a middle and the
+// last time-point of the piece — absence included, with a zero value and no
+// stray mask bit behind it.
+func checkPieceValues(p *scatterPlan, e *tgraph.Edge, labels []string, lo, hi int32) error {
+	for k := lo; k < hi; k++ {
+		piece := p.pieces[k]
+		last := piece.End - 1
+		if piece.End == ival.Infinity {
+			last = piece.Start + 1<<40
+		}
+		for s := 0; s < p.slots; s++ {
+			got, ok := p.values[int(k)*p.slots+s], p.present[k]&(1<<s) != 0
+			if !ok && got != 0 {
+				return fmt.Errorf("edge %d piece %v slot %d: absent but holds %d", e.ID, piece, s, got)
+			}
+			for _, t := range []ival.Time{piece.Start, piece.Start + (last-piece.Start)/2, last} {
+				if want, wantOK := e.Props.ValueAt(labels[s], t); got != want || ok != wantOK {
+					return fmt.Errorf("edge %d piece %v slot %d (%s): plan holds (%d, %v), ValueAt(%d) = (%d, %v)",
+						e.ID, piece, s, labels[s], got, ok, t, want, wantOK)
+				}
+			}
+		}
+		if p.slots > 0 && p.present[k]>>p.slots != 0 {
+			return fmt.Errorf("edge %d piece %v: mask %08b has bits past %d slots", e.ID, piece, p.present[k], p.slots)
+		}
+	}
+	return nil
+}
+
 // checkPlanAgainstOracle compares the memoised flat plan of g under opts with
 // the oracle tables: same targets in the same order per vertex, and for each
-// target the same pieces and match intervals in the same order.
+// target the same pieces and match intervals in the same order, each piece
+// carrying the values ValueAt finds on it.
 func checkPlanAgainstOracle(g *tgraph.Graph, opts Options) error {
 	p := planFor(g, &opts)
 	parts, match, targets := oracleTables(g, opts)
 	if len(p.targetOff) != g.NumVertices()+1 {
 		return fmt.Errorf("targetOff has %d entries for %d vertices", len(p.targetOff), g.NumVertices())
+	}
+	slots, masks := min(len(opts.PropLabels), maxPropSlots), 0
+	if slots > 0 {
+		masks = len(p.pieces)
+	}
+	if p.slots != slots || len(p.values) != len(p.pieces)*slots || len(p.present) != masks {
+		return fmt.Errorf("%d labels: %d slots, %d values and %d masks over %d pieces",
+			len(opts.PropLabels), p.slots, len(p.values), len(p.present), len(p.pieces))
 	}
 	refs := 0
 	for v := 0; v < g.NumVertices(); v++ {
@@ -123,6 +163,9 @@ func checkPlanAgainstOracle(g *tgraph.Graph, opts Options) error {
 			if tg.hull != hull {
 				return fmt.Errorf("edge %d hull = %v, oracle %v over %v", tg.edge, tg.hull, hull, match[tg.edge])
 			}
+			if err := checkPieceValues(p, g.Edge(int(tg.edge)), opts.PropLabels, tg.lo, tg.hi); err != nil {
+				return err
+			}
 			refs += len(parts[tg.edge])
 		}
 	}
@@ -142,18 +185,27 @@ func checkPlanAgainstOracle(g *tgraph.Graph, opts Options) error {
 // forward over the travel labels (SSSP, EAT, FAST, TMST, RH), reverse with
 // the travel-time slack (LD), undirected (WCC), a label no edge carries
 // (FFM), and all labels (BFS, PR, ...); plus reverse without slack and a
-// slack label over all labels, which no catalog entry uses today.
+// slack label over all labels, which no catalog entry uses today. The rest
+// are there for the value columns: the travel labels in the other order, with
+// a label no edge carries between them, under both traversal directions, and
+// more labels than a piece's mask has bits for.
 func planOptionShapes() map[string]Options {
 	travel := []string{tgraph.PropTravelTime, tgraph.PropTravelCost}
+	nine := []string{tgraph.PropTravelCost, "a", "b", "zone", "c", "d", "e", "f", tgraph.PropTravelTime}
 	return map[string]Options{
-		"forward/travel-labels": {PropLabels: travel},
-		"reverse+slack":         {Reverse: true, ScatterSlackLabel: tgraph.PropTravelTime, PropLabels: travel},
-		"undirected":            {Undirected: true},
-		"absent-label":          {PropLabels: []string{"ffm-none"}},
-		"all-labels":            {},
-		"reverse":               {Reverse: true},
-		"slack/all-labels":      {ScatterSlackLabel: tgraph.PropTravelTime},
-		"undirected+reverse":    {Undirected: true, Reverse: true, PropLabels: travel[:1]},
+		"forward/labels-swapped":   {PropLabels: []string{tgraph.PropTravelCost, tgraph.PropTravelTime}},
+		"forward/absent-between":   {PropLabels: []string{tgraph.PropTravelTime, "ffm-none", tgraph.PropTravelCost}},
+		"undirected/travel-labels": {Undirected: true, PropLabels: travel},
+		"slack/other-label":        {ScatterSlackLabel: tgraph.PropTravelTime, PropLabels: travel[1:]},
+		"nine-labels":              {PropLabels: nine},
+		"forward/travel-labels":    {PropLabels: travel},
+		"reverse+slack":            {Reverse: true, ScatterSlackLabel: tgraph.PropTravelTime, PropLabels: travel},
+		"undirected":               {Undirected: true},
+		"absent-label":             {PropLabels: []string{"ffm-none"}},
+		"all-labels":               {},
+		"reverse":                  {Reverse: true},
+		"slack/all-labels":         {ScatterSlackLabel: tgraph.PropTravelTime},
+		"undirected+reverse":       {Undirected: true, Reverse: true, PropLabels: travel[:1]},
 	}
 }
 
@@ -192,16 +244,58 @@ func awkwardGraph(t testing.TB) *tgraph.Graph {
 	return g
 }
 
+// tortureGraph is valid by the Builder's rules and hard on a cursor that
+// walks entries and pieces together: unit-length pieces, value runs that
+// touch and runs with a gap between them, a label missing on the first part
+// of a lifespan and one missing on the last, a label missing entirely,
+// lifespans and values that last till ∞, two labels changing at the same
+// time-points, a unit-length edge, and an edge with no properties.
+func tortureGraph(t testing.TB) *tgraph.Graph {
+	t.Helper()
+	tt, tc := tgraph.PropTravelTime, tgraph.PropTravelCost
+	forever := ival.From(0)
+	b := tgraph.NewBuilder(4, 5)
+	for id := 0; id < 4; id++ {
+		b.AddVertex(tgraph.VertexID(id), forever)
+	}
+	b.AddEdge(0, 0, 1, forever)
+	for _, p := range []struct {
+		label string
+		iv    ival.Interval
+		value int64
+	}{
+		{tt, ival.New(0, 1), 1}, {tt, ival.New(1, 2), 2}, {tt, ival.New(2, 5), 3}, // touching, two of unit length
+		{tt, ival.From(7), 4},                            // after a gap, till ∞
+		{tc, ival.New(3, 4), 9}, {tc, ival.New(4, 7), 8}, // absent before 3; changes with tt at 7
+		{tc, ival.New(7, 10), 7},                                 // absent from 10 on
+		{"zone", ival.New(2, 5), 6}, {"zone", ival.New(5, 6), 5}, // same ends as tt's third run
+	} {
+		b.SetEdgeProp(0, p.label, p.iv, p.value)
+	}
+	b.AddEdge(1, 1, 2, ival.New(3, 4)) // one time-point, one label
+	b.SetEdgeProp(1, tc, ival.New(3, 4), 2)
+	b.AddEdge(2, 2, 3, ival.New(2, 12)) // time only at the very end, cost only at the very start
+	b.SetEdgeProp(2, tt, ival.New(11, 12), 1)
+	b.SetEdgeProp(2, tc, ival.New(2, 3), 1)
+	b.AddEdge(3, 3, 0, ival.From(5)) // no properties
+	b.AddEdge(4, 0, 2, ival.From(1)) // both labels over the whole lifespan, same ends
+	b.SetEdgeProp(4, tt, ival.From(1), 2)
+	b.SetEdgeProp(4, tc, ival.From(1), 3)
+	return b.MustBuild()
+}
+
 func planTestGraphs(t testing.TB) map[string]*tgraph.Graph {
 	t.Helper()
 	graphs := map[string]*tgraph.Graph{
 		"awkward": awkwardGraph(t),
+		"torture": tortureGraph(t),
 		"transit": tgraph.TransitExample(),
 	}
 	for _, p := range []gen.Profile{
 		gen.Tiny("tiny-mixed", 40, 3, 12, gen.MixedLife),
 		gen.TwitterLike(0.02),
 		gen.USRNLike(0.02),
+		gen.MAGLike(0.02),
 		gen.SkewedLike(0.05),
 	} {
 		g, err := gen.Generate(p, 7)
@@ -254,6 +348,35 @@ func TestPlanSplitsAtPropertyBounds(t *testing.T) {
 	}
 	if hull := p.targetsOf(0)[0].hull; hull != ival.New(0, 11) {
 		t.Fatalf("slack: hull = %v, want the translated pieces' cover [0, 11)", hull)
+	}
+}
+
+// TestPlanKeyedByLabelOrder: a slot is a position in PropLabels, so two runs
+// that declare the same labels in different orders must not share a plan —
+// each would read the other's columns.
+func TestPlanKeyedByLabelOrder(t *testing.T) {
+	g := tortureGraph(t)
+	timeFirst := planFor(g, &Options{PropLabels: []string{tgraph.PropTravelTime, tgraph.PropTravelCost}})
+	costFirst := planFor(g, &Options{PropLabels: []string{tgraph.PropTravelCost, tgraph.PropTravelTime}})
+	if timeFirst == costFirst {
+		t.Fatal("label orders share one plan")
+	}
+	if again := planFor(g, &Options{PropLabels: []string{tgraph.PropTravelTime, tgraph.PropTravelCost}}); again != timeFirst {
+		t.Fatal("the same label order built a second plan")
+	}
+	if !slices.Equal(timeFirst.pieces, costFirst.pieces) {
+		t.Fatalf("label order moved the cuts: %v vs %v", timeFirst.pieces, costFirst.pieces)
+	}
+	differ := false
+	for k := range timeFirst.pieces {
+		a, b := timeFirst.values[2*k:2*k+2], costFirst.values[2*k:2*k+2]
+		if a[0] != b[1] || a[1] != b[0] {
+			t.Fatalf("piece %v: columns %v and %v are not each other's swap", timeFirst.pieces[k], a, b)
+		}
+		differ = differ || a[0] != a[1]
+	}
+	if !differ {
+		t.Fatal("every piece has equal travel time and cost; the swap was not observable")
 	}
 }
 
@@ -374,8 +497,10 @@ func TestPlanAllocations(t *testing.T) {
 				t.Errorf("%s: memoised plan lookup allocates %.1f, want 0", oname, hot)
 			}
 		}
-		if cold[0] != cold[1] || cold[0] > 6 {
-			t.Errorf("%s: cold build allocates %.0f objects at scale 0.02 and %.0f at 0.2; want equal and at most 6",
+		// The plan, pieceOff, pieces, targets and targetOff; match under a
+		// slack label; values and present under declared labels.
+		if cold[0] != cold[1] || cold[0] > 8 {
+			t.Errorf("%s: cold build allocates %.0f objects at scale 0.02 and %.0f at 0.2; want equal and at most 8",
 				oname, cold[0], cold[1])
 		}
 	}

@@ -365,6 +365,7 @@ func coalesceIntervals(ivs []ival.Interval) []ival.Interval {
 // whose hull the update misses are passed over on one comparison.
 func (rt *runtime) scatterPart(vc *VertexCtx, ctx *engine.Context, targets []target, upd ival.Interval, state any) {
 	pieces, match := rt.plan.pieces, rt.plan.match
+	slots, values, present := rt.plan.slots, rt.plan.values, rt.plan.present
 	for k := range targets {
 		tg := &targets[k]
 		if !tg.hull.Intersects(upd) {
@@ -377,6 +378,9 @@ func (rt *runtime) scatterPart(vc *VertexCtx, ctx *engine.Context, targets []tar
 				continue
 			}
 			vc.piece = pieces[pi]
+			if slots > 0 {
+				vc.props, vc.propMask = values[int(pi)*slots:][:slots], present[pi]
+			}
 			vc.scatterX = x
 			vc.scatterTo = int(tg.dst)
 			vc.inScatter = true
@@ -394,4 +398,5 @@ func (rt *runtime) scatterPart(vc *VertexCtx, ctx *engine.Context, targets []tar
 			vc.inScatter = false
 		}
 	}
+	vc.props = nil
 }

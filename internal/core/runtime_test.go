@@ -99,6 +99,51 @@ func TestRuntimeRejectsEmitOutsideScatter(t *testing.T) {
 	}
 }
 
+// propProgram floods like floodProgram and asks for a piece property where
+// the test case says to.
+type propProgram struct {
+	floodProgram
+	inCompute bool
+	slot      int
+}
+
+func (p *propProgram) Compute(v *VertexCtx, t ival.Interval, state any, msgs []any) {
+	if p.inCompute {
+		v.PieceProp(p.slot)
+	}
+	p.floodProgram.Compute(v, t, state, msgs)
+}
+
+func (p *propProgram) Scatter(v *VertexCtx, e *tgraph.Edge, t ival.Interval, state any) []OutMsg {
+	if !p.inCompute {
+		if _, ok := v.PieceProp(p.slot); ok {
+			panic("chain edges carry no properties")
+		}
+	}
+	return p.floodProgram.Scatter(v, e, t, state)
+}
+
+func TestPiecePropFailsTheRunWhenThePlanCannotAnswer(t *testing.T) {
+	labels := []string{tgraph.PropTravelTime, tgraph.PropTravelCost}
+	for name, c := range map[string]struct {
+		prog   propProgram
+		labels []string
+		fails  bool
+	}{
+		"declared slot in Scatter":   {propProgram{slot: 1}, labels, false},
+		"outside Scatter":            {propProgram{slot: 0, inCompute: true}, labels, true},
+		"slot past the labels":       {propProgram{slot: 2}, labels, true},
+		"negative slot":              {propProgram{slot: -1}, labels, true},
+		"no labels declared":         {propProgram{slot: 0}, nil, true},
+		"slot past the plan's eight": {propProgram{slot: 8}, []string{"a", "b", "c", "d", "e", "f", "g", "h", "i"}, true},
+	} {
+		_, err := Run(chain(t), &c.prog, Options{NumWorkers: 1, PropLabels: c.labels})
+		if c.fails != errors.Is(err, ErrPieceProp) || !c.fails && err != nil {
+			t.Errorf("%s: err = %v; want ErrPieceProp: %v", name, err, c.fails)
+		}
+	}
+}
+
 func TestRunRejectsEmptyGraph(t *testing.T) {
 	b := tgraph.NewBuilder(0, 0)
 	g, err := b.Build()

@@ -5,7 +5,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
+	"sync"
 	"time"
 
 	"graphite/internal/engine"
@@ -74,12 +76,37 @@ func (s *Server) instrument(name string, h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
+// respEncoder is an indenting JSON encoder that outlives a response. A
+// json.Encoder keeps the buffer it indents into, so a fresh one per response
+// regrew that buffer by doubling for every body; a pooled one, pointed at
+// each response in turn, indents into memory it already holds. The output
+// stays indented: clients match on it byte for byte.
+type respEncoder struct {
+	w   io.Writer // the response being written
+	enc *json.Encoder
+}
+
+func (r *respEncoder) Write(p []byte) (int, error) { return r.w.Write(p) }
+
+var respEncoders = sync.Pool{New: func() any {
+	r := &respEncoder{}
+	r.enc = json.NewEncoder(r)
+	r.enc.SetIndent("", "  ")
+	return r
+}}
+
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	r := respEncoders.Get().(*respEncoder)
+	r.w = w
+	err := r.enc.Encode(v)
+	r.w = nil
+	// A failed write (the client went away) sticks to a json.Encoder: every
+	// later Encode returns it. Such an encoder is dropped, not pooled.
+	if err == nil {
+		respEncoders.Put(r)
+	}
 }
 
 // statusFor maps the service's typed errors onto HTTP statuses.
