@@ -34,7 +34,8 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzInt64SliceDecode -fuzztime $(FUZZTIME) ./internal/codec
 	$(GO) test -run '^$$' -fuzz FuzzIntervalAppendDecode -fuzztime $(FUZZTIME) ./internal/codec
 	$(GO) test -run '^$$' -fuzz FuzzStateSet -fuzztime $(FUZZTIME) ./internal/core
-	$(GO) test -run '^$$' -fuzz FuzzWarp -fuzztime $(FUZZTIME) ./internal/warp
+	$(GO) test -run '^$$' -fuzz 'FuzzWarp$$' -fuzztime $(FUZZTIME) ./internal/warp
+	$(GO) test -run '^$$' -fuzz FuzzWarpOracle -fuzztime $(FUZZTIME) ./internal/warp
 	$(GO) test -run '^$$' -fuzz FuzzFormatRoundTrip -fuzztime $(FUZZTIME) ./internal/tgraph
 	$(GO) test -run '^$$' -fuzz FuzzSnapshotMutation -fuzztime $(FUZZTIME) ./internal/tgraph
 	$(GO) test -run '^$$' -fuzz FuzzSlice -fuzztime $(FUZZTIME) ./internal/tgraph
@@ -55,11 +56,14 @@ bench-test:
 # The micro-benchmarks of the ICM runtime (PartitionedState.Set at 1, 8 and
 # 64 partitions; one PageRank-shaped hub's superstep; one SSSP-shaped vertex's
 # scatter step reading its properties from the plan; the scatter plan's cold
-# build and memoised lookup), one iteration each: they check their own
-# fixtures, so CI running them keeps them honest. For numbers, drop -benchtime
-# and add -benchmem -count.
+# build and memoised lookup) and of the warp sweep on the inboxes the
+# acceptance benchmark measured (serve_cold's mean and largest, cluster_pr's
+# unit messages), one iteration each: they check their own fixtures — the warp
+# ones also that a warmed Scratch allocates nothing — so CI running them keeps
+# them honest. For numbers, drop -benchtime and add -benchmem -count.
 bench-core:
 	$(GO) test -run '^$$' -bench 'StateSet|VertexStep|ScatterProps|NewRuntime' -benchtime=1x ./internal/core
+	$(GO) test -run '^$$' -bench 'PathInbox|HubInbox|RankInbox' -benchtime=1x ./internal/warp
 
 # The fault-injection demonstration: SSSP under seeded faults vs fault-free.
 chaos:

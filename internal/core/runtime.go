@@ -285,41 +285,38 @@ func (rt *runtime) align(ws *workspace, st *PartitionedState, msgs []engine.Mess
 		ws.tuples = tuples
 		return tuples
 	}
-	// Clip message intervals to the vertex lifespan up front: warp would do
-	// it anyway, and the suppression heuristic must see the effective
-	// intervals — a [t, ∞) path message hitting a vertex that lives for one
-	// time-point is a unit message in every sense.
+	// Clip message intervals to the vertex lifespan on their way into the
+	// warp scratch: warp would do it anyway, and the suppression heuristic
+	// must see the effective intervals — a [t, ∞) path message hitting a
+	// vertex that lives for one time-point is a unit message in every sense.
 	life := st.Lifespan()
-	inner := ws.inner[:0]
+	ws.scratch.Reset()
+	var n, unit int64
 	for _, m := range msgs {
 		if x := m.When.Intersect(life); !x.IsEmpty() {
-			inner = append(inner, warp.IntervalValue{Interval: x, Value: m.Value})
-		}
-	}
-	ws.inner = inner
-	if rt.traced && len(inner) > 0 {
-		var unit int64
-		for _, iv := range inner {
-			if iv.Interval.IsUnit() {
+			ws.scratch.Add(x, m.Value)
+			n++
+			if x.IsUnit() {
 				unit++
 			}
 		}
-		rt.msgsIn.Add(int64(len(inner)))
+	}
+	if rt.traced && n > 0 {
+		rt.msgsIn.Add(n)
 		rt.unitMsgsIn.Add(unit)
 	}
+	// The suppressed path (Sec. VI): per-point groups when warp is disabled
+	// or the inbox is mostly unit-length messages, which warp cannot share.
+	points := true
 	switch {
 	case rt.opts.DisableWarp:
-		tuples = rt.pointGroups(ws, tuples, st, inner)
-	case !rt.opts.DisableSuppression && warp.UnitFraction(inner) > rt.threshold:
+	case !rt.opts.DisableSuppression && n > 0 && float64(unit)/float64(n) > rt.threshold:
 		rt.warpSuppressed.Add(1)
-		tuples = rt.pointGroups(ws, tuples, st, inner)
-	case rt.combine != nil:
-		rt.warpCalls.Add(1)
-		tuples = ws.scratch.WarpCombined(tuples, st.Parts(), inner, rt.combine)
 	default:
 		rt.warpCalls.Add(1)
-		tuples = ws.scratch.Warp(tuples, st.Parts(), inner)
+		points = false
 	}
+	tuples = ws.scratch.Sweep(tuples, st.Parts(), rt.combine, points)
 	if rt.opts.ActivateAll {
 		// Forced-active vertices compute over their whole lifespan: append
 		// empty-group tuples for the sub-intervals no message covered.
@@ -328,15 +325,6 @@ func (rt *runtime) align(ws *workspace, st *PartitionedState, msgs []engine.Mess
 	}
 	ws.tuples = tuples
 	return tuples
-}
-
-// pointGroups is the suppressed execution path, with the inline combiner
-// applied when available; it appends into dst with the workspace scratch.
-func (rt *runtime) pointGroups(ws *workspace, dst []warp.Tuple, st *PartitionedState, inner []warp.IntervalValue) []warp.Tuple {
-	if rt.combine != nil {
-		return ws.scratch.PointGroupsCombined(dst, st.Parts(), inner, rt.combine)
-	}
-	return ws.scratch.PointGroups(dst, st.Parts(), inner)
 }
 
 // coalesceIntervals sorts and merges overlapping or adjacent intervals in

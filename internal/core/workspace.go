@@ -16,10 +16,9 @@ import (
 // workspace is valid only until the worker's next vertex — nothing here may
 // escape a Run call.
 type workspace struct {
-	scratch warp.Scratch         // time-warp merge buffers and group arena
-	inner   []warp.IntervalValue // lifespan-clipped incoming messages
-	tuples  []warp.Tuple         // warp output consumed by the compute loop
-	vc      VertexCtx            // persistent so &vc never escapes to the heap
+	scratch warp.Scratch // the lifespan-clipped inbox, time-warp buffers and group arena
+	tuples  []warp.Tuple // warp output consumed by the compute loop
+	vc      VertexCtx    // persistent so &vc never escapes to the heap
 }
 
 // workspace returns the executing worker's scratch, sizing the per-worker

@@ -16,17 +16,26 @@
 //  4. Maximal — adjacent or overlapping triples with the same outer value and
 //     the same inner group are merged.
 //
-// The implementation is a boundary sweep over the sorted inner intervals
-// clipped to each outer partition, O(m log m + p) for m inner tuples and
-// p overlap pairs, in the spirit of the merge-sort temporal aggregation the
-// paper cites.
+// The implementation is one merge sweep (Scratch.Sweep): the m inner tuples
+// are sorted once by (start, arrival index), then walked together with the k
+// outer partitions, admitting a tuple when the sweep reaches its start and
+// retiring tuples only when it reaches the earliest end among the active
+// ones. Warp and PointGroups differ only in how a segment of the sweep is
+// emitted. Cost is O(m log m + k + output) plus, per retirement event, one
+// pass over the survivors; output counts the group values copied, or, under
+// a combiner, one value per segment: the fold is carried as a running prefix
+// that a newcomer extends with one combine call and only a retirement (or a
+// newcomer that is not last in fold order) recomputes.
+//
+// Order contract. Without a combiner a group lists its values in arrival
+// (inner-set) order. WarpCombined folds left to right in (start, arrival)
+// order, PointGroupsCombined in arrival order.
 package warp
 
 import (
 	"cmp"
 	"reflect"
 	"slices"
-	"sort"
 
 	ival "graphite/internal/interval"
 )
@@ -83,7 +92,7 @@ type CombineFunc func(a, b Value) Value
 // properties. Triples with empty inner groups are not produced.
 func Warp(outer, inner []IntervalValue) []Tuple {
 	var s Scratch
-	return s.warp(nil, outer, inner, nil)
+	return s.Warp(nil, outer, inner)
 }
 
 // WarpCombined is Warp with an inline combiner: each output triple's Msgs
@@ -92,148 +101,211 @@ func Warp(outer, inner []IntervalValue) []Tuple {
 // compute would otherwise need.
 func WarpCombined(outer, inner []IntervalValue, combine CombineFunc) []Tuple {
 	var s Scratch
-	return s.warp(nil, outer, inner, combine)
+	return s.WarpCombined(nil, outer, inner, combine)
 }
 
-// innerRef is an inner tuple with its original index, used for identity-based
-// group comparison.
-type innerRef struct {
-	idx int
-	iv  ival.Interval
-	val Value
+// ref is one message of the set as the sweep sees it: its interval and its
+// arrival index, which finds its value, orders groups and breaks ties between
+// equal starts. Pointer-free, so sorting and retiring move no values.
+type ref struct {
+	start, end ival.Time
+	idx        int
 }
 
-// Scratch is a reusable workspace for the warp sweep: the ref, active-set
-// and boundary buffers, plus the arena backing the output tuples' Msgs
-// groups. A zero Scratch is ready. Buffers are grow-only, so a scratch
-// reused across calls stops allocating once it has seen the largest input —
-// the property the per-worker ICM workspaces rely on for allocation-free
-// steady-state supersteps.
+// Scratch is a reusable workspace for the warp sweep: the message set, the
+// active set, and the arena backing the output tuples' Msgs groups. A zero
+// Scratch is ready. Buffers are grow-only, so a scratch reused across calls
+// stops allocating once it has seen the largest input — the property the
+// per-worker ICM workspaces rely on for allocation-free steady-state
+// supersteps.
 //
 // A Scratch is not safe for concurrent use, and the tuples returned by its
 // methods share its arena: they are valid only until the next call on the
 // same Scratch.
 type Scratch struct {
-	refs       []innerRef
-	active     []innerRef
-	boundaries []ival.Time
-	vals       []Value // arena carved into the output tuples' Msgs groups
-	used       []bool  // sameGroup multiset-match scratch
+	msgs   []IntervalValue // the message set, in arrival order
+	refs   []ref           // msgs sorted by (start, arrival)
+	active []ref           // messages alive at the sweep position, in fold order
+	vals   []Value         // arena carved into the output tuples' Msgs groups
+	used   []bool          // sameGroup multiset-match scratch
 }
 
 // Warp is Warp appending into dst (usually a recycled buffer, sliced to
 // length zero) and reusing the scratch's buffers. The appended tuples' Msgs
 // point into the scratch arena; see the Scratch validity rule.
 func (s *Scratch) Warp(dst []Tuple, outer, inner []IntervalValue) []Tuple {
-	return s.warp(dst, outer, inner, nil)
+	return s.load(inner).Sweep(dst, outer, nil, false)
 }
 
 // WarpCombined is WarpCombined appending into dst with the scratch's
 // buffers; the same validity rule applies.
 func (s *Scratch) WarpCombined(dst []Tuple, outer, inner []IntervalValue, combine CombineFunc) []Tuple {
-	return s.warp(dst, outer, inner, combine)
+	return s.load(inner).Sweep(dst, outer, combine, false)
 }
 
-func (s *Scratch) warp(out []Tuple, outer, inner []IntervalValue, combine CombineFunc) []Tuple {
-	if len(outer) == 0 || len(inner) == 0 {
-		return out
+// load makes inner the scratch's message set.
+func (s *Scratch) load(inner []IntervalValue) *Scratch {
+	s.Reset()
+	for _, m := range inner {
+		s.Add(m.Interval, m.Value)
 	}
-	s.refs = s.refs[:0]
-	s.vals = s.vals[:0]
-	for i, m := range inner {
-		if !m.Interval.IsEmpty() {
-			s.refs = append(s.refs, innerRef{idx: i, iv: m.Interval, val: m.Value})
-		}
-	}
-	if len(s.refs) == 0 {
-		return out
-	}
-	slices.SortFunc(s.refs, func(a, b innerRef) int { return cmp.Compare(a.iv.Start, b.iv.Start) })
+	return s
+}
 
-	base := len(out) // maximality never merges into tuples the caller passed in
+// Reset empties the scratch's message set.
+func (s *Scratch) Reset() { s.msgs = s.msgs[:0] }
+
+// Add appends one inner tuple to the message set Sweep aligns — the way in
+// for a caller that clips or filters its messages anyway and would otherwise
+// build an []IntervalValue only to have it copied here. Arrival order is the
+// order of the Add calls; empty intervals are dropped.
+func (s *Scratch) Add(iv ival.Interval, v Value) {
+	if !iv.IsEmpty() {
+		s.msgs = append(s.msgs, IntervalValue{Interval: iv, Value: v})
+	}
+}
+
+// sortRefs rebuilds refs from msgs, ordered by (start, arrival index). msgs
+// is in arrival order, so a stable sort by start suffices: insertion sort,
+// without a comparator call, on the short inboxes that are the norm.
+func (s *Scratch) sortRefs() []ref {
+	refs := s.refs[:0]
+	for i, m := range s.msgs {
+		refs = append(refs, ref{m.Interval.Start, m.Interval.End, i})
+	}
+	s.refs = refs
+	if len(refs) > 64 {
+		slices.SortFunc(refs, func(a, b ref) int {
+			if c := cmp.Compare(a.start, b.start); c != 0 {
+				return c
+			}
+			return cmp.Compare(a.idx, b.idx)
+		})
+		return refs
+	}
+	for i := 1; i < len(refs); i++ {
+		r, j := refs[i], i
+		for ; j > 0 && refs[j-1].start > r.start; j-- {
+			refs[j] = refs[j-1]
+		}
+		refs[j] = r
+	}
+	return refs
+}
+
+// Sweep aligns the message set (everything Added since the last Reset) with
+// outer: the body of Warp and WarpCombined, and with points set, of
+// PointGroups and PointGroupsCombined; combine may be nil. It appends to out
+// under the Scratch validity rule and leaves the message set in place.
+//
+// The sweep position moves from boundary to boundary — the next message
+// start, the earliest end among the active messages, the partition end,
+// whichever comes first — so each segment between two positions has one
+// group: the active set.
+func (s *Scratch) Sweep(out []Tuple, outer []IntervalValue, combine CombineFunc, points bool) []Tuple {
+	s.vals = s.vals[:0]
+	if len(outer) == 0 || len(s.msgs) == 0 {
+		return out
+	}
+	var (
+		msgs    = s.msgs
+		refs    = s.sortRefs()
+		active  = s.active[:0]
+		arrival = combine == nil || points // fold order is arrival order, not admission order
+		base    = len(out)                 // maximality never merges into tuples the caller passed in
+		next    = 0                        // first message the sweep has not reached
+		minEnd  = ival.Infinity            // earliest end among active; nothing retires before it
+		folded  Value                      // the fold of active, unless stale
+		stale   bool
+		pos     = outer[0].Interval.Start
+	)
 	for _, st := range outer {
 		if st.Interval.IsEmpty() {
 			continue
 		}
-		// Inner tuples overlapping this outer partition: starts strictly
-		// before the partition end; ends after the partition start.
-		hi := sort.Search(len(s.refs), func(k int) bool { return s.refs[k].iv.Start >= st.Interval.End })
-		s.boundaries = s.boundaries[:0]
-		s.active = s.active[:0]
-		for _, r := range s.refs[:hi] {
-			x := r.iv.Intersect(st.Interval)
-			if x.IsEmpty() {
-				continue
-			}
-			s.active = append(s.active, innerRef{idx: r.idx, iv: x, val: r.val})
-			s.boundaries = append(s.boundaries, x.Start, x.End)
+		if st.Interval.Start < pos {
+			// outer is not temporally partitioned: align this one from the top.
+			next, active, minEnd = 0, active[:0], ival.Infinity
 		}
-		if len(s.active) == 0 {
-			continue
-		}
-		if combine == nil {
-			// Restore inner-set order so groups preserve message order;
-			// irrelevant under a commutative combiner.
-			slices.SortFunc(s.active, func(a, b innerRef) int { return cmp.Compare(a.idx, b.idx) })
-		}
-		slices.Sort(s.boundaries)
-		s.boundaries = dedupTimes(s.boundaries)
-
-		// Sweep elementary segments between adjacent boundaries. Each
-		// segment's group is carved from the arena; a merged segment rewinds
-		// its carving (every earlier group ends at or before start, so the
-		// rewound region is unreferenced).
-		for bi := 0; bi+1 < len(s.boundaries); bi++ {
-			seg := ival.New(s.boundaries[bi], s.boundaries[bi+1])
-			start := len(s.vals)
-			if combine != nil {
-				folded, n := fold(s.active, seg, combine)
-				if n == 0 {
-					continue
-				}
-				s.vals = append(s.vals, folded)
-			} else {
-				for _, r := range s.active {
-					if r.iv.ContainsInterval(seg) {
-						s.vals = append(s.vals, r.val)
+		for pos = st.Interval.Start; pos < st.Interval.End; {
+			if minEnd <= pos {
+				k := 0
+				minEnd = ival.Infinity
+				for _, r := range active {
+					if r.end > pos {
+						active[k] = r
+						k++
+						minEnd = min(minEnd, r.end)
 					}
 				}
-				if len(s.vals) == start {
-					continue
+				active, stale = active[:k], true
+			}
+			for ; next < len(refs) && refs[next].start <= pos; next++ {
+				r := refs[next]
+				if r.end <= pos {
+					continue // over before any partition reached it
+				}
+				k := len(active)
+				active = append(active, r)
+				for ; arrival && k > 0 && active[k-1].idx > r.idx; k-- {
+					active[k] = active[k-1]
+				}
+				active[k] = r
+				minEnd = min(minEnd, r.end)
+				switch {
+				case combine == nil:
+				case len(active) == 1:
+					folded, stale = msgs[r.idx].Value, false
+				case !stale && k == len(active)-1:
+					folded = combine(folded, msgs[r.idx].Value)
+				default:
+					stale = true
 				}
 			}
-			msgs := s.vals[start:len(s.vals):len(s.vals)]
-			// Maximality: merge with the previous triple when it meets
-			// this segment, has an equal outer value, and an identical
-			// inner group.
-			if n := len(out); n > base && out[n-1].Interval.Meets(seg) &&
-				s.sameGroup(out[n-1], st.Value, msgs) {
-				out[n-1].Interval.End = seg.End
-				s.vals = s.vals[:start]
+			end := min(st.Interval.End, minEnd)
+			if next < len(refs) {
+				end = min(end, refs[next].start)
+			}
+			if len(active) == 0 {
+				pos = end
 				continue
 			}
-			out = append(out, Tuple{Interval: seg, State: st.Value, Msgs: msgs})
-		}
-	}
-	return out
-}
-
-// fold combines the values of active refs covering seg without building the
-// group (the inline warp combiner's single pass).
-func fold(active []innerRef, seg ival.Interval, combine CombineFunc) (Value, int) {
-	var folded Value
-	n := 0
-	for _, r := range active {
-		if r.iv.ContainsInterval(seg) {
-			if n == 0 {
-				folded = r.val
+			// The group is carved from the arena; a merged segment rewinds
+			// its carving (every earlier group ends at or before start, so
+			// the rewound region is unreferenced).
+			start := len(s.vals)
+			if combine == nil {
+				for _, r := range active {
+					s.vals = append(s.vals, msgs[r.idx].Value)
+				}
 			} else {
-				folded = combine(folded, r.val)
+				if stale {
+					folded, stale = msgs[active[0].idx].Value, false
+					for _, r := range active[1:] {
+						folded = combine(folded, msgs[r.idx].Value)
+					}
+				}
+				s.vals = append(s.vals, folded)
 			}
-			n++
+			group := s.vals[start:len(s.vals):len(s.vals)]
+			switch n := len(out); {
+			case points && end != ival.Infinity:
+				for t := pos; t < end; t++ {
+					out = append(out, Tuple{Interval: ival.Point(t), State: st.Value, Msgs: group})
+				}
+			case !points && n > base && out[n-1].Interval.End == pos && s.sameGroup(out[n-1], st.Value, group):
+				// Maximality: the previous triple meets this segment with
+				// an equal outer value and an identical inner group.
+				out[n-1].Interval.End = end
+				s.vals = s.vals[:start]
+			default: // a warp triple, or the [B, ∞) tail of the point path
+				out = append(out, Tuple{Interval: ival.New(pos, end), State: st.Value, Msgs: group})
+			}
+			pos = end
 		}
 	}
-	return folded, n
+	s.active = active
+	return out
 }
 
 // sameGroup reports whether the previous output triple has the same state
@@ -309,16 +381,6 @@ func valueEqual(a, b Value) bool {
 // adjacent equal-valued entries (partitioned states, Chlonos message runs).
 func ValueEqual(a, b Value) bool { return valueEqual(a, b) }
 
-func dedupTimes(ts []ival.Time) []ival.Time {
-	out := ts[:0]
-	for i, t := range ts {
-		if i == 0 || t != ts[i-1] {
-			out = append(out, t)
-		}
-	}
-	return out
-}
-
 // UnitFraction returns the fraction of inner tuples whose interval is
 // unit-length; the warp-suppression heuristic of Sec. VI compares this
 // against a threshold to bypass warp entirely.
@@ -345,116 +407,25 @@ func UnitFraction(inner []IntervalValue) float64 {
 // result stays finite and exact.
 func PointGroups(outer, inner []IntervalValue) []Tuple {
 	var s Scratch
-	return s.pointGroups(nil, outer, inner, nil)
+	return s.PointGroups(nil, outer, inner)
 }
 
 // PointGroupsCombined is PointGroups with an inline combiner: each tuple's
 // Msgs holds the single folded value, as in WarpCombined.
 func PointGroupsCombined(outer, inner []IntervalValue, combine CombineFunc) []Tuple {
 	var s Scratch
-	return s.pointGroups(nil, outer, inner, combine)
+	return s.PointGroupsCombined(nil, outer, inner, combine)
 }
 
 // PointGroups is PointGroups appending into dst with the scratch's buffers;
 // the returned tuples' Msgs point into the scratch arena and follow the
 // Scratch validity rule.
 func (s *Scratch) PointGroups(dst []Tuple, outer, inner []IntervalValue) []Tuple {
-	return s.pointGroups(dst, outer, inner, nil)
+	return s.load(inner).Sweep(dst, outer, nil, true)
 }
 
 // PointGroupsCombined is PointGroupsCombined appending into dst with the
 // scratch's buffers; the same validity rule applies.
 func (s *Scratch) PointGroupsCombined(dst []Tuple, outer, inner []IntervalValue, combine CombineFunc) []Tuple {
-	return s.pointGroups(dst, outer, inner, combine)
-}
-
-// pointGroups sweeps the clipped messages' boundaries per outer partition:
-// each elementary segment has a constant group, shared (and, under a
-// combiner, folded exactly once) by every point tuple it expands into. Total
-// work stays O(points covered + m log m) — the same as the former per-point
-// bucket map — without allocating buckets.
-func (s *Scratch) pointGroups(out []Tuple, outer, inner []IntervalValue, combine CombineFunc) []Tuple {
-	if len(outer) == 0 || len(inner) == 0 {
-		return out
-	}
-	s.vals = s.vals[:0]
-	for _, st := range outer {
-		if st.Interval.IsEmpty() {
-			continue
-		}
-		// Clip the messages (preserving inner-set order, so groups do too)
-		// and find the largest finite boundary; points at or beyond it behave
-		// identically, so unbounded tails fold into one trailing tuple.
-		s.active = s.active[:0]
-		maxFinite := st.Interval.Start
-		unbounded := false
-		for i, m := range inner {
-			x := m.Interval.Intersect(st.Interval)
-			if x.IsEmpty() {
-				continue
-			}
-			s.active = append(s.active, innerRef{idx: i, iv: x, val: m.Value})
-			if x.Start > maxFinite {
-				maxFinite = x.Start
-			}
-			if x.End == ival.Infinity {
-				unbounded = true
-			} else if x.End > maxFinite {
-				maxFinite = x.End
-			}
-		}
-		if len(s.active) == 0 {
-			continue
-		}
-		s.boundaries = s.boundaries[:0]
-		for _, r := range s.active {
-			s.boundaries = append(s.boundaries, r.iv.Start)
-			if e := r.iv.End; e < maxFinite {
-				s.boundaries = append(s.boundaries, e)
-			} else {
-				s.boundaries = append(s.boundaries, maxFinite)
-			}
-		}
-		slices.Sort(s.boundaries)
-		s.boundaries = dedupTimes(s.boundaries)
-		for bi := 0; bi+1 < len(s.boundaries); bi++ {
-			segStart, segEnd := s.boundaries[bi], s.boundaries[bi+1]
-			start := len(s.vals)
-			if combine != nil {
-				folded, n := fold(s.active, ival.New(segStart, segEnd), combine)
-				if n == 0 {
-					continue
-				}
-				s.vals = append(s.vals, folded)
-			} else {
-				for _, r := range s.active {
-					if r.iv.Contains(segStart) {
-						s.vals = append(s.vals, r.val)
-					}
-				}
-				if len(s.vals) == start {
-					continue
-				}
-			}
-			msgs := s.vals[start:len(s.vals):len(s.vals)]
-			for t := segStart; t < segEnd; t++ {
-				out = append(out, Tuple{Interval: ival.Point(t), State: st.Value, Msgs: msgs})
-			}
-		}
-		if unbounded {
-			start := len(s.vals)
-			for _, r := range s.active {
-				if r.iv.End != ival.Infinity {
-					continue
-				}
-				if combine == nil || len(s.vals) == start {
-					s.vals = append(s.vals, r.val)
-				} else {
-					s.vals[start] = combine(s.vals[start], r.val)
-				}
-			}
-			out = append(out, Tuple{Interval: ival.From(maxFinite), State: st.Value, Msgs: s.vals[start:len(s.vals):len(s.vals)]})
-		}
-	}
-	return out
+	return s.load(inner).Sweep(dst, outer, combine, true)
 }
