@@ -19,18 +19,26 @@ const (
 	NumIntervalClasses = 4
 )
 
-// ClassOf returns the encoding class AppendInterval would use for iv.
-func ClassOf(iv ival.Interval) IntervalClass {
+// ClassAndSize returns the encoding class AppendInterval would use for iv and
+// the number of bytes it would append, from one pass over the interval's
+// shape; per-message accounting wants both.
+func ClassAndSize(iv ival.Interval) (IntervalClass, int) {
 	switch {
 	case iv.IsEmpty():
-		return ClassEmpty
-	case iv.IsUnit():
-		return ClassUnit
-	case iv.IsUnbounded():
-		return ClassUnbounded
+		return ClassEmpty, 1
+	case iv.End == ival.Infinity:
+		return ClassUnbounded, 1 + UvarintLen(uint64(iv.Start))
+	case iv.End-iv.Start == 1:
+		return ClassUnit, 1 + UvarintLen(uint64(iv.Start))
 	default:
-		return ClassGeneral
+		return ClassGeneral, 1 + UvarintLen(uint64(iv.Start)) + UvarintLen(uint64(iv.End-iv.Start))
 	}
+}
+
+// ClassOf returns the encoding class AppendInterval would use for iv.
+func ClassOf(iv ival.Interval) IntervalClass {
+	c, _ := ClassAndSize(iv)
+	return c
 }
 
 // String returns the class name as used in registry metric names.

@@ -76,14 +76,8 @@ func Interval(buf []byte) (ival.Interval, int, error) {
 
 // IntervalSize returns the encoded size of iv without allocating.
 func IntervalSize(iv ival.Interval) int {
-	switch {
-	case iv.IsEmpty():
-		return 1
-	case iv.IsUnit(), iv.IsUnbounded():
-		return 1 + UvarintLen(uint64(iv.Start))
-	default:
-		return 1 + UvarintLen(uint64(iv.Start)) + UvarintLen(uint64(iv.End-iv.Start))
-	}
+	_, n := ClassAndSize(iv)
+	return n
 }
 
 // FixedIntervalSize is the size of the naive encoding the paper compares

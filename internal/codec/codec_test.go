@@ -134,3 +134,29 @@ func TestInt64SliceCodec(t *testing.T) {
 		t.Errorf("oversized length should fail")
 	}
 }
+
+// TestClassAndSize holds the combined accounting helper to what AppendInterval
+// writes — header flag and length — and its two single-answer wrappers to it,
+// on every class's edge: inverted and zero-width empties, the last finite
+// unit interval, and [∞−1, ∞), which is unbounded, not unit.
+func TestClassAndSize(t *testing.T) {
+	flagOf := map[byte]IntervalClass{flagEmpty: ClassEmpty, flagUnit: ClassUnit, flagUnbounded: ClassUnbounded, 0: ClassGeneral}
+	cases := []ival.Interval{
+		ival.Empty, ival.New(7, 7), ival.New(9, 3), ival.New(ival.Infinity, ival.Infinity),
+		ival.Point(0), ival.Point(127), ival.Point(128), ival.Point(ival.Infinity - 2),
+		ival.From(0), ival.From(1 << 40), ival.From(ival.Infinity - 1), ival.Universe,
+		ival.New(3, 5), ival.New(0, 1<<20), ival.New(1<<40, 1<<41), ival.New(0, ival.Infinity-1),
+	}
+	for _, iv := range cases {
+		buf := AppendInterval(nil, iv)
+		class, size := ClassAndSize(iv)
+		if class != flagOf[buf[0]] || size != len(buf) {
+			t.Errorf("%v: ClassAndSize = (%v, %d), AppendInterval wrote class %v in %d bytes",
+				iv, class, size, flagOf[buf[0]], len(buf))
+		}
+		if ClassOf(iv) != class || IntervalSize(iv) != size {
+			t.Errorf("%v: ClassOf/IntervalSize = (%v, %d), ClassAndSize = (%v, %d)",
+				iv, ClassOf(iv), IntervalSize(iv), class, size)
+		}
+	}
+}

@@ -51,10 +51,11 @@ func (c *Context) Send(dst int, when ival.Interval, value any) {
 		w.outbox[dw] = append(w.outbox[dw], m)
 	}
 	w.sentMsgs++
-	ivalBytes := int64(codec.IntervalSize(when))
+	class, n := codec.ClassAndSize(when)
+	ivalBytes := int64(n)
 	size := ivalBytes + c.payloadSize(value)
 	w.sentBytes += size
-	w.classBytes[codec.ClassOf(when)] += ivalBytes
+	w.classBytes[class] += ivalBytes
 	if w.outBytes != nil {
 		w.outBytes[dw] += int64(codec.UvarintLen(uint64(dst))) + size
 	}
