@@ -27,7 +27,8 @@ race:
 	$(GO) test -race -count=10 -run 'TestPlanSharedByConcurrentRuns' ./internal/core/
 
 # Fuzz smoke: every fuzz target in the codec, state, warp and graph-format
-# layers for FUZZTIME each (Go allows one -fuzz target per invocation).
+# layers, and the window view against its slice oracle, for FUZZTIME each (Go
+# allows one -fuzz target per invocation).
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzIntervalDecode -fuzztime $(FUZZTIME) ./internal/codec
@@ -39,6 +40,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzFormatRoundTrip -fuzztime $(FUZZTIME) ./internal/tgraph
 	$(GO) test -run '^$$' -fuzz FuzzSnapshotMutation -fuzztime $(FUZZTIME) ./internal/tgraph
 	$(GO) test -run '^$$' -fuzz FuzzSlice -fuzztime $(FUZZTIME) ./internal/tgraph
+	$(GO) test -run '^$$' -fuzz FuzzWindowView -fuzztime $(FUZZTIME) ./internal/algorithms
 
 # The full gate: everything vetted, built, and race-tested. Long-running
 # chaos tests honour -short via `make verify SHORT=-short`.
@@ -56,13 +58,14 @@ bench-test:
 # The micro-benchmarks of the ICM runtime (PartitionedState.Set at 1, 8 and
 # 64 partitions; one PageRank-shaped hub's superstep; one SSSP-shaped vertex's
 # scatter step reading its properties from the plan; the scatter plan's cold
-# build and memoised lookup) and of the warp sweep on the inboxes the
+# build and memoised lookup; the measured traffic's windowed query as a view,
+# whole and over a slice) and of the warp sweep on the inboxes the
 # acceptance benchmark measured (serve_cold's mean and largest, cluster_pr's
 # unit messages), one iteration each: they check their own fixtures — the warp
 # ones also that a warmed Scratch allocates nothing — so CI running them keeps
 # them honest. For numbers, drop -benchtime and add -benchmem -count.
 bench-core:
-	$(GO) test -run '^$$' -bench 'StateSet|VertexStep|ScatterProps|NewRuntime' -benchtime=1x ./internal/core
+	$(GO) test -run '^$$' -bench 'StateSet|VertexStep|ScatterProps|NewRuntime|WindowedRun' -benchtime=1x -benchmem ./internal/core
 	$(GO) test -run '^$$' -bench 'PathInbox|HubInbox|RankInbox' -benchtime=1x ./internal/warp
 
 # The fault-injection demonstration: SSSP under seeded faults vs fault-free.

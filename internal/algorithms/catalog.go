@@ -24,6 +24,10 @@ type Params struct {
 	// Iterations is PageRank's superstep budget; zero means
 	// DefaultPRIterations.
 	Iterations int
+	// Window restricts the run to a time window as a view of g
+	// (core.Options.Window); only the WindowView algorithms take one. The
+	// zero value means no window.
+	Window ival.Interval
 }
 
 // DefaultPRIterations is PageRank's iteration count when Params leaves it
@@ -50,9 +54,9 @@ func New(g *tgraph.Graph, name string, p Params) (core.Program, core.Options, er
 	if iters <= 0 {
 		iters = DefaultPRIterations
 	}
-	deadline := p.Deadline
-	if deadline == 0 {
-		deadline = g.Horizon()
+	window := p.Window
+	if window == (ival.Interval{}) {
+		window = ival.Universe
 	}
 	var prog core.Program
 	switch strings.ToLower(name) {
@@ -69,8 +73,12 @@ func New(g *tgraph.Graph, name string, p Params) (core.Program, core.Options, er
 	case "eat":
 		prog = &EAT{Source: p.Source, StartTime: p.StartTime}
 	case "fast":
-		prog = &FAST{Source: p.Source, StartTime: p.StartTime, Horizon: g.Horizon()}
+		prog = &FAST{Source: p.Source, StartTime: p.StartTime, Horizon: g.HorizonIn(window)}
 	case "ld":
+		deadline := p.Deadline
+		if deadline == 0 {
+			deadline = g.HorizonIn(window)
+		}
 		prog = &LD{Target: p.Target, Deadline: deadline}
 	case "tmst":
 		prog = &TMST{Source: p.Source, StartTime: p.StartTime}
@@ -84,5 +92,10 @@ func New(g *tgraph.Graph, name string, p Params) (core.Program, core.Options, er
 		return nil, core.Options{}, fmt.Errorf("algorithms: unknown algorithm %q (have %s)",
 			name, strings.Join(Names(), " "))
 	}
-	return prog, prog.(optioner).Options(), nil
+	if window != ival.Universe && !WindowView(name) {
+		return nil, core.Options{}, fmt.Errorf("algorithms: %s reads the graph itself and takes no window view; run it over tgraph.Slice", name)
+	}
+	opts := prog.(optioner).Options()
+	opts.Window = p.Window
+	return prog, opts, nil
 }

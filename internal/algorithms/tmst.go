@@ -104,9 +104,12 @@ type TreeEdge struct {
 func TMSTTree(r *core.Result) []TreeEdge {
 	var out []TreeEdge
 	for i := 0; i < r.Graph.NumVertices(); i++ {
-		v := r.Graph.VertexAt(i)
+		v, st := r.Graph.VertexAt(i), r.State(i)
+		if st == nil {
+			continue // dropped by the run's window
+		}
 		best := tmstValue{A: Unreachable, B: -1}
-		for _, p := range r.State(i).Parts() {
+		for _, p := range st.Parts() {
 			if x, ok := p.Value.(tmstValue); ok && tmstLess(x, best) {
 				best = x
 			}

@@ -41,8 +41,9 @@ func (c *VertexCtx) Vertex() *tgraph.Vertex { return c.v }
 // Graph returns the temporal graph under computation.
 func (c *VertexCtx) Graph() *tgraph.Graph { return c.rt.g }
 
-// Lifespan returns the vertex lifespan.
-func (c *VertexCtx) Lifespan() ival.Interval { return c.v.Lifespan }
+// Lifespan returns the vertex lifespan — inside Options.Window, when the run
+// has one: the interval the vertex's state covers.
+func (c *VertexCtx) Lifespan() ival.Interval { return c.State().Lifespan() }
 
 // Superstep returns the 1-based superstep number.
 func (c *VertexCtx) Superstep() int { return c.eng.Superstep() }
@@ -72,7 +73,7 @@ func (c *VertexCtx) SetState(iv ival.Interval, value any) error {
 		c.rt.fail(err)
 		return err
 	}
-	bound := c.v.Lifespan
+	bound := c.Lifespan()
 	if c.inCompute {
 		bound = c.allowed
 	}
@@ -114,8 +115,9 @@ func (c *VertexCtx) Emit(when ival.Interval, value any) {
 // ScatterPiece returns, during a Scatter call, the full edge property piece
 // being scattered over (the scatter interval t is its intersection with the
 // updated state; reverse-traversal algorithms need the piece itself to
-// compute departure windows).
-func (c *VertexCtx) ScatterPiece() ival.Interval { return c.piece }
+// compute departure windows). Under Options.Window it is what the window
+// leaves of the piece.
+func (c *VertexCtx) ScatterPiece() ival.Interval { return c.piece.Intersect(c.rt.window) }
 
 // ErrPieceProp is the failure of a PieceProp call the scatter plan cannot
 // answer: one made outside Scatter, or for a slot Options.PropLabels does not
@@ -149,7 +151,12 @@ func (c *VertexCtx) failPieceProp(slot int) {
 // for the given interval, bypassing scatter. Pregel-style algorithms that
 // message non-adjacent vertices (triangle closure replies, SCC backward
 // sweeps) use this; messages still flow through the engine and are counted.
+// A vertex Options.Window dropped is not there to be messaged: nothing is
+// sent.
 func (c *VertexCtx) SendTo(dst int, when ival.Interval, value any) {
+	if c.rt.window != ival.Universe && !c.rt.g.VertexAt(dst).Lifespan.Intersects(c.rt.window) {
+		return
+	}
 	c.eng.Send(dst, when, value)
 }
 

@@ -3,6 +3,8 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
+	"iter"
 
 	"graphite/internal/codec"
 	"graphite/internal/engine"
@@ -83,6 +85,21 @@ type Options struct {
 	// PropLabels are the edge property labels whose value boundaries
 	// partition scatter intervals. Empty means all labels on each edge.
 	PropLabels []string
+	// Window restricts the run to a time window without deriving a graph:
+	// every vertex lives for its lifespan ∩ Window — what Init, Lifespan,
+	// SetState, the message clip and a seed overlay see — a vertex the window
+	// leaves nothing of gets no state, no Init and no compute and is absent
+	// from the Result, and scatter runs over the graph's own memoised plan,
+	// with ScatterPiece clipped to the window and a slack-translated trigger
+	// taken from the clipped piece.
+	// States and counts equal a run over tgraph.Slice(g, Window) for programs
+	// that reach the graph only through those; VertexCtx.Graph, Vertex and
+	// NumVertices, and the Edge handed to Scatter, still show the whole
+	// graph, so programs that read them run over the slice instead
+	// (algorithms.WindowView). A ScatterSlackLabel must be constant over a
+	// piece, as one named in PropLabels is. The zero value and any window
+	// containing the graph's lifespan mean no window.
+	Window ival.Interval
 	// DisableWarp bypasses the warp operator unconditionally, degenerating
 	// to time-point-centric execution (used by the Fig. 6(c) ablation).
 	DisableWarp bool
@@ -167,7 +184,9 @@ type Stats struct {
 	ActiveIntervals int64 // total warp tuples (active vertex intervals)
 }
 
-// Result is the outcome of an ICM run.
+// Result is the outcome of an ICM run. Under Options.Window the vertices the
+// window dropped have no state: nil is how a Result, and a Seed taken from
+// it, carry the window.
 type Result struct {
 	Graph   *tgraph.Graph
 	Metrics *engine.Metrics
@@ -175,16 +194,32 @@ type Result struct {
 	states  []*PartitionedState
 }
 
-// State returns the final partitioned state of the vertex at dense index i.
+// State returns the final partitioned state of the vertex at dense index i,
+// or nil if the run's window dropped it.
 func (r *Result) State(i int) *PartitionedState { return r.states[i] }
 
-// StateByID returns the final state of a vertex by id, or nil if absent.
+// StateByID returns the final state of a vertex by id, or nil if absent from
+// the graph or from the run's window.
 func (r *Result) StateByID(id tgraph.VertexID) *PartitionedState {
 	i := r.Graph.IndexOf(id)
 	if i < 0 {
 		return nil
 	}
 	return r.states[i]
+}
+
+// ByID iterates over the vertices the run kept and their final states, in
+// ascending id order: the graph's own id index walked rank by rank, the
+// vertices the run's window dropped passed over.
+func (r *Result) ByID() iter.Seq2[*tgraph.Vertex, *PartitionedState] {
+	return func(yield func(*tgraph.Vertex, *PartitionedState) bool) {
+		for rank := range r.states {
+			i := r.Graph.IndexByRank(rank)
+			if st := r.states[i]; st != nil && !yield(r.Graph.VertexAt(i), st) {
+				return
+			}
+		}
+	}
 }
 
 // Seed is the terminal vertex states of a finished run, keyed by vertex id
@@ -214,7 +249,11 @@ func (r *Result) Seed() *Seed {
 func (s *Seed) StatesFor(g *tgraph.Graph) []*PartitionedState {
 	seeds := make([]*PartitionedState, g.NumVertices())
 	for i, id := range s.ids {
-		if j := g.IndexOf(id); j >= 0 {
+		// A windowed run over the same graph, or over a later epoch that only
+		// appended vertices, finds every id at its old index.
+		if i < len(seeds) && g.VertexAt(i).ID == id {
+			seeds[i] = s.states[i]
+		} else if j := g.IndexOf(id); j >= 0 {
 			seeds[j] = s.states[i]
 		}
 	}
@@ -227,6 +266,9 @@ func Run(g *tgraph.Graph, prog Program, opts Options) (*Result, error) {
 		return nil, errors.New("core: empty graph")
 	}
 	rt := newRuntime(g, prog, opts)
+	if !g.ExistsIn(rt.window) {
+		return nil, fmt.Errorf("core: window %v contains no vertices", rt.window)
+	}
 	cfg := engine.Config{
 		NumWorkers:      opts.NumWorkers,
 		MaxSupersteps:   opts.MaxSupersteps,

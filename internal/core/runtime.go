@@ -22,6 +22,15 @@ type runtime struct {
 	states    []*PartitionedState
 	plan      *scatterPlan // shared with every run over g under the same planKey; read-only
 	threshold float64
+	// window is Options.Window, Universe when that clips nothing: a vertex
+	// lives, and holds state, for its lifespan ∩ window. match is what an
+	// update must intersect per piece: the plan's own, except that under a
+	// window a slack-translated trigger is the translation of the piece as
+	// the window leaves it, which the run lays out for itself. (Without a
+	// slack label the trigger is the piece, and an update inside the window
+	// meets the whole piece exactly where it meets the clipped one.)
+	window ival.Interval
+	match  []ival.Interval
 
 	// Per-worker reusable scratch; sized lazily at the first Run call, when
 	// the engine's effective worker count is known.
@@ -52,6 +61,17 @@ func newRuntime(g *tgraph.Graph, prog Program, opts Options) *runtime {
 		states:    make([]*PartitionedState, g.NumVertices()),
 		plan:      planFor(g, &opts),
 		threshold: opts.SuppressionThreshold,
+		window:    ival.Universe,
+	}
+	rt.match = rt.plan.match
+	if w := opts.Window; w != (ival.Interval{}) && !w.ContainsInterval(g.Lifespan()) {
+		rt.window = w
+		if opts.ScatterSlackLabel != "" {
+			rt.match = make([]ival.Interval, len(rt.plan.pieces))
+			for i, p := range rt.plan.pieces {
+				rt.match[i] = p.Intersect(w).Translate(rt.plan.match[i].Start - p.Start)
+			}
+		}
 	}
 	if rt.threshold <= 0 {
 		rt.threshold = DefaultSuppressionThreshold
@@ -140,11 +160,17 @@ func (rt *runtime) statsSnapshot() Stats {
 }
 
 // Init implements engine.Program: allocate the state and run the user init,
-// then overlay the incremental seed when one exists for this vertex.
+// then overlay the incremental seed when one exists for this vertex. A
+// vertex that does not exist inside the window is left without a state, which
+// is what every later step knows a dropped vertex by.
 func (rt *runtime) Init(ctx *engine.Context) {
 	i := ctx.Vertex()
 	v := rt.g.VertexAt(i)
-	rt.states[i] = NewPartitionedState(v.Lifespan, nil)
+	life := v.Lifespan.Intersect(rt.window)
+	if life.IsEmpty() {
+		return
+	}
+	rt.states[i] = NewPartitionedState(life, nil)
 	vc := VertexCtx{rt: rt, eng: ctx, idx: i, v: v, inInit: true}
 	rt.prog.Init(&vc)
 	if seed := rt.seedFor(i); seed != nil {
@@ -195,6 +221,9 @@ func overlaySeed(st *PartitionedState, seed *PartitionedState) error {
 func (rt *runtime) Run(ctx *engine.Context, msgs []engine.Message) {
 	i := ctx.Vertex()
 	st := rt.states[i]
+	if st == nil {
+		return // outside the window
+	}
 	ws := rt.workspace(ctx)
 	vc := &ws.vc
 	*vc = VertexCtx{rt: rt, eng: ctx, idx: i, v: rt.g.VertexAt(i), updated: vc.updated[:0]}
@@ -352,7 +381,7 @@ func coalesceIntervals(ivs []ival.Interval) []ival.Interval {
 // every overlapping edge property piece, in target then piece order. Edges
 // whose hull the update misses are passed over on one comparison.
 func (rt *runtime) scatterPart(vc *VertexCtx, ctx *engine.Context, targets []target, upd ival.Interval, state any) {
-	pieces, match := rt.plan.pieces, rt.plan.match
+	pieces, match := rt.plan.pieces, rt.match
 	slots, values, present := rt.plan.slots, rt.plan.values, rt.plan.present
 	for k := range targets {
 		tg := &targets[k]

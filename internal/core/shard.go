@@ -58,6 +58,9 @@ func NewShard(g *tgraph.Graph, prog Program, opts Options, shard int) (*Shard, e
 		return nil, fmt.Errorf("%w: ActivateAll without MaxSupersteps never halts", ErrClusterUnsupported)
 	}
 	rt := newRuntime(g, prog, opts)
+	if !g.ExistsIn(rt.window) {
+		return nil, fmt.Errorf("core: window %v contains no vertices", rt.window)
+	}
 	cfg := engine.Config{
 		NumWorkers:   opts.NumWorkers,
 		ActivateAll:  opts.ActivateAll,

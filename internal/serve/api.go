@@ -6,8 +6,12 @@ package serve
 // makes a served result reconstructible bit-for-bit into the CLI's output
 // (see FormatResult / RunResult.FormatLines).
 
-// Window restricts a run to a time sub-window of the graph; the server
-// slices the graph to it before running. End <= 0 means unbounded.
+// Window restricts a run to a time sub-window of the graph: every vertex,
+// edge and property exists only inside it, and vertices it leaves nothing of
+// are absent from the result. The server derives no graph for the algorithms
+// that can take the window as a view of the resident one (core.Options.Window,
+// algorithms.WindowView) and runs the others over a tgraph.Slice; the answer
+// is the same either way. End <= 0 means unbounded.
 type Window struct {
 	Start int64 `json:"start"`
 	End   int64 `json:"end"`

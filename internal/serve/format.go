@@ -2,32 +2,16 @@ package serve
 
 import (
 	"fmt"
-	"slices"
 	"strconv"
 	"strings"
 
 	"graphite/internal/core"
-	"graphite/internal/tgraph"
 )
 
 // This file is the single definition of the canonical per-vertex result
 // rendering. cmd/graphite-run prints through FormatResult and the server
 // ships the same strings inside RunResult, so a served result reconstructs
 // the CLI's output bit for bit — the property the serving tests pin down.
-
-// sortedIDs returns a graph's vertex ids ascending, truncated to top when
-// top > 0 — the CLI's print order.
-func sortedIDs(g *tgraph.Graph, top int) []tgraph.VertexID {
-	ids := make([]tgraph.VertexID, 0, g.NumVertices())
-	for i := 0; i < g.NumVertices(); i++ {
-		ids = append(ids, g.VertexAt(i).ID)
-	}
-	slices.Sort(ids)
-	if top > 0 && len(ids) > top {
-		ids = ids[:top]
-	}
-	return ids
-}
 
 // formatValue renders one state value exactly as fmt's %v does, without
 // fmt's reflection for the types the shipped algorithms keep as state.
@@ -47,16 +31,18 @@ func formatValue(v any) string {
 
 // FormatResult renders a run's final per-vertex states exactly as
 // cmd/graphite-run prints them: one "vertex <id>: <interval>=<value> ..."
-// line per vertex, ids ascending, at most top lines when top > 0.
+// line per vertex the run kept, ids ascending, at most top lines when top > 0.
 func FormatResult(r *core.Result, top int) []string {
 	lines := make([]string, 0, r.Graph.NumVertices())
-	for _, id := range sortedIDs(r.Graph, top) {
-		st := r.StateByID(id)
+	for v, st := range r.ByID() {
+		if top > 0 && len(lines) == top {
+			break
+		}
 		parts := make([]string, 0, st.NumParts())
 		for _, p := range st.Parts() {
 			parts = append(parts, p.Interval.String()+"="+formatValue(p.Value))
 		}
-		lines = append(lines, fmt.Sprintf("vertex %d: %s", id, strings.Join(parts, " ")))
+		lines = append(lines, fmt.Sprintf("vertex %d: %s", v.ID, strings.Join(parts, " ")))
 	}
 	return lines
 }
@@ -84,9 +70,8 @@ func buildResult(p *prepared, r *core.Result) *RunResult {
 			ActiveIntervals: r.Stats.ActiveIntervals,
 		},
 	}
-	for _, id := range sortedIDs(r.Graph, 0) {
-		st := r.StateByID(id)
-		v := VertexResult{ID: int64(id), Parts: make([]StatePart, 0, st.NumParts())}
+	for vertex, st := range r.ByID() {
+		v := VertexResult{ID: int64(vertex.ID), Parts: make([]StatePart, 0, st.NumParts())}
 		for _, part := range st.Parts() {
 			v.Parts = append(v.Parts, StatePart{
 				Interval: part.Interval.String(),

@@ -33,8 +33,8 @@ type seedKey struct {
 // seedEntry is one retained run: terminal states over the window
 // [key.start, end), computed under effective epoch eff (0 for static
 // graphs, whose version never changes). It holds the states detached from
-// the run's graph, so a retained entry does not pin the window's slice of
-// the graph.
+// the run's graph — nil for the vertices the window dropped — so a retained
+// entry does not pin a live epoch's graph.
 type seedEntry struct {
 	key  seedKey
 	end  ival.Time

@@ -538,9 +538,9 @@ func (s *Server) Execute(ctx context.Context, req *RunRequest) (*RunResult, erro
 }
 
 // runBSP waits for an executor slot, then executes the prepared run under a
-// context that additionally aborts when the server closes. Slicing to the
-// request window, parameter validation against the (possibly sliced) graph,
-// and result shaping all happen here, on the executor's time.
+// context that additionally aborts when the server closes. Restricting the
+// run to the request window, parameter validation against the graph inside
+// it, and result shaping all happen here, on the executor's time.
 func (s *Server) runBSP(ctx context.Context, p *prepared) (*RunResult, error) {
 	s.m.queued.Add(1)
 	select {
@@ -569,29 +569,41 @@ func (s *Server) runBSP(ctx context.Context, p *prepared) (*RunResult, error) {
 		return nil, fmt.Errorf("%w: graph %q is empty at epoch %d (no events ingested)",
 			ErrBadRequest, p.graphName, p.eff)
 	}
-	if p.window != ival.Universe {
-		var err error
-		g, err = tgraph.Slice(p.g, p.window)
-		if err != nil {
-			return nil, fmt.Errorf("%w: window %s: %v", ErrBadRequest, windowLabel(p.window), err)
-		}
-		if g.NumVertices() == 0 {
-			return nil, fmt.Errorf("%w: window %s contains no vertices", ErrBadRequest, windowLabel(p.window))
-		}
+	// A vertex is in the window when its lifespan meets it.
+	if !g.ExistsIn(p.window) {
+		return nil, fmt.Errorf("%w: window %s contains no vertices", ErrBadRequest, windowLabel(p.window))
 	}
 	for _, k := range []string{"source", "target"} {
-		if p.explicit[k] && g.IndexOf(tgraph.VertexID(p.params[k])) < 0 {
+		if !p.explicit[k] {
+			continue
+		}
+		if i := g.IndexOf(tgraph.VertexID(p.params[k])); i < 0 || !g.VertexAt(i).Lifespan.Intersects(p.window) {
 			return nil, fmt.Errorf("%w: %s vertex %d not in graph %q window %s",
 				ErrBadRequest, k, p.params[k], p.graphName, windowLabel(p.window))
 		}
 	}
-	prog, opts, err := algorithms.New(g, p.algo, algorithms.Params{
+	params := algorithms.Params{
 		Source:     tgraph.VertexID(p.params["source"]),
 		Target:     tgraph.VertexID(p.params["target"]),
 		StartTime:  ival.Time(p.params["start"]),
 		Deadline:   ival.Time(p.params["deadline"]),
 		Iterations: int(p.params["iterations"]),
-	})
+	}
+	// A window is a view for the algorithms that reach the graph only through
+	// what the runtime clips (algorithms.WindowView): they run over p.g and
+	// its memoised scatter plan. The rest read the graph itself and get a
+	// slice of it.
+	if p.window != ival.Universe {
+		if algorithms.WindowView(p.algo) {
+			params.Window = p.window
+		} else {
+			var err error
+			if g, err = tgraph.Slice(p.g, p.window); err != nil {
+				return nil, fmt.Errorf("%w: window %s: %v", ErrBadRequest, windowLabel(p.window), err)
+			}
+		}
+	}
+	prog, opts, err := algorithms.New(g, p.algo, params)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}

@@ -209,7 +209,7 @@ func assemble(vertices []Vertex, edges []Edge, srcIdx, dstIdx []int32, vindex ma
 		g.out[s] = append(g.out[s], int32(i)) // within capacity: never reallocates
 		g.in[d] = append(g.in[d], int32(i))
 	}
-	g.horizon = g.computeHorizon()
+	g.horizon = g.computeHorizon(ival.Universe)
 	return g
 }
 
@@ -280,6 +280,22 @@ func (g *Graph) IndexOf(id VertexID) int {
 		return int(g.vsorted[lo])
 	}
 	return -1
+}
+
+// IndexByRank returns the dense index of the vertex with the r-th smallest
+// id, 0 <= r < NumVertices: walking the ranks visits the vertices in
+// ascending id order without sorting or searching.
+func (g *Graph) IndexByRank(r int) int { return int(g.vsorted[r]) }
+
+// ExistsIn reports whether any vertex exists inside the window — whether
+// Slice(g, window) would keep anything.
+func (g *Graph) ExistsIn(window ival.Interval) bool {
+	for i := range g.vertices {
+		if g.vertices[i].Lifespan.Intersects(window) {
+			return true
+		}
+	}
+	return false
 }
 
 // Edge returns the edge at the given dense index.

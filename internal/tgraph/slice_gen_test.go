@@ -86,6 +86,9 @@ func TestSliceMatchesOracle(t *testing.T) {
 				if err := tgraph.Equal(s, want); err != nil {
 					t.Errorf("%s/%s/%s: Slice differs from the Builder derivation: %v", p.Name, src, name, err)
 				}
+				if got := g.HorizonIn(w); got != s.Horizon() {
+					t.Errorf("%s/%s/%s: HorizonIn = %d, the slice's horizon is %d", p.Name, src, name, got, s.Horizon())
+				}
 				if whole := w.ContainsInterval(hull); whole != (s == g) {
 					t.Errorf("%s/%s/%s: returned the source itself = %v, want %v", p.Name, src, name, s == g, whole)
 				}

@@ -157,6 +157,18 @@ func checkSlice(t testing.TB, g *Graph, window ival.Interval) *Graph {
 			t.Fatalf("Slice(%v).IndexOf(%d) = %d, want %d", window, id, got, want)
 		}
 	}
+	// What a window view asks of the graph instead of slicing it.
+	if got := g.HorizonIn(window); got != s.Horizon() {
+		t.Fatalf("HorizonIn(%v) = %d, the slice's horizon is %d", window, got, s.Horizon())
+	}
+	if got := g.ExistsIn(window); got != (s.NumVertices() > 0) {
+		t.Fatalf("ExistsIn(%v) = %v, the slice keeps %d vertices", window, got, s.NumVertices())
+	}
+	for r := 1; r < s.NumVertices(); r++ {
+		if a, b := s.vertices[s.IndexByRank(r-1)].ID, s.vertices[s.IndexByRank(r)].ID; a >= b {
+			t.Fatalf("Slice(%v): rank %d holds id %d, rank %d id %d", window, r-1, a, r, b)
+		}
+	}
 	return s
 }
 

@@ -96,10 +96,24 @@ func (g *Graph) SnapshotCount() int {
 // once at build time.
 func (g *Graph) Horizon() ival.Time { return g.horizon }
 
-// computeHorizon scans all entity and property boundaries.
-func (g *Graph) computeHorizon() ival.Time {
+// HorizonIn returns the horizon Slice(g, window) would have, without building
+// the slice: the same scan over every boundary clipped to the window, entities
+// and property values that do not exist inside it skipped. A window that
+// contains g's whole lifespan clips nothing and has g's own horizon.
+func (g *Graph) HorizonIn(window ival.Interval) ival.Time {
+	if window.ContainsInterval(g.lifespan) {
+		return g.horizon
+	}
+	return g.computeHorizon(window)
+}
+
+// computeHorizon scans all entity and property boundaries inside the window.
+func (g *Graph) computeHorizon(window ival.Interval) ival.Time {
 	var h ival.Time
 	bump := func(iv ival.Interval) {
+		if iv = iv.Intersect(window); iv.IsEmpty() {
+			return
+		}
 		if iv.Start > h {
 			h = iv.Start
 		}
@@ -107,8 +121,10 @@ func (g *Graph) computeHorizon() ival.Time {
 			h = iv.End
 		}
 	}
+	var life ival.Interval // hull of the vertex lifespans inside the window
 	for i := range g.vertices {
 		bump(g.vertices[i].Lifespan)
+		life = life.Union(g.vertices[i].Lifespan.Intersect(window))
 		for _, es := range g.vertices[i].Props.All() {
 			for _, e := range es {
 				bump(e.Interval)
@@ -123,8 +139,8 @@ func (g *Graph) computeHorizon() ival.Time {
 			}
 		}
 	}
-	if h == g.lifespan.Start { // degenerate: everything unbounded from start
-		h = g.lifespan.Start + 1
+	if h == life.Start { // degenerate: everything unbounded from start
+		h = life.Start + 1
 	}
 	return h
 }
