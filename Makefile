@@ -26,14 +26,18 @@ race:
 	$(GO) test -race ./internal/engine/... ./internal/chaos/... ./internal/cluster/... ./internal/obs/... ./internal/serve/... ./internal/warp/... ./internal/algorithms/... ./internal/core/... ./internal/tgraph/... ./internal/stream/... ./internal/live/...
 	$(GO) test -race -count=10 -run 'TestPlanSharedByConcurrentRuns' ./internal/core/
 
-# Fuzz smoke: every fuzz target in the codec, state, warp and graph-format
-# layers, and the window view against its slice oracle, for FUZZTIME each (Go
-# allows one -fuzz target per invocation).
+# Fuzz smoke: every fuzz target in the codec (intervals, slices, the word
+# forms against the any forms), engine (the batch decoder, the first thing a
+# peer's bytes reach), state, warp and graph-format layers, and the window
+# view against its slice oracle, for FUZZTIME each (Go allows one -fuzz target
+# per invocation).
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzIntervalDecode -fuzztime $(FUZZTIME) ./internal/codec
 	$(GO) test -run '^$$' -fuzz FuzzInt64SliceDecode -fuzztime $(FUZZTIME) ./internal/codec
 	$(GO) test -run '^$$' -fuzz FuzzIntervalAppendDecode -fuzztime $(FUZZTIME) ./internal/codec
+	$(GO) test -run '^$$' -fuzz FuzzWordRoundTrip -fuzztime $(FUZZTIME) ./internal/codec
+	$(GO) test -run '^$$' -fuzz FuzzDecodeBatch -fuzztime $(FUZZTIME) ./internal/engine
 	$(GO) test -run '^$$' -fuzz FuzzStateSet -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz 'FuzzWarp$$' -fuzztime $(FUZZTIME) ./internal/warp
 	$(GO) test -run '^$$' -fuzz FuzzWarpOracle -fuzztime $(FUZZTIME) ./internal/warp
@@ -56,17 +60,21 @@ bench-test:
 	cd benchmark && $(GO) test ./...
 
 # The micro-benchmarks of the ICM runtime (PartitionedState.Set at 1, 8 and
-# 64 partitions; one PageRank-shaped hub's superstep; one SSSP-shaped vertex's
-# scatter step reading its properties from the plan; the scatter plan's cold
-# build and memoised lookup; the measured traffic's windowed query as a view,
-# whole and over a slice) and of the warp sweep on the inboxes the
-# acceptance benchmark measured (serve_cold's mean and largest, cluster_pr's
-# unit messages), one iteration each: they check their own fixtures — the warp
-# ones also that a warmed Scratch allocates nothing — so CI running them keeps
-# them honest. For numbers, drop -benchtime and add -benchmem -count.
+# 64 partitions; one PageRank-shaped hub's superstep, with its sum combiner
+# and without; one SSSP-shaped vertex's scatter step reading its properties
+# from the plan; the scatter plan's cold build and memoised lookup; the
+# measured traffic's windowed query as a view, whole and over a slice), of the
+# warp sweep on the inboxes the acceptance benchmark measured (serve_cold's
+# mean and largest, cluster_pr's unit messages) and of the engine's exchange
+# on cluster_pr's traffic (unit float messages into its mean and its hub inbox
+# under the sum combiner), one iteration each: they check their own fixtures —
+# the warp and exchange ones also that, once warmed, they allocate nothing —
+# so CI running them keeps them honest. For numbers, drop -benchtime and add
+# -benchmem -count.
 bench-core:
 	$(GO) test -run '^$$' -bench 'StateSet|VertexStep|ScatterProps|NewRuntime|WindowedRun' -benchtime=1x -benchmem ./internal/core
 	$(GO) test -run '^$$' -bench 'PathInbox|HubInbox|RankInbox' -benchtime=1x ./internal/warp
+	$(GO) test -run '^$$' -bench 'ExchangeRank' -benchtime=1x -benchmem ./internal/engine
 
 # The fault-injection demonstration: SSSP under seeded faults vs fault-free.
 chaos:

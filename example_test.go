@@ -28,8 +28,8 @@ func ExampleRunSSSP() {
 func ExampleWarp() {
 	states := []graphite.WarpInput{{Interval: graphite.Universe, Value: "∞"}}
 	msgs := []graphite.WarpInput{
-		{Interval: graphite.From(9), Value: 5},
-		{Interval: graphite.From(6), Value: 7},
+		{Interval: graphite.From(9), Value: int64(5)},
+		{Interval: graphite.From(6), Value: int64(7)},
 	}
 	for _, tu := range graphite.Warp(states, msgs) {
 		fmt.Printf("compute(%v, %v, %v)\n", tu.Interval, tu.State, tu.Msgs)

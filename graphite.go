@@ -150,6 +150,12 @@ type (
 	VertexCtx = core.VertexCtx
 	// OutMsg is a scatter-produced message.
 	OutMsg = core.OutMsg
+	// Word is a message payload: an int64, a float64, an Int64Pair or nil held
+	// inline in two 64-bit words, anything else through VertexCtx.Spill and
+	// VertexCtx.Payload. Compute receives words, Emit and OutMsg send them.
+	Word = codec.Word
+	// Int64Pair is the two-field message payload a Word holds inline.
+	Int64Pair = codec.Int64Pair
 	// Options configures an ICM run.
 	Options = core.Options
 	// Result is an ICM run's outcome.
@@ -160,6 +166,13 @@ type (
 
 // Run executes an ICM program over a temporal graph.
 var Run = core.Run
+
+// Word constructors; Word.Int, Word.Float and Word.Pair read them back.
+var (
+	IntWord   = codec.IntWord
+	FloatWord = codec.FloatWord
+	PairWord  = codec.PairWord
+)
 
 // Message payload codecs — required by Options.PayloadCodec whenever a
 // Transport is configured (batches must serialize to cross a wire).
@@ -172,6 +185,8 @@ type (
 	Float64Codec = codec.Float64
 	// Int64SliceCodec is the length-prefixed []int64 payload codec.
 	Int64SliceCodec = codec.Int64Slice
+	// PairCodec is the two-varint Int64Pair payload codec.
+	PairCodec = codec.PairCodec
 )
 
 // Fault tolerance: transports, typed failures, and the injection harness.

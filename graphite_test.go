@@ -49,7 +49,7 @@ func (tokenFlood) Init(v *graphite.VertexCtx) {
 	v.SetState(v.Lifespan(), int64(0))
 }
 
-func (tokenFlood) Compute(v *graphite.VertexCtx, t graphite.Interval, state any, msgs []any) {
+func (tokenFlood) Compute(v *graphite.VertexCtx, t graphite.Interval, state any, msgs []graphite.Word) {
 	if v.Superstep() == 1 && v.ID() == 1 {
 		v.SetState(t, int64(1))
 		return
@@ -60,7 +60,7 @@ func (tokenFlood) Compute(v *graphite.VertexCtx, t graphite.Interval, state any,
 }
 
 func (tokenFlood) Scatter(v *graphite.VertexCtx, e *graphite.Edge, t graphite.Interval, state any) []graphite.OutMsg {
-	return []graphite.OutMsg{{Value: state}}
+	return []graphite.OutMsg{{Value: graphite.IntWord(state.(int64))}}
 }
 
 func TestFacadeWarp(t *testing.T) {

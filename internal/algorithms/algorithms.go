@@ -13,6 +13,7 @@ package algorithms
 import (
 	"math"
 
+	"graphite/internal/codec"
 	"graphite/internal/core"
 	ival "graphite/internal/interval"
 	"graphite/internal/tgraph"
@@ -44,16 +45,16 @@ func pieceTravel(v *core.VertexCtx) (tt, tc int64, ok bool) {
 
 // minInt64 folds two int64 message payloads to their minimum; the shared
 // warp combiner of the monotone path algorithms.
-func minInt64(a, b any) any {
-	if a.(int64) < b.(int64) {
+func minInt64(a, b codec.Word) codec.Word {
+	if a.Int() < b.Int() {
 		return a
 	}
 	return b
 }
 
 // maxInt64 folds two int64 message payloads to their maximum.
-func maxInt64(a, b any) any {
-	if a.(int64) > b.(int64) {
+func maxInt64(a, b codec.Word) codec.Word {
+	if a.Int() > b.Int() {
 		return a
 	}
 	return b

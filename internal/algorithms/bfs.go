@@ -22,7 +22,7 @@ func (a *BFS) Init(v *core.VertexCtx) {
 }
 
 // Compute adopts the smallest level offered for the active interval.
-func (a *BFS) Compute(v *core.VertexCtx, t ival.Interval, state any, msgs []any) {
+func (a *BFS) Compute(v *core.VertexCtx, t ival.Interval, state any, msgs []codec.Word) {
 	if v.Superstep() == 1 {
 		if v.ID() == a.Source {
 			v.SetState(t, int64(0))
@@ -31,7 +31,7 @@ func (a *BFS) Compute(v *core.VertexCtx, t ival.Interval, state any, msgs []any)
 	}
 	best := state.(int64)
 	for _, m := range msgs {
-		if x := m.(int64); x < best {
+		if x := m.Int(); x < best {
 			best = x
 		}
 	}
@@ -46,12 +46,12 @@ func (a *BFS) Scatter(v *core.VertexCtx, e *tgraph.Edge, t ival.Interval, state 
 	if state.(int64) == Unreachable {
 		return nil
 	}
-	v.Emit(ival.Interval{}, state.(int64)+1)
+	v.Emit(ival.Interval{}, codec.IntWord(state.(int64)+1))
 	return nil
 }
 
 // CombineWarp keeps the smallest level in a group.
-func (a *BFS) CombineWarp(x, y any) any { return minInt64(x, y) }
+func (a *BFS) CombineWarp(x, y codec.Word) codec.Word { return minInt64(x, y) }
 
 // Options returns the run options BFS needs: no edge properties are used.
 func (a *BFS) Options() core.Options {

@@ -22,7 +22,7 @@ func (a *EAT) Init(v *core.VertexCtx) {
 }
 
 // Compute adopts the smallest arrival time offered for the active interval.
-func (a *EAT) Compute(v *core.VertexCtx, t ival.Interval, state any, msgs []any) {
+func (a *EAT) Compute(v *core.VertexCtx, t ival.Interval, state any, msgs []codec.Word) {
 	if v.Superstep() == 1 {
 		if v.ID() == a.Source {
 			if at := t.Intersect(ival.From(a.StartTime)); !at.IsEmpty() {
@@ -35,7 +35,7 @@ func (a *EAT) Compute(v *core.VertexCtx, t ival.Interval, state any, msgs []any)
 	}
 	best := state.(int64)
 	for _, m := range msgs {
-		if x := m.(int64); x < best {
+		if x := m.Int(); x < best {
 			best = x
 		}
 	}
@@ -55,12 +55,12 @@ func (a *EAT) Scatter(v *core.VertexCtx, e *tgraph.Edge, t ival.Interval, state 
 		return nil
 	}
 	arrive := ival.SatAdd(t.Start, tt)
-	v.Emit(ival.From(arrive), arrive)
+	v.Emit(ival.From(arrive), codec.IntWord(arrive))
 	return nil
 }
 
 // CombineWarp keeps only the earliest arrival in a message group.
-func (a *EAT) CombineWarp(x, y any) any { return minInt64(x, y) }
+func (a *EAT) CombineWarp(x, y codec.Word) codec.Word { return minInt64(x, y) }
 
 // Options returns the run options EAT needs.
 func (a *EAT) Options() core.Options {

@@ -44,7 +44,7 @@ func (a *FAST) Init(v *core.VertexCtx) {
 }
 
 // Compute keeps the latest journey start per arrival interval.
-func (a *FAST) Compute(v *core.VertexCtx, t ival.Interval, state any, msgs []any) {
+func (a *FAST) Compute(v *core.VertexCtx, t ival.Interval, state any, msgs []codec.Word) {
 	if v.Superstep() == 1 {
 		if v.ID() == a.Source {
 			if at := t.Intersect(ival.From(a.StartTime)); !at.IsEmpty() {
@@ -55,7 +55,7 @@ func (a *FAST) Compute(v *core.VertexCtx, t ival.Interval, state any, msgs []any
 	}
 	best := state.(int64)
 	for _, m := range msgs {
-		if x := m.(int64); x > best {
+		if x := m.Int(); x > best {
 			best = x
 		}
 	}
@@ -77,7 +77,7 @@ func (a *FAST) Scatter(v *core.VertexCtx, e *tgraph.Edge, t ival.Interval, state
 		return nil
 	}
 	if s0 != fastAtSource {
-		v.Emit(ival.From(ival.SatAdd(t.Start, tt)), s0)
+		v.Emit(ival.From(ival.SatAdd(t.Start, tt)), codec.IntWord(s0))
 		return nil
 	}
 	// Source fan-out: one journey per departure point, clamped to the
@@ -88,13 +88,13 @@ func (a *FAST) Scatter(v *core.VertexCtx, e *tgraph.Edge, t ival.Interval, state
 		end = hz
 	}
 	for d := t.Start; d < end; d++ {
-		v.Emit(ival.From(ival.SatAdd(d, tt)), d)
+		v.Emit(ival.From(ival.SatAdd(d, tt)), codec.IntWord(d))
 	}
 	return nil
 }
 
 // CombineWarp keeps the latest start in a group.
-func (a *FAST) CombineWarp(x, y any) any { return maxInt64(x, y) }
+func (a *FAST) CombineWarp(x, y codec.Word) codec.Word { return maxInt64(x, y) }
 
 // Options returns the run options FAST needs.
 func (a *FAST) Options() core.Options {

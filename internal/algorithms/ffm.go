@@ -32,7 +32,7 @@ func (a *FFM) Init(v *core.VertexCtx) {
 }
 
 // Compute implements the 3-step schedule.
-func (a *FFM) Compute(v *core.VertexCtx, t ival.Interval, state any, msgs []any) {
+func (a *FFM) Compute(v *core.VertexCtx, t ival.Interval, state any, msgs []codec.Word) {
 	switch v.Superstep() {
 	case 1:
 		// Announce: the marker makes scatter fire over every out-edge.
@@ -40,7 +40,7 @@ func (a *FFM) Compute(v *core.VertexCtx, t ival.Interval, state any, msgs []any)
 	case 2:
 		var collect []int64
 		for _, m := range msgs {
-			collect = append(collect, m.([]int64)...)
+			collect = append(collect, v.Payload(m).([]int64)...)
 		}
 		if len(collect) > 0 {
 			v.SetState(t, ffmVal{Pending: collect})
@@ -52,7 +52,7 @@ func (a *FFM) Compute(v *core.VertexCtx, t ival.Interval, state any, msgs []any)
 
 // close counts, for each forwarded (origin, t2) pair, the closing edges
 // origin→here usable at some t3 > t2.
-func (a *FFM) close(v *core.VertexCtx, t ival.Interval, msgs []any) {
+func (a *FFM) close(v *core.VertexCtx, t ival.Interval, msgs []codec.Word) {
 	g := v.Graph()
 	self := int64(v.ID())
 	// Closing edge windows indexed by source.
@@ -63,7 +63,7 @@ func (a *FFM) close(v *core.VertexCtx, t ival.Interval, msgs []any) {
 	}
 	var count int64
 	for _, m := range msgs {
-		pairs := m.([]int64)
+		pairs := v.Payload(m).([]int64)
 		for i := 0; i+1 < len(pairs); i += 2 {
 			u, t3min := pairs[i], pairs[i+1] // pair value = earliest usable t3
 			if u == self {
@@ -117,7 +117,7 @@ func (a *FFM) Scatter(v *core.VertexCtx, e *tgraph.Edge, t ival.Interval, state 
 	if len(out) == 0 {
 		return nil
 	}
-	v.Emit(ival.Universe, out)
+	v.Emit(ival.Universe, v.Spill(out))
 	return nil
 }
 

@@ -1,0 +1,393 @@
+package algorithms_test
+
+// Bit-identity with a recorded commit. Every cell of the matrix — the 12
+// catalog algorithms × three generated graphs × 1, 2 and 3 workers × the three
+// ways a superstep is driven (Engine.Run, the stepped core.Shard loop a
+// cluster worker runs, Engine.Run over the loopback TCP mesh with every
+// payload round-tripped through its codec) — is reduced to one line: the
+// counts the paper reasons with, a hash of the rendered result, a hash of
+// every cross-shard batch in order, and a hash of one durable checkpoint per
+// shard. testdata/golden_messages.txt holds the lines as the parent of the
+// change that made messages pointer-free wrote them (go test -run Golden
+// -update rewrites it); testdata/golden_ckpt.bin holds checkpoints that
+// commit wrote, which this one must restore and finish from.
+
+import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"errors"
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"graphite/internal/algorithms"
+	"graphite/internal/core"
+	"graphite/internal/engine"
+	"graphite/internal/gen"
+	"graphite/internal/serve"
+	"graphite/internal/tgraph"
+)
+
+var update = flag.Bool("update", false, "rewrite testdata/golden_messages.txt and golden_ckpt.bin from this tree")
+
+const (
+	goldenLines = "testdata/golden_messages.txt"
+	goldenCkpts = "testdata/golden_ckpt.bin"
+	// goldenCkptStep is the superstep a cell's checkpoint is taken before.
+	goldenCkptStep = 3
+)
+
+type goldenGraph struct {
+	name string
+	g    *tgraph.Graph
+	p    algorithms.Params
+}
+
+func goldenGraphs(t testing.TB) []goldenGraph {
+	t.Helper()
+	var out []goldenGraph
+	for _, prof := range []gen.Profile{gen.TwitterLike(0.02), gen.MAGLike(0.02), gen.SkewedLike(0.05)} {
+		g, err := gen.Generate(prof, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The endpoints of the first edge: a traversal with somewhere to go.
+		e := g.Edge(0)
+		out = append(out, goldenGraph{prof.Name, g, algorithms.Params{Source: e.Src, Target: e.Dst, Iterations: 4}})
+	}
+	return out
+}
+
+func shortHash(parts ...[]byte) string {
+	h := sha256.New()
+	for _, p := range parts {
+		var n [8]byte
+		binary.BigEndian.PutUint64(n[:], uint64(len(p)))
+		h.Write(n[:])
+		h.Write(p)
+	}
+	return fmt.Sprintf("%x", h.Sum(nil)[:10])
+}
+
+// cellLine renders what a run must repeat. batches and ckpts are "-" for the
+// drivers that have none to show.
+func cellLine(r *core.Result, batches, ckpts string) string {
+	m, s := r.Metrics, r.Stats
+	return fmt.Sprintf("msgs=%d bytes=%d compute=%d scatter=%d steps=%d warp=%d suppressed=%d active=%d updates=%d result=%s batches=%s ckpt=%s",
+		m.Messages, m.MessageBytes, m.ComputeCalls, m.ScatterCalls, m.Supersteps,
+		s.WarpCalls, s.WarpSuppressed, s.ActiveIntervals, s.StateUpdates,
+		resultHash(r), batches, ckpts)
+}
+
+// resultHash hashes the result as served; a stepped run whose states its
+// codec cannot encode (LCC's and TC's are not their message type) has no
+// result to show, only counts and batches.
+func resultHash(r *core.Result) string {
+	if r.Graph == nil {
+		return "unencodable"
+	}
+	return shortHash([]byte(strings.Join(serve.FormatResult(r, 0), "\n")))
+}
+
+func goldenEngine(gg goldenGraph, algo string, workers int, tcp bool) (string, error) {
+	prog, opts, err := algorithms.New(gg.g, algo, gg.p)
+	if err != nil {
+		return "", err
+	}
+	opts.NumWorkers = workers
+	if tcp {
+		tp, err := engine.NewTCPTransport(workers)
+		if err != nil {
+			return "", err
+		}
+		defer tp.Close()
+		opts.Transport, opts.VerifyCodec = tp, true
+	}
+	r, err := core.Run(gg.g, prog, opts)
+	if err != nil {
+		return "", err
+	}
+	// Not in the recorded line (the recorded commit had no spill table): the
+	// ten programs whose messages are int64s, float64s and pairs never touch
+	// it, LCC's and TC's slices always do.
+	if slices := algo == "lcc" || algo == "tc"; slices != (r.Metrics.Spilled > 0) || r.Metrics.Spilled > r.Metrics.Messages {
+		return "", fmt.Errorf("%d of %d messages spilled", r.Metrics.Spilled, r.Metrics.Messages)
+	}
+	return cellLine(r, "-", "-"), nil
+}
+
+// steppedShards builds the shards of one stepped run.
+func steppedShards(gg goldenGraph, algo string, workers int) ([]*core.Shard, core.Options, error) {
+	shards := make([]*core.Shard, workers)
+	var opts core.Options
+	for i := range shards {
+		prog, o, err := algorithms.New(gg.g, algo, gg.p)
+		if err != nil {
+			return nil, opts, err
+		}
+		o.NumWorkers = workers
+		if shards[i], err = core.NewShard(gg.g, prog, o, i); err != nil {
+			return nil, opts, err
+		}
+		opts = o
+	}
+	return shards, opts, nil
+}
+
+// stepShards drives shards from their current superstep to the end, the way
+// the benchmark's stepped loop and a cluster worker do. It returns the run's
+// result, every cross-shard batch in (superstep, source, destination) order,
+// and the durable capture of each shard taken before superstep ckptAt (nil
+// when the run ends sooner).
+func stepShards(g *tgraph.Graph, shards []*core.Shard, opts core.Options, m *engine.Metrics, ckptAt int) (*core.Result, [][]byte, [][]byte, error) {
+	n := len(shards)
+	var batches, ckpts [][]byte
+	for step := shards[0].Superstep(); ; step++ {
+		outs := make([][][]byte, n)
+		for i, s := range shards {
+			if err := s.Compute(); err != nil {
+				return nil, nil, nil, err
+			}
+			var err error
+			if outs[i], err = s.Outbound(); err != nil {
+				return nil, nil, nil, err
+			}
+			for d, b := range outs[i] {
+				if d != i {
+					batches = append(batches, bytes.Clone(b))
+				}
+			}
+		}
+		for d, s := range shards {
+			var in [][]byte
+			for src := range shards {
+				if src != d {
+					in = append(in, outs[src][d])
+				}
+			}
+			if _, err := s.Deliver(in); err != nil {
+				return nil, nil, nil, err
+			}
+		}
+		var delivered int64
+		active := 0
+		for _, s := range shards {
+			rep := s.Barrier()
+			delivered += rep.Delivered
+			active += rep.Active
+			m.ComputeCalls += rep.ComputeCalls
+			m.ScatterCalls += rep.ScatterCalls
+			m.Messages += rep.SentMsgs
+			m.MessageBytes += rep.SentBytes
+		}
+		m.Supersteps++
+		if step+1 == ckptAt {
+			for _, s := range shards {
+				data, err := s.CaptureDurable()
+				if err != nil {
+					data = nil // states the codec cannot encode: see resultHash
+				}
+				ckpts = append(ckpts, data)
+			}
+		}
+		halted := delivered == 0 && active == 0 && !opts.ActivateAll
+		bounded := opts.MaxSupersteps > 0 && step+1 > opts.MaxSupersteps
+		if halted || bounded {
+			break
+		}
+	}
+	blobs := make([][]byte, n)
+	for i, s := range shards {
+		var err error
+		if blobs[i], err = s.EncodeOwnedStates(); err != nil {
+			return &core.Result{Metrics: m}, batches, ckpts, nil
+		}
+	}
+	r, err := core.AssembleResult(g, opts.PayloadCodec, blobs, m)
+	return r, batches, ckpts, err
+}
+
+func goldenStepped(gg goldenGraph, algo string, workers int) (string, [][]byte, error) {
+	shards, opts, err := steppedShards(gg, algo, workers)
+	if errors.Is(err, core.ErrClusterUnsupported) {
+		return "unsupported", nil, nil
+	}
+	if err != nil {
+		return "", nil, err
+	}
+	for _, s := range shards {
+		defer s.Close()
+		if err := s.Init(); err != nil {
+			return "", nil, err
+		}
+	}
+	r, batches, ckpts, err := stepShards(gg.g, shards, opts, &engine.Metrics{}, goldenCkptStep)
+	if err != nil {
+		return "", nil, err
+	}
+	ck := "-"
+	switch {
+	case ckpts != nil && ckpts[0] == nil:
+		ck, ckpts = "unencodable", nil
+	case ckpts != nil:
+		ck = shortHash(ckpts...)
+	}
+	bh := shortHash(batches...)
+	if algo == "lcc" {
+		// LCC sends its replies in map order: the bytes of a batch are the same
+		// from run to run, their order is not.
+		bh = fmt.Sprintf("%dB", len(bytes.Join(batches, nil)))
+	}
+	return cellLine(r, bh, ck), ckpts, nil
+}
+
+// ckptCell reports whether a cell's checkpoints are kept as bytes, not only
+// as a hash: every algorithm once, two shards, on the first graph.
+func ckptCell(graph int, workers int) bool { return graph == 0 && workers == 2 }
+
+func TestGoldenMessages(t *testing.T) {
+	var got []string
+	var ckptFile []byte
+	graphs := goldenGraphs(t)
+	for gi, gg := range graphs {
+		for _, algo := range algorithms.Names() {
+			for workers := 1; workers <= 3; workers++ {
+				add := func(driver, line string, err error) {
+					if err != nil {
+						t.Fatalf("%s/%s/%d/%s: %v", gg.name, algo, workers, driver, err)
+					}
+					got = append(got, fmt.Sprintf("%s %s %d %s %s", gg.name, algo, workers, driver, line))
+				}
+				line, err := goldenEngine(gg, algo, workers, false)
+				add("engine", line, err)
+				line, ckpts, err := goldenStepped(gg, algo, workers)
+				add("stepped", line, err)
+				line, err = goldenEngine(gg, algo, workers, true)
+				add("tcp", line, err)
+				if ckptCell(gi, workers) {
+					for _, c := range ckpts {
+						ckptFile = binary.AppendUvarint(ckptFile, uint64(len(c)))
+						ckptFile = append(ckptFile, c...)
+					}
+				}
+			}
+		}
+	}
+	text := strings.Join(got, "\n") + "\n"
+	if *update {
+		if err := os.MkdirAll(filepath.Dir(goldenLines), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(goldenLines, []byte(text), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(goldenCkpts, ckptFile, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(goldenLines)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantLines := strings.Split(strings.TrimSuffix(string(want), "\n"), "\n")
+	if len(wantLines) != len(got) {
+		t.Fatalf("matrix has %d cells, the golden file %d", len(got), len(wantLines))
+	}
+	bad := 0
+	for i := range got {
+		if got[i] != wantLines[i] {
+			if bad++; bad <= 10 {
+				t.Errorf("cell differs from the recorded run\n  got  %s\n  want %s", got[i], wantLines[i])
+			}
+		}
+	}
+	if bad > 10 {
+		t.Errorf("... and %d more cells", bad-10)
+	}
+	recorded, err := os.ReadFile(goldenCkpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(recorded, ckptFile) {
+		t.Errorf("durable checkpoints differ from the recorded ones (%d bytes, recorded %d)", len(ckptFile), len(recorded))
+	}
+}
+
+// TestGoldenCheckpointRestores restores the checkpoints the recorded commit
+// wrote into fresh shards of this one and finishes the run from them: the
+// result is the recorded run's.
+func TestGoldenCheckpointRestores(t *testing.T) {
+	data, err := os.ReadFile(goldenCkpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(goldenLines)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recorded := map[string]string{}
+	for _, l := range strings.Split(strings.TrimSuffix(string(want), "\n"), "\n") {
+		if i := strings.Index(l, " result="); i >= 0 {
+			key := strings.Join(strings.Fields(l)[:4], " ")
+			recorded[key] = strings.Fields(l[i+1:])[0]
+		}
+	}
+	gg := goldenGraphs(t)[0]
+	const workers = 2
+	restored := 0
+	for _, algo := range algorithms.Names() {
+		key := fmt.Sprintf("%s %s %d stepped", gg.name, algo, workers)
+		line, ok := recorded[key]
+		if !ok || !hasCkpt(string(want), key) {
+			continue
+		}
+		shards, opts, err := steppedShards(gg, algo, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range shards {
+			defer s.Close()
+			if err := s.Init(); err != nil {
+				t.Fatal(err)
+			}
+			n, k := binary.Uvarint(data)
+			if k <= 0 || uint64(len(data)-k) < n {
+				t.Fatalf("%s: checkpoint file truncated", key)
+			}
+			if err := s.RestoreDurable(data[k : k+int(n)]); err != nil {
+				t.Fatalf("%s: restore: %v", key, err)
+			}
+			data = data[k+int(n):]
+		}
+		r, _, _, err := stepShards(gg.g, shards, opts, &engine.Metrics{}, 0)
+		if err != nil {
+			t.Fatalf("%s: %v", key, err)
+		}
+		if got := "result=" + resultHash(r); got != line {
+			t.Errorf("%s: resumed from the recorded checkpoint: %s, recorded %s", key, got, line)
+		}
+		restored++
+	}
+	if len(data) != 0 {
+		t.Errorf("%d bytes of checkpoints left over", len(data))
+	}
+	if restored < 8 {
+		t.Errorf("only %d algorithms were resumed from a recorded checkpoint", restored)
+	}
+}
+
+// hasCkpt reports whether the golden line starting with key recorded a
+// checkpoint (a run that ended before goldenCkptStep has none).
+func hasCkpt(golden, key string) bool {
+	for _, l := range strings.Split(golden, "\n") {
+		if strings.HasPrefix(l, key+" ") {
+			return !strings.HasSuffix(l, "ckpt=-") && !strings.HasSuffix(l, "unencodable") && !strings.HasSuffix(l, "unsupported")
+		}
+	}
+	return false
+}

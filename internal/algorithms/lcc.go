@@ -39,14 +39,14 @@ func (a *LCC) Init(v *core.VertexCtx) {
 }
 
 // Compute implements the 4-step schedule.
-func (a *LCC) Compute(v *core.VertexCtx, t ival.Interval, state any, msgs []any) {
+func (a *LCC) Compute(v *core.VertexCtx, t ival.Interval, state any, msgs []codec.Word) {
 	switch v.Superstep() {
 	case 1:
 		v.SetState(t, lccVal{Pending: []int64{int64(v.ID())}})
 	case 2:
 		var collect []int64
 		for _, m := range msgs {
-			collect = append(collect, m.([]int64)...)
+			collect = append(collect, v.Payload(m).([]int64)...)
 		}
 		if len(collect) > 0 {
 			v.SetState(t, lccVal{Pending: collect})
@@ -61,7 +61,7 @@ func (a *LCC) Compute(v *core.VertexCtx, t ival.Interval, state any, msgs []any)
 // closeAndReply checks, for each forwarded origin u, whether this vertex is
 // a direct out-neighbor of u (an in-edge from u exists) and reports each
 // closed wedge back to u for the overlap interval.
-func (a *LCC) closeAndReply(v *core.VertexCtx, t ival.Interval, msgs []any) {
+func (a *LCC) closeAndReply(v *core.VertexCtx, t ival.Interval, msgs []codec.Word) {
 	g := v.Graph()
 	self := int64(v.ID())
 	// Index alive in-edges by source once per tuple.
@@ -80,7 +80,7 @@ func (a *LCC) closeAndReply(v *core.VertexCtx, t ival.Interval, msgs []any) {
 	// the same origin many times and one counted reply carries them all.
 	counts := map[window]int64{}
 	for _, m := range msgs {
-		for _, origin := range m.([]int64) {
+		for _, origin := range v.Payload(m).([]int64) {
 			if origin == self {
 				continue
 			}
@@ -90,18 +90,18 @@ func (a *LCC) closeAndReply(v *core.VertexCtx, t ival.Interval, msgs []any) {
 		}
 	}
 	for w, k := range counts {
-		v.SendTo(w.src, w.x, []int64{k})
+		v.SendTo(w.src, w.x, v.Spill([]int64{k}))
 	}
 }
 
 // accumulate folds the wedge replies into per-interval counts and pairs them
 // with the out-degree so the coefficient can be derived.
-func (a *LCC) accumulate(v *core.VertexCtx, t ival.Interval, msgs []any) {
+func (a *LCC) accumulate(v *core.VertexCtx, t ival.Interval, msgs []codec.Word) {
 	// Replies arrive pre-grouped by warp for this tuple; each message is
 	// alive for the whole tuple interval, so the count here is constant.
 	count := int64(0)
 	for _, m := range msgs {
-		for _, x := range m.([]int64) {
+		for _, x := range v.Payload(m).([]int64) {
 			count += x
 		}
 	}
@@ -126,7 +126,7 @@ func (a *LCC) Scatter(v *core.VertexCtx, e *tgraph.Edge, t ival.Interval, state 
 	if len(st.Pending) == 0 {
 		return nil
 	}
-	v.Emit(ival.Interval{}, st.Pending)
+	v.Emit(ival.Interval{}, v.Spill(st.Pending))
 	return nil
 }
 

@@ -29,7 +29,7 @@ func (a *LD) Init(v *core.VertexCtx) {
 
 // Compute marks the active interval valid on any incoming flag; in
 // superstep 1 the target seeds its presence up to the deadline.
-func (a *LD) Compute(v *core.VertexCtx, t ival.Interval, state any, msgs []any) {
+func (a *LD) Compute(v *core.VertexCtx, t ival.Interval, state any, msgs []codec.Word) {
 	if v.Superstep() == 1 {
 		if v.ID() == a.Target {
 			bound := t
@@ -82,12 +82,12 @@ func (a *LD) Scatter(v *core.VertexCtx, e *tgraph.Edge, t ival.Interval, state a
 	if end <= piece.Start || end <= 0 {
 		return nil
 	}
-	v.Emit(ival.New(0, end), int64(1))
+	v.Emit(ival.New(0, end), codec.IntWord(1))
 	return nil
 }
 
 // CombineWarp ORs flags.
-func (a *LD) CombineWarp(x, y any) any { return maxInt64(x, y) }
+func (a *LD) CombineWarp(x, y codec.Word) codec.Word { return maxInt64(x, y) }
 
 // Options returns the run options LD needs: reverse traversal.
 func (a *LD) Options() core.Options {

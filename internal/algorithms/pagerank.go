@@ -99,7 +99,7 @@ func (a *PageRank) Init(v *core.VertexCtx) {
 }
 
 // Compute sums the incoming rank mass for the active interval.
-func (a *PageRank) Compute(v *core.VertexCtx, t ival.Interval, state any, msgs []any) {
+func (a *PageRank) Compute(v *core.VertexCtx, t ival.Interval, state any, msgs []codec.Word) {
 	n := float64(v.NumVertices())
 	if v.Superstep() == 1 {
 		// Re-claim the uniform rank so the initial scatter fires.
@@ -108,7 +108,7 @@ func (a *PageRank) Compute(v *core.VertexCtx, t ival.Interval, state any, msgs [
 	}
 	var sum float64
 	for _, m := range msgs {
-		sum += m.(float64)
+		sum += m.Float()
 	}
 	v.SetState(t, (1-a.Damping)/n+a.Damping*sum)
 }
@@ -140,13 +140,15 @@ func (a *PageRank) Scatter(v *core.VertexCtx, e *tgraph.Edge, t ival.Interval, s
 		if dp.Value == 0 {
 			continue
 		}
-		v.Emit(dp.Interval.Intersect(t), rank/float64(dp.Value))
+		v.Emit(dp.Interval.Intersect(t), codec.FloatWord(rank/float64(dp.Value)))
 	}
 	return nil
 }
 
 // CombineWarp sums rank contributions in a group.
-func (a *PageRank) CombineWarp(x, y any) any { return x.(float64) + y.(float64) }
+func (a *PageRank) CombineWarp(x, y codec.Word) codec.Word {
+	return codec.FloatWord(x.Float() + y.Float())
+}
 
 // Options returns the run options PageRank needs: all vertices active for a
 // fixed number of supersteps.

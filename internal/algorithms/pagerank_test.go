@@ -6,6 +6,7 @@ import (
 	"sort"
 	"testing"
 
+	"graphite/internal/codec"
 	"graphite/internal/core"
 	"graphite/internal/gen"
 	ival "graphite/internal/interval"
@@ -50,7 +51,7 @@ func (a scanPageRank) Scatter(v *core.VertexCtx, e *tgraph.Edge, t ival.Interval
 		if x.IsEmpty() || dp.Value == 0 {
 			continue
 		}
-		v.Emit(x, rank/float64(dp.Value))
+		v.Emit(x, codec.FloatWord(rank/float64(dp.Value)))
 	}
 	return nil
 }

@@ -22,7 +22,7 @@ func (a *RH) Init(v *core.VertexCtx) {
 }
 
 // Compute marks the active interval reached on any incoming flag.
-func (a *RH) Compute(v *core.VertexCtx, t ival.Interval, state any, msgs []any) {
+func (a *RH) Compute(v *core.VertexCtx, t ival.Interval, state any, msgs []codec.Word) {
 	if v.Superstep() == 1 {
 		if v.ID() == a.Source {
 			if at := t.Intersect(ival.From(a.StartTime)); !at.IsEmpty() {
@@ -45,12 +45,12 @@ func (a *RH) Scatter(v *core.VertexCtx, e *tgraph.Edge, t ival.Interval, state a
 	if !ok {
 		return nil
 	}
-	v.Emit(ival.From(ival.SatAdd(t.Start, tt)), int64(1))
+	v.Emit(ival.From(ival.SatAdd(t.Start, tt)), codec.IntWord(1))
 	return nil
 }
 
 // CombineWarp ORs flags (max over {0,1}).
-func (a *RH) CombineWarp(x, y any) any { return maxInt64(x, y) }
+func (a *RH) CombineWarp(x, y codec.Word) codec.Word { return maxInt64(x, y) }
 
 // Options returns the run options RH needs.
 func (a *RH) Options() core.Options {

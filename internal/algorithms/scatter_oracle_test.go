@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"graphite/internal/codec"
 	"graphite/internal/core"
 	"graphite/internal/engine"
 	"graphite/internal/gen"
@@ -37,7 +38,7 @@ func (a byLabelSSSP) Scatter(v *core.VertexCtx, e *tgraph.Edge, t ival.Interval,
 	if !ok {
 		return nil
 	}
-	v.Emit(ival.From(ival.SatAdd(t.Start, tt)), cost+tc)
+	v.Emit(ival.From(ival.SatAdd(t.Start, tt)), codec.IntWord(cost+tc))
 	return nil
 }
 
@@ -52,7 +53,7 @@ func (a byLabelEAT) Scatter(v *core.VertexCtx, e *tgraph.Edge, t ival.Interval, 
 		return nil
 	}
 	arrive := ival.SatAdd(t.Start, tt)
-	v.Emit(ival.From(arrive), arrive)
+	v.Emit(ival.From(arrive), codec.IntWord(arrive))
 	return nil
 }
 
@@ -68,7 +69,7 @@ func (a byLabelFAST) Scatter(v *core.VertexCtx, e *tgraph.Edge, t ival.Interval,
 		return nil
 	}
 	if s0 != fastAtSource {
-		v.Emit(ival.From(ival.SatAdd(t.Start, tt)), s0)
+		v.Emit(ival.From(ival.SatAdd(t.Start, tt)), codec.IntWord(s0))
 		return nil
 	}
 	end := t.End
@@ -76,7 +77,7 @@ func (a byLabelFAST) Scatter(v *core.VertexCtx, e *tgraph.Edge, t ival.Interval,
 		end = hz
 	}
 	for d := t.Start; d < end; d++ {
-		v.Emit(ival.From(ival.SatAdd(d, tt)), d)
+		v.Emit(ival.From(ival.SatAdd(d, tt)), codec.IntWord(d))
 	}
 	return nil
 }
@@ -107,7 +108,7 @@ func (a byLabelLD) Scatter(v *core.VertexCtx, e *tgraph.Edge, t ival.Interval, s
 	if end <= piece.Start || end <= 0 {
 		return nil
 	}
-	v.Emit(ival.New(0, end), int64(1))
+	v.Emit(ival.New(0, end), codec.IntWord(1))
 	return nil
 }
 
@@ -121,7 +122,7 @@ func (a byLabelRH) Scatter(v *core.VertexCtx, e *tgraph.Edge, t ival.Interval, s
 	if !ok {
 		return nil
 	}
-	v.Emit(ival.From(ival.SatAdd(t.Start, tt)), int64(1))
+	v.Emit(ival.From(ival.SatAdd(t.Start, tt)), codec.IntWord(1))
 	return nil
 }
 
@@ -136,7 +137,7 @@ func (a byLabelTMST) Scatter(v *core.VertexCtx, e *tgraph.Edge, t ival.Interval,
 		return nil
 	}
 	arrive := ival.SatAdd(t.Start, tt)
-	v.Emit(ival.From(arrive), tmstValue{A: arrive, B: int64(v.ID())})
+	v.Emit(ival.From(arrive), codec.PairWord(arrive, int64(v.ID())))
 	return nil
 }
 

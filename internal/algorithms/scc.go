@@ -48,7 +48,7 @@ func (a *SCC) Init(v *core.VertexCtx) {
 
 // Compute implements both phases; the phase parity is master-controlled
 // (even = FW, odd = BW).
-func (a *SCC) Compute(v *core.VertexCtx, t ival.Interval, state any, msgs []any) {
+func (a *SCC) Compute(v *core.VertexCtx, t ival.Interval, state any, msgs []codec.Word) {
 	id := int64(v.ID())
 	phase := int64(v.Phase())
 	if v.Superstep() == 1 {
@@ -86,7 +86,7 @@ func (a *SCC) Compute(v *core.VertexCtx, t ival.Interval, state any, msgs []any)
 	if phase%2 == 0 {
 		best := st.Fwd
 		for _, m := range msgs {
-			if x := m.(int64); x > best {
+			if x := m.Int(); x > best {
 				best = x
 			}
 		}
@@ -97,7 +97,7 @@ func (a *SCC) Compute(v *core.VertexCtx, t ival.Interval, state any, msgs []any)
 		return
 	}
 	for _, m := range msgs {
-		if c := m.(int64); c == st.Fwd {
+		if c := m.Int(); c == st.Fwd {
 			v.Aggregate(sccChanged, true)
 			v.SetState(t, sccState{Fwd: st.Fwd, Scc: c, Phase: phase})
 			a.sendBackward(v, t, c)
@@ -113,7 +113,7 @@ func (a *SCC) sendBackward(v *core.VertexCtx, t ival.Interval, c int64) {
 	for _, ei := range g.InEdges(v.Index()) {
 		e := g.Edge(int(ei))
 		if x := e.Lifespan.Intersect(t); !x.IsEmpty() {
-			v.SendTo(g.IndexOf(e.Src), x, c)
+			v.SendTo(g.IndexOf(e.Src), x, codec.IntWord(c))
 		}
 	}
 }
@@ -128,7 +128,7 @@ func (a *SCC) Scatter(v *core.VertexCtx, e *tgraph.Edge, t ival.Interval, state 
 	if st.Scc >= 0 {
 		return nil
 	}
-	return []core.OutMsg{{Value: st.Fwd}}
+	return []core.OutMsg{{Value: codec.IntWord(st.Fwd)}}
 }
 
 // sccMaster drives the FW/BW phase machine and halts when every interval of

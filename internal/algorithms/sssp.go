@@ -26,7 +26,7 @@ func (a *SSSP) Init(v *core.VertexCtx) {
 // Compute lowers the vertex's cost for the active interval to the smallest
 // incoming cost; in superstep 1 the source instead claims cost 0 from
 // StartTime onward.
-func (a *SSSP) Compute(v *core.VertexCtx, t ival.Interval, state any, msgs []any) {
+func (a *SSSP) Compute(v *core.VertexCtx, t ival.Interval, state any, msgs []codec.Word) {
 	if v.Superstep() == 1 {
 		if v.ID() == a.Source {
 			if at := t.Intersect(ival.From(a.StartTime)); !at.IsEmpty() {
@@ -37,7 +37,7 @@ func (a *SSSP) Compute(v *core.VertexCtx, t ival.Interval, state any, msgs []any
 	}
 	best := state.(int64)
 	for _, m := range msgs {
-		if c := m.(int64); c < best {
+		if c := m.Int(); c < best {
 			best = c
 		}
 	}
@@ -58,13 +58,13 @@ func (a *SSSP) Scatter(v *core.VertexCtx, e *tgraph.Edge, t ival.Interval, state
 	if !ok {
 		return nil
 	}
-	v.Emit(ival.From(ival.SatAdd(t.Start, tt)), cost+tc)
+	v.Emit(ival.From(ival.SatAdd(t.Start, tt)), codec.IntWord(cost+tc))
 	return nil
 }
 
 // CombineWarp implements the inline warp combiner: only the minimum cost in
 // a group can win in Compute.
-func (a *SSSP) CombineWarp(x, y any) any { return minInt64(x, y) }
+func (a *SSSP) CombineWarp(x, y codec.Word) codec.Word { return minInt64(x, y) }
 
 // Options returns the run options SSSP needs.
 func (a *SSSP) Options() core.Options {

@@ -33,14 +33,14 @@ func (a *TC) Init(v *core.VertexCtx) {
 }
 
 // Compute implements the 3-step schedule.
-func (a *TC) Compute(v *core.VertexCtx, t ival.Interval, state any, msgs []any) {
+func (a *TC) Compute(v *core.VertexCtx, t ival.Interval, state any, msgs []codec.Word) {
 	switch v.Superstep() {
 	case 1:
 		v.SetState(t, tcVal{Pending: []int64{int64(v.ID())}})
 	case 2:
 		var collect []int64
 		for _, m := range msgs {
-			collect = append(collect, m.([]int64)...)
+			collect = append(collect, v.Payload(m).([]int64)...)
 		}
 		if len(collect) > 0 {
 			v.SetState(t, tcVal{Pending: collect})
@@ -52,7 +52,7 @@ func (a *TC) Compute(v *core.VertexCtx, t ival.Interval, state any, msgs []any) 
 
 // close counts, per sub-interval, the origins whose announcement can be
 // closed by an out-edge of this vertex back to the origin.
-func (a *TC) close(v *core.VertexCtx, t ival.Interval, msgs []any) {
+func (a *TC) close(v *core.VertexCtx, t ival.Interval, msgs []codec.Word) {
 	g := v.Graph()
 	self := int64(v.ID())
 	// Index the closing edges by neighbor once; each closing (origin
@@ -68,7 +68,7 @@ func (a *TC) close(v *core.VertexCtx, t ival.Interval, msgs []any) {
 	}
 	var incs []warp.IntervalValue
 	for _, m := range msgs {
-		for _, origin := range m.([]int64) {
+		for _, origin := range v.Payload(m).([]int64) {
 			if origin == self {
 				continue
 			}
@@ -97,7 +97,7 @@ func (a *TC) Scatter(v *core.VertexCtx, e *tgraph.Edge, t ival.Interval, state a
 	if len(st.Pending) == 0 {
 		return nil
 	}
-	v.Emit(ival.Interval{}, st.Pending)
+	v.Emit(ival.Interval{}, v.Spill(st.Pending))
 	return nil
 }
 

@@ -33,7 +33,7 @@ func (a *TMST) Init(v *core.VertexCtx) {
 }
 
 // Compute adopts the smallest (arrival, parent) pair for the interval.
-func (a *TMST) Compute(v *core.VertexCtx, t ival.Interval, state any, msgs []any) {
+func (a *TMST) Compute(v *core.VertexCtx, t ival.Interval, state any, msgs []codec.Word) {
 	if v.Superstep() == 1 {
 		if v.ID() == a.Source {
 			if at := t.Intersect(ival.From(a.StartTime)); !at.IsEmpty() {
@@ -44,7 +44,7 @@ func (a *TMST) Compute(v *core.VertexCtx, t ival.Interval, state any, msgs []any
 	}
 	best := state.(tmstValue)
 	for _, m := range msgs {
-		if x := m.(tmstValue); tmstLess(x, best) {
+		if x := m.Pair(); tmstLess(x, best) {
 			best = x
 		}
 	}
@@ -63,13 +63,13 @@ func (a *TMST) Scatter(v *core.VertexCtx, e *tgraph.Edge, t ival.Interval, state
 		return nil
 	}
 	arrive := ival.SatAdd(t.Start, tt)
-	v.Emit(ival.From(arrive), tmstValue{A: arrive, B: int64(v.ID())})
+	v.Emit(ival.From(arrive), codec.PairWord(arrive, int64(v.ID())))
 	return nil
 }
 
 // CombineWarp keeps the lexicographically smallest (arrival, parent).
-func (a *TMST) CombineWarp(x, y any) any {
-	if tmstLess(x.(tmstValue), y.(tmstValue)) {
+func (a *TMST) CombineWarp(x, y codec.Word) codec.Word {
+	if tmstLess(x.Pair(), y.Pair()) {
 		return x
 	}
 	return y

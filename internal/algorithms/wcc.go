@@ -18,7 +18,7 @@ func (a *WCC) Init(v *core.VertexCtx) {
 }
 
 // Compute adopts the smallest label seen.
-func (a *WCC) Compute(v *core.VertexCtx, t ival.Interval, state any, msgs []any) {
+func (a *WCC) Compute(v *core.VertexCtx, t ival.Interval, state any, msgs []codec.Word) {
 	if v.Superstep() == 1 {
 		// Claim the own id: the state update triggers the initial scatter.
 		v.SetState(t, int64(v.ID()))
@@ -26,7 +26,7 @@ func (a *WCC) Compute(v *core.VertexCtx, t ival.Interval, state any, msgs []any)
 	}
 	best := state.(int64)
 	for _, m := range msgs {
-		if x := m.(int64); x < best {
+		if x := m.Int(); x < best {
 			best = x
 		}
 	}
@@ -37,12 +37,12 @@ func (a *WCC) Compute(v *core.VertexCtx, t ival.Interval, state any, msgs []any)
 
 // Scatter forwards the current label over the overlap interval.
 func (a *WCC) Scatter(v *core.VertexCtx, e *tgraph.Edge, t ival.Interval, state any) []core.OutMsg {
-	v.Emit(ival.Interval{}, state.(int64))
+	v.Emit(ival.Interval{}, codec.IntWord(state.(int64)))
 	return nil
 }
 
 // CombineWarp keeps the smallest label in a group.
-func (a *WCC) CombineWarp(x, y any) any { return minInt64(x, y) }
+func (a *WCC) CombineWarp(x, y codec.Word) codec.Word { return minInt64(x, y) }
 
 // Options returns the run options WCC needs: undirected propagation.
 func (a *WCC) Options() core.Options {

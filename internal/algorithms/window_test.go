@@ -449,10 +449,10 @@ func checkScatterStream(t testing.TB, g *tgraph.Graph, w ival.Interval, name str
 type shout struct{}
 
 func (shout) Init(v *core.VertexCtx) { v.SetState(v.Lifespan(), int64(0)) }
-func (shout) Compute(v *core.VertexCtx, t ival.Interval, state any, msgs []any) {
+func (shout) Compute(v *core.VertexCtx, t ival.Interval, state any, msgs []codec.Word) {
 	if v.Superstep() == 1 {
 		for dst := 0; dst < v.NumVertices(); dst++ {
-			v.SendTo(dst, t, int64(1))
+			v.SendTo(dst, t, codec.IntWord(1))
 		}
 		return
 	}

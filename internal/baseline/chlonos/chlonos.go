@@ -62,9 +62,7 @@ func Run(g *tgraph.Graph, spec valgo.Spec, batchSize, workers int) (*Result, err
 			ActivateAll:   batchSpec.Options.ActivateAll,
 			PayloadCodec:  batchSpec.Options.PayloadCodec,
 			Master:        batchSpec.Options.Master,
-		}
-		if batchSpec.Options.Combine != nil {
-			cfg.Combiner = engine.CombinerFunc(batchSpec.Options.Combine)
+			Combiner:      batchSpec.Options.Combine,
 		}
 		eng, err := engine.New(g.NumVertices(), rt, cfg)
 		if err != nil {
@@ -121,9 +119,9 @@ func (rt *batchRuntime) Run(ctx *engine.Context, msgs []engine.Message) {
 	if len(msgs) > 0 {
 		buckets = make([][]any, rt.batch.End-rt.batch.Start)
 		for _, m := range msgs {
-			x := m.When.Intersect(rt.batch)
+			x, val := m.When.Intersect(rt.batch), ctx.Payload(m)
 			for t := x.Start; t < x.End; t++ {
-				buckets[t-rt.batch.Start] = append(buckets[t-rt.batch.Start], m.Value)
+				buckets[t-rt.batch.Start] = append(buckets[t-rt.batch.Start], val)
 			}
 		}
 	}

@@ -62,7 +62,7 @@ func (p *clusterProgram) Run(ctx *engine.Context, msgs []engine.Message) {
 	case 2: // forward collected origins
 		var collect []int64
 		for _, m := range msgs {
-			collect = append(collect, m.Value.([]int64)...)
+			collect = append(collect, ctx.Payload(m).([]int64)...)
 		}
 		if len(collect) == 0 || len(p.s.adj[i]) == 0 {
 			return
@@ -75,7 +75,7 @@ func (p *clusterProgram) Run(ctx *engine.Context, msgs []engine.Message) {
 	case 4: // LCC: accumulate replies
 		var sum int64
 		for _, m := range msgs {
-			for _, x := range m.Value.([]int64) {
+			for _, x := range ctx.Payload(m).([]int64) {
 				sum += x
 			}
 		}
@@ -99,7 +99,7 @@ func (p *clusterProgram) close(ctx *engine.Context, i int, msgs []engine.Message
 	}
 	var count int64
 	for _, m := range msgs {
-		for _, origin := range m.Value.([]int64) {
+		for _, origin := range ctx.Payload(m).([]int64) {
 			if origin == self {
 				continue
 			}

@@ -10,6 +10,7 @@ package tgb
 import (
 	"fmt"
 
+	"graphite/internal/codec"
 	"graphite/internal/engine"
 	ival "graphite/internal/interval"
 )
@@ -94,9 +95,8 @@ func (p *minDistProgram) Run(ctx *engine.Context, msgs []engine.Message) {
 		}
 	}
 	for _, m := range msgs {
-		pair := m.Value.([2]int64)
-		if pair[0] < best {
-			best, bestVia = pair[0], pair[1]
+		if pair := m.Word().Pair(); pair.A < best {
+			best, bestVia = pair.A, pair.B
 		}
 	}
 	if best < p.dist[i] {
@@ -109,7 +109,7 @@ func (p *minDistProgram) Run(ctx *engine.Context, msgs []engine.Message) {
 				// replica's temporal vertex.
 				via = int64(p.s.replicas[i].V)
 			}
-			ctx.Send(int(e.dst), ival.Universe, [2]int64{best + e.w, via})
+			ctx.SendWord(int(e.dst), ival.Universe, codec.PairWord(best+e.w, via), nil)
 		}
 	}
 }
@@ -134,13 +134,12 @@ func (s *Static) minDist(seeds map[int]int64, reverse bool, workers int) ([]int6
 	}
 	eng, err := engine.New(s.NumReplicas(), p, engine.Config{
 		NumWorkers: workers,
-		Combiner: engine.CombinerFunc(func(a, b any) any {
-			x, y := a.([2]int64), b.([2]int64)
-			if x[0] <= y[0] {
-				return x
+		Combiner: func(a, b codec.Word) codec.Word {
+			if int64(a.A) <= int64(b.A) {
+				return a
 			}
-			return y
-		}),
+			return b
+		},
 	})
 	if err != nil {
 		return nil, nil, nil, err

@@ -17,8 +17,8 @@ import (
 const Unreachable = int64(math.MaxInt64)
 
 // MinCombine folds int64 messages to their minimum (BFS/WCC combiner).
-func MinCombine(a, b any) any {
-	if a.(int64) < b.(int64) {
+func MinCombine(a, b codec.Word) codec.Word {
+	if a.Int() < b.Int() {
 		return a
 	}
 	return b
@@ -153,7 +153,7 @@ func PageRankSpec(iterations int) Spec {
 		Options: vcm.Options{
 			ActivateAll:   true,
 			MaxSupersteps: iterations + 1,
-			Combine:       func(a, b any) any { return a.(float64) + b.(float64) },
+			Combine:       func(a, b codec.Word) codec.Word { return codec.FloatWord(a.Float() + b.Float()) },
 			PayloadCodec:  codec.Float64{},
 		},
 	}

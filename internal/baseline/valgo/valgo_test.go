@@ -3,6 +3,7 @@ package valgo
 import (
 	"testing"
 
+	"graphite/internal/codec"
 	ival "graphite/internal/interval"
 	"graphite/internal/tgraph"
 	"graphite/internal/vcm"
@@ -113,10 +114,10 @@ func TestFreshRebuildsEachKind(t *testing.T) {
 }
 
 func TestMinCombine(t *testing.T) {
-	if got := MinCombine(int64(3), int64(5)).(int64); got != 3 {
+	if got := MinCombine(codec.IntWord(3), codec.IntWord(5)).Int(); got != 3 {
 		t.Errorf("MinCombine = %d", got)
 	}
-	if got := MinCombine(int64(9), int64(5)).(int64); got != 5 {
+	if got := MinCombine(codec.IntWord(9), codec.IntWord(5)).Int(); got != 5 {
 		t.Errorf("MinCombine = %d", got)
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"graphite/internal/codec"
 	"graphite/internal/core"
 	"graphite/internal/engine"
+	"graphite/internal/gen"
 	ival "graphite/internal/interval"
 	"graphite/internal/obs"
 	"graphite/internal/tgraph"
@@ -97,7 +98,7 @@ func (p *ringProgram) Run(ctx *engine.Context, msgs []engine.Message) {
 		best = 0
 	}
 	for _, m := range msgs {
-		if d := m.Value.(int64); d < best {
+		if d := m.Word().Int(); d < best {
 			best = d
 		}
 	}
@@ -262,6 +263,74 @@ func TestChaosSSSPMatchesFaultFree(t *testing.T) {
 	}
 	if base.Stats != got.Stats {
 		t.Errorf("ICM stats diverged:\nfault-free: %+v\nchaos:      %+v", base.Stats, got.Stats)
+	}
+}
+
+// TestChaosSpilledPayloadsMatchFaultFree is the same guarantee for the three
+// programs whose messages are slices, which no word holds: their payloads
+// travel in the slabs' spill tables — through the fault transport's drops,
+// corruptions and duplicates, and through the rollbacks those and an injected
+// panic force — and the run still ends in the fault-free states and counts.
+func TestChaosSpilledPayloadsMatchFaultFree(t *testing.T) {
+	g, err := gen.Generate(gen.TwitterLike(0.02), 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	programs := map[string]func() (core.Program, core.Options){
+		"lcc": func() (core.Program, core.Options) { a := algorithms.NewLCC(g); return a, a.Options() },
+		"tc":  func() (core.Program, core.Options) { a := &algorithms.TC{}; return a, a.Options() },
+		"ffm": func() (core.Program, core.Options) { a := &algorithms.FFM{}; return a, a.Options() },
+	}
+	for name, build := range programs {
+		t.Run(name, func(t *testing.T) {
+			// Fault-free over the same mesh: a transported exchange delivers a
+			// worker's own messages first, and a list-valued state keeps the order.
+			quiet, err := NewTransport(3, TransportOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer quiet.Close()
+			prog, opts := build()
+			opts.NumWorkers, opts.Transport = 3, quiet
+			base, err := core.Run(g, prog, opts)
+			if err != nil {
+				t.Fatalf("fault-free run: %v", err)
+			}
+			if base.Metrics.Spilled == 0 || base.Metrics.Spilled != base.Metrics.Messages {
+				t.Fatalf("%d of %d messages spilled; every one is a slice", base.Metrics.Spilled, base.Metrics.Messages)
+			}
+
+			tr, err := NewTransport(3, TransportOptions{
+				Seed: 11, Drops: 1, Corruptions: 1, Duplicates: 1, Delays: 1, Every: 2,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer tr.Close()
+			fp := NewFaultyProgram(PanicPlan{Superstep: 2, Vertex: AnyVertex})
+			prog, opts = build()
+			opts.NumWorkers = 3
+			opts.CheckpointEvery, opts.MaxRecoveries = 1, 10
+			opts.Transport, opts.WrapProgram = tr, fp.Wrap
+			got, err := core.Run(g, prog, opts)
+			if err != nil {
+				t.Fatalf("chaos run: %v", err)
+			}
+			if fp.Panics() < 1 || tr.Stats().Faults() < 1 || got.Metrics.Recoveries < 1 {
+				t.Fatalf("faults did not fire: %d panics, %+v, %d recoveries", fp.Panics(), tr.Stats(), got.Metrics.Recoveries)
+			}
+			for i := 0; i < g.NumVertices(); i++ {
+				if !reflect.DeepEqual(base.State(i).Parts(), got.State(i).Parts()) {
+					t.Fatalf("vertex %d partitions diverged:\nfault-free: %v\nchaos:      %v",
+						i, base.State(i).Parts(), got.State(i).Parts())
+				}
+			}
+			bm, gm := base.Metrics, got.Metrics
+			if bm.Supersteps != gm.Supersteps || bm.ComputeCalls != gm.ComputeCalls || bm.ScatterCalls != gm.ScatterCalls ||
+				bm.Messages != gm.Messages || bm.MessageBytes != gm.MessageBytes || bm.Spilled != gm.Spilled {
+				t.Errorf("metrics diverged:\nfault-free: %v (%d spilled)\nchaos:      %v (%d spilled)", bm, bm.Spilled, gm, gm.Spilled)
+			}
+		})
 	}
 }
 

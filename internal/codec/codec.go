@@ -10,7 +10,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 
 	ival "graphite/internal/interval"
 )
@@ -108,44 +107,36 @@ type Payload interface {
 type Int64 struct{}
 
 // Append implements Payload.
-func (Int64) Append(buf []byte, v any) []byte {
-	return binary.AppendVarint(buf, v.(int64))
-}
+func (Int64) Append(buf []byte, v any) []byte { return AppendWord(buf, IntWord(v.(int64))) }
 
 // Decode implements Payload.
-func (Int64) Decode(buf []byte) (any, int, error) {
-	v, n := binary.Varint(buf)
-	if n <= 0 {
-		return nil, 0, ErrCorrupt
-	}
-	return v, n, nil
-}
+func (Int64) Decode(buf []byte) (any, int, error) { return decodeInline(buf, KindInt) }
 
 // Int64Pair is a two-field payload, e.g. (arrival, parent) for TMST or
 // (value, origin) for path algorithms.
 type Int64Pair struct{ A, B int64 }
 
-// PairCodec encodes Int64Pair payloads.
+// PairCodec encodes Int64Pair payloads as two zig-zag varints.
 type PairCodec struct{}
 
 // Append implements Payload.
 func (PairCodec) Append(buf []byte, v any) []byte {
 	p := v.(Int64Pair)
-	buf = binary.AppendVarint(buf, p.A)
-	return binary.AppendVarint(buf, p.B)
+	return AppendWord(buf, PairWord(p.A, p.B))
 }
 
 // Decode implements Payload.
-func (PairCodec) Decode(buf []byte) (any, int, error) {
-	a, n := binary.Varint(buf)
-	if n <= 0 {
-		return nil, 0, ErrCorrupt
+func (PairCodec) Decode(buf []byte) (any, int, error) { return decodeInline(buf, KindPair) }
+
+// decodeInline is the any form of DecodeWord: the three codecs above have
+// one wire form, whether the engine moves their values as words or a caller
+// as values.
+func decodeInline(buf []byte, k Kind) (any, int, error) {
+	w, n, err := DecodeWord(buf, k)
+	if err != nil {
+		return nil, 0, err
 	}
-	b, k := binary.Varint(buf[n:])
-	if k <= 0 {
-		return nil, 0, ErrCorrupt
-	}
-	return Int64Pair{A: a, B: b}, n + k, nil
+	return w.Resolve(nil), n, nil
 }
 
 // Int64Slice encodes []int64 payloads (used by the clustering algorithms,
@@ -189,14 +180,7 @@ func (Int64Slice) Decode(buf []byte) (any, int, error) {
 type Float64 struct{}
 
 // Append implements Payload.
-func (Float64) Append(buf []byte, v any) []byte {
-	return binary.BigEndian.AppendUint64(buf, math.Float64bits(v.(float64)))
-}
+func (Float64) Append(buf []byte, v any) []byte { return AppendWord(buf, FloatWord(v.(float64))) }
 
 // Decode implements Payload.
-func (Float64) Decode(buf []byte) (any, int, error) {
-	if len(buf) < 8 {
-		return nil, 0, ErrCorrupt
-	}
-	return math.Float64frombits(binary.BigEndian.Uint64(buf)), 8, nil
-}
+func (Float64) Decode(buf []byte) (any, int, error) { return decodeInline(buf, KindFloat) }

@@ -31,7 +31,7 @@ type ssspGateProg struct {
 
 func (a *ssspGateProg) Init(v *VertexCtx) { v.SetState(v.Lifespan(), allocUnreachable) }
 
-func (a *ssspGateProg) Compute(v *VertexCtx, t ival.Interval, state any, msgs []any) {
+func (a *ssspGateProg) Compute(v *VertexCtx, t ival.Interval, state any, msgs []codec.Word) {
 	if v.Superstep() == 1 {
 		if v.ID() == a.source {
 			if at := t.Intersect(ival.From(a.start)); !at.IsEmpty() {
@@ -42,7 +42,7 @@ func (a *ssspGateProg) Compute(v *VertexCtx, t ival.Interval, state any, msgs []
 	}
 	best := state.(int64)
 	for _, m := range msgs {
-		if c := m.(int64); c < best {
+		if c := m.Int(); c < best {
 			best = c
 		}
 	}
@@ -61,12 +61,12 @@ func (a *ssspGateProg) Scatter(v *VertexCtx, e *tgraph.Edge, t ival.Interval, st
 	if !ok1 || !ok2 {
 		return nil
 	}
-	v.Emit(ival.From(ival.SatAdd(t.Start, tt)), cost+tc)
+	v.Emit(ival.From(ival.SatAdd(t.Start, tt)), codec.IntWord(cost+tc))
 	return nil
 }
 
-func (a *ssspGateProg) CombineWarp(x, y any) any {
-	if x.(int64) < y.(int64) {
+func (a *ssspGateProg) CombineWarp(x, y codec.Word) codec.Word {
+	if x.Int() < y.Int() {
 		return x
 	}
 	return y
@@ -76,11 +76,9 @@ func (a *ssspGateProg) CombineWarp(x, y any) any {
 // message intervals carrying float64 rank mass, a fixed superstep budget. On
 // the transit fixture most edges live for a single time-point, so the unit
 // fraction trips warp suppression and this program gates the scratch-backed
-// point-groups path plus the lifespan gap filling. The gate disables the warp
-// combiner because a sum fold's one allocation is Go boxing the freshly
-// summed float64 — a language-level cost of `any` payloads rather than a warp
-// buffer; the combined fold machinery itself is gated by SSSP, whose min-fold
-// returns an already boxed input.
+// point-groups path plus the lifespan gap filling — with its sum combiner,
+// every result of which is a value that did not exist before: one heap object
+// each when a message was an any, nothing now that it is a word.
 type prGateProg struct {
 	iters    int
 	damping  float64
@@ -118,7 +116,7 @@ func (a *prGateProg) Init(v *VertexCtx) {
 	v.SetState(v.Lifespan(), 1.0/float64(v.NumVertices()))
 }
 
-func (a *prGateProg) Compute(v *VertexCtx, t ival.Interval, state any, msgs []any) {
+func (a *prGateProg) Compute(v *VertexCtx, t ival.Interval, state any, msgs []codec.Word) {
 	n := float64(v.NumVertices())
 	if v.Superstep() == 1 {
 		v.SetState(t, 1.0/n)
@@ -126,7 +124,7 @@ func (a *prGateProg) Compute(v *VertexCtx, t ival.Interval, state any, msgs []an
 	}
 	var sum float64
 	for _, m := range msgs {
-		sum += m.(float64)
+		sum += m.Float()
 	}
 	v.SetState(t, (1-a.damping)/n+a.damping*sum)
 }
@@ -141,12 +139,14 @@ func (a *prGateProg) Scatter(v *VertexCtx, e *tgraph.Edge, t ival.Interval, stat
 		if x.IsEmpty() || dp.deg == 0 {
 			continue
 		}
-		v.Emit(x, rank/float64(dp.deg))
+		v.Emit(x, codec.FloatWord(rank/float64(dp.deg)))
 	}
 	return nil
 }
 
-func (a *prGateProg) CombineWarp(x, y any) any { return x.(float64) + y.(float64) }
+func (a *prGateProg) CombineWarp(x, y codec.Word) codec.Word {
+	return codec.FloatWord(x.Float() + y.Float())
+}
 
 // alignRec is one captured steady-state inbox.
 type alignRec struct {
@@ -203,7 +203,7 @@ func runAlignGate(t *testing.T, prog Program, opts Options) {
 	ws := &workspace{}
 	replay := func() {
 		for _, r := range rec.recs {
-			rt.align(ws, rt.states[r.vertex], r.msgs, r.superstep)
+			rt.align(ws, rt.states[r.vertex], nil, r.msgs, r.superstep) // no inbox spilled: no context to read from
 		}
 	}
 	replay() // grow the workspace to its working size
@@ -227,15 +227,116 @@ func TestAlignNoAllocsSSSPTransit(t *testing.T) {
 
 // TestAlignNoAllocsPageRankTransit gates the warp phase of PageRank on the
 // transit fixture: all-active alignment of bounded, mostly unit message
-// intervals (the suppressed point-groups path) with lifespan gap filling.
+// intervals (the suppressed point-groups path) with lifespan gap filling,
+// folding each group with the sum combiner.
 func TestAlignNoAllocsPageRankTransit(t *testing.T) {
 	prog := newPRGateProg(tgraph.TransitExample(), 5)
 	runAlignGate(t, prog,
 		Options{
-			NumWorkers:          2,
-			ActivateAll:         true,
-			MaxSupersteps:       prog.iters + 1,
-			PayloadCodec:        codec.Float64{},
-			DisableWarpCombiner: true,
+			NumWorkers:      2,
+			ActivateAll:     true,
+			MaxSupersteps:   prog.iters + 1,
+			PayloadCodec:    codec.Float64{},
+			ReceiverCombine: true,
 		})
+}
+
+// steadyProg is PageRank's shape held in a steady state, for each kind of
+// word: every vertex active every superstep, unit and bounded messages summed
+// by the combiner at delivery and again in the sweep, Compute reading the
+// folded word and Scatter emitting a value that did not exist before — past
+// the runtime's static small-integer boxes where it is an integer. The one
+// thing it does not do is change its state: SetState rewrites the same boxed
+// value, which marks the interval updated (so Scatter runs) and allocates
+// nothing, because vertex state is still an any and a new one would.
+type steadyProg struct {
+	kind  codec.Kind
+	state any
+	sink  int64
+}
+
+func (a *steadyProg) word(x int64) codec.Word {
+	switch a.kind {
+	case codec.KindFloat:
+		return codec.FloatWord(float64(x) * 0.137)
+	case codec.KindPair:
+		return codec.PairWord(x, -x)
+	}
+	return codec.IntWord(x)
+}
+
+func (a *steadyProg) CombineWarp(x, y codec.Word) codec.Word {
+	switch a.kind {
+	case codec.KindFloat:
+		return codec.FloatWord(x.Float() + y.Float())
+	case codec.KindPair:
+		return codec.PairWord(x.Pair().A+y.Pair().A, x.Pair().B+y.Pair().B)
+	}
+	return codec.IntWord(x.Int() + y.Int())
+}
+
+func (a *steadyProg) Init(v *VertexCtx) { v.SetState(v.Lifespan(), a.state) }
+
+func (a *steadyProg) Compute(v *VertexCtx, t ival.Interval, state any, msgs []codec.Word) {
+	for _, m := range msgs {
+		a.sink += int64(m.A)
+	}
+	v.SetState(t, a.state)
+}
+
+func (a *steadyProg) Scatter(v *VertexCtx, e *tgraph.Edge, t ival.Interval, state any) []OutMsg {
+	v.Emit(ival.Interval{}, a.word(1000+int64(v.Superstep())*int64(e.ID+1)))
+	return nil
+}
+
+// TestSuperstepNoAllocsSteadyState is the gate over the whole message path:
+// one superstep of a one-shard run — align, Compute, Scatter, Emit, Send's
+// accounting, the exchange and delivery under the receiver combiner — must
+// not allocate, whichever kind of word the messages are. (A one-shard run has
+// no batch to encode; TestOutboundAllocsPerBatch gates that.)
+func TestSuperstepNoAllocsSteadyState(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc gate skipped under -race")
+	}
+	kinds := []struct {
+		kind  codec.Kind
+		codec codec.Payload
+	}{{codec.KindInt, codec.Int64{}}, {codec.KindFloat, codec.Float64{}}, {codec.KindPair, codec.PairCodec{}}}
+	for _, k := range kinds {
+		t.Run(k.kind.String(), func(t *testing.T) {
+			prog := &steadyProg{kind: k.kind, state: int64(7)}
+			sh, err := NewShard(tgraph.TransitExample(), prog, Options{
+				NumWorkers: 1, ActivateAll: true, MaxSupersteps: 1 << 30,
+				PayloadCodec: k.codec, ReceiverCombine: true,
+			}, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sh.Close()
+			if err := sh.Init(); err != nil {
+				t.Fatal(err)
+			}
+			var delivered int64
+			step := func() {
+				if err := sh.Compute(); err != nil {
+					t.Fatal(err)
+				}
+				n, err := sh.Deliver(nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				delivered = n
+				sh.Barrier()
+			}
+			for i := 0; i < 4; i++ {
+				step()
+			}
+			if delivered == 0 || prog.sink == 0 {
+				t.Fatalf("the fixture moves no messages (%d delivered, sink %d); the gate measured nothing", delivered, prog.sink)
+			}
+			if allocs := testing.AllocsPerRun(50, step); allocs != 0 {
+				t.Errorf("a steady-state superstep of %s messages allocates %.2f times, want 0", k.kind, allocs)
+			}
+		})
+	}
 }

@@ -102,27 +102,35 @@ func vertexStepGraph(tb testing.TB) *tgraph.Graph {
 // one worker. The hub's step is nearly all of it: per superstep 24 warp
 // tuples, 24 state updates into a 24-partition state, and the scatter
 // alignment of 24 updated partitions against 1 000 edges of which each
-// partition overlaps a few dozen.
+// partition overlaps a few dozen. It runs as PageRank does — the sum combiner
+// at delivery and in the sweep, each fold a new float64 — and without the
+// combiner, Compute summing the group itself.
 func BenchmarkVertexStep(b *testing.B) {
 	g := vertexStepGraph(b)
 	prog := newPRGateProg(g, 4)
-	opts := Options{
-		NumWorkers:      1,
-		ActivateAll:     true,
-		MaxSupersteps:   prog.iters + 1,
-		PayloadCodec:    codec.Float64{},
-		ReceiverCombine: true,
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r, err := Run(g, prog, opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if got := r.State(0).NumParts(); got != 24 {
-			b.Fatalf("hub settled at %d partitions, want 24", got)
-		}
+	for _, combined := range []bool{true, false} {
+		name := map[bool]string{true: "combined", false: "uncombined"}[combined]
+		b.Run(name, func(b *testing.B) {
+			opts := Options{
+				NumWorkers:          1,
+				ActivateAll:         true,
+				MaxSupersteps:       prog.iters + 1,
+				PayloadCodec:        codec.Float64{},
+				ReceiverCombine:     combined,
+				DisableWarpCombiner: !combined,
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				r, err := Run(g, prog, opts)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if got := r.State(0).NumParts(); got != 24 {
+					b.Fatalf("hub settled at %d partitions, want 24", got)
+				}
+			}
+		})
 	}
 }
 
@@ -134,7 +142,7 @@ type scatterPropsProg struct{ calls, sink int64 }
 
 func (p *scatterPropsProg) Init(v *VertexCtx) { v.SetState(v.Lifespan(), int64(0)) }
 
-func (p *scatterPropsProg) Compute(*VertexCtx, ival.Interval, any, []any) {}
+func (p *scatterPropsProg) Compute(*VertexCtx, ival.Interval, any, []codec.Word) {}
 
 func (p *scatterPropsProg) Scatter(v *VertexCtx, e *tgraph.Edge, t ival.Interval, state any) []OutMsg {
 	p.calls++

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 
+	"graphite/internal/codec"
 	"graphite/internal/engine"
 	ival "graphite/internal/interval"
 	"graphite/internal/tgraph"
@@ -14,6 +15,7 @@ import (
 type VertexCtx struct {
 	rt  *runtime
 	eng *engine.Context
+	ws  *workspace // the executing worker's: its warp scratch holds spilled payloads
 	idx int
 	v   *tgraph.Vertex
 
@@ -98,7 +100,7 @@ func (c *VertexCtx) SetState(iv ival.Interval, value any) error {
 // allocating an OutMsg slice; a zero interval inherits the scatter overlap
 // (τm = τ'k). It may only be called during Scatter; algorithms use it in
 // place of returning a non-nil slice on hot paths.
-func (c *VertexCtx) Emit(when ival.Interval, value any) {
+func (c *VertexCtx) Emit(when ival.Interval, value codec.Word) {
 	if !c.inScatter {
 		c.rt.fail(fmt.Errorf("core: Emit called outside Scatter by vertex %d", c.v.ID))
 		return
@@ -109,8 +111,17 @@ func (c *VertexCtx) Emit(when ival.Interval, value any) {
 	if when.IsEmpty() {
 		return
 	}
-	c.eng.Send(c.scatterTo, when, value)
+	c.eng.SendWord(c.scatterTo, when, value, c.ws.scratch.Spilled())
 }
+
+// Spill turns a payload outside the word palette (a slice, a struct) into
+// the word that stands for it in an Emit, a SendTo or an OutMsg made during
+// the same call. Payload reads such a word back — one Compute was handed, or
+// one Spill returned; an inline word it returns as the value it holds.
+func (c *VertexCtx) Spill(value any) codec.Word { return c.ws.scratch.Spill(value) }
+
+// Payload returns the value a message word stands for: see Spill.
+func (c *VertexCtx) Payload(w codec.Word) any { return c.ws.scratch.Payload(w) }
 
 // ScatterPiece returns, during a Scatter call, the full edge property piece
 // being scattered over (the scatter interval t is its intersection with the
@@ -153,11 +164,11 @@ func (c *VertexCtx) failPieceProp(slot int) {
 // sweeps) use this; messages still flow through the engine and are counted.
 // A vertex Options.Window dropped is not there to be messaged: nothing is
 // sent.
-func (c *VertexCtx) SendTo(dst int, when ival.Interval, value any) {
+func (c *VertexCtx) SendTo(dst int, when ival.Interval, value codec.Word) {
 	if c.rt.window != ival.Universe && !c.rt.g.VertexAt(dst).Lifespan.Intersects(c.rt.window) {
 		return
 	}
-	c.eng.Send(dst, when, value)
+	c.eng.SendWord(dst, when, value, c.ws.scratch.Spilled())
 }
 
 // Aggregate contributes to a named aggregator.

@@ -23,25 +23,31 @@ import (
 // once per overlapping sub-interval of an updated state and an out-edge
 // property partition, and returns the messages to send to the edge's
 // destination (nil payloads are allowed; a nil slice sends nothing).
+//
+// A message payload is a codec.Word: an int64, a float64, a codec.Int64Pair
+// or nil held inline (codec.IntWord, FloatWord, PairWord; Word.Int, Float,
+// Pair), anything else through VertexCtx.Spill and VertexCtx.Payload. State
+// values stay any.
 type Program interface {
 	Init(v *VertexCtx)
-	Compute(v *VertexCtx, t ival.Interval, state any, msgs []any)
+	Compute(v *VertexCtx, t ival.Interval, state any, msgs []codec.Word)
 	Scatter(v *VertexCtx, e *tgraph.Edge, t ival.Interval, state any) []OutMsg
 }
 
 // WarpCombiner is an optional Program extension (Sec. VI "Inline Warp
 // Combiner"): when implemented, message groups are folded during the warp
 // sweep and Compute receives a single combined message per tuple. The fold
-// must be commutative and associative.
+// must be commutative and associative, and is for payloads held inline: with
+// Options.ReceiverCombine a spilled one is never handed to it.
 type WarpCombiner interface {
-	CombineWarp(a, b any) any
+	CombineWarp(a, b codec.Word) codec.Word
 }
 
 // OutMsg is a message produced by Scatter. A zero When inherits the scatter
 // sub-interval, matching the paper's default τm = τ'k.
 type OutMsg struct {
 	When  ival.Interval
-	Value any
+	Value codec.Word
 }
 
 // DefaultSuppressionThreshold is the unit-length message fraction above
@@ -292,7 +298,7 @@ func Run(g *tgraph.Graph, prog Program, opts Options) (*Result, error) {
 		cfg.Tracer = &icmTracer{rt: rt, next: opts.Tracer}
 	}
 	if opts.ReceiverCombine && rt.combine != nil {
-		cfg.Combiner = engine.CombinerFunc(rt.combine)
+		cfg.Combiner = engine.Combiner(rt.combine)
 	}
 	var eprog engine.Program = rt
 	if opts.WrapProgram != nil {

@@ -4,6 +4,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"graphite/internal/codec"
 	"graphite/internal/engine"
 	ival "graphite/internal/interval"
 	"graphite/internal/tgraph"
@@ -171,7 +172,7 @@ func (rt *runtime) Init(ctx *engine.Context) {
 		return
 	}
 	rt.states[i] = NewPartitionedState(life, nil)
-	vc := VertexCtx{rt: rt, eng: ctx, idx: i, v: v, inInit: true}
+	vc := VertexCtx{rt: rt, eng: ctx, ws: rt.workspace(ctx), idx: i, v: v, inInit: true}
 	rt.prog.Init(&vc)
 	if seed := rt.seedFor(i); seed != nil {
 		if err := overlaySeed(rt.states[i], seed); err != nil {
@@ -225,8 +226,9 @@ func (rt *runtime) Run(ctx *engine.Context, msgs []engine.Message) {
 		return // outside the window
 	}
 	ws := rt.workspace(ctx)
+	ws.scratch.Reset()
 	vc := &ws.vc
-	*vc = VertexCtx{rt: rt, eng: ctx, idx: i, v: rt.g.VertexAt(i), updated: vc.updated[:0]}
+	*vc = VertexCtx{rt: rt, eng: ctx, ws: ws, idx: i, v: rt.g.VertexAt(i), updated: vc.updated[:0]}
 
 	if ctx.Superstep() == 1 && rt.seedFor(i) != nil {
 		// Seeded vertices replace the cold superstep-1 compute with a full
@@ -247,7 +249,7 @@ func (rt *runtime) Run(ctx *engine.Context, msgs []engine.Message) {
 		return
 	}
 
-	tuples := rt.align(ws, st, msgs, ctx.Superstep())
+	tuples := rt.align(ws, st, ctx, msgs, ctx.Superstep())
 	if len(tuples) == 0 {
 		return
 	}
@@ -301,8 +303,9 @@ func (rt *runtime) Run(ctx *engine.Context, msgs []engine.Message) {
 // align produces the compute tuples for one vertex and superstep: the
 // pre-compute time-warp of Sec. IV-B, its suppressed and disabled fallbacks,
 // and the whole-lifespan activation paths. The result lives in the worker's
-// workspace and is valid only until the worker's next vertex.
-func (rt *runtime) align(ws *workspace, st *PartitionedState, msgs []engine.Message, superstep int) []warp.Tuple {
+// workspace and is valid only until the worker's next vertex. ctx is where
+// the inbox's spilled payloads are read from, if it has any.
+func (rt *runtime) align(ws *workspace, st *PartitionedState, ctx *engine.Context, msgs []engine.Message, superstep int) []warp.Tuple {
 	tuples := ws.tuples[:0]
 	if superstep == 1 || (rt.opts.ActivateAll && len(msgs) == 0) {
 		// Superstep 1 runs compute on every vertex for its entire lifespan
@@ -318,12 +321,16 @@ func (rt *runtime) align(ws *workspace, st *PartitionedState, msgs []engine.Mess
 	// warp scratch: warp would do it anyway, and the suppression heuristic
 	// must see the effective intervals — a [t, ∞) path message hitting a
 	// vertex that lives for one time-point is a unit message in every sense.
+	// A spilled payload moves from the inbox slab's table to the scratch's.
 	life := st.Lifespan()
-	ws.scratch.Reset()
 	var n, unit int64
 	for _, m := range msgs {
 		if x := m.When.Intersect(life); !x.IsEmpty() {
-			ws.scratch.Add(x, m.Value)
+			w := m.Word()
+			if w.K == codec.KindSpill {
+				w = ws.scratch.Spill(ctx.Payload(m))
+			}
+			ws.scratch.Add(x, w)
 			n++
 			if x.IsUnit() {
 				unit++
@@ -410,7 +417,7 @@ func (rt *runtime) scatterPart(vc *VertexCtx, ctx *engine.Context, targets []tar
 				if when.IsEmpty() {
 					continue
 				}
-				ctx.Send(int(tg.dst), when, om.Value)
+				ctx.SendWord(int(tg.dst), when, om.Value, vc.ws.scratch.Spilled())
 			}
 			vc.inScatter = false
 		}

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"testing"
 
+	"graphite/internal/codec"
 	ival "graphite/internal/interval"
 	"graphite/internal/tgraph"
 )
@@ -35,9 +36,9 @@ func (p *floodProgram) Init(v *VertexCtx) {
 	v.SetState(v.Lifespan(), int64(0))
 }
 
-func (p *floodProgram) Compute(v *VertexCtx, t ival.Interval, state any, msgs []any) {
+func (p *floodProgram) Compute(v *VertexCtx, t ival.Interval, state any, msgs []codec.Word) {
 	if p.emitEarly {
-		v.Emit(t, int64(1))
+		v.Emit(t, codec.IntWord(1))
 		return
 	}
 	if v.Superstep() == 1 {
@@ -57,7 +58,7 @@ func (p *floodProgram) Compute(v *VertexCtx, t ival.Interval, state any, msgs []
 }
 
 func (p *floodProgram) Scatter(v *VertexCtx, e *tgraph.Edge, t ival.Interval, state any) []OutMsg {
-	return []OutMsg{{Value: state}}
+	return []OutMsg{{Value: codec.IntWord(state.(int64))}}
 }
 
 func TestRuntimeFloodInheritsIntervals(t *testing.T) {
@@ -107,7 +108,7 @@ type propProgram struct {
 	slot      int
 }
 
-func (p *propProgram) Compute(v *VertexCtx, t ival.Interval, state any, msgs []any) {
+func (p *propProgram) Compute(v *VertexCtx, t ival.Interval, state any, msgs []codec.Word) {
 	if p.inCompute {
 		v.PieceProp(p.slot)
 	}
@@ -162,7 +163,7 @@ type countingProgram struct {
 
 func (p *countingProgram) Init(v *VertexCtx) { v.SetState(v.Lifespan(), int64(0)) }
 
-func (p *countingProgram) Compute(v *VertexCtx, t ival.Interval, state any, msgs []any) {
+func (p *countingProgram) Compute(v *VertexCtx, t ival.Interval, state any, msgs []codec.Word) {
 	if p.tuples != nil && v.ID() == 2 {
 		p.tuples[v.Superstep()]++
 	}
@@ -177,7 +178,7 @@ func (p *countingProgram) Scatter(v *VertexCtx, e *tgraph.Edge, t ival.Interval,
 	if x.IsEmpty() {
 		return nil
 	}
-	return []OutMsg{{When: x, Value: int64(1)}}
+	return []OutMsg{{When: x, Value: codec.IntWord(1)}}
 }
 
 func TestActivateAllCoversGaps(t *testing.T) {
@@ -218,7 +219,7 @@ type scatterRecProg struct {
 
 func (p *scatterRecProg) Init(v *VertexCtx) { v.SetState(v.Lifespan(), int64(0)) }
 
-func (p *scatterRecProg) Compute(v *VertexCtx, t ival.Interval, state any, msgs []any) {
+func (p *scatterRecProg) Compute(v *VertexCtx, t ival.Interval, state any, msgs []codec.Word) {
 	s, w := t.Start, ival.Time(64)
 	if t.End != ival.Infinity && t.End-t.Start < w {
 		w = t.End - t.Start
@@ -238,7 +239,7 @@ func (p *scatterRecProg) Compute(v *VertexCtx, t ival.Interval, state any, msgs 
 
 func (p *scatterRecProg) Scatter(v *VertexCtx, e *tgraph.Edge, t ival.Interval, state any) []OutMsg {
 	p.calls[v.Index()] = append(p.calls[v.Index()], scatterCall{dst: v.scatterTo, when: t, piece: v.ScatterPiece(), value: state})
-	return []OutMsg{{Value: state}}
+	return []OutMsg{{Value: codec.IntWord(state.(int64))}}
 }
 
 // TestScatterMatchesAllPairsOracle holds the scatter step of one superstep to

@@ -71,7 +71,7 @@ func NewShard(g *tgraph.Graph, prog Program, opts Options, shard int) (*Shard, e
 		Span:         opts.Span,
 	}
 	if opts.ReceiverCombine && rt.combine != nil {
-		cfg.Combiner = engine.CombinerFunc(rt.combine)
+		cfg.Combiner = engine.Combiner(rt.combine)
 	}
 	sh, err := engine.NewShard(g.NumVertices(), rt, cfg, shard)
 	if err != nil {

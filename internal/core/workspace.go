@@ -16,7 +16,7 @@ import (
 // workspace is valid only until the worker's next vertex — nothing here may
 // escape a Run call.
 type workspace struct {
-	scratch warp.Scratch // the lifespan-clipped inbox, time-warp buffers and group arena
+	scratch warp.Scratch // the lifespan-clipped inbox, time-warp buffers, group arena, and the vertex's spilled payloads
 	tuples  []warp.Tuple // warp output consumed by the compute loop
 	vc      VertexCtx    // persistent so &vc never escapes to the heap
 }

@@ -27,49 +27,68 @@ func sendContext(t testing.TB, tracer obs.Tracer) *Context {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
+	e.workers[0].drawOutboxes()
+	t.Cleanup(e.releaseBuffers)
 	ctx := &Context{eng: e, w: e.workers[0], vertex: 0}
 	// Warm the outbox and the codec scratch buffer past any growth.
 	for i := 0; i < 64; i++ {
 		ctx.Send(1, ival.Universe, int64(5))
 	}
-	for dw := range ctx.w.outbox {
-		ctx.w.outbox[dw] = ctx.w.outbox[dw][:0]
+	for _, ob := range ctx.w.outbox {
+		ob.reset()
 	}
 	return ctx
 }
 
 // TestSendNoAllocsUntraced is the acceptance check that observability is
-// free when off: with no tracer configured, Context.Send — which still
-// counts messages, bytes and interval-encoding classes — must not allocate.
+// free when off and that a message is words: with no tracer configured,
+// sending a value made inside the measured call — an int64 past the runtime's
+// static small-integer boxes, a float64, a pair; as an any each would be a
+// fresh heap object — still counts messages, bytes and interval-encoding
+// classes, and must not allocate.
 func TestSendNoAllocsUntraced(t *testing.T) {
-	ctx := sendContext(t, nil)
-	var v any = int64(5) // box once; Send takes any
 	intervals := []ival.Interval{
 		ival.Universe,  // unbounded class
 		ival.Point(3),  // unit class
 		ival.New(2, 9), // general class
 		ival.New(5, 5), // empty class
 	}
-	for _, iv := range intervals {
-		iv := iv
-		allocs := testing.AllocsPerRun(200, func() {
-			ctx.Send(1, iv, v)
-			ctx.w.outbox[1] = ctx.w.outbox[1][:0]
-		})
-		if allocs != 0 {
-			t.Errorf("Send(%v) with tracing off allocates %.1f per call, want 0", iv, allocs)
+	n := int64(1000)
+	words := []struct {
+		name  string
+		codec codec.Payload
+		fresh func() codec.Word
+	}{
+		{"int64", codec.Int64{}, func() codec.Word { n++; return codec.IntWord(n) }},
+		{"float64", codec.Float64{}, func() codec.Word { n++; return codec.FloatWord(float64(n) * 0.137) }},
+		{"pair", codec.PairCodec{}, func() codec.Word { n++; return codec.PairWord(n, -n) }},
+	}
+	for _, wd := range words {
+		ctx := sendContext(t, nil)
+		ctx.eng.cfg.PayloadCodec = wd.codec
+		ctx.eng.inline = codec.InlineKind(wd.codec)
+		for _, iv := range intervals {
+			allocs := testing.AllocsPerRun(200, func() {
+				ctx.SendWord(1, iv, wd.fresh(), nil)
+				ctx.w.outbox[1].reset()
+			})
+			if allocs != 0 {
+				t.Errorf("SendWord(%v, a fresh %s) with tracing off allocates %.1f per call, want 0", iv, wd.name, allocs)
+			}
 		}
 	}
 }
 
-// minInt64Combiner mirrors SSSP's receiver-side combiner: it returns one of
-// its (already boxed) inputs, so combining itself cannot allocate.
-func minInt64Combiner(a, b any) any {
-	if a.(int64) < b.(int64) {
+// minInt64Combiner mirrors SSSP's receiver-side combiner; sumCombiner
+// PageRank's, whose every result is a value that did not exist before.
+func minInt64Combiner(a, b codec.Word) codec.Word {
+	if a.Int() < b.Int() {
 		return a
 	}
 	return b
 }
+
+func sumCombiner(a, b codec.Word) codec.Word { return codec.FloatWord(a.Float() + b.Float()) }
 
 // steadyExchangeStep builds an engine, installs a fixed traffic template, and
 // returns one steady-state exchange superstep: refill every outbox from the
@@ -93,10 +112,14 @@ func steadyExchangeStep(t testing.TB, cfg Config, traffic [][][]Message) func() 
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
+	for _, w := range e.workers {
+		w.drawOutboxes()
+	}
+	t.Cleanup(e.releaseBuffers)
 	step := func() {
 		for _, w := range e.workers {
 			for dst := range e.workers {
-				w.outbox[dst] = append(w.outbox[dst][:0], traffic[w.id][dst]...)
+				w.outbox[dst].msgs = append(w.outbox[dst].msgs[:0], traffic[w.id][dst]...)
 			}
 		}
 		for _, w := range e.workers {
@@ -119,8 +142,7 @@ func steadyExchangeStep(t testing.TB, cfg Config, traffic [][][]Message) func() 
 
 // ssspTraffic is SSSP-on-transit-shaped exchange load: unbounded [t, ∞)
 // message intervals, int64 costs, several messages per destination so the
-// receiver-side combiner path runs. Payloads are boxed once here, never
-// inside the measured step.
+// receiver-side combiner path runs.
 func ssspTraffic(workers, vertices int) [][][]Message {
 	tr := make([][][]Message, workers)
 	for src := range tr {
@@ -128,11 +150,8 @@ func ssspTraffic(workers, vertices int) [][][]Message {
 		for v := 0; v < vertices; v++ {
 			dst := v % workers
 			for k := 0; k < 3; k++ {
-				tr[src][dst] = append(tr[src][dst], Message{
-					Dst:   int32(v),
-					When:  ival.From(ival.Time(5 + k)),
-					Value: int64(300 + v + k),
-				})
+				tr[src][dst] = append(tr[src][dst],
+					newMessage(int32(v), ival.From(ival.Time(5+k)), codec.IntWord(int64(300+v+k))))
 			}
 		}
 	}
@@ -140,8 +159,8 @@ func ssspTraffic(workers, vertices int) [][][]Message {
 }
 
 // prTraffic is PageRank-on-transit-shaped exchange load: general (bounded)
-// message intervals, float64 rank mass, no combiner — every message is
-// appended to its destination slab.
+// message intervals, float64 rank mass; with the sum combiner, the three
+// sources' contributions per interval fold into one.
 func prTraffic(workers, vertices int) [][][]Message {
 	tr := make([][][]Message, workers)
 	for src := range tr {
@@ -149,11 +168,8 @@ func prTraffic(workers, vertices int) [][][]Message {
 		for v := 0; v < vertices; v++ {
 			dst := v % workers
 			for k := 0; k < 3; k++ {
-				tr[src][dst] = append(tr[src][dst], Message{
-					Dst:   int32(v),
-					When:  ival.New(ival.Time(2+k), ival.Time(9+k)),
-					Value: float64(v+1) * 0.137,
-				})
+				tr[src][dst] = append(tr[src][dst],
+					newMessage(int32(v), ival.New(ival.Time(2+k), ival.Time(9+k)), codec.FloatWord(float64(v+1)*0.137)))
 			}
 		}
 	}
@@ -163,8 +179,9 @@ func prTraffic(workers, vertices int) [][][]Message {
 // TestExchangeNoAllocsSteadyState is the exchange-phase half of the
 // zero-allocation gate: with the message arena warm, a full in-memory
 // exchange superstep — outbox refill, delivery into pooled inbox slabs
-// (combined and uncombined), and slab recycling — must not allocate, for both
-// SSSP-shaped and PageRank-shaped traffic.
+// (combined and uncombined), and slab recycling — must not allocate, for
+// SSSP-shaped traffic and for PageRank-shaped traffic with and without the
+// sum combiner, whose results were one heap object each as values.
 func TestExchangeNoAllocsSteadyState(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc gate skipped under -race: sync.Pool drops items at random under the race detector")
@@ -179,7 +196,7 @@ func TestExchangeNoAllocsSteadyState(t *testing.T) {
 			cfg: Config{
 				NumWorkers:   2,
 				PayloadCodec: codec.Int64{},
-				Combiner:     CombinerFunc(minInt64Combiner),
+				Combiner:     minInt64Combiner,
 			},
 			traffic: ssspTraffic(2, 8),
 		},
@@ -188,6 +205,15 @@ func TestExchangeNoAllocsSteadyState(t *testing.T) {
 			cfg: Config{
 				NumWorkers:   2,
 				PayloadCodec: codec.Float64{},
+			},
+			traffic: prTraffic(2, 8),
+		},
+		{
+			name: "pr-shaped, sum combiner",
+			cfg: Config{
+				NumWorkers:   2,
+				PayloadCodec: codec.Float64{},
+				Combiner:     sumCombiner,
 			},
 			traffic: prTraffic(2, 8),
 		},
@@ -208,7 +234,7 @@ func BenchmarkExchangeSteadyState(b *testing.B) {
 	step := steadyExchangeStep(b, Config{
 		NumWorkers:   2,
 		PayloadCodec: codec.Int64{},
-		Combiner:     CombinerFunc(minInt64Combiner),
+		Combiner:     minInt64Combiner,
 	}, ssspTraffic(2, 8))
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -217,17 +243,69 @@ func BenchmarkExchangeSteadyState(b *testing.B) {
 	}
 }
 
+// rankTraffic is cluster_pr's exchange load (PageRank over SkewedLike(0.2),
+// seed 42, two workers): unit-interval float64 rank mass, perSlab messages to
+// each vertex per superstep spread over `points` time-points, which is what
+// the sum combiner folds them into.
+func rankTraffic(workers, vertices, perSlab, points int) [][][]Message {
+	tr := make([][][]Message, workers)
+	for src := range tr {
+		tr[src] = make([][]Message, workers)
+	}
+	for v := 0; v < vertices; v++ {
+		for k := 0; k < perSlab; k++ {
+			src := k % workers
+			tr[src][v%workers] = append(tr[src][v%workers],
+				newMessage(int32(v), ival.Point(ival.Time(k*7%points)), codec.FloatWord(float64(k+1)*0.137)))
+		}
+	}
+	return tr
+}
+
+// BenchmarkExchangeRank is the exchange superstep of the measured cluster_pr
+// traffic under PageRank's sum combiner, at the mean inbox (93 messages
+// folding into 23 time-points) and at the hub's (253 into 42). Every combine
+// makes a float64 that did not exist before; once warmed, none of it may
+// allocate.
+func BenchmarkExchangeRank(b *testing.B) {
+	for _, sz := range []struct {
+		name            string
+		perSlab, points int
+	}{{"mean", 93, 23}, {"hub", 253, 42}} {
+		b.Run(sz.name, func(b *testing.B) {
+			const vertices = 64
+			step := steadyExchangeStep(b, Config{
+				NumWorkers:   2,
+				PayloadCodec: codec.Float64{},
+				Combiner:     sumCombiner,
+			}, rankTraffic(2, vertices, sz.perSlab, sz.points))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				step()
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*vertices*sz.perSlab), "ns/msg")
+			if raceEnabled {
+				return // sync.Pool drops items at random under the race detector
+			}
+			if allocs := testing.AllocsPerRun(10, step); allocs != 0 {
+				b.Fatalf("%v allocs per warmed exchange superstep, want 0", allocs)
+			}
+		})
+	}
+}
+
 // BenchmarkContextSend reports the Send hot path with tracing off — the
 // configuration every production run uses.
 func BenchmarkContextSend(b *testing.B) {
 	ctx := sendContext(b, nil)
-	var v any = int64(5)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ctx.Send(1, ival.Universe, v)
-		if len(ctx.w.outbox[1]) >= 1024 {
-			ctx.w.outbox[1] = ctx.w.outbox[1][:0]
+		ctx.SendWord(1, ival.Universe, codec.IntWord(int64(i)), nil)
+		if len(ctx.w.outbox[1].msgs) >= 1024 {
+			ctx.w.outbox[1].reset()
 		}
 	}
 }

@@ -22,7 +22,7 @@ func (p *pingProgram) Init(ctx *Context) {
 
 func (p *pingProgram) Run(ctx *Context, msgs []Message) {
 	for _, m := range msgs {
-		ctx.Send((ctx.Vertex()+1)%p.n, ival.Universe, m.Value.(int64)+1)
+		ctx.Send((ctx.Vertex()+1)%p.n, ival.Universe, m.Word().Int()+1)
 	}
 }
 

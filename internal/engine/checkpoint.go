@@ -37,9 +37,9 @@ type checkpoint struct {
 	metrics    Metrics // absolute registry totals at capture time
 	classBytes [codec.NumIntervalClasses]int64
 	aggVals    map[string]any
-	program    any           // Snapshotter-provided user state
-	inbox      [][][]Message // [worker][slot]
-	active     [][]bool      // [worker][slot]
+	program    any         // Snapshotter-provided user state
+	inbox      [][]msgSlab // [worker][slot]
+	active     [][]bool    // [worker][slot]
 }
 
 // capture records a recovery point for the state "about to execute superstep
@@ -52,7 +52,7 @@ func (e *Engine) capture() {
 		metrics:   e.rawView(),
 		aggVals:   make(map[string]any, len(e.aggVals)),
 		program:   e.program.(Snapshotter).Snapshot(),
-		inbox:     make([][][]Message, len(e.workers)),
+		inbox:     make([][]msgSlab, len(e.workers)),
 		active:    make([][]bool, len(e.workers)),
 	}
 	for i, ctr := range e.ec.classBytes {
@@ -62,12 +62,12 @@ func (e *Engine) capture() {
 		c.aggVals[k] = v
 	}
 	for i, w := range e.workers {
-		c.inbox[i] = make([][]Message, len(w.inbox))
+		c.inbox[i] = make([]msgSlab, len(w.inbox))
 		for s, sl := range w.inbox {
 			if sl != nil && len(sl.msgs) > 0 {
 				// Checkpoints copy out of the pooled slab: a slab is recycled
 				// long before a rollback might need the snapshot again.
-				c.inbox[i][s] = append([]Message(nil), sl.msgs...)
+				c.inbox[i][s].addAll(sl)
 			}
 		}
 		c.active[i] = append([]bool(nil), w.active...)
@@ -101,17 +101,18 @@ func (e *Engine) restoreCheckpoint() {
 	for i, w := range e.workers {
 		for s := range w.inbox {
 			// Recycle whatever the failed superstep delivered — including
-			// payloads decoded from corrupted frames; put zeroes the slab so
-			// nothing poisoned survives in the pool — then rebuild the slot
-			// from a fresh copy of the snapshot (a snapshot can be restored
-			// more than once, so it must never share a buffer with live state).
+			// payloads decoded from corrupted frames; put scrubs the spill
+			// table so nothing poisoned survives in the pool — then rebuild
+			// the slot from a fresh copy of the snapshot (a snapshot can be
+			// restored more than once, so it must never share a buffer with
+			// live state).
 			if sl := w.inbox[s]; sl != nil {
 				w.inbox[s] = nil
 				msgArena.put(sl)
 			}
-			if msgs := c.inbox[i][s]; len(msgs) > 0 {
+			if saved := &c.inbox[i][s]; len(saved.msgs) > 0 {
 				sl := msgArena.get()
-				sl.msgs = append(sl.msgs, msgs...)
+				sl.addAll(saved)
 				w.inbox[s] = sl
 			}
 		}
@@ -119,8 +120,8 @@ func (e *Engine) restoreCheckpoint() {
 		// The dense frontier mirrors the active bitmap; rebuild it so the
 		// replayed compute phase schedules exactly the restored activations.
 		w.rebuildFrontier()
-		for d := range w.outbox {
-			w.outbox[d] = w.outbox[d][:0]
+		for _, ob := range w.outbox {
+			ob.reset()
 		}
 		w.resetPartials()
 	}

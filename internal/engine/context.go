@@ -16,7 +16,9 @@ type Context struct {
 	// lanes, when non-nil, are the per-destination outbox lanes of the chunk
 	// being executed; Send appends there instead of the worker outboxes so
 	// stolen chunks stay order-independent until the deterministic merge.
-	lanes [][]Message
+	lanes []msgSlab
+	// spill is the spill table of the inbox slab Program.Run was handed.
+	spill []any
 }
 
 // Vertex returns the dense index of the vertex being executed.
@@ -39,21 +41,40 @@ func (c *Context) Worker() int { return c.w.id }
 // Phase returns the master-set phase number (0 until changed).
 func (c *Context) Phase() int { return c.eng.phase }
 
+// Payload returns the value a message of the inbox Run was handed carries.
+func (c *Context) Payload(m Message) any { return m.Word().Resolve(c.spill) }
+
 // Send queues a message to the vertex with dense index dst, valid for the
-// given interval, delivered at the next barrier.
+// given interval, delivered at the next barrier. It is the any-valued front
+// of SendWord: a value of the word palette (nil, int64, float64,
+// codec.Int64Pair) travels inline, any other spills.
 func (c *Context) Send(dst int, when ival.Interval, value any) {
+	if w, ok := codec.WordOf(value); ok {
+		c.SendWord(dst, when, w, nil)
+		return
+	}
+	c.SendWord(dst, when, codec.Word{K: codec.KindSpill}, []any{value})
+}
+
+// SendWord is Send for a payload that already is a word; spill is the table
+// a spilled one indexes, which the payload is moved out of.
+func (c *Context) SendWord(dst int, when ival.Interval, pw codec.Word, spill []any) {
 	w := c.w
 	dw := int(c.eng.part[dst])
-	m := Message{Dst: int32(dst), When: when, Value: value}
+	ob := w.outbox[dw]
 	if c.lanes != nil {
-		c.lanes[dw] = append(c.lanes[dw], m)
-	} else {
-		w.outbox[dw] = append(w.outbox[dw], m)
+		ob = &c.lanes[dw]
 	}
+	ob.add(newMessage(int32(dst), when, pw), spill)
 	w.sentMsgs++
 	class, n := codec.ClassAndSize(when)
 	ivalBytes := int64(n)
-	size := ivalBytes + c.payloadSize(value)
+	size := ivalBytes
+	if pw.K == c.eng.inline {
+		size += int64(codec.WordSize(pw))
+	} else {
+		size += c.payloadSize(pw, spill)
+	}
 	w.sentBytes += size
 	w.classBytes[class] += ivalBytes
 	if w.outBytes != nil {
@@ -61,16 +82,24 @@ func (c *Context) Send(dst int, when ival.Interval, value any) {
 	}
 }
 
-// payloadSize estimates encoded payload bytes, preferring the configured
-// codec; the worker's scratch buffer keeps the sizing allocation-free.
-func (c *Context) payloadSize(v any) int64 {
-	if pc := c.eng.cfg.PayloadCodec; pc != nil {
-		c.w.scratch = pc.Append(c.w.scratch[:0], v)
-		return int64(len(c.w.scratch))
+// payloadSize sizes a payload that is not a word of the run's codec: one
+// that spilled, by encoding it into the worker's scratch buffer, or any at
+// all when there is no codec, by estimate.
+func (c *Context) payloadSize(pw codec.Word, spill []any) int64 {
+	if pw.K == codec.KindSpill {
+		c.w.spilled++
 	}
-	switch x := v.(type) {
-	case nil:
+	pc := c.eng.cfg.PayloadCodec
+	switch {
+	case pc != nil:
+		c.w.scratch = pc.Append(c.w.scratch[:0], pw.Resolve(spill))
+		return int64(len(c.w.scratch))
+	case pw.K == codec.KindNil:
 		return 0
+	case pw.K != codec.KindSpill:
+		return 8
+	}
+	switch x := spill[pw.A].(type) {
 	case bool, int8, uint8:
 		return 1
 	case []int64:

@@ -31,11 +31,23 @@ import (
 
 // Message is the engine-level message envelope: a payload valid for a
 // time-interval, addressed to a dense vertex index. Non-temporal platforms
-// use a fixed interval.
+// use a fixed interval. The payload is a codec.Word laid out flat — its kind
+// in Dst's padding — so a message is 40 bytes and holds no pointer: a payload
+// outside the word palette sits in the spill table of the slab the message is
+// in, read back with Context.Payload.
 type Message struct {
-	Dst   int32
-	When  ival.Interval
-	Value any
+	Dst  int32
+	Kind codec.Kind
+	When ival.Interval
+	A, B uint64
+}
+
+// Word returns the message's payload word.
+func (m Message) Word() codec.Word { return codec.Word{K: m.Kind, A: m.A, B: m.B} }
+
+// newMessage lays a payload word out in a message.
+func newMessage(dst int32, when ival.Interval, w codec.Word) Message {
+	return Message{Dst: dst, Kind: w.K, When: when, A: w.A, B: w.B}
 }
 
 // Program is the per-vertex logic a platform layers over the engine.
@@ -57,16 +69,9 @@ type Master interface {
 
 // Combiner merges two message payloads addressed to the same vertex for the
 // same interval (receiver-side combining). It must be commutative and
-// associative.
-type Combiner interface {
-	Combine(a, b any) any
-}
-
-// CombinerFunc adapts a function to the Combiner interface.
-type CombinerFunc func(a, b any) any
-
-// Combine implements Combiner.
-func (f CombinerFunc) Combine(a, b any) any { return f(a, b) }
+// associative. Only inline words are combined, into an inline word: a spilled
+// payload is delivered as it is.
+type Combiner func(a, b codec.Word) codec.Word
 
 // Config parameterizes a run.
 type Config struct {
@@ -185,6 +190,11 @@ type Engine struct {
 	stealOn   bool // Config.Steal, resolved
 	chunkSize int  // Config.StealChunk, resolved
 
+	// inline is the kind of word PayloadCodec's values are when the codec has
+	// a word form, codec.NoInline otherwise: a message of that kind is sized
+	// and encoded without leaving its 16 bytes.
+	inline codec.Kind
+
 	// Observability: totals live in the registry; Metrics is a per-run view
 	// over it (registry value minus the Run-start baseline).
 	reg    *obs.Registry
@@ -199,6 +209,8 @@ type Engine struct {
 
 	ctx context.Context // nil when the run is not cancellable
 
+	spilled int64 // Metrics.Spilled; not a registry counter
+
 	ckpt        *checkpoint // latest recovery point
 	checkpoints int
 	recoveries  int
@@ -208,10 +220,10 @@ type Engine struct {
 type worker struct {
 	id     int
 	eng    *Engine
-	local  []int32     // dense vertex indices owned by this worker
-	inbox  []*msgSlab  // per local slot; arena-pooled, nil when empty
-	active []bool      // per local slot; dedup bitmap behind the frontier
-	outbox [][]Message // per destination worker, refilled every superstep; arena-pooled across runs
+	local  []int32    // dense vertex indices owned by this worker
+	inbox  []*msgSlab // per local slot; arena-pooled, nil when empty
+	active []bool     // per local slot; dedup bitmap behind the frontier
+	outbox []*msgSlab // per destination worker, refilled every superstep; arena-pooled across runs
 	// outBytes, kept only by a Shard's worker, is the encoded size of each
 	// outbox's messages, summed as they are sent, so Shard.Outbound can
 	// allocate every batch once at its final size.
@@ -234,6 +246,7 @@ type worker struct {
 	scatterCalls int64
 	sentMsgs     int64
 	sentBytes    int64
+	spilled      int64
 	classBytes   [codec.NumIntervalClasses]int64 // interval bytes by encoding class
 
 	// Per-phase observations for the superstep in flight: each worker
@@ -246,8 +259,8 @@ type worker struct {
 	exchangeNS int64
 	delivered  int64
 
-	scratch []byte    // payload sizing buffer, reused across sends
-	decode  []Message // transport decode buffer, reused across batches
+	scratch []byte  // spilled-payload sizing buffer, reused across sends
+	decode  msgSlab // transport decode buffer, reused across batches
 
 	// cctx is the worker's persistent compute Context: &cctx escapes into
 	// Program.Run through the interface call, and a per-phase local would
@@ -299,6 +312,7 @@ func New(numVertices int, program Program, cfg Config) (*Engine, error) {
 		traced:  cfg.Tracer != nil,
 		ctx:     cfg.Context,
 	}
+	e.inline = codec.InlineKind(cfg.PayloadCodec)
 	e.stealOn = cfg.Steal
 	e.chunkSize = cfg.StealChunk
 	reg := cfg.Registry
@@ -312,7 +326,7 @@ func New(numVertices int, program Program, cfg Config) (*Engine, error) {
 	}
 	e.workers = make([]*worker, cfg.NumWorkers)
 	for w := range e.workers {
-		e.workers[w] = &worker{id: w, eng: e, outbox: make([][]Message, cfg.NumWorkers)}
+		e.workers[w] = &worker{id: w, eng: e, outbox: make([]*msgSlab, cfg.NumWorkers)}
 	}
 	for v := 0; v < numVertices; v++ {
 		w := part(v, cfg.NumWorkers)
@@ -338,17 +352,14 @@ func New(numVertices int, program Program, cfg Config) (*Engine, error) {
 // sends from one.
 func (w *worker) drawOutboxes() {
 	for d := range w.outbox {
-		w.outbox[d] = outboxArena.get().msgs
+		w.outbox[d] = outboxArena.get()
 	}
 }
 
 // releaseBuffers hands the engine's pooled buffers back for the next run:
 // undelivered inbox slabs (MaxSupersteps or a failure can end a run with
-// messages still queued) and every outbox. An outbox is scrubbed over its
-// whole capacity, not its length — truncating it between supersteps leaves
-// that superstep's payloads behind — so, like an inbox slab, it never pins
-// or aliases a payload into a later run. Nothing may send afterwards except
-// through a fresh append: the outboxes are left nil.
+// messages still queued) and every outbox. Nothing may send afterwards: the
+// outboxes are left nil.
 func (e *Engine) releaseBuffers() {
 	for _, w := range e.workers {
 		for s, sl := range w.inbox {
@@ -358,9 +369,7 @@ func (e *Engine) releaseBuffers() {
 			}
 		}
 		for d, ob := range w.outbox {
-			if cap(ob) > 0 {
-				outboxArena.put(&msgSlab{msgs: ob[:cap(ob)]})
-			}
+			outboxArena.put(ob)
 			w.outbox[d] = nil
 		}
 	}
@@ -698,6 +707,7 @@ func (w *worker) exchangeLocal() {
 	phaseStart := time.Now()
 	var n int64
 	defer func() {
+		w.decode.reset()
 		w.delivered = n
 		w.exchangeNS = time.Since(phaseStart).Nanoseconds()
 	}()
@@ -705,24 +715,18 @@ func (w *worker) exchangeLocal() {
 	// worker order for determinism.
 	for _, src := range e.workers {
 		batch := src.outbox[w.id]
-		if len(batch) == 0 {
+		if len(batch.msgs) == 0 {
 			continue
 		}
-		crossWorker := src.id != w.id
-		for _, m := range batch {
-			if crossWorker && e.cfg.VerifyCodec {
-				rv, err := e.roundTrip(w, m.Value)
-				if err != nil {
-					e.fail(err)
-					return
-				}
-				m.Value = rv
+		if src.id != w.id && e.cfg.VerifyCodec {
+			var err error
+			if batch, err = e.roundTrip(w, batch); err != nil {
+				e.fail(err)
+				return
 			}
-			_, slot := e.eownerSlot(m.Dst)
-			w.deliver(slot, m)
-			n++
 		}
-		src.outbox[w.id] = src.outbox[w.id][:0]
+		n += w.deliverAll(batch)
+		src.outbox[w.id].reset()
 	}
 }
 
@@ -735,8 +739,6 @@ func (e *Engine) sumDelivered() int64 {
 	}
 	return n
 }
-
-func (e *Engine) eownerSlot(v int32) (int, int) { return e.owner(v) }
 
 // exchangeTransport is the exchange phase over a real transport: every
 // cross-worker batch is serialized, shipped, and decoded on the far side;
@@ -756,13 +758,13 @@ func (e *Engine) exchangeTransport() int64 {
 			// batch (see the Transport contract), so the slab can go straight
 			// back to the pool for the next destination.
 			slab := batchSlabs.Get()
-			slab.Buf = encodeBatch(slab.Buf, src.outbox[dst], e.cfg.PayloadCodec)
+			slab.Buf = e.encodeBatch(slab.Buf, src.outbox[dst])
 			err := e.sendWithRetry(src.id, dst, slab.Buf)
 			batchSlabs.Put(slab)
 			if err != nil {
 				e.fail(err)
 			}
-			src.outbox[dst] = src.outbox[dst][:0]
+			src.outbox[dst].reset()
 		}
 	})
 	// Receive phase.
@@ -773,56 +775,55 @@ func (e *Engine) exchangeTransport() int64 {
 			dst.delivered = n
 			dst.exchangeNS = time.Since(phaseStart).Nanoseconds()
 		}()
-		for _, m := range dst.outbox[dst.id] {
-			_, slot := e.owner(m.Dst)
-			dst.deliver(slot, m)
-			n++
-		}
-		dst.outbox[dst.id] = dst.outbox[dst.id][:0]
+		n += dst.deliverAll(dst.outbox[dst.id])
+		dst.outbox[dst.id].reset()
 		batches, err := e.cfg.Transport.Recv(dst.id)
 		if err != nil {
 			e.fail(err)
 			return
 		}
+		defer dst.decode.reset()
 		for _, b := range batches {
-			msgs, err := decodeBatchInto(dst.decode[:0], b, e.cfg.PayloadCodec)
-			dst.decode = msgs[:0]
-			if err != nil {
+			dst.decode.reset()
+			if err := e.decodeBatchInto(&dst.decode, b); err != nil {
 				e.fail(err)
 				return
 			}
-			for _, m := range msgs {
-				_, slot := e.owner(m.Dst)
-				dst.deliver(slot, m)
-				n++
-			}
+			n += dst.deliverAll(&dst.decode)
 		}
-		// Drop payload references so the reusable decode buffer never pins
-		// the last batch's values across supersteps.
-		clear(dst.decode[:cap(dst.decode)])
 	})
 	return e.sumDelivered()
 }
 
+// deliverAll delivers a batch of messages this worker owns, in order, and
+// returns how many there were.
+func (w *worker) deliverAll(batch *msgSlab) int64 {
+	for _, m := range batch.msgs {
+		w.deliver(int(w.eng.slot[m.Dst]), m, batch.spill)
+	}
+	return int64(len(batch.msgs))
+}
+
 // deliver appends or combines a message into a local inbox slab and marks
-// the vertex active. Slabs come from the arena on first delivery and go
-// back right after the vertex's Run call consumes them.
-func (w *worker) deliver(slot int, m Message) {
+// the vertex active; from is the spill table of the slab m comes out of.
+// Slabs come from the arena on first delivery and go back right after the
+// vertex's Run call consumes them.
+func (w *worker) deliver(slot int, m Message, from []any) {
 	sl := w.inbox[slot]
 	if sl == nil {
 		sl = msgArena.get()
 		w.inbox[slot] = sl
 	}
-	if c := w.eng.cfg.Combiner; c != nil {
+	if c := w.eng.cfg.Combiner; c != nil && m.Kind != codec.KindSpill {
 		for i := range sl.msgs {
-			if sl.msgs[i].When == m.When {
-				sl.msgs[i].Value = c.Combine(sl.msgs[i].Value, m.Value)
+			if o := &sl.msgs[i]; o.When == m.When && o.Kind != codec.KindSpill {
+				*o = newMessage(o.Dst, o.When, c(o.Word(), m.Word()))
 				w.activate(slot)
 				return
 			}
 		}
 	}
-	sl.msgs = append(sl.msgs, m)
+	sl.add(m, from)
 	w.activate(slot)
 }
 
@@ -863,16 +864,18 @@ func (e *Engine) sendWithRetry(src, dst int, batch []byte) error {
 	return fmt.Errorf("engine: send %d->%d failed after %d attempts: %w", src, dst, retries+1, err)
 }
 
-// roundTrip encodes and decodes a payload through the configured codec,
-// as a real wire would, using the calling worker's scratch buffer. A codec
-// failure is a superstep failure, not a process-killing panic.
-func (e *Engine) roundTrip(w *worker, v any) (any, error) {
-	w.scratch = e.cfg.PayloadCodec.Append(w.scratch[:0], v)
-	out, _, err := e.cfg.PayloadCodec.Decode(w.scratch)
-	if err != nil {
+// roundTrip encodes and decodes a batch through the configured codec, as a
+// real wire would, into the calling worker's decode buffer. A codec failure
+// is a superstep failure, not a process-killing panic.
+func (e *Engine) roundTrip(w *worker, batch *msgSlab) (*msgSlab, error) {
+	slab := batchSlabs.Get()
+	defer batchSlabs.Put(slab)
+	slab.Buf = e.encodeBatch(slab.Buf, batch)
+	w.decode.reset()
+	if err := e.decodeBatchInto(&w.decode, slab.Buf); err != nil {
 		return nil, fmt.Errorf("engine: payload codec round-trip failed: %w", err)
 	}
-	return out, nil
+	return &w.decode, nil
 }
 
 // anyActive reports whether any vertex was activated since the last compute

@@ -32,7 +32,7 @@ func (p *distProgram) Run(ctx *Context, msgs []Message) {
 		best = 0
 	}
 	for _, m := range msgs {
-		if d := m.Value.(int64); d < best {
+		if d := m.Word().Int(); d < best {
 			best = d
 		}
 	}
@@ -164,7 +164,7 @@ func (p *combineProgram) Run(ctx *Context, msgs []Message) {
 	if ctx.Vertex() == 0 {
 		p.mu.Lock()
 		for _, m := range msgs {
-			p.received = append(p.received, m.Value.(int64))
+			p.received = append(p.received, m.Word().Int())
 		}
 		p.mu.Unlock()
 	}
@@ -172,7 +172,7 @@ func (p *combineProgram) Run(ctx *Context, msgs []Message) {
 
 func TestReceiverSideCombiner(t *testing.T) {
 	p := &combineProgram{}
-	sum := CombinerFunc(func(a, b any) any { return a.(int64) + b.(int64) })
+	sum := Combiner(func(a, b codec.Word) codec.Word { return codec.IntWord(a.Int() + b.Int()) })
 	e, _ := New(4, p, Config{NumWorkers: 2, Combiner: sum})
 	if _, err := e.Run(); err != nil {
 		t.Fatalf("Run: %v", err)

@@ -54,7 +54,7 @@ func (p *faultProgram) Run(ctx *Context, msgs []Message) {
 		best = 0
 	}
 	for _, m := range msgs {
-		if d := m.Value.(int64); d < best {
+		if d := m.Word().Int(); d < best {
 			best = d
 		}
 	}

@@ -16,6 +16,10 @@ type Metrics struct {
 	ScatterCalls int64
 	Messages     int64
 	MessageBytes int64
+	// Spilled counts the messages whose payload was outside the word palette
+	// and travelled in a slab's spill table: zero for a program that sends
+	// int64, float64, codec.Int64Pair or nil.
+	Spilled int64
 
 	// Checkpoints and Recoveries count fault-tolerance events: recovery
 	// points captured and rollback-and-replay cycles taken. Both are zero on
@@ -56,6 +60,7 @@ func (m *Metrics) Add(o *Metrics) {
 	m.ScatterCalls += o.ScatterCalls
 	m.Messages += o.Messages
 	m.MessageBytes += o.MessageBytes
+	m.Spilled += o.Spilled
 	m.Checkpoints += o.Checkpoints
 	m.Recoveries += o.Recoveries
 	oRuns, oMax := o.Runs, o.MaxMakespan

@@ -97,6 +97,7 @@ func (e *Engine) rawView() Metrics {
 		ScatterCalls:    e.ec.scatterCalls.Load(),
 		Messages:        e.ec.messages.Load(),
 		MessageBytes:    e.ec.messageBytes.Load(),
+		Spilled:         e.spilled,
 		ComputePlusTime: time.Duration(e.ec.computeNS.Load()),
 		MessagingTime:   time.Duration(e.ec.messagingNS.Load()),
 		BarrierTime:     time.Duration(e.ec.barrierNS.Load()),
@@ -115,6 +116,7 @@ func (e *Engine) metricsView() Metrics {
 	m.ScatterCalls -= b.ScatterCalls
 	m.Messages -= b.Messages
 	m.MessageBytes -= b.MessageBytes
+	m.Spilled -= b.Spilled
 	m.ComputePlusTime -= b.ComputePlusTime
 	m.MessagingTime -= b.MessagingTime
 	m.BarrierTime -= b.BarrierTime
@@ -135,6 +137,7 @@ func (e *Engine) storeRaw(m Metrics, classBytes [codec.NumIntervalClasses]int64)
 	e.ec.scatterCalls.Store(m.ScatterCalls)
 	e.ec.messages.Store(m.Messages)
 	e.ec.messageBytes.Store(m.MessageBytes)
+	e.spilled = m.Spilled
 	e.ec.computeNS.Store(int64(m.ComputePlusTime))
 	e.ec.messagingNS.Store(int64(m.MessagingTime))
 	e.ec.barrierNS.Store(int64(m.BarrierTime))
@@ -184,6 +187,7 @@ func (e *Engine) mergePartials() stepTotals {
 		st.sentMsgs += w.sentMsgs
 		st.sentBytes += w.sentBytes
 		st.steals += w.steals
+		e.spilled += w.spilled
 		for i, b := range w.classBytes {
 			st.classBytes[i] += b
 		}
@@ -207,7 +211,7 @@ func (e *Engine) mergePartials() stepTotals {
 // resetPartials clears a worker's per-superstep metric partials.
 func (w *worker) resetPartials() {
 	w.computeCalls, w.scatterCalls, w.sentMsgs, w.sentBytes = 0, 0, 0, 0
-	w.steals = 0
+	w.steals, w.spilled = 0, 0
 	w.classBytes = [codec.NumIntervalClasses]int64{}
 }
 

@@ -12,13 +12,52 @@ import (
 // arena reuse in bytes alongside the codec slab pool's byte counts.
 const messageSize = int64(unsafe.Sizeof(Message{}))
 
-// msgSlab is a pooled inbox buffer: the messages delivered to one vertex
-// slot for one superstep. Slabs are handed out by the arena during the
-// exchange phase and returned right after the vertex's Run call, so at
-// steady state each superstep recycles the previous one's buffers instead
-// of allocating.
+// msgSlab is a buffer of messages — an outbox, a stealable chunk's lane, an
+// inbox, a decoded batch — with the spill table of the payloads that do not
+// fit a word: a KindSpill message's A indexes the table of the slab it is in.
+// The table is the only thing in a slab the collector scans, and it is empty
+// unless a program sends values outside the palette. Inbox slabs are handed
+// out by the arena during the exchange phase and returned right after the
+// vertex's Run call, so at steady state each superstep recycles the previous
+// one's buffers instead of allocating.
 type msgSlab struct {
-	msgs []Message
+	msgs  []Message
+	spill []any
+}
+
+// hold takes a payload into the spill table and returns the word for it.
+func (s *msgSlab) hold(v any) codec.Word {
+	s.spill = append(s.spill, v)
+	return codec.Word{K: codec.KindSpill, A: uint64(len(s.spill) - 1)}
+}
+
+// add appends m, moving a spilled payload over from the table m indexes.
+func (s *msgSlab) add(m Message, from []any) {
+	if m.Kind == codec.KindSpill {
+		m.A = s.hold(from[m.A]).A
+	}
+	s.msgs = append(s.msgs, m)
+}
+
+// addAll appends every message of o, in order.
+func (s *msgSlab) addAll(o *msgSlab) {
+	if len(o.spill) == 0 {
+		s.msgs = append(s.msgs, o.msgs...)
+		return
+	}
+	for _, m := range o.msgs {
+		s.add(m, o.spill)
+	}
+}
+
+// reset empties the slab. Messages are left as they are — there is nothing
+// in one to pin or leak — and the spill table is scrubbed, so a payload never
+// outlives the superstep that sent it: in particular one decoded from a batch
+// that fault injection corrupted dies with the failed superstep.
+func (s *msgSlab) reset() {
+	s.msgs = s.msgs[:0]
+	clear(s.spill)
+	s.spill = s.spill[:0]
 }
 
 // messageArena is a sync.Pool of message slabs with reuse statistics.
@@ -36,24 +75,18 @@ func (a *messageArena) get() *msgSlab {
 		s := v.(*msgSlab)
 		a.hits.Add(1)
 		a.bytesReused.Add(int64(cap(s.msgs)) * messageSize)
-		s.msgs = s.msgs[:0]
 		return s
 	}
 	a.misses.Add(1)
 	return &msgSlab{}
 }
 
-// put returns a slab to the arena. Every element written since get is
-// zeroed first: a pooled slab must never pin message payloads (the boxed
-// `any` values) nor alias them into a later superstep — in particular,
-// payloads decoded from a batch that fault injection corrupted die with
-// the failed superstep instead of resurfacing from the pool.
+// put returns a slab to the arena, emptied.
 func (a *messageArena) put(s *msgSlab) {
 	if s == nil {
 		return
 	}
-	clear(s.msgs)
-	s.msgs = s.msgs[:0]
+	s.reset()
 	a.pool.Put(s)
 }
 

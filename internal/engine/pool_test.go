@@ -12,8 +12,8 @@ import (
 
 // TestMessageArenaRecycles checks the arena contract: a recycled slab comes
 // back empty but with its capacity intact, the hit/miss/bytes counters track
-// the traffic, and put scrubs the slab so pooled memory never pins or aliases
-// old payloads.
+// the traffic, and put scrubs the spill table — the one part of a slab that
+// holds pointers — so pooled memory never pins or aliases old payloads.
 func TestMessageArenaRecycles(t *testing.T) {
 	if raceEnabled {
 		t.Skip("recycle contract skipped under -race: sync.Pool drops puts at random under the race detector")
@@ -23,7 +23,7 @@ func TestMessageArenaRecycles(t *testing.T) {
 	if hits, misses, _ := a.stats(); hits != 0 || misses != 1 {
 		t.Fatalf("first get: hits=%d misses=%d, want 0/1", hits, misses)
 	}
-	s.msgs = append(s.msgs, Message{Dst: 7, When: ival.Universe, Value: int64(12345)})
+	s.add(Message{Dst: 7, Kind: codec.KindSpill, When: ival.Universe}, []any{[]int64{12345}})
 	wantCap := cap(s.msgs)
 	a.put(s)
 
@@ -36,9 +36,8 @@ func TestMessageArenaRecycles(t *testing.T) {
 	}
 	// The retired contents must have been scrubbed: nothing poisoned (or
 	// merely large) may survive in pooled memory.
-	old := s2.msgs[:1][0]
-	if old.Value != nil || old.Dst != 0 || old.When != (ival.Interval{}) {
-		t.Fatalf("recycled slab still holds old message %+v", old)
+	if len(s2.spill) != 0 || s2.spill[:1][0] != nil {
+		t.Fatalf("recycled slab still holds old payload %v", s2.spill[:1])
 	}
 	a.put(s2)
 	a.put(nil) // nil put is a harmless no-op
@@ -75,7 +74,7 @@ func (p fanProgram) Init(*Context) {}
 
 func (p fanProgram) Run(ctx *Context, msgs []Message) {
 	for _, m := range msgs {
-		v := m.Value.(int64)
+		v := m.Word().Int()
 		if got, want := v/1000, int64(ctx.Superstep()-1); got != want {
 			p.fail("vertex %d superstep %d: payload %d sent at superstep %d, want %d — pooled slab aliased",
 				ctx.Vertex(), ctx.Superstep(), v, got, want)
@@ -142,22 +141,25 @@ func TestPoolGaugesPublished(t *testing.T) {
 }
 
 // TestOutboxesRecycledScrubbed checks the outbox half of the arena contract:
-// when a run ends its outboxes go back to the arena with nothing behind the
-// length either — exchange truncates an outbox without clearing it, so the
-// release must scrub the whole capacity — and the next engine starts from
-// that capacity instead of growing its own.
+// when a run ends its outboxes go back to the arena with no payload behind
+// the spill table's length either — emptying an outbox scrubs the table — and
+// the next engine starts from that capacity instead of growing its own.
 func TestOutboxesRecycledScrubbed(t *testing.T) {
-	e, err := New(4, idleProgram{}, Config{NumWorkers: 2, PayloadCodec: codec.Int64{}})
+	e, err := New(4, idleProgram{}, Config{NumWorkers: 2, PayloadCodec: codec.Int64Slice{}})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	ctx := &Context{eng: e, w: e.workers[0]}
-	for i := 0; i < 100; i++ {
-		ctx.Send(1, ival.Universe, int64(777))
-	}
 	w := e.workers[0]
-	grown := cap(w.outbox[1])
-	w.outbox[1] = w.outbox[1][:0] // as the exchange phase leaves it
+	w.drawOutboxes()
+	ctx := &Context{eng: e, w: w}
+	for i := 0; i < 100; i++ {
+		ctx.Send(1, ival.Universe, []int64{777})
+	}
+	if len(w.outbox[1].spill) != 100 {
+		t.Fatalf("%d payloads spilled, want 100", len(w.outbox[1].spill))
+	}
+	grown := cap(w.outbox[1].msgs)
+	w.outbox[1].reset() // as the exchange phase leaves it
 	e.releaseBuffers()
 	for d, ob := range w.outbox {
 		if ob != nil {
@@ -173,15 +175,15 @@ func TestOutboxesRecycledScrubbed(t *testing.T) {
 	for _, w2 := range e2.workers {
 		w2.drawOutboxes()
 		for d, ob := range w2.outbox {
-			if len(ob) != 0 {
-				t.Errorf("fresh outbox %d has length %d", d, len(ob))
+			if len(ob.msgs) != 0 || len(ob.spill) != 0 {
+				t.Errorf("fresh outbox %d has length %d, %d spilled", d, len(ob.msgs), len(ob.spill))
 			}
-			for _, m := range ob[:cap(ob)] {
-				if m != (Message{}) {
-					t.Fatalf("pooled outbox still holds %+v", m)
+			for _, v := range ob.spill[:cap(ob.spill)] {
+				if v != nil {
+					t.Fatalf("pooled outbox still holds payload %v", v)
 				}
 			}
-			reused = reused || cap(ob) == grown
+			reused = reused || cap(ob.msgs) == grown
 		}
 	}
 	if raceEnabled {

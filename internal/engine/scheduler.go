@@ -44,8 +44,8 @@ const stealYieldStride = 16
 // private per-destination outbox lanes so concurrent executors never share
 // an append target. Both the chunk structs and their lanes are grow-only.
 type chunk struct {
-	lo, hi int32       // bounds into the owner's sched list
-	lanes  [][]Message // per destination worker; merged at the barrier
+	lo, hi int32     // bounds into the owner's sched list
+	lanes  []msgSlab // per destination worker; merged at the barrier
 }
 
 // activate marks a local slot active and, on the false→true transition,
@@ -108,8 +108,9 @@ func (e *Engine) runSlots(ctx *Context, owner *worker, slots []int32) {
 		ctx.vertex = v
 		ctx.slot = slot
 		var msgs []Message
+		ctx.spill = nil
 		if sl := owner.inbox[slot]; sl != nil {
-			msgs = sl.msgs
+			msgs, ctx.spill = sl.msgs, sl.spill
 		}
 		if !e.guardedCall(int(v), func() { e.program.Run(ctx, msgs) }) {
 			// A panicking vertex keeps its slab: rollback recycles every
@@ -147,14 +148,14 @@ func (w *worker) prepareChunks() {
 	e := w.eng
 	for i := range w.chunks {
 		for d := range w.chunks[i].lanes {
-			w.chunks[i].lanes[d] = w.chunks[i].lanes[d][:0]
+			w.chunks[i].lanes[d].reset()
 		}
 	}
 	w.prepareSched()
 	size := e.chunkSize
 	n := (len(w.sched) + size - 1) / size
 	for len(w.chunks) < n {
-		w.chunks = append(w.chunks, chunk{lanes: make([][]Message, len(e.workers))})
+		w.chunks = append(w.chunks, chunk{lanes: make([]msgSlab, len(e.workers))})
 	}
 	for i := 0; i < n; i++ {
 		lo := i * size
@@ -255,10 +256,10 @@ func (e *Engine) mostLoaded() *worker {
 func (w *worker) mergeChunks() {
 	for i := 0; i < w.nchunks; i++ {
 		ch := &w.chunks[i]
-		for d, lane := range ch.lanes {
-			if len(lane) > 0 {
-				w.outbox[d] = append(w.outbox[d], lane...)
-				ch.lanes[d] = lane[:0]
+		for d := range ch.lanes {
+			if lane := &ch.lanes[d]; len(lane.msgs) > 0 {
+				w.outbox[d].addAll(lane)
+				lane.reset()
 			}
 		}
 	}

@@ -37,7 +37,7 @@ func (p *hashProgram) Run(ctx *Context, msgs []Message) {
 	p.mu.Lock()
 	h := p.hash[v]
 	for _, m := range msgs {
-		h = h*1099511628211 + uint64(m.Value.(int64))
+		h = h*1099511628211 + uint64(m.Word().Int())
 	}
 	p.hash[v] = h
 	p.mu.Unlock()
@@ -289,10 +289,12 @@ func steadySchedulerStep(t testing.TB, cfg Config) func() {
 		t.Fatalf("New: %v", err)
 	}
 	for _, w := range e.workers {
+		w.drawOutboxes()
 		for slot := range w.local {
 			w.activate(slot)
 		}
 	}
+	t.Cleanup(e.releaseBuffers)
 	step := func() {
 		if e.stealOn {
 			for _, w := range e.workers {

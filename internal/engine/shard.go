@@ -182,9 +182,9 @@ func (s *Shard) Outbound() ([][]byte, error) {
 		if dst == s.id {
 			continue
 		}
-		size := codec.UvarintLen(uint64(len(w.outbox[dst]))) + int(w.outBytes[dst])
-		out[dst] = encodeBatch(make([]byte, 0, size), w.outbox[dst], e.cfg.PayloadCodec)
-		w.outbox[dst] = w.outbox[dst][:0]
+		size := codec.UvarintLen(uint64(len(w.outbox[dst].msgs))) + int(w.outBytes[dst])
+		out[dst] = e.encodeBatch(make([]byte, 0, size), w.outbox[dst])
+		w.outbox[dst].reset()
 	}
 	clear(w.outBytes)
 	return out, nil
@@ -197,30 +197,24 @@ func (s *Shard) Outbound() ([][]byte, error) {
 // messages delivered into this shard.
 func (s *Shard) Deliver(batches [][]byte) (int64, error) {
 	e, w := s.eng, s.w
-	var n int64
-	for _, m := range w.outbox[s.id] {
-		_, slot := e.owner(m.Dst)
-		w.deliver(slot, m)
-		n++
-	}
-	w.outbox[s.id] = w.outbox[s.id][:0]
+	n := w.deliverAll(w.outbox[s.id])
+	w.outbox[s.id].reset()
+	defer w.decode.reset()
 	for _, b := range batches {
-		msgs, err := decodeBatchInto(w.decode[:0], b, e.cfg.PayloadCodec)
-		w.decode = msgs[:0]
-		if err != nil {
+		w.decode.reset()
+		if err := e.decodeBatchInto(&w.decode, b); err != nil {
 			return n, fmt.Errorf("engine: shard %d: %w", s.id, err)
 		}
-		for _, m := range msgs {
+		for _, m := range w.decode.msgs {
 			dw, slot := e.owner(m.Dst)
 			if dw != s.id {
 				return n, fmt.Errorf("engine: shard %d received message for vertex %d owned by shard %d",
 					s.id, m.Dst, dw)
 			}
-			w.deliver(slot, m)
+			w.deliver(slot, m, w.decode.spill)
 			n++
 		}
 	}
-	clear(w.decode[:cap(w.decode)])
 	s.delivered = n
 	return n, nil
 }
@@ -290,7 +284,7 @@ func (s *Shard) CaptureDurable() ([]byte, error) {
 		buf = binary.AppendUvarint(buf, uint64(slot))
 		// Each inbox batch is length-prefixed so the restore parser can walk
 		// entry to entry without decoding ahead.
-		batch := encodeBatch(nil, sl.msgs, e.cfg.PayloadCodec)
+		batch := e.encodeBatch(nil, sl)
 		buf = binary.AppendUvarint(buf, uint64(len(batch)))
 		buf = append(buf, batch...)
 	}
@@ -356,7 +350,7 @@ func (s *Shard) RestoreDurable(data []byte) error {
 
 	type inboxEntry struct {
 		slot int
-		msgs []Message
+		msgs *msgSlab
 	}
 	nInbox, buf, err := readUvarint(buf, "inbox count")
 	if err != nil {
@@ -379,8 +373,8 @@ func (s *Shard) RestoreDurable(data []byte) error {
 		if uint64(len(buf)) < blen {
 			return fmt.Errorf("%w: shard checkpoint: inbox batch truncated", ErrCheckpointCorrupt)
 		}
-		msgs, derr := decodeBatch(buf[:blen], e.cfg.PayloadCodec)
-		if derr != nil {
+		msgs := &msgSlab{}
+		if derr := e.decodeBatchInto(msgs, buf[:blen]); derr != nil {
 			return fmt.Errorf("engine: shard %d inbox decode: %w", s.id, derr)
 		}
 		buf = buf[blen:]
@@ -403,11 +397,11 @@ func (s *Shard) RestoreDurable(data []byte) error {
 	}
 	for _, ent := range entries {
 		sl := msgArena.get()
-		sl.msgs = append(sl.msgs, ent.msgs...)
+		sl.addAll(ent.msgs)
 		w.inbox[ent.slot] = sl
 	}
-	for d := range w.outbox {
-		w.outbox[d] = w.outbox[d][:0]
+	for _, ob := range w.outbox {
+		ob.reset()
 	}
 	clear(w.outBytes)
 	w.resetPartials()

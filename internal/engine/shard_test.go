@@ -9,12 +9,19 @@ import (
 )
 
 // snapIdleProgram is the least a Shard accepts: no work, an empty snapshot.
-type snapIdleProgram struct{ idleProgram }
+type snapIdleProgram struct {
+	idleProgram
+	snapCodec
+}
 
-func (snapIdleProgram) Snapshot() any                                  { return nil }
-func (snapIdleProgram) Restore(any)                                    {}
-func (snapIdleProgram) AppendSnapshot(b []byte, _ any) ([]byte, error) { return b, nil }
-func (snapIdleProgram) DecodeSnapshot([]byte) (any, error)             { return nil, nil }
+func (snapIdleProgram) Snapshot() any { return nil }
+func (snapIdleProgram) Restore(any)   {}
+
+// snapCodec is the SnapshotCodec of a program with nothing to snapshot.
+type snapCodec struct{}
+
+func (snapCodec) AppendSnapshot(b []byte, _ any) ([]byte, error) { return b, nil }
+func (snapCodec) DecodeSnapshot([]byte) (any, error)             { return nil, nil }
 
 // outboundFixture is a 3-worker shard 0 over 300 vertices and a send script
 // covering every interval encoding class, one- and two-byte vertex indices,
@@ -61,7 +68,7 @@ func TestOutboundBatchesExactlySized(t *testing.T) {
 		send()
 		want := make([][]Message, 3)
 		for d := range want {
-			want[d] = append([]Message(nil), s.w.outbox[d]...)
+			want[d] = append([]Message(nil), s.w.outbox[d].msgs...)
 		}
 		out, err := s.Outbound()
 		if err != nil {
@@ -75,18 +82,18 @@ func TestOutboundBatchesExactlySized(t *testing.T) {
 				t.Errorf("round %d: batch for shard %d has len %d, cap %d; want allocated at its exact size",
 					round, d, len(out[d]), cap(out[d]))
 			}
-			got, err := decodeBatch(out[d], codec.Int64{})
-			if err != nil {
+			var got msgSlab
+			if err := s.eng.decodeBatchInto(&got, out[d]); err != nil {
 				t.Fatalf("round %d: decode batch %d: %v", round, d, err)
 			}
-			if !reflect.DeepEqual(got, want[d]) {
+			if !reflect.DeepEqual(got.msgs, want[d]) {
 				t.Errorf("round %d: batch for shard %d does not decode to what was sent", round, d)
 			}
 		}
-		if len(s.w.outbox[0]) != len(want[0]) {
+		if len(s.w.outbox[0].msgs) != len(want[0]) {
 			t.Errorf("round %d: Outbound drained the self-addressed outbox", round)
 		}
-		s.w.outbox[0] = s.w.outbox[0][:0]
+		s.w.outbox[0].reset()
 	}
 }
 
@@ -102,7 +109,7 @@ func TestOutboundAllocsPerBatch(t *testing.T) {
 		if _, err := s.Outbound(); err != nil {
 			t.Fatal(err)
 		}
-		s.w.outbox[0] = s.w.outbox[0][:0]
+		s.w.outbox[0].reset()
 	}
 	step() // grow the outboxes and the sizing scratch
 	const batches = 2

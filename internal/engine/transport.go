@@ -33,51 +33,65 @@ type Transport interface {
 }
 
 // encodeBatch serializes messages: a uvarint count, then per message the
-// destination index, the var-byte interval, and the codec-encoded payload.
-func encodeBatch(buf []byte, msgs []Message, pc codec.Payload) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(msgs)))
-	for _, m := range msgs {
+// destination index, the var-byte interval, and the codec-encoded payload —
+// straight from the word when the codec has a word form, through its any
+// form for a spilled one.
+func (e *Engine) encodeBatch(buf []byte, batch *msgSlab) []byte {
+	buf = binary.AppendUvarint(buf, uint64(len(batch.msgs)))
+	for _, m := range batch.msgs {
 		buf = binary.AppendUvarint(buf, uint64(m.Dst))
 		buf = codec.AppendInterval(buf, m.When)
-		buf = pc.Append(buf, m.Value)
+		if m.Kind == e.inline {
+			buf = codec.AppendWord(buf, m.Word())
+		} else {
+			buf = e.cfg.PayloadCodec.Append(buf, m.Word().Resolve(batch.spill))
+		}
 	}
 	return buf
 }
 
-// decodeBatch parses a batch produced by encodeBatch into a fresh slice.
-func decodeBatch(buf []byte, pc codec.Payload) ([]Message, error) {
-	return decodeBatchInto(nil, buf, pc)
-}
-
-// decodeBatchInto parses a batch produced by encodeBatch, appending into
-// dst so the receive phase can reuse one grow-only buffer per worker. On
-// error the returned slice holds the messages decoded so far.
-func decodeBatchInto(dst []Message, buf []byte, pc codec.Payload) ([]Message, error) {
+// decodeBatchInto parses a batch produced by encodeBatch, appending to dst so
+// the receive phase can reuse one grow-only buffer per worker. The bytes come
+// from a peer: a destination that is no vertex of this run is an error
+// wrapping codec.ErrCorrupt, as every other malformed field is. On error dst
+// holds the messages decoded so far.
+func (e *Engine) decodeBatchInto(dst *msgSlab, buf []byte) error {
+	corrupt := func(what string) error { return fmt.Errorf("engine: batch: bad %s: %w", what, codec.ErrCorrupt) }
 	n, k := binary.Uvarint(buf)
 	if k <= 0 {
-		return dst, fmt.Errorf("engine: corrupt batch header")
+		return corrupt("header")
 	}
 	buf = buf[k:]
-	out := dst
 	for i := uint64(0); i < n; i++ {
 		d, k := binary.Uvarint(buf)
-		if k <= 0 {
-			return out, fmt.Errorf("engine: corrupt message dst")
+		if k <= 0 || d >= uint64(e.numV) {
+			return corrupt("destination")
 		}
 		buf = buf[k:]
 		when, k, err := codec.Interval(buf)
 		if err != nil {
-			return out, err
+			return corrupt("interval")
 		}
 		buf = buf[k:]
-		val, k, err := pc.Decode(buf)
-		if err != nil {
-			return out, err
+		var w codec.Word
+		if e.inline != codec.NoInline {
+			if w, k, err = codec.DecodeWord(buf, e.inline); err != nil {
+				return corrupt("payload")
+			}
+		} else {
+			var v any
+			if v, k, err = e.cfg.PayloadCodec.Decode(buf); err != nil {
+				return fmt.Errorf("engine: batch: %w", err)
+			}
+			var ok bool
+			if w, ok = codec.WordOf(v); !ok {
+				w = dst.hold(v)
+			}
 		}
+		dst.msgs = append(dst.msgs, newMessage(int32(d), when, w))
 		buf = buf[k:]
-		out = append(out, Message{Dst: int32(d), When: when, Value: val})
 	}
-	return out, nil
+	return nil
 }
 
 // TCPTransport is a full mesh of loopback TCP connections between the

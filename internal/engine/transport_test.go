@@ -12,29 +12,31 @@ import (
 )
 
 func TestBatchRoundTrip(t *testing.T) {
-	pc := codec.Int64{}
-	msgs := []Message{
-		{Dst: 3, When: ival.New(2, 9), Value: int64(-7)},
-		{Dst: 0, When: ival.From(5), Value: int64(1 << 40)},
-		{Dst: 1024, When: ival.Point(0), Value: int64(0)},
-	}
-	buf := encodeBatch(nil, msgs, pc)
-	got, err := decodeBatch(buf, pc)
+	e, err := New(1025, idleProgram{}, Config{NumWorkers: 2, PayloadCodec: codec.Int64{}})
 	if err != nil {
+		t.Fatal(err)
+	}
+	msgs := []Message{
+		newMessage(3, ival.New(2, 9), codec.IntWord(-7)),
+		newMessage(0, ival.From(5), codec.IntWord(1<<40)),
+		newMessage(1024, ival.Point(0), codec.IntWord(0)),
+	}
+	buf := e.encodeBatch(nil, &msgSlab{msgs: msgs})
+	var got msgSlab
+	if err := e.decodeBatchInto(&got, buf); err != nil {
 		t.Fatalf("decode: %v", err)
 	}
-	if !reflect.DeepEqual(got, msgs) {
-		t.Fatalf("round trip:\n%v\n%v", got, msgs)
+	if !reflect.DeepEqual(got.msgs, msgs) {
+		t.Fatalf("round trip:\n%v\n%v", got.msgs, msgs)
 	}
 	// Empty batch.
-	buf = encodeBatch(nil, nil, pc)
-	got, err = decodeBatch(buf, pc)
-	if err != nil || len(got) != 0 {
-		t.Fatalf("empty batch: %v %v", got, err)
+	got.reset()
+	if err := e.decodeBatchInto(&got, e.encodeBatch(nil, &msgSlab{})); err != nil || len(got.msgs) != 0 {
+		t.Fatalf("empty batch: %v %v", got.msgs, err)
 	}
 	// Corruption.
-	if _, err := decodeBatch([]byte{0x05, 0x01}, pc); err == nil {
-		t.Fatalf("corrupt batch must fail")
+	if err := e.decodeBatchInto(&got, []byte{0x05, 0x01}); !errors.Is(err, codec.ErrCorrupt) {
+		t.Fatalf("corrupt batch must fail with ErrCorrupt, got %v", err)
 	}
 }
 

@@ -64,7 +64,7 @@ type Options struct {
 	NumWorkers    int
 	MaxSupersteps int
 	ActivateAll   bool
-	Combine       func(a, b any) any
+	Combine       engine.Combiner
 	PayloadCodec  codec.Payload
 	Aggregators   map[string]*engine.Aggregator
 	Master        engine.Master
@@ -146,7 +146,7 @@ func (rt *runtime) Run(ctx *engine.Context, msgs []engine.Message) {
 	}
 	vals := make([]any, len(msgs))
 	for k, m := range msgs {
-		vals[k] = m.Value
+		vals[k] = ctx.Payload(m)
 	}
 	ctx.AddComputeCalls(1)
 	rt.prog.Compute(&c, vals)
@@ -161,9 +161,7 @@ func RunSnapshot(g *tgraph.Graph, t ival.Time, prog Program, opts Options) (*Res
 		ActivateAll:   opts.ActivateAll,
 		PayloadCodec:  opts.PayloadCodec,
 		Master:        opts.Master,
-	}
-	if opts.Combine != nil {
-		cfg.Combiner = engine.CombinerFunc(opts.Combine)
+		Combiner:      opts.Combine,
 	}
 	eng, err := engine.New(g.NumVertices(), rt, cfg)
 	if err != nil {

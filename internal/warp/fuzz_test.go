@@ -57,8 +57,8 @@ func decodeWarpCase(data []byte) (outer, inner []IntervalValue) {
 func intSum(a, b Value) Value { return a.(int) + b.(int) }
 
 // tupleAt returns the tuple covering tp, if any, and how many do.
-func tupleAt(out []Tuple, tp ival.Time) (Tuple, int) {
-	var hit Tuple
+func tupleAt(out []anyTuple, tp ival.Time) (anyTuple, int) {
+	var hit anyTuple
 	hits := 0
 	for _, tu := range out {
 		if tu.Interval.Contains(tp) {
@@ -72,7 +72,7 @@ func tupleAt(out []Tuple, tp ival.Time) (Tuple, int) {
 // checkCombinedMatchesFold checks comb ≡ plain with each group folded, point
 // by point. Tuple lists are not compared directly: folding can make adjacent
 // groups equal and merge tuples that plain warp keeps apart.
-func checkCombinedMatchesFold(t *testing.T, label string, plain, comb []Tuple, fold CombineFunc) {
+func checkCombinedMatchesFold(t *testing.T, label string, plain, comb []anyTuple, fold anyCombine) {
 	t.Helper()
 	for _, tp := range samplePoints {
 		p, pn := tupleAt(plain, tp)
@@ -98,7 +98,7 @@ func checkCombinedMatchesFold(t *testing.T, label string, plain, comb []Tuple, f
 
 // checkPointwiseEqual checks that two warp outputs agree at every sample
 // point: same coverage, same state, same message multiset.
-func checkPointwiseEqual(t *testing.T, label string, a, b []Tuple) {
+func checkPointwiseEqual(t *testing.T, label string, a, b []anyTuple) {
 	t.Helper()
 	for _, tp := range samplePoints {
 		ta, na := tupleAt(a, tp)
@@ -118,7 +118,7 @@ func checkPointwiseEqual(t *testing.T, label string, a, b []Tuple) {
 // checkSameTuples requires structural equality: the scratch methods run the
 // same sweep as the free functions, so intervals, states, and group order
 // must all match.
-func checkSameTuples(t *testing.T, label string, got, want []Tuple) {
+func checkSameTuples(t *testing.T, label string, got, want []anyTuple) {
 	t.Helper()
 	if len(got) != len(want) {
 		t.Fatalf("%s: %d tuples, want %d\n got: %v\nwant: %v", label, len(got), len(want), got, want)
@@ -133,11 +133,11 @@ func checkSameTuples(t *testing.T, label string, got, want []Tuple) {
 
 // expandToPoints flattens bounded warp tuples into unit tuples, one per
 // time-point. Callers must ensure the tuples are bounded.
-func expandToPoints(out []Tuple) []Tuple {
-	var pts []Tuple
+func expandToPoints(out []anyTuple) []anyTuple {
+	var pts []anyTuple
 	for _, tu := range out {
 		for tp := tu.Interval.Start; tp < tu.Interval.End; tp++ {
-			pts = append(pts, Tuple{Interval: ival.Point(tp), State: tu.State, Msgs: tu.Msgs})
+			pts = append(pts, anyTuple{Interval: ival.Point(tp), State: tu.State, Msgs: tu.Msgs})
 		}
 	}
 	return pts
@@ -147,21 +147,21 @@ func expandToPoints(out []Tuple) []Tuple {
 func checkWarpBattery(t *testing.T, outer, inner []IntervalValue) {
 	t.Helper()
 
-	plain := Warp(outer, inner)
+	plain := anyWarp(outer, inner)
 	checkWarpProperties(t, outer, inner, plain)
 
-	comb := WarpCombined(outer, inner, intSum)
+	comb := anyWarpCombined(outer, inner, intSum)
 	checkCombinedMatchesFold(t, "WarpCombined", plain, comb, intSum)
 
-	pg := PointGroups(outer, inner)
+	pg := anyPointGroups(outer, inner)
 	checkPointwiseEqual(t, "PointGroups", plain, pg)
 
-	pgc := PointGroupsCombined(outer, inner, intSum)
+	pgc := anyPointGroupsCombined(outer, inner, intSum)
 	checkCombinedMatchesFold(t, "PointGroupsCombined", plain, pgc, intSum)
 
 	// Scratch methods must match the free functions even on a dirty scratch:
 	// the per-worker workspaces reuse one scratch for every vertex.
-	var s Scratch
+	var s anyScratch
 	s.Warp(nil, outer, inner) // dirty the buffers with a first pass
 	checkSameTuples(t, "Scratch.Warp", s.Warp(nil, outer, inner), plain)
 	checkSameTuples(t, "Scratch.WarpCombined", s.WarpCombined(nil, outer, inner, intSum), comb)
@@ -170,8 +170,8 @@ func checkWarpBattery(t *testing.T, outer, inner []IntervalValue) {
 
 	// Appending into a caller-supplied dst must leave the prefix untouched —
 	// maximality may never merge into tuples the caller passed in.
-	sentinel := Tuple{Interval: ival.Point(9999), State: "sentinel", Msgs: []Value{"keep"}}
-	withDst := s.Warp([]Tuple{sentinel}, outer, inner)
+	sentinel := anyTuple{Interval: ival.Point(9999), State: "sentinel", Msgs: []Value{"keep"}}
+	withDst := s.Warp([]anyTuple{sentinel}, outer, inner)
 	if !reflect.DeepEqual(withDst[0], sentinel) {
 		t.Fatalf("Scratch.Warp rewrote the caller's dst prefix: %+v", withDst[0])
 	}
@@ -187,8 +187,8 @@ func checkWarpBattery(t *testing.T, outer, inner []IntervalValue) {
 		}
 		unit = append(unit, IntervalValue{ival.Point(m.Interval.Start), m.Value})
 	}
-	wu := expandToPoints(Warp(outer, unit))
-	pu := PointGroups(outer, unit)
+	wu := expandToPoints(anyWarp(outer, unit))
+	pu := anyPointGroups(outer, unit)
 	if len(wu) != len(pu) {
 		t.Fatalf("unit input: %d expanded warp points, %d point-group tuples", len(wu), len(pu))
 	}

@@ -22,19 +22,39 @@ type innerRef struct {
 }
 
 // oracleScratch is the old Scratch: refs, a per-partition active set and
-// boundary list, and the group arena. match lends the shared sameGroup.
+// boundary list, and the group arena — of values, as messages were before
+// they were words.
 type oracleScratch struct {
 	refs       []innerRef
 	active     []innerRef
 	boundaries []ival.Time
 	vals       []Value
-	match      Scratch
+}
+
+// oracleSameGroup is sameGroup as it compared values: equal states, and the
+// groups equal as multisets under valueEqual.
+func oracleSameGroup(prev anyTuple, state Value, msgs []Value) bool {
+	if len(prev.Msgs) != len(msgs) || !valueEqual(prev.State, state) {
+		return false
+	}
+	used := make([]bool, len(msgs))
+outer:
+	for _, p := range prev.Msgs {
+		for j, m := range msgs {
+			if !used[j] && valueEqual(p, m) {
+				used[j] = true
+				continue outer
+			}
+		}
+		return false
+	}
+	return true
 }
 
 // warp is the body Warp and WarpCombined ran before the single sweep: every
 // earlier message re-clipped per state partition, a sorted boundary list per
 // partition, and the active set re-scanned once per elementary segment.
-func (s *oracleScratch) warp(out []Tuple, outer, inner []IntervalValue, combine CombineFunc) []Tuple {
+func (s *oracleScratch) warp(out []anyTuple, outer, inner []IntervalValue, combine anyCombine) []anyTuple {
 	if len(outer) == 0 || len(inner) == 0 {
 		return out
 	}
@@ -111,12 +131,12 @@ func (s *oracleScratch) warp(out []Tuple, outer, inner []IntervalValue, combine 
 			// this segment, has an equal outer value, and an identical
 			// inner group.
 			if n := len(out); n > base && out[n-1].Interval.Meets(seg) &&
-				s.match.sameGroup(out[n-1], st.Value, msgs) {
+				oracleSameGroup(out[n-1], st.Value, msgs) {
 				out[n-1].Interval.End = seg.End
 				s.vals = s.vals[:start]
 				continue
 			}
-			out = append(out, Tuple{Interval: seg, State: st.Value, Msgs: msgs})
+			out = append(out, anyTuple{Interval: seg, State: st.Value, Msgs: msgs})
 		}
 	}
 	return out
@@ -124,7 +144,7 @@ func (s *oracleScratch) warp(out []Tuple, outer, inner []IntervalValue, combine 
 
 // oracleFold combines the values of active refs covering seg without building the
 // group (the inline warp combiner's single pass).
-func oracleFold(active []innerRef, seg ival.Interval, combine CombineFunc) (Value, int) {
+func oracleFold(active []innerRef, seg ival.Interval, combine anyCombine) (Value, int) {
 	var folded Value
 	n := 0
 	for _, r := range active {
@@ -156,7 +176,7 @@ func oracleDedupTimes(ts []ival.Time) []ival.Time {
 // combiner, folded exactly once) by every point tuple it expands into. Total
 // work stays O(points covered + m log m) — the same as the former per-point
 // bucket map — without allocating buckets.
-func (s *oracleScratch) pointGroups(out []Tuple, outer, inner []IntervalValue, combine CombineFunc) []Tuple {
+func (s *oracleScratch) pointGroups(out []anyTuple, outer, inner []IntervalValue, combine anyCombine) []anyTuple {
 	if len(outer) == 0 || len(inner) == 0 {
 		return out
 	}
@@ -221,7 +241,7 @@ func (s *oracleScratch) pointGroups(out []Tuple, outer, inner []IntervalValue, c
 			}
 			msgs := s.vals[start:len(s.vals):len(s.vals)]
 			for t := segStart; t < segEnd; t++ {
-				out = append(out, Tuple{Interval: ival.Point(t), State: st.Value, Msgs: msgs})
+				out = append(out, anyTuple{Interval: ival.Point(t), State: st.Value, Msgs: msgs})
 			}
 		}
 		if unbounded {
@@ -236,7 +256,7 @@ func (s *oracleScratch) pointGroups(out []Tuple, outer, inner []IntervalValue, c
 					s.vals[start] = combine(s.vals[start], r.val)
 				}
 			}
-			out = append(out, Tuple{Interval: ival.From(maxFinite), State: st.Value, Msgs: s.vals[start:len(s.vals):len(s.vals)]})
+			out = append(out, anyTuple{Interval: ival.From(maxFinite), State: st.Value, Msgs: s.vals[start:len(s.vals):len(s.vals)]})
 		}
 	}
 	return out

@@ -31,7 +31,7 @@ func identical(a, b Value) bool {
 	return reflect.DeepEqual(a, b)
 }
 
-func checkIdenticalTuples(t *testing.T, label string, got, want []Tuple) {
+func checkIdenticalTuples(t *testing.T, label string, got, want []anyTuple) {
 	t.Helper()
 	if len(got) != len(want) {
 		t.Fatalf("%s: %d tuples, want %d\n got: %v\nwant: %v", label, len(got), len(want), got, want)
@@ -51,40 +51,42 @@ func checkIdenticalTuples(t *testing.T, label string, got, want []Tuple) {
 // entryPoints pairs each Scratch method with the oracle body it used to run.
 var entryPoints = []struct {
 	name   string
-	sweep  func(s *Scratch, dst []Tuple, outer, inner []IntervalValue) []Tuple
-	oracle func(o *oracleScratch, dst []Tuple, outer, inner []IntervalValue) []Tuple
-	free   func(outer, inner []IntervalValue) []Tuple
+	sweep  func(s *anyScratch, dst []anyTuple, outer, inner []IntervalValue) []anyTuple
+	oracle func(o *oracleScratch, dst []anyTuple, outer, inner []IntervalValue) []anyTuple
+	free   func(outer, inner []IntervalValue) []anyTuple
 }{
 	{"Warp",
-		func(s *Scratch, dst []Tuple, outer, inner []IntervalValue) []Tuple { return s.Warp(dst, outer, inner) },
-		func(o *oracleScratch, dst []Tuple, outer, inner []IntervalValue) []Tuple {
+		func(s *anyScratch, dst []anyTuple, outer, inner []IntervalValue) []anyTuple {
+			return s.Warp(dst, outer, inner)
+		},
+		func(o *oracleScratch, dst []anyTuple, outer, inner []IntervalValue) []anyTuple {
 			return o.warp(dst, outer, inner, nil)
 		},
-		Warp},
+		anyWarp},
 	{"WarpCombined",
-		func(s *Scratch, dst []Tuple, outer, inner []IntervalValue) []Tuple {
+		func(s *anyScratch, dst []anyTuple, outer, inner []IntervalValue) []anyTuple {
 			return s.WarpCombined(dst, outer, inner, observe)
 		},
-		func(o *oracleScratch, dst []Tuple, outer, inner []IntervalValue) []Tuple {
+		func(o *oracleScratch, dst []anyTuple, outer, inner []IntervalValue) []anyTuple {
 			return o.warp(dst, outer, inner, observe)
 		},
-		func(outer, inner []IntervalValue) []Tuple { return WarpCombined(outer, inner, observe) }},
+		func(outer, inner []IntervalValue) []anyTuple { return anyWarpCombined(outer, inner, observe) }},
 	{"PointGroups",
-		func(s *Scratch, dst []Tuple, outer, inner []IntervalValue) []Tuple {
+		func(s *anyScratch, dst []anyTuple, outer, inner []IntervalValue) []anyTuple {
 			return s.PointGroups(dst, outer, inner)
 		},
-		func(o *oracleScratch, dst []Tuple, outer, inner []IntervalValue) []Tuple {
+		func(o *oracleScratch, dst []anyTuple, outer, inner []IntervalValue) []anyTuple {
 			return o.pointGroups(dst, outer, inner, nil)
 		},
-		PointGroups},
+		anyPointGroups},
 	{"PointGroupsCombined",
-		func(s *Scratch, dst []Tuple, outer, inner []IntervalValue) []Tuple {
+		func(s *anyScratch, dst []anyTuple, outer, inner []IntervalValue) []anyTuple {
 			return s.PointGroupsCombined(dst, outer, inner, observe)
 		},
-		func(o *oracleScratch, dst []Tuple, outer, inner []IntervalValue) []Tuple {
+		func(o *oracleScratch, dst []anyTuple, outer, inner []IntervalValue) []anyTuple {
 			return o.pointGroups(dst, outer, inner, observe)
 		},
-		func(outer, inner []IntervalValue) []Tuple { return PointGroupsCombined(outer, inner, observe) }},
+		func(outer, inner []IntervalValue) []anyTuple { return anyPointGroupsCombined(outer, inner, observe) }},
 }
 
 // checkAgainstOracle requires every entry point to reproduce its oracle
@@ -93,21 +95,21 @@ var entryPoints = []struct {
 // which maximality must neither merge into nor rewrite.
 func checkAgainstOracle(t *testing.T, outer, inner []IntervalValue) {
 	t.Helper()
-	var s Scratch
+	var s anyScratch
 	var o oracleScratch
 	for _, e := range entryPoints {
 		want := e.oracle(&o, nil, outer, inner)
 		checkIdenticalTuples(t, e.name, e.free(outer, inner), want)
 		checkIdenticalTuples(t, "Scratch."+e.name, e.sweep(&s, nil, outer, inner), want)
 
-		prefix := Tuple{Interval: ival.New(-5, 0), State: 0, Msgs: []Value{0}}
+		prefix := anyTuple{Interval: ival.New(-5, 0), State: 0, Msgs: []Value{0}}
 		if len(want) > 0 {
 			// Bait: the prefix meets the first tuple with its state and group.
-			prefix = Tuple{Interval: ival.New(want[0].Interval.Start-1, want[0].Interval.Start),
+			prefix = anyTuple{Interval: ival.New(want[0].Interval.Start-1, want[0].Interval.Start),
 				State: want[0].State, Msgs: append([]Value(nil), want[0].Msgs...)}
 		}
-		got := e.sweep(&s, []Tuple{prefix}, outer, inner)
-		wantDst := e.oracle(&o, []Tuple{prefix}, outer, inner)
+		got := e.sweep(&s, []anyTuple{prefix}, outer, inner)
+		wantDst := e.oracle(&o, []anyTuple{prefix}, outer, inner)
 		checkIdenticalTuples(t, "Scratch."+e.name+"(dst)", got, wantDst)
 		checkIdenticalTuples(t, "Scratch."+e.name+"(dst) vs nil dst", got[1:], want)
 	}
@@ -242,15 +244,15 @@ func TestFoldOrderContract(t *testing.T) {
 	}
 	concat := func(a, b Value) Value { return a.(string) + b.(string) }
 
-	got := WarpCombined(outer, inner, concat)
+	got := anyWarpCombined(outer, inner, concat)
 	if n := len(got); n != 3 || got[n-1].Msgs[0] != byStart[0]+byStart[1]+byStart[2] {
 		t.Errorf("WarpCombined folds in (start, arrival) order; got %v", got)
 	}
-	got = PointGroupsCombined(outer, inner, concat)
+	got = anyPointGroupsCombined(outer, inner, concat)
 	if n := len(got); n != 3 || got[n-1].Msgs[0] != arrival {
 		t.Errorf("PointGroupsCombined folds in arrival order; got %v", got)
 	}
-	for name, tuples := range map[string][]Tuple{"Warp": Warp(outer, inner), "PointGroups": PointGroups(outer, inner)} {
+	for name, tuples := range map[string][]anyTuple{"Warp": anyWarp(outer, inner), "PointGroups": anyPointGroups(outer, inner)} {
 		group := ""
 		for _, v := range tuples[len(tuples)-1].Msgs {
 			group += v.(string)
@@ -276,7 +278,7 @@ func TestSweepWorkCounts(t *testing.T) {
 		}
 		return inner
 	}
-	var s Scratch
+	var s anyScratch
 
 	// The path algorithms' inbox: every newcomer extends the running fold.
 	for _, m := range []int{1, 2, 8, 59, 200} {

@@ -37,10 +37,12 @@ import (
 	"reflect"
 	"slices"
 
+	"graphite/internal/codec"
 	ival "graphite/internal/interval"
 )
 
-// Value is an opaque user value carried by states and messages.
+// Value is an opaque user value carried by states, and by messages on their
+// way in: inside the sweep a message is a codec.Word.
 type Value = any
 
 // IntervalValue pairs a time-interval with a value.
@@ -52,11 +54,13 @@ type IntervalValue struct {
 // Tuple is one output triple of the warp operator: for every time-point in
 // Interval, State is the (single) outer value and Msgs are all inner values
 // alive at that time-point. Msgs preserves multiset semantics: one entry per
-// inner tuple, in inner-set order.
+// inner tuple, in inner-set order. A message is a word: an inner value outside
+// the word palette is held by the Scratch that made the tuple and read back
+// with its Payload.
 type Tuple struct {
 	Interval ival.Interval
 	State    Value
-	Msgs     []Value
+	Msgs     []codec.Word
 }
 
 // JoinTriple is one output of the time-join operator: a maximal common
@@ -84,12 +88,14 @@ func TimeJoin(outer, inner []IntervalValue) []JoinTriple {
 
 // CombineFunc folds two inner values into one; used by warp combiners
 // (Sec. VI "Inline Warp Combiner"). It must be commutative and associative.
-type CombineFunc func(a, b Value) Value
+type CombineFunc func(a, b codec.Word) codec.Word
 
 // Warp computes the time-warp of outer with inner. The outer set must be
 // temporally partitioned (sorted, non-overlapping); inner may be arbitrary.
 // The output is temporally partitioned and satisfies the four warp
-// properties. Triples with empty inner groups are not produced.
+// properties. Triples with empty inner groups are not produced. The free
+// functions drop their Scratch: use its methods to align inner values outside
+// the word palette and read them back.
 func Warp(outer, inner []IntervalValue) []Tuple {
 	var s Scratch
 	return s.Warp(nil, outer, inner)
@@ -123,11 +129,19 @@ type ref struct {
 // methods share its arena: they are valid only until the next call on the
 // same Scratch.
 type Scratch struct {
-	msgs   []IntervalValue // the message set, in arrival order
-	refs   []ref           // msgs sorted by (start, arrival)
-	active []ref           // messages alive at the sweep position, in fold order
-	vals   []Value         // arena carved into the output tuples' Msgs groups
-	used   []bool          // sameGroup multiset-match scratch
+	msgs   []message    // the message set, in arrival order
+	refs   []ref        // msgs sorted by (start, arrival)
+	active []ref        // messages alive at the sweep position, in fold order
+	vals   []codec.Word // arena carved into the output tuples' Msgs groups
+	used   []bool       // sameGroup multiset-match scratch
+	spill  []any        // what the set's KindSpill words index; emptied by Reset
+}
+
+// message is one inner tuple of the set: pointer-free, like the words the
+// groups are carved from.
+type message struct {
+	iv ival.Interval
+	w  codec.Word
 }
 
 // Warp is Warp appending into dst (usually a recycled buffer, sliced to
@@ -143,27 +157,50 @@ func (s *Scratch) WarpCombined(dst []Tuple, outer, inner []IntervalValue, combin
 	return s.load(inner).Sweep(dst, outer, combine, false)
 }
 
-// load makes inner the scratch's message set.
+// load makes inner the scratch's message set, converting each value to its
+// word.
 func (s *Scratch) load(inner []IntervalValue) *Scratch {
 	s.Reset()
 	for _, m := range inner {
-		s.Add(m.Interval, m.Value)
+		w, ok := codec.WordOf(m.Value)
+		if !ok {
+			w = s.Spill(m.Value)
+		}
+		s.Add(m.Interval, w)
 	}
 	return s
 }
 
-// Reset empties the scratch's message set.
-func (s *Scratch) Reset() { s.msgs = s.msgs[:0] }
+// Reset empties the scratch's message set and its spill table.
+func (s *Scratch) Reset() {
+	s.msgs = s.msgs[:0]
+	clear(s.spill)
+	s.spill = s.spill[:0]
+}
 
 // Add appends one inner tuple to the message set Sweep aligns — the way in
 // for a caller that clips or filters its messages anyway and would otherwise
 // build an []IntervalValue only to have it copied here. Arrival order is the
-// order of the Add calls; empty intervals are dropped.
-func (s *Scratch) Add(iv ival.Interval, v Value) {
+// order of the Add calls; empty intervals are dropped. A spilled word indexes
+// this scratch's table: see Spill.
+func (s *Scratch) Add(iv ival.Interval, w codec.Word) {
 	if !iv.IsEmpty() {
-		s.msgs = append(s.msgs, IntervalValue{Interval: iv, Value: v})
+		s.msgs = append(s.msgs, message{iv, w})
 	}
 }
+
+// Spill takes a value outside the word palette into the scratch's spill
+// table, until the next Reset, and returns the word that stands for it.
+func (s *Scratch) Spill(v Value) codec.Word {
+	s.spill = append(s.spill, v)
+	return codec.Word{K: codec.KindSpill, A: uint64(len(s.spill) - 1)}
+}
+
+// Spilled returns the spill table, for moving a word on to another container.
+func (s *Scratch) Spilled() []any { return s.spill }
+
+// Payload returns the value a word of this scratch's tuples stands for.
+func (s *Scratch) Payload(w codec.Word) Value { return w.Resolve(s.spill) }
 
 // sortRefs rebuilds refs from msgs, ordered by (start, arrival index). msgs
 // is in arrival order, so a stable sort by start suffices: insertion sort,
@@ -171,7 +208,7 @@ func (s *Scratch) Add(iv ival.Interval, v Value) {
 func (s *Scratch) sortRefs() []ref {
 	refs := s.refs[:0]
 	for i, m := range s.msgs {
-		refs = append(refs, ref{m.Interval.Start, m.Interval.End, i})
+		refs = append(refs, ref{m.iv.Start, m.iv.End, i})
 	}
 	s.refs = refs
 	if len(refs) > 64 {
@@ -215,7 +252,7 @@ func (s *Scratch) Sweep(out []Tuple, outer []IntervalValue, combine CombineFunc,
 		base    = len(out)                 // maximality never merges into tuples the caller passed in
 		next    = 0                        // first message the sweep has not reached
 		minEnd  = ival.Infinity            // earliest end among active; nothing retires before it
-		folded  Value                      // the fold of active, unless stale
+		folded  codec.Word                 // the fold of active, unless stale
 		stale   bool
 		pos     = outer[0].Interval.Start
 	)
@@ -255,9 +292,9 @@ func (s *Scratch) Sweep(out []Tuple, outer []IntervalValue, combine CombineFunc,
 				switch {
 				case combine == nil:
 				case len(active) == 1:
-					folded, stale = msgs[r.idx].Value, false
+					folded, stale = msgs[r.idx].w, false
 				case !stale && k == len(active)-1:
-					folded = combine(folded, msgs[r.idx].Value)
+					folded = combine(folded, msgs[r.idx].w)
 				default:
 					stale = true
 				}
@@ -276,13 +313,13 @@ func (s *Scratch) Sweep(out []Tuple, outer []IntervalValue, combine CombineFunc,
 			start := len(s.vals)
 			if combine == nil {
 				for _, r := range active {
-					s.vals = append(s.vals, msgs[r.idx].Value)
+					s.vals = append(s.vals, msgs[r.idx].w)
 				}
 			} else {
 				if stale {
-					folded, stale = msgs[active[0].idx].Value, false
+					folded, stale = msgs[active[0].idx].w, false
 					for _, r := range active[1:] {
-						folded = combine(folded, msgs[r.idx].Value)
+						folded = combine(folded, msgs[r.idx].w)
 					}
 				}
 				s.vals = append(s.vals, folded)
@@ -311,9 +348,9 @@ func (s *Scratch) Sweep(out []Tuple, outer []IntervalValue, combine CombineFunc,
 // sameGroup reports whether the previous output triple has the same state
 // value and inner group as the candidate. Groups are compared as multisets
 // of values — the formal Maximal property ranges over value sets, not
-// positions. Values are compared with reflect.DeepEqual so that slice- and
-// struct-valued messages work.
-func (s *Scratch) sameGroup(prev Tuple, state Value, msgs []Value) bool {
+// positions. Spilled messages are compared by the values they stand for, with
+// reflect.DeepEqual so that slice- and struct-valued messages work.
+func (s *Scratch) sameGroup(prev Tuple, state Value, msgs []codec.Word) bool {
 	if len(prev.Msgs) != len(msgs) {
 		return false
 	}
@@ -323,7 +360,7 @@ func (s *Scratch) sameGroup(prev Tuple, state Value, msgs []Value) bool {
 	if len(msgs) == 1 {
 		// The combined path and single-message groups never need the
 		// multiset matcher.
-		return valueEqual(prev.Msgs[0], msgs[0])
+		return s.sameWord(prev.Msgs[0], msgs[0])
 	}
 	if cap(s.used) < len(msgs) {
 		s.used = make([]bool, len(msgs))
@@ -335,7 +372,7 @@ func (s *Scratch) sameGroup(prev Tuple, state Value, msgs []Value) bool {
 outer:
 	for _, p := range prev.Msgs {
 		for j, m := range msgs {
-			if !used[j] && valueEqual(p, m) {
+			if !used[j] && s.sameWord(p, m) {
 				used[j] = true
 				continue outer
 			}
@@ -343,6 +380,14 @@ outer:
 		return false
 	}
 	return true
+}
+
+// sameWord compares two messages of the set as valueEqual would the values.
+func (s *Scratch) sameWord(a, b codec.Word) bool {
+	if a.K == codec.KindSpill && b.K == codec.KindSpill {
+		return valueEqual(s.spill[a.A], s.spill[b.A])
+	}
+	return a.Equal(b)
 }
 
 // valueEqual compares two values, with fast paths for the common scalar

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"graphite/internal/codec"
 	ival "graphite/internal/interval"
 )
 
@@ -45,15 +46,9 @@ func BenchmarkWarpLarge(b *testing.B) {
 
 func BenchmarkWarpCombinedLarge(b *testing.B) {
 	outer, inner := benchInstance(8, 64, 256)
-	min := func(a, c Value) Value {
-		if a.(int64) < c.(int64) {
-			return a
-		}
-		return c
-	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		WarpCombined(outer, inner, min)
+		WarpCombined(outer, inner, minInt64)
 	}
 }
 
@@ -83,8 +78,8 @@ func BenchmarkTimeJoin(b *testing.B) {
 // benchmark measured, each on a warmed Scratch, where a steady-state
 // superstep must not allocate.
 
-func minInt64(a, b Value) Value {
-	if b.(int64) < a.(int64) {
+func minInt64(a, b codec.Word) codec.Word {
+	if b.Int() < a.Int() {
 		return b
 	}
 	return a
@@ -149,13 +144,6 @@ func BenchmarkRankInbox(b *testing.B) {
 	for i := 0; i < 64; i++ {
 		inner = append(inner, IntervalValue{ival.Point(ival.Time(i * 5 % 16)), float64(i)})
 	}
-	// PageRank sums; max hands back an operand instead of boxing a new
-	// float64, so whatever allocates here is the scratch.
-	maxFloat := func(a, c Value) Value {
-		if c.(float64) > a.(float64) {
-			return c
-		}
-		return a
-	}
-	benchInbox(b, func(s *Scratch, dst []Tuple) []Tuple { return s.PointGroupsCombined(dst, outer, inner, maxFloat) })
+	sum := func(a, c codec.Word) codec.Word { return codec.FloatWord(a.Float() + c.Float()) }
+	benchInbox(b, func(s *Scratch, dst []Tuple) []Tuple { return s.PointGroupsCombined(dst, outer, inner, sum) })
 }

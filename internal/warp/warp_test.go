@@ -31,8 +31,8 @@ func fig3() (outer, inner []IntervalValue) {
 
 func TestWarpFig3(t *testing.T) {
 	outer, inner := fig3()
-	got := Warp(outer, inner)
-	want := []Tuple{
+	got := anyWarp(outer, inner)
+	want := []anyTuple{
 		{iv(0, 2), "s1", []Value{"m1"}},
 		{iv(2, 4), "s1", []Value{"m1", "m2"}},
 		{iv(4, 5), "s1", []Value{"m2", "m5"}},
@@ -53,8 +53,8 @@ func TestWarpMergesAcrossMessageBoundaries(t *testing.T) {
 		{iv(0, 5), int64(7)},
 		{iv(5, 10), int64(7)},
 	}
-	got := Warp(outer, inner)
-	want := []Tuple{{iv(0, 10), "s", []Value{int64(7)}}}
+	got := anyWarp(outer, inner)
+	want := []anyTuple{{iv(0, 10), "s", []Value{int64(7)}}}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("warp = %v, want fused %v", got, want)
 	}
@@ -68,8 +68,8 @@ func TestWarpMergesAcrossStatePartitions(t *testing.T) {
 		{iv(5, 10), int64(1)},
 	}
 	inner := []IntervalValue{{iv(0, 10), "m"}}
-	got := Warp(outer, inner)
-	want := []Tuple{{iv(0, 10), int64(1), []Value{"m"}}}
+	got := anyWarp(outer, inner)
+	want := []anyTuple{{iv(0, 10), int64(1), []Value{"m"}}}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("warp = %v, want %v", got, want)
 	}
@@ -85,8 +85,8 @@ func TestWarpSSSPExample(t *testing.T) {
 		{ival.From(9), int64(5)},
 		{ival.From(6), int64(7)},
 	}
-	got := Warp(outer, inner)
-	want := []Tuple{
+	got := anyWarp(outer, inner)
+	want := []anyTuple{
 		{iv(6, 9), inf, []Value{int64(7)}},
 		{ival.From(9), inf, []Value{int64(5), int64(7)}},
 	}
@@ -96,17 +96,17 @@ func TestWarpSSSPExample(t *testing.T) {
 }
 
 func TestWarpEmptyInputs(t *testing.T) {
-	if got := Warp(nil, []IntervalValue{{iv(0, 5), 1}}); got != nil {
+	if got := anyWarp(nil, []IntervalValue{{iv(0, 5), 1}}); got != nil {
 		t.Errorf("empty outer should give nil, got %v", got)
 	}
-	if got := Warp([]IntervalValue{{iv(0, 5), 1}}, nil); got != nil {
+	if got := anyWarp([]IntervalValue{{iv(0, 5), 1}}, nil); got != nil {
 		t.Errorf("empty inner should give nil, got %v", got)
 	}
-	if got := Warp([]IntervalValue{{iv(0, 5), 1}}, []IntervalValue{{ival.Empty, 2}}); got != nil {
+	if got := anyWarp([]IntervalValue{{iv(0, 5), 1}}, []IntervalValue{{ival.Empty, 2}}); got != nil {
 		t.Errorf("all-empty inner intervals should give nil, got %v", got)
 	}
 	// Disjoint in time: nothing to group.
-	if got := Warp([]IntervalValue{{iv(0, 5), 1}}, []IntervalValue{{iv(7, 9), 2}}); got != nil {
+	if got := anyWarp([]IntervalValue{{iv(0, 5), 1}}, []IntervalValue{{iv(7, 9), 2}}); got != nil {
 		t.Errorf("disjoint sets should give nil, got %v", got)
 	}
 }
@@ -118,8 +118,8 @@ func TestWarpCombined(t *testing.T) {
 		inner[i].Value = int64(i + 1)
 	}
 	sum := func(a, b Value) Value { return a.(int64) + b.(int64) }
-	got := WarpCombined(outer, inner, sum)
-	plain := Warp(outer, inner)
+	got := anyWarpCombined(outer, inner, sum)
+	plain := anyWarp(outer, inner)
 	if len(got) != len(plain) {
 		t.Fatalf("combined output length %d != plain %d", len(got), len(plain))
 	}
@@ -212,7 +212,7 @@ func randInstance(r *rand.Rand) (outer, inner []IntervalValue) {
 	return
 }
 
-func checkWarpProperties(t *testing.T, outer, inner []IntervalValue, out []Tuple) {
+func checkWarpProperties(t *testing.T, outer, inner []IntervalValue, out []anyTuple) {
 	t.Helper()
 	// Output must be temporally partitioned (sorted, pairwise disjoint).
 	for i := 1; i < len(out); i++ {
@@ -244,7 +244,7 @@ func checkWarpProperties(t *testing.T, outer, inner []IntervalValue, out []Tuple
 			}
 		}
 		// Warp tuples containing tp.
-		var hits []Tuple
+		var hits []anyTuple
 		for _, tu := range out {
 			if tu.Interval.Contains(tp) {
 				hits = append(hits, tu)
@@ -301,7 +301,7 @@ func TestWarpPropertiesRandomized(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		outer, inner := randInstance(r)
-		out := Warp(outer, inner)
+		out := anyWarp(outer, inner)
 		checkWarpProperties(t, outer, inner, out)
 		return !t.Failed()
 	}
@@ -317,8 +317,8 @@ func TestPointGroupsMatchesWarp(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		outer, inner := randInstance(r)
-		w := Warp(outer, inner)
-		p := PointGroups(outer, inner)
+		w := anyWarp(outer, inner)
+		p := anyPointGroups(outer, inner)
 		for _, tp := range samplePoints {
 			var wg, pg []Value
 			for _, tu := range w {
@@ -353,8 +353,8 @@ func TestWarpCombinedMatchesFold(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		outer, inner := randInstance(r)
-		plain := Warp(outer, inner)
-		comb := WarpCombined(outer, inner, min)
+		plain := anyWarp(outer, inner)
+		comb := anyWarpCombined(outer, inner, min)
 		// Every plain tuple interval must be covered by combined tuples
 		// with the folded value; combined may be coarser (folding can make
 		// adjacent groups equal), so compare point-wise.
