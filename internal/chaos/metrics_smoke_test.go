@@ -30,30 +30,23 @@ import (
 
 const smokeWorkers = 2
 
-// scrapeLoop polls url until the body contains every want substring (one
-// success is kept) or stop closes. Worker endpoints die with their process,
-// so scraping must happen while the run is live; the planted crash plus
-// rejoin guarantees a generous window.
+// scrapeLoop polls url until stop closes and returns the first body that
+// contained every want substring, or the last body read when none did. It
+// polls to the end because a fleet child with an HTTP endpoint exits only
+// after one scrape of its finished run (see ChildSpec): whatever the timing
+// of the planted kill, every incarnation that completes is scraped.
 func scrapeLoop(url func() (string, error), want []string, stop <-chan struct{}) (body string, ok bool) {
 	for {
 		select {
 		case <-stop:
-			return body, false
+			return body, ok
 		default:
 		}
-		u, err := url()
-		if err == nil {
-			if b, err := httpGet(u); err == nil {
-				body = b
-				ok = true
+		if u, err := url(); err == nil {
+			if b, err := httpGet(u); err == nil && !ok {
+				body, ok = b, true
 				for _, w := range want {
-					if !strings.Contains(b, w) {
-						ok = false
-						break
-					}
-				}
-				if ok {
-					return body, true
+					ok = ok && strings.Contains(b, w)
 				}
 			}
 		}
@@ -187,9 +180,9 @@ func TestClusterObservabilityPlane(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Scrape every process while the run is live. The coordinator endpoint
-	// outlives the run; the workers' die with their processes, so their
-	// scrapers race the computation (the planted kill and rejoin stretch it).
+	// Scrape every process until the fleet has exited. The coordinator
+	// endpoint outlives the run; a worker's stays up until it has served one
+	// scrape of the finished run.
 	stopScrape := make(chan struct{})
 	var wg sync.WaitGroup
 	type scrape struct {
@@ -232,14 +225,6 @@ func TestClusterObservabilityPlane(t *testing.T) {
 	}
 	if fleet.Respawns() < 1 {
 		t.Fatalf("planted crash did not kill the worker")
-	}
-	// Successful scrapers exit on their own; give stragglers a grace period,
-	// then stop them. Results are read only after wg.Wait.
-	scraped := make(chan struct{})
-	go func() { wg.Wait(); close(scraped) }()
-	select {
-	case <-scraped:
-	case <-time.After(5 * time.Second):
 	}
 	close(stopScrape)
 	wg.Wait()

@@ -21,6 +21,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 
 	"graphite/internal/cluster"
 	"graphite/internal/obs"
@@ -35,7 +36,10 @@ const ChildEnv = "GRAPHITE_CLUSTER_CHILD"
 // ChildSpec is the worker bootstrap carried in ChildEnv. HTTP makes the
 // child serve its metric registry at a loopback /metrics (+ /debug/)
 // endpoint, writing the bound address to Dir/WorkerHTTPAddrFile so the
-// parent can scrape it. Trace makes the child append its JSONL run trace to
+// parent can scrape it. A child whose run completed keeps that endpoint up
+// until it has served one /metrics scrape of the finished run (or the fleet
+// kills it), so a parent that polls until the fleet has exited cannot lose
+// the race with a short run. Trace makes the child append its JSONL run trace to
 // Dir/WorkerTraceFile — append, so a respawned incarnation extends the same
 // file and the directory accumulates one trace for the whole slot.
 type ChildSpec struct {
@@ -92,6 +96,10 @@ func RunChildWorker() {
 		}
 		cfg.Tracer = trace
 	}
+	// The first /metrics scrape to start after runDone is set closes scraped.
+	var runDone atomic.Bool
+	scraped := make(chan struct{})
+	var srv *http.Server
 	if spec.HTTP {
 		reg := obs.NewRegistry()
 		cfg.Registry = reg
@@ -105,10 +113,19 @@ func RunChildWorker() {
 			fmt.Fprintf(os.Stderr, "chaos child: %v\n", err)
 			os.Exit(2)
 		}
+		metrics := obs.MetricsHandler(reg)
+		var once sync.Once
 		mux := http.NewServeMux()
-		mux.Handle("/metrics", obs.MetricsHandler(reg))
+		mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
+			final := runDone.Load()
+			metrics.ServeHTTP(w, r)
+			if final {
+				once.Do(func() { close(scraped) })
+			}
+		})
 		mux.Handle("/debug/", obs.DebugMux(reg))
-		go func() { _ = http.Serve(ln, mux) }()
+		srv = &http.Server{Handler: mux}
+		go func() { _ = srv.Serve(ln) }()
 	}
 	err = cluster.RunWorker(context.Background(), cfg)
 	if trace != nil {
@@ -117,6 +134,12 @@ func RunChildWorker() {
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "chaos child (%s): %v\n", spec.Dir, err)
 		os.Exit(1)
+	}
+	if srv != nil {
+		runDone.Store(true)
+		<-scraped
+		// Shutdown lets that scrape's response finish before the process exits.
+		_ = srv.Shutdown(context.Background())
 	}
 	os.Exit(0)
 }
