@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet race verify bench-test bench-core fuzz chaos bench bench-skew bench-obs trace-smoke serve-smoke cluster-smoke cluster-bench metrics-smoke stream-smoke load-smoke clean
+.PHONY: all build test vet race verify bench-test bench-core fuzz bench trace-smoke serve-smoke cluster-smoke metrics-smoke stream-smoke load-smoke clean
 
 all: verify
 
@@ -28,9 +28,10 @@ race:
 
 # Fuzz smoke: every fuzz target in the codec (intervals, slices, the word
 # forms against the any forms), engine (the batch decoder, the first thing a
-# peer's bytes reach), state, warp and graph-format layers, and the window
-# view against its slice oracle, for FUZZTIME each (Go allows one -fuzz target
-# per invocation).
+# peer's bytes reach), state, warp and graph-format layers, the window view
+# against its slice oracle, the cluster's frame and control-message decoders,
+# and the WAL's record decoder and replay, for FUZZTIME each (Go allows one
+# -fuzz target per invocation).
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzIntervalDecode -fuzztime $(FUZZTIME) ./internal/codec
@@ -45,6 +46,9 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzSnapshotMutation -fuzztime $(FUZZTIME) ./internal/tgraph
 	$(GO) test -run '^$$' -fuzz FuzzSlice -fuzztime $(FUZZTIME) ./internal/tgraph
 	$(GO) test -run '^$$' -fuzz FuzzWindowView -fuzztime $(FUZZTIME) ./internal/algorithms
+	$(GO) test -run '^$$' -fuzz FuzzClusterFrames -fuzztime $(FUZZTIME) ./internal/cluster
+	$(GO) test -run '^$$' -fuzz FuzzWALDecodeBatch -fuzztime $(FUZZTIME) ./internal/live
+	$(GO) test -run '^$$' -fuzz FuzzWALReplay -fuzztime $(FUZZTIME) ./internal/live
 
 # The full gate: everything vetted, built, and race-tested. Long-running
 # chaos tests honour -short via `make verify SHORT=-short`.
@@ -76,28 +80,8 @@ bench-core:
 	$(GO) test -run '^$$' -bench 'PathInbox|HubInbox|RankInbox' -benchtime=1x ./internal/warp
 	$(GO) test -run '^$$' -bench 'ExchangeRank' -benchtime=1x -benchmem ./internal/engine
 
-# The fault-injection demonstration: SSSP under seeded faults vs fault-free.
-chaos:
-	$(GO) run ./cmd/graphite-bench chaos
-
 bench:
 	$(GO) run ./cmd/graphite-bench -scale 1 -workers 8 all
-
-# Scheduler skew ablation: static vs balanced-partition vs work-stealing
-# compute on a heavily skewed power-law temporal graph. Records the report
-# to BENCH_skew.json (and a human-readable table on stdout); the run also
-# asserts bit-identical results across scheduler modes and fails otherwise.
-SKEW_SCALE ?= 1
-bench-skew:
-	$(GO) run ./cmd/graphite-bench -scale $(SKEW_SCALE) -workers 8 -skew-json BENCH_skew.json skew
-
-# Observability overhead guard: instrumented (registry + JSONL tracer) vs
-# bare superstep cost, medians of interleaved runs. Records the report to
-# BENCH_obs.json and FAILS if the overhead ratio exceeds the pinned bound
-# (bench.ObsOverheadBound).
-OBS_SCALE ?= 1
-bench-obs:
-	$(GO) run ./cmd/graphite-bench -scale $(OBS_SCALE) -workers 8 -obs-json BENCH_obs.json obs
 
 # End-to-end tracing smoke test: run transit SSSP with a JSONL trace, then
 # validate the trace (schema, superstep contiguity, totals reconciliation)
@@ -114,22 +98,12 @@ trace-smoke:
 serve-smoke:
 	$(GO) run ./cmd/graphite-loadgen -boot
 
-# End-to-end cluster recovery smoke test: run the multi-process cluster
-# runtime (coordinator + 3 worker processes), SIGKILL a worker
-# mid-superstep, and fail unless the recovered result is bit-identical to
-# the fault-free run. Records MTTR, replayed supersteps and restored bytes
-# to BENCH_recovery.json (and a summary on stdout).
+# End-to-end cluster recovery smoke test: the multi-process cluster runtime
+# (coordinator + worker processes) with a worker SIGKILLed at each planted
+# point, whole-graph and partitioned; fails unless every recovered result is
+# bit-identical to the single-process run.
 cluster-smoke:
-	$(GO) run ./cmd/graphite-bench -recovery-json BENCH_recovery.json recovery
-
-# Data-plane bench: the same partitioned PageRank on the coordinator-relay
-# plane and the direct worker-to-worker mesh, both checked bit-identical
-# against a single-process run. Records makespans, per-plane byte counters
-# (relay bytes must be ~0 in direct mode), per-shard resident graph sizes,
-# and a partition-width sweep to BENCH_cluster.json.
-CLUSTER_SCALE ?= 1
-cluster-bench:
-	$(GO) run ./cmd/graphite-bench -scale $(CLUSTER_SCALE) -cluster-json BENCH_cluster.json cluster
+	$(GO) test -race -run 'TestProcessKillRecovery' -v ./internal/chaos/
 
 # Cluster observability smoke test: a coordinator plus a crash-and-respawn
 # worker fleet with per-worker /metrics endpoints and appended JSONL traces;
@@ -141,24 +115,14 @@ metrics-smoke:
 
 # Live-graph smoke test: the WAL kill-9 durability proof (a child process is
 # SIGKILLed mid-ingest and the replayed graph must match acked batches
-# byte-for-byte), the concurrent ingest-vs-query race check, then the stream
-# experiment — durable ingest throughput, replay cost, and incremental
-# (seeded) vs cold recomputation with bit-identity enforced. Records the
-# report to BENCH_stream.json (and a human-readable table on stdout).
-STREAM_SCALE ?= 1
+# byte-for-byte) and the concurrent ingest-vs-query race check.
 stream-smoke:
 	$(GO) test -race -run 'TestWALSurvivesSIGKILL' -v ./internal/chaos/
 	$(GO) test -race -run 'TestConcurrentIngestAndQueries|TestLiveMutation' -v ./internal/serve/
-	$(GO) run ./cmd/graphite-bench -scale $(STREAM_SCALE) -workers 8 -stream-json BENCH_stream.json stream
 
-# Snapshot-format smoke test: the load experiment (text vs binary vs mapped
-# .gsn opens, with a hard >= 10x mmap-vs-text gate, algorithm identity on
-# the mapped graph, and compacted-vs-full WAL recovery), plus the kill-9
-# during-compaction chaos proof. Records the report to BENCH_load.json.
-LOAD_SCALE ?= 1
+# Snapshot-format smoke test: the kill-9 during-compaction chaos proof.
 load-smoke:
 	$(GO) test -race -run 'TestCompactionSurvivesSIGKILL' -v ./internal/chaos/
-	$(GO) run ./cmd/graphite-bench -scale $(LOAD_SCALE) -load-json BENCH_load.json load
 
 clean:
 	$(GO) clean ./...

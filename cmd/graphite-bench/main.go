@@ -6,21 +6,7 @@
 //	graphite-bench [flags] <experiment>...
 //
 // Experiments: table1, table2, fig4, fig5, fig6a, fig6b, fig6c, fig7,
-// msgsize, loc, chaos, alloc, skew, obs, recovery, stream, cluster, all. The
-// skew
-// experiment is the scheduler ablation (static / balanced-partition /
-// work-stealing compute on a heavily skewed power-law graph); -skew-json
-// records its report. The recovery experiment runs the multi-process cluster
-// runtime, SIGKILLs a worker mid-superstep, and measures detection latency,
-// MTTR, and replayed supersteps against a fault-free run; -recovery-json
-// records its report. Worker processes are re-executions of this binary. The
-// stream experiment measures the live-graph subsystem: durable WAL ingest
-// throughput, replay cost, and incremental (seeded) vs cold recomputation
-// with bit-identity enforced; -stream-json records its report. The cluster
-// experiment runs the same partitioned computation on the relay and direct
-// data planes, checks both bit-identical against a single-process run, and
-// records makespans, plane byte counters, and per-shard resident graph
-// sizes; -cluster-json records its report.
+// msgsize, loc, all.
 //
 // With -trace, every ICM run in the selected experiments appends its
 // per-superstep event stream to one JSONL file (render with graphite-trace);
@@ -35,15 +21,11 @@ import (
 	"strings"
 
 	"graphite/internal/bench"
-	"graphite/internal/chaos"
 	"graphite/internal/gen"
 	"graphite/internal/obs"
 )
 
 func main() {
-	// Re-executions of this binary spawned by the recovery experiment become
-	// cluster workers here and never reach the flag parsing below.
-	chaos.RunChildWorker()
 	var (
 		scale     = flag.Float64("scale", 1.0, "dataset scale factor (1.0 ~ quick laptop runs)")
 		workers   = flag.Int("workers", 8, "BSP workers (the paper's cluster uses 8 nodes)")
@@ -52,18 +34,12 @@ func main() {
 		seed      = flag.Int64("seed", 42, "dataset generator seed")
 		algos     = flag.String("algos", "", "comma-separated algorithm subset for table2/fig4/fig5 (default: all 12)")
 		tracePath = flag.String("trace", "", "append every ICM run's JSONL trace to this file")
-		skewJSON  = flag.String("skew-json", "", "write the skew experiment report as JSON to this file")
-		obsJSON   = flag.String("obs-json", "", "write the obs overhead-guard report as JSON to this file")
-		recJSON   = flag.String("recovery-json", "", "write the recovery experiment report as JSON to this file")
-		strJSON   = flag.String("stream-json", "", "write the stream experiment report as JSON to this file")
-		loadJSON  = flag.String("load-json", "", "write the load experiment report as JSON to this file")
-		clusJSON  = flag.String("cluster-json", "", "write the cluster data-plane experiment report as JSON to this file")
 		pprofAddr = flag.String("pprof", "", "serve /debug/vars and /debug/pprof on this address")
 		verbose   = flag.Bool("v", false, "verbose (debug-level) logging")
 	)
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: graphite-bench [flags] <experiment>...\n")
-		fmt.Fprintf(os.Stderr, "experiments: table1 table2 fig4 fig5 fig6a fig6b fig6c fig7 msgsize loc chaos alloc skew obs recovery stream load cluster all\n\n")
+		fmt.Fprintf(os.Stderr, "experiments: %s\n\n", experiments)
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -104,12 +80,6 @@ func main() {
 		}()
 		log.Debug("tracing ICM runs", "path", *tracePath)
 	}
-	skewJSONPath = *skewJSON
-	obsJSONPath = *obsJSON
-	recoveryJSONPath = *recJSON
-	streamJSONPath = *strJSON
-	loadJSONPath = *loadJSON
-	clusterJSONPath = *clusJSON
 	selected := parseAlgos(*algos)
 
 	for _, exp := range flag.Args() {
@@ -133,13 +103,12 @@ func parseAlgos(s string) []bench.Algo {
 	return out
 }
 
+// experiments lists what run accepts; "all" runs every one before it.
+const experiments = "table1 table2 fig4 fig5 fig6a fig6b fig6c fig7 msgsize loc all"
+
 // matrix caches the expensive full measurement across experiments that
 // share it.
 var matrix []bench.Cell
-
-// skewJSONPath, obsJSONPath, recoveryJSONPath and streamJSONPath, when set,
-// receive the corresponding experiments' JSON reports.
-var skewJSONPath, obsJSONPath, recoveryJSONPath, streamJSONPath, loadJSONPath, clusterJSONPath string
 
 func getMatrix(cfg bench.Config, algos []bench.Algo) ([]bench.Cell, error) {
 	if matrix != nil {
@@ -154,7 +123,8 @@ func run(cfg bench.Config, exp string, algos []bench.Algo) error {
 	w := os.Stdout
 	switch exp {
 	case "all":
-		for _, e := range []string{"table1", "table2", "fig4", "fig5", "fig6a", "fig6b", "fig6c", "fig7", "msgsize", "loc", "chaos", "alloc"} {
+		names := strings.Fields(experiments)
+		for _, e := range names[:len(names)-1] {
 			if err := run(cfg, e, algos); err != nil {
 				return err
 			}
@@ -221,88 +191,8 @@ func run(cfg bench.Config, exp string, algos []bench.Algo) error {
 			return err
 		}
 		bench.RenderLoC(w, rows)
-	case "chaos":
-		rows, err := bench.Chaos(cfg)
-		if err != nil {
-			return err
-		}
-		bench.RenderChaos(w, rows)
-	case "alloc":
-		rows, err := bench.Alloc(cfg)
-		if err != nil {
-			return err
-		}
-		bench.RenderAlloc(w, rows)
-	case "skew":
-		rep, err := bench.Skew(cfg)
-		if err != nil {
-			return err
-		}
-		bench.RenderSkew(w, rep)
-		if skewJSONPath != "" {
-			if err := bench.WriteSkewJSON(skewJSONPath, rep); err != nil {
-				return err
-			}
-		}
-	case "obs":
-		rep, err := bench.Obs(cfg)
-		if rep != nil {
-			bench.RenderObs(w, rep)
-			if obsJSONPath != "" {
-				if werr := bench.WriteObsJSON(obsJSONPath, rep); werr != nil && err == nil {
-					err = werr
-				}
-			}
-		}
-		if err != nil {
-			return err
-		}
-	case "recovery":
-		rep, err := bench.Recovery(cfg)
-		if err != nil {
-			return err
-		}
-		bench.RenderRecovery(w, rep)
-		if recoveryJSONPath != "" {
-			if err := bench.WriteRecoveryJSON(recoveryJSONPath, rep); err != nil {
-				return err
-			}
-		}
-	case "stream":
-		rep, err := bench.Stream(cfg)
-		if err != nil {
-			return err
-		}
-		bench.RenderStream(w, rep)
-		if streamJSONPath != "" {
-			if err := bench.WriteStreamJSON(streamJSONPath, rep); err != nil {
-				return err
-			}
-		}
-	case "load":
-		rep, err := bench.Load(cfg)
-		if err != nil {
-			return err
-		}
-		bench.RenderLoad(w, rep)
-		if loadJSONPath != "" {
-			if err := bench.WriteLoadJSON(loadJSONPath, rep); err != nil {
-				return err
-			}
-		}
-	case "cluster":
-		rep, err := bench.ClusterBench(cfg)
-		if err != nil {
-			return err
-		}
-		bench.RenderCluster(w, rep)
-		if clusterJSONPath != "" {
-			if err := bench.WriteClusterJSON(clusterJSONPath, rep); err != nil {
-				return err
-			}
-		}
 	default:
-		return fmt.Errorf("unknown experiment (try: table1 table2 fig4 fig5 fig6a fig6b fig6c fig7 msgsize loc chaos alloc skew obs recovery stream load cluster all)")
+		return fmt.Errorf("unknown experiment (try: %s)", experiments)
 	}
 	return nil
 }

@@ -221,19 +221,11 @@ var (
 // the Options.MaxRecoveries budget.
 var ErrRecoveryExhausted = engine.ErrRecoveryExhausted
 
-// Scheduling: Options.Steal turns on the chunked work-stealing compute
-// scheduler (results stay byte-identical; see DESIGN.md §13), and
-// Options.Partitioner overrides the default index-modulo vertex placement.
-var (
-	// PartitionBalanced builds a skew-aware static partitioner: greedy
-	// bin-packing of vertices onto workers by per-vertex work weights,
-	// typically Graph.WorkWeights (Σ out-degree · lifespan length).
-	PartitionBalanced = engine.PartitionBalanced
-)
-
-// DefaultStealChunk is the stealable chunk granularity used when
-// Options.Steal is set and Options.StealChunk is zero.
-const DefaultStealChunk = engine.DefaultStealChunk
+// PartitionBalanced builds a skew-aware partitioner for Options.Partitioner
+// (the default is index-modulo placement; see DESIGN.md §13): greedy
+// bin-packing of vertices onto workers by per-vertex work weights, typically
+// Graph.WorkWeights (Σ out-degree · lifespan length).
+var PartitionBalanced = engine.PartitionBalanced
 
 // Observability: the metrics registry, the per-superstep trace stream and
 // its sinks. Set Options.Tracer and/or Options.Registry to instrument a

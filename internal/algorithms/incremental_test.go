@@ -137,3 +137,64 @@ func TestUnsupportedAlgorithmsStayCold(t *testing.T) {
 		}
 	}
 }
+
+// TestSeededRunTakesFewerSupersteps pins what seeding is for: on a chain that
+// grows one vertex per time unit, a run over the whole chain seeded from the
+// terminal states of its first three quarters ends in strictly fewer
+// supersteps than the cold run — it needs about the extension's diameter, the
+// cold run the whole chain's. FAST is the exception and only has to take no
+// more: its journey-start value changes every time unit, one partition each,
+// so the seeded superstep-1 re-scatter walks the whole chain again. Seeding
+// is a correctness-preserving hint, not a guaranteed win.
+func TestSeededRunTakesFewerSupersteps(t *testing.T) {
+	const V = 64
+	b := tgraph.NewBuilder(V, V)
+	for v := 0; v < V; v++ {
+		b.AddVertex(tgraph.VertexID(v), ival.From(ival.Time(v)))
+		if v > 0 {
+			e := tgraph.EdgeID(v)
+			b.AddEdge(e, tgraph.VertexID(v-1), tgraph.VertexID(v), ival.From(ival.Time(v)))
+			b.SetEdgeProp(e, tgraph.PropTravelTime, ival.From(ival.Time(v)), 1)
+			b.SetEdgeProp(e, tgraph.PropTravelCost, ival.From(ival.Time(v)), 1)
+		}
+	}
+	g, err := b.Build()
+	if err != nil {
+		t.Fatalf("build chain: %v", err)
+	}
+	prefix, err := tgraph.Slice(g, ival.New(0, 3*V/4))
+	if err != nil {
+		t.Fatalf("slice prefix: %v", err)
+	}
+	seedable := 0
+	for _, name := range Names() {
+		if !SupportsIncremental(name) {
+			continue
+		}
+		seedable++
+		run := func(g *tgraph.Graph, seeds []*core.PartitionedState) *core.Result {
+			prog, opts, err := New(g, name, Params{Source: 0})
+			if err != nil {
+				t.Fatalf("%s: New: %v", name, err)
+			}
+			opts.NumWorkers = 4
+			opts.SeedStates = seeds
+			r, err := core.Run(g, prog, opts)
+			if err != nil {
+				t.Fatalf("%s: run: %v", name, err)
+			}
+			return r
+		}
+		cold := run(g, nil)
+		seeded := run(g, run(prefix, nil).Seed().StatesFor(g))
+		requireSameStates(t, name, cold, seeded)
+		saved := cold.Metrics.Supersteps - seeded.Metrics.Supersteps
+		if saved < 0 || saved == 0 && name != "fast" {
+			t.Errorf("%s: seeded run took %d supersteps, cold %d — seeding saved nothing",
+				name, seeded.Metrics.Supersteps, cold.Metrics.Supersteps)
+		}
+	}
+	if seedable == 0 {
+		t.Fatal("no algorithm supports seeding")
+	}
+}

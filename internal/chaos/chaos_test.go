@@ -248,13 +248,20 @@ func TestChaosSSSPMatchesFaultFree(t *testing.T) {
 	// bit-for-bit identical. Delivery now runs through pooled message slabs
 	// that rollback recycles, so this pins that no replay ever aliases a
 	// recycled (or chaos-corrupted) buffer into a surviving state.
+	requireSameRun(t, base, got)
+}
+
+// requireSameRun asserts a chaos run ended exactly where the fault-free one
+// did: bit-identical partitioned states, and the deterministic counters
+// (timings differ) and ICM stats equal.
+func requireSameRun(t *testing.T, base, got *core.Result) {
+	t.Helper()
 	for i := 0; i < base.Graph.NumVertices(); i++ {
 		if !reflect.DeepEqual(base.State(i).Parts(), got.State(i).Parts()) {
 			t.Errorf("vertex %d partitions diverged:\nfault-free: %v\nchaos:      %v",
 				i, base.State(i).Parts(), got.State(i).Parts())
 		}
 	}
-	// Deterministic metrics match; timings differ, so compare counters only.
 	bm, gm := base.Metrics, got.Metrics
 	if bm.Supersteps != gm.Supersteps || bm.ComputeCalls != gm.ComputeCalls ||
 		bm.ScatterCalls != gm.ScatterCalls || bm.Messages != gm.Messages ||
@@ -264,6 +271,40 @@ func TestChaosSSSPMatchesFaultFree(t *testing.T) {
 	if base.Stats != got.Stats {
 		t.Errorf("ICM stats diverged:\nfault-free: %+v\nchaos:      %+v", base.Stats, got.Stats)
 	}
+}
+
+// TestChaosRollbackRestoresFrontiers is the same guarantee at a later, sparser
+// superstep and under a second fault schedule: a checkpoint restore rebuilds
+// each worker's dense frontier from the restored active flags, and if it ever
+// resurrected a stale one — a slot missing, duplicated, or out of sync with
+// its flag — the replayed supersteps would compute a different vertex set and
+// the states and message totals below would diverge from the fault-free run.
+func TestChaosRollbackRestoresFrontiers(t *testing.T) {
+	base, err := chaosSSSP(t, 0, nil, nil)
+	if err != nil {
+		t.Fatalf("fault-free run: %v", err)
+	}
+
+	tr, err := NewTransport(3, TransportOptions{
+		Seed: 11, Drops: 1, Corruptions: 1, Duplicates: 1, Delays: 1, Every: 4,
+	})
+	if err != nil {
+		t.Fatalf("NewTransport: %v", err)
+	}
+	defer tr.Close()
+	fp := NewFaultyProgram(PanicPlan{Superstep: 3, Vertex: AnyVertex})
+	got, err := chaosSSSP(t, 1, tr, fp)
+	if err != nil {
+		t.Fatalf("chaos run: %v", err)
+	}
+
+	if fp.Panics() < 1 {
+		t.Fatalf("scheduled panic never fired")
+	}
+	if got.Metrics.Recoveries < 1 {
+		t.Errorf("chaos run recovered %d times, want >= 1", got.Metrics.Recoveries)
+	}
+	requireSameRun(t, base, got)
 }
 
 // TestChaosSpilledPayloadsMatchFaultFree is the same guarantee for the three

@@ -39,9 +39,9 @@ const ChildEnv = "GRAPHITE_CLUSTER_CHILD"
 // parent can scrape it. A child whose run completed keeps that endpoint up
 // until it has served one /metrics scrape of the finished run (or the fleet
 // kills it), so a parent that polls until the fleet has exited cannot lose
-// the race with a short run. Trace makes the child append its JSONL run trace to
-// Dir/WorkerTraceFile — append, so a respawned incarnation extends the same
-// file and the directory accumulates one trace for the whole slot.
+// the race with a short run. Trace makes the child append its JSONL run
+// trace to Dir/WorkerTraceFile — append, so a respawned incarnation extends
+// the same file and the directory accumulates one trace for the whole slot.
 type ChildSpec struct {
 	Addr  string `json:"addr"`
 	Dir   string `json:"dir"`
@@ -87,7 +87,7 @@ func RunChildWorker() {
 			os.Exit(2)
 		}
 	}
-	var trace *obs.LineTracer
+	var trace *obs.JSONLTracer
 	if spec.Trace {
 		trace, err = obs.AppendJSONLTrace(filepath.Join(spec.Dir, WorkerTraceFile))
 		if err != nil {
@@ -96,10 +96,7 @@ func RunChildWorker() {
 		}
 		cfg.Tracer = trace
 	}
-	// The first /metrics scrape to start after runDone is set closes scraped.
-	var runDone atomic.Bool
-	scraped := make(chan struct{})
-	var srv *http.Server
+	holdForScrape := func() {}
 	if spec.HTTP {
 		reg := obs.NewRegistry()
 		cfg.Registry = reg
@@ -113,8 +110,12 @@ func RunChildWorker() {
 			fmt.Fprintf(os.Stderr, "chaos child: %v\n", err)
 			os.Exit(2)
 		}
-		metrics := obs.MetricsHandler(reg)
+		// The first /metrics scrape to start after runDone is set closes
+		// scraped.
+		var runDone atomic.Bool
+		scraped := make(chan struct{})
 		var once sync.Once
+		metrics := obs.MetricsHandler(reg)
 		mux := http.NewServeMux()
 		mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 			final := runDone.Load()
@@ -124,8 +125,15 @@ func RunChildWorker() {
 			}
 		})
 		mux.Handle("/debug/", obs.DebugMux(reg))
-		srv = &http.Server{Handler: mux}
+		srv := &http.Server{Handler: mux}
 		go func() { _ = srv.Serve(ln) }()
+		holdForScrape = func() {
+			runDone.Store(true)
+			<-scraped
+			// Shutdown lets that scrape's response finish before the process
+			// exits.
+			_ = srv.Shutdown(context.Background())
+		}
 	}
 	err = cluster.RunWorker(context.Background(), cfg)
 	if trace != nil {
@@ -135,12 +143,7 @@ func RunChildWorker() {
 		fmt.Fprintf(os.Stderr, "chaos child (%s): %v\n", spec.Dir, err)
 		os.Exit(1)
 	}
-	if srv != nil {
-		runDone.Store(true)
-		<-scraped
-		// Shutdown lets that scrape's response finish before the process exits.
-		_ = srv.Shutdown(context.Background())
-	}
+	holdForScrape()
 	os.Exit(0)
 }
 

@@ -64,13 +64,6 @@ type Options struct {
 	// then also invoked on message-less vertices once per partition with an
 	// empty group.
 	ActivateAll bool
-	// Steal enables the engine's chunked work-stealing compute scheduler:
-	// idle workers execute frontier chunks for overloaded peers. Results are
-	// byte-identical with stealing on or off (engine.Config.Steal).
-	Steal bool
-	// StealChunk is the frontier slots per stealable chunk; zero means
-	// engine.DefaultStealChunk.
-	StealChunk int
 	// Partitioner overrides the engine's vertex→worker assignment; nil means
 	// index-modulo hashing. See engine.PartitionBalanced for a skew-aware
 	// static assignment built from tgraph.Graph.WorkWeights.
@@ -279,8 +272,6 @@ func Run(g *tgraph.Graph, prog Program, opts Options) (*Result, error) {
 		NumWorkers:      opts.NumWorkers,
 		MaxSupersteps:   opts.MaxSupersteps,
 		ActivateAll:     opts.ActivateAll,
-		Steal:           opts.Steal,
-		StealChunk:      opts.StealChunk,
 		Partitioner:     opts.Partitioner,
 		PayloadCodec:    opts.PayloadCodec,
 		VerifyCodec:     opts.VerifyCodec,

@@ -36,8 +36,8 @@ type Shard struct {
 
 // NewShard prepares shard `shard` of `opts.NumWorkers` for a cluster run.
 // The options must be identical in every process. Beyond the engine-level
-// restrictions (explicit NumWorkers; no Transport, Steal, Master,
-// CheckpointEvery or Context), aggregators are rejected (no distributed
+// restrictions (explicit NumWorkers; no Transport, Master, CheckpointEvery
+// or Context), aggregators are rejected (no distributed
 // merge) and ActivateAll requires MaxSupersteps. State values must be
 // encodable by opts.PayloadCodec — checkpoints and result collection
 // serialize them with it.

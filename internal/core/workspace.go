@@ -6,11 +6,9 @@ import (
 	"graphite/internal/warp"
 )
 
-// workspace is one worker's reusable compute scratch, keyed by the
-// *executing* worker (engine.Context.Worker) — under work stealing that is
-// the thief, not the vertex's owner. A worker goroutine executes one vertex
-// at a time, so each workspace is touched by exactly one goroutine and needs
-// no locking regardless of whose partition the vertex came from.
+// workspace is one worker's reusable compute scratch, keyed by
+// engine.Context.Worker. A worker goroutine executes one vertex at a time,
+// so each workspace is touched by exactly one goroutine and needs no locking.
 // All buffers are grow-only: after the first few supersteps the align →
 // compute → scatter path of runtime.Run stops allocating. Everything in a
 // workspace is valid only until the worker's next vertex — nothing here may
@@ -21,7 +19,7 @@ type workspace struct {
 	vc      VertexCtx    // persistent so &vc never escapes to the heap
 }
 
-// workspace returns the executing worker's scratch, sizing the per-worker
+// workspace returns the vertex's worker's scratch, sizing the per-worker
 // array on first use — the effective worker count is not known until the
 // engine is running (it clamps to the vertex count).
 func (rt *runtime) workspace(ctx *engine.Context) *workspace {

@@ -10,13 +10,9 @@ import (
 // facilities. A Context is only valid for the duration of the call.
 type Context struct {
 	eng    *Engine
-	w      *worker // the executing worker: partials and scratch are its own
+	w      *worker // the vertex's worker: outboxes, partials and scratch are its own
 	vertex int32
 	slot   int
-	// lanes, when non-nil, are the per-destination outbox lanes of the chunk
-	// being executed; Send appends there instead of the worker outboxes so
-	// stolen chunks stay order-independent until the deterministic merge.
-	lanes []msgSlab
 	// spill is the spill table of the inbox slab Program.Run was handed.
 	spill []any
 }
@@ -30,12 +26,10 @@ func (c *Context) Superstep() int { return c.eng.superstp }
 // NumWorkers returns the number of BSP workers.
 func (c *Context) NumWorkers() int { return len(c.eng.workers) }
 
-// Worker returns the id of the worker executing this vertex — under work
-// stealing, the thief, not the vertex's owner. Platform layers key
-// per-worker scratch workspaces off it: a worker goroutine only ever
-// executes one vertex at a time, so workspace access needs no
-// synchronization even when the vertex belongs to another worker's
-// partition.
+// Worker returns the id of the worker that owns and executes this vertex.
+// Platform layers key per-worker scratch workspaces off it: a worker
+// goroutine only ever executes one vertex at a time, so workspace access
+// needs no synchronization.
 func (c *Context) Worker() int { return c.w.id }
 
 // Phase returns the master-set phase number (0 until changed).
@@ -61,11 +55,7 @@ func (c *Context) Send(dst int, when ival.Interval, value any) {
 func (c *Context) SendWord(dst int, when ival.Interval, pw codec.Word, spill []any) {
 	w := c.w
 	dw := int(c.eng.part[dst])
-	ob := w.outbox[dw]
-	if c.lanes != nil {
-		ob = &c.lanes[dw]
-	}
-	ob.add(newMessage(int32(dst), when, pw), spill)
+	w.outbox[dw].add(newMessage(int32(dst), when, pw), spill)
 	w.sentMsgs++
 	class, n := codec.ClassAndSize(when)
 	ivalBytes := int64(n)

@@ -88,17 +88,6 @@ type Config struct {
 	// partitioning strategies is the paper's stated future work; the seam
 	// makes locality experiments possible.
 	Partitioner func(vertex, numWorkers int) int
-	// Steal enables chunked work stealing in the compute phase: each
-	// worker's active frontier is cut into fixed-size chunks and idle
-	// workers claim chunks from the most-loaded peers. Stolen chunks emit
-	// into per-chunk outbox lanes merged in deterministic (owner, slot)
-	// order at the barrier, so results are byte-identical with stealing on
-	// or off; only per-worker phase attribution in traces becomes
-	// timing-dependent.
-	Steal bool
-	// StealChunk is the number of frontier slots per stealable chunk; zero
-	// means DefaultStealChunk. Only meaningful with Steal.
-	StealChunk int
 	// Combiner, if set, merges payloads of messages to the same vertex
 	// with identical intervals at delivery time.
 	Combiner Combiner
@@ -187,9 +176,6 @@ type Engine struct {
 	halted   bool
 	superstp int
 
-	stealOn   bool // Config.Steal, resolved
-	chunkSize int  // Config.StealChunk, resolved
-
 	// inline is the kind of word PayloadCodec's values are when the codec has
 	// a word form, codec.NoInline otherwise: a message of that kind is sized
 	// and encoded without leaving its 16 bytes.
@@ -233,13 +219,6 @@ type worker struct {
 	// at delivery time (activation order), sorted at compute start. Grow-only.
 	frontier []int32
 	allSlots []int32 // lazily built 0..len(local)-1 schedule for ActivateAll
-	sched    []int32 // slot list the in-flight compute phase iterates
-
-	// Chunked work stealing (Config.Steal): this worker's stealable chunks
-	// over sched, claimed through the atomic cursor by any worker.
-	chunks  []chunk
-	nchunks int
-	cursor  atomic.Int32
 
 	// Per-worker metric partials, merged after every superstep.
 	computeCalls int64
@@ -253,8 +232,6 @@ type worker struct {
 	// records into its own fields; the coordinator reads them after the
 	// phase barrier (workers are quiescent then), so no synchronization.
 	computeNS  int64
-	stealNS    int64 // compute-phase idle-wait at the steal barrier
-	steals     int64 // chunks this worker executed for other workers
 	shipNS     int64
 	exchangeNS int64
 	delivered  int64
@@ -264,8 +241,7 @@ type worker struct {
 
 	// cctx is the worker's persistent compute Context: &cctx escapes into
 	// Program.Run through the interface call, and a per-phase local would
-	// heap-allocate once per worker per superstep. Only the goroutine
-	// executing as this worker touches it.
+	// heap-allocate once per worker per superstep.
 	cctx Context
 }
 
@@ -294,12 +270,6 @@ func New(numVertices int, program Program, cfg Config) (*Engine, error) {
 			return nil, fmt.Errorf("%w: CheckpointEvery requires a Program implementing Snapshotter", ErrBadConfig)
 		}
 	}
-	if cfg.StealChunk < 0 {
-		return nil, fmt.Errorf("%w: StealChunk must be >= 0", ErrBadConfig)
-	}
-	if cfg.StealChunk == 0 {
-		cfg.StealChunk = DefaultStealChunk
-	}
 	e := &Engine{
 		cfg:     cfg,
 		program: program,
@@ -313,8 +283,6 @@ func New(numVertices int, program Program, cfg Config) (*Engine, error) {
 		ctx:     cfg.Context,
 	}
 	e.inline = codec.InlineKind(cfg.PayloadCodec)
-	e.stealOn = cfg.Steal
-	e.chunkSize = cfg.StealChunk
 	reg := cfg.Registry
 	if reg == nil {
 		reg = obs.NewRegistry()
@@ -412,20 +380,7 @@ func (e *Engine) Run() (*Metrics, error) {
 
 	// Superstep 1 initialization: Init on every vertex, all active.
 	e.superstp = 1
-	e.parallel(func(w *worker) {
-		ctx := Context{eng: e, w: w}
-		for slot, v := range w.local {
-			if e.aborted() {
-				return
-			}
-			ctx.vertex = v
-			ctx.slot = slot
-			w.activate(slot)
-			if !e.guardedCall(int(v), func() { e.program.Init(&ctx) }) {
-				return
-			}
-		}
-	})
+	e.parallel((*worker).init)
 	if err := e.canceled(); err != nil {
 		return nil, err
 	}
@@ -460,17 +415,9 @@ func (e *Engine) Run() (*Metrics, error) {
 
 		// Compute phase: user logic over the dense active frontier,
 		// interleaved with message emission into outboxes ("compute+" in the
-		// paper). With stealing, three sub-barriers: cut every frontier into
-		// chunks, execute chunks (own first, then stolen), then merge chunk
-		// lanes into the real outboxes in deterministic (owner, slot) order.
+		// paper).
 		t0 := time.Now()
-		if e.stealOn {
-			e.parallel(func(w *worker) { w.prepareChunks() })
-			e.parallel(func(w *worker) { w.runChunks() })
-			e.parallel(func(w *worker) { w.mergeChunks() })
-		} else {
-			e.parallel(func(w *worker) { w.computeStatic() })
-		}
+		e.parallel((*worker).compute)
 		t1 := time.Now()
 		// Cancellation wins over a concurrent fault: the run is being torn
 		// down either way, and rollback must never replay a canceled phase.
@@ -528,7 +475,8 @@ func (e *Engine) Run() (*Metrics, error) {
 		e.ec.hBarrier.Observe(barrierD)
 		e.ec.supersteps.Inc()
 		e.setPoolGauges()
-		e.setSchedulerGauges()
+		e.ec.activeVertices.Set(int64(e.countActive()))
+		e.ec.imbalance.Set(e.imbalanceMilli())
 		if e.traced {
 			e.tracer.Emit(obs.SuperstepEnd{
 				Superstep:    e.superstp,
@@ -541,7 +489,6 @@ func (e *Engine) Run() (*Metrics, error) {
 				MessageBytes: st.sentBytes,
 				Delivered:    delivered,
 				Active:       e.countActive(),
-				Steals:       st.steals,
 				Intervals: obs.IntervalBytes{
 					Unit:      st.classBytes[codec.ClassUnit],
 					Unbounded: st.classBytes[codec.ClassUnbounded],
@@ -694,7 +641,7 @@ func (e *Engine) exchange() int64 {
 	if e.cfg.Transport != nil {
 		return e.exchangeTransport()
 	}
-	e.parallel(func(dst *worker) { dst.exchangeLocal() })
+	e.parallel((*worker).exchangeLocal)
 	return e.sumDelivered()
 }
 
@@ -770,29 +717,45 @@ func (e *Engine) exchangeTransport() int64 {
 	// Receive phase.
 	e.parallel(func(dst *worker) {
 		phaseStart := time.Now()
-		var n int64
-		defer func() {
-			dst.delivered = n
-			dst.exchangeNS = time.Since(phaseStart).Nanoseconds()
-		}()
-		n += dst.deliverAll(dst.outbox[dst.id])
-		dst.outbox[dst.id].reset()
+		defer func() { dst.exchangeNS = time.Since(phaseStart).Nanoseconds() }()
 		batches, err := e.cfg.Transport.Recv(dst.id)
+		if err == nil {
+			dst.delivered, err = dst.receive(batches)
+		}
 		if err != nil {
 			e.fail(err)
-			return
-		}
-		defer dst.decode.reset()
-		for _, b := range batches {
-			dst.decode.reset()
-			if err := e.decodeBatchInto(&dst.decode, b); err != nil {
-				e.fail(err)
-				return
-			}
-			n += dst.deliverAll(&dst.decode)
 		}
 	})
 	return e.sumDelivered()
+}
+
+// receive is a worker's receive phase over serialized batches: the
+// self-addressed outbox first, as it never leaves the node, then the peers'
+// batches in the order given, which callers keep ascending by source. The
+// bytes come from a peer, so a message for a vertex another worker owns is a
+// corrupt batch — never a delivery to whichever local vertex shares its slot
+// number. It returns the number of messages delivered.
+func (w *worker) receive(batches [][]byte) (int64, error) {
+	e := w.eng
+	n := w.deliverAll(w.outbox[w.id])
+	w.outbox[w.id].reset()
+	defer w.decode.reset()
+	for _, b := range batches {
+		w.decode.reset()
+		if err := e.decodeBatchInto(&w.decode, b); err != nil {
+			return n, err
+		}
+		for _, m := range w.decode.msgs {
+			dw, slot := e.owner(m.Dst)
+			if dw != w.id {
+				return n, fmt.Errorf("engine: worker %d received a message for vertex %d, which worker %d owns: %w",
+					w.id, m.Dst, dw, codec.ErrCorrupt)
+			}
+			w.deliver(slot, m, w.decode.spill)
+			n++
+		}
+	}
+	return n, nil
 }
 
 // deliverAll delivers a batch of messages this worker owns, in order, and

@@ -1,0 +1,196 @@
+package engine
+
+import (
+	"slices"
+	"sort"
+	"time"
+)
+
+// This file is the compute phase — the dense active frontier one worker
+// iterates — and the placement policy that balances workers up front.
+//
+// Frontier lifecycle. `active []bool` stays the dedup bitmap, but every
+// false→true transition also appends the slot to the worker's grow-only
+// `frontier` list, so the compute phase iterates exactly the activated slots
+// instead of scanning all of them. The frontier is built in delivery order,
+// sorted ascending at the start of compute (so messages are emitted in slot
+// order whatever order the activations arrived in), consumed, and reset at the
+// end of the phase; checkpoint restore rebuilds it from the restored flags.
+
+// activate marks a local slot active and, on the false→true transition,
+// appends it to the dense frontier. Callers run on the owning worker's
+// goroutine (delivery or Init), never concurrently for one worker.
+func (w *worker) activate(slot int) {
+	if !w.active[slot] {
+		w.active[slot] = true
+		w.frontier = append(w.frontier, int32(slot))
+	}
+}
+
+// prepareSched returns the slot list the imminent compute phase iterates: the
+// frontier, sorted ascending so execution order is that of a full-array scan,
+// or a lazily built all-slots list under ActivateAll.
+func (w *worker) prepareSched() []int32 {
+	if w.eng.cfg.ActivateAll {
+		if w.allSlots == nil {
+			w.allSlots = make([]int32, len(w.local))
+			for i := range w.allSlots {
+				w.allSlots[i] = int32(i)
+			}
+		}
+		return w.allSlots
+	}
+	slices.Sort(w.frontier)
+	return w.frontier
+}
+
+// finishSched ends a compute phase: the consumed frontier resets (delivery
+// during the next exchange rebuilds it).
+func (w *worker) finishSched() { w.frontier = w.frontier[:0] }
+
+// rebuildFrontier derives the frontier from the active flags; checkpoint
+// restore uses it, and the result is sorted by construction.
+func (w *worker) rebuildFrontier() {
+	w.frontier = w.frontier[:0]
+	for slot, a := range w.active {
+		if a {
+			w.frontier = append(w.frontier, int32(slot))
+		}
+	}
+}
+
+// init is a worker's share of superstep-1 set-up: Program.Init on every
+// vertex it owns, all of them active.
+func (w *worker) init() {
+	e := w.eng
+	ctx := Context{eng: e, w: w}
+	for slot, v := range w.local {
+		if e.aborted() {
+			return
+		}
+		ctx.vertex = v
+		ctx.slot = slot
+		w.activate(slot)
+		if !e.guardedCall(int(v), func() { e.program.Init(&ctx) }) {
+			return
+		}
+	}
+}
+
+// compute is a worker's compute phase: the program over its own frontier in
+// slot order, sends going straight to its outboxes.
+func (w *worker) compute() {
+	phaseStart := time.Now()
+	defer func() { w.computeNS = time.Since(phaseStart).Nanoseconds() }()
+	w.cctx = Context{eng: w.eng, w: w}
+	w.runSlots(w.prepareSched())
+	w.finishSched()
+}
+
+// runSlots executes the program over the given slots, recycling consumed
+// inbox slabs and clearing active flags as it goes.
+func (w *worker) runSlots(slots []int32) {
+	e, ctx := w.eng, &w.cctx
+	for _, s := range slots {
+		if e.aborted() {
+			return
+		}
+		slot := int(s)
+		v := w.local[slot]
+		ctx.vertex = v
+		ctx.slot = slot
+		var msgs []Message
+		ctx.spill = nil
+		if sl := w.inbox[slot]; sl != nil {
+			msgs, ctx.spill = sl.msgs, sl.spill
+		}
+		if !e.guardedCall(int(v), func() { e.program.Run(ctx, msgs) }) {
+			// A panicking vertex keeps its slab: rollback recycles every
+			// live inbox slab before replaying.
+			return
+		}
+		if sl := w.inbox[slot]; sl != nil {
+			w.inbox[slot] = nil
+			msgArena.put(sl)
+		}
+		w.active[slot] = false
+	}
+}
+
+// imbalanceMilli reports the latest compute phase's max/mean worker compute
+// time in thousandths: 1000 is a perfectly balanced superstep, W·1000 is one
+// straggler doing everything.
+func (e *Engine) imbalanceMilli() int64 {
+	var sum, max int64
+	for _, w := range e.workers {
+		ns := w.computeNS
+		sum += ns
+		if ns > max {
+			max = ns
+		}
+	}
+	if sum <= 0 {
+		return 0
+	}
+	mean := sum / int64(len(e.workers))
+	if mean == 0 {
+		return 0
+	}
+	return max * 1000 / mean
+}
+
+// PartitionBalanced returns a Partitioner that greedily bin-packs vertices
+// onto workers by the given per-vertex work weights (largest weight first,
+// onto the least-loaded worker), instead of the default index-modulo hash.
+// It is the answer to compute skew — hub vertices spread across workers up
+// front. Weights are typically Σ(out-degree · lifespan length), e.g. from
+// tgraph.Graph.WorkWeights. The assignment is deterministic; vertices
+// outside the weight slice fall back to modulo hashing. The returned closure
+// caches its assignment and is not safe for concurrent use (the engine calls
+// it sequentially from New).
+func PartitionBalanced(weights []int64) func(vertex, numWorkers int) int {
+	var (
+		cachedN int
+		assign  []int32
+	)
+	return func(v, n int) int {
+		if v < 0 || v >= len(weights) || n <= 0 {
+			if n <= 0 {
+				return 0
+			}
+			return v % n
+		}
+		if assign == nil || cachedN != n {
+			assign = balancedAssign(weights, n)
+			cachedN = n
+		}
+		return int(assign[v])
+	}
+}
+
+// balancedAssign is the greedy longest-processing-time bin packing behind
+// PartitionBalanced: stable-sort vertices by descending weight, place each on
+// the least-loaded worker (ties: fewest vertices, then lowest id). The +1 per
+// placement keeps zero-weight vertices spread instead of piling onto one bin.
+func balancedAssign(weights []int64, n int) []int32 {
+	order := make([]int, len(weights))
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(a, b int) bool { return weights[order[a]] > weights[order[b]] })
+	load := make([]int64, n)
+	count := make([]int, n)
+	assign := make([]int32, len(weights))
+	for _, v := range order {
+		best := 0
+		for w := 1; w < n; w++ {
+			if load[w] < load[best] || (load[w] == load[best] && count[w] < count[best]) {
+				best = w
+			}
+		}
+		assign[v] = int32(best)
+		load[best] += weights[v] + 1
+		count[best]++
+	}
+	return assign
+}

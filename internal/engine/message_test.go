@@ -109,6 +109,104 @@ func TestForeignDestinationIsCorrupt(t *testing.T) {
 	}
 }
 
+// inboxRecorder records, per vertex, the int64 payloads Run was handed.
+type inboxRecorder struct {
+	snapCodec
+	mu  sync.Mutex
+	got map[int][]int64
+}
+
+func (*inboxRecorder) Init(*Context) {}
+func (*inboxRecorder) Snapshot() any { return nil }
+func (*inboxRecorder) Restore(any)   {}
+
+func (p *inboxRecorder) Run(ctx *Context, msgs []Message) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for _, m := range msgs {
+		p.got[ctx.Vertex()] = append(p.got[ctx.Vertex()], m.Word().Int())
+	}
+}
+
+// dstTransport hands each receiver its own crafted batch, or an empty one.
+type dstTransport map[int][]byte
+
+func (dstTransport) Send(src, dst int, batch []byte) error { return nil }
+func (dstTransport) Close() error                          { return nil }
+func (tr dstTransport) Recv(dst int) ([][]byte, error) {
+	if b, ok := tr[dst]; ok {
+		return [][]byte{b}, nil
+	}
+	return [][]byte{{0}}, nil
+}
+
+// TestReceiveChecksOwnership: both drivers hand a worker its peers' bytes
+// through worker.receive, and a well-formed message for a vertex of the run
+// that another worker owns is a corrupt batch to both — not a delivery to
+// the local vertex that shares its slot number, and not an index past the
+// local slots. Worker 1 of two owns vertices 1 and 3 of five.
+func TestReceiveChecksOwnership(t *testing.T) {
+	const numV, receiver = 5, 1
+	cfg := Config{NumWorkers: 2, PayloadCodec: codec.Int64{}}
+	drivers := map[string]func(*testing.T, *inboxRecorder, []byte) error{
+		"Shard.Deliver": func(t *testing.T, p *inboxRecorder, batch []byte) error {
+			s, err := NewShard(numV, p, cfg, receiver)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			if err := s.Init(); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.Deliver([][]byte{batch}); err != nil {
+				return err
+			}
+			s.Barrier()
+			return s.Compute()
+		},
+		"Engine.Run": func(t *testing.T, p *inboxRecorder, batch []byte) error {
+			tcfg := cfg
+			tcfg.Transport = dstTransport{receiver: batch}
+			tcfg.MaxSupersteps = 2 // the second computes what the first received
+			e, err := New(numV, p, tcfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = e.Run()
+			return err
+		},
+	}
+	rows := []struct {
+		name string
+		dst  uint64
+		want map[int][]int64 // nil: the batch is corrupt
+	}{
+		{"own vertex", 1, map[int][]int64{1: {9}}},
+		{"foreign vertex", 0, nil},                      // slot 0, as vertex 1
+		{"foreign vertex past the local slots", 4, nil}, // slot 2 of worker 0; worker 1 has two
+	}
+	for dname, drive := range drivers {
+		for _, row := range rows {
+			t.Run(dname+"/"+row.name, func(t *testing.T) {
+				p := &inboxRecorder{got: map[int][]int64{}}
+				err := drive(t, p, oneMessageBatch(row.dst))
+				if row.want == nil {
+					if !errors.Is(err, codec.ErrCorrupt) {
+						t.Errorf("a message for vertex %d: error %v, want codec.ErrCorrupt", row.dst, err)
+					}
+					if len(p.got) != 0 {
+						t.Errorf("a message for vertex %d was handed to %v", row.dst, p.got)
+					}
+					return
+				}
+				if err != nil || !reflect.DeepEqual(p.got, row.want) {
+					t.Errorf("a message for vertex %d: error %v, vertices were handed %v, want %v", row.dst, err, p.got, row.want)
+				}
+			})
+		}
+	}
+}
+
 // FuzzDecodeBatch feeds the batch decoder — the first thing bytes from a peer
 // reach — arbitrary input under each kind of codec: it must never panic, and
 // whatever it accepts must re-encode to bytes that decode to the same
@@ -282,7 +380,7 @@ func (anyCodec) Decode(buf []byte) (any, int, error) {
 
 // TestSpilledPayloadsSurviveEveryMove sends inline and spilled payloads side
 // by side through each way a message travels in one process — outbox to inbox
-// directly, through stolen chunks' lanes, through the codec round trip,
+// directly, through the codec round trip,
 // across the TCP mesh, and through an in-memory checkpoint rollback — and
 // requires every vertex to be handed exactly what was sent to it, with the
 // spill count the sends add up to.
@@ -290,8 +388,7 @@ func TestSpilledPayloadsSurviveEveryMove(t *testing.T) {
 	const n, steps = 7, 4
 	want := wantRelay(n, steps)
 	cases := map[string]func(*testing.T, *relayProgram) Config{
-		"in process":      func(*testing.T, *relayProgram) Config { return Config{NumWorkers: 3} },
-		"no codec, steal": func(*testing.T, *relayProgram) Config { return Config{NumWorkers: 3, Steal: true, StealChunk: 1} },
+		"in process": func(*testing.T, *relayProgram) Config { return Config{NumWorkers: 3} },
 		"verify codec": func(*testing.T, *relayProgram) Config {
 			return Config{NumWorkers: 3, PayloadCodec: anyCodec{}, VerifyCodec: true}
 		},

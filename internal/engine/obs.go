@@ -18,7 +18,6 @@ type engCounters struct {
 	checkpoints  *obs.Counter
 	recoveries   *obs.Counter
 	sendRetries  *obs.Counter
-	steals       *obs.Counter
 	computeNS    *obs.Counter
 	messagingNS  *obs.Counter
 	barrierNS    *obs.Counter
@@ -56,7 +55,6 @@ func (e *Engine) bindRegistry(reg *obs.Registry) {
 		checkpoints:  reg.Counter(obs.CCheckpoints),
 		recoveries:   reg.Counter(obs.CRecoveries),
 		sendRetries:  reg.Counter(obs.CSendRetries),
-		steals:       reg.Counter(obs.CSteals),
 		computeNS:    reg.Counter(obs.CComputePlusNS),
 		messagingNS:  reg.Counter(obs.CMessagingNS),
 		barrierNS:    reg.Counter(obs.CBarrierNS),
@@ -158,14 +156,6 @@ func (e *Engine) countActive() int {
 	return n
 }
 
-// setSchedulerGauges publishes the frontier size after the barrier's
-// delivery and the finished compute phase's worker imbalance. Called at
-// barriers only, never from worker goroutines.
-func (e *Engine) setSchedulerGauges() {
-	e.ec.activeVertices.Set(int64(e.countActive()))
-	e.ec.imbalance.Set(e.imbalanceMilli())
-}
-
 // stepTotals are one superstep's counter deltas, folded from the per-worker
 // partials at the barrier.
 type stepTotals struct {
@@ -173,7 +163,6 @@ type stepTotals struct {
 	scatterCalls int64
 	sentMsgs     int64
 	sentBytes    int64
-	steals       int64
 	classBytes   [codec.NumIntervalClasses]int64
 }
 
@@ -186,7 +175,6 @@ func (e *Engine) mergePartials() stepTotals {
 		st.scatterCalls += w.scatterCalls
 		st.sentMsgs += w.sentMsgs
 		st.sentBytes += w.sentBytes
-		st.steals += w.steals
 		e.spilled += w.spilled
 		for i, b := range w.classBytes {
 			st.classBytes[i] += b
@@ -197,9 +185,6 @@ func (e *Engine) mergePartials() stepTotals {
 	e.ec.scatterCalls.Add(st.scatterCalls)
 	e.ec.messages.Add(st.sentMsgs)
 	e.ec.messageBytes.Add(st.sentBytes)
-	if st.steals != 0 {
-		e.ec.steals.Add(st.steals)
-	}
 	for i, n := range st.classBytes {
 		if n != 0 {
 			e.ec.classBytes[i].Add(n)
@@ -211,7 +196,7 @@ func (e *Engine) mergePartials() stepTotals {
 // resetPartials clears a worker's per-superstep metric partials.
 func (w *worker) resetPartials() {
 	w.computeCalls, w.scatterCalls, w.sentMsgs, w.sentBytes = 0, 0, 0, 0
-	w.steals, w.spilled = 0, 0
+	w.spilled = 0
 	w.classBytes = [codec.NumIntervalClasses]int64{}
 }
 
@@ -232,8 +217,6 @@ func (e *Engine) emitWorkerPhases(phase string) {
 			ev.ScatterCalls = w.scatterCalls
 			ev.SentMsgs = w.sentMsgs
 			ev.SentBytes = w.sentBytes
-			ev.StealNS = w.stealNS
-			ev.Steals = w.steals
 		case "ship":
 			ev.NS = w.shipNS
 		case "exchange":

@@ -12,8 +12,8 @@ import (
 // arena reuse in bytes alongside the codec slab pool's byte counts.
 const messageSize = int64(unsafe.Sizeof(Message{}))
 
-// msgSlab is a buffer of messages — an outbox, a stealable chunk's lane, an
-// inbox, a decoded batch — with the spill table of the payloads that do not
+// msgSlab is a buffer of messages — an outbox, an inbox, a decoded batch —
+// with the spill table of the payloads that do not
 // fit a word: a KindSpill message's A indexes the table of the slab it is in.
 // The table is the only thing in a slab the collector scans, and it is empty
 // unless a program sends values outside the palette. Inbox slabs are handed

@@ -64,18 +64,15 @@ type Shard struct {
 // worker count, codec, program construction), which is why NumWorkers must
 // be explicit — a GOMAXPROCS default would diverge between hosts. Single-
 // process concerns are rejected: Transport (the cluster IS the transport),
-// Steal (no shared memory to steal from), Master and CheckpointEvery (the
-// coordinator owns control flow and durable checkpoints), Context
-// (cancellation arrives as a connection close, not a ctx).
+// Master and CheckpointEvery (the coordinator owns control flow and durable
+// checkpoints), Context (cancellation arrives as a connection close, not a
+// ctx).
 func NewShard(numVertices int, program Program, cfg Config, shard int) (*Shard, error) {
 	if cfg.NumWorkers <= 0 {
 		return nil, fmt.Errorf("%w: shard execution requires an explicit NumWorkers", ErrBadConfig)
 	}
 	if cfg.Transport != nil {
 		return nil, fmt.Errorf("%w: shard execution replaces Transport", ErrBadConfig)
-	}
-	if cfg.Steal {
-		return nil, fmt.Errorf("%w: work stealing requires shared memory; shards have none", ErrBadConfig)
 	}
 	if cfg.Master != nil {
 		return nil, fmt.Errorf("%w: master compute is centralized at the cluster coordinator", ErrBadConfig)
@@ -130,18 +127,9 @@ func (s *Shard) Owned() []int32 { return s.w.local }
 // Init runs Program.Init over this shard's vertices (superstep-1 setup),
 // activating all of them, exactly as Run's init phase does for one worker.
 func (s *Shard) Init() error {
-	e, w := s.eng, s.w
-	e.superstp = 1
-	ctx := Context{eng: e, w: w}
-	for slot, v := range w.local {
-		ctx.vertex = v
-		ctx.slot = slot
-		w.activate(slot)
-		if !e.guardedCall(int(v), func() { e.program.Init(&ctx) }) {
-			return e.takeErr()
-		}
-	}
-	return e.takeErr()
+	s.eng.superstp = 1
+	s.w.init()
+	return s.eng.takeErr()
 }
 
 // Compute runs this shard's compute phase over its active frontier,
@@ -160,7 +148,7 @@ func (s *Shard) Compute() error {
 				})
 			}
 		}()
-		s.w.computeStatic()
+		s.w.compute()
 	}()
 	return e.takeErr()
 }
@@ -196,24 +184,9 @@ func (s *Shard) Outbound() ([][]byte, error) {
 // lose bit-identity with single-process runs. Returns the number of
 // messages delivered into this shard.
 func (s *Shard) Deliver(batches [][]byte) (int64, error) {
-	e, w := s.eng, s.w
-	n := w.deliverAll(w.outbox[s.id])
-	w.outbox[s.id].reset()
-	defer w.decode.reset()
-	for _, b := range batches {
-		w.decode.reset()
-		if err := e.decodeBatchInto(&w.decode, b); err != nil {
-			return n, fmt.Errorf("engine: shard %d: %w", s.id, err)
-		}
-		for _, m := range w.decode.msgs {
-			dw, slot := e.owner(m.Dst)
-			if dw != s.id {
-				return n, fmt.Errorf("engine: shard %d received message for vertex %d owned by shard %d",
-					s.id, m.Dst, dw)
-			}
-			w.deliver(slot, m, w.decode.spill)
-			n++
-		}
+	n, err := s.w.receive(batches)
+	if err != nil {
+		return n, fmt.Errorf("engine: shard %d: %w", s.id, err)
 	}
 	s.delivered = n
 	return n, nil
@@ -234,7 +207,9 @@ func (s *Shard) Barrier() StepReport {
 		SentBytes:    st.sentBytes,
 	}
 	e.ec.supersteps.Inc()
-	e.setSchedulerGauges()
+	// No imbalance gauge: only this shard's worker computes in this engine.
+	// The cluster's imbalance is the coordinator's GClusterSkewMilli.
+	e.ec.activeVertices.Set(int64(e.countActive()))
 	e.superstp++
 	s.delivered = 0
 	return rep

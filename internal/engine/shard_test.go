@@ -6,6 +6,7 @@ import (
 
 	"graphite/internal/codec"
 	ival "graphite/internal/interval"
+	"graphite/internal/obs"
 )
 
 // snapIdleProgram is the least a Shard accepts: no work, an empty snapshot.
@@ -116,5 +117,54 @@ func TestOutboundAllocsPerBatch(t *testing.T) {
 	if allocs := testing.AllocsPerRun(50, step); allocs > 1+batches {
 		t.Errorf("send + Outbound allocates %.1f per superstep, want at most %d (the batch list and one per batch)",
 			allocs, 1+batches)
+	}
+}
+
+// snapSelfSendProgram keeps every vertex of a Shard active: each sends itself
+// one message per superstep.
+type snapSelfSendProgram struct {
+	selfSendProgram
+	snapCodec
+}
+
+func (snapSelfSendProgram) Snapshot() any { return nil }
+func (snapSelfSendProgram) Restore(any)   {}
+
+// TestShardBarrierPublishesNoImbalance: in a shard's engine only the shard's
+// own worker ever computes, so max/mean compute time over all of the engine's
+// workers would read NumShards × 1000 whatever the cluster's balance is.
+// Barrier publishes the frontier size and leaves the imbalance gauge alone;
+// the cluster's imbalance is the coordinator's to report.
+func TestShardBarrierPublishesNoImbalance(t *testing.T) {
+	reg := obs.NewRegistry()
+	s, err := NewShard(10, snapSelfSendProgram{selfSendProgram: selfSendProgram{val: int64(7)}},
+		Config{NumWorkers: 2, PayloadCodec: codec.Int64{}, Registry: reg}, 0)
+	if err != nil {
+		t.Fatalf("NewShard: %v", err)
+	}
+	defer s.Close()
+	if err := s.Init(); err != nil {
+		t.Fatalf("Init: %v", err)
+	}
+	for step := 0; step < 2; step++ {
+		if err := s.Compute(); err != nil {
+			t.Fatalf("Compute: %v", err)
+		}
+		if s.w.computeNS <= 0 {
+			t.Fatal("the compute phase was not timed")
+		}
+		if _, err := s.Outbound(); err != nil {
+			t.Fatalf("Outbound: %v", err)
+		}
+		if _, err := s.Deliver([][]byte{{0}}); err != nil { // the peer's batch: no messages
+			t.Fatalf("Deliver: %v", err)
+		}
+		rep := s.Barrier()
+		if got := reg.Gauge(obs.GComputeImbalanceMilli).Load(); got != 0 {
+			t.Errorf("superstep %d: a shard published compute imbalance %d, want none", rep.Superstep, got)
+		}
+		if got, want := reg.Gauge(obs.GActiveVertices).Load(), int64(len(s.Owned())); got != want || rep.Active != len(s.Owned()) {
+			t.Errorf("superstep %d: active vertices gauge %d, report %d, want %d", rep.Superstep, got, rep.Active, want)
+		}
 	}
 }

@@ -95,14 +95,12 @@ func LDBCLike(machines int, s Scale) Profile {
 	}
 }
 
-// SkewedLike is the scheduler-stress profile behind the skew bench: a
+// SkewedLike is the placement-stress profile (cluster_pr's graph): a
 // heavy-tailed power law whose hub mass is spread over many low-index
 // vertices (Zipf 1.15 ~ a degree exponent near 1.9). That makes the skew
-// *fixable* — a partitioner or scheduler can split the hubs — unlike a
-// steeper Zipf where one mega-vertex is an indivisible straggler no
-// scheduler can balance below. Mixed lifespans keep the active frontier
-// shifting over time, which is what distinguishes a dynamic scheduler from
-// a static repartition.
+// *fixable* — a partitioner can split the hubs — unlike a steeper Zipf where
+// one mega-vertex is an indivisible straggler no placement can balance
+// below. Mixed lifespans keep the active frontier shifting over time.
 func SkewedLike(s Scale) Profile {
 	return Profile{
 		Name: "skewed", Vertices: scaled(2000, s), AvgDegree: 16,

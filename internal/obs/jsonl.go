@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -14,34 +13,40 @@ import (
 //
 //	{"type":"superstep_end","superstep":3,"compute_ns":12345,...}
 //
-// The writer is buffered and mutex-protected (retry events arrive from
-// worker goroutines); Close flushes.
+// Each event is one unbuffered Write of the line and its newline together,
+// under a mutex (retry events arrive from worker goroutines). Over an
+// O_APPEND file that makes the trace crash-safe: a process SIGKILLed between
+// events never leaves a torn line, and a respawned incarnation appending to
+// the same file yields one parseable trace covering every incarnation.
 type JSONLTracer struct {
 	mu  sync.Mutex
-	bw  *bufio.Writer
-	c   io.Closer
+	w   io.Writer
 	err error
 }
 
 // NewJSONLTracer wraps w. If w is also an io.Closer, Close closes it.
-func NewJSONLTracer(w io.Writer) *JSONLTracer {
-	t := &JSONLTracer{bw: bufio.NewWriter(w)}
-	if c, ok := w.(io.Closer); ok {
-		t.c = c
-	}
-	return t
-}
+func NewJSONLTracer(w io.Writer) *JSONLTracer { return &JSONLTracer{w: w} }
 
 // CreateJSONLTrace creates (truncating) a trace file at path.
 func CreateJSONLTrace(path string) (*JSONLTracer, error) {
-	f, err := os.Create(path)
+	return openJSONLTrace(path, os.O_TRUNC)
+}
+
+// AppendJSONLTrace opens (creating if needed) path for append, so a
+// respawned process extends the trace the one it replaces left behind.
+func AppendJSONLTrace(path string) (*JSONLTracer, error) {
+	return openJSONLTrace(path, os.O_APPEND)
+}
+
+func openJSONLTrace(path string, mode int) (*JSONLTracer, error) {
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|mode, 0o644)
 	if err != nil {
-		return nil, fmt.Errorf("obs: create trace: %w", err)
+		return nil, fmt.Errorf("obs: open trace: %w", err)
 	}
 	return NewJSONLTracer(f), nil
 }
 
-// Emit implements Tracer.
+// Emit implements Tracer: one write call per event.
 func (t *JSONLTracer) Emit(e Event) {
 	line, err := MarshalEvent(e)
 	t.mu.Lock()
@@ -50,73 +55,20 @@ func (t *JSONLTracer) Emit(e Event) {
 		return
 	}
 	if err == nil {
-		_, err = t.bw.Write(line)
-	}
-	if err == nil {
-		err = t.bw.WriteByte('\n')
+		_, err = t.w.Write(append(line, '\n'))
 	}
 	t.err = err
 }
 
-// Close flushes the buffer and closes the underlying writer when it is a
-// Closer; it returns the first error seen on the stream.
+// Close closes the underlying writer when it is a Closer; it returns the
+// first error seen on the stream.
 func (t *JSONLTracer) Close() error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if err := t.bw.Flush(); err != nil && t.err == nil {
-		t.err = err
-	}
-	if t.c != nil {
-		if err := t.c.Close(); err != nil && t.err == nil {
+	if c, ok := t.w.(io.Closer); ok {
+		if err := c.Close(); err != nil && t.err == nil {
 			t.err = err
 		}
-	}
-	return t.err
-}
-
-// LineTracer writes each event as one complete line in a single unbuffered
-// write to an O_APPEND file. That makes it crash-safe: a process SIGKILLed
-// between events (the cluster chaos harness's specialty) never leaves a
-// torn line, and a respawned incarnation appending to the same file yields
-// one parseable trace covering every incarnation. Prefer JSONLTracer for
-// processes with an orderly shutdown; prefer this for cluster workers.
-type LineTracer struct {
-	mu  sync.Mutex
-	f   *os.File
-	err error
-}
-
-// AppendJSONLTrace opens (creating if needed) path for append and returns a
-// crash-safe line-at-a-time tracer over it.
-func AppendJSONLTrace(path string) (*LineTracer, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("obs: open trace for append: %w", err)
-	}
-	return &LineTracer{f: f}, nil
-}
-
-// Emit implements Tracer: one write call per event, line and newline
-// together.
-func (t *LineTracer) Emit(e Event) {
-	line, err := MarshalEvent(e)
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.err != nil {
-		return
-	}
-	if err == nil {
-		_, err = t.f.Write(append(line, '\n'))
-	}
-	t.err = err
-}
-
-// Close closes the file and returns the first error seen on the stream.
-func (t *LineTracer) Close() error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if err := t.f.Close(); err != nil && t.err == nil {
-		t.err = err
 	}
 	return t.err
 }

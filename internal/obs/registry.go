@@ -55,11 +55,11 @@ const (
 	GPoolMisses  = "engine.pool_misses"
 	GBytesReused = "engine.bytes_reused"
 
-	// Scheduler: chunks executed on behalf of another worker (counter), the
-	// dense-frontier size after the latest delivery barrier, and the latest
-	// superstep's compute-time imbalance across workers — max/mean worker
-	// compute time in thousandths (1000 = perfectly balanced).
-	CSteals                = "engine.steals"
+	// Compute phase: the dense-frontier size after the latest delivery
+	// barrier, and the latest superstep's compute-time imbalance across the
+	// workers of an Engine.Run — max/mean worker compute time in thousandths
+	// (1000 = perfectly balanced). A cluster shard leaves the imbalance at 0:
+	// the coordinator's GClusterSkewMilli is the cluster's.
 	GActiveVertices        = "engine.active_vertices"
 	GComputeImbalanceMilli = "engine.compute_imbalance_milli"
 

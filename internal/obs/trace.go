@@ -53,12 +53,6 @@ type WorkerPhase struct {
 	SentMsgs     int64  `json:"sent_msgs,omitempty"`
 	SentBytes    int64  `json:"sent_bytes,omitempty"`
 	Delivered    int64  `json:"delivered,omitempty"`
-	// StealNS is the part of a compute phase this worker spent idle at the
-	// steal barrier (phase wall time minus chunk execution time); Steals is
-	// how many chunks it executed on behalf of other workers. Both are zero
-	// — and absent from the JSON — unless work stealing is enabled.
-	StealNS int64 `json:"steal_ns,omitempty"`
-	Steals  int64 `json:"steals,omitempty"`
 }
 
 // Kind implements Event.
@@ -88,7 +82,6 @@ type SuperstepEnd struct {
 	MessageBytes int64         `json:"message_bytes"`
 	Delivered    int64         `json:"delivered"`
 	Active       int           `json:"active"` // vertices active after delivery
-	Steals       int64         `json:"steals,omitempty"`
 	Intervals    IntervalBytes `json:"interval_bytes"`
 }
 

@@ -1,6 +1,8 @@
 package obs
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -106,10 +108,81 @@ func TestParseTraceRoundTrip(t *testing.T) {
 	}
 }
 
+// TestJSONLTraceAppendsAndTruncates is the one trace writer opened both ways:
+// a second incarnation appending to the file the first left behind — without
+// the first ever closing it, as after a kill -9 — yields one parseable trace
+// of both, every event a whole line; creating the same path starts over.
+func TestJSONLTraceAppendsAndTruncates(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "trace.jsonl")
+	stream := fullStream()
+	first, err := AppendJSONLTrace(path)
+	if err != nil {
+		t.Fatalf("AppendJSONLTrace: %v", err)
+	}
+	for _, e := range stream[:3] {
+		first.Emit(e)
+	}
+	second, err := AppendJSONLTrace(path)
+	if err != nil {
+		t.Fatalf("AppendJSONLTrace again: %v", err)
+	}
+	for _, e := range stream[3:] {
+		second.Emit(e)
+	}
+	parse := func() []Event {
+		t.Helper()
+		f, err := os.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		events, err := ParseTrace(f)
+		if err != nil {
+			t.Fatalf("ParseTrace: %v", err)
+		}
+		return events
+	}
+	if got := parse(); len(got) != len(stream) || got[2] != stream[2] || got[3] != stream[3] {
+		t.Errorf("two appending incarnations left %d events, want the %d emitted in order", len(got), len(stream))
+	}
+	for _, jt := range []*JSONLTracer{first, second} {
+		if err := jt.Close(); err != nil {
+			t.Errorf("Close: %v", err)
+		}
+	}
+
+	fresh, err := CreateJSONLTrace(path)
+	if err != nil {
+		t.Fatalf("CreateJSONLTrace: %v", err)
+	}
+	fresh.Emit(stream[0])
+	if err := fresh.Close(); err != nil {
+		t.Errorf("Close: %v", err)
+	}
+	if got := parse(); len(got) != 1 || got[0] != stream[0] {
+		t.Errorf("a created trace holds %v, want only %v", got, stream[0])
+	}
+}
+
 func TestParseTraceRejectsUnknownType(t *testing.T) {
 	_, err := ParseTrace(strings.NewReader(`{"type":"wormhole"}`))
 	if err == nil || !strings.Contains(err.Error(), "unknown event type") {
 		t.Errorf("unknown type error = %v", err)
+	}
+}
+
+// TestParseTraceReadsArchivedFields: a trace written when worker_phase still
+// carried the counters of a scheduler since deleted must keep parsing — the
+// fields the event no longer has are dropped, the rest read as before.
+func TestParseTraceReadsArchivedFields(t *testing.T) {
+	const archived = `{"type":"worker_phase","superstep":2,"worker":1,"phase":"compute","ns":900,"compute_calls":3,"steal_ns":120,"steals":2}`
+	events, err := ParseTrace(strings.NewReader(archived + "\n"))
+	if err != nil {
+		t.Fatalf("ParseTrace: %v", err)
+	}
+	want := WorkerPhase{Superstep: 2, Worker: 1, Phase: "compute", NS: 900, ComputeCalls: 3}
+	if len(events) != 1 || events[0] != want {
+		t.Errorf("parsed %#v, want %#v", events, want)
 	}
 }
 

@@ -161,8 +161,7 @@ func (g *Graph) TransformedSize() (nv, ne int) {
 // (degree × lifespan), clipped to the observable window. A hub vertex whose
 // edges live for the whole horizon scatters proportionally more interval
 // messages per superstep than a leaf with short-lived edges, so these
-// weights feed engine.PartitionBalanced as the static-balance baseline the
-// work-stealing scheduler is benchmarked against.
+// weights feed engine.PartitionBalanced.
 func (g *Graph) WorkWeights() []int64 {
 	ws := make([]int64, len(g.vertices))
 	for vi := range g.vertices {
