@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet race verify bench-test bench-core fuzz bench trace-smoke serve-smoke cluster-smoke metrics-smoke stream-smoke load-smoke clean
+.PHONY: all build test test-count vet race verify bench-test bench-core fuzz bench trace-smoke serve-smoke cluster-smoke metrics-smoke stream-smoke load-smoke clean
 
 all: verify
 
@@ -12,6 +12,15 @@ vet:
 
 test:
 	$(GO) test ./...
+
+# The test ledger: the three figures a PR that deletes tests is judged on —
+# Test/Fuzz/Example functions outside benchmark/, then the top-level and the
+# total "--- PASS" lines of one non-short verbose run (subtests included in
+# the total). A PR quotes this before and after; any failure fails the target.
+test-count:
+	@echo "functions $$(grep -rhE '^func (Test|Fuzz|Example)' --include='*_test.go' --exclude-dir=benchmark . | wc -l)"
+	@$(GO) test -count=1 -v ./... | awk '/^--- PASS/ {top++} /--- PASS/ {all++} /^(--- FAIL|FAIL)/ {bad++; print} \
+		END {print "top-level", top; print "total", all; exit bad != 0}'
 
 # Race-checked run of the fault-tolerance, observability and serving
 # surfaces (the chaos acceptance tests, the concurrent registry tests, the
@@ -28,8 +37,9 @@ race:
 
 # Fuzz smoke: every fuzz target in the codec (intervals, slices, the word
 # forms against the any forms), engine (the batch decoder, the first thing a
-# peer's bytes reach), state, warp and graph-format layers, the window view
-# against its slice oracle, the cluster's frame and control-message decoders,
+# peer's bytes reach), state, warp and graph-format layers (snapshot round
+# trip and mutation, the text parser), the window view against its slice
+# oracle, the cluster's frame and control-message decoders,
 # and the WAL's record decoder and replay, for FUZZTIME each (Go allows one
 # -fuzz target per invocation).
 FUZZTIME ?= 30s
@@ -44,6 +54,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzWarpOracle -fuzztime $(FUZZTIME) ./internal/warp
 	$(GO) test -run '^$$' -fuzz FuzzFormatRoundTrip -fuzztime $(FUZZTIME) ./internal/tgraph
 	$(GO) test -run '^$$' -fuzz FuzzSnapshotMutation -fuzztime $(FUZZTIME) ./internal/tgraph
+	$(GO) test -run '^$$' -fuzz FuzzTextRead -fuzztime $(FUZZTIME) ./internal/tgraph
 	$(GO) test -run '^$$' -fuzz FuzzSlice -fuzztime $(FUZZTIME) ./internal/tgraph
 	$(GO) test -run '^$$' -fuzz FuzzWindowView -fuzztime $(FUZZTIME) ./internal/algorithms
 	$(GO) test -run '^$$' -fuzz FuzzClusterFrames -fuzztime $(FUZZTIME) ./internal/cluster
@@ -94,7 +105,7 @@ trace-smoke:
 
 # End-to-end serving smoke test: boot an in-process query server over the
 # transit example, fire a mixed burst of requests at it, and fail unless
-# every request succeeds and /debug/vars shows live result-cache hits.
+# every request succeeds and /metrics shows live result-cache hits.
 serve-smoke:
 	$(GO) run ./cmd/graphite-loadgen -boot
 

@@ -34,7 +34,7 @@ func main() {
 		seed      = flag.Int64("seed", 42, "dataset generator seed")
 		algos     = flag.String("algos", "", "comma-separated algorithm subset for table2/fig4/fig5 (default: all 12)")
 		tracePath = flag.String("trace", "", "append every ICM run's JSONL trace to this file")
-		pprofAddr = flag.String("pprof", "", "serve /debug/vars and /debug/pprof on this address")
+		pprofAddr = flag.String("pprof", "", "serve /metrics and /debug/pprof on this address")
 		verbose   = flag.Bool("v", false, "verbose (debug-level) logging")
 	)
 	flag.Usage = func() {

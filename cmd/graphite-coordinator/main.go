@@ -8,7 +8,6 @@
 //
 //	graphite-coordinator -workers N -algo NAME [-graph SPEC] [-addr :8100]
 //	                     [-source V] [-target V] [-iterations N]
-//	                     [-data-plane direct|relay]
 //	                     [-checkpoint-every K] [-lease D] [-rejoin-timeout D]
 //	                     [-max-recoveries N] [-http ADDR] [-trace PATH]
 //	                     [-span ID] [-top N] [-v]
@@ -16,14 +15,12 @@
 // The graph SPEC is "transit" (the paper's built-in example), "file:PATH",
 // or "shard:DIR" (a partition directory produced by graphite-partition —
 // each worker then maps only its own induced subgraph); every worker must
-// be able to resolve the same spec. -data-plane picks how message batches
-// travel: "direct" (the default) has workers ship them peer-to-peer over a
-// full TCP mesh, falling back to the coordinator relay — never aborting —
-// if the mesh cannot be established; "relay" routes everything through the
-// coordinator. With -http, a liveness (/healthz), readiness (/readyz — 503
-// below worker quorum or mid-recovery), Prometheus text /metrics,
-// per-superstep straggler attribution with direct-vs-relayed volume per
-// shard (/debug/cluster), and /debug/vars + /debug/pprof surface is served
+// be able to resolve the same spec. Workers ship message batches to each
+// other over a full TCP mesh; a batch whose mesh link is down goes through
+// the coordinator instead. With -http, a liveness (/healthz), readiness
+// (/readyz — 503 below worker quorum or mid-recovery), Prometheus text
+// /metrics, per-superstep straggler attribution with direct-vs-relayed
+// volume per shard (/debug/cluster), and /debug/pprof surface is served
 // while the run progresses. The process exits 0 with the rendered result
 // once the computation completes.
 //
@@ -60,7 +57,6 @@ func main() {
 		addr       = flag.String("addr", ":8100", "worker listen address")
 		workers    = flag.Int("workers", 0, "cluster size: shards assigned, quorum required")
 		graph      = flag.String("graph", "transit", `graph spec: "transit", "file:PATH", or "shard:DIR" (resolvable by every worker)`)
-		dataPlane  = flag.String("data-plane", cluster.PlaneDirect, `message batch transport: "direct" (worker-to-worker mesh) or "relay" (via coordinator)`)
 		algo       = flag.String("algo", "", "algorithm to run (e.g. sssp, eat, pr)")
 		source     = flag.Int64("source", 0, "source vertex id (traversal algorithms)")
 		target     = flag.Int64("target", 0, "target vertex id (where the algorithm uses one)")
@@ -105,7 +101,6 @@ func main() {
 		Lease:           *lease,
 		RejoinTimeout:   *rejoin,
 		MaxRecoveries:   *maxRec,
-		DataPlane:       *dataPlane,
 		Registry:        reg,
 		Tracer:          tracer,
 		Span:            *span,
@@ -159,7 +154,7 @@ func main() {
 	rep := coord.Report()
 	log.Info("cluster run complete", "supersteps", rep.Supersteps,
 		"checkpoints", rep.Checkpoints, "recoveries", len(rep.Recoveries),
-		"makespan", rep.Makespan.Round(time.Millisecond), "data_plane", rep.DataPlane)
+		"makespan", rep.Makespan.Round(time.Millisecond))
 	for _, r := range rep.Recoveries {
 		log.Info("recovery", "epoch", r.Epoch, "failed_superstep", r.Failed,
 			"resumed_at", r.ResumeAt, "gen", r.Gen, "replayed", r.Replayed,

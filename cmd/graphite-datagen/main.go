@@ -1,10 +1,12 @@
 // Command graphite-datagen generates the synthetic temporal graph datasets
 // (the six Table 1 profiles and the LDBC-like weak-scaling graphs) in the
-// text format internal/tgraph reads, and prints their characteristics.
+// text or snapshot format internal/tgraph reads, and prints their
+// characteristics.
 //
 // Usage:
 //
-//	graphite-datagen -out DIR [-scale S] [-seed N] [-partitions N] [-v] [profile...]
+//	graphite-datagen -out DIR [-scale S] [-seed N] [-format text|snapshot]
+//	                 [-partitions N] [-v] [profile...]
 //
 // With -partitions N each profile is additionally cut into an N-shard
 // partition directory DIR/NAME.parts (full.gsn + part-NNN.gsn, the layout
@@ -29,12 +31,23 @@ func main() {
 		out        = flag.String("out", "", "output directory (empty: print characteristics only)")
 		scale      = flag.Float64("scale", 1.0, "dataset scale factor")
 		seed       = flag.Int64("seed", 42, "generator seed")
-		format     = flag.String("format", "text", "output format: text, binary, or snapshot (mmap-able)")
+		format     = flag.String("format", "text", "output format: text or snapshot (mmap-able)")
 		partitions = flag.Int("partitions", 0, "also cut each profile into this many shard partitions under DIR/NAME.parts")
 		verbose    = flag.Bool("v", false, "verbose (debug-level) logging")
 	)
 	flag.Parse()
 	log := obs.CLILogger("graphite-datagen", *verbose)
+	// Validate the format before generating: a typo here must not cost the
+	// run and leave text files behind.
+	write, ext := tgraph.WriteFile, ".tg"
+	switch *format {
+	case "text":
+	case "snapshot":
+		write, ext = tgraph.WriteSnapshotFile, ".gsn"
+	default:
+		log.Error("unknown -format (want text or snapshot)", "format", *format)
+		os.Exit(2)
+	}
 
 	profiles := gen.AllProfiles(gen.Scale(*scale))
 	if flag.NArg() > 0 {
@@ -69,14 +82,6 @@ func main() {
 			if err := os.MkdirAll(*out, 0o755); err != nil {
 				log.Error("create output dir", "dir", *out, "err", err)
 				os.Exit(1)
-			}
-			write := tgraph.WriteFile
-			ext := ".tg"
-			switch *format {
-			case "binary":
-				write, ext = tgraph.WriteBinaryFile, ".tgb"
-			case "snapshot":
-				write, ext = tgraph.WriteSnapshotFile, ".gsn"
 			}
 			file = filepath.Join(*out, p.Name+ext)
 			if err := write(file, g); err != nil {

@@ -1,11 +1,10 @@
 // Command graphite-ingest builds a temporal graph file from an event log
 // (the streaming-ingestion path): one timestamped mutation per line, closed
-// at an optional horizon, written as text, binary, or an mmap-able
-// snapshot.
+// at an optional horizon, written as text or an mmap-able snapshot.
 //
 // Usage:
 //
-//	graphite-ingest -log events.txt -out graph.tg [-horizon T] [-format binary|snapshot] [-v]
+//	graphite-ingest -log events.txt -out graph.tg [-horizon T] [-format text|snapshot] [-v]
 //
 // Log records: av/rv (vertex), ae/re (edge), vp/ep (property); see
 // internal/stream.ReadLog for the exact grammar.
@@ -27,7 +26,7 @@ func main() {
 		logPath = flag.String("log", "", "event log file (default: stdin)")
 		out     = flag.String("out", "", "output graph file")
 		horizon = flag.Int64("horizon", 0, "close still-open entities at this time (0: leave unbounded)")
-		format  = flag.String("format", "text", "output format: text, binary, or snapshot (mmap-able)")
+		format  = flag.String("format", "text", "output format: text or snapshot (mmap-able)")
 		verbose = flag.Bool("v", false, "verbose (debug-level) logging")
 	)
 	flag.Parse()
@@ -41,12 +40,10 @@ func main() {
 	write := tgraph.WriteFile
 	switch *format {
 	case "text":
-	case "binary":
-		write = tgraph.WriteBinaryFile
 	case "snapshot":
 		write = tgraph.WriteSnapshotFile
 	default:
-		log.Error("unknown -format (want text, binary, or snapshot)", "format", *format)
+		log.Error("unknown -format (want text or snapshot)", "format", *format)
 		os.Exit(2)
 	}
 

@@ -10,7 +10,7 @@
 //
 // The driver fires a burst of mixed requests — several distinct
 // (graph, algorithm, params) combinations, each repeated -repeat times —
-// then reads /debug/vars and fails (exit 1) unless every request succeeded
+// then reads /metrics and fails (exit 1) unless every request succeeded
 // and serve.cache.hits is non-zero.
 package main
 
@@ -100,9 +100,9 @@ func main() {
 		fail = true
 	}
 
-	snap, err := loadgen.DebugVars(base)
+	snap, err := loadgen.Metrics(base)
 	if err != nil {
-		log.Error("read /debug/vars", "err", err)
+		log.Error("read /metrics", "err", err)
 		os.Exit(1)
 	}
 	hits := loadgen.Metric(snap, serve.CCacheHits)

@@ -11,8 +11,8 @@
 //
 //	graphite-partition -in PATH -out DIR -n SHARDS [-v]
 //
-// -in accepts any graph format internal/tgraph reads (.tg text, .tgb
-// binary, .gsn snapshot). Placement is the engine's balanced LPT
+// -in accepts either graph format internal/tgraph reads (.tg text, .gsn
+// snapshot). Placement is the engine's balanced LPT
 // partitioner over per-vertex work weights — the same rule a whole-graph
 // cluster run computes — and the assignment is embedded in every output
 // file, so coordinator and workers adopt one vertex→shard map instead of
@@ -31,7 +31,7 @@ import (
 
 func main() {
 	var (
-		in      = flag.String("in", "", "input graph file (.tg, .tgb, or .gsn)")
+		in      = flag.String("in", "", "input graph file (.tg or .gsn)")
 		out     = flag.String("out", "", "output partition directory")
 		shards  = flag.Int("n", 0, "number of shards to cut")
 		verbose = flag.Bool("v", false, "verbose (debug-level) logging")

@@ -10,7 +10,7 @@
 // The special graph name "transit" runs over the paper's built-in transit
 // example without needing a file. With -trace, the run's per-superstep event
 // stream is written as JSONL; render or validate it with graphite-trace.
-// With -pprof, /debug/vars (the metrics registry) and /debug/pprof are
+// With -pprof, /metrics (the metrics registry) and /debug/pprof are
 // served on the given address for the duration of the run.
 package main
 
@@ -41,7 +41,7 @@ func main() {
 		top       = flag.Int("top", 10, "print at most this many vertices")
 		tracePath = flag.String("trace", "", "write the per-superstep JSONL trace to this file")
 		span      = flag.String("span", "", "run span ID stamped on the trace (empty: minted randomly)")
-		pprofAddr = flag.String("pprof", "", "serve /debug/vars and /debug/pprof on this address")
+		pprofAddr = flag.String("pprof", "", "serve /metrics and /debug/pprof on this address")
 		verbose   = flag.Bool("v", false, "verbose (debug-level) logging")
 	)
 	flag.Parse()

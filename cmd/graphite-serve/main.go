@@ -20,7 +20,7 @@
 // text event logs against this endpoint.
 //
 // Endpoints: GET /v1/graphs, POST /v1/run, GET/DELETE /v1/jobs/{id},
-// GET /healthz, plus /debug/vars and /debug/pprof. On SIGINT/SIGTERM the
+// GET /healthz, plus /metrics and /debug/pprof. On SIGINT/SIGTERM the
 // server drains gracefully: new runs are rejected with 503 while in-flight
 // and queued runs finish, up to -drain; whatever is still running then is
 // aborted at its next superstep barrier.
@@ -96,7 +96,7 @@ func main() {
 	}
 
 	// Live graphs share the server's registry so their ingest counters and
-	// epoch gauges show up on /metrics and /debug/vars.
+	// epoch gauges show up on /metrics.
 	reg := obs.NewRegistry()
 	liveGraphs := map[string]*live.Graph{}
 	for _, spec := range liveSpecs {

@@ -7,8 +7,8 @@
 // Usage:
 //
 //	graphite-worker -coordinator HOST:PORT -dir PATH [-dial-attempts N]
-//	                [-dial-backoff D] [-data-plane direct|relay]
-//	                [-mesh-addr ADDR] [-http ADDR] [-trace] [-v]
+//	                [-dial-backoff D] [-mesh-addr ADDR] [-http ADDR]
+//	                [-trace] [-v]
 //
 // The worker exits 0 when the cluster run completes. If this process
 // replaces a dead worker, -dir MUST be the dead worker's checkpoint
@@ -17,18 +17,17 @@
 // another shard's state.
 //
 // With -http the worker serves a Prometheus text /metrics endpoint (plus
-// /debug/vars and /debug/pprof) on ADDR and writes the bound address to
+// /debug/pprof) on ADDR and writes the bound address to
 // DIR/http.addr, so a scraper — or the repo's metrics-smoke test — can
 // discover it even when ADDR ends in ":0". With -trace the worker appends
 // its JSONL run trace to DIR/trace.jsonl; append-mode means a replacement
 // process extends the same file, producing one trace per slot that
 // graphite-trace -cluster can merge with the coordinator's.
 //
-// With -data-plane direct (the default) the worker opens a mesh listener
-// on -mesh-addr and ships message batches straight to its peers, leaving
-// the coordinator pure control flow; "relay" disables the listener and
-// routes batches through the coordinator. A fleet degrades to relay — it
-// never aborts — when any worker opts out or cannot dial the mesh.
+// The worker opens a mesh listener on -mesh-addr and ships message batches
+// straight to its peers, leaving the coordinator pure control flow; a batch
+// for a peer it could not dial, or whose connection broke, goes through the
+// coordinator instead.
 //
 // For fault-injection experiments the environment variable GRAPHITE_CRASH
 // may hold a plan "PHASE:SUPERSTEP" (phase: compute, peersend, checkpoint,
@@ -57,7 +56,6 @@ func main() {
 		dir      = flag.String("dir", "", "durable checkpoint directory (reuse a dead worker's to replace it)")
 		attempts = flag.Int("dial-attempts", cluster.DefaultDialAttempts, "coordinator dial attempts before giving up")
 		backoff  = flag.Duration("dial-backoff", cluster.DefaultDialBackoff, "base dial retry backoff (jittered, capped exponential)")
-		plane    = flag.String("data-plane", cluster.PlaneDirect, `batch transport this worker offers: "direct" (peer mesh) or "relay"`)
 		meshAddr = flag.String("mesh-addr", "", "mesh listen address (default: an ephemeral loopback port)")
 		httpAddr = flag.String("http", "", "serve /metrics and /debug on this address; bound address is written to DIR/http.addr")
 		doTrace  = flag.Bool("trace", false, "append the JSONL run trace to DIR/trace.jsonl")
@@ -78,7 +76,6 @@ func main() {
 		Dir:            *dir,
 		DialAttempts:   *attempts,
 		DialBackoff:    *backoff,
-		DataPlane:      *plane,
 		MeshListenAddr: *meshAddr,
 		Crash:          plan,
 		Logger:         log,

@@ -21,7 +21,7 @@
 //   - internal/bench — the experiment harness regenerating every table and
 //     figure of the evaluation;
 //   - internal/obs — observability: the metrics registry, typed
-//     per-superstep trace events, and the JSONL/expvar/pprof sinks;
+//     per-superstep trace events, and the JSONL/Prometheus/pprof sinks;
 //   - internal/serve — the resident query service: a multi-graph JSON HTTP
 //     server with admission control, result caching, singleflight dedup and
 //     cancellable runs (cmd/graphite-serve is its daemon);
@@ -115,9 +115,9 @@ var (
 	TransitExample = tgraph.TransitExample
 	// SliceGraph materializes the sub-graph restricted to a time window.
 	SliceGraph = tgraph.Slice
-	// OpenGraphFile loads a graph file in any format (text, binary or
-	// snapshot), sniffing the magic header. Snapshots are memory-mapped;
-	// other formats parse into the heap with a no-op Close.
+	// OpenGraphFile loads a graph file in either format (text or
+	// snapshot), sniffing the magic header. A snapshot is memory-mapped;
+	// a text file parses into the heap with a no-op Close.
 	OpenGraphFile = tgraph.OpenAnyFile
 	// WriteSnapshotFile serializes a graph in the mmap-able snapshot
 	// format (DESIGN.md §17).
@@ -264,8 +264,8 @@ var (
 	SummarizeTrace = obs.Summarize
 	// SplitTraceRuns splits a multi-run trace at each run_start.
 	SplitTraceRuns = obs.SplitRuns
-	// ServeDebug serves /debug/vars (with the registry under "graphite")
-	// and /debug/pprof on addr until the returned server is closed.
+	// ServeDebug serves /metrics (the registry, as Prometheus text) and
+	// /debug/pprof on addr until the returned server is closed.
 	ServeDebug = obs.ServeDebug
 )
 

@@ -16,7 +16,7 @@ import (
 // there are, a min-fold algorithm's partitioned states are bit-identical.
 // (Message arrival order may legitimately differ across placements, so
 // order-sensitive float folds are out of scope here; PageRank's identity
-// across drivers is TestClusterDataPlanes'.)
+// across drivers is TestClusterMeshMatchesSingleProcess'.)
 func TestBalancedPartitionerSameResults(t *testing.T) {
 	p := gen.Tiny("placement", 40, 4, 10, gen.MixedLife)
 	g, err := gen.Generate(p, 11)

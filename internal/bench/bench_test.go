@@ -1,9 +1,14 @@
 package bench
 
 import (
+	"bufio"
 	"bytes"
+	"os"
+	"strconv"
 	"strings"
 	"testing"
+
+	"graphite/internal/gen"
 )
 
 // tinyConfig shrinks everything for unit testing the harness machinery.
@@ -259,5 +264,84 @@ func TestRunRejectsBadPairs(t *testing.T) {
 	}
 	if _, err := Run(cfg, Platform("nope"), BFS, ds[0].Graph); err == nil {
 		t.Errorf("unknown platform must error")
+	}
+}
+
+// fig5Record parses the GRAPHITE rows of the Fig. 5 table in the committed
+// scale-1 record: graph → algorithm → (ComputeCalls, Messages, MsgBytes,
+// Supersteps), the last four columns RenderFig5 prints.
+func fig5Record(t *testing.T) map[string]map[Algo][4]int64 {
+	t.Helper()
+	f, err := os.Open("../../docs/bench_record_scale1.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	rec := map[string]map[Algo][4]int64{}
+	in := false
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		line := sc.Text()
+		switch {
+		case strings.HasPrefix(line, "Fig. 5:"):
+			in = true
+			continue
+		case !in:
+			continue
+		case strings.TrimSpace(line) == "":
+			return rec // the table ends at the first blank line
+		}
+		fld := strings.Fields(line)
+		if len(fld) != 11 || fld[2] != string(ICM) {
+			continue // the two header lines and the baselines' rows
+		}
+		var counts [4]int64
+		for i := range counts {
+			if counts[i], err = strconv.ParseInt(fld[7+i], 10, 64); err != nil {
+				t.Fatalf("record row %q: %v", line, err)
+			}
+		}
+		if rec[fld[0]] == nil {
+			rec[fld[0]] = map[Algo][4]int64{}
+		}
+		rec[fld[0]][Algo(fld[1])] = counts
+	}
+	t.Fatalf("docs/bench_record_scale1.txt: no Fig. 5 table (%v)", sc.Err())
+	return nil
+}
+
+// TestFig5CountsMatchRecord re-runs Fig. 5's GRAPHITE rows — 12 algorithms
+// over 6 graphs under DefaultConfig, as recorded at PR 10 — and requires the
+// paper's causal counts (Sec. VII-B2) to repeat exactly: whatever the runtime
+// has been made to cost since, it must still do the same work. -short runs
+// the two smallest graphs.
+func TestFig5CountsMatchRecord(t *testing.T) {
+	cfg := DefaultConfig()
+	rec := fig5Record(t)
+	if len(rec) != 6 {
+		t.Fatalf("record holds %d graphs, want 6", len(rec))
+	}
+	for _, p := range gen.AllProfiles(cfg.Scale) {
+		want := rec[p.Name]
+		if len(want) != len(TIAlgos)+len(TDAlgos) {
+			t.Errorf("%s: record holds %d GRAPHITE rows, want %d", p.Name, len(want), len(TIAlgos)+len(TDAlgos))
+		}
+		if testing.Short() && p.Name != "gplus" && p.Name != "reddit" {
+			continue
+		}
+		g, err := gen.Generate(p, cfg.Seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for al, w := range want {
+			m, err := Run(cfg, ICM, al, g)
+			if err != nil {
+				t.Fatalf("%s %s: %v", p.Name, al, err)
+			}
+			got := [4]int64{m.ComputeCalls, m.Messages, m.MessageBytes, int64(m.Supersteps)}
+			if got != w {
+				t.Errorf("%s %s: (calls, messages, bytes, supersteps) = %v, recorded %v", p.Name, al, got, w)
+			}
+		}
 	}
 }

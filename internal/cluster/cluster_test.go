@@ -334,15 +334,11 @@ func TestLoadGraphAllFormats(t *testing.T) {
 	if err := tgraph.WriteFile(text, want); err != nil {
 		t.Fatal(err)
 	}
-	bin := filepath.Join(dir, "g.tgb")
-	if err := tgraph.WriteBinaryFile(bin, want); err != nil {
-		t.Fatal(err)
-	}
 	snap := filepath.Join(dir, "g.gsn")
 	if err := tgraph.WriteSnapshotFile(snap, want); err != nil {
 		t.Fatal(err)
 	}
-	for _, spec := range []string{"transit", "file:" + text, "file:" + bin, "file:" + snap} {
+	for _, spec := range []string{"transit", "file:" + text, "file:" + snap} {
 		m, err := cluster.LoadGraph(spec)
 		if err != nil {
 			t.Fatalf("LoadGraph(%q): %v", spec, err)

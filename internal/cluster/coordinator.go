@@ -50,12 +50,6 @@ type Config struct {
 	// MaxRecoveries bounds rollback-and-replay cycles. Zero means
 	// DefaultMaxRecoveries; negative means unlimited.
 	MaxRecoveries int
-	// DataPlane selects how message batches travel: PlaneDirect (the
-	// default) has workers ship them peer-to-peer over a full TCP mesh,
-	// leaving the coordinator pure control flow; PlaneRelay routes every
-	// batch through the coordinator. A direct run degrades to relay — and
-	// keeps going — if any worker cannot serve or dial the mesh.
-	DataPlane string
 	// Span is the run-scoped span ID stamped on the coordinator's trace and
 	// handed to every worker with its assignment, so all N+1 traces of the
 	// run carry the same ID. Empty mints one in New (obs.NewSpanID).
@@ -73,9 +67,9 @@ type Config struct {
 
 // ShardTiming is one shard's share of one distributed superstep, as the
 // coordinator attributes it: the worker-reported compute / barrier-wait /
-// deliver split, the coordinator's own time relaying batches toward this
-// shard, and — under the direct data plane — the shard's peer-send and
-// peer-receive clocks plus how many payload bytes it moved over each plane.
+// deliver split, the coordinator's own time forwarding batches toward this
+// shard (those whose mesh link was down), the shard's peer-send and
+// peer-receive clocks, and how many payload bytes reached it over each hop.
 type ShardTiming struct {
 	Shard       int   `json:"shard"`
 	ComputeNS   int64 `json:"compute_ns"`
@@ -124,9 +118,6 @@ type Report struct {
 	Checkpoints int            `json:"checkpoints"`
 	Recoveries  []RecoveryInfo `json:"recoveries,omitempty"`
 	Makespan    time.Duration  `json:"makespan_ns"`
-	// DataPlane is the plane the run actually finished on — "relay" either
-	// by configuration or because a direct run degraded.
-	DataPlane string `json:"data_plane,omitempty"`
 	// WorkerGraphBytes is each shard's reported resident graph size (mapped
 	// snapshot bytes, or in-memory footprint for built graphs) — the
 	// partitioning win: under shard: specs these shrink as shards grow.
@@ -142,7 +133,6 @@ type Stats struct {
 	Epoch      int    `json:"epoch"`
 	Superstep  int    `json:"superstep"`
 	Recoveries int    `json:"recoveries"`
-	DataPlane  string `json:"data_plane,omitempty"` // effective plane right now
 }
 
 // driver states.
@@ -173,7 +163,7 @@ type Coordinator struct {
 // event kinds flowing into the driver goroutine, which owns all protocol
 // state and performs every write — per-connection write order is therefore
 // the driver's processing order, so a worker always sees fStep for a
-// superstep before any relayed data of that superstep.
+// superstep before any data of that superstep the coordinator forwards.
 type event struct {
 	kind    int // evConn | evFrame | evDead
 	conn    net.Conn
@@ -194,7 +184,7 @@ type wconn struct {
 	id       int
 	conn     net.Conn
 	shard    int    // -1 until assigned
-	meshAddr string // peer data-plane listener, "" if the worker has none
+	meshAddr string // the worker's mesh listener, from its hello
 	ready    bool
 	lastSeen time.Time
 }
@@ -220,14 +210,6 @@ func New(cfg Config) (*Coordinator, error) {
 	}
 	if cfg.MaxRecoveries == 0 {
 		cfg.MaxRecoveries = DefaultMaxRecoveries
-	}
-	switch cfg.DataPlane {
-	case "":
-		cfg.DataPlane = PlaneDirect
-	case PlaneDirect, PlaneRelay:
-	default:
-		return nil, fmt.Errorf("cluster: unknown data plane %q (want %q or %q)",
-			cfg.DataPlane, PlaneDirect, PlaneRelay)
 	}
 	if cfg.Span == "" {
 		cfg.Span = obs.NewSpanID()
@@ -444,13 +426,10 @@ type driver struct {
 	relayBytes   []int64
 	stepStarted  time.Time
 
-	// Data plane. plane is the effective plane: it starts as the configured
-	// one and degrades — permanently, for the rest of the run — to relay the
-	// first time the mesh cannot be established. meshing gates the start (or
-	// resume) of execution on every worker acknowledging its peer table;
-	// meshed tallies those acknowledgements. graphBytes holds each shard's
-	// reported resident graph size from its latest ready report.
-	plane      string
+	// meshing gates the start (or resume) of execution on every worker
+	// having finished dialing its peer table; meshed tallies those
+	// acknowledgements. graphBytes holds each shard's reported resident
+	// graph size from its latest ready report.
 	meshing    bool
 	meshed     []bool
 	graphBytes []int64
@@ -490,7 +469,6 @@ func (d *driver) run() (*core.Result, error) {
 	c := d.c
 	d.committedGen = -1
 	d.state = stWaiting
-	d.plane = c.cfg.DataPlane
 	d.doneFrom = make([]bool, c.cfg.Workers)
 	d.reports = make([]stepDoneMsg, c.cfg.Workers)
 	d.relayNS = make([]int64, c.cfg.Workers)
@@ -727,6 +705,10 @@ func (d *driver) hello(wc *wconn, h helloMsg) {
 		d.markDead(wc, "duplicate hello")
 		return
 	}
+	if h.MeshAddr == "" {
+		d.markDead(wc, "malformed hello: no mesh address")
+		return
+	}
 	shard := -1
 	if h.PrevShard >= 0 && h.PrevShard < len(d.byShard) && d.byShard[h.PrevShard] == nil {
 		shard = h.PrevShard
@@ -767,8 +749,7 @@ func (d *driver) hello(wc *wconn, h helloMsg) {
 }
 
 // readyFrame collects barrier-standing acknowledgements; when every shard
-// is ready, the mesh is (re)built if the direct plane is in effect, and
-// then the run starts or resumes.
+// is ready the mesh is (re)built, and then the run starts or resumes.
 func (d *driver) readyFrame(wc *wconn, r readyMsg) {
 	if r.Epoch != d.epoch || wc.shard < 0 {
 		return // stale
@@ -781,48 +762,28 @@ func (d *driver) readyFrame(wc *wconn, r readyMsg) {
 			return
 		}
 	}
-	// Full quorum at the current epoch. Under the direct plane the fleet
-	// first exchanges peer addresses and dials the mesh; execution starts
-	// once every worker acknowledges (or the plane degrades to relay).
-	if d.plane == PlaneDirect {
-		addrs := make([]string, len(d.byShard))
-		for s, owner := range d.byShard {
-			if owner.meshAddr == "" {
-				d.degrade(fmt.Sprintf("shard %d advertises no mesh listener", s))
-				d.startOrResume()
-				return
-			}
-			addrs[s] = owner.meshAddr
-		}
-		d.meshing = true
-		clear(d.meshed)
-		pm := peersMsg{Epoch: d.epoch, Addrs: addrs}
-		for _, owner := range d.byShard {
-			d.send(owner, fPeers, pm)
-		}
-		return
+	// Full quorum at the current epoch: the fleet exchanges peer addresses
+	// and dials the mesh; execution starts once every worker has tried.
+	addrs := make([]string, len(d.byShard))
+	for s, owner := range d.byShard {
+		addrs[s] = owner.meshAddr
 	}
-	d.startOrResume()
+	d.meshing = true
+	clear(d.meshed)
+	pm := peersMsg{Epoch: d.epoch, Addrs: addrs}
+	for _, owner := range d.byShard {
+		d.send(owner, fPeers, pm)
+	}
 }
 
-// meshedFrame tallies one worker's mesh acknowledgement; the last OK starts
-// (or resumes) execution, and any failure degrades the plane and proceeds
-// on the relay instead of aborting.
+// meshedFrame tallies one worker's mesh acknowledgement; the last one
+// starts (or resumes) execution.
 func (d *driver) meshedFrame(wc *wconn, mm meshedMsg) {
 	if mm.Epoch != d.epoch || wc.shard < 0 || !d.meshing {
 		return // stale
 	}
 	if mm.Shard != wc.shard {
 		d.markDead(wc, fmt.Sprintf("bad mesh report for shard %d", mm.Shard))
-		return
-	}
-	if !mm.OK {
-		d.degrade(fmt.Sprintf("shard %d: %s", mm.Shard, mm.Err))
-		d.meshing = false
-		d.startOrResume()
-		return
-	}
-	if d.meshed[mm.Shard] {
 		return
 	}
 	d.meshed[mm.Shard] = true
@@ -833,18 +794,6 @@ func (d *driver) meshedFrame(wc *wconn, mm meshedMsg) {
 	}
 	d.meshing = false
 	d.startOrResume()
-}
-
-// degrade switches the effective plane to relay for the rest of the run.
-// Mesh trouble is a performance problem, never a correctness one — the
-// relay carries the same batches through the coordinator's ordered stream.
-func (d *driver) degrade(reason string) {
-	if d.plane == PlaneRelay {
-		return
-	}
-	d.plane = PlaneRelay
-	d.c.cfg.Logger.Warn("cluster: data plane degraded to relay", "reason", reason)
-	d.publish()
 }
 
 // startOrResume begins execution at full quorum: the initial start out of
@@ -968,7 +917,7 @@ func (d *driver) broadcastStep() {
 	// opens with zero (workers know their post-Init frontiers, not us).
 	d.emit(obs.SuperstepStart{Superstep: d.superstep, Active: d.rt.active})
 	k := d.c.cfg.CheckpointEvery
-	st := stepMsg{Epoch: d.epoch, Superstep: d.superstep, Direct: d.plane == PlaneDirect}
+	st := stepMsg{Epoch: d.epoch, Superstep: d.superstep}
 	if d.superstep%k == 0 {
 		st.Checkpoint = true
 		st.Gen = d.superstep / k
@@ -1093,17 +1042,14 @@ func (d *driver) closeSuperstep() {
 	d.rt.active = d.sumActive
 
 	span := d.c.cfg.Span
-	direct := d.plane == PlaneDirect
 	for _, st := range shards {
 		d.emit(obs.PhaseSpan{Span: span, Superstep: d.superstep, Shard: st.Shard, Phase: "compute", NS: st.ComputeNS})
 		d.emit(obs.PhaseSpan{Span: span, Superstep: d.superstep, Shard: st.Shard, Phase: "barrier_wait", NS: st.WaitNS})
-		// The relay span is emitted on both planes (zero when everything
-		// went peer-to-peer): consumers key on its presence per shard.
+		// The relay span is zero when everything went peer-to-peer:
+		// consumers key on its presence per shard.
 		d.emit(obs.PhaseSpan{Span: span, Superstep: d.superstep, Shard: st.Shard, Phase: "relay", NS: st.RelayNS})
-		if direct {
-			d.emit(obs.PhaseSpan{Span: span, Superstep: d.superstep, Shard: st.Shard, Phase: "peer_send", NS: st.PeerSendNS})
-			d.emit(obs.PhaseSpan{Span: span, Superstep: d.superstep, Shard: st.Shard, Phase: "peer_recv", NS: st.PeerRecvNS})
-		}
+		d.emit(obs.PhaseSpan{Span: span, Superstep: d.superstep, Shard: st.Shard, Phase: "peer_send", NS: st.PeerSendNS})
+		d.emit(obs.PhaseSpan{Span: span, Superstep: d.superstep, Shard: st.Shard, Phase: "peer_recv", NS: st.PeerRecvNS})
 	}
 	d.emit(obs.SuperstepEnd{
 		Superstep: d.superstep,
@@ -1126,8 +1072,8 @@ func (d *driver) closeSuperstep() {
 	reg.Histogram(obs.HClusterWaitNS).Observe(time.Duration(sumWait / int64(len(shards))))
 	reg.Gauge(obs.GClusterSkewMilli).Set(skewMilli)
 	reg.Gauge(obs.GClusterSlowest).Set(int64(slowest))
-	// Both planes' counters are touched every superstep — Add(0) still
-	// registers the family, so scrapes see all four regardless of plane.
+	// All four counters are touched every superstep — Add(0) still registers
+	// the family, so a scrape sees the relay pair on a healthy mesh too.
 	reg.Counter(obs.CClusterRelayBytes).Add(sumRelayBytes)
 	reg.Counter(obs.CClusterRelayNS).Add(sumRelayNS)
 	reg.Counter(obs.CClusterDirectBytes).Add(sumDirectBytes)
@@ -1225,7 +1171,6 @@ func (d *driver) resultFrame(wc *wconn, payload []byte) error {
 	d.c.mu.Lock()
 	d.c.report.Supersteps = d.executed
 	d.c.report.Makespan = d.totals.Makespan
-	d.c.report.DataPlane = d.plane
 	d.c.report.WorkerGraphBytes = append([]int64(nil), d.graphBytes...)
 	d.c.report.Metrics = &m
 	d.c.mu.Unlock()
@@ -1279,7 +1224,6 @@ func (d *driver) publish() {
 		Epoch:      d.epoch,
 		Superstep:  d.superstep,
 		Recoveries: len(d.c.report.Recoveries),
-		DataPlane:  d.plane,
 	}
 	d.c.mu.Unlock()
 }

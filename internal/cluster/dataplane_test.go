@@ -1,13 +1,16 @@
 package cluster_test
 
-// Data-plane and partition tests: both batch transports must produce the
-// same bits as the single-process transported run, a mesh-less worker must
-// degrade the fleet to the relay instead of killing it, and the
-// "shard:<dir>" spec must resolve per-shard induced subgraphs that leave
-// results untouched while shrinking each worker's resident graph.
+// Mesh and partition tests: a run over the worker mesh must produce the same
+// bits as the single-process transported run, on a healthy mesh and on one
+// with a dead link (whose batches take the coordinator hop, one at a time),
+// and the "shard:<dir>" spec must resolve per-shard induced subgraphs that
+// leave results untouched while shrinking each worker's resident graph.
 
 import (
 	"context"
+	"encoding/json"
+	"io"
+	"net"
 	"os"
 	"path/filepath"
 	"testing"
@@ -15,22 +18,10 @@ import (
 
 	"graphite/internal/algorithms"
 	"graphite/internal/cluster"
+	"graphite/internal/codec"
 	"graphite/internal/obs"
 	"graphite/internal/tgraph"
 )
-
-// runWorkersPlane is runWorkers with an explicit per-worker data plane.
-func runWorkersPlane(ctx context.Context, t *testing.T, addr string, dirs []string, plane string) {
-	t.Helper()
-	for _, dir := range dirs {
-		go func(dir string) {
-			err := cluster.RunWorker(ctx, cluster.WorkerConfig{Addr: addr, Dir: dir, DataPlane: plane})
-			if err != nil && ctx.Err() == nil {
-				t.Errorf("worker %s: %v", filepath.Base(dir), err)
-			}
-		}(dir)
-	}
-}
 
 // writeTransitPartitions cuts the transit fixture for testWorkers shards
 // and returns the partition directory plus the written file infos.
@@ -44,12 +35,11 @@ func writeTransitPartitions(t *testing.T) (string, []cluster.PartitionInfo) {
 	return dir, infos
 }
 
-// TestClusterDataPlanes proves the tentpole invariant: for every algorithm,
-// the direct (peer mesh) plane, the relay plane, and the direct plane over
-// per-shard partition files all produce results bit-identical to the
-// single-process transported run — and the byte counters prove which plane
-// actually carried the traffic.
-func TestClusterDataPlanes(t *testing.T) {
+// TestClusterMeshMatchesSingleProcess proves the mesh invariant: for every
+// algorithm, a run over the whole graph and one over per-shard partition
+// files both produce results bit-identical to the single-process transported
+// run — and the byte counters prove every batch went peer to peer.
+func TestClusterMeshMatchesSingleProcess(t *testing.T) {
 	g := tgraph.TransitExample()
 	partDir, _ := writeTransitPartitions(t)
 	for _, algo := range []struct {
@@ -63,45 +53,27 @@ func TestClusterDataPlanes(t *testing.T) {
 		want := directRun(t, g, algo.name, algo.p)
 		for _, tc := range []struct {
 			name  string
-			plane string
 			graph string
 		}{
-			{name: "relay", plane: cluster.PlaneRelay, graph: "transit"},
-			{name: "direct", plane: cluster.PlaneDirect, graph: "transit"},
-			{name: "direct-partitioned", plane: cluster.PlaneDirect, graph: "shard:" + partDir},
+			{name: "direct", graph: "transit"},
+			{name: "direct-partitioned", graph: "shard:" + partDir},
 		} {
 			t.Run(algo.name+"/"+tc.name, func(t *testing.T) {
 				ctx, cancel := context.WithCancel(context.Background())
 				defer cancel()
 				reg := obs.NewRegistry()
 				coord, addr, out := startCluster(t, cluster.Config{
-					Algo: algo.name, Params: algo.p,
-					Graph: tc.graph, DataPlane: tc.plane, Registry: reg,
+					Algo: algo.name, Params: algo.p, Graph: tc.graph, Registry: reg,
 				})
-				runWorkersPlane(ctx, t, addr, workerDirs(t, testWorkers), tc.plane)
+				runWorkers(ctx, t, addr, workerDirs(t, testWorkers))
 				got := waitResult(t, out, 30*time.Second)
 				compareResults(t, g, got, want)
 				rep := coord.Report()
-				if rep.DataPlane != tc.plane {
-					t.Errorf("report plane = %q, want %q", rep.DataPlane, tc.plane)
+				if b := reg.Counter(obs.CClusterRelayBytes).Load(); b != 0 {
+					t.Errorf("healthy mesh sent %d bytes through the coordinator", b)
 				}
-				relayB := reg.Counter(obs.CClusterRelayBytes).Load()
-				directB := reg.Counter(obs.CClusterDirectBytes).Load()
-				switch tc.plane {
-				case cluster.PlaneDirect:
-					if relayB != 0 {
-						t.Errorf("direct run relayed %d bytes through the coordinator", relayB)
-					}
-					if directB == 0 {
-						t.Error("direct run shipped no peer-to-peer bytes")
-					}
-				case cluster.PlaneRelay:
-					if directB != 0 {
-						t.Errorf("relay run shipped %d bytes peer-to-peer", directB)
-					}
-					if relayB == 0 {
-						t.Error("relay run relayed no bytes")
-					}
+				if reg.Counter(obs.CClusterDirectBytes).Load() == 0 {
+					t.Error("run shipped no peer-to-peer bytes")
 				}
 				if tc.graph != "transit" {
 					// Partitioned workers report their mapped partition size;
@@ -124,41 +96,111 @@ func TestClusterDataPlanes(t *testing.T) {
 	}
 }
 
-// TestClusterDegradesWithoutMesh runs a direct-plane coordinator against a
-// fleet where one worker refuses the mesh: the run must degrade to the
-// relay — never abort — and still match the single-process answer.
-func TestClusterDegradesWithoutMesh(t *testing.T) {
+// deadMeshAddr refuses every connection: port 1 is outside the ephemeral
+// range, so no listener of this or a neighbouring test can come to own it.
+const deadMeshAddr = "127.0.0.1:1"
+
+// advertiseDeadMesh stands between one worker and the coordinator and
+// rewrites the mesh address in the worker's hello — always the first frame —
+// to deadMeshAddr; every later frame passes through untouched, both ways.
+// It returns the address the worker should dial instead of the coordinator's.
+func advertiseDeadMesh(t *testing.T, coordAddr string) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	go func() {
+		wc, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer wc.Close()
+		cc, err := net.Dial("tcp", coordAddr)
+		if err != nil {
+			t.Errorf("proxy: dial coordinator: %v", err)
+			return
+		}
+		defer cc.Close()
+		ftype, payload, err := codec.ReadFrame(wc)
+		if err != nil {
+			t.Errorf("proxy: read hello: %v", err)
+			return
+		}
+		var hello map[string]any
+		if err := json.Unmarshal(payload, &hello); err != nil || hello["mesh_addr"] == nil {
+			t.Errorf("proxy: first frame is not a hello with a mesh address: %q (%v)", payload, err)
+			return
+		}
+		hello["mesh_addr"] = deadMeshAddr
+		payload, _ = json.Marshal(hello)
+		if err := codec.WriteFrame(cc, ftype, payload); err != nil {
+			t.Errorf("proxy: forward hello: %v", err)
+			return
+		}
+		go io.Copy(wc, cc)
+		io.Copy(cc, wc)
+	}()
+	return ln.Addr().String()
+}
+
+// TestClusterSurvivesDeadMeshLink runs a fleet in which nobody can reach one
+// worker's mesh listener: the batches bound for that shard — and only those
+// — must take the coordinator hop, every other batch still goes peer to
+// peer, nothing is recovered from, and the answer is the single-process one.
+func TestClusterSurvivesDeadMeshLink(t *testing.T) {
 	g := tgraph.TransitExample()
-	p := algorithms.Params{Source: 0}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	reg := obs.NewRegistry()
-	coord, addr, out := startCluster(t, cluster.Config{
-		Algo: "sssp", Params: p, DataPlane: cluster.PlaneDirect, Registry: reg,
-	})
-	dirs := workerDirs(t, testWorkers)
-	runWorkersPlane(ctx, t, addr, dirs[:1], cluster.PlaneRelay)
-	runWorkersPlane(ctx, t, addr, dirs[1:], cluster.PlaneDirect)
-	got := waitResult(t, out, 30*time.Second)
-	compareResults(t, g, got, directRun(t, g, "sssp", p))
-	rep := coord.Report()
-	if rep.DataPlane != cluster.PlaneRelay {
-		t.Errorf("degraded run reports plane %q, want %q", rep.DataPlane, cluster.PlaneRelay)
-	}
-	if b := reg.Counter(obs.CClusterDirectBytes).Load(); b != 0 {
-		t.Errorf("degraded run still shipped %d direct bytes", b)
-	}
-	if b := reg.Counter(obs.CClusterRelayBytes).Load(); b == 0 {
-		t.Error("degraded run relayed no bytes")
+	for _, algo := range []struct {
+		name string
+		p    algorithms.Params
+	}{
+		{name: "sssp", p: algorithms.Params{Source: 0}},
+		{name: "pr"},
+	} {
+		t.Run(algo.name, func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			reg := obs.NewRegistry()
+			coord, addr, out := startCluster(t, cluster.Config{Algo: algo.name, Params: algo.p, Registry: reg})
+			dirs := workerDirs(t, testWorkers)
+			// The unreachable worker registers first, so it is shard 0.
+			runWorkers(ctx, t, advertiseDeadMesh(t, addr), dirs[:1])
+			for joinBy := time.Now().Add(10 * time.Second); coord.Stats().Live < 1; time.Sleep(time.Millisecond) {
+				if time.Now().After(joinBy) {
+					t.Fatal("the first worker never registered")
+				}
+			}
+			runWorkers(ctx, t, addr, dirs[1:])
+			got := waitResult(t, out, 30*time.Second)
+			compareResults(t, g, got, directRun(t, g, algo.name, algo.p))
+			if rep := coord.Report(); len(rep.Recoveries) != 0 {
+				t.Errorf("a dead mesh link was treated as a dead worker: %+v", rep.Recoveries)
+			}
+			if reg.Counter(obs.CClusterRelayBytes).Load() == 0 {
+				t.Error("no bytes took the coordinator hop")
+			}
+			if reg.Counter(obs.CClusterDirectBytes).Load() == 0 {
+				t.Error("one dead link stopped every peer-to-peer batch")
+			}
+			for _, a := range coord.Attribution() {
+				for _, st := range a.Shards {
+					if (st.RelayBytes > 0) != (st.Shard == 0) {
+						t.Errorf("superstep %d: shard %d was forwarded %d bytes; only shard 0 is unreachable",
+							a.Superstep, st.Shard, st.RelayBytes)
+					}
+					if st.DirectBytes == 0 {
+						t.Errorf("superstep %d: shard %d shipped nothing peer to peer", a.Superstep, st.Shard)
+					}
+				}
+			}
+		})
 	}
 }
 
-// TestClusterConfigDataPlane pins the plane and partition validation in
+// TestClusterConfigPartitionWidth pins the partition validation in
 // cluster.New.
-func TestClusterConfigDataPlane(t *testing.T) {
-	if _, err := cluster.New(cluster.Config{Workers: 2, Graph: "transit", Algo: "sssp", DataPlane: "carrier-pigeon"}); err == nil {
-		t.Error("bogus data plane accepted")
-	}
+func TestClusterConfigPartitionWidth(t *testing.T) {
 	dir, _ := writeTransitPartitions(t)
 	// Partition cut for testWorkers shards; any other width must be refused.
 	if _, err := cluster.New(cluster.Config{Workers: testWorkers + 1, Graph: "shard:" + dir, Algo: "sssp"}); err == nil {

@@ -4,7 +4,7 @@ package cluster
 // port, advertises the address in its hello, and — once the coordinator
 // broadcasts the full address table — dials every peer, forming a complete
 // directed mesh of framed CRC'd connections. fData batches then travel one
-// hop instead of two, and the coordinator's relay carries nothing.
+// hop, and the coordinator carries only the batches of a link that is down.
 //
 // Determinism does not depend on mesh arrival order: every batch carries
 // the (epoch, superstep, src) routing header, receivers collect all N-1
@@ -35,7 +35,7 @@ import (
 	"graphite/internal/engine"
 )
 
-// mesh is one worker's endpoint in the peer data plane. The listener and
+// mesh is one worker's endpoint among its peers. The listener and
 // inbound connections are owned by background goroutines; the outbound
 // connection table is touched only by the worker's main loop.
 type mesh struct {
@@ -132,7 +132,9 @@ func (m *mesh) serveConn(c net.Conn) {
 // exponential backoff. Called synchronously from the worker's main loop on
 // every fPeers — a recovery bumps the epoch and re-broadcasts the table
 // with the replacement's fresh address, so redialing from scratch is both
-// the simple and the correct behavior.
+// the simple and the correct behavior. A peer that does not answer keeps a
+// nil slot, which send reports on every batch bound for it, and the rest
+// are still dialed; the only error is the context's.
 func (m *mesh) dialPeers(ctx context.Context, epoch int, addrs []string, attempts int, backoff time.Duration) error {
 	m.closeOuts()
 	m.outs = make([]net.Conn, len(addrs))
@@ -140,43 +142,61 @@ func (m *mesh) dialPeers(ctx context.Context, epoch int, addrs []string, attempt
 	if err != nil {
 		return err
 	}
-	var d net.Dialer
 	for shard, addr := range addrs {
 		if shard == m.self {
 			continue
 		}
-		var conn net.Conn
-		var last error
-		for a := 0; a < attempts; a++ {
-			if a > 0 {
-				select {
-				case <-time.After(engine.RetryDelay(backoff, a-1, time.Second)):
-				case <-ctx.Done():
-					return ctx.Err()
-				}
-			}
-			conn, last = d.DialContext(ctx, "tcp", addr)
-			if last == nil {
-				break
-			}
+		conn, err := dialPeer(ctx, addr, hello, attempts, backoff)
+		if ctx.Err() != nil {
+			return ctx.Err()
 		}
-		if last != nil {
-			m.closeOuts()
-			return fmt.Errorf("cluster: mesh dial shard %d at %s: %w", shard, addr, last)
-		}
-		if err := writeConnFrame(conn, fMeshHello, hello); err != nil {
-			conn.Close()
-			m.closeOuts()
-			return fmt.Errorf("cluster: mesh hello to shard %d: %w", shard, err)
+		if err != nil {
+			m.linkDown(shard, err)
+			continue
 		}
 		m.outs[shard] = conn
 	}
 	return nil
 }
 
+// dialPeer opens one outbound mesh connection and introduces this shard.
+func dialPeer(ctx context.Context, addr string, hello []byte, attempts int, backoff time.Duration) (net.Conn, error) {
+	var d net.Dialer
+	var conn net.Conn
+	var err error
+	for a := 0; a < attempts; a++ {
+		if a > 0 {
+			select {
+			case <-time.After(engine.RetryDelay(backoff, a-1, time.Second)):
+			case <-ctx.Done():
+				return nil, ctx.Err()
+			}
+		}
+		if conn, err = d.DialContext(ctx, "tcp", addr); err == nil {
+			break
+		}
+	}
+	if err != nil {
+		return nil, fmt.Errorf("dial %s: %w", addr, err)
+	}
+	if err := writeConnFrame(conn, fMeshHello, hello); err != nil {
+		conn.Close()
+		return nil, fmt.Errorf("hello to %s: %w", addr, err)
+	}
+	return conn, nil
+}
+
+// linkDown is the one log line a lost link gets: it is written where the
+// slot goes nil (a dial that gave up, a write that failed), not on each of
+// the batches that take the coordinator hop because of it.
+func (m *mesh) linkDown(peer int, err error) {
+	m.log.Warn("cluster: mesh link down, its batches go through the coordinator until the next epoch",
+		"shard", m.self, "peer", peer, "err", err)
+}
+
 // send ships one fData payload directly to dst. On failure the connection
-// is dropped (the peer is dead or the mesh is torn); the caller falls back
-// to the coordinator relay for this batch and the next epoch re-dials.
+// is dropped (the peer is dead or the mesh is torn); the caller sends this
+// batch through the coordinator instead and the next epoch re-dials.
 func (m *mesh) send(dst int, payload []byte) error {
 	if dst < 0 || dst >= len(m.outs) || m.outs[dst] == nil {
 		return fmt.Errorf("cluster: no mesh connection to shard %d", dst)
@@ -186,6 +206,7 @@ func (m *mesh) send(dst int, payload []byte) error {
 	if err := writeConnFrame(c, fData, payload); err != nil {
 		c.Close()
 		m.outs[dst] = nil
+		m.linkDown(dst, err)
 		return fmt.Errorf("cluster: mesh send to shard %d: %w", dst, err)
 	}
 	c.SetWriteDeadline(time.Time{})
@@ -194,7 +215,7 @@ func (m *mesh) send(dst int, payload []byte) error {
 
 // meshWriteDeadline bounds one peer batch write. Receivers drain
 // continuously, so a stall this long means the peer is gone; the batch
-// falls back to the relay and the lease machinery handles the corpse.
+// goes through the coordinator and the lease machinery handles the corpse.
 const meshWriteDeadline = 10 * time.Second
 
 func (m *mesh) closeOuts() {

@@ -1,13 +1,16 @@
 package cluster
 
-// White-box mesh tests: the peer data plane must deliver framed batches,
-// survive a peer endpoint dying (send errors instead of wedging, so the
-// caller can fall back to the relay), and resume in order after the
-// epoch-style re-dial that recovery performs.
+// White-box mesh tests: the mesh must deliver framed batches, survive a
+// peer endpoint dying or never answering (send errors instead of wedging,
+// so the caller can send that batch through the coordinator) without
+// losing its other links, and resume in order after the epoch-style
+// re-dial that recovery performs.
 
 import (
 	"bytes"
 	"context"
+	"errors"
+	"io"
 	"log/slog"
 	"net"
 	"testing"
@@ -76,8 +79,8 @@ func TestMeshSendAndReconnect(t *testing.T) {
 	}
 
 	// Peer death: b's endpoint closes (a kill -9 from the mesh's view).
-	// a's sends must start failing — that error is what triggers the
-	// caller's per-batch relay fallback — rather than block.
+	// a's sends must start failing — that error is what sends the caller's
+	// batch through the coordinator — rather than block.
 	b.close()
 	var sendErr error
 	for i := 0; i < 50 && sendErr == nil; i++ {
@@ -111,26 +114,83 @@ func TestMeshSendAndReconnect(t *testing.T) {
 	}
 }
 
-// TestMeshDialFailure pins the degrade trigger: dialing an address nobody
-// serves must exhaust its retries and return an error (which the worker
-// reports as fMeshed !OK), not hang.
+// deadAddr refuses every connection: port 1 is outside the ephemeral range,
+// so no listener of this or a neighbouring test can come to own it.
+const deadAddr = "127.0.0.1:1"
+
+// TestMeshDialSkipsDeadPeer pins the per-link fallback's trigger: one
+// address nobody serves, among three, costs that slot and nothing else —
+// the peers after it are still dialed and still deliver, and a send to the
+// dead one fails at once instead of waiting out a write deadline.
+func TestMeshDialSkipsDeadPeer(t *testing.T) {
+	a, b, c := newTestMesh(t, 0), newTestMesh(t, 2), newTestMesh(t, 3)
+	addrs := []string{a.addr(), deadAddr, b.addr(), c.addr()}
+	if err := a.dialPeers(context.Background(), 0, addrs, 2, time.Millisecond); err != nil {
+		t.Fatalf("a dead peer failed the whole dial: %v", err)
+	}
+	for _, peer := range []*mesh{b, c} {
+		if err := a.send(peer.self, []byte("past the dead one")); err != nil {
+			t.Fatalf("send to live shard %d: %v", peer.self, err)
+		}
+		if got := recvPayload(t, peer); !bytes.Equal(got, []byte("past the dead one")) {
+			t.Fatalf("shard %d received %q", peer.self, got)
+		}
+	}
+	t0 := time.Now()
+	if err := a.send(1, []byte("into the void")); err == nil {
+		t.Fatal("send to a peer that never answered succeeded")
+	}
+	if d := time.Since(t0); d > time.Second {
+		t.Errorf("send to a dead slot took %v", d)
+	}
+}
+
+// TestMeshDialFailure pins the one way dialPeers itself fails: its context
+// ending while it waits out a retry, which is the worker shutting down. It
+// must return that error then, not finish the backoff schedule (a thousand
+// attempts, half a second apart and more).
 func TestMeshDialFailure(t *testing.T) {
 	a := newTestMesh(t, 0)
-	// A listener that is closed immediately: the port is valid but dead.
-	dead := newTestMesh(t, 1)
-	addr := dead.addr()
-	dead.close()
-	done := make(chan error, 1)
-	go func() {
-		done <- a.dialPeers(context.Background(), 0, []string{a.addr(), addr}, 2, time.Millisecond)
-	}()
-	select {
-	case err := <-done:
-		if err == nil {
-			t.Fatal("dialing a dead endpoint succeeded")
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("dialPeers hung on a dead endpoint")
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	t0 := time.Now()
+	err := a.dialPeers(ctx, 0, []string{a.addr(), deadAddr}, 1000, time.Hour)
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("dialPeers under an expired context returned %v", err)
+	}
+	if d := time.Since(t0); d > 5*time.Second {
+		t.Errorf("dialPeers outlived its context by %v", d)
+	}
+}
+
+// TestHelloWithoutMeshAddrRefused pins that the mesh is not optional: a
+// worker registering without a mesh address is dropped like any other
+// malformed hello — it holds no shard and the coordinator keeps waiting.
+func TestHelloWithoutMeshAddrRefused(t *testing.T) {
+	coord, err := New(Config{Workers: 2, Graph: "transit", Algo: "sssp"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go coord.Serve(ln)
+	defer coord.Close()
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if err := sendJSON(conn, fHello, helloMsg{PrevShard: -1}); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	if ftype, _, err := readConnFrame(conn); !errors.Is(err, io.EOF) {
+		t.Fatalf("coordinator answered a hello without a mesh address: frame %d, error %v", ftype, err)
+	}
+	if st := coord.Stats(); st.Live != 0 || st.State != stWaiting {
+		t.Errorf("refused worker changed the cluster: %+v", st)
 	}
 }
 

@@ -13,15 +13,15 @@
 // resident memory to O(V + E/N). The coordinator owns all control flow —
 // superstep broadcast, barrier aggregation, halt detection, checkpoint
 // commit — which keeps the worker a single straight-line state machine and
-// makes recovery a coordinator-local decision. Message batches travel on a
-// configurable data plane: directly worker-to-worker over a full TCP mesh
-// (the default), or relayed through the coordinator (the fallback).
+// makes recovery a coordinator-local decision. Message batches travel
+// worker-to-worker over a full TCP mesh; a batch whose mesh link is down
+// takes the coordinator hop instead, one batch at a time.
 //
 // Delivery order (own outbox first, then peer batches ascending by source
 // shard) matches the in-process transported exchange regardless of the
-// plane or the mesh's arrival order, so a cluster run is bit-identical to
-// a single-process run — the invariant the kill-recovery chaos tests
-// assert.
+// hop a batch took or the mesh's arrival order, so a cluster run is
+// bit-identical to a single-process run — the invariant the kill-recovery
+// chaos tests assert.
 package cluster
 
 import (
@@ -47,7 +47,7 @@ const (
 	fReady                     // worker→coord: shard built/restored, at a barrier
 	fStep                      // coord→worker: execute one superstep
 	fStepDone                  // worker→coord: barrier report
-	fData                      // both ways: one encoded message batch (relayed)
+	fData                      // one encoded message batch: peer to peer, or via the coordinator when that link is down
 	fRollback                  // coord→worker: restore committed gen, new epoch
 	fCollect                   // coord→worker: send final states
 	fResult                    // worker→coord: encoded owned states
@@ -55,27 +55,18 @@ const (
 	fError                     // worker→coord: fatal worker-side error
 	fBye                       // coord→worker: run complete, exit cleanly
 	fPeers                     // coord→worker: mesh addresses of every shard
-	fMeshed                    // worker→coord: mesh dial outcome for an epoch
+	fMeshed                    // worker→coord: mesh dial attempts finished for an epoch
 	fMeshHello                 // worker→worker: first frame on a mesh connection
-)
-
-// Data-plane modes. PlaneDirect ships fData batches worker-to-worker over
-// the mesh; PlaneRelay routes every batch through the coordinator (the
-// original star topology, kept as an explicit fallback).
-const (
-	PlaneDirect = "direct"
-	PlaneRelay  = "relay"
 )
 
 // helloMsg registers a worker. PrevShard is the shard recorded in the
 // worker's checkpoint directory by a previous incarnation (-1 if none); the
 // coordinator prefers to re-assign it so the on-disk checkpoints match.
-// MeshAddr is the worker's listening address for direct peer data; empty
-// means the worker cannot (or was told not to) serve a mesh endpoint, which
-// degrades the whole run to the relay plane.
+// MeshAddr is the worker's listening address for peer data; a hello without
+// one is malformed and the coordinator drops the connection.
 type helloMsg struct {
 	PrevShard int    `json:"prev_shard"`
-	MeshAddr  string `json:"mesh_addr,omitempty"`
+	MeshAddr  string `json:"mesh_addr"`
 }
 
 // assignMsg hands a worker its shard and everything needed to build it
@@ -110,15 +101,12 @@ type readyMsg struct {
 }
 
 // stepMsg starts one superstep. Checkpoint tells the worker to capture a
-// durable checkpoint as generation Gen at the closing barrier. Direct
-// selects the data plane for this superstep's batches: peer mesh when true,
-// coordinator relay when false.
+// durable checkpoint as generation Gen at the closing barrier.
 type stepMsg struct {
 	Epoch      int  `json:"epoch"`
 	Superstep  int  `json:"superstep"`
 	Checkpoint bool `json:"checkpoint,omitempty"`
 	Gen        int  `json:"gen,omitempty"`
-	Direct     bool `json:"direct,omitempty"`
 }
 
 // stepDoneMsg is one shard's barrier report. CkptGen is -1 unless this
@@ -158,14 +146,12 @@ type peersMsg struct {
 	Addrs []string `json:"addrs"`
 }
 
-// meshedMsg acknowledges a peersMsg: the worker dialed every peer (OK) or
-// exhausted its retries (not OK, with the first error), in which case the
-// coordinator degrades the run to the relay plane instead of aborting.
+// meshedMsg acknowledges a peersMsg: the worker's dial attempts for the
+// epoch are over. It says nothing of their outcome — a peer that did not
+// answer costs the batches bound for it the coordinator hop, not the run.
 type meshedMsg struct {
-	Epoch int    `json:"epoch"`
-	Shard int    `json:"shard"`
-	OK    bool   `json:"ok"`
-	Err   string `json:"err,omitempty"`
+	Epoch int `json:"epoch"`
+	Shard int `json:"shard"`
 }
 
 // meshHelloMsg is the first frame on every mesh connection, identifying the
@@ -222,7 +208,7 @@ func parseJSON(payload []byte, v any) error {
 	return nil
 }
 
-// dataHeader addresses one relayed message batch.
+// dataHeader addresses one message batch, whichever hop it takes.
 type dataHeader struct {
 	epoch     int
 	superstep int
@@ -275,8 +261,8 @@ func parseResultHeader(p []byte) (epoch, shard int, blob []byte, err error) {
 
 // LoadGraph resolves a graph spec shared between coordinator and workers:
 // "transit" is the built-in fixture, "file:<path>" loads any tgraph format
-// — text, binary, or a .gsn snapshot, which rejoining workers open as an
-// mmap so a respawn pays page faults instead of a parse — and
+// — text, or a .gsn snapshot, which rejoining workers open as an mmap so a
+// respawn pays page faults instead of a parse — and
 // "shard:<dir>" names a partition directory written by WritePartitions,
 // from which each process maps only its own induced subgraph. Every process
 // must resolve the spec to a graph with identical vertex indexing or the
@@ -350,7 +336,7 @@ func writeShardMarker(dir string, shard int) error {
 // kill point in a worker process: "<phase>:<superstep>" with phase one of
 // "compute" (after the compute phase has shipped its batches, before
 // delivery), "peersend" (mid-ship: after the first peer batch has left but
-// before the rest, the worst case for the direct data plane), "checkpoint"
+// before the rest, the worst case for the mesh), "checkpoint"
 // (between the checkpoint temp-file write and its atomic rename), or
 // "barrier" (after the barrier report is sent).
 const CrashEnv = "GRAPHITE_CRASH"

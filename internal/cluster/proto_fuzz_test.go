@@ -59,10 +59,13 @@ func FuzzClusterFrames(f *testing.F) {
 	seedJSON(fAssign, assignMsg{Shard: 1, Shards: 2, Epoch: 3, RestoreGen: -1, Graph: "transit", Algo: "sssp",
 		Params: algorithms.Params{Source: 4, Window: ival.New(2, 9)}, CheckpointEvery: 2, HeartbeatNS: 5e7, Span: "ab12"})
 	seedJSON(fReady, readyMsg{Epoch: 1, Shard: 1, Superstep: 4, Gen: 2, RestoredBytes: 99})
-	seedJSON(fStep, stepMsg{Epoch: 1, Superstep: 4, Checkpoint: true, Gen: 2, Direct: true})
+	seedJSON(fStep, stepMsg{Epoch: 1, Superstep: 4, Checkpoint: true, Gen: 2})
 	seedJSON(fStepDone, stepDoneMsg{Epoch: 1, Superstep: 4, Shard: 1, Delivered: 7, Active: 3, CkptGen: -1, DirectBytes: 512})
 	seedJSON(fPeers, peersMsg{Epoch: 2, Addrs: []string{"127.0.0.1:1", ""}})
-	seedJSON(fMeshed, meshedMsg{Epoch: 2, Shard: 0, OK: false, Err: "dial: refused"})
+	seedJSON(fMeshed, meshedMsg{Epoch: 2, Shard: 0})
+	// Fields this decoder does not have (a peer of another build) are ignored.
+	f.Add(fStep, []byte(`{"epoch":1,"superstep":4,"checkpoint":true,"gen":2,"direct":true}`))
+	f.Add(fMeshed, []byte(`{"epoch":2,"shard":0,"ok":false,"err":"dial: refused"}`))
 	seedJSON(fMeshHello, meshHelloMsg{Shard: 1, Epoch: 2})
 	seedJSON(fRollback, rollbackMsg{Epoch: 3, Gen: 1})
 	seedJSON(fError, errorMsg{Shard: 1, Msg: "panic at vertex 3"})

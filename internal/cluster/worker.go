@@ -23,7 +23,7 @@ import (
 // coordinator notices the loss, so the dial loop is patient. Mesh dials are
 // far less so — every peer's listener is up before the coordinator ever
 // broadcasts the address table, so a peer that won't answer after a few
-// tries is genuinely unreachable and the run should degrade to the relay.
+// tries is genuinely unreachable and its batches go through the coordinator.
 const (
 	DefaultDialAttempts = 40
 	DefaultDialBackoff  = 25 * time.Millisecond
@@ -54,12 +54,6 @@ type WorkerConfig struct {
 	// KeepCheckpoints bounds on-disk generations; zero means
 	// engine.DefaultKeepGenerations.
 	KeepCheckpoints int
-	// DataPlane selects how this worker ships message batches: PlaneDirect
-	// (or empty) serves a mesh endpoint and sends peer-to-peer when the
-	// coordinator runs the direct plane; PlaneRelay disables the mesh
-	// entirely — the worker advertises no address, which degrades the whole
-	// run to the coordinator relay.
-	DataPlane string
 	// MeshListenAddr is the address the mesh endpoint listens on; empty
 	// means an ephemeral loopback port. Multi-host deployments set this to
 	// an externally reachable "<host>:0" (the advertised address is the
@@ -94,9 +88,9 @@ type stepRun struct {
 	computeNS int64
 	shipped   time.Time
 
-	// Data-plane attribution for this superstep's outbound batches, plus
-	// the arrival clock of inbound mesh batches (peer_recv ends when the
-	// last direct batch lands).
+	// Which hop this superstep's outbound batches took, plus the arrival
+	// clock of inbound mesh batches (peer_recv ends when the last direct
+	// batch lands).
 	peerSendNS   int64
 	directBytes  int64
 	relayedBytes int64
@@ -128,7 +122,7 @@ type wrk struct {
 	graphBytes int64 // resident graph footprint, reported on every ready
 	cur        *stepRun
 
-	mesh    *mesh              // nil when the worker runs relay-only
+	mesh    *mesh
 	pending map[pendKey][]byte // early mesh batches for unopened supersteps
 
 	hbStop chan struct{}
@@ -155,25 +149,16 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 	if cfg.Logger == nil {
 		cfg.Logger = slog.Default()
 	}
-	switch cfg.DataPlane {
-	case "", PlaneDirect, PlaneRelay:
-	default:
-		return fmt.Errorf("cluster: unknown data plane %q", cfg.DataPlane)
+	if cfg.MeshListenAddr == "" {
+		cfg.MeshListenAddr = "127.0.0.1:0"
 	}
 	// The mesh listener comes up before the hello so the advertised address
 	// is live the moment any peer learns it.
-	var me *mesh
-	if cfg.DataPlane != PlaneRelay {
-		addr := cfg.MeshListenAddr
-		if addr == "" {
-			addr = "127.0.0.1:0"
-		}
-		var err error
-		if me, err = newMesh(addr, cfg.Logger); err != nil {
-			return err
-		}
-		defer me.close()
+	me, err := newMesh(cfg.MeshListenAddr, cfg.Logger)
+	if err != nil {
+		return err
 	}
+	defer me.close()
 	conn, err := dialCoordinator(ctx, cfg)
 	if err != nil {
 		return err
@@ -200,11 +185,7 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 		case <-watchDone:
 		}
 	}()
-	hello := helloMsg{PrevShard: readShardMarker(cfg.Dir)}
-	if me != nil {
-		hello.MeshAddr = me.addr()
-	}
-	if err := w.sendJSON(fHello, hello); err != nil {
+	if err := w.sendJSON(fHello, helloMsg{PrevShard: readShardMarker(cfg.Dir), MeshAddr: me.addr()}); err != nil {
 		return err
 	}
 	return w.loop()
@@ -258,10 +239,6 @@ func (w *wrk) loop() error {
 			}
 		}
 	}()
-	var meshIn chan []byte
-	if w.mesh != nil {
-		meshIn = w.mesh.in
-	}
 	for {
 		select {
 		case f := <-coordIn:
@@ -296,7 +273,7 @@ func (w *wrk) loop() error {
 			if err != nil {
 				return err
 			}
-		case p := <-meshIn:
+		case p := <-w.mesh.in:
 			if err := w.handleMeshData(p); err != nil {
 				return err
 			}
@@ -306,11 +283,11 @@ func (w *wrk) loop() error {
 	}
 }
 
-// handlePeers (re)builds the outbound mesh for an epoch and acknowledges
-// the outcome. Dialing happens inline — the worker has nothing else to do
-// between ready and the first step, and the heartbeat goroutine keeps the
-// lease alive — and a failure degrades the run to the relay plane on the
-// coordinator rather than killing the worker.
+// handlePeers (re)builds the outbound mesh for an epoch and tells the
+// coordinator the dial attempts are over. Dialing happens inline — the
+// worker has nothing else to do between ready and the first step, and the
+// heartbeat goroutine keeps the lease alive — and a peer that did not
+// answer is handleStep's business, one batch at a time.
 func (w *wrk) handlePeers(payload []byte) error {
 	var pm peersMsg
 	if err := parseJSON(payload, &pm); err != nil {
@@ -319,19 +296,11 @@ func (w *wrk) handlePeers(payload []byte) error {
 	if pm.Epoch != w.epoch {
 		return nil // stale
 	}
-	if w.mesh == nil {
-		return w.sendJSON(fMeshed, meshedMsg{Epoch: pm.Epoch, Shard: w.self, OK: false, Err: "mesh disabled"})
-	}
 	w.mesh.self = w.self
 	if err := w.mesh.dialPeers(w.ctx, pm.Epoch, pm.Addrs, meshDialAttempts, w.cfg.DialBackoff); err != nil {
-		if w.ctx.Err() != nil {
-			return w.ctx.Err()
-		}
-		w.log.Warn("cluster: mesh dial failed, reporting for relay fallback", "shard", w.self, "err", err)
-		return w.sendJSON(fMeshed, meshedMsg{Epoch: pm.Epoch, Shard: w.self, OK: false, Err: err.Error()})
+		return err
 	}
-	w.log.Info("cluster: mesh established", "shard", w.self, "epoch", pm.Epoch, "peers", len(pm.Addrs)-1)
-	return w.sendJSON(fMeshed, meshedMsg{Epoch: pm.Epoch, Shard: w.self, OK: true})
+	return w.sendJSON(fMeshed, meshedMsg{Epoch: pm.Epoch, Shard: w.self})
 }
 
 // fail reports a fatal worker-side error to the coordinator (best effort)
@@ -466,7 +435,6 @@ func (w *wrk) handleStep(payload []byte) error {
 	if err != nil {
 		return w.fail(err)
 	}
-	direct := st.Direct && w.mesh != nil
 	var peerSendNS, directBytes, relayedBytes int64
 	sent := 0
 	for dst := 0; dst < w.shards; dst++ {
@@ -475,23 +443,15 @@ func (w *wrk) handleStep(payload []byte) error {
 		}
 		p := appendDataHeader(nil, dataHeader{epoch: w.epoch, superstep: st.Superstep, src: w.self, dst: dst})
 		p = append(p, outs[dst]...)
-		shippedDirect := false
-		if direct {
-			t0 := time.Now()
-			err := w.mesh.send(dst, p)
-			peerSendNS += time.Since(t0).Nanoseconds()
-			if err == nil {
-				directBytes += int64(len(p))
-				shippedDirect = true
-			} else {
-				// Per-batch fallback: the receiver counts batches from either
-				// plane, so one dead mesh connection costs an extra hop, not
-				// the run. The lease machinery handles a genuinely dead peer.
-				w.log.Warn("cluster: mesh send failed, relaying batch",
-					"shard", w.self, "dst", dst, "superstep", st.Superstep, "err", err)
-			}
-		}
-		if !shippedDirect {
+		t0 := time.Now()
+		err := w.mesh.send(dst, p)
+		peerSendNS += time.Since(t0).Nanoseconds()
+		if err == nil {
+			directBytes += int64(len(p))
+		} else {
+			// Per-batch fallback: the receiver counts batches whichever hop
+			// they took, so one dead mesh connection costs an extra hop, not
+			// the run. The lease machinery handles a genuinely dead peer.
 			if err := w.sendFrame(fData, p); err != nil {
 				return err
 			}
@@ -500,7 +460,7 @@ func (w *wrk) handleStep(payload []byte) error {
 		sent++
 		if sent == 1 {
 			// Kill point "peersend": die mid-ship — the first peer (or the
-			// relay) holds this superstep's batch, the rest never see it.
+			// coordinator) holds this superstep's batch, the rest never see it.
 			w.maybeCrash("peersend", st.Superstep)
 		}
 	}
@@ -532,8 +492,8 @@ func (w *wrk) handleStep(payload []byte) error {
 	return w.finishStepIfReady()
 }
 
-// handleData receives one relayed batch from the coordinator stream. The
-// coordinator stream is ordered — fStep always precedes the relayed
+// handleData receives one batch that took the coordinator hop. The
+// coordinator stream is ordered — fStep always precedes the forwarded
 // batches of its superstep — so anything not addressed to the open step is
 // stale (in flight across a recovery) and dropped.
 func (w *wrk) handleData(payload []byte) error {
@@ -555,7 +515,7 @@ func (w *wrk) handleData(payload []byte) error {
 // peer's batch for superstep S can land before this worker has read fStep
 // S, so batches for future supersteps of the current epoch are parked in
 // the pending buffer rather than dropped. Stale epochs are discarded
-// exactly as the relay does.
+// exactly as handleData does.
 func (w *wrk) handleMeshData(payload []byte) error {
 	h, batch, err := parseDataHeader(payload)
 	if err != nil {
@@ -590,8 +550,8 @@ func (w *wrk) handleMeshData(payload []byte) error {
 
 // storeBatch files one peer batch into the open superstep. A byte-identical
 // duplicate is dropped, not fatal: a mesh write that times out after the
-// kernel buffered the frame is retried over the relay, and the receiver may
-// legitimately see both copies.
+// kernel buffered the frame is retried through the coordinator, and the
+// receiver may legitimately see both copies.
 func (w *wrk) storeBatch(src int, batch []byte, viaMesh bool) error {
 	if src < 0 || src >= w.shards || src == w.self {
 		return w.fail(fmt.Errorf("cluster: shard %d: bad data frame source %d", w.self, src))

@@ -5,8 +5,8 @@ import (
 	"time"
 )
 
-// This file is the one retry-backoff policy every control-plane and
-// data-plane retry in the stack shares: capped exponential growth with
+// This file is the one retry-backoff policy every control-connection and
+// mesh retry in the stack shares: capped exponential growth with
 // equal jitter. The jitter matters for recovery storms — when a coordinator
 // restarts, every worker re-dials at once, and a deterministic schedule
 // keeps them colliding in lockstep on every attempt; randomizing the upper

@@ -127,7 +127,7 @@ type Config struct {
 	// path.
 	Tracer obs.Tracer
 	// Registry, when set, is where the engine publishes its counters and
-	// histograms (e.g. for the /debug/vars endpoint); nil gives the engine a
+	// histograms (e.g. for the /metrics endpoint); nil gives the engine a
 	// private registry. The Metrics Run returns are a per-run view over it.
 	Registry *obs.Registry
 	// Context, when set, makes the run cancellable: workers stop claiming

@@ -28,7 +28,7 @@ type engCounters struct {
 	classBytes [codec.NumIntervalClasses]*obs.Counter
 
 	// Pool gauges: refreshed at every barrier from the shared buffer pools
-	// so traces and /debug/vars show hot-path reuse as the run progresses.
+	// so traces and /metrics show hot-path reuse as the run progresses.
 	poolHits    *obs.Gauge
 	poolMisses  *obs.Gauge
 	bytesReused *obs.Gauge

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 
@@ -37,14 +38,11 @@ func chainBatch(n, m int, t0 ival.Time) []stream.Event {
 	return evs
 }
 
-// graphBytes renders a canonical byte encoding for exact-equality checks.
+// graphBytes renders a canonical byte encoding for exact-equality checks:
+// the snapshot encoding is deterministic (tgraph's TestSnapshotGolden).
 func graphBytes(t *testing.T, g *tgraph.Graph) []byte {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := tgraph.WriteBinary(&buf, g); err != nil {
-		t.Fatalf("WriteBinary: %v", err)
-	}
-	return buf.Bytes()
+	return tgraph.EncodeSnapshot(g, nil)
 }
 
 func TestOpenEmptyAndApply(t *testing.T) {
@@ -137,6 +135,58 @@ func TestReopenReplaysToIdenticalGraph(t *testing.T) {
 	}
 	if gotInfo := ep2.Info(); gotInfo != wantInfo {
 		t.Fatalf("replayed info = %+v, want %+v", gotInfo, wantInfo)
+	}
+}
+
+// TestWALZeroTailIsTorn: a tail the filesystem zero-extended before a crash
+// is a torn tail — the acknowledged batches replay, nothing more, and the
+// file is cut back to them — not a run of empty batches: eight zero bytes
+// would otherwise frame as a record (length 0, CRC-32 of nothing 0).
+func TestWALZeroTailIsTorn(t *testing.T) {
+	path := walPath(t)
+	g, err := Open(path, Options{})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	acked := [][]stream.Event{chainBatch(0, 4, 0), chainBatch(4, 6, 5)}
+	for _, b := range acked {
+		if _, err := g.Apply(b); err != nil {
+			t.Fatalf("Apply: %v", err)
+		}
+	}
+	want := g.Info()
+	g.Close()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, append(bytes.Clone(raw), make([]byte, 4096)...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	w, batches, truncated, err := openWAL(path, true)
+	if err != nil {
+		t.Fatalf("openWAL over a zero-filled tail: %v", err)
+	}
+	w.close()
+	if !truncated || len(batches) != len(acked) {
+		t.Fatalf("replayed %d batches (truncated %v), want the %d acknowledged and a torn tail", len(batches), truncated, len(acked))
+	}
+	for i := range batches {
+		if !slices.Equal(batches[i], acked[i]) {
+			t.Errorf("batch %d replayed as %+v, want %+v", i, batches[i], acked[i])
+		}
+	}
+	if st, err := os.Stat(path); err != nil || st.Size() != int64(len(raw)) {
+		t.Errorf("log is %d bytes after reopening, want it cut back to %d (%v)", st.Size(), len(raw), err)
+	}
+	g2, err := Open(path, Options{})
+	if err != nil {
+		t.Fatalf("Open after truncation: %v", err)
+	}
+	defer g2.Close()
+	if got := g2.Info(); got != want {
+		t.Errorf("reopened info = %+v, want %+v", got, want)
 	}
 }
 

@@ -174,10 +174,13 @@ func replayWAL(f *os.File, size int64) (batches [][]stream.Event, base walBase, 
 			return fail(fmt.Errorf("live: read WAL record: %w", err))
 		}
 		n := int64(binary.LittleEndian.Uint32(hdr[:]))
-		if size-off < 4+n+4 {
+		if n == 0 || size-off < 4+n+4 {
 			// The declared record runs past EOF — whether the length bytes
 			// are a truncated frame or scribble, this is indistinguishable
-			// from an append cut short, so treat it as the torn tail.
+			// from an append cut short, so treat it as the torn tail. So is
+			// a zero length: append never writes one (an empty batch is the
+			// byte 0x00), and zeros are what a tail the filesystem extended
+			// before the crash reads as.
 			return batches, base, off, true, nil
 		}
 		if n > maxWALRecord {
@@ -330,6 +333,9 @@ func appendString(buf []byte, s string) []byte {
 func decodeBatch(payload []byte) ([]stream.Event, error) {
 	d := walDecoder{buf: payload}
 	n := d.uvarint()
+	if d.err != nil {
+		return nil, d.err
+	}
 	if n > uint64(len(payload)) {
 		return nil, fmt.Errorf("implausible batch count %d", n)
 	}

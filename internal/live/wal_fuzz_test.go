@@ -33,7 +33,7 @@ func FuzzWALDecodeBatch(f *testing.F) {
 	for _, b := range fuzzBatches {
 		f.Add(encodeBatch(b))
 	}
-	f.Add([]byte{})
+	f.Add([]byte{})                                                                     // no count at all: not an empty batch, which is the byte 0
 	f.Add([]byte{1, byte(stream.SetEdgeProp), 0, 2, 0xff, 0xff, 0xff, 0xff, 0x0f, 'x'}) // a label longer than the payload
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0x0f})                                         // a count longer than the payload
 	f.Add([]byte{1, 9, 0})                                                              // an unknown op
@@ -42,6 +42,9 @@ func FuzzWALDecodeBatch(f *testing.F) {
 		batch, err := decodeBatch(payload)
 		if err != nil {
 			return
+		}
+		if len(payload) == 0 {
+			t.Fatalf("no bytes decoded as the batch %+v", batch)
 		}
 		enc := encodeBatch(batch)
 		again, err := decodeBatch(enc)
@@ -69,7 +72,8 @@ func walImage(batches ...[]stream.Event) []byte {
 // scanWAL is the reference reading of a log image, written from the format
 // alone: the batches of the intact records before the first one that is not,
 // where they end, and whether that first bad record is an append cut short
-// (it runs past the end of the file) or damage.
+// (it runs past the end of the file, or has the zero length no append writes)
+// or damage.
 func scanWAL(img []byte) (batches [][]stream.Event, good int, torn, damaged bool) {
 	if len(img) < len(walMagic) {
 		return nil, 0, true, false
@@ -90,7 +94,7 @@ func scanWAL(img []byte) (batches [][]stream.Event, good int, torn, damaged bool
 			return batches, off, true, false
 		}
 		n := int(binary.LittleEndian.Uint32(img[off:]))
-		if len(img)-off < 4+n+4 {
+		if n == 0 || len(img)-off < 4+n+4 {
 			return batches, off, true, false
 		}
 		payload := img[off+4 : off+4+n]

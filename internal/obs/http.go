@@ -1,35 +1,11 @@
 package obs
 
 import (
-	"expvar"
 	"fmt"
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"sync"
-	"sync/atomic"
 )
-
-// The expvar bridge: expvar.Publish panics on duplicate names, so the
-// registry behind the published Func is swappable and published once per
-// process. The most recently served registry wins, which is what a CLI
-// run wants.
-var (
-	publishOnce  sync.Once
-	publishedReg atomic.Pointer[Registry]
-)
-
-func publish(reg *Registry) {
-	publishedReg.Store(reg)
-	publishOnce.Do(func() {
-		expvar.Publish("graphite", expvar.Func(func() any {
-			if r := publishedReg.Load(); r != nil {
-				return r.Snapshot()
-			}
-			return nil
-		}))
-	})
-}
 
 // DebugServer is a running /debug endpoint. Close stops it.
 type DebugServer struct {
@@ -39,19 +15,14 @@ type DebugServer struct {
 	ln   net.Listener
 }
 
-// DebugMux returns the debug surface as an embeddable mux: /debug/vars
-// (expvar JSON, registry published under "graphite"), /debug/pprof/...
-// (profiles, heap, goroutines), and /metrics (Prometheus text exposition of
-// the registry). The serving layer mounts it next to its API; ServeDebug
-// serves it standalone for the CLIs. Callers that mount it under a "/debug/"
-// prefix route /metrics separately via MetricsHandler.
+// DebugMux returns the debug surface as an embeddable mux: /metrics
+// (Prometheus text exposition of the registry) and /debug/pprof/...
+// (profiles, heap, goroutines). The serving layer mounts it next to its API;
+// ServeDebug serves it standalone for the CLIs. Callers that mount it under
+// a "/debug/" prefix route /metrics separately via MetricsHandler.
 func DebugMux(reg *Registry) *http.ServeMux {
-	if reg != nil {
-		publish(reg)
-	}
 	mux := http.NewServeMux()
 	mux.Handle("/metrics", MetricsHandler(reg))
-	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)

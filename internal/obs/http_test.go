@@ -1,14 +1,29 @@
 package obs
 
 import (
-	"encoding/json"
 	"io"
 	"net/http"
+	"strings"
 	"testing"
 )
 
+// scrape GETs one path of a debug server and returns the body of a 200.
+func scrape(t *testing.T, s *DebugServer, path string) string {
+	t.Helper()
+	resp, err := http.Get("http://" + s.Addr + path)
+	if err != nil {
+		t.Fatalf("GET %s: %v", path, err)
+	}
+	defer resp.Body.Close()
+	body, _ := io.ReadAll(resp.Body)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("%s status = %d, want 200", path, resp.StatusCode)
+	}
+	return string(body)
+}
+
 // TestServeDebug starts the debug endpoint on an ephemeral port and checks
-// the registry shows up under /debug/vars and the pprof index answers.
+// the registry shows up under /metrics and the pprof index answers.
 func TestServeDebug(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter(CMessages).Add(42)
@@ -17,35 +32,14 @@ func TestServeDebug(t *testing.T) {
 		t.Fatalf("ServeDebug: %v", err)
 	}
 	defer s.Close()
+	sample := PromName(CMessages, "counter")
+	if body := scrape(t, s, "/metrics"); !strings.Contains(body, "\n"+sample+" 42\n") {
+		t.Errorf("/metrics lacks %q:\n%s", sample+" 42", body)
+	}
+	scrape(t, s, "/debug/pprof/")
 
-	resp, err := http.Get("http://" + s.Addr + "/debug/vars")
-	if err != nil {
-		t.Fatalf("GET /debug/vars: %v", err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	var vars struct {
-		Graphite map[string]any `json:"graphite"`
-	}
-	if err := json.Unmarshal(body, &vars); err != nil {
-		t.Fatalf("unmarshal /debug/vars: %v", err)
-	}
-	if got := vars.Graphite[CMessages]; got != float64(42) {
-		t.Errorf("graphite.%s = %v, want 42", CMessages, got)
-	}
-
-	resp, err = http.Get("http://" + s.Addr + "/debug/pprof/")
-	if err != nil {
-		t.Fatalf("GET /debug/pprof/: %v", err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Errorf("/debug/pprof/ status = %d, want 200", resp.StatusCode)
-	}
-
-	// A second endpoint over a different registry must not panic on the
-	// expvar re-publish, and /debug/vars must follow the latest registry.
+	// A second endpoint in the same process serves its own registry, and the
+	// first keeps serving its own: nothing about the exposition is global.
 	reg2 := NewRegistry()
 	reg2.Counter(CMessages).Add(7)
 	s2, err := ServeDebug("127.0.0.1:0", reg2)
@@ -53,16 +47,10 @@ func TestServeDebug(t *testing.T) {
 		t.Fatalf("second ServeDebug: %v", err)
 	}
 	defer s2.Close()
-	resp, err = http.Get("http://" + s2.Addr + "/debug/vars")
-	if err != nil {
-		t.Fatalf("GET second /debug/vars: %v", err)
+	if body := scrape(t, s2, "/metrics"); !strings.Contains(body, "\n"+sample+" 7\n") {
+		t.Errorf("second /metrics lacks %q:\n%s", sample+" 7", body)
 	}
-	body, _ = io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err := json.Unmarshal(body, &vars); err != nil {
-		t.Fatalf("unmarshal second /debug/vars: %v", err)
-	}
-	if got := vars.Graphite[CMessages]; got != float64(7) {
-		t.Errorf("after second publish, graphite.%s = %v, want 7", CMessages, got)
+	if body := scrape(t, s, "/metrics"); !strings.Contains(body, "\n"+sample+" 42\n") {
+		t.Errorf("first /metrics stopped serving its own registry:\n%s", body)
 	}
 }

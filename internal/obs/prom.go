@@ -60,9 +60,11 @@ func splitLabels(name string) (family, labels string) {
 	return name[:i], name[i+1 : len(name)-1]
 }
 
-// promName sanitizes a registry family name into a Prometheus metric name:
-// graphite_ prefix, dots and every other invalid character to underscores.
-func promName(family string) string {
+// PromName is the exposition name of a registry family of the given kind
+// ("counter", "gauge" or "histogram"): graphite_ prefix, dots and every
+// other invalid character to underscores, and the conventional _total
+// suffix on a counter that lacks it.
+func PromName(family, kind string) string {
 	var b strings.Builder
 	b.WriteString("graphite_")
 	for i := 0; i < len(family); i++ {
@@ -75,6 +77,9 @@ func promName(family string) string {
 		default:
 			b.WriteByte('_')
 		}
+	}
+	if kind == "counter" && !strings.HasSuffix(b.String(), "_total") {
+		b.WriteString("_total")
 	}
 	return b.String()
 }
@@ -177,10 +182,7 @@ func WritePrometheus(w io.Writer, reg *Registry) {
 		return ordered[a].kind < ordered[b].kind
 	})
 	for _, f := range ordered {
-		pn := promName(f.name)
-		if f.kind == "counter" && !strings.HasSuffix(pn, "_total") {
-			pn += "_total"
-		}
+		pn := PromName(f.name, f.kind)
 		fmt.Fprintf(w, "# HELP %s Registry metric %s.\n", pn, f.name)
 		fmt.Fprintf(w, "# TYPE %s %s\n", pn, f.kind)
 		for _, s := range f.series {
@@ -202,7 +204,7 @@ func WritePrometheus(w io.Writer, reg *Registry) {
 }
 
 // MetricsHandler serves the registry as a Prometheus scrape target. Mounted
-// at /metrics by every daemon, next to the expvar debug mux.
+// at /metrics by every daemon.
 func MetricsHandler(reg *Registry) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		var buf bytes.Buffer

@@ -1,8 +1,8 @@
 // Package obs is the observability layer of the stack: a dependency-free
 // metrics registry (counters, gauges, fixed-bucket duration histograms), a
 // Tracer contract receiving typed per-superstep events from the BSP engine
-// and the ICM runtime, sinks for both (a JSONL trace writer, an expvar +
-// pprof debug endpoint), and the shared slog setup the CLIs use.
+// and the ICM runtime, sinks for both (a JSONL trace writer, a Prometheus
+// /metrics + pprof debug endpoint), and the shared slog setup the CLIs use.
 //
 // The paper's entire evaluation (Sec. VII) is built from per-superstep
 // instrumentation — compute+/messaging/barrier splits, compute-call and
@@ -96,10 +96,10 @@ const (
 	GClusterSlowest    = "cluster.slowest_shard"
 	CClusterRelayBytes = "cluster.relay_bytes"
 	CClusterRelayNS    = "cluster.relay_ns"
-	// Direct data plane: cumulative batch bytes shipped worker-to-worker
-	// over the mesh (bypassing the coordinator entirely) and the cumulative
-	// worker time spent writing them. In direct mode the relay counters sit
-	// at ~0 and these carry the data volume; in relay mode the reverse.
+	// The mesh: cumulative batch bytes shipped worker-to-worker (bypassing
+	// the coordinator entirely) and the cumulative worker time spent writing
+	// them. On a healthy mesh the relay counters sit at 0 and these carry the
+	// data volume; the relay pair counts the batches of links that are down.
 	CClusterDirectBytes = "cluster.data_direct_bytes"
 	CClusterDirectNS    = "cluster.data_direct_ns"
 	// GClusterShardComputeNS is a labeled family (one series per shard via
@@ -200,21 +200,13 @@ func (h *Histogram) Count() int64 { return h.count.Load() }
 // Sum returns the total of all observations.
 func (h *Histogram) Sum() time.Duration { return time.Duration(h.sum.Load()) }
 
-// HistogramBucket is one bucket of a histogram snapshot.
+// HistogramBucket is one bucket of a histogram's Cumulative export.
 type HistogramBucket struct {
-	UpperBound time.Duration `json:"le_ns"`
-	Count      int64         `json:"count"`
+	UpperBound time.Duration
+	Count      int64
 }
 
-// HistogramSnapshot is a consistent-enough copy of a histogram for export.
-type HistogramSnapshot struct {
-	Count    int64             `json:"count"`
-	SumNS    int64             `json:"sum_ns"`
-	Buckets  []HistogramBucket `json:"buckets,omitempty"`
-	Overflow int64             `json:"overflow,omitempty"`
-}
-
-// BucketInf marks the implicit +Inf bucket in cumulative snapshots.
+// BucketInf marks the implicit +Inf bucket of a Cumulative export.
 const BucketInf = time.Duration(math.MaxInt64)
 
 // Cumulative exports the histogram with Prometheus-style cumulative bucket
@@ -263,22 +255,6 @@ func (h *Histogram) Quantile(q float64) time.Duration {
 		cum += n
 	}
 	return time.Duration(h.bounds[len(h.bounds)-1])
-}
-
-// Snapshot exports the histogram.
-func (h *Histogram) Snapshot() HistogramSnapshot {
-	s := HistogramSnapshot{
-		Count:    h.count.Load(),
-		SumNS:    h.sum.Load(),
-		Overflow: h.over.Load(),
-	}
-	for i, b := range h.bounds {
-		s.Buckets = append(s.Buckets, HistogramBucket{
-			UpperBound: time.Duration(b),
-			Count:      h.counts[i].Load(),
-		})
-	}
-	return s
 }
 
 // Registry is a named collection of counters, gauges and histograms.
@@ -362,28 +338,9 @@ func (r *Registry) HistogramWith(name string, bounds []time.Duration) *Histogram
 	return h
 }
 
-// Snapshot exports every metric: counters and gauges as int64, histograms
-// as HistogramSnapshot. Keys are the registry names; encoding/json renders
-// them in sorted order, so dumps are stable.
-func (r *Registry) Snapshot() map[string]any {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make(map[string]any, len(r.counters)+len(r.gauges)+len(r.hists))
-	for n, c := range r.counters {
-		out[n] = c.Load()
-	}
-	for n, g := range r.gauges {
-		out[n] = g.Load()
-	}
-	for n, h := range r.hists {
-		out[n] = h.Snapshot()
-	}
-	return out
-}
-
 // Export is a kind-typed snapshot of a registry, for sinks (the Prometheus
 // exposition) that must know whether a value is a counter, a gauge or a
-// histogram — Snapshot's map[string]any erases that.
+// histogram.
 type Export struct {
 	Counters   map[string]int64
 	Gauges     map[string]int64

@@ -25,8 +25,7 @@ import (
 //	GET    /v1/jobs/{id}   poll an async job
 //	DELETE /v1/jobs/{id}   cancel an async job
 //	GET    /metrics        Prometheus text exposition of the server registry
-//	/debug/vars, /debug/pprof/...  the obs debug surface over the server's
-//	                               registry
+//	/debug/pprof/...       the obs profiling surface
 //
 // Every API endpoint is instrumented with a request counter, an error
 // counter and a latency histogram under "serve.http.<name>.*"; /metrics

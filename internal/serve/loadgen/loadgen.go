@@ -1,19 +1,24 @@
 // Package loadgen is a small load driver for the graphite query service.
 // It fires a mixed burst of run requests at a server — repeated identical
 // requests that should collapse onto the result cache or singleflight, plus
-// distinct ones that must execute — and reads the server's /debug/vars
-// metrics back so callers can assert on cache behaviour. It backs the
+// distinct ones that must execute — and reads the server's /metrics
+// exposition back so callers can assert on cache behaviour. It backs the
 // `make serve-smoke` target via cmd/graphite-loadgen.
 package loadgen
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
+	"strings"
 	"sync"
 	"time"
+
+	"graphite/internal/obs"
 )
 
 // Request is one run request POSTed to /v1/run. It mirrors serve.RunRequest's
@@ -110,39 +115,40 @@ func post(client *http.Client, url string, body []byte) (status int, cached bool
 	return resp.StatusCode, out.Cached, nil
 }
 
-// DebugVars fetches /debug/vars and returns the "graphite" registry snapshot:
-// metric name → value. Counters and gauges are float64s; histograms are
-// nested maps.
-func DebugVars(baseURL string) (map[string]any, error) {
-	resp, err := http.Get(baseURL + "/debug/vars")
+// Metrics scrapes /metrics and returns every sample of the exposition:
+// sample name, with its label block if it has one, → value.
+func Metrics(baseURL string) (map[string]float64, error) {
+	resp, err := http.Get(baseURL + "/metrics")
 	if err != nil {
-		return nil, fmt.Errorf("loadgen: fetch /debug/vars: %w", err)
+		return nil, fmt.Errorf("loadgen: fetch /metrics: %w", err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("loadgen: /debug/vars: HTTP %d", resp.StatusCode)
+		return nil, fmt.Errorf("loadgen: /metrics: HTTP %d", resp.StatusCode)
 	}
-	var all map[string]json.RawMessage
-	if err := json.NewDecoder(resp.Body).Decode(&all); err != nil {
-		return nil, fmt.Errorf("loadgen: decode /debug/vars: %w", err)
+	samples := map[string]float64{}
+	sc := bufio.NewScanner(resp.Body)
+	for sc.Scan() {
+		line := sc.Text()
+		if line == "" || line[0] == '#' {
+			continue
+		}
+		// A label value may hold spaces; the sample value never does.
+		i := strings.LastIndexByte(line, ' ')
+		if i < 0 {
+			return nil, fmt.Errorf("loadgen: /metrics: malformed sample %q", line)
+		}
+		v, err := strconv.ParseFloat(line[i+1:], 64)
+		if err != nil {
+			return nil, fmt.Errorf("loadgen: /metrics: sample %q: %w", line, err)
+		}
+		samples[line[:i]] = v
 	}
-	raw, ok := all["graphite"]
-	if !ok {
-		return nil, fmt.Errorf(`loadgen: /debug/vars has no "graphite" key`)
-	}
-	var snap map[string]any
-	if err := json.Unmarshal(raw, &snap); err != nil {
-		return nil, fmt.Errorf("loadgen: decode graphite snapshot: %w", err)
-	}
-	return snap, nil
+	return samples, sc.Err()
 }
 
-// Metric reads a numeric metric from a DebugVars snapshot, returning 0 if
-// absent or non-numeric.
-func Metric(snap map[string]any, name string) float64 {
-	v, ok := snap[name].(float64)
-	if !ok {
-		return 0
-	}
-	return v
+// Metric reads a counter from a Metrics scrape by its registry name,
+// returning 0 if absent.
+func Metric(samples map[string]float64, name string) float64 {
+	return samples[obs.PromName(name, "counter")]
 }

@@ -2,15 +2,19 @@ package loadgen
 
 import (
 	"net/http/httptest"
+	"strconv"
+	"strings"
 	"testing"
+	"time"
 
+	"graphite/internal/obs"
 	"graphite/internal/serve"
 	"graphite/internal/tgraph"
 )
 
 // TestFireAgainstInProcessServer is the smoke path cmd/graphite-loadgen
 // automates: a mixed burst against a booted server must succeed end to end
-// with live cache hits visible through /debug/vars.
+// with live cache hits visible through /metrics.
 func TestFireAgainstInProcessServer(t *testing.T) {
 	s, err := serve.New(serve.Config{
 		Graphs: map[string]*tgraph.Graph{"transit": tgraph.TransitExample()},
@@ -47,9 +51,9 @@ func TestFireAgainstInProcessServer(t *testing.T) {
 		t.Fatalf("confirm statuses: %v", res2.ByStatus)
 	}
 
-	snap, err := DebugVars(ts.URL)
+	snap, err := Metrics(ts.URL)
 	if err != nil {
-		t.Fatalf("DebugVars: %v", err)
+		t.Fatalf("Metrics: %v", err)
 	}
 	hits := Metric(snap, serve.CCacheHits)
 	dedup := Metric(snap, serve.CFlightDedup)
@@ -67,5 +71,64 @@ func TestFireAgainstInProcessServer(t *testing.T) {
 	}
 	if res2.CacheHits != int64(len(reqs)) {
 		t.Fatalf("confirm pass cached responses: %d, want %d", res2.CacheHits, len(reqs))
+	}
+}
+
+// TestMetricsScrapeMatchesRegistry: what the endpoint publishes decodes and
+// equals the registry — every counter, gauge and histogram written to a
+// registry and served by obs.MetricsHandler reads back through Metrics with
+// the value Registry.Export holds, under the name obs gives it.
+func TestMetricsScrapeMatchesRegistry(t *testing.T) {
+	reg := obs.NewRegistry()
+	reg.Counter(serve.CCacheHits).Add(12)
+	reg.Counter("engine.messages_total").Add(3) // already carries the suffix
+	reg.Gauge(obs.GMaxPartitions).Set(-3)
+	reg.Gauge(obs.WithLabels(obs.GClusterShardComputeNS, "shard", "a b")).Set(5)
+	h := reg.Histogram(obs.HSuperstepComputeNS)
+	h.Observe(20 * time.Microsecond)
+	h.Observe(time.Hour) // past every bound
+	ts := httptest.NewServer(obs.MetricsHandler(reg))
+	defer ts.Close()
+
+	got, err := Metrics(ts.URL)
+	if err != nil {
+		t.Fatalf("Metrics: %v", err)
+	}
+	ex := reg.Export()
+	want := map[string]float64{
+		// The one labeled series, spelled out: a space inside a label value
+		// must not split the sample.
+		obs.PromName(obs.GClusterShardComputeNS, "gauge") + `{shard="a b"}`: 5,
+	}
+	for n, v := range ex.Counters {
+		want[obs.PromName(n, "counter")] = float64(v)
+		if Metric(got, n) != float64(v) {
+			t.Errorf("Metric(%s) = %v, registry holds %d", n, Metric(got, n), v)
+		}
+	}
+	for n, v := range ex.Gauges {
+		if !strings.ContainsRune(n, '{') {
+			want[obs.PromName(n, "gauge")] = float64(v)
+		}
+	}
+	for n, h := range ex.Histograms {
+		pn := obs.PromName(n, "histogram")
+		want[pn+"_count"] = float64(h.Count())
+		want[pn+"_sum"] = float64(h.Sum())
+		for _, b := range h.Cumulative() {
+			le := "+Inf"
+			if b.UpperBound != obs.BucketInf {
+				le = strconv.FormatInt(int64(b.UpperBound), 10)
+			}
+			want[pn+`_bucket{le="`+le+`"}`] = float64(b.Count)
+		}
+	}
+	for name, v := range want {
+		if g, ok := got[name]; !ok || g != v {
+			t.Errorf("sample %s = %v (present %v), registry holds %v", name, g, ok, v)
+		}
+	}
+	if len(got) != len(want) {
+		t.Errorf("scrape has %d samples, the registry accounts for %d: %v", len(got), len(want), got)
 	}
 }

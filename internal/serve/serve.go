@@ -22,7 +22,7 @@
 // The server is instrumented end to end through internal/obs: per-endpoint
 // request counters and latency histograms, cache hit/miss counters, queue and
 // in-flight gauges, and an optional per-run tracer attachment. Everything is
-// visible on /debug/vars next to /debug/pprof.
+// visible on /metrics, next to /debug/pprof.
 package serve
 
 import (

@@ -45,7 +45,7 @@ func BenchmarkSlice(b *testing.B) {
 }
 
 // BenchmarkBuild feeds every vertex, edge and property entry of a graph
-// through a fresh Builder and builds it: what text/.tgb load, gen and (with
+// through a fresh Builder and builds it: what a text load, gen and (with
 // its own bookkeeping on top) stream.Accumulator.Graph pay per graph.
 func BenchmarkBuild(b *testing.B) {
 	for name, g := range benchGraphs(b) {

@@ -63,7 +63,7 @@ const (
 
 var (
 	// ErrUnknownFormat reports a file whose leading bytes match none of the
-	// text, binary or snapshot graph encodings.
+	// text or snapshot graph encodings.
 	ErrUnknownFormat = errors.New("tgraph: unknown graph format")
 	// ErrSnapshotCorrupt reports a snapshot file that is truncated,
 	// fails a CRC, or is structurally inconsistent.
@@ -981,7 +981,6 @@ type Format int
 const (
 	FormatUnknown Format = iota
 	FormatText
-	FormatBinary
 	FormatSnapshot
 )
 
@@ -989,8 +988,6 @@ func (f Format) String() string {
 	switch f {
 	case FormatText:
 		return "text"
-	case FormatBinary:
-		return "binary"
 	case FormatSnapshot:
 		return "snapshot"
 	}
@@ -1001,15 +998,37 @@ func (f Format) String() string {
 // (six suffice). Text files are recognized by starting with a comment,
 // whitespace, or a V/E record; anything else is FormatUnknown.
 func SniffFormat(head []byte) Format {
-	switch {
-	case bytes.HasPrefix(head, []byte(snapshotMagic)):
+	if bytes.HasPrefix(head, []byte(snapshotMagic)) {
 		return FormatSnapshot
-	case bytes.HasPrefix(head, []byte(binaryMagic)):
-		return FormatBinary
 	}
 	trimmed := bytes.TrimLeft(head, " \t\r\n")
 	if len(trimmed) == 0 || trimmed[0] == '#' || trimmed[0] == 'V' || trimmed[0] == 'E' {
 		return FormatText
 	}
 	return FormatUnknown
+}
+
+// ReadAnyFile loads a graph from the text or snapshot format, sniffing the
+// magic header. An unrecognized header yields an ErrUnknownFormat error
+// naming the sniffed bytes and the snapshot magic.
+func ReadAnyFile(path string) (*Graph, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	head := make([]byte, len(snapshotMagic))
+	n, _ := io.ReadFull(f, head)
+	head = head[:n]
+	if _, err := f.Seek(0, io.SeekStart); err != nil {
+		return nil, err
+	}
+	switch SniffFormat(head) {
+	case FormatSnapshot:
+		return ReadSnapshot(f)
+	case FormatText:
+		return Read(f)
+	}
+	return nil, fmt.Errorf("%w: %s starts with %q, which matches neither the text format nor the snapshot magic (%q)",
+		ErrUnknownFormat, path, head, snapshotMagic)
 }

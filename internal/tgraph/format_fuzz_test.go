@@ -5,15 +5,21 @@ import (
 	"testing"
 )
 
+// roundTripSeeds are buildArbitrary's (seed, vertices, edges) arguments that
+// FuzzFormatRoundTrip starts from and TestTextSnapshotAgree walks.
+var roundTripSeeds = []struct {
+	seed   uint64
+	nv, ne uint8
+}{{1, 0, 0}, {7, 40, 120}, {13, 1, 255}, {99, 200, 50}}
+
 // FuzzFormatRoundTrip builds arbitrary valid graphs from fuzzed PRNG
 // parameters, encodes them to the snapshot format, decodes, and demands
 // full structural equality — the decoded graph must be indistinguishable
 // from the in-memory original.
 func FuzzFormatRoundTrip(f *testing.F) {
-	f.Add(uint64(1), uint8(0), uint8(0))
-	f.Add(uint64(7), uint8(40), uint8(120))
-	f.Add(uint64(13), uint8(1), uint8(255))
-	f.Add(uint64(99), uint8(200), uint8(50))
+	for _, s := range roundTripSeeds {
+		f.Add(s.seed, s.nv, s.ne)
+	}
 	f.Fuzz(func(t *testing.T, seed uint64, nv, ne uint8) {
 		g := buildArbitrary(seed, int(nv), int(ne))
 		enc := EncodeSnapshot(g, nil)
@@ -26,6 +32,42 @@ func FuzzFormatRoundTrip(f *testing.F) {
 		}
 		if !bytes.Equal(enc, EncodeSnapshot(g2, nil)) {
 			t.Fatal("encoding is not deterministic across a round trip")
+		}
+	})
+}
+
+// FuzzTextRead feeds the text parser — the one decoder of the format people
+// write by hand — arbitrary bytes. Nothing may panic, and whatever parses is
+// a graph the writer can carry: written back as text it parses again, to an
+// Equal graph.
+func FuzzTextRead(f *testing.F) {
+	var transit bytes.Buffer
+	if err := Write(&transit, TransitExample()); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(transit.Bytes())
+	f.Add([]byte("# a vertex that never ends, and one that does\nV 1 0 inf\nV 2 3 9\nE 7 1 2 4 8\n"))
+	f.Add([]byte("V 5 0 10\nVP 5 colour 2 6 -3\nVP 5 colour 6 inf 4\n"))
+	f.Add([]byte("V 1 0 9\nV 2 0 9\nE 1 1 2 0 9\nEP 1 travel-time 0 4 2\nEP 1 travel-time 4 9 3\nEP 1 cost 0 9 1\n"))
+	f.Add([]byte("  \n\t# only comments\r\n\n"))
+	f.Add([]byte("E 1 1 2 0 5\nV 1 0 5\n")) // an edge before its endpoints
+	f.Add([]byte("V 1 5 5\n"))              // an empty lifespan
+	f.Add([]byte("V 9223372036854775807 0 9223372036854775807\nX\n"))
+	f.Fuzz(func(t *testing.T, text []byte) {
+		g, err := Read(bytes.NewReader(text))
+		if err != nil {
+			return
+		}
+		var again bytes.Buffer
+		if err := Write(&again, g); err != nil {
+			t.Fatalf("write of a parsed graph: %v", err)
+		}
+		g2, err := Read(bytes.NewReader(again.Bytes()))
+		if err != nil {
+			t.Fatalf("graph parsed from %q was written as %q, which does not parse: %v", text, again.Bytes(), err)
+		}
+		if err := Equal(g, g2); err != nil {
+			t.Fatalf("graph parsed from %q changed across a write and a read: %v", text, err)
 		}
 	})
 }

@@ -9,6 +9,8 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 
 	ival "graphite/internal/interval"
@@ -316,13 +318,46 @@ func TestSnapshotCorruption(t *testing.T) {
 	})
 }
 
+// TestTextSnapshotAgree holds the two on-disk formats to each other through
+// the graph they both carry: the generator's unbounded lifespans, sparse ids
+// and multi-label properties survive a text write and read, and a snapshot
+// encode and decode, as the same graph.
+func TestTextSnapshotAgree(t *testing.T) {
+	for _, s := range roundTripSeeds {
+		t.Run(fmt.Sprintf("seed%d", s.seed), func(t *testing.T) {
+			g := buildArbitrary(s.seed, int(s.nv), int(s.ne))
+			var text bytes.Buffer
+			if err := Write(&text, g); err != nil {
+				t.Fatal(err)
+			}
+			fromText, err := Read(&text)
+			if err != nil {
+				t.Fatalf("Read: %v", err)
+			}
+			if err := Equal(g, fromText); err != nil {
+				t.Errorf("text round trip: %v", err)
+			}
+			fromSnap, err := ReadSnapshot(bytes.NewReader(EncodeSnapshot(g, nil)))
+			if err != nil {
+				t.Fatalf("ReadSnapshot: %v", err)
+			}
+			if err := Equal(g, fromSnap); err != nil {
+				t.Errorf("snapshot round trip: %v", err)
+			}
+			if err := Equal(fromText, fromSnap); err != nil {
+				t.Errorf("the two formats disagree: %v", err)
+			}
+		})
+	}
+}
+
 func TestSniffFormat(t *testing.T) {
 	cases := []struct {
 		head string
 		want Format
 	}{
 		{snapshotMagic, FormatSnapshot},
-		{binaryMagic, FormatBinary},
+		{"GRTG1\n", FormatUnknown}, // the retired binary format's magic
 		{"# comment\n", FormatText},
 		{"V 1 0 5\n", FormatText},
 		{"E 1 1 2 0 5\n", FormatText},
@@ -345,7 +380,6 @@ func TestReadAnyFileAllFormats(t *testing.T) {
 
 	write := map[string]func(string, *Graph) error{
 		"text":     WriteFile,
-		"binary":   WriteBinaryFile,
 		"snapshot": WriteSnapshotFile,
 	}
 	for name, fn := range write {
@@ -364,22 +398,27 @@ func TestReadAnyFileAllFormats(t *testing.T) {
 		})
 	}
 
-	t.Run("garbage", func(t *testing.T) {
-		path := filepath.Join(dir, "garbage.bin")
-		if err := os.WriteFile(path, []byte("\x7fELF\x02\x01junk"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		_, err := ReadAnyFile(path)
-		if !errors.Is(err, ErrUnknownFormat) {
-			t.Fatalf("garbage: %v, want ErrUnknownFormat", err)
-		}
-		// The error names the sniffed bytes and both known magics, so a
-		// mis-shipped file is diagnosable from the message alone.
-		msg := err.Error()
-		for _, want := range []string{`"\x7fELF\x02\x01"`, "GRTG1", "GSNAP"} {
-			if !bytes.Contains([]byte(msg), []byte(want)) {
-				t.Errorf("error %q does not mention %q", msg, want)
+	// The error names the sniffed bytes and the known magic, so a mis-shipped
+	// file — or one in the retired binary format — is diagnosable from the
+	// message alone.
+	for name, content := range map[string]string{
+		"garbage": "\x7fELF\x02\x01junk",
+		"retired": "GRTG1\n\x02\x01junk",
+	} {
+		t.Run(name, func(t *testing.T) {
+			path := filepath.Join(dir, name+".bin")
+			if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+				t.Fatal(err)
 			}
-		}
-	})
+			_, err := ReadAnyFile(path)
+			if !errors.Is(err, ErrUnknownFormat) {
+				t.Fatalf("%v, want ErrUnknownFormat", err)
+			}
+			for _, want := range []string{strconv.Quote(content[:6]), "GSNAP"} {
+				if !strings.Contains(err.Error(), want) {
+					t.Errorf("error %q does not mention %s", err, want)
+				}
+			}
+		})
+	}
 }

@@ -50,7 +50,7 @@ func asUint32s(b []byte, n int) []uint32 {
 // directly, so they are faulted in only when touched. Close releases the
 // mapping; the graph and every slice its accessors return must not be
 // used afterwards. A Mapped wrapping an ordinary heap graph (Unmapped, or
-// OpenAnyFile over a text/binary file) has a no-op Close.
+// OpenAnyFile over a text file) has a no-op Close.
 type Mapped struct {
 	*Graph
 	Extra  []byte // opaque application payload from the extra section, nil if absent
@@ -123,9 +123,9 @@ func openMapped(path string, verifyCRC bool) (*Mapped, error) {
 	return &Mapped{Graph: g, Extra: extra, data: data, mapped: mapped}, nil
 }
 
-// OpenAnyFile opens a graph file in any of the three formats, memory-
-// mapping snapshots and parsing text/binary files into the heap. The
-// returned handle's Close is a no-op for non-snapshot files.
+// OpenAnyFile opens a graph file in either format, memory-mapping a
+// snapshot and parsing a text file into the heap. The returned handle's
+// Close is a no-op for a text file.
 func OpenAnyFile(path string) (*Mapped, error) {
 	f, err := os.Open(path)
 	if err != nil {
