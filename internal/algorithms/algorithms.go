@@ -11,6 +11,7 @@
 package algorithms
 
 import (
+	"fmt"
 	"math"
 
 	"graphite/internal/codec"
@@ -58,6 +59,50 @@ func maxInt64(a, b codec.Word) codec.Word {
 		return a
 	}
 	return b
+}
+
+// stateCodec is the core.StateCoder codec of a program whose states are
+// structs of int64s: layout names a state's int64 fields and its
+// pending-origin list (nil when the type has none), which travel as one list
+// the way codec.Int64Slice writes it, the fields first. The programs only
+// ever hold a nil or a non-empty pending list, so an empty one decodes to nil.
+type stateCodec[T any] struct {
+	layout func(*T) (fields []*int64, pending *[]int64)
+}
+
+// Append implements codec.Payload.
+func (c stateCodec[T]) Append(buf []byte, v any) []byte {
+	s := v.(T)
+	fields, pending := c.layout(&s)
+	var list []int64
+	for _, f := range fields {
+		list = append(list, *f)
+	}
+	if pending != nil {
+		list = append(list, *pending...)
+	}
+	return codec.Int64Slice{}.Append(buf, list)
+}
+
+// Decode implements codec.Payload.
+func (c stateCodec[T]) Decode(buf []byte) (any, int, error) {
+	var s T
+	fields, pending := c.layout(&s)
+	v, n, err := codec.Int64Slice{}.Decode(buf)
+	if err != nil {
+		return nil, 0, err
+	}
+	list := v.([]int64)
+	if len(list) < len(fields) || pending == nil && len(list) > len(fields) {
+		return nil, 0, fmt.Errorf("%w: %d values for a state of %d fields", codec.ErrCorrupt, len(list), len(fields))
+	}
+	for i, f := range fields {
+		*f = list[i]
+	}
+	if rest := list[len(fields):]; len(rest) > 0 {
+		*pending = rest
+	}
+	return s, n, nil
 }
 
 // IntervalValue is a decoded 〈interval, int64〉 state entry exposed to

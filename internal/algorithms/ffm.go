@@ -121,6 +121,11 @@ func (a *FFM) Scatter(v *core.VertexCtx, e *tgraph.Edge, t ival.Interval, state 
 	return nil
 }
 
+// StateCodec implements core.StateCoder: an ffmVal is no message payload.
+func (a *FFM) StateCodec() codec.Payload {
+	return stateCodec[ffmVal]{func(s *ffmVal) ([]*int64, *[]int64) { return []*int64{&s.Count}, &s.Pending }}
+}
+
 // Options returns the run options FFM needs.
 func (a *FFM) Options() core.Options {
 	return core.Options{

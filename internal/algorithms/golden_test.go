@@ -8,9 +8,10 @@ package algorithms_test
 // counts the paper reasons with, a hash of the rendered result, a hash of
 // every cross-shard batch in order, and a hash of one durable checkpoint per
 // shard. testdata/golden_messages.txt holds the lines as the parent of the
-// change that made messages pointer-free wrote them (go test -run Golden
-// -update rewrites it); testdata/golden_ckpt.bin holds checkpoints that
-// commit wrote, which this one must restore and finish from.
+// change that made messages pointer-free wrote them — but for LCC's and TC's
+// stepped cells, recorded when their states became encodable (go test -run
+// Golden -update rewrites it); testdata/golden_ckpt.bin holds checkpoints
+// those commits wrote, which this one must restore and finish from.
 
 import (
 	"bytes"
@@ -25,6 +26,7 @@ import (
 	"testing"
 
 	"graphite/internal/algorithms"
+	"graphite/internal/codec"
 	"graphite/internal/core"
 	"graphite/internal/engine"
 	"graphite/internal/gen"
@@ -83,13 +85,8 @@ func cellLine(r *core.Result, batches, ckpts string) string {
 		resultHash(r), batches, ckpts)
 }
 
-// resultHash hashes the result as served; a stepped run whose states its
-// codec cannot encode (LCC's and TC's are not their message type) has no
-// result to show, only counts and batches.
+// resultHash hashes the result as served.
 func resultHash(r *core.Result) string {
-	if r.Graph == nil {
-		return "unencodable"
-	}
 	return shortHash([]byte(strings.Join(serve.FormatResult(r, 0), "\n")))
 }
 
@@ -105,7 +102,7 @@ func goldenEngine(gg goldenGraph, algo string, workers int, tcp bool) (string, e
 			return "", err
 		}
 		defer tp.Close()
-		opts.Transport, opts.VerifyCodec = tp, true
+		opts.Transport = tp
 	}
 	r, err := core.Run(gg.g, prog, opts)
 	if err != nil {
@@ -120,22 +117,24 @@ func goldenEngine(gg goldenGraph, algo string, workers int, tcp bool) (string, e
 	return cellLine(r, "-", "-"), nil
 }
 
-// steppedShards builds the shards of one stepped run.
-func steppedShards(gg goldenGraph, algo string, workers int) ([]*core.Shard, core.Options, error) {
+// steppedShards builds the shards of one stepped run, and returns them with
+// the run's options and the codec its states travel in.
+func steppedShards(gg goldenGraph, algo string, workers int) ([]*core.Shard, core.Options, codec.Payload, error) {
 	shards := make([]*core.Shard, workers)
 	var opts core.Options
+	var pc codec.Payload
 	for i := range shards {
 		prog, o, err := algorithms.New(gg.g, algo, gg.p)
 		if err != nil {
-			return nil, opts, err
+			return nil, opts, nil, err
 		}
 		o.NumWorkers = workers
 		if shards[i], err = core.NewShard(gg.g, prog, o, i); err != nil {
-			return nil, opts, err
+			return nil, opts, nil, err
 		}
-		opts = o
+		opts, pc = o, core.StateCodecOf(prog, o)
 	}
-	return shards, opts, nil
+	return shards, opts, pc, nil
 }
 
 // stepShards drives shards from their current superstep to the end, the way
@@ -143,7 +142,7 @@ func steppedShards(gg goldenGraph, algo string, workers int) ([]*core.Shard, cor
 // result, every cross-shard batch in (superstep, source, destination) order,
 // and the durable capture of each shard taken before superstep ckptAt (nil
 // when the run ends sooner).
-func stepShards(g *tgraph.Graph, shards []*core.Shard, opts core.Options, m *engine.Metrics, ckptAt int) (*core.Result, [][]byte, [][]byte, error) {
+func stepShards(g *tgraph.Graph, shards []*core.Shard, opts core.Options, pc codec.Payload, m *engine.Metrics, ckptAt int) (*core.Result, [][]byte, [][]byte, error) {
 	n := len(shards)
 	var batches, ckpts [][]byte
 	for step := shards[0].Superstep(); ; step++ {
@@ -189,7 +188,7 @@ func stepShards(g *tgraph.Graph, shards []*core.Shard, opts core.Options, m *eng
 			for _, s := range shards {
 				data, err := s.CaptureDurable()
 				if err != nil {
-					data = nil // states the codec cannot encode: see resultHash
+					return nil, nil, nil, err
 				}
 				ckpts = append(ckpts, data)
 			}
@@ -204,15 +203,15 @@ func stepShards(g *tgraph.Graph, shards []*core.Shard, opts core.Options, m *eng
 	for i, s := range shards {
 		var err error
 		if blobs[i], err = s.EncodeOwnedStates(); err != nil {
-			return &core.Result{Metrics: m}, batches, ckpts, nil
+			return nil, nil, nil, err
 		}
 	}
-	r, err := core.AssembleResult(g, opts.PayloadCodec, blobs, m)
+	r, err := core.AssembleResult(g, pc, blobs, m)
 	return r, batches, ckpts, err
 }
 
 func goldenStepped(gg goldenGraph, algo string, workers int) (string, [][]byte, error) {
-	shards, opts, err := steppedShards(gg, algo, workers)
+	shards, opts, pc, err := steppedShards(gg, algo, workers)
 	if errors.Is(err, core.ErrClusterUnsupported) {
 		return "unsupported", nil, nil
 	}
@@ -225,15 +224,12 @@ func goldenStepped(gg goldenGraph, algo string, workers int) (string, [][]byte, 
 			return "", nil, err
 		}
 	}
-	r, batches, ckpts, err := stepShards(gg.g, shards, opts, &engine.Metrics{}, goldenCkptStep)
+	r, batches, ckpts, err := stepShards(gg.g, shards, opts, pc, &engine.Metrics{}, goldenCkptStep)
 	if err != nil {
 		return "", nil, err
 	}
 	ck := "-"
-	switch {
-	case ckpts != nil && ckpts[0] == nil:
-		ck, ckpts = "unencodable", nil
-	case ckpts != nil:
+	if ckpts != nil {
 		ck = shortHash(ckpts...)
 	}
 	bh := shortHash(batches...)
@@ -346,7 +342,7 @@ func TestGoldenCheckpointRestores(t *testing.T) {
 		if !ok || !hasCkpt(string(want), key) {
 			continue
 		}
-		shards, opts, err := steppedShards(gg, algo, workers)
+		shards, opts, pc, err := steppedShards(gg, algo, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -364,7 +360,7 @@ func TestGoldenCheckpointRestores(t *testing.T) {
 			}
 			data = data[k+int(n):]
 		}
-		r, _, _, err := stepShards(gg.g, shards, opts, &engine.Metrics{}, 0)
+		r, _, _, err := stepShards(gg.g, shards, opts, pc, &engine.Metrics{}, 0)
 		if err != nil {
 			t.Fatalf("%s: %v", key, err)
 		}
@@ -376,7 +372,7 @@ func TestGoldenCheckpointRestores(t *testing.T) {
 	if len(data) != 0 {
 		t.Errorf("%d bytes of checkpoints left over", len(data))
 	}
-	if restored < 8 {
+	if restored < 11 { // all but SCC, which has no shards
 		t.Errorf("only %d algorithms were resumed from a recorded checkpoint", restored)
 	}
 }
@@ -386,7 +382,7 @@ func TestGoldenCheckpointRestores(t *testing.T) {
 func hasCkpt(golden, key string) bool {
 	for _, l := range strings.Split(golden, "\n") {
 		if strings.HasPrefix(l, key+" ") {
-			return !strings.HasSuffix(l, "ckpt=-") && !strings.HasSuffix(l, "unencodable") && !strings.HasSuffix(l, "unsupported")
+			return !strings.HasSuffix(l, "ckpt=-") && !strings.HasSuffix(l, "unsupported")
 		}
 	}
 	return false

@@ -130,6 +130,11 @@ func (a *LCC) Scatter(v *core.VertexCtx, e *tgraph.Edge, t ival.Interval, state 
 	return nil
 }
 
+// StateCodec implements core.StateCoder: an lccVal is no message payload.
+func (a *LCC) StateCodec() codec.Payload {
+	return stateCodec[lccVal]{func(s *lccVal) ([]*int64, *[]int64) { return []*int64{&s.Count, &s.Deg}, &s.Pending }}
+}
+
 // Options returns the run options LCC needs.
 func (a *LCC) Options() core.Options {
 	return core.Options{

@@ -131,6 +131,11 @@ func (a *SCC) Scatter(v *core.VertexCtx, e *tgraph.Edge, t ival.Interval, state 
 	return []core.OutMsg{{Value: codec.IntWord(st.Fwd)}}
 }
 
+// StateCodec implements core.StateCoder: an sccState is no message payload.
+func (a *SCC) StateCodec() codec.Payload {
+	return stateCodec[sccState]{func(s *sccState) ([]*int64, *[]int64) { return []*int64{&s.Fwd, &s.Scc, &s.Phase}, nil }}
+}
+
 // sccMaster drives the FW/BW phase machine and halts when every interval of
 // every vertex is assigned.
 type sccMaster struct{}

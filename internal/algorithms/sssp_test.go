@@ -77,7 +77,6 @@ func TestSSSPStateInvariants(t *testing.T) {
 	a := &SSSP{Source: 0}
 	opts := a.Options()
 	opts.CheckInvariants = true
-	opts.VerifyCodec = true
 	opts.NumWorkers = 3
 	if _, err := runWith(g, a, opts); err != nil {
 		t.Fatalf("run: %v", err)

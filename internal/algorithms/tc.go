@@ -101,6 +101,11 @@ func (a *TC) Scatter(v *core.VertexCtx, e *tgraph.Edge, t ival.Interval, state a
 	return nil
 }
 
+// StateCodec implements core.StateCoder: a tcVal is no message payload.
+func (a *TC) StateCodec() codec.Payload {
+	return stateCodec[tcVal]{func(s *tcVal) ([]*int64, *[]int64) { return []*int64{&s.Count}, &s.Pending }}
+}
+
 // Options returns the run options TC needs.
 func (a *TC) Options() core.Options {
 	return core.Options{

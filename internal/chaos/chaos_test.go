@@ -113,16 +113,28 @@ func (p *ringProgram) Run(ctx *engine.Context, msgs []engine.Message) {
 	}
 }
 
-func (p *ringProgram) Snapshot() any {
+func (p *ringProgram) AppendSnapshot(buf []byte) ([]byte, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return append([]int64(nil), p.dist...)
+	for _, d := range p.dist {
+		buf = binary.AppendVarint(buf, d)
+	}
+	return buf, nil
 }
 
-func (p *ringProgram) Restore(snapshot any) {
+func (p *ringProgram) RestoreSnapshot(data []byte) error {
+	dist := make([]int64, len(p.dist))
+	for i := range dist {
+		d, k := binary.Varint(data)
+		if k <= 0 {
+			return codec.ErrCorrupt
+		}
+		dist[i], data = d, data[k:]
+	}
 	p.mu.Lock()
-	copy(p.dist, snapshot.([]int64))
+	copy(p.dist, dist)
 	p.mu.Unlock()
+	return nil
 }
 
 // TestEngineRecoversOverChaosTransport runs BFS over the chaos mesh with

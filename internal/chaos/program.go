@@ -47,7 +47,7 @@ func (f *FaultyProgram) Wrap(p engine.Program) engine.Program {
 	f.inner = p
 	f.mu.Unlock()
 	if snap, ok := p.(engine.Snapshotter); ok {
-		return &snapshottingFaulty{FaultyProgram: f, snap: snap}
+		return &snapshottingFaulty{FaultyProgram: f, Snapshotter: snap}
 	}
 	return f
 }
@@ -94,8 +94,5 @@ func (f *FaultyProgram) Run(ctx *engine.Context, msgs []engine.Message) {
 // what makes the injected fault transient.
 type snapshottingFaulty struct {
 	*FaultyProgram
-	snap engine.Snapshotter
+	engine.Snapshotter
 }
-
-func (s *snapshottingFaulty) Snapshot() any        { return s.snap.Snapshot() }
-func (s *snapshottingFaulty) Restore(snapshot any) { s.snap.Restore(snapshot) }

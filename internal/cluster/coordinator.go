@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"graphite/internal/algorithms"
+	"graphite/internal/codec"
 	"graphite/internal/core"
 	"graphite/internal/engine"
 	"graphite/internal/obs"
@@ -146,9 +147,10 @@ const (
 
 // Coordinator drives one cluster run. Create with New, run with Serve.
 type Coordinator struct {
-	cfg  Config
-	g    *tgraph.Graph
-	opts core.Options // reference options: halt bounds, payload codec
+	cfg    Config
+	g      *tgraph.Graph
+	opts   core.Options  // reference options: halt bounds
+	states codec.Payload // what shard results carry vertex states in
 
 	events chan event
 	quit   chan struct{}
@@ -253,6 +255,7 @@ func New(cfg Config) (*Coordinator, error) {
 		cfg:    cfg,
 		g:      g,
 		opts:   opts,
+		states: core.StateCodecOf(prog, opts),
 		events: make(chan event, 64),
 		quit:   make(chan struct{}),
 		stats:  Stats{State: stWaiting, Workers: cfg.Workers},
@@ -1152,7 +1155,7 @@ func (d *driver) resultFrame(wc *wconn, payload []byte) error {
 	d.totals.Makespan = time.Since(d.started)
 	d.totals.MaxMakespan = d.totals.Makespan
 	m := d.totals
-	res, err := core.AssembleResult(d.c.g, d.c.opts.PayloadCodec, d.blobs, &m)
+	res, err := core.AssembleResult(d.c.g, d.c.states, d.blobs, &m)
 	if err != nil {
 		return err
 	}

@@ -38,7 +38,10 @@ func writeTransitPartitions(t *testing.T) (string, []cluster.PartitionInfo) {
 // TestClusterMeshMatchesSingleProcess proves the mesh invariant: for every
 // algorithm, a run over the whole graph and one over per-shard partition
 // files both produce results bit-identical to the single-process transported
-// run — and the byte counters prove every batch went peer to peer.
+// run — and the byte counters prove every batch went peer to peer. LCC and
+// TC read adjacency through VertexCtx.Graph rather than the scatter plan,
+// but only the computing vertex's own in- and out-edges, which a shard's
+// induced partition keeps whole: over partition files they match too.
 func TestClusterMeshMatchesSingleProcess(t *testing.T) {
 	g := tgraph.TransitExample()
 	partDir, _ := writeTransitPartitions(t)
@@ -49,6 +52,8 @@ func TestClusterMeshMatchesSingleProcess(t *testing.T) {
 		{name: "sssp", p: algorithms.Params{Source: 0}},
 		{name: "eat", p: algorithms.Params{Source: 0}},
 		{name: "pr"},
+		{name: "lcc"},
+		{name: "tc"},
 	} {
 		want := directRun(t, g, algo.name, algo.p)
 		for _, tc := range []struct {

@@ -43,6 +43,23 @@ type WarpCombiner interface {
 	CombineWarp(a, b codec.Word) codec.Word
 }
 
+// StateCoder is an optional Program extension for a program whose state
+// values are not values of its Options.PayloadCodec: checkpoints and result
+// collection encode its states with the codec StateCodec returns instead. A
+// decoded state must be reflect.DeepEqual to the one encoded.
+type StateCoder interface {
+	StateCodec() codec.Payload
+}
+
+// StateCodecOf returns the codec prog's states travel in — its StateCoder's,
+// else opts.PayloadCodec — which is what AssembleResult decodes them with.
+func StateCodecOf(prog Program, opts Options) codec.Payload {
+	if sc, ok := prog.(StateCoder); ok {
+		return sc.StateCodec()
+	}
+	return opts.PayloadCodec
+}
+
 // OutMsg is a message produced by Scatter. A zero When inherits the scatter
 // sub-interval, matching the paper's default τm = τ'k.
 type OutMsg struct {
@@ -111,10 +128,10 @@ type Options struct {
 	// ReceiverCombine additionally applies the warp combiner at message
 	// delivery for identical intervals (the paper couples both).
 	ReceiverCombine bool
-	// PayloadCodec and VerifyCodec are passed to the engine for byte
-	// accounting and wire round-trips.
+	// PayloadCodec encodes message payloads — for byte accounting, over a
+	// Transport, between cluster shards and into checkpoints — and, unless
+	// the program is a StateCoder, state values too.
 	PayloadCodec codec.Payload
-	VerifyCodec  bool
 	// Transport routes every cross-worker batch through a real transport
 	// (e.g. engine.NewTCPTransport's loopback mesh); requires PayloadCodec.
 	Transport engine.Transport
@@ -127,16 +144,13 @@ type Options struct {
 	CheckInvariants bool
 	// CheckpointEvery enables superstep checkpointing in the engine: every
 	// k-th superstep the vertex states, inboxes, active flags and merged
-	// aggregates are snapshotted, and a failed superstep (user-program
-	// panic, codec failure, transport error) rolls back and replays instead
-	// of aborting (engine.Config.CheckpointEvery).
+	// aggregates are captured, and a failed superstep (user-program panic,
+	// codec failure, transport error) rolls back and replays instead of
+	// aborting (engine.Config.CheckpointEvery). Requires PayloadCodec.
 	CheckpointEvery int
 	// MaxRecoveries bounds rollback-and-replay attempts; zero means the
 	// engine default.
 	MaxRecoveries int
-	// SendRetries bounds per-batch transport send retries; zero means the
-	// engine default, negative disables retries.
-	SendRetries int
 	// WrapProgram, when set, wraps the engine-level program before the run.
 	// This is the fault-injection seam internal/chaos uses to schedule
 	// panics inside an otherwise unmodified ICM run.
@@ -274,12 +288,10 @@ func Run(g *tgraph.Graph, prog Program, opts Options) (*Result, error) {
 		ActivateAll:     opts.ActivateAll,
 		Partitioner:     opts.Partitioner,
 		PayloadCodec:    opts.PayloadCodec,
-		VerifyCodec:     opts.VerifyCodec,
 		Transport:       opts.Transport,
 		Master:          opts.Master,
 		CheckpointEvery: opts.CheckpointEvery,
 		MaxRecoveries:   opts.MaxRecoveries,
-		SendRetries:     opts.SendRetries,
 		Registry:        opts.Registry,
 		Context:         opts.Context,
 		Span:            opts.Span,

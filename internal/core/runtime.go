@@ -16,13 +16,14 @@ import (
 // the pre-scatter alignment of updated states with out-edge property
 // partitions.
 type runtime struct {
-	g         *tgraph.Graph
-	prog      Program
-	opts      Options
-	combine   warp.CombineFunc // nil when absent or disabled
-	states    []*PartitionedState
-	plan      *scatterPlan // shared with every run over g under the same planKey; read-only
-	threshold float64
+	g          *tgraph.Graph
+	prog       Program
+	opts       Options
+	combine    warp.CombineFunc // nil when absent or disabled
+	stateCodec codec.Payload    // StateCodecOf(prog, opts)
+	states     []*PartitionedState
+	plan       *scatterPlan // shared with every run over g under the same planKey; read-only
+	threshold  float64
 	// window is Options.Window, Universe when that clips nothing: a vertex
 	// lives, and holds state, for its lifespan ∩ window. match is what an
 	// update must intersect per piece: the plan's own, except that under a
@@ -56,13 +57,14 @@ type runtime struct {
 
 func newRuntime(g *tgraph.Graph, prog Program, opts Options) *runtime {
 	rt := &runtime{
-		g:         g,
-		prog:      prog,
-		opts:      opts,
-		states:    make([]*PartitionedState, g.NumVertices()),
-		plan:      planFor(g, &opts),
-		threshold: opts.SuppressionThreshold,
-		window:    ival.Universe,
+		g:          g,
+		prog:       prog,
+		opts:       opts,
+		stateCodec: StateCodecOf(prog, opts),
+		states:     make([]*PartitionedState, g.NumVertices()),
+		plan:       planFor(g, &opts),
+		threshold:  opts.SuppressionThreshold,
+		window:     ival.Universe,
 	}
 	rt.match = rt.plan.match
 	if w := opts.Window; w != (ival.Interval{}) && !w.ContainsInterval(g.Lifespan()) {
@@ -83,58 +85,11 @@ func newRuntime(g *tgraph.Graph, prog Program, opts Options) *runtime {
 	return rt
 }
 
-// runtimeSnapshot is the ICM-level state a rollback must restore: cloned
-// partitioned vertex states plus the Stats counters, so a replayed superstep
-// neither loses nor double-counts events.
-type runtimeSnapshot struct {
-	states          []*PartitionedState
-	warpCalls       int64
-	warpSuppressed  int64
-	stateUpdates    int64
-	activeIntervals int64
-	mergedGroups    int64
-	msgsIn          int64
-	unitMsgsIn      int64
-}
-
-// Snapshot implements engine.Snapshotter.
-func (rt *runtime) Snapshot() any {
-	s := &runtimeSnapshot{
-		states:          make([]*PartitionedState, len(rt.states)),
-		warpCalls:       rt.warpCalls.Load(),
-		warpSuppressed:  rt.warpSuppressed.Load(),
-		stateUpdates:    rt.stateUpdates.Load(),
-		activeIntervals: rt.activeIntervals.Load(),
-		mergedGroups:    rt.mergedGroups.Load(),
-		msgsIn:          rt.msgsIn.Load(),
-		unitMsgsIn:      rt.unitMsgsIn.Load(),
-	}
-	for i, st := range rt.states {
-		if st != nil {
-			s.states[i] = st.Clone()
-		}
-	}
-	return s
-}
-
-// Restore implements engine.Snapshotter. It clones again so the same
-// snapshot survives being restored more than once.
-func (rt *runtime) Restore(snapshot any) {
-	s := snapshot.(*runtimeSnapshot)
-	for i, st := range s.states {
-		if st != nil {
-			rt.states[i] = st.Clone()
-		} else {
-			rt.states[i] = nil
-		}
-	}
-	rt.warpCalls.Store(s.warpCalls)
-	rt.warpSuppressed.Store(s.warpSuppressed)
-	rt.stateUpdates.Store(s.stateUpdates)
-	rt.activeIntervals.Store(s.activeIntervals)
-	rt.mergedGroups.Store(s.mergedGroups)
-	rt.msgsIn.Store(s.msgsIn)
-	rt.unitMsgsIn.Store(s.unitMsgsIn)
+// counters are the Stats counters a snapshot carries, in its order: a
+// replayed superstep neither loses nor double-counts events.
+func (rt *runtime) counters() [7]*atomic.Int64 {
+	return [7]*atomic.Int64{&rt.warpCalls, &rt.warpSuppressed, &rt.stateUpdates,
+		&rt.activeIntervals, &rt.mergedGroups, &rt.msgsIn, &rt.unitMsgsIn}
 }
 
 func (rt *runtime) fail(err error) {
@@ -146,13 +101,17 @@ func (rt *runtime) fail(err error) {
 }
 
 func (rt *runtime) statsSnapshot() Stats {
-	s := Stats{
-		WarpCalls:       rt.warpCalls.Load(),
-		WarpSuppressed:  rt.warpSuppressed.Load(),
-		StateUpdates:    rt.stateUpdates.Load(),
-		ActiveIntervals: rt.activeIntervals.Load(),
+	var c [7]int64
+	for i, p := range rt.counters() {
+		c[i] = p.Load()
 	}
-	for _, st := range rt.states {
+	return statsOf(rt.states, c)
+}
+
+// statsOf is the Stats of a run that ended in states with counters c.
+func statsOf(states []*PartitionedState, c [7]int64) Stats {
+	s := Stats{WarpCalls: c[0], WarpSuppressed: c[1], StateUpdates: c[2], ActiveIntervals: c[3]}
+	for _, st := range states {
 		if st != nil && st.NumParts() > s.MaxPartitions {
 			s.MaxPartitions = st.NumParts()
 		}

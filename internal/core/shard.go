@@ -4,17 +4,19 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 
 	"graphite/internal/codec"
 	"graphite/internal/engine"
+	ival "graphite/internal/interval"
 	"graphite/internal/tgraph"
 	"graphite/internal/warp"
 )
 
 // This file is the ICM face of the multi-process cluster runtime: a
-// core.Shard wraps one engine.Shard plus its runtime, and the snapshot
-// codec that lets a shard's vertex states travel — to disk as a durable
-// checkpoint, and to the coordinator as a partial result. Every process in
+// core.Shard is one engine.Shard over its runtime, and the runtime's
+// snapshot is what lets a shard's vertex states travel — to disk in a
+// durable checkpoint, and to the coordinator as a partial result. Every process in
 // a cluster builds its shard from the same graph, program and options, so
 // the deterministic partitioner gives every process the identical
 // vertex→shard map; only the owned slice of the state array is ever
@@ -27,20 +29,19 @@ import (
 var ErrClusterUnsupported = errors.New("core: option unsupported in cluster execution")
 
 // Shard is one worker process's slice of an ICM computation, stepped
-// externally by the cluster runtime.
+// externally by the cluster runtime: the engine.Shard over the ICM runtime,
+// whose Init and Compute also report what the runtime recorded.
 type Shard struct {
+	*engine.Shard
 	rt *runtime
-	sh *engine.Shard
-	g  *tgraph.Graph
 }
 
 // NewShard prepares shard `shard` of `opts.NumWorkers` for a cluster run.
 // The options must be identical in every process. Beyond the engine-level
 // restrictions (explicit NumWorkers; no Transport, Master, CheckpointEvery
 // or Context), aggregators are rejected (no distributed
-// merge) and ActivateAll requires MaxSupersteps. State values must be
-// encodable by opts.PayloadCodec — checkpoints and result collection
-// serialize them with it.
+// merge) and ActivateAll requires MaxSupersteps. Checkpoints and result
+// collection encode state values with StateCodecOf(prog, opts).
 func NewShard(g *tgraph.Graph, prog Program, opts Options, shard int) (*Shard, error) {
 	if g.NumVertices() == 0 {
 		return nil, errors.New("core: empty graph")
@@ -66,7 +67,6 @@ func NewShard(g *tgraph.Graph, prog Program, opts Options, shard int) (*Shard, e
 		ActivateAll:  opts.ActivateAll,
 		Partitioner:  opts.Partitioner,
 		PayloadCodec: opts.PayloadCodec,
-		SendRetries:  opts.SendRetries,
 		Registry:     opts.Registry,
 		Span:         opts.Span,
 	}
@@ -77,23 +77,12 @@ func NewShard(g *tgraph.Graph, prog Program, opts Options, shard int) (*Shard, e
 	if err != nil {
 		return nil, err
 	}
-	return &Shard{rt: rt, sh: sh, g: g}, nil
+	return &Shard{Shard: sh, rt: rt}, nil
 }
-
-// Close recycles the shard's message buffers once the run is over (after
-// EncodeOwnedStates); the shard must not be stepped afterwards.
-func (s *Shard) Close() { s.sh.Close() }
-
-// ID returns the shard index; NumShards the cluster width.
-func (s *Shard) ID() int        { return s.sh.ID() }
-func (s *Shard) NumShards() int { return s.sh.NumShards() }
-
-// Superstep returns the 1-based superstep about to execute.
-func (s *Shard) Superstep() int { return s.sh.Superstep() }
 
 // Init runs Program.Init over the owned vertices.
 func (s *Shard) Init() error {
-	if err := s.sh.Init(); err != nil {
+	if err := s.Shard.Init(); err != nil {
 		return err
 	}
 	return s.rt.err
@@ -101,52 +90,35 @@ func (s *Shard) Init() error {
 
 // Compute runs one compute phase over the shard's active frontier.
 func (s *Shard) Compute() error {
-	if err := s.sh.Compute(); err != nil {
+	if err := s.Shard.Compute(); err != nil {
 		return err
 	}
 	return s.rt.err
 }
 
-// Outbound drains the encoded cross-shard batches (nil at own index).
-func (s *Shard) Outbound() ([][]byte, error) { return s.sh.Outbound() }
-
-// Deliver runs the receive phase; peer batches must arrive in ascending
-// source-shard order (see engine.Shard.Deliver).
-func (s *Shard) Deliver(batches [][]byte) (int64, error) { return s.sh.Deliver(batches) }
-
-// Barrier closes the superstep and returns this shard's report.
-func (s *Shard) Barrier() engine.StepReport { return s.sh.Barrier() }
-
-// CaptureDurable serializes the shard for a durable checkpoint; call at a
-// barrier. RestoreDurable rewinds to such a capture (on a freshly Init()ed
-// shard in a replacement process, or in place on a survivor).
-func (s *Shard) CaptureDurable() ([]byte, error)  { return s.sh.CaptureDurable() }
-func (s *Shard) RestoreDurable(data []byte) error { return s.sh.RestoreDurable(data) }
-
 // EncodeOwnedStates serializes the shard's final vertex states and ICM
-// stats for result collection — the same wire format the durable snapshot
-// uses, so AssembleResult can merge either.
-func (s *Shard) EncodeOwnedStates() ([]byte, error) {
-	return s.rt.AppendSnapshot(nil, s.rt.Snapshot())
-}
+// stats for result collection — the program snapshot of its durable
+// capture, so AssembleResult can merge either.
+func (s *Shard) EncodeOwnedStates() ([]byte, error) { return s.rt.AppendSnapshot(nil) }
 
 // AssembleResult merges per-shard state blobs (EncodeOwnedStates output)
-// into a Result over g. Shards own disjoint vertex sets, so the state
-// arrays interleave without conflict; ICM stats sum. The metrics are the
-// caller's (the coordinator aggregates its own engine.Metrics from the
-// superstep reports); nil is replaced by an empty Metrics.
+// into a Result over g; pc is the program's StateCodecOf. Shards own
+// disjoint vertex sets, so the state arrays interleave without conflict; ICM
+// stats sum. The metrics are the caller's (the coordinator aggregates its
+// own engine.Metrics from the superstep reports); nil is replaced by an
+// empty Metrics.
 func AssembleResult(g *tgraph.Graph, pc codec.Payload, blobs [][]byte, m *engine.Metrics) (*Result, error) {
 	if m == nil {
 		m = &engine.Metrics{}
 	}
 	states := make([]*PartitionedState, g.NumVertices())
-	var stats Stats
+	var sum [7]int64
 	for i, blob := range blobs {
-		snap, err := decodeRuntimeSnapshot(blob, g.NumVertices(), pc)
+		shard, counters, err := decodeSnapshot(blob, g.NumVertices(), pc)
 		if err != nil {
 			return nil, fmt.Errorf("core: shard %d result: %w", i, err)
 		}
-		for v, st := range snap.states {
+		for v, st := range shard {
 			if st == nil {
 				continue
 			}
@@ -155,57 +127,46 @@ func AssembleResult(g *tgraph.Graph, pc codec.Payload, blobs [][]byte, m *engine
 			}
 			states[v] = st
 		}
-		stats.WarpCalls += snap.warpCalls
-		stats.WarpSuppressed += snap.warpSuppressed
-		stats.StateUpdates += snap.stateUpdates
-		stats.ActiveIntervals += snap.activeIntervals
-	}
-	for _, st := range states {
-		if st != nil && st.NumParts() > stats.MaxPartitions {
-			stats.MaxPartitions = st.NumParts()
+		for k, c := range counters {
+			sum[k] += c
 		}
 	}
-	return &Result{Graph: g, Metrics: m, Stats: stats, states: states}, nil
+	return &Result{Graph: g, Metrics: m, Stats: statsOf(states, sum), states: states}, nil
 }
 
 // ---- snapshot wire format ----
 //
 //	u8 version
 //	uvarint nStates | per state: uvarint vertexIndex, interval lifespan,
-//	    uvarint nParts | per part: interval, u8 present, [payload]
-//	7 × uvarint counters
+//	    uvarint nParts | per part: interval, u8 present, [value]
+//	7 × uvarint counters (runtime.counters order)
 //
-// Values are encoded with the run's PayloadCodec; a nil value (legal in a
-// freshly initialized partition) is the absent byte.
+// Values are encoded with the state codec; a nil value (legal in a freshly
+// initialized partition) is the absent byte.
 
 const snapVersion = 1
 
-// AppendSnapshot implements engine.SnapshotCodec for the ICM runtime.
-func (rt *runtime) AppendSnapshot(buf []byte, snapshot any) (out []byte, err error) {
-	s, ok := snapshot.(*runtimeSnapshot)
-	if !ok {
-		return nil, fmt.Errorf("core: unexpected snapshot type %T", snapshot)
-	}
-	pc := rt.opts.PayloadCodec
-	if pc == nil {
-		return nil, errors.New("core: snapshot serialization requires PayloadCodec")
-	}
-	// Codec implementations may panic on a value type they do not handle;
-	// surface that as an error so a worker reports instead of dying.
+// AppendSnapshot implements engine.Snapshotter for the ICM runtime: the live
+// states, encoded straight into buf, then the counters.
+func (rt *runtime) AppendSnapshot(buf []byte) (out []byte, err error) {
+	pc := rt.stateCodec
+	// Codec implementations may panic on a value type they do not handle —
+	// or be missing; surface that as an error so a worker reports instead of
+	// dying.
 	defer func() {
 		if r := recover(); r != nil {
-			out, err = nil, fmt.Errorf("core: state value not encodable by payload codec: %v", r)
+			out, err = nil, fmt.Errorf("core: state value not encodable by its codec: %v", r)
 		}
 	}()
 	buf = append(buf, snapVersion)
 	n := 0
-	for _, st := range s.states {
+	for _, st := range rt.states {
 		if st != nil {
 			n++
 		}
 	}
 	buf = binary.AppendUvarint(buf, uint64(n))
-	for v, st := range s.states {
+	for v, st := range rt.states {
 		if st == nil {
 			continue
 		}
@@ -222,107 +183,109 @@ func (rt *runtime) AppendSnapshot(buf []byte, snapshot any) (out []byte, err err
 			buf = pc.Append(buf, p.Value)
 		}
 	}
-	for _, c := range []int64{s.warpCalls, s.warpSuppressed, s.stateUpdates,
-		s.activeIntervals, s.mergedGroups, s.msgsIn, s.unitMsgsIn} {
-		buf = binary.AppendUvarint(buf, uint64(c))
+	for _, c := range rt.counters() {
+		buf = binary.AppendUvarint(buf, uint64(c.Load()))
 	}
 	return buf, nil
 }
 
-// DecodeSnapshot implements engine.SnapshotCodec.
-func (rt *runtime) DecodeSnapshot(data []byte) (any, error) {
-	snap, err := decodeRuntimeSnapshot(data, len(rt.states), rt.opts.PayloadCodec)
+// RestoreSnapshot implements engine.Snapshotter: the snapshot is decoded and
+// every state checked before any live one is replaced.
+func (rt *runtime) RestoreSnapshot(data []byte) error {
+	states, counters, err := decodeSnapshot(data, len(rt.states), rt.stateCodec)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return snap, nil
+	copy(rt.states, states)
+	for i, c := range rt.counters() {
+		c.Store(counters[i])
+	}
+	return nil
 }
 
 func snapCorrupt(what string) error {
 	return fmt.Errorf("%w: snapshot: bad %s", codec.ErrCorrupt, what)
 }
 
-func decodeRuntimeSnapshot(data []byte, numV int, pc codec.Payload) (*runtimeSnapshot, error) {
-	if pc == nil {
-		return nil, errors.New("core: snapshot decoding requires PayloadCodec")
-	}
+// decodeSnapshot parses an AppendSnapshot over numV vertices into a state
+// per vertex (nil where it holds none) and the counters. Every error wraps
+// codec.ErrCorrupt; the first one stops the parse.
+func decodeSnapshot(data []byte, numV int, pc codec.Payload) (states []*PartitionedState, counters [7]int64, err error) {
 	if len(data) < 1 || data[0] != snapVersion {
-		return nil, snapCorrupt("version")
+		return nil, counters, snapCorrupt("version")
 	}
 	buf := data[1:]
-	next := func(what string) (uint64, error) {
+	bad := func(what string) {
+		if err == nil {
+			err = snapCorrupt(what)
+		}
+	}
+	uvarint := func(what string, max uint64) uint64 {
 		v, k := binary.Uvarint(buf)
-		if k <= 0 {
-			return 0, snapCorrupt(what)
+		if k <= 0 || v > max {
+			bad(what)
+		}
+		if err != nil {
+			return 0
 		}
 		buf = buf[k:]
-		return v, nil
+		return v
 	}
-	n, err := next("state count")
-	if err != nil {
-		return nil, err
-	}
-	if n > uint64(numV) {
-		return nil, snapCorrupt("state count")
-	}
-	snap := &runtimeSnapshot{states: make([]*PartitionedState, numV)}
-	for i := uint64(0); i < n; i++ {
-		v, err := next("vertex index")
-		if err != nil {
-			return nil, err
+	interval := func(what string) ival.Interval {
+		iv, k, ierr := codec.Interval(buf)
+		if ierr != nil {
+			bad(what)
 		}
-		if v >= uint64(numV) || snap.states[v] != nil {
-			return nil, snapCorrupt("vertex index")
-		}
-		life, k, err := codec.Interval(buf)
 		if err != nil {
-			return nil, err
+			return ival.Empty
 		}
 		buf = buf[k:]
-		nParts, err := next("partition count")
-		if err != nil {
-			return nil, err
+		return iv
+	}
+	states = make([]*PartitionedState, numV)
+	for n := uvarint("state count", uint64(numV)); n > 0 && err == nil; n-- {
+		v := uvarint("vertex index", uint64(numV-1))
+		if states[v] != nil {
+			bad("vertex index")
 		}
-		st := &PartitionedState{lifespan: life}
-		for p := uint64(0); p < nParts; p++ {
-			iv, k, err := codec.Interval(buf)
+		st := &PartitionedState{lifespan: interval("lifespan")}
+		for p := uvarint("partition count", uint64(len(buf))); p > 0 && err == nil; p-- {
+			iv := interval("partition")
+			if len(buf) < 1 || buf[0] > 1 {
+				bad("value presence")
+			}
 			if err != nil {
-				return nil, err
+				break
 			}
-			buf = buf[k:]
-			if len(buf) < 1 {
-				return nil, snapCorrupt("value presence")
-			}
-			present := buf[0]
+			present := buf[0] == 1
 			buf = buf[1:]
 			var val any
-			if present == 1 {
+			if present {
 				var k int
-				val, k, err = pc.Decode(buf)
-				if err != nil {
-					return nil, err
+				var verr error
+				if val, k, verr = pc.Decode(buf); verr != nil {
+					bad(fmt.Sprintf("value of vertex %d (%v)", v, verr))
+					break
 				}
 				buf = buf[k:]
-			} else if present != 0 {
-				return nil, snapCorrupt("value presence")
 			}
 			st.parts = append(st.parts, warp.IntervalValue{Interval: iv, Value: val})
 		}
 		// A CRC-valid checkpoint can still carry a partition list that was
 		// never a state; Set would splice into it and corrupt it silently.
-		if err := st.Invariant(); err != nil {
-			return nil, snapCorrupt(fmt.Sprintf("state of vertex %d (%v)", v, err))
+		if ierr := st.Invariant(); ierr != nil {
+			bad(fmt.Sprintf("state of vertex %d (%v)", v, ierr))
 		}
-		snap.states[v] = st
+		states[v] = st
 	}
-	counters := [7]*int64{&snap.warpCalls, &snap.warpSuppressed, &snap.stateUpdates,
-		&snap.activeIntervals, &snap.mergedGroups, &snap.msgsIn, &snap.unitMsgsIn}
-	for i, dst := range counters {
-		c, err := next(fmt.Sprintf("counter %d", i))
-		if err != nil {
-			return nil, err
-		}
-		*dst = int64(c)
+	for i := range counters {
+		counters[i] = int64(uvarint(fmt.Sprintf("counter %d", i), math.MaxUint64))
 	}
-	return snap, nil
+	if len(buf) != 0 {
+		bad("length")
+	}
+	if err != nil {
+		return nil, counters, err
+	}
+	return states, counters, nil
 }

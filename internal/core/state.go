@@ -158,17 +158,6 @@ func (s *PartitionedState) Set(iv ival.Interval, value any) error {
 	return nil
 }
 
-// Clone returns a copy of the partition structure for checkpointing. The
-// partition values themselves are shared: the ICM contract replaces state
-// values via Set and never mutates them in place, so sharing is safe and
-// keeps snapshots cheap.
-func (s *PartitionedState) Clone() *PartitionedState {
-	return &PartitionedState{
-		lifespan: s.lifespan,
-		parts:    append([]warp.IntervalValue(nil), s.parts...),
-	}
-}
-
 // Invariant verifies the partitioned-state contract: sorted, adjacent,
 // non-overlapping, non-empty partitions exactly covering the lifespan, no two
 // neighbours holding equal values. It is used by tests, by the runtime's

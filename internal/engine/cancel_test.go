@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"graphite/internal/codec"
 	ival "graphite/internal/interval"
 	"graphite/internal/obs"
 )
@@ -92,12 +93,13 @@ func TestCancelSkipsRecovery(t *testing.T) {
 	defer cancel()
 	n := 16
 	reg := obs.NewRegistry()
-	p := &snapPingProgram{pingProgram{n: n}}
+	p := &snapPingProgram{pingProgram: pingProgram{n: n}}
 	e, err := New(n, p, Config{
 		NumWorkers:      4,
 		Context:         ctx,
 		Master:          &cancelMaster{at: 4, cancel: cancel},
 		CheckpointEvery: 1,
+		PayloadCodec:    codec.Int64{},
 		Registry:        reg,
 	})
 	if err != nil {
@@ -113,10 +115,10 @@ func TestCancelSkipsRecovery(t *testing.T) {
 
 // snapPingProgram adds the stateless Snapshotter contract checkpointing
 // requires.
-type snapPingProgram struct{ pingProgram }
-
-func (p *snapPingProgram) Snapshot() any { return nil }
-func (p *snapPingProgram) Restore(s any) {}
+type snapPingProgram struct {
+	pingProgram
+	noSnapshot
+}
 
 // TestCancelNoGoroutineLeak aborts a run mid-flight and asserts the process
 // settles back to its pre-run goroutine count: every worker joined its

@@ -1,21 +1,28 @@
 package engine
 
 import (
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"math"
+	"slices"
 
 	"graphite/internal/codec"
 	"graphite/internal/obs"
 )
 
-// Snapshotter is the optional Program extension checkpointing requires
-// (Config.CheckpointEvery). Snapshot returns an opaque deep-enough copy of
-// all user vertex state; Restore replaces the live state with a previously
-// returned snapshot. A snapshot may be restored more than once (a later
-// superstep can fail again before the next checkpoint), so implementations
-// must not hand out mutable internals that a replay would corrupt.
+// Snapshotter is the Program extension every checkpoint requires: Run's
+// in-memory recovery points (Config.CheckpointEvery) and a Shard's durable
+// captures, which are the same bytes. AppendSnapshot appends the program's
+// state to buf; RestoreSnapshot replaces the live state with one
+// AppendSnapshot wrote. The bytes may come from disk, so RestoreSnapshot
+// checks all of them before it changes anything and reports malformed ones
+// as an error wrapping codec.ErrCorrupt or ErrCheckpointCorrupt. One capture
+// may be restored more than once (a later superstep can fail again before
+// the next checkpoint).
 type Snapshotter interface {
-	Snapshot() any
-	Restore(snapshot any)
+	AppendSnapshot(buf []byte) ([]byte, error)
+	RestoreSnapshot(data []byte) error
 }
 
 // Resettable is an optional Transport extension. Reset discards every
@@ -28,32 +35,231 @@ type Resettable interface {
 	Reset() error
 }
 
-// checkpoint is one recovery point: everything Run mutates between
-// supersteps, captured at a barrier (no frames in flight, outboxes empty).
+// ErrCapture is wrapped into the error of a capture that cannot encode what
+// it holds — a program state or an inbox payload outside its codec. A run
+// that cannot checkpoint stops: it would have nothing to roll back to.
+var ErrCapture = errors.New("engine: checkpoint capture failed")
+
+// ckptVersion tags the capture format.
+const ckptVersion = 1
+
+// capture appends the capture of workers ws — a Shard's one worker, or every
+// worker of a Run — to buf:
+//
+//	u8 version | uvarint superstep | uvarint len, program snapshot
+//	per worker: uvarint n | n active slots, ascending
+//	            uvarint n | n × (uvarint slot, uvarint len, encoded inbox batch), ascending by slot
+//
+// Identical state yields identical bytes. It runs only at a barrier, where a
+// worker's frontier is exactly its active set; sorting it in place is what
+// the next compute phase does anyway.
+func (e *Engine) capture(buf []byte, ws []*worker) (out []byte, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			out, err = nil, fmt.Errorf("%w: %v", ErrCapture, r)
+		}
+	}()
+	buf = append(buf, ckptVersion)
+	buf = binary.AppendUvarint(buf, uint64(e.superstp))
+	start := len(buf)
+	if buf, err = e.program.(Snapshotter).AppendSnapshot(buf); err != nil {
+		return nil, fmt.Errorf("%w: program snapshot: %w", ErrCapture, err)
+	}
+	buf = prefixLen(buf, start)
+	for _, w := range ws {
+		slices.Sort(w.frontier)
+		buf = binary.AppendUvarint(buf, uint64(len(w.frontier)))
+		for _, slot := range w.frontier {
+			buf = binary.AppendUvarint(buf, uint64(slot))
+		}
+		n := 0
+		for _, sl := range w.inbox {
+			if sl != nil && len(sl.msgs) > 0 {
+				n++
+			}
+		}
+		buf = binary.AppendUvarint(buf, uint64(n))
+		for slot, sl := range w.inbox {
+			if sl != nil && len(sl.msgs) > 0 {
+				buf = binary.AppendUvarint(buf, uint64(slot))
+				start := len(buf)
+				buf = prefixLen(e.encodeBatch(buf, sl), start)
+			}
+		}
+	}
+	return buf, nil
+}
+
+// prefixLen puts the length of buf[start:] in front of it as a uvarint: the
+// bytes move up by the prefix's width in place, so a section is encoded
+// straight into the capture before its length is known.
+func prefixLen(buf []byte, start int) []byte {
+	n := len(buf) - start
+	k := codec.UvarintLen(uint64(n))
+	buf = append(buf, make([]byte, k)...)
+	copy(buf[start+k:], buf[start:start+n])
+	binary.PutUvarint(buf[start:], uint64(n))
+	return buf
+}
+
+// ckptReader pops a capture's fields off its bytes. The first malformed one
+// sets err, and every read after it returns zero values.
+type ckptReader struct {
+	buf []byte
+	err error
+}
+
+func (r *ckptReader) fail(format string, args ...any) {
+	if r.err == nil {
+		r.err = fmt.Errorf("%w: "+format, append([]any{ErrCheckpointCorrupt}, args...)...)
+	}
+}
+
+// uvarint pops a uvarint no larger than max.
+func (r *ckptReader) uvarint(what string, max uint64) uint64 {
+	v, k := binary.Uvarint(r.buf)
+	if k <= 0 || v > max {
+		r.fail("bad %s", what)
+	}
+	if r.err != nil {
+		return 0
+	}
+	r.buf = r.buf[k:]
+	return v
+}
+
+// field pops a length-prefixed field.
+func (r *ckptReader) field(what string) []byte {
+	n := r.uvarint(what+" length", uint64(len(r.buf)))
+	if uint64(len(r.buf)) < n {
+		r.fail("%s truncated", what)
+	}
+	if r.err != nil {
+		return nil
+	}
+	f := r.buf[:n]
+	r.buf = r.buf[n:]
+	return f
+}
+
+// slot pops a slot of n, which must come after *prev, and moves *prev to it.
+func (r *ckptReader) slot(what string, n int, prev *int) int {
+	s := int(r.uvarint(what, uint64(n)))
+	if s >= n || s <= *prev {
+		r.fail("%s %d after %d of %d", what, s, *prev, n)
+	}
+	*prev = s
+	return s
+}
+
+// restore rewinds workers ws to a capture of the same workers. Everything —
+// the program snapshot included — is parsed and checked before anything
+// changes: a malformed capture is an error wrapping ErrCheckpointCorrupt or
+// codec.ErrCorrupt and leaves the engine as it was. On success the inboxes,
+// active sets and superstep are the captured ones, and outboxes, partials
+// and any recorded failure are gone.
+func (e *Engine) restore(data []byte, ws []*worker) (err error) {
+	if len(data) < 1 || data[0] != ckptVersion {
+		return fmt.Errorf("%w: unknown version", ErrCheckpointCorrupt)
+	}
+	r := &ckptReader{buf: data[1:]}
+	superstep := int(r.uvarint("superstep", math.MaxInt32))
+	snap := r.field("snapshot")
+	// Inboxes are decoded into arena slabs, which go back unless the restore
+	// completes.
+	actives := make([][]int, len(ws))
+	inboxes := make([][]*msgSlab, len(ws))
+	defer func() {
+		if err != nil {
+			for _, slabs := range inboxes {
+				for _, sl := range slabs {
+					msgArena.put(sl)
+				}
+			}
+		}
+	}()
+	for i, w := range ws {
+		n, prev := len(w.local), -1
+		actives[i] = make([]int, r.uvarint("active count", uint64(n)))
+		for k := range actives[i] {
+			actives[i][k] = r.slot("active slot", n, &prev)
+		}
+		inboxes[i], prev = make([]*msgSlab, n), -1
+		for k := r.uvarint("inbox count", uint64(n)); k > 0 && r.err == nil; k-- {
+			slot := r.slot("inbox slot", n, &prev)
+			batch := r.field("inbox batch")
+			if r.err != nil {
+				break
+			}
+			sl := msgArena.get()
+			inboxes[i][slot] = sl
+			r.err = e.decodeBatchInto(sl, batch)
+			for _, m := range sl.msgs {
+				if m.Dst != w.local[slot] {
+					r.fail("inbox of vertex %d holds a message for vertex %d", w.local[slot], m.Dst)
+				}
+			}
+		}
+	}
+	if len(r.buf) != 0 {
+		r.fail("%d trailing bytes", len(r.buf))
+	}
+	if err = r.err; err != nil {
+		return err
+	}
+	if err = e.program.(Snapshotter).RestoreSnapshot(snap); err != nil {
+		return fmt.Errorf("engine: program snapshot: %w", err)
+	}
+
+	// Everything checked: recycle whatever the aborted superstep delivered —
+	// including payloads decoded from corrupted frames, which put scrubs —
+	// and install the capture.
+	for i, w := range ws {
+		for _, sl := range w.inbox {
+			msgArena.put(sl)
+		}
+		copy(w.inbox, inboxes[i])
+		clear(w.active)
+		w.frontier = w.frontier[:0]
+		for _, slot := range actives[i] {
+			w.activate(slot)
+		}
+		for _, ob := range w.outbox {
+			ob.reset()
+		}
+		clear(w.outBytes)
+		w.resetPartials()
+	}
+	e.superstp = superstep
+	e.clearErr()
+	return nil
+}
+
+// checkpoint is one of Run's recovery points: the capture of every worker,
+// plus what only Run's coordinating goroutine holds.
 type checkpoint struct {
-	superstep  int
 	phase      int
 	halted     bool
 	metrics    Metrics // absolute registry totals at capture time
 	classBytes [codec.NumIntervalClasses]int64
 	aggVals    map[string]any
-	program    any         // Snapshotter-provided user state
-	inbox      [][]msgSlab // [worker][slot]
-	active     [][]bool    // [worker][slot]
+	data       []byte
 }
 
-// capture records a recovery point for the state "about to execute superstep
-// e.superstp". It runs only at barriers, never concurrently with workers.
-func (e *Engine) capture() {
+// saveCheckpoint records a recovery point for the state about to execute
+// superstep e.superstp. It runs only at barriers, never concurrently with
+// workers.
+func (e *Engine) saveCheckpoint() error {
+	data, err := e.capture(nil, e.workers)
+	if err != nil {
+		return err
+	}
 	c := &checkpoint{
-		superstep: e.superstp,
-		phase:     e.phase,
-		halted:    e.halted,
-		metrics:   e.rawView(),
-		aggVals:   make(map[string]any, len(e.aggVals)),
-		program:   e.program.(Snapshotter).Snapshot(),
-		inbox:     make([][]msgSlab, len(e.workers)),
-		active:    make([][]bool, len(e.workers)),
+		phase:   e.phase,
+		halted:  e.halted,
+		metrics: e.rawView(),
+		aggVals: make(map[string]any, len(e.aggVals)),
+		data:    data,
 	}
 	for i, ctr := range e.ec.classBytes {
 		c.classBytes[i] = ctr.Load()
@@ -61,32 +267,22 @@ func (e *Engine) capture() {
 	for k, v := range e.aggVals {
 		c.aggVals[k] = v
 	}
-	for i, w := range e.workers {
-		c.inbox[i] = make([]msgSlab, len(w.inbox))
-		for s, sl := range w.inbox {
-			if sl != nil && len(sl.msgs) > 0 {
-				// Checkpoints copy out of the pooled slab: a slab is recycled
-				// long before a rollback might need the snapshot again.
-				c.inbox[i][s].addAll(sl)
-			}
-		}
-		c.active[i] = append([]bool(nil), w.active...)
-	}
 	e.ckpt = c
 	e.checkpoints++
 	e.ec.checkpoints.Inc()
 	if e.traced {
 		e.tracer.Emit(obs.Checkpoint{Superstep: e.superstp, Index: e.checkpoints})
 	}
+	return nil
 }
 
-// restoreCheckpoint rewinds the engine to the latest checkpoint: superstep
-// counter, phase, metrics, merged aggregates, user state, inboxes and active
-// flags; outboxes, aggregator partials and per-worker metric partials from
-// the aborted superstep are discarded.
-func (e *Engine) restoreCheckpoint() {
-	c := e.ckpt
-	e.superstp = c.superstep
+// restoreCheckpoint rewinds the engine to c: the capture's workers and
+// superstep, then phase, metrics and merged aggregates; aggregator partials
+// from the aborted superstep are discarded.
+func (e *Engine) restoreCheckpoint(c *checkpoint) error {
+	if err := e.restore(c.data, e.workers); err != nil {
+		return err
+	}
 	e.phase = c.phase
 	e.halted = c.halted
 	e.storeRaw(c.metrics, c.classBytes)
@@ -94,37 +290,10 @@ func (e *Engine) restoreCheckpoint() {
 	for k, v := range c.aggVals {
 		e.aggVals[k] = v
 	}
-	e.program.(Snapshotter).Restore(c.program)
 	for _, agg := range e.aggs {
 		agg.drain()
 	}
-	for i, w := range e.workers {
-		for s := range w.inbox {
-			// Recycle whatever the failed superstep delivered — including
-			// payloads decoded from corrupted frames; put scrubs the spill
-			// table so nothing poisoned survives in the pool — then rebuild
-			// the slot from a fresh copy of the snapshot (a snapshot can be
-			// restored more than once, so it must never share a buffer with
-			// live state).
-			if sl := w.inbox[s]; sl != nil {
-				w.inbox[s] = nil
-				msgArena.put(sl)
-			}
-			if saved := &c.inbox[i][s]; len(saved.msgs) > 0 {
-				sl := msgArena.get()
-				sl.addAll(saved)
-				w.inbox[s] = sl
-			}
-		}
-		copy(w.active, c.active[i])
-		// The dense frontier mirrors the active bitmap; rebuild it so the
-		// replayed compute phase schedules exactly the restored activations.
-		w.rebuildFrontier()
-		for _, ob := range w.outbox {
-			ob.reset()
-		}
-		w.resetPartials()
-	}
+	return nil
 }
 
 // rollback attempts to recover a failed superstep by rewinding to the latest
@@ -160,10 +329,14 @@ func (e *Engine) rollback(needsReset bool) bool {
 	if err := e.takeErr(); err != nil {
 		reason = err.Error()
 	}
+	if err := e.restoreCheckpoint(e.ckpt); err != nil {
+		e.errMu.Lock()
+		e.runErr = fmt.Errorf("engine: rollback from superstep %d: %w (after: %w)", failed, err, e.runErr)
+		e.errMu.Unlock()
+		return false
+	}
 	e.recoveries++
 	e.ec.recoveries.Inc()
-	e.restoreCheckpoint()
-	e.clearErr()
 	if e.traced {
 		e.tracer.Emit(obs.Recovery{
 			Failed:   failed,

@@ -91,12 +91,10 @@ type Config struct {
 	// Combiner, if set, merges payloads of messages to the same vertex
 	// with identical intervals at delivery time.
 	Combiner Combiner
-	// PayloadCodec, when set, is used to account encoded payload bytes and,
-	// with VerifyCodec, to round-trip payloads crossing worker boundaries.
+	// PayloadCodec, when set, accounts encoded payload bytes and encodes
+	// every batch that leaves a worker: over a Transport, to a peer shard, or
+	// into a checkpoint.
 	PayloadCodec codec.Payload
-	// VerifyCodec makes every cross-worker message round-trip through
-	// PayloadCodec, as on a real wire. Requires PayloadCodec.
-	VerifyCodec bool
 	// Transport, when set, routes every cross-worker batch through it
 	// (e.g. TCPTransport's loopback mesh), fully serialized. Requires
 	// PayloadCodec.
@@ -105,12 +103,13 @@ type Config struct {
 	Master Master
 	// CheckpointEvery, when > 0, captures a recovery point after every k-th
 	// superstep barrier (plus one before superstep 1): user vertex state via
-	// the Snapshotter contract, inboxes, active flags, merged aggregates and
+	// the Snapshotter contract, inboxes and active sets — encoded, in the
+	// format of a Shard's durable capture — plus merged aggregates and
 	// metrics. A failed superstep — user-program panic, codec failure or
 	// transport error — then rolls back to the latest checkpoint and replays
-	// instead of aborting the run. Requires the Program to implement
-	// Snapshotter. Masters are re-invoked on replayed supersteps and must
-	// tolerate that (the replayed aggregates they see are identical).
+	// instead of aborting the run. Requires PayloadCodec and a Program
+	// implementing Snapshotter. Masters are re-invoked on replayed supersteps
+	// and must tolerate that (the replayed aggregates they see are identical).
 	CheckpointEvery int
 	// MaxRecoveries bounds rollback-and-replay attempts per run; zero means
 	// DefaultMaxRecoveries. Only meaningful with CheckpointEvery > 0.
@@ -259,15 +258,15 @@ func New(numVertices int, program Program, cfg Config) (*Engine, error) {
 	if cfg.NumWorkers > numVertices {
 		cfg.NumWorkers = numVertices
 	}
-	if cfg.VerifyCodec && cfg.PayloadCodec == nil {
-		return nil, fmt.Errorf("%w: VerifyCodec requires PayloadCodec", ErrBadConfig)
-	}
 	if cfg.Transport != nil && cfg.PayloadCodec == nil {
 		return nil, fmt.Errorf("%w: Transport requires PayloadCodec", ErrBadConfig)
 	}
 	if cfg.CheckpointEvery > 0 {
 		if _, ok := program.(Snapshotter); !ok {
 			return nil, fmt.Errorf("%w: CheckpointEvery requires a Program implementing Snapshotter", ErrBadConfig)
+		}
+		if cfg.PayloadCodec == nil {
+			return nil, fmt.Errorf("%w: CheckpointEvery requires PayloadCodec", ErrBadConfig)
 		}
 	}
 	e := &Engine{
@@ -389,7 +388,9 @@ func (e *Engine) Run() (*Metrics, error) {
 		return nil, err
 	}
 	if e.cfg.CheckpointEvery > 0 {
-		e.capture()
+		if err := e.saveCheckpoint(); err != nil {
+			return nil, err
+		}
 	}
 
 	for {
@@ -500,7 +501,9 @@ func (e *Engine) Run() (*Metrics, error) {
 		e.superstp++
 
 		if e.cfg.CheckpointEvery > 0 && (e.superstp-1)%e.cfg.CheckpointEvery == 0 {
-			e.capture()
+			if err := e.saveCheckpoint(); err != nil {
+				return nil, err
+			}
 		}
 		if delivered == 0 && !e.anyActive() && !e.cfg.ActivateAll {
 			break
@@ -650,31 +653,18 @@ func (e *Engine) exchange() int64 {
 // own inbox slabs. Separated from the goroutine fan-out so the alloc gate
 // can measure the data path itself; at steady state it must not allocate.
 func (w *worker) exchangeLocal() {
-	e := w.eng
 	phaseStart := time.Now()
 	var n int64
-	defer func() {
-		w.decode.reset()
-		w.delivered = n
-		w.exchangeNS = time.Since(phaseStart).Nanoseconds()
-	}()
 	// Gather batches addressed to this worker from every source worker, in
 	// worker order for determinism.
-	for _, src := range e.workers {
-		batch := src.outbox[w.id]
-		if len(batch.msgs) == 0 {
-			continue
+	for _, src := range w.eng.workers {
+		if batch := src.outbox[w.id]; len(batch.msgs) > 0 {
+			n += w.deliverAll(batch)
+			batch.reset()
 		}
-		if src.id != w.id && e.cfg.VerifyCodec {
-			var err error
-			if batch, err = e.roundTrip(w, batch); err != nil {
-				e.fail(err)
-				return
-			}
-		}
-		n += w.deliverAll(batch)
-		src.outbox[w.id].reset()
 	}
+	w.delivered = n
+	w.exchangeNS = time.Since(phaseStart).Nanoseconds()
 }
 
 // sumDelivered folds the per-worker delivery counts after an exchange phase
@@ -825,20 +815,6 @@ func (e *Engine) sendWithRetry(src, dst int, batch []byte) error {
 		}
 	}
 	return fmt.Errorf("engine: send %d->%d failed after %d attempts: %w", src, dst, retries+1, err)
-}
-
-// roundTrip encodes and decodes a batch through the configured codec, as a
-// real wire would, into the calling worker's decode buffer. A codec failure
-// is a superstep failure, not a process-killing panic.
-func (e *Engine) roundTrip(w *worker, batch *msgSlab) (*msgSlab, error) {
-	slab := batchSlabs.Get()
-	defer batchSlabs.Put(slab)
-	slab.Buf = e.encodeBatch(slab.Buf, batch)
-	w.decode.reset()
-	if err := e.decodeBatchInto(&w.decode, slab.Buf); err != nil {
-		return nil, fmt.Errorf("engine: payload codec round-trip failed: %w", err)
-	}
-	return &w.decode, nil
 }
 
 // anyActive reports whether any vertex was activated since the last compute

@@ -249,32 +249,12 @@ func TestMasterHaltAndPhases(t *testing.T) {
 	}
 }
 
-func TestVerifyCodecRoundTrips(t *testing.T) {
-	n := 6
-	p := &distProgram{adj: ring(n), dist: make([]int64, n)}
-	e, err := New(n, p, Config{NumWorkers: 3, PayloadCodec: codec.Int64{}, VerifyCodec: true})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	if _, err := e.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	for i := 0; i < n; i++ {
-		if p.dist[i] != int64(i) {
-			t.Fatalf("dist[%d] = %d, want %d", i, p.dist[i], i)
-		}
-	}
-}
-
 func TestConfigValidation(t *testing.T) {
 	if _, err := New(0, &countProgram{}, Config{}); !errors.Is(err, ErrNoVertices) {
 		t.Errorf("want ErrNoVertices, got %v", err)
 	}
 	if _, err := New(3, nil, Config{}); !errors.Is(err, ErrBadConfig) {
 		t.Errorf("want ErrBadConfig for nil program, got %v", err)
-	}
-	if _, err := New(3, &countProgram{}, Config{VerifyCodec: true}); !errors.Is(err, ErrBadConfig) {
-		t.Errorf("want ErrBadConfig for VerifyCodec without codec, got %v", err)
 	}
 	// More workers than vertices is clamped, not an error.
 	e, err := New(2, &countProgram{}, Config{NumWorkers: 16})

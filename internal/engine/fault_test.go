@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
@@ -69,16 +70,28 @@ func (p *faultProgram) Run(ctx *Context, msgs []Message) {
 	}
 }
 
-func (p *faultProgram) Snapshot() any {
+func (p *faultProgram) AppendSnapshot(buf []byte) ([]byte, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return append([]int64(nil), p.dist...)
+	for _, d := range p.dist {
+		buf = binary.AppendVarint(buf, d)
+	}
+	return buf, nil
 }
 
-func (p *faultProgram) Restore(snapshot any) {
+func (p *faultProgram) RestoreSnapshot(data []byte) error {
+	dist := make([]int64, len(p.dist))
+	for i := range dist {
+		d, k := binary.Varint(data)
+		if k <= 0 {
+			return codec.ErrCorrupt
+		}
+		dist[i], data = d, data[k:]
+	}
 	p.mu.Lock()
-	copy(p.dist, snapshot.([]int64))
+	copy(p.dist, dist)
 	p.mu.Unlock()
+	return nil
 }
 
 // badCodec decodes nothing, failing every round-trip.
@@ -99,19 +112,19 @@ func (errTransport) Recv(dst int) ([][]byte, error) { return nil, nil }
 func (errTransport) Close() error                   { return nil }
 
 // TestRunSurvivesFaults is the satellite table: every user-level fault —
-// panic in Init, panic in Run, a codec round-trip failure, and a mid-run
-// transport error — must surface as an error from Run with the process
-// alive, never as a crash.
+// panic in Init, panic in Run, a codec round-trip failure, a rollback to a
+// checkpoint that does not restore, and a mid-run transport error — must
+// surface as an error from Run with the process alive, never as a crash.
 func TestRunSurvivesFaults(t *testing.T) {
 	const n = 8
 	cases := []struct {
 		name      string
-		configure func(p *faultProgram) Config
+		configure func(t *testing.T, p *faultProgram) Config
 		wantPanic bool // error must be a *VertexPanicError
 	}{
 		{
 			name: "panic in Init",
-			configure: func(p *faultProgram) Config {
+			configure: func(_ *testing.T, p *faultProgram) Config {
 				p.panicInit = 3
 				return Config{NumWorkers: 2}
 			},
@@ -119,7 +132,7 @@ func TestRunSurvivesFaults(t *testing.T) {
 		},
 		{
 			name: "panic in Run",
-			configure: func(p *faultProgram) Config {
+			configure: func(_ *testing.T, p *faultProgram) Config {
 				p.panicRunAt = 2
 				return Config{NumWorkers: 2}
 			},
@@ -127,13 +140,28 @@ func TestRunSurvivesFaults(t *testing.T) {
 		},
 		{
 			name: "codec round-trip failure",
-			configure: func(p *faultProgram) Config {
-				return Config{NumWorkers: 2, PayloadCodec: badCodec{}, VerifyCodec: true}
+			configure: func(t *testing.T, _ *faultProgram) Config {
+				tp, err := NewTCPTransport(2)
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { tp.Close() })
+				return Config{NumWorkers: 2, PayloadCodec: badCodec{}, Transport: tp}
 			},
 		},
 		{
+			// The checkpoint holds an inbox its codec cannot read back: the
+			// rollback fails, and the run with it.
+			name: "checkpoint that does not restore",
+			configure: func(_ *testing.T, p *faultProgram) Config {
+				p.panicRunAt = 3
+				return Config{NumWorkers: 1, PayloadCodec: badCodec{}, CheckpointEvery: 1}
+			},
+			wantPanic: true,
+		},
+		{
 			name: "mid-run transport error",
-			configure: func(p *faultProgram) Config {
+			configure: func(_ *testing.T, _ *faultProgram) Config {
 				// SendRetries -1 disables retries so the stub's permanent
 				// failure surfaces immediately.
 				return Config{NumWorkers: 2, PayloadCodec: codec.Int64{},
@@ -144,7 +172,7 @@ func TestRunSurvivesFaults(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			p := newFaultProgram(n)
-			cfg := tc.configure(p)
+			cfg := tc.configure(t, p)
 			e, err := New(n, p, cfg)
 			if err != nil {
 				t.Fatalf("New: %v", err)
@@ -172,7 +200,7 @@ func TestRunSurvivesFaults(t *testing.T) {
 func TestCheckpointRecoversFromPanic(t *testing.T) {
 	const n = 10
 	clean := newFaultProgram(n)
-	e, err := New(n, clean, Config{NumWorkers: 3})
+	e, err := New(n, clean, Config{NumWorkers: 3, PayloadCodec: codec.Int64{}})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -184,7 +212,7 @@ func TestCheckpointRecoversFromPanic(t *testing.T) {
 	for _, every := range []int{1, 2, 4} {
 		p := newFaultProgram(n)
 		p.panicRunAt = 4
-		e, err := New(n, p, Config{NumWorkers: 3, CheckpointEvery: every})
+		e, err := New(n, p, Config{NumWorkers: 3, PayloadCodec: codec.Int64{}, CheckpointEvery: every})
 		if err != nil {
 			t.Fatalf("New(every=%d): %v", every, err)
 		}
@@ -217,7 +245,7 @@ func TestRecoveryExhausted(t *testing.T) {
 	p := newFaultProgram(n)
 	p.panicRunAt = 3
 	p.panicEvery = true // refires on every replay
-	e, err := New(n, p, Config{NumWorkers: 2, CheckpointEvery: 1, MaxRecoveries: 2})
+	e, err := New(n, p, Config{NumWorkers: 2, PayloadCodec: codec.Int64{}, CheckpointEvery: 1, MaxRecoveries: 2})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -235,11 +263,15 @@ func TestRecoveryExhausted(t *testing.T) {
 }
 
 // TestCheckpointRequiresSnapshotter: checkpointing without the Snapshotter
-// contract is a configuration error, caught up front.
+// contract, or without the codec a capture encodes inboxes with, is a
+// configuration error, caught up front.
 func TestCheckpointRequiresSnapshotter(t *testing.T) {
 	p := &countProgram{limit: 2}
-	if _, err := New(4, p, Config{NumWorkers: 2, CheckpointEvery: 1}); !errors.Is(err, ErrBadConfig) {
+	if _, err := New(4, p, Config{NumWorkers: 2, PayloadCodec: codec.Int64{}, CheckpointEvery: 1}); !errors.Is(err, ErrBadConfig) {
 		t.Fatalf("want ErrBadConfig, got %v", err)
+	}
+	if _, err := New(4, newFaultProgram(4), Config{NumWorkers: 2, CheckpointEvery: 1}); !errors.Is(err, ErrBadConfig) {
+		t.Fatalf("without PayloadCodec: want ErrBadConfig, got %v", err)
 	}
 }
 
@@ -282,7 +314,7 @@ func TestCheckpointWithAggregatorsAndMaster(t *testing.T) {
 	p := &aggFaultProgram{faultProgram: *newFaultProgram(n)}
 	p.panicRunAt = 3
 	master := &replayMaster{seen: map[int][]int64{}}
-	e, err := New(n, p, Config{NumWorkers: 2, CheckpointEvery: 1, Master: master})
+	e, err := New(n, p, Config{NumWorkers: 2, PayloadCodec: codec.Int64{}, CheckpointEvery: 1, Master: master})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -309,9 +341,9 @@ func TestCheckpointWithAggregatorsAndMaster(t *testing.T) {
 
 // classByteProgram rings tokens for a fixed number of supersteps, shipping
 // one message of each interval-encoding class per hop, with an optional
-// one-shot injected panic. It carries no user state, so Snapshot/Restore are
-// trivial.
+// one-shot injected panic. It carries no user state of its own.
 type classByteProgram struct {
+	noSnapshot
 	n, steps    int
 	panicRunAt  int
 	mu          sync.Mutex
@@ -341,9 +373,6 @@ func (p *classByteProgram) Run(ctx *Context, msgs []Message) {
 	ctx.Send(dst, ival.Point(s), int64(2))    // unit class
 	ctx.Send(dst, ival.New(1, s+5), int64(3)) // general class
 }
-
-func (p *classByteProgram) Snapshot() any { return nil }
-func (p *classByteProgram) Restore(any)   {}
 
 // TestCheckpointRewindDoesNotDoubleCountClassBytes pins the rewind accounting
 // at the registry level: with CheckpointEvery=1, a panicked superstep is

@@ -15,7 +15,8 @@ import (
 // instead of scanning all of them. The frontier is built in delivery order,
 // sorted ascending at the start of compute (so messages are emitted in slot
 // order whatever order the activations arrived in), consumed, and reset at the
-// end of the phase; checkpoint restore rebuilds it from the restored flags.
+// end of the phase. At a barrier it is the active set, which is what a
+// checkpoint captures and restore re-activates.
 
 // activate marks a local slot active and, on the false→true transition,
 // appends it to the dense frontier. Callers run on the owning worker's
@@ -47,17 +48,6 @@ func (w *worker) prepareSched() []int32 {
 // finishSched ends a compute phase: the consumed frontier resets (delivery
 // during the next exchange rebuilds it).
 func (w *worker) finishSched() { w.frontier = w.frontier[:0] }
-
-// rebuildFrontier derives the frontier from the active flags; checkpoint
-// restore uses it, and the result is sorted by construction.
-func (w *worker) rebuildFrontier() {
-	w.frontier = w.frontier[:0]
-	for slot, a := range w.active {
-		if a {
-			w.frontier = append(w.frontier, int32(slot))
-		}
-	}
-}
 
 // init is a worker's share of superstep-1 set-up: Program.Init on every
 // vertex it owns, all of them active.

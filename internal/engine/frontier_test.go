@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"slices"
 	"testing"
 
 	"graphite/internal/codec"
@@ -10,14 +11,16 @@ import (
 
 // TestFrontierTracksFlags pins the frontier/bitmap invariant the compute
 // phase rests on: activation appends exactly the false→true transitions, the
-// schedule is the sorted frontier, and rebuildFrontier recovers it from the
-// flags alone (the checkpoint-restore path).
+// schedule is the sorted frontier, and a restore re-activates a capture's
+// active set — frontier and flags alike, whatever they held before.
 func TestFrontierTracksFlags(t *testing.T) {
-	e, err := New(9, idleProgram{}, Config{NumWorkers: 1})
+	e, err := New(9, snapIdleProgram{}, Config{NumWorkers: 1, PayloadCodec: codec.Int64{}})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
 	w := e.workers[0]
+	w.drawOutboxes()
+	t.Cleanup(e.releaseBuffers)
 	for _, slot := range []int{7, 2, 5, 2, 7} {
 		w.activate(slot)
 	}
@@ -30,6 +33,10 @@ func TestFrontierTracksFlags(t *testing.T) {
 	if !e.anyActive() {
 		t.Fatal("anyActive = false with a populated frontier")
 	}
+	ckpt, err := e.capture(nil, e.workers)
+	if err != nil {
+		t.Fatalf("capture: %v", err)
+	}
 	sched := w.prepareSched()
 	for i, want := range []int32{2, 5, 7} {
 		if sched[i] != want {
@@ -40,12 +47,16 @@ func TestFrontierTracksFlags(t *testing.T) {
 	if len(w.frontier) != 0 || e.anyActive() {
 		t.Fatal("finishSched must reset the frontier")
 	}
-	// Flags survive the reset (compute clears them per-slot); rebuild must
-	// recover the same schedule from them, as checkpoint restore does.
-	w.rebuildFrontier()
-	for i, want := range []int32{2, 5, 7} {
-		if w.frontier[i] != want {
-			t.Fatalf("rebuilt frontier[%d] = %d, want %d", i, w.frontier[i], want)
+	w.activate(1)
+	if err := e.restore(ckpt, e.workers); err != nil {
+		t.Fatalf("restore: %v", err)
+	}
+	if !slices.Equal(w.frontier, []int32{2, 5, 7}) {
+		t.Fatalf("restored frontier = %v, want [2 5 7]", w.frontier)
+	}
+	for slot, a := range w.active {
+		if want := slot == 2 || slot == 5 || slot == 7; a != want {
+			t.Fatalf("restored flag of slot %d = %v, want %v", slot, a, want)
 		}
 	}
 }
@@ -68,7 +79,7 @@ func TestCheckpointRestoresFrontier(t *testing.T) {
 	faulty := newFaultProgram(n)
 	faulty.panicRunAt = 5
 	rec := &obs.Recorder{}
-	e2, err := New(n, faulty, Config{NumWorkers: 3, CheckpointEvery: 2, Tracer: rec})
+	e2, err := New(n, faulty, Config{NumWorkers: 3, PayloadCodec: codec.Int64{}, CheckpointEvery: 2, Tracer: rec})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}

@@ -111,14 +111,12 @@ func TestForeignDestinationIsCorrupt(t *testing.T) {
 
 // inboxRecorder records, per vertex, the int64 payloads Run was handed.
 type inboxRecorder struct {
-	snapCodec
+	noSnapshot
 	mu  sync.Mutex
 	got map[int][]int64
 }
 
 func (*inboxRecorder) Init(*Context) {}
-func (*inboxRecorder) Snapshot() any { return nil }
-func (*inboxRecorder) Restore(any)   {}
 
 func (p *inboxRecorder) Run(ctx *Context, msgs []Message) {
 	p.mu.Lock()
@@ -256,6 +254,7 @@ func FuzzDecodeBatch(f *testing.F) {
 // values a later vertex must receive unchanged, so a payload that is lost,
 // swapped with another slab's, or left behind by a move shows.
 type relayProgram struct {
+	noSnapshot
 	n, steps int
 	failAt   int // superstep whose first visit panics, once
 	mu       sync.Mutex
@@ -294,9 +293,6 @@ func (p *relayProgram) Run(ctx *Context, msgs []Message) {
 		}
 	}
 }
-
-func (p *relayProgram) Snapshot() any { return nil }
-func (p *relayProgram) Restore(any)   {}
 
 // wantRelay is what every (superstep, vertex) must have been handed: the
 // payloads of the two ring predecessors, in sender then send order.
@@ -380,8 +376,8 @@ func (anyCodec) Decode(buf []byte) (any, int, error) {
 
 // TestSpilledPayloadsSurviveEveryMove sends inline and spilled payloads side
 // by side through each way a message travels in one process — outbox to inbox
-// directly, through the codec round trip,
-// across the TCP mesh, and through an in-memory checkpoint rollback — and
+// directly, across the TCP mesh, and through an in-memory checkpoint rollback
+// — and
 // requires every vertex to be handed exactly what was sent to it, with the
 // spill count the sends add up to.
 func TestSpilledPayloadsSurviveEveryMove(t *testing.T) {
@@ -389,9 +385,6 @@ func TestSpilledPayloadsSurviveEveryMove(t *testing.T) {
 	want := wantRelay(n, steps)
 	cases := map[string]func(*testing.T, *relayProgram) Config{
 		"in process": func(*testing.T, *relayProgram) Config { return Config{NumWorkers: 3} },
-		"verify codec": func(*testing.T, *relayProgram) Config {
-			return Config{NumWorkers: 3, PayloadCodec: anyCodec{}, VerifyCodec: true}
-		},
 		"tcp": func(t *testing.T, _ *relayProgram) Config {
 			tp, err := NewTCPTransport(3)
 			if err != nil {
@@ -439,10 +432,7 @@ func TestSpilledPayloadsSurviveDurableCheckpoint(t *testing.T) {
 	build := func(p *relayProgram) []*Shard {
 		out := make([]*Shard, shards)
 		for i := range out {
-			s, err := NewShard(n, struct {
-				*relayProgram
-				snapCodec
-			}{p, snapCodec{}}, Config{NumWorkers: shards, PayloadCodec: anyCodec{}}, i)
+			s, err := NewShard(n, p, Config{NumWorkers: shards, PayloadCodec: anyCodec{}}, i)
 			if err != nil {
 				t.Fatal(err)
 			}

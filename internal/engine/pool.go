@@ -39,17 +39,6 @@ func (s *msgSlab) add(m Message, from []any) {
 	s.msgs = append(s.msgs, m)
 }
 
-// addAll appends every message of o, in order.
-func (s *msgSlab) addAll(o *msgSlab) {
-	if len(o.spill) == 0 {
-		s.msgs = append(s.msgs, o.msgs...)
-		return
-	}
-	for _, m := range o.msgs {
-		s.add(m, o.spill)
-	}
-}
-
 // reset empties the slab. Messages are left as they are — there is nothing
 // in one to pin or leak — and the spill table is scrubbed, so a payload never
 // outlives the superstep that sent it: in particular one decoded from a batch

@@ -1,10 +1,8 @@
 package engine
 
 import (
-	"encoding/binary"
 	"fmt"
 	"runtime/debug"
-	"slices"
 
 	"graphite/internal/codec"
 )
@@ -25,17 +23,6 @@ import (
 // bit-identical to a single-process run over the same configuration, which
 // is what the kill-recovery chaos tests assert.
 
-// SnapshotCodec is the Program extension the durable checkpoint path
-// requires on top of Snapshotter: the opaque snapshot must serialize, since
-// a replacement process restores it from disk rather than from memory.
-type SnapshotCodec interface {
-	// AppendSnapshot appends a serialized form of a Snapshot() result to buf.
-	AppendSnapshot(buf []byte, snap any) ([]byte, error)
-	// DecodeSnapshot reconstructs a snapshot suitable for Restore from bytes
-	// produced by AppendSnapshot.
-	DecodeSnapshot(data []byte) (any, error)
-}
-
 // StepReport is one shard's contribution to a superstep barrier. The
 // coordinator sums Delivered and Active across shards to detect global
 // quiescence (the engine's halt condition, distributed).
@@ -54,8 +41,8 @@ type Shard struct {
 	eng       *Engine
 	w         *worker
 	id        int
-	snap      SnapshotCodec
 	delivered int64
+	ckptSize  int // the last capture's length, the next one's first allocation
 }
 
 // NewShard builds the full engine for numVertices vertices and returns the
@@ -89,10 +76,6 @@ func NewShard(numVertices int, program Program, cfg Config, shard int) (*Shard, 
 	if _, ok := program.(Snapshotter); !ok {
 		return nil, fmt.Errorf("%w: shard execution requires a Program implementing Snapshotter", ErrBadConfig)
 	}
-	snap, ok := program.(SnapshotCodec)
-	if !ok {
-		return nil, fmt.Errorf("%w: shard execution requires a Program implementing SnapshotCodec", ErrBadConfig)
-	}
 	e, err := New(numVertices, program, cfg)
 	if err != nil {
 		return nil, err
@@ -103,7 +86,7 @@ func NewShard(numVertices int, program Program, cfg Config, shard int) (*Shard, 
 	w := e.workers[shard]
 	w.drawOutboxes()
 	w.outBytes = make([]int64, len(e.workers))
-	return &Shard{eng: e, w: w, id: shard, snap: snap}, nil
+	return &Shard{eng: e, w: w, id: shard}, nil
 }
 
 // Close returns the shard's pooled message buffers for the next run or
@@ -111,18 +94,8 @@ func NewShard(numVertices int, program Program, cfg Config, shard int) (*Shard, 
 // a shard that is merely dropped is collected like any other garbage.
 func (s *Shard) Close() { s.eng.releaseBuffers() }
 
-// ID returns the shard index.
-func (s *Shard) ID() int { return s.id }
-
-// NumShards returns the cluster width the engine was built for.
-func (s *Shard) NumShards() int { return len(s.eng.workers) }
-
 // Superstep returns the 1-based superstep about to execute (or executing).
 func (s *Shard) Superstep() int { return s.eng.superstp }
-
-// Owned returns the dense vertex indices this shard owns, in slot order.
-// The slice is the engine's own; callers must not mutate it.
-func (s *Shard) Owned() []int32 { return s.w.local }
 
 // Init runs Program.Init over this shard's vertices (superstep-1 setup),
 // activating all of them, exactly as Run's init phase does for one worker.
@@ -215,173 +188,30 @@ func (s *Shard) Barrier() StepReport {
 	return rep
 }
 
-// shardCkptVersion tags the durable shard-checkpoint format.
-const shardCkptVersion = 1
-
 // CaptureDurable serializes everything a replacement process needs to
-// resume this shard at the current superstep boundary: the superstep
-// counter, the program's vertex state (via SnapshotCodec), the active slot
-// set, and the undelivered inboxes. Call only at a barrier (after Barrier,
-// before the next Compute). The bytes are canonical — active slots sorted,
-// inboxes in slot order — so identical state yields identical bytes.
+// resume this shard at the current superstep boundary — the capture of its
+// one worker (see Engine.capture), which Run's in-memory checkpoints take of
+// all of them. Call only at a barrier (after Barrier, before the next
+// Compute).
 func (s *Shard) CaptureDurable() ([]byte, error) {
-	e, w := s.eng, s.w
-	if err := e.takeErr(); err != nil {
+	if err := s.eng.takeErr(); err != nil {
 		return nil, err
 	}
-	snapBytes, err := s.snap.AppendSnapshot(nil, e.program.(Snapshotter).Snapshot())
+	data, err := s.eng.capture(make([]byte, 0, s.ckptSize), s.eng.workers[s.id:s.id+1])
 	if err != nil {
-		return nil, fmt.Errorf("engine: shard %d snapshot: %w", s.id, err)
+		return nil, fmt.Errorf("engine: shard %d: %w", s.id, err)
 	}
-	buf := []byte{shardCkptVersion}
-	buf = binary.AppendUvarint(buf, uint64(e.superstp))
-	buf = binary.AppendUvarint(buf, uint64(len(snapBytes)))
-	buf = append(buf, snapBytes...)
-
-	slots := append([]int32(nil), w.frontier...)
-	slices.Sort(slots)
-	buf = binary.AppendUvarint(buf, uint64(len(slots)))
-	for _, sl := range slots {
-		buf = binary.AppendUvarint(buf, uint64(sl))
-	}
-
-	nonEmpty := 0
-	for _, sl := range w.inbox {
-		if sl != nil && len(sl.msgs) > 0 {
-			nonEmpty++
-		}
-	}
-	buf = binary.AppendUvarint(buf, uint64(nonEmpty))
-	for slot, sl := range w.inbox {
-		if sl == nil || len(sl.msgs) == 0 {
-			continue
-		}
-		buf = binary.AppendUvarint(buf, uint64(slot))
-		// Each inbox batch is length-prefixed so the restore parser can walk
-		// entry to entry without decoding ahead.
-		batch := e.encodeBatch(nil, sl)
-		buf = binary.AppendUvarint(buf, uint64(len(batch)))
-		buf = append(buf, batch...)
-	}
-	return buf, nil
+	s.ckptSize = len(data)
+	return data, nil
 }
 
-// readUvarint pops one uvarint off buf.
-func readUvarint(buf []byte, what string) (uint64, []byte, error) {
-	v, k := binary.Uvarint(buf)
-	if k <= 0 {
-		return 0, nil, fmt.Errorf("%w: shard checkpoint: bad %s", ErrCheckpointCorrupt, what)
-	}
-	return v, buf[k:], nil
-}
-
-// RestoreDurable rewinds this shard to a CaptureDurable state: program
-// state, active set, inboxes and superstep counter are replaced; outboxes,
-// partials and any recorded failure are discarded. Works on a freshly
-// Init()ed shard (the replacement-process path) and on a live one rolling
-// back with the survivors.
+// RestoreDurable rewinds this shard to a CaptureDurable state. Works on a
+// freshly Init()ed shard (the replacement-process path) and on a live one
+// rolling back with the survivors; a malformed capture changes nothing.
 func (s *Shard) RestoreDurable(data []byte) error {
-	e, w := s.eng, s.w
-	if len(data) < 1 || data[0] != shardCkptVersion {
-		return fmt.Errorf("%w: shard checkpoint: unknown version", ErrCheckpointCorrupt)
+	if err := s.eng.restore(data, s.eng.workers[s.id:s.id+1]); err != nil {
+		return fmt.Errorf("engine: shard %d: %w", s.id, err)
 	}
-	buf := data[1:]
-	superstep, buf, err := readUvarint(buf, "superstep")
-	if err != nil {
-		return err
-	}
-	snapLen, buf, err := readUvarint(buf, "snapshot length")
-	if err != nil {
-		return err
-	}
-	if uint64(len(buf)) < snapLen {
-		return fmt.Errorf("%w: shard checkpoint: snapshot truncated", ErrCheckpointCorrupt)
-	}
-	snap, err := s.snap.DecodeSnapshot(buf[:snapLen])
-	if err != nil {
-		return fmt.Errorf("engine: shard %d snapshot decode: %w", s.id, err)
-	}
-	buf = buf[snapLen:]
-
-	nActive, buf, err := readUvarint(buf, "active count")
-	if err != nil {
-		return err
-	}
-	if nActive > uint64(len(w.local)) {
-		return fmt.Errorf("%w: shard checkpoint: %d active of %d slots", ErrCheckpointCorrupt, nActive, len(w.local))
-	}
-	activeSlots := make([]int, 0, nActive)
-	for i := uint64(0); i < nActive; i++ {
-		var slot uint64
-		slot, buf, err = readUvarint(buf, "active slot")
-		if err != nil {
-			return err
-		}
-		if slot >= uint64(len(w.local)) {
-			return fmt.Errorf("%w: shard checkpoint: active slot %d out of range", ErrCheckpointCorrupt, slot)
-		}
-		activeSlots = append(activeSlots, int(slot))
-	}
-
-	type inboxEntry struct {
-		slot int
-		msgs *msgSlab
-	}
-	nInbox, buf, err := readUvarint(buf, "inbox count")
-	if err != nil {
-		return err
-	}
-	entries := make([]inboxEntry, 0, nInbox)
-	for i := uint64(0); i < nInbox; i++ {
-		var slot, blen uint64
-		slot, buf, err = readUvarint(buf, "inbox slot")
-		if err != nil {
-			return err
-		}
-		if slot >= uint64(len(w.local)) {
-			return fmt.Errorf("%w: shard checkpoint: inbox slot %d out of range", ErrCheckpointCorrupt, slot)
-		}
-		blen, buf, err = readUvarint(buf, "inbox batch length")
-		if err != nil {
-			return err
-		}
-		if uint64(len(buf)) < blen {
-			return fmt.Errorf("%w: shard checkpoint: inbox batch truncated", ErrCheckpointCorrupt)
-		}
-		msgs := &msgSlab{}
-		if derr := e.decodeBatchInto(msgs, buf[:blen]); derr != nil {
-			return fmt.Errorf("engine: shard %d inbox decode: %w", s.id, derr)
-		}
-		buf = buf[blen:]
-		entries = append(entries, inboxEntry{slot: int(slot), msgs: msgs})
-	}
-
-	// All parsed and validated — now mutate. Recycle whatever the aborted
-	// superstep delivered, then rebuild from the checkpoint.
-	e.program.(Snapshotter).Restore(snap)
-	for slot := range w.inbox {
-		if sl := w.inbox[slot]; sl != nil {
-			w.inbox[slot] = nil
-			msgArena.put(sl)
-		}
-	}
-	clear(w.active)
-	w.frontier = w.frontier[:0]
-	for _, slot := range activeSlots {
-		w.activate(slot)
-	}
-	for _, ent := range entries {
-		sl := msgArena.get()
-		sl.addAll(ent.msgs)
-		w.inbox[ent.slot] = sl
-	}
-	for _, ob := range w.outbox {
-		ob.reset()
-	}
-	clear(w.outBytes)
-	w.resetPartials()
-	e.clearErr()
-	e.superstp = int(superstep)
 	s.delivered = 0
 	return nil
 }

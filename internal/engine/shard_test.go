@@ -12,17 +12,14 @@ import (
 // snapIdleProgram is the least a Shard accepts: no work, an empty snapshot.
 type snapIdleProgram struct {
 	idleProgram
-	snapCodec
+	noSnapshot
 }
 
-func (snapIdleProgram) Snapshot() any { return nil }
-func (snapIdleProgram) Restore(any)   {}
+// noSnapshot is the Snapshotter of a program with no state of its own.
+type noSnapshot struct{}
 
-// snapCodec is the SnapshotCodec of a program with nothing to snapshot.
-type snapCodec struct{}
-
-func (snapCodec) AppendSnapshot(b []byte, _ any) ([]byte, error) { return b, nil }
-func (snapCodec) DecodeSnapshot([]byte) (any, error)             { return nil, nil }
+func (noSnapshot) AppendSnapshot(b []byte) ([]byte, error) { return b, nil }
+func (noSnapshot) RestoreSnapshot([]byte) error            { return nil }
 
 // outboundFixture is a 3-worker shard 0 over 300 vertices and a send script
 // covering every interval encoding class, one- and two-byte vertex indices,
@@ -124,11 +121,8 @@ func TestOutboundAllocsPerBatch(t *testing.T) {
 // one message per superstep.
 type snapSelfSendProgram struct {
 	selfSendProgram
-	snapCodec
+	noSnapshot
 }
-
-func (snapSelfSendProgram) Snapshot() any { return nil }
-func (snapSelfSendProgram) Restore(any)   {}
 
 // TestShardBarrierPublishesNoImbalance: in a shard's engine only the shard's
 // own worker ever computes, so max/mean compute time over all of the engine's
@@ -163,7 +157,7 @@ func TestShardBarrierPublishesNoImbalance(t *testing.T) {
 		if got := reg.Gauge(obs.GComputeImbalanceMilli).Load(); got != 0 {
 			t.Errorf("superstep %d: a shard published compute imbalance %d, want none", rep.Superstep, got)
 		}
-		if got, want := reg.Gauge(obs.GActiveVertices).Load(), int64(len(s.Owned())); got != want || rep.Active != len(s.Owned()) {
+		if got, want := reg.Gauge(obs.GActiveVertices).Load(), int64(len(s.w.local)); got != want || rep.Active != len(s.w.local) {
 			t.Errorf("superstep %d: active vertices gauge %d, report %d, want %d", rep.Superstep, got, rep.Active, want)
 		}
 	}
