@@ -41,8 +41,9 @@ race:
 # bytes reach — its seeds are up to 150 KB, so minimizing one is capped),
 # state, warp and graph-format layers (snapshot round trip and mutation, the
 # text parser), the window view against its slice oracle, the cluster's
-# frame and control-message decoders, and the WAL's record decoder and
-# replay, for FUZZTIME each (Go allows one -fuzz target per invocation).
+# frame and control-message decoders, the WAL's record decoder and replay,
+# and the live graph's patched epochs against their rebuild, for FUZZTIME
+# each (Go allows one -fuzz target per invocation).
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzIntervalDecode -fuzztime $(FUZZTIME) ./internal/codec
@@ -62,6 +63,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzClusterFrames -fuzztime $(FUZZTIME) ./internal/cluster
 	$(GO) test -run '^$$' -fuzz FuzzWALDecodeBatch -fuzztime $(FUZZTIME) ./internal/live
 	$(GO) test -run '^$$' -fuzz FuzzWALReplay -fuzztime $(FUZZTIME) ./internal/live
+	$(GO) test -run '^$$' -fuzz FuzzEpochPatch -fuzztime $(FUZZTIME) ./internal/stream
 
 # The full gate: everything vetted, built, and race-tested. Long-running
 # chaos tests honour -short via `make verify SHORT=-short`.
@@ -82,16 +84,18 @@ bench-test:
 # from the plan; the scatter plan's cold build and memoised lookup; the
 # measured traffic's windowed query as a view, whole and over a slice), of the
 # warp sweep on the inboxes the acceptance benchmark measured (serve_cold's
-# mean and largest, cluster_pr's unit messages) and of the engine's exchange
-# on cluster_pr's traffic (unit float messages into its mean and its hub inbox
-# under the sum combiner), one iteration each: they check their own fixtures —
-# the warp and exchange ones also that, once warmed, they allocate nothing —
-# so CI running them keeps them honest. For numbers, drop -benchtime and add
-# -benchmem -count.
+# mean and largest, cluster_pr's unit messages), of the engine's exchange on
+# cluster_pr's traffic (unit float messages into its mean and its hub inbox
+# under the sum combiner) and of a live epoch's materialization (the whole
+# graph, and one tick patched onto its predecessor, held to the rebuild), one
+# iteration each: they check their own fixtures — the warp and exchange ones
+# also that, once warmed, they allocate nothing — so CI running them keeps
+# them honest. For numbers, drop -benchtime and add -benchmem -count.
 bench-core:
 	$(GO) test -run '^$$' -bench 'StateSet|VertexStep|ScatterProps|NewRuntime|WindowedRun' -benchtime=1x -benchmem ./internal/core
 	$(GO) test -run '^$$' -bench 'PathInbox|HubInbox|RankInbox' -benchtime=1x ./internal/warp
 	$(GO) test -run '^$$' -bench 'ExchangeRank' -benchtime=1x -benchmem ./internal/engine
+	$(GO) test -run '^$$' -bench 'AccumulatorGraph|EpochPatch' -benchtime=1x -benchmem ./internal/stream
 
 bench:
 	$(GO) run ./cmd/graphite-bench -scale 1 -workers 8 all

@@ -240,7 +240,7 @@ func awkwardGraph(t testing.TB) *tgraph.Graph {
 		{"zone", ival.New(5, 25), 9},                 // exactly the lifespan
 		{"zone", ival.New(12, 12), 9},                // empty
 	} {
-		e.Props.Add(p.label, tgraph.PropEntry{Interval: p.iv, Value: p.effect})
+		e.Props.AddAll(p.label, []tgraph.PropEntry{{Interval: p.iv, Value: p.effect}})
 	}
 	return g
 }

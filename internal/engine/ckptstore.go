@@ -110,7 +110,8 @@ func (s *CheckpointStore) genPath(gen int) string {
 // Save persists one generation: temp file + fsync + atomic rename, then the
 // manifest (same discipline). Re-saving an existing generation overwrites
 // it. The data is framed as magic, a little-endian length, the payload, and
-// a CRC32 (IEEE) of the payload.
+// a CRC32 (IEEE) of the payload, written around data rather than copied with
+// it into a frame.
 func (s *CheckpointStore) Save(gen, superstep int, data []byte) (CheckpointMeta, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -120,15 +121,12 @@ func (s *CheckpointStore) Save(gen, superstep int, data []byte) (CheckpointMeta,
 		Bytes:     int64(len(data)),
 		CRC:       crc32.ChecksumIEEE(data),
 	}
-	frame := make([]byte, 0, len(ckptMagic)+8+len(data)+4)
-	frame = append(frame, ckptMagic[:]...)
-	frame = binary.LittleEndian.AppendUint64(frame, uint64(len(data)))
-	frame = append(frame, data...)
-	frame = binary.LittleEndian.AppendUint32(frame, meta.CRC)
+	hdr := binary.LittleEndian.AppendUint64(append([]byte(nil), ckptMagic[:]...), uint64(len(data)))
+	crc := binary.LittleEndian.AppendUint32(nil, meta.CRC)
 
 	final := s.genPath(gen)
 	tmp := final + ".tmp"
-	if err := writeFileSync(tmp, frame); err != nil {
+	if err := writeFileSync(tmp, hdr, data, crc); err != nil {
 		return CheckpointMeta{}, err
 	}
 	if s.CommitHook != nil {
@@ -157,16 +155,19 @@ func (s *CheckpointStore) Save(gen, superstep int, data []byte) (CheckpointMeta,
 	return meta, nil
 }
 
-// writeFileSync writes data to path and fsyncs before closing, so a rename
-// never publishes a file whose bytes are still in the page cache only.
-func writeFileSync(path string, data []byte) error {
+// writeFileSync writes the parts to path, one after another, and fsyncs
+// once before closing, so a rename never publishes a file whose bytes are
+// still in the page cache only.
+func writeFileSync(path string, parts ...[]byte) error {
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return fmt.Errorf("engine: write checkpoint: %w", err)
 	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return fmt.Errorf("engine: write checkpoint: %w", err)
+	for _, p := range parts {
+		if _, err := f.Write(p); err != nil {
+			f.Close()
+			return fmt.Errorf("engine: write checkpoint: %w", err)
+		}
 	}
 	if err := f.Sync(); err != nil {
 		f.Close()

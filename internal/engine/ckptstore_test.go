@@ -2,7 +2,9 @@ package engine
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
@@ -38,6 +40,12 @@ func TestCheckpointStoreRoundTrip(t *testing.T) {
 	}
 	if !bytes.Equal(got, want) || m2.Superstep != 1 {
 		t.Errorf("round trip mismatch: %q step %d", got, m2.Superstep)
+	}
+	// The file is the frame byte for byte: magic, length, payload, CRC.
+	frame := binary.LittleEndian.AppendUint64([]byte("GCK1"), uint64(len(want)))
+	frame = binary.LittleEndian.AppendUint32(append(frame, want...), crc32.ChecksumIEEE(want))
+	if raw, err := os.ReadFile(s.genPath(0)); err != nil || !bytes.Equal(raw, frame) {
+		t.Errorf("checkpoint file = %x (%v), want %x", raw, err, frame)
 	}
 
 	// Reopen from disk: the manifest must rehydrate the same view.

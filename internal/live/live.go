@@ -9,11 +9,16 @@
 //   - MVCC for free: every ingest batch publishes a fresh immutable
 //     tgraph.Graph as a new epoch; in-flight queries keep reading the epoch
 //     they acquired while appends continue. Epochs are refcounted and
-//     reclaimed when the last reader releases them.
+//     reclaimed when the last reader releases them. An epoch is a patch of
+//     the one before (stream.Accumulator.Patch) unless that one is mapped.
 //   - Cheap cache validity: a batch whose first event is at time t cannot
 //     change any window ending at or before t, so a cached result for
 //     window w stays valid until a batch with first-event time < w.End
 //     lands. EffectiveEpoch is that rule as a binary search.
+//
+// A batch Preflight accepts must materialize, or the graph (and every later
+// Open of its log) wedges: hence a vertex cannot leave while an edge of its
+// is open, and Options.Horizon cuts closed lifespans as it cuts open ones.
 //
 // Durability follows engine.CheckpointStore's discipline: CRC-framed
 // records, single-write appends, fsync before acknowledgment. A SIGKILL at
@@ -50,7 +55,8 @@ type Options struct {
 	// Name labels traces and log lines; it does not affect storage.
 	Name string
 	// Horizon closes still-open entities at this time when materializing
-	// snapshots; zero or negative leaves them unbounded.
+	// snapshots, and cuts the ones closed past it; zero or negative leaves
+	// open entities unbounded.
 	Horizon ival.Time
 	// NoSync skips the per-append fsync. Only for benchmarks measuring the
 	// fsync tax; a SIGKILL under NoSync can lose acknowledged batches.
@@ -261,7 +267,7 @@ func Open(path string, opts Options) (*Graph, error) {
 		m := snap.m
 		drop = func() { m.Close() }
 	} else {
-		cur, err = g.acc.Graph(opts.Horizon)
+		cur, err = g.acc.Patch(nil, opts.Horizon)
 		if err != nil {
 			abort()
 			return nil, fmt.Errorf("live: materialize replayed graph: %w", err)
@@ -323,7 +329,7 @@ func (g *Graph) Apply(batch []stream.Event) (Info, error) {
 			return Info{}, fmt.Errorf("live: preflighted event rejected (graph wedged): %w", err)
 		}
 	}
-	snap, err := g.acc.Graph(g.opts.Horizon)
+	snap, err := g.acc.Patch(g.cur.g, g.opts.Horizon)
 	if err != nil {
 		g.closed = true
 		return Info{}, fmt.Errorf("live: materialize snapshot (graph wedged): %w", err)

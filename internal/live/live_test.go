@@ -394,6 +394,89 @@ func TestEffectiveEpochTracksWindowSensitivity(t *testing.T) {
 	}
 }
 
+// TestRemoveVertexWithOpenEdgeIsRejected: removing a vertex while an edge of
+// its is open is a rejected batch, not an accepted one whose epoch cannot be
+// built — which would wedge the graph and every later Open of its log.
+func TestRemoveVertexWithOpenEdgeIsRejected(t *testing.T) {
+	path := walPath(t)
+	g, err := Open(path, Options{})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	if _, err := g.Apply([]stream.Event{
+		{Op: stream.AddVertex, T: 0, V: 1},
+		{Op: stream.AddVertex, T: 0, V: 2},
+		{Op: stream.AddEdge, T: 1, E: 10, Src: 1, Dst: 2},
+	}); err != nil {
+		t.Fatalf("Apply: %v", err)
+	}
+	before := g.Info()
+	if _, err := g.Apply([]stream.Event{{Op: stream.RemoveVertex, T: 5, V: 1}}); !errors.Is(err, tgraph.ErrEdgeOutlives) {
+		t.Fatalf("removing vertex 1 under open edge 10: got %v, want ErrEdgeOutlives", err)
+	}
+	if after := g.Info(); after != before {
+		t.Fatalf("rejected batch changed graph: %+v -> %+v", before, after)
+	}
+	if _, err := g.Apply([]stream.Event{{Op: stream.RemoveEdge, T: 5, E: 10}, {Op: stream.RemoveVertex, T: 5, V: 1}}); err != nil {
+		t.Fatalf("removing the edge first: %v", err)
+	}
+	want := g.Info()
+	g.Close()
+	g2, err := Open(path, Options{})
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer g2.Close()
+	if got := g2.Info(); got != want {
+		t.Fatalf("reopened info = %+v, want %+v", got, want)
+	}
+}
+
+// TestHorizonClipsClosedEnds: under Options.Horizon an edge closed past the
+// horizon is cut there, like an open one, instead of outliving its endpoints
+// (which stay open, so end at the horizon) and wedging the graph.
+func TestHorizonClipsClosedEnds(t *testing.T) {
+	history := func(end ival.Time) []stream.Event {
+		return []stream.Event{
+			{Op: stream.AddVertex, T: 0, V: 1},
+			{Op: stream.AddVertex, T: 0, V: 2},
+			{Op: stream.AddEdge, T: 1, E: 10, Src: 1, Dst: 2},
+			{Op: stream.RemoveEdge, T: end, E: 10},
+		}
+	}
+	path := walPath(t)
+	g, err := Open(path, Options{Horizon: 10})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	defer g.Close()
+	evs := history(15)
+	if _, err := g.Apply(evs[:3]); err != nil {
+		t.Fatalf("Apply: %v", err)
+	}
+	if _, err := g.Apply(evs[3:]); err != nil {
+		t.Fatalf("closing edge 10 past the horizon: %v", err)
+	}
+	acc := stream.NewAccumulator()
+	for _, ev := range history(10) {
+		if err := acc.Apply(ev); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := acc.Graph(10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ep := g.Acquire()
+	defer ep.Release()
+	if err := tgraph.Equal(ep.Graph(), want); err != nil {
+		t.Fatalf("epoch differs from the history with the edge closed at the horizon: %v", err)
+	}
+	if _, err := g.Apply([]stream.Event{{Op: stream.AddVertex, T: 20, V: 3}}); err != nil {
+		t.Fatalf("Apply after the clipped close: %v", err)
+	}
+}
+
 func TestWALEncodingRoundTrips(t *testing.T) {
 	batch := []stream.Event{
 		{Op: stream.AddVertex, T: 0, V: 1},

@@ -99,7 +99,8 @@ func (s *Server) ApplyEvents(name string, evs []EventWire) (*EventsResult, error
 			errors.Is(err, stream.ErrNegativeTime),
 			errors.Is(err, stream.ErrReopened),
 			errors.Is(err, stream.ErrStillOpen),
-			errors.Is(err, stream.ErrUnknownOwner):
+			errors.Is(err, stream.ErrUnknownOwner),
+			errors.Is(err, tgraph.ErrEdgeOutlives):
 			return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
 		case errors.Is(err, live.ErrClosed):
 			return nil, fmt.Errorf("%w: %v", ErrDraining, err)

@@ -192,6 +192,7 @@ func TestEventsEndpointValidation(t *testing.T) {
 		"unknown op":    {graph: "g", ts: ts, evs: []EventWire{{Op: "zz", T: 50}}, want: http.StatusBadRequest},
 		"out of order":  {graph: "g", ts: ts, evs: []EventWire{{Op: "av", T: 1, V: 99}}, want: http.StatusBadRequest},
 		"unknown owner": {graph: "g", ts: ts, evs: []EventWire{{Op: "re", T: 50, E: 99}}, want: http.StatusBadRequest},
+		"open edges":    {graph: "g", ts: ts, evs: []EventWire{{Op: "rv", T: 50, V: 1}}, want: http.StatusBadRequest},
 		"atomic rejection": {graph: "g", ts: ts,
 			evs:  []EventWire{{Op: "av", T: 50, V: 90}, {Op: "av", T: 50, V: 0}}, // second reopens vertex 0
 			want: http.StatusBadRequest},

@@ -102,3 +102,53 @@ func BenchmarkAccumulatorGraph(b *testing.B) {
 		sinkGraph = s
 	}
 }
+
+// BenchmarkEpochPatch publishes one live_refresh-sized epoch: the MAGLike(0.5)
+// graph stretched over live_refresh's 240 ticks, materialized up to half-way,
+// then the next tick's entities re-materialized and patched onto it — what
+// every ingested batch pays. The patch is held to the rebuild once, untimed.
+func BenchmarkEpochPatch(b *testing.B) {
+	p := gen.MAGLike(0.5)
+	p.Snapshots = 240
+	g, err := gen.Generate(p, 42)
+	if err != nil {
+		b.Fatal(err)
+	}
+	acc := NewAccumulator()
+	var prev *tgraph.Graph
+	for _, ev := range eventsOf(g) {
+		if ev.T > 120 {
+			break
+		}
+		if ev.T == 120 && prev == nil {
+			if prev, err = acc.Patch(nil, 0); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := acc.Apply(ev); err != nil {
+			b.Fatal(err)
+		}
+	}
+	vids, eids := sortedKeys(acc.vdirty), sortedKeys(acc.edirty)
+	want, err := oracleGraph(acc, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	got, err := acc.Patch(prev, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := tgraph.Equal(got, want); err != nil {
+		b.Fatalf("patched epoch differs from the rebuild: %v", err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s, err := acc.materialize(prev, 0, vids, eids)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sinkGraph = s
+	}
+	b.ReportMetric(float64(len(vids)+len(eids)), "entities/op")
+}

@@ -4,7 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	ival "graphite/internal/interval"
 	"graphite/internal/tgraph"
@@ -43,10 +43,10 @@ func (a *Accumulator) MarshalBinary() ([]byte, error) {
 	buf = binary.AppendUvarint(buf, uint64(len(eids)))
 	for _, id := range eids {
 		buf = binary.AppendVarint(buf, int64(id))
-		buf = appendSpan(buf, a.espans[id])
-		tails := a.etails[id]
-		buf = binary.AppendVarint(buf, int64(tails[0]))
-		buf = binary.AppendVarint(buf, int64(tails[1]))
+		s := a.espans[id]
+		buf = appendSpan(buf, s)
+		buf = binary.AppendVarint(buf, int64(s.ends[0]))
+		buf = binary.AppendVarint(buf, int64(s.ends[1]))
 	}
 
 	// Closed property entries and running values, sorted by owner then label.
@@ -62,7 +62,7 @@ func sortedKeys[K ~int64, V any](m map[K]V) []K {
 	for k := range m {
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	slices.Sort(keys)
 	return keys
 }
 
@@ -84,7 +84,7 @@ func appendPropMap[K ~int64](buf []byte, m map[K]map[string][]tgraph.PropEntry, 
 			ids = append(ids, id)
 		}
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	buf = binary.AppendUvarint(buf, uint64(len(ids)))
 	for _, id := range ids {
 		p := m[id]
@@ -93,7 +93,7 @@ func appendPropMap[K ~int64](buf []byte, m map[K]map[string][]tgraph.PropEntry, 
 		for l := range p {
 			labels = append(labels, l)
 		}
-		sort.Strings(labels)
+		slices.Sort(labels)
 		buf = binary.AppendUvarint(buf, uint64(len(labels)))
 		for _, l := range labels {
 			buf = binary.AppendUvarint(buf, uint64(len(l)))
@@ -117,7 +117,7 @@ func appendRunMap[K ~int64](buf []byte, m map[K]map[string]propRun, idOf func(K)
 			ids = append(ids, id)
 		}
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	buf = binary.AppendUvarint(buf, uint64(len(ids)))
 	for _, id := range ids {
 		runs := m[id]
@@ -126,7 +126,7 @@ func appendRunMap[K ~int64](buf []byte, m map[K]map[string]propRun, idOf func(K)
 		for l := range runs {
 			labels = append(labels, l)
 		}
-		sort.Strings(labels)
+		slices.Sort(labels)
 		buf = binary.AppendUvarint(buf, uint64(len(labels)))
 		for _, l := range labels {
 			buf = binary.AppendUvarint(buf, uint64(len(l)))
@@ -268,31 +268,27 @@ func UnmarshalAccumulator(data []byte) (*Accumulator, error) {
 			d.fail("duplicate edge span %d", id)
 			break
 		}
-		a.espans[id] = d.span()
-		a.etails[id] = [2]tgraph.VertexID{tgraph.VertexID(d.varint()), tgraph.VertexID(d.varint())}
+		s := d.span()
+		s.ends = [2]tgraph.VertexID{tgraph.VertexID(d.varint()), tgraph.VertexID(d.varint())}
+		a.espans[id] = s
+		for _, v := range s.ends {
+			if vs := a.vspans[v]; vs != nil && !s.closed {
+				vs.open++
+			}
+		}
 	}
 
 	readProps(d, func(id int64, label string, entries []tgraph.PropEntry) {
-		a.propsOf(a.vprops, tgraph.VertexID(id))[label] = entries
+		byLabel(a.vprops, tgraph.VertexID(id))[label] = entries
 	})
 	readProps(d, func(id int64, label string, entries []tgraph.PropEntry) {
-		a.epropsOf(tgraph.EdgeID(id))[label] = entries
+		byLabel(a.eprops, tgraph.EdgeID(id))[label] = entries
 	})
 	readRuns(d, func(id int64, label string, run propRun) {
-		runs := a.vruns[tgraph.VertexID(id)]
-		if runs == nil {
-			runs = map[string]propRun{}
-			a.vruns[tgraph.VertexID(id)] = runs
-		}
-		runs[label] = run
+		byLabel(a.vruns, tgraph.VertexID(id))[label] = run
 	})
 	readRuns(d, func(id int64, label string, run propRun) {
-		runs := a.eruns[tgraph.EdgeID(id)]
-		if runs == nil {
-			runs = map[string]propRun{}
-			a.eruns[tgraph.EdgeID(id)] = runs
-		}
-		runs[label] = run
+		byLabel(a.eruns, tgraph.EdgeID(id))[label] = run
 	})
 	if d.err == nil && d.off != len(d.b) {
 		d.fail("%d trailing bytes", len(d.b)-d.off)

@@ -7,7 +7,8 @@
 //
 // This is the ingestion half of the paper's "streaming temporal graphs"
 // future work: it turns a prefix of an event stream into a fully evolved
-// graph at any cut-off point.
+// graph at any cut-off point, and each later cut-off into a patch of the
+// graph before it.
 package stream
 
 import (
@@ -15,7 +16,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -74,6 +74,8 @@ type openSpan struct {
 	start  ival.Time
 	closed bool
 	end    ival.Time
+	ends   [2]tgraph.VertexID // edges: source, destination
+	open   int                // vertices: incident edges not yet closed
 }
 
 // propRun tracks the active value run of one property label.
@@ -88,7 +90,6 @@ type Accumulator struct {
 
 	vspans map[tgraph.VertexID]*openSpan
 	espans map[tgraph.EdgeID]*openSpan
-	etails map[tgraph.EdgeID][2]tgraph.VertexID
 
 	vprops map[tgraph.VertexID]map[string][]tgraph.PropEntry
 	eprops map[tgraph.EdgeID]map[string][]tgraph.PropEntry
@@ -96,6 +97,13 @@ type Accumulator struct {
 	eruns  map[tgraph.EdgeID]map[string]propRun
 
 	events int
+
+	// base is the graph the last Patch returned, at baseHorizon; while there
+	// is one, vdirty and edirty collect the ids events touch.
+	base        *tgraph.Graph
+	baseHorizon ival.Time
+	vdirty      map[tgraph.VertexID]struct{}
+	edirty      map[tgraph.EdgeID]struct{}
 }
 
 // NewAccumulator returns an empty accumulator.
@@ -103,11 +111,12 @@ func NewAccumulator() *Accumulator {
 	return &Accumulator{
 		vspans: map[tgraph.VertexID]*openSpan{},
 		espans: map[tgraph.EdgeID]*openSpan{},
-		etails: map[tgraph.EdgeID][2]tgraph.VertexID{},
 		vprops: map[tgraph.VertexID]map[string][]tgraph.PropEntry{},
 		eprops: map[tgraph.EdgeID]map[string][]tgraph.PropEntry{},
 		vruns:  map[tgraph.VertexID]map[string]propRun{},
 		eruns:  map[tgraph.EdgeID]map[string]propRun{},
+		vdirty: map[tgraph.VertexID]struct{}{},
+		edirty: map[tgraph.EdgeID]struct{}{},
 	}
 }
 
@@ -141,8 +150,11 @@ func (a *Accumulator) Apply(ev Event) error {
 		if !ok || s.closed {
 			return fmt.Errorf("%w: vertex %d", ErrUnknownOwner, ev.V)
 		}
+		if s.open > 0 {
+			return fmt.Errorf("%w: vertex %d removed with %d edges open", tgraph.ErrEdgeOutlives, ev.V, s.open)
+		}
 		s.closed, s.end = true, ev.T
-		a.closeRuns(a.vruns[ev.V], a.propsOf(a.vprops, ev.V), ev.T)
+		a.closeRuns(a.vruns[ev.V], byLabel(a.vprops, ev.V), ev.T)
 		delete(a.vruns, ev.V)
 	case AddEdge:
 		if s, ok := a.espans[ev.E]; ok {
@@ -154,39 +166,40 @@ func (a *Accumulator) Apply(ev Event) error {
 		if !a.vertexAlive(ev.Src, ev.T) || !a.vertexAlive(ev.Dst, ev.T) {
 			return fmt.Errorf("%w: edge %d endpoints at t=%d", ErrUnknownOwner, ev.E, ev.T)
 		}
-		a.espans[ev.E] = &openSpan{start: ev.T}
-		a.etails[ev.E] = [2]tgraph.VertexID{ev.Src, ev.Dst}
+		a.espans[ev.E] = &openSpan{start: ev.T, ends: [2]tgraph.VertexID{ev.Src, ev.Dst}}
+		a.vspans[ev.Src].open++
+		a.vspans[ev.Dst].open++
 	case RemoveEdge:
 		s, ok := a.espans[ev.E]
 		if !ok || s.closed {
 			return fmt.Errorf("%w: edge %d", ErrUnknownOwner, ev.E)
 		}
 		s.closed, s.end = true, ev.T
-		a.closeRuns(a.eruns[ev.E], a.epropsOf(ev.E), ev.T)
+		a.vspans[s.ends[0]].open--
+		a.vspans[s.ends[1]].open--
+		a.closeRuns(a.eruns[ev.E], byLabel(a.eprops, ev.E), ev.T)
 		delete(a.eruns, ev.E)
 	case SetVertexProp:
 		if !a.vertexAlive(ev.V, ev.T) {
 			return fmt.Errorf("%w: vertex %d", ErrUnknownOwner, ev.V)
 		}
-		runs := a.vruns[ev.V]
-		if runs == nil {
-			runs = map[string]propRun{}
-			a.vruns[ev.V] = runs
-		}
-		a.setProp(runs, a.propsOf(a.vprops, ev.V), ev.Label, ev.Value, ev.T)
+		a.setProp(byLabel(a.vruns, ev.V), byLabel(a.vprops, ev.V), ev.Label, ev.Value, ev.T)
 	case SetEdgeProp:
 		s, ok := a.espans[ev.E]
 		if !ok || s.closed {
 			return fmt.Errorf("%w: edge %d", ErrUnknownOwner, ev.E)
 		}
-		runs := a.eruns[ev.E]
-		if runs == nil {
-			runs = map[string]propRun{}
-			a.eruns[ev.E] = runs
-		}
-		a.setProp(runs, a.epropsOf(ev.E), ev.Label, ev.Value, ev.T)
+		a.setProp(byLabel(a.eruns, ev.E), byLabel(a.eprops, ev.E), ev.Label, ev.Value, ev.T)
 	default:
 		return fmt.Errorf("stream: unknown op %d", ev.Op)
+	}
+	if a.base != nil {
+		switch ev.Op {
+		case AddVertex, RemoveVertex, SetVertexProp:
+			a.vdirty[ev.V] = struct{}{}
+		default:
+			a.edirty[ev.E] = struct{}{}
+		}
 	}
 	a.events++
 	return nil
@@ -197,8 +210,8 @@ func (a *Accumulator) Apply(ev Event) error {
 // event in the batch would be accepted by Apply, or the batch is rejected
 // with the index of the first offending event and nothing changes. The
 // checks mirror Apply's exactly (order, negative time, reopen/still-open,
-// referential integrity); property contents need no validation beyond an
-// alive owner.
+// referential integrity, no vertex removed under an open edge); property
+// contents need no validation beyond an alive owner.
 func (a *Accumulator) Preflight(batch []Event) error {
 	now := a.now
 	vs := map[tgraph.VertexID]openSpan{}
@@ -225,6 +238,13 @@ func (a *Accumulator) Preflight(batch []Event) error {
 		s, ok := vspan(id)
 		return ok && !s.closed && s.start <= t
 	}
+	count := func(ends [2]tgraph.VertexID, d int) {
+		for _, id := range ends {
+			s, _ := vspan(id)
+			s.open += d
+			vs[id] = s
+		}
+	}
 	for i, ev := range batch {
 		fail := func(err error) error { return fmt.Errorf("stream: batch event %d: %w", i, err) }
 		if ev.T < 0 {
@@ -248,6 +268,9 @@ func (a *Accumulator) Preflight(batch []Event) error {
 			if !ok || s.closed {
 				return fail(fmt.Errorf("%w: vertex %d", ErrUnknownOwner, ev.V))
 			}
+			if s.open > 0 {
+				return fail(fmt.Errorf("%w: vertex %d removed with %d edges open", tgraph.ErrEdgeOutlives, ev.V, s.open))
+			}
 			s.closed, s.end = true, ev.T
 			vs[ev.V] = s
 		case AddEdge:
@@ -260,7 +283,8 @@ func (a *Accumulator) Preflight(batch []Event) error {
 			if !alive(ev.Src, ev.T) || !alive(ev.Dst, ev.T) {
 				return fail(fmt.Errorf("%w: edge %d endpoints at t=%d", ErrUnknownOwner, ev.E, ev.T))
 			}
-			es[ev.E] = openSpan{start: ev.T}
+			es[ev.E] = openSpan{start: ev.T, ends: [2]tgraph.VertexID{ev.Src, ev.Dst}}
+			count(es[ev.E].ends, 1)
 		case RemoveEdge:
 			s, ok := espan(ev.E)
 			if !ok || s.closed {
@@ -268,6 +292,7 @@ func (a *Accumulator) Preflight(batch []Event) error {
 			}
 			s.closed, s.end = true, ev.T
 			es[ev.E] = s
+			count(s.ends, -1)
 		case SetVertexProp:
 			if !alive(ev.V, ev.T) {
 				return fail(fmt.Errorf("%w: vertex %d", ErrUnknownOwner, ev.V))
@@ -289,20 +314,12 @@ func (a *Accumulator) vertexAlive(id tgraph.VertexID, t ival.Time) bool {
 	return ok && !s.closed && s.start <= t
 }
 
-func (a *Accumulator) propsOf(m map[tgraph.VertexID]map[string][]tgraph.PropEntry, id tgraph.VertexID) map[string][]tgraph.PropEntry {
+// byLabel returns id's per-label map in m, creating it if absent.
+func byLabel[K comparable, V any](m map[K]map[string]V, id K) map[string]V {
 	p := m[id]
 	if p == nil {
-		p = map[string][]tgraph.PropEntry{}
+		p = map[string]V{}
 		m[id] = p
-	}
-	return p
-}
-
-func (a *Accumulator) epropsOf(id tgraph.EdgeID) map[string][]tgraph.PropEntry {
-	p := a.eprops[id]
-	if p == nil {
-		p = map[string][]tgraph.PropEntry{}
-		a.eprops[id] = p
 	}
 	return p
 }
@@ -332,58 +349,62 @@ func (a *Accumulator) closeRuns(runs map[string]propRun, sink map[string][]tgrap
 
 // Graph materializes the accumulated state as a valid temporal graph.
 // Entities still open are closed at the horizon when it is positive, or left
-// unbounded when horizon is zero or negative.
+// unbounded when horizon is zero or negative; a positive horizon also cuts
+// the entities closed past it.
 func (a *Accumulator) Graph(horizon ival.Time) (*tgraph.Graph, error) {
-	end := func(s *openSpan) ival.Time {
-		if s.closed {
-			return s.end
-		}
-		if horizon > 0 {
-			return horizon
-		}
-		return ival.Infinity
-	}
-	b := tgraph.NewBuilder(len(a.vspans), len(a.espans))
-	// Deterministic order: sorted ids.
-	vids := make([]tgraph.VertexID, 0, len(a.vspans))
-	for id := range a.vspans {
-		vids = append(vids, id)
-	}
-	slices.Sort(vids)
-	for _, id := range vids {
-		s := a.vspans[id]
-		life := ival.New(s.start, end(s))
-		if life.IsEmpty() {
-			continue
-		}
-		b.AddVertex(id, life)
-		flushProps(a.vprops[id], a.vruns[id], life, func(label string, entries []tgraph.PropEntry) {
-			b.SetVertexProps(id, label, entries)
-		})
-	}
-	eids := make([]tgraph.EdgeID, 0, len(a.espans))
-	for id := range a.espans {
-		eids = append(eids, id)
-	}
-	slices.Sort(eids)
-	for _, id := range eids {
-		s := a.espans[id]
-		life := ival.New(s.start, end(s))
-		if life.IsEmpty() {
-			continue
-		}
-		tails := a.etails[id]
-		b.AddEdge(id, tails[0], tails[1], life)
-		flushProps(a.eprops[id], a.eruns[id], life, func(label string, entries []tgraph.PropEntry) {
-			b.SetEdgeProps(id, label, entries)
-		})
-	}
-	return b.Build()
+	return a.materialize(nil, horizon, sortedKeys(a.vspans), sortedKeys(a.espans))
 }
 
-// flushProps hands set each label's timeline clipped to life: the closed
-// entries, already in time order, then the open run. Each timeline is a fresh
-// exactly-sized slice the builder keeps.
+// Patch materializes the accumulated state as the epoch after prev: if prev
+// is what the last Patch returned, at the same horizon, only the entities
+// events touched since, patched onto prev (tgraph.Patch); for any other prev
+// — nil, or a graph mapped off a snapshot, whose storage goes away with its
+// last reader — Graph(horizon).
+func (a *Accumulator) Patch(prev *tgraph.Graph, horizon ival.Time) (*tgraph.Graph, error) {
+	vids, eids := sortedKeys(a.vdirty), sortedKeys(a.edirty)
+	if prev == nil || prev != a.base || horizon != a.baseHorizon {
+		prev, vids, eids = nil, sortedKeys(a.vspans), sortedKeys(a.espans)
+	}
+	clear(a.vdirty)
+	clear(a.edirty)
+	g, err := a.materialize(prev, horizon, vids, eids)
+	a.base, a.baseHorizon = g, horizon
+	return g, err
+}
+
+// materialize builds the given vertices and edges, by sorted id, from the
+// accumulated state and patches them onto prev.
+func (a *Accumulator) materialize(prev *tgraph.Graph, horizon ival.Time, vids []tgraph.VertexID, eids []tgraph.EdgeID) (*tgraph.Graph, error) {
+	vs := make([]tgraph.Vertex, len(vids))
+	for i, id := range vids {
+		v := &vs[i]
+		v.ID, v.Lifespan = id, lifespan(a.vspans[id], horizon)
+		flushProps(a.vprops[id], a.vruns[id], v.Lifespan, v.Props.AddAll)
+	}
+	es := make([]tgraph.Edge, len(eids))
+	for i, id := range eids {
+		s, e := a.espans[id], &es[i]
+		e.ID, e.Src, e.Dst, e.Lifespan = id, s.ends[0], s.ends[1], lifespan(s, horizon)
+		flushProps(a.eprops[id], a.eruns[id], e.Lifespan, e.Props.AddAll)
+	}
+	return tgraph.Patch(prev, vs, es)
+}
+
+// lifespan materializes s: no end, open or closed, lies past a positive horizon.
+func lifespan(s *openSpan, horizon ival.Time) ival.Interval {
+	end := ival.Infinity
+	if s.closed {
+		end = s.end
+	}
+	if horizon > 0 {
+		end = min(end, horizon)
+	}
+	return ival.New(s.start, end)
+}
+
+// flushProps hands set each non-empty label timeline clipped to life: the
+// closed entries, already in time order, then the open run. Each timeline is
+// a fresh exactly-sized slice the receiver keeps.
 func flushProps(closed map[string][]tgraph.PropEntry, runs map[string]propRun, life ival.Interval,
 	set func(label string, entries []tgraph.PropEntry)) {
 	open := func(run propRun) (tgraph.PropEntry, bool) {
@@ -402,7 +423,9 @@ func flushProps(closed map[string][]tgraph.PropEntry, runs map[string]propRun, l
 				out = append(out, p)
 			}
 		}
-		set(label, out)
+		if len(out) > 0 {
+			set(label, out)
+		}
 	}
 	for label, run := range runs {
 		if _, done := closed[label]; done {

@@ -85,9 +85,8 @@ func (b *Builder) AddEdge(id EdgeID, src, dst VertexID, lifespan ival.Interval) 
 		b.fail(fmt.Errorf("%w: edge %d (%d->%d)", ErrDanglingEdge, id, src, dst))
 		return b
 	}
-	if !b.vertices[si].Lifespan.ContainsInterval(lifespan) || !b.vertices[di].Lifespan.ContainsInterval(lifespan) {
-		b.fail(fmt.Errorf("%w: edge %d %v, src %v, dst %v",
-			ErrEdgeOutlives, id, lifespan, b.vertices[si].Lifespan, b.vertices[di].Lifespan))
+	if err := edgeFits(id, lifespan, b.vertices[si].Lifespan, b.vertices[di].Lifespan); err != nil {
+		b.fail(err)
 		return b
 	}
 	b.eseen[id] = int32(len(b.edges))
@@ -117,20 +116,35 @@ func (b *Builder) edgeOwner(id EdgeID) *Edge {
 	return &b.edges[ei]
 }
 
-// fits reports whether a property interval is a non-empty part of its
-// owner's lifespan (Constraint 3), recording ErrPropOutlives if not.
+// fits reports whether a property interval fits its owner, recording
+// propFits' error if not.
 func (b *Builder) fits(kind string, id int64, life ival.Interval, label string, interval ival.Interval) bool {
+	err := propFits(kind, id, life, label, interval)
+	b.fail(err)
+	return err == nil
+}
+
+// propFits checks that a property interval is a non-empty part of its
+// owner's lifespan (Constraint 3).
+func propFits(kind string, id int64, life ival.Interval, label string, interval ival.Interval) error {
 	if life.ContainsInterval(interval) && !interval.IsEmpty() {
-		return true
+		return nil
 	}
-	b.fail(fmt.Errorf("%w: %s %d prop %q %v outside %v", ErrPropOutlives, kind, id, label, interval, life))
-	return false
+	return fmt.Errorf("%w: %s %d prop %q %v outside %v", ErrPropOutlives, kind, id, label, interval, life)
+}
+
+// edgeFits checks an edge's lifespan against its endpoints' (Constraint 2).
+func edgeFits(id EdgeID, life, src, dst ival.Interval) error {
+	if src.ContainsInterval(life) && dst.ContainsInterval(life) {
+		return nil
+	}
+	return fmt.Errorf("%w: edge %d %v, src %v, dst %v", ErrEdgeOutlives, id, life, src, dst)
 }
 
 // SetVertexProp attaches 〈vid, label, value, interval〉 to a vertex.
 func (b *Builder) SetVertexProp(id VertexID, label string, interval ival.Interval, value int64) *Builder {
 	if v := b.vertexOwner(id); v != nil && b.fits("vertex", int64(id), v.Lifespan, label, interval) {
-		v.Props.Add(label, PropEntry{Interval: interval, Value: value})
+		v.Props.AddAll(label, []PropEntry{{Interval: interval, Value: value}})
 	}
 	return b
 }
@@ -138,40 +152,8 @@ func (b *Builder) SetVertexProp(id VertexID, label string, interval ival.Interva
 // SetEdgeProp attaches 〈eid, label, value, interval〉 to an edge.
 func (b *Builder) SetEdgeProp(id EdgeID, label string, interval ival.Interval, value int64) *Builder {
 	if e := b.edgeOwner(id); e != nil && b.fits("edge", int64(id), e.Lifespan, label, interval) {
-		e.Props.Add(label, PropEntry{Interval: interval, Value: value})
+		e.Props.AddAll(label, []PropEntry{{Interval: interval, Value: value}})
 	}
-	return b
-}
-
-// SetVertexProps attaches a run of values of one label to a vertex, each
-// checked as SetVertexProp checks it, for one owner lookup. The builder keeps
-// entries; the caller must not use the slice afterwards.
-func (b *Builder) SetVertexProps(id VertexID, label string, entries []PropEntry) *Builder {
-	v := b.vertexOwner(id)
-	if v == nil || len(entries) == 0 {
-		return b
-	}
-	for _, p := range entries {
-		if !b.fits("vertex", int64(id), v.Lifespan, label, p.Interval) {
-			return b
-		}
-	}
-	v.Props.addAll(label, entries)
-	return b
-}
-
-// SetEdgeProps is SetVertexProps for an edge.
-func (b *Builder) SetEdgeProps(id EdgeID, label string, entries []PropEntry) *Builder {
-	e := b.edgeOwner(id)
-	if e == nil || len(entries) == 0 {
-		return b
-	}
-	for _, p := range entries {
-		if !b.fits("edge", int64(id), e.Lifespan, label, p.Interval) {
-			return b
-		}
-	}
-	e.Props.addAll(label, entries)
 	return b
 }
 
@@ -197,8 +179,8 @@ func (b *Builder) Build() (*Graph, error) {
 }
 
 // sortedByID returns the vertex indices ordered by id. Ids usually arrive
-// ascending (generators, the stream accumulator, written files), which one
-// scan detects; only then-unsorted tables pay for a sort.
+// ascending (generators, written files), which one scan detects; only
+// then-unsorted tables pay for a sort.
 func sortedByID(vertices []Vertex) []int32 {
 	perm := make([]int32, len(vertices))
 	sorted := true

@@ -4,8 +4,9 @@
 // three soundness constraints (unique entities, referential integrity of
 // edges, referential integrity of properties).
 //
-// Graphs are immutable once built via Builder; the representation is a
-// CSR-style adjacency layout suitable for the BSP engine.
+// Graphs are immutable once built via Builder (or patched from a predecessor,
+// Patch); the representation is a CSR-style adjacency layout suitable for the
+// BSP engine.
 package tgraph
 
 import (
@@ -97,20 +98,11 @@ func (p Props) search(label string) (int, bool) {
 	return i, i < len(p.labels) && p.labels[i] == label
 }
 
-// Add appends one value to label, inserting the label at its sorted
-// position if new. Entries within a label are kept in insertion order;
-// Builder.Build sorts and validates them.
-func (p *Props) Add(label string, e PropEntry) {
-	if i, ok := p.search(label); ok {
-		p.entries[i] = append(p.entries[i], e)
-	} else {
-		p.insert(i, label, []PropEntry{e})
-	}
-}
-
-// addAll appends a run of values to label. A new label takes es itself as
-// its entry slice: the caller gives the slice up.
-func (p *Props) addAll(label string, es []PropEntry) {
+// AddAll appends a run of values to label, inserting the label at its
+// sorted position if new; a new label takes es itself as its entry slice, so
+// the caller gives the slice up. Entries within a label are kept in
+// insertion order; Builder.Build and Patch sort and validate them.
+func (p *Props) AddAll(label string, es []PropEntry) {
 	if i, ok := p.search(label); ok {
 		p.entries[i] = append(p.entries[i], es...)
 	} else {
@@ -151,8 +143,8 @@ type Edge struct {
 //
 // Every graph carries vsorted, the vertex indices ordered by id, which
 // IndexOf searches and from which a derived graph (Slice, ExtractPartition)
-// takes its own index by filtering. A graph built in memory also keeps the
-// Builder's id map, which answers IndexOf without the search.
+// takes its own index by filtering. A graph built by a Builder also keeps
+// its id map, which answers IndexOf without the search.
 type Graph struct {
 	vertices []Vertex
 	edges    []Edge
@@ -169,12 +161,12 @@ type Graph struct {
 
 // assemble is the one tail of graph construction in memory: entity tables
 // that already satisfy the constraints, each edge's dense endpoint indices
-// and the id index in, graph out. It validates nothing — Builder.Build
-// checks before it calls, Slice and ExtractPartition start from a graph that
-// was checked — and adds what is derived from the tables: adjacency, the
-// lifespan hull and the horizon. Adjacency rows are sub-slices of one shared
-// array filled by counting, in ascending edge order per vertex, so the
-// allocation count is the same for every |V| and |E|.
+// and the id index in, graph out. It validates nothing — Builder.Build and
+// Patch check before they call, Slice and ExtractPartition start from a
+// graph that was checked — and adds what is derived from the tables:
+// adjacency, the lifespan hull and the horizon. Adjacency rows are
+// sub-slices of one shared array filled by counting, in ascending edge order
+// per vertex, so the allocation count is the same for every |V| and |E|.
 func assemble(vertices []Vertex, edges []Edge, srcIdx, dstIdx []int32, vindex map[VertexID]int32, vsorted []int32) *Graph {
 	g := &Graph{
 		vertices: vertices,

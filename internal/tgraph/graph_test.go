@@ -152,7 +152,7 @@ func TestPropConflictNamesOwner(t *testing.T) {
 
 	b = NewBuilder(0, 0)
 	b.AddVertex(3, ival.New(0, 10))
-	b.SetVertexProps(3, "x", []PropEntry{{ival.New(0, 5), 1}, {ival.New(4, 9), 1}})
+	b.SetVertexProp(3, "x", ival.New(0, 5), 1).SetVertexProp(3, "x", ival.New(4, 9), 1)
 	_, err = b.Build()
 	want = `tgraph: overlapping values for one property label (Definition 1): vertex 3 label "x": [0, 5) and [4, 9)`
 	if !errors.Is(err, ErrPropConflict) || err.Error() != want {
@@ -160,37 +160,45 @@ func TestPropConflictNamesOwner(t *testing.T) {
 	}
 }
 
-// TestSetPropsInBulk: a label's timeline handed over whole builds the graph
-// the entry-by-entry calls build, under the same checks.
+// TestSetPropsInBulk: a label's timeline handed over whole — Props.AddAll,
+// built by Patch — makes the graph the Builder's entry-by-entry calls make,
+// under the same checks.
 func TestSetPropsInBulk(t *testing.T) {
 	one := NewBuilder(2, 1)
 	one.AddVertex(1, ival.New(0, 9)).AddVertex(2, ival.New(0, 9)).AddEdge(5, 1, 2, ival.New(1, 8))
 	one.SetVertexProp(1, "b", ival.New(0, 4), 1).SetVertexProp(1, "b", ival.New(4, 9), 2).SetVertexProp(1, "a", ival.New(2, 3), 7)
 	one.SetEdgeProp(5, "w", ival.New(5, 8), 3).SetEdgeProp(5, "w", ival.New(1, 5), 4) // out of order: Build sorts
 
-	bulk := NewBuilder(2, 1)
-	bulk.AddVertex(1, ival.New(0, 9)).AddVertex(2, ival.New(0, 9)).AddEdge(5, 1, 2, ival.New(1, 8))
-	bulk.SetVertexProps(1, "b", []PropEntry{{ival.New(0, 4), 1}}).SetVertexProps(1, "b", []PropEntry{{ival.New(4, 9), 2}})
-	bulk.SetVertexProps(1, "a", []PropEntry{{ival.New(2, 3), 7}}).SetVertexProps(2, "none", nil)
-	bulk.SetEdgeProps(5, "w", []PropEntry{{ival.New(5, 8), 3}, {ival.New(1, 5), 4}})
-	if err := Equal(bulk.MustBuild(), one.MustBuild()); err != nil {
+	bulk := func(vp, ep map[string][]PropEntry) (*Graph, error) {
+		vs := []Vertex{{ID: 1, Lifespan: ival.New(0, 9)}, {ID: 2, Lifespan: ival.New(0, 9)}}
+		es := []Edge{{ID: 5, Src: 1, Dst: 2, Lifespan: ival.New(1, 8)}}
+		for label, entries := range vp {
+			vs[0].Props.AddAll(label, entries)
+		}
+		for label, entries := range ep {
+			es[0].Props.AddAll(label, entries)
+		}
+		return Patch(nil, vs, es)
+	}
+	got, err := bulk(map[string][]PropEntry{"b": {{ival.New(0, 4), 1}, {ival.New(4, 9), 2}}, "a": {{ival.New(2, 3), 7}}},
+		map[string][]PropEntry{"w": {{ival.New(5, 8), 3}, {ival.New(1, 5), 4}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := Equal(got, one.MustBuild()); err != nil {
 		t.Fatalf("bulk-built graph differs: %v", err)
 	}
 
 	for name, tc := range map[string]struct {
-		set  func(b *Builder)
-		want error
+		vp, ep map[string][]PropEntry
+		want   error
 	}{
-		"unknown vertex": {func(b *Builder) { b.SetVertexProps(9, "x", []PropEntry{{ival.New(0, 1), 1}}) }, ErrUnknownPropOwner},
-		"unknown edge":   {func(b *Builder) { b.SetEdgeProps(9, "x", []PropEntry{{ival.New(0, 1), 1}}) }, ErrUnknownPropOwner},
-		"vertex escapes": {func(b *Builder) { b.SetVertexProps(1, "x", []PropEntry{{ival.New(0, 4), 1}, {ival.New(4, 12), 1}}) }, ErrPropOutlives},
-		"edge escapes":   {func(b *Builder) { b.SetEdgeProps(5, "x", []PropEntry{{ival.New(0, 4), 1}}) }, ErrPropOutlives},
-		"empty interval": {func(b *Builder) { b.SetEdgeProps(5, "x", []PropEntry{{ival.New(4, 4), 1}}) }, ErrPropOutlives},
+		"vertex escapes": {vp: map[string][]PropEntry{"x": {{ival.New(0, 4), 1}, {ival.New(4, 12), 1}}}, want: ErrPropOutlives},
+		"edge escapes":   {ep: map[string][]PropEntry{"x": {{ival.New(0, 4), 1}}}, want: ErrPropOutlives},
+		"empty interval": {ep: map[string][]PropEntry{"x": {{ival.New(4, 4), 1}}}, want: ErrPropOutlives},
+		"overlap":        {vp: map[string][]PropEntry{"x": {{ival.New(0, 4), 1}, {ival.New(3, 5), 1}}}, want: ErrPropConflict},
 	} {
-		b := NewBuilder(2, 1)
-		b.AddVertex(1, ival.New(0, 9)).AddVertex(2, ival.New(0, 9)).AddEdge(5, 1, 2, ival.New(1, 8))
-		tc.set(b)
-		if _, err := b.Build(); !errors.Is(err, tc.want) {
+		if _, err := bulk(tc.vp, tc.ep); !errors.Is(err, tc.want) {
 			t.Errorf("%s: got %v, want %v", name, err, tc.want)
 		}
 	}
