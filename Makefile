@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test test-count vet race verify bench-test bench-core fuzz bench trace-smoke serve-smoke cluster-smoke metrics-smoke stream-smoke load-smoke clean
+.PHONY: all build test test-count vet race verify docs-check bench-test bench-core fuzz bench trace-smoke serve-smoke cluster-smoke metrics-smoke stream-smoke load-smoke clean
 
 all: verify
 
@@ -71,6 +71,12 @@ verify:
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test $(SHORT) -race ./...
+
+# The documents name the code: every backticked `pkg.Ident` (pkg under
+# internal/) must be declared in that package, and every bare backticked
+# CamelCase name must still appear in the Go code (docs_test.go).
+docs-check:
+	$(GO) test -count=1 -run '^TestDocsNameDeclaredIdentifiers$$' .
 
 # The benchmark is a module of its own (benchmark/go.mod), which `./...` from
 # the root does not descend into: its unit tests, plus every workload run at

@@ -193,8 +193,6 @@ type (
 type (
 	// Transport ships encoded message batches between BSP workers.
 	Transport = engine.Transport
-	// TCPOptions tunes the loopback TCP mesh (IO timeouts, dial retry).
-	TCPOptions = engine.TCPOptions
 	// VertexPanicError reports a recovered user-program panic with the
 	// vertex, superstep and stack that produced it.
 	VertexPanicError = engine.VertexPanicError
@@ -207,8 +205,6 @@ type (
 var (
 	// NewTCPTransport wires n workers into a loopback TCP mesh.
 	NewTCPTransport = engine.NewTCPTransport
-	// NewTCPTransportOpts is NewTCPTransport with explicit options.
-	NewTCPTransportOpts = engine.NewTCPTransportOpts
 	// NewChaosTransport builds an in-memory mesh with scheduled fault
 	// injection (drops, corruption, duplication, delays).
 	NewChaosTransport = chaos.NewTransport

@@ -9,15 +9,16 @@ package algorithms_test
 // every cross-shard batch in order, and a hash of one durable checkpoint per
 // shard. testdata/golden_messages.txt holds the lines as the parent of the
 // change that made messages pointer-free wrote them — but for LCC's and TC's
-// stepped cells, recorded when their states became encodable (go test -run
-// Golden -update rewrites it); testdata/golden_ckpt.bin holds checkpoints
-// those commits wrote, which this one must restore and finish from.
+// stepped cells, recorded when their states became encodable, and SCC's,
+// recorded when its shards could close supersteps through a barrier with a
+// master (go test -run Golden -update rewrites it); testdata/golden_ckpt.bin
+// holds checkpoints those commits wrote, which this one must restore and
+// finish from.
 
 import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
-	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -117,47 +118,55 @@ func goldenEngine(gg goldenGraph, algo string, workers int, tcp bool) (string, e
 	return cellLine(r, "-", "-"), nil
 }
 
-// steppedShards builds the shards of one stepped run, and returns them with
-// the run's options and the codec its states travel in.
-func steppedShards(gg goldenGraph, algo string, workers int) ([]*core.Shard, core.Options, codec.Payload, error) {
+// steppedShards builds the shards of one stepped run and the barrier that
+// closes its supersteps, and returns them with the codec its states travel
+// in.
+func steppedShards(gg goldenGraph, algo string, workers int) ([]*core.Shard, *engine.Barrier, codec.Payload, error) {
 	shards := make([]*core.Shard, workers)
 	var opts core.Options
 	var pc codec.Payload
 	for i := range shards {
 		prog, o, err := algorithms.New(gg.g, algo, gg.p)
 		if err != nil {
-			return nil, opts, nil, err
+			return nil, nil, nil, err
 		}
 		o.NumWorkers = workers
 		if shards[i], err = core.NewShard(gg.g, prog, o, i); err != nil {
-			return nil, opts, nil, err
+			return nil, nil, nil, err
 		}
 		opts, pc = o, core.StateCodecOf(prog, o)
 	}
-	return shards, opts, pc, nil
+	b, err := core.NewBarrier(opts)
+	return shards, b, pc, err
 }
 
-// stepShards drives shards from their current superstep to the end, the way
-// the benchmark's stepped loop and a cluster worker do. It returns the run's
+// stepShards drives shards from their current superstep to the end through
+// b, the way cluster workers and their coordinator do. It returns the run's
 // result, every cross-shard batch in (superstep, source, destination) order,
 // and the durable capture of each shard taken before superstep ckptAt (nil
-// when the run ends sooner).
-func stepShards(g *tgraph.Graph, shards []*core.Shard, opts core.Options, pc codec.Payload, m *engine.Metrics, ckptAt int) (*core.Result, [][]byte, [][]byte, error) {
+// when the run ends sooner) with the barrier's state at that point — the
+// coordinator's half of a checkpoint generation.
+func stepShards(g *tgraph.Graph, shards []*core.Shard, b *engine.Barrier, pc codec.Payload, m *engine.Metrics, ckptAt int) (*core.Result, [][]byte, [][]byte, engine.BarrierState, error) {
 	n := len(shards)
 	var batches, ckpts [][]byte
-	for step := shards[0].Superstep(); ; step++ {
+	var ctl engine.BarrierState
+	fail := func(err error) (*core.Result, [][]byte, [][]byte, engine.BarrierState, error) {
+		return nil, nil, nil, ctl, err
+	}
+	for step := shards[0].Superstep(); b.Open(step); step++ {
 		outs := make([][][]byte, n)
 		for i, s := range shards {
+			s.SetPhase(b.Phase())
 			if err := s.Compute(); err != nil {
-				return nil, nil, nil, err
+				return fail(err)
 			}
 			var err error
 			if outs[i], err = s.Outbound(); err != nil {
-				return nil, nil, nil, err
+				return fail(err)
 			}
-			for d, b := range outs[i] {
+			for d, batch := range outs[i] {
 				if d != i {
-					batches = append(batches, bytes.Clone(b))
+					batches = append(batches, bytes.Clone(batch))
 				}
 			}
 		}
@@ -169,33 +178,30 @@ func stepShards(g *tgraph.Graph, shards []*core.Shard, opts core.Options, pc cod
 				}
 			}
 			if _, err := s.Deliver(in); err != nil {
-				return nil, nil, nil, err
+				return fail(err)
 			}
 		}
-		var delivered int64
-		active := 0
-		for _, s := range shards {
-			rep := s.Barrier()
-			delivered += rep.Delivered
-			active += rep.Active
-			m.ComputeCalls += rep.ComputeCalls
-			m.ScatterCalls += rep.ScatterCalls
-			m.Messages += rep.SentMsgs
-			m.MessageBytes += rep.SentBytes
+		reps := make([]engine.StepReport, n)
+		for i, s := range shards {
+			reps[i] = s.Barrier()
+			m.ComputeCalls += reps[i].ComputeCalls
+			m.ScatterCalls += reps[i].ScatterCalls
+			m.Messages += reps[i].SentMsgs
+			m.MessageBytes += reps[i].SentBytes
 		}
 		m.Supersteps++
+		quiesced := b.Close(reps)
 		if step+1 == ckptAt {
 			for _, s := range shards {
 				data, err := s.CaptureDurable()
 				if err != nil {
-					return nil, nil, nil, err
+					return fail(err)
 				}
 				ckpts = append(ckpts, data)
 			}
+			ctl = b.State()
 		}
-		halted := delivered == 0 && active == 0 && !opts.ActivateAll
-		bounded := opts.MaxSupersteps > 0 && step+1 > opts.MaxSupersteps
-		if halted || bounded {
+		if quiesced {
 			break
 		}
 	}
@@ -203,30 +209,30 @@ func stepShards(g *tgraph.Graph, shards []*core.Shard, opts core.Options, pc cod
 	for i, s := range shards {
 		var err error
 		if blobs[i], err = s.EncodeOwnedStates(); err != nil {
-			return nil, nil, nil, err
+			return fail(err)
 		}
 	}
 	r, err := core.AssembleResult(g, pc, blobs, m)
-	return r, batches, ckpts, err
+	return r, batches, ckpts, ctl, err
 }
 
-func goldenStepped(gg goldenGraph, algo string, workers int) (string, [][]byte, error) {
-	shards, opts, pc, err := steppedShards(gg, algo, workers)
-	if errors.Is(err, core.ErrClusterUnsupported) {
-		return "unsupported", nil, nil
-	}
+// goldenStepped runs one stepped cell and returns its line, the captures
+// taken before goldenCkptStep and the barrier's state beside them.
+func goldenStepped(gg goldenGraph, algo string, workers int) (string, [][]byte, engine.BarrierState, error) {
+	var ctl engine.BarrierState
+	shards, b, pc, err := steppedShards(gg, algo, workers)
 	if err != nil {
-		return "", nil, err
+		return "", nil, ctl, err
 	}
 	for _, s := range shards {
 		defer s.Close()
 		if err := s.Init(); err != nil {
-			return "", nil, err
+			return "", nil, ctl, err
 		}
 	}
-	r, batches, ckpts, err := stepShards(gg.g, shards, opts, pc, &engine.Metrics{}, goldenCkptStep)
+	r, batches, ckpts, ctl, err := stepShards(gg.g, shards, b, pc, &engine.Metrics{}, goldenCkptStep)
 	if err != nil {
-		return "", nil, err
+		return "", nil, ctl, err
 	}
 	ck := "-"
 	if ckpts != nil {
@@ -238,7 +244,7 @@ func goldenStepped(gg goldenGraph, algo string, workers int) (string, [][]byte, 
 		// from run to run, their order is not.
 		bh = fmt.Sprintf("%dB", len(bytes.Join(batches, nil)))
 	}
-	return cellLine(r, bh, ck), ckpts, nil
+	return cellLine(r, bh, ck), ckpts, ctl, nil
 }
 
 // ckptCell reports whether a cell's checkpoints are kept as bytes, not only
@@ -260,10 +266,16 @@ func TestGoldenMessages(t *testing.T) {
 				}
 				line, err := goldenEngine(gg, algo, workers, false)
 				add("engine", line, err)
-				line, ckpts, err := goldenStepped(gg, algo, workers)
-				add("stepped", line, err)
+				stepped, ckpts, _, err := goldenStepped(gg, algo, workers)
+				add("stepped", stepped, err)
 				line, err = goldenEngine(gg, algo, workers, true)
 				add("tcp", line, err)
+				// Shards closing supersteps through a barrier deliver in the
+				// TCP mesh's order and merge aggregates in its worker order:
+				// every count and the result agree.
+				if s, _, _ := strings.Cut(stepped, " batches="); !strings.HasPrefix(line, s+" batches=") {
+					t.Errorf("%s/%s/%d: stepped and tcp cells disagree\n  stepped %s\n  tcp     %s", gg.name, algo, workers, stepped, line)
+				}
 				if ckptCell(gi, workers) {
 					for _, c := range ckpts {
 						ckptFile = binary.AppendUvarint(ckptFile, uint64(len(c)))
@@ -316,7 +328,9 @@ func TestGoldenMessages(t *testing.T) {
 
 // TestGoldenCheckpointRestores restores the checkpoints the recorded commit
 // wrote into fresh shards of this one and finishes the run from them: the
-// result is the recorded run's.
+// result is the recorded run's. A generation's barrier state belongs to
+// whoever steps the shards, not to any shard's capture, so it is restored
+// beside them — SCC's master decides from it.
 func TestGoldenCheckpointRestores(t *testing.T) {
 	data, err := os.ReadFile(goldenCkpts)
 	if err != nil {
@@ -342,10 +356,15 @@ func TestGoldenCheckpointRestores(t *testing.T) {
 		if !ok || !hasCkpt(string(want), key) {
 			continue
 		}
-		shards, opts, pc, err := steppedShards(gg, algo, workers)
+		_, _, ctl, err := goldenStepped(gg, algo, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
+		shards, b, pc, err := steppedShards(gg, algo, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b.SetState(ctl)
 		for _, s := range shards {
 			defer s.Close()
 			if err := s.Init(); err != nil {
@@ -360,7 +379,7 @@ func TestGoldenCheckpointRestores(t *testing.T) {
 			}
 			data = data[k+int(n):]
 		}
-		r, _, _, err := stepShards(gg.g, shards, opts, pc, &engine.Metrics{}, 0)
+		r, _, _, _, err := stepShards(gg.g, shards, b, pc, &engine.Metrics{}, 0)
 		if err != nil {
 			t.Fatalf("%s: %v", key, err)
 		}
@@ -372,7 +391,7 @@ func TestGoldenCheckpointRestores(t *testing.T) {
 	if len(data) != 0 {
 		t.Errorf("%d bytes of checkpoints left over", len(data))
 	}
-	if restored < 11 { // all but SCC, which has no shards
+	if restored < len(algorithms.Names()) {
 		t.Errorf("only %d algorithms were resumed from a recorded checkpoint", restored)
 	}
 }
@@ -382,7 +401,7 @@ func TestGoldenCheckpointRestores(t *testing.T) {
 func hasCkpt(golden, key string) bool {
 	for _, l := range strings.Split(golden, "\n") {
 		if strings.HasPrefix(l, key+" ") {
-			return !strings.HasSuffix(l, "ckpt=-") && !strings.HasSuffix(l, "unsupported")
+			return !strings.HasSuffix(l, "ckpt=-")
 		}
 	}
 	return false

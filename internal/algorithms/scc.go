@@ -35,11 +35,14 @@ type sccState struct {
 	Phase int64
 }
 
-// Aggregator names used by the SCC master.
+// Aggregator names used by the SCC master; both are engine.BoolOr, whose true
+// is sccTrue.
 const (
 	sccChanged    = "scc.changed"
 	sccUnassigned = "scc.unassigned"
 )
+
+var sccTrue = codec.IntWord(1)
 
 // Init marks every vertex unassigned.
 func (a *SCC) Init(v *core.VertexCtx) {
@@ -53,8 +56,8 @@ func (a *SCC) Compute(v *core.VertexCtx, t ival.Interval, state any, msgs []code
 	phase := int64(v.Phase())
 	if v.Superstep() == 1 {
 		// Enter FW round 0: claim the own id; the update broadcasts it.
-		v.Aggregate(sccChanged, true)
-		v.Aggregate(sccUnassigned, true)
+		v.Aggregate(sccChanged, sccTrue)
+		v.Aggregate(sccUnassigned, sccTrue)
 		v.SetState(t, sccState{Fwd: id, Scc: -1, Phase: 0})
 		return
 	}
@@ -62,19 +65,19 @@ func (a *SCC) Compute(v *core.VertexCtx, t ival.Interval, state any, msgs []code
 	if st.Scc >= 0 {
 		return // assigned: inert for the rest of the run
 	}
-	v.Aggregate(sccUnassigned, true)
+	v.Aggregate(sccUnassigned, sccTrue)
 
 	if st.Phase != phase {
 		// First compute call of a new phase for this interval.
 		if phase%2 == 0 {
 			// FW restart: reset the label and re-broadcast.
-			v.Aggregate(sccChanged, true)
+			v.Aggregate(sccChanged, sccTrue)
 			v.SetState(t, sccState{Fwd: id, Scc: -1, Phase: phase})
 			return
 		}
 		// BW start: roots claim their component and notify in-neighbors.
 		if st.Fwd == id {
-			v.Aggregate(sccChanged, true)
+			v.Aggregate(sccChanged, sccTrue)
 			v.SetState(t, sccState{Fwd: st.Fwd, Scc: id, Phase: phase})
 			a.sendBackward(v, t, id)
 			return
@@ -91,14 +94,14 @@ func (a *SCC) Compute(v *core.VertexCtx, t ival.Interval, state any, msgs []code
 			}
 		}
 		if best > st.Fwd {
-			v.Aggregate(sccChanged, true)
+			v.Aggregate(sccChanged, sccTrue)
 			v.SetState(t, sccState{Fwd: best, Scc: -1, Phase: phase})
 		}
 		return
 	}
 	for _, m := range msgs {
 		if c := m.Int(); c == st.Fwd {
-			v.Aggregate(sccChanged, true)
+			v.Aggregate(sccChanged, sccTrue)
 			v.SetState(t, sccState{Fwd: st.Fwd, Scc: c, Phase: phase})
 			a.sendBackward(v, t, c)
 			return
@@ -146,12 +149,10 @@ func (m *sccMaster) BeforeSuperstep(mc *engine.MasterControl) {
 	if mc.Superstep() <= 2 {
 		return
 	}
-	changed, _ := mc.AggValue(sccChanged).(bool)
-	if changed {
+	if mc.AggValue(sccChanged) == sccTrue {
 		return
 	}
-	unassigned, _ := mc.AggValue(sccUnassigned).(bool)
-	if !unassigned {
+	if mc.AggValue(sccUnassigned) != sccTrue {
 		mc.Halt()
 		return
 	}

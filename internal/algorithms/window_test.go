@@ -57,24 +57,29 @@ func runEngine(g *tgraph.Graph, name string, p Params, workers int) (*core.Resul
 }
 
 // runStepped drives core.Shards by hand through the cluster protocol —
-// Compute, Outbound, Deliver in ascending source order, Barrier — and
-// assembles the result from their encoded states, summing the step reports
-// into the metrics Engine.Run would have returned.
+// Compute, Outbound, Deliver in ascending source order, Barrier, the
+// supersteps closed through core.NewBarrier — and assembles the result from
+// their encoded states, summing the step reports into the metrics Engine.Run
+// would have returned.
 func runStepped(g *tgraph.Graph, name string, p Params, workers int) (*core.Result, error) {
 	workers = min(workers, g.NumVertices()) // the engine never runs more workers than vertices
 	shards := make([]*core.Shard, workers)
-	var pc codec.Payload
+	var opts core.Options
 	for i := range shards {
-		prog, opts, err := New(g, name, p)
+		prog, o, err := New(g, name, p)
 		if err != nil {
 			return nil, err
 		}
-		opts.NumWorkers = workers
-		if shards[i], err = core.NewShard(g, prog, opts, i); err != nil {
+		o.NumWorkers = workers
+		if shards[i], err = core.NewShard(g, prog, o, i); err != nil {
 			return nil, err
 		}
 		defer shards[i].Close()
-		pc = opts.PayloadCodec
+		opts = o
+	}
+	b, err := core.NewBarrier(opts)
+	if err != nil {
+		return nil, err
 	}
 	for _, s := range shards {
 		if err := s.Init(); err != nil {
@@ -82,9 +87,10 @@ func runStepped(g *tgraph.Graph, name string, p Params, workers int) (*core.Resu
 		}
 	}
 	m := &engine.Metrics{}
-	for done := false; !done; {
+	for step, done := 1, false; !done && b.Open(step); step++ {
 		outs := make([][][]byte, workers)
 		for i, s := range shards {
+			s.SetPhase(b.Phase())
 			if err := s.Compute(); err != nil {
 				return nil, err
 			}
@@ -104,19 +110,16 @@ func runStepped(g *tgraph.Graph, name string, p Params, workers int) (*core.Resu
 				return nil, err
 			}
 		}
-		var delivered int64
-		active := 0
-		for _, s := range shards {
-			rep := s.Barrier()
-			delivered += rep.Delivered
-			active += rep.Active
-			m.ComputeCalls += rep.ComputeCalls
-			m.ScatterCalls += rep.ScatterCalls
-			m.Messages += rep.SentMsgs
-			m.MessageBytes += rep.SentBytes
+		reps := make([]engine.StepReport, workers)
+		for i, s := range shards {
+			reps[i] = s.Barrier()
+			m.ComputeCalls += reps[i].ComputeCalls
+			m.ScatterCalls += reps[i].ScatterCalls
+			m.Messages += reps[i].SentMsgs
+			m.MessageBytes += reps[i].SentBytes
 		}
 		m.Supersteps++
-		done = delivered == 0 && active == 0
+		done = b.Close(reps)
 	}
 	blobs := make([][]byte, workers)
 	for i, s := range shards {
@@ -125,7 +128,7 @@ func runStepped(g *tgraph.Graph, name string, p Params, workers int) (*core.Resu
 			return nil, err
 		}
 	}
-	return core.AssembleResult(g, pc, blobs, m)
+	return core.AssembleResult(g, opts.PayloadCodec, blobs, m)
 }
 
 // viewEndpoints picks the query's source and target inside the window: the

@@ -10,6 +10,7 @@ package chlonos
 
 import (
 	"graphite/internal/baseline/valgo"
+	"graphite/internal/codec"
 	"graphite/internal/engine"
 	ival "graphite/internal/interval"
 	"graphite/internal/tgraph"
@@ -276,5 +277,4 @@ func (c *batchCtx) Send(dst int, value any) {
 	c.buf = append(c.buf, send{dst: dst, t: c.t, val: value})
 }
 
-func (c *batchCtx) Aggregate(name string, v any) { c.eng.Aggregate(name, v) }
-func (c *batchCtx) AggValue(name string) any     { return c.eng.AggValue(name) }
+func (c *batchCtx) Aggregate(name string, v codec.Word) { c.eng.Aggregate(name, v) }

@@ -171,18 +171,21 @@ type sccVal struct {
 	Phase int64
 }
 
-// Aggregator names shared with the SCC master.
+// Aggregator names shared with the SCC master; both are engine.BoolOr,
+// whose true is sccTrue.
 const (
 	SCCChanged    = "vscc.changed"
 	SCCUnassigned = "vscc.unassigned"
 )
 
+var sccTrue = codec.IntWord(1)
+
 // Init enters the first FW round.
 func (p *SCC) Init(ctx vcm.Ctx) {
 	id := int64(ctx.ID())
 	ctx.SetState(sccVal{Fwd: id, Scc: -1, Phase: 0})
-	ctx.Aggregate(SCCChanged, true)
-	ctx.Aggregate(SCCUnassigned, true)
+	ctx.Aggregate(SCCChanged, sccTrue)
+	ctx.Aggregate(SCCUnassigned, sccTrue)
 	ctx.OutEdgesSimple(func(dst int) { ctx.Send(dst, id) })
 }
 
@@ -192,19 +195,19 @@ func (p *SCC) Compute(ctx vcm.Ctx, msgs []any) {
 	if st.Scc >= 0 {
 		return
 	}
-	ctx.Aggregate(SCCUnassigned, true)
+	ctx.Aggregate(SCCUnassigned, sccTrue)
 	id := int64(ctx.ID())
 	phase := int64(ctx.Phase())
 
 	if st.Phase != phase {
 		if phase%2 == 0 {
-			ctx.Aggregate(SCCChanged, true)
+			ctx.Aggregate(SCCChanged, sccTrue)
 			ctx.SetState(sccVal{Fwd: id, Scc: -1, Phase: phase})
 			ctx.OutEdgesSimple(func(dst int) { ctx.Send(dst, id) })
 			return
 		}
 		if st.Fwd == id {
-			ctx.Aggregate(SCCChanged, true)
+			ctx.Aggregate(SCCChanged, sccTrue)
 			ctx.SetState(sccVal{Fwd: st.Fwd, Scc: id, Phase: phase})
 			ctx.InEdgesSimple(func(src int) { ctx.Send(src, id) })
 			return
@@ -221,7 +224,7 @@ func (p *SCC) Compute(ctx vcm.Ctx, msgs []any) {
 			}
 		}
 		if best > st.Fwd {
-			ctx.Aggregate(SCCChanged, true)
+			ctx.Aggregate(SCCChanged, sccTrue)
 			ctx.SetState(sccVal{Fwd: best, Scc: -1, Phase: phase})
 			ctx.OutEdgesSimple(func(dst int) { ctx.Send(dst, best) })
 		}
@@ -229,7 +232,7 @@ func (p *SCC) Compute(ctx vcm.Ctx, msgs []any) {
 	}
 	for _, m := range msgs {
 		if c := m.(int64); c == st.Fwd {
-			ctx.Aggregate(SCCChanged, true)
+			ctx.Aggregate(SCCChanged, sccTrue)
 			ctx.SetState(sccVal{Fwd: st.Fwd, Scc: c, Phase: phase})
 			ctx.InEdgesSimple(func(src int) { ctx.Send(src, c) })
 			return
@@ -255,10 +258,10 @@ func (m *sccMaster) BeforeSuperstep(mc *engine.MasterControl) {
 	if mc.Superstep() <= 2 {
 		return
 	}
-	if changed, _ := mc.AggValue(SCCChanged).(bool); changed {
+	if mc.AggValue(SCCChanged) == sccTrue {
 		return
 	}
-	if unassigned, _ := mc.AggValue(SCCUnassigned).(bool); !unassigned {
+	if mc.AggValue(SCCUnassigned) != sccTrue {
 		mc.Halt()
 		return
 	}

@@ -18,6 +18,7 @@ import (
 	"graphite/internal/algorithms"
 	"graphite/internal/cluster"
 	"graphite/internal/core"
+	"graphite/internal/engine"
 	"graphite/internal/tgraph"
 )
 
@@ -95,6 +96,12 @@ func clusterProcessRun(t *testing.T, graph, algo string, p algorithms.Params, cr
 	return o.res, coord.Report(), fleet.Respawns()
 }
 
+// counts are the metrics a run's result must repeat, whatever it recovered
+// from.
+func counts(m *engine.Metrics) [5]int64 {
+	return [5]int64{int64(m.Supersteps), m.ComputeCalls, m.ScatterCalls, m.Messages, m.MessageBytes}
+}
+
 func assertIdentical(t *testing.T, g *tgraph.Graph, got, want *core.Result) {
 	t.Helper()
 	for i := 0; i < g.NumVertices(); i++ {
@@ -114,7 +121,8 @@ func assertIdentical(t *testing.T, g *tgraph.Graph, got, want *core.Result) {
 
 // TestProcessKillRecovery is the acceptance matrix: every kill phase on
 // SSSP, plus a mid-superstep kill on PageRank (float-order-sensitive: any
-// divergence in replay order shows) and on EAT.
+// divergence in replay order shows) and on EAT, and two on SCC, whose master
+// moves it from the forward to the backward phase before superstep 3.
 func TestProcessKillRecovery(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns real worker processes; skipped in -short")
@@ -145,6 +153,15 @@ func TestProcessKillRecovery(t *testing.T) {
 		{name: "pr-kill-compute", algo: "pr", crash: "compute:3"},
 		{name: "pr-kill-peersend", algo: "pr", crash: "peersend:2"},
 		{name: "eat-kill-compute", algo: "eat", p: src, crash: "compute:3"},
+		// compute:3 — killed in the first superstep of the new phase; the
+		// replay resumes from generation 1, whose phase is the old one: a
+		// coordinator that kept the phase it had moved to would move it again.
+		{name: "scc-kill-compute", algo: "scc", crash: "compute:3"},
+		// barrier:3 — killed after the report that closes superstep 3; its
+		// merged aggregates (a backward claim changed something) must be
+		// rewound with the phase, or the replayed master keeps the old phase
+		// a superstep too long: the labels survive that, the counts do not.
+		{name: "scc-kill-barrier", algo: "scc", crash: "barrier:3"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			want, cleanRep, cleanRespawns := clusterProcessRun(t, "transit", tc.algo, tc.p, nil)
@@ -166,6 +183,11 @@ func TestProcessKillRecovery(t *testing.T) {
 			t.Logf("recovery: failed=%d resume=%d gen=%d replayed=%d mttr=%v restored=%dB",
 				r.Failed, r.ResumeAt, r.Gen, r.Replayed, r.MTTR.Round(time.Millisecond), r.RestoredBytes)
 			assertIdentical(t, g, got, want)
+			// The replayed supersteps replace the lost ones: the run's counts
+			// are the fault-free run's, however late a master's decisions came.
+			if g, w := counts(got.Metrics), counts(want.Metrics); g != w {
+				t.Errorf("recovered run counted %+v, fault-free %+v", g, w)
+			}
 		})
 	}
 }

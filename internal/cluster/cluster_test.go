@@ -29,7 +29,9 @@ const testWorkers = 3
 // it with its address and a channel carrying Serve's outcome.
 func startCluster(t *testing.T, cfg cluster.Config) (*cluster.Coordinator, string, chan serveOutcome) {
 	t.Helper()
-	cfg.Workers = testWorkers
+	if cfg.Workers == 0 {
+		cfg.Workers = testWorkers
+	}
 	if cfg.Graph == "" {
 		cfg.Graph = "transit"
 	}
@@ -93,14 +95,14 @@ func waitResult(t *testing.T, out chan serveOutcome, timeout time.Duration) *cor
 // directRun executes the same computation in one process over a loopback
 // TCP transport with the same worker count — the configuration whose
 // delivery order the cluster mirrors bit for bit.
-func directRun(t *testing.T, g *tgraph.Graph, algo string, p algorithms.Params) *core.Result {
+func directRun(t *testing.T, g *tgraph.Graph, algo string, p algorithms.Params, workers int) *core.Result {
 	t.Helper()
 	prog, opts, err := algorithms.New(g, algo, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts.NumWorkers = testWorkers
-	tp, err := engine.NewTCPTransport(testWorkers)
+	opts.NumWorkers = workers
+	tp, err := engine.NewTCPTransport(workers)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +148,7 @@ func TestClusterMatchesTransportedRun(t *testing.T) {
 			coord, addr, out := startCluster(t, cluster.Config{Algo: tc.algo, Params: tc.p})
 			runWorkers(ctx, t, addr, workerDirs(t, testWorkers))
 			got := waitResult(t, out, 30*time.Second)
-			compareResults(t, g, got, directRun(t, g, tc.algo, tc.p))
+			compareResults(t, g, got, directRun(t, g, tc.algo, tc.p, testWorkers))
 			rep := coord.Report()
 			if rep.Supersteps == 0 || rep.Checkpoints == 0 {
 				t.Errorf("report missing progress: %+v", rep)
@@ -204,7 +206,7 @@ func TestClusterLeaseRecovery(t *testing.T) {
 		}
 	}()
 	got := waitResult(t, out, 60*time.Second)
-	compareResults(t, g, got, directRun(t, g, "sssp", p))
+	compareResults(t, g, got, directRun(t, g, "sssp", p, testWorkers))
 	rep := coord.Report()
 	if len(rep.Recoveries) != 1 {
 		t.Fatalf("want exactly one recovery, got %+v", rep.Recoveries)
@@ -284,8 +286,8 @@ func TestClusterConfigGating(t *testing.T) {
 	if _, err := cluster.New(cluster.Config{Workers: 2, Graph: "nope", Algo: "sssp"}); err == nil {
 		t.Error("unknown graph spec accepted")
 	}
-	if _, err := cluster.New(cluster.Config{Workers: 2, Graph: "transit", Algo: "scc"}); err == nil {
-		t.Error("aggregator algorithm accepted for cluster execution")
+	if _, err := cluster.New(cluster.Config{Workers: 2, Graph: "transit", Algo: "scc"}); err != nil {
+		t.Errorf("SCC — a master and aggregators — refused for cluster execution: %v", err)
 	}
 	if _, err := cluster.ParseCrashPlan("explode:1"); err == nil {
 		t.Error("bad crash phase accepted")
@@ -360,5 +362,5 @@ func TestLoadGraphAllFormats(t *testing.T) {
 	_, addr, out := startCluster(t, cluster.Config{Graph: "file:" + snap, Algo: "eat", Params: p})
 	runWorkers(ctx, t, addr, workerDirs(t, testWorkers))
 	got := waitResult(t, out, 30*time.Second)
-	compareResults(t, want, got, directRun(t, want, "eat", p))
+	compareResults(t, want, got, directRun(t, want, "eat", p, testWorkers))
 }

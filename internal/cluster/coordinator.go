@@ -147,10 +147,11 @@ const (
 
 // Coordinator drives one cluster run. Create with New, run with Serve.
 type Coordinator struct {
-	cfg    Config
-	g      *tgraph.Graph
-	opts   core.Options  // reference options: halt bounds
-	states codec.Payload // what shard results carry vertex states in
+	cfg     Config
+	g       *tgraph.Graph
+	barrier *engine.Barrier // closes every superstep: aggregates, master, halt rule
+	naggs   int             // aggregator partials a barrier report carries
+	states  codec.Payload   // what shard results carry vertex states in
 
 	events chan event
 	quit   chan struct{}
@@ -192,8 +193,8 @@ type wconn struct {
 }
 
 // New validates the configuration and prepares a coordinator. The graph is
-// loaded and the algorithm instantiated once here, as the reference for
-// halt bounds and result assembly; workers repeat both locally.
+// loaded and the algorithm instantiated once here, for the barrier and for
+// result assembly; workers repeat both locally.
 func New(cfg Config) (*Coordinator, error) {
 	if cfg.Workers <= 0 {
 		return nil, errors.New("cluster: Workers must be positive")
@@ -223,7 +224,7 @@ func New(cfg Config) (*Coordinator, error) {
 		cfg.Logger = slog.Default()
 	}
 	// The coordinator always loads the full graph (shard -1): it is the
-	// reference for halt bounds and result assembly across every shard.
+	// reference for result assembly across every shard.
 	gm, pmeta, err := LoadGraphShard(cfg.Graph, -1)
 	if err != nil {
 		return nil, err
@@ -243,22 +244,19 @@ func New(cfg Config) (*Coordinator, error) {
 		// partition files; recomputing from a partial graph would diverge.
 		opts.Partitioner = pmeta.Partitioner()
 	}
-	// Build (and discard) shard 0 once: surfaces unsupported options —
-	// aggregators, master compute — at coordinator startup instead of as a
-	// worker-side error frame after the cluster assembled.
-	probe, err := core.NewShard(g, prog, opts, 0)
+	barrier, err := core.NewBarrier(opts)
 	if err != nil {
 		return nil, err
 	}
-	probe.Close()
 	return &Coordinator{
-		cfg:    cfg,
-		g:      g,
-		opts:   opts,
-		states: core.StateCodecOf(prog, opts),
-		events: make(chan event, 64),
-		quit:   make(chan struct{}),
-		stats:  Stats{State: stWaiting, Workers: cfg.Workers},
+		cfg:     cfg,
+		g:       g,
+		barrier: barrier,
+		naggs:   len(opts.Aggregators),
+		states:  core.StateCodecOf(prog, opts),
+		events:  make(chan event, 64),
+		quit:    make(chan struct{}),
+		stats:   Stats{State: stWaiting, Workers: cfg.Workers},
 	}, nil
 }
 
@@ -419,15 +417,13 @@ type driver struct {
 	// mid-superstep worker loss leaves the totals untouched. The relay
 	// clocks accumulate the coordinator's own forwarding time and bytes per
 	// destination shard.
-	doneFrom     []bool
-	doneCount    int
-	sumDelivered int64
-	sumActive    int
-	ckptAcks     int
-	reports      []stepDoneMsg
-	relayNS      []int64
-	relayBytes   []int64
-	stepStarted  time.Time
+	doneFrom    []bool
+	doneCount   int
+	ckptAcks    int
+	reports     []stepDoneMsg
+	relayNS     []int64
+	relayBytes  []int64
+	stepStarted time.Time
 
 	// meshing gates the start (or resume) of execution on every worker
 	// having finished dialing its peer table; meshed tallies those
@@ -456,10 +452,12 @@ type driver struct {
 	blobCount int
 
 	// rt accumulates the rewindable totals; genTotals holds its snapshot at
-	// each committed generation (the rollback targets). executed counts
-	// every superstep driven, including replays — the Report's view.
+	// each committed generation and genCtl the barrier's state there — what
+	// no shard's capture holds (the rollback targets). executed counts every
+	// superstep driven, including replays — the Report's view.
 	rt        runTotals
 	genTotals map[int]runTotals
+	genCtl    map[int]engine.BarrierState
 	executed  int
 	halted    bool
 
@@ -479,6 +477,7 @@ func (d *driver) run() (*core.Result, error) {
 	d.meshed = make([]bool, c.cfg.Workers)
 	d.graphBytes = make([]int64, c.cfg.Workers)
 	d.genTotals = map[int]runTotals{}
+	d.genCtl = map[int]engine.BarrierState{}
 	d.blobs = make([][]byte, c.cfg.Workers)
 	ticker := time.NewTicker(c.cfg.Lease / 2)
 	defer ticker.Stop()
@@ -805,7 +804,7 @@ func (d *driver) startOrResume() {
 	if d.state == stWaiting {
 		d.started = time.Now()
 		d.committedGen = 0 // every worker has generation 0 on disk
-		d.genTotals[0] = runTotals{}
+		d.genTotals[0], d.genCtl[0] = runTotals{}, d.c.barrier.State()
 		d.superstep = 1
 		d.emit(obs.RunStart{
 			Vertices: d.c.g.NumVertices(), Workers: d.c.cfg.Workers,
@@ -891,8 +890,10 @@ func (d *driver) resume() {
 	// Rewind the rewindable totals to the restored generation's snapshot, so
 	// the replayed supersteps fold in exactly once — the trace reconciles
 	// and the final metrics reflect the surviving executions, matching
-	// single-process rollback semantics.
+	// single-process rollback semantics — and the barrier to its phase and
+	// merged aggregates, so the master replays its decisions too.
 	d.rt = d.genTotals[d.committedGen]
+	d.c.barrier.SetState(d.genCtl[d.committedGen])
 	reg := d.c.cfg.Registry
 	reg.Counter(obs.CClusterRecoveries).Inc()
 	reg.Counter(obs.CClusterReplayedSupersteps).Add(int64(replayed))
@@ -911,8 +912,14 @@ func (d *driver) resume() {
 	d.broadcastStep()
 }
 
-// broadcastStep starts the current superstep on every shard.
+// broadcastStep starts the current superstep on every shard, with the phase
+// the barrier opens it with — or collects the results when it does not.
 func (d *driver) broadcastStep() {
+	if !d.c.barrier.Open(d.superstep) {
+		d.halted = d.c.barrier.Halted()
+		d.startCollect()
+		return
+	}
 	d.resetBarrierTally()
 	d.stepStarted = time.Now()
 	// The entering frontier is the previous barrier's active count; for the
@@ -920,7 +927,7 @@ func (d *driver) broadcastStep() {
 	// opens with zero (workers know their post-Init frontiers, not us).
 	d.emit(obs.SuperstepStart{Superstep: d.superstep, Active: d.rt.active})
 	k := d.c.cfg.CheckpointEvery
-	st := stepMsg{Epoch: d.epoch, Superstep: d.superstep}
+	st := stepMsg{Epoch: d.epoch, Superstep: d.superstep, Phase: d.c.barrier.Phase()}
 	if d.superstep%k == 0 {
 		st.Checkpoint = true
 		st.Gen = d.superstep / k
@@ -937,8 +944,6 @@ func (d *driver) resetBarrierTally() {
 	clear(d.relayNS)
 	clear(d.relayBytes)
 	d.doneCount = 0
-	d.sumDelivered = 0
-	d.sumActive = 0
 	d.ckptAcks = 0
 }
 
@@ -947,14 +952,12 @@ func (d *driver) stepDone(wc *wconn, sd stepDoneMsg) {
 	if sd.Epoch != d.epoch || d.state != stRunning || sd.Superstep != d.superstep {
 		return // stale
 	}
-	if sd.Shard != wc.shard || d.doneFrom[sd.Shard] {
+	if sd.Shard != wc.shard || d.doneFrom[sd.Shard] || len(sd.Aggs) != d.c.naggs {
 		d.markDead(wc, fmt.Sprintf("bad barrier report for shard %d", sd.Shard))
 		return
 	}
 	d.doneFrom[sd.Shard] = true
 	d.doneCount++
-	d.sumDelivered += sd.Delivered
-	d.sumActive += sd.Active
 	d.reports[sd.Shard] = sd
 	if sd.CkptGen >= 0 {
 		d.ckptAcks++
@@ -964,8 +967,14 @@ func (d *driver) stepDone(wc *wconn, sd stepDoneMsg) {
 	}
 	// Superstep closed: fold the held per-shard reports into the rewindable
 	// totals (deferring the fold to here is what keeps a rolled-back
-	// superstep out of them), attribute the step, and emit its trace.
+	// superstep out of them), attribute the step, emit its trace, and close
+	// it through the barrier, shards ascending.
 	d.closeSuperstep()
+	reps := make([]engine.StepReport, len(d.reports))
+	for s, rep := range d.reports {
+		reps[s] = engine.StepReport{Delivered: rep.Delivered, Active: rep.Active, Aggs: rep.Aggs}
+	}
+	quiesced := d.c.barrier.Close(reps)
 	k := d.c.cfg.CheckpointEvery
 	if d.superstep%k == 0 && d.ckptAcks == d.c.cfg.Workers {
 		d.committedGen = d.superstep / k
@@ -975,13 +984,11 @@ func (d *driver) stepDone(wc *wconn, sd stepDoneMsg) {
 		d.c.mu.Unlock()
 		// The snapshot taken here is exactly what a rollback to this
 		// generation must restore.
-		d.genTotals[d.committedGen] = d.rt
+		d.genTotals[d.committedGen], d.genCtl[d.committedGen] = d.rt, d.c.barrier.State()
 		d.emit(obs.Checkpoint{Superstep: d.superstep + 1, Index: d.totals.Checkpoints})
 	}
-	halted := d.sumDelivered == 0 && d.sumActive == 0 && !d.c.opts.ActivateAll
-	bounded := d.c.opts.MaxSupersteps > 0 && d.superstep+1 > d.c.opts.MaxSupersteps
-	if halted || bounded {
-		d.halted = halted
+	if quiesced {
+		d.halted = true
 		d.startCollect()
 		return
 	}
@@ -997,7 +1004,8 @@ func (d *driver) closeSuperstep() {
 	d.refreshLeaseGauges(time.Now())
 	wallNS := time.Since(d.stepStarted).Nanoseconds()
 	var sumCompute, sumWait, sumDeliver, sumRelayNS, sumRelayBytes int64
-	var sumCalls, sumScatter, sumMsgs, sumBytes int64
+	var sumCalls, sumScatter, sumMsgs, sumBytes, sumDelivered int64
+	sumActive := 0
 	var sumPeerSend, sumPeerRecv, sumDirectBytes int64
 	maxCompute, slowest := int64(-1), 0
 	shards := make([]ShardTiming, d.c.cfg.Workers)
@@ -1025,6 +1033,8 @@ func (d *driver) closeSuperstep() {
 		sumScatter += rep.ScatterCalls
 		sumMsgs += rep.SentMsgs
 		sumBytes += rep.SentBytes
+		sumDelivered += rep.Delivered
+		sumActive += rep.Active
 		if rep.ComputeNS > maxCompute {
 			maxCompute, slowest = rep.ComputeNS, s
 		}
@@ -1042,7 +1052,7 @@ func (d *driver) closeSuperstep() {
 	d.rt.computeNS += sumCompute
 	d.rt.messagingNS += sumWait + sumRelayNS + sumPeerSend
 	d.rt.barrierNS += sumDeliver
-	d.rt.active = d.sumActive
+	d.rt.active = sumActive
 
 	span := d.c.cfg.Span
 	for _, st := range shards {
@@ -1059,7 +1069,7 @@ func (d *driver) closeSuperstep() {
 		ComputeNS: sumCompute, MessagingNS: sumWait + sumRelayNS + sumPeerSend, BarrierNS: sumDeliver,
 		ComputeCalls: sumCalls, ScatterCalls: sumScatter,
 		Messages: sumMsgs, MessageBytes: sumBytes,
-		Delivered: d.sumDelivered, Active: d.sumActive,
+		Delivered: sumDelivered, Active: sumActive,
 	})
 	d.emit(obs.ClusterStep{
 		Span: span, Superstep: d.superstep, Epoch: d.epoch, WallNS: wallNS,

@@ -38,10 +38,12 @@ func writeTransitPartitions(t *testing.T) (string, []cluster.PartitionInfo) {
 // TestClusterMeshMatchesSingleProcess proves the mesh invariant: for every
 // algorithm, a run over the whole graph and one over per-shard partition
 // files both produce results bit-identical to the single-process transported
-// run — and the byte counters prove every batch went peer to peer. LCC and
-// TC read adjacency through VertexCtx.Graph rather than the scatter plan,
-// but only the computing vertex's own in- and out-edges, which a shard's
-// induced partition keeps whole: over partition files they match too.
+// run — and the byte counters prove every batch went peer to peer. LCC, TC
+// and SCC read adjacency through VertexCtx.Graph rather than the scatter
+// plan, but only the computing vertex's own in- and out-edges, which a
+// shard's induced partition keeps whole: over partition files they match
+// too. SCC's phases and halt come from the coordinator's barrier, which
+// merges the shards' aggregates as Run merges its workers'.
 func TestClusterMeshMatchesSingleProcess(t *testing.T) {
 	g := tgraph.TransitExample()
 	partDir, _ := writeTransitPartitions(t)
@@ -54,8 +56,9 @@ func TestClusterMeshMatchesSingleProcess(t *testing.T) {
 		{name: "pr"},
 		{name: "lcc"},
 		{name: "tc"},
+		{name: "scc"},
 	} {
-		want := directRun(t, g, algo.name, algo.p)
+		want := directRun(t, g, algo.name, algo.p, testWorkers)
 		for _, tc := range []struct {
 			name  string
 			graph string
@@ -97,6 +100,31 @@ func TestClusterMeshMatchesSingleProcess(t *testing.T) {
 					}
 				}
 			})
+		}
+	}
+}
+
+// TestClusterSCCOnTwoWorkers runs SCC — the catalog's one program with a
+// master and aggregators — on a 2-worker cluster, over the whole graph and
+// over 2-shard partition files: the coordinator's barrier merges the two
+// shards' aggregates and runs the master as Run does over two workers.
+func TestClusterSCCOnTwoWorkers(t *testing.T) {
+	g := tgraph.TransitExample()
+	partDir := filepath.Join(t.TempDir(), "parts")
+	if _, err := cluster.WritePartitions(g, partDir, 2); err != nil {
+		t.Fatal(err)
+	}
+	want := directRun(t, g, "scc", algorithms.Params{}, 2)
+	for _, graph := range []string{"transit", "shard:" + partDir} {
+		ctx, cancel := context.WithCancel(context.Background())
+		_, addr, out := startCluster(t, cluster.Config{Workers: 2, Algo: "scc", Graph: graph})
+		runWorkers(ctx, t, addr, workerDirs(t, 2))
+		got := waitResult(t, out, 30*time.Second)
+		cancel()
+		compareResults(t, g, got, want)
+		if got.Metrics.Supersteps != want.Metrics.Supersteps || got.Metrics.Messages != want.Metrics.Messages {
+			t.Errorf("%s: %d supersteps, %d messages; Run: %d, %d", graph,
+				got.Metrics.Supersteps, got.Metrics.Messages, want.Metrics.Supersteps, want.Metrics.Messages)
 		}
 	}
 }
@@ -178,7 +206,7 @@ func TestClusterSurvivesDeadMeshLink(t *testing.T) {
 			}
 			runWorkers(ctx, t, addr, dirs[1:])
 			got := waitResult(t, out, 30*time.Second)
-			compareResults(t, g, got, directRun(t, g, algo.name, algo.p))
+			compareResults(t, g, got, directRun(t, g, algo.name, algo.p, testWorkers))
 			if rep := coord.Report(); len(rep.Recoveries) != 0 {
 				t.Errorf("a dead mesh link was treated as a dead worker: %+v", rep.Recoveries)
 			}

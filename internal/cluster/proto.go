@@ -101,12 +101,14 @@ type readyMsg struct {
 }
 
 // stepMsg starts one superstep. Checkpoint tells the worker to capture a
-// durable checkpoint as generation Gen at the closing barrier.
+// durable checkpoint as generation Gen at the closing barrier; Phase is the
+// phase the coordinator's barrier opened the superstep with.
 type stepMsg struct {
 	Epoch      int  `json:"epoch"`
 	Superstep  int  `json:"superstep"`
 	Checkpoint bool `json:"checkpoint,omitempty"`
 	Gen        int  `json:"gen,omitempty"`
+	Phase      int  `json:"phase,omitempty"`
 }
 
 // stepDoneMsg is one shard's barrier report. CkptGen is -1 unless this
@@ -118,24 +120,25 @@ type stepMsg struct {
 // what the coordinator folds into fleet metrics and straggler attribution
 // without any extra round trip.
 type stepDoneMsg struct {
-	Epoch        int   `json:"epoch"`
-	Superstep    int   `json:"superstep"`
-	Shard        int   `json:"shard"`
-	Delivered    int64 `json:"delivered"`
-	Active       int   `json:"active"`
-	ComputeCalls int64 `json:"compute_calls"`
-	ScatterCalls int64 `json:"scatter_calls"`
-	SentMsgs     int64 `json:"sent_msgs"`
-	SentBytes    int64 `json:"sent_bytes"`
-	CkptGen      int   `json:"ckpt_gen"`
-	CkptBytes    int64 `json:"ckpt_bytes"`
-	ComputeNS    int64 `json:"compute_ns,omitempty"`
-	WaitNS       int64 `json:"wait_ns,omitempty"`
-	DeliverNS    int64 `json:"deliver_ns,omitempty"`
-	PeerSendNS   int64 `json:"peer_send_ns,omitempty"`  // time writing batches to mesh peers
-	PeerRecvNS   int64 `json:"peer_recv_ns,omitempty"`  // ship → last direct batch arrival
-	DirectBytes  int64 `json:"direct_bytes,omitempty"`  // batch bytes shipped peer-to-peer
-	RelayedBytes int64 `json:"relayed_bytes,omitempty"` // batch bytes shipped via the coordinator
+	Epoch        int          `json:"epoch"`
+	Superstep    int          `json:"superstep"`
+	Shard        int          `json:"shard"`
+	Delivered    int64        `json:"delivered"`
+	Active       int          `json:"active"`
+	ComputeCalls int64        `json:"compute_calls"`
+	ScatterCalls int64        `json:"scatter_calls"`
+	SentMsgs     int64        `json:"sent_msgs"`
+	SentBytes    int64        `json:"sent_bytes"`
+	CkptGen      int          `json:"ckpt_gen"`
+	CkptBytes    int64        `json:"ckpt_bytes"`
+	ComputeNS    int64        `json:"compute_ns,omitempty"`
+	WaitNS       int64        `json:"wait_ns,omitempty"`
+	DeliverNS    int64        `json:"deliver_ns,omitempty"`
+	PeerSendNS   int64        `json:"peer_send_ns,omitempty"`  // time writing batches to mesh peers
+	PeerRecvNS   int64        `json:"peer_recv_ns,omitempty"`  // ship → last direct batch arrival
+	DirectBytes  int64        `json:"direct_bytes,omitempty"`  // batch bytes shipped peer-to-peer
+	RelayedBytes int64        `json:"relayed_bytes,omitempty"` // batch bytes shipped via the coordinator
+	Aggs         []codec.Word `json:"aggs,omitempty"`          // aggregator partials, in name order
 }
 
 // peersMsg hands every worker the mesh address of every shard for an epoch

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"graphite/internal/algorithms"
+	"graphite/internal/codec"
 	ival "graphite/internal/interval"
 )
 
@@ -77,6 +78,9 @@ func FuzzClusterFrames(f *testing.F) {
 	f.Add(fResult, []byte{0x81})
 	f.Add(fHeartbeat, []byte(nil))
 	f.Add(byte(0), []byte(`{"shard":1e400}`))
+	seedJSON(fStep, stepMsg{Epoch: 1, Superstep: 5, Phase: 3})
+	seedJSON(fStepDone, stepDoneMsg{Epoch: 1, Superstep: 5, Shard: 2, Active: 4, CkptGen: -1,
+		Aggs: []codec.Word{codec.IntWord(1), codec.FloatWord(-0.5)}})
 
 	f.Fuzz(func(t *testing.T, ftype byte, payload []byte) {
 		var wire bytes.Buffer
@@ -127,4 +131,25 @@ func FuzzClusterFrames(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestBarrierFieldsOmittedWhenEmpty: the phase a step carries and the
+// aggregator partials a barrier report carries are omitted when empty, so a
+// program without a master or aggregators sends the frames it sent before
+// either was on the wire, byte for byte.
+func TestBarrierFieldsOmittedWhenEmpty(t *testing.T) {
+	for _, tc := range []struct {
+		msg  any
+		want string
+	}{
+		{stepMsg{Epoch: 1, Superstep: 4, Checkpoint: true, Gen: 2}, `{"epoch":1,"superstep":4,"checkpoint":true,"gen":2}`},
+		{stepDoneMsg{Epoch: 1, Superstep: 4, Shard: 1, Delivered: 7, Active: 3, CkptGen: -1, DirectBytes: 512},
+			`{"epoch":1,"superstep":4,"shard":1,"delivered":7,"active":3,"compute_calls":0,"scatter_calls":0,` +
+				`"sent_msgs":0,"sent_bytes":0,"ckpt_gen":-1,"ckpt_bytes":0,"direct_bytes":512}`},
+	} {
+		got, err := json.Marshal(tc.msg)
+		if err != nil || string(got) != tc.want {
+			t.Errorf("%T encodes as %s (%v), want %s", tc.msg, got, err, tc.want)
+		}
+	}
 }

@@ -428,6 +428,7 @@ func (w *wrk) handleStep(payload []byte) error {
 			w.self, got, st.Superstep))
 	}
 	computeStart := time.Now()
+	w.sh.SetPhase(st.Phase)
 	if err := w.sh.Compute(); err != nil {
 		return w.fail(err)
 	}
@@ -641,7 +642,7 @@ func (w *wrk) finishStepIfReady() error {
 		CkptGen: ckptGen, CkptBytes: ckptBytes,
 		ComputeNS: cur.computeNS, WaitNS: waitNS, DeliverNS: deliverNS,
 		PeerSendNS: cur.peerSendNS, PeerRecvNS: peerRecvNS,
-		DirectBytes: cur.directBytes, RelayedBytes: cur.relayedBytes,
+		DirectBytes: cur.directBytes, RelayedBytes: cur.relayedBytes, Aggs: rep.Aggs,
 	})
 	if err != nil {
 		return err

@@ -171,8 +171,6 @@ func (c *VertexCtx) SendTo(dst int, when ival.Interval, value codec.Word) {
 	c.eng.SendWord(dst, when, value, c.ws.scratch.Spilled())
 }
 
-// Aggregate contributes to a named aggregator.
-func (c *VertexCtx) Aggregate(name string, v any) { c.eng.Aggregate(name, v) }
-
-// AggValue reads a named aggregator's value from the previous superstep.
-func (c *VertexCtx) AggValue(name string) any { return c.eng.AggValue(name) }
+// Aggregate contributes a word to a named aggregator (Options.Aggregators);
+// the master reads the merged value at the next barrier.
+func (c *VertexCtx) Aggregate(name string, v codec.Word) { c.eng.Aggregate(name, v) }

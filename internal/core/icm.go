@@ -135,24 +135,26 @@ type Options struct {
 	// Transport routes every cross-worker batch through a real transport
 	// (e.g. engine.NewTCPTransport's loopback mesh); requires PayloadCodec.
 	Transport engine.Transport
-	// Aggregators are registered with the engine before the run.
+	// Aggregators are the named word aggregators vertices contribute to
+	// (VertexCtx.Aggregate) and the master reads.
 	Aggregators map[string]*engine.Aggregator
-	// Master is the optional master-compute hook (phased algorithms).
+	// Master is the optional master-compute hook (phased algorithms), run by
+	// the barrier closing each superstep: Run's, or NewBarrier's for shards.
 	Master engine.Master
 	// CheckInvariants re-verifies the partitioned-state invariant after
 	// every compute call (tests and debugging).
 	CheckInvariants bool
 	// CheckpointEvery enables superstep checkpointing in the engine: every
-	// k-th superstep the vertex states, inboxes, active flags and merged
-	// aggregates are captured, and a failed superstep (user-program panic,
-	// codec failure, transport error) rolls back and replays instead of
+	// k-th superstep the vertex states, inboxes, active flags, phase and
+	// merged aggregates are captured, and a failed superstep (user-program
+	// panic, codec failure, transport error) rolls back and replays instead of
 	// aborting (engine.Config.CheckpointEvery). Requires PayloadCodec.
 	CheckpointEvery int
 	// MaxRecoveries bounds rollback-and-replay attempts; zero means the
 	// engine default.
 	MaxRecoveries int
-	// WrapProgram, when set, wraps the engine-level program before the run.
-	// This is the fault-injection seam internal/chaos uses to schedule
+	// WrapProgram, when set, wraps the engine-level program a run or a shard
+	// executes: the fault-injection seam internal/chaos uses to schedule
 	// panics inside an otherwise unmodified ICM run.
 	WrapProgram func(engine.Program) engine.Program
 	// Context, when set, makes the run cancellable: cancellation is observed
@@ -275,37 +277,9 @@ func (s *Seed) StatesFor(g *tgraph.Graph) []*PartitionedState {
 
 // Run executes an ICM program over a temporal graph.
 func Run(g *tgraph.Graph, prog Program, opts Options) (*Result, error) {
-	if g.NumVertices() == 0 {
-		return nil, errors.New("core: empty graph")
-	}
-	rt := newRuntime(g, prog, opts)
-	if !g.ExistsIn(rt.window) {
-		return nil, fmt.Errorf("core: window %v contains no vertices", rt.window)
-	}
-	cfg := engine.Config{
-		NumWorkers:      opts.NumWorkers,
-		MaxSupersteps:   opts.MaxSupersteps,
-		ActivateAll:     opts.ActivateAll,
-		Partitioner:     opts.Partitioner,
-		PayloadCodec:    opts.PayloadCodec,
-		Transport:       opts.Transport,
-		Master:          opts.Master,
-		CheckpointEvery: opts.CheckpointEvery,
-		MaxRecoveries:   opts.MaxRecoveries,
-		Registry:        opts.Registry,
-		Context:         opts.Context,
-		Span:            opts.Span,
-	}
-	if opts.Tracer != nil {
-		rt.traced = true
-		cfg.Tracer = &icmTracer{rt: rt, next: opts.Tracer}
-	}
-	if opts.ReceiverCombine && rt.combine != nil {
-		cfg.Combiner = engine.Combiner(rt.combine)
-	}
-	var eprog engine.Program = rt
-	if opts.WrapProgram != nil {
-		eprog = opts.WrapProgram(rt)
+	rt, eprog, cfg, err := prepare(g, prog, opts)
+	if err != nil {
+		return nil, err
 	}
 	eng, err := engine.New(g.NumVertices(), eprog, cfg)
 	if err != nil {
@@ -326,4 +300,48 @@ func Run(g *tgraph.Graph, prog Program, opts Options) (*Result, error) {
 		publishStats(opts.Registry, s)
 	}
 	return &Result{Graph: g, Metrics: m, Stats: s, states: rt.states}, nil
+}
+
+// prepare is the set-up Run and NewShard share: the runtime over g, the
+// program the engine runs — WrapProgram applied — and its configuration.
+func prepare(g *tgraph.Graph, prog Program, opts Options) (*runtime, engine.Program, engine.Config, error) {
+	if g.NumVertices() == 0 {
+		return nil, nil, engine.Config{}, errors.New("core: empty graph")
+	}
+	rt := newRuntime(g, prog, opts)
+	if !g.ExistsIn(rt.window) {
+		return nil, nil, engine.Config{}, fmt.Errorf("core: window %v contains no vertices", rt.window)
+	}
+	cfg := engineConfig(opts)
+	if opts.Tracer != nil {
+		rt.traced = true
+		cfg.Tracer = &icmTracer{rt: rt, next: opts.Tracer}
+	}
+	if opts.ReceiverCombine && rt.combine != nil {
+		cfg.Combiner = engine.Combiner(rt.combine)
+	}
+	var eprog engine.Program = rt
+	if opts.WrapProgram != nil {
+		eprog = opts.WrapProgram(rt)
+	}
+	return rt, eprog, cfg, nil
+}
+
+// engineConfig is the engine configuration opts map to, for a run, a shard
+// and the barrier closing either's supersteps alike.
+func engineConfig(opts Options) engine.Config {
+	return engine.Config{
+		NumWorkers:      opts.NumWorkers,
+		MaxSupersteps:   opts.MaxSupersteps,
+		ActivateAll:     opts.ActivateAll,
+		Partitioner:     opts.Partitioner,
+		PayloadCodec:    opts.PayloadCodec,
+		Transport:       opts.Transport,
+		Master:          opts.Master,
+		CheckpointEvery: opts.CheckpointEvery,
+		MaxRecoveries:   opts.MaxRecoveries,
+		Registry:        opts.Registry,
+		Context:         opts.Context,
+		Span:            opts.Span,
+	}
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"math"
 
@@ -22,12 +21,6 @@ import (
 // vertex→shard map; only the owned slice of the state array is ever
 // populated locally.
 
-// ErrClusterUnsupported marks Options features that have no distributed
-// equivalent yet: master compute and aggregators need a coordinator-side
-// merge protocol, and a run with ActivateAll but no superstep bound would
-// never halt without a master.
-var ErrClusterUnsupported = errors.New("core: option unsupported in cluster execution")
-
 // Shard is one worker process's slice of an ICM computation, stepped
 // externally by the cluster runtime: the engine.Shard over the ICM runtime,
 // whose Init and Compute also report what the runtime recorded.
@@ -36,48 +29,29 @@ type Shard struct {
 	rt *runtime
 }
 
-// NewShard prepares shard `shard` of `opts.NumWorkers` for a cluster run.
-// The options must be identical in every process. Beyond the engine-level
-// restrictions (explicit NumWorkers; no Transport, Master, CheckpointEvery
-// or Context), aggregators are rejected (no distributed
-// merge) and ActivateAll requires MaxSupersteps. Checkpoints and result
-// collection encode state values with StateCodecOf(prog, opts).
+// NewShard prepares shard `shard` of `opts.NumWorkers` for a cluster run,
+// whose supersteps close through NewBarrier(opts). The options must be
+// identical in every process, with an explicit NumWorkers and no Transport,
+// CheckpointEvery or Context. States travel in StateCodecOf(prog, opts).
 func NewShard(g *tgraph.Graph, prog Program, opts Options, shard int) (*Shard, error) {
-	if g.NumVertices() == 0 {
-		return nil, errors.New("core: empty graph")
-	}
-	if opts.Master != nil {
-		return nil, fmt.Errorf("%w: Master", ErrClusterUnsupported)
-	}
-	if len(opts.Aggregators) > 0 {
-		return nil, fmt.Errorf("%w: Aggregators", ErrClusterUnsupported)
-	}
-	if opts.WrapProgram != nil {
-		return nil, fmt.Errorf("%w: WrapProgram", ErrClusterUnsupported)
-	}
-	if opts.ActivateAll && opts.MaxSupersteps <= 0 {
-		return nil, fmt.Errorf("%w: ActivateAll without MaxSupersteps never halts", ErrClusterUnsupported)
-	}
-	rt := newRuntime(g, prog, opts)
-	if !g.ExistsIn(rt.window) {
-		return nil, fmt.Errorf("core: window %v contains no vertices", rt.window)
-	}
-	cfg := engine.Config{
-		NumWorkers:   opts.NumWorkers,
-		ActivateAll:  opts.ActivateAll,
-		Partitioner:  opts.Partitioner,
-		PayloadCodec: opts.PayloadCodec,
-		Registry:     opts.Registry,
-		Span:         opts.Span,
-	}
-	if opts.ReceiverCombine && rt.combine != nil {
-		cfg.Combiner = engine.Combiner(rt.combine)
-	}
-	sh, err := engine.NewShard(g.NumVertices(), rt, cfg, shard)
+	rt, eprog, cfg, err := prepare(g, prog, opts)
 	if err != nil {
 		return nil, err
 	}
+	sh, err := engine.NewShard(g.NumVertices(), eprog, cfg, shard)
+	if err != nil {
+		return nil, err
+	}
+	for name, agg := range opts.Aggregators {
+		sh.RegisterAggregator(name, agg)
+	}
 	return &Shard{Shard: sh, rt: rt}, nil
+}
+
+// NewBarrier builds the barrier that closes the supersteps of shards built
+// from opts, for whoever steps them: the cluster coordinator, or a test.
+func NewBarrier(opts Options) (*engine.Barrier, error) {
+	return engine.NewBarrier(engineConfig(opts), opts.Aggregators)
 }
 
 // Init runs Program.Init over the owned vertices.

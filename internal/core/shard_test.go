@@ -43,13 +43,18 @@ func newTestShards(t *testing.T, g *tgraph.Graph, algo string, p algorithms.Para
 	return shards, opts
 }
 
-// driveShards runs the cluster protocol to completion. When captureAt > 0, a
-// durable checkpoint of every shard is taken at the barrier after which the
-// next superstep would be captureAt (the cluster's "about to execute s" gen
-// semantics) and returned.
+// driveShards runs the cluster protocol to completion, closing supersteps
+// through core.NewBarrier(opts). When captureAt > 0, a durable checkpoint of
+// every shard is taken at the barrier after which the next superstep would
+// be captureAt (the cluster's "about to execute s" gen semantics) and
+// returned.
 func driveShards(t *testing.T, shards []*core.Shard, opts core.Options, captureAt int) [][]byte {
 	t.Helper()
 	n := len(shards)
+	b, err := core.NewBarrier(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if shards[0].Superstep() == 0 {
 		for i, s := range shards {
 			if err := s.Init(); err != nil {
@@ -68,12 +73,10 @@ func driveShards(t *testing.T, shards []*core.Shard, opts core.Options, captureA
 			ckpts[i] = data
 		}
 	}
-	for step := shards[0].Superstep(); ; step++ {
-		if opts.MaxSupersteps > 0 && step > opts.MaxSupersteps {
-			break
-		}
+	for step := shards[0].Superstep(); b.Open(step); step++ {
 		outs := make([][][]byte, n)
 		for i, s := range shards {
+			s.SetPhase(b.Phase())
 			if err := s.Compute(); err != nil {
 				t.Fatalf("superstep %d shard %d compute: %v", step, i, err)
 			}
@@ -93,17 +96,15 @@ func driveShards(t *testing.T, shards []*core.Shard, opts core.Options, captureA
 				t.Fatalf("superstep %d shard %d deliver: %v", step, d, err)
 			}
 		}
-		var delivered int64
-		active := 0
-		for _, s := range shards {
-			rep := s.Barrier()
-			delivered += rep.Delivered
-			active += rep.Active
+		reps := make([]engine.StepReport, n)
+		for i, s := range shards {
+			reps[i] = s.Barrier()
 		}
+		quiesced := b.Close(reps)
 		if step+1 == captureAt {
 			capture()
 		}
-		if delivered == 0 && active == 0 && !opts.ActivateAll {
+		if quiesced {
 			break
 		}
 	}
@@ -223,7 +224,9 @@ func TestShardDurableReplay(t *testing.T) {
 	}
 }
 
-// TestShardGating pins the unsupported-option errors.
+// TestShardGating pins what a shard refuses and what it no longer does: a
+// master and aggregators are the barrier's to run, so SCC builds; a run
+// nothing would end is refused by shard and barrier alike.
 func TestShardGating(t *testing.T) {
 	g := tgraph.TransitExample()
 	prog, opts, err := algorithms.New(g, "sssp", algorithms.Params{Source: 0})
@@ -236,14 +239,81 @@ func TestShardGating(t *testing.T) {
 	bad := opts
 	bad.NumWorkers = 2
 	bad.ActivateAll = true
-	if _, err := core.NewShard(g, prog, bad, 0); err == nil {
-		t.Error("ActivateAll without MaxSupersteps accepted")
+	if _, err := core.NewShard(g, prog, bad, 0); !errors.Is(err, engine.ErrBadConfig) {
+		t.Errorf("ActivateAll without MaxSupersteps or a Master: %v, want ErrBadConfig", err)
+	}
+	if _, err := core.NewBarrier(bad); !errors.Is(err, engine.ErrBadConfig) {
+		t.Errorf("barrier for ActivateAll without MaxSupersteps or a Master: %v, want ErrBadConfig", err)
 	}
 	bad = opts
 	bad.NumWorkers = 2
 	if _, err := core.NewShard(g, prog, bad, 2); err == nil {
 		t.Error("out-of-range shard accepted")
 	}
+	scc, sopts, err := algorithms.New(g, "scc", algorithms.Params{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sopts.NumWorkers = 2
+	sh, err := core.NewShard(g, scc, sopts, 1)
+	if err != nil {
+		t.Fatalf("SCC's master and aggregators refused: %v", err)
+	}
+	sh.Close()
+	if _, err := core.NewBarrier(sopts); err != nil {
+		t.Errorf("SCC's barrier: %v", err)
+	}
+}
+
+// countingProgram is a WrapProgram wrapper that counts the vertex runs it
+// passes through, keeping the checkpoint contract of what it wraps.
+type countingProgram struct {
+	engine.Program
+	engine.Snapshotter
+	runs int
+}
+
+func (p *countingProgram) Run(ctx *engine.Context, msgs []engine.Message) {
+	p.runs++
+	p.Program.Run(ctx, msgs)
+}
+
+// TestShardRunsWrappedProgram: Run and NewShard build their engines through
+// one helper, so Options.WrapProgram wraps what a shard executes too, and
+// wrapped shards compute what unwrapped ones do.
+func TestShardRunsWrappedProgram(t *testing.T) {
+	g := tgraph.TransitExample()
+	p := algorithms.Params{Source: 0}
+	wraps := make([]*countingProgram, testShards)
+	shards := make([]*core.Shard, testShards)
+	var opts core.Options
+	for i := range shards {
+		prog, o, err := algorithms.New(g, "sssp", p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		o.NumWorkers = testShards
+		o.WrapProgram = func(ep engine.Program) engine.Program {
+			wraps[i] = &countingProgram{Program: ep, Snapshotter: ep.(engine.Snapshotter)}
+			return wraps[i]
+		}
+		if shards[i], err = core.NewShard(g, prog, o, i); err != nil {
+			t.Fatal(err)
+		}
+		defer shards[i].Close()
+		opts = o
+	}
+	driveShards(t, shards, opts, 0)
+	for i, w := range wraps {
+		if w == nil || w.runs == 0 {
+			t.Fatalf("shard %d did not run its wrapped program", i)
+		}
+	}
+	opts.WrapProgram = nil
+	want := collectResult(t, g, shards, opts)
+	shards, opts = newTestShards(t, g, "sssp", p)
+	driveShards(t, shards, opts, 0)
+	compareStates(t, g, collectResult(t, g, shards, opts), want)
 }
 
 // TestSnapshotDecodeRejectsMalformedStates hands AssembleResult — the same

@@ -143,7 +143,7 @@ func goldenCaptures(t testing.TB) (names []string, ckpts [][]byte) {
 		key := fmt.Sprintf("\ntwitter %s 2 stepped ", name)
 		i := strings.Index(string(lines), key)
 		line, _, _ := strings.Cut(string(lines[i+1:]), "\n")
-		if strings.HasSuffix(line, "ckpt=-") || strings.HasSuffix(line, "unsupported") {
+		if strings.HasSuffix(line, "ckpt=-") {
 			continue
 		}
 		for range 2 {
@@ -198,9 +198,6 @@ func FuzzRestoreDurable(f *testing.F) {
 		if shard := int(which % 3); shard < 2 {
 			prog, opts := program(t, g, name, p, 2, nil)
 			s, err := core.NewShard(g, prog, opts, shard)
-			if errors.Is(err, core.ErrClusterUnsupported) {
-				return
-			}
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -156,8 +156,8 @@ func (r *ckptReader) slot(what string, n int, prev *int) int {
 // the program snapshot included — is parsed and checked before anything
 // changes: a malformed capture is an error wrapping ErrCheckpointCorrupt or
 // codec.ErrCorrupt and leaves the engine as it was. On success the inboxes,
-// active sets and superstep are the captured ones, and outboxes, partials
-// and any recorded failure are gone.
+// active sets and superstep are the captured ones, and outboxes, partials —
+// aggregator partials included — and any recorded failure are gone.
 func (e *Engine) restore(data []byte, ws []*worker) (err error) {
 	if len(data) < 1 || data[0] != ckptVersion {
 		return fmt.Errorf("%w: unknown version", ErrCheckpointCorrupt)
@@ -236,13 +236,12 @@ func (e *Engine) restore(data []byte, ws []*worker) (err error) {
 }
 
 // checkpoint is one of Run's recovery points: the capture of every worker,
-// plus what only Run's coordinating goroutine holds.
+// plus what only Run's coordinating goroutine holds — the barrier's state and
+// the metrics.
 type checkpoint struct {
-	phase      int
-	halted     bool
+	ctl        BarrierState
 	metrics    Metrics // absolute registry totals at capture time
 	classBytes [codec.NumIntervalClasses]int64
-	aggVals    map[string]any
 	data       []byte
 }
 
@@ -254,18 +253,9 @@ func (e *Engine) saveCheckpoint() error {
 	if err != nil {
 		return err
 	}
-	c := &checkpoint{
-		phase:   e.phase,
-		halted:  e.halted,
-		metrics: e.rawView(),
-		aggVals: make(map[string]any, len(e.aggVals)),
-		data:    data,
-	}
+	c := &checkpoint{ctl: e.barrier.State(), metrics: e.rawView(), data: data}
 	for i, ctr := range e.ec.classBytes {
 		c.classBytes[i] = ctr.Load()
-	}
-	for k, v := range e.aggVals {
-		c.aggVals[k] = v
 	}
 	e.ckpt = c
 	e.checkpoints++
@@ -277,22 +267,14 @@ func (e *Engine) saveCheckpoint() error {
 }
 
 // restoreCheckpoint rewinds the engine to c: the capture's workers and
-// superstep, then phase, metrics and merged aggregates; aggregator partials
-// from the aborted superstep are discarded.
+// superstep — their aggregator partials from the aborted superstep
+// discarded — then the barrier's state and the metrics.
 func (e *Engine) restoreCheckpoint(c *checkpoint) error {
 	if err := e.restore(c.data, e.workers); err != nil {
 		return err
 	}
-	e.phase = c.phase
-	e.halted = c.halted
+	e.barrier.SetState(c.ctl)
 	e.storeRaw(c.metrics, c.classBytes)
-	e.aggVals = make(map[string]any, len(c.aggVals))
-	for k, v := range c.aggVals {
-		e.aggVals[k] = v
-	}
-	for _, agg := range e.aggs {
-		agg.drain()
-	}
 	return nil
 }
 

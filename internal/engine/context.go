@@ -33,7 +33,7 @@ func (c *Context) NumWorkers() int { return len(c.eng.workers) }
 func (c *Context) Worker() int { return c.w.id }
 
 // Phase returns the master-set phase number (0 until changed).
-func (c *Context) Phase() int { return c.eng.phase }
+func (c *Context) Phase() int { return c.eng.barrier.state.Phase }
 
 // Payload returns the value a message of the inbox Run was handed carries.
 func (c *Context) Payload(m Message) any { return m.Word().Resolve(c.spill) }
@@ -106,35 +106,6 @@ func (c *Context) AddComputeCalls(n int) { c.w.computeCalls += int64(n) }
 // AddScatterCalls adds to the run's scatter-call counter.
 func (c *Context) AddScatterCalls(n int) { c.w.scatterCalls += int64(n) }
 
-// Aggregate contributes a value to a named aggregator; it becomes visible
-// in the next superstep.
-func (c *Context) Aggregate(name string, v any) {
-	c.eng.aggs[name].accumulate(v)
-}
-
-// AggValue returns the merged value a named aggregator held at the end of
-// the previous superstep (nil in superstep 1).
-func (c *Context) AggValue(name string) any { return c.eng.aggVals[name] }
-
-// MasterControl is the master-compute interface: it runs between supersteps
-// on merged aggregator state.
-type MasterControl struct {
-	eng  *Engine
-	halt bool
-}
-
-// Superstep returns the superstep about to execute (1-based).
-func (m *MasterControl) Superstep() int { return m.eng.superstp }
-
-// Halt stops the computation before the upcoming superstep.
-func (m *MasterControl) Halt() { m.halt = true }
-
-// Phase returns the current phase number.
-func (m *MasterControl) Phase() int { return m.eng.phase }
-
-// SetPhase changes the phase number visible to vertices via Context.Phase.
-func (m *MasterControl) SetPhase(p int) { m.eng.phase = p }
-
-// AggValue returns the merged value of a named aggregator from the previous
-// superstep.
-func (m *MasterControl) AggValue(name string) any { return m.eng.aggVals[name] }
+// Aggregate contributes a word to a named aggregator: it folds into this
+// worker's partial, and the master reads the merged value at the next barrier.
+func (c *Context) Aggregate(name string, v codec.Word) { c.eng.barrier.fold(c.w.aggs, name, v) }

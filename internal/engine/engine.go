@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -61,8 +60,9 @@ type Program interface {
 	Run(ctx *Context, msgs []Message)
 }
 
-// Master receives control between supersteps, after aggregators are merged;
-// it can read aggregates, switch phases and halt the computation.
+// Master receives control at the barrier before each superstep, after
+// aggregators are merged; it can read aggregates, switch phases and halt the
+// computation.
 type Master interface {
 	BeforeSuperstep(mc *MasterControl)
 }
@@ -81,7 +81,8 @@ type Config struct {
 	// MaxSupersteps bounds the run; zero means no bound.
 	MaxSupersteps int
 	// ActivateAll keeps every vertex active in every superstep (PageRank
-	// style); the run then ends via MaxSupersteps or a master halt.
+	// style); the run then ends via MaxSupersteps or a master halt, one of
+	// which it requires.
 	ActivateAll bool
 	// Partitioner assigns each dense vertex index to a worker; nil means
 	// modulo hashing (Giraph's default hash partitioner). Exploring
@@ -104,20 +105,17 @@ type Config struct {
 	// CheckpointEvery, when > 0, captures a recovery point after every k-th
 	// superstep barrier (plus one before superstep 1): user vertex state via
 	// the Snapshotter contract, inboxes and active sets — encoded, in the
-	// format of a Shard's durable capture — plus merged aggregates and
-	// metrics. A failed superstep — user-program panic, codec failure or
-	// transport error — then rolls back to the latest checkpoint and replays
-	// instead of aborting the run. Requires PayloadCodec and a Program
-	// implementing Snapshotter. Masters are re-invoked on replayed supersteps
-	// and must tolerate that (the replayed aggregates they see are identical).
+	// format of a Shard's durable capture — plus the barrier's state (phase,
+	// merged aggregates) and metrics. A failed superstep — user-program
+	// panic, codec failure or transport error — then rolls back to the latest
+	// checkpoint and replays instead of aborting the run. Requires
+	// PayloadCodec and a Program implementing Snapshotter. Masters are
+	// re-invoked on replayed supersteps and must tolerate that (the replayed
+	// aggregates they see are identical).
 	CheckpointEvery int
 	// MaxRecoveries bounds rollback-and-replay attempts per run; zero means
 	// DefaultMaxRecoveries. Only meaningful with CheckpointEvery > 0.
 	MaxRecoveries int
-	// SendRetries is how many times a failed Transport.Send is retried (with
-	// capped exponential backoff) before the superstep is declared failed.
-	// Zero means DefaultSendRetries; negative disables retries.
-	SendRetries int
 	// Tracer, when set, receives the typed per-superstep event stream:
 	// run/superstep lifecycle, per-worker phase timings, checkpoint, recovery
 	// and send-retry events. Lifecycle events are emitted from the
@@ -147,9 +145,9 @@ const (
 	// DefaultMaxRecoveries is the rollback-and-replay budget per run when
 	// Config.MaxRecoveries is zero.
 	DefaultMaxRecoveries = 3
-	// DefaultSendRetries is the per-batch Transport.Send retry budget when
-	// Config.SendRetries is zero.
-	DefaultSendRetries = 2
+	// sendRetries is how many times a failed Transport.Send is retried, with
+	// capped exponential backoff, before the superstep is declared failed.
+	sendRetries = 2
 	// sendRetryBackoff is the initial delay between Send retries; it doubles
 	// per attempt, capped at 16x, with equal jitter (see RetryDelay).
 	sendRetryBackoff = 2 * time.Millisecond
@@ -167,12 +165,9 @@ type Engine struct {
 	program  Program
 	numV     int
 	workers  []*worker
-	aggs     map[string]*Aggregator
-	aggVals  map[string]any // merged values from the previous superstep
-	part     []int32        // vertex -> worker
-	slot     []int32        // vertex -> local slot within its worker
-	phase    int
-	halted   bool
+	barrier  *Barrier
+	part     []int32 // vertex -> worker
+	slot     []int32 // vertex -> local slot within its worker
 	superstp int
 
 	// inline is the kind of word PayloadCodec's values are when the codec has
@@ -226,6 +221,7 @@ type worker struct {
 	sentBytes    int64
 	spilled      int64
 	classBytes   [codec.NumIntervalClasses]int64 // interval bytes by encoding class
+	aggs         []codec.Word                    // aggregator partials, in the barrier's name order
 
 	// Per-phase observations for the superstep in flight: each worker
 	// records into its own fields; the coordinator reads them after the
@@ -269,12 +265,15 @@ func New(numVertices int, program Program, cfg Config) (*Engine, error) {
 			return nil, fmt.Errorf("%w: CheckpointEvery requires PayloadCodec", ErrBadConfig)
 		}
 	}
+	b, err := NewBarrier(cfg, nil)
+	if err != nil {
+		return nil, err
+	}
 	e := &Engine{
 		cfg:     cfg,
 		program: program,
 		numV:    numVertices,
-		aggs:    map[string]*Aggregator{},
-		aggVals: map[string]any{},
+		barrier: b,
 		part:    make([]int32, numVertices),
 		slot:    make([]int32, numVertices),
 		tracer:  cfg.Tracer,
@@ -343,9 +342,7 @@ func (e *Engine) releaseBuffers() {
 }
 
 // RegisterAggregator installs a named aggregator before Run.
-func (e *Engine) RegisterAggregator(name string, agg *Aggregator) {
-	e.aggs[name] = agg
-}
+func (e *Engine) RegisterAggregator(name string, agg *Aggregator) { e.barrier.register(name, agg) }
 
 // owner returns the worker id and local slot for a vertex index.
 func (e *Engine) owner(v int32) (wid, slot int) {
@@ -365,8 +362,10 @@ func (e *Engine) Run() (*Metrics, error) {
 	defer e.releaseBuffers()
 	for _, w := range e.workers {
 		w.drawOutboxes()
+		w.resetPartials()
 	}
 	start := time.Now()
+	reps := make([]StepReport, len(e.workers))
 	e.base = e.rawView()
 	if e.traced {
 		e.tracer.Emit(obs.RunStart{
@@ -397,17 +396,8 @@ func (e *Engine) Run() (*Metrics, error) {
 		if err := e.canceled(); err != nil {
 			return nil, err
 		}
-		if e.cfg.MaxSupersteps > 0 && e.superstp > e.cfg.MaxSupersteps {
+		if !e.barrier.open(e.superstp, e) {
 			break
-		}
-		// Master compute with the previous superstep's aggregates.
-		if e.cfg.Master != nil {
-			mc := MasterControl{eng: e}
-			e.cfg.Master.BeforeSuperstep(&mc)
-			if mc.halt {
-				e.halted = true
-				break
-			}
 		}
 
 		if e.traced {
@@ -441,7 +431,7 @@ func (e *Engine) Run() (*Metrics, error) {
 		}
 
 		// Messaging phase: exclusive message delivery after compute.
-		delivered := e.exchange()
+		e.exchange()
 		t2 := time.Now()
 
 		// A failed exchange is checked before the barrier merge so a partial
@@ -462,8 +452,15 @@ func (e *Engine) Run() (*Metrics, error) {
 			e.emitWorkerPhases("exchange")
 		}
 
-		// Barrier: merge aggregators and metric partials into the registry.
-		e.mergeAggregates()
+		// Barrier: every worker reports to the barrier, in worker order — the
+		// aggregates merge, the halt rule is decided — then the metric
+		// partials fold into the registry.
+		var delivered int64
+		for i, w := range e.workers {
+			reps[i] = StepReport{Delivered: w.delivered, Active: len(w.frontier), Aggs: w.aggs}
+			delivered += w.delivered
+		}
+		quiesced := e.barrier.Close(reps)
 		st := e.mergePartials()
 		t3 := time.Now()
 
@@ -505,12 +502,8 @@ func (e *Engine) Run() (*Metrics, error) {
 				return nil, err
 			}
 		}
-		if delivered == 0 && !e.anyActive() && !e.cfg.ActivateAll {
+		if quiesced {
 			break
-		}
-		if delivered == 0 && e.cfg.ActivateAll && e.cfg.MaxSupersteps == 0 && e.cfg.Master == nil {
-			// Nothing can ever change again and nothing will stop us.
-			return nil, fmt.Errorf("%w: ActivateAll needs MaxSupersteps or a Master", ErrBadConfig)
 		}
 	}
 	e.ec.makespanNS.Store(time.Since(start).Nanoseconds())
@@ -529,7 +522,7 @@ func (e *Engine) Run() (*Metrics, error) {
 			MessagingNS:  int64(m.MessagingTime),
 			BarrierNS:    int64(m.BarrierTime),
 			MakespanNS:   int64(m.Makespan),
-			Halted:       e.halted,
+			Halted:       e.barrier.Halted(),
 		})
 	}
 	return &m, nil
@@ -639,13 +632,13 @@ func (e *Engine) parallel(fn func(*worker)) {
 }
 
 // exchange moves all outbox batches to destination inboxes, applying the
-// receiver-side combiner, and returns the number of delivered messages.
-func (e *Engine) exchange() int64 {
+// receiver-side combiner; each worker counts what it delivered.
+func (e *Engine) exchange() {
 	if e.cfg.Transport != nil {
-		return e.exchangeTransport()
+		e.exchangeTransport()
+		return
 	}
 	e.parallel((*worker).exchangeLocal)
-	return e.sumDelivered()
 }
 
 // exchangeLocal is one worker's in-memory exchange phase: it gathers the
@@ -667,20 +660,10 @@ func (w *worker) exchangeLocal() {
 	w.exchangeNS = time.Since(phaseStart).Nanoseconds()
 }
 
-// sumDelivered folds the per-worker delivery counts after an exchange phase
-// barrier; workers are quiescent, so plain reads suffice.
-func (e *Engine) sumDelivered() int64 {
-	var n int64
-	for _, w := range e.workers {
-		n += w.delivered
-	}
-	return n
-}
-
 // exchangeTransport is the exchange phase over a real transport: every
 // cross-worker batch is serialized, shipped, and decoded on the far side;
 // same-worker batches are delivered directly, as they never leave the node.
-func (e *Engine) exchangeTransport() int64 {
+func (e *Engine) exchangeTransport() {
 	// Ship phase. A failed Send is retried with capped exponential backoff
 	// before the superstep is declared failed: transient faults (a dropped
 	// frame, a congested peer) should not force a rollback.
@@ -716,7 +699,6 @@ func (e *Engine) exchangeTransport() int64 {
 			e.fail(err)
 		}
 	})
-	return e.sumDelivered()
 }
 
 // receive is a worker's receive phase over serialized batches: the
@@ -780,18 +762,11 @@ func (w *worker) deliver(slot int, m Message, from []any) {
 	w.activate(slot)
 }
 
-// sendWithRetry ships one batch, retrying transient failures per
-// Config.SendRetries before giving up.
+// sendWithRetry ships one batch, retrying transient failures sendRetries
+// times before giving up.
 func (e *Engine) sendWithRetry(src, dst int, batch []byte) error {
-	retries := e.cfg.SendRetries
-	switch {
-	case retries == 0:
-		retries = DefaultSendRetries
-	case retries < 0:
-		retries = 0
-	}
 	var err error
-	for attempt := 0; attempt <= retries; attempt++ {
+	for attempt := 0; attempt <= sendRetries; attempt++ {
 		if attempt > 0 {
 			// Capped exponential backoff with equal jitter: concurrent workers
 			// retrying a congested peer must not re-collide in lockstep.
@@ -814,40 +789,8 @@ func (e *Engine) sendWithRetry(src, dst int, batch []byte) error {
 			})
 		}
 	}
-	return fmt.Errorf("engine: send %d->%d failed after %d attempts: %w", src, dst, retries+1, err)
+	return fmt.Errorf("engine: send %d->%d failed after %d attempts: %w", src, dst, sendRetries+1, err)
 }
-
-// anyActive reports whether any vertex was activated since the last compute
-// phase; O(workers), from the frontier lengths maintained at delivery time.
-func (e *Engine) anyActive() bool {
-	for _, w := range e.workers {
-		if len(w.frontier) > 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// mergeAggregates folds the per-worker aggregator partials into the values
-// visible to the master and to vertices in the next superstep.
-func (e *Engine) mergeAggregates() {
-	if len(e.aggs) == 0 {
-		return
-	}
-	names := make([]string, 0, len(e.aggs))
-	for n := range e.aggs {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		agg := e.aggs[n]
-		v := agg.drain()
-		e.aggVals[n] = v
-	}
-}
-
-// Superstep returns the 1-based current superstep (valid during Run).
-func (e *Engine) Superstep() int { return e.superstp }
 
 // Halted reports whether the master stopped the run.
-func (e *Engine) Halted() bool { return e.halted }
+func (e *Engine) Halted() bool { return e.barrier.Halted() }

@@ -1,9 +1,13 @@
 package engine
 
 import (
+	"context"
 	"errors"
+	"runtime"
+	"slices"
 	"sync"
 	"testing"
+	"time"
 
 	"graphite/internal/codec"
 	ival "graphite/internal/interval"
@@ -131,11 +135,23 @@ func TestMaxSupersteps(t *testing.T) {
 	}
 }
 
+// TestActivateAllRequiresBound: with every vertex kept active and messaging
+// itself, nothing but MaxSupersteps or a master ends a run — so a
+// configuration with neither is refused when the engine is built, not left
+// to run until something else stops it.
 func TestActivateAllRequiresBound(t *testing.T) {
-	p := &countProgram{limit: 0}
-	e, _ := New(2, p, Config{NumWorkers: 1, ActivateAll: true})
-	if _, err := e.Run(); !errors.Is(err, ErrBadConfig) {
-		t.Errorf("want ErrBadConfig, got %v", err)
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	p := &countProgram{limit: 1 << 30}
+	e, err := New(2, p, Config{NumWorkers: 1, ActivateAll: true, Context: ctx})
+	if err == nil {
+		_, err = e.Run()
+	}
+	if !errors.Is(err, ErrBadConfig) {
+		t.Errorf("want ErrBadConfig from New, got %v after %d vertex runs", err, p.runs)
+	}
+	if _, err := New(2, p, Config{NumWorkers: 1, ActivateAll: true, Master: &haltMaster{}}); err != nil {
+		t.Errorf("a master may end an ActivateAll run: %v", err)
 	}
 	// With MaxSupersteps it must run every vertex every superstep.
 	p = &countProgram{limit: 0}
@@ -186,36 +202,127 @@ func TestReceiverSideCombiner(t *testing.T) {
 	}
 }
 
-// aggProgram contributes its vertex id each superstep.
-type aggProgram struct {
-	mu   sync.Mutex
-	seen []int64 // aggregate value observed at each superstep > 1
-}
+// aggProgram contributes 1 from every vertex each superstep and keeps every
+// vertex active for three.
+type aggProgram struct{}
 
-func (p *aggProgram) Init(*Context) {}
-func (p *aggProgram) Run(ctx *Context, msgs []Message) {
-	ctx.Aggregate("sum", int64(1))
-	if ctx.Superstep() > 1 && ctx.Vertex() == 0 {
-		p.mu.Lock()
-		p.seen = append(p.seen, ctx.AggValue("sum").(int64))
-		p.mu.Unlock()
-	}
+func (aggProgram) Init(*Context) {}
+func (aggProgram) Run(ctx *Context, msgs []Message) {
+	ctx.Aggregate("sum", codec.IntWord(1))
 	if ctx.Superstep() < 3 {
 		ctx.Send(ctx.Vertex(), ival.Universe, nil)
 	}
 }
 
+// sumMaster records, before every superstep after the first, the bits of the
+// "sum" aggregate merged at the barrier before it.
+type sumMaster struct{ seen []uint64 }
+
+func (m *sumMaster) BeforeSuperstep(mc *MasterControl) {
+	if mc.Superstep() > 1 {
+		m.seen = append(m.seen, mc.AggValue("sum").A)
+	}
+}
+
 func TestAggregators(t *testing.T) {
-	p := &aggProgram{}
-	e, _ := New(5, p, Config{NumWorkers: 3})
+	m := &sumMaster{}
+	e, _ := New(5, aggProgram{}, Config{NumWorkers: 3, Master: m})
 	e.RegisterAggregator("sum", SumInt64())
 	if _, err := e.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 	// Superstep 2 sees the sum from superstep 1 (5 vertices), superstep 3
 	// sees superstep 2's (5 again).
-	if len(p.seen) != 2 || p.seen[0] != 5 || p.seen[1] != 5 {
-		t.Errorf("aggregate history = %v, want [5 5]", p.seen)
+	if !slices.Equal(m.seen, []uint64{5, 5}) {
+		t.Errorf("aggregate history = %v, want [5 5]", m.seen)
+	}
+}
+
+// floatSum sums float words. Float addition is not associative, so what it
+// merges shows the order it folded in.
+func floatSum() *Aggregator {
+	return NewAggregator(codec.FloatWord(0), func(a, b codec.Word) codec.Word { return codec.FloatWord(a.Float() + b.Float()) })
+}
+
+// cancellingProgram contributes 1e16, -1e16, 1 and 1 to "sum" from vertices
+// 0, 1, 2 and 3 mod 4: the small terms survive or vanish by fold order.
+type cancellingProgram struct{ noSnapshot }
+
+func (cancellingProgram) Init(*Context) {}
+func (cancellingProgram) Run(ctx *Context, _ []Message) {
+	ctx.Aggregate("sum", codec.FloatWord([4]float64{1e16, -1e16, 1, 1}[ctx.Vertex()%4]))
+}
+
+// TestAggregateFoldOrder: each worker folds its own vertices' contributions
+// in the order they compute and the barrier folds the workers' partials in
+// ascending worker order, so a float sum merges to one bit pattern run after
+// run, with as many threads as workers — and to the one three shards stepped
+// through a barrier of their own merge to.
+func TestAggregateFoldOrder(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	const n, workers, steps = 4000, 3, 5
+	cfg := Config{NumWorkers: workers, ActivateAll: true, MaxSupersteps: steps, PayloadCodec: codec.Float64{}}
+	run := func() []uint64 {
+		m := &sumMaster{}
+		c := cfg
+		c.Master = m
+		e, err := New(n, cancellingProgram{}, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.RegisterAggregator("sum", floatSum())
+		if _, err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return m.seen
+	}
+	want := run()
+	if len(want) != steps-1 {
+		t.Fatalf("the master saw %d merged values, want %d", len(want), steps-1)
+	}
+	for i := 1; i < 20; i++ {
+		if got := run(); !slices.Equal(got, want) {
+			t.Fatalf("run %d merged %x, run 0 %x", i, got, want)
+		}
+	}
+
+	m := &sumMaster{}
+	c := cfg
+	c.Master = m
+	b, err := NewBarrier(c, map[string]*Aggregator{"sum": floatSum()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	shards := make([]*Shard, workers)
+	for i := range shards {
+		if shards[i], err = NewShard(n, cancellingProgram{}, c, i); err != nil {
+			t.Fatal(err)
+		}
+		defer shards[i].Close()
+		shards[i].RegisterAggregator("sum", floatSum())
+		if err := shards[i].Init(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for step := 1; b.Open(step); step++ {
+		reps := make([]StepReport, workers)
+		for i, s := range shards {
+			if err := s.Compute(); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.Outbound(); err != nil {
+				t.Fatal(err)
+			}
+			// Nothing is sent: every peer's batch is the empty one.
+			if _, err := s.Deliver(slices.Repeat([][]byte{{0}}, workers-1)); err != nil {
+				t.Fatal(err)
+			}
+			reps[i] = s.Barrier()
+		}
+		b.Close(reps)
+	}
+	if !slices.Equal(m.seen, want) {
+		t.Errorf("stepped shards merged %x, Run %x", m.seen, want)
 	}
 }
 
@@ -320,28 +427,23 @@ func TestMetricsTimeSplit(t *testing.T) {
 }
 
 func TestAggregatorConstructors(t *testing.T) {
-	min := MinInt64(99)
-	min.accumulate(int64(7))
-	min.accumulate(int64(3))
-	if v := min.drain().(int64); v != 3 {
-		t.Errorf("MinInt64 drain = %d, want 3", v)
+	fold := func(a *Aggregator, vs ...int64) codec.Word {
+		w := a.identity
+		for _, v := range vs {
+			w = a.reduce(w, codec.IntWord(v))
+		}
+		return w
 	}
-	if v := min.drain().(int64); v != 99 {
-		t.Errorf("MinInt64 identity = %d, want 99", v)
+	if got := fold(SumInt64(), 7, 3); got != codec.IntWord(10) {
+		t.Errorf("SumInt64 of 7, 3 = %v, want 10", got)
 	}
-	sum := SumFloat64()
-	sum.accumulate(1.5)
-	sum.accumulate(2.25)
-	if v := sum.drain().(float64); v != 3.75 {
-		t.Errorf("SumFloat64 drain = %v", v)
+	if got := fold(SumInt64()); got != codec.IntWord(0) {
+		t.Errorf("SumInt64 identity = %v, want 0", got)
 	}
-	or := BoolOr()
-	if v := or.drain().(bool); v {
-		t.Errorf("BoolOr identity should be false")
+	if got := fold(BoolOr()); got != codec.IntWord(0) {
+		t.Errorf("BoolOr identity = %v, want 0 (false)", got)
 	}
-	or.accumulate(true)
-	or.accumulate(false)
-	if v := or.drain().(bool); !v {
-		t.Errorf("BoolOr drain should be true")
+	if got := fold(BoolOr(), 1, 0); got != codec.IntWord(1) {
+		t.Errorf("BoolOr of true, false = %v, want 1 (true)", got)
 	}
 }

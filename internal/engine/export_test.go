@@ -20,11 +20,20 @@ func (m *MasterControl) Checkpoint() (Checkpoint, error) {
 }
 
 // Rewind rolls the engine back to c, as a recovery does — c may come from
-// another engine over the same vertices, workers and program.
-func (m *MasterControl) Rewind(c Checkpoint) error { return m.eng.restoreCheckpoint(c.c) }
+// another engine over the same vertices, workers and program. The master
+// then steers the superstep c was taken before.
+func (m *MasterControl) Rewind(c Checkpoint) error {
+	err := m.eng.restoreCheckpoint(c.c)
+	m.superstep = m.eng.superstp
+	return err
+}
 
 // Capture returns the capture of every worker at this barrier.
 func (m *MasterControl) Capture() ([]byte, error) { return m.eng.capture(nil, m.eng.workers) }
 
 // Restore rewinds every worker to a capture.
-func (m *MasterControl) Restore(data []byte) error { return m.eng.restore(data, m.eng.workers) }
+func (m *MasterControl) Restore(data []byte) error {
+	err := m.eng.restore(data, m.eng.workers)
+	m.superstep = m.eng.superstp
+	return err
+}

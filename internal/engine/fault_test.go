@@ -162,10 +162,8 @@ func TestRunSurvivesFaults(t *testing.T) {
 		{
 			name: "mid-run transport error",
 			configure: func(_ *testing.T, _ *faultProgram) Config {
-				// SendRetries -1 disables retries so the stub's permanent
-				// failure surfaces immediately.
-				return Config{NumWorkers: 2, PayloadCodec: codec.Int64{},
-					Transport: errTransport{}, SendRetries: -1}
+				// The stub's failure is permanent: it outlasts the retries.
+				return Config{NumWorkers: 2, PayloadCodec: codec.Int64{}, Transport: errTransport{}}
 			},
 		},
 	}
@@ -286,10 +284,7 @@ type replayMaster struct {
 
 func (m *replayMaster) BeforeSuperstep(mc *MasterControl) {
 	m.mu.Lock()
-	var v int64
-	if x, ok := mc.AggValue("sum").(int64); ok {
-		v = x
-	}
+	v := mc.AggValue("sum").Int()
 	m.seen[mc.Superstep()] = append(m.seen[mc.Superstep()], v)
 	m.count++
 	m.mu.Unlock()
@@ -305,7 +300,7 @@ type aggFaultProgram struct {
 }
 
 func (p *aggFaultProgram) Run(ctx *Context, msgs []Message) {
-	ctx.Aggregate("sum", int64(1))
+	ctx.Aggregate("sum", codec.IntWord(1))
 	p.faultProgram.Run(ctx, msgs)
 }
 

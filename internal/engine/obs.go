@@ -193,11 +193,13 @@ func (e *Engine) mergePartials() stepTotals {
 	return st
 }
 
-// resetPartials clears a worker's per-superstep metric partials.
+// resetPartials starts a worker's per-superstep partials over: the metric
+// counts at zero, the aggregator partials at their identities.
 func (w *worker) resetPartials() {
 	w.computeCalls, w.scatterCalls, w.sentMsgs, w.sentBytes = 0, 0, 0, 0
 	w.spilled = 0
 	w.classBytes = [codec.NumIntervalClasses]int64{}
+	w.aggs = w.eng.barrier.identities(w.aggs)
 }
 
 // emitWorkerPhases reports one phase of the finished superstep for every

@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"runtime/debug"
+	"slices"
 
 	"graphite/internal/codec"
 )
@@ -17,15 +18,16 @@ import (
 //
 // The cluster coordinator drives the BSP loop from outside: Compute →
 // Outbound (encoded batches for the wire) → Deliver (batches received from
-// peers) → Barrier, one call set per superstep per shard. Delivery order
+// peers) → Barrier, one call set per superstep per shard, and closes each
+// superstep through an engine Barrier of its own. Delivery order
 // matches the in-process transported exchange exactly — own outbox first,
 // then peer batches in ascending shard order — so a cluster run is
 // bit-identical to a single-process run over the same configuration, which
 // is what the kill-recovery chaos tests assert.
 
-// StepReport is one shard's contribution to a superstep barrier. The
-// coordinator sums Delivered and Active across shards to detect global
-// quiescence (the engine's halt condition, distributed).
+// StepReport is one shard's contribution to a superstep barrier: what
+// Barrier.Close decides the superstep's end from — deliveries, frontier and
+// aggregator partials — and the counts the coordinator totals.
 type StepReport struct {
 	Superstep    int   // the superstep just completed
 	Delivered    int64 // messages delivered into this shard
@@ -34,35 +36,32 @@ type StepReport struct {
 	ScatterCalls int64
 	SentMsgs     int64
 	SentBytes    int64
+	Aggs         []codec.Word // aggregator partials, in name order
 }
 
 // Shard is one worker's slice of an engine, stepped from outside.
 type Shard struct {
-	eng       *Engine
-	w         *worker
-	id        int
-	delivered int64
-	ckptSize  int // the last capture's length, the next one's first allocation
+	eng      *Engine
+	w        *worker
+	id       int
+	ckptSize int // the last capture's length, the next one's first allocation
 }
 
 // NewShard builds the full engine for numVertices vertices and returns the
 // handle for executing worker shard of cfg.NumWorkers. The configuration
 // must be identical across every process of the cluster (same partitioner,
 // worker count, codec, program construction), which is why NumWorkers must
-// be explicit — a GOMAXPROCS default would diverge between hosts. Single-
-// process concerns are rejected: Transport (the cluster IS the transport),
-// Master and CheckpointEvery (the coordinator owns control flow and durable
-// checkpoints), Context (cancellation arrives as a connection close, not a
-// ctx).
+// be explicit — a GOMAXPROCS default would diverge between hosts. A Master
+// runs in the coordinator's barrier, not in the shard. Single-process concerns
+// are rejected: Transport (the cluster IS the transport), CheckpointEvery (the
+// coordinator owns durable checkpoints), Context (cancellation arrives as a
+// connection close, not a ctx).
 func NewShard(numVertices int, program Program, cfg Config, shard int) (*Shard, error) {
 	if cfg.NumWorkers <= 0 {
 		return nil, fmt.Errorf("%w: shard execution requires an explicit NumWorkers", ErrBadConfig)
 	}
 	if cfg.Transport != nil {
 		return nil, fmt.Errorf("%w: shard execution replaces Transport", ErrBadConfig)
-	}
-	if cfg.Master != nil {
-		return nil, fmt.Errorf("%w: master compute is centralized at the cluster coordinator", ErrBadConfig)
 	}
 	if cfg.CheckpointEvery > 0 {
 		return nil, fmt.Errorf("%w: shards checkpoint durably via CaptureDurable, not CheckpointEvery", ErrBadConfig)
@@ -94,13 +93,22 @@ func NewShard(numVertices int, program Program, cfg Config, shard int) (*Shard, 
 // a shard that is merely dropped is collected like any other garbage.
 func (s *Shard) Close() { s.eng.releaseBuffers() }
 
+// RegisterAggregator installs a named aggregator before Init: the shard's
+// vertices fold their contributions into its partial.
+func (s *Shard) RegisterAggregator(name string, agg *Aggregator) { s.eng.RegisterAggregator(name, agg) }
+
 // Superstep returns the 1-based superstep about to execute (or executing).
 func (s *Shard) Superstep() int { return s.eng.superstp }
+
+// SetPhase sets the phase vertices see in the next Compute: the one
+// Barrier.Open left for the superstep.
+func (s *Shard) SetPhase(p int) { s.eng.barrier.state.Phase = p }
 
 // Init runs Program.Init over this shard's vertices (superstep-1 setup),
 // activating all of them, exactly as Run's init phase does for one worker.
 func (s *Shard) Init() error {
 	s.eng.superstp = 1
+	s.w.resetPartials()
 	s.w.init()
 	return s.eng.takeErr()
 }
@@ -161,30 +169,33 @@ func (s *Shard) Deliver(batches [][]byte) (int64, error) {
 	if err != nil {
 		return n, fmt.Errorf("engine: shard %d: %w", s.id, err)
 	}
-	s.delivered = n
+	s.w.delivered = n
 	return n, nil
 }
 
-// Barrier closes the current superstep: partials fold into the registry and
-// the report the coordinator aggregates is returned. Call after Deliver.
+// Barrier closes the current superstep on the shard's side: partials fold
+// into the registry and the report for Barrier.Close is returned. Call after
+// Deliver.
 func (s *Shard) Barrier() StepReport {
 	e := s.eng
+	aggs := slices.Clone(s.w.aggs)
 	st := e.mergePartials()
 	rep := StepReport{
 		Superstep:    e.superstp,
-		Delivered:    s.delivered,
+		Delivered:    s.w.delivered,
 		Active:       len(s.w.frontier),
 		ComputeCalls: st.computeCalls,
 		ScatterCalls: st.scatterCalls,
 		SentMsgs:     st.sentMsgs,
 		SentBytes:    st.sentBytes,
+		Aggs:         aggs,
 	}
 	e.ec.supersteps.Inc()
 	// No imbalance gauge: only this shard's worker computes in this engine.
 	// The cluster's imbalance is the coordinator's GClusterSkewMilli.
 	e.ec.activeVertices.Set(int64(e.countActive()))
 	e.superstp++
-	s.delivered = 0
+	s.w.delivered = 0
 	return rep
 }
 
@@ -212,6 +223,6 @@ func (s *Shard) RestoreDurable(data []byte) error {
 	if err := s.eng.restore(data, s.eng.workers[s.id:s.id+1]); err != nil {
 		return fmt.Errorf("engine: shard %d: %w", s.id, err)
 	}
-	s.delivered = 0
+	s.w.delivered = 0
 	return nil
 }

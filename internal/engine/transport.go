@@ -99,70 +99,37 @@ func (e *Engine) decodeBatchInto(dst *msgSlab, buf []byte) error {
 // Each ordered worker pair (src, dst) has its own connection; the dialing
 // side writes, the accepting side reads.
 type TCPTransport struct {
-	n         int
-	send      [][]net.Conn // [src][dst]: dialer endpoints, written by src
-	recv      [][]net.Conn // [src][dst]: accepted endpoints, read by dst
-	lns       []net.Listener
+	n    int
+	send [][]net.Conn // [src][dst]: dialer endpoints, written by src
+	recv [][]net.Conn // [src][dst]: accepted endpoints, read by dst
+	lns  []net.Listener
+	// ioTimeout bounds each Send write and each Recv frame read, so a dead
+	// peer surfaces as an error instead of a hung barrier.
 	ioTimeout time.Duration
 }
 
-// TCPOptions tunes the loopback mesh's fault behaviour. The zero value
-// selects the defaults below.
-type TCPOptions struct {
-	// IOTimeout bounds each Send write and each Recv frame read so a dead
-	// peer surfaces as an error instead of a hung barrier; zero means
-	// DefaultIOTimeout, negative disables deadlines.
-	IOTimeout time.Duration
-	// SetupTimeout bounds mesh construction — accepts and dials both; zero
-	// means DefaultSetupTimeout.
-	SetupTimeout time.Duration
-	// DialAttempts is how many times each peer is dialed before setup fails;
-	// transient ECONNREFUSED while peers are still binding is retried with
-	// exponential backoff. Zero means DefaultDialAttempts.
-	DialAttempts int
-	// DialBackoff is the initial delay between dial attempts, doubling per
-	// attempt and capped at 16x; zero means DefaultDialBackoff.
-	DialBackoff time.Duration
-}
-
-// TCP mesh defaults.
+// The loopback mesh's IO deadline, setup deadline (accepts and dials both),
+// and dial retries — peers may still be binding — with their initial backoff.
 const (
-	DefaultIOTimeout    = 30 * time.Second
-	DefaultSetupTimeout = 10 * time.Second
-	DefaultDialAttempts = 5
-	DefaultDialBackoff  = 5 * time.Millisecond
+	tcpIOTimeout    = 30 * time.Second
+	tcpSetupTimeout = 10 * time.Second
+	tcpDialAttempts = 5
+	tcpDialBackoff  = 5 * time.Millisecond
 )
 
-// NewTCPTransport wires n workers into a loopback mesh with default options.
+// NewTCPTransport wires n workers into a loopback mesh.
 func NewTCPTransport(n int) (*TCPTransport, error) {
-	return NewTCPTransportOpts(n, TCPOptions{})
-}
-
-// NewTCPTransportOpts wires n workers into a loopback mesh.
-func NewTCPTransportOpts(n int, opts TCPOptions) (*TCPTransport, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("engine: transport needs at least one worker")
-	}
-	if opts.IOTimeout == 0 {
-		opts.IOTimeout = DefaultIOTimeout
-	}
-	if opts.SetupTimeout <= 0 {
-		opts.SetupTimeout = DefaultSetupTimeout
-	}
-	if opts.DialAttempts <= 0 {
-		opts.DialAttempts = DefaultDialAttempts
-	}
-	if opts.DialBackoff <= 0 {
-		opts.DialBackoff = DefaultDialBackoff
 	}
 	t := &TCPTransport{
 		n:         n,
 		send:      connMatrix(n),
 		recv:      connMatrix(n),
 		lns:       make([]net.Listener, n),
-		ioTimeout: opts.IOTimeout,
+		ioTimeout: tcpIOTimeout,
 	}
-	deadline := time.Now().Add(opts.SetupTimeout)
+	deadline := time.Now().Add(tcpSetupTimeout)
 	addrs := make([]string, n)
 	for w := 0; w < n; w++ {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -224,7 +191,7 @@ func NewTCPTransportOpts(n int, opts TCPOptions) (*TCPTransport, error) {
 			if p == w {
 				continue
 			}
-			conn, err := dialRetry(addrs[p], opts.DialAttempts, opts.DialBackoff, deadline)
+			conn, err := dialRetry(addrs[p], tcpDialAttempts, tcpDialBackoff, deadline)
 			if err != nil {
 				fail(err)
 				continue
@@ -281,7 +248,7 @@ func connMatrix(n int) [][]net.Conn {
 
 // Send implements Transport with a 4-byte length prefix. A missing
 // connection (failed dial, closed mesh) is a descriptive error, never a nil
-// dereference; each write is bounded by the configured IO timeout.
+// dereference; each write is bounded by the IO timeout.
 func (t *TCPTransport) Send(src, dst int, batch []byte) error {
 	if src < 0 || src >= t.n || dst < 0 || dst >= t.n || src == dst {
 		return fmt.Errorf("engine: invalid send pair %d->%d in %d-worker mesh", src, dst, t.n)
@@ -290,9 +257,7 @@ func (t *TCPTransport) Send(src, dst int, batch []byte) error {
 	if conn == nil {
 		return fmt.Errorf("engine: no connection %d->%d (dial failed or mesh closed)", src, dst)
 	}
-	if t.ioTimeout > 0 {
-		conn.SetWriteDeadline(time.Now().Add(t.ioTimeout))
-	}
+	conn.SetWriteDeadline(time.Now().Add(t.ioTimeout))
 	var hdr [4]byte
 	binary.BigEndian.PutUint32(hdr[:], uint32(len(batch)))
 	if _, err := conn.Write(hdr[:]); err != nil {
@@ -303,7 +268,7 @@ func (t *TCPTransport) Send(src, dst int, batch []byte) error {
 }
 
 // Recv implements Transport: one frame per peer, ascending source order.
-// Each frame read is bounded by the configured IO timeout so a dead peer
+// Each frame read is bounded by the IO timeout so a dead peer
 // cannot block the barrier forever.
 func (t *TCPTransport) Recv(dst int) ([][]byte, error) {
 	if dst < 0 || dst >= t.n {
@@ -318,9 +283,7 @@ func (t *TCPTransport) Recv(dst int) ([][]byte, error) {
 		if conn == nil {
 			return nil, fmt.Errorf("engine: no connection %d->%d (dial failed or mesh closed)", src, dst)
 		}
-		if t.ioTimeout > 0 {
-			conn.SetReadDeadline(time.Now().Add(t.ioTimeout))
-		}
+		conn.SetReadDeadline(time.Now().Add(t.ioTimeout))
 		var hdr [4]byte
 		if _, err := io.ReadFull(conn, hdr[:]); err != nil {
 			return nil, err

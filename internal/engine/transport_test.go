@@ -176,11 +176,12 @@ func TestTCPTransportNilConnGuard(t *testing.T) {
 // TestTCPTransportRecvTimeout checks a silent peer surfaces as a timeout
 // error instead of blocking the barrier forever.
 func TestTCPTransportRecvTimeout(t *testing.T) {
-	tr, err := NewTCPTransportOpts(2, TCPOptions{IOTimeout: 50 * time.Millisecond})
+	tr, err := NewTCPTransport(2)
 	if err != nil {
 		t.Fatalf("transport: %v", err)
 	}
 	defer tr.Close()
+	tr.ioTimeout = 50 * time.Millisecond
 	start := time.Now()
 	if _, err := tr.Recv(1); err == nil {
 		t.Fatalf("recv with no sender must time out")

@@ -3,6 +3,7 @@ package stream
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -242,5 +243,111 @@ func TestHorizonClipsClosedEnds(t *testing.T) {
 	}
 	if err := tgraph.Equal(got, want); err != nil {
 		t.Errorf("edge closed at 15 under horizon 10 differs from one closed at 10: %v", err)
+	}
+}
+
+// TestPreflightMatchesApply: Preflight runs Apply's own checks over copies of
+// the lifespans, so on an eventsOf log with one bad event injected — a
+// reopen, a still-open add, an unknown owner, an event out of order, a vertex
+// removed under an open edge — it fails at the index, with the error, at
+// which applying the batch one event at a time to a clone first fails: the
+// injected event, with its sentinel.
+func TestPreflightMatchesApply(t *testing.T) {
+	g, err := gen.Generate(gen.MAGLike(0.05), 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	evs := eventsOf(g)
+	a := NewAccumulator()
+	for _, ev := range evs[:len(evs)/2] {
+		if err := a.Apply(ev); err != nil {
+			t.Fatal(err)
+		}
+	}
+	batch := evs[len(evs)/2:]
+	clone := func() *Accumulator {
+		data, err := a.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := UnmarshalAccumulator(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	vertex := func(c *Accumulator, pick func(s *openSpan) bool) (tgraph.VertexID, bool) {
+		for _, id := range sortedKeys(c.vspans) {
+			if pick(c.vspans[id]) {
+				return id, true
+			}
+		}
+		return 0, false
+	}
+	// Each maker returns an event that fails against c, at c's clock, with
+	// the sentinel its name maps to.
+	want := map[string]error{"reopen": ErrReopened, "still open": ErrStillOpen, "unknown owner": ErrUnknownOwner,
+		"out of order": ErrOutOfOrder, "removed under an open edge": tgraph.ErrEdgeOutlives}
+	bad := map[string]func(c *Accumulator) (Event, bool){
+		"reopen": func(c *Accumulator) (Event, bool) {
+			id, ok := vertex(c, func(s *openSpan) bool { return s.closed })
+			return Event{Op: AddVertex, T: c.Now(), V: id}, ok
+		},
+		"still open": func(c *Accumulator) (Event, bool) {
+			id, ok := vertex(c, func(s *openSpan) bool { return !s.closed })
+			return Event{Op: AddVertex, T: c.Now(), V: id}, ok
+		},
+		"unknown owner": func(c *Accumulator) (Event, bool) {
+			return Event{Op: SetVertexProp, T: c.Now(), V: 1 << 40, Label: "w", Value: 1}, true
+		},
+		"out of order": func(c *Accumulator) (Event, bool) {
+			return Event{Op: AddVertex, T: c.Now() - 1, V: 1 << 40}, c.Now() > 0
+		},
+		"removed under an open edge": func(c *Accumulator) (Event, bool) {
+			id, ok := vertex(c, func(s *openSpan) bool { return !s.closed && s.open > 0 })
+			return Event{Op: RemoveVertex, T: c.Now(), V: id}, ok
+		},
+	}
+	injected := map[string]int{}
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 30; trial++ {
+		at := rng.Intn(len(batch))
+		c := clone()
+		for _, ev := range batch[:at] {
+			if err := c.Apply(ev); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for name, mk := range bad {
+			ev, ok := mk(c)
+			if !ok {
+				continue
+			}
+			injected[name]++
+			b := slices.Insert(slices.Clone(batch), at, ev)
+			perr := a.Preflight(b)
+			one, first := clone(), -1
+			var aerr error
+			for i, ev := range b {
+				if aerr = one.Apply(ev); aerr != nil {
+					first = i
+					break
+				}
+			}
+			if first != at || !errors.Is(aerr, want[name]) {
+				t.Fatalf("%s at %d: applying the batch one event at a time failed at event %d: %v", name, at, first, aerr)
+			}
+			if perr == nil || perr.Error() != fmt.Sprintf("stream: batch event %d: %v", first, aerr) || !errors.Is(perr, want[name]) {
+				t.Fatalf("%s at %d: Preflight: %v; one at a time: event %d, %v", name, at, perr, first, aerr)
+			}
+		}
+	}
+	for name := range bad {
+		if injected[name] == 0 {
+			t.Errorf("no trial could inject %s", name)
+		}
+	}
+	if err := a.Preflight(batch); err != nil {
+		t.Errorf("the log's own second half: %v", err)
 	}
 }

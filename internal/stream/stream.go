@@ -129,69 +129,20 @@ func (a *Accumulator) Now() ival.Time { return a.now }
 // Apply folds one event into the accumulator. Events must arrive in
 // non-decreasing time order.
 func (a *Accumulator) Apply(ev Event) error {
-	if ev.T < 0 {
-		return fmt.Errorf("%w: %d", ErrNegativeTime, ev.T)
+	if err := (spanView{v: a.vspans, e: a.espans}).step(&a.now, ev); err != nil {
+		return err
 	}
-	if ev.T < a.now {
-		return fmt.Errorf("%w: event at %d after %d", ErrOutOfOrder, ev.T, a.now)
-	}
-	a.now = ev.T
 	switch ev.Op {
-	case AddVertex:
-		if s, ok := a.vspans[ev.V]; ok {
-			if s.closed {
-				return fmt.Errorf("%w: vertex %d", ErrReopened, ev.V)
-			}
-			return fmt.Errorf("%w: vertex %d", ErrStillOpen, ev.V)
-		}
-		a.vspans[ev.V] = &openSpan{start: ev.T}
 	case RemoveVertex:
-		s, ok := a.vspans[ev.V]
-		if !ok || s.closed {
-			return fmt.Errorf("%w: vertex %d", ErrUnknownOwner, ev.V)
-		}
-		if s.open > 0 {
-			return fmt.Errorf("%w: vertex %d removed with %d edges open", tgraph.ErrEdgeOutlives, ev.V, s.open)
-		}
-		s.closed, s.end = true, ev.T
 		a.closeRuns(a.vruns[ev.V], byLabel(a.vprops, ev.V), ev.T)
 		delete(a.vruns, ev.V)
-	case AddEdge:
-		if s, ok := a.espans[ev.E]; ok {
-			if s.closed {
-				return fmt.Errorf("%w: edge %d", ErrReopened, ev.E)
-			}
-			return fmt.Errorf("%w: edge %d", ErrStillOpen, ev.E)
-		}
-		if !a.vertexAlive(ev.Src, ev.T) || !a.vertexAlive(ev.Dst, ev.T) {
-			return fmt.Errorf("%w: edge %d endpoints at t=%d", ErrUnknownOwner, ev.E, ev.T)
-		}
-		a.espans[ev.E] = &openSpan{start: ev.T, ends: [2]tgraph.VertexID{ev.Src, ev.Dst}}
-		a.vspans[ev.Src].open++
-		a.vspans[ev.Dst].open++
 	case RemoveEdge:
-		s, ok := a.espans[ev.E]
-		if !ok || s.closed {
-			return fmt.Errorf("%w: edge %d", ErrUnknownOwner, ev.E)
-		}
-		s.closed, s.end = true, ev.T
-		a.vspans[s.ends[0]].open--
-		a.vspans[s.ends[1]].open--
 		a.closeRuns(a.eruns[ev.E], byLabel(a.eprops, ev.E), ev.T)
 		delete(a.eruns, ev.E)
 	case SetVertexProp:
-		if !a.vertexAlive(ev.V, ev.T) {
-			return fmt.Errorf("%w: vertex %d", ErrUnknownOwner, ev.V)
-		}
 		a.setProp(byLabel(a.vruns, ev.V), byLabel(a.vprops, ev.V), ev.Label, ev.Value, ev.T)
 	case SetEdgeProp:
-		s, ok := a.espans[ev.E]
-		if !ok || s.closed {
-			return fmt.Errorf("%w: edge %d", ErrUnknownOwner, ev.E)
-		}
 		a.setProp(byLabel(a.eruns, ev.E), byLabel(a.eprops, ev.E), ev.Label, ev.Value, ev.T)
-	default:
-		return fmt.Errorf("stream: unknown op %d", ev.Op)
 	}
 	if a.base != nil {
 		switch ev.Op {
@@ -208,110 +159,115 @@ func (a *Accumulator) Apply(ev Event) error {
 // Preflight validates a whole batch against the accumulator's current state
 // without mutating it, so callers can make ingest batch-atomic: either every
 // event in the batch would be accepted by Apply, or the batch is rejected
-// with the index of the first offending event and nothing changes. The
-// checks mirror Apply's exactly (order, negative time, reopen/still-open,
-// referential integrity, no vertex removed under an open edge); property
-// contents need no validation beyond an alive owner.
+// with the index of the first offending event and nothing changes. It runs
+// Apply's own checks, over copies of the lifespans the batch touches;
+// property contents need no validation beyond an alive owner.
 func (a *Accumulator) Preflight(batch []Event) error {
 	now := a.now
-	vs := map[tgraph.VertexID]openSpan{}
-	es := map[tgraph.EdgeID]openSpan{}
-	vspan := func(id tgraph.VertexID) (openSpan, bool) {
-		if s, ok := vs[id]; ok {
-			return s, true
-		}
-		if s, ok := a.vspans[id]; ok {
-			return *s, true
-		}
-		return openSpan{}, false
-	}
-	espan := func(id tgraph.EdgeID) (openSpan, bool) {
-		if s, ok := es[id]; ok {
-			return s, true
-		}
-		if s, ok := a.espans[id]; ok {
-			return *s, true
-		}
-		return openSpan{}, false
-	}
-	alive := func(id tgraph.VertexID, t ival.Time) bool {
-		s, ok := vspan(id)
-		return ok && !s.closed && s.start <= t
-	}
-	count := func(ends [2]tgraph.VertexID, d int) {
-		for _, id := range ends {
-			s, _ := vspan(id)
-			s.open += d
-			vs[id] = s
-		}
-	}
+	sv := spanView{v: map[tgraph.VertexID]*openSpan{}, e: map[tgraph.EdgeID]*openSpan{}, baseV: a.vspans, baseE: a.espans}
 	for i, ev := range batch {
-		fail := func(err error) error { return fmt.Errorf("stream: batch event %d: %w", i, err) }
-		if ev.T < 0 {
-			return fail(fmt.Errorf("%w: %d", ErrNegativeTime, ev.T))
-		}
-		if ev.T < now {
-			return fail(fmt.Errorf("%w: event at %d after %d", ErrOutOfOrder, ev.T, now))
-		}
-		now = ev.T
-		switch ev.Op {
-		case AddVertex:
-			if s, ok := vspan(ev.V); ok {
-				if s.closed {
-					return fail(fmt.Errorf("%w: vertex %d", ErrReopened, ev.V))
-				}
-				return fail(fmt.Errorf("%w: vertex %d", ErrStillOpen, ev.V))
-			}
-			vs[ev.V] = openSpan{start: ev.T}
-		case RemoveVertex:
-			s, ok := vspan(ev.V)
-			if !ok || s.closed {
-				return fail(fmt.Errorf("%w: vertex %d", ErrUnknownOwner, ev.V))
-			}
-			if s.open > 0 {
-				return fail(fmt.Errorf("%w: vertex %d removed with %d edges open", tgraph.ErrEdgeOutlives, ev.V, s.open))
-			}
-			s.closed, s.end = true, ev.T
-			vs[ev.V] = s
-		case AddEdge:
-			if s, ok := espan(ev.E); ok {
-				if s.closed {
-					return fail(fmt.Errorf("%w: edge %d", ErrReopened, ev.E))
-				}
-				return fail(fmt.Errorf("%w: edge %d", ErrStillOpen, ev.E))
-			}
-			if !alive(ev.Src, ev.T) || !alive(ev.Dst, ev.T) {
-				return fail(fmt.Errorf("%w: edge %d endpoints at t=%d", ErrUnknownOwner, ev.E, ev.T))
-			}
-			es[ev.E] = openSpan{start: ev.T, ends: [2]tgraph.VertexID{ev.Src, ev.Dst}}
-			count(es[ev.E].ends, 1)
-		case RemoveEdge:
-			s, ok := espan(ev.E)
-			if !ok || s.closed {
-				return fail(fmt.Errorf("%w: edge %d", ErrUnknownOwner, ev.E))
-			}
-			s.closed, s.end = true, ev.T
-			es[ev.E] = s
-			count(s.ends, -1)
-		case SetVertexProp:
-			if !alive(ev.V, ev.T) {
-				return fail(fmt.Errorf("%w: vertex %d", ErrUnknownOwner, ev.V))
-			}
-		case SetEdgeProp:
-			s, ok := espan(ev.E)
-			if !ok || s.closed {
-				return fail(fmt.Errorf("%w: edge %d", ErrUnknownOwner, ev.E))
-			}
-		default:
-			return fail(fmt.Errorf("stream: unknown op %d", ev.Op))
+		if err := sv.step(&now, ev); err != nil {
+			return fmt.Errorf("stream: batch event %d: %w", i, err)
 		}
 	}
 	return nil
 }
 
-func (a *Accumulator) vertexAlive(id tgraph.VertexID, t ival.Time) bool {
-	s, ok := a.vspans[id]
-	return ok && !s.closed && s.start <= t
+// spanView is the lifespans an event is checked against and recorded in: the
+// accumulator's own (no base), or Preflight's copies, each taken from the
+// base maps on first touch so that the accumulator's own stay as they are.
+type spanView struct {
+	v     map[tgraph.VertexID]*openSpan
+	e     map[tgraph.EdgeID]*openSpan
+	baseV map[tgraph.VertexID]*openSpan
+	baseE map[tgraph.EdgeID]*openSpan
+}
+
+// lookup returns id's span in m, copied there from base if only base has it.
+func lookup[K comparable](m, base map[K]*openSpan, id K) (*openSpan, bool) {
+	if s, ok := m[id]; ok {
+		return s, true
+	}
+	if s, ok := base[id]; ok {
+		c := *s
+		m[id] = &c
+		return &c, true
+	}
+	return nil, false
+}
+
+// alive returns the span of a vertex that exists at t.
+func (sv spanView) alive(id tgraph.VertexID, t ival.Time) (*openSpan, bool) {
+	s, ok := lookup(sv.v, sv.baseV, id)
+	return s, ok && !s.closed && s.start <= t
+}
+
+// step checks ev against the view and records its effect on the lifespans,
+// moving the clock *now to it: order, negative time, reopen/still-open,
+// referential integrity, no vertex removed under an open edge.
+func (sv spanView) step(now *ival.Time, ev Event) error {
+	if ev.T < 0 {
+		return fmt.Errorf("%w: %d", ErrNegativeTime, ev.T)
+	}
+	if ev.T < *now {
+		return fmt.Errorf("%w: event at %d after %d", ErrOutOfOrder, ev.T, *now)
+	}
+	*now = ev.T
+	switch ev.Op {
+	case AddVertex:
+		if s, ok := lookup(sv.v, sv.baseV, ev.V); ok {
+			if s.closed {
+				return fmt.Errorf("%w: vertex %d", ErrReopened, ev.V)
+			}
+			return fmt.Errorf("%w: vertex %d", ErrStillOpen, ev.V)
+		}
+		sv.v[ev.V] = &openSpan{start: ev.T}
+	case RemoveVertex:
+		s, ok := lookup(sv.v, sv.baseV, ev.V)
+		if !ok || s.closed {
+			return fmt.Errorf("%w: vertex %d", ErrUnknownOwner, ev.V)
+		}
+		if s.open > 0 {
+			return fmt.Errorf("%w: vertex %d removed with %d edges open", tgraph.ErrEdgeOutlives, ev.V, s.open)
+		}
+		s.closed, s.end = true, ev.T
+	case AddEdge:
+		if s, ok := lookup(sv.e, sv.baseE, ev.E); ok {
+			if s.closed {
+				return fmt.Errorf("%w: edge %d", ErrReopened, ev.E)
+			}
+			return fmt.Errorf("%w: edge %d", ErrStillOpen, ev.E)
+		}
+		src, okSrc := sv.alive(ev.Src, ev.T)
+		dst, okDst := sv.alive(ev.Dst, ev.T)
+		if !okSrc || !okDst {
+			return fmt.Errorf("%w: edge %d endpoints at t=%d", ErrUnknownOwner, ev.E, ev.T)
+		}
+		sv.e[ev.E] = &openSpan{start: ev.T, ends: [2]tgraph.VertexID{ev.Src, ev.Dst}}
+		src.open++
+		dst.open++
+	case RemoveEdge:
+		s, ok := lookup(sv.e, sv.baseE, ev.E)
+		if !ok || s.closed {
+			return fmt.Errorf("%w: edge %d", ErrUnknownOwner, ev.E)
+		}
+		s.closed, s.end = true, ev.T
+		for _, id := range s.ends {
+			v, _ := lookup(sv.v, sv.baseV, id)
+			v.open--
+		}
+	case SetVertexProp:
+		if _, ok := sv.alive(ev.V, ev.T); !ok {
+			return fmt.Errorf("%w: vertex %d", ErrUnknownOwner, ev.V)
+		}
+	case SetEdgeProp:
+		if s, ok := lookup(sv.e, sv.baseE, ev.E); !ok || s.closed {
+			return fmt.Errorf("%w: edge %d", ErrUnknownOwner, ev.E)
+		}
+	default:
+		return fmt.Errorf("stream: unknown op %d", ev.Op)
+	}
+	return nil
 }
 
 // byLabel returns id's per-label map in m, creating it if absent.

@@ -29,8 +29,8 @@ import (
 // interval-CSR (offset array + edge-index array) and the endpoint/index
 // sections are plain int32 arrays, all of which OpenMapped aliases directly
 // out of the mapping on little-endian hosts so pages are only faulted in
-// when an algorithm touches them. The directory CRC is always verified;
-// section CRCs are verified by OpenMapped and skipped by OpenMappedTrusted.
+// when an algorithm touches them. The directory CRC and every section CRC
+// are verified on open.
 //
 // Versioning rule: readers accept exactly the versions they know; a larger
 // version yields ErrSnapshotVersion, never a partial parse. Any structural
@@ -339,7 +339,7 @@ func ReadSnapshot(r io.Reader) (*Graph, error) {
 	if err != nil {
 		return nil, fmt.Errorf("tgraph: snapshot read: %w", err)
 	}
-	g, _, err := decodeSnapshot(data, true)
+	g, _, err := decodeSnapshot(data)
 	return g, err
 }
 
@@ -444,7 +444,7 @@ func (d *snapDec) finish() {
 // aliased into data on little-endian hosts, so the caller must keep data
 // alive (and unmodified) for the life of the returned graph. The returned
 // extra slice aliases data as well.
-func decodeSnapshot(data []byte, verifyCRC bool) (*Graph, []byte, error) {
+func decodeSnapshot(data []byte) (*Graph, []byte, error) {
 	fail := func(format string, args ...any) (*Graph, []byte, error) {
 		return nil, nil, fmt.Errorf("%w: %s", ErrSnapshotCorrupt, fmt.Sprintf(format, args...))
 	}
@@ -498,10 +498,8 @@ func decodeSnapshot(data []byte, verifyCRC bool) (*Graph, []byte, error) {
 		if !ok {
 			return nil, fmt.Errorf("%w: required section %d missing", ErrSnapshotCorrupt, id)
 		}
-		if verifyCRC {
-			if got := crc32.ChecksumIEEE(s.payload); got != s.crc {
-				return nil, fmt.Errorf("%w: section %d CRC mismatch: directory says %#x, computed %#x", ErrSnapshotCorrupt, id, s.crc, got)
-			}
+		if got := crc32.ChecksumIEEE(s.payload); got != s.crc {
+			return nil, fmt.Errorf("%w: section %d CRC mismatch: directory says %#x, computed %#x", ErrSnapshotCorrupt, id, s.crc, got)
 		}
 		return s.payload, nil
 	}
@@ -562,10 +560,8 @@ func decodeSnapshot(data []byte, verifyCRC bool) (*Graph, []byte, error) {
 	}
 	var extra []byte
 	if s, ok := sections[secExtra]; ok {
-		if verifyCRC {
-			if got := crc32.ChecksumIEEE(s.payload); got != s.crc {
-				return fail("section %d CRC mismatch", secExtra)
-			}
+		if got := crc32.ChecksumIEEE(s.payload); got != s.crc {
+			return fail("section %d CRC mismatch", secExtra)
 		}
 		extra = s.payload
 	}

@@ -116,7 +116,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 			for _, open := range []struct {
 				name string
 				fn   func(string) (*Mapped, error)
-			}{{"verified", OpenMapped}, {"trusted", OpenMappedTrusted}, {"any", OpenAnyFile}} {
+			}{{"verified", OpenMapped}, {"any", OpenAnyFile}} {
 				m, err := open.fn(path)
 				if err != nil {
 					t.Fatalf("%s open: %v", open.name, err)

@@ -87,19 +87,6 @@ func (m *Mapped) Close() error {
 // CRC before returning. Pages are still loaded lazily; the CRC pass
 // touches each page once without decoding the bulk of it.
 func OpenMapped(path string) (*Mapped, error) {
-	return openMapped(path, true)
-}
-
-// OpenMappedTrusted memory-maps a snapshot file, skipping the per-section
-// CRC verification (the header and directory CRC are always checked, and
-// the decoder still bounds-checks every structure). Use for files this
-// process just wrote, or when open latency matters more than detecting
-// at-rest corruption.
-func OpenMappedTrusted(path string) (*Mapped, error) {
-	return openMapped(path, false)
-}
-
-func openMapped(path string, verifyCRC bool) (*Mapped, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -113,7 +100,7 @@ func openMapped(path string, verifyCRC bool) (*Mapped, error) {
 	if err != nil {
 		return nil, fmt.Errorf("tgraph: mmap %s: %w", path, err)
 	}
-	g, extra, err := decodeSnapshot(data, verifyCRC)
+	g, extra, err := decodeSnapshot(data)
 	if err != nil {
 		if mapped {
 			munmapFile(data)

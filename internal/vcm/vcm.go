@@ -45,10 +45,9 @@ type Ctx interface {
 	OutDegree() int
 	// Send queues a message for the next superstep, scoped to this snapshot.
 	Send(dst int, value any)
-	// Aggregate contributes to a named aggregator.
-	Aggregate(name string, v any)
-	// AggValue reads a named aggregator's previous-superstep value.
-	AggValue(name string) any
+	// Aggregate contributes a word to a named aggregator; the master reads
+	// the merged value at the next barrier.
+	Aggregate(name string, v codec.Word)
 }
 
 // Program is a snapshot-scoped vertex program. Init runs in superstep 1 on
@@ -118,8 +117,7 @@ func (c *snapCtx) Send(dst int, value any) {
 	c.eng.Send(dst, ival.Point(c.rt.snap.T), value)
 }
 
-func (c *snapCtx) Aggregate(name string, v any) { c.eng.Aggregate(name, v) }
-func (c *snapCtx) AggValue(name string) any     { return c.eng.AggValue(name) }
+func (c *snapCtx) Aggregate(name string, v codec.Word) { c.eng.Aggregate(name, v) }
 
 // runtime adapts a Program to the engine for one snapshot.
 type runtime struct {
