@@ -2,6 +2,7 @@ package algorithms_test
 
 import (
 	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"graphite/internal/algorithms"
@@ -11,9 +12,16 @@ import (
 )
 
 // mallocsOf runs the catalog algorithm once to warm the pools and the plan
-// memoised on g, then again counting heap objects.
+// memoised on g, then again counting heap objects. The collector is off from
+// before the warm-up to after the count: a sync.Pool survives one collection
+// (in its victim cache) but not two, so two cycles between the warm-up's puts
+// and the counted run's gets emptied the engine's arenas, and refilling them
+// counted as 400 to 1 500 more objects (an engine.pool_misses delta of 60 to
+// 200, where a warm run misses a few times at most). A counted run allocates
+// about a megabyte.
 func mallocsOf(t *testing.T, g *tgraph.Graph, algo string, p algorithms.Params) (objects uint64, r *core.Result) {
 	t.Helper()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	run := func() *core.Result {
 		prog, opts, err := algorithms.New(g, algo, p)
 		if err != nil {
@@ -28,7 +36,6 @@ func mallocsOf(t *testing.T, g *tgraph.Graph, algo string, p algorithms.Params) 
 	}
 	run()
 	var before, after runtime.MemStats
-	runtime.GC()
 	runtime.ReadMemStats(&before)
 	r = run()
 	runtime.ReadMemStats(&after)

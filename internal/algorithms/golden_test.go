@@ -7,13 +7,16 @@ package algorithms_test
 // payload round-tripped through its codec) — is reduced to one line: the
 // counts the paper reasons with, a hash of the rendered result, a hash of
 // every cross-shard batch in order, and a hash of one durable checkpoint per
-// shard. testdata/golden_messages.txt holds the lines as the parent of the
-// change that made messages pointer-free wrote them — but for LCC's and TC's
-// stepped cells, recorded when their states became encodable, and SCC's,
-// recorded when its shards could close supersteps through a barrier with a
-// master (go test -run Golden -update rewrites it); testdata/golden_ckpt.bin
-// holds checkpoints those commits wrote, which this one must restore and
-// finish from.
+// shard. All three drivers deliver through one receive routine, so a cell's
+// three lines agree on every count and the result. testdata/golden_messages.txt
+// holds the lines as the parent of the change that made messages pointer-free
+// wrote them — but for LCC's and TC's stepped cells, recorded when their
+// states became encodable, SCC's, recorded when its shards could close
+// supersteps through a barrier with a master, and the in-process PR, LCC and
+// TC cells at 2 and 3 workers, recorded when Run's in-process exchange took
+// the transported delivery order (go test -run Golden -update rewrites it);
+// testdata/golden_ckpt.bin holds checkpoints those commits wrote, which this
+// one must restore and finish from.
 
 import (
 	"bytes"
@@ -264,17 +267,21 @@ func TestGoldenMessages(t *testing.T) {
 					}
 					got = append(got, fmt.Sprintf("%s %s %d %s %s", gg.name, algo, workers, driver, line))
 				}
-				line, err := goldenEngine(gg, algo, workers, false)
-				add("engine", line, err)
+				inproc, err := goldenEngine(gg, algo, workers, false)
+				add("engine", inproc, err)
 				stepped, ckpts, _, err := goldenStepped(gg, algo, workers)
 				add("stepped", stepped, err)
-				line, err = goldenEngine(gg, algo, workers, true)
-				add("tcp", line, err)
-				// Shards closing supersteps through a barrier deliver in the
-				// TCP mesh's order and merge aggregates in its worker order:
-				// every count and the result agree.
-				if s, _, _ := strings.Cut(stepped, " batches="); !strings.HasPrefix(line, s+" batches=") {
-					t.Errorf("%s/%s/%d: stepped and tcp cells disagree\n  stepped %s\n  tcp     %s", gg.name, algo, workers, stepped, line)
+				tcp, err := goldenEngine(gg, algo, workers, true)
+				add("tcp", tcp, err)
+				// Every driver delivers through one receive routine in one
+				// order and closes supersteps through one barrier: every count
+				// and the result agree (only a stepped line shows batches and
+				// checkpoints).
+				if inproc != tcp {
+					t.Errorf("%s/%s/%d: engine and tcp cells disagree\n  engine %s\n  tcp    %s", gg.name, algo, workers, inproc, tcp)
+				}
+				if s, _, _ := strings.Cut(stepped, " batches="); !strings.HasPrefix(tcp, s+" batches=") {
+					t.Errorf("%s/%s/%d: stepped and tcp cells disagree\n  stepped %s\n  tcp     %s", gg.name, algo, workers, stepped, tcp)
 				}
 				if ckptCell(gi, workers) {
 					for _, c := range ckpts {

@@ -2,8 +2,8 @@ package cluster_test
 
 // In-process cluster tests: coordinator and workers as goroutines over real
 // loopback TCP. The process-kill matrix lives in internal/chaos; here the
-// protocol itself is proven — full-run bit-identity against a transported
-// single-process run, and the lease-expiry recovery path driven by a worker
+// protocol itself is proven — full-run bit-identity against a single-process
+// core.Run, and the lease-expiry recovery path driven by a worker
 // that goes silent on purpose.
 
 import (
@@ -18,7 +18,6 @@ import (
 	"graphite/internal/algorithms"
 	"graphite/internal/cluster"
 	"graphite/internal/core"
-	"graphite/internal/engine"
 	"graphite/internal/obs"
 	"graphite/internal/tgraph"
 )
@@ -92,9 +91,9 @@ func waitResult(t *testing.T, out chan serveOutcome, timeout time.Duration) *cor
 	}
 }
 
-// directRun executes the same computation in one process over a loopback
-// TCP transport with the same worker count — the configuration whose
-// delivery order the cluster mirrors bit for bit.
+// directRun executes the same computation in one process with core.Run — the
+// path serve and the CLIs take — at the same worker count, which the cluster
+// matches bit for bit: both deliver through the engine's one receive routine.
 func directRun(t *testing.T, g *tgraph.Graph, algo string, p algorithms.Params, workers int) *core.Result {
 	t.Helper()
 	prog, opts, err := algorithms.New(g, algo, p)
@@ -102,12 +101,6 @@ func directRun(t *testing.T, g *tgraph.Graph, algo string, p algorithms.Params, 
 		t.Fatal(err)
 	}
 	opts.NumWorkers = workers
-	tp, err := engine.NewTCPTransport(workers)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tp.Close()
-	opts.Transport = tp
 	res, err := core.Run(g, prog, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -132,7 +125,7 @@ func compareResults(t *testing.T, g *tgraph.Graph, got, want *core.Result) {
 	}
 }
 
-func TestClusterMatchesTransportedRun(t *testing.T) {
+func TestClusterMatchesCoreRun(t *testing.T) {
 	g := tgraph.TransitExample()
 	for _, tc := range []struct {
 		algo string

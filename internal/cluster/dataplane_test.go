@@ -1,7 +1,7 @@
 package cluster_test
 
 // Mesh and partition tests: a run over the worker mesh must produce the same
-// bits as the single-process transported run, on a healthy mesh and on one
+// bits as the single-process core.Run, on a healthy mesh and on one
 // with a dead link (whose batches take the coordinator hop, one at a time),
 // and the "shard:<dir>" spec must resolve per-shard induced subgraphs that
 // leave results untouched while shrinking each worker's resident graph.
@@ -37,8 +37,8 @@ func writeTransitPartitions(t *testing.T) (string, []cluster.PartitionInfo) {
 
 // TestClusterMeshMatchesSingleProcess proves the mesh invariant: for every
 // algorithm, a run over the whole graph and one over per-shard partition
-// files both produce results bit-identical to the single-process transported
-// run — and the byte counters prove every batch went peer to peer. LCC, TC
+// files both produce results bit-identical to the single-process core.Run —
+// and the byte counters prove every batch went peer to peer. LCC, TC
 // and SCC read adjacency through VertexCtx.Graph rather than the scatter
 // plan, but only the computing vertex's own in- and out-edges, which a
 // shard's induced partition keeps whole: over partition files they match

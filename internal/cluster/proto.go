@@ -17,11 +17,11 @@
 // worker-to-worker over a full TCP mesh; a batch whose mesh link is down
 // takes the coordinator hop instead, one batch at a time.
 //
-// Delivery order (own outbox first, then peer batches ascending by source
-// shard) matches the in-process transported exchange regardless of the
-// hop a batch took or the mesh's arrival order, so a cluster run is
-// bit-identical to a single-process run — the invariant the kill-recovery
-// chaos tests assert.
+// A worker hands its peers' batches to Shard.Deliver ascending by source
+// shard, whatever hop each took or order it arrived in. Deliver is the
+// engine's one receive routine, which Engine.Run also delivers through, so a
+// cluster run is bit-identical to a single-process run — the invariant the
+// kill-recovery chaos tests assert.
 package cluster
 
 import (

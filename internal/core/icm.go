@@ -132,8 +132,8 @@ type Options struct {
 	// Transport, between cluster shards and into checkpoints — and, unless
 	// the program is a StateCoder, state values too.
 	PayloadCodec codec.Payload
-	// Transport routes every cross-worker batch through a real transport
-	// (e.g. engine.NewTCPTransport's loopback mesh); requires PayloadCodec.
+	// Transport routes every cross-worker batch through a real transport (e.g.
+	// engine.NewTCPTransport's), the result unchanged; requires PayloadCodec.
 	Transport engine.Transport
 	// Aggregators are the named word aggregators vertices contribute to
 	// (VertexCtx.Aggregate) and the master reads.

@@ -2,8 +2,8 @@ package core_test
 
 // In-process proof of the cluster execution model: driving core.Shards by
 // hand through the Compute → Outbound → Deliver → Barrier protocol must
-// reproduce a single-process transported run bit for bit (same delivery
-// order: own outbox first, then peers ascending), and a durable capture +
+// reproduce a single-process core.Run bit for bit (one delivery order: own
+// outbox first, then peers ascending), and a durable capture +
 // restore into FRESH shards must replay to the identical final state —
 // the property the process-kill chaos tests rely on.
 
@@ -145,12 +145,11 @@ func compareStates(t *testing.T, g *tgraph.Graph, got, want *core.Result) {
 	}
 }
 
-// TestShardMatchesTransportedRun drives the cluster protocol over the
-// transit graph and compares against core.Run over a loopback TCP mesh with
-// the same worker count — the configuration whose delivery order the shard
-// protocol mirrors. PageRank makes the comparison float-order-sensitive, so
-// passing means the orders genuinely match.
-func TestShardMatchesTransportedRun(t *testing.T) {
+// TestShardMatchesCoreRun drives the cluster protocol over the transit graph
+// and compares against core.Run with the same worker count: Deliver and Run's
+// exchange go through one receive routine. PageRank makes the comparison
+// float-order-sensitive.
+func TestShardMatchesCoreRun(t *testing.T) {
 	g := tgraph.TransitExample()
 	for _, tc := range []struct {
 		algo string
@@ -170,12 +169,6 @@ func TestShardMatchesTransportedRun(t *testing.T) {
 				t.Fatal(err)
 			}
 			ropts.NumWorkers = testShards
-			tp, err := engine.NewTCPTransport(testShards)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer tp.Close()
-			ropts.Transport = tp
 			want, err := core.Run(g, prog, ropts)
 			if err != nil {
 				t.Fatal(err)

@@ -123,7 +123,7 @@ func steadyExchangeStep(t testing.TB, cfg Config, traffic [][][]Message) func() 
 			}
 		}
 		for _, w := range e.workers {
-			w.exchangeLocal()
+			w.exchange()
 		}
 		for _, w := range e.workers {
 			for s, sl := range w.inbox {

@@ -97,8 +97,8 @@ type Config struct {
 	// into a checkpoint.
 	PayloadCodec codec.Payload
 	// Transport, when set, routes every cross-worker batch through it
-	// (e.g. TCPTransport's loopback mesh), fully serialized. Requires
-	// PayloadCodec.
+	// (e.g. TCPTransport's loopback mesh), fully serialized; delivery order
+	// and so every result are the same as without it. Requires PayloadCodec.
 	Transport Transport
 	// Master is the optional master-compute hook.
 	Master Master
@@ -632,111 +632,109 @@ func (e *Engine) parallel(fn func(*worker)) {
 }
 
 // exchange moves all outbox batches to destination inboxes, applying the
-// receiver-side combiner; each worker counts what it delivered.
+// receiver-side combiner; each worker counts what it delivered. Over a
+// Transport the cross-worker batches are shipped first.
 func (e *Engine) exchange() {
 	if e.cfg.Transport != nil {
-		e.exchangeTransport()
-		return
+		e.parallel((*worker).ship)
 	}
-	e.parallel((*worker).exchangeLocal)
+	e.parallel((*worker).exchange)
 }
 
-// exchangeLocal is one worker's in-memory exchange phase: it gathers the
-// batches every source worker addressed to it and delivers them into its
-// own inbox slabs. Separated from the goroutine fan-out so the alloc gate
-// can measure the data path itself; at steady state it must not allocate.
-func (w *worker) exchangeLocal() {
+// ship encodes and sends each of the worker's cross-worker batches over the
+// Transport. A failed Send is retried with capped exponential backoff before
+// the superstep is declared failed: transient faults (a dropped frame, a
+// congested peer) should not force a rollback.
+func (w *worker) ship() {
+	e := w.eng
 	phaseStart := time.Now()
-	var n int64
-	// Gather batches addressed to this worker from every source worker, in
-	// worker order for determinism.
-	for _, src := range w.eng.workers {
-		if batch := src.outbox[w.id]; len(batch.msgs) > 0 {
-			n += w.deliverAll(batch)
-			batch.reset()
+	defer func() { w.shipNS = time.Since(phaseStart).Nanoseconds() }()
+	for dst := range e.workers {
+		if dst == w.id {
+			continue
 		}
-	}
-	w.delivered = n
-	w.exchangeNS = time.Since(phaseStart).Nanoseconds()
-}
-
-// exchangeTransport is the exchange phase over a real transport: every
-// cross-worker batch is serialized, shipped, and decoded on the far side;
-// same-worker batches are delivered directly, as they never leave the node.
-func (e *Engine) exchangeTransport() {
-	// Ship phase. A failed Send is retried with capped exponential backoff
-	// before the superstep is declared failed: transient faults (a dropped
-	// frame, a congested peer) should not force a rollback.
-	e.parallel(func(src *worker) {
-		phaseStart := time.Now()
-		defer func() { src.shipNS = time.Since(phaseStart).Nanoseconds() }()
-		for dst := range e.workers {
-			if dst == src.id {
-				continue
-			}
-			// Encode into a pooled slab; Transport.Send must not retain the
-			// batch (see the Transport contract), so the slab can go straight
-			// back to the pool for the next destination.
-			slab := batchSlabs.Get()
-			slab.Buf = e.encodeBatch(slab.Buf, src.outbox[dst])
-			err := e.sendWithRetry(src.id, dst, slab.Buf)
-			batchSlabs.Put(slab)
-			if err != nil {
-				e.fail(err)
-			}
-			src.outbox[dst].reset()
-		}
-	})
-	// Receive phase.
-	e.parallel(func(dst *worker) {
-		phaseStart := time.Now()
-		defer func() { dst.exchangeNS = time.Since(phaseStart).Nanoseconds() }()
-		batches, err := e.cfg.Transport.Recv(dst.id)
-		if err == nil {
-			dst.delivered, err = dst.receive(batches)
-		}
+		// Encode into a pooled slab; Transport.Send must not retain the
+		// batch (see the Transport contract), so the slab can go straight
+		// back to the pool for the next destination.
+		slab := batchSlabs.Get()
+		slab.Buf = e.encodeBatch(slab.Buf, w.outbox[dst])
+		err := e.sendWithRetry(w.id, dst, slab.Buf)
+		batchSlabs.Put(slab)
 		if err != nil {
 			e.fail(err)
 		}
-	})
+		w.outbox[dst].reset()
+	}
 }
 
-// receive is a worker's receive phase over serialized batches: the
-// self-addressed outbox first, as it never leaves the node, then the peers'
-// batches in the order given, which callers keep ascending by source. The
-// bytes come from a peer, so a message for a vertex another worker owns is a
-// corrupt batch — never a delivery to whichever local vertex shares its slot
-// number. It returns the number of messages delivered.
-func (w *worker) receive(batches [][]byte) (int64, error) {
+// exchange is one worker's receive phase within Run, called directly by the
+// alloc gates: at steady state it must not allocate.
+func (w *worker) exchange() {
 	e := w.eng
-	n := w.deliverAll(w.outbox[w.id])
-	w.outbox[w.id].reset()
-	defer w.decode.reset()
-	for _, b := range batches {
-		w.decode.reset()
-		if err := e.decodeBatchInto(&w.decode, b); err != nil {
-			return n, err
+	phaseStart := time.Now()
+	var err error
+	if e.cfg.Transport == nil {
+		w.delivered, err = w.receive(len(e.workers)-1, w.peerOutbox)
+	} else {
+		var batches [][]byte
+		if batches, err = e.cfg.Transport.Recv(w.id); err == nil {
+			w.delivered, err = w.receiveWire(batches)
 		}
-		for _, m := range w.decode.msgs {
-			dw, slot := e.owner(m.Dst)
+	}
+	if err != nil {
+		e.fail(err)
+	}
+	w.exchangeNS = time.Since(phaseStart).Nanoseconds()
+}
+
+// receive is a worker's receive phase, and the one routine that sets the
+// order messages are delivered in, whatever carries the batches: the
+// self-addressed outbox first, then peer(0) … peer(peers-1), the peers'
+// batches in ascending source order. A batch may have come over the wire, so
+// a message for a vertex another worker owns is a corrupt batch — never a
+// delivery to whichever local vertex shares its slot number. Each batch is
+// emptied once delivered. It returns the number of messages delivered.
+func (w *worker) receive(peers int, peer func(i int) (*msgSlab, error)) (int64, error) {
+	var n int64
+	batch := w.outbox[w.id]
+	for i := 0; ; i++ {
+		for _, m := range batch.msgs {
+			dw, slot := w.eng.owner(m.Dst)
 			if dw != w.id {
 				return n, fmt.Errorf("engine: worker %d received a message for vertex %d, which worker %d owns: %w",
 					w.id, m.Dst, dw, codec.ErrCorrupt)
 			}
-			w.deliver(slot, m, w.decode.spill)
+			w.deliver(slot, m, batch.spill)
 			n++
 		}
+		batch.reset()
+		if i == peers {
+			return n, nil
+		}
+		var err error
+		if batch, err = peer(i); err != nil {
+			return n, err
+		}
 	}
-	return n, nil
 }
 
-// deliverAll delivers a batch of messages this worker owns, in order, and
-// returns how many there were.
-func (w *worker) deliverAll(batch *msgSlab) int64 {
-	for _, m := range batch.msgs {
-		w.deliver(int(w.eng.slot[m.Dst]), m, batch.spill)
+// peerOutbox is the i-th peer's batch in process: the outbox slab that source
+// worker filled for this one, handed over without encoding.
+func (w *worker) peerOutbox(i int) (*msgSlab, error) {
+	if i >= w.id {
+		i++
 	}
-	return int64(len(batch.msgs))
+	return w.eng.workers[i].outbox[w.id], nil
+}
+
+// receiveWire is receive over serialized batches — from a Transport, or
+// handed to a Shard — each decoded into the worker's reusable buffer.
+func (w *worker) receiveWire(batches [][]byte) (int64, error) {
+	defer w.decode.reset()
+	return w.receive(len(batches), func(i int) (*msgSlab, error) {
+		w.decode.reset()
+		return &w.decode, w.eng.decodeBatchInto(&w.decode, batches[i])
+	})
 }
 
 // deliver appends or combines a message into a local inbox slab and marks

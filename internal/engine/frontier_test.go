@@ -141,7 +141,7 @@ func TestSchedulerNoAllocsSteadyState(t *testing.T) {
 			w.compute()
 		}
 		for _, w := range e.workers {
-			w.exchangeLocal()
+			w.exchange()
 		}
 	}
 	for i := 0; i < 8; i++ {

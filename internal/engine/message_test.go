@@ -289,13 +289,20 @@ func (p *relayProgram) Run(ctx *Context, msgs []Message) {
 	p.mu.Unlock()
 	if step < p.steps {
 		for i, val := range relayPayloads(step, v) {
-			ctx.Send((v+1+i%2)%p.n, ival.Point(ival.Time(i)), val)
+			ctx.Send(relayDst(v, i, p.n), ival.Point(ival.Time(i)), val)
 		}
 	}
 }
 
+// relayDst is where vertex v sends its i-th payload: one of the next three
+// vertices on the ring. Three hops reach a vertex on the sender's own worker
+// when three workers hold the ring by modulo, so a receiver on worker 1 hears
+// from its own worker and from worker 0 — the two orders a receive routine
+// could take them in.
+func relayDst(v, i, n int) int { return (v + 1 + i%3) % n }
+
 // wantRelay is what every (superstep, vertex) must have been handed: the
-// payloads of the two ring predecessors, in sender then send order.
+// payloads of the three ring predecessors, as a multiset.
 func wantRelay(n, steps int) map[[2]int][]any {
 	want := map[[2]int][]any{}
 	for step := 1; step <= steps; step++ {
@@ -306,7 +313,7 @@ func wantRelay(n, steps int) map[[2]int][]any {
 	for step := 1; step < steps; step++ {
 		for src := 0; src < n; src++ {
 			for i, val := range relayPayloads(step, src) {
-				k := [2]int{step + 1, (src + 1 + i%2) % n}
+				k := [2]int{step + 1, relayDst(src, i, n)}
 				want[k] = append(want[k], val)
 			}
 		}
@@ -314,13 +321,18 @@ func wantRelay(n, steps int) map[[2]int][]any {
 	return want
 }
 
-// sortedAny orders payload lists for comparison: delivery order across
-// senders depends on the worker layout, the multiset does not.
-func sortedAny(vs []any) []string {
+// describeAny spells each payload with its type, in order.
+func describeAny(vs []any) []string {
 	var out []string
 	for _, v := range vs {
 		out = append(out, fmt.Sprintf("%T:%v", v, v))
 	}
+	return out
+}
+
+// sortedAny orders payload lists for comparison as multisets.
+func sortedAny(vs []any) []string {
+	out := describeAny(vs)
 	slices.Sort(out)
 	return out
 }
@@ -377,31 +389,35 @@ func (anyCodec) Decode(buf []byte) (any, int, error) {
 // TestSpilledPayloadsSurviveEveryMove sends inline and spilled payloads side
 // by side through each way a message travels in one process — outbox to inbox
 // directly, across the TCP mesh, and through an in-memory checkpoint rollback
-// — and
-// requires every vertex to be handed exactly what was sent to it, with the
-// spill count the sends add up to.
+// — and requires every vertex to be handed exactly what was sent to it, with
+// the spill count the sends add up to, and all three ways to hand it over in
+// one sequence: there is one delivery order.
 func TestSpilledPayloadsSurviveEveryMove(t *testing.T) {
 	const n, steps = 7, 4
 	want := wantRelay(n, steps)
-	cases := map[string]func(*testing.T, *relayProgram) Config{
-		"in process": func(*testing.T, *relayProgram) Config { return Config{NumWorkers: 3} },
-		"tcp": func(t *testing.T, _ *relayProgram) Config {
+	cases := []struct {
+		name      string
+		configure func(*testing.T, *relayProgram) Config
+	}{
+		{"in process", func(*testing.T, *relayProgram) Config { return Config{NumWorkers: 3} }},
+		{"tcp", func(t *testing.T, _ *relayProgram) Config {
 			tp, err := NewTCPTransport(3)
 			if err != nil {
 				t.Fatal(err)
 			}
 			t.Cleanup(func() { tp.Close() })
 			return Config{NumWorkers: 3, PayloadCodec: anyCodec{}, Transport: tp}
-		},
-		"rollback": func(_ *testing.T, p *relayProgram) Config {
+		}},
+		{"rollback", func(_ *testing.T, p *relayProgram) Config {
 			p.failAt = 3
 			return Config{NumWorkers: 3, PayloadCodec: anyCodec{}, CheckpointEvery: 1}
-		},
+		}},
 	}
-	for name, configure := range cases {
-		t.Run(name, func(t *testing.T) {
+	handed := make([]map[[2]int][]any, len(cases))
+	for c, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
 			p := &relayProgram{n: n, steps: steps, got: map[[2]int][]any{}}
-			e, err := New(n, p, configure(t, p))
+			e, err := New(n, p, tc.configure(t, p))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -417,10 +433,18 @@ func TestSpilledPayloadsSurviveEveryMove(t *testing.T) {
 			if wantSpilled := int64(n * (steps - 1) * 2); m.Spilled != wantSpilled {
 				t.Errorf("%d messages spilled, want %d", m.Spilled, wantSpilled)
 			}
-			if name == "rollback" && m.Recoveries != 1 {
+			if tc.name == "rollback" && m.Recoveries != 1 {
 				t.Errorf("%d recoveries, want 1", m.Recoveries)
 			}
+			handed[c] = p.got
 		})
+	}
+	for c := 1; c < len(cases); c++ {
+		for k := range want {
+			if got, ref := describeAny(handed[c][k]), describeAny(handed[0][k]); !slices.Equal(got, ref) {
+				t.Errorf("superstep %d vertex %d: %s handed %v, %s %v", k[0], k[1], cases[c].name, got, cases[0].name, ref)
+			}
+		}
 	}
 }
 

@@ -19,11 +19,11 @@ import (
 // The cluster coordinator drives the BSP loop from outside: Compute →
 // Outbound (encoded batches for the wire) → Deliver (batches received from
 // peers) → Barrier, one call set per superstep per shard, and closes each
-// superstep through an engine Barrier of its own. Delivery order
-// matches the in-process transported exchange exactly — own outbox first,
-// then peer batches in ascending shard order — so a cluster run is
-// bit-identical to a single-process run over the same configuration, which
-// is what the kill-recovery chaos tests assert.
+// superstep through an engine Barrier of its own. Deliver goes through the
+// same receive routine as Run's exchange, in process or over a Transport —
+// own outbox first, then peer batches in ascending shard order — so a cluster
+// run is bit-identical to a single-process run over the same configuration,
+// which is what the kill-recovery chaos tests assert.
 
 // StepReport is one shard's contribution to a superstep barrier: what
 // Barrier.Close decides the superstep's end from — deliveries, frontier and
@@ -161,11 +161,11 @@ func (s *Shard) Outbound() ([][]byte, error) {
 
 // Deliver runs this shard's receive phase: the self-addressed outbox first,
 // then the peer batches in the order given — callers MUST pass them in
-// ascending source-shard order, mirroring Transport.Recv, or cluster runs
-// lose bit-identity with single-process runs. Returns the number of
-// messages delivered into this shard.
+// ascending source-shard order, the order Run delivers in with or without a
+// Transport, or cluster runs lose bit-identity with single-process runs.
+// Returns the number of messages delivered into this shard.
 func (s *Shard) Deliver(batches [][]byte) (int64, error) {
-	n, err := s.w.receive(batches)
+	n, err := s.w.receiveWire(batches)
 	if err != nil {
 		return n, fmt.Errorf("engine: shard %d: %w", s.id, err)
 	}

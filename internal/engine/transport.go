@@ -14,8 +14,9 @@ import (
 // Transport ships encoded message batches between workers during the
 // exchange phase, standing in for the cluster network. Every worker sends
 // exactly one batch (possibly empty) to every other worker per superstep;
-// Recv returns one batch per peer. The in-process default (nil Transport)
-// hands slices over directly; TCPTransport pushes every cross-worker batch
+// Recv returns one batch per peer. It changes what carries a batch, never the
+// order it is delivered in. The in-process default (nil Transport) hands each
+// outbox slab over as it is; TCPTransport pushes every cross-worker batch
 // through real loopback sockets, exercising the full serialization path.
 type Transport interface {
 	// Send ships an encoded batch from worker src to worker dst (src != dst).
