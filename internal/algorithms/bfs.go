@@ -56,8 +56,8 @@ func (a *BFS) CombineWarp(x, y codec.Word) codec.Word { return minInt64(x, y) }
 // Options returns the run options BFS needs: no edge properties are used.
 func (a *BFS) Options() core.Options {
 	return core.Options{
-		PayloadCodec:    codec.Int64{},
-		ReceiverCombine: true,
+		PayloadCodec: codec.Int64{},
+		Combine:      true,
 	}
 }
 

@@ -54,7 +54,7 @@ func TestDifferentialSuppressionCombinerMatrix(t *testing.T) {
 			opts.DisableSuppression = c.noSuppression
 			if c.noCombiner {
 				opts.DisableWarpCombiner = true
-				opts.ReceiverCombine = false
+				opts.Combine = false
 			}
 			r, err := runWith(g, prog, opts)
 			if err != nil {

@@ -65,9 +65,9 @@ func (a *EAT) CombineWarp(x, y codec.Word) codec.Word { return minInt64(x, y) }
 // Options returns the run options EAT needs.
 func (a *EAT) Options() core.Options {
 	return core.Options{
-		PropLabels:      travelLabels(),
-		PayloadCodec:    codec.Int64{},
-		ReceiverCombine: true,
+		PropLabels:   travelLabels(),
+		PayloadCodec: codec.Int64{},
+		Combine:      true,
 	}
 }
 

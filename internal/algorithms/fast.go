@@ -99,9 +99,9 @@ func (a *FAST) CombineWarp(x, y codec.Word) codec.Word { return maxInt64(x, y) }
 // Options returns the run options FAST needs.
 func (a *FAST) Options() core.Options {
 	return core.Options{
-		PropLabels:      travelLabels(),
-		PayloadCodec:    codec.Int64{},
-		ReceiverCombine: true,
+		PropLabels:   travelLabels(),
+		PayloadCodec: codec.Int64{},
+		Combine:      true,
 	}
 }
 

@@ -14,7 +14,11 @@ package algorithms_test
 // states became encodable, SCC's, recorded when its shards could close
 // supersteps through a barrier with a master, and the in-process PR, LCC and
 // TC cells at 2 and 3 workers, recorded when Run's in-process exchange took
-// the transported delivery order (go test -run Golden -update rewrites it);
+// the transported delivery order, and the combining algorithms' cells at 2 and
+// 3 workers, recorded when each sender began folding its outbox: their
+// stepped batches carry fewer messages, and PageRank's float sums associate
+// per source first, which moves its results, batches and checkpoints but no
+// count (go test -run Golden -update rewrites it);
 // testdata/golden_ckpt.bin holds checkpoints those commits wrote, which this
 // one must restore and finish from.
 

@@ -96,7 +96,7 @@ func (a *LD) Options() core.Options {
 		ScatterSlackLabel: tgraph.PropTravelTime,
 		PropLabels:        travelLabels(),
 		PayloadCodec:      codec.Int64{},
-		ReceiverCombine:   true,
+		Combine:           true,
 	}
 }
 

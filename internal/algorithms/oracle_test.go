@@ -380,7 +380,7 @@ func TestAblationPathsPreserveResults(t *testing.T) {
 	}{
 		{"no-warp", func(o *core.Options) { o.DisableWarp = true }},
 		{"no-suppression", func(o *core.Options) { o.DisableSuppression = true }},
-		{"no-combiner", func(o *core.Options) { o.DisableWarpCombiner = true; o.ReceiverCombine = false }},
+		{"no-combiner", func(o *core.Options) { o.DisableWarpCombiner = true; o.Combine = false }},
 		{"eager-suppression", func(o *core.Options) { o.SuppressionThreshold = 0.01 }},
 	}
 

@@ -154,10 +154,10 @@ func (a *PageRank) CombineWarp(x, y codec.Word) codec.Word {
 // fixed number of supersteps.
 func (a *PageRank) Options() core.Options {
 	return core.Options{
-		ActivateAll:     true,
-		MaxSupersteps:   a.Iterations + 1,
-		PayloadCodec:    codec.Float64{},
-		ReceiverCombine: true,
+		ActivateAll:   true,
+		MaxSupersteps: a.Iterations + 1,
+		PayloadCodec:  codec.Float64{},
+		Combine:       true,
 	}
 }
 

@@ -1,15 +1,19 @@
 package algorithms
 
 import (
+	"bytes"
+	"fmt"
 	"math"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"graphite/internal/codec"
 	"graphite/internal/core"
 	"graphite/internal/gen"
 	ival "graphite/internal/interval"
+	"graphite/internal/obs"
 	"graphite/internal/tgraph"
 )
 
@@ -113,4 +117,57 @@ func TestPageRankScatterBitIdentical(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestDeliveredCountsWhatCrosses: Metrics.Delivered counts the messages that
+// reached an inbox after each sender folded its outboxes. Without a combiner
+// that is every message sent; under PageRank's sum combiner at two workers it
+// is strictly fewer, of the same messages sent. The trace, the registry and
+// its /metrics exposition report the same count.
+func TestDeliveredCountsWhatCrosses(t *testing.T) {
+	g, err := gen.Generate(gen.SkewedLike(0.05), 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(workers int, combine bool) *core.Result {
+		t.Helper()
+		prog, opts, err := New(g, "pr", Params{Iterations: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts.NumWorkers, opts.Combine = workers, combine
+		rec, reg := &obs.Recorder{}, obs.NewRegistry()
+		opts.Tracer, opts.Registry = rec, reg
+		r, err := core.Run(g, prog, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var traced int64
+		for _, e := range rec.Events() {
+			if end, ok := e.(obs.SuperstepEnd); ok {
+				traced += end.Delivered
+			}
+		}
+		if traced != r.Metrics.Delivered || reg.Counter(obs.CDelivered).Load() != r.Metrics.Delivered {
+			t.Errorf("%d workers, combine %v: delivered %d, traced %d, registry %d", workers, combine,
+				r.Metrics.Delivered, traced, reg.Counter(obs.CDelivered).Load())
+		}
+		var prom bytes.Buffer
+		obs.WritePrometheus(&prom, reg)
+		if sample := fmt.Sprintf("\n%s %d\n", obs.PromName(obs.CDelivered, "counter"), r.Metrics.Delivered); !strings.Contains(prom.String(), sample) {
+			t.Errorf("/metrics lacks %q", strings.TrimSpace(sample))
+		}
+		return r
+	}
+	for workers := 1; workers <= 2; workers++ {
+		if m := run(workers, false).Metrics; m.Delivered != m.Messages {
+			t.Errorf("%d workers, no combiner: delivered %d of %d messages, want all", workers, m.Delivered, m.Messages)
+		}
+	}
+	folded, plain := run(2, true).Metrics, run(2, false).Metrics
+	if folded.Messages != plain.Messages || folded.Delivered >= folded.Messages {
+		t.Errorf("2 workers: %d of %d messages delivered under the combiner (%d sent without it), want fewer than sent",
+			folded.Delivered, folded.Messages, plain.Messages)
+	}
+	t.Logf("PageRank at 2 workers: %d messages sent, %d delivered", folded.Messages, folded.Delivered)
 }

@@ -55,9 +55,9 @@ func (a *RH) CombineWarp(x, y codec.Word) codec.Word { return maxInt64(x, y) }
 // Options returns the run options RH needs.
 func (a *RH) Options() core.Options {
 	return core.Options{
-		PropLabels:      travelLabels(),
-		PayloadCodec:    codec.Int64{},
-		ReceiverCombine: true,
+		PropLabels:   travelLabels(),
+		PayloadCodec: codec.Int64{},
+		Combine:      true,
 	}
 }
 

@@ -69,9 +69,9 @@ func (a *SSSP) CombineWarp(x, y codec.Word) codec.Word { return minInt64(x, y) }
 // Options returns the run options SSSP needs.
 func (a *SSSP) Options() core.Options {
 	return core.Options{
-		PropLabels:      travelLabels(),
-		PayloadCodec:    codec.Int64{},
-		ReceiverCombine: true,
+		PropLabels:   travelLabels(),
+		PayloadCodec: codec.Int64{},
+		Combine:      true,
 	}
 }
 

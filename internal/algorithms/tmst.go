@@ -78,9 +78,9 @@ func (a *TMST) CombineWarp(x, y codec.Word) codec.Word {
 // Options returns the run options TMST needs.
 func (a *TMST) Options() core.Options {
 	return core.Options{
-		PropLabels:      travelLabels(),
-		PayloadCodec:    codec.PairCodec{},
-		ReceiverCombine: true,
+		PropLabels:   travelLabels(),
+		PayloadCodec: codec.PairCodec{},
+		Combine:      true,
 	}
 }
 

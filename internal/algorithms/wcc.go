@@ -47,9 +47,9 @@ func (a *WCC) CombineWarp(x, y codec.Word) codec.Word { return minInt64(x, y) }
 // Options returns the run options WCC needs: undirected propagation.
 func (a *WCC) Options() core.Options {
 	return core.Options{
-		Undirected:      true,
-		PayloadCodec:    codec.Int64{},
-		ReceiverCombine: true,
+		Undirected:   true,
+		PayloadCodec: codec.Int64{},
+		Combine:      true,
 	}
 }
 

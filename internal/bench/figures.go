@@ -145,7 +145,7 @@ func runICMCombiner(cfg Config, al Algo, g *tgraph.Graph, source tgraph.VertexID
 	opts.NumWorkers = cfg.Workers
 	opts.DisableWarpCombiner = disable
 	if disable {
-		opts.ReceiverCombine = false
+		opts.Combine = false
 	}
 	opts.Tracer = cfg.Tracer
 	opts.Registry = cfg.Registry

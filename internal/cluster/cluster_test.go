@@ -141,7 +141,12 @@ func TestClusterMatchesCoreRun(t *testing.T) {
 			coord, addr, out := startCluster(t, cluster.Config{Algo: tc.algo, Params: tc.p})
 			runWorkers(ctx, t, addr, workerDirs(t, testWorkers))
 			got := waitResult(t, out, 30*time.Second)
-			compareResults(t, g, got, directRun(t, g, tc.algo, tc.p, testWorkers))
+			want := directRun(t, g, tc.algo, tc.p, testWorkers)
+			compareResults(t, g, got, want)
+			if got.Metrics.Messages != want.Metrics.Messages || got.Metrics.Delivered != want.Metrics.Delivered {
+				t.Errorf("%d messages sent, %d delivered; Run: %d, %d", got.Metrics.Messages, got.Metrics.Delivered,
+					want.Metrics.Messages, want.Metrics.Delivered)
+			}
 			rep := coord.Report()
 			if rep.Supersteps == 0 || rep.Checkpoints == 0 {
 				t.Errorf("report missing progress: %+v", rep)

@@ -391,6 +391,7 @@ type runTotals struct {
 	scatterCalls int64
 	messages     int64
 	messageBytes int64
+	delivered    int64
 	computeNS    int64
 	messagingNS  int64
 	barrierNS    int64
@@ -1049,6 +1050,7 @@ func (d *driver) closeSuperstep() {
 	d.rt.scatterCalls += sumScatter
 	d.rt.messages += sumMsgs
 	d.rt.messageBytes += sumBytes
+	d.rt.delivered += sumDelivered
 	d.rt.computeNS += sumCompute
 	d.rt.messagingNS += sumWait + sumRelayNS + sumPeerSend
 	d.rt.barrierNS += sumDeliver
@@ -1158,6 +1160,7 @@ func (d *driver) resultFrame(wc *wconn, payload []byte) error {
 	d.totals.ScatterCalls = d.rt.scatterCalls
 	d.totals.Messages = d.rt.messages
 	d.totals.MessageBytes = d.rt.messageBytes
+	d.totals.Delivered = d.rt.delivered
 	d.totals.ComputePlusTime = time.Duration(d.rt.computeNS)
 	d.totals.MessagingTime = time.Duration(d.rt.messagingNS)
 	d.totals.BarrierTime = time.Duration(d.rt.barrierNS)

@@ -218,10 +218,10 @@ func runAlignGate(t *testing.T, prog Program, opts Options) {
 func TestAlignNoAllocsSSSPTransit(t *testing.T) {
 	runAlignGate(t, &ssspGateProg{source: 0, start: 1},
 		Options{
-			NumWorkers:      2,
-			PropLabels:      []string{tgraph.PropTravelTime, tgraph.PropTravelCost},
-			PayloadCodec:    codec.Int64{},
-			ReceiverCombine: true,
+			NumWorkers:   2,
+			PropLabels:   []string{tgraph.PropTravelTime, tgraph.PropTravelCost},
+			PayloadCodec: codec.Int64{},
+			Combine:      true,
 		})
 }
 
@@ -233,11 +233,11 @@ func TestAlignNoAllocsPageRankTransit(t *testing.T) {
 	prog := newPRGateProg(tgraph.TransitExample(), 5)
 	runAlignGate(t, prog,
 		Options{
-			NumWorkers:      2,
-			ActivateAll:     true,
-			MaxSupersteps:   prog.iters + 1,
-			PayloadCodec:    codec.Float64{},
-			ReceiverCombine: true,
+			NumWorkers:    2,
+			ActivateAll:   true,
+			MaxSupersteps: prog.iters + 1,
+			PayloadCodec:  codec.Float64{},
+			Combine:       true,
 		})
 }
 
@@ -307,7 +307,7 @@ func TestSuperstepNoAllocsSteadyState(t *testing.T) {
 			prog := &steadyProg{kind: k.kind, state: int64(7)}
 			sh, err := NewShard(tgraph.TransitExample(), prog, Options{
 				NumWorkers: 1, ActivateAll: true, MaxSupersteps: 1 << 30,
-				PayloadCodec: k.codec, ReceiverCombine: true,
+				PayloadCodec: k.codec, Combine: true,
 			}, 0)
 			if err != nil {
 				t.Fatal(err)

@@ -116,7 +116,7 @@ func BenchmarkVertexStep(b *testing.B) {
 				ActivateAll:         true,
 				MaxSupersteps:       prog.iters + 1,
 				PayloadCodec:        codec.Float64{},
-				ReceiverCombine:     combined,
+				Combine:             combined,
 				DisableWarpCombiner: !combined,
 			}
 			b.ReportAllocs()

@@ -38,7 +38,7 @@ type Program interface {
 // Combiner"): when implemented, message groups are folded during the warp
 // sweep and Compute receives a single combined message per tuple. The fold
 // must be commutative and associative, and is for payloads held inline: with
-// Options.ReceiverCombine a spilled one is never handed to it.
+// Options.Combine a spilled one is never handed to it.
 type WarpCombiner interface {
 	CombineWarp(a, b codec.Word) codec.Word
 }
@@ -125,9 +125,11 @@ type Options struct {
 	SuppressionThreshold float64
 	// DisableWarpCombiner ignores the program's WarpCombiner (Fig. 6(b)).
 	DisableWarpCombiner bool
-	// ReceiverCombine additionally applies the warp combiner at message
-	// delivery for identical intervals (the paper couples both).
-	ReceiverCombine bool
+	// Combine additionally applies the warp combiner to messages for the
+	// same vertex and interval (the paper couples both): each worker folds
+	// its batches when its compute phase ends, and the receiver folds the
+	// batches of different workers together on arrival.
+	Combine bool
 	// PayloadCodec encodes message payloads — for byte accounting, over a
 	// Transport, between cluster shards and into checkpoints — and, unless
 	// the program is a StateCoder, state values too.
@@ -317,7 +319,7 @@ func prepare(g *tgraph.Graph, prog Program, opts Options) (*runtime, engine.Prog
 		rt.traced = true
 		cfg.Tracer = &icmTracer{rt: rt, next: opts.Tracer}
 	}
-	if opts.ReceiverCombine && rt.combine != nil {
+	if opts.Combine && rt.combine != nil {
 		cfg.Combiner = engine.Combiner(rt.combine)
 	}
 	var eprog engine.Program = rt

@@ -79,8 +79,8 @@ func TestSendNoAllocsUntraced(t *testing.T) {
 	}
 }
 
-// minInt64Combiner mirrors SSSP's receiver-side combiner; sumCombiner
-// PageRank's, whose every result is a value that did not exist before.
+// minInt64Combiner mirrors SSSP's combiner; sumCombiner PageRank's, whose
+// every result is a value that did not exist before.
 func minInt64Combiner(a, b codec.Word) codec.Word {
 	if a.Int() < b.Int() {
 		return a
@@ -92,10 +92,11 @@ func sumCombiner(a, b codec.Word) codec.Word { return codec.FloatWord(a.Float() 
 
 // steadyExchangeStep builds an engine, installs a fixed traffic template, and
 // returns one steady-state exchange superstep: refill every outbox from the
-// template, run every worker's in-memory exchange, then recycle the delivered
-// inbox slabs exactly as the compute phase would. The step is pre-run until
-// all grow-only buffers and the message arena have reached their working
-// size, so what remains is the pure data path.
+// template and fold them as a compute phase ends, run every worker's
+// in-memory exchange, then recycle the delivered inbox slabs exactly as the
+// compute phase would. The step is pre-run until all grow-only buffers, the
+// message arena and the fold index have reached their working size, so what
+// remains is the pure data path.
 func steadyExchangeStep(t testing.TB, cfg Config, traffic [][][]Message) func() {
 	t.Helper()
 	numV := 0
@@ -121,6 +122,7 @@ func steadyExchangeStep(t testing.TB, cfg Config, traffic [][][]Message) func() 
 			for dst := range e.workers {
 				w.outbox[dst].msgs = append(w.outbox[dst].msgs[:0], traffic[w.id][dst]...)
 			}
+			w.foldOutboxes()
 		}
 		for _, w := range e.workers {
 			w.exchange()

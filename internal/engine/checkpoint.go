@@ -227,7 +227,6 @@ func (e *Engine) restore(data []byte, ws []*worker) (err error) {
 		for _, ob := range w.outbox {
 			ob.reset()
 		}
-		clear(w.outBytes)
 		w.resetPartials()
 	}
 	e.superstp = superstep

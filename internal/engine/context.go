@@ -51,7 +51,9 @@ func (c *Context) Send(dst int, when ival.Interval, value any) {
 }
 
 // SendWord is Send for a payload that already is a word; spill is the table
-// a spilled one indexes, which the payload is moved out of.
+// a spilled one indexes, which the payload is moved out of. The message and
+// its bytes are counted here, as sent; a Config.Combiner folds the outbox
+// when the compute phase ends (fold.go).
 func (c *Context) SendWord(dst int, when ival.Interval, pw codec.Word, spill []any) {
 	w := c.w
 	dw := int(c.eng.part[dst])
@@ -67,9 +69,6 @@ func (c *Context) SendWord(dst int, when ival.Interval, pw codec.Word, spill []a
 	}
 	w.sentBytes += size
 	w.classBytes[class] += ivalBytes
-	if w.outBytes != nil {
-		w.outBytes[dw] += int64(codec.UvarintLen(uint64(dst))) + size
-	}
 }
 
 // payloadSize sizes a payload that is not a word of the run's codec: one

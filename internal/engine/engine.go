@@ -3,9 +3,9 @@
 // vertex-centric baselines (internal/vcm) run on. It plays the role Apache
 // Giraph plays for GRAPHITE in the paper: hash-partitioned vertex ownership
 // across workers, superstep execution with global barriers, bulk message
-// exchange with optional receiver-side combining, named aggregators, a
-// master-compute hook, and vote-to-halt semantics where vertices are only
-// reactivated by incoming messages.
+// exchange with optional combining at send and on arrival, named
+// aggregators, a master-compute hook, and vote-to-halt semantics where
+// vertices are only reactivated by incoming messages.
 //
 // Workers are goroutines; partitioning, message routing, byte accounting and
 // barrier timing mirror a distributed deployment so that the experiment
@@ -68,9 +68,10 @@ type Master interface {
 }
 
 // Combiner merges two message payloads addressed to the same vertex for the
-// same interval (receiver-side combining). It must be commutative and
-// associative. Only inline words are combined, into an inline word: a spilled
-// payload is delivered as it is.
+// same interval: at the sender, which folds each of its batches in send
+// order, and on arrival, where the per-source partials fold in delivery order
+// (fold.go). It must be commutative and associative. Only inline words are
+// combined, into an inline word: a spilled payload is delivered as it is.
 type Combiner func(a, b codec.Word) codec.Word
 
 // Config parameterizes a run.
@@ -90,7 +91,8 @@ type Config struct {
 	// makes locality experiments possible.
 	Partitioner func(vertex, numWorkers int) int
 	// Combiner, if set, merges payloads of messages to the same vertex
-	// with identical intervals at delivery time.
+	// with identical intervals: in each batch a worker sends, when its
+	// compute phase ends, and across sources as they are delivered.
 	Combiner Combiner
 	// PayloadCodec, when set, accounts encoded payload bytes and encodes
 	// every batch that leaves a worker: over a Transport, to a peer shard, or
@@ -204,10 +206,6 @@ type worker struct {
 	inbox  []*msgSlab // per local slot; arena-pooled, nil when empty
 	active []bool     // per local slot; dedup bitmap behind the frontier
 	outbox []*msgSlab // per destination worker, refilled every superstep; arena-pooled across runs
-	// outBytes, kept only by a Shard's worker, is the encoded size of each
-	// outbox's messages, summed as they are sent, so Shard.Outbound can
-	// allocate every batch once at its final size.
-	outBytes []int64
 
 	// Dense frontier: slots activated since the last compute phase, appended
 	// at delivery time (activation order), sorted at compute start. Grow-only.
@@ -231,8 +229,8 @@ type worker struct {
 	exchangeNS int64
 	delivered  int64
 
-	scratch []byte  // spilled-payload sizing buffer, reused across sends
-	decode  msgSlab // transport decode buffer, reused across batches
+	scratch []byte   // spilled-payload sizing buffer, reused across sends
+	decode  *msgSlab // transport decode buffer, reused across batches; arena-pooled across runs
 
 	// cctx is the worker's persistent compute Context: &cctx escapes into
 	// Program.Run through the interface call, and a per-phase local would
@@ -324,8 +322,8 @@ func (w *worker) drawOutboxes() {
 
 // releaseBuffers hands the engine's pooled buffers back for the next run:
 // undelivered inbox slabs (MaxSupersteps or a failure can end a run with
-// messages still queued) and every outbox. Nothing may send afterwards: the
-// outboxes are left nil.
+// messages still queued), every outbox and the decode buffer. Nothing may
+// send afterwards: the outboxes are left nil.
 func (e *Engine) releaseBuffers() {
 	for _, w := range e.workers {
 		for s, sl := range w.inbox {
@@ -338,6 +336,8 @@ func (e *Engine) releaseBuffers() {
 			outboxArena.put(ob)
 			w.outbox[d] = nil
 		}
+		outboxArena.put(w.decode)
+		w.decode = nil
 	}
 }
 
@@ -455,10 +455,8 @@ func (e *Engine) Run() (*Metrics, error) {
 		// Barrier: every worker reports to the barrier, in worker order — the
 		// aggregates merge, the halt rule is decided — then the metric
 		// partials fold into the registry.
-		var delivered int64
 		for i, w := range e.workers {
 			reps[i] = StepReport{Delivered: w.delivered, Active: len(w.frontier), Aggs: w.aggs}
-			delivered += w.delivered
 		}
 		quiesced := e.barrier.Close(reps)
 		st := e.mergePartials()
@@ -485,7 +483,7 @@ func (e *Engine) Run() (*Metrics, error) {
 				ScatterCalls: st.scatterCalls,
 				Messages:     st.sentMsgs,
 				MessageBytes: st.sentBytes,
-				Delivered:    delivered,
+				Delivered:    st.delivered,
 				Active:       e.countActive(),
 				Intervals: obs.IntervalBytes{
 					Unit:      st.classBytes[codec.ClassUnit],
@@ -632,7 +630,7 @@ func (e *Engine) parallel(fn func(*worker)) {
 }
 
 // exchange moves all outbox batches to destination inboxes, applying the
-// receiver-side combiner; each worker counts what it delivered. Over a
+// combiner across sources; each worker counts what it delivered. Over a
 // Transport the cross-worker batches are shipped first.
 func (e *Engine) exchange() {
 	if e.cfg.Transport != nil {
@@ -690,13 +688,17 @@ func (w *worker) exchange() {
 // receive is a worker's receive phase, and the one routine that sets the
 // order messages are delivered in, whatever carries the batches: the
 // self-addressed outbox first, then peer(0) … peer(peers-1), the peers'
-// batches in ascending source order. A batch may have come over the wire, so
-// a message for a vertex another worker owns is a corrupt batch — never a
-// delivery to whichever local vertex shares its slot number. Each batch is
-// emptied once delivered. It returns the number of messages delivered.
+// batches in ascending source order. Each source folded its batches as its
+// compute phase ended (fold.go), so the combiner folds peers' partials into
+// what arrived before them, and the own outbox, arriving first into inboxes
+// the compute phase emptied, is delivered as it is. A batch may have come
+// over the wire, so a message for a vertex another worker owns is a corrupt
+// batch — never a delivery to whichever local vertex shares its slot number.
+// Each batch is emptied once delivered. It returns the number of messages
+// delivered.
 func (w *worker) receive(peers int, peer func(i int) (*msgSlab, error)) (int64, error) {
 	var n int64
-	batch := w.outbox[w.id]
+	batch, c := w.outbox[w.id], Combiner(nil)
 	for i := 0; ; i++ {
 		for _, m := range batch.msgs {
 			dw, slot := w.eng.owner(m.Dst)
@@ -704,7 +706,7 @@ func (w *worker) receive(peers int, peer func(i int) (*msgSlab, error)) (int64, 
 				return n, fmt.Errorf("engine: worker %d received a message for vertex %d, which worker %d owns: %w",
 					w.id, m.Dst, dw, codec.ErrCorrupt)
 			}
-			w.deliver(slot, m, batch.spill)
+			w.deliver(slot, m, batch.spill, c)
 			n++
 		}
 		batch.reset()
@@ -715,6 +717,7 @@ func (w *worker) receive(peers int, peer func(i int) (*msgSlab, error)) (int64, 
 		if batch, err = peer(i); err != nil {
 			return n, err
 		}
+		c = w.eng.cfg.Combiner
 	}
 }
 
@@ -728,26 +731,30 @@ func (w *worker) peerOutbox(i int) (*msgSlab, error) {
 }
 
 // receiveWire is receive over serialized batches — from a Transport, or
-// handed to a Shard — each decoded into the worker's reusable buffer.
+// handed to a Shard — each decoded into the worker's reusable buffer, drawn
+// from the outbox arena on first use: a run in process never needs one.
 func (w *worker) receiveWire(batches [][]byte) (int64, error) {
+	if w.decode == nil {
+		w.decode = outboxArena.get()
+	}
 	defer w.decode.reset()
 	return w.receive(len(batches), func(i int) (*msgSlab, error) {
 		w.decode.reset()
-		return &w.decode, w.eng.decodeBatchInto(&w.decode, batches[i])
+		return w.decode, w.eng.decodeBatchInto(w.decode, batches[i])
 	})
 }
 
-// deliver appends or combines a message into a local inbox slab and marks
-// the vertex active; from is the spill table of the slab m comes out of.
-// Slabs come from the arena on first delivery and go back right after the
-// vertex's Run call consumes them.
-func (w *worker) deliver(slot int, m Message, from []any) {
+// deliver appends a message to a local inbox slab, or combines it under c,
+// and marks the vertex active; from is the spill table of the slab m comes
+// out of. Slabs come from the arena on first delivery and go back right after
+// the vertex's Run call consumes them.
+func (w *worker) deliver(slot int, m Message, from []any, c Combiner) {
 	sl := w.inbox[slot]
 	if sl == nil {
 		sl = msgArena.get()
 		w.inbox[slot] = sl
 	}
-	if c := w.eng.cfg.Combiner; c != nil && m.Kind != codec.KindSpill {
+	if c != nil && m.Kind != codec.KindSpill {
 		for i := range sl.msgs {
 			if o := &sl.msgs[i]; o.When == m.When && o.Kind != codec.KindSpill {
 				*o = newMessage(o.Dst, o.When, c(o.Word(), m.Word()))

@@ -68,13 +68,15 @@ func (w *worker) init() {
 }
 
 // compute is a worker's compute phase: the program over its own frontier in
-// slot order, sends going straight to its outboxes.
+// slot order, sends going straight to its outboxes, which a combiner folds
+// once the frontier is done.
 func (w *worker) compute() {
 	phaseStart := time.Now()
 	defer func() { w.computeNS = time.Since(phaseStart).Nanoseconds() }()
 	w.cctx = Context{eng: w.eng, w: w}
 	w.runSlots(w.prepareSched())
 	w.finishSched()
+	w.foldOutboxes()
 }
 
 // runSlots executes the program over the given slots, recycling consumed

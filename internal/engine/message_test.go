@@ -543,10 +543,10 @@ func (p *spillCombineProgram) Run(ctx *Context, msgs []Message) {
 	}
 }
 
-// TestReceiverCombinerLeavesSpilledPayloads: a combiner folds the words it
-// can read; a spilled payload sharing the interval is neither handed to it
-// nor folded into, and arrives as it was sent.
-func TestReceiverCombinerLeavesSpilledPayloads(t *testing.T) {
+// TestCombinerLeavesSpilledPayloads: a combiner folds the words it can read,
+// at the sender and on arrival; a spilled payload sharing the interval is
+// neither handed to it nor folded into, and arrives as it was sent.
+func TestCombinerLeavesSpilledPayloads(t *testing.T) {
 	p := &spillCombineProgram{}
 	sum := func(a, b codec.Word) codec.Word { return codec.IntWord(a.Int() + b.Int()) } // Int panics on a spilled word
 	e, err := New(4, p, Config{NumWorkers: 2, Combiner: sum})

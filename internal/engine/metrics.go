@@ -16,6 +16,11 @@ type Metrics struct {
 	ScatterCalls int64
 	Messages     int64
 	MessageBytes int64
+	// Delivered counts the messages that reached an inbox: those sent, less
+	// the ones a worker folded into another under the Combiner before
+	// handing its batches over. Without one it equals Messages, the paper's
+	// count, taken as they are sent.
+	Delivered int64
 	// Spilled counts the messages whose payload was outside the word palette
 	// and travelled in a slab's spill table: zero for a program that sends
 	// int64, float64, codec.Int64Pair or nil.
@@ -60,6 +65,7 @@ func (m *Metrics) Add(o *Metrics) {
 	m.ScatterCalls += o.ScatterCalls
 	m.Messages += o.Messages
 	m.MessageBytes += o.MessageBytes
+	m.Delivered += o.Delivered
 	m.Spilled += o.Spilled
 	m.Checkpoints += o.Checkpoints
 	m.Recoveries += o.Recoveries

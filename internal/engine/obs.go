@@ -15,6 +15,7 @@ type engCounters struct {
 	scatterCalls *obs.Counter
 	messages     *obs.Counter
 	messageBytes *obs.Counter
+	delivered    *obs.Counter
 	checkpoints  *obs.Counter
 	recoveries   *obs.Counter
 	sendRetries  *obs.Counter
@@ -52,6 +53,7 @@ func (e *Engine) bindRegistry(reg *obs.Registry) {
 		scatterCalls: reg.Counter(obs.CScatterCalls),
 		messages:     reg.Counter(obs.CMessages),
 		messageBytes: reg.Counter(obs.CMessageBytes),
+		delivered:    reg.Counter(obs.CDelivered),
 		checkpoints:  reg.Counter(obs.CCheckpoints),
 		recoveries:   reg.Counter(obs.CRecoveries),
 		sendRetries:  reg.Counter(obs.CSendRetries),
@@ -95,6 +97,7 @@ func (e *Engine) rawView() Metrics {
 		ScatterCalls:    e.ec.scatterCalls.Load(),
 		Messages:        e.ec.messages.Load(),
 		MessageBytes:    e.ec.messageBytes.Load(),
+		Delivered:       e.ec.delivered.Load(),
 		Spilled:         e.spilled,
 		ComputePlusTime: time.Duration(e.ec.computeNS.Load()),
 		MessagingTime:   time.Duration(e.ec.messagingNS.Load()),
@@ -114,6 +117,7 @@ func (e *Engine) metricsView() Metrics {
 	m.ScatterCalls -= b.ScatterCalls
 	m.Messages -= b.Messages
 	m.MessageBytes -= b.MessageBytes
+	m.Delivered -= b.Delivered
 	m.Spilled -= b.Spilled
 	m.ComputePlusTime -= b.ComputePlusTime
 	m.MessagingTime -= b.MessagingTime
@@ -135,6 +139,7 @@ func (e *Engine) storeRaw(m Metrics, classBytes [codec.NumIntervalClasses]int64)
 	e.ec.scatterCalls.Store(m.ScatterCalls)
 	e.ec.messages.Store(m.Messages)
 	e.ec.messageBytes.Store(m.MessageBytes)
+	e.ec.delivered.Store(m.Delivered)
 	e.spilled = m.Spilled
 	e.ec.computeNS.Store(int64(m.ComputePlusTime))
 	e.ec.messagingNS.Store(int64(m.MessagingTime))
@@ -163,6 +168,7 @@ type stepTotals struct {
 	scatterCalls int64
 	sentMsgs     int64
 	sentBytes    int64
+	delivered    int64
 	classBytes   [codec.NumIntervalClasses]int64
 }
 
@@ -175,6 +181,7 @@ func (e *Engine) mergePartials() stepTotals {
 		st.scatterCalls += w.scatterCalls
 		st.sentMsgs += w.sentMsgs
 		st.sentBytes += w.sentBytes
+		st.delivered += w.delivered
 		e.spilled += w.spilled
 		for i, b := range w.classBytes {
 			st.classBytes[i] += b
@@ -185,6 +192,7 @@ func (e *Engine) mergePartials() stepTotals {
 	e.ec.scatterCalls.Add(st.scatterCalls)
 	e.ec.messages.Add(st.sentMsgs)
 	e.ec.messageBytes.Add(st.sentBytes)
+	e.ec.delivered.Add(st.delivered)
 	for i, n := range st.classBytes {
 		if n != 0 {
 			e.ec.classBytes[i].Add(n)
@@ -197,7 +205,7 @@ func (e *Engine) mergePartials() stepTotals {
 // counts at zero, the aggregator partials at their identities.
 func (w *worker) resetPartials() {
 	w.computeCalls, w.scatterCalls, w.sentMsgs, w.sentBytes = 0, 0, 0, 0
-	w.spilled = 0
+	w.spilled, w.delivered = 0, 0
 	w.classBytes = [codec.NumIntervalClasses]int64{}
 	w.aggs = w.eng.barrier.identities(w.aggs)
 }

@@ -92,9 +92,10 @@ func (a *messageArena) stats() (hits, misses, bytesReused int64) {
 var (
 	// msgArena feeds worker inbox slabs.
 	msgArena messageArena
-	// outboxArena feeds worker outboxes. A run holds a few of them, each
-	// orders of magnitude larger than an inbox slab, hence an arena of their
-	// own: out of msgArena a new run would mostly draw inbox-sized slabs and
+	// outboxArena feeds worker outboxes and transport decode buffers. A run
+	// holds a few of them, each orders of magnitude larger than an inbox
+	// slab, hence an arena of their own: out of msgArena a new run — every
+	// cluster job's shard is one — would mostly draw inbox-sized slabs and
 	// grow them all over again.
 	outboxArena messageArena
 	// batchSlabs feeds the encode buffers of the transport ship phase.

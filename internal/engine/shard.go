@@ -30,7 +30,7 @@ import (
 // aggregator partials — and the counts the coordinator totals.
 type StepReport struct {
 	Superstep    int   // the superstep just completed
-	Delivered    int64 // messages delivered into this shard
+	Delivered    int64 // messages delivered into this shard, after each sender's fold
 	Active       int   // this shard's vertices active for the next superstep
 	ComputeCalls int64
 	ScatterCalls int64
@@ -84,7 +84,6 @@ func NewShard(numVertices int, program Program, cfg Config, shard int) (*Shard, 
 	}
 	w := e.workers[shard]
 	w.drawOutboxes()
-	w.outBytes = make([]int64, len(e.workers))
 	return &Shard{eng: e, w: w, id: shard}, nil
 }
 
@@ -139,23 +138,24 @@ func (s *Shard) Compute() error {
 // every other shard per superstep), nil at this shard's own index. The
 // self-addressed outbox is retained for Deliver. Batches are freshly
 // allocated: they are handed to the wire asynchronously, so the pooled-slab
-// discipline of the in-process hot path does not apply. Each is allocated
-// once, at the size Context.Send summed up for it.
+// discipline of the in-process hot path does not apply. Each is encoded into
+// a pooled slab and copied out once, at its final size.
 func (s *Shard) Outbound() ([][]byte, error) {
 	e, w := s.eng, s.w
 	if err := e.takeErr(); err != nil {
 		return nil, err
 	}
 	out := make([][]byte, len(e.workers))
+	slab := batchSlabs.Get()
+	defer batchSlabs.Put(slab)
 	for dst := range e.workers {
 		if dst == s.id {
 			continue
 		}
-		size := codec.UvarintLen(uint64(len(w.outbox[dst].msgs))) + int(w.outBytes[dst])
-		out[dst] = e.encodeBatch(make([]byte, 0, size), w.outbox[dst])
+		slab.Buf = e.encodeBatch(slab.Buf[:0], w.outbox[dst])
+		out[dst] = append(make([]byte, 0, len(slab.Buf)), slab.Buf...)
 		w.outbox[dst].reset()
 	}
-	clear(w.outBytes)
 	return out, nil
 }
 
@@ -182,7 +182,7 @@ func (s *Shard) Barrier() StepReport {
 	st := e.mergePartials()
 	rep := StepReport{
 		Superstep:    e.superstp,
-		Delivered:    s.w.delivered,
+		Delivered:    st.delivered,
 		Active:       len(s.w.frontier),
 		ComputeCalls: st.computeCalls,
 		ScatterCalls: st.scatterCalls,
@@ -195,7 +195,6 @@ func (s *Shard) Barrier() StepReport {
 	// The cluster's imbalance is the coordinator's GClusterSkewMilli.
 	e.ec.activeVertices.Set(int64(e.countActive()))
 	e.superstp++
-	s.w.delivered = 0
 	return rep
 }
 
@@ -223,6 +222,5 @@ func (s *Shard) RestoreDurable(data []byte) error {
 	if err := s.eng.restore(data, s.eng.workers[s.id:s.id+1]); err != nil {
 		return fmt.Errorf("engine: shard %d: %w", s.id, err)
 	}
-	s.w.delivered = 0
 	return nil
 }

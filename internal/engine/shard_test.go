@@ -21,12 +21,14 @@ type noSnapshot struct{}
 func (noSnapshot) AppendSnapshot(b []byte) ([]byte, error) { return b, nil }
 func (noSnapshot) RestoreSnapshot([]byte) error            { return nil }
 
-// outboundFixture is a 3-worker shard 0 over 300 vertices and a send script
-// covering every interval encoding class, one- and two-byte vertex indices,
-// and payloads of every varint width.
-func outboundFixture(t testing.TB) (*Shard, func()) {
+// outboundFixture is a 3-worker shard 0 over 300 vertices, under combiner c
+// (nil for none), and a send script covering every interval encoding class,
+// one- and two-byte vertex indices, and payloads of every varint width. The
+// script sends every (vertex, interval) twice, with payloads of different
+// widths, and returns the messages it sent.
+func outboundFixture(t testing.TB, c Combiner) (*Shard, func() []Message) {
 	t.Helper()
-	s, err := NewShard(300, snapIdleProgram{}, Config{NumWorkers: 3, PayloadCodec: codec.Int64{}}, 0)
+	s, err := NewShard(300, snapIdleProgram{}, Config{NumWorkers: 3, PayloadCodec: codec.Int64{}, Combiner: c}, 0)
 	if err != nil {
 		t.Fatalf("NewShard: %v", err)
 	}
@@ -36,62 +38,84 @@ func outboundFixture(t testing.TB) (*Shard, func()) {
 	for i := range vals {
 		vals[i] = int64(1)<<uint(i) - 7
 	}
-	send := func() {
-		for dst := 0; dst < 300; dst++ {
-			ctx.Send(dst, intervals[dst%len(intervals)], vals[dst%len(vals)])
+	var sent []Message
+	send := func() []Message {
+		sent = sent[:0]
+		for pass := 0; pass < 2; pass++ {
+			for dst := 0; dst < 300; dst++ {
+				when, v := intervals[dst%len(intervals)], vals[(dst+17*pass)%len(vals)]
+				ctx.Send(dst, when, v)
+				sent = append(sent, newMessage(int32(dst), when, codec.IntWord(v.(int64))))
+			}
 		}
+		return sent
 	}
 	return s, send
 }
 
-// TestOutboundBatchesExactlySized pins what Context.Send's running byte count
-// is for: every batch Outbound returns was allocated once at its final size —
-// nothing grown, nothing spare — and still decodes to the messages sent, in
-// order; and the count starts over after Outbound and after RestoreDurable.
+// TestOutboundBatchesExactlySized pins Outbound's batches: each was allocated
+// once at its final size — nothing grown, nothing spare — and decodes to what
+// was sent to its shard, in order: with no combiner every message, and under
+// an int-min combiner, whose folds change payloads' varint widths, the
+// folded messages in the order of their first. A restore discards what the
+// outboxes held.
 func TestOutboundBatchesExactlySized(t *testing.T) {
-	s, send := outboundFixture(t)
-	for round := 0; round < 3; round++ {
-		if round == 2 {
-			// A restore discards the outboxes; the byte counts must go with
-			// them, or the next superstep's batches come out oversized.
-			ckpt, err := s.CaptureDurable()
-			if err != nil {
-				t.Fatalf("capture: %v", err)
+	for _, c := range []struct {
+		name string
+		c    Combiner
+	}{{"no combiner", nil}, {"min combiner", minInt64Combiner}} {
+		t.Run(c.name, func(t *testing.T) {
+			s, send := outboundFixture(t, c.c)
+			for round := 0; round < 3; round++ {
+				if round == 2 {
+					ckpt, err := s.CaptureDurable()
+					if err != nil {
+						t.Fatalf("capture: %v", err)
+					}
+					send()
+					if err := s.RestoreDurable(ckpt); err != nil {
+						t.Fatalf("restore: %v", err)
+					}
+				}
+				want := make([][]Message, 3)
+				for _, m := range send() {
+					d := s.eng.part[m.Dst]
+					want[d] = append(want[d], m)
+				}
+				s.w.foldOutboxes() // as the compute phase ends
+				out, err := s.Outbound()
+				if err != nil {
+					t.Fatalf("Outbound: %v", err)
+				}
+				if out[0] != nil {
+					t.Fatalf("round %d: own index carries a batch", round)
+				}
+				if c.c != nil {
+					for d := range want {
+						if want[d] = arrivalFold(want[d], c.c); len(want[d]) != 100 {
+							t.Fatalf("round %d: shard %d's 200 messages fold to %d, want 100", round, d, len(want[d]))
+						}
+					}
+				}
+				for d := 1; d < 3; d++ {
+					if len(out[d]) != cap(out[d]) {
+						t.Errorf("round %d: batch for shard %d has len %d, cap %d; want allocated at its exact size",
+							round, d, len(out[d]), cap(out[d]))
+					}
+					var got msgSlab
+					if err := s.eng.decodeBatchInto(&got, out[d]); err != nil {
+						t.Fatalf("round %d: decode batch %d: %v", round, d, err)
+					}
+					if !reflect.DeepEqual(got.msgs, want[d]) {
+						t.Errorf("round %d: batch for shard %d does not decode to what was sent", round, d)
+					}
+				}
+				if !reflect.DeepEqual(s.w.outbox[0].msgs, want[0]) {
+					t.Errorf("round %d: Outbound changed the self-addressed outbox", round)
+				}
+				s.w.outbox[0].reset()
 			}
-			send()
-			if err := s.RestoreDurable(ckpt); err != nil {
-				t.Fatalf("restore: %v", err)
-			}
-		}
-		send()
-		want := make([][]Message, 3)
-		for d := range want {
-			want[d] = append([]Message(nil), s.w.outbox[d].msgs...)
-		}
-		out, err := s.Outbound()
-		if err != nil {
-			t.Fatalf("Outbound: %v", err)
-		}
-		if out[0] != nil {
-			t.Fatalf("round %d: own index carries a batch", round)
-		}
-		for d := 1; d < 3; d++ {
-			if len(out[d]) != cap(out[d]) {
-				t.Errorf("round %d: batch for shard %d has len %d, cap %d; want allocated at its exact size",
-					round, d, len(out[d]), cap(out[d]))
-			}
-			var got msgSlab
-			if err := s.eng.decodeBatchInto(&got, out[d]); err != nil {
-				t.Fatalf("round %d: decode batch %d: %v", round, d, err)
-			}
-			if !reflect.DeepEqual(got.msgs, want[d]) {
-				t.Errorf("round %d: batch for shard %d does not decode to what was sent", round, d)
-			}
-		}
-		if len(s.w.outbox[0].msgs) != len(want[0]) {
-			t.Errorf("round %d: Outbound drained the self-addressed outbox", round)
-		}
-		s.w.outbox[0].reset()
+		})
 	}
 }
 
@@ -101,7 +125,7 @@ func TestOutboundAllocsPerBatch(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc gate skipped under -race")
 	}
-	s, send := outboundFixture(t)
+	s, send := outboundFixture(t, nil)
 	step := func() {
 		send()
 		if _, err := s.Outbound(); err != nil {

@@ -29,6 +29,7 @@ const (
 	CScatterCalls  = "engine.scatter_calls"
 	CMessages      = "engine.messages"
 	CMessageBytes  = "engine.message_bytes"
+	CDelivered     = "engine.delivered" // messages that reached an inbox, after the sender's fold
 	CCheckpoints   = "engine.checkpoints"
 	CRecoveries    = "engine.recoveries"
 	CComputePlusNS = "engine.compute_plus_ns"

@@ -71,6 +71,10 @@ type IntervalBytes struct {
 // SuperstepEnd closes one superstep at its barrier with the superstep's
 // metric deltas — the per-superstep decomposition of engine.Metrics. Sums
 // of these fields across a fault-free trace equal the run totals exactly.
+// Messages counts what the program sent, the paper's count; Delivered counts
+// what reached an inbox: the messages sent, less those a worker folded into
+// another under the run's combiner before handing its batches over. Without
+// a combiner the two are equal.
 type SuperstepEnd struct {
 	Superstep    int           `json:"superstep"`
 	ComputeNS    int64         `json:"compute_ns"`
