@@ -125,10 +125,13 @@ serve-smoke:
 
 # End-to-end cluster recovery smoke test: the multi-process cluster runtime
 # (coordinator + worker processes) with a worker SIGKILLed at each planted
-# point, whole-graph and partitioned; fails unless every recovered result is
-# bit-identical to the single-process run.
+# point, whole-graph and partitioned; fails unless every recovered result,
+# and every count, is the fault-free run's. Then, in process and repeated,
+# the lease-expiry recovery and the parity of the cluster's results and
+# counts with core.Run.
 cluster-smoke:
 	$(GO) test -race -run 'TestProcessKillRecovery' -v ./internal/chaos/
+	$(GO) test -race -count=3 -run 'TestClusterLeaseRecovery|TestClusterMatchesCoreRun' ./internal/cluster
 
 # Cluster observability smoke test: a coordinator plus a crash-and-respawn
 # worker fleet with per-worker /metrics endpoints and appended JSONL traces;

@@ -47,6 +47,7 @@ import (
 
 	"graphite/internal/algorithms"
 	"graphite/internal/cluster"
+	"graphite/internal/engine"
 	"graphite/internal/obs"
 	"graphite/internal/serve"
 	"graphite/internal/tgraph"
@@ -64,7 +65,7 @@ func main() {
 		ckptEvery  = flag.Int("checkpoint-every", cluster.DefaultCheckpointEvery, "durable checkpoint cadence in supersteps")
 		lease      = flag.Duration("lease", cluster.DefaultLease, "worker silence tolerated before declaring it dead")
 		rejoin     = flag.Duration("rejoin-timeout", cluster.DefaultRejoinTimeout, "how long a recovery waits for a replacement worker")
-		maxRec     = flag.Int("max-recoveries", cluster.DefaultMaxRecoveries, "rollback-and-replay cycles before giving up (negative: unlimited)")
+		maxRec     = flag.Int("max-recoveries", engine.DefaultMaxRecoveries, "rollback-and-replay cycles over the run, one per worker lost, before giving up (negative: unlimited)")
 		httpAddr   = flag.String("http", "", "serve /healthz, /readyz, /metrics and /debug on this address")
 		tracePath  = flag.String("trace", "", "write the JSONL cluster trace to this file")
 		span       = flag.String("span", "", "run span ID stamped on every trace (empty: minted randomly)")

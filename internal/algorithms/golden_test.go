@@ -149,11 +149,11 @@ func steppedShards(gg goldenGraph, algo string, workers int) ([]*core.Shard, *en
 
 // stepShards drives shards from their current superstep to the end through
 // b, the way cluster workers and their coordinator do. It returns the run's
-// result, every cross-shard batch in (superstep, source, destination) order,
-// and the durable capture of each shard taken before superstep ckptAt (nil
-// when the run ends sooner) with the barrier's state at that point — the
-// coordinator's half of a checkpoint generation.
-func stepShards(g *tgraph.Graph, shards []*core.Shard, b *engine.Barrier, pc codec.Payload, m *engine.Metrics, ckptAt int) (*core.Result, [][]byte, [][]byte, engine.BarrierState, error) {
+// result, with b's metrics, every cross-shard batch in (superstep, source,
+// destination) order, and the durable capture of each shard taken before
+// superstep ckptAt (nil when the run ends sooner) with the barrier's state at
+// that point — the coordinator's half of a checkpoint generation.
+func stepShards(g *tgraph.Graph, shards []*core.Shard, b *engine.Barrier, pc codec.Payload, ckptAt int) (*core.Result, [][]byte, [][]byte, engine.BarrierState, error) {
 	n := len(shards)
 	var batches, ckpts [][]byte
 	var ctl engine.BarrierState
@@ -191,12 +191,7 @@ func stepShards(g *tgraph.Graph, shards []*core.Shard, b *engine.Barrier, pc cod
 		reps := make([]engine.StepReport, n)
 		for i, s := range shards {
 			reps[i] = s.Barrier()
-			m.ComputeCalls += reps[i].ComputeCalls
-			m.ScatterCalls += reps[i].ScatterCalls
-			m.Messages += reps[i].SentMsgs
-			m.MessageBytes += reps[i].SentBytes
 		}
-		m.Supersteps++
 		quiesced := b.Close(reps)
 		if step+1 == ckptAt {
 			for _, s := range shards {
@@ -219,7 +214,7 @@ func stepShards(g *tgraph.Graph, shards []*core.Shard, b *engine.Barrier, pc cod
 			return fail(err)
 		}
 	}
-	r, err := core.AssembleResult(g, pc, blobs, m)
+	r, err := core.AssembleResult(g, pc, blobs, b.Metrics())
 	return r, batches, ckpts, ctl, err
 }
 
@@ -237,7 +232,7 @@ func goldenStepped(gg goldenGraph, algo string, workers int) (string, [][]byte, 
 			return "", nil, ctl, err
 		}
 	}
-	r, batches, ckpts, ctl, err := stepShards(gg.g, shards, b, pc, &engine.Metrics{}, goldenCkptStep)
+	r, batches, ckpts, ctl, err := stepShards(gg.g, shards, b, pc, goldenCkptStep)
 	if err != nil {
 		return "", nil, ctl, err
 	}
@@ -339,9 +334,10 @@ func TestGoldenMessages(t *testing.T) {
 
 // TestGoldenCheckpointRestores restores the checkpoints the recorded commit
 // wrote into fresh shards of this one and finishes the run from them: the
-// result is the recorded run's. A generation's barrier state belongs to
-// whoever steps the shards, not to any shard's capture, so it is restored
-// beside them — SCC's master decides from it.
+// result, and every count, is the recorded run's. A generation's barrier
+// state belongs to whoever steps the shards, not to any shard's capture, so
+// it is restored beside them — SCC's master decides from its phase, and the
+// run's totals go on from its ledger.
 func TestGoldenCheckpointRestores(t *testing.T) {
 	data, err := os.ReadFile(goldenCkpts)
 	if err != nil {
@@ -351,12 +347,13 @@ func TestGoldenCheckpointRestores(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// What a resumed run repeats of its recorded line: the counts, the stats
+	// and the result, keyed by graph, algorithm, workers and driver.
 	recorded := map[string]string{}
 	for _, l := range strings.Split(strings.TrimSuffix(string(want), "\n"), "\n") {
-		if i := strings.Index(l, " result="); i >= 0 {
-			key := strings.Join(strings.Fields(l)[:4], " ")
-			recorded[key] = strings.Fields(l[i+1:])[0]
-		}
+		head, _, _ := strings.Cut(l, " batches=")
+		f := strings.Fields(head)
+		recorded[strings.Join(f[:4], " ")] = strings.Join(f[4:], " ")
 	}
 	gg := goldenGraphs(t)[0]
 	const workers = 2
@@ -390,12 +387,12 @@ func TestGoldenCheckpointRestores(t *testing.T) {
 			}
 			data = data[k+int(n):]
 		}
-		r, _, _, _, err := stepShards(gg.g, shards, b, pc, &engine.Metrics{}, 0)
+		r, _, _, _, err := stepShards(gg.g, shards, b, pc, 0)
 		if err != nil {
 			t.Fatalf("%s: %v", key, err)
 		}
-		if got := "result=" + resultHash(r); got != line {
-			t.Errorf("%s: resumed from the recorded checkpoint: %s, recorded %s", key, got, line)
+		if got, _, _ := strings.Cut(cellLine(r, "-", "-"), " batches="); got != line {
+			t.Errorf("%s: resumed from the recorded checkpoint:\n  got      %s\n  recorded %s", key, got, line)
 		}
 		restored++
 	}

@@ -59,8 +59,7 @@ func runEngine(g *tgraph.Graph, name string, p Params, workers int) (*core.Resul
 // runStepped drives core.Shards by hand through the cluster protocol —
 // Compute, Outbound, Deliver in ascending source order, Barrier, the
 // supersteps closed through core.NewBarrier — and assembles the result from
-// their encoded states, summing the step reports into the metrics Engine.Run
-// would have returned.
+// their encoded states, with the metrics the barrier's ledger holds.
 func runStepped(g *tgraph.Graph, name string, p Params, workers int) (*core.Result, error) {
 	workers = min(workers, g.NumVertices()) // the engine never runs more workers than vertices
 	shards := make([]*core.Shard, workers)
@@ -86,7 +85,6 @@ func runStepped(g *tgraph.Graph, name string, p Params, workers int) (*core.Resu
 			return nil, err
 		}
 	}
-	m := &engine.Metrics{}
 	for step, done := 1, false; !done && b.Open(step); step++ {
 		outs := make([][][]byte, workers)
 		for i, s := range shards {
@@ -113,12 +111,7 @@ func runStepped(g *tgraph.Graph, name string, p Params, workers int) (*core.Resu
 		reps := make([]engine.StepReport, workers)
 		for i, s := range shards {
 			reps[i] = s.Barrier()
-			m.ComputeCalls += reps[i].ComputeCalls
-			m.ScatterCalls += reps[i].ScatterCalls
-			m.Messages += reps[i].SentMsgs
-			m.MessageBytes += reps[i].SentBytes
 		}
-		m.Supersteps++
 		done = b.Close(reps)
 	}
 	blobs := make([][]byte, workers)
@@ -128,7 +121,7 @@ func runStepped(g *tgraph.Graph, name string, p Params, workers int) (*core.Resu
 			return nil, err
 		}
 	}
-	return core.AssembleResult(g, opts.PayloadCodec, blobs, m)
+	return core.AssembleResult(g, opts.PayloadCodec, blobs, b.Metrics())
 }
 
 // viewEndpoints picks the query's source and target inside the window: the

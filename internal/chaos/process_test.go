@@ -98,8 +98,8 @@ func clusterProcessRun(t *testing.T, graph, algo string, p algorithms.Params, cr
 
 // counts are the metrics a run's result must repeat, whatever it recovered
 // from.
-func counts(m *engine.Metrics) [5]int64 {
-	return [5]int64{int64(m.Supersteps), m.ComputeCalls, m.ScatterCalls, m.Messages, m.MessageBytes}
+func counts(m *engine.Metrics) [7]int64 {
+	return [7]int64{int64(m.Supersteps), m.ComputeCalls, m.ScatterCalls, m.Messages, m.MessageBytes, m.Delivered, m.Spilled}
 }
 
 func assertIdentical(t *testing.T, g *tgraph.Graph, got, want *core.Result) {

@@ -18,6 +18,7 @@ import (
 	"graphite/internal/algorithms"
 	"graphite/internal/cluster"
 	"graphite/internal/core"
+	"graphite/internal/engine"
 	"graphite/internal/obs"
 	"graphite/internal/tgraph"
 )
@@ -125,6 +126,11 @@ func compareResults(t *testing.T, g *tgraph.Graph, got, want *core.Result) {
 	}
 }
 
+// runCounts are the counts of a run's metrics every driver must agree on.
+func runCounts(m *engine.Metrics) [7]int64 {
+	return [7]int64{int64(m.Supersteps), m.ComputeCalls, m.ScatterCalls, m.Messages, m.MessageBytes, m.Delivered, m.Spilled}
+}
+
 func TestClusterMatchesCoreRun(t *testing.T) {
 	g := tgraph.TransitExample()
 	for _, tc := range []struct {
@@ -134,6 +140,7 @@ func TestClusterMatchesCoreRun(t *testing.T) {
 		{algo: "sssp", p: algorithms.Params{Source: 0}},
 		{algo: "eat", p: algorithms.Params{Source: 0}},
 		{algo: "pr"},
+		{algo: "lcc"}, // its messages spill
 	} {
 		t.Run(tc.algo, func(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())
@@ -143,9 +150,9 @@ func TestClusterMatchesCoreRun(t *testing.T) {
 			got := waitResult(t, out, 30*time.Second)
 			want := directRun(t, g, tc.algo, tc.p, testWorkers)
 			compareResults(t, g, got, want)
-			if got.Metrics.Messages != want.Metrics.Messages || got.Metrics.Delivered != want.Metrics.Delivered {
-				t.Errorf("%d messages sent, %d delivered; Run: %d, %d", got.Metrics.Messages, got.Metrics.Delivered,
-					want.Metrics.Messages, want.Metrics.Delivered)
+			// supersteps, compute, scatter, messages, bytes, delivered, spilled
+			if g, w := runCounts(got.Metrics), runCounts(want.Metrics); g != w {
+				t.Errorf("cluster counted %v, Run %v", g, w)
 			}
 			rep := coord.Report()
 			if rep.Supersteps == 0 || rep.Checkpoints == 0 {
@@ -204,7 +211,11 @@ func TestClusterLeaseRecovery(t *testing.T) {
 		}
 	}()
 	got := waitResult(t, out, 60*time.Second)
-	compareResults(t, g, got, directRun(t, g, "sssp", p, testWorkers))
+	want := directRun(t, g, "sssp", p, testWorkers)
+	compareResults(t, g, got, want)
+	if g, w := runCounts(got.Metrics), runCounts(want.Metrics); g != w || got.Metrics.Recoveries != 1 {
+		t.Errorf("recovered cluster counted %v in %d recoveries, Run %v", g, got.Metrics.Recoveries, w)
+	}
 	rep := coord.Report()
 	if len(rep.Recoveries) != 1 {
 		t.Fatalf("want exactly one recovery, got %+v", rep.Recoveries)

@@ -24,7 +24,6 @@ const (
 	DefaultCheckpointEvery = 2
 	DefaultLease           = 2 * time.Second
 	DefaultRejoinTimeout   = 30 * time.Second
-	DefaultMaxRecoveries   = 3
 )
 
 // Config parameterizes a coordinator.
@@ -48,8 +47,9 @@ type Config struct {
 	// RejoinTimeout bounds how long a recovery waits for a replacement
 	// worker before the run is abandoned. Zero means DefaultRejoinTimeout.
 	RejoinTimeout time.Duration
-	// MaxRecoveries bounds rollback-and-replay cycles. Zero means
-	// DefaultMaxRecoveries; negative means unlimited.
+	// MaxRecoveries bounds rollback-and-replay cycles over the run, one per
+	// worker lost, as engine.Config.MaxRecoveries does for Run: zero means
+	// engine.DefaultMaxRecoveries, negative means unlimited.
 	MaxRecoveries int
 	// Span is the run-scoped span ID stamped on the coordinator's trace and
 	// handed to every worker with its assignment, so all N+1 traces of the
@@ -113,10 +113,11 @@ type RecoveryInfo struct {
 	RestoredBytes int64         `json:"restored_bytes"` // checkpoint bytes reloaded, all shards
 }
 
-// Report summarizes a finished (or aborted) cluster run.
+// Report summarizes a finished (or aborted) cluster run. Its counts are the
+// barrier's, set when the run finishes; a recovery is listed as it closes.
 type Report struct {
-	Supersteps  int            `json:"supersteps"` // executed, including replays
-	Checkpoints int            `json:"checkpoints"`
+	Supersteps  int            `json:"supersteps"`  // executed, including replays
+	Checkpoints int            `json:"checkpoints"` // generations committed, generation 0 included
 	Recoveries  []RecoveryInfo `json:"recoveries,omitempty"`
 	Makespan    time.Duration  `json:"makespan_ns"`
 	// WorkerGraphBytes is each shard's reported resident graph size (mapped
@@ -211,9 +212,6 @@ func New(cfg Config) (*Coordinator, error) {
 	if cfg.RejoinTimeout <= 0 {
 		cfg.RejoinTimeout = DefaultRejoinTimeout
 	}
-	if cfg.MaxRecoveries == 0 {
-		cfg.MaxRecoveries = DefaultMaxRecoveries
-	}
 	if cfg.Span == "" {
 		cfg.Span = obs.NewSpanID()
 	}
@@ -238,7 +236,7 @@ func New(cfg Config) (*Coordinator, error) {
 	if err != nil {
 		return nil, err
 	}
-	opts.NumWorkers = cfg.Workers
+	opts.NumWorkers, opts.MaxRecoveries = cfg.Workers, cfg.MaxRecoveries
 	if pmeta != nil {
 		// Adopt the embedded assignment so message addressing matches the
 		// partition files; recomputing from a partial graph would diverge.
@@ -380,26 +378,6 @@ type deadWorker struct {
 	silent time.Duration
 }
 
-// runTotals is the rewindable slice of the run's aggregate metrics: the
-// counters a rollback must rewind to the committed checkpoint, so replayed
-// supersteps are not double-counted. Snapshotted per committed generation
-// and restored on recovery; the never-rewound counters (checkpoints,
-// recoveries, supersteps-executed) live outside it.
-type runTotals struct {
-	supersteps   int
-	computeCalls int64
-	scatterCalls int64
-	messages     int64
-	messageBytes int64
-	delivered    int64
-	computeNS    int64
-	messagingNS  int64
-	barrierNS    int64
-	// active is the frontier size at this boundary — what the next
-	// superstep_start reports as its entering frontier.
-	active int
-}
-
 // driver is the single goroutine owning all cluster protocol state.
 type driver struct {
 	c *Coordinator
@@ -414,8 +392,8 @@ type driver struct {
 	started      time.Time
 
 	// Per-superstep barrier tally. Worker reports are held per shard and
-	// folded into the run totals only when the superstep closes, so a
-	// mid-superstep worker loss leaves the totals untouched. The relay
+	// reach the barrier only when the superstep closes, so a mid-superstep
+	// worker loss leaves the run's totals untouched. The relay
 	// clocks accumulate the coordinator's own forwarding time and bytes per
 	// destination shard.
 	doneFrom    []bool
@@ -439,30 +417,19 @@ type driver struct {
 	// is never re-entered with a stale epoch.
 	pendingDead []deadWorker
 
-	// Recovery in progress.
+	// Recovery in progress: rewound is the barrier's verdict on its first
+	// worker loss — the superstep that failed, where execution resumes.
 	recovering    bool
 	detectedAt    time.Time
 	detectLag     time.Duration
-	failedStep    int
+	rewound       obs.Recovery
 	rejoinBy      time.Time
 	restoredBytes int64
-	recoveries    int
 
 	// Result collection.
 	blobs     [][]byte
 	blobCount int
 
-	// rt accumulates the rewindable totals; genTotals holds its snapshot at
-	// each committed generation and genCtl the barrier's state there — what
-	// no shard's capture holds (the rollback targets). executed counts every
-	// superstep driven, including replays — the Report's view.
-	rt        runTotals
-	genTotals map[int]runTotals
-	genCtl    map[int]engine.BarrierState
-	executed  int
-	halted    bool
-
-	totals engine.Metrics
 	state  string
 	result *core.Result
 }
@@ -477,8 +444,6 @@ func (d *driver) run() (*core.Result, error) {
 	d.relayBytes = make([]int64, c.cfg.Workers)
 	d.meshed = make([]bool, c.cfg.Workers)
 	d.graphBytes = make([]int64, c.cfg.Workers)
-	d.genTotals = map[int]runTotals{}
-	d.genCtl = map[int]engine.BarrierState{}
 	d.blobs = make([][]byte, c.cfg.Workers)
 	ticker := time.NewTicker(c.cfg.Lease / 2)
 	defer ticker.Stop()
@@ -804,13 +769,12 @@ func (d *driver) meshedFrame(wc *wconn, mm meshedMsg) {
 func (d *driver) startOrResume() {
 	if d.state == stWaiting {
 		d.started = time.Now()
-		d.committedGen = 0 // every worker has generation 0 on disk
-		d.genTotals[0], d.genCtl[0] = runTotals{}, d.c.barrier.State()
-		d.superstep = 1
 		d.emit(obs.RunStart{
 			Vertices: d.c.g.NumVertices(), Workers: d.c.cfg.Workers,
 			Checkpoints: true, Span: d.c.cfg.Span,
 		})
+		d.commit(0) // every worker has generation 0 on disk
+		d.superstep = 1
 		d.setState(stRunning)
 		d.broadcastStep()
 		return
@@ -829,16 +793,19 @@ func (d *driver) workerLost(dw deadWorker) error {
 	if d.state == stDone || d.state == stWaiting {
 		return nil // nothing committed yet (or all done); await a fresh hello
 	}
-	max := d.c.cfg.MaxRecoveries
-	if max > 0 && d.recoveries >= max {
-		return fmt.Errorf("cluster: shard %d lost (%s) after %d recoveries; giving up",
-			dw.shard, dw.reason, d.recoveries)
+	// The barrier decides: within budget, it is back at the committed
+	// generation — phase, merged aggregates and totals — so the replayed
+	// supersteps count once and the master replays its decisions too.
+	ev, err := d.c.barrier.Rewind(d.superstep)
+	if err != nil {
+		return fmt.Errorf("cluster: shard %d lost (%s): %w", dw.shard, dw.reason, err)
 	}
-	d.recoveries++
+	ev.Reason = "worker_lost"
+	d.emit(ev)
 	if !d.recovering {
 		d.detectedAt = time.Now()
 		d.detectLag = dw.silent
-		d.failedStep = d.superstep
+		d.rewound = ev
 		d.restoredBytes = 0
 	}
 	d.recovering = true
@@ -865,20 +832,16 @@ func (d *driver) workerLost(dw deadWorker) error {
 // resume closes a recovery: every shard is back at the committed
 // generation's boundary, so execution restarts from its superstep.
 func (d *driver) resume() {
-	resumeAt := d.committedGen*d.c.cfg.CheckpointEvery + 1
-	replayed := d.failedStep - resumeAt
-	if replayed < 0 {
-		replayed = 0
-	}
+	r := d.rewound
 	mttr := time.Since(d.detectedAt)
 	info := RecoveryInfo{
 		Epoch:         d.epoch,
-		Failed:        d.failedStep,
-		ResumeAt:      resumeAt,
+		Failed:        r.Failed,
+		ResumeAt:      r.ResumeAt,
 		Gen:           d.committedGen,
 		Detect:        d.detectLag,
 		MTTR:          mttr,
-		Replayed:      replayed,
+		Replayed:      r.Replayed,
 		RestoredBytes: d.restoredBytes,
 	}
 	d.c.mu.Lock()
@@ -886,29 +849,17 @@ func (d *driver) resume() {
 	d.c.mu.Unlock()
 	d.recovering = false
 	d.rejoinBy = time.Time{}
-	d.superstep = resumeAt
-	d.totals.Recoveries++
-	// Rewind the rewindable totals to the restored generation's snapshot, so
-	// the replayed supersteps fold in exactly once — the trace reconciles
-	// and the final metrics reflect the surviving executions, matching
-	// single-process rollback semantics — and the barrier to its phase and
-	// merged aggregates, so the master replays its decisions too.
-	d.rt = d.genTotals[d.committedGen]
-	d.c.barrier.SetState(d.genCtl[d.committedGen])
+	d.superstep = r.ResumeAt
 	reg := d.c.cfg.Registry
 	reg.Counter(obs.CClusterRecoveries).Inc()
-	reg.Counter(obs.CClusterReplayedSupersteps).Add(int64(replayed))
-	d.emit(obs.Recovery{
-		Failed: d.failedStep, ResumeAt: resumeAt,
-		Attempt: d.recoveries, Reason: "worker_lost",
-	})
+	reg.Counter(obs.CClusterReplayedSupersteps).Add(int64(r.Replayed))
 	d.emit(obs.ClusterRecovery{
-		Epoch: d.epoch, Failed: d.failedStep, ResumeAt: resumeAt,
+		Epoch: d.epoch, Failed: r.Failed, ResumeAt: r.ResumeAt,
 		Gen: d.committedGen, DetectNS: int64(d.detectLag), MTTRNS: int64(mttr),
 		RestoredBytes: d.restoredBytes,
 	})
-	d.c.cfg.Logger.Info("cluster: recovered", "epoch", d.epoch, "resume_at", resumeAt,
-		"gen", d.committedGen, "mttr", mttr.Round(time.Millisecond), "replayed", replayed)
+	d.c.cfg.Logger.Info("cluster: recovered", "epoch", d.epoch, "resume_at", r.ResumeAt,
+		"gen", d.committedGen, "mttr", mttr.Round(time.Millisecond), "replayed", r.Replayed)
 	d.setState(stRunning)
 	d.broadcastStep()
 }
@@ -917,7 +868,6 @@ func (d *driver) resume() {
 // the barrier opens it with — or collects the results when it does not.
 func (d *driver) broadcastStep() {
 	if !d.c.barrier.Open(d.superstep) {
-		d.halted = d.c.barrier.Halted()
 		d.startCollect()
 		return
 	}
@@ -926,7 +876,7 @@ func (d *driver) broadcastStep() {
 	// The entering frontier is the previous barrier's active count; for the
 	// very first superstep the coordinator has no worker reports yet, so it
 	// opens with zero (workers know their post-Init frontiers, not us).
-	d.emit(obs.SuperstepStart{Superstep: d.superstep, Active: d.rt.active})
+	d.emit(obs.SuperstepStart{Superstep: d.superstep, Active: d.c.barrier.Active()})
 	k := d.c.cfg.CheckpointEvery
 	st := stepMsg{Epoch: d.epoch, Superstep: d.superstep, Phase: d.c.barrier.Phase()}
 	if d.superstep%k == 0 {
@@ -966,30 +916,21 @@ func (d *driver) stepDone(wc *wconn, sd stepDoneMsg) {
 	if d.doneCount < d.c.cfg.Workers {
 		return
 	}
-	// Superstep closed: fold the held per-shard reports into the rewindable
-	// totals (deferring the fold to here is what keeps a rolled-back
-	// superstep out of them), attribute the step, emit its trace, and close
-	// it through the barrier, shards ascending.
-	d.closeSuperstep()
+	// Superstep closed: the barrier folds the held per-shard reports, shards
+	// ascending (holding them until now is what keeps a rolled-back
+	// superstep out of the run's totals); then the step is attributed and
+	// traced.
 	reps := make([]engine.StepReport, len(d.reports))
-	for s, rep := range d.reports {
-		reps[s] = engine.StepReport{Delivered: rep.Delivered, Active: rep.Active, Aggs: rep.Aggs}
+	for s := range d.reports {
+		reps[s] = d.reports[s].StepReport
 	}
 	quiesced := d.c.barrier.Close(reps)
+	d.closeSuperstep()
 	k := d.c.cfg.CheckpointEvery
 	if d.superstep%k == 0 && d.ckptAcks == d.c.cfg.Workers {
-		d.committedGen = d.superstep / k
-		d.totals.Checkpoints++
-		d.c.mu.Lock()
-		d.c.report.Checkpoints++
-		d.c.mu.Unlock()
-		// The snapshot taken here is exactly what a rollback to this
-		// generation must restore.
-		d.genTotals[d.committedGen], d.genCtl[d.committedGen] = d.rt, d.c.barrier.State()
-		d.emit(obs.Checkpoint{Superstep: d.superstep + 1, Index: d.totals.Checkpoints})
+		d.commit(d.superstep / k)
 	}
 	if quiesced {
-		d.halted = true
 		d.startCollect()
 		return
 	}
@@ -997,16 +938,22 @@ func (d *driver) stepDone(wc *wconn, sd stepDoneMsg) {
 	d.broadcastStep()
 }
 
-// closeSuperstep folds the completed barrier tally into the run totals and
-// produces the superstep's observability output: per-shard phase spans, the
-// superstep_end metric deltas, the cluster_step straggler verdict, the
+// commit makes gen, which every shard has on disk at the boundary before
+// superstep d.superstep+1, the generation a rollback returns to; the barrier
+// records its own state there.
+func (d *driver) commit(gen int) {
+	d.committedGen = gen
+	d.emit(d.c.barrier.Commit(d.superstep + 1))
+}
+
+// closeSuperstep produces the observability output of the superstep the
+// barrier closed: per-shard phase spans, its times in the barrier's totals
+// and its superstep_end, the cluster_step straggler verdict, the
 // /debug/cluster attribution row, and the fleet registry updates.
 func (d *driver) closeSuperstep() {
 	d.refreshLeaseGauges(time.Now())
 	wallNS := time.Since(d.stepStarted).Nanoseconds()
 	var sumCompute, sumWait, sumDeliver, sumRelayNS, sumRelayBytes int64
-	var sumCalls, sumScatter, sumMsgs, sumBytes, sumDelivered int64
-	sumActive := 0
 	var sumPeerSend, sumPeerRecv, sumDirectBytes int64
 	maxCompute, slowest := int64(-1), 0
 	shards := make([]ShardTiming, d.c.cfg.Workers)
@@ -1030,12 +977,6 @@ func (d *driver) closeSuperstep() {
 		sumPeerSend += rep.PeerSendNS
 		sumPeerRecv += rep.PeerRecvNS
 		sumDirectBytes += rep.DirectBytes
-		sumCalls += rep.ComputeCalls
-		sumScatter += rep.ScatterCalls
-		sumMsgs += rep.SentMsgs
-		sumBytes += rep.SentBytes
-		sumDelivered += rep.Delivered
-		sumActive += rep.Active
 		if rep.ComputeNS > maxCompute {
 			maxCompute, slowest = rep.ComputeNS, s
 		}
@@ -1044,17 +985,6 @@ func (d *driver) closeSuperstep() {
 	if mean := sumCompute / int64(len(shards)); mean > 0 {
 		skewMilli = maxCompute * 1000 / mean
 	}
-	d.executed++
-	d.rt.supersteps++
-	d.rt.computeCalls += sumCalls
-	d.rt.scatterCalls += sumScatter
-	d.rt.messages += sumMsgs
-	d.rt.messageBytes += sumBytes
-	d.rt.delivered += sumDelivered
-	d.rt.computeNS += sumCompute
-	d.rt.messagingNS += sumWait + sumRelayNS + sumPeerSend
-	d.rt.barrierNS += sumDeliver
-	d.rt.active = sumActive
 
 	span := d.c.cfg.Span
 	for _, st := range shards {
@@ -1066,13 +996,8 @@ func (d *driver) closeSuperstep() {
 		d.emit(obs.PhaseSpan{Span: span, Superstep: d.superstep, Shard: st.Shard, Phase: "peer_send", NS: st.PeerSendNS})
 		d.emit(obs.PhaseSpan{Span: span, Superstep: d.superstep, Shard: st.Shard, Phase: "peer_recv", NS: st.PeerRecvNS})
 	}
-	d.emit(obs.SuperstepEnd{
-		Superstep: d.superstep,
-		ComputeNS: sumCompute, MessagingNS: sumWait + sumRelayNS + sumPeerSend, BarrierNS: sumDeliver,
-		ComputeCalls: sumCalls, ScatterCalls: sumScatter,
-		Messages: sumMsgs, MessageBytes: sumBytes,
-		Delivered: sumDelivered, Active: sumActive,
-	})
+	d.emit(d.c.barrier.SuperstepEnd(d.superstep, time.Duration(sumCompute),
+		time.Duration(sumWait+sumRelayNS+sumPeerSend), time.Duration(sumDeliver)))
 	d.emit(obs.ClusterStep{
 		Span: span, Superstep: d.superstep, Epoch: d.epoch, WallNS: wallNS,
 		SlowestShard: slowest, SkewMilli: skewMilli,
@@ -1152,43 +1077,24 @@ func (d *driver) resultFrame(wc *wconn, payload []byte) error {
 	if d.blobCount < d.c.cfg.Workers {
 		return nil
 	}
-	// Fill the engine-metrics view from the rewindable totals: the surviving
-	// executions only, matching single-process rollback semantics. The
-	// Report separately counts every superstep driven, replays included.
-	d.totals.Supersteps = d.rt.supersteps
-	d.totals.ComputeCalls = d.rt.computeCalls
-	d.totals.ScatterCalls = d.rt.scatterCalls
-	d.totals.Messages = d.rt.messages
-	d.totals.MessageBytes = d.rt.messageBytes
-	d.totals.Delivered = d.rt.delivered
-	d.totals.ComputePlusTime = time.Duration(d.rt.computeNS)
-	d.totals.MessagingTime = time.Duration(d.rt.messagingNS)
-	d.totals.BarrierTime = time.Duration(d.rt.barrierNS)
-	d.totals.Runs = 1
-	d.totals.Makespan = time.Since(d.started)
-	d.totals.MaxMakespan = d.totals.Makespan
-	m := d.totals
-	res, err := core.AssembleResult(d.c.g, d.c.states, d.blobs, &m)
+	// The barrier's ledger holds the surviving executions only, as Run's
+	// does; the Report counts every superstep driven, replays included.
+	m, end := d.c.barrier.End(time.Since(d.started))
+	res, err := core.AssembleResult(d.c.g, d.c.states, d.blobs, m)
 	if err != nil {
 		return err
 	}
 	for _, owner := range d.byShard {
 		d.sendRaw(owner, fBye, nil)
 	}
-	d.emit(obs.RunEnd{
-		Supersteps:   d.rt.supersteps,
-		ComputeCalls: d.rt.computeCalls, ScatterCalls: d.rt.scatterCalls,
-		Messages: d.rt.messages, MessageBytes: d.rt.messageBytes,
-		Checkpoints: d.totals.Checkpoints, Recoveries: d.totals.Recoveries,
-		ComputeNS: d.rt.computeNS, MessagingNS: d.rt.messagingNS, BarrierNS: d.rt.barrierNS,
-		MakespanNS: int64(d.totals.Makespan), Halted: d.halted,
-	})
+	d.emit(end)
 	d.setState(stDone)
 	d.c.mu.Lock()
-	d.c.report.Supersteps = d.executed
-	d.c.report.Makespan = d.totals.Makespan
+	d.c.report.Supersteps = d.c.barrier.Executed()
+	d.c.report.Checkpoints = m.Checkpoints
+	d.c.report.Makespan = m.Makespan
 	d.c.report.WorkerGraphBytes = append([]int64(nil), d.graphBytes...)
-	d.c.report.Metrics = &m
+	d.c.report.Metrics = m
 	d.c.mu.Unlock()
 	d.result = res
 	return nil

@@ -36,6 +36,7 @@ import (
 
 	"graphite/internal/algorithms"
 	"graphite/internal/codec"
+	"graphite/internal/engine"
 	"graphite/internal/tgraph"
 )
 
@@ -111,34 +112,28 @@ type stepMsg struct {
 	Phase      int  `json:"phase,omitempty"`
 }
 
-// stepDoneMsg is one shard's barrier report. CkptGen is -1 unless this
-// superstep captured a checkpoint; the coordinator commits a generation
-// globally only after every shard acknowledges it. The three NS fields
-// piggyback the worker's own phase clock onto the barrier message —
-// compute (compute + outbound + ship), wait (idle until the last peer
-// batch arrived), deliver (delivery + barrier + checkpoint I/O) — which is
-// what the coordinator folds into fleet metrics and straggler attribution
-// without any extra round trip.
+// stepDoneMsg is one shard's barrier report: the shard's engine.StepReport,
+// which the coordinator's barrier closes the superstep from. CkptGen is -1
+// unless this superstep captured a checkpoint; the coordinator commits a
+// generation globally only after every shard acknowledges it. The three NS
+// fields piggyback the worker's own phase clock onto the barrier message —
+// compute (compute + outbound + ship), wait (idle until the last peer batch
+// arrived), deliver (delivery + barrier + checkpoint I/O) — which is what the
+// coordinator folds into fleet metrics and straggler attribution without any
+// extra round trip.
 type stepDoneMsg struct {
-	Epoch        int          `json:"epoch"`
-	Superstep    int          `json:"superstep"`
-	Shard        int          `json:"shard"`
-	Delivered    int64        `json:"delivered"`
-	Active       int          `json:"active"`
-	ComputeCalls int64        `json:"compute_calls"`
-	ScatterCalls int64        `json:"scatter_calls"`
-	SentMsgs     int64        `json:"sent_msgs"`
-	SentBytes    int64        `json:"sent_bytes"`
-	CkptGen      int          `json:"ckpt_gen"`
-	CkptBytes    int64        `json:"ckpt_bytes"`
-	ComputeNS    int64        `json:"compute_ns,omitempty"`
-	WaitNS       int64        `json:"wait_ns,omitempty"`
-	DeliverNS    int64        `json:"deliver_ns,omitempty"`
-	PeerSendNS   int64        `json:"peer_send_ns,omitempty"`  // time writing batches to mesh peers
-	PeerRecvNS   int64        `json:"peer_recv_ns,omitempty"`  // ship → last direct batch arrival
-	DirectBytes  int64        `json:"direct_bytes,omitempty"`  // batch bytes shipped peer-to-peer
-	RelayedBytes int64        `json:"relayed_bytes,omitempty"` // batch bytes shipped via the coordinator
-	Aggs         []codec.Word `json:"aggs,omitempty"`          // aggregator partials, in name order
+	Epoch int `json:"epoch"`
+	Shard int `json:"shard"`
+	engine.StepReport
+	CkptGen      int   `json:"ckpt_gen"`
+	CkptBytes    int64 `json:"ckpt_bytes"`
+	ComputeNS    int64 `json:"compute_ns,omitempty"`
+	WaitNS       int64 `json:"wait_ns,omitempty"`
+	DeliverNS    int64 `json:"deliver_ns,omitempty"`
+	PeerSendNS   int64 `json:"peer_send_ns,omitempty"`  // time writing batches to mesh peers
+	PeerRecvNS   int64 `json:"peer_recv_ns,omitempty"`  // ship → last direct batch arrival
+	DirectBytes  int64 `json:"direct_bytes,omitempty"`  // batch bytes shipped peer-to-peer
+	RelayedBytes int64 `json:"relayed_bytes,omitempty"` // batch bytes shipped via the coordinator
 }
 
 // peersMsg hands every worker the mesh address of every shard for an epoch

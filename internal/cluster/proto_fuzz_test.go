@@ -8,6 +8,7 @@ import (
 
 	"graphite/internal/algorithms"
 	"graphite/internal/codec"
+	"graphite/internal/engine"
 	ival "graphite/internal/interval"
 )
 
@@ -61,7 +62,8 @@ func FuzzClusterFrames(f *testing.F) {
 		Params: algorithms.Params{Source: 4, Window: ival.New(2, 9)}, CheckpointEvery: 2, HeartbeatNS: 5e7, Span: "ab12"})
 	seedJSON(fReady, readyMsg{Epoch: 1, Shard: 1, Superstep: 4, Gen: 2, RestoredBytes: 99})
 	seedJSON(fStep, stepMsg{Epoch: 1, Superstep: 4, Checkpoint: true, Gen: 2})
-	seedJSON(fStepDone, stepDoneMsg{Epoch: 1, Superstep: 4, Shard: 1, Delivered: 7, Active: 3, CkptGen: -1, DirectBytes: 512})
+	seedJSON(fStepDone, stepDoneMsg{Epoch: 1, Shard: 1, StepReport: engine.StepReport{Superstep: 4, Delivered: 7, Active: 3},
+		CkptGen: -1, DirectBytes: 512})
 	seedJSON(fPeers, peersMsg{Epoch: 2, Addrs: []string{"127.0.0.1:1", ""}})
 	seedJSON(fMeshed, meshedMsg{Epoch: 2, Shard: 0})
 	// Fields this decoder does not have (a peer of another build) are ignored.
@@ -79,8 +81,13 @@ func FuzzClusterFrames(f *testing.F) {
 	f.Add(fHeartbeat, []byte(nil))
 	f.Add(byte(0), []byte(`{"shard":1e400}`))
 	seedJSON(fStep, stepMsg{Epoch: 1, Superstep: 5, Phase: 3})
-	seedJSON(fStepDone, stepDoneMsg{Epoch: 1, Superstep: 5, Shard: 2, Active: 4, CkptGen: -1,
-		Aggs: []codec.Word{codec.IntWord(1), codec.FloatWord(-0.5)}})
+	seedJSON(fStepDone, stepDoneMsg{Epoch: 1, Shard: 2, CkptGen: -1, StepReport: engine.StepReport{Superstep: 5, Active: 4,
+		ComputeCalls: 9, ScatterCalls: 12, SentMsgs: 6, SentBytes: 70, Spilled: 2,
+		Aggs: []codec.Word{codec.IntWord(1), codec.FloatWord(-0.5)}}})
+	// A report from a build whose barrier report listed the counts itself:
+	// the same names, so it decodes to the same report.
+	f.Add(fStepDone, []byte(`{"epoch":1,"superstep":4,"shard":1,"delivered":7,"active":3,"compute_calls":2,`+
+		`"scatter_calls":0,"sent_msgs":5,"sent_bytes":40,"ckpt_gen":-1,"ckpt_bytes":0,"direct_bytes":512}`))
 
 	f.Fuzz(func(t *testing.T, ftype byte, payload []byte) {
 		var wire bytes.Buffer
@@ -133,18 +140,18 @@ func FuzzClusterFrames(f *testing.F) {
 	})
 }
 
-// TestBarrierFieldsOmittedWhenEmpty: the phase a step carries and the
-// aggregator partials a barrier report carries are omitted when empty, so a
-// program without a master or aggregators sends the frames it sent before
-// either was on the wire, byte for byte.
+// TestBarrierFieldsOmittedWhenEmpty: the phase a step carries, and the
+// aggregator partials and spilled count a barrier report carries, are omitted
+// when empty, so a program without a master, aggregators or spilled payloads
+// puts none of them on the wire.
 func TestBarrierFieldsOmittedWhenEmpty(t *testing.T) {
 	for _, tc := range []struct {
 		msg  any
 		want string
 	}{
 		{stepMsg{Epoch: 1, Superstep: 4, Checkpoint: true, Gen: 2}, `{"epoch":1,"superstep":4,"checkpoint":true,"gen":2}`},
-		{stepDoneMsg{Epoch: 1, Superstep: 4, Shard: 1, Delivered: 7, Active: 3, CkptGen: -1, DirectBytes: 512},
-			`{"epoch":1,"superstep":4,"shard":1,"delivered":7,"active":3,"compute_calls":0,"scatter_calls":0,` +
+		{stepDoneMsg{Epoch: 1, Shard: 1, StepReport: engine.StepReport{Superstep: 4, Delivered: 7, Active: 3}, CkptGen: -1, DirectBytes: 512},
+			`{"epoch":1,"shard":1,"superstep":4,"delivered":7,"active":3,"compute_calls":0,"scatter_calls":0,` +
 				`"sent_msgs":0,"sent_bytes":0,"ckpt_gen":-1,"ckpt_bytes":0,"direct_bytes":512}`},
 	} {
 		got, err := json.Marshal(tc.msg)

@@ -635,14 +635,11 @@ func (w *wrk) finishStepIfReady() error {
 		Delivered: rep.Delivered, Active: int64(rep.Active),
 	})
 	err := w.sendJSON(fStepDone, stepDoneMsg{
-		Epoch: w.epoch, Superstep: rep.Superstep, Shard: w.self,
-		Delivered: rep.Delivered, Active: rep.Active,
-		ComputeCalls: rep.ComputeCalls, ScatterCalls: rep.ScatterCalls,
-		SentMsgs: rep.SentMsgs, SentBytes: rep.SentBytes,
+		Epoch: w.epoch, Shard: w.self, StepReport: rep,
 		CkptGen: ckptGen, CkptBytes: ckptBytes,
 		ComputeNS: cur.computeNS, WaitNS: waitNS, DeliverNS: deliverNS,
 		PeerSendNS: cur.peerSendNS, PeerRecvNS: peerRecvNS,
-		DirectBytes: cur.directBytes, RelayedBytes: cur.relayedBytes, Aggs: rep.Aggs,
+		DirectBytes: cur.directBytes, RelayedBytes: cur.relayedBytes,
 	})
 	if err != nil {
 		return err

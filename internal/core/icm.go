@@ -152,8 +152,8 @@ type Options struct {
 	// panic, codec failure, transport error) rolls back and replays instead of
 	// aborting (engine.Config.CheckpointEvery). Requires PayloadCodec.
 	CheckpointEvery int
-	// MaxRecoveries bounds rollback-and-replay attempts; zero means the
-	// engine default.
+	// MaxRecoveries bounds rollback-and-replay attempts over the run; zero
+	// means the engine default, negative means unlimited.
 	MaxRecoveries int
 	// WrapProgram, when set, wraps the engine-level program a run or a shard
 	// executes: the fault-injection seam internal/chaos uses to schedule

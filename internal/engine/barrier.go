@@ -3,8 +3,10 @@ package engine
 import (
 	"fmt"
 	"slices"
+	"time"
 
 	"graphite/internal/codec"
+	"graphite/internal/obs"
 )
 
 // Aggregator folds the inline words vertices contribute during a superstep
@@ -36,26 +38,59 @@ func BoolOr() *Aggregator {
 
 // Barrier closes supersteps. It owns the registered aggregators and their
 // merged values, the phase and the master, and the rule that ends a run: the
-// superstep bound, the master's halt, or quiescence. Engine.Run closes every
-// superstep through its own; whoever steps Shards — the cluster coordinator,
-// a test — builds one from the same Config and aggregators.
+// superstep bound, the master's halt, or quiescence. It keeps the run's
+// ledger — the totals its Metrics and trace report — and its recovery point
+// and policy. Engine.Run closes every superstep through its own; whoever
+// steps Shards — the cluster coordinator, a test — builds one from the same
+// Config and aggregators.
 type Barrier struct {
-	maxSteps    int
-	activateAll bool
-	master      Master
-	names       []string      // registered aggregators, ascending
-	aggs        []*Aggregator // by names index
-	state       BarrierState
-	halted      bool
+	maxSteps      int
+	activateAll   bool
+	maxRecoveries int // negative: unlimited
+	master        Master
+	names         []string      // registered aggregators, ascending
+	aggs          []*Aggregator // by names index
+	state         BarrierState
+	halted        bool
+
+	step RunTotals // the counts of the superstep Close closed last
+
+	// The recovery point Commit recorded: the state about to execute
+	// superstep resumeAt (0 before the first Commit). What happened is never
+	// rewound: checkpoints and recoveries taken, supersteps executed.
+	committed   BarrierState
+	resumeAt    int
+	checkpoints int
+	recoveries  int
+	executed    int
 }
 
 // BarrierState is what a barrier carries from one superstep to the next: the
-// phase and each aggregator's merged value, in name order. A checkpoint holds
-// it beside the workers' captures — Run's in memory, the cluster
-// coordinator's per committed generation.
+// phase, each aggregator's merged value in name order, the run's totals and
+// the frontier entering the next superstep. No capture holds it: the barrier
+// keeps it beside Run's in-memory checkpoint and the cluster coordinator's
+// committed generation (Commit), and restores it with them (Rewind).
 type BarrierState struct {
-	Phase int
-	Aggs  []codec.Word
+	Phase  int
+	Aggs   []codec.Word
+	Totals RunTotals
+	Active int // vertices active entering the next superstep
+}
+
+// RunTotals is a run's ledger: the supersteps that count toward its result
+// and, summed over them, the paper's counts and phase times. A rollback
+// rewinds it, so a replayed superstep counts once.
+type RunTotals struct {
+	Supersteps   int
+	ComputeCalls int64
+	ScatterCalls int64
+	Messages     int64
+	MessageBytes int64
+	Delivered    int64
+	Spilled      int64
+	ComputeNS    int64
+	MessagingNS  int64
+	BarrierNS    int64
 }
 
 // NewBarrier builds the barrier for cfg's runs with the given aggregators. A
@@ -65,7 +100,11 @@ func NewBarrier(cfg Config, aggs map[string]*Aggregator) (*Barrier, error) {
 	if cfg.ActivateAll && cfg.MaxSupersteps <= 0 && cfg.Master == nil {
 		return nil, fmt.Errorf("%w: ActivateAll needs MaxSupersteps or a Master", ErrBadConfig)
 	}
-	b := &Barrier{maxSteps: cfg.MaxSupersteps, activateAll: cfg.ActivateAll, master: cfg.Master}
+	b := &Barrier{maxSteps: cfg.MaxSupersteps, activateAll: cfg.ActivateAll, master: cfg.Master,
+		maxRecoveries: cfg.MaxRecoveries}
+	if b.maxRecoveries == 0 {
+		b.maxRecoveries = DefaultMaxRecoveries
+	}
 	for name, agg := range aggs {
 		b.register(name, agg)
 	}
@@ -125,36 +164,139 @@ func (b *Barrier) open(s int, e *Engine) bool {
 
 // Close closes a superstep from every shard's report — every worker's, in
 // Run — in ascending order: their aggregator partials fold into the merged
-// values in that order. It reports whether the run has quiesced: nothing
-// delivered, nothing active, and no ActivateAll to keep vertices going.
+// values and their counts into the run's totals, in that order. It reports
+// whether the run has quiesced: nothing delivered, nothing active, and no
+// ActivateAll to keep vertices going.
 func (b *Barrier) Close(reps []StepReport) (quiesced bool) {
 	b.state.Aggs = b.identities(b.state.Aggs)
-	var delivered int64
+	var st RunTotals
 	active := 0
 	for _, r := range reps {
-		delivered += r.Delivered
+		st.ComputeCalls += r.ComputeCalls
+		st.ScatterCalls += r.ScatterCalls
+		st.Messages += r.SentMsgs
+		st.MessageBytes += r.SentBytes
+		st.Delivered += r.Delivered
+		st.Spilled += r.Spilled
 		active += r.Active
 		for i, p := range r.Aggs {
 			b.state.Aggs[i] = b.aggs[i].reduce(b.state.Aggs[i], p)
 		}
 	}
-	return delivered == 0 && active == 0 && !b.activateAll
+	t := &b.state.Totals
+	t.Supersteps++
+	t.ComputeCalls += st.ComputeCalls
+	t.ScatterCalls += st.ScatterCalls
+	t.Messages += st.Messages
+	t.MessageBytes += st.MessageBytes
+	t.Delivered += st.Delivered
+	t.Spilled += st.Spilled
+	b.step, b.state.Active = st, active
+	b.executed++
+	return st.Delivered == 0 && active == 0 && !b.activateAll
+}
+
+// SuperstepEnd adds the phase times of superstep s, the one Close closed, to
+// the totals — Run's wall-clock phases, or the coordinator's sums over its
+// shards — and returns the superstep's superstep_end event.
+func (b *Barrier) SuperstepEnd(s int, compute, messaging, barrier time.Duration) obs.SuperstepEnd {
+	t, st := &b.state.Totals, b.step
+	t.ComputeNS += int64(compute)
+	t.MessagingNS += int64(messaging)
+	t.BarrierNS += int64(barrier)
+	return obs.SuperstepEnd{
+		Superstep: s,
+		ComputeNS: int64(compute), MessagingNS: int64(messaging), BarrierNS: int64(barrier),
+		ComputeCalls: st.ComputeCalls, ScatterCalls: st.ScatterCalls,
+		Messages: st.Messages, MessageBytes: st.MessageBytes,
+		Delivered: st.Delivered, Active: b.state.Active,
+	}
+}
+
+// Metrics returns the run's metrics from the ledger: the totals of the
+// supersteps that count, and the checkpoints and recoveries taken. The
+// makespan is the driver's (End).
+func (b *Barrier) Metrics() *Metrics {
+	t := b.state.Totals
+	return &Metrics{
+		Supersteps:   t.Supersteps,
+		ComputeCalls: t.ComputeCalls, ScatterCalls: t.ScatterCalls,
+		Messages: t.Messages, MessageBytes: t.MessageBytes,
+		Delivered: t.Delivered, Spilled: t.Spilled,
+		Checkpoints: b.checkpoints, Recoveries: b.recoveries,
+		Runs:            1,
+		ComputePlusTime: time.Duration(t.ComputeNS),
+		MessagingTime:   time.Duration(t.MessagingNS),
+		BarrierTime:     time.Duration(t.BarrierNS),
+	}
+}
+
+// End closes the run's ledger: its Metrics with the makespan, and the run_end
+// event that reports them.
+func (b *Barrier) End(makespan time.Duration) (*Metrics, obs.RunEnd) {
+	m := b.Metrics()
+	m.Makespan, m.MaxMakespan = makespan, makespan
+	return m, obs.RunEnd{
+		Supersteps:   m.Supersteps,
+		ComputeCalls: m.ComputeCalls, ScatterCalls: m.ScatterCalls,
+		Messages: m.Messages, MessageBytes: m.MessageBytes, Delivered: m.Delivered,
+		Checkpoints: m.Checkpoints, Recoveries: m.Recoveries,
+		ComputeNS: int64(m.ComputePlusTime), MessagingNS: int64(m.MessagingTime), BarrierNS: int64(m.BarrierTime),
+		MakespanNS: int64(makespan),
+		Halted:     b.halted,
+	}
+}
+
+// Executed returns how many supersteps Close closed, replays included.
+func (b *Barrier) Executed() int { return b.executed }
+
+// Commit records the state about to execute superstep next — Run's
+// checkpoint, or a generation every shard has on disk — as the point Rewind
+// returns to, and returns the checkpoint's event.
+func (b *Barrier) Commit(next int) obs.Checkpoint {
+	b.committed, b.resumeAt = b.State(), next
+	b.checkpoints++
+	return obs.Checkpoint{Superstep: next, Index: b.checkpoints}
+}
+
+// Rewind recovers from a failure of superstep failed: within the
+// MaxRecoveries budget — an error wrapping ErrRecoveryExhausted past it — it
+// restores the state Commit recorded, totals included, counts the recovery
+// and returns its event: where execution resumes, and how many completed
+// supersteps the replay repeats. The driver rewinds the shards. Call only
+// after a Commit.
+func (b *Barrier) Rewind(failed int) (obs.Recovery, error) {
+	if b.maxRecoveries >= 0 && b.recoveries >= b.maxRecoveries {
+		return obs.Recovery{}, fmt.Errorf("%w: superstep %d still failing after %d recoveries",
+			ErrRecoveryExhausted, failed, b.recoveries)
+	}
+	b.SetState(b.committed)
+	b.recoveries++
+	return obs.Recovery{Failed: failed, ResumeAt: b.resumeAt, Attempt: b.recoveries,
+		Replayed: max(failed-b.resumeAt, 0)}, nil
 }
 
 // Phase returns the phase the master set for the superstep Open let run.
 func (b *Barrier) Phase() int { return b.state.Phase }
+
+// Active returns the frontier Close left: the vertices entering the next
+// superstep.
+func (b *Barrier) Active() int { return b.state.Active }
 
 // Halted reports whether the master ended the run.
 func (b *Barrier) Halted() bool { return b.halted }
 
 // State returns a copy of what the barrier carries to the next superstep.
 func (b *Barrier) State() BarrierState {
-	return BarrierState{Phase: b.state.Phase, Aggs: slices.Clone(b.state.Aggs)}
+	s := b.state
+	s.Aggs = slices.Clone(s.Aggs)
+	return s
 }
 
 // SetState rewinds the barrier to a State it returned.
 func (b *Barrier) SetState(s BarrierState) {
-	b.state = BarrierState{Phase: s.Phase, Aggs: slices.Clone(s.Aggs)}
+	b.state = s
+	b.state.Aggs = slices.Clone(s.Aggs)
 }
 
 // MasterControl is the master-compute interface: it runs at a barrier, before

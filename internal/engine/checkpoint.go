@@ -8,7 +8,6 @@ import (
 	"slices"
 
 	"graphite/internal/codec"
-	"graphite/internal/obs"
 )
 
 // Snapshotter is the Program extension every checkpoint requires: Run's
@@ -234,46 +233,20 @@ func (e *Engine) restore(data []byte, ws []*worker) (err error) {
 	return nil
 }
 
-// checkpoint is one of Run's recovery points: the capture of every worker,
-// plus what only Run's coordinating goroutine holds — the barrier's state and
-// the metrics.
-type checkpoint struct {
-	ctl        BarrierState
-	metrics    Metrics // absolute registry totals at capture time
-	classBytes [codec.NumIntervalClasses]int64
-	data       []byte
-}
-
-// saveCheckpoint records a recovery point for the state about to execute
-// superstep e.superstp. It runs only at barriers, never concurrently with
-// workers.
+// saveCheckpoint records Run's recovery point for the state about to execute
+// superstep e.superstp: the capture of every worker here, the barrier's state
+// in the barrier. It runs only at barriers, never concurrently with workers.
 func (e *Engine) saveCheckpoint() error {
 	data, err := e.capture(nil, e.workers)
 	if err != nil {
 		return err
 	}
-	c := &checkpoint{ctl: e.barrier.State(), metrics: e.rawView(), data: data}
-	for i, ctr := range e.ec.classBytes {
-		c.classBytes[i] = ctr.Load()
-	}
-	e.ckpt = c
-	e.checkpoints++
+	e.ckpt = data
+	ev := e.barrier.Commit(e.superstp)
 	e.ec.checkpoints.Inc()
 	if e.traced {
-		e.tracer.Emit(obs.Checkpoint{Superstep: e.superstp, Index: e.checkpoints})
+		e.tracer.Emit(ev)
 	}
-	return nil
-}
-
-// restoreCheckpoint rewinds the engine to c: the capture's workers and
-// superstep — their aggregator partials from the aborted superstep
-// discarded — then the barrier's state and the metrics.
-func (e *Engine) restoreCheckpoint(c *checkpoint) error {
-	if err := e.restore(c.data, e.workers); err != nil {
-		return err
-	}
-	e.barrier.SetState(c.ctl)
-	e.storeRaw(c.metrics, c.classBytes)
 	return nil
 }
 
@@ -294,38 +267,25 @@ func (e *Engine) rollback(needsReset bool) bool {
 			return false
 		}
 	}
-	max := e.cfg.MaxRecoveries
-	if max <= 0 {
-		max = DefaultMaxRecoveries
-	}
-	if e.recoveries >= max {
-		e.errMu.Lock()
-		e.runErr = fmt.Errorf("%w: superstep %d still failing after %d recoveries: %w",
-			ErrRecoveryExhausted, e.superstp, e.recoveries, e.runErr)
-		e.errMu.Unlock()
-		return false
-	}
 	failed := e.superstp
-	reason := ""
-	if err := e.takeErr(); err != nil {
-		reason = err.Error()
+	cause := e.takeErr()
+	ev, err := e.barrier.Rewind(failed)
+	if err == nil {
+		err = e.restore(e.ckpt, e.workers)
 	}
-	if err := e.restoreCheckpoint(e.ckpt); err != nil {
+	if err != nil {
 		e.errMu.Lock()
-		e.runErr = fmt.Errorf("engine: rollback from superstep %d: %w (after: %w)", failed, err, e.runErr)
+		e.runErr = fmt.Errorf("engine: rollback from superstep %d: %w (after: %w)", failed, err, cause)
 		e.errMu.Unlock()
 		return false
 	}
-	e.recoveries++
 	e.ec.recoveries.Inc()
 	if e.traced {
-		e.tracer.Emit(obs.Recovery{
-			Failed:   failed,
-			ResumeAt: e.superstp,
-			Attempt:  e.recoveries,
-			Reason:   reason,
-			Reset:    needsReset && e.cfg.Transport != nil,
-		})
+		if cause != nil {
+			ev.Reason = cause.Error()
+		}
+		ev.Reset = needsReset && e.cfg.Transport != nil
+		e.tracer.Emit(ev)
 	}
 	return true
 }

@@ -58,7 +58,7 @@ func (c *Context) SendWord(dst int, when ival.Interval, pw codec.Word, spill []a
 	w := c.w
 	dw := int(c.eng.part[dst])
 	w.outbox[dw].add(newMessage(int32(dst), when, pw), spill)
-	w.sentMsgs++
+	w.rep.SentMsgs++
 	class, n := codec.ClassAndSize(when)
 	ivalBytes := int64(n)
 	size := ivalBytes
@@ -67,7 +67,7 @@ func (c *Context) SendWord(dst int, when ival.Interval, pw codec.Word, spill []a
 	} else {
 		size += c.payloadSize(pw, spill)
 	}
-	w.sentBytes += size
+	w.rep.SentBytes += size
 	w.classBytes[class] += ivalBytes
 }
 
@@ -76,7 +76,7 @@ func (c *Context) SendWord(dst int, when ival.Interval, pw codec.Word, spill []a
 // all when there is no codec, by estimate.
 func (c *Context) payloadSize(pw codec.Word, spill []any) int64 {
 	if pw.K == codec.KindSpill {
-		c.w.spilled++
+		c.w.rep.Spilled++
 	}
 	pc := c.eng.cfg.PayloadCodec
 	switch {
@@ -100,11 +100,11 @@ func (c *Context) payloadSize(pw codec.Word, spill []any) int64 {
 
 // AddComputeCalls adds to the run's user-compute-call counter; the platform
 // layers call this once per user logic invocation.
-func (c *Context) AddComputeCalls(n int) { c.w.computeCalls += int64(n) }
+func (c *Context) AddComputeCalls(n int) { c.w.rep.ComputeCalls += int64(n) }
 
 // AddScatterCalls adds to the run's scatter-call counter.
-func (c *Context) AddScatterCalls(n int) { c.w.scatterCalls += int64(n) }
+func (c *Context) AddScatterCalls(n int) { c.w.rep.ScatterCalls += int64(n) }
 
 // Aggregate contributes a word to a named aggregator: it folds into this
 // worker's partial, and the master reads the merged value at the next barrier.
-func (c *Context) Aggregate(name string, v codec.Word) { c.eng.barrier.fold(c.w.aggs, name, v) }
+func (c *Context) Aggregate(name string, v codec.Word) { c.eng.barrier.fold(c.w.rep.Aggs, name, v) }

@@ -108,15 +108,17 @@ type Config struct {
 	// superstep barrier (plus one before superstep 1): user vertex state via
 	// the Snapshotter contract, inboxes and active sets — encoded, in the
 	// format of a Shard's durable capture — plus the barrier's state (phase,
-	// merged aggregates) and metrics. A failed superstep — user-program
+	// merged aggregates, run totals). A failed superstep — user-program
 	// panic, codec failure or transport error — then rolls back to the latest
 	// checkpoint and replays instead of aborting the run. Requires
 	// PayloadCodec and a Program implementing Snapshotter. Masters are
 	// re-invoked on replayed supersteps and must tolerate that (the replayed
 	// aggregates they see are identical).
 	CheckpointEvery int
-	// MaxRecoveries bounds rollback-and-replay attempts per run; zero means
-	// DefaultMaxRecoveries. Only meaningful with CheckpointEvery > 0.
+	// MaxRecoveries bounds rollback-and-replay attempts per run, counted over
+	// the whole run; zero means DefaultMaxRecoveries and negative means
+	// unlimited. Only meaningful with CheckpointEvery > 0, or for the cluster
+	// coordinator's barrier.
 	MaxRecoveries int
 	// Tracer, when set, receives the typed per-superstep event stream:
 	// run/superstep lifecycle, per-worker phase timings, checkpoint, recovery
@@ -126,8 +128,10 @@ type Config struct {
 	// path.
 	Tracer obs.Tracer
 	// Registry, when set, is where the engine publishes its counters and
-	// histograms (e.g. for the /metrics endpoint); nil gives the engine a
-	// private registry. The Metrics Run returns are a per-run view over it.
+	// histograms (e.g. for the /metrics endpoint) — the work executed,
+	// replays included; nil gives the engine a private registry. Runs may
+	// share one: the Metrics Run returns are its barrier's, not the
+	// registry's.
 	Registry *obs.Registry
 	// Context, when set, makes the run cancellable: workers stop claiming
 	// vertices as soon as they observe cancellation, and Run aborts at the
@@ -145,7 +149,7 @@ type Config struct {
 // Fault-tolerance defaults.
 const (
 	// DefaultMaxRecoveries is the rollback-and-replay budget per run when
-	// Config.MaxRecoveries is zero.
+	// Config.MaxRecoveries is zero, for Run and the cluster alike.
 	DefaultMaxRecoveries = 3
 	// sendRetries is how many times a failed Transport.Send is retried, with
 	// capped exponential backoff, before the superstep is declared failed.
@@ -177,11 +181,10 @@ type Engine struct {
 	// and encoded without leaving its 16 bytes.
 	inline codec.Kind
 
-	// Observability: totals live in the registry; Metrics is a per-run view
-	// over it (registry value minus the Run-start baseline).
+	// Observability: the registry is a sink for the work executed; the run's
+	// totals, and so its Metrics, are the barrier's.
 	reg    *obs.Registry
 	ec     engCounters
-	base   Metrics
 	tracer obs.Tracer
 	traced bool
 
@@ -191,11 +194,7 @@ type Engine struct {
 
 	ctx context.Context // nil when the run is not cancellable
 
-	spilled int64 // Metrics.Spilled; not a registry counter
-
-	ckpt        *checkpoint // latest recovery point
-	checkpoints int
-	recoveries  int
+	ckpt []byte // the capture of Run's latest recovery point
 }
 
 // worker owns the vertices with index ≡ id (mod numWorkers).
@@ -212,14 +211,12 @@ type worker struct {
 	frontier []int32
 	allSlots []int32 // lazily built 0..len(local)-1 schedule for ActivateAll
 
-	// Per-worker metric partials, merged after every superstep.
-	computeCalls int64
-	scatterCalls int64
-	sentMsgs     int64
-	sentBytes    int64
-	spilled      int64
-	classBytes   [codec.NumIntervalClasses]int64 // interval bytes by encoding class
-	aggs         []codec.Word                    // aggregator partials, in the barrier's name order
+	// The superstep's partials, reported to the barrier after every
+	// superstep (report): the counts and the aggregator partials, in the
+	// barrier's name order. The interval bytes by encoding class go to the
+	// registry only.
+	rep        StepReport
+	classBytes [codec.NumIntervalClasses]int64
 
 	// Per-phase observations for the superstep in flight: each worker
 	// records into its own fields; the coordinator reads them after the
@@ -227,7 +224,6 @@ type worker struct {
 	computeNS  int64
 	shipNS     int64
 	exchangeNS int64
-	delivered  int64
 
 	scratch []byte   // spilled-payload sizing buffer, reused across sends
 	decode  *msgSlab // transport decode buffer, reused across batches; arena-pooled across runs
@@ -366,7 +362,6 @@ func (e *Engine) Run() (*Metrics, error) {
 	}
 	start := time.Now()
 	reps := make([]StepReport, len(e.workers))
-	e.base = e.rawView()
 	if e.traced {
 		e.tracer.Emit(obs.RunStart{
 			Vertices:    e.numV,
@@ -453,16 +448,23 @@ func (e *Engine) Run() (*Metrics, error) {
 		}
 
 		// Barrier: every worker reports to the barrier, in worker order — the
-		// aggregates merge, the halt rule is decided — then the metric
-		// partials fold into the registry.
+		// aggregates merge, the counts fold into the run's totals, the halt
+		// rule is decided — then the partials go to the registry.
 		for i, w := range e.workers {
-			reps[i] = StepReport{Delivered: w.delivered, Active: len(w.frontier), Aggs: w.aggs}
+			reps[i] = w.report()
 		}
 		quiesced := e.barrier.Close(reps)
-		st := e.mergePartials()
+		var classBytes [codec.NumIntervalClasses]int64
+		for _, w := range e.workers {
+			for i, n := range w.classBytes {
+				classBytes[i] += n
+			}
+			w.publish()
+		}
 		t3 := time.Now()
 
 		computeD, messagingD, barrierD := t1.Sub(t0), t2.Sub(t1), t3.Sub(t2)
+		end := e.barrier.SuperstepEnd(e.superstp, computeD, messagingD, barrierD)
 		e.ec.computeNS.Add(computeD.Nanoseconds())
 		e.ec.messagingNS.Add(messagingD.Nanoseconds())
 		e.ec.barrierNS.Add(barrierD.Nanoseconds())
@@ -474,24 +476,13 @@ func (e *Engine) Run() (*Metrics, error) {
 		e.ec.activeVertices.Set(int64(e.countActive()))
 		e.ec.imbalance.Set(e.imbalanceMilli())
 		if e.traced {
-			e.tracer.Emit(obs.SuperstepEnd{
-				Superstep:    e.superstp,
-				ComputeNS:    computeD.Nanoseconds(),
-				MessagingNS:  messagingD.Nanoseconds(),
-				BarrierNS:    barrierD.Nanoseconds(),
-				ComputeCalls: st.computeCalls,
-				ScatterCalls: st.scatterCalls,
-				Messages:     st.sentMsgs,
-				MessageBytes: st.sentBytes,
-				Delivered:    st.delivered,
-				Active:       e.countActive(),
-				Intervals: obs.IntervalBytes{
-					Unit:      st.classBytes[codec.ClassUnit],
-					Unbounded: st.classBytes[codec.ClassUnbounded],
-					General:   st.classBytes[codec.ClassGeneral],
-					Empty:     st.classBytes[codec.ClassEmpty],
-				},
-			})
+			end.Intervals = obs.IntervalBytes{
+				Unit:      classBytes[codec.ClassUnit],
+				Unbounded: classBytes[codec.ClassUnbounded],
+				General:   classBytes[codec.ClassGeneral],
+				Empty:     classBytes[codec.ClassEmpty],
+			}
+			e.tracer.Emit(end)
 		}
 		e.superstp++
 
@@ -504,26 +495,13 @@ func (e *Engine) Run() (*Metrics, error) {
 			break
 		}
 	}
-	e.ec.makespanNS.Store(time.Since(start).Nanoseconds())
+	m, end := e.barrier.End(time.Since(start))
+	e.ec.makespanNS.Store(int64(m.Makespan))
 	e.setPoolGauges()
-	m := e.metricsView()
 	if e.traced {
-		e.tracer.Emit(obs.RunEnd{
-			Supersteps:   m.Supersteps,
-			ComputeCalls: m.ComputeCalls,
-			ScatterCalls: m.ScatterCalls,
-			Messages:     m.Messages,
-			MessageBytes: m.MessageBytes,
-			Checkpoints:  m.Checkpoints,
-			Recoveries:   m.Recoveries,
-			ComputeNS:    int64(m.ComputePlusTime),
-			MessagingNS:  int64(m.MessagingTime),
-			BarrierNS:    int64(m.BarrierTime),
-			MakespanNS:   int64(m.Makespan),
-			Halted:       e.barrier.Halted(),
-		})
+		e.tracer.Emit(end)
 	}
-	return &m, nil
+	return m, nil
 }
 
 // fail records the first failure of the current superstep.
@@ -672,11 +650,11 @@ func (w *worker) exchange() {
 	phaseStart := time.Now()
 	var err error
 	if e.cfg.Transport == nil {
-		w.delivered, err = w.receive(len(e.workers)-1, w.peerOutbox)
+		w.rep.Delivered, err = w.receive(len(e.workers)-1, w.peerOutbox)
 	} else {
 		var batches [][]byte
 		if batches, err = e.cfg.Transport.Recv(w.id); err == nil {
-			w.delivered, err = w.receiveWire(batches)
+			w.rep.Delivered, err = w.receiveWire(batches)
 		}
 	}
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 
@@ -12,20 +13,20 @@ import (
 	"graphite/internal/obs"
 )
 
-// faultProgram propagates BFS levels around a directed ring and injects one
-// fault on demand: a panic in Init, a panic in Run, or nothing.
+// faultProgram propagates BFS levels around a directed ring and injects
+// faults on demand: a panic in Init, panics in Run, or nothing.
 type faultProgram struct {
 	n           int
 	mu          sync.Mutex
 	dist        []int64
 	panicInit   int // vertex to panic in Init, -1 for never
 	panicRunAt  int // superstep to panic in Run, 0 for never
-	panicEvery  bool
+	panicTimes  int // how many times it panics there, replays included
 	panicsFired int
 }
 
 func newFaultProgram(n int) *faultProgram {
-	return &faultProgram{n: n, dist: make([]int64, n), panicInit: -1}
+	return &faultProgram{n: n, dist: make([]int64, n), panicInit: -1, panicTimes: 1}
 }
 
 func (p *faultProgram) Init(ctx *Context) {
@@ -40,7 +41,7 @@ func (p *faultProgram) Init(ctx *Context) {
 func (p *faultProgram) Run(ctx *Context, msgs []Message) {
 	if p.panicRunAt != 0 && ctx.Superstep() == p.panicRunAt {
 		p.mu.Lock()
-		fire := p.panicEvery || p.panicsFired == 0
+		fire := p.panicsFired < p.panicTimes
 		if fire {
 			p.panicsFired++
 		}
@@ -242,7 +243,7 @@ func TestRecoveryExhausted(t *testing.T) {
 	const n = 6
 	p := newFaultProgram(n)
 	p.panicRunAt = 3
-	p.panicEvery = true // refires on every replay
+	p.panicTimes = math.MaxInt // refires on every replay
 	e, err := New(n, p, Config{NumWorkers: 2, PayloadCodec: codec.Int64{}, CheckpointEvery: 1, MaxRecoveries: 2})
 	if err != nil {
 		t.Fatalf("New: %v", err)
@@ -257,6 +258,60 @@ func TestRecoveryExhausted(t *testing.T) {
 	}
 	if p.panicsFired != 3 {
 		t.Errorf("panics fired = %d, want 3 (initial + 2 replays)", p.panicsFired)
+	}
+}
+
+// TestUnlimitedRecoveries: a negative MaxRecoveries never runs out — the rule
+// the cluster coordinator's barrier follows too — so a fault that clears
+// after four replays finishes the run.
+func TestUnlimitedRecoveries(t *testing.T) {
+	const n = 6
+	p := newFaultProgram(n)
+	p.panicRunAt, p.panicTimes = 3, 4
+	e, err := New(n, p, Config{NumWorkers: 2, PayloadCodec: codec.Int64{}, CheckpointEvery: 1, MaxRecoveries: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := e.Run()
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if m.Recoveries != 4 || p.panicsFired != 4 {
+		t.Errorf("%d recoveries from %d panics, want 4 from 4", m.Recoveries, p.panicsFired)
+	}
+}
+
+// TestReplayCountsOnce: a rollback rewinds the run's ledger with its
+// capture, so a replayed superstep counts once in Metrics — which equal the
+// fault-free run's — while the registry counts every superstep executed.
+func TestReplayCountsOnce(t *testing.T) {
+	const n = 10
+	run := func(panicAt int) (*Metrics, *obs.Registry) {
+		p := newFaultProgram(n)
+		p.panicRunAt = panicAt
+		reg := obs.NewRegistry()
+		e, err := New(n, p, Config{NumWorkers: 3, PayloadCodec: codec.Int64{}, CheckpointEvery: 2, Registry: reg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := e.Run()
+		if err != nil {
+			t.Fatalf("Run(panic at %d): %v", panicAt, err)
+		}
+		return m, reg
+	}
+	want, _ := run(0)
+	// The checkpoint before superstep 3 is the latest when 4 fails: 3 runs
+	// again, and 4 never reached its barrier the first time.
+	got, reg := run(4)
+	if got.Recoveries != 1 {
+		t.Fatalf("recoveries = %d, want 1", got.Recoveries)
+	}
+	if g, w := ledger(got), ledger(want); g != w {
+		t.Errorf("recovered run counted %v, fault-free %v", g, w)
+	}
+	if executed := reg.Counter(obs.CSupersteps).Load(); executed != int64(want.Supersteps+1) {
+		t.Errorf("registry counted %d supersteps, want %d executed", executed, want.Supersteps+1)
 	}
 }
 

@@ -1,8 +1,6 @@
 package engine
 
 import (
-	"time"
-
 	"graphite/internal/codec"
 	"graphite/internal/obs"
 )
@@ -87,68 +85,6 @@ func (e *Engine) setPoolGauges() {
 	e.ec.bytesReused.Set(bytes)
 }
 
-// rawView reads the absolute registry totals. With a shared Registry these
-// span every run that published into it; per-run views subtract the Run-start
-// baseline.
-func (e *Engine) rawView() Metrics {
-	return Metrics{
-		Supersteps:      int(e.ec.supersteps.Load()),
-		ComputeCalls:    e.ec.computeCalls.Load(),
-		ScatterCalls:    e.ec.scatterCalls.Load(),
-		Messages:        e.ec.messages.Load(),
-		MessageBytes:    e.ec.messageBytes.Load(),
-		Delivered:       e.ec.delivered.Load(),
-		Spilled:         e.spilled,
-		ComputePlusTime: time.Duration(e.ec.computeNS.Load()),
-		MessagingTime:   time.Duration(e.ec.messagingNS.Load()),
-		BarrierTime:     time.Duration(e.ec.barrierNS.Load()),
-		Makespan:        time.Duration(e.ec.makespanNS.Load()),
-	}
-}
-
-// metricsView assembles the per-run Metrics view over the registry: registry
-// totals minus the Run-start baseline, fault counters from the engine's own
-// per-run tallies, makespan as stored (it is overwritten, not accumulated).
-func (e *Engine) metricsView() Metrics {
-	m := e.rawView()
-	b := e.base
-	m.Supersteps -= b.Supersteps
-	m.ComputeCalls -= b.ComputeCalls
-	m.ScatterCalls -= b.ScatterCalls
-	m.Messages -= b.Messages
-	m.MessageBytes -= b.MessageBytes
-	m.Delivered -= b.Delivered
-	m.Spilled -= b.Spilled
-	m.ComputePlusTime -= b.ComputePlusTime
-	m.MessagingTime -= b.MessagingTime
-	m.BarrierTime -= b.BarrierTime
-	m.Checkpoints = e.checkpoints
-	m.Recoveries = e.recoveries
-	m.Runs = 1
-	m.MaxMakespan = m.Makespan
-	return m
-}
-
-// storeRaw rewinds the rewindable registry totals to checkpoint-captured
-// absolute values. Fault counters (checkpoints, recoveries, send retries),
-// the makespan and the phase histograms are never rewound: they observe what
-// actually happened, replays included.
-func (e *Engine) storeRaw(m Metrics, classBytes [codec.NumIntervalClasses]int64) {
-	e.ec.supersteps.Store(int64(m.Supersteps))
-	e.ec.computeCalls.Store(m.ComputeCalls)
-	e.ec.scatterCalls.Store(m.ScatterCalls)
-	e.ec.messages.Store(m.Messages)
-	e.ec.messageBytes.Store(m.MessageBytes)
-	e.ec.delivered.Store(m.Delivered)
-	e.spilled = m.Spilled
-	e.ec.computeNS.Store(int64(m.ComputePlusTime))
-	e.ec.messagingNS.Store(int64(m.MessagingTime))
-	e.ec.barrierNS.Store(int64(m.BarrierTime))
-	for i, n := range classBytes {
-		e.ec.classBytes[i].Store(n)
-	}
-}
-
 // countActive counts activated vertices — O(workers) off the dense frontier
 // lengths maintained at delivery time, never a slot-array rescan. The
 // frontier dedups through the active bitmap, so the count equals the number
@@ -161,53 +97,38 @@ func (e *Engine) countActive() int {
 	return n
 }
 
-// stepTotals are one superstep's counter deltas, folded from the per-worker
-// partials at the barrier.
-type stepTotals struct {
-	computeCalls int64
-	scatterCalls int64
-	sentMsgs     int64
-	sentBytes    int64
-	delivered    int64
-	classBytes   [codec.NumIntervalClasses]int64
+// report is the worker's contribution to the barrier closing the superstep
+// it just delivered — Run's for each worker, a Shard's for its one. Aggs
+// aliases the partials until publish.
+func (w *worker) report() StepReport {
+	r := w.rep
+	r.Superstep, r.Active = w.eng.superstp, len(w.frontier)
+	return r
 }
 
-// mergePartials folds every worker's partials into the registry and resets
-// them, returning the superstep's deltas for trace emission.
-func (e *Engine) mergePartials() stepTotals {
-	var st stepTotals
-	for _, w := range e.workers {
-		st.computeCalls += w.computeCalls
-		st.scatterCalls += w.scatterCalls
-		st.sentMsgs += w.sentMsgs
-		st.sentBytes += w.sentBytes
-		st.delivered += w.delivered
-		e.spilled += w.spilled
-		for i, b := range w.classBytes {
-			st.classBytes[i] += b
-		}
-		w.resetPartials()
-	}
-	e.ec.computeCalls.Add(st.computeCalls)
-	e.ec.scatterCalls.Add(st.scatterCalls)
-	e.ec.messages.Add(st.sentMsgs)
-	e.ec.messageBytes.Add(st.sentBytes)
-	e.ec.delivered.Add(st.delivered)
-	for i, n := range st.classBytes {
+// publish adds the worker's partials to the registry and starts them over.
+// The registry counts the work executed, replays included; the run's totals
+// are the barrier's.
+func (w *worker) publish() {
+	ec := &w.eng.ec
+	ec.computeCalls.Add(w.rep.ComputeCalls)
+	ec.scatterCalls.Add(w.rep.ScatterCalls)
+	ec.messages.Add(w.rep.SentMsgs)
+	ec.messageBytes.Add(w.rep.SentBytes)
+	ec.delivered.Add(w.rep.Delivered)
+	for i, n := range w.classBytes {
 		if n != 0 {
-			e.ec.classBytes[i].Add(n)
+			ec.classBytes[i].Add(n)
 		}
 	}
-	return st
+	w.resetPartials()
 }
 
-// resetPartials starts a worker's per-superstep partials over: the metric
-// counts at zero, the aggregator partials at their identities.
+// resetPartials starts a worker's per-superstep partials over: the counts at
+// zero, the aggregator partials at their identities.
 func (w *worker) resetPartials() {
-	w.computeCalls, w.scatterCalls, w.sentMsgs, w.sentBytes = 0, 0, 0, 0
-	w.spilled, w.delivered = 0, 0
+	w.rep = StepReport{Aggs: w.eng.barrier.identities(w.rep.Aggs)}
 	w.classBytes = [codec.NumIntervalClasses]int64{}
-	w.aggs = w.eng.barrier.identities(w.aggs)
 }
 
 // emitWorkerPhases reports one phase of the finished superstep for every
@@ -223,15 +144,15 @@ func (e *Engine) emitWorkerPhases(phase string) {
 		switch phase {
 		case "compute":
 			ev.NS = w.computeNS
-			ev.ComputeCalls = w.computeCalls
-			ev.ScatterCalls = w.scatterCalls
-			ev.SentMsgs = w.sentMsgs
-			ev.SentBytes = w.sentBytes
+			ev.ComputeCalls = w.rep.ComputeCalls
+			ev.ScatterCalls = w.rep.ScatterCalls
+			ev.SentMsgs = w.rep.SentMsgs
+			ev.SentBytes = w.rep.SentBytes
 		case "ship":
 			ev.NS = w.shipNS
 		case "exchange":
 			ev.NS = w.exchangeNS
-			ev.Delivered = w.delivered
+			ev.Delivered = w.rep.Delivered
 		}
 		e.tracer.Emit(ev)
 	}

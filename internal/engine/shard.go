@@ -27,16 +27,18 @@ import (
 
 // StepReport is one shard's contribution to a superstep barrier: what
 // Barrier.Close decides the superstep's end from — deliveries, frontier and
-// aggregator partials — and the counts the coordinator totals.
+// aggregator partials — and the counts it folds into the run's totals. The
+// cluster's barrier report carries it under these JSON names.
 type StepReport struct {
-	Superstep    int   // the superstep just completed
-	Delivered    int64 // messages delivered into this shard, after each sender's fold
-	Active       int   // this shard's vertices active for the next superstep
-	ComputeCalls int64
-	ScatterCalls int64
-	SentMsgs     int64
-	SentBytes    int64
-	Aggs         []codec.Word // aggregator partials, in name order
+	Superstep    int          `json:"superstep"` // the superstep just completed
+	Delivered    int64        `json:"delivered"` // messages delivered into this shard, after each sender's fold
+	Active       int          `json:"active"`    // this shard's vertices active for the next superstep
+	ComputeCalls int64        `json:"compute_calls"`
+	ScatterCalls int64        `json:"scatter_calls"`
+	SentMsgs     int64        `json:"sent_msgs"`
+	SentBytes    int64        `json:"sent_bytes"`
+	Spilled      int64        `json:"spilled,omitempty"` // sent messages whose payload is in a spill table
+	Aggs         []codec.Word `json:"aggs,omitempty"`    // aggregator partials, in name order
 }
 
 // Shard is one worker's slice of an engine, stepped from outside.
@@ -169,7 +171,7 @@ func (s *Shard) Deliver(batches [][]byte) (int64, error) {
 	if err != nil {
 		return n, fmt.Errorf("engine: shard %d: %w", s.id, err)
 	}
-	s.w.delivered = n
+	s.w.rep.Delivered = n
 	return n, nil
 }
 
@@ -178,22 +180,13 @@ func (s *Shard) Deliver(batches [][]byte) (int64, error) {
 // Deliver.
 func (s *Shard) Barrier() StepReport {
 	e := s.eng
-	aggs := slices.Clone(s.w.aggs)
-	st := e.mergePartials()
-	rep := StepReport{
-		Superstep:    e.superstp,
-		Delivered:    st.delivered,
-		Active:       len(s.w.frontier),
-		ComputeCalls: st.computeCalls,
-		ScatterCalls: st.scatterCalls,
-		SentMsgs:     st.sentMsgs,
-		SentBytes:    st.sentBytes,
-		Aggs:         aggs,
-	}
+	rep := s.w.report()
+	rep.Aggs = slices.Clone(rep.Aggs)
+	s.w.publish()
 	e.ec.supersteps.Inc()
 	// No imbalance gauge: only this shard's worker computes in this engine.
 	// The cluster's imbalance is the coordinator's GClusterSkewMilli.
-	e.ec.activeVertices.Set(int64(e.countActive()))
+	e.ec.activeVertices.Set(int64(rep.Active))
 	e.superstp++
 	return rep
 }

@@ -337,6 +337,7 @@ func ValidateTrace(events []Event) error {
 		sum.ScatterCalls += ev.ScatterCalls
 		sum.Messages += ev.Messages
 		sum.MessageBytes += ev.MessageBytes
+		sum.Delivered += ev.Delivered
 		sum.ComputeNS += ev.ComputeNS
 		sum.MessagingNS += ev.MessagingNS
 		sum.BarrierNS += ev.BarrierNS
@@ -351,6 +352,7 @@ func ValidateTrace(events []Event) error {
 		{"scatter_calls", sum.ScatterCalls, end.ScatterCalls},
 		{"messages", sum.Messages, end.Messages},
 		{"message_bytes", sum.MessageBytes, end.MessageBytes},
+		{"delivered", sum.Delivered, end.Delivered},
 		{"checkpoints", int64(sum.Checkpoints), int64(end.Checkpoints)},
 		{"recoveries", int64(sum.Recoveries), int64(end.Recoveries)},
 		{"compute_ns", sum.ComputeNS, end.ComputeNS},

@@ -121,10 +121,11 @@ type Checkpoint struct {
 func (Checkpoint) Kind() string { return "checkpoint" }
 
 // Recovery records one rollback-and-replay: superstep Failed was abandoned
-// and the run resumes from ResumeAt.
+// and the run resumes from ResumeAt, repeating Replayed completed supersteps.
 type Recovery struct {
 	Failed   int    `json:"failed"`
 	ResumeAt int    `json:"resume_at"`
+	Replayed int    `json:"replayed,omitempty"`
 	Attempt  int    `json:"attempt"` // 1-based recovery count
 	Reason   string `json:"reason"`
 	Reset    bool   `json:"reset,omitempty"` // transport reset was required
@@ -154,6 +155,7 @@ type RunEnd struct {
 	ScatterCalls int64 `json:"scatter_calls"`
 	Messages     int64 `json:"messages"`
 	MessageBytes int64 `json:"message_bytes"`
+	Delivered    int64 `json:"delivered"`
 	Checkpoints  int   `json:"checkpoints"`
 	Recoveries   int   `json:"recoveries"`
 	ComputeNS    int64 `json:"compute_ns"`

@@ -21,7 +21,7 @@ func fullStream() []Event {
 		SuperstepStart{Superstep: 2, Active: 3},
 		SuperstepEnd{Superstep: 2, ComputeNS: 8, MessagingNS: 3, BarrierNS: 1,
 			ComputeCalls: 3, Active: 0},
-		RunEnd{Supersteps: 2, ComputeCalls: 7, Messages: 4, MessageBytes: 40,
+		RunEnd{Supersteps: 2, ComputeCalls: 7, Messages: 4, MessageBytes: 40, Delivered: 4,
 			ComputeNS: 20, MessagingNS: 8, BarrierNS: 3, MakespanNS: 40, Halted: true},
 	}
 }
@@ -241,6 +241,13 @@ func TestValidateTraceRejections(t *testing.T) {
 			ev[len(ev)-1] = end
 			return ev
 		}(), "does not reconcile"},
+		{"bad delivered", func() []Event {
+			ev := append([]Event(nil), base...)
+			end := ev[len(ev)-1].(RunEnd)
+			end.Delivered--
+			ev[len(ev)-1] = end
+			return ev
+		}(), "sum(delivered) = 4, run_end total = 3"},
 	}
 	for _, tc := range cases {
 		err := ValidateTrace(tc.events)

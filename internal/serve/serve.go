@@ -622,10 +622,7 @@ func (s *Server) runBSP(ctx context.Context, p *prepared) (*RunResult, error) {
 			s.m.seedHits.Inc()
 		}
 	}
-	// Each run gets a private registry: engine.Metrics is a baseline-diff
-	// view, which concurrent runs sharing a registry would corrupt. The
-	// serving layer's own aggregates live in s.reg.
-	opts.Registry = obs.NewRegistry()
+	opts.Registry = s.reg
 	opts.Context = runCtx
 	opts.Span = p.span
 	if s.cfg.RunTracer != nil {

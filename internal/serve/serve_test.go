@@ -15,6 +15,7 @@ import (
 
 	"graphite/internal/algorithms"
 	"graphite/internal/core"
+	"graphite/internal/obs"
 	"graphite/internal/tgraph"
 )
 
@@ -88,6 +89,51 @@ func waitJob(t *testing.T, ts *httptest.Server, id string, timeout time.Duration
 			t.Fatalf("job %s did not reach expected state in %v (status %q)", id, timeout, jv.Status)
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestServedRunsShareTheRegistry: every BSP run publishes its engine counters
+// into the server's registry, which /metrics serves, and concurrent runs
+// sharing it still report the metrics each reports alone.
+func TestServedRunsShareTheRegistry(t *testing.T) {
+	reqs := []RunRequest{
+		{Graph: "transit", Algorithm: "pr", Params: map[string]int64{"iterations": 200}, NoCache: true},
+		{Graph: "transit", Algorithm: "sssp", Params: map[string]int64{"source": 1}, NoCache: true},
+	}
+	run := func(ts *httptest.Server, req RunRequest) RunMetrics {
+		var res RunResult
+		if code := postRun(t, ts, req, &res); code != http.StatusOK {
+			t.Errorf("%s: HTTP %d", req.Algorithm, code)
+		}
+		res.Metrics.MakespanNS = 0
+		return res.Metrics
+	}
+	_, solo := newTestServer(t, Config{})
+	want := make([]RunMetrics, len(reqs))
+	for i, req := range reqs {
+		want[i] = run(solo, req)
+	}
+
+	s, ts := newTestServer(t, Config{})
+	got := make([]RunMetrics, 4*len(reqs))
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = run(ts, reqs[i%len(reqs)])
+		}()
+	}
+	wg.Wait()
+	var steps int64
+	for i, m := range got {
+		if w := want[i%len(reqs)]; m != w {
+			t.Errorf("%s beside other runs: %+v, alone %+v", reqs[i%len(reqs)].Algorithm, m, w)
+		}
+		steps += int64(m.Supersteps)
+	}
+	if n := s.Registry().Counter(obs.CSupersteps).Load(); n != steps {
+		t.Errorf("server registry counted %d supersteps, the runs %d", n, steps)
 	}
 }
 
