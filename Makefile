@@ -27,8 +27,9 @@ test-count:
 # query-service concurrency tests, and the pool-aliasing test), plus the
 # warp/algorithm layers whose per-worker scratch reuse must stay race-free,
 # and the ICM runtime, whose scatter plan is built once per graph by whichever
-# of several concurrent runs gets there first (repeated: the window is the
-# first instant of a fresh graph), and the graph, stream and live layers:
+# of several concurrent runs gets there first, on a fresh graph and on a live
+# epoch building from its predecessor's plan (repeated: the window is the
+# first instant of the graph), and the graph, stream and live layers:
 # derived graphs share property slabs with their source across concurrent
 # queries, and an epoch is materialized while readers hold the previous one.
 race:
@@ -43,8 +44,8 @@ race:
 # layers (snapshot round trip and mutation, the
 # text parser), the window view against its slice oracle, the cluster's
 # frame and control-message decoders, the WAL's record decoder and replay,
-# and the live graph's patched epochs against their rebuild, for FUZZTIME
-# each (Go allows one -fuzz target per invocation).
+# and the live graph's patched epochs and their scatter plans against their
+# rebuilds, for FUZZTIME each (Go allows one -fuzz target per invocation).
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzIntervalDecode -fuzztime $(FUZZTIME) ./internal/codec
@@ -66,6 +67,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzWALDecodeBatch -fuzztime $(FUZZTIME) ./internal/live
 	$(GO) test -run '^$$' -fuzz FuzzWALReplay -fuzztime $(FUZZTIME) ./internal/live
 	$(GO) test -run '^$$' -fuzz FuzzEpochPatch -fuzztime $(FUZZTIME) ./internal/stream
+	$(GO) test -run '^$$' -fuzz FuzzEpochPlan -fuzztime $(FUZZTIME) ./internal/core
 
 # The full gate: everything vetted, built, and race-tested. Long-running
 # chaos tests honour -short via `make verify SHORT=-short`.
@@ -90,7 +92,8 @@ bench-test:
 # 64 partitions; one PageRank-shaped hub's superstep, with its sum combiner
 # and without; one SSSP-shaped vertex's scatter step reading its properties
 # from the plan; the scatter plan's cold build and memoised lookup; the
-# measured traffic's windowed query as a view, whole and over a slice), of the
+# measured traffic's windowed query as a view, whole and over a slice; a live
+# epoch's plan built from scratch and from its predecessor's), of the
 # warp sweep on the inboxes the acceptance benchmark measured (serve_cold's
 # mean and largest, cluster_pr's unit messages), of the engine's exchange on
 # cluster_pr's traffic (unit float messages into its mean and its hub inbox
@@ -100,7 +103,7 @@ bench-test:
 # also that, once warmed, they allocate nothing — so CI running them keeps
 # them honest. For numbers, drop -benchtime and add -benchmem -count.
 bench-core:
-	$(GO) test -run '^$$' -bench 'StateSet|VertexStep|ScatterProps|NewRuntime|WindowedRun' -benchtime=1x -benchmem ./internal/core
+	$(GO) test -run '^$$' -bench 'StateSet|VertexStep|ScatterProps|NewRuntime|WindowedRun|EpochPlan' -benchtime=1x -benchmem ./internal/core
 	$(GO) test -run '^$$' -bench 'PathInbox|HubInbox|RankInbox' -benchtime=1x ./internal/warp
 	$(GO) test -run '^$$' -bench 'ExchangeRank' -benchtime=1x -benchmem ./internal/engine
 	$(GO) test -run '^$$' -bench 'AccumulatorGraph|EpochPatch' -benchtime=1x -benchmem ./internal/stream

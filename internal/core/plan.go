@@ -20,6 +20,7 @@ import (
 // label is constant over it: the value the plan holds is what Props.ValueAt
 // returns at any time-point of the piece, absence included.
 type scatterPlan struct {
+	pieceOff  []int32         // edge i's pieces are pieces[pieceOff[i]:pieceOff[i+1]]
 	pieces    []ival.Interval // every edge's pieces, edge after edge
 	match     []ival.Interval // per piece: what an update must intersect; aliases pieces without a slack label
 	slots     int             // value columns per piece: one per Options.PropLabels entry, at most maxPropSlots
@@ -56,6 +57,12 @@ type planKey struct {
 	undirected bool
 }
 
+// planKey returns the key of the plan a run under o reads; its labels alias
+// o's.
+func (o *Options) planKey() planKey {
+	return planKey{labels: o.PropLabels, slackLabel: o.ScatterSlackLabel, reverse: o.Reverse, undirected: o.Undirected}
+}
+
 func (k planKey) equal(o planKey) bool {
 	return k.slackLabel == o.slackLabel && k.reverse == o.reverse &&
 		k.undirected == o.undirected && slices.Equal(k.labels, o.labels)
@@ -81,13 +88,10 @@ func newPlanCache() any { return &planCache{} }
 
 // planFor returns the scatter plan of g under opts, building it on the first
 // request for its key; concurrent first requests build it once and share it.
+// A patched epoch builds it from its predecessor's plan under the same key,
+// when the predecessor has one (see inherit).
 func planFor(g *tgraph.Graph, opts *Options) *scatterPlan {
-	key := planKey{
-		labels:     opts.PropLabels,
-		slackLabel: opts.ScatterSlackLabel,
-		reverse:    opts.Reverse,
-		undirected: opts.Undirected,
-	}
+	key := opts.planKey()
 	c := g.Derived(planCacheKey{}, newPlanCache).(*planCache)
 	c.mu.Lock()
 	var ent *planEntry
@@ -103,8 +107,51 @@ func planFor(g *tgraph.Graph, opts *Options) *scatterPlan {
 		c.entries = append(c.entries, ent)
 	}
 	c.mu.Unlock()
-	ent.once.Do(func() { ent.plan = buildScatterPlan(g, ent.key) })
+	ent.once.Do(func() {
+		prev, from := c.inherit(g, ent.key)
+		p := buildScatterPlan(g, ent.key, prev, from)
+		c.mu.Lock() // a successor's inherit reads it under the lock
+		ent.plan = p
+		c.mu.Unlock()
+	})
 	return ent.plan
+}
+
+// inherit returns the plan g's predecessor built under key and where each of
+// g's edges came from, or nils when g has no lineage or its predecessor no
+// such plan. It releases g's lineage once every plan the predecessor had built
+// has an entry in c, g's own cache: nothing is left to take from it, and
+// holding it would keep the predecessor's plans alive with g. Nested locks are
+// always taken predecessor first, so they cannot cycle.
+func (c *planCache) inherit(g *tgraph.Graph, key planKey) (*scatterPlan, []int32) {
+	lin := g.Lineage()
+	if lin == nil {
+		return nil, nil
+	}
+	var prev *scatterPlan
+	used := true
+	if pc, ok := lin.Derived(planCacheKey{}).(*planCache); ok {
+		pc.mu.Lock()
+		c.mu.Lock()
+		for _, e := range pc.entries {
+			if e.plan == nil {
+				continue
+			}
+			if e.key.equal(key) {
+				prev = e.plan
+			}
+			used = used && slices.ContainsFunc(c.entries, func(o *planEntry) bool { return o.key.equal(e.key) })
+		}
+		c.mu.Unlock()
+		pc.mu.Unlock()
+	}
+	if used {
+		g.ReleaseLineage()
+	}
+	if prev == nil {
+		return nil, nil
+	}
+	return prev, lin.Sources()
 }
 
 // buildScatterPlan lays the plan out in two sweeps over the edges — count the
@@ -112,14 +159,37 @@ func planFor(g *tgraph.Graph, opts *Options) *scatterPlan {
 // the number of allocations does not depend on the size of the graph. Each
 // sweep looks an edge's labels up once: pieces, match intervals and values are
 // all read off the entry slices edgeBounds found.
-func buildScatterPlan(g *tgraph.Graph, key planKey) *scatterPlan {
+//
+// Given prev, the plan of g's predecessor under the same key, and from, the
+// predecessor's index of each of g's edges (-1 for an edge the patch gave; see
+// tgraph.Lineage), an edge copied from the predecessor takes its piece count,
+// pieces, match intervals and values from prev instead: it has the lifespan
+// and the property storage it had there, so they are what edgeBounds would
+// find again. Patch keeps untouched edges in order, so they come in runs that
+// are contiguous in prev too, and each run is copied at once. Only the
+// targets, which follow g's adjacency, are laid out anew. Without prev every
+// edge is given.
+func buildScatterPlan(g *tgraph.Graph, key planKey, prev *scatterPlan, from []int32) *scatterPlan {
 	nE, nV := g.NumEdges(), g.NumVertices()
 	var stack [32]ival.Time
 	bounds := stack[:0]
 	var held [maxPropSlots][]tgraph.PropEntry
+	if prev == nil {
+		from = nil
+	}
 
 	pieceOff := make([]int32, nE+1)
 	for i := 0; i < nE; i++ {
+		if j := copiedRun(from, i); j > i {
+			// The run's offsets are the predecessor's, shifted.
+			run, shift := pieceOff[i+1:j+1], pieceOff[i]-prev.pieceOff[from[i]]
+			copy(run, prev.pieceOff[from[i]+1:])
+			for k := range run {
+				run[k] += shift
+			}
+			i = j - 1 // the loop's i++ moves past the run
+			continue
+		}
 		bounds = edgeBounds(bounds[:0], g.Edge(i), key.labels, &held)
 		n := int32(0)
 		for b := 0; b+1 < len(bounds); b++ {
@@ -131,8 +201,9 @@ func buildScatterPlan(g *tgraph.Graph, key planKey) *scatterPlan {
 	}
 
 	p := &scatterPlan{
-		pieces: make([]ival.Interval, pieceOff[nE]),
-		slots:  min(len(key.labels), maxPropSlots),
+		pieceOff: pieceOff,
+		pieces:   make([]ival.Interval, pieceOff[nE]),
+		slots:    min(len(key.labels), maxPropSlots),
 	}
 	p.match = p.pieces
 	if key.slackLabel != "" {
@@ -143,6 +214,19 @@ func buildScatterPlan(g *tgraph.Graph, key planKey) *scatterPlan {
 		p.present = make([]uint8, len(p.pieces))
 	}
 	for i := 0; i < nE; i++ {
+		if j := copiedRun(from, i); j > i {
+			lo, hi, k := prev.pieceOff[from[i]], prev.pieceOff[from[j-1]+1], pieceOff[i]
+			copy(p.pieces[k:], prev.pieces[lo:hi])
+			if key.slackLabel != "" {
+				copy(p.match[k:], prev.match[lo:hi])
+			}
+			if p.slots > 0 {
+				copy(p.values[int(k)*p.slots:], prev.values[int(lo)*p.slots:int(hi)*p.slots])
+				copy(p.present[k:], prev.present[lo:hi])
+			}
+			i = j - 1
+			continue
+		}
 		e := g.Edge(i)
 		bounds = edgeBounds(bounds[:0], e, key.labels, &held)
 		var slack []tgraph.PropEntry
@@ -212,6 +296,17 @@ func buildScatterPlan(g *tgraph.Graph, key planKey) *scatterPlan {
 		p.targetOff[v+1] = int32(len(p.targets))
 	}
 	return p
+}
+
+// copiedRun returns the end of the run of edges from i on that were copied
+// from the predecessor's consecutive edges: i itself when from is nil or edge
+// i was given.
+func copiedRun(from []int32, i int) int {
+	j := i
+	for j < len(from) && from[j] >= 0 && from[j]-from[i] == int32(j-i) {
+		j++
+	}
+	return j
 }
 
 // edgeBounds appends, sorted ascending, the lifespan ends of e and between

@@ -389,25 +389,43 @@ func planEntries(g *tgraph.Graph) []*planEntry {
 	return append([]*planEntry(nil), c.entries...)
 }
 
-// TestPlanSharedByConcurrentRuns starts many runs on one fresh graph at once,
-// under two plan keys: every result must equal the serial one, and the graph
-// must end up with exactly one built plan per key that every runtime shares.
-// `make race` repeats it ten times under the detector.
+// TestPlanSharedByConcurrentRuns starts many runs at once on one graph whose
+// plans are not built yet, under two plan keys: every result must equal the
+// serial one over an equal graph, and the graph must end up with exactly one
+// built plan per key that every runtime shares. The graph is a fresh one, or
+// a live epoch whose predecessor has both plans, so the first runs race to
+// build from its lineage, which must be released after. `make race` repeats
+// it ten times under the detector.
 func TestPlanSharedByConcurrentRuns(t *testing.T) {
-	const perKey = 6
-	p := gen.Tiny("plan-conc", 120, 4, 16, gen.MixedLife)
-	build := func() *tgraph.Graph {
-		g, err := gen.Generate(p, 11)
+	keys := []Options{
+		{NumWorkers: 2, PayloadCodec: codec.Int64{}, PropLabels: []string{tgraph.PropTravelTime, tgraph.PropTravelCost}},
+		{NumWorkers: 2, PayloadCodec: codec.Int64{}, PropLabels: []string{tgraph.PropTravelTime, tgraph.PropTravelCost}, Undirected: true},
+	}
+	fresh := func() *tgraph.Graph {
+		g, err := gen.Generate(gen.Tiny("plan-conc", 120, 4, 16, gen.MixedLife), 11)
 		if err != nil {
 			t.Fatalf("generate: %v", err)
 		}
 		return g
 	}
-	keys := []Options{
-		{NumWorkers: 2, PayloadCodec: codec.Int64{}, PropLabels: []string{tgraph.PropTravelTime, tgraph.PropTravelCost}},
-		{NumWorkers: 2, PayloadCodec: codec.Int64{}, PropLabels: []string{tgraph.PropTravelTime, tgraph.PropTravelCost}, Undirected: true},
+	checkConcurrentFirstRuns(t, "fresh graph", fresh(), fresh(), keys)
+	_, epoch := epochPair(t, gen.TwitterLike(0.05), 11, keys...)
+	_, rebuilt := epochPair(t, gen.TwitterLike(0.05), 11)
+	checkConcurrentFirstRuns(t, "patched epoch", epoch, rebuilt, keys)
+	if epoch.Lineage() != nil {
+		t.Error("patched epoch: lineage still held once both plans were built")
 	}
-	prog := func() Program { return &ssspGateProg{source: 0, start: 0} }
+}
+
+func checkConcurrentFirstRuns(t *testing.T, name string, g, serialGraph *tgraph.Graph, keys []Options) {
+	const perKey = 6
+	source, deg := tgraph.VertexID(0), -1 // the source with the most out-edges
+	for v := 0; v < g.NumVertices(); v++ {
+		if d := len(g.OutEdges(v)); d > deg {
+			source, deg = g.VertexAt(v).ID, d
+		}
+	}
+	prog := func() Program { return &ssspGateProg{source: source, start: 0} }
 	states := func(r *Result) [][]string {
 		out := make([][]string, r.Graph.NumVertices())
 		for i := range out {
@@ -419,16 +437,14 @@ func TestPlanSharedByConcurrentRuns(t *testing.T) {
 	}
 
 	serial := make([][][]string, len(keys))
-	serialGraph := build()
 	for k, opts := range keys {
 		r, err := Run(serialGraph, prog(), opts)
 		if err != nil {
-			t.Fatalf("serial run %d: %v", k, err)
+			t.Fatalf("%s: serial run %d: %v", name, k, err)
 		}
 		serial[k] = states(r)
 	}
 
-	g := build()
 	var wg sync.WaitGroup
 	start := make(chan struct{})
 	got := make([][][]string, perKey*len(keys))
@@ -453,29 +469,30 @@ func TestPlanSharedByConcurrentRuns(t *testing.T) {
 	wg.Wait()
 	for i := range got {
 		if errs[i] != nil {
-			t.Fatalf("concurrent run %d: %v", i, errs[i])
+			t.Fatalf("%s: concurrent run %d: %v", name, i, errs[i])
 		}
 		if !reflect.DeepEqual(got[i], serial[i%len(keys)]) {
-			t.Errorf("concurrent run %d differs from the serial run", i)
+			t.Errorf("%s: concurrent run %d differs from the serial run", name, i)
 		}
 		if plans[i] != plans[i%len(keys)] {
-			t.Errorf("run %d got its own plan; key %d was built more than once", i, i%len(keys))
+			t.Errorf("%s: run %d got its own plan; key %d was built more than once", name, i, i%len(keys))
 		}
 	}
 	entries := planEntries(g)
 	if len(entries) != len(keys) {
-		t.Fatalf("graph memoised %d plans, want one per key (%d)", len(entries), len(keys))
+		t.Fatalf("%s: graph memoised %d plans, want one per key (%d)", name, len(entries), len(keys))
 	}
 	for k, ent := range entries {
 		if ent.plan == nil || ent.plan != plans[0] && ent.plan != plans[1] {
-			t.Errorf("memoised plan %d is not the one the runs used", k)
+			t.Errorf("%s: memoised plan %d is not the one the runs used", name, k)
 		}
 	}
 }
 
-// TestPlanAllocations pins the two allocation properties of the plan: the
-// cold build costs a fixed handful of objects whatever the graph size, and a
-// memoised lookup — every newRuntime after a graph's first — costs none.
+// TestPlanAllocations pins the two allocation properties of the plan: a
+// build — cold, or a live epoch's from its predecessor's plan — costs a fixed
+// handful of objects whatever the graph size, and a memoised lookup — every
+// newRuntime after a graph's first — costs none.
 func TestPlanAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc gate skipped under -race")
@@ -486,22 +503,19 @@ func TestPlanAllocations(t *testing.T) {
 	// each: on a busy host it is scheduled inside the sample and a scale-0.2
 	// build reads one object heavier. So the collector is off while a build is
 	// sampled, and ten runs outweigh the one pass that may still be pending.
-	coldBuild := func(g *tgraph.Graph, key planKey) float64 {
+	sample := func(build func()) float64 {
 		defer debug.SetGCPercent(debug.SetGCPercent(-1))
-		return testing.AllocsPerRun(10, func() { buildScatterPlan(g, key) })
+		return testing.AllocsPerRun(10, build)
 	}
 	shapes := planOptionShapes()
 	for _, oname := range []string{"forward/travel-labels", "reverse+slack", "undirected", "all-labels"} {
 		opts := shapes[oname]
-		var cold []float64
+		var cold, delta []float64
 		for _, scale := range []gen.Scale{0.02, 0.2} {
-			g, err := gen.Generate(gen.TwitterLike(scale), 3)
-			if err != nil {
-				t.Fatalf("generate: %v", err)
-			}
-			key := planKey{labels: opts.PropLabels, slackLabel: opts.ScatterSlackLabel,
-				reverse: opts.Reverse, undirected: opts.Undirected}
-			cold = append(cold, coldBuild(g, key))
+			prev, g := epochPair(t, gen.TwitterLike(scale), 3, opts)
+			key, base, from := opts.planKey(), planFor(prev, &opts), g.Lineage().Sources()
+			cold = append(cold, sample(func() { buildScatterPlan(g, key, nil, nil) }))
+			delta = append(delta, sample(func() { buildScatterPlan(g, key, base, from) }))
 
 			newRuntime(g, &ssspGateProg{}, opts)
 			if hot := testing.AllocsPerRun(20, func() { planFor(g, &opts) }); hot != 0 {
@@ -510,9 +524,11 @@ func TestPlanAllocations(t *testing.T) {
 		}
 		// The plan, pieceOff, pieces, targets and targetOff; match under a
 		// slack label; values and present under declared labels.
-		if cold[0] != cold[1] || cold[0] > 8 {
-			t.Errorf("%s: cold build allocates %.0f objects at scale 0.02 and %.0f at 0.2; want equal and at most 8",
-				oname, cold[0], cold[1])
+		for build, n := range map[string][]float64{"cold": cold, "delta": delta} {
+			if n[0] != n[1] || n[0] > 8 {
+				t.Errorf("%s: %s build allocates %.0f objects at scale 0.02 and %.0f at 0.2; want equal and at most 8",
+					oname, build, n[0], n[1])
+			}
 		}
 	}
 }

@@ -1,52 +1,11 @@
 package stream
 
 import (
-	"slices"
 	"testing"
 
 	"graphite/internal/gen"
 	"graphite/internal/tgraph"
 )
-
-// eventsOf decomposes a graph into the time-ordered event log that builds
-// it: within a time-point additions come before the properties that need
-// their owner, removals last. Every gen graph qualifies (property values
-// tile their owner's lifespan, so "set" events alone express them).
-func eventsOf(g *tgraph.Graph) []Event {
-	var evs []Event
-	for i := range g.Vertices() {
-		v := g.VertexAt(i)
-		evs = append(evs, Event{Op: AddVertex, T: v.Lifespan.Start, V: v.ID})
-		for label, entries := range v.Props.All() {
-			for _, p := range entries {
-				evs = append(evs, Event{Op: SetVertexProp, T: p.Interval.Start, V: v.ID, Label: label, Value: p.Value})
-			}
-		}
-		if !v.Lifespan.IsUnbounded() {
-			evs = append(evs, Event{Op: RemoveVertex, T: v.Lifespan.End, V: v.ID})
-		}
-	}
-	for i := range g.Edges() {
-		e := g.Edge(i)
-		evs = append(evs, Event{Op: AddEdge, T: e.Lifespan.Start, E: e.ID, Src: e.Src, Dst: e.Dst})
-		for label, entries := range e.Props.All() {
-			for _, p := range entries {
-				evs = append(evs, Event{Op: SetEdgeProp, T: p.Interval.Start, E: e.ID, Label: label, Value: p.Value})
-			}
-		}
-		if !e.Lifespan.IsUnbounded() {
-			evs = append(evs, Event{Op: RemoveEdge, T: e.Lifespan.End, E: e.ID})
-		}
-	}
-	class := [...]int{AddVertex: 0, AddEdge: 1, SetVertexProp: 2, SetEdgeProp: 2, RemoveEdge: 3, RemoveVertex: 4}
-	slices.SortStableFunc(evs, func(a, b Event) int {
-		if a.T != b.T {
-			return int(a.T - b.T)
-		}
-		return class[a.Op] - class[b.Op]
-	})
-	return evs
-}
 
 // TestAccumulatorRebuildsGeneratedGraphs replays whole generated graphs
 // through the accumulator: the materialized graph must equal the original
@@ -58,7 +17,7 @@ func TestAccumulatorRebuildsGeneratedGraphs(t *testing.T) {
 			t.Fatal(err)
 		}
 		acc := NewAccumulator()
-		for _, ev := range eventsOf(g) {
+		for _, ev := range EventsOf(g) {
 			if err := acc.Apply(ev); err != nil {
 				t.Fatalf("%s: %v", p.Name, err)
 			}
@@ -84,7 +43,7 @@ func BenchmarkAccumulatorGraph(b *testing.B) {
 		b.Fatal(err)
 	}
 	acc := NewAccumulator()
-	for _, ev := range eventsOf(g) {
+	for _, ev := range EventsOf(g) {
 		if ev.T >= g.Horizon()/2 {
 			break
 		}
@@ -116,7 +75,7 @@ func BenchmarkEpochPatch(b *testing.B) {
 	}
 	acc := NewAccumulator()
 	var prev *tgraph.Graph
-	for _, ev := range eventsOf(g) {
+	for _, ev := range EventsOf(g) {
 		if ev.T > 120 {
 			break
 		}

@@ -112,7 +112,7 @@ func TestEpochPatchMatchesRebuild(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		evs := eventsOf(g)
+		evs := EventsOf(g)
 		for _, horizon := range []ival.Time{0, evs[len(evs)-1].T / 2} {
 			r := rand.New(rand.NewSource(int64(horizon) + 3))
 			a := NewAccumulator()
@@ -247,7 +247,7 @@ func TestHorizonClipsClosedEnds(t *testing.T) {
 }
 
 // TestPreflightMatchesApply: Preflight runs Apply's own checks over copies of
-// the lifespans, so on an eventsOf log with one bad event injected — a
+// the lifespans, so on an EventsOf log with one bad event injected — a
 // reopen, a still-open add, an unknown owner, an event out of order, a vertex
 // removed under an open edge — it fails at the index, with the error, at
 // which applying the batch one event at a time to a clone first fails: the
@@ -257,7 +257,7 @@ func TestPreflightMatchesApply(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	evs := eventsOf(g)
+	evs := EventsOf(g)
 	a := NewAccumulator()
 	for _, ev := range evs[:len(evs)/2] {
 		if err := a.Apply(ev); err != nil {

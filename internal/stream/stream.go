@@ -16,6 +16,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -391,6 +392,47 @@ func flushProps(closed map[string][]tgraph.PropEntry, runs map[string]propRun, l
 			set(label, []tgraph.PropEntry{p})
 		}
 	}
+}
+
+// EventsOf decomposes a graph into the time-ordered event log that builds
+// it: within a time-point additions come before the properties that need
+// their owner, removals last. Replaying it reproduces g when every property
+// value runs until the next one or its owner's end, as in generated graphs:
+// the log has no event that unsets a property.
+func EventsOf(g *tgraph.Graph) []Event {
+	var evs []Event
+	for i := range g.Vertices() {
+		v := g.VertexAt(i)
+		evs = append(evs, Event{Op: AddVertex, T: v.Lifespan.Start, V: v.ID})
+		for label, entries := range v.Props.All() {
+			for _, p := range entries {
+				evs = append(evs, Event{Op: SetVertexProp, T: p.Interval.Start, V: v.ID, Label: label, Value: p.Value})
+			}
+		}
+		if !v.Lifespan.IsUnbounded() {
+			evs = append(evs, Event{Op: RemoveVertex, T: v.Lifespan.End, V: v.ID})
+		}
+	}
+	for i := range g.Edges() {
+		e := g.Edge(i)
+		evs = append(evs, Event{Op: AddEdge, T: e.Lifespan.Start, E: e.ID, Src: e.Src, Dst: e.Dst})
+		for label, entries := range e.Props.All() {
+			for _, p := range entries {
+				evs = append(evs, Event{Op: SetEdgeProp, T: p.Interval.Start, E: e.ID, Label: label, Value: p.Value})
+			}
+		}
+		if !e.Lifespan.IsUnbounded() {
+			evs = append(evs, Event{Op: RemoveEdge, T: e.Lifespan.End, E: e.ID})
+		}
+	}
+	class := [...]int{AddVertex: 0, AddEdge: 1, SetVertexProp: 2, SetEdgeProp: 2, RemoveEdge: 3, RemoveVertex: 4}
+	slices.SortStableFunc(evs, func(a, b Event) int {
+		if a.T != b.T {
+			return int(a.T - b.T)
+		}
+		return class[a.Op] - class[b.Op]
+	})
+	return evs
 }
 
 // ReadLog parses a text event log, one event per line:

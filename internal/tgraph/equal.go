@@ -19,8 +19,8 @@ func Equal(a, b *Graph) error {
 	if a.lifespan != b.lifespan {
 		return fmt.Errorf("lifespan %v != %v", a.lifespan, b.lifespan)
 	}
-	if a.horizon != b.horizon {
-		return fmt.Errorf("horizon %d != %d", a.horizon, b.horizon)
+	if a.Horizon() != b.Horizon() {
+		return fmt.Errorf("horizon %d != %d", a.Horizon(), b.Horizon())
 	}
 	for i := range a.vertices {
 		av, bv := &a.vertices[i], &b.vertices[i]

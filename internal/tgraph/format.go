@@ -734,8 +734,8 @@ func decodeSnapshot(data []byte) (*Graph, []byte, error) {
 		srcIdx:   srcIdx,
 		dstIdx:   dstIdx,
 		lifespan: lifespan,
-		horizon:  ival.Time(horizon),
 	}
+	g.setHorizon(ival.Time(horizon))
 	return g, extra, nil
 }
 

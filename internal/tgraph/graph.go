@@ -14,6 +14,7 @@ import (
 	"iter"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	ival "graphite/internal/interval"
 )
@@ -146,17 +147,19 @@ type Edge struct {
 // takes its own index by filtering. A graph built by a Builder also keeps
 // its id map, which answers IndexOf without the search.
 type Graph struct {
-	vertices []Vertex
-	edges    []Edge
-	vindex   map[VertexID]int32 // VertexID -> index into vertices (built graphs)
-	vsorted  []int32            // vertex indices sorted by id
-	out      [][]int32          // vertex index -> indices into edges (out-edges)
-	in       [][]int32          // vertex index -> indices into edges (in-edges)
-	srcIdx   []int32            // edge index -> dense source vertex index
-	dstIdx   []int32            // edge index -> dense destination vertex index
-	lifespan ival.Interval      // hull of all vertex lifespans
-	horizon  ival.Time          // cached largest finite boundary (see Horizon)
-	derived  sync.Map           // see Derived
+	vertices    []Vertex
+	edges       []Edge
+	vindex      map[VertexID]int32 // VertexID -> index into vertices (built graphs)
+	vsorted     []int32            // vertex indices sorted by id
+	out         [][]int32          // vertex index -> indices into edges (out-edges)
+	in          [][]int32          // vertex index -> indices into edges (in-edges)
+	srcIdx      []int32            // edge index -> dense source vertex index
+	dstIdx      []int32            // edge index -> dense destination vertex index
+	lifespan    ival.Interval      // hull of all vertex lifespans
+	horizon     ival.Time          // largest finite boundary, set once (see Horizon)
+	horizonOnce sync.Once
+	derived     sync.Map                // see Derived
+	lineage     atomic.Pointer[Lineage] // see Lineage
 }
 
 // assemble is the one tail of graph construction in memory: entity tables
@@ -164,9 +167,10 @@ type Graph struct {
 // and the id index in, graph out. It validates nothing — Builder.Build and
 // Patch check before they call, Slice and ExtractPartition start from a
 // graph that was checked — and adds what is derived from the tables:
-// adjacency, the lifespan hull and the horizon. Adjacency rows are
-// sub-slices of one shared array filled by counting, in ascending edge order
-// per vertex, so the allocation count is the same for every |V| and |E|.
+// adjacency and the lifespan hull (the horizon is derived when first read).
+// Adjacency rows are sub-slices of one shared array filled by counting, in
+// ascending edge order per vertex, so the allocation count is the same for
+// every |V| and |E|.
 func assemble(vertices []Vertex, edges []Edge, srcIdx, dstIdx []int32, vindex map[VertexID]int32, vsorted []int32) *Graph {
 	g := &Graph{
 		vertices: vertices,
@@ -201,7 +205,6 @@ func assemble(vertices []Vertex, edges []Edge, srcIdx, dstIdx []int32, vindex ma
 		g.out[s] = append(g.out[s], int32(i)) // within capacity: never reallocates
 		g.in[d] = append(g.in[d], int32(i))
 	}
-	g.horizon = g.computeHorizon(ival.Universe)
 	return g
 }
 
@@ -222,6 +225,36 @@ func (g *Graph) Derived(key any, build func() any) any {
 	v, _ := g.derived.LoadOrStore(key, build())
 	return v
 }
+
+// Lineage is what a graph made by Patch keeps of its predecessor, so that a
+// layer above can carry a derived value forward instead of deriving it again:
+// the predecessor's Derived values when the patch ran, and where each of the
+// new graph's edges came from. An edge Patch copied is the predecessor's by
+// value — the same lifespan, the same property storage — so whatever was
+// derived from that edge alone still holds for it.
+//
+// It holds references to the values only, never the predecessor itself, so
+// a lineage does not keep the predecessor's tables alive; and a graph's own
+// derived values do not include its lineage, so lineages never chain.
+type Lineage struct {
+	derived map[any]any
+	sources []int32
+}
+
+// Derived returns the predecessor's value under key, nil if it had none.
+func (l *Lineage) Derived(key any) any { return l.derived[key] }
+
+// Sources returns, per edge index of the new graph, the index the edge had in
+// the predecessor, or -1 for an edge the patch gave. Must not be modified.
+func (l *Lineage) Sources() []int32 { return l.sources }
+
+// Lineage returns g's lineage: nil unless g is a patch of a predecessor that
+// held derived values, and nil once released.
+func (g *Graph) Lineage() *Lineage { return g.lineage.Load() }
+
+// ReleaseLineage drops g's lineage. Call it once what g derives from it has
+// been derived: until then it keeps the predecessor's derived values alive.
+func (g *Graph) ReleaseLineage() { g.lineage.Store(nil) }
 
 // NumVertices returns |V|.
 func (g *Graph) NumVertices() int { return len(g.vertices) }

@@ -3,7 +3,9 @@ package tgraph
 import (
 	"bytes"
 	"errors"
+	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	ival "graphite/internal/interval"
@@ -279,6 +281,70 @@ func TestHorizonAndSnapshotCount(t *testing.T) {
 	g2 := b.MustBuild()
 	if g2.Horizon() != 7 {
 		t.Errorf("horizon = %d, want 7", g2.Horizon())
+	}
+}
+
+// TestHorizonOnFirstRead: a graph derives its horizon on the first Horizon
+// call, which concurrent readers share (`make race` runs this under the
+// detector). Built, sliced and patched graphs read what the scan gives; a
+// partition, and a partition mapped from its file, read the horizon they
+// were given — their source's — not a scan of their own tables.
+func TestHorizonOnFirstRead(t *testing.T) {
+	scan := func(g *Graph) ival.Time { return g.computeHorizon(ival.Universe) }
+	src := buildArbitrary(7, 40, 120)
+	sliced, _ := Slice(src, ival.New(3, 30))
+	patched, err := Patch(src, []Vertex{{ID: 1 << 40, Lifespan: ival.New(1, 999)}}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A transit shard whose own edges end before the whole graph's horizon.
+	transit := TransitExample()
+	shard := func() *Graph {
+		pg, err := ExtractPartition(TransitExample(), transitAssign, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pg
+	}
+	part := shard()
+	if scan(part) == scan(transit) {
+		t.Fatal("the transit shard scans to the whole graph's horizon; the partition cases check nothing")
+	}
+	path := filepath.Join(t.TempDir(), "g.gsn")
+	if err := WriteSnapshotFile(path, shard()); err != nil {
+		t.Fatal(err)
+	}
+	mapped, err := OpenMapped(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mapped.Close()
+	built := buildArbitrary(7, 40, 120)
+	for name, tc := range map[string]struct {
+		g    *Graph
+		want ival.Time
+	}{
+		"built":     {built, scan(built)},
+		"sliced":    {sliced, scan(sliced)},
+		"patched":   {patched, scan(patched)},
+		"partition": {part, scan(transit)},
+		"mapped":    {mapped.Graph, scan(transit)},
+	} {
+		got := make([]ival.Time, 8)
+		var wg sync.WaitGroup
+		for i := range got {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				got[i] = tc.g.Horizon()
+			}()
+		}
+		wg.Wait()
+		for i, h := range got {
+			if h != tc.want {
+				t.Errorf("%s: reader %d got horizon %d, want %d", name, i, h, tc.want)
+			}
+		}
 	}
 }
 

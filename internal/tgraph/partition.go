@@ -191,7 +191,7 @@ func ExtractPartition(g *Graph, assign []int32, shard int) (*Graph, error) {
 		}
 	}
 	pg := assemble(g.vertices, edges, srcIdx, dstIdx, g.vindex, slices.Clone(g.vsorted))
-	pg.horizon = g.horizon
+	pg.setHorizon(g.Horizon())
 	return pg, nil
 }
 

@@ -17,10 +17,22 @@ import (
 // empty), vs and es are in ascending id order, as every graph Patch returns
 // is. It checks what a patch can break — the entries, and the untouched
 // edges of a vertex whose lifespan changed — with Builder's checks.
+//
+// When prev holds derived values the result gets a Lineage: those values,
+// and per edge the index prev gave it (-1 for an entry of es).
 func Patch(prev *Graph, vs []Vertex, es []Edge) (*Graph, error) {
 	if prev == nil {
 		prev = &Graph{}
 	}
+	n := len(prev.edges) + len(es)
+	var lin *Lineage
+	prev.derived.Range(func(key, v any) bool {
+		if lin == nil {
+			lin = &Lineage{derived: map[any]any{}, sources: make([]int32, 0, n)}
+		}
+		lin.derived[key] = v
+		return true
+	})
 	// remap: old vertex index -> new (-1: removed); hit: lifespan changed.
 	old, olde := prev.vertices, prev.edges
 	vertices, edges := vs[:0], es[:0] // over an empty prev, the entries are the tables
@@ -62,7 +74,6 @@ func Patch(prev *Graph, vs []Vertex, es []Edge) (*Graph, error) {
 	copyTo(0, true)
 
 	// Edges, the same merge; an untouched edge's endpoints go through remap.
-	n := len(olde) + len(es)
 	ends := make([]int32, 2*n)
 	srcIdx, dstIdx := ends[:0:n], ends[n:n]
 	index := func(id VertexID) int32 {
@@ -77,6 +88,9 @@ func Patch(prev *Graph, vs []Vertex, es []Edge) (*Graph, error) {
 		for ; i < len(olde) && (all || olde[i].ID < id); i++ {
 			edges = append(edges, olde[i])
 			srcIdx, dstIdx = append(srcIdx, remap[prev.srcIdx[i]]), append(dstIdx, remap[prev.dstIdx[i]])
+			if lin != nil {
+				lin.sources = append(lin.sources, int32(i))
+			}
 		}
 	}
 	for k := range es {
@@ -99,6 +113,9 @@ func Patch(prev *Graph, vs []Vertex, es []Edge) (*Graph, error) {
 			return nil, err
 		}
 		edges, srcIdx, dstIdx = append(edges, *e), append(srcIdx, s), append(dstIdx, d)
+		if lin != nil {
+			lin.sources = append(lin.sources, -1)
+		}
 	}
 	copyEdgesTo(0, true)
 
@@ -115,7 +132,9 @@ func Patch(prev *Graph, vs []Vertex, es []Edge) (*Graph, error) {
 	for k := range vsorted {
 		vsorted[k] = int32(k)
 	}
-	return assemble(vertices, edges, srcIdx, dstIdx, nil, vsorted), nil
+	g := assemble(vertices, edges, srcIdx, dstIdx, nil, vsorted)
+	g.lineage.Store(lin)
+	return g, nil
 }
 
 // checkEntity checks a patch entry as Builder checks an entity — a valid

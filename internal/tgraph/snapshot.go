@@ -92,9 +92,18 @@ func (g *Graph) SnapshotCount() int {
 // Horizon returns the exclusive upper bound of "interesting" time: the
 // largest finite interval boundary over all vertices, edges and properties,
 // or lifespan.End when everything is bounded. Snapshots at or beyond the
-// horizon are identical to the one just before it. The value is computed
-// once at build time.
-func (g *Graph) Horizon() ival.Time { return g.horizon }
+// horizon are identical to the one just before it. The value is computed on
+// the first call (a scan of every boundary, which most graphs — a live epoch
+// among them — are never asked for), unless the graph was given it: a
+// snapshot file stores it, a partition inherits its source's.
+func (g *Graph) Horizon() ival.Time {
+	g.horizonOnce.Do(func() { g.horizon = g.computeHorizon(ival.Universe) })
+	return g.horizon
+}
+
+// setHorizon gives a graph under construction its horizon instead of the
+// scan.
+func (g *Graph) setHorizon(h ival.Time) { g.horizonOnce.Do(func() { g.horizon = h }) }
 
 // HorizonIn returns the horizon Slice(g, window) would have, without building
 // the slice: the same scan over every boundary clipped to the window, entities
@@ -102,7 +111,7 @@ func (g *Graph) Horizon() ival.Time { return g.horizon }
 // contains g's whole lifespan clips nothing and has g's own horizon.
 func (g *Graph) HorizonIn(window ival.Interval) ival.Time {
 	if window.ContainsInterval(g.lifespan) {
-		return g.horizon
+		return g.Horizon()
 	}
 	return g.computeHorizon(window)
 }
