@@ -44,8 +44,9 @@ race:
 # layers (snapshot round trip and mutation, the
 # text parser), the window view against its slice oracle, the cluster's
 # frame and control-message decoders, the WAL's record decoder and replay,
-# and the live graph's patched epochs and their scatter plans against their
-# rebuilds, for FUZZTIME each (Go allows one -fuzz target per invocation).
+# the live graph's patched epochs and their scatter plans against their
+# rebuilds, and the result renderer's strings against encoding/json, for
+# FUZZTIME each (Go allows one -fuzz target per invocation).
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzIntervalDecode -fuzztime $(FUZZTIME) ./internal/codec
@@ -68,6 +69,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzWALReplay -fuzztime $(FUZZTIME) ./internal/live
 	$(GO) test -run '^$$' -fuzz FuzzEpochPatch -fuzztime $(FUZZTIME) ./internal/stream
 	$(GO) test -run '^$$' -fuzz FuzzEpochPlan -fuzztime $(FUZZTIME) ./internal/core
+	$(GO) test -run '^$$' -fuzz FuzzRenderString -fuzztime $(FUZZTIME) ./internal/serve
 
 # The full gate: everything vetted, built, and race-tested. Long-running
 # chaos tests honour -short via `make verify SHORT=-short`.
@@ -97,16 +99,20 @@ bench-test:
 # warp sweep on the inboxes the acceptance benchmark measured (serve_cold's
 # mean and largest, cluster_pr's unit messages), of the engine's exchange on
 # cluster_pr's traffic (unit float messages into its mean and its hub inbox
-# under the sum combiner) and of a live epoch's materialization (the whole
-# graph, and one tick patched onto its predecessor, held to the rebuild), one
-# iteration each: they check their own fixtures — the warp and exchange ones
-# also that, once warmed, they allocate nothing — so CI running them keeps
-# them honest. For numbers, drop -benchtime and add -benchmem -count.
+# under the sum combiner), of a live epoch's materialization (the whole
+# graph, and one tick patched onto its predecessor, held to the rebuild) and
+# of a served TwitterLike(1) SSSP result's body (the appender against the
+# indenting encoder it replaced, ns/op and body bytes), one iteration each:
+# they check their own fixtures — the warp and exchange ones also that, once
+# warmed, they allocate nothing; the render one that its body indents to the
+# encoder's — so CI running them keeps them honest. For numbers, drop
+# -benchtime and add -benchmem -count.
 bench-core:
 	$(GO) test -run '^$$' -bench 'StateSet|VertexStep|ScatterProps|NewRuntime|WindowedRun|EpochPlan' -benchtime=1x -benchmem ./internal/core
 	$(GO) test -run '^$$' -bench 'PathInbox|HubInbox|RankInbox' -benchtime=1x ./internal/warp
 	$(GO) test -run '^$$' -bench 'ExchangeRank' -benchtime=1x -benchmem ./internal/engine
 	$(GO) test -run '^$$' -bench 'AccumulatorGraph|EpochPatch' -benchtime=1x -benchmem ./internal/stream
+	$(GO) test -run '^$$' -bench 'RenderRun' -benchtime=1x -benchmem ./internal/serve
 
 bench:
 	$(GO) run ./cmd/graphite-bench -scale 1 -workers 8 all

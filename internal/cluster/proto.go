@@ -198,10 +198,15 @@ func sendJSON(w io.Writer, ftype byte, v any) error {
 	return codec.WriteFrame(w, ftype, p)
 }
 
-// parseJSON decodes one JSON control frame payload.
+// parseJSON decodes one JSON control frame payload. A barrier report's
+// "aggs":[] and an absent "aggs" mean the same — no aggregator partials — and
+// both decode to nil, the value the sender's omitempty leaves off the wire.
 func parseJSON(payload []byte, v any) error {
 	if err := json.Unmarshal(payload, v); err != nil {
 		return fmt.Errorf("cluster: malformed control frame: %w", err)
+	}
+	if sd, ok := v.(*stepDoneMsg); ok && len(sd.Aggs) == 0 {
+		sd.Aggs = nil
 	}
 	return nil
 }

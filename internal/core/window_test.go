@@ -19,6 +19,7 @@ func windowGateRun(tb testing.TB, g *tgraph.Graph, window ival.Interval, workers
 		NumWorkers: workers,
 		PropLabels: []string{tgraph.PropTravelTime, tgraph.PropTravelCost},
 		Window:     window,
+		Combine:    true, // as algorithms.SSSP runs
 	})
 	if err != nil {
 		tb.Fatal(err)

@@ -5,9 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
-	"sync"
 	"time"
 
 	"graphite/internal/engine"
@@ -75,37 +73,15 @@ func (s *Server) instrument(name string, h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
-// respEncoder is an indenting JSON encoder that outlives a response. A
-// json.Encoder keeps the buffer it indents into, so a fresh one per response
-// regrew that buffer by doubling for every body; a pooled one, pointed at
-// each response in turn, indents into memory it already holds. The output
-// stays indented: clients match on it byte for byte.
-type respEncoder struct {
-	w   io.Writer // the response being written
-	enc *json.Encoder
-}
-
-func (r *respEncoder) Write(p []byte) (int, error) { return r.w.Write(p) }
-
-var respEncoders = sync.Pool{New: func() any {
-	r := &respEncoder{}
-	r.enc = json.NewEncoder(r)
-	r.enc.SetIndent("", "  ")
-	return r
-}}
-
+// writeJSON writes a small body — health, readiness, graphs, events, the job
+// list, errors — as two-space indented JSON and a newline. The bodies that
+// carry a run result are streamed by writeRun and writeJob (render.go).
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	r := respEncoders.Get().(*respEncoder)
-	r.w = w
-	err := r.enc.Encode(v)
-	r.w = nil
-	// A failed write (the client went away) sticks to a json.Encoder: every
-	// later Encode returns it. Such an encoder is dropped, not pooled.
-	if err == nil {
-		respEncoders.Put(r)
-	}
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	_ = enc.Encode(v)
 }
 
 // statusFor maps the service's typed errors onto HTTP statuses.
@@ -234,7 +210,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 			writeError(w, err)
 			return
 		}
-		writeJSON(w, http.StatusAccepted, jv)
+		writeJob(w, http.StatusAccepted, &jv)
 		return
 	}
 	timeout := s.cfg.RequestTimeout
@@ -251,7 +227,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, res)
+	writeRun(w, http.StatusOK, res)
 }
 
 func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
@@ -264,7 +240,7 @@ func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, jv)
+	writeJob(w, http.StatusOK, &jv)
 }
 
 func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
@@ -273,5 +249,5 @@ func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, jv)
+	writeJob(w, http.StatusOK, &jv)
 }

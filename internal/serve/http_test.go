@@ -2,7 +2,6 @@ package serve
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -30,12 +29,10 @@ func wantJSON(t testing.TB, v any) string {
 	return string(b) + "\n"
 }
 
-// TestWriteJSONPooledIsByteIdentical sends a large response, a small one and
-// a large one again through the pooled encoder on one goroutine — so the
-// later ones indent into the buffer the first one grew — and requires each to
-// be exactly the indented rendering.
-func TestWriteJSONPooledIsByteIdentical(t *testing.T) {
-	for _, n := range []int{2000, 1, 0, 300, 2000} {
+// TestWriteJSONIsByteIdentical sends large, small and empty bodies through
+// writeJSON and requires each to be exactly the indented rendering.
+func TestWriteJSONIsByteIdentical(t *testing.T) {
+	for _, n := range []int{2000, 1, 0, 300} {
 		v := respBody(n)
 		rec := httptest.NewRecorder()
 		writeJSON(rec, http.StatusAccepted, v)
@@ -48,9 +45,9 @@ func TestWriteJSONPooledIsByteIdentical(t *testing.T) {
 	}
 }
 
-// TestWriteJSONConcurrentWriters has many goroutines share the encoder pool,
-// each with responses of its own sizes; `make race` runs it under the
-// detector. No response may carry another's bytes.
+// TestWriteJSONConcurrentWriters has many goroutines write responses of
+// their own sizes at once; `make race` runs it under the detector. No
+// response may carry another's bytes.
 func TestWriteJSONConcurrentWriters(t *testing.T) {
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
@@ -71,21 +68,20 @@ func TestWriteJSONConcurrentWriters(t *testing.T) {
 	wg.Wait()
 }
 
-// brokenWriter is a client that went away mid-response.
-type brokenWriter struct{ http.ResponseWriter }
-
-func (brokenWriter) Write([]byte) (int, error) { return 0, errors.New("connection reset") }
-
-// TestWriteJSONDropsEncoderAfterFailedWrite: a json.Encoder remembers a write
-// error for ever, so one that met a dead client must not serve the next.
-func TestWriteJSONDropsEncoderAfterFailedWrite(t *testing.T) {
+// TestResponseAfterFailedWrite: a response written after one whose client
+// went away is whole — the renderer that met the dead client goes back to the
+// pool with nothing of that body left in it.
+func TestResponseAfterFailedWrite(t *testing.T) {
 	for i := 0; i < 4; i++ {
-		writeJSON(brokenWriter{httptest.NewRecorder()}, http.StatusOK, respBody(3))
+		writeJSON(&failingResponse{ResponseWriter: httptest.NewRecorder()}, http.StatusOK, respBody(3))
 		v := respBody(5)
 		rec := httptest.NewRecorder()
 		writeJSON(rec, http.StatusOK, v)
 		if rec.Body.String() != wantJSON(t, v) {
 			t.Fatalf("round %d: the response after a failed write is %q", i, rec.Body.String())
 		}
+		writeRun(&failingResponse{ResponseWriter: httptest.NewRecorder()}, http.StatusOK, syntheticResult(2000+i))
+		res := syntheticResult(i)
+		checkBody(t, fmt.Sprintf("round %d: the result after a failed write", i), renderRun(res), res)
 	}
 }
