@@ -43,7 +43,9 @@ race:
 # sender's fold against the arrival-only fold), state, warp and graph-format
 # layers (snapshot round trip and mutation, the
 # text parser), the window view against its slice oracle, the cluster's
-# frame and control-message decoders, the WAL's record decoder and replay,
+# frame and control-message decoders and what the coordinator's handlers do
+# with one arbitrary frame mid-run (over the simulator), the WAL's record
+# decoder and replay,
 # the live graph's patched epochs and their scatter plans against their
 # rebuilds, and the result renderer's strings against encoding/json, for
 # FUZZTIME each (Go allows one -fuzz target per invocation).
@@ -65,6 +67,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzSlice -fuzztime $(FUZZTIME) ./internal/tgraph
 	$(GO) test -run '^$$' -fuzz FuzzWindowView -fuzztime $(FUZZTIME) ./internal/algorithms
 	$(GO) test -run '^$$' -fuzz FuzzClusterFrames -fuzztime $(FUZZTIME) ./internal/cluster
+	$(GO) test -run '^$$' -fuzz FuzzDriverFrames -fuzztime $(FUZZTIME) ./internal/cluster
 	$(GO) test -run '^$$' -fuzz FuzzWALDecodeBatch -fuzztime $(FUZZTIME) ./internal/live
 	$(GO) test -run '^$$' -fuzz FuzzWALReplay -fuzztime $(FUZZTIME) ./internal/live
 	$(GO) test -run '^$$' -fuzz FuzzEpochPatch -fuzztime $(FUZZTIME) ./internal/stream
@@ -133,14 +136,18 @@ serve-smoke:
 	$(GO) run ./cmd/graphite-loadgen -boot
 
 # End-to-end cluster recovery smoke test: the multi-process cluster runtime
-# (coordinator + worker processes) with a worker SIGKILLed at each planted
-# point, whole-graph and partitioned; fails unless every recovered result,
-# and every count, is the fault-free run's. Then, in process and repeated,
-# the lease-expiry recovery and the parity of the cluster's results and
-# counts with core.Run.
+# (coordinator + worker processes) with an SSSP worker SIGKILLed at each
+# planted point, whole-graph and partitioned; fails unless every recovered
+# result, and every count, is the fault-free run's. Then the protocol
+# simulator's whole enumeration (every crash point, torn write, lease expiry
+# and dead link over SSSP, EAT, PR and SCC) and its named schedules; then,
+# over real sockets and repeated, the lease ticker against silent
+# connections and the parity of the cluster's results and counts with
+# core.Run.
 cluster-smoke:
 	$(GO) test -race -run 'TestProcessKillRecovery' -v ./internal/chaos/
-	$(GO) test -race -count=3 -run 'TestClusterLeaseRecovery|TestClusterMatchesCoreRun' ./internal/cluster
+	$(GO) test -race -run 'TestSim' -v ./internal/cluster
+	$(GO) test -race -count=3 -run 'TestClusterLeaseOverSockets|TestClusterMatchesCoreRun' ./internal/cluster
 
 # Cluster observability smoke test: a coordinator plus a crash-and-respawn
 # worker fleet with per-worker /metrics endpoints and appended JSONL traces;

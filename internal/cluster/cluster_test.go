@@ -1,22 +1,26 @@
 package cluster_test
 
 // In-process cluster tests: coordinator and workers as goroutines over real
-// loopback TCP. The process-kill matrix lives in internal/chaos; here the
-// protocol itself is proven — full-run bit-identity against a single-process
-// core.Run, and the lease-expiry recovery path driven by a worker
-// that goes silent on purpose.
+// loopback TCP. The process-kill matrix lives in internal/chaos and the
+// enumerated failures in the simulator (sim_test.go); here the shell is
+// proven over sockets — full-run bit-identity against a single-process
+// core.Run, and the lease ticker against connections that go silent.
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"io"
 	"net"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
 	"graphite/internal/algorithms"
 	"graphite/internal/cluster"
+	"graphite/internal/codec"
 	"graphite/internal/core"
 	"graphite/internal/engine"
 	"graphite/internal/obs"
@@ -168,123 +172,60 @@ func TestClusterMatchesCoreRun(t *testing.T) {
 	}
 }
 
-// TestClusterLeaseRecovery wedges one worker mid-run (it stops heartbeating
-// and processing), which must trip the coordinator's lease, roll survivors
-// back to the committed generation, admit a replacement worker on the same
-// checkpoint directory, and still produce the fault-free answer.
-func TestClusterLeaseRecovery(t *testing.T) {
+// TestClusterLeaseOverSockets drives Serve's lease ticker over real sockets,
+// with no hook in any worker. A connection that never says hello is closed
+// after a lease of silence; one that takes its assignment and goes silent is
+// declared lost for it, and the cluster falls back below quorum. Then three
+// workers join and the run is core.Run's.
+func TestClusterLeaseOverSockets(t *testing.T) {
 	g := tgraph.TransitExample()
 	p := algorithms.Params{Source: 0}
+	lease := 300 * time.Millisecond
 	rec := &obs.Recorder{}
-	reg := obs.NewRegistry()
+	coord, addr, out := startCluster(t, cluster.Config{Algo: "sssp", Params: p, Lease: lease, Tracer: rec})
+	mute, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mute.Close()
+	silent, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer silent.Close()
+	if err := codec.WriteFrame(silent, cluster.FHello, []byte(`{"prev_shard":-1,"mesh_addr":"127.0.0.1:1"}`)); err != nil {
+		t.Fatal(err)
+	}
+	if ftype, _, err := codec.ReadFrame(silent); err != nil || ftype != cluster.FAssign {
+		t.Fatalf("hello answered with frame %d, error %v", ftype, err)
+	}
+
+	_ = mute.SetReadDeadline(time.Now().Add(10 * lease))
+	if _, err := mute.Read(make([]byte, 1)); !errors.Is(err, io.EOF) {
+		t.Fatalf("a connection silent since it opened was not closed: %v", err)
+	}
+	for deadline := time.Now().Add(10 * lease); ; time.Sleep(10 * time.Millisecond) {
+		lost := 0
+		for _, e := range rec.Events() {
+			if l, ok := e.(obs.WorkerLost); ok && strings.HasPrefix(l.Reason, "lease expired") {
+				lost++
+			}
+		}
+		if lost == 1 && coord.Stats().Live == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("silent worker not lost on its lease: %d lease losses, %+v", lost, coord.Stats())
+		}
+	}
+	if err := coord.Ready(); err == nil {
+		t.Error("a cluster below quorum reports ready")
+	}
+
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	coord, addr, out := startCluster(t, cluster.Config{
-		Algo: "sssp", Params: p,
-		Lease:         300 * time.Millisecond,
-		RejoinTimeout: 20 * time.Second,
-		Tracer:        rec,
-		Registry:      reg,
-		Span:          "lease-test-span",
-	})
-	dirs := workerDirs(t, testWorkers)
-	runWorkers(ctx, t, addr, dirs[:2])
-	// The third worker wedges when told to execute superstep 3.
-	go func() {
-		err := cluster.RunWorker(ctx, cluster.WorkerConfig{
-			Addr: addr, Dir: dirs[2], HangAtSuperstep: 3,
-		})
-		if err == nil {
-			t.Error("hung worker finished cleanly; hang hook did not fire")
-		}
-	}()
-	// Start the replacement on the SAME directory once recovery begins.
-	go func() {
-		for ctx.Err() == nil {
-			if coord.Stats().State == "recovering" {
-				if err := cluster.RunWorker(ctx, cluster.WorkerConfig{Addr: addr, Dir: dirs[2]}); err != nil && ctx.Err() == nil {
-					t.Errorf("replacement worker: %v", err)
-				}
-				return
-			}
-			time.Sleep(20 * time.Millisecond)
-		}
-	}()
-	got := waitResult(t, out, 60*time.Second)
-	want := directRun(t, g, "sssp", p, testWorkers)
-	compareResults(t, g, got, want)
-	if g, w := runCounts(got.Metrics), runCounts(want.Metrics); g != w || got.Metrics.Recoveries != 1 {
-		t.Errorf("recovered cluster counted %v in %d recoveries, Run %v", g, got.Metrics.Recoveries, w)
-	}
-	rep := coord.Report()
-	if len(rep.Recoveries) != 1 {
-		t.Fatalf("want exactly one recovery, got %+v", rep.Recoveries)
-	}
-	r := rep.Recoveries[0]
-	if r.Failed != 3 || r.Gen != 1 || r.ResumeAt != 3 {
-		t.Errorf("recovery shape: %+v (want failed=3 gen=1 resume_at=3)", r)
-	}
-	if r.MTTR <= 0 || r.Detect <= 0 || r.RestoredBytes <= 0 {
-		t.Errorf("recovery timings not recorded: %+v", r)
-	}
-	if rec.Count("worker_lost") != 1 || rec.Count("cluster_recovery") != 1 {
-		t.Errorf("trace events: lost=%d recovery=%d", rec.Count("worker_lost"), rec.Count("cluster_recovery"))
-	}
-	// The replacement joined with rejoin=true.
-	joins := 0
-	for _, e := range rec.Events() {
-		if j, ok := e.(obs.WorkerJoin); ok && j.Rejoin {
-			joins++
-		}
-	}
-	if joins != 1 {
-		t.Errorf("want one rejoin join event, got %d", joins)
-	}
-	// Span propagation: the configured span survives into the coordinator
-	// and onto every span-carrying trace event.
-	if coord.Span() != "lease-test-span" {
-		t.Errorf("coordinator span = %q, want the configured one", coord.Span())
-	}
-	for _, e := range rec.Events() {
-		switch ev := e.(type) {
-		case obs.RunStart:
-			if ev.Span != "lease-test-span" {
-				t.Errorf("run_start span = %q", ev.Span)
-			}
-		case obs.ClusterStep:
-			if ev.Span != "lease-test-span" {
-				t.Errorf("cluster_step %d span = %q", ev.Superstep, ev.Span)
-			}
-		}
-	}
-	// Straggler attribution: one row per executed superstep (replays
-	// included), each with a timing per shard.
-	attr := coord.Attribution()
-	if len(attr) != rep.Supersteps {
-		t.Errorf("attribution rows = %d, executed supersteps = %d", len(attr), rep.Supersteps)
-	}
-	for _, a := range attr {
-		if len(a.Shards) != testWorkers {
-			t.Errorf("superstep %d attribution has %d shard timings, want %d", a.Superstep, len(a.Shards), testWorkers)
-		}
-		if a.WallNS <= 0 || a.SkewMilli < 1000 {
-			t.Errorf("superstep %d attribution not measured: %+v", a.Superstep, a)
-		}
-	}
-	// Fleet health gauges settle healthy after the recovery: every worker
-	// reported at the final barrier, so no heartbeats are missed and the
-	// quietest lease is strictly positive.
-	lease := 300 * time.Millisecond
-	remaining := reg.Gauge(obs.GClusterLeaseRemainingMS).Load()
-	if remaining <= 0 || remaining > lease.Milliseconds() {
-		t.Errorf("lease_remaining_ms = %d, want (0, %d]", remaining, lease.Milliseconds())
-	}
-	if missed := reg.Gauge(obs.GClusterMissedHeartbeats).Load(); missed != 0 {
-		t.Errorf("missed_heartbeats = %d after a healthy finish, want 0", missed)
-	}
-	if err := coord.Ready(); err != nil {
-		t.Errorf("finished cluster not ready: %v", err)
-	}
+	runWorkers(ctx, t, addr, workerDirs(t, testWorkers))
+	compareResults(t, g, waitResult(t, out, 30*time.Second), directRun(t, g, "sssp", p, testWorkers))
 }
 
 // TestClusterConfigGating pins coordinator-side validation.

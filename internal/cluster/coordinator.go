@@ -5,8 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
-	"net"
 	"net/http"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -154,9 +154,8 @@ type Coordinator struct {
 	naggs   int             // aggregator partials a barrier report carries
 	states  codec.Payload   // what shard results carry vertex states in
 
-	events chan event
-	quit   chan struct{}
-	qonce  sync.Once
+	quit  chan struct{}
+	qonce sync.Once
 
 	mu     sync.Mutex
 	stats  Stats
@@ -164,14 +163,25 @@ type Coordinator struct {
 	attr   []StepAttribution
 }
 
-// event kinds flowing into the driver goroutine, which owns all protocol
-// state and performs every write — per-connection write order is therefore
-// the driver's processing order, so a worker always sees fStep for a
-// superstep before any data of that superstep the coordinator forwards.
+// coordIO is everything the driver does to the world outside it: write one
+// frame to a connection (an error means the connection is dead), close a
+// connection, read the clock. The driver is called from one goroutine and
+// performs every write itself, synchronously, so per-connection write order
+// is its processing order: a worker sees fStep for a superstep before any
+// batch of that superstep the coordinator forwards.
+type coordIO interface {
+	send(conn int, ftype byte, payload []byte) error
+	close(conn int)
+	now() time.Time
+}
+
+// event is one input to the driver: a connection opened (with the peer's
+// address), a frame read from it, the connection lost, or a lease tick.
+// Connections are named by the ids the I/O side gives them.
 type event struct {
-	kind    int // evConn | evFrame | evDead
-	conn    net.Conn
-	wc      *wconn
+	kind    int // evConn | evFrame | evDead | evTick
+	conn    int
+	addr    string
 	ftype   byte
 	payload []byte
 	err     error
@@ -181,12 +191,13 @@ const (
 	evConn = iota
 	evFrame
 	evDead
+	evTick
 )
 
 // wconn is the driver's view of one worker connection.
 type wconn struct {
 	id       int
-	conn     net.Conn
+	addr     string
 	shard    int    // -1 until assigned
 	meshAddr string // the worker's mesh listener, from its hello
 	ready    bool
@@ -252,7 +263,6 @@ func New(cfg Config) (*Coordinator, error) {
 		barrier: barrier,
 		naggs:   len(opts.Aggregators),
 		states:  core.StateCodecOf(prog, opts),
-		events:  make(chan event, 64),
 		quit:    make(chan struct{}),
 		stats:   Stats{State: stWaiting, Workers: cfg.Workers},
 	}, nil
@@ -345,31 +355,6 @@ func (c *Coordinator) DebugHandler() http.Handler {
 // Close aborts the run; Serve returns promptly with an error.
 func (c *Coordinator) Close() { c.qonce.Do(func() { close(c.quit) }) }
 
-// Serve accepts workers on ln and drives the run to completion, returning
-// the assembled result. It blocks; ln is closed on return.
-func (c *Coordinator) Serve(ln net.Listener) (*core.Result, error) {
-	defer ln.Close()
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return // listener closed by driver exit or Close
-			}
-			select {
-			case c.events <- event{kind: evConn, conn: conn}:
-			case <-c.quit:
-				conn.Close()
-				return
-			}
-		}
-	}()
-	d := &driver{c: c, byShard: make([]*wconn, c.cfg.Workers), conns: map[int]*wconn{}}
-	res, err := d.run()
-	// Unblock the accept loop if the run ended on its own.
-	c.Close()
-	return res, err
-}
-
 // deadWorker queues one detected worker loss for the drain loop; its
 // connection is already closed and unregistered when queued.
 type deadWorker struct {
@@ -378,13 +363,14 @@ type deadWorker struct {
 	silent time.Duration
 }
 
-// driver is the single goroutine owning all cluster protocol state.
+// driver owns all cluster protocol state and makes every protocol decision;
+// it reaches connections and the clock only through io.
 type driver struct {
-	c *Coordinator
+	c  *Coordinator
+	io coordIO
 
 	conns   map[int]*wconn
 	byShard []*wconn
-	nextID  int
 
 	epoch        int
 	committedGen int // -1 until generation 0 is on disk everywhere
@@ -396,10 +382,7 @@ type driver struct {
 	// worker loss leaves the run's totals untouched. The relay
 	// clocks accumulate the coordinator's own forwarding time and bytes per
 	// destination shard.
-	doneFrom    []bool
-	doneCount   int
-	ckptAcks    int
-	reports     []stepDoneMsg
+	reports     []*stepDoneMsg // nil until the shard reports
 	relayNS     []int64
 	relayBytes  []int64
 	stepStarted time.Time
@@ -434,56 +417,52 @@ type driver struct {
 	result *core.Result
 }
 
-func (d *driver) run() (*core.Result, error) {
-	c := d.c
-	d.committedGen = -1
-	d.state = stWaiting
-	d.doneFrom = make([]bool, c.cfg.Workers)
-	d.reports = make([]stepDoneMsg, c.cfg.Workers)
-	d.relayNS = make([]int64, c.cfg.Workers)
-	d.relayBytes = make([]int64, c.cfg.Workers)
-	d.meshed = make([]bool, c.cfg.Workers)
-	d.graphBytes = make([]int64, c.cfg.Workers)
-	d.blobs = make([][]byte, c.cfg.Workers)
-	ticker := time.NewTicker(c.cfg.Lease / 2)
-	defer ticker.Stop()
-	defer func() {
-		for _, wc := range d.conns {
-			wc.conn.Close()
-		}
-	}()
-	for {
-		var err error
-		select {
-		case <-c.quit:
-			return nil, errors.New("cluster: coordinator closed")
-		case now := <-ticker.C:
-			err = d.tick(now)
-		case ev := <-c.events:
-			err = d.handle(ev)
-		}
-		if err == nil {
-			err = d.drainDead()
-		}
-		if err != nil {
-			return nil, err
-		}
-		if d.result != nil {
-			return d.result, nil
-		}
+func newDriver(c *Coordinator, io coordIO) *driver {
+	n := c.cfg.Workers
+	return &driver{
+		c: c, io: io, conns: map[int]*wconn{}, byShard: make([]*wconn, n),
+		committedGen: -1, state: stWaiting,
+		reports: make([]*stepDoneMsg, n),
+		relayNS: make([]int64, n), relayBytes: make([]int64, n),
+		meshed: make([]bool, n), graphBytes: make([]int64, n), blobs: make([][]byte, n),
 	}
 }
 
-// tick enforces leases and the rejoin deadline, and refreshes the fleet
-// health gauges from the current silence profile.
-func (d *driver) tick(now time.Time) error {
-	lease := d.c.cfg.Lease
+// on is the driver's one entry point: it handles one event, then drains the
+// worker losses that handling queued. An error ends the run, and so does
+// d.result turning non-nil.
+func (d *driver) on(ev event) error {
+	var err error
+	wc := d.conns[ev.conn] // nil: a connection already declared dead
+	switch {
+	case ev.kind == evConn:
+		d.conns[ev.conn] = &wconn{id: ev.conn, addr: ev.addr, shard: -1, lastSeen: d.io.now()}
+	case ev.kind == evTick:
+		err = d.tick()
+	case wc == nil:
+	case ev.kind == evDead:
+		d.markDead(wc, fmt.Sprintf("connection lost: %v", ev.err))
+	case ev.kind == evFrame:
+		wc.lastSeen = d.io.now()
+		err = d.frame(wc, ev.ftype, ev.payload)
+	}
+	if err == nil {
+		err = d.drainDead()
+	}
+	return err
+}
+
+// tick enforces leases, a connection that never said hello included, and
+// the rejoin deadline, and refreshes the fleet health gauges.
+func (d *driver) tick() error {
+	now := d.io.now()
 	for _, wc := range d.conns {
-		if wc.shard < 0 {
-			continue
-		}
-		if now.Sub(wc.lastSeen) > lease {
-			d.markDead(wc, fmt.Sprintf("lease expired (silent %v)", now.Sub(wc.lastSeen).Round(time.Millisecond)))
+		switch silent := now.Sub(wc.lastSeen); {
+		case silent <= d.c.cfg.Lease:
+		case wc.shard < 0:
+			d.forget(wc) // never said hello: it holds no shard, nothing to recover
+		default:
+			d.markDead(wc, fmt.Sprintf("lease expired (silent %v)", silent.Round(time.Millisecond)))
 		}
 	}
 	d.refreshLeaseGauges(now)
@@ -536,96 +515,50 @@ func LeaseHealth(silences []time.Duration, lease time.Duration) (remainingMS, mi
 	return minRem.Milliseconds(), missed
 }
 
-func (d *driver) handle(ev event) error {
-	switch ev.kind {
-	case evConn:
-		wc := &wconn{id: d.nextID, conn: ev.conn, shard: -1, lastSeen: time.Now()}
-		d.nextID++
-		d.conns[wc.id] = wc
-		go d.readLoop(wc)
-		return nil
-	case evDead:
-		d.markDead(ev.wc, fmt.Sprintf("connection lost: %v", ev.err))
-		return nil
-	case evFrame:
-		wc := ev.wc
-		if d.conns[wc.id] != wc {
-			return nil // frame from a connection already declared dead
-		}
-		wc.lastSeen = time.Now()
-		return d.frame(wc, ev.ftype, ev.payload)
-	}
-	return nil
-}
-
-// readLoop turns one connection into events; it owns no protocol state.
-func (d *driver) readLoop(wc *wconn) {
-	for {
-		ftype, payload, err := readConnFrame(wc.conn)
-		var ev event
-		if err != nil {
-			ev = event{kind: evDead, wc: wc, err: err}
-		} else {
-			ev = event{kind: evFrame, wc: wc, ftype: ftype, payload: payload}
-		}
-		select {
-		case d.c.events <- ev:
-		case <-d.c.quit:
-			return
-		}
-		if err != nil {
-			return
-		}
-	}
-}
-
 func (d *driver) frame(wc *wconn, ftype byte, payload []byte) error {
+	if wc.shard < 0 && ftype != fHello {
+		// A connection that holds no shard speaks for none: hello only.
+		d.markDead(wc, fmt.Sprintf("frame type %d before an assignment", ftype))
+		return nil
+	}
+	// A control frame that does not decode is a broken worker: dropped.
+	var err error
 	switch ftype {
 	case fHello:
 		var h helloMsg
-		if err := parseJSON(payload, &h); err != nil {
-			d.markDead(wc, err.Error())
-			return nil
+		if err = parseJSON(payload, &h); err == nil {
+			d.hello(wc, h)
 		}
-		d.hello(wc, h)
-		return nil
-	case fHeartbeat:
-		return nil // lastSeen already refreshed
+	case fHeartbeat: // lastSeen already refreshed
 	case fReady:
 		var r readyMsg
-		if err := parseJSON(payload, &r); err != nil {
-			d.markDead(wc, err.Error())
-			return nil
+		if err = parseJSON(payload, &r); err == nil {
+			d.readyFrame(wc, r)
 		}
-		d.readyFrame(wc, r)
-		return nil
 	case fStepDone:
 		var sd stepDoneMsg
-		if err := parseJSON(payload, &sd); err != nil {
-			d.markDead(wc, err.Error())
-			return nil
+		if err = parseJSON(payload, &sd); err == nil {
+			return d.stepDone(wc, sd)
 		}
-		d.stepDone(wc, sd)
-		return nil
 	case fMeshed:
 		var mm meshedMsg
-		if err := parseJSON(payload, &mm); err != nil {
-			d.markDead(wc, err.Error())
-			return nil
+		if err = parseJSON(payload, &mm); err == nil {
+			d.meshedFrame(wc, mm)
 		}
-		d.meshedFrame(wc, mm)
-		return nil
 	case fData:
 		d.relay(payload)
-		return nil
 	case fResult:
 		return d.resultFrame(wc, payload)
 	case fError:
 		var em errorMsg
 		_ = parseJSON(payload, &em)
 		return fmt.Errorf("cluster: worker (shard %d) failed: %s", em.Shard, em.Msg)
+	default:
+		err = fmt.Errorf("unexpected frame type %d", ftype)
 	}
-	d.markDead(wc, fmt.Sprintf("unexpected frame type %d", ftype))
+	if err != nil {
+		d.markDead(wc, err.Error())
+	}
 	return nil
 }
 
@@ -635,7 +568,7 @@ func (d *driver) markDead(wc *wconn, reason string) {
 	if d.conns[wc.id] != wc {
 		return
 	}
-	silent := time.Since(wc.lastSeen)
+	silent := d.io.now().Sub(wc.lastSeen)
 	shard := wc.shard
 	d.forget(wc)
 	if shard >= 0 {
@@ -645,7 +578,7 @@ func (d *driver) markDead(wc *wconn, reason string) {
 
 // forget closes and unregisters a connection without recovery side effects.
 func (d *driver) forget(wc *wconn) {
-	wc.conn.Close()
+	d.io.close(wc.id)
 	delete(d.conns, wc.id)
 	if wc.shard >= 0 && d.byShard[wc.shard] == wc {
 		d.byShard[wc.shard] = nil
@@ -710,7 +643,7 @@ func (d *driver) hello(wc *wconn, h helloMsg) {
 		HeartbeatNS:     int64(d.c.cfg.Lease / 4),
 		Span:            d.c.cfg.Span,
 	}
-	d.emit(obs.WorkerJoin{Shard: shard, Addr: wc.conn.RemoteAddr().String(), Epoch: d.epoch, Rejoin: d.committedGen >= 0})
+	d.emit(obs.WorkerJoin{Shard: shard, Addr: wc.addr, Epoch: d.epoch, Rejoin: d.committedGen >= 0})
 	d.c.cfg.Logger.Info("cluster: worker joined", "shard", shard, "epoch", d.epoch, "rejoin", d.committedGen >= 0)
 	d.publish()
 	d.send(wc, fAssign, as)
@@ -719,7 +652,7 @@ func (d *driver) hello(wc *wconn, h helloMsg) {
 // readyFrame collects barrier-standing acknowledgements; when every shard
 // is ready the mesh is (re)built, and then the run starts or resumes.
 func (d *driver) readyFrame(wc *wconn, r readyMsg) {
-	if r.Epoch != d.epoch || wc.shard < 0 {
+	if r.Epoch != d.epoch {
 		return // stale
 	}
 	wc.ready = true
@@ -747,7 +680,7 @@ func (d *driver) readyFrame(wc *wconn, r readyMsg) {
 // meshedFrame tallies one worker's mesh acknowledgement; the last one
 // starts (or resumes) execution.
 func (d *driver) meshedFrame(wc *wconn, mm meshedMsg) {
-	if mm.Epoch != d.epoch || wc.shard < 0 || !d.meshing {
+	if mm.Epoch != d.epoch || !d.meshing {
 		return // stale
 	}
 	if mm.Shard != wc.shard {
@@ -760,15 +693,11 @@ func (d *driver) meshedFrame(wc *wconn, mm meshedMsg) {
 			return
 		}
 	}
+	// Full quorum, meshed: the initial start out of stWaiting, or the
+	// resumption of a recovery.
 	d.meshing = false
-	d.startOrResume()
-}
-
-// startOrResume begins execution at full quorum: the initial start out of
-// stWaiting, or the resumption of a recovery.
-func (d *driver) startOrResume() {
 	if d.state == stWaiting {
-		d.started = time.Now()
+		d.started = d.io.now()
 		d.emit(obs.RunStart{
 			Vertices: d.c.g.NumVertices(), Workers: d.c.cfg.Workers,
 			Checkpoints: true, Span: d.c.cfg.Span,
@@ -791,7 +720,11 @@ func (d *driver) workerLost(dw deadWorker) error {
 	d.emit(obs.WorkerLost{Shard: dw.shard, Superstep: d.superstep, Reason: dw.reason})
 	d.c.cfg.Logger.Warn("cluster: worker lost", "shard", dw.shard, "superstep", d.superstep, "reason", dw.reason)
 	if d.state == stDone || d.state == stWaiting {
-		return nil // nothing committed yet (or all done); await a fresh hello
+		// Nothing committed yet (or all done): await a fresh hello. A mesh
+		// gate the lost worker already acknowledged re-runs with its
+		// replacement, or the run would start without one.
+		d.meshing = false
+		return nil
 	}
 	// The barrier decides: within budget, it is back at the committed
 	// generation — phase, merged aggregates and totals — so the replayed
@@ -803,13 +736,13 @@ func (d *driver) workerLost(dw deadWorker) error {
 	ev.Reason = "worker_lost"
 	d.emit(ev)
 	if !d.recovering {
-		d.detectedAt = time.Now()
+		d.detectedAt = d.io.now()
 		d.detectLag = dw.silent
 		d.rewound = ev
 		d.restoredBytes = 0
 	}
 	d.recovering = true
-	d.rejoinBy = time.Now().Add(d.c.cfg.RejoinTimeout)
+	d.rejoinBy = d.io.now().Add(d.c.cfg.RejoinTimeout)
 	d.epoch++
 	d.meshing = false // the next full quorum re-runs the mesh exchange
 	d.resetBarrierTally()
@@ -833,7 +766,7 @@ func (d *driver) workerLost(dw deadWorker) error {
 // generation's boundary, so execution restarts from its superstep.
 func (d *driver) resume() {
 	r := d.rewound
-	mttr := time.Since(d.detectedAt)
+	mttr := d.io.now().Sub(d.detectedAt)
 	info := RecoveryInfo{
 		Epoch:         d.epoch,
 		Failed:        r.Failed,
@@ -872,7 +805,7 @@ func (d *driver) broadcastStep() {
 		return
 	}
 	d.resetBarrierTally()
-	d.stepStarted = time.Now()
+	d.stepStarted = d.io.now()
 	// The entering frontier is the previous barrier's active count; for the
 	// very first superstep the coordinator has no worker reports yet, so it
 	// opens with zero (workers know their post-Init frontiers, not us).
@@ -890,52 +823,54 @@ func (d *driver) broadcastStep() {
 }
 
 func (d *driver) resetBarrierTally() {
-	clear(d.doneFrom)
 	clear(d.reports)
 	clear(d.relayNS)
 	clear(d.relayBytes)
-	d.doneCount = 0
-	d.ckptAcks = 0
 }
 
 // stepDone tallies one barrier report; the last one closes the superstep.
-func (d *driver) stepDone(wc *wconn, sd stepDoneMsg) {
-	if sd.Epoch != d.epoch || d.state != stRunning || sd.Superstep != d.superstep {
-		return // stale
-	}
-	if sd.Shard != wc.shard || d.doneFrom[sd.Shard] || len(sd.Aggs) != d.c.naggs {
+func (d *driver) stepDone(wc *wconn, sd stepDoneMsg) error {
+	switch {
+	case sd.Epoch != d.epoch:
+		return nil // stale: in flight across a recovery
+	case sd.Shard != wc.shard || d.reports[sd.Shard] != nil || len(sd.Aggs) != d.c.naggs:
 		d.markDead(wc, fmt.Sprintf("bad barrier report for shard %d", sd.Shard))
-		return
+		return nil
+	case d.state != stRunning || sd.Superstep != d.superstep:
+		// A worker reports each superstep of an epoch once, and a superstep
+		// closes on every report: this is a second one, and the first may be
+		// in the run's totals already.
+		return fmt.Errorf("cluster: shard %d reported superstep %d of epoch %d twice", sd.Shard, sd.Superstep, sd.Epoch)
 	}
-	d.doneFrom[sd.Shard] = true
-	d.doneCount++
-	d.reports[sd.Shard] = sd
-	if sd.CkptGen >= 0 {
-		d.ckptAcks++
-	}
-	if d.doneCount < d.c.cfg.Workers {
-		return
+	d.reports[sd.Shard] = &sd
+	if slices.Contains(d.reports, nil) {
+		return nil
 	}
 	// Superstep closed: the barrier folds the held per-shard reports, shards
 	// ascending (holding them until now is what keeps a rolled-back
 	// superstep out of the run's totals); then the step is attributed and
 	// traced.
 	reps := make([]engine.StepReport, len(d.reports))
-	for s := range d.reports {
-		reps[s] = d.reports[s].StepReport
+	acks := 0 // shards that saved this superstep's generation
+	for s, rep := range d.reports {
+		reps[s] = rep.StepReport
+		if rep.CkptGen >= 0 {
+			acks++
+		}
 	}
 	quiesced := d.c.barrier.Close(reps)
 	d.closeSuperstep()
 	k := d.c.cfg.CheckpointEvery
-	if d.superstep%k == 0 && d.ckptAcks == d.c.cfg.Workers {
+	if d.superstep%k == 0 && acks == d.c.cfg.Workers {
 		d.commit(d.superstep / k)
 	}
 	if quiesced {
 		d.startCollect()
-		return
+	} else {
+		d.superstep++
+		d.broadcastStep()
 	}
-	d.superstep++
-	d.broadcastStep()
+	return nil
 }
 
 // commit makes gen, which every shard has on disk at the boundary before
@@ -951,14 +886,15 @@ func (d *driver) commit(gen int) {
 // and its superstep_end, the cluster_step straggler verdict, the
 // /debug/cluster attribution row, and the fleet registry updates.
 func (d *driver) closeSuperstep() {
-	d.refreshLeaseGauges(time.Now())
-	wallNS := time.Since(d.stepStarted).Nanoseconds()
+	now := d.io.now()
+	d.refreshLeaseGauges(now)
+	wallNS := now.Sub(d.stepStarted).Nanoseconds()
 	var sumCompute, sumWait, sumDeliver, sumRelayNS, sumRelayBytes int64
 	var sumPeerSend, sumPeerRecv, sumDirectBytes int64
 	maxCompute, slowest := int64(-1), 0
 	shards := make([]ShardTiming, d.c.cfg.Workers)
 	for s := range d.reports {
-		rep := &d.reports[s]
+		rep := d.reports[s]
 		// RelayBytes is the coordinator's own forwarding tally toward this
 		// shard — it already includes any per-batch mesh fallbacks, which
 		// arrive here as ordinary fData, so the worker-reported fallback
@@ -1041,9 +977,9 @@ func (d *driver) relay(payload []byte) {
 	// The relay clock charges the forwarding time (and volume) to the
 	// destination shard: it is the receiver whose barrier wait this relay
 	// hop sits inside.
-	t0 := time.Now()
+	t0 := d.io.now()
 	d.sendRaw(d.byShard[h.dst], fData, payload)
-	d.relayNS[h.dst] += time.Since(t0).Nanoseconds()
+	d.relayNS[h.dst] += d.io.now().Sub(t0).Nanoseconds()
 	d.relayBytes[h.dst] += int64(len(payload))
 }
 
@@ -1079,7 +1015,7 @@ func (d *driver) resultFrame(wc *wconn, payload []byte) error {
 	}
 	// The barrier's ledger holds the surviving executions only, as Run's
 	// does; the Report counts every superstep driven, replays included.
-	m, end := d.c.barrier.End(time.Since(d.started))
+	m, end := d.c.barrier.End(d.io.now().Sub(d.started))
 	res, err := core.AssembleResult(d.c.g, d.c.states, d.blobs, m)
 	if err != nil {
 		return err
@@ -1100,15 +1036,14 @@ func (d *driver) resultFrame(wc *wconn, payload []byte) error {
 	return nil
 }
 
-// send writes one JSON frame to a worker; a write failure queues a worker
-// loss. nil owner (shard momentarily unassigned mid-recovery) is a no-op.
+// send writes one JSON frame to a worker, sendRaw one already encoded; a
+// failed write queues a worker loss. A nil owner (shard momentarily
+// unassigned mid-recovery) is a no-op.
 func (d *driver) send(wc *wconn, ftype byte, v any) {
-	if wc == nil {
-		return
-	}
-	d.writeDeadline(wc)
-	if err := sendJSON(wc.conn, ftype, v); err != nil {
-		d.markDead(wc, fmt.Sprintf("write failed: %v", err))
+	if p, err := json.Marshal(v); err == nil {
+		d.sendRaw(wc, ftype, p)
+	} else if wc != nil {
+		d.markDead(wc, fmt.Sprintf("encode frame %d: %v", ftype, err))
 	}
 }
 
@@ -1116,17 +1051,9 @@ func (d *driver) sendRaw(wc *wconn, ftype byte, payload []byte) {
 	if wc == nil {
 		return
 	}
-	d.writeDeadline(wc)
-	if err := writeConnFrame(wc.conn, ftype, payload); err != nil {
+	if err := d.io.send(wc.id, ftype, payload); err != nil {
 		d.markDead(wc, fmt.Sprintf("write failed: %v", err))
 	}
-}
-
-// writeDeadline bounds how long a hung worker can stall the driver: a
-// worker that stops reading hits the lease-sized deadline and is declared
-// dead instead of wedging the whole cluster.
-func (d *driver) writeDeadline(wc *wconn) {
-	_ = wc.conn.SetWriteDeadline(time.Now().Add(d.c.cfg.Lease))
 }
 
 // publish refreshes the shared Stats snapshot and worker gauge.

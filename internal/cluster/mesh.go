@@ -1,27 +1,15 @@
 package cluster
 
-// The worker-to-worker data mesh. Each worker listens on an ephemeral TCP
-// port, advertises the address in its hello, and — once the coordinator
-// broadcasts the full address table — dials every peer, forming a complete
-// directed mesh of framed CRC'd connections. fData batches then travel one
-// hop, and the coordinator carries only the batches of a link that is down.
-//
-// Determinism does not depend on mesh arrival order: every batch carries
-// the (epoch, superstep, src) routing header, receivers collect all N-1
-// batches before delivering, and delivery replays the engine's historical
-// order (own outbox, then ascending source shard). The only mesh-specific
-// hazard is a batch arriving before the coordinator's fStep for its
-// superstep — two independent TCP streams have no mutual ordering — which
-// the worker absorbs by parking early batches in a pending buffer keyed by
-// (superstep, src) and draining it when the step opens.
-//
-// Inbound frames flow through per-connection reader goroutines into one
-// buffered channel consumed by the worker's main loop, keeping the worker
-// a single-threaded state machine. The channel is sized for the protocol's
-// bound of one outstanding batch per peer per superstep (peers can run at
-// most one superstep ahead of the slowest worker, because the coordinator
-// gates each superstep on every barrier report), so readers never block
-// and a send-side stall cannot deadlock the fleet.
+// The worker-to-worker data mesh (DESIGN §18), the worker shell's half of
+// workerIO: every worker listens on a TCP port it advertises in its hello,
+// and on every peers broadcast dials every other worker, so fData batches
+// travel one hop; a batch whose link is down takes the coordinator hop. The
+// mesh imposes no order: batches carry their (epoch, superstep, src) header,
+// and the worker parks early ones and delivers a superstep's batches
+// ascending by source once all are in. Inbound frames flow through a reader
+// goroutine per connection into one channel the worker's frame loop drains;
+// it is sized for the protocol's bound of one batch per peer per superstep,
+// at most one superstep ahead, so readers never block.
 
 import (
 	"context"
@@ -229,9 +217,6 @@ func (m *mesh) closeOuts() {
 
 // close tears the whole endpoint down: listener, inbound, outbound.
 func (m *mesh) close() {
-	if m == nil {
-		return
-	}
 	m.wmu.Lock()
 	select {
 	case <-m.done:

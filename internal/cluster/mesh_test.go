@@ -182,7 +182,7 @@ func TestHelloWithoutMeshAddrRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if err := sendJSON(conn, fHello, helloMsg{PrevShard: -1}); err != nil {
+	if err := writeConnFrame(conn, fHello, []byte(`{"prev_shard":-1}`)); err != nil {
 		t.Fatal(err)
 	}
 	conn.SetReadDeadline(time.Now().Add(10 * time.Second))

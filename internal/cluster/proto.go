@@ -4,24 +4,19 @@
 // death by rolling every survivor back to the last globally-committed
 // durable checkpoint and replaying.
 //
-// The execution model piggybacks on core.Shard: every worker builds the
-// engine over the full vertex set from an identical configuration, so the
-// deterministic partitioner gives each process the same vertex→shard map,
-// and only the owned slice is ever computed locally. With a "shard:<dir>"
-// graph spec each worker maps only its own induced-subgraph partition
-// (full vertex set, edges trimmed to the shard's incident set), cutting
-// resident memory to O(V + E/N). The coordinator owns all control flow —
-// superstep broadcast, barrier aggregation, halt detection, checkpoint
-// commit — which keeps the worker a single straight-line state machine and
-// makes recovery a coordinator-local decision. Message batches travel
-// worker-to-worker over a full TCP mesh; a batch whose mesh link is down
-// takes the coordinator hop instead, one batch at a time.
+// Every worker builds the engine over the full vertex set from an identical
+// configuration (or maps its own "shard:<dir>" partition), so all processes
+// agree on the vertex→shard map, and computes only its own shard
+// (core.Shard). The coordinator owns all control flow — superstep
+// broadcast, barrier, halt, checkpoint commit, recovery — and batches travel
+// worker to worker over a TCP mesh, or through the coordinator for a link
+// that is down. A worker hands its peers' batches to Shard.Deliver ascending
+// by source shard, whatever hop each took, so a cluster run is bit-identical
+// to core.Run at the same width.
 //
-// A worker hands its peers' batches to Shard.Deliver ascending by source
-// shard, whatever hop each took or order it arrived in. Deliver is the
-// engine's one receive routine, which Engine.Run also delivers through, so a
-// cluster run is bit-identical to a single-process run — the invariant the
-// kill-recovery chaos tests assert.
+// The protocol is two state machines, the coordinator's driver and the
+// worker's wrk, which reach sockets and the clock only through coordIO and
+// workerIO; shell.go and mesh.go implement those over TCP.
 package cluster
 
 import (
@@ -187,15 +182,6 @@ func readConnFrame(r io.Reader) (byte, []byte, error) { return codec.ReadFrame(r
 
 func writeConnFrame(w io.Writer, ftype byte, payload []byte) error {
 	return codec.WriteFrame(w, ftype, payload)
-}
-
-// sendJSON writes one JSON control frame.
-func sendJSON(w io.Writer, ftype byte, v any) error {
-	p, err := json.Marshal(v)
-	if err != nil {
-		return fmt.Errorf("cluster: encode frame %d: %w", ftype, err)
-	}
-	return codec.WriteFrame(w, ftype, p)
 }
 
 // parseJSON decodes one JSON control frame payload. A barrier report's

@@ -2,15 +2,10 @@ package cluster
 
 import (
 	"bytes"
-	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
-	"net"
-	"os"
-	"sync"
-	"syscall"
 	"time"
 
 	"graphite/internal/algorithms"
@@ -47,10 +42,6 @@ type WorkerConfig struct {
 	// Crash plants a kill point for the chaos driver (see CrashEnv); the
 	// zero value never fires.
 	Crash CrashPlan
-	// HangAtSuperstep, when > 0, makes the worker go silent (no heartbeats,
-	// no progress) upon receiving that superstep — the in-process stand-in
-	// for a wedged process, driving the coordinator's lease-expiry path.
-	HangAtSuperstep int
 	// KeepCheckpoints bounds on-disk generations; zero means
 	// engine.DefaultKeepGenerations.
 	KeepCheckpoints int
@@ -71,9 +62,7 @@ type WorkerConfig struct {
 	Logger *slog.Logger
 }
 
-// stepRun is the in-flight superstep: batches arrive interleaved with
-// nothing else on the wire, but counting them explicitly keeps the worker a
-// pure frame-at-a-time state machine.
+// stepRun is the in-flight superstep, filled one frame at a time.
 type stepRun struct {
 	step    int
 	ckpt    bool
@@ -105,13 +94,26 @@ type pendKey struct {
 	src  int
 }
 
-// wrk is one worker process's run state.
+// workerIO is everything the worker does to the world outside it: write one
+// frame to the coordinator, write one batch straight to a peer (an error
+// sends that batch through the coordinator), (re)dial the peers for an
+// epoch, renew the lease every so often from now on, read the clock, and
+// pass a kill point, where a planted crash may end the process. Every call
+// is synchronous, so a failed peer send falls back for that batch alone.
+type workerIO interface {
+	send(ftype byte, payload []byte) error
+	sendPeer(dst int, payload []byte) error
+	dialPeers(self, epoch int, addrs []string) error
+	heartbeat(every time.Duration)
+	now() time.Time
+	kill(phase string, superstep int)
+}
+
+// wrk is one worker's run state: it makes every protocol decision the
+// worker makes, one frame at a time, and reaches the outside only through io.
 type wrk struct {
 	cfg   WorkerConfig
-	ctx   context.Context
-	conn  net.Conn
-	wmu   sync.Mutex // serializes frame writes (main loop vs heartbeat)
-	log   *slog.Logger
+	io    workerIO
 	sh    *core.Shard
 	store *engine.CheckpointStore
 
@@ -122,172 +124,50 @@ type wrk struct {
 	graphBytes int64 // resident graph footprint, reported on every ready
 	cur        *stepRun
 
-	mesh    *mesh
 	pending map[pendKey][]byte // early mesh batches for unopened supersteps
-
-	hbStop chan struct{}
-	hbOnce sync.Once
 }
 
-// RunWorker connects to the coordinator and executes the assigned shard
-// until the run completes (nil), the context is canceled, or the
-// connection fails. A worker process is stateless beyond its checkpoint
-// directory: every decision is the coordinator's.
-func RunWorker(ctx context.Context, cfg WorkerConfig) error {
-	if cfg.Addr == "" || cfg.Dir == "" {
-		return errors.New("cluster: worker requires Addr and Dir")
-	}
-	if cfg.DialAttempts <= 0 {
-		cfg.DialAttempts = DefaultDialAttempts
-	}
-	if cfg.DialBackoff <= 0 {
-		cfg.DialBackoff = DefaultDialBackoff
-	}
-	if cfg.KeepCheckpoints <= 0 {
-		cfg.KeepCheckpoints = engine.DefaultKeepGenerations
-	}
-	if cfg.Logger == nil {
-		cfg.Logger = slog.Default()
-	}
-	if cfg.MeshListenAddr == "" {
-		cfg.MeshListenAddr = "127.0.0.1:0"
-	}
-	// The mesh listener comes up before the hello so the advertised address
-	// is live the moment any peer learns it.
-	me, err := newMesh(cfg.MeshListenAddr, cfg.Logger)
-	if err != nil {
-		return err
-	}
-	defer me.close()
-	conn, err := dialCoordinator(ctx, cfg)
-	if err != nil {
-		return err
-	}
-	defer conn.Close()
-	w := &wrk{
-		cfg: cfg, ctx: ctx, conn: conn, log: cfg.Logger, mesh: me,
-		pending: map[pendKey][]byte{}, hbStop: make(chan struct{}),
-	}
-	defer w.stopHeartbeat()
-	defer func() {
-		// loop is the only goroutine that steps the shard, and it has returned.
-		if w.sh != nil {
-			w.sh.Close()
-		}
-	}()
-	// A canceled context unblocks the frame read by closing the conn.
-	watchDone := make(chan struct{})
-	defer close(watchDone)
-	go func() {
-		select {
-		case <-ctx.Done():
-			conn.Close()
-		case <-watchDone:
-		}
-	}()
-	if err := w.sendJSON(fHello, helloMsg{PrevShard: readShardMarker(cfg.Dir), MeshAddr: me.addr()}); err != nil {
-		return err
-	}
-	return w.loop()
+// hello registers with the coordinator, offering back the shard this
+// directory's checkpoints belong to.
+func (w *wrk) hello(meshAddr string) error {
+	return w.sendJSON(fHello, helloMsg{PrevShard: readShardMarker(w.cfg.Dir), MeshAddr: meshAddr})
 }
 
-// dialCoordinator retries with capped, jittered exponential backoff — the
-// same discipline as the engine transport's dial path.
-func dialCoordinator(ctx context.Context, cfg WorkerConfig) (net.Conn, error) {
-	var d net.Dialer
-	var lastErr error
-	for i := 1; i <= cfg.DialAttempts; i++ {
-		conn, err := d.DialContext(ctx, "tcp", cfg.Addr)
-		if err == nil {
-			return conn, nil
-		}
-		lastErr = err
-		if ctx.Err() != nil {
-			return nil, ctx.Err()
-		}
-		select {
-		case <-time.After(engine.RetryDelay(cfg.DialBackoff, i, 32*cfg.DialBackoff)):
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
+// frame handles one frame from the coordinator; done means the run is over.
+// The order between it and handleMeshData is irrelevant: batch delivery is gated
+// on completeness and replayed in a canonical order, never arrival order.
+func (w *wrk) frame(ftype byte, payload []byte) (done bool, err error) {
+	switch ftype {
+	case fAssign:
+		err = w.handleAssign(payload)
+	case fStep:
+		err = w.handleStep(payload)
+	case fData:
+		err = w.handleData(payload)
+	case fPeers:
+		err = w.handlePeers(payload)
+	case fRollback:
+		err = w.handleRollback(payload)
+	case fCollect:
+		err = w.handleCollect(payload)
+	case fBye:
+		return true, nil
+	default:
+		err = fmt.Errorf("cluster: unexpected frame type %d from coordinator", ftype)
 	}
-	return nil, fmt.Errorf("cluster: dial coordinator %s: %w", cfg.Addr, lastErr)
+	return false, err
 }
 
-// loop is the worker's single-threaded state machine. Frames from the
-// coordinator stream and the mesh are funneled through channels so one
-// goroutine makes every state transition; the select order between the two
-// sources is irrelevant because batch delivery is gated on completeness and
-// replayed in a canonical order, never in arrival order.
-func (w *wrk) loop() error {
-	type inFrame struct {
-		ftype   byte
-		payload []byte
-		err     error
-	}
-	coordIn := make(chan inFrame, 8)
-	go func() {
-		for {
-			ftype, payload, err := readConnFrame(w.conn)
-			select {
-			case coordIn <- inFrame{ftype, payload, err}:
-			case <-w.ctx.Done():
-				return
-			}
-			if err != nil {
-				return
-			}
-		}
-	}()
-	for {
-		select {
-		case f := <-coordIn:
-			if f.err != nil {
-				if w.ctx.Err() != nil {
-					return w.ctx.Err()
-				}
-				if errors.Is(f.err, io.EOF) {
-					return errors.New("cluster: coordinator closed the connection")
-				}
-				return fmt.Errorf("cluster: read frame: %w", f.err)
-			}
-			var err error
-			switch f.ftype {
-			case fAssign:
-				err = w.handleAssign(f.payload)
-			case fStep:
-				err = w.handleStep(f.payload)
-			case fData:
-				err = w.handleData(f.payload)
-			case fPeers:
-				err = w.handlePeers(f.payload)
-			case fRollback:
-				err = w.handleRollback(f.payload)
-			case fCollect:
-				err = w.handleCollect(f.payload)
-			case fBye:
-				return nil
-			default:
-				err = fmt.Errorf("cluster: unexpected frame type %d from coordinator", f.ftype)
-			}
-			if err != nil {
-				return err
-			}
-		case p := <-w.mesh.in:
-			if err := w.handleMeshData(p); err != nil {
-				return err
-			}
-		case <-w.ctx.Done():
-			return w.ctx.Err()
-		}
+// close releases the shard; the frame loop has returned.
+func (w *wrk) close() {
+	if w.sh != nil {
+		w.sh.Close()
 	}
 }
 
-// handlePeers (re)builds the outbound mesh for an epoch and tells the
-// coordinator the dial attempts are over. Dialing happens inline — the
-// worker has nothing else to do between ready and the first step, and the
-// heartbeat goroutine keeps the lease alive — and a peer that did not
-// answer is handleStep's business, one batch at a time.
+// handlePeers (re)builds the outbound mesh for an epoch, inline (the
+// heartbeat keeps the lease), and tells the coordinator the dial attempts
+// are over; a peer that did not answer is handleStep's business.
 func (w *wrk) handlePeers(payload []byte) error {
 	var pm peersMsg
 	if err := parseJSON(payload, &pm); err != nil {
@@ -296,8 +176,7 @@ func (w *wrk) handlePeers(payload []byte) error {
 	if pm.Epoch != w.epoch {
 		return nil // stale
 	}
-	w.mesh.self = w.self
-	if err := w.mesh.dialPeers(w.ctx, pm.Epoch, pm.Addrs, meshDialAttempts, w.cfg.DialBackoff); err != nil {
+	if err := w.io.dialPeers(w.self, pm.Epoch, pm.Addrs); err != nil {
 		return err
 	}
 	return w.sendJSON(fMeshed, meshedMsg{Epoch: pm.Epoch, Shard: w.self})
@@ -323,7 +202,7 @@ func (w *wrk) handleAssign(payload []byte) error {
 	// engine build and the generation-0 checkpoint below can take longer
 	// than the lease on large graphs, and a silent worker mid-setup would be
 	// declared dead before it ever got to ready.
-	w.startHeartbeat(time.Duration(as.HeartbeatNS))
+	w.io.heartbeat(time.Duration(as.HeartbeatNS))
 	gm, pmeta, err := LoadGraphShard(as.Graph, as.Shard)
 	if err != nil {
 		return w.fail(err)
@@ -367,6 +246,14 @@ func (w *wrk) handleAssign(payload []byte) error {
 	if err := sh.Init(); err != nil {
 		return w.fail(err)
 	}
+	// Kill point "checkpoint": between a generation's temp-file write and its
+	// atomic rename — a torn write the manifest never admits. Named by the
+	// superstep the generation closes (0 for generation 0).
+	store.CommitHook = func(stage string) {
+		if stage == "written" {
+			w.io.kill("checkpoint", w.sh.Superstep()-1)
+		}
+	}
 	w.sh, w.store = sh, store
 	w.self, w.shards, w.epoch = as.Shard, as.Shards, as.Epoch
 	w.span = as.Span
@@ -384,7 +271,7 @@ func (w *wrk) handleAssign(payload []byte) error {
 			return w.fail(err)
 		}
 		gen, restored = meta.Gen, meta.Bytes
-		w.log.Info("cluster: shard restored from disk", "shard", w.self, "gen", gen,
+		w.cfg.Logger.Info("cluster: shard restored from disk", "shard", w.self, "gen", gen,
 			"superstep", sh.Superstep(), "bytes", restored)
 	} else {
 		// Fresh start: generation 0 (post-Init, superstep 1) goes to disk
@@ -414,20 +301,11 @@ func (w *wrk) handleStep(payload []byte) error {
 	if st.Epoch != w.epoch {
 		return nil // stale
 	}
-	if w.cfg.HangAtSuperstep > 0 && st.Superstep == w.cfg.HangAtSuperstep {
-		// Simulate a wedged process: stop heartbeating and go silent until
-		// the context tears the test down. The coordinator must recover via
-		// lease expiry.
-		w.stopHeartbeat()
-		w.log.Warn("cluster: hanging on purpose", "superstep", st.Superstep)
-		<-w.ctx.Done()
-		return w.ctx.Err()
-	}
 	if got := w.sh.Superstep(); got != st.Superstep {
 		return w.fail(fmt.Errorf("cluster: shard %d at superstep %d, coordinator wants %d",
 			w.self, got, st.Superstep))
 	}
-	computeStart := time.Now()
+	computeStart := w.io.now()
 	w.sh.SetPhase(st.Phase)
 	if err := w.sh.Compute(); err != nil {
 		return w.fail(err)
@@ -444,16 +322,16 @@ func (w *wrk) handleStep(payload []byte) error {
 		}
 		p := appendDataHeader(nil, dataHeader{epoch: w.epoch, superstep: st.Superstep, src: w.self, dst: dst})
 		p = append(p, outs[dst]...)
-		t0 := time.Now()
-		err := w.mesh.send(dst, p)
-		peerSendNS += time.Since(t0).Nanoseconds()
+		t0 := w.io.now()
+		err := w.io.sendPeer(dst, p)
+		peerSendNS += w.io.now().Sub(t0).Nanoseconds()
 		if err == nil {
 			directBytes += int64(len(p))
 		} else {
 			// Per-batch fallback: the receiver counts batches whichever hop
 			// they took, so one dead mesh connection costs an extra hop, not
 			// the run. The lease machinery handles a genuinely dead peer.
-			if err := w.sendFrame(fData, p); err != nil {
+			if err := w.io.send(fData, p); err != nil {
 				return err
 			}
 			relayedBytes += int64(len(p))
@@ -462,13 +340,13 @@ func (w *wrk) handleStep(payload []byte) error {
 		if sent == 1 {
 			// Kill point "peersend": die mid-ship — the first peer (or the
 			// coordinator) holds this superstep's batch, the rest never see it.
-			w.maybeCrash("peersend", st.Superstep)
+			w.io.kill("peersend", st.Superstep)
 		}
 	}
-	shipped := time.Now()
+	shipped := w.io.now()
 	// Kill point "compute": batches are on the wire, delivery has not
 	// happened — peers hold partial superstep state when the process dies.
-	w.maybeCrash("compute", st.Superstep)
+	w.io.kill("compute", st.Superstep)
 	w.cur = &stepRun{
 		step: st.Superstep, ckpt: st.Checkpoint, gen: st.Gen,
 		batches: make([][]byte, w.shards), need: w.shards - 1,
@@ -567,7 +445,7 @@ func (w *wrk) storeBatch(src int, batch []byte, viaMesh bool) error {
 	w.cur.batches[src] = batch
 	w.cur.got++
 	if viaMesh {
-		w.cur.lastDirect = time.Now()
+		w.cur.lastDirect = w.io.now()
 	}
 	return nil
 }
@@ -583,7 +461,7 @@ func (w *wrk) finishStepIfReady() error {
 	w.cur = nil
 	// The barrier wait ends when the last peer batch has landed; everything
 	// from here to the report is delivery + barrier + checkpoint I/O.
-	deliverStart := time.Now()
+	deliverStart := w.io.now()
 	waitNS := deliverStart.Sub(cur.shipped).Nanoseconds()
 	ordered := make([][]byte, 0, cur.need)
 	for src := 0; src < w.shards; src++ {
@@ -597,15 +475,6 @@ func (w *wrk) finishStepIfReady() error {
 	rep := w.sh.Barrier()
 	ckptGen, ckptBytes := -1, int64(0)
 	if cur.ckpt {
-		if w.cfg.Crash.at("checkpoint", cur.step) {
-			// Kill point "checkpoint": die between the temp-file write and
-			// the atomic rename — a torn write the manifest never admits.
-			w.store.CommitHook = func(stage string) {
-				if stage == "written" {
-					w.crashNow("checkpoint", cur.step)
-				}
-			}
-		}
 		data, err := w.sh.CaptureDurable()
 		if err != nil {
 			return w.fail(err)
@@ -619,7 +488,7 @@ func (w *wrk) finishStepIfReady() error {
 		}
 		ckptGen, ckptBytes = meta.Gen, meta.Bytes
 	}
-	deliverNS := time.Since(deliverStart).Nanoseconds()
+	deliverNS := w.io.now().Sub(deliverStart).Nanoseconds()
 	var peerRecvNS int64
 	if !cur.lastDirect.IsZero() {
 		if d := cur.lastDirect.Sub(cur.shipped).Nanoseconds(); d > 0 {
@@ -647,7 +516,7 @@ func (w *wrk) finishStepIfReady() error {
 	// Kill point "barrier": the barrier report is sent — the coordinator
 	// may close the superstep and even commit the checkpoint generation —
 	// but this process dies before seeing the next step.
-	w.maybeCrash("barrier", cur.step)
+	w.io.kill("barrier", cur.step)
 	return nil
 }
 
@@ -669,7 +538,7 @@ func (w *wrk) handleRollback(payload []byte) error {
 	if err := w.sh.RestoreDurable(data); err != nil {
 		return w.fail(err)
 	}
-	w.log.Info("cluster: rolled back", "shard", w.self, "gen", rb.Gen,
+	w.cfg.Logger.Info("cluster: rolled back", "shard", w.self, "gen", rb.Gen,
 		"superstep", w.sh.Superstep(), "epoch", w.epoch)
 	return w.sendJSON(fReady, readyMsg{
 		Epoch: w.epoch, Shard: w.self, Superstep: w.sh.Superstep(),
@@ -690,63 +559,19 @@ func (w *wrk) handleCollect(payload []byte) error {
 		return w.fail(err)
 	}
 	p := appendResultHeader(nil, w.epoch, w.self)
-	return w.sendFrame(fResult, append(p, blob...))
-}
-
-// sendFrame / sendJSON serialize writes across the main loop and the
-// heartbeat goroutine.
-func (w *wrk) sendFrame(ftype byte, payload []byte) error {
-	w.wmu.Lock()
-	defer w.wmu.Unlock()
-	return writeConnFrame(w.conn, ftype, payload)
+	return w.io.send(fResult, append(p, blob...))
 }
 
 func (w *wrk) sendJSON(ftype byte, v any) error {
-	w.wmu.Lock()
-	defer w.wmu.Unlock()
-	return sendJSON(w.conn, ftype, v)
-}
-
-func (w *wrk) startHeartbeat(every time.Duration) {
-	if every <= 0 {
-		every = DefaultLease / 4
+	p, err := json.Marshal(v)
+	if err != nil {
+		return fmt.Errorf("cluster: encode frame %d: %w", ftype, err)
 	}
-	go func() {
-		t := time.NewTicker(every)
-		defer t.Stop()
-		for {
-			select {
-			case <-w.hbStop:
-				return
-			case <-w.ctx.Done():
-				return
-			case <-t.C:
-				if err := w.sendFrame(fHeartbeat, nil); err != nil {
-					return
-				}
-			}
-		}
-	}()
+	return w.io.send(ftype, p)
 }
-
-func (w *wrk) stopHeartbeat() { w.hbOnce.Do(func() { close(w.hbStop) }) }
 
 func (w *wrk) emit(e obs.Event) {
 	if w.cfg.Tracer != nil {
 		w.cfg.Tracer.Emit(e)
 	}
-}
-
-// maybeCrash fires a planted kill point: SIGKILL to self, the closest
-// honest stand-in for machine loss — no deferred functions, no flushes.
-func (w *wrk) maybeCrash(phase string, superstep int) {
-	if w.cfg.Crash.at(phase, superstep) {
-		w.crashNow(phase, superstep)
-	}
-}
-
-func (w *wrk) crashNow(phase string, superstep int) {
-	w.log.Warn("cluster: planted crash firing", "phase", phase, "superstep", superstep)
-	_ = syscall.Kill(os.Getpid(), syscall.SIGKILL)
-	select {} // unreachable: the kill is not catchable
 }
