@@ -25,8 +25,8 @@ type Params struct {
 	// DefaultPRIterations.
 	Iterations int
 	// Window restricts the run to a time window as a view of g
-	// (core.Options.Window); only the WindowView algorithms take one. The
-	// zero value means no window.
+	// (core.Options.Window); every catalog algorithm takes one. The zero
+	// value means no window.
 	Window ival.Interval
 }
 
@@ -91,9 +91,6 @@ func New(g *tgraph.Graph, name string, p Params) (core.Program, core.Options, er
 	default:
 		return nil, core.Options{}, fmt.Errorf("algorithms: unknown algorithm %q (have %s)",
 			name, strings.Join(Names(), " "))
-	}
-	if window != ival.Universe && !WindowView(name) {
-		return nil, core.Options{}, fmt.Errorf("algorithms: %s reads the graph itself and takes no window view; run it over tgraph.Slice", name)
 	}
 	opts := prog.(optioner).Options()
 	opts.Window = p.Window

@@ -146,11 +146,16 @@ func RunFFM(g *tgraph.Graph, workers int) (*core.Result, error) {
 	return core.Run(g, a, opts)
 }
 
-// FFMTotal returns the number of feed-forward motifs in the graph.
+// FFMTotal returns the number of feed-forward motifs in the graph. Vertices
+// the run's window dropped count nothing.
 func FFMTotal(r *core.Result) int64 {
 	var sum int64
 	for i := 0; i < r.Graph.NumVertices(); i++ {
-		for _, p := range r.State(i).Parts() {
+		st := r.State(i)
+		if st == nil {
+			continue
+		}
+		for _, p := range st.Parts() {
 			if s, ok := p.Value.(ffmVal); ok {
 				sum += s.Count
 			}

@@ -23,23 +23,3 @@ func SupportsIncremental(name string) bool {
 	}
 	return false
 }
-
-// WindowView reports whether the named algorithm may be restricted to a time
-// window through core.Options.Window (Params.Window) — a view of the graph
-// and of its memoised scatter plan — and still answer bit for bit, states and
-// counts, what it answers over tgraph.Slice of that window.
-//
-// The view algorithms reach the graph only through what the runtime clips:
-// the vertex lifespan, the scatter plan's pieces and property values, and
-// ScatterPiece. FAST and LD also need the window's horizon, which New takes
-// from tgraph.Graph.HorizonIn. PageRank and LCC take the graph in their
-// constructors, and SCC, LCC and TC walk adjacency through VertexCtx.Graph,
-// where a view still shows every edge of the whole graph; they run over the
-// slice.
-func WindowView(name string) bool {
-	switch strings.ToLower(name) {
-	case "bfs", "wcc", "sssp", "eat", "fast", "ld", "tmst", "rh":
-		return true
-	}
-	return false
-}

@@ -138,11 +138,15 @@ func Closures(r *core.Result, id tgraph.VertexID) []IntervalValue {
 }
 
 // TriangleTotal returns the number of directed 3-cycles alive at time-point
-// t across the whole graph.
+// t across the whole graph, or across what the run's window kept of it.
 func TriangleTotal(r *core.Result, t ival.Time) int64 {
 	var sum int64
 	for i := 0; i < r.Graph.NumVertices(); i++ {
-		if v, ok := r.State(i).Get(t); ok {
+		st := r.State(i)
+		if st == nil {
+			continue // dropped by the run's window
+		}
+		if v, ok := st.Get(t); ok {
 			if s, ok := v.(tcVal); ok {
 				sum += s.Count
 			}

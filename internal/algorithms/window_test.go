@@ -1,10 +1,14 @@
 package algorithms
 
-// The window view (core.Options.Window, Params.Window) against its oracle:
-// the same algorithm run over tgraph.Slice of the window. States must agree
-// per vertex id, vertices the slice drops must be absent from the view's
-// result, and every count the paper reasons with must be the same number —
-// the view does the slice's work, not different work.
+// The window view (core.Options.Window, Params.Window) of every catalog
+// algorithm against its oracle: the same algorithm run over tgraph.Slice of
+// the window, at the same worker count and with each kept vertex on the
+// worker the view puts it on (its parent index modulo the worker count; the
+// slice renumbers its vertices, and PageRank's sums and LCC's and TC's lists
+// follow the order messages arrive in). States must agree per vertex id,
+// vertices the slice drops must be absent from the view's result, and every
+// count the paper reasons with must be the same number — the view does the
+// slice's work, not different work.
 
 import (
 	"path/filepath"
@@ -20,9 +24,12 @@ import (
 	"graphite/internal/tgraph"
 )
 
-// viewAlgorithms is the catalog side of WindowView, spelled out so that a
-// name added to one and not the other fails TestWindowViewPredicate.
-var viewAlgorithms = []string{"bfs", "wcc", "sssp", "eat", "fast", "ld", "tmst", "rh"}
+// graphReaders are the catalog algorithms that read the graph itself —
+// adjacency through VertexCtx.Graph, or degree partitions built in their
+// constructors — and clip what they read to the interval they were called
+// for. They are the costly part of the differential, so under -short they run
+// on MAGLike only, the profile whose windows drop vertices.
+var graphReaders = map[string]bool{"pr": true, "scc": true, "lcc": true, "tc": true}
 
 // viewCounts are the counts a view run must share with the run over the
 // slice.
@@ -59,11 +66,13 @@ func runEngine(g *tgraph.Graph, name string, p Params, workers int) (*core.Resul
 // runStepped drives core.Shards by hand through the cluster protocol —
 // Compute, Outbound, Deliver in ascending source order, Barrier, the
 // supersteps closed through core.NewBarrier — and assembles the result from
-// their encoded states, with the metrics the barrier's ledger holds.
+// their encoded states (in the program's state codec), with the metrics the
+// barrier's ledger holds.
 func runStepped(g *tgraph.Graph, name string, p Params, workers int) (*core.Result, error) {
 	workers = min(workers, g.NumVertices()) // the engine never runs more workers than vertices
 	shards := make([]*core.Shard, workers)
 	var opts core.Options
+	var pc codec.Payload
 	for i := range shards {
 		prog, o, err := New(g, name, p)
 		if err != nil {
@@ -74,7 +83,7 @@ func runStepped(g *tgraph.Graph, name string, p Params, workers int) (*core.Resu
 			return nil, err
 		}
 		defer shards[i].Close()
-		opts = o
+		opts, pc = o, core.StateCodecOf(prog, o)
 	}
 	b, err := core.NewBarrier(opts)
 	if err != nil {
@@ -121,7 +130,7 @@ func runStepped(g *tgraph.Graph, name string, p Params, workers int) (*core.Resu
 			return nil, err
 		}
 	}
-	return core.AssembleResult(g, opts.PayloadCodec, blobs, b.Metrics())
+	return core.AssembleResult(g, pc, blobs, b.Metrics())
 }
 
 // viewEndpoints picks the query's source and target inside the window: the
@@ -141,31 +150,63 @@ func viewEndpoints(g *tgraph.Graph, w ival.Interval) Params {
 	return Params{}
 }
 
-// viewOracle is one algorithm's run over the slice of a window, the answer
-// every way of running the view must repeat; err is set when the window keeps
-// nothing and the run is refused.
+// viewOracle is one algorithm's runs over the slice of a window, placed as
+// the view places its vertices: per worker count, the answer every way of
+// running the view must repeat.
 type viewOracle struct {
 	slice *tgraph.Graph
-	res   *core.Result
-	err   error
+	orig  []int // slice index → parent index
+	name  string
+	p     Params
+	runs  map[int]oracleRun
 }
 
-func newViewOracle(t testing.TB, g *tgraph.Graph, w ival.Interval, name string, p Params) viewOracle {
+// oracleRun is the oracle at one worker count; err is set when the window
+// keeps nothing and the run is refused.
+type oracleRun struct {
+	res *core.Result
+	err error
+}
+
+func newViewOracle(t testing.TB, g *tgraph.Graph, w ival.Interval, name string, p Params) *viewOracle {
 	t.Helper()
 	s, err := tgraph.Slice(g, w)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := runEngine(s, name, p, 2)
-	return viewOracle{slice: s, res: res, err: err}
+	orig := make([]int, s.NumVertices())
+	for i := range orig {
+		orig[i] = g.IndexOf(s.VertexAt(i).ID)
+	}
+	return &viewOracle{slice: s, orig: orig, name: name, p: p, runs: map[int]oracleRun{}}
 }
 
-// check holds one view run to the oracle.
-func (o viewOracle) check(t testing.TB, label string, g *tgraph.Graph, got *core.Result, err error) {
+// at is the oracle's run at the given worker count, run once.
+func (o *viewOracle) at(workers int) oracleRun {
+	if r, ok := o.runs[workers]; ok {
+		return r
+	}
+	var r oracleRun
+	prog, opts, err := New(o.slice, o.name, o.p)
+	if err != nil {
+		r.err = err
+	} else {
+		opts.NumWorkers = workers
+		opts.CheckInvariants = true
+		opts.Partitioner = func(v, n int) int { return o.orig[v] % n }
+		r.res, r.err = core.Run(o.slice, prog, opts)
+	}
+	o.runs[workers] = r
+	return r
+}
+
+// check holds one view run at the given worker count to the oracle.
+func (o *viewOracle) check(t testing.TB, label string, g *tgraph.Graph, workers int, got *core.Result, err error) {
 	t.Helper()
-	if o.err != nil {
+	run := o.at(workers)
+	if run.err != nil {
 		if o.slice.NumVertices() != 0 {
-			t.Fatalf("%s: oracle run failed over a non-empty slice: %v", label, o.err)
+			t.Fatalf("%s: oracle run failed over a non-empty slice: %v", label, run.err)
 		}
 		if err == nil || !strings.Contains(err.Error(), "contains no vertices") {
 			t.Errorf("%s: the window keeps nothing; the view run returned %v, want a refusal", label, err)
@@ -176,13 +217,13 @@ func (o viewOracle) check(t testing.TB, label string, g *tgraph.Graph, got *core
 		t.Errorf("%s: %v", label, err)
 		return
 	}
-	if a, b := countsOf(got), countsOf(o.res); a != b {
+	if a, b := countsOf(got), countsOf(run.res); a != b {
 		t.Errorf("%s: counts\n  view  %+v\n  slice %+v", label, a, b)
 	}
 	kept := 0
 	for i := 0; i < g.NumVertices(); i++ {
 		id := g.VertexAt(i).ID
-		st, want := got.State(i), o.res.StateByID(id)
+		st, want := got.State(i), run.res.StateByID(id)
 		if st != got.StateByID(id) {
 			t.Errorf("%s: vertex %d: State and StateByID disagree", label, id)
 		}
@@ -206,33 +247,10 @@ func (o viewOracle) check(t testing.TB, label string, g *tgraph.Graph, got *core
 	}
 }
 
-func TestWindowViewPredicate(t *testing.T) {
-	view := map[string]bool{}
-	for _, name := range viewAlgorithms {
-		view[name] = true
-	}
-	g := tgraph.TransitExample()
-	for _, name := range append(Names(), "ffm", "pagerank") {
-		if WindowView(name) != view[name] {
-			t.Errorf("WindowView(%q) = %v, want %v", name, WindowView(name), view[name])
-		}
-		if name == "ffm" {
-			continue // not in the catalog
-		}
-		_, opts, err := New(g, name, Params{Window: ival.New(1, 3)})
-		switch {
-		case view[name] && (err != nil || opts.Window != ival.New(1, 3)):
-			t.Errorf("New(%q) with a window: options window %v, error %v", name, opts.Window, err)
-		case !view[name] && err == nil:
-			t.Errorf("New(%q) accepted a window it cannot honour", name)
-		}
-	}
-}
-
-// TestWindowViewMatchesSliceOracle is the differential: the 8 view
+// TestWindowViewMatchesSliceOracle is the differential: the 12 catalog
 // algorithms × slice_gen_test.go's window palette × the two profiles the
 // benchmark serves × built and mapped parent × 1, 2 and 3 workers × both
-// superstep drivers.
+// superstep drivers. Under -short the graph readers run on MAGLike only.
 func TestWindowViewMatchesSliceOracle(t *testing.T) {
 	drivers := map[string]viewDriver{"engine": runEngine, "stepped": runStepped}
 	var dropped, cut bool
@@ -271,11 +289,14 @@ func TestWindowViewMatchesSliceOracle(t *testing.T) {
 		for wname, w := range windows {
 			p := viewEndpoints(built, w)
 			p.StartTime = w.Start
-			for _, name := range viewAlgorithms {
+			for _, name := range Names() {
+				if testing.Short() && graphReaders[name] && prof.Name != "mag" {
+					continue
+				}
 				oracle := newViewOracle(t, built, w, name, p)
-				if oracle.err == nil {
+				if run := oracle.at(1); run.err == nil {
 					dropped = dropped || oracle.slice.NumVertices() < built.NumVertices()
-					cut = cut || (wname == "mid-entry" && oracle.res.Metrics.Messages > 0)
+					cut = cut || (wname == "mid-entry" && run.res.Metrics.Messages > 0)
 				}
 				p.Window = w
 				for src, g := range map[string]*tgraph.Graph{"built": built, "mapped": mapped.Graph} {
@@ -283,7 +304,7 @@ func TestWindowViewMatchesSliceOracle(t *testing.T) {
 						for workers := 1; workers <= 3; workers++ {
 							label := strings.Join([]string{prof.Name, wname, name, src, dname, string(rune('0' + workers))}, "/")
 							got, err := drive(g, name, p, workers)
-							oracle.check(t, label, g, got, err)
+							oracle.check(t, label, g, workers, got, err)
 						}
 					}
 				}
@@ -348,7 +369,7 @@ func TestWindowViewTorture(t *testing.T) {
 		ival.New(0, 100), // contains every bounded lifespan, still clips the unbounded
 	}
 	for _, w := range windows {
-		for _, name := range viewAlgorithms {
+		for _, name := range Names() {
 			for _, src := range []tgraph.VertexID{2, 3} {
 				p := Params{Source: src, Target: 5, StartTime: w.Start}
 				if !g.Vertex(5).Lifespan.Intersects(w) {
@@ -360,9 +381,9 @@ func TestWindowViewTorture(t *testing.T) {
 				for workers := 1; workers <= 3; workers++ {
 					label := strings.Join([]string{w.String(), name, string(rune('0' + workers))}, "/")
 					got, err := runEngine(g, name, p, workers)
-					oracle.check(t, label+"/engine", g, got, err)
+					oracle.check(t, label+"/engine", g, workers, got, err)
 					got, err = runStepped(g, name, p, workers)
-					oracle.check(t, label+"/stepped", g, got, err)
+					oracle.check(t, label+"/stepped", g, workers, got, err)
 				}
 			}
 		}
@@ -433,11 +454,58 @@ func checkScatterStream(t testing.TB, g *tgraph.Graph, w ival.Interval, name str
 		return
 	}
 	for i := range got {
-		if got[i] != want[i] {
+		if !reflect.DeepEqual(got[i], want[i]) {
 			t.Errorf("%s over %v: Scatter call %d\n  view  %+v\n  slice %+v", name, w, i, got[i], want[i])
 			return
 		}
 	}
+}
+
+// TestWindowedTotals: the totals read every vertex's state, and a windowed
+// run has none for the vertices its window dropped. TriangleTotal over the
+// view is its value over the slice at every time-point of the window;
+// FFMTotal, whose program reads whole lifespans and so is no view, still
+// reads a windowed result without faulting.
+func TestWindowedTotals(t *testing.T) {
+	g, err := gen.Generate(gen.MAGLike(0.05), 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := ival.New(g.Horizon()*3/4, g.Horizon())
+	s, err := tgraph.Slice(g, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.NumVertices() == g.NumVertices() {
+		t.Fatalf("window %v drops no vertex", w)
+	}
+	view, err := runEngine(g, "tc", Params{Window: w}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	slice, err := runEngine(s, "tc", Params{}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var triangles int64
+	for ts := w.Start; ts < w.End; ts++ {
+		got, want := TriangleTotal(view, ts), TriangleTotal(slice, ts)
+		if got != want {
+			t.Errorf("TriangleTotal at %d: %d through the view, %d over the slice", ts, got, want)
+		}
+		triangles += want
+	}
+	if triangles == 0 {
+		t.Errorf("no triangle is alive in %v", w)
+	}
+	ffm := &FFM{}
+	opts := ffm.Options()
+	opts.Window = w
+	r, err := core.Run(g, ffm, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	FFMTotal(r)
 }
 
 // shout is a program that, from every vertex in superstep 1, messages every
@@ -447,7 +515,7 @@ type shout struct{}
 func (shout) Init(v *core.VertexCtx) { v.SetState(v.Lifespan(), int64(0)) }
 func (shout) Compute(v *core.VertexCtx, t ival.Interval, state any, msgs []codec.Word) {
 	if v.Superstep() == 1 {
-		for dst := 0; dst < v.NumVertices(); dst++ {
+		for dst := 0; dst < v.Graph().NumVertices(); dst++ {
 			v.SendTo(dst, t, codec.IntWord(1))
 		}
 		return
@@ -552,15 +620,23 @@ func arbitraryTravelGraph(seed uint64, nv, ne int) *tgraph.Graph {
 	return g
 }
 
-// checkArbitraryView runs one view algorithm, chosen by the seed, over the
+// checkArbitraryView runs one catalog algorithm, chosen by the seed, over the
 // arbitrary graph and window both ways and on both drivers.
 func checkArbitraryView(t testing.TB, seed uint64, nv, ne int, w ival.Interval) {
 	t.Helper()
+	names := Names()
+	name := names[seed%uint64(len(names))]
+	if graphReaders[name] {
+		// TC and LCC pair every origin with every parallel closing edge: over
+		// two or three vertices and a few hundred edges one TC run takes
+		// seconds, with or without a window, past the fuzzer's 10 s budget
+		// per input. The graph readers get at most 8 edges per vertex.
+		ne = min(ne, 8*nv)
+	}
 	g := arbitraryTravelGraph(seed, nv, ne)
 	if g.NumVertices() == 0 || w == (ival.Interval{}) {
 		return // the zero window is how Params and Options spell "no window"
 	}
-	name := viewAlgorithms[seed%uint64(len(viewAlgorithms))]
 	p := viewEndpoints(g, w)
 	p.StartTime = max(w.Start, 0)
 	checkScatterStream(t, g, w, name, p)
@@ -568,9 +644,9 @@ func checkArbitraryView(t testing.TB, seed uint64, nv, ne int, w ival.Interval) 
 	p.Window = w
 	workers := 1 + int(seed>>8)%3
 	got, err := runEngine(g, name, p, workers)
-	oracle.check(t, name+"/engine", g, got, err)
+	oracle.check(t, name+"/engine", g, workers, got, err)
 	got, err = runStepped(g, name, p, workers)
-	oracle.check(t, name+"/stepped", g, got, err)
+	oracle.check(t, name+"/stepped", g, workers, got, err)
 }
 
 func TestWindowViewOnArbitraryGraphs(t *testing.T) {

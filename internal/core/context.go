@@ -53,8 +53,9 @@ func (c *VertexCtx) Superstep() int { return c.eng.Superstep() }
 // Phase returns the master-set phase.
 func (c *VertexCtx) Phase() int { return c.eng.Phase() }
 
-// NumVertices returns |V| of the graph.
-func (c *VertexCtx) NumVertices() int { return c.rt.g.NumVertices() }
+// NumVertices returns |V| of the graph — under Options.Window, the number of
+// vertices the window keeps, which is |V| of tgraph.Slice of it.
+func (c *VertexCtx) NumVertices() int { return c.rt.nv }
 
 // State returns the vertex's partitioned state for reading.
 func (c *VertexCtx) State() *PartitionedState { return c.rt.states[c.idx] }

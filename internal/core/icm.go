@@ -108,13 +108,16 @@ type Options struct {
 	// from the Result, and scatter runs over the graph's own memoised plan,
 	// with ScatterPiece clipped to the window and a slack-translated trigger
 	// taken from the clipped piece.
-	// States and counts equal a run over tgraph.Slice(g, Window) for programs
-	// that reach the graph only through those; VertexCtx.Graph, Vertex and
-	// NumVertices, and the Edge handed to Scatter, still show the whole
-	// graph, so programs that read them run over the slice instead
-	// (algorithms.WindowView). A ScatterSlackLabel must be constant over a
-	// piece, as one named in PropLabels is. The zero value and any window
-	// containing the graph's lifespan mean no window.
+	// VertexCtx.NumVertices counts the vertices the window keeps.
+	// VertexCtx.Graph and Vertex, and the Edge handed to Scatter, still show
+	// the whole graph, so a program clips what it reads there to the interval
+	// it was called for — which lies inside the window; then its states and
+	// counts equal a run over tgraph.Slice(g, Window) that puts each vertex on
+	// the worker its index in g is given (the slice renumbers). Every catalog
+	// algorithm follows that rule; FFM, which reads whole in-edge lifespans,
+	// does not and is not in the catalog. A ScatterSlackLabel must be
+	// constant over a piece, as one named in PropLabels is. The zero value and
+	// any window containing the graph's lifespan mean no window.
 	Window ival.Interval
 	// DisableWarp bypasses the warp operator unconditionally, degenerating
 	// to time-point-centric execution (used by the Fig. 6(c) ablation).
@@ -311,7 +314,7 @@ func prepare(g *tgraph.Graph, prog Program, opts Options) (*runtime, engine.Prog
 		return nil, nil, engine.Config{}, errors.New("core: empty graph")
 	}
 	rt := newRuntime(g, prog, opts)
-	if !g.ExistsIn(rt.window) {
+	if rt.nv == 0 {
 		return nil, nil, engine.Config{}, fmt.Errorf("core: window %v contains no vertices", rt.window)
 	}
 	cfg := engineConfig(opts)

@@ -33,6 +33,9 @@ type runtime struct {
 	// meets the whole piece exactly where it meets the clipped one.)
 	window ival.Interval
 	match  []ival.Interval
+	// nv is the number of vertices the run keeps: every vertex of g, or
+	// those the window keeps (VertexCtx.NumVertices).
+	nv int
 
 	// Per-worker reusable scratch; sized lazily at the first Run call, when
 	// the engine's effective worker count is known.
@@ -65,10 +68,12 @@ func newRuntime(g *tgraph.Graph, prog Program, opts Options) *runtime {
 		plan:       planFor(g, &opts),
 		threshold:  opts.SuppressionThreshold,
 		window:     ival.Universe,
+		nv:         g.NumVertices(),
 	}
 	rt.match = rt.plan.match
 	if w := opts.Window; w != (ival.Interval{}) && !w.ContainsInterval(g.Lifespan()) {
 		rt.window = w
+		rt.nv = g.NumVerticesIn(w)
 		if opts.ScatterSlackLabel != "" {
 			rt.match = make([]ival.Interval, len(rt.plan.pieces))
 			for i, p := range rt.plan.pieces {

@@ -4,13 +4,15 @@ import (
 	"strings"
 	"testing"
 
+	"graphite/internal/codec"
 	"graphite/internal/gen"
 	ival "graphite/internal/interval"
 	"graphite/internal/tgraph"
 )
 
-// The work a window view must not do. What it must compute — states and
-// counts equal to the run over tgraph.Slice — is held by the differential in
+// The work a window view must not do, and the one count it must take from
+// the window rather than the graph. What it must compute — states and counts
+// equal to the run over tgraph.Slice — is held by the differential in
 // internal/algorithms, which can see the catalog.
 
 func windowGateRun(tb testing.TB, g *tgraph.Graph, window ival.Interval, workers int) *Result {
@@ -58,6 +60,47 @@ func TestWindowNormalised(t *testing.T) {
 		}
 		if _, err := NewShard(bounded, &ssspGateProg{}, Options{NumWorkers: 2, Window: w}, 0); err == nil {
 			t.Errorf("NewShard over window %v was accepted", w)
+		}
+	}
+}
+
+// countProg records, as every vertex's state, the vertex count it is shown.
+type countProg struct{}
+
+func (countProg) Init(v *VertexCtx) {
+	v.SetState(v.Lifespan(), int64(v.NumVertices()))
+}
+func (countProg) Compute(*VertexCtx, ival.Interval, any, []codec.Word) {}
+func (countProg) Scatter(*VertexCtx, *tgraph.Edge, ival.Interval, any) []OutMsg {
+	return nil
+}
+
+// TestWindowedNumVertices: under a window VertexCtx.NumVertices is the number
+// of vertices the window keeps — |V| of its slice — on every worker.
+func TestWindowedNumVertices(t *testing.T) {
+	g, err := gen.Generate(gen.MAGLike(0.05), 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := g.Horizon()
+	for _, w := range []ival.Interval{ival.Universe, ival.New(0, h/2), ival.From(h - h/4), ival.Point(h / 2)} {
+		s, err := tgraph.Slice(g, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if w == ival.From(h-h/4) && s.NumVertices() == g.NumVertices() {
+			t.Fatalf("window %v drops no vertex", w)
+		}
+		r, err := Run(g, countProg{}, Options{NumWorkers: 3, Window: w})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range g.Vertices() {
+			if st := r.State(i); st != nil {
+				if n, _ := st.Get(st.Lifespan().Start); n != int64(s.NumVertices()) {
+					t.Fatalf("window %v: vertex %d was shown %v vertices, the slice keeps %d", w, g.VertexAt(i).ID, n, s.NumVertices())
+				}
+			}
 		}
 	}
 }

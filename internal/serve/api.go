@@ -8,10 +8,11 @@ package serve
 
 // Window restricts a run to a time sub-window of the graph: every vertex,
 // edge and property exists only inside it, and vertices it leaves nothing of
-// are absent from the result. The server derives no graph for the algorithms
-// that can take the window as a view of the resident one (core.Options.Window,
-// algorithms.WindowView) and runs the others over a tgraph.Slice; the answer
-// is the same either way. End <= 0 means unbounded.
+// are absent from the result. The server derives no graph: every algorithm
+// takes the window as a view of the resident one (core.Options.Window), and
+// answers what it answers over tgraph.Slice of the window with each vertex
+// placed on the worker it has in the resident graph. End <= 0 means
+// unbounded.
 type Window struct {
 	Start int64 `json:"start"`
 	End   int64 `json:"end"`
@@ -31,8 +32,11 @@ type RunRequest struct {
 	// Window restricts the run to a time sub-window; nil means the graph's
 	// full lifetime.
 	Window *Window `json:"window,omitempty"`
-	// Workers overrides the BSP worker count for this run; it affects
-	// execution only, never results, so it is not part of the cache key.
+	// Workers overrides the BSP worker count for this run. It is not part of
+	// the cache key. For most algorithms it affects execution only; PR, LCC
+	// and TC fold floats or lists in the order messages arrive, so their
+	// result bits depend on it, and a cached answer carries the bits of the
+	// worker count that computed it.
 	Workers int `json:"workers,omitempty"`
 	// TimeoutMS bounds the run; zero means the server's default deadline. A
 	// run past its deadline is aborted at the next superstep barrier.

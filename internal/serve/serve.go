@@ -570,7 +570,7 @@ func (s *Server) runBSP(ctx context.Context, p *prepared) (*RunResult, error) {
 			ErrBadRequest, p.graphName, p.eff)
 	}
 	// A vertex is in the window when its lifespan meets it.
-	if !g.ExistsIn(p.window) {
+	if g.NumVerticesIn(p.window) == 0 {
 		return nil, fmt.Errorf("%w: window %s contains no vertices", ErrBadRequest, windowLabel(p.window))
 	}
 	for _, k := range []string{"source", "target"} {
@@ -588,20 +588,8 @@ func (s *Server) runBSP(ctx context.Context, p *prepared) (*RunResult, error) {
 		StartTime:  ival.Time(p.params["start"]),
 		Deadline:   ival.Time(p.params["deadline"]),
 		Iterations: int(p.params["iterations"]),
-	}
-	// A window is a view for the algorithms that reach the graph only through
-	// what the runtime clips (algorithms.WindowView): they run over p.g and
-	// its memoised scatter plan. The rest read the graph itself and get a
-	// slice of it.
-	if p.window != ival.Universe {
-		if algorithms.WindowView(p.algo) {
-			params.Window = p.window
-		} else {
-			var err error
-			if g, err = tgraph.Slice(p.g, p.window); err != nil {
-				return nil, fmt.Errorf("%w: window %s: %v", ErrBadRequest, windowLabel(p.window), err)
-			}
-		}
+		// A window is a view: the run keeps g and its memoised scatter plan.
+		Window: p.window,
 	}
 	prog, opts, err := algorithms.New(g, p.algo, params)
 	if err != nil {

@@ -1,8 +1,8 @@
 package serve
 
-// A served window is a view (core.Options.Window) for the algorithms
-// algorithms.WindowView names and a tgraph.Slice for the rest. Either way the
-// answer, the counts and the 400s are the slice's.
+// A served window is a view (core.Options.Window) for every catalog
+// algorithm. The answer, the counts and the 400s are those of a run over
+// tgraph.Slice of the window that places each vertex as the view does.
 
 import (
 	"context"
@@ -142,8 +142,12 @@ func TestFormatResultPinned(t *testing.T) {
 	}
 }
 
-// windowOracle answers a request the way every windowed request was answered
-// before the view: the catalog algorithm over tgraph.Slice of the window.
+// windowOracle answers a windowed request by deriving the window's graph:
+// the catalog algorithm over tgraph.Slice of the window, on the test server's
+// two workers, each kept vertex on the worker the view puts it on (its parent
+// index modulo the worker count: the slice renumbers its vertices, and
+// PageRank's sums and LCC's and TC's lists follow the order messages arrive
+// in).
 func windowOracle(t testing.TB, g *tgraph.Graph, w ival.Interval, algo string, p algorithms.Params) *core.Result {
 	t.Helper()
 	s, err := tgraph.Slice(g, w)
@@ -154,7 +158,12 @@ func windowOracle(t testing.TB, g *tgraph.Graph, w ival.Interval, algo string, p
 	if err != nil {
 		t.Fatal(err)
 	}
+	orig := make([]int, s.NumVertices())
+	for i := range orig {
+		orig[i] = g.IndexOf(s.VertexAt(i).ID)
+	}
 	opts.NumWorkers = 2
+	opts.Partitioner = func(v, n int) int { return orig[v] % n }
 	r, err := core.Run(s, prog, opts)
 	if err != nil {
 		t.Fatalf("%s over the slice of %v: %v", algo, w, err)
@@ -162,9 +171,9 @@ func windowOracle(t testing.TB, g *tgraph.Graph, w ival.Interval, algo string, p
 	return r
 }
 
-// TestWindowedExecuteMatchesSliceOracle: every catalog algorithm, view or
-// not, over built and mapped graphs and windows that drop vertices on both
-// sides — rendered lines and run counts equal the run over the slice.
+// TestWindowedExecuteMatchesSliceOracle: every catalog algorithm over built
+// and mapped graphs and windows that drop vertices on both sides — rendered
+// lines and run counts equal the run over the slice.
 func TestWindowedExecuteMatchesSliceOracle(t *testing.T) {
 	built, mapped := churnGraph(t)
 	s, _ := newTestServer(t, Config{Graphs: map[string]*tgraph.Graph{"built": built, "mapped": mapped}, Workers: 2})
@@ -242,8 +251,8 @@ func TestConcurrentWindowedQueries(t *testing.T) {
 }
 
 // TestWindowRejections: the two 400s a window can cause read exactly as they
-// did when they were derived from the slice, for view algorithms and sliced
-// ones alike, and nothing runs.
+// did when they were derived from the slice, for every algorithm, and nothing
+// runs.
 func TestWindowRejections(t *testing.T) {
 	g := tgraph.NewBuilder(3, 1).AddVertex(1, ival.New(0, 10)).AddVertex(2, ival.New(0, 10)).
 		AddVertex(7, ival.New(20, 30)).AddEdge(1, 1, 2, ival.New(2, 8)).MustBuild()
@@ -272,7 +281,7 @@ func TestWindowRejections(t *testing.T) {
 	if n := s.Registry().Counter(CRunsExecuted).Load() + s.Registry().Counter(CRunsFailed).Load(); n != 0 {
 		t.Errorf("%d runs started for rejected requests", n)
 	}
-	// A vertex the window keeps is accepted, whichever side of the predicate.
+	// A vertex the window keeps is accepted.
 	for _, algo := range []string{"sssp", "scc"} {
 		if _, err := s.Execute(context.Background(), &RunRequest{Graph: "g", Algorithm: algo,
 			Params: map[string]int64{"source": 7}, Window: &Window{15, 25}}); err != nil {
@@ -316,10 +325,9 @@ func TestWindowExtensionSeedsThroughTheView(t *testing.T) {
 	}
 }
 
-// TestWindowedExecuteAllocation: a windowed request for a view algorithm
-// allocates about what the whole-lifetime request does — it derives nothing
-// from the graph — where slicing the graph per request cost several times as
-// much.
+// TestWindowedExecuteAllocation: a windowed request allocates about what the
+// whole-lifetime request does — it derives nothing from the graph — where
+// slicing the graph per request cost several times as much.
 func TestWindowedExecuteAllocation(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc gate skipped under -race")

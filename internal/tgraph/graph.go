@@ -312,15 +312,16 @@ func (g *Graph) IndexOf(id VertexID) int {
 // ascending id order without sorting or searching.
 func (g *Graph) IndexByRank(r int) int { return int(g.vsorted[r]) }
 
-// ExistsIn reports whether any vertex exists inside the window — whether
-// Slice(g, window) would keep anything.
-func (g *Graph) ExistsIn(window ival.Interval) bool {
+// NumVerticesIn returns the number of vertices that exist inside the window:
+// the vertices Slice(g, window) keeps.
+func (g *Graph) NumVerticesIn(window ival.Interval) int {
+	n := 0
 	for i := range g.vertices {
 		if g.vertices[i].Lifespan.Intersects(window) {
-			return true
+			n++
 		}
 	}
-	return false
+	return n
 }
 
 // Edge returns the edge at the given dense index.

@@ -161,8 +161,8 @@ func checkSlice(t testing.TB, g *Graph, window ival.Interval) *Graph {
 	if got := g.HorizonIn(window); got != s.Horizon() {
 		t.Fatalf("HorizonIn(%v) = %d, the slice's horizon is %d", window, got, s.Horizon())
 	}
-	if got := g.ExistsIn(window); got != (s.NumVertices() > 0) {
-		t.Fatalf("ExistsIn(%v) = %v, the slice keeps %d vertices", window, got, s.NumVertices())
+	if got := g.NumVerticesIn(window); got != s.NumVertices() {
+		t.Fatalf("NumVerticesIn(%v) = %d, the slice keeps %d vertices", window, got, s.NumVertices())
 	}
 	for r := 1; r < s.NumVertices(); r++ {
 		if a, b := s.vertices[s.IndexByRank(r-1)].ID, s.vertices[s.IndexByRank(r)].ID; a >= b {
