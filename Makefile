@@ -32,9 +32,13 @@ test-count:
 # first instant of the graph), and the graph, stream and live layers:
 # derived graphs share property slabs with their source across concurrent
 # queries, and an epoch is materialized while readers hold the previous one.
+# The exchange path's tests are repeated too: every worker stages its peers'
+# outboxes and refills its one inbox each superstep, so a read of a buffer
+# another worker is still filling, or a range delivered twice, shows there.
 race:
 	$(GO) test -race ./internal/engine/... ./internal/chaos/... ./internal/cluster/... ./internal/obs/... ./internal/serve/... ./internal/warp/... ./internal/algorithms/... ./internal/core/... ./internal/tgraph/... ./internal/stream/... ./internal/live/...
 	$(GO) test -race -count=10 -run 'TestPlanSharedByConcurrentRuns' ./internal/core/
+	$(GO) test -race -count=10 -run 'TestPoolNoAliasingAcrossSupersteps|TestReceiveChecksOwnership|FuzzSenderCombine|TestStaleRangeNotDeliveredAgain' ./internal/engine/
 
 # Fuzz smoke: every fuzz target in the codec (intervals, slices, the word
 # forms against the any forms), engine (the batch decoder, the first thing a
@@ -101,6 +105,7 @@ bench-test:
 # epoch's plan built from scratch and from its predecessor's), of the
 # warp sweep on the inboxes the acceptance benchmark measured (serve_cold's
 # mean and largest, cluster_pr's unit messages), of the engine's exchange on
+# SSSP-shaped traffic (the unit cost of an in-process receive) and on
 # cluster_pr's traffic (unit float messages into its mean and its hub inbox
 # under the sum combiner), of a live epoch's materialization (the whole
 # graph, and one tick patched onto its predecessor, held to the rebuild) and
@@ -113,7 +118,7 @@ bench-test:
 bench-core:
 	$(GO) test -run '^$$' -bench 'StateSet|VertexStep|ScatterProps|NewRuntime|WindowedRun|EpochPlan' -benchtime=1x -benchmem ./internal/core
 	$(GO) test -run '^$$' -bench 'PathInbox|HubInbox|RankInbox' -benchtime=1x ./internal/warp
-	$(GO) test -run '^$$' -bench 'ExchangeRank' -benchtime=1x -benchmem ./internal/engine
+	$(GO) test -run '^$$' -bench 'ExchangeSteadyState|ExchangeRank' -benchtime=1x -benchmem ./internal/engine
 	$(GO) test -run '^$$' -bench 'AccumulatorGraph|EpochPatch' -benchtime=1x -benchmem ./internal/stream
 	$(GO) test -run '^$$' -bench 'RenderRun' -benchtime=1x -benchmem ./internal/serve
 

@@ -27,7 +27,7 @@ func sendContext(t testing.TB, tracer obs.Tracer) *Context {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	e.workers[0].drawOutboxes()
+	e.workers[0].drawBuffers()
 	t.Cleanup(e.releaseBuffers)
 	ctx := &Context{eng: e, w: e.workers[0], vertex: 0}
 	// Warm the outbox and the codec scratch buffer past any growth.
@@ -93,28 +93,17 @@ func sumCombiner(a, b codec.Word) codec.Word { return codec.FloatWord(a.Float() 
 // steadyExchangeStep builds an engine, installs a fixed traffic template, and
 // returns one steady-state exchange superstep: refill every outbox from the
 // template and fold them as a compute phase ends, run every worker's
-// in-memory exchange, then recycle the delivered inbox slabs exactly as the
-// compute phase would. The step is pre-run until all grow-only buffers, the
-// message arena and the fold index have reached their working size, so what
-// remains is the pure data path.
+// in-memory exchange, then empty every inbox range as the compute phase
+// would. The step is pre-run until all grow-only buffers and the fold index
+// have reached their working size, so what remains is the pure data path.
 func steadyExchangeStep(t testing.TB, cfg Config, traffic [][][]Message) func() {
 	t.Helper()
-	numV := 0
-	for _, perDst := range traffic {
-		for _, batch := range perDst {
-			for _, m := range batch {
-				if int(m.Dst) >= numV {
-					numV = int(m.Dst) + 1
-				}
-			}
-		}
-	}
-	e, err := New(numV, idleProgram{}, cfg)
+	e, err := New(trafficVertices(traffic), idleProgram{}, cfg)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
 	for _, w := range e.workers {
-		w.drawOutboxes()
+		w.drawBuffers()
 	}
 	t.Cleanup(e.releaseBuffers)
 	step := func() {
@@ -128,18 +117,27 @@ func steadyExchangeStep(t testing.TB, cfg Config, traffic [][][]Message) func() 
 			w.exchange()
 		}
 		for _, w := range e.workers {
-			for s, sl := range w.inbox {
-				if sl != nil {
-					w.inbox[s] = nil
-					msgArena.put(sl)
-				}
-			}
+			clear(w.at)
+			clear(w.end)
 		}
 	}
 	for i := 0; i < 8; i++ {
 		step()
 	}
 	return step
+}
+
+// trafficVertices is the vertex count a traffic template addresses.
+func trafficVertices(traffic [][][]Message) int {
+	numV := 0
+	for _, perDst := range traffic {
+		for _, batch := range perDst {
+			for _, m := range batch {
+				numV = max(numV, int(m.Dst)+1)
+			}
+		}
+	}
+	return numV
 }
 
 // ssspTraffic is SSSP-on-transit-shaped exchange load: unbounded [t, ∞)
@@ -178,53 +176,102 @@ func prTraffic(workers, vertices int) [][][]Message {
 	return tr
 }
 
+// exchangeLoads are the traffic the zero-allocation gates deliver: SSSP-shaped
+// traffic, and PageRank-shaped traffic with and without the sum combiner,
+// whose results were one heap object each as values.
+var exchangeLoads = []struct {
+	name    string
+	cfg     Config
+	traffic [][][]Message
+}{
+	{
+		name: "sssp-shaped",
+		cfg: Config{
+			NumWorkers:   2,
+			PayloadCodec: codec.Int64{},
+			Combiner:     minInt64Combiner,
+		},
+		traffic: ssspTraffic(2, 8),
+	},
+	{
+		name: "pr-shaped",
+		cfg: Config{
+			NumWorkers:   2,
+			PayloadCodec: codec.Float64{},
+		},
+		traffic: prTraffic(2, 8),
+	},
+	{
+		name: "pr-shaped, sum combiner",
+		cfg: Config{
+			NumWorkers:   2,
+			PayloadCodec: codec.Float64{},
+			Combiner:     sumCombiner,
+		},
+		traffic: prTraffic(2, 8),
+	},
+}
+
 // TestExchangeNoAllocsSteadyState is the exchange-phase half of the
-// zero-allocation gate: with the message arena warm, a full in-memory
-// exchange superstep — outbox refill, delivery into pooled inbox slabs
-// (combined and uncombined), and slab recycling — must not allocate, for
-// SSSP-shaped traffic and for PageRank-shaped traffic with and without the
-// sum combiner, whose results were one heap object each as values.
+// zero-allocation gate: a full in-memory exchange superstep — outbox refill,
+// the sender's fold, delivery into the worker's inbox (combined and
+// uncombined), and emptying the ranges — must not allocate once warmed.
 func TestExchangeNoAllocsSteadyState(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc gate skipped under -race: sync.Pool drops items at random under the race detector")
 	}
-	cases := []struct {
-		name    string
-		cfg     Config
-		traffic [][][]Message
-	}{
-		{
-			name: "sssp-shaped",
-			cfg: Config{
-				NumWorkers:   2,
-				PayloadCodec: codec.Int64{},
-				Combiner:     minInt64Combiner,
-			},
-			traffic: ssspTraffic(2, 8),
-		},
-		{
-			name: "pr-shaped",
-			cfg: Config{
-				NumWorkers:   2,
-				PayloadCodec: codec.Float64{},
-			},
-			traffic: prTraffic(2, 8),
-		},
-		{
-			name: "pr-shaped, sum combiner",
-			cfg: Config{
-				NumWorkers:   2,
-				PayloadCodec: codec.Float64{},
-				Combiner:     sumCombiner,
-			},
-			traffic: prTraffic(2, 8),
-		},
-	}
-	for _, tc := range cases {
+	for _, tc := range exchangeLoads {
 		t.Run(tc.name, func(t *testing.T) {
 			step := steadyExchangeStep(t, tc.cfg, tc.traffic)
 			if allocs := testing.AllocsPerRun(100, step); allocs != 0 {
 				t.Errorf("steady-state exchange superstep allocates %.1f times, want 0", allocs)
+			}
+		})
+	}
+}
+
+// TestDeliverWireNoAllocsSteadyState is the wire half: Shard.Deliver of
+// pre-encoded peer batches — decoding straight into the stage behind the
+// shard's own outbox, then placing both into its inbox — must not allocate
+// once warmed.
+func TestDeliverWireNoAllocsSteadyState(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc gate skipped under -race: sync.Pool drops items at random under the race detector")
+	}
+	for _, tc := range exchangeLoads {
+		t.Run(tc.name, func(t *testing.T) {
+			s, err := NewShard(trafficVertices(tc.traffic), snapIdleProgram{}, tc.cfg, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(s.Close)
+			w := s.w
+			// What each source sends shard 0, folded as its compute phase
+			// would leave it; the peers' encoded.
+			sent := make([]*msgSlab, len(tc.traffic))
+			var batches [][]byte
+			for src := range tc.traffic {
+				sent[src] = &msgSlab{msgs: append([]Message(nil), tc.traffic[src][0]...)}
+				if c := tc.cfg.Combiner; c != nil {
+					new(foldIndex).fold(sent[src], c)
+				}
+				if src != 0 {
+					batches = append(batches, s.eng.encodeBatch(nil, sent[src]))
+				}
+			}
+			step := func() {
+				w.outbox[0].msgs = append(w.outbox[0].msgs[:0], sent[0].msgs...)
+				if _, err := s.Deliver(batches); err != nil {
+					t.Fatal(err)
+				}
+				clear(w.at)
+				clear(w.end)
+			}
+			for i := 0; i < 8; i++ {
+				step()
+			}
+			if allocs := testing.AllocsPerRun(100, step); allocs != 0 {
+				t.Errorf("steady-state Deliver allocates %.1f times, want 0", allocs)
 			}
 		})
 	}

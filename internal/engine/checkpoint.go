@@ -72,17 +72,17 @@ func (e *Engine) capture(buf []byte, ws []*worker) (out []byte, err error) {
 			buf = binary.AppendUvarint(buf, uint64(slot))
 		}
 		n := 0
-		for _, sl := range w.inbox {
-			if sl != nil && len(sl.msgs) > 0 {
+		for slot := range w.local {
+			if w.received(slot) != nil {
 				n++
 			}
 		}
 		buf = binary.AppendUvarint(buf, uint64(n))
-		for slot, sl := range w.inbox {
-			if sl != nil && len(sl.msgs) > 0 {
+		for slot := range w.local {
+			if msgs := w.received(slot); msgs != nil {
 				buf = binary.AppendUvarint(buf, uint64(slot))
 				start := len(buf)
-				buf = prefixLen(e.encodeBatch(buf, sl), start)
+				buf = prefixLen(e.encodeBatch(buf, &msgSlab{msgs: msgs, spill: w.inbox.spill}), start)
 			}
 		}
 	}
@@ -157,67 +157,63 @@ func (r *ckptReader) slot(what string, n int, prev *int) int {
 // codec.ErrCorrupt and leaves the engine as it was. On success the inboxes,
 // active sets and superstep are the captured ones, and outboxes, partials —
 // aggregator partials included — and any recorded failure are gone.
-func (e *Engine) restore(data []byte, ws []*worker) (err error) {
+func (e *Engine) restore(data []byte, ws []*worker) error {
 	if len(data) < 1 || data[0] != ckptVersion {
 		return fmt.Errorf("%w: unknown version", ErrCheckpointCorrupt)
 	}
 	r := &ckptReader{buf: data[1:]}
 	superstep := int(r.uvarint("superstep", math.MaxInt32))
 	snap := r.field("snapshot")
-	// Inboxes are decoded into arena slabs, which go back unless the restore
-	// completes.
+	// Each worker's inboxes decode into one fresh slab: ranges holds their
+	// (slot, at, end) triples.
 	actives := make([][]int, len(ws))
-	inboxes := make([][]*msgSlab, len(ws))
-	defer func() {
-		if err != nil {
-			for _, slabs := range inboxes {
-				for _, sl := range slabs {
-					msgArena.put(sl)
-				}
-			}
-		}
-	}()
+	inboxes := make([]*msgSlab, len(ws))
+	ranges := make([][]int32, len(ws))
 	for i, w := range ws {
 		n, prev := len(w.local), -1
 		actives[i] = make([]int, r.uvarint("active count", uint64(n)))
 		for k := range actives[i] {
 			actives[i][k] = r.slot("active slot", n, &prev)
 		}
-		inboxes[i], prev = make([]*msgSlab, n), -1
+		in := &msgSlab{}
+		inboxes[i], prev = in, -1
 		for k := r.uvarint("inbox count", uint64(n)); k > 0 && r.err == nil; k-- {
 			slot := r.slot("inbox slot", n, &prev)
 			batch := r.field("inbox batch")
 			if r.err != nil {
 				break
 			}
-			sl := msgArena.get()
-			inboxes[i][slot] = sl
-			r.err = e.decodeBatchInto(sl, batch)
-			for _, m := range sl.msgs {
+			from := len(in.msgs)
+			r.err = e.decodeBatchInto(in, batch)
+			for _, m := range in.msgs[from:] {
 				if m.Dst != w.local[slot] {
 					r.fail("inbox of vertex %d holds a message for vertex %d", w.local[slot], m.Dst)
 				}
 			}
+			ranges[i] = append(ranges[i], int32(slot), int32(from), int32(len(in.msgs)))
 		}
 	}
 	if len(r.buf) != 0 {
 		r.fail("%d trailing bytes", len(r.buf))
 	}
-	if err = r.err; err != nil {
-		return err
+	if r.err != nil {
+		return r.err
 	}
-	if err = e.program.(Snapshotter).RestoreSnapshot(snap); err != nil {
+	if err := e.program.(Snapshotter).RestoreSnapshot(snap); err != nil {
 		return fmt.Errorf("engine: program snapshot: %w", err)
 	}
 
 	// Everything checked: recycle whatever the aborted superstep delivered —
 	// including payloads decoded from corrupted frames, which put scrubs —
-	// and install the capture.
+	// and install the capture, over every range.
 	for i, w := range ws {
-		for _, sl := range w.inbox {
-			msgArena.put(sl)
+		outboxArena.put(w.inbox)
+		w.inbox = inboxes[i]
+		clear(w.at)
+		clear(w.end)
+		for rg := ranges[i]; len(rg) > 0; rg = rg[3:] {
+			w.at[rg[0]], w.end[rg[0]] = rg[1], rg[2]
 		}
-		copy(w.inbox, inboxes[i])
 		clear(w.active)
 		w.frontier = w.frontier[:0]
 		for _, slot := range actives[i] {

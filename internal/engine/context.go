@@ -13,7 +13,8 @@ type Context struct {
 	w      *worker // the vertex's worker: outboxes, partials and scratch are its own
 	vertex int32
 	slot   int
-	// spill is the spill table of the inbox slab Program.Run was handed.
+	// spill is the spill table of the worker's inbox, which every message
+	// Program.Run is handed indexes.
 	spill []any
 }
 

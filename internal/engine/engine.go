@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -54,9 +55,9 @@ type Program interface {
 	// Init runs once for every vertex before superstep 1.
 	Init(ctx *Context)
 	// Run executes one superstep for an active vertex with its inbox. The
-	// msgs slice is only valid for the duration of the call: its backing
-	// buffer is pooled and recycled for a later superstep as soon as Run
-	// returns, so implementations must copy anything they keep.
+	// msgs slice is only valid for the duration of the call: it is the
+	// vertex's range of its worker's inbox, which the next exchange
+	// refills, so implementations must copy anything they keep.
 	Run(ctx *Context, msgs []Message)
 }
 
@@ -202,9 +203,11 @@ type worker struct {
 	id     int
 	eng    *Engine
 	local  []int32    // dense vertex indices owned by this worker
-	inbox  []*msgSlab // per local slot; arena-pooled, nil when empty
 	active []bool     // per local slot; dedup bitmap behind the frontier
 	outbox []*msgSlab // per destination worker, refilled every superstep; arena-pooled across runs
+	inbox  *msgSlab   // delivered messages in slot order, slot s's at msgs[at[s]:end[s]]; arena-pooled
+	at     []int32    // per local slot: where its inbox range starts
+	end    []int32    // per local slot: where it ends
 
 	// Dense frontier: slots activated since the last compute phase, appended
 	// at delivery time (activation order), sorted at compute start. Grow-only.
@@ -225,8 +228,7 @@ type worker struct {
 	shipNS     int64
 	exchangeNS int64
 
-	scratch []byte   // spilled-payload sizing buffer, reused across sends
-	decode  *msgSlab // transport decode buffer, reused across batches; arena-pooled across runs
+	scratch []byte // spilled-payload sizing buffer, reused across sends
 
 	// cctx is the worker's persistent compute Context: &cctx escapes into
 	// Program.Run through the interface call, and a per-phase local would
@@ -300,40 +302,35 @@ func New(numVertices int, program Program, cfg Config) (*Engine, error) {
 		wk.local = append(wk.local, int32(v))
 	}
 	for _, wk := range e.workers {
-		wk.inbox = make([]*msgSlab, len(wk.local))
 		wk.active = make([]bool, len(wk.local))
+		wk.at, wk.end = make([]int32, len(wk.local)), make([]int32, len(wk.local))
 	}
 	return e, nil
 }
 
-// drawOutboxes starts the worker's outboxes from pooled buffers, so a run
-// begins at the capacity an earlier one grew to. Only workers that will
+// drawBuffers starts the worker's outboxes and inbox from pooled buffers, so
+// a run begins at the capacity an earlier one grew to. Only workers that will
 // execute draw: a shard's engine has routing entries for every worker but
 // sends from one.
-func (w *worker) drawOutboxes() {
+func (w *worker) drawBuffers() {
 	for d := range w.outbox {
 		w.outbox[d] = outboxArena.get()
 	}
+	w.inbox = outboxArena.get()
 }
 
 // releaseBuffers hands the engine's pooled buffers back for the next run:
-// undelivered inbox slabs (MaxSupersteps or a failure can end a run with
-// messages still queued), every outbox and the decode buffer. Nothing may
-// send afterwards: the outboxes are left nil.
+// every outbox and the inbox, with whatever it still holds (MaxSupersteps or
+// a failure can end a run with messages undelivered). Nothing may send or
+// receive afterwards: the buffers are left nil.
 func (e *Engine) releaseBuffers() {
 	for _, w := range e.workers {
-		for s, sl := range w.inbox {
-			if sl != nil {
-				w.inbox[s] = nil
-				msgArena.put(sl)
-			}
-		}
 		for d, ob := range w.outbox {
 			outboxArena.put(ob)
 			w.outbox[d] = nil
 		}
-		outboxArena.put(w.decode)
-		w.decode = nil
+		outboxArena.put(w.inbox)
+		w.inbox = nil
 	}
 }
 
@@ -357,7 +354,7 @@ func (e *Engine) Run() (*Metrics, error) {
 	// left to touch a buffer.
 	defer e.releaseBuffers()
 	for _, w := range e.workers {
-		w.drawOutboxes()
+		w.drawBuffers()
 		w.resetPartials()
 	}
 	start := time.Now()
@@ -650,7 +647,7 @@ func (w *worker) exchange() {
 	phaseStart := time.Now()
 	var err error
 	if e.cfg.Transport == nil {
-		w.rep.Delivered, err = w.receive(len(e.workers)-1, w.peerOutbox)
+		w.rep.Delivered, err = w.receive(len(e.workers)-1, w.stagePeer)
 	} else {
 		var batches [][]byte
 		if batches, err = e.cfg.Transport.Recv(w.id); err == nil {
@@ -664,85 +661,92 @@ func (w *worker) exchange() {
 }
 
 // receive is a worker's receive phase, and the one routine that sets the
-// order messages are delivered in, whatever carries the batches: the
-// self-addressed outbox first, then peer(0) … peer(peers-1), the peers'
-// batches in ascending source order. Each source folded its batches as its
-// compute phase ended (fold.go), so the combiner folds peers' partials into
-// what arrived before them, and the own outbox, arriving first into inboxes
-// the compute phase emptied, is delivered as it is. A batch may have come
-// over the wire, so a message for a vertex another worker owns is a corrupt
-// batch — never a delivery to whichever local vertex shares its slot number.
-// Each batch is emptied once delivered. It returns the number of messages
-// delivered.
-func (w *worker) receive(peers int, peer func(i int) (*msgSlab, error)) (int64, error) {
-	var n int64
-	batch, c := w.outbox[w.id], Combiner(nil)
-	for i := 0; ; i++ {
-		for _, m := range batch.msgs {
-			dw, slot := w.eng.owner(m.Dst)
-			if dw != w.id {
-				return n, fmt.Errorf("engine: worker %d received a message for vertex %d, which worker %d owns: %w",
-					w.id, m.Dst, dw, codec.ErrCorrupt)
-			}
-			w.deliver(slot, m, batch.spill, c)
-			n++
+// order messages are delivered in, whatever carries the batches: the own
+// outbox first, then peer(0) … peer(peers-1) ascending by source. The own
+// outbox is the stage, stage(i, st) appends peer i's batch to it; each staged
+// message is counted for its slot, which it activates (a message for a vertex
+// another worker owns is a corrupt batch, never a delivery to the local vertex
+// sharing its slot number); a stable counting sort over the sorted frontier
+// places them, each slot's range in delivery order. The own outbox, which its
+// sender fold (fold.go) left with one inline message per (Dst, When), is
+// placed as it is; the combiner folds a peer's inline message into the first
+// inline one placed for its vertex with the same interval. The stage's spill
+// table becomes the inbox's. It returns the messages staged: those delivered,
+// after each sender's fold.
+func (w *worker) receive(peers int, stage func(i int, st *msgSlab) error) (int64, error) {
+	e, st := w.eng, w.outbox[w.id]
+	defer st.reset()
+	own := len(st.msgs)
+	for i := 0; i < peers; i++ {
+		if err := stage(i, st); err != nil {
+			return 0, err
 		}
-		batch.reset()
-		if i == peers {
-			return n, nil
-		}
-		var err error
-		if batch, err = peer(i); err != nil {
-			return n, err
-		}
-		c = w.eng.cfg.Combiner
 	}
+	for _, m := range st.msgs {
+		dw, slot := e.owner(m.Dst)
+		if dw != w.id {
+			return 0, fmt.Errorf("engine: worker %d received a message for vertex %d, which worker %d owns: %w",
+				w.id, m.Dst, dw, codec.ErrCorrupt)
+		}
+		w.activate(slot)
+		w.end[slot]++
+	}
+	slices.Sort(w.frontier)
+	var n int32
+	for _, s := range w.frontier {
+		w.at[s], w.end[s], n = n, n, n+w.end[s]
+	}
+	in, c := w.inbox, e.cfg.Combiner
+	in.reset()
+	in.msgs = slices.Grow(in.msgs, int(n))[:n]
+	in.spill, st.spill = st.spill, in.spill
+	for i, m := range st.msgs {
+		s := e.slot[m.Dst]
+		k := w.end[s]
+		if c != nil && i >= own && m.Kind != codec.KindSpill {
+			for k = w.at[s]; k < w.end[s]; k++ {
+				if o := &in.msgs[k]; o.When == m.When && o.Kind != codec.KindSpill {
+					*o = newMessage(o.Dst, o.When, c(o.Word(), m.Word()))
+					break
+				}
+			}
+		}
+		if k == w.end[s] {
+			in.msgs[k] = m
+			w.end[s]++
+		}
+	}
+	return int64(len(st.msgs)), nil
 }
 
-// peerOutbox is the i-th peer's batch in process: the outbox slab that source
-// worker filled for this one, handed over without encoding.
-func (w *worker) peerOutbox(i int) (*msgSlab, error) {
+// received returns a slot's messages, nil when there are none, capped at
+// its range: appending to them cannot reach the next slot's.
+func (w *worker) received(slot int) []Message {
+	a, b := w.at[slot], w.end[slot]
+	if a == b {
+		return nil
+	}
+	return w.inbox.msgs[a:b:b]
+}
+
+// stagePeer stages the i-th peer's batch in process: the outbox slab that
+// source worker filled for this one, handed over without encoding and emptied.
+func (w *worker) stagePeer(i int, st *msgSlab) error {
 	if i >= w.id {
 		i++
 	}
-	return w.eng.workers[i].outbox[w.id], nil
+	ob := w.eng.workers[i].outbox[w.id]
+	st.appendSlab(ob)
+	ob.reset()
+	return nil
 }
 
 // receiveWire is receive over serialized batches — from a Transport, or
-// handed to a Shard — each decoded into the worker's reusable buffer, drawn
-// from the outbox arena on first use: a run in process never needs one.
+// handed to a Shard — each decoded straight into the stage.
 func (w *worker) receiveWire(batches [][]byte) (int64, error) {
-	if w.decode == nil {
-		w.decode = outboxArena.get()
-	}
-	defer w.decode.reset()
-	return w.receive(len(batches), func(i int) (*msgSlab, error) {
-		w.decode.reset()
-		return w.decode, w.eng.decodeBatchInto(w.decode, batches[i])
+	return w.receive(len(batches), func(i int, st *msgSlab) error {
+		return w.eng.decodeBatchInto(st, batches[i])
 	})
-}
-
-// deliver appends a message to a local inbox slab, or combines it under c,
-// and marks the vertex active; from is the spill table of the slab m comes
-// out of. Slabs come from the arena on first delivery and go back right after
-// the vertex's Run call consumes them.
-func (w *worker) deliver(slot int, m Message, from []any, c Combiner) {
-	sl := w.inbox[slot]
-	if sl == nil {
-		sl = msgArena.get()
-		w.inbox[slot] = sl
-	}
-	if c != nil && m.Kind != codec.KindSpill {
-		for i := range sl.msgs {
-			if o := &sl.msgs[i]; o.When == m.When && o.Kind != codec.KindSpill {
-				*o = newMessage(o.Dst, o.When, c(o.Word(), m.Word()))
-				w.activate(slot)
-				return
-			}
-		}
-	}
-	sl.add(m, from)
-	w.activate(slot)
 }
 
 // sendWithRetry ships one batch, retrying transient failures sendRetries

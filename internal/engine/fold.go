@@ -17,8 +17,8 @@ import (
 // messages in send order, c(c(m1, m2), m3), keeping each survivor where its
 // first message was; worker.receive folds the per-source partials in its one
 // delivery order, own outbox first, then peers ascending. The own outbox
-// arrives first, into inboxes the compute phase emptied, so it is delivered
-// as it is: nothing there to fold into.
+// is placed first, into ranges that hold nothing yet, so it needs no fold
+// on arrival: its own sender fold already left one message per key.
 //
 // The fold is one pass over the finished outbox rather than a probe per
 // Context.SendWord: probing the index from inside the compute phase

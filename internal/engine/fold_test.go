@@ -103,6 +103,9 @@ func FuzzSenderCombine(f *testing.F) {
 	// Three workers' partials for one vertex whose float sum depends on the
 	// order they arrive in: (0.4 + 0.4) + 0.6 ≠ (0.4 + 0.6) + 0.4.
 	f.Add(uint8(2), true, []byte{0x00, 0x00, 4, 0x10, 0x00, 4, 0x20, 0x00, 6})
+	// A peer's inline message for a vertex and interval whose first placed
+	// message is the own outbox's spilled one: it must not fold into it.
+	f.Add(uint8(1), false, []byte{0x00, 0x80, 5, 0x10, 0x00, 7})
 	f.Fuzz(func(t *testing.T, workers uint8, float bool, script []byte) {
 		const numV = 7
 		n := int(workers%3) + 1
@@ -165,7 +168,7 @@ func FuzzSenderCombine(f *testing.F) {
 				t.Fatal(err)
 			}
 			for _, w := range e.workers {
-				w.drawOutboxes()
+				w.drawBuffers()
 			}
 			for _, s := range sends {
 				ctx := &Context{eng: e, w: e.workers[s.src]}
@@ -190,7 +193,7 @@ func FuzzSenderCombine(f *testing.F) {
 					}
 					k, err = w.receiveWire(batches)
 				} else {
-					k, err = w.receive(n-1, w.peerOutbox)
+					k, err = w.receive(n-1, w.stagePeer)
 				}
 				if err != nil {
 					t.Fatal(err)
@@ -202,10 +205,9 @@ func FuzzSenderCombine(f *testing.F) {
 			}
 			for v := 0; v < numV; v++ {
 				var got []foldEntry
-				if sl := e.workers[v%n].inbox[v/n]; sl != nil {
-					for _, m := range sl.msgs {
-						got = append(got, foldEntryOf(m, sl.spill))
-					}
+				w := e.workers[v%n]
+				for _, m := range w.received(v / n) {
+					got = append(got, foldEntryOf(m, w.inbox.spill))
 				}
 				if !slices.Equal(got, want[v]) {
 					t.Errorf("wire %v: vertex %d was delivered\n  %v\nwant\n  %v", wire, v, got, want[v])

@@ -13,9 +13,9 @@ import (
 // false→true transition also appends the slot to the worker's grow-only
 // `frontier` list, so the compute phase iterates exactly the activated slots
 // instead of scanning all of them. The frontier is built in delivery order,
-// sorted ascending at the start of compute (so messages are emitted in slot
-// order whatever order the activations arrived in), consumed, and reset at the
-// end of the phase. At a barrier it is the active set, which is what a
+// sorted ascending as receive lays the inbox out and again at the start of
+// compute (so messages are emitted in slot order whatever order activations
+// arrived in), consumed, and reset at the end of the phase. At a barrier it is the active set, which is what a
 // checkpoint captures and restore re-activates.
 
 // activate marks a local slot active and, on the false→true transition,
@@ -79,10 +79,12 @@ func (w *worker) compute() {
 	w.foldOutboxes()
 }
 
-// runSlots executes the program over the given slots, recycling consumed
-// inbox slabs and clearing active flags as it goes.
+// runSlots executes the program over the given slots, emptying each one's
+// inbox range and clearing its active flag as it goes: a range left behind
+// would be delivered again.
 func (w *worker) runSlots(slots []int32) {
 	e, ctx := w.eng, &w.cctx
+	ctx.spill = w.inbox.spill
 	for _, s := range slots {
 		if e.aborted() {
 			return
@@ -91,20 +93,13 @@ func (w *worker) runSlots(slots []int32) {
 		v := w.local[slot]
 		ctx.vertex = v
 		ctx.slot = slot
-		var msgs []Message
-		ctx.spill = nil
-		if sl := w.inbox[slot]; sl != nil {
-			msgs, ctx.spill = sl.msgs, sl.spill
-		}
+		msgs := w.received(slot)
 		if !e.guardedCall(int(v), func() { e.program.Run(ctx, msgs) }) {
-			// A panicking vertex keeps its slab: rollback recycles every
-			// live inbox slab before replaying.
+			// A panicking vertex keeps its range: rollback overwrites every
+			// range before replaying.
 			return
 		}
-		if sl := w.inbox[slot]; sl != nil {
-			w.inbox[slot] = nil
-			msgArena.put(sl)
-		}
+		w.at[slot], w.end[slot] = 0, 0
 		w.active[slot] = false
 	}
 }

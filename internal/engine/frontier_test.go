@@ -2,6 +2,7 @@ package engine
 
 import (
 	"slices"
+	"sync"
 	"testing"
 
 	"graphite/internal/codec"
@@ -19,7 +20,7 @@ func TestFrontierTracksFlags(t *testing.T) {
 		t.Fatalf("New: %v", err)
 	}
 	w := e.workers[0]
-	w.drawOutboxes()
+	w.drawBuffers()
 	t.Cleanup(e.releaseBuffers)
 	for _, slot := range []int{7, 2, 5, 2, 7} {
 		w.activate(slot)
@@ -130,7 +131,7 @@ func TestSchedulerNoAllocsSteadyState(t *testing.T) {
 		t.Fatalf("New: %v", err)
 	}
 	for _, w := range e.workers {
-		w.drawOutboxes()
+		w.drawBuffers()
 		for slot := range w.local {
 			w.activate(slot)
 		}
@@ -195,3 +196,146 @@ func TestPartitionBalanced(t *testing.T) {
 		t.Fatalf("out-of-range vertex assigned %d, want modulo fallback", got)
 	}
 }
+
+// scriptProgram sends what its script says — script[s][v] are the
+// destinations vertex v sends to at superstep s — and records how many
+// messages each vertex was handed at each superstep it ran, and any handed
+// message addressed to another vertex. Each vertex appends to what it is
+// handed, which must not reach the next one's messages. Vertex panicAt[1]
+// panics the first time it runs superstep panicAt[0].
+type scriptProgram struct {
+	noSnapshot
+	script  map[int]map[int][]int
+	panicAt [2]int
+	mu      sync.Mutex
+	handed  map[[2]int]int
+	foreign []Message
+	panics  int
+	tail    []Message
+}
+
+func (*scriptProgram) Init(*Context) {}
+
+func (p *scriptProgram) Run(ctx *Context, msgs []Message) {
+	s, v := ctx.Superstep(), ctx.Vertex()
+	p.mu.Lock()
+	p.handed[[2]int{s, v}] = len(msgs)
+	for _, m := range msgs {
+		if int(m.Dst) != v {
+			p.foreign = append(p.foreign, m)
+		}
+	}
+	p.tail = append(msgs, newMessage(-1, ival.Universe, codec.Word{}))
+	boom := p.panicAt == [2]int{s, v} && p.panics == 0
+	if boom {
+		p.panics++
+	}
+	p.mu.Unlock()
+	if boom {
+		panic("injected")
+	}
+	for _, dst := range p.script[s][v] {
+		ctx.Send(dst, ival.Universe, int64(v))
+	}
+}
+
+// inboxVertices lists the vertices a capture holds an inbox for.
+func inboxVertices(t *testing.T, e *Engine, data []byte) []int {
+	t.Helper()
+	r := &ckptReader{buf: data[1:]}
+	r.uvarint("superstep", 1<<31)
+	r.field("snapshot")
+	var got []int
+	for _, w := range e.workers {
+		n, prev := len(w.local), -1
+		for k := r.uvarint("active count", uint64(n)); k > 0; k-- {
+			r.slot("active slot", n, &prev)
+		}
+		prev = -1
+		for k := r.uvarint("inbox count", uint64(n)); k > 0 && r.err == nil; k-- {
+			got = append(got, int(w.local[r.slot("inbox slot", n, &prev)]))
+			r.field("inbox batch")
+		}
+	}
+	if r.err != nil || len(r.buf) != 0 {
+		t.Fatalf("capture does not parse: %v, %d bytes left", r.err, len(r.buf))
+	}
+	slices.Sort(got)
+	return got
+}
+
+// TestStaleRangeNotDeliveredAgain: vertex 1 is handed a message at superstep
+// 2 and none at 3, while its worker's other vertices are. At superstep 3 it
+// must be handed nothing — it runs then only under ActivateAll — and the
+// capture at the barrier before superstep 3 must hold no inbox for it: the
+// compute phase empties each range it consumes, and a range left behind
+// would be delivered again, pointing at whatever the next exchange placed
+// there. The rollback row panics in the middle of worker 1's frontier at
+// superstep 2 and replays it from the capture before it.
+func TestStaleRangeNotDeliveredAgain(t *testing.T) {
+	// Two workers: worker 1 owns vertices 1, 3, 5 and 7.
+	script := map[int]map[int][]int{
+		1: {0: {1, 3}, 2: {5, 5}, 4: {7}},
+		2: {3: {5}, 5: {7, 7}, 7: {3}},
+	}
+	// The messages each vertex is handed at each superstep, and the inboxes
+	// each barrier's capture holds.
+	want := map[[2]int]int{{2, 1}: 1, {2, 3}: 1, {2, 5}: 2, {2, 7}: 1, {3, 3}: 1, {3, 5}: 1, {3, 7}: 2}
+	wantInboxes := map[int][]int{2: {1, 3, 5, 7}, 3: {3, 5, 7}}
+	rows := []struct {
+		name string
+		cfg  Config
+		pnc  [2]int
+	}{
+		{"plain", Config{}, [2]int{}},
+		{"activate-all", Config{ActivateAll: true, MaxSupersteps: 4}, [2]int{}},
+		{"rollback", Config{CheckpointEvery: 1}, [2]int{2, 5}},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			p := &scriptProgram{script: script, panicAt: row.pnc, handed: map[[2]int]int{}}
+			captures := map[int][]int{}
+			var e *Engine
+			cfg := row.cfg
+			cfg.NumWorkers, cfg.PayloadCodec = 2, codec.Int64{}
+			cfg.Master = masterFunc(func(mc *MasterControl) {
+				data, err := mc.Capture()
+				if err != nil {
+					t.Fatal(err)
+				}
+				captures[mc.Superstep()] = inboxVertices(t, e, data)
+			})
+			var err error
+			if e, err = New(8, p, cfg); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := e.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if len(p.foreign) != 0 {
+				t.Errorf("vertices were handed messages for others: %v", p.foreign)
+			}
+			if row.pnc != [2]int{} && p.panics != 1 {
+				t.Fatalf("%d panics injected, want 1", p.panics)
+			}
+			for k, n := range p.handed {
+				if n != want[k] {
+					t.Errorf("vertex %d was handed %d messages at superstep %d, want %d", k[1], n, k[0], want[k])
+				}
+			}
+			if _, ran := p.handed[[2]int{3, 1}]; ran != row.cfg.ActivateAll {
+				t.Errorf("vertex 1 ran at superstep 3: %v, want %v", ran, row.cfg.ActivateAll)
+			}
+			for s, vs := range wantInboxes {
+				if !slices.Equal(captures[s], vs) {
+					t.Errorf("the capture before superstep %d holds inboxes for %v, want %v", s, captures[s], vs)
+				}
+			}
+		})
+	}
+}
+
+// masterFunc is a Master that runs fn at every barrier.
+type masterFunc func(mc *MasterControl)
+
+func (f masterFunc) BeforeSuperstep(mc *MasterControl) { f(mc) }

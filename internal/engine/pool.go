@@ -12,14 +12,13 @@ import (
 // arena reuse in bytes alongside the codec slab pool's byte counts.
 const messageSize = int64(unsafe.Sizeof(Message{}))
 
-// msgSlab is a buffer of messages — an outbox, an inbox, a decoded batch —
-// with the spill table of the payloads that do not
-// fit a word: a KindSpill message's A indexes the table of the slab it is in.
-// The table is the only thing in a slab the collector scans, and it is empty
-// unless a program sends values outside the palette. Inbox slabs are handed
-// out by the arena during the exchange phase and returned right after the
-// vertex's Run call, so at steady state each superstep recycles the previous
-// one's buffers instead of allocating.
+// msgSlab is a buffer of messages — an outbox, a worker's inbox — with the
+// spill table of the payloads that do not fit a word: a KindSpill message's A
+// indexes the table of the slab it is in. The table is the only thing in a
+// slab the collector scans, and it is empty unless a program sends values
+// outside the palette. A run draws its slabs from the arena when it starts and
+// hands them back when it ends, so repeated runs reuse each other's buffers
+// instead of growing their own.
 type msgSlab struct {
 	msgs  []Message
 	spill []any
@@ -37,6 +36,18 @@ func (s *msgSlab) add(m Message, from []any) {
 		m.A = s.hold(from[m.A]).A
 	}
 	s.msgs = append(s.msgs, m)
+}
+
+// appendSlab appends the messages of src, moving its spilled payloads over.
+func (s *msgSlab) appendSlab(src *msgSlab) {
+	n, base := len(s.msgs), uint64(len(s.spill))
+	s.msgs = append(s.msgs, src.msgs...)
+	s.spill = append(s.spill, src.spill...)
+	for i := n; len(src.spill) > 0 && i < len(s.msgs); i++ {
+		if s.msgs[i].Kind == codec.KindSpill {
+			s.msgs[i].A += base
+		}
+	}
 }
 
 // reset empties the slab. Messages are left as they are — there is nothing
@@ -90,23 +101,16 @@ func (a *messageArena) stats() (hits, misses, bytesReused int64) {
 // layer, the bench warm-up/measure pairs — reach steady state immediately
 // instead of re-growing buffers per engine.
 var (
-	// msgArena feeds worker inbox slabs.
-	msgArena messageArena
-	// outboxArena feeds worker outboxes and transport decode buffers. A run
-	// holds a few of them, each orders of magnitude larger than an inbox
-	// slab, hence an arena of their own: out of msgArena a new run — every
-	// cluster job's shard is one — would mostly draw inbox-sized slabs and
-	// grow them all over again.
+	// outboxArena feeds worker outboxes and inboxes, a handful per run.
 	outboxArena messageArena
 	// batchSlabs feeds the encode buffers of the transport ship phase.
 	batchSlabs codec.SlabPool
 )
 
-// poolStats folds the message arenas' and batch slab statistics into the
+// poolStats folds the message arena's and batch slab statistics into the
 // totals the obs gauges publish.
 func poolStats() (hits, misses, bytesReused int64) {
-	h, m, b := msgArena.stats()
+	h, m, b := outboxArena.stats()
 	h2, m2, b2 := batchSlabs.Stats()
-	h3, m3, b3 := outboxArena.stats()
-	return h + h2 + h3, m + m2 + m3, b + b2 + b3
+	return h + h2, m + m2, b + b2
 }

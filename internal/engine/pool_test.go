@@ -44,7 +44,7 @@ func TestMessageArenaRecycles(t *testing.T) {
 }
 
 // chainProgram passes a token around a ring for a fixed number of supersteps,
-// so every superstep delivers into — and recycles — inbox slabs.
+// so every superstep delivers into the workers' inboxes.
 type chainProgram struct {
 	steps int
 	n     int
@@ -58,11 +58,11 @@ func (p chainProgram) Run(ctx *Context, msgs []Message) {
 	}
 }
 
-// fanProgram stresses slab recycling: every vertex sends to its ring
-// neighbour and to a shared hot vertex each superstep, with payloads encoding
+// fanProgram stresses buffer reuse: every vertex sends to its ring neighbour
+// and to a shared hot vertex each superstep, with payloads encoding
 // (superstep, sender). Each receiver checks that every delivered payload was
-// sent in the immediately preceding superstep — a slab recycled while still
-// referenced, or delivery aliasing a reused buffer, surfaces as a stale
+// sent in the immediately preceding superstep — an inbox range delivered
+// again, or delivery aliasing a buffer still being read, surfaces as a stale
 // payload here (and as a report under -race).
 type fanProgram struct {
 	steps int
@@ -76,7 +76,7 @@ func (p fanProgram) Run(ctx *Context, msgs []Message) {
 	for _, m := range msgs {
 		v := m.Word().Int()
 		if got, want := v/1000, int64(ctx.Superstep()-1); got != want {
-			p.fail("vertex %d superstep %d: payload %d sent at superstep %d, want %d — pooled slab aliased",
+			p.fail("vertex %d superstep %d: payload %d sent at superstep %d, want %d — inbox aliased",
 				ctx.Vertex(), ctx.Superstep(), v, got, want)
 		}
 	}
@@ -88,8 +88,9 @@ func (p fanProgram) Run(ctx *Context, msgs []Message) {
 }
 
 // TestPoolNoAliasingAcrossSupersteps runs the fan-in workload with many
-// workers shipping into the same destinations while the barrier recycles
-// slabs. Run under `make race`, it doubles as the pool-aliasing race test.
+// workers shipping into the same destinations while each refills its inbox
+// every exchange. Run under `make race`, it doubles as the aliasing race
+// test.
 func TestPoolNoAliasingAcrossSupersteps(t *testing.T) {
 	const n, steps = 32, 12
 	var mu sync.Mutex
@@ -113,44 +114,48 @@ func TestPoolNoAliasingAcrossSupersteps(t *testing.T) {
 	}
 }
 
-// TestPoolGaugesPublished runs a real multi-superstep engine and checks the
-// observability wiring: the registry gauges show the message arena being hit
-// and bytes being reused.
+// TestPoolGaugesPublished runs a real multi-superstep engine three times over
+// one registry and checks the observability wiring: the gauges show the
+// message arena being hit and bytes being reused — a run draws its outboxes
+// and inbox from what the one before it released.
 func TestPoolGaugesPublished(t *testing.T) {
 	reg := obs.NewRegistry()
-	e, err := New(4, chainProgram{steps: 6, n: 4}, Config{
-		NumWorkers:   2,
-		PayloadCodec: codec.Int64{},
-		Registry:     reg,
-	})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	if _, err := e.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
+	for range 3 {
+		e, err := New(4, chainProgram{steps: 6, n: 4}, Config{
+			NumWorkers:   2,
+			PayloadCodec: codec.Int64{},
+			Registry:     reg,
+		})
+		if err != nil {
+			t.Fatalf("New: %v", err)
+		}
+		if _, err := e.Run(); err != nil {
+			t.Fatalf("Run: %v", err)
+		}
 	}
 	if hits := reg.Gauge(obs.GPoolHits).Load(); hits <= 0 {
-		t.Errorf("%s = %d after a 6-superstep run, want > 0", obs.GPoolHits, hits)
+		t.Errorf("%s = %d after three runs, want > 0", obs.GPoolHits, hits)
 	}
 	if reused := reg.Gauge(obs.GBytesReused).Load(); reused <= 0 {
-		t.Errorf("%s = %d after a 6-superstep run, want > 0", obs.GBytesReused, reused)
+		t.Errorf("%s = %d after three runs, want > 0", obs.GBytesReused, reused)
 	}
 	if misses := reg.Gauge(obs.GPoolMisses).Load(); misses <= 0 {
-		t.Errorf("%s = %d, want > 0 (first delivery of each slot must miss)", obs.GPoolMisses, misses)
+		t.Errorf("%s = %d, want > 0 (a process's first draws must miss)", obs.GPoolMisses, misses)
 	}
 }
 
-// TestOutboxesRecycledScrubbed checks the outbox half of the arena contract:
-// when a run ends its outboxes go back to the arena with no payload behind
-// the spill table's length either — emptying an outbox scrubs the table — and
-// the next engine starts from that capacity instead of growing its own.
+// TestOutboxesRecycledScrubbed checks the engine's half of the arena
+// contract: when a run ends its outboxes go back to the arena with no payload
+// behind the spill table's length either — emptying an outbox scrubs the
+// table — and the next engine starts from that capacity, in an outbox or its
+// inbox, which share the arena, instead of growing its own.
 func TestOutboxesRecycledScrubbed(t *testing.T) {
 	e, err := New(4, idleProgram{}, Config{NumWorkers: 2, PayloadCodec: codec.Int64Slice{}})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
 	w := e.workers[0]
-	w.drawOutboxes()
+	w.drawBuffers()
 	ctx := &Context{eng: e, w: w}
 	for i := 0; i < 100; i++ {
 		ctx.Send(1, ival.Universe, []int64{777})
@@ -173,14 +178,14 @@ func TestOutboxesRecycledScrubbed(t *testing.T) {
 	}
 	reused := false
 	for _, w2 := range e2.workers {
-		w2.drawOutboxes()
-		for d, ob := range w2.outbox {
+		w2.drawBuffers()
+		for d, ob := range append(w2.outbox, w2.inbox) {
 			if len(ob.msgs) != 0 || len(ob.spill) != 0 {
-				t.Errorf("fresh outbox %d has length %d, %d spilled", d, len(ob.msgs), len(ob.spill))
+				t.Errorf("fresh buffer %d has length %d, %d spilled", d, len(ob.msgs), len(ob.spill))
 			}
 			for _, v := range ob.spill[:cap(ob.spill)] {
 				if v != nil {
-					t.Fatalf("pooled outbox still holds payload %v", v)
+					t.Fatalf("pooled buffer still holds payload %v", v)
 				}
 			}
 			reused = reused || cap(ob.msgs) == grown

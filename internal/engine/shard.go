@@ -85,7 +85,7 @@ func NewShard(numVertices int, program Program, cfg Config, shard int) (*Shard, 
 		return nil, fmt.Errorf("%w: shard %d out of range for %d workers", ErrBadConfig, shard, len(e.workers))
 	}
 	w := e.workers[shard]
-	w.drawOutboxes()
+	w.drawBuffers()
 	return &Shard{eng: e, w: w, id: shard}, nil
 }
 

@@ -49,7 +49,8 @@ const (
 	CIntervalBytesGeneral   = "codec.interval_bytes.general"
 	CIntervalBytesEmpty     = "codec.interval_bytes.empty"
 
-	// Pooled hot-path buffers (engine message arena + codec batch slabs):
+	// Pooled hot-path buffers (the engine's message arena, drawn once per run
+	// for each executing worker's outboxes and inbox, + codec batch slabs):
 	// cumulative pool hits/misses and the capacity in bytes served by hits
 	// instead of fresh allocations. Gauges, refreshed at every barrier.
 	GPoolHits    = "engine.pool_hits"

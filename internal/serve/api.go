@@ -32,11 +32,11 @@ type RunRequest struct {
 	// Window restricts the run to a time sub-window; nil means the graph's
 	// full lifetime.
 	Window *Window `json:"window,omitempty"`
-	// Workers overrides the BSP worker count for this run. It is not part of
-	// the cache key. For most algorithms it affects execution only; PR, LCC
-	// and TC fold floats or lists in the order messages arrive, so their
-	// result bits depend on it, and a cached answer carries the bits of the
-	// worker count that computed it.
+	// Workers overrides the BSP worker count for this run. For most
+	// algorithms it affects execution only; PR, LCC and TC fold floats or
+	// lists in the order messages arrive, so their result bits depend on it,
+	// and the effective count — this, else Config.Workers, else GOMAXPROCS,
+	// at most the graph's vertex count — is part of the cache key.
 	Workers int `json:"workers,omitempty"`
 	// TimeoutMS bounds the run; zero means the server's default deadline. A
 	// run past its deadline is aborted at the next superstep barrier.

@@ -130,14 +130,15 @@ func paramsKey(params map[string]int64) string {
 
 // Fingerprint returns the canonical cache key for a run over the named graph:
 // algorithm aliases resolved, parameters at their effective values in sorted
-// order, window normalized. The inputs must already be canonical (the server
+// order, window normalized, and the effective worker count, which PR, LCC and
+// TC's result bits depend on. The inputs must already be canonical (the server
 // fingerprints only prepared requests); for live graphs the graph identity
 // carries the window's effective epoch ("name@7"), which is what invalidates
 // cached results for windows a mutation batch touched while leaving untouched
 // windows cached. The digest is hex SHA-256.
-func Fingerprint(graph, algo string, params map[string]int64, window ival.Interval) string {
+func Fingerprint(graph, algo string, params map[string]int64, window ival.Interval, workers int) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "g=%s|a=%s|%s|w=%s", graph, algo, paramsKey(params), windowLabel(window))
+	fmt.Fprintf(&b, "g=%s|a=%s|%s|w=%s|n=%d", graph, algo, paramsKey(params), windowLabel(window), workers)
 	sum := sha256.Sum256([]byte(b.String()))
 	return hex.EncodeToString(sum[:])
 }

@@ -24,7 +24,7 @@ func fp(t *testing.T, graph, algo string, params map[string]int64, w *Window) st
 	if err != nil {
 		t.Fatalf("normalizeWindow(%v): %v", w, err)
 	}
-	return Fingerprint(graph, a, ps, win)
+	return Fingerprint(graph, a, ps, win, 2)
 }
 
 func TestFingerprintEquivalentRequests(t *testing.T) {

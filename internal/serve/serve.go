@@ -115,8 +115,8 @@ type Config struct {
 	// first past the cap); zero means DefaultMaxJobs.
 	MaxJobs int
 	// Workers is the BSP worker count per run when a request does not choose
-	// one; zero means GOMAXPROCS. Worker count never affects results, only
-	// execution, so it is not part of the cache fingerprint.
+	// one; zero means GOMAXPROCS. PR, LCC and TC's result bits depend on the
+	// worker count, so the effective one is part of the cache fingerprint.
 	Workers int
 	// Registry receives the serving-layer metrics; nil creates a private one.
 	Registry *obs.Registry
@@ -339,10 +339,6 @@ func (s *Server) prepare(req *RunRequest) (*prepared, error) {
 	for k := range req.Params {
 		explicit[k] = true
 	}
-	workers := req.Workers
-	if workers <= 0 {
-		workers = s.cfg.Workers
-	}
 	// Every admitted request carries a run-scoped span ID: the client's, or
 	// one minted here. The span is observability identity, not semantic
 	// identity — it is deliberately NOT part of the fingerprint, and a
@@ -359,7 +355,6 @@ func (s *Server) prepare(req *RunRequest) (*prepared, error) {
 		params:    params,
 		explicit:  explicit,
 		window:    window,
-		workers:   workers,
 		span:      span,
 		noCache:   req.NoCache,
 		gver:      req.Graph,
@@ -371,7 +366,17 @@ func (s *Server) prepare(req *RunRequest) (*prepared, error) {
 		p.g, p.epoch, p.lg, p.eff = ep.Graph(), ep, lg, eff
 		p.gver = fmt.Sprintf("%s@%d", req.Graph, eff)
 	}
-	p.fp = Fingerprint(p.gver, algo, params, window)
+	// The effective worker count, clamped to the vertices as engine.New
+	// clamps it: PR, LCC and TC's result bits depend on it.
+	p.workers = req.Workers
+	if p.workers <= 0 {
+		p.workers = s.cfg.Workers
+	}
+	if p.workers <= 0 {
+		p.workers = runtime.GOMAXPROCS(0)
+	}
+	p.workers = min(p.workers, p.g.NumVertices())
+	p.fp = Fingerprint(p.gver, algo, params, window, p.workers)
 	return p, nil
 }
 

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -15,6 +16,7 @@ import (
 
 	"graphite/internal/algorithms"
 	"graphite/internal/core"
+	"graphite/internal/gen"
 	"graphite/internal/obs"
 	"graphite/internal/tgraph"
 )
@@ -523,5 +525,46 @@ func TestExecuteTypedErrors(t *testing.T) {
 	if _, err := s.Execute(ctx, &RunRequest{Graph: "transit", Algorithm: "sssp",
 		Params: map[string]int64{"source": 99}}); !errors.Is(err, ErrBadRequest) {
 		t.Fatalf("missing source vertex: %v", err)
+	}
+}
+
+// TestWorkerCountIsPartOfTheCacheKey: PageRank folds floats in the order
+// messages arrive, so its bits depend on the worker count. A request at two
+// workers after the same one at one must run again, not be answered with
+// the one-worker bits, and match core.Run at two workers.
+func TestWorkerCountIsPartOfTheCacheKey(t *testing.T) {
+	g, err := gen.Generate(gen.TwitterLike(0.02), 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ts := newTestServer(t, Config{Graphs: map[string]*tgraph.Graph{"twitter": g}})
+	direct := func(workers int) []string {
+		prog, opts, err := algorithms.New(g, "pr", algorithms.Params{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts.NumWorkers = workers
+		r, err := core.Run(g, prog, opts)
+		if err != nil {
+			t.Fatalf("direct run at %d workers: %v", workers, err)
+		}
+		return FormatResult(r, 0)
+	}
+	one, two := direct(1), direct(2)
+	if slices.Equal(one, two) {
+		t.Fatal("PR gives the same bits at one and two workers on this graph: the test proves nothing")
+	}
+	for i, want := range [][]string{one, two} {
+		workers := i + 1
+		var res RunResult
+		if code := postRun(t, ts, RunRequest{Graph: "twitter", Algorithm: "pr", Workers: workers}, &res); code != http.StatusOK {
+			t.Fatalf("%d workers: HTTP %d", workers, code)
+		}
+		if res.Cached {
+			t.Errorf("%d workers: answered from the cache", workers)
+		}
+		if got := res.FormatLines(0); !slices.Equal(got, want) {
+			t.Errorf("%d workers: served result differs from core.Run at %d workers", workers, workers)
+		}
 	}
 }
