@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -96,6 +97,26 @@ func TestDocsNameDeclaredIdentifiers(t *testing.T) {
 					t.Errorf("%s:%d: %s names %s, which no Go code does", doc, i+1, sp, m[1])
 				}
 			}
+		}
+	}
+}
+
+// TestChangesEntriesAreCapped is `make docs-check` too: a CHANGES.md entry —
+// the line opening "- **PR n" — is at most 3 000 bytes from PR 46 on, so the
+// log says what changed and leaves measurement prose to the measurements.
+func TestChangesEntriesAreCapped(t *testing.T) {
+	data, err := os.ReadFile("CHANGES.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	entry := regexp.MustCompile(`^- \*\*PR (\d+)\b`)
+	for i, line := range strings.Split(string(data), "\n") {
+		m := entry.FindStringSubmatch(line)
+		if m == nil {
+			continue
+		}
+		if pr, _ := strconv.Atoi(m[1]); pr >= 46 && len(line) > 3000 {
+			t.Errorf("CHANGES.md:%d: the entry for PR %d is %d bytes, over the 3 000-byte cap", i+1, pr, len(line))
 		}
 	}
 }

@@ -62,15 +62,13 @@ func Run(g *tgraph.Graph, spec valgo.Spec, batchSize, workers int) (*Result, err
 			MaxSupersteps: batchSpec.Options.MaxSupersteps,
 			ActivateAll:   batchSpec.Options.ActivateAll,
 			PayloadCodec:  batchSpec.Options.PayloadCodec,
+			Aggregators:   batchSpec.Options.Aggregators,
 			Master:        batchSpec.Options.Master,
 			Combiner:      batchSpec.Options.Combine,
 		}
 		eng, err := engine.New(g.NumVertices(), rt, cfg)
 		if err != nil {
 			return nil, err
-		}
-		for name, agg := range batchSpec.Options.Aggregators {
-			eng.RegisterAggregator(name, agg)
 		}
 		m, err := eng.Run()
 		if err != nil {

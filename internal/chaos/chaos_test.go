@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -431,6 +432,97 @@ func TestChaosTraceEvents(t *testing.T) {
 	}
 	if err := obs.ValidateTrace(rec.Events()); err != nil {
 		t.Errorf("chaos trace does not validate: %v", err)
+	}
+}
+
+// TestRunEventSequence pins the order Run reports a superstep in: its
+// superstep_start; the compute phase of every worker, in worker order; over
+// a Transport, every worker's ship phase; every worker's exchange phase; its
+// superstep_end. A superstep whose exchange fails, rolled back, reports no
+// phase: its recovery follows its superstep_start.
+func TestRunEventSequence(t *testing.T) {
+	type event struct {
+		kind              string
+		superstep, worker int
+		phase             string
+	}
+	cases := []struct {
+		name     string
+		faults   *TransportOptions // nil: in process
+		failedAt int               // the superstep whose exchange fails, 0 for none
+	}{
+		{name: "in process"},
+		{name: "transport", faults: &TransportOptions{Seed: 1}},
+		// The third send is superstep 2's first: its frame cannot be decoded.
+		{name: "failed exchange", faults: &TransportOptions{Seed: 1, Corruptions: 1, Every: 3}, failedAt: 2},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			a := &algorithms.SSSP{Source: 0, StartTime: 0}
+			opts := a.Options()
+			opts.NumWorkers = 2
+			rec := &obs.Recorder{}
+			opts.Tracer = rec
+			phases := []string{"compute", "exchange"}
+			if tc.faults != nil {
+				tr, err := NewTransport(2, *tc.faults)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer tr.Close()
+				opts.Transport, opts.CheckpointEvery = tr, 1
+				phases = []string{"compute", "ship", "exchange"}
+			}
+			if _, err := core.Run(tgraph.TransitExample(), a, opts); err != nil {
+				t.Fatal(err)
+			}
+			var got []event
+			for _, e := range rec.Events() {
+				switch e := e.(type) {
+				case obs.SuperstepStart:
+					got = append(got, event{kind: e.Kind(), superstep: e.Superstep})
+				case obs.WorkerPhase:
+					got = append(got, event{e.Kind(), e.Superstep, e.Worker, e.Phase})
+				case obs.SuperstepEnd:
+					got = append(got, event{kind: e.Kind(), superstep: e.Superstep})
+				case obs.Recovery:
+					got = append(got, event{kind: e.Kind(), superstep: e.Failed})
+				}
+			}
+			var want []event
+			var failed []int
+			for i, e := range got {
+				if e.kind != "superstep_start" {
+					continue
+				}
+				want = append(want, e)
+				if i+1 < len(got) && got[i+1].kind == "recovery" {
+					want = append(want, got[i+1])
+					failed = append(failed, e.superstep)
+					continue
+				}
+				for _, ph := range phases {
+					for w := 0; w < 2; w++ {
+						want = append(want, event{"worker_phase", e.superstep, w, ph})
+					}
+				}
+				want = append(want, event{kind: "superstep_end", superstep: e.superstep})
+			}
+			var wantFailed []int
+			if tc.failedAt > 0 {
+				wantFailed = []int{tc.failedAt}
+			}
+			if !slices.Equal(failed, wantFailed) || rec.Count("recovery") != len(wantFailed) {
+				t.Errorf("supersteps recovered right after their start %v, %d recoveries in all, want %v",
+					failed, rec.Count("recovery"), wantFailed)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("event sequence\n  got  %v\n  want %v", got, want)
+			}
+			if err := obs.ValidateTrace(rec.Events()); err != nil {
+				t.Errorf("trace does not validate: %v", err)
+			}
+		})
 	}
 }
 

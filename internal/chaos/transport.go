@@ -147,7 +147,7 @@ func (t *Transport) Send(src, dst int, batch []byte) error {
 		fault = t.plan[0]
 		t.plan = t.plan[1:]
 	}
-	frame := append([]byte(nil), batch...)
+	frame := batch
 	switch fault {
 	case FaultDrop:
 		t.stats.Drops++
@@ -155,7 +155,7 @@ func (t *Transport) Send(src, dst int, batch []byte) error {
 		return fmt.Errorf("chaos: dropped frame %d->%d (injected)", src, dst)
 	case FaultCorrupt:
 		t.stats.Corruptions++
-		frame = append([]byte(nil), poisonFrame...)
+		frame = poisonFrame
 	case FaultDuplicate:
 		t.stats.Duplicates++
 		t.queues[src][dst] = append(t.queues[src][dst], frame)

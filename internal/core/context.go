@@ -66,14 +66,14 @@ func (c *VertexCtx) StateAt(t ival.Time) (any, bool) { return c.State().Get(t) }
 // SetState updates the vertex state for iv. During Init any sub-interval of
 // the lifespan may be written; during Compute writes are restricted to the
 // active interval the call was made for — the contract S(τi) = {〈τj , sj〉 |
-// τj ⊑ τi} of Sec. IV-A3. Out-of-range writes return an error and abort the
-// run.
+// τj ⊑ τi} of Sec. IV-A3. Out-of-range writes return an error and fail the
+// superstep (engine.Context.Fail), which aborts the run.
 func (c *VertexCtx) SetState(iv ival.Interval, value any) error {
 	if c.inScatter {
 		// Scatter aligns the partitions being iterated; a Set would recycle
 		// the backing array mid-iteration (see PartitionedState.Parts).
 		err := fmt.Errorf("core: vertex %d called SetState during Scatter", c.v.ID)
-		c.rt.fail(err)
+		c.eng.Fail(err)
 		return err
 	}
 	bound := c.Lifespan()
@@ -83,11 +83,11 @@ func (c *VertexCtx) SetState(iv ival.Interval, value any) error {
 	if !bound.ContainsInterval(iv) || iv.IsEmpty() {
 		err := fmt.Errorf("%w: vertex %d wrote %v, active interval %v",
 			ErrStateOutOfRange, c.v.ID, iv, bound)
-		c.rt.fail(err)
+		c.eng.Fail(err)
 		return err
 	}
 	if err := c.rt.states[c.idx].Set(iv, value); err != nil {
-		c.rt.fail(err)
+		c.eng.Fail(err)
 		return err
 	}
 	c.rt.stateUpdates.Add(1)
@@ -103,7 +103,7 @@ func (c *VertexCtx) SetState(iv ival.Interval, value any) error {
 // place of returning a non-nil slice on hot paths.
 func (c *VertexCtx) Emit(when ival.Interval, value codec.Word) {
 	if !c.inScatter {
-		c.rt.fail(fmt.Errorf("core: Emit called outside Scatter by vertex %d", c.v.ID))
+		c.eng.Fail(fmt.Errorf("core: Emit called outside Scatter by vertex %d", c.v.ID))
 		return
 	}
 	if when == (ival.Interval{}) {
@@ -156,7 +156,7 @@ func (c *VertexCtx) failPieceProp(slot int) {
 	if c.inScatter {
 		where = fmt.Sprintf("with %d label slots declared", c.rt.plan.slots)
 	}
-	c.rt.fail(fmt.Errorf("%w: vertex %d asked for slot %d %s", ErrPieceProp, c.v.ID, slot, where))
+	c.eng.Fail(fmt.Errorf("%w: vertex %d asked for slot %d %s", ErrPieceProp, c.v.ID, slot, where))
 }
 
 // SendTo sends a message directly to the vertex at dense index dst, valid

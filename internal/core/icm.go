@@ -290,15 +290,9 @@ func Run(g *tgraph.Graph, prog Program, opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	for name, agg := range opts.Aggregators {
-		eng.RegisterAggregator(name, agg)
-	}
 	m, err := eng.Run()
 	if err != nil {
 		return nil, err
-	}
-	if rt.err != nil {
-		return nil, rt.err
 	}
 	s := rt.statsSnapshot()
 	if opts.Registry != nil {
@@ -342,6 +336,7 @@ func engineConfig(opts Options) engine.Config {
 		Partitioner:     opts.Partitioner,
 		PayloadCodec:    opts.PayloadCodec,
 		Transport:       opts.Transport,
+		Aggregators:     opts.Aggregators,
 		Master:          opts.Master,
 		CheckpointEvery: opts.CheckpointEvery,
 		MaxRecoveries:   opts.MaxRecoveries,

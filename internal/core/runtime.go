@@ -53,9 +53,6 @@ type runtime struct {
 	mergedGroups atomic.Int64
 	msgsIn       atomic.Int64
 	unitMsgsIn   atomic.Int64
-
-	errMu sync.Mutex
-	err   error
 }
 
 func newRuntime(g *tgraph.Graph, prog Program, opts Options) *runtime {
@@ -97,14 +94,6 @@ func (rt *runtime) counters() [7]*atomic.Int64 {
 		&rt.activeIntervals, &rt.mergedGroups, &rt.msgsIn, &rt.unitMsgsIn}
 }
 
-func (rt *runtime) fail(err error) {
-	rt.errMu.Lock()
-	if rt.err == nil {
-		rt.err = err
-	}
-	rt.errMu.Unlock()
-}
-
 func (rt *runtime) statsSnapshot() Stats {
 	var c [7]int64
 	for i, p := range rt.counters() {
@@ -140,7 +129,7 @@ func (rt *runtime) Init(ctx *engine.Context) {
 	rt.prog.Init(&vc)
 	if seed := rt.seedFor(i); seed != nil {
 		if err := overlaySeed(rt.states[i], seed); err != nil {
-			rt.fail(err)
+			ctx.Fail(err)
 		}
 	}
 }
@@ -239,7 +228,7 @@ func (rt *runtime) Run(ctx *engine.Context, msgs []engine.Message) {
 		ctx.AddComputeCalls(1)
 		if rt.opts.CheckInvariants {
 			if err := st.Invariant(); err != nil {
-				rt.fail(err)
+				ctx.Fail(err)
 			}
 		}
 	}

@@ -6,7 +6,9 @@ import (
 	"testing"
 
 	"graphite/internal/codec"
+	"graphite/internal/engine"
 	ival "graphite/internal/interval"
+	"graphite/internal/obs"
 	"graphite/internal/tgraph"
 )
 
@@ -89,6 +91,106 @@ func TestRuntimeRejectsOutOfIntervalWrites(t *testing.T) {
 	_, err := Run(g, &floodProgram{badWrite: true}, Options{NumWorkers: 1})
 	if !errors.Is(err, ErrStateOutOfRange) {
 		t.Fatalf("want ErrStateOutOfRange, got %v", err)
+	}
+}
+
+// TestProgramErrorEndsItsSuperstep: an error the runtime reports — here a
+// SetState outside the compute interval, which vertex 2 first makes at
+// superstep 3, when its message covers only part of its lifespan — ends the
+// superstep it happened in, in Run as in a stepped Shard: no later superstep
+// closes, and under CheckpointEvery it is rolled back like a panic until the
+// recovery budget runs out.
+func TestProgramErrorEndsItsSuperstep(t *testing.T) {
+	const failing = 3
+	g := chain(t)
+	for workers := 1; workers <= 3; workers++ {
+		opts := Options{NumWorkers: workers, ActivateAll: true, MaxSupersteps: 40, PayloadCodec: codec.Int64{}}
+		for _, every := range []int{0, 1} {
+			rec := &obs.Recorder{}
+			o := opts
+			o.CheckpointEvery, o.Tracer = every, rec
+			_, err := Run(g, &floodProgram{badWrite: true}, o)
+			if !errors.Is(err, ErrStateOutOfRange) {
+				t.Fatalf("%d workers, every %d: want ErrStateOutOfRange, got %v", workers, every, err)
+			}
+			if every > 0 && !errors.Is(err, engine.ErrRecoveryExhausted) {
+				t.Errorf("%d workers, every %d: want ErrRecoveryExhausted too, got %v", workers, every, err)
+			}
+			last, closed, recoveries := 0, 0, 0
+			for _, ev := range rec.Events() {
+				switch ev := ev.(type) {
+				case obs.SuperstepStart:
+					last = ev.Superstep
+				case obs.SuperstepEnd:
+					if ev.Superstep >= failing {
+						closed++
+					}
+				case obs.Recovery:
+					recoveries++
+				}
+			}
+			if closed != 0 {
+				t.Errorf("%d workers, every %d: %d supersteps closed at or after superstep %d, which failed",
+					workers, every, closed, failing)
+			}
+			if last != failing {
+				t.Errorf("%d workers, every %d: the last superstep started is %d, want %d", workers, every, last, failing)
+			}
+			if want := every * engine.DefaultMaxRecoveries; recoveries != want {
+				t.Errorf("%d workers, every %d: %d recovery events, want %d", workers, every, recoveries, want)
+			}
+		}
+
+		shards := make([]*Shard, workers)
+		for i := range shards {
+			var err error
+			if shards[i], err = NewShard(g, &floodProgram{badWrite: true}, opts, i); err != nil {
+				t.Fatal(err)
+			}
+			defer shards[i].Close()
+			if err := shards[i].Init(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		b, err := NewBarrier(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+	steps:
+		for step := 1; b.Open(step); step++ {
+			outs := make([][][]byte, workers)
+			for i, s := range shards {
+				if err := s.Compute(); err != nil {
+					if !errors.Is(err, ErrStateOutOfRange) || step != failing {
+						t.Errorf("%d workers: shard %d failed at superstep %d with %v, want ErrStateOutOfRange at %d",
+							workers, i, step, err, failing)
+					}
+					break steps
+				}
+				if outs[i], err = s.Outbound(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			reps := make([]engine.StepReport, workers)
+			for d, s := range shards {
+				var in [][]byte
+				for src := range shards {
+					if src != d {
+						in = append(in, outs[src][d])
+					}
+				}
+				if _, err := s.Deliver(in); err != nil {
+					t.Fatal(err)
+				}
+				reps[d] = s.Barrier()
+			}
+			if b.Close(reps) {
+				t.Fatalf("%d workers: stepped shards quiesced at superstep %d without failing", workers, step)
+			}
+		}
+		if b.Executed() != failing-1 {
+			t.Errorf("%d workers: stepped shards closed %d supersteps, want %d", workers, b.Executed(), failing-1)
+		}
 	}
 }
 

@@ -23,7 +23,7 @@ import (
 
 // Shard is one worker process's slice of an ICM computation, stepped
 // externally by the cluster runtime: the engine.Shard over the ICM runtime,
-// whose Init and Compute also report what the runtime recorded.
+// which reports its program errors through engine.Context.Fail.
 type Shard struct {
 	*engine.Shard
 	rt *runtime
@@ -42,32 +42,13 @@ func NewShard(g *tgraph.Graph, prog Program, opts Options, shard int) (*Shard, e
 	if err != nil {
 		return nil, err
 	}
-	for name, agg := range opts.Aggregators {
-		sh.RegisterAggregator(name, agg)
-	}
 	return &Shard{Shard: sh, rt: rt}, nil
 }
 
 // NewBarrier builds the barrier that closes the supersteps of shards built
 // from opts, for whoever steps them: the cluster coordinator, or a test.
 func NewBarrier(opts Options) (*engine.Barrier, error) {
-	return engine.NewBarrier(engineConfig(opts), opts.Aggregators)
-}
-
-// Init runs Program.Init over the owned vertices.
-func (s *Shard) Init() error {
-	if err := s.Shard.Init(); err != nil {
-		return err
-	}
-	return s.rt.err
-}
-
-// Compute runs one compute phase over the shard's active frontier.
-func (s *Shard) Compute() error {
-	if err := s.Shard.Compute(); err != nil {
-		return err
-	}
-	return s.rt.err
+	return engine.NewBarrier(engineConfig(opts))
 }
 
 // EncodeOwnedStates serializes the shard's final vertex states and ICM

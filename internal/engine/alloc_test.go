@@ -245,7 +245,7 @@ func TestDeliverWireNoAllocsSteadyState(t *testing.T) {
 				t.Fatal(err)
 			}
 			t.Cleanup(s.Close)
-			w := s.w
+			w := s
 			// What each source sends shard 0, folded as its compute phase
 			// would leave it; the peers' encoded.
 			sent := make([]*msgSlab, len(tc.traffic))

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 	"time"
 
@@ -42,7 +43,7 @@ func BoolOr() *Aggregator {
 // ledger — the totals its Metrics and trace report — and its recovery point
 // and policy. Engine.Run closes every superstep through its own; whoever
 // steps Shards — the cluster coordinator, a test — builds one from the same
-// Config and aggregators.
+// Config.
 type Barrier struct {
 	maxSteps      int
 	activateAll   bool
@@ -93,10 +94,11 @@ type RunTotals struct {
 	BarrierNS    int64
 }
 
-// NewBarrier builds the barrier for cfg's runs with the given aggregators. A
-// configuration nothing would end — ActivateAll with neither MaxSupersteps
-// nor a Master — is refused here, once, for Run, Shard and coordinator alike.
-func NewBarrier(cfg Config, aggs map[string]*Aggregator) (*Barrier, error) {
+// NewBarrier builds the barrier for cfg's runs, with cfg's aggregators in
+// ascending name order. A configuration nothing would end — ActivateAll with
+// neither MaxSupersteps nor a Master — is refused here, once, for Run, Shard
+// and coordinator alike.
+func NewBarrier(cfg Config) (*Barrier, error) {
 	if cfg.ActivateAll && cfg.MaxSupersteps <= 0 && cfg.Master == nil {
 		return nil, fmt.Errorf("%w: ActivateAll needs MaxSupersteps or a Master", ErrBadConfig)
 	}
@@ -105,22 +107,12 @@ func NewBarrier(cfg Config, aggs map[string]*Aggregator) (*Barrier, error) {
 	if b.maxRecoveries == 0 {
 		b.maxRecoveries = DefaultMaxRecoveries
 	}
-	for name, agg := range aggs {
-		b.register(name, agg)
+	b.names = slices.Sorted(maps.Keys(cfg.Aggregators))
+	for _, name := range b.names {
+		b.aggs = append(b.aggs, cfg.Aggregators[name])
 	}
+	b.state.Aggs = b.identities(nil)
 	return b, nil
-}
-
-// register installs a named aggregator, its merged value at its identity.
-func (b *Barrier) register(name string, agg *Aggregator) {
-	i, found := slices.BinarySearch(b.names, name)
-	if found {
-		b.aggs[i], b.state.Aggs[i] = agg, agg.identity
-		return
-	}
-	b.names = slices.Insert(b.names, i, name)
-	b.aggs = slices.Insert(b.aggs, i, agg)
-	b.state.Aggs = slices.Insert(b.state.Aggs, i, agg.identity)
 }
 
 // identities returns buf refilled with every aggregator's identity, in name
@@ -282,9 +274,6 @@ func (b *Barrier) Phase() int { return b.state.Phase }
 // Active returns the frontier Close left: the vertices entering the next
 // superstep.
 func (b *Barrier) Active() int { return b.state.Active }
-
-// Halted reports whether the master ended the run.
-func (b *Barrier) Halted() bool { return b.halted }
 
 // State returns a copy of what the barrier carries to the next superstep.
 func (b *Barrier) State() BarrierState {

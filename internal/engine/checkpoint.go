@@ -42,8 +42,8 @@ var ErrCapture = errors.New("engine: checkpoint capture failed")
 // ckptVersion tags the capture format.
 const ckptVersion = 1
 
-// capture appends the capture of workers ws — a Shard's one worker, or every
-// worker of a Run — to buf:
+// capture appends the capture of shards ws — one stepped from outside, or
+// every shard of a Run — to buf:
 //
 //	u8 version | uvarint superstep | uvarint len, program snapshot
 //	per worker: uvarint n | n active slots, ascending
@@ -52,7 +52,7 @@ const ckptVersion = 1
 // Identical state yields identical bytes. It runs only at a barrier, where a
 // worker's frontier is exactly its active set; sorting it in place is what
 // the next compute phase does anyway.
-func (e *Engine) capture(buf []byte, ws []*worker) (out []byte, err error) {
+func (e *Engine) capture(buf []byte, ws []*Shard) (out []byte, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			out, err = nil, fmt.Errorf("%w: %v", ErrCapture, r)
@@ -157,7 +157,7 @@ func (r *ckptReader) slot(what string, n int, prev *int) int {
 // codec.ErrCorrupt and leaves the engine as it was. On success the inboxes,
 // active sets and superstep are the captured ones, and outboxes, partials —
 // aggregator partials included — and any recorded failure are gone.
-func (e *Engine) restore(data []byte, ws []*worker) error {
+func (e *Engine) restore(data []byte, ws []*Shard) error {
 	if len(data) < 1 || data[0] != ckptVersion {
 		return fmt.Errorf("%w: unknown version", ErrCheckpointCorrupt)
 	}
@@ -246,42 +246,31 @@ func (e *Engine) saveCheckpoint() error {
 	return nil
 }
 
-// rollback attempts to recover a failed superstep by rewinding to the latest
-// checkpoint and reports whether the run should resume. needsReset says the
-// failure happened during the exchange phase, which may have left frames in
-// flight; recovery then additionally requires a Resettable transport.
-func (e *Engine) rollback(needsReset bool) bool {
+// rollback recovers the current superstep from its failure, cause, by
+// rewinding to the latest checkpoint: it returns nil when the run should
+// resume, else the error the run ends with. exchanged says the exchange phase
+// ran, which may have left frames in flight; over a Transport, recovery then
+// also requires a Resettable one, without which cause stands.
+func (e *Engine) rollback(cause error, exchanged bool) error {
+	reset := exchanged && e.cfg.Transport != nil
 	if e.ckpt == nil {
-		return false
+		return cause
 	}
-	if needsReset && e.cfg.Transport != nil {
-		r, ok := e.cfg.Transport.(Resettable)
-		if !ok {
-			return false
-		}
-		if err := r.Reset(); err != nil {
-			return false
-		}
+	if r, ok := e.cfg.Transport.(Resettable); reset && (!ok || r.Reset() != nil) {
+		return cause
 	}
 	failed := e.superstp
-	cause := e.takeErr()
 	ev, err := e.barrier.Rewind(failed)
 	if err == nil {
 		err = e.restore(e.ckpt, e.workers)
 	}
 	if err != nil {
-		e.errMu.Lock()
-		e.runErr = fmt.Errorf("engine: rollback from superstep %d: %w (after: %w)", failed, err, cause)
-		e.errMu.Unlock()
-		return false
+		return fmt.Errorf("engine: rollback from superstep %d: %w (after: %w)", failed, err, cause)
 	}
 	e.ec.recoveries.Inc()
 	if e.traced {
-		if cause != nil {
-			ev.Reason = cause.Error()
-		}
-		ev.Reset = needsReset && e.cfg.Transport != nil
+		ev.Reason, ev.Reset = cause.Error(), reset
 		e.tracer.Emit(ev)
 	}
-	return true
+	return nil
 }

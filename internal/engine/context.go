@@ -10,7 +10,7 @@ import (
 // facilities. A Context is only valid for the duration of the call.
 type Context struct {
 	eng    *Engine
-	w      *worker // the vertex's worker: outboxes, partials and scratch are its own
+	w      *Shard // the vertex's shard: outboxes, partials and scratch are its own
 	vertex int32
 	slot   int
 	// spill is the spill table of the worker's inbox, which every message
@@ -109,3 +109,9 @@ func (c *Context) AddScatterCalls(n int) { c.w.rep.ScatterCalls += int64(n) }
 // Aggregate contributes a word to a named aggregator: it folds into this
 // worker's partial, and the master reads the merged value at the next barrier.
 func (c *Context) Aggregate(name string, v codec.Word) { c.eng.barrier.fold(c.w.rep.Aggs, name, v) }
+
+// Fail records err as the superstep's failure, as an escaping panic is: the
+// superstep ends — every worker stops claiming vertices — and Run rolls it
+// back under Config.CheckpointEvery or returns err; a stepped Shard's phase
+// returns it. The first failure of a superstep is the one reported.
+func (c *Context) Fail(err error) { c.eng.fail(err) }

@@ -7,7 +7,10 @@
 // aggregators, a master-compute hook, and vote-to-halt semantics where
 // vertices are only reactivated by incoming messages.
 //
-// Workers are goroutines; partitioning, message routing, byte accounting and
+// A worker is a Shard. Run steps every shard of its engine, one goroutine
+// each, through the phases the cluster steps one shard through from outside
+// (shard.go), so one superstep sequence, one panic guard and one failure
+// channel serve both; partitioning, message routing, byte accounting and
 // barrier timing mirror a distributed deployment so that the experiment
 // metrics (compute+ time, exclusive messaging time, message bytes) are
 // meaningful.
@@ -103,6 +106,9 @@ type Config struct {
 	// (e.g. TCPTransport's loopback mesh), fully serialized; delivery order
 	// and so every result are the same as without it. Requires PayloadCodec.
 	Transport Transport
+	// Aggregators are the named aggregators vertices contribute to
+	// (Context.Aggregate) and the master reads, fixed for the run.
+	Aggregators map[string]*Aggregator
 	// Master is the optional master-compute hook.
 	Master Master
 	// CheckpointEvery, when > 0, captures a recovery point after every k-th
@@ -171,7 +177,7 @@ type Engine struct {
 	cfg      Config
 	program  Program
 	numV     int
-	workers  []*worker
+	workers  []*Shard
 	barrier  *Barrier
 	part     []int32 // vertex -> worker
 	slot     []int32 // vertex -> local slot within its worker
@@ -196,44 +202,6 @@ type Engine struct {
 	ctx context.Context // nil when the run is not cancellable
 
 	ckpt []byte // the capture of Run's latest recovery point
-}
-
-// worker owns the vertices with index ≡ id (mod numWorkers).
-type worker struct {
-	id     int
-	eng    *Engine
-	local  []int32    // dense vertex indices owned by this worker
-	active []bool     // per local slot; dedup bitmap behind the frontier
-	outbox []*msgSlab // per destination worker, refilled every superstep; arena-pooled across runs
-	inbox  *msgSlab   // delivered messages in slot order, slot s's at msgs[at[s]:end[s]]; arena-pooled
-	at     []int32    // per local slot: where its inbox range starts
-	end    []int32    // per local slot: where it ends
-
-	// Dense frontier: slots activated since the last compute phase, appended
-	// at delivery time (activation order), sorted at compute start. Grow-only.
-	frontier []int32
-	allSlots []int32 // lazily built 0..len(local)-1 schedule for ActivateAll
-
-	// The superstep's partials, reported to the barrier after every
-	// superstep (report): the counts and the aggregator partials, in the
-	// barrier's name order. The interval bytes by encoding class go to the
-	// registry only.
-	rep        StepReport
-	classBytes [codec.NumIntervalClasses]int64
-
-	// Per-phase observations for the superstep in flight: each worker
-	// records into its own fields; the coordinator reads them after the
-	// phase barrier (workers are quiescent then), so no synchronization.
-	computeNS  int64
-	shipNS     int64
-	exchangeNS int64
-
-	scratch []byte // spilled-payload sizing buffer, reused across sends
-
-	// cctx is the worker's persistent compute Context: &cctx escapes into
-	// Program.Run through the interface call, and a per-phase local would
-	// heap-allocate once per worker per superstep.
-	cctx Context
 }
 
 // New prepares an engine for numVertices vertices.
@@ -261,7 +229,7 @@ func New(numVertices int, program Program, cfg Config) (*Engine, error) {
 			return nil, fmt.Errorf("%w: CheckpointEvery requires PayloadCodec", ErrBadConfig)
 		}
 	}
-	b, err := NewBarrier(cfg, nil)
+	b, err := NewBarrier(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -286,9 +254,9 @@ func New(numVertices int, program Program, cfg Config) (*Engine, error) {
 	if part == nil {
 		part = func(v, n int) int { return v % n }
 	}
-	e.workers = make([]*worker, cfg.NumWorkers)
+	e.workers = make([]*Shard, cfg.NumWorkers)
 	for w := range e.workers {
-		e.workers[w] = &worker{id: w, eng: e, outbox: make([]*msgSlab, cfg.NumWorkers)}
+		e.workers[w] = &Shard{id: w, eng: e, outbox: make([]*msgSlab, cfg.NumWorkers)}
 	}
 	for v := 0; v < numVertices; v++ {
 		w := part(v, cfg.NumWorkers)
@@ -308,15 +276,15 @@ func New(numVertices int, program Program, cfg Config) (*Engine, error) {
 	return e, nil
 }
 
-// drawBuffers starts the worker's outboxes and inbox from pooled buffers, so
-// a run begins at the capacity an earlier one grew to. Only workers that will
-// execute draw: a shard's engine has routing entries for every worker but
+// drawBuffers starts the shard's outboxes and inbox from pooled buffers, so
+// a run begins at the capacity an earlier one grew to. Only shards that will
+// execute draw: NewShard's engine has routing entries for every shard but
 // sends from one.
-func (w *worker) drawBuffers() {
-	for d := range w.outbox {
-		w.outbox[d] = outboxArena.get()
+func (s *Shard) drawBuffers() {
+	for d := range s.outbox {
+		s.outbox[d] = outboxArena.get()
 	}
-	w.inbox = outboxArena.get()
+	s.inbox = outboxArena.get()
 }
 
 // releaseBuffers hands the engine's pooled buffers back for the next run:
@@ -324,18 +292,15 @@ func (w *worker) drawBuffers() {
 // a failure can end a run with messages undelivered). Nothing may send or
 // receive afterwards: the buffers are left nil.
 func (e *Engine) releaseBuffers() {
-	for _, w := range e.workers {
-		for d, ob := range w.outbox {
+	for _, s := range e.workers {
+		for d, ob := range s.outbox {
 			outboxArena.put(ob)
-			w.outbox[d] = nil
+			s.outbox[d] = nil
 		}
-		outboxArena.put(w.inbox)
-		w.inbox = nil
+		outboxArena.put(s.inbox)
+		s.inbox = nil
 	}
 }
-
-// RegisterAggregator installs a named aggregator before Run.
-func (e *Engine) RegisterAggregator(name string, agg *Aggregator) { e.barrier.register(name, agg) }
 
 // owner returns the worker id and local slot for a vertex index.
 func (e *Engine) owner(v int32) (wid, slot int) {
@@ -350,12 +315,12 @@ func (e *Engine) owner(v int32) (wid, slot int) {
 // Config.Context is canceled the run aborts at the next superstep barrier
 // with an error wrapping ErrCanceled, leaving no goroutines behind.
 func (e *Engine) Run() (*Metrics, error) {
-	// Every return below is past a phase barrier: no worker goroutine is
+	// Every return below is past a phase barrier: no shard's goroutine is
 	// left to touch a buffer.
 	defer e.releaseBuffers()
-	for _, w := range e.workers {
-		w.drawBuffers()
-		w.resetPartials()
+	for _, s := range e.workers {
+		s.drawBuffers()
+		s.resetPartials()
 	}
 	start := time.Now()
 	reps := make([]StepReport, len(e.workers))
@@ -370,7 +335,7 @@ func (e *Engine) Run() (*Metrics, error) {
 
 	// Superstep 1 initialization: Init on every vertex, all active.
 	e.superstp = 1
-	e.parallel((*worker).init)
+	e.parallel((*Shard).init)
 	if err := e.canceled(); err != nil {
 		return nil, err
 	}
@@ -400,63 +365,47 @@ func (e *Engine) Run() (*Metrics, error) {
 		// interleaved with message emission into outboxes ("compute+" in the
 		// paper).
 		t0 := time.Now()
-		e.parallel((*worker).compute)
+		e.parallel((*Shard).compute)
 		t1 := time.Now()
-		// Cancellation wins over a concurrent fault: the run is being torn
-		// down either way, and rollback must never replay a canceled phase.
-		if err := e.canceled(); err != nil {
-			return nil, err
+		// Messaging phase: exclusive message delivery after compute — unless
+		// the compute phase aborted, which leaves no frame in flight.
+		exchanged := !e.aborted()
+		if exchanged {
+			e.exchange()
 		}
-		if e.failed() {
-			// A compute failure leaves no frames in flight: rollback never
-			// needs a transport reset here.
-			if e.rollback(false) {
-				continue
-			}
-			return nil, e.takeErr()
-		}
-		if e.traced {
-			// Worker partials hold exactly the compute phase's deltas here:
-			// they were reset at the previous barrier and the exchange phase
-			// does not touch them.
-			e.emitWorkerPhases("compute")
-		}
-
-		// Messaging phase: exclusive message delivery after compute.
-		e.exchange()
 		t2 := time.Now()
 
-		// A failed exchange is checked before the barrier merge so a partial
-		// superstep's metrics are never folded into the totals.
+		// Cancellation wins over a concurrent fault: the run is being torn
+		// down either way, and rollback must never replay a canceled phase.
+		// A failure is checked before the barrier merge, so a partial
+		// superstep's metrics are never folded into the totals; only an
+		// exchange can have left frames a rollback must reset.
 		if err := e.canceled(); err != nil {
 			return nil, err
 		}
-		if e.failed() {
-			if e.rollback(true) {
-				continue
+		if err := e.takeErr(); err != nil {
+			if err = e.rollback(err, exchanged); err != nil {
+				return nil, err
 			}
-			return nil, e.takeErr()
+			continue
 		}
 		if e.traced {
-			if e.cfg.Transport != nil {
-				e.emitWorkerPhases("ship")
-			}
-			e.emitWorkerPhases("exchange")
+			e.emitWorkerPhases()
 		}
 
-		// Barrier: every worker reports to the barrier, in worker order — the
+		// Barrier: every shard reports to the barrier, in shard order — the
 		// aggregates merge, the counts fold into the run's totals, the halt
 		// rule is decided — then the partials go to the registry.
-		for i, w := range e.workers {
-			reps[i] = w.report()
+		for i, s := range e.workers {
+			reps[i] = s.report()
 		}
 		quiesced := e.barrier.Close(reps)
 		var classBytes [codec.NumIntervalClasses]int64
-		for _, w := range e.workers {
-			for i, n := range w.classBytes {
+		for _, s := range e.workers {
+			for i, n := range s.classBytes {
 				classBytes[i] += n
 			}
-			w.publish()
+			s.publish()
 		}
 		t3 := time.Now()
 
@@ -511,10 +460,6 @@ func (e *Engine) fail(err error) {
 	e.errMu.Unlock()
 }
 
-// failed reports whether the current superstep has failed; workers use it to
-// stop early instead of computing doomed vertices.
-func (e *Engine) failed() bool { return e.hasErr.Load() }
-
 // canceled returns the typed cancellation error once Config.Context is done,
 // else nil. Only the coordinating goroutine calls it, at barriers.
 func (e *Engine) canceled() error {
@@ -561,106 +506,100 @@ func (e *Engine) clearErr() {
 	e.errMu.Unlock()
 }
 
-// guardedCall runs one user-program invocation for a vertex, converting an
-// escaping panic into a *VertexPanicError recorded as the superstep failure;
-// it reports whether fn completed normally.
+// recoverAs records a panic escaping the call it is deferred in as the
+// superstep's failure: a *VertexPanicError at vertex, −1 when no one
+// vertex's program is to blame.
+func (e *Engine) recoverAs(vertex int) {
+	if r := recover(); r != nil {
+		e.fail(&VertexPanicError{
+			Vertex:    vertex,
+			Superstep: e.superstp,
+			Value:     r,
+			Stack:     debug.Stack(),
+		})
+	}
+}
+
+// guardedCall runs one user-program invocation for a vertex, recording an
+// escaping panic as the superstep failure; it reports whether fn completed
+// normally.
 func (e *Engine) guardedCall(vertex int, fn func()) (ok bool) {
-	defer func() {
-		if r := recover(); r != nil {
-			e.fail(&VertexPanicError{
-				Vertex:    vertex,
-				Superstep: e.superstp,
-				Value:     r,
-				Stack:     debug.Stack(),
-			})
-		}
-	}()
+	defer e.recoverAs(vertex)
 	fn()
 	return true
 }
 
-// parallel runs fn once per worker, concurrently, and waits for all. A panic
-// escaping fn itself (engine bugs, codec paths outside guardedCall) is
-// recovered as a run failure rather than killing the process.
-func (e *Engine) parallel(fn func(*worker)) {
+// step runs one phase of shard s. A panic escaping the phase itself (engine
+// bugs, codec paths outside guardedCall) is recorded as the superstep's
+// failure rather than killing the process.
+func step(s *Shard, phase func(*Shard)) {
+	defer s.eng.recoverAs(-1)
+	phase(s)
+}
+
+// parallel steps every shard of the engine through phase, concurrently, and
+// waits for all.
+func (e *Engine) parallel(phase func(*Shard)) {
 	var wg sync.WaitGroup
 	wg.Add(len(e.workers))
-	for _, w := range e.workers {
-		go func(w *worker) {
+	for _, s := range e.workers {
+		go func() {
 			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					e.fail(&VertexPanicError{
-						Vertex:    -1,
-						Superstep: e.superstp,
-						Value:     r,
-						Stack:     debug.Stack(),
-					})
-				}
-			}()
-			fn(w)
-		}(w)
+			step(s, phase)
+		}()
 	}
 	wg.Wait()
 }
 
 // exchange moves all outbox batches to destination inboxes, applying the
-// combiner across sources; each worker counts what it delivered. Over a
-// Transport the cross-worker batches are shipped first.
+// combiner across sources; each shard counts what it delivered. Over a
+// Transport the cross-shard batches are shipped first.
 func (e *Engine) exchange() {
 	if e.cfg.Transport != nil {
-		e.parallel((*worker).ship)
+		e.parallel((*Shard).ship)
 	}
-	e.parallel((*worker).exchange)
+	e.parallel((*Shard).exchange)
 }
 
-// ship encodes and sends each of the worker's cross-worker batches over the
-// Transport. A failed Send is retried with capped exponential backoff before
-// the superstep is declared failed: transient faults (a dropped frame, a
-// congested peer) should not force a rollback.
-func (w *worker) ship() {
-	e := w.eng
+// ship sends the shard's cross-shard batches — what Outbound encodes — over
+// the Transport. A failed Send is retried with capped exponential backoff
+// before the superstep is declared failed: transient faults (a dropped frame,
+// a congested peer) should not force a rollback.
+func (s *Shard) ship() {
+	e := s.eng
 	phaseStart := time.Now()
-	defer func() { w.shipNS = time.Since(phaseStart).Nanoseconds() }()
-	for dst := range e.workers {
-		if dst == w.id {
+	defer func() { s.shipNS = time.Since(phaseStart).Nanoseconds() }()
+	for dst, batch := range s.outbound() {
+		if dst == s.id {
 			continue
 		}
-		// Encode into a pooled slab; Transport.Send must not retain the
-		// batch (see the Transport contract), so the slab can go straight
-		// back to the pool for the next destination.
-		slab := batchSlabs.Get()
-		slab.Buf = e.encodeBatch(slab.Buf, w.outbox[dst])
-		err := e.sendWithRetry(w.id, dst, slab.Buf)
-		batchSlabs.Put(slab)
-		if err != nil {
+		if err := e.sendWithRetry(s.id, dst, batch); err != nil {
 			e.fail(err)
 		}
-		w.outbox[dst].reset()
 	}
 }
 
-// exchange is one worker's receive phase within Run, called directly by the
+// exchange is one shard's receive phase within Run, called directly by the
 // alloc gates: at steady state it must not allocate.
-func (w *worker) exchange() {
-	e := w.eng
+func (s *Shard) exchange() {
+	e := s.eng
 	phaseStart := time.Now()
 	var err error
 	if e.cfg.Transport == nil {
-		w.rep.Delivered, err = w.receive(len(e.workers)-1, w.stagePeer)
+		s.rep.Delivered, err = s.receive(len(e.workers)-1, s.stagePeer)
 	} else {
 		var batches [][]byte
-		if batches, err = e.cfg.Transport.Recv(w.id); err == nil {
-			w.rep.Delivered, err = w.receiveWire(batches)
+		if batches, err = e.cfg.Transport.Recv(s.id); err == nil {
+			s.rep.Delivered, err = s.receiveWire(batches)
 		}
 	}
 	if err != nil {
 		e.fail(err)
 	}
-	w.exchangeNS = time.Since(phaseStart).Nanoseconds()
+	s.exchangeNS = time.Since(phaseStart).Nanoseconds()
 }
 
-// receive is a worker's receive phase, and the one routine that sets the
+// receive is a shard's receive phase, and the one routine that sets the
 // order messages are delivered in, whatever carries the batches: the own
 // outbox first, then peer(0) … peer(peers-1) ascending by source. The own
 // outbox is the stage, stage(i, st) appends peer i's batch to it; each staged
@@ -673,8 +612,8 @@ func (w *worker) exchange() {
 // inline one placed for its vertex with the same interval. The stage's spill
 // table becomes the inbox's. It returns the messages staged: those delivered,
 // after each sender's fold.
-func (w *worker) receive(peers int, stage func(i int, st *msgSlab) error) (int64, error) {
-	e, st := w.eng, w.outbox[w.id]
+func (s *Shard) receive(peers int, stage func(i int, st *msgSlab) error) (int64, error) {
+	e, st := s.eng, s.outbox[s.id]
 	defer st.reset()
 	own := len(st.msgs)
 	for i := 0; i < peers; i++ {
@@ -684,36 +623,36 @@ func (w *worker) receive(peers int, stage func(i int, st *msgSlab) error) (int64
 	}
 	for _, m := range st.msgs {
 		dw, slot := e.owner(m.Dst)
-		if dw != w.id {
+		if dw != s.id {
 			return 0, fmt.Errorf("engine: worker %d received a message for vertex %d, which worker %d owns: %w",
-				w.id, m.Dst, dw, codec.ErrCorrupt)
+				s.id, m.Dst, dw, codec.ErrCorrupt)
 		}
-		w.activate(slot)
-		w.end[slot]++
+		s.activate(slot)
+		s.end[slot]++
 	}
-	slices.Sort(w.frontier)
+	slices.Sort(s.frontier)
 	var n int32
-	for _, s := range w.frontier {
-		w.at[s], w.end[s], n = n, n, n+w.end[s]
+	for _, slot := range s.frontier {
+		s.at[slot], s.end[slot], n = n, n, n+s.end[slot]
 	}
-	in, c := w.inbox, e.cfg.Combiner
+	in, c := s.inbox, e.cfg.Combiner
 	in.reset()
 	in.msgs = slices.Grow(in.msgs, int(n))[:n]
 	in.spill, st.spill = st.spill, in.spill
 	for i, m := range st.msgs {
-		s := e.slot[m.Dst]
-		k := w.end[s]
+		slot := e.slot[m.Dst]
+		k := s.end[slot]
 		if c != nil && i >= own && m.Kind != codec.KindSpill {
-			for k = w.at[s]; k < w.end[s]; k++ {
+			for k = s.at[slot]; k < s.end[slot]; k++ {
 				if o := &in.msgs[k]; o.When == m.When && o.Kind != codec.KindSpill {
 					*o = newMessage(o.Dst, o.When, c(o.Word(), m.Word()))
 					break
 				}
 			}
 		}
-		if k == w.end[s] {
+		if k == s.end[slot] {
 			in.msgs[k] = m
-			w.end[s]++
+			s.end[slot]++
 		}
 	}
 	return int64(len(st.msgs)), nil
@@ -721,31 +660,31 @@ func (w *worker) receive(peers int, stage func(i int, st *msgSlab) error) (int64
 
 // received returns a slot's messages, nil when there are none, capped at
 // its range: appending to them cannot reach the next slot's.
-func (w *worker) received(slot int) []Message {
-	a, b := w.at[slot], w.end[slot]
+func (s *Shard) received(slot int) []Message {
+	a, b := s.at[slot], s.end[slot]
 	if a == b {
 		return nil
 	}
-	return w.inbox.msgs[a:b:b]
+	return s.inbox.msgs[a:b:b]
 }
 
 // stagePeer stages the i-th peer's batch in process: the outbox slab that
-// source worker filled for this one, handed over without encoding and emptied.
-func (w *worker) stagePeer(i int, st *msgSlab) error {
-	if i >= w.id {
+// source shard filled for this one, handed over without encoding and emptied.
+func (s *Shard) stagePeer(i int, st *msgSlab) error {
+	if i >= s.id {
 		i++
 	}
-	ob := w.eng.workers[i].outbox[w.id]
+	ob := s.eng.workers[i].outbox[s.id]
 	st.appendSlab(ob)
 	ob.reset()
 	return nil
 }
 
 // receiveWire is receive over serialized batches — from a Transport, or
-// handed to a Shard — each decoded straight into the stage.
-func (w *worker) receiveWire(batches [][]byte) (int64, error) {
-	return w.receive(len(batches), func(i int, st *msgSlab) error {
-		return w.eng.decodeBatchInto(st, batches[i])
+// handed to Deliver — each decoded straight into the stage.
+func (s *Shard) receiveWire(batches [][]byte) (int64, error) {
+	return s.receive(len(batches), func(i int, st *msgSlab) error {
+		return s.eng.decodeBatchInto(st, batches[i])
 	})
 }
 
@@ -778,6 +717,3 @@ func (e *Engine) sendWithRetry(src, dst int, batch []byte) error {
 	}
 	return fmt.Errorf("engine: send %d->%d failed after %d attempts: %w", src, dst, sendRetries+1, err)
 }
-
-// Halted reports whether the master stopped the run.
-func (e *Engine) Halted() bool { return e.barrier.Halted() }

@@ -11,6 +11,7 @@ import (
 
 	"graphite/internal/codec"
 	ival "graphite/internal/interval"
+	"graphite/internal/obs"
 )
 
 // distProgram is a BFS-level propagation program over a static adjacency
@@ -226,8 +227,7 @@ func (m *sumMaster) BeforeSuperstep(mc *MasterControl) {
 
 func TestAggregators(t *testing.T) {
 	m := &sumMaster{}
-	e, _ := New(5, aggProgram{}, Config{NumWorkers: 3, Master: m})
-	e.RegisterAggregator("sum", SumInt64())
+	e, _ := New(5, aggProgram{}, Config{NumWorkers: 3, Master: m, Aggregators: map[string]*Aggregator{"sum": SumInt64()}})
 	if _, err := e.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -262,6 +262,7 @@ func TestAggregateFoldOrder(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	const n, workers, steps = 4000, 3, 5
 	cfg := Config{NumWorkers: workers, ActivateAll: true, MaxSupersteps: steps, PayloadCodec: codec.Float64{}}
+	cfg.Aggregators = map[string]*Aggregator{"sum": floatSum()}
 	run := func() []uint64 {
 		m := &sumMaster{}
 		c := cfg
@@ -270,7 +271,6 @@ func TestAggregateFoldOrder(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		e.RegisterAggregator("sum", floatSum())
 		if _, err := e.Run(); err != nil {
 			t.Fatal(err)
 		}
@@ -289,7 +289,7 @@ func TestAggregateFoldOrder(t *testing.T) {
 	m := &sumMaster{}
 	c := cfg
 	c.Master = m
-	b, err := NewBarrier(c, map[string]*Aggregator{"sum": floatSum()})
+	b, err := NewBarrier(c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +299,6 @@ func TestAggregateFoldOrder(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer shards[i].Close()
-		shards[i].RegisterAggregator("sum", floatSum())
 		if err := shards[i].Init(); err != nil {
 			t.Fatal(err)
 		}
@@ -340,7 +339,8 @@ func (m *haltMaster) BeforeSuperstep(mc *MasterControl) {
 func TestMasterHaltAndPhases(t *testing.T) {
 	p := &countProgram{limit: 1 << 30}
 	master := &haltMaster{}
-	e, _ := New(2, p, Config{NumWorkers: 1, Master: master})
+	rec := &obs.Recorder{}
+	e, _ := New(2, p, Config{NumWorkers: 1, Master: master, Tracer: rec})
 	m, err := e.Run()
 	if err != nil {
 		t.Fatalf("Run: %v", err)
@@ -348,8 +348,8 @@ func TestMasterHaltAndPhases(t *testing.T) {
 	if m.Supersteps != 2 {
 		t.Errorf("supersteps = %d, want 2", m.Supersteps)
 	}
-	if !e.Halted() {
-		t.Errorf("engine should report master halt")
+	if evs := rec.Events(); !evs[len(evs)-1].(obs.RunEnd).Halted {
+		t.Errorf("run_end should report the master's halt")
 	}
 	if len(master.phases) != 3 || master.phases[0] != 0 || master.phases[1] != 1 || master.phases[2] != 2 {
 		t.Errorf("phases = %v", master.phases)

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"graphite/internal/codec"
@@ -194,6 +195,75 @@ func TestRunSurvivesFaults(t *testing.T) {
 	}
 }
 
+// errInjectedRecv is the failure failingRecv injects.
+var errInjectedRecv = errors.New("injected recv failure")
+
+// failingRecv is a transport without Reset — the loopback TCP mesh under a
+// wrapper that hides nothing else — whose Recv for worker 1 fails once, at
+// superstep failAt (worker 1 receives once per superstep).
+type failingRecv struct {
+	*TCPTransport
+	failAt int
+	recvs  atomic.Int64
+}
+
+func (t *failingRecv) Recv(dst int) ([][]byte, error) {
+	if dst == 1 && t.recvs.Add(1) == int64(t.failAt) {
+		return nil, errInjectedRecv
+	}
+	return t.TCPTransport.Recv(dst)
+}
+
+// TestRollbackNeedsResettableTransport: a failed exchange may leave frames
+// in flight, so over a transport that cannot discard them a rollback is not
+// attempted — the run ends with the exchange's own error, checkpoints or
+// not. A compute-phase failure over the same transport still rolls back: no
+// exchange ran, so there is nothing to discard.
+func TestRollbackNeedsResettableTransport(t *testing.T) {
+	const n = 8
+	run := func(t *testing.T, failRecvAt, panicRunAt int) (*faultProgram, *Metrics, *obs.Recorder, error) {
+		tcp, err := NewTCPTransport(2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { tcp.Close() })
+		p := newFaultProgram(n)
+		p.panicRunAt = panicRunAt
+		rec := &obs.Recorder{}
+		tr := &failingRecv{TCPTransport: tcp, failAt: failRecvAt}
+		e, err := New(n, p, Config{NumWorkers: 2, PayloadCodec: codec.Int64{}, Transport: tr,
+			CheckpointEvery: 1, Tracer: rec})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := e.Run()
+		return p, m, rec, err
+	}
+	t.Run("exchange", func(t *testing.T) {
+		_, _, rec, err := run(t, 2, 0)
+		if !errors.Is(err, errInjectedRecv) || errors.Is(err, ErrRecoveryExhausted) {
+			t.Fatalf("want the injected recv failure and no exhausted recovery, got %v", err)
+		}
+		if k := rec.Count("recovery"); k != 0 {
+			t.Errorf("%d recovery events, want none", k)
+		}
+	})
+	t.Run("compute", func(t *testing.T) {
+		p, m, rec, err := run(t, 0, 2)
+		if err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+		if m.Recoveries != 1 || rec.Count("recovery") != 1 {
+			t.Errorf("%d recoveries, %d recovery events, want 1 and 1", m.Recoveries, rec.Count("recovery"))
+		}
+		for i, d := range p.dist {
+			if d != int64(i) {
+				t.Fatalf("dist[%d] = %d, want %d", i, d, i)
+			}
+		}
+	})
+}
+
 // TestCheckpointRecoversFromPanic: with CheckpointEvery set, a one-shot
 // panic rolls back and replays to the exact fault-free answer and metrics.
 func TestCheckpointRecoversFromPanic(t *testing.T) {
@@ -364,11 +434,11 @@ func TestCheckpointWithAggregatorsAndMaster(t *testing.T) {
 	p := &aggFaultProgram{faultProgram: *newFaultProgram(n)}
 	p.panicRunAt = 3
 	master := &replayMaster{seen: map[int][]int64{}}
-	e, err := New(n, p, Config{NumWorkers: 2, PayloadCodec: codec.Int64{}, CheckpointEvery: 1, Master: master})
+	e, err := New(n, p, Config{NumWorkers: 2, PayloadCodec: codec.Int64{}, CheckpointEvery: 1, Master: master,
+		Aggregators: map[string]*Aggregator{"sum": SumInt64()}})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	e.RegisterAggregator("sum", SumInt64())
 	m, err := e.Run()
 	if err != nil {
 		t.Fatalf("Run: %v", err)

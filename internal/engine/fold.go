@@ -15,7 +15,7 @@ import (
 //
 // One association rule holds for every driver. Each source folds its own
 // messages in send order, c(c(m1, m2), m3), keeping each survivor where its
-// first message was; worker.receive folds the per-source partials in its one
+// first message was; Shard.receive folds the per-source partials in its one
 // delivery order, own outbox first, then peers ascending. The own outbox
 // is placed first, into ranges that hold nothing yet, so it needs no fold
 // on arrival: its own sender fold already left one message per key.
@@ -144,13 +144,13 @@ func (x *foldIndex) fold(s *msgSlab, c Combiner) {
 
 // foldOutboxes ends a compute phase under a combiner: every outbox is
 // folded before anything reads it.
-func (w *worker) foldOutboxes() {
-	c := w.eng.cfg.Combiner
+func (s *Shard) foldOutboxes() {
+	c := s.eng.cfg.Combiner
 	if c == nil {
 		return
 	}
 	x := foldIndexes.Get().(*foldIndex)
-	for _, ob := range w.outbox {
+	for _, ob := range s.outbox {
 		x.fold(ob, c)
 	}
 	foldIndexes.Put(x)

@@ -6,11 +6,11 @@ import (
 	"time"
 )
 
-// This file is the compute phase — the dense active frontier one worker
-// iterates — and the placement policy that balances workers up front.
+// This file is the compute phase — the dense active frontier one shard
+// iterates — and the placement policy that balances shards up front.
 //
 // Frontier lifecycle. `active []bool` stays the dedup bitmap, but every
-// false→true transition also appends the slot to the worker's grow-only
+// false→true transition also appends the slot to the shard's grow-only
 // `frontier` list, so the compute phase iterates exactly the activated slots
 // instead of scanning all of them. The frontier is built in delivery order,
 // sorted ascending as receive lays the inbox out and again at the start of
@@ -19,88 +19,88 @@ import (
 // checkpoint captures and restore re-activates.
 
 // activate marks a local slot active and, on the false→true transition,
-// appends it to the dense frontier. Callers run on the owning worker's
-// goroutine (delivery or Init), never concurrently for one worker.
-func (w *worker) activate(slot int) {
-	if !w.active[slot] {
-		w.active[slot] = true
-		w.frontier = append(w.frontier, int32(slot))
+// appends it to the dense frontier. Callers run on the owning shard's
+// goroutine (delivery or Init), never concurrently for one shard.
+func (s *Shard) activate(slot int) {
+	if !s.active[slot] {
+		s.active[slot] = true
+		s.frontier = append(s.frontier, int32(slot))
 	}
 }
 
 // prepareSched returns the slot list the imminent compute phase iterates: the
 // frontier, sorted ascending so execution order is that of a full-array scan,
 // or a lazily built all-slots list under ActivateAll.
-func (w *worker) prepareSched() []int32 {
-	if w.eng.cfg.ActivateAll {
-		if w.allSlots == nil {
-			w.allSlots = make([]int32, len(w.local))
-			for i := range w.allSlots {
-				w.allSlots[i] = int32(i)
+func (s *Shard) prepareSched() []int32 {
+	if s.eng.cfg.ActivateAll {
+		if s.allSlots == nil {
+			s.allSlots = make([]int32, len(s.local))
+			for i := range s.allSlots {
+				s.allSlots[i] = int32(i)
 			}
 		}
-		return w.allSlots
+		return s.allSlots
 	}
-	slices.Sort(w.frontier)
-	return w.frontier
+	slices.Sort(s.frontier)
+	return s.frontier
 }
 
 // finishSched ends a compute phase: the consumed frontier resets (delivery
 // during the next exchange rebuilds it).
-func (w *worker) finishSched() { w.frontier = w.frontier[:0] }
+func (s *Shard) finishSched() { s.frontier = s.frontier[:0] }
 
-// init is a worker's share of superstep-1 set-up: Program.Init on every
+// init is a shard's share of superstep-1 set-up: Program.Init on every
 // vertex it owns, all of them active.
-func (w *worker) init() {
-	e := w.eng
-	ctx := Context{eng: e, w: w}
-	for slot, v := range w.local {
+func (s *Shard) init() {
+	e := s.eng
+	ctx := Context{eng: e, w: s}
+	for slot, v := range s.local {
 		if e.aborted() {
 			return
 		}
 		ctx.vertex = v
 		ctx.slot = slot
-		w.activate(slot)
+		s.activate(slot)
 		if !e.guardedCall(int(v), func() { e.program.Init(&ctx) }) {
 			return
 		}
 	}
 }
 
-// compute is a worker's compute phase: the program over its own frontier in
+// compute is a shard's compute phase: the program over its own frontier in
 // slot order, sends going straight to its outboxes, which a combiner folds
 // once the frontier is done.
-func (w *worker) compute() {
+func (s *Shard) compute() {
 	phaseStart := time.Now()
-	defer func() { w.computeNS = time.Since(phaseStart).Nanoseconds() }()
-	w.cctx = Context{eng: w.eng, w: w}
-	w.runSlots(w.prepareSched())
-	w.finishSched()
-	w.foldOutboxes()
+	defer func() { s.computeNS = time.Since(phaseStart).Nanoseconds() }()
+	s.cctx = Context{eng: s.eng, w: s}
+	s.runSlots(s.prepareSched())
+	s.finishSched()
+	s.foldOutboxes()
 }
 
 // runSlots executes the program over the given slots, emptying each one's
 // inbox range and clearing its active flag as it goes: a range left behind
 // would be delivered again.
-func (w *worker) runSlots(slots []int32) {
-	e, ctx := w.eng, &w.cctx
-	ctx.spill = w.inbox.spill
-	for _, s := range slots {
+func (s *Shard) runSlots(slots []int32) {
+	e, ctx := s.eng, &s.cctx
+	ctx.spill = s.inbox.spill
+	for _, sl := range slots {
 		if e.aborted() {
 			return
 		}
-		slot := int(s)
-		v := w.local[slot]
+		slot := int(sl)
+		v := s.local[slot]
 		ctx.vertex = v
 		ctx.slot = slot
-		msgs := w.received(slot)
+		msgs := s.received(slot)
 		if !e.guardedCall(int(v), func() { e.program.Run(ctx, msgs) }) {
 			// A panicking vertex keeps its range: rollback overwrites every
 			// range before replaying.
 			return
 		}
-		w.at[slot], w.end[slot] = 0, 0
-		w.active[slot] = false
+		s.at[slot], s.end[slot] = 0, 0
+		s.active[slot] = false
 	}
 }
 
@@ -109,8 +109,8 @@ func (w *worker) runSlots(slots []int32) {
 // straggler doing everything.
 func (e *Engine) imbalanceMilli() int64 {
 	var sum, max int64
-	for _, w := range e.workers {
-		ns := w.computeNS
+	for _, s := range e.workers {
+		ns := s.computeNS
 		sum += ns
 		if ns > max {
 			max = ns

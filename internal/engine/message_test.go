@@ -139,7 +139,7 @@ func (tr dstTransport) Recv(dst int) ([][]byte, error) {
 }
 
 // TestReceiveChecksOwnership: both drivers hand a worker its peers' bytes
-// through worker.receive, and a well-formed message for a vertex of the run
+// through Shard.receive, and a well-formed message for a vertex of the run
 // that another worker owns is a corrupt batch to both — not a delivery to
 // the local vertex that shares its slot number, and not an index past the
 // local slots. Worker 1 of two owns vertices 1 and 3 of five.

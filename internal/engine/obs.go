@@ -85,75 +85,81 @@ func (e *Engine) setPoolGauges() {
 	e.ec.bytesReused.Set(bytes)
 }
 
-// countActive counts activated vertices — O(workers) off the dense frontier
+// countActive counts activated vertices — O(shards) off the dense frontier
 // lengths maintained at delivery time, never a slot-array rescan. The
 // frontier dedups through the active bitmap, so the count equals the number
 // of set flags.
 func (e *Engine) countActive() int {
 	n := 0
-	for _, w := range e.workers {
-		n += len(w.frontier)
+	for _, s := range e.workers {
+		n += len(s.frontier)
 	}
 	return n
 }
 
-// report is the worker's contribution to the barrier closing the superstep
-// it just delivered — Run's for each worker, a Shard's for its one. Aggs
-// aliases the partials until publish.
-func (w *worker) report() StepReport {
-	r := w.rep
-	r.Superstep, r.Active = w.eng.superstp, len(w.frontier)
+// report is the shard's contribution to the barrier closing the superstep
+// it just delivered — Run's for each shard, Barrier's for one stepped from
+// outside. Aggs aliases the partials until publish.
+func (s *Shard) report() StepReport {
+	r := s.rep
+	r.Superstep, r.Active = s.eng.superstp, len(s.frontier)
 	return r
 }
 
-// publish adds the worker's partials to the registry and starts them over.
+// publish adds the shard's partials to the registry and starts them over.
 // The registry counts the work executed, replays included; the run's totals
 // are the barrier's.
-func (w *worker) publish() {
-	ec := &w.eng.ec
-	ec.computeCalls.Add(w.rep.ComputeCalls)
-	ec.scatterCalls.Add(w.rep.ScatterCalls)
-	ec.messages.Add(w.rep.SentMsgs)
-	ec.messageBytes.Add(w.rep.SentBytes)
-	ec.delivered.Add(w.rep.Delivered)
-	for i, n := range w.classBytes {
+func (s *Shard) publish() {
+	ec := &s.eng.ec
+	ec.computeCalls.Add(s.rep.ComputeCalls)
+	ec.scatterCalls.Add(s.rep.ScatterCalls)
+	ec.messages.Add(s.rep.SentMsgs)
+	ec.messageBytes.Add(s.rep.SentBytes)
+	ec.delivered.Add(s.rep.Delivered)
+	for i, n := range s.classBytes {
 		if n != 0 {
 			ec.classBytes[i].Add(n)
 		}
 	}
-	w.resetPartials()
+	s.resetPartials()
 }
 
-// resetPartials starts a worker's per-superstep partials over: the counts at
+// resetPartials starts a shard's per-superstep partials over: the counts at
 // zero, the aggregator partials at their identities.
-func (w *worker) resetPartials() {
-	w.rep = StepReport{Aggs: w.eng.barrier.identities(w.rep.Aggs)}
-	w.classBytes = [codec.NumIntervalClasses]int64{}
+func (s *Shard) resetPartials() {
+	s.rep = StepReport{Aggs: s.eng.barrier.identities(s.rep.Aggs)}
+	s.classBytes = [codec.NumIntervalClasses]int64{}
 }
 
-// emitWorkerPhases reports one phase of the finished superstep for every
-// worker, in worker order, from the coordinating goroutine — trace output
-// stays deterministic because workers never emit.
-func (e *Engine) emitWorkerPhases(phase string) {
-	for _, w := range e.workers {
-		ev := obs.WorkerPhase{
-			Superstep: e.superstp,
-			Worker:    w.id,
-			Phase:     phase,
+// emitWorkerPhases reports the phases of the superstep that reached its
+// barrier — compute, ship (over a Transport), exchange — for every shard, in
+// shard order, from the coordinating goroutine: trace output stays
+// deterministic because shards never emit.
+func (e *Engine) emitWorkerPhases() {
+	for _, phase := range [...]string{"compute", "ship", "exchange"} {
+		if phase == "ship" && e.cfg.Transport == nil {
+			continue
 		}
-		switch phase {
-		case "compute":
-			ev.NS = w.computeNS
-			ev.ComputeCalls = w.rep.ComputeCalls
-			ev.ScatterCalls = w.rep.ScatterCalls
-			ev.SentMsgs = w.rep.SentMsgs
-			ev.SentBytes = w.rep.SentBytes
-		case "ship":
-			ev.NS = w.shipNS
-		case "exchange":
-			ev.NS = w.exchangeNS
-			ev.Delivered = w.rep.Delivered
+		for _, s := range e.workers {
+			ev := obs.WorkerPhase{
+				Superstep: e.superstp,
+				Worker:    s.id,
+				Phase:     phase,
+			}
+			switch phase {
+			case "compute":
+				ev.NS = s.computeNS
+				ev.ComputeCalls = s.rep.ComputeCalls
+				ev.ScatterCalls = s.rep.ScatterCalls
+				ev.SentMsgs = s.rep.SentMsgs
+				ev.SentBytes = s.rep.SentBytes
+			case "ship":
+				ev.NS = s.shipNS
+			case "exchange":
+				ev.NS = s.exchangeNS
+				ev.Delivered = s.rep.Delivered
+			}
+			e.tracer.Emit(ev)
 		}
-		e.tracer.Emit(ev)
 	}
 }

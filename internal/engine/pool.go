@@ -103,7 +103,8 @@ func (a *messageArena) stats() (hits, misses, bytesReused int64) {
 var (
 	// outboxArena feeds worker outboxes and inboxes, a handful per run.
 	outboxArena messageArena
-	// batchSlabs feeds the encode buffers of the transport ship phase.
+	// batchSlabs feeds Outbound's encode buffer, which each batch is copied
+	// out of at its final size.
 	batchSlabs codec.SlabPool
 )
 

@@ -2,28 +2,29 @@ package engine
 
 import (
 	"fmt"
-	"runtime/debug"
 	"slices"
 
 	"graphite/internal/codec"
 )
 
-// This file exposes one engine worker as an externally-driven shard, the
-// building block of the multi-process cluster runtime (internal/cluster).
-// Every worker process constructs the FULL engine over the whole graph with
-// the same deterministic configuration — partitioner, worker count, codec —
-// so the vertex→worker and vertex→slot maps are identical in every process,
-// then executes only its own worker's slots. Remote vertices exist as
-// routing entries only; their state lives in the processes that own them.
+// This file is the engine's worker, the Shard. Run steps every shard of its
+// engine; NewShard hands one out to be stepped from outside, the building
+// block of the multi-process cluster runtime (internal/cluster). Every worker
+// process constructs the FULL engine over the whole graph with the same
+// deterministic configuration — partitioner, worker count, codec — so the
+// vertex→shard and vertex→slot maps are identical in every process, then
+// executes only its own shard's slots. Remote vertices exist as routing
+// entries only; their state lives in the processes that own them.
 //
 // The cluster coordinator drives the BSP loop from outside: Compute →
 // Outbound (encoded batches for the wire) → Deliver (batches received from
 // peers) → Barrier, one call set per superstep per shard, and closes each
-// superstep through an engine Barrier of its own. Deliver goes through the
-// same receive routine as Run's exchange, in process or over a Transport —
-// own outbox first, then peer batches in ascending shard order — so a cluster
-// run is bit-identical to a single-process run over the same configuration,
-// which is what the kill-recovery chaos tests assert.
+// superstep through an engine Barrier of its own. Compute runs the phase Run
+// runs, under the same guard; Outbound encodes what Run ships over a
+// Transport; Deliver goes through the same receive routine as Run's exchange
+// — own outbox first, then peer batches in ascending shard order — so a
+// cluster run is bit-identical to a single-process run over the same
+// configuration, which is what the kill-recovery chaos tests assert.
 
 // StepReport is one shard's contribution to a superstep barrier: what
 // Barrier.Close decides the superstep's end from — deliveries, frontier and
@@ -41,16 +42,48 @@ type StepReport struct {
 	Aggs         []codec.Word `json:"aggs,omitempty"`    // aggregator partials, in name order
 }
 
-// Shard is one worker's slice of an engine, stepped from outside.
+// Shard is one worker of an engine: it owns the vertices the partitioner
+// gives it and runs their phases of every superstep.
 type Shard struct {
-	eng      *Engine
-	w        *worker
-	id       int
-	ckptSize int // the last capture's length, the next one's first allocation
+	id     int
+	eng    *Engine
+	local  []int32    // dense vertex indices owned by this shard
+	active []bool     // per local slot; dedup bitmap behind the frontier
+	outbox []*msgSlab // per destination shard, refilled every superstep; arena-pooled across runs
+	inbox  *msgSlab   // delivered messages in slot order, slot s's at msgs[at[s]:end[s]]; arena-pooled
+	at     []int32    // per local slot: where its inbox range starts
+	end    []int32    // per local slot: where it ends
+
+	// Dense frontier: slots activated since the last compute phase, appended
+	// at delivery time (activation order), sorted at compute start. Grow-only.
+	frontier []int32
+	allSlots []int32 // lazily built 0..len(local)-1 schedule for ActivateAll
+
+	// The superstep's partials, reported to the barrier after every
+	// superstep (report): the counts and the aggregator partials, in the
+	// barrier's name order. The interval bytes by encoding class go to the
+	// registry only.
+	rep        StepReport
+	classBytes [codec.NumIntervalClasses]int64
+
+	// Per-phase observations for the superstep in flight: each shard
+	// records into its own fields; Run reads them after the phase barrier
+	// (shards are quiescent then), so no synchronization.
+	computeNS  int64
+	shipNS     int64
+	exchangeNS int64
+
+	scratch  []byte // spilled-payload sizing buffer, reused across sends
+	ckptSize int    // the last durable capture's length, the next one's first allocation
+
+	// cctx is the shard's persistent compute Context: &cctx escapes into
+	// Program.Run through the interface call, and a per-phase local would
+	// heap-allocate once per shard per superstep.
+	cctx Context
 }
 
-// NewShard builds the full engine for numVertices vertices and returns the
-// handle for executing worker shard of cfg.NumWorkers. The configuration
+// NewShard builds the full engine for numVertices vertices and returns its
+// shard of cfg.NumWorkers, to be stepped from outside. The configuration
 // must be identical across every process of the cluster (same partitioner,
 // worker count, codec, program construction), which is why NumWorkers must
 // be explicit — a GOMAXPROCS default would diverge between hosts. A Master
@@ -84,19 +117,15 @@ func NewShard(numVertices int, program Program, cfg Config, shard int) (*Shard, 
 	if shard < 0 || shard >= len(e.workers) {
 		return nil, fmt.Errorf("%w: shard %d out of range for %d workers", ErrBadConfig, shard, len(e.workers))
 	}
-	w := e.workers[shard]
-	w.drawBuffers()
-	return &Shard{eng: e, w: w, id: shard}, nil
+	s := e.workers[shard]
+	s.drawBuffers()
+	return s, nil
 }
 
 // Close returns the shard's pooled message buffers for the next run or
 // shard in this process to reuse. The shard must not be stepped afterwards;
 // a shard that is merely dropped is collected like any other garbage.
 func (s *Shard) Close() { s.eng.releaseBuffers() }
-
-// RegisterAggregator installs a named aggregator before Init: the shard's
-// vertices fold their contributions into its partial.
-func (s *Shard) RegisterAggregator(name string, agg *Aggregator) { s.eng.RegisterAggregator(name, agg) }
 
 // Superstep returns the 1-based superstep about to execute (or executing).
 func (s *Shard) Superstep() int { return s.eng.superstp }
@@ -106,47 +135,41 @@ func (s *Shard) Superstep() int { return s.eng.superstp }
 func (s *Shard) SetPhase(p int) { s.eng.barrier.state.Phase = p }
 
 // Init runs Program.Init over this shard's vertices (superstep-1 setup),
-// activating all of them, exactly as Run's init phase does for one worker.
+// activating all of them: Run's init phase for one shard.
 func (s *Shard) Init() error {
 	s.eng.superstp = 1
-	s.w.resetPartials()
-	s.w.init()
+	s.resetPartials()
+	step(s, (*Shard).init)
 	return s.eng.takeErr()
 }
 
 // Compute runs this shard's compute phase over its active frontier,
-// emitting into per-destination outboxes. A user-program panic surfaces as
-// a *VertexPanicError, never kills the process.
+// emitting into per-destination outboxes: Run's compute phase for one shard.
+// A user-program panic surfaces as a *VertexPanicError, never kills the
+// process, and a failure reported through Context.Fail ends the phase.
 func (s *Shard) Compute() error {
-	e := s.eng
-	func() {
-		defer func() {
-			if r := recover(); r != nil {
-				e.fail(&VertexPanicError{
-					Vertex:    -1,
-					Superstep: e.superstp,
-					Value:     r,
-					Stack:     debug.Stack(),
-				})
-			}
-		}()
-		s.w.compute()
-	}()
-	return e.takeErr()
+	step(s, (*Shard).compute)
+	return s.eng.takeErr()
 }
 
 // Outbound drains and encodes the cross-shard outboxes: one batch per
 // destination shard (possibly empty — peers expect exactly one frame from
 // every other shard per superstep), nil at this shard's own index. The
-// self-addressed outbox is retained for Deliver. Batches are freshly
-// allocated: they are handed to the wire asynchronously, so the pooled-slab
-// discipline of the in-process hot path does not apply. Each is encoded into
-// a pooled slab and copied out once, at its final size.
+// self-addressed outbox is retained for Deliver.
 func (s *Shard) Outbound() ([][]byte, error) {
-	e, w := s.eng, s.w
-	if err := e.takeErr(); err != nil {
+	if err := s.eng.takeErr(); err != nil {
 		return nil, err
 	}
+	return s.outbound(), nil
+}
+
+// outbound is Outbound's encoding, and what Run ships over a Transport.
+// Batches are freshly allocated: they are handed to the wire, which may hold
+// them, so the pooled-slab discipline of the in-process hot path does not
+// apply. Each is encoded into a pooled slab and copied out once, at its final
+// size.
+func (s *Shard) outbound() [][]byte {
+	e := s.eng
 	out := make([][]byte, len(e.workers))
 	slab := batchSlabs.Get()
 	defer batchSlabs.Put(slab)
@@ -154,11 +177,11 @@ func (s *Shard) Outbound() ([][]byte, error) {
 		if dst == s.id {
 			continue
 		}
-		slab.Buf = e.encodeBatch(slab.Buf[:0], w.outbox[dst])
+		slab.Buf = e.encodeBatch(slab.Buf[:0], s.outbox[dst])
 		out[dst] = append(make([]byte, 0, len(slab.Buf)), slab.Buf...)
-		w.outbox[dst].reset()
+		s.outbox[dst].reset()
 	}
-	return out, nil
+	return out
 }
 
 // Deliver runs this shard's receive phase: the self-addressed outbox first,
@@ -167,11 +190,11 @@ func (s *Shard) Outbound() ([][]byte, error) {
 // Transport, or cluster runs lose bit-identity with single-process runs.
 // Returns the number of messages delivered into this shard.
 func (s *Shard) Deliver(batches [][]byte) (int64, error) {
-	n, err := s.w.receiveWire(batches)
+	n, err := s.receiveWire(batches)
 	if err != nil {
 		return n, fmt.Errorf("engine: shard %d: %w", s.id, err)
 	}
-	s.w.rep.Delivered = n
+	s.rep.Delivered = n
 	return n, nil
 }
 
@@ -180,9 +203,9 @@ func (s *Shard) Deliver(batches [][]byte) (int64, error) {
 // Deliver.
 func (s *Shard) Barrier() StepReport {
 	e := s.eng
-	rep := s.w.report()
+	rep := s.report()
 	rep.Aggs = slices.Clone(rep.Aggs)
-	s.w.publish()
+	s.publish()
 	e.ec.supersteps.Inc()
 	// No imbalance gauge: only this shard's worker computes in this engine.
 	// The cluster's imbalance is the coordinator's GClusterSkewMilli.

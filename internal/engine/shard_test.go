@@ -32,7 +32,7 @@ func outboundFixture(t testing.TB, c Combiner) (*Shard, func() []Message) {
 	if err != nil {
 		t.Fatalf("NewShard: %v", err)
 	}
-	ctx := &Context{eng: s.eng, w: s.w}
+	ctx := &Context{eng: s.eng, w: s}
 	intervals := []ival.Interval{ival.Universe, ival.Point(3), ival.New(2, 900), ival.Empty, ival.From(70000)}
 	vals := make([]any, 64) // boxed once; Send takes any
 	for i := range vals {
@@ -82,7 +82,7 @@ func TestOutboundBatchesExactlySized(t *testing.T) {
 					d := s.eng.part[m.Dst]
 					want[d] = append(want[d], m)
 				}
-				s.w.foldOutboxes() // as the compute phase ends
+				s.foldOutboxes() // as the compute phase ends
 				out, err := s.Outbound()
 				if err != nil {
 					t.Fatalf("Outbound: %v", err)
@@ -110,10 +110,10 @@ func TestOutboundBatchesExactlySized(t *testing.T) {
 						t.Errorf("round %d: batch for shard %d does not decode to what was sent", round, d)
 					}
 				}
-				if !reflect.DeepEqual(s.w.outbox[0].msgs, want[0]) {
+				if !reflect.DeepEqual(s.outbox[0].msgs, want[0]) {
 					t.Errorf("round %d: Outbound changed the self-addressed outbox", round)
 				}
-				s.w.outbox[0].reset()
+				s.outbox[0].reset()
 			}
 		})
 	}
@@ -131,7 +131,7 @@ func TestOutboundAllocsPerBatch(t *testing.T) {
 		if _, err := s.Outbound(); err != nil {
 			t.Fatal(err)
 		}
-		s.w.outbox[0].reset()
+		s.outbox[0].reset()
 	}
 	step() // grow the outboxes and the sizing scratch
 	const batches = 2
@@ -168,7 +168,7 @@ func TestShardBarrierPublishesNoImbalance(t *testing.T) {
 		if err := s.Compute(); err != nil {
 			t.Fatalf("Compute: %v", err)
 		}
-		if s.w.computeNS <= 0 {
+		if s.computeNS <= 0 {
 			t.Fatal("the compute phase was not timed")
 		}
 		if _, err := s.Outbound(); err != nil {
@@ -181,7 +181,7 @@ func TestShardBarrierPublishesNoImbalance(t *testing.T) {
 		if got := reg.Gauge(obs.GComputeImbalanceMilli).Load(); got != 0 {
 			t.Errorf("superstep %d: a shard published compute imbalance %d, want none", rep.Superstep, got)
 		}
-		if got, want := reg.Gauge(obs.GActiveVertices).Load(), int64(len(s.w.local)); got != want || rep.Active != len(s.w.local) {
+		if got, want := reg.Gauge(obs.GActiveVertices).Load(), int64(len(s.local)); got != want || rep.Active != len(s.local) {
 			t.Errorf("superstep %d: active vertices gauge %d, report %d, want %d", rep.Superstep, got, rep.Active, want)
 		}
 	}

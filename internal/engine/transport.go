@@ -20,11 +20,8 @@ import (
 // through real loopback sockets, exercising the full serialization path.
 type Transport interface {
 	// Send ships an encoded batch from worker src to worker dst (src != dst).
-	// The batch bytes belong to the caller and are pooled: Send must not
-	// retain the slice after returning — an implementation that queues
-	// frames must copy (the in-process chaos transport does; the TCP mesh
-	// writes synchronously). A retained batch would alias a recycled slab
-	// and ship a later superstep's bytes under this superstep's framing.
+	// The batch is freshly allocated (Shard.Outbound's) and never written
+	// again: Send may keep it.
 	Send(src, dst int, batch []byte) error
 	// Recv returns the batches addressed to dst this superstep, one per
 	// other worker, in ascending source order.

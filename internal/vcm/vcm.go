@@ -158,15 +158,13 @@ func RunSnapshot(g *tgraph.Graph, t ival.Time, prog Program, opts Options) (*Res
 		MaxSupersteps: opts.MaxSupersteps,
 		ActivateAll:   opts.ActivateAll,
 		PayloadCodec:  opts.PayloadCodec,
+		Aggregators:   opts.Aggregators,
 		Master:        opts.Master,
 		Combiner:      opts.Combine,
 	}
 	eng, err := engine.New(g.NumVertices(), rt, cfg)
 	if err != nil {
 		return nil, err
-	}
-	for name, agg := range opts.Aggregators {
-		eng.RegisterAggregator(name, agg)
 	}
 	m, err := eng.Run()
 	if err != nil {
