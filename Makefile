@@ -48,11 +48,11 @@ race:
 # peer's bytes reach, the checkpoint restore, the first thing a disk's bytes
 # reach — its seeds are up to 150 KB, so minimizing one is capped — and the
 # sender's fold against the arrival-only fold), state, warp and graph-format
-# layers (snapshot round trip and mutation, the
-# text parser), the window view against its slice oracle, the cluster's
+# layers (snapshot round trip and mutation, the text parser, the partition
+# meta decoder), the window view against its slice oracle, the cluster's
 # frame and control-message decoders and what the coordinator's handlers do
 # with one arbitrary frame mid-run (over the simulator), the WAL's record
-# decoder and replay,
+# decoder and replay, the accumulator state decoder,
 # the live graph's patched epochs and their scatter plans against their
 # rebuilds, and the result renderer's strings against encoding/json, for
 # FUZZTIME each (Go allows one -fuzz target per invocation).
@@ -72,12 +72,14 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzSnapshotMutation -fuzztime $(FUZZTIME) ./internal/tgraph
 	$(GO) test -run '^$$' -fuzz FuzzTextRead -fuzztime $(FUZZTIME) ./internal/tgraph
 	$(GO) test -run '^$$' -fuzz FuzzSlice -fuzztime $(FUZZTIME) ./internal/tgraph
+	$(GO) test -run '^$$' -fuzz FuzzDecodePartitionMeta -fuzztime $(FUZZTIME) ./internal/tgraph
 	$(GO) test -run '^$$' -fuzz FuzzWindowView -fuzztime $(FUZZTIME) ./internal/algorithms
 	$(GO) test -run '^$$' -fuzz FuzzClusterFrames -fuzztime $(FUZZTIME) ./internal/cluster
 	$(GO) test -run '^$$' -fuzz FuzzDriverFrames -fuzztime $(FUZZTIME) ./internal/cluster
 	$(GO) test -run '^$$' -fuzz FuzzWALDecodeBatch -fuzztime $(FUZZTIME) ./internal/live
 	$(GO) test -run '^$$' -fuzz FuzzWALReplay -fuzztime $(FUZZTIME) ./internal/live
 	$(GO) test -run '^$$' -fuzz FuzzEpochPatch -fuzztime $(FUZZTIME) ./internal/stream
+	$(GO) test -run '^$$' -fuzz FuzzUnmarshalAccumulator -fuzztime $(FUZZTIME) ./internal/stream
 	$(GO) test -run '^$$' -fuzz FuzzEpochPlan -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzRenderString -fuzztime $(FUZZTIME) ./internal/serve
 

@@ -214,19 +214,19 @@ func appendDataHeader(buf []byte, h dataHeader) []byte {
 	return buf
 }
 
+// errDataHeader and errResultHeader are what a malformed header wraps: one
+// error value each, so parsing the header of every data frame allocates none.
+var (
+	errDataHeader   = fmt.Errorf("%w: data frame header", codec.ErrCorrupt)
+	errResultHeader = fmt.Errorf("%w: result frame header", codec.ErrCorrupt)
+)
+
 // parseDataHeader splits a data frame payload into its header and the
 // encoded batch bytes.
 func parseDataHeader(p []byte) (dataHeader, []byte, error) {
-	var h dataHeader
-	for _, dst := range []*int{&h.epoch, &h.superstep, &h.src, &h.dst} {
-		v, n := binary.Uvarint(p)
-		if n <= 0 {
-			return h, nil, fmt.Errorf("%w: data frame header", codec.ErrCorrupt)
-		}
-		*dst = int(v)
-		p = p[n:]
-	}
-	return h, p, nil
+	r := codec.NewReader(p, errDataHeader)
+	h := dataHeader{epoch: r.Int("epoch"), superstep: r.Int("superstep"), src: r.Int("source"), dst: r.Int("destination")}
+	return h, r.Rest(), r.Err
 }
 
 // appendResultHeader / parseResultHeader frame a shard's state blob.
@@ -237,15 +237,9 @@ func appendResultHeader(buf []byte, epoch, shard int) []byte {
 }
 
 func parseResultHeader(p []byte) (epoch, shard int, blob []byte, err error) {
-	for _, dst := range []*int{&epoch, &shard} {
-		v, n := binary.Uvarint(p)
-		if n <= 0 {
-			return 0, 0, nil, fmt.Errorf("%w: result frame header", codec.ErrCorrupt)
-		}
-		*dst = int(v)
-		p = p[n:]
-	}
-	return epoch, shard, p, nil
+	r := codec.NewReader(p, errResultHeader)
+	epoch, shard = r.Int("epoch"), r.Int("shard")
+	return epoch, shard, r.Rest(), r.Err
 }
 
 // LoadGraph resolves a graph spec shared between coordinator and workers:

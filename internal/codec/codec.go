@@ -3,7 +3,9 @@
 // byte-length numbers, unit-length intervals and intervals extending to ∞
 // are flagged in a header byte so only the start point is transmitted.
 // The paper reports 59–78% message-size reductions from this encoding; the
-// MsgSize experiment reproduces that measurement.
+// MsgSize experiment reproduces that measurement. Reader is the one
+// bounds-checked decoder every varint record read back from disk or a peer
+// goes through.
 package codec
 
 import (

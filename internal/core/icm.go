@@ -120,7 +120,8 @@ type Options struct {
 	// any window containing the graph's lifespan mean no window.
 	Window ival.Interval
 	// DisableWarp bypasses the warp operator unconditionally, degenerating
-	// to time-point-centric execution (used by the Fig. 6(c) ablation).
+	// to time-point-centric execution: the reference path that
+	// TestAblationPathsPreserveResults compares the warped runs against.
 	DisableWarp bool
 	// DisableSuppression turns automatic warp suppression off.
 	DisableSuppression bool

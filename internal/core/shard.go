@@ -3,11 +3,9 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 
 	"graphite/internal/codec"
 	"graphite/internal/engine"
-	ival "graphite/internal/interval"
 	"graphite/internal/tgraph"
 	"graphite/internal/warp"
 )
@@ -158,88 +156,49 @@ func (rt *runtime) RestoreSnapshot(data []byte) error {
 	return nil
 }
 
-func snapCorrupt(what string) error {
-	return fmt.Errorf("%w: snapshot: bad %s", codec.ErrCorrupt, what)
-}
+// errSnapshot is what a malformed field of a runtime snapshot wraps.
+var errSnapshot = fmt.Errorf("%w: snapshot", codec.ErrCorrupt)
 
 // decodeSnapshot parses an AppendSnapshot over numV vertices into a state
 // per vertex (nil where it holds none) and the counters. Every error wraps
 // codec.ErrCorrupt; the first one stops the parse.
 func decodeSnapshot(data []byte, numV int, pc codec.Payload) (states []*PartitionedState, counters [7]int64, err error) {
-	if len(data) < 1 || data[0] != snapVersion {
-		return nil, counters, snapCorrupt("version")
-	}
-	buf := data[1:]
-	bad := func(what string) {
-		if err == nil {
-			err = snapCorrupt(what)
-		}
-	}
-	uvarint := func(what string, max uint64) uint64 {
-		v, k := binary.Uvarint(buf)
-		if k <= 0 || v > max {
-			bad(what)
-		}
-		if err != nil {
-			return 0
-		}
-		buf = buf[k:]
-		return v
-	}
-	interval := func(what string) ival.Interval {
-		iv, k, ierr := codec.Interval(buf)
-		if ierr != nil {
-			bad(what)
-		}
-		if err != nil {
-			return ival.Empty
-		}
-		buf = buf[k:]
-		return iv
+	r := codec.NewReader(data, errSnapshot)
+	if v := r.Byte(); v != snapVersion {
+		r.Fail("version %d", v)
 	}
 	states = make([]*PartitionedState, numV)
-	for n := uvarint("state count", uint64(numV)); n > 0 && err == nil; n-- {
-		v := uvarint("vertex index", uint64(numV-1))
+	for n := r.Max("state count", uint64(numV)); n > 0 && r.Err == nil; n-- {
+		v := r.Max("vertex index", uint64(numV-1))
 		if states[v] != nil {
-			bad("vertex index")
+			r.Fail("vertex %d twice", v)
 		}
-		st := &PartitionedState{lifespan: interval("lifespan")}
-		for p := uvarint("partition count", uint64(len(buf))); p > 0 && err == nil; p-- {
-			iv := interval("partition")
-			if len(buf) < 1 || buf[0] > 1 {
-				bad("value presence")
-			}
-			if err != nil {
-				break
-			}
-			present := buf[0] == 1
-			buf = buf[1:]
+		st := &PartitionedState{lifespan: r.Interval()}
+		// A partition takes at least its interval's flag byte and the
+		// presence byte.
+		for p := r.Count(2); p > 0 && r.Err == nil; p-- {
+			iv := r.Interval()
 			var val any
-			if present {
-				var k int
-				var verr error
-				if val, k, verr = pc.Decode(buf); verr != nil {
-					bad(fmt.Sprintf("value of vertex %d (%v)", v, verr))
-					break
-				}
-				buf = buf[k:]
+			switch present := r.Byte(); present {
+			case 1:
+				val = r.Value(pc)
+			case 0:
+			default:
+				r.Fail("value presence %d", present)
 			}
 			st.parts = append(st.parts, warp.IntervalValue{Interval: iv, Value: val})
 		}
 		// A CRC-valid checkpoint can still carry a partition list that was
 		// never a state; Set would splice into it and corrupt it silently.
 		if ierr := st.Invariant(); ierr != nil {
-			bad(fmt.Sprintf("state of vertex %d (%v)", v, ierr))
+			r.Fail("state of vertex %d (%v)", v, ierr)
 		}
 		states[v] = st
 	}
 	for i := range counters {
-		counters[i] = int64(uvarint(fmt.Sprintf("counter %d", i), math.MaxUint64))
+		counters[i] = int64(r.Uvarint())
 	}
-	if len(buf) != 0 {
-		bad("length")
-	}
-	if err != nil {
+	if err := r.Done(); err != nil {
 		return nil, counters, err
 	}
 	return states, counters, nil

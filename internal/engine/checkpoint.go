@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 	"slices"
 
 	"graphite/internal/codec"
@@ -101,51 +100,12 @@ func prefixLen(buf []byte, start int) []byte {
 	return buf
 }
 
-// ckptReader pops a capture's fields off its bytes. The first malformed one
-// sets err, and every read after it returns zero values.
-type ckptReader struct {
-	buf []byte
-	err error
-}
-
-func (r *ckptReader) fail(format string, args ...any) {
-	if r.err == nil {
-		r.err = fmt.Errorf("%w: "+format, append([]any{ErrCheckpointCorrupt}, args...)...)
-	}
-}
-
-// uvarint pops a uvarint no larger than max.
-func (r *ckptReader) uvarint(what string, max uint64) uint64 {
-	v, k := binary.Uvarint(r.buf)
-	if k <= 0 || v > max {
-		r.fail("bad %s", what)
-	}
-	if r.err != nil {
-		return 0
-	}
-	r.buf = r.buf[k:]
-	return v
-}
-
-// field pops a length-prefixed field.
-func (r *ckptReader) field(what string) []byte {
-	n := r.uvarint(what+" length", uint64(len(r.buf)))
-	if uint64(len(r.buf)) < n {
-		r.fail("%s truncated", what)
-	}
-	if r.err != nil {
-		return nil
-	}
-	f := r.buf[:n]
-	r.buf = r.buf[n:]
-	return f
-}
-
-// slot pops a slot of n, which must come after *prev, and moves *prev to it.
-func (r *ckptReader) slot(what string, n int, prev *int) int {
-	s := int(r.uvarint(what, uint64(n)))
+// readSlot pops a slot of n, which must come after *prev, and moves *prev to
+// it.
+func readSlot(r *codec.Reader, what string, n int, prev *int) int {
+	s := int(r.Max(what, uint64(n)))
 	if s >= n || s <= *prev {
-		r.fail("%s %d after %d of %d", what, s, *prev, n)
+		r.Fail("%s %d after %d of %d", what, s, *prev, n)
 	}
 	*prev = s
 	return s
@@ -158,12 +118,12 @@ func (r *ckptReader) slot(what string, n int, prev *int) int {
 // active sets and superstep are the captured ones, and outboxes, partials —
 // aggregator partials included — and any recorded failure are gone.
 func (e *Engine) restore(data []byte, ws []*Shard) error {
-	if len(data) < 1 || data[0] != ckptVersion {
-		return fmt.Errorf("%w: unknown version", ErrCheckpointCorrupt)
+	r := codec.NewReader(data, ErrCheckpointCorrupt)
+	if v := r.Byte(); v != ckptVersion {
+		r.Fail("unknown version %d", v)
 	}
-	r := &ckptReader{buf: data[1:]}
-	superstep := int(r.uvarint("superstep", math.MaxInt32))
-	snap := r.field("snapshot")
+	superstep := r.Int("superstep")
+	snap := r.Field("snapshot")
 	// Each worker's inboxes decode into one fresh slab: ranges holds their
 	// (slot, at, end) triples.
 	actives := make([][]int, len(ws))
@@ -171,33 +131,30 @@ func (e *Engine) restore(data []byte, ws []*Shard) error {
 	ranges := make([][]int32, len(ws))
 	for i, w := range ws {
 		n, prev := len(w.local), -1
-		actives[i] = make([]int, r.uvarint("active count", uint64(n)))
+		actives[i] = make([]int, r.Max("active count", uint64(n)))
 		for k := range actives[i] {
-			actives[i][k] = r.slot("active slot", n, &prev)
+			actives[i][k] = readSlot(&r, "active slot", n, &prev)
 		}
 		in := &msgSlab{}
 		inboxes[i], prev = in, -1
-		for k := r.uvarint("inbox count", uint64(n)); k > 0 && r.err == nil; k-- {
-			slot := r.slot("inbox slot", n, &prev)
-			batch := r.field("inbox batch")
-			if r.err != nil {
+		for k := r.Max("inbox count", uint64(n)); k > 0 && r.Err == nil; k-- {
+			slot := readSlot(&r, "inbox slot", n, &prev)
+			batch := r.Field("inbox batch")
+			if r.Err != nil {
 				break
 			}
 			from := len(in.msgs)
-			r.err = e.decodeBatchInto(in, batch)
+			r.Err = e.decodeBatchInto(in, batch)
 			for _, m := range in.msgs[from:] {
 				if m.Dst != w.local[slot] {
-					r.fail("inbox of vertex %d holds a message for vertex %d", w.local[slot], m.Dst)
+					r.Fail("inbox of vertex %d holds a message for vertex %d", w.local[slot], m.Dst)
 				}
 			}
 			ranges[i] = append(ranges[i], int32(slot), int32(from), int32(len(in.msgs)))
 		}
 	}
-	if len(r.buf) != 0 {
-		r.fail("%d trailing bytes", len(r.buf))
-	}
-	if r.err != nil {
-		return r.err
+	if err := r.Done(); err != nil {
+		return err
 	}
 	if err := e.program.(Snapshotter).RestoreSnapshot(snap); err != nil {
 		return fmt.Errorf("engine: program snapshot: %w", err)

@@ -242,23 +242,23 @@ func (p *scriptProgram) Run(ctx *Context, msgs []Message) {
 // inboxVertices lists the vertices a capture holds an inbox for.
 func inboxVertices(t *testing.T, e *Engine, data []byte) []int {
 	t.Helper()
-	r := &ckptReader{buf: data[1:]}
-	r.uvarint("superstep", 1<<31)
-	r.field("snapshot")
+	r := codec.NewReader(data[1:], ErrCheckpointCorrupt)
+	r.Int("superstep")
+	r.Field("snapshot")
 	var got []int
 	for _, w := range e.workers {
 		n, prev := len(w.local), -1
-		for k := r.uvarint("active count", uint64(n)); k > 0; k-- {
-			r.slot("active slot", n, &prev)
+		for k := r.Max("active count", uint64(n)); k > 0; k-- {
+			readSlot(&r, "active slot", n, &prev)
 		}
 		prev = -1
-		for k := r.uvarint("inbox count", uint64(n)); k > 0 && r.err == nil; k-- {
-			got = append(got, int(w.local[r.slot("inbox slot", n, &prev)]))
-			r.field("inbox batch")
+		for k := r.Max("inbox count", uint64(n)); k > 0 && r.Err == nil; k-- {
+			got = append(got, int(w.local[readSlot(&r, "inbox slot", n, &prev)]))
+			r.Field("inbox batch")
 		}
 	}
-	if r.err != nil || len(r.buf) != 0 {
-		t.Fatalf("capture does not parse: %v, %d bytes left", r.err, len(r.buf))
+	if err := r.Done(); err != nil {
+		t.Fatalf("capture does not parse: %v", err)
 	}
 	slices.Sort(got)
 	return got

@@ -51,8 +51,14 @@ func (e *Engine) encodeBatch(buf []byte, batch *msgSlab) []byte {
 // decodeBatchInto parses a batch produced by encodeBatch, appending to dst so
 // the receive phase can reuse one grow-only buffer per worker. The bytes come
 // from a peer: a destination that is no vertex of this run is an error
-// wrapping codec.ErrCorrupt, as every other malformed field is. On error dst
-// holds the messages decoded so far.
+// wrapping codec.ErrCorrupt, as every other malformed field is, and so is a
+// byte after the last message. On error dst holds the messages decoded so far.
+//
+// It is the one record decoder that does not read through codec.Reader: it
+// runs on every message a peer or a checkpoint hands a worker, and a variant
+// over the reader decoded a 4 096-message batch 12–15 % slower (medians of 6
+// interleaved rounds on a 2-core host: inline 131 → 150 µs, spilled 530 →
+// 594 µs).
 func (e *Engine) decodeBatchInto(dst *msgSlab, buf []byte) error {
 	corrupt := func(what string) error { return fmt.Errorf("engine: batch: bad %s: %w", what, codec.ErrCorrupt) }
 	n, k := binary.Uvarint(buf)
@@ -88,6 +94,9 @@ func (e *Engine) decodeBatchInto(dst *msgSlab, buf []byte) error {
 		}
 		dst.msgs = append(dst.msgs, newMessage(int32(d), when, w))
 		buf = buf[k:]
+	}
+	if len(buf) != 0 {
+		return corrupt("length")
 	}
 	return nil
 }

@@ -34,9 +34,11 @@ func TestBatchRoundTrip(t *testing.T) {
 	if err := e.decodeBatchInto(&got, e.encodeBatch(nil, &msgSlab{})); err != nil || len(got.msgs) != 0 {
 		t.Fatalf("empty batch: %v %v", got.msgs, err)
 	}
-	// Corruption.
-	if err := e.decodeBatchInto(&got, []byte{0x05, 0x01}); !errors.Is(err, codec.ErrCorrupt) {
-		t.Fatalf("corrupt batch must fail with ErrCorrupt, got %v", err)
+	// Corruption: a truncated batch, and one message followed by two bytes.
+	for _, bad := range [][]byte{{0x05, 0x01}, append(e.encodeBatch(nil, &msgSlab{msgs: msgs[:1]}), 0xff, 0x01)} {
+		if err := e.decodeBatchInto(&got, bad); !errors.Is(err, codec.ErrCorrupt) {
+			t.Fatalf("corrupt batch %x must fail with ErrCorrupt, got %v", bad, err)
+		}
 	}
 }
 

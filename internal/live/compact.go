@@ -7,6 +7,7 @@ import (
 	"os"
 	"time"
 
+	"graphite/internal/codec"
 	ival "graphite/internal/interval"
 	"graphite/internal/obs"
 	"graphite/internal/stream"
@@ -77,31 +78,23 @@ func encodeLiveExtra(epoch uint64, horizon ival.Time, acc *stream.Accumulator) [
 	return append(buf, state...)
 }
 
+// errLiveExtra is what a malformed live-graph snapshot header wraps.
+var errLiveExtra = errors.New("live: snapshot header")
+
 func decodeLiveExtra(extra []byte) (epoch uint64, horizon ival.Time, acc *stream.Accumulator, err error) {
-	fail := func(format string, args ...any) (uint64, ival.Time, *stream.Accumulator, error) {
-		return 0, 0, nil, fmt.Errorf("live: snapshot header: %s", fmt.Sprintf(format, args...))
+	r := codec.NewReader(extra, errLiveExtra)
+	if v := r.Uvarint(); v != liveExtraVersion {
+		r.Fail("version %d, want %d", v, liveExtraVersion)
 	}
-	v, n := binary.Uvarint(extra)
-	if n <= 0 {
-		return fail("truncated version")
+	epoch, horizon = r.Uvarint(), r.Varint()
+	state := r.Rest()
+	if r.Err != nil {
+		return 0, 0, nil, r.Err
 	}
-	if v != liveExtraVersion {
-		return fail("version %d, want %d", v, liveExtraVersion)
-	}
-	extra = extra[n:]
-	if epoch, n = binary.Uvarint(extra); n <= 0 {
-		return fail("truncated epoch")
-	}
-	extra = extra[n:]
-	h, n := binary.Varint(extra)
-	if n <= 0 {
-		return fail("truncated horizon")
-	}
-	acc, err = stream.UnmarshalAccumulator(extra[n:])
-	if err != nil {
+	if acc, err = stream.UnmarshalAccumulator(state); err != nil {
 		return 0, 0, nil, err
 	}
-	return epoch, ival.Time(h), acc, nil
+	return epoch, horizon, acc, nil
 }
 
 // liveSnapshot is a decoded companion snapshot: the mapped graph plus the

@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"syscall"
 
+	"graphite/internal/codec"
 	ival "graphite/internal/interval"
 	"graphite/internal/stream"
 	"graphite/internal/tgraph"
@@ -329,93 +330,42 @@ func appendString(buf []byte, s string) []byte {
 	return append(buf, s...)
 }
 
+// errBatch is what a malformed field of a batch record wraps; replayWAL wraps
+// it in turn as ErrWALCorrupt.
+var errBatch = errors.New("batch")
+
 // decodeBatch is the inverse of encodeBatch.
 func decodeBatch(payload []byte) ([]stream.Event, error) {
-	d := walDecoder{buf: payload}
-	n := d.uvarint()
-	if d.err != nil {
-		return nil, d.err
-	}
-	if n > uint64(len(payload)) {
-		return nil, fmt.Errorf("implausible batch count %d", n)
-	}
+	d := codec.NewReader(payload, errBatch)
+	// Each event takes at least its op byte and a time-point.
+	n := d.Count(2)
 	batch := make([]stream.Event, 0, n)
-	for i := uint64(0); i < n; i++ {
-		if len(d.buf) == 0 {
-			return nil, fmt.Errorf("batch truncated at event %d", i)
-		}
-		op := stream.Op(d.buf[0])
-		d.buf = d.buf[1:]
-		ev := stream.Event{Op: op, T: ival.Time(d.varint())}
-		switch op {
+	for ; n > 0 && d.Err == nil; n-- {
+		ev := stream.Event{Op: stream.Op(d.Byte()), T: ival.Time(d.Varint())}
+		switch ev.Op {
 		case stream.AddVertex, stream.RemoveVertex:
-			ev.V = tgraph.VertexID(d.varint())
+			ev.V = tgraph.VertexID(d.Varint())
 		case stream.AddEdge:
-			ev.E = tgraph.EdgeID(d.varint())
-			ev.Src = tgraph.VertexID(d.varint())
-			ev.Dst = tgraph.VertexID(d.varint())
+			ev.E = tgraph.EdgeID(d.Varint())
+			ev.Src = tgraph.VertexID(d.Varint())
+			ev.Dst = tgraph.VertexID(d.Varint())
 		case stream.RemoveEdge:
-			ev.E = tgraph.EdgeID(d.varint())
+			ev.E = tgraph.EdgeID(d.Varint())
 		case stream.SetVertexProp:
-			ev.V = tgraph.VertexID(d.varint())
-			ev.Label = d.string()
-			ev.Value = d.varint()
+			ev.V = tgraph.VertexID(d.Varint())
+			ev.Label = string(d.Field("label"))
+			ev.Value = d.Varint()
 		case stream.SetEdgeProp:
-			ev.E = tgraph.EdgeID(d.varint())
-			ev.Label = d.string()
-			ev.Value = d.varint()
+			ev.E = tgraph.EdgeID(d.Varint())
+			ev.Label = string(d.Field("label"))
+			ev.Value = d.Varint()
 		default:
-			return nil, fmt.Errorf("unknown op %d", op)
-		}
-		if d.err != nil {
-			return nil, d.err
+			d.Fail("unknown op %d", ev.Op)
 		}
 		batch = append(batch, ev)
 	}
-	if len(d.buf) != 0 {
-		return nil, fmt.Errorf("%d trailing bytes after batch", len(d.buf))
+	if err := d.Done(); err != nil {
+		return nil, err
 	}
 	return batch, nil
-}
-
-type walDecoder struct {
-	buf []byte
-	err error
-}
-
-func (d *walDecoder) uvarint() uint64 {
-	v, n := binary.Uvarint(d.buf)
-	if n <= 0 {
-		d.fail()
-		return 0
-	}
-	d.buf = d.buf[n:]
-	return v
-}
-
-func (d *walDecoder) varint() int64 {
-	v, n := binary.Varint(d.buf)
-	if n <= 0 {
-		d.fail()
-		return 0
-	}
-	d.buf = d.buf[n:]
-	return v
-}
-
-func (d *walDecoder) string() string {
-	n := d.uvarint()
-	if d.err != nil || n > uint64(len(d.buf)) {
-		d.fail()
-		return ""
-	}
-	s := string(d.buf[:n])
-	d.buf = d.buf[n:]
-	return s
-}
-
-func (d *walDecoder) fail() {
-	if d.err == nil {
-		d.err = errors.New("truncated varint field")
-	}
 }

@@ -3,9 +3,9 @@ package stream
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"slices"
 
+	"graphite/internal/codec"
 	ival "graphite/internal/interval"
 	"graphite/internal/tgraph"
 )
@@ -139,99 +139,23 @@ func appendRunMap[K ~int64](buf []byte, m map[K]map[string]propRun, idOf func(K)
 	return buf
 }
 
-// accDec is a bounds-checked varint reader.
-type accDec struct {
-	b   []byte
-	off int
-	err error
+// readTime pops a time-point, which is at most Infinity.
+func readTime(d *codec.Reader) ival.Time {
+	return ival.Time(d.Max("time-point", uint64(ival.Infinity)))
 }
 
-func (d *accDec) fail(format string, args ...any) {
-	if d.err == nil {
-		d.err = fmt.Errorf("%w: at byte %d: %s", ErrStateCorrupt, d.off, fmt.Sprintf(format, args...))
-	}
-}
-
-func (d *accDec) uvarint() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(d.b[d.off:])
-	if n <= 0 {
-		d.fail("truncated uvarint")
-		return 0
-	}
-	d.off += n
-	return v
-}
-
-func (d *accDec) varint() int64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(d.b[d.off:])
-	if n <= 0 {
-		d.fail("truncated varint")
-		return 0
-	}
-	d.off += n
-	return v
-}
-
-func (d *accDec) time() ival.Time {
-	v := d.uvarint()
-	if d.err == nil && v > uint64(ival.Infinity) {
-		d.fail("time-point %d out of range", v)
-	}
-	return ival.Time(v)
-}
-
-func (d *accDec) count() int {
-	v := d.uvarint()
-	if d.err != nil {
-		return 0
-	}
-	if rem := len(d.b) - d.off; v > uint64(rem)+1 {
-		d.fail("count %d exceeds remaining %d bytes", v, rem)
-		return 0
-	}
-	return int(v)
-}
-
-func (d *accDec) label() string {
-	l := d.uvarint()
-	if d.err != nil {
-		return ""
-	}
-	if l > uint64(len(d.b)-d.off) {
-		d.fail("label length %d exceeds input", l)
-		return ""
-	}
-	s := string(d.b[d.off : d.off+int(l)])
-	d.off += int(l)
-	return s
-}
-
-func (d *accDec) span() *openSpan {
-	s := &openSpan{start: d.time()}
-	if d.err != nil {
-		return s
-	}
-	if d.off >= len(d.b) {
-		d.fail("truncated span")
-		return s
-	}
-	switch d.b[d.off] {
+// readSpan pops a span appendSpan wrote.
+func readSpan(d *codec.Reader) *openSpan {
+	s := &openSpan{start: readTime(d)}
+	switch flag := d.Byte(); flag {
 	case 0:
-		d.off++
 	case 1:
-		d.off++
-		s.closed, s.end = true, d.time()
-		if d.err == nil && s.end < s.start {
-			d.fail("span closes at %d before it opens at %d", s.end, s.start)
+		s.closed, s.end = true, readTime(d)
+		if s.end < s.start {
+			d.Fail("span closes at %d before it opens at %d", s.end, s.start)
 		}
 	default:
-		d.fail("bad span flag %d", d.b[d.off])
+		d.Fail("bad span flag %d", flag)
 	}
 	return s
 }
@@ -240,36 +164,27 @@ func (d *accDec) span() *openSpan {
 // output. The result behaves identically to the original under both
 // further Apply calls and Graph materialization.
 func UnmarshalAccumulator(data []byte) (*Accumulator, error) {
-	d := &accDec{b: data}
-	if v := d.uvarint(); d.err == nil && v != accStateVersion {
-		return nil, fmt.Errorf("%w: state version %d, want %d", ErrStateCorrupt, v, accStateVersion)
+	d := codec.NewReader(data, ErrStateCorrupt)
+	if v := d.Uvarint(); v != accStateVersion {
+		d.Fail("state version %d, want %d", v, accStateVersion)
 	}
 	a := NewAccumulator()
-	events := d.uvarint()
-	a.now = d.time()
-	if d.err == nil && events > uint64(1)<<62 {
-		d.fail("event count %d out of range", events)
-	}
-	a.events = int(events)
-
-	nv := d.count()
-	for i := 0; i < nv && d.err == nil; i++ {
-		id := tgraph.VertexID(d.varint())
+	a.events = int(d.Max("event count", 1<<62))
+	a.now = readTime(&d)
+	for n := d.Count(1); n > 0 && d.Err == nil; n-- {
+		id := tgraph.VertexID(d.Varint())
 		if _, dup := a.vspans[id]; dup {
-			d.fail("duplicate vertex span %d", id)
-			break
+			d.Fail("duplicate vertex span %d", id)
 		}
-		a.vspans[id] = d.span()
+		a.vspans[id] = readSpan(&d)
 	}
-	ne := d.count()
-	for i := 0; i < ne && d.err == nil; i++ {
-		id := tgraph.EdgeID(d.varint())
+	for n := d.Count(1); n > 0 && d.Err == nil; n-- {
+		id := tgraph.EdgeID(d.Varint())
 		if _, dup := a.espans[id]; dup {
-			d.fail("duplicate edge span %d", id)
-			break
+			d.Fail("duplicate edge span %d", id)
 		}
-		s := d.span()
-		s.ends = [2]tgraph.VertexID{tgraph.VertexID(d.varint()), tgraph.VertexID(d.varint())}
+		s := readSpan(&d)
+		s.ends = [2]tgraph.VertexID{tgraph.VertexID(d.Varint()), tgraph.VertexID(d.Varint())}
 		a.espans[id] = s
 		for _, v := range s.ends {
 			if vs := a.vspans[v]; vs != nil && !s.closed {
@@ -278,68 +193,50 @@ func UnmarshalAccumulator(data []byte) (*Accumulator, error) {
 		}
 	}
 
-	readProps(d, func(id int64, label string, entries []tgraph.PropEntry) {
+	readProps(&d, func(id int64, label string, entries []tgraph.PropEntry) {
 		byLabel(a.vprops, tgraph.VertexID(id))[label] = entries
 	})
-	readProps(d, func(id int64, label string, entries []tgraph.PropEntry) {
+	readProps(&d, func(id int64, label string, entries []tgraph.PropEntry) {
 		byLabel(a.eprops, tgraph.EdgeID(id))[label] = entries
 	})
-	readRuns(d, func(id int64, label string, run propRun) {
+	readRuns(&d, func(id int64, label string, run propRun) {
 		byLabel(a.vruns, tgraph.VertexID(id))[label] = run
 	})
-	readRuns(d, func(id int64, label string, run propRun) {
+	readRuns(&d, func(id int64, label string, run propRun) {
 		byLabel(a.eruns, tgraph.EdgeID(id))[label] = run
 	})
-	if d.err == nil && d.off != len(d.b) {
-		d.fail("%d trailing bytes", len(d.b)-d.off)
-	}
-	if d.err != nil {
-		return nil, d.err
+	if err := d.Done(); err != nil {
+		return nil, err
 	}
 	return a, nil
 }
 
-func readProps(d *accDec, assign func(id int64, label string, entries []tgraph.PropEntry)) {
-	n := d.count()
-	for i := 0; i < n && d.err == nil; i++ {
-		id := d.varint()
-		nlabels := d.count()
-		for j := 0; j < nlabels && d.err == nil; j++ {
-			label := d.label()
-			nentries := d.count()
-			entries := make([]tgraph.PropEntry, 0, nentries)
-			for k := 0; k < nentries && d.err == nil; k++ {
-				start := d.time()
-				end := d.time()
-				val := d.varint()
-				if d.err != nil {
-					break
-				}
+// readProps and readRuns pop what appendPropMap and appendRunMap wrote; what
+// they hand assign after a malformed field is never used.
+func readProps(d *codec.Reader, assign func(id int64, label string, entries []tgraph.PropEntry)) {
+	for n := d.Count(1); n > 0 && d.Err == nil; n-- {
+		id := d.Varint()
+		for nl := d.Count(1); nl > 0 && d.Err == nil; nl-- {
+			label := string(d.Field("label"))
+			ne := d.Count(1)
+			entries := make([]tgraph.PropEntry, 0, ne)
+			for ; ne > 0 && d.Err == nil; ne-- {
+				start, end, val := readTime(d), readTime(d), d.Varint()
 				if end < start {
-					d.fail("property entry [%d, %d) inverted", start, end)
-					break
+					d.Fail("property entry [%d, %d) inverted", start, end)
 				}
 				entries = append(entries, tgraph.PropEntry{Interval: ival.New(start, end), Value: val})
 			}
-			if d.err == nil {
-				assign(id, label, entries)
-			}
+			assign(id, label, entries)
 		}
 	}
 }
 
-func readRuns(d *accDec, assign func(id int64, label string, run propRun)) {
-	n := d.count()
-	for i := 0; i < n && d.err == nil; i++ {
-		id := d.varint()
-		nlabels := d.count()
-		for j := 0; j < nlabels && d.err == nil; j++ {
-			label := d.label()
-			start := d.time()
-			val := d.varint()
-			if d.err == nil {
-				assign(id, label, propRun{start: start, value: val})
-			}
+func readRuns(d *codec.Reader, assign func(id int64, label string, run propRun)) {
+	for n := d.Count(1); n > 0 && d.Err == nil; n-- {
+		id := d.Varint()
+		for nl := d.Count(1); nl > 0 && d.Err == nil; nl-- {
+			assign(id, string(d.Field("label")), propRun{start: readTime(d), value: d.Varint()})
 		}
 	}
 }

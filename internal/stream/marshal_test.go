@@ -3,6 +3,7 @@ package stream
 import (
 	"bytes"
 	"errors"
+	"reflect"
 	"testing"
 
 	ival "graphite/internal/interval"
@@ -12,7 +13,7 @@ import (
 // marshalFixture drives an accumulator into a state exercising every
 // marshaled structure: closed and open spans, closed property entries,
 // running values on both vertices and edges.
-func marshalFixture(t *testing.T) *Accumulator {
+func marshalFixture(t testing.TB) *Accumulator {
 	t.Helper()
 	a := NewAccumulator()
 	evs := []Event{
@@ -35,6 +36,14 @@ func marshalFixture(t *testing.T) *Accumulator {
 		}
 	}
 	return a
+}
+
+// marshalTail is the further ingest TestAccumulatorMarshalRoundTrip applies
+// to the fixture and its round trip.
+var marshalTail = []Event{
+	{Op: SetVertexProp, T: 12, V: 1, Label: "color", Value: 9},
+	{Op: AddEdge, T: 13, E: 102, Src: 2, Dst: 1},
+	{Op: RemoveEdge, T: 14, E: 102},
 }
 
 func TestAccumulatorMarshalRoundTrip(t *testing.T) {
@@ -69,12 +78,7 @@ func TestAccumulatorMarshalRoundTrip(t *testing.T) {
 	}
 
 	// Identical behavior under further ingest: apply the same tail to both.
-	tail := []Event{
-		{Op: SetVertexProp, T: 12, V: 1, Label: "color", Value: 9},
-		{Op: AddEdge, T: 13, E: 102, Src: 2, Dst: 1},
-		{Op: RemoveEdge, T: 14, E: 102},
-	}
-	for _, ev := range tail {
+	for _, ev := range marshalTail {
 		if errA, errB := a.Apply(ev), b.Apply(ev); (errA == nil) != (errB == nil) {
 			t.Fatalf("apply divergence on %+v: %v vs %v", ev, errA, errB)
 		}
@@ -104,4 +108,34 @@ func TestUnmarshalAccumulatorRejectsCorruption(t *testing.T) {
 	if _, err := UnmarshalAccumulator(bad); !errors.Is(err, ErrStateCorrupt) {
 		t.Fatalf("future state version: %v", err)
 	}
+}
+
+// FuzzUnmarshalAccumulator: every input is rejected, or re-marshals to bytes
+// that decode again to the same state. The seeds are the states
+// TestAccumulatorMarshalRoundTrip marshals: empty, the fixture, and the
+// fixture after its tail.
+func FuzzUnmarshalAccumulator(f *testing.F) {
+	empty, _ := NewAccumulator().MarshalBinary()
+	f.Add(empty)
+	a := marshalFixture(f)
+	data, _ := a.MarshalBinary()
+	f.Add(data)
+	for _, ev := range marshalTail {
+		if err := a.Apply(ev); err != nil {
+			f.Fatal(err)
+		}
+	}
+	data, _ = a.MarshalBinary()
+	f.Add(data)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		a, err := UnmarshalAccumulator(data)
+		if err != nil {
+			return
+		}
+		enc, _ := a.MarshalBinary()
+		b, err := UnmarshalAccumulator(enc)
+		if err != nil || !reflect.DeepEqual(a, b) {
+			t.Fatalf("state re-marshals as %x, which decodes differently (%v)", enc, err)
+		}
+	})
 }

@@ -14,6 +14,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"graphite/internal/codec"
 	ival "graphite/internal/interval"
 )
 
@@ -90,6 +91,51 @@ func appendLifespan(buf []byte, iv ival.Interval, prevStart ival.Time) []byte {
 		return binary.AppendUvarint(buf, 0)
 	}
 	return binary.AppendUvarint(buf, uint64(iv.End-iv.Start))
+}
+
+// readTimePoint pops a time-point timeEnc wrote.
+func readTimePoint(r *codec.Reader) ival.Time {
+	if v := r.Max("time-point", math.MaxInt64+1); v != 0 {
+		return ival.Time(v - 1)
+	}
+	return ival.Infinity
+}
+
+// readLifespan pops a lifespan appendLifespan wrote and validates it.
+func readLifespan(r *codec.Reader, prevStart ival.Time) ival.Interval {
+	start := prevStart + r.Varint()
+	iv := ival.Interval{Start: start, End: ival.Infinity}
+	if dur := r.Uvarint(); dur != 0 {
+		if start < 0 || dur >= uint64(ival.Infinity)-uint64(start) {
+			r.Fail("interval [%d, +%d) overflows the time domain", start, dur)
+			return ival.Empty
+		}
+		iv.End = start + ival.Time(dur)
+	}
+	if !iv.Valid() {
+		r.Fail("invalid lifespan %v", iv)
+	}
+	if r.Err != nil {
+		return ival.Empty
+	}
+	return iv
+}
+
+// sectionKind is what a malformed field of section name wraps.
+func sectionKind(name string) error { return fmt.Errorf("%w: section %s", ErrSnapshotCorrupt, name) }
+
+// readEntities pops a vertex or edge section's n (id, lifespan) records, ids
+// and starts delta-coded, handing each to set.
+func readEntities(sec []byte, name string, n int, set func(i int, id int64, life ival.Interval)) error {
+	r := codec.NewReader(sec, sectionKind(name))
+	prevID, prevStart := int64(0), ival.Time(0)
+	for i := 0; i < n && r.Err == nil; i++ {
+		id := prevID + r.Varint()
+		life := readLifespan(&r, prevStart)
+		set(i, id, life)
+		prevID, prevStart = id, life.Start
+	}
+	return r.Done()
 }
 
 func align8(n int) int { return (n + 7) &^ 7 }
@@ -343,103 +389,6 @@ func ReadSnapshot(r io.Reader) (*Graph, error) {
 	return g, err
 }
 
-// snapDec is a bounds-checked varint reader over one section's payload.
-type snapDec struct {
-	b   []byte
-	off int
-	sec string
-	err error
-}
-
-func (d *snapDec) corrupt(format string, args ...any) {
-	if d.err == nil {
-		d.err = fmt.Errorf("%w: section %s at byte %d: %s", ErrSnapshotCorrupt, d.sec, d.off, fmt.Sprintf(format, args...))
-	}
-}
-
-func (d *snapDec) uvarint() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(d.b[d.off:])
-	if n <= 0 {
-		d.corrupt("truncated or oversized uvarint")
-		return 0
-	}
-	d.off += n
-	return v
-}
-
-func (d *snapDec) varint() int64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(d.b[d.off:])
-	if n <= 0 {
-		d.corrupt("truncated or oversized varint")
-		return 0
-	}
-	d.off += n
-	return v
-}
-
-// count reads a uvarint element count and rejects counts that could not
-// possibly fit in the remaining bytes (each element needs >= min bytes).
-func (d *snapDec) count(min int) int {
-	v := d.uvarint()
-	if d.err != nil {
-		return 0
-	}
-	if rem := len(d.b) - d.off; v > uint64(rem/min)+1 || v > math.MaxInt32 {
-		d.corrupt("element count %d exceeds section size", v)
-		return 0
-	}
-	return int(v)
-}
-
-// lifespan reads (start delta, duration) and validates the result.
-func (d *snapDec) lifespan(prevStart ival.Time) ival.Interval {
-	start := prevStart + d.varint()
-	dur := d.uvarint()
-	if d.err != nil {
-		return ival.Empty
-	}
-	iv := ival.Interval{Start: start, End: ival.Infinity}
-	if dur != 0 {
-		if start < 0 || dur >= uint64(ival.Infinity)-uint64(start) {
-			d.corrupt("interval [%d, +%d) overflows the time domain", start, dur)
-			return ival.Empty
-		}
-		iv.End = start + ival.Time(dur)
-	}
-	if !iv.Valid() {
-		d.corrupt("invalid lifespan %v", iv)
-		return ival.Empty
-	}
-	return iv
-}
-
-func (d *snapDec) timePoint() ival.Time {
-	v := d.uvarint()
-	if d.err != nil {
-		return 0
-	}
-	if v == 0 {
-		return ival.Infinity
-	}
-	if v-1 > uint64(math.MaxInt64) {
-		d.corrupt("time-point %d out of range", v)
-		return 0
-	}
-	return ival.Time(v - 1)
-}
-
-func (d *snapDec) finish() {
-	if d.err == nil && d.off != len(d.b) {
-		d.corrupt("%d trailing bytes", len(d.b)-d.off)
-	}
-}
-
 // decodeSnapshot parses a complete snapshot image. Integer arrays are
 // aliased into data on little-endian hosts, so the caller must keep data
 // alive (and unmodified) for the life of the returned graph. The returned
@@ -508,19 +457,14 @@ func decodeSnapshot(data []byte) (*Graph, []byte, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	md := &snapDec{b: metaSec, sec: "meta"}
-	nv64, ne64 := md.uvarint(), md.uvarint()
-	lsStart := md.uvarint()
-	lsEnd := md.timePoint()
-	horizon := md.uvarint()
-	md.finish()
-	if md.err != nil {
-		return nil, nil, md.err
+	md := codec.NewReader(metaSec, sectionKind("meta"))
+	nv, ne := md.Int("|V|"), md.Int("|E|")
+	lsStart := md.Max("lifespan start", math.MaxInt64)
+	lsEnd := readTimePoint(&md)
+	horizon := md.Max("horizon", math.MaxInt64)
+	if err := md.Done(); err != nil {
+		return nil, nil, err
 	}
-	if nv64 > math.MaxInt32 || ne64 > math.MaxInt32 || lsStart > uint64(math.MaxInt64) || horizon > uint64(math.MaxInt64) {
-		return fail("meta counts out of range (|V|=%d |E|=%d)", nv64, ne64)
-	}
-	nv, ne := int(nv64), int(ne64)
 	lifespan := ival.Interval{Start: ival.Time(lsStart), End: lsEnd}
 	if nv > 0 && !lifespan.Valid() {
 		return fail("invalid lifespan hull %v", lifespan)
@@ -595,37 +539,15 @@ func decodeSnapshot(data []byte) (*Graph, []byte, error) {
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
-		vd := &snapDec{b: vertsSec, sec: "vertices"}
-		prevVID, prevStart := int64(0), ival.Time(0)
-		for i := range vertices {
-			id := prevVID + vd.varint()
-			life := vd.lifespan(prevStart)
-			if vd.err != nil {
-				vErr = vd.err
-				return
-			}
+		vErr = readEntities(vertsSec, "vertices", nv, func(i int, id int64, life ival.Interval) {
 			vertices[i] = Vertex{ID: VertexID(id), Lifespan: life}
-			prevVID, prevStart = id, life.Start
-		}
-		vd.finish()
-		vErr = vd.err
+		})
 	}()
 	go func() {
 		defer wg.Done()
-		ed := &snapDec{b: edgesSec, sec: "edges"}
-		prevEID, prevStart := int64(0), ival.Time(0)
-		for i := range edges {
-			id := prevEID + ed.varint()
-			life := ed.lifespan(prevStart)
-			if ed.err != nil {
-				eErr = ed.err
-				return
-			}
+		eErr = readEntities(edgesSec, "edges", ne, func(i int, id int64, life ival.Interval) {
 			edges[i] = Edge{ID: EdgeID(id), Lifespan: life}
-			prevEID, prevStart = id, life.Start
-		}
-		ed.finish()
-		eErr = ed.err
+		})
 	}()
 	wg.Wait()
 	if vErr != nil {
@@ -765,77 +687,56 @@ func decodeSnapCSR(sec []byte, nv, ne int, name string) ([][]int32, error) {
 }
 
 func decodeSnapProps(sec []byte, name string, n int, assign func(i int, p Props) error) error {
-	d := &snapDec{b: sec, sec: name}
-	ndict := d.count(1)
+	kind := sectionKind(name)
+	d := codec.NewReader(sec, kind)
+	ndict := d.Count(1)
 	dict := make([]string, 0, ndict)
-	for i := 0; i < ndict && d.err == nil; i++ {
-		l := d.uvarint()
-		if d.err != nil {
-			break
-		}
-		if l > uint64(len(d.b)-d.off) {
-			d.corrupt("label length %d exceeds section", l)
-			break
-		}
-		dict = append(dict, string(d.b[d.off:d.off+int(l)]))
-		d.off += int(l)
+	for i := 0; i < ndict && d.Err == nil; i++ {
+		dict = append(dict, string(d.Field("label")))
 		// A strictly ascending dictionary is what makes ascending label
 		// indices per owner yield lexicographically sorted Props.
 		if k := len(dict); k > 1 && dict[k-2] >= dict[k-1] {
-			d.corrupt("label dictionary not strictly ascending at entry %d", k-1)
-			break
+			d.Fail("label dictionary not strictly ascending at entry %d", k-1)
 		}
 	}
-	owners := d.count(2)
-	if d.err == nil && owners > n {
-		d.corrupt("%d property owners for %d entities", owners, n)
+	owners := d.Count(2)
+	if owners > n {
+		d.Fail("%d property owners for %d entities", owners, n)
 	}
 
 	// Chunk directory: (byte length, owner count, label-run count, entry
 	// count) per chunk. The shape checks here bound every allocation below
 	// by the section size before any chunk payload is touched.
-	nchunks := d.count(4)
+	nchunks := d.Count(4)
 	type chunkMeta struct {
 		payload                      []byte
 		bytes, owners, runs, entries int
 	}
 	chunks := make([]chunkMeta, 0, nchunks)
 	var sumBytes, sumOwners uint64
-	for i := 0; i < nchunks && d.err == nil; i++ {
-		nb, no, nr, nent := d.uvarint(), d.uvarint(), d.uvarint(), d.uvarint()
-		if d.err != nil {
-			break
-		}
-		avail := uint64(len(d.b) - d.off)
-		if sumBytes > avail || nb > avail-sumBytes {
-			d.corrupt("chunk %d claims %d bytes beyond the section", i, nb)
-			break
-		}
-		if no == 0 || no > nb/2+1 || nr > nb/2+1 || nent > nb/3+1 {
-			d.corrupt("chunk %d shape (%d owners, %d runs, %d entries) impossible in %d bytes", i, no, nr, nent, nb)
-			break
-		}
+	for i := 0; i < nchunks && d.Err == nil; i++ {
+		nb, no, nr, nent := d.Uvarint(), d.Uvarint(), d.Uvarint(), d.Uvarint()
+		avail := uint64(d.Len())
 		sumBytes += nb
 		sumOwners += no
-		if sumOwners > uint64(owners) {
-			d.corrupt("chunk owner counts exceed the declared %d owners", owners)
-			break
+		switch {
+		case sumBytes < nb || sumBytes > avail:
+			d.Fail("chunk %d claims %d bytes beyond the section", i, nb)
+		case no == 0 || no > nb/2+1 || nr > nb/2+1 || nent > nb/3+1:
+			d.Fail("chunk %d shape (%d owners, %d runs, %d entries) impossible in %d bytes", i, no, nr, nent, nb)
+		case sumOwners > uint64(owners):
+			d.Fail("chunk owner counts exceed the declared %d owners", owners)
 		}
 		chunks = append(chunks, chunkMeta{bytes: int(nb), owners: int(no), runs: int(nr), entries: int(nent)})
 	}
-	if d.err == nil && sumOwners != uint64(owners) {
-		d.corrupt("chunk owner counts sum to %d, want %d", sumOwners, owners)
+	if sumOwners != uint64(owners) {
+		d.Fail("chunk owner counts sum to %d, want %d", sumOwners, owners)
 	}
-	if d.err == nil && sumBytes != uint64(len(d.b)-d.off) {
-		d.corrupt("chunk byte lengths sum to %d, want %d", sumBytes, len(d.b)-d.off)
-	}
-	if d.err != nil {
-		return d.err
-	}
-	off := d.off
 	for i := range chunks {
-		chunks[i].payload = d.b[off : off+chunks[i].bytes]
-		off += chunks[i].bytes
+		chunks[i].payload = d.Bytes(chunks[i].bytes)
+	}
+	if err := d.Done(); err != nil {
+		return err
 	}
 
 	// Decode chunks on all cores. Within a chunk, every entry, label and
@@ -849,18 +750,15 @@ func decodeSnapProps(sec []byte, name string, n int, assign func(i int, p Props)
 	chunkLast := make([]int, len(chunks))
 	decodeChunk := func(ci int) error {
 		c := chunks[ci]
-		cd := &snapDec{b: c.payload, sec: name}
+		cd := codec.NewReader(c.payload, kind)
 		slab := make([]PropEntry, 0, c.entries)
 		labelSlab := make([]string, 0, c.runs)
 		runSlab := make([][]PropEntry, 0, c.runs)
 		first, prev := -1, -1
-		for o := 0; o < c.owners && cd.err == nil; o++ {
-			delta := cd.uvarint()
-			if cd.err != nil {
-				break
-			}
+		for o := 0; o < c.owners && cd.Err == nil; o++ {
+			delta := cd.Uvarint()
 			if delta == 0 || delta > uint64(n) || prev+int(delta) >= n {
-				cd.corrupt("owner index delta %d escapes [0, %d)", delta, n)
+				cd.Fail("owner index delta %d escapes [0, %d)", delta, n)
 				break
 			}
 			idx := prev + int(delta)
@@ -868,63 +766,49 @@ func decodeSnapProps(sec []byte, name string, n int, assign func(i int, p Props)
 			if first < 0 {
 				first = idx
 			}
-			nlabels := cd.count(2)
-			if cd.err != nil {
-				break
-			}
+			nlabels := cd.Count(2)
 			if nlabels == 0 {
 				// The writer only emits owners that have properties.
-				cd.corrupt("property owner %d with no labels", idx)
+				cd.Fail("property owner %d with no labels", idx)
 				break
 			}
 			lo := len(runSlab)
 			prevLabel := -1
-			for li := 0; li < nlabels && cd.err == nil; li++ {
-				labelIdx := cd.uvarint()
-				if cd.err != nil {
-					break
-				}
+			for li := 0; li < nlabels && cd.Err == nil; li++ {
+				labelIdx := cd.Uvarint()
 				if labelIdx >= uint64(len(dict)) || int(labelIdx) <= prevLabel {
-					cd.corrupt("label index %d invalid (dict size %d, ascending required)", labelIdx, len(dict))
+					cd.Fail("label index %d invalid (dict size %d, ascending required)", labelIdx, len(dict))
 					break
 				}
 				prevLabel = int(labelIdx)
-				nentries := cd.count(3)
+				nentries := cd.Count(3)
 				off := len(slab)
 				prevStart := ival.Time(0)
-				for k := 0; k < nentries && cd.err == nil; k++ {
-					iv := cd.lifespan(prevStart)
-					val := cd.varint()
-					if cd.err != nil {
-						break
-					}
+				for k := 0; k < nentries && cd.Err == nil; k++ {
+					iv := readLifespan(&cd, prevStart)
+					val := cd.Varint()
 					if iv.Start < prevStart {
-						cd.corrupt("property entries not sorted by start")
-						break
+						cd.Fail("property entries not sorted by start")
 					}
 					slab = append(slab, PropEntry{Interval: iv, Value: val})
 					prevStart = iv.Start
 				}
-				if cd.err == nil {
-					end := len(slab)
-					labelSlab = append(labelSlab, dict[labelIdx])
-					runSlab = append(runSlab, slab[off:end:end])
-				}
+				end := len(slab)
+				labelSlab = append(labelSlab, dict[labelIdx])
+				runSlab = append(runSlab, slab[off:end:end])
 			}
-			if cd.err == nil {
+			if cd.Err == nil {
 				hi := len(runSlab)
-				p := Props{labels: labelSlab[lo:hi:hi], entries: runSlab[lo:hi:hi]}
-				if err := assign(idx, p); err != nil {
+				if err := assign(idx, Props{labels: labelSlab[lo:hi:hi], entries: runSlab[lo:hi:hi]}); err != nil {
 					return err
 				}
 			}
 		}
-		cd.finish()
-		if cd.err == nil && (len(slab) != c.entries || len(runSlab) != c.runs) {
-			cd.corrupt("chunk decoded %d entries over %d runs, directory says %d over %d", len(slab), len(runSlab), c.entries, c.runs)
+		if len(slab) != c.entries || len(runSlab) != c.runs {
+			cd.Fail("chunk decoded %d entries over %d runs, directory says %d over %d", len(slab), len(runSlab), c.entries, c.runs)
 		}
-		if cd.err != nil {
-			return cd.err
+		if err := cd.Done(); err != nil {
+			return err
 		}
 		chunkFirst[ci], chunkLast[ci] = first, prev
 		return nil

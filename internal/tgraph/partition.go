@@ -20,6 +20,8 @@ import (
 	"fmt"
 	"os"
 	"slices"
+
+	"graphite/internal/codec"
 )
 
 // Partition file layout inside a directory produced by WritePartitionFile
@@ -97,60 +99,21 @@ func DecodePartitionMeta(extra []byte) (*PartitionMeta, error) {
 	if len(extra) < len(partitionMagic) || string(extra[:len(partitionMagic)]) != partitionMagic {
 		return nil, fmt.Errorf("%w: missing %q header", ErrPartitionMeta, partitionMagic[:len(partitionMagic)-1])
 	}
-	b := extra[len(partitionMagic):]
-	next := func() (uint64, error) {
-		v, n := binary.Uvarint(b)
-		if n <= 0 {
-			return 0, fmt.Errorf("%w: truncated varint", ErrPartitionMeta)
-		}
-		b = b[n:]
-		return v, nil
-	}
-	shard, n := binary.Varint(b)
-	if n <= 0 {
-		return nil, fmt.Errorf("%w: truncated shard", ErrPartitionMeta)
-	}
-	b = b[n:]
-	shards, err := next()
-	if err != nil {
-		return nil, err
-	}
-	verts, err := next()
-	if err != nil {
-		return nil, err
-	}
-	edges, err := next()
-	if err != nil {
-		return nil, err
-	}
-	m := &PartitionMeta{Shard: int(shard), Shards: int(shards), Vertices: int(verts), Edges: int(edges)}
+	r := codec.NewReader(extra[len(partitionMagic):], ErrPartitionMeta)
+	// Each assignment takes at least a byte, so the bytes left bound |V|.
+	m := &PartitionMeta{Shard: int(r.Varint()), Shards: r.Int("shard count"), Vertices: r.Count(1), Edges: r.Int("|E|")}
 	if m.Shards <= 0 || m.Shard < -1 || m.Shard >= m.Shards {
-		return nil, fmt.Errorf("%w: shard %d of %d", ErrPartitionMeta, m.Shard, m.Shards)
-	}
-	if m.Vertices < 0 || m.Vertices > maxSaneCount || m.Edges < 0 || m.Edges > maxSaneCount {
-		return nil, fmt.Errorf("%w: counts |V|=%d |E|=%d", ErrPartitionMeta, m.Vertices, m.Edges)
+		r.Fail("shard %d of %d", m.Shard, m.Shards)
 	}
 	m.Assign = make([]int32, m.Vertices)
 	for i := range m.Assign {
-		s, err := next()
-		if err != nil {
-			return nil, fmt.Errorf("%w: assignment ends at vertex %d of %d", ErrPartitionMeta, i, m.Vertices)
-		}
-		if s >= uint64(m.Shards) {
-			return nil, fmt.Errorf("%w: vertex %d assigned to shard %d of %d", ErrPartitionMeta, i, s, m.Shards)
-		}
-		m.Assign[i] = int32(s)
+		m.Assign[i] = int32(r.Max("assigned shard", uint64(m.Shards-1)))
 	}
-	if len(b) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrPartitionMeta, len(b))
+	if err := r.Done(); err != nil {
+		return nil, err
 	}
 	return m, nil
 }
-
-// maxSaneCount bounds decoded entity counts; the snapshot decoder enforces
-// the same order of magnitude, this just keeps hostile metas from
-// allocating unbounded assignment slices.
-const maxSaneCount = 1 << 31
 
 // ExtractPartition builds shard's induced subgraph of g under assign: every
 // vertex (same dense order, same lifespans and properties), but only the

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
+	"runtime"
 	"testing"
 )
 
@@ -11,12 +13,16 @@ import (
 // fixture so every shard has both owned and boundary vertices.
 var transitAssign = []int32{0, 1, 2, 0, 1, 2}
 
+// roundTripMetas are the metas TestPartitionMetaRoundTrip encodes and
+// FuzzDecodePartitionMeta starts from.
+var roundTripMetas = []*PartitionMeta{
+	{Shard: 1, Shards: 3, Vertices: 6, Edges: 9, Assign: transitAssign},
+	{Shard: -1, Shards: 3, Vertices: 6, Edges: 9, Assign: transitAssign},
+	{Shard: 0, Shards: 1, Vertices: 0, Edges: 0, Assign: []int32{}},
+}
+
 func TestPartitionMetaRoundTrip(t *testing.T) {
-	for _, m := range []*PartitionMeta{
-		{Shard: 1, Shards: 3, Vertices: 6, Edges: 9, Assign: transitAssign},
-		{Shard: -1, Shards: 3, Vertices: 6, Edges: 9, Assign: transitAssign},
-		{Shard: 0, Shards: 1, Vertices: 0, Edges: 0, Assign: []int32{}},
-	} {
+	for _, m := range roundTripMetas {
 		got, err := DecodePartitionMeta(EncodePartitionMeta(m))
 		if err != nil {
 			t.Fatalf("round trip %+v: %v", m, err)
@@ -49,6 +55,44 @@ func TestPartitionMetaTorture(t *testing.T) {
 			t.Errorf("%s: err = %v, want ErrPartitionMeta", name, err)
 		}
 	}
+}
+
+// TestPartitionMetaAllocationIsBounded: a meta's |V| sizes its assignment, so
+// a count its bytes cannot hold must fail before it allocates. These 15 bytes
+// declare 2³⁰ vertices and carry no assignment.
+func TestPartitionMetaAllocationIsBounded(t *testing.T) {
+	blob := EncodePartitionMeta(&PartitionMeta{Shard: 0, Shards: 2, Vertices: 1 << 30})
+	if len(blob) != 15 {
+		t.Fatalf("meta is %d bytes, want 15", len(blob))
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := DecodePartitionMeta(blob)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrPartitionMeta) {
+		t.Fatalf("err = %v, want ErrPartitionMeta", err)
+	}
+	if d := after.TotalAlloc - before.TotalAlloc; d >= 1<<20 {
+		t.Fatalf("rejecting the meta allocated %d bytes, want under 1 MiB", d)
+	}
+}
+
+// FuzzDecodePartitionMeta: every input is rejected, or re-encodes to a meta
+// that decodes equal.
+func FuzzDecodePartitionMeta(f *testing.F) {
+	for _, m := range roundTripMetas {
+		f.Add(EncodePartitionMeta(m))
+	}
+	f.Fuzz(func(t *testing.T, blob []byte) {
+		m, err := DecodePartitionMeta(blob)
+		if err != nil {
+			return
+		}
+		again, err := DecodePartitionMeta(EncodePartitionMeta(m))
+		if err != nil || !reflect.DeepEqual(again, m) {
+			t.Fatalf("%+v re-encodes to %+v (%v)", m, again, err)
+		}
+	})
 }
 
 // TestExtractPartitionStructure checks the partition invariants the cluster
