@@ -54,8 +54,10 @@ race:
 # with one arbitrary frame mid-run (over the simulator), the WAL's record
 # decoder and replay, the accumulator state decoder,
 # the live graph's patched epochs and their scatter plans against their
-# rebuilds, and the result renderer's strings against encoding/json, for
-# FUZZTIME each (Go allows one -fuzz target per invocation).
+# rebuilds, the result renderer's strings against encoding/json, and the
+# trace readers (parse, summarize, validate, merge — a seed is a whole trace,
+# so minimizing one is capped too), for FUZZTIME each (Go allows one -fuzz
+# target per invocation).
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzIntervalDecode -fuzztime $(FUZZTIME) ./internal/codec
@@ -82,6 +84,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzUnmarshalAccumulator -fuzztime $(FUZZTIME) ./internal/stream
 	$(GO) test -run '^$$' -fuzz FuzzEpochPlan -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzRenderString -fuzztime $(FUZZTIME) ./internal/serve
+	$(GO) test -run '^$$' -fuzz FuzzTrace -fuzztime $(FUZZTIME) -fuzzminimizetime 50x ./internal/obs
 
 # The full gate: everything vetted, built, and race-tested. Long-running
 # chaos tests honour -short via `make verify SHORT=-short`.
@@ -133,12 +136,28 @@ bench:
 
 # End-to-end tracing smoke test: run transit SSSP with a JSONL trace, then
 # validate the trace (schema, superstep contiguity, totals reconciliation)
-# and render the per-superstep breakdown.
+# and render the per-superstep breakdown. Then the cluster trace path the
+# README documents: a coordinator running transit PageRank on a fixed
+# loopback port and two workers, all three tracing under a temporary
+# directory; the three traces must merge and reconcile
+# (graphite-trace -cluster -check), then render.
 TRACE ?= /tmp/graphite-trace-smoke.jsonl
 trace-smoke:
 	$(GO) run ./cmd/graphite-run -graph transit -algo sssp -source 0 -workers 2 -trace $(TRACE) > /dev/null
 	$(GO) run ./cmd/graphite-trace -check $(TRACE)
 	$(GO) run ./cmd/graphite-trace $(TRACE)
+	@set -e; dir=$$(mktemp -d); trap 'kill $$(jobs -p) 2>/dev/null || true; rm -rf "$$dir"' EXIT; \
+	$(GO) build -o "$$dir/" ./cmd/graphite-coordinator ./cmd/graphite-worker ./cmd/graphite-trace; \
+	timeout 120 "$$dir/graphite-coordinator" -addr 127.0.0.1:18731 -workers 2 -graph transit -algo pr \
+		-trace "$$dir/coord.jsonl" > /dev/null 2> "$$dir/coord.log" & coord=$$!; \
+	for w in 0 1; do \
+		"$$dir/graphite-worker" -coordinator 127.0.0.1:18731 -dir "$$dir/w$$w" -trace 2> "$$dir/w$$w.log" & \
+		workers="$$workers $$!"; \
+	done; \
+	for p in $$coord $$workers; do wait $$p || { cat "$$dir"/*.log; exit 1; }; done; \
+	set -- "$$dir/coord.jsonl" "$$dir/w0/trace.jsonl" "$$dir/w1/trace.jsonl"; \
+	"$$dir/graphite-trace" -cluster -check "$$@"; \
+	"$$dir/graphite-trace" -cluster "$$@"
 
 # End-to-end serving smoke test: boot an in-process query server over the
 # transit example, fire a mixed burst of requests at it, and fail unless

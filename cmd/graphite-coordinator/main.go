@@ -24,9 +24,10 @@
 // while the run progresses. The process exits 0 with the rendered result
 // once the computation completes.
 //
-// -trace writes the coordinator's JSONL cluster trace (cluster_step rows,
-// per-shard phase spans, recoveries) to PATH; merge it with per-worker
-// traces via "graphite-trace -cluster PATH worker0/trace.jsonl ...".
+// -trace writes the coordinator's JSONL cluster trace (one cluster_step per
+// closed superstep, holding every shard's record; recoveries) to PATH; merge
+// it with per-worker traces via "graphite-trace -cluster PATH
+// worker0/trace.jsonl ...".
 // -span pins the run's span ID (minted randomly when empty); every worker
 // stamps the same ID on its trace so the merge can prove all files
 // describe one run.

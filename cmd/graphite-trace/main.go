@@ -20,10 +20,10 @@
 // With -cluster the first file is a coordinator trace (graphite-coordinator
 // -trace) and the rest are per-worker traces (graphite-worker -trace, one
 // trace.jsonl per worker directory). The files are merged into one cluster
-// timeline: every surviving superstep execution must be backed by a
-// worker-measured shard_step carrying the same span ID, epoch and phase
-// timings, and the result is rendered as the per-superstep straggler
-// attribution table (compute vs barrier-wait vs relay, slowest shard, skew).
+// timeline: every shard record the coordinator kept in a cluster_step must,
+// its relay fields aside, equal a shard_step a worker wrote, and the result
+// is rendered as the per-superstep straggler attribution table (compute vs
+// barrier-wait vs relay, slowest shard, skew).
 // -cluster -check merges and reconciles without rendering.
 package main
 

@@ -17,6 +17,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -294,35 +295,26 @@ func TestClusterObservabilityPlane(t *testing.T) {
 		t.Errorf("merged trace has %d supersteps, run metrics say %d", len(ct.Steps), o.res.Metrics.Supersteps)
 	}
 	for _, row := range ct.Steps {
-		phases := map[string]int{}
-		for _, sp := range row.Spans {
-			phases[sp.Phase]++
-			if sp.Span != coord.Span() {
-				t.Errorf("superstep %d %s span carries %q, want %q",
-					row.Step.Superstep, sp.Phase, sp.Span, coord.Span())
-			}
-		}
-		for _, ph := range []string{"compute", "barrier_wait", "relay"} {
-			if phases[ph] != smokeWorkers {
-				t.Errorf("superstep %d: %d %s spans, want one per worker (%d)",
-					row.Step.Superstep, phases[ph], ph, smokeWorkers)
-			}
-		}
 		if len(row.Shards) != smokeWorkers {
-			t.Errorf("superstep %d: %d worker-measured reports, want %d",
-				row.Step.Superstep, len(row.Shards), smokeWorkers)
+			t.Errorf("superstep %d: %d shard records, want %d", row.Superstep, len(row.Shards), smokeWorkers)
+		}
+		for _, st := range row.Shards {
+			if st.Span != coord.Span() {
+				t.Errorf("superstep %d shard %d record carries span %q, want %q",
+					row.Superstep, st.Shard, st.Span, coord.Span())
+			}
 		}
 	}
 
-	// (5) /debug/cluster attribution matches the merged trace: every
-	// surviving superstep's wall time, slowest shard and skew agree.
+	// (5) /debug/cluster serves the merged trace's rows: every surviving
+	// superstep's row is the same record, shard clocks and relay included.
 	debugBody, err := httpGet(srv.URL + "/debug/cluster")
 	if err != nil {
 		t.Fatal(err)
 	}
 	var dbg struct {
-		Span        string                    `json:"span"`
-		Attribution []cluster.StepAttribution `json:"attribution"`
+		Span        string            `json:"span"`
+		Attribution []obs.ClusterStep `json:"attribution"`
 	}
 	if err := json.Unmarshal([]byte(debugBody), &dbg); err != nil {
 		t.Fatalf("decode /debug/cluster: %v", err)
@@ -331,9 +323,8 @@ func TestClusterObservabilityPlane(t *testing.T) {
 		t.Errorf("/debug/cluster span %q, want %q", dbg.Span, coord.Span())
 	}
 	// The attribution log keeps every execution (replays included); the
-	// merged trace keeps the surviving one — the LAST attribution row of a
-	// superstep.
-	last := map[int]cluster.StepAttribution{}
+	// merged trace keeps the surviving one — the LAST row of a superstep.
+	last := map[int]obs.ClusterStep{}
 	for _, a := range dbg.Attribution {
 		last[a.Superstep] = a
 	}
@@ -342,19 +333,10 @@ func TestClusterObservabilityPlane(t *testing.T) {
 			len(dbg.Attribution), len(ct.Steps))
 	}
 	for _, row := range ct.Steps {
-		a, ok := last[row.Step.Superstep]
-		if !ok {
-			t.Errorf("superstep %d missing from /debug/cluster attribution", row.Step.Superstep)
-			continue
-		}
-		if a.Epoch != row.Step.Epoch || a.WallNS != row.Step.WallNS ||
-			a.SlowestShard != row.Step.SlowestShard || a.SkewMilli != row.Step.SkewMilli {
-			t.Errorf("superstep %d: /debug/cluster %+v disagrees with merged trace %+v",
-				row.Step.Superstep, a, row.Step)
-		}
-		if len(a.Shards) != smokeWorkers {
-			t.Errorf("superstep %d: attribution has %d shard timings, want %d",
-				row.Step.Superstep, len(a.Shards), smokeWorkers)
+		if a, ok := last[row.Superstep]; !ok {
+			t.Errorf("superstep %d missing from /debug/cluster attribution", row.Superstep)
+		} else if !reflect.DeepEqual(a, row) {
+			t.Errorf("superstep %d: /debug/cluster %+v disagrees with merged trace %+v", row.Superstep, a, row)
 		}
 	}
 

@@ -59,42 +59,11 @@ type Config struct {
 	// creates a private one. Tracer, when set, receives the coordinator's
 	// full run trace: the standard run/superstep lifecycle events plus the
 	// cluster-specific ones (worker_join/worker_lost/cluster_recovery, and
-	// per-superstep span/cluster_step attribution). Logger nil means
+	// one cluster_step per closed superstep). Logger nil means
 	// slog.Default.
 	Registry *obs.Registry
 	Tracer   obs.Tracer
 	Logger   *slog.Logger
-}
-
-// ShardTiming is one shard's share of one distributed superstep, as the
-// coordinator attributes it: the worker-reported compute / barrier-wait /
-// deliver split, the coordinator's own time forwarding batches toward this
-// shard (those whose mesh link was down), the shard's peer-send and
-// peer-receive clocks, and how many payload bytes reached it over each hop.
-type ShardTiming struct {
-	Shard       int   `json:"shard"`
-	ComputeNS   int64 `json:"compute_ns"`
-	WaitNS      int64 `json:"wait_ns"`
-	DeliverNS   int64 `json:"deliver_ns"`
-	RelayNS     int64 `json:"relay_ns"`
-	PeerSendNS  int64 `json:"peer_send_ns,omitempty"`
-	PeerRecvNS  int64 `json:"peer_recv_ns,omitempty"`
-	DirectBytes int64 `json:"direct_bytes,omitempty"`
-	RelayBytes  int64 `json:"relay_bytes,omitempty"`
-}
-
-// StepAttribution is the coordinator's straggler verdict for one superstep:
-// the wall time from broadcast to last barrier report, the slowest shard by
-// compute time, the compute skew (max/mean in thousandths; 1000 = perfectly
-// balanced), and the per-shard split. Served as JSON by DebugHandler and
-// mirrored into the trace as a cluster_step event.
-type StepAttribution struct {
-	Superstep    int           `json:"superstep"`
-	Epoch        int           `json:"epoch"`
-	WallNS       int64         `json:"wall_ns"`
-	SlowestShard int           `json:"slowest_shard"`
-	SkewMilli    int64         `json:"skew_milli"`
-	Shards       []ShardTiming `json:"shards"`
 }
 
 // attrRingCap bounds the in-memory attribution history served by
@@ -160,7 +129,7 @@ type Coordinator struct {
 	mu     sync.Mutex
 	stats  Stats
 	report Report
-	attr   []StepAttribution
+	attr   []obs.ClusterStep
 }
 
 // coordIO is everything the driver does to the world outside it: write one
@@ -309,16 +278,17 @@ func (c *Coordinator) Report() Report {
 // trace, and the attribution rows.
 func (c *Coordinator) Span() string { return c.cfg.Span }
 
-// Attribution returns the per-superstep straggler attribution collected so
-// far, oldest first, bounded to the last attrRingCap supersteps.
-func (c *Coordinator) Attribution() []StepAttribution {
+// Attribution returns the closed supersteps so far, replays included, oldest
+// first, bounded to the last attrRingCap: the cluster_step events of the
+// coordinator's trace.
+func (c *Coordinator) Attribution() []obs.ClusterStep {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return append([]StepAttribution(nil), c.attr...)
+	return append([]obs.ClusterStep(nil), c.attr...)
 }
 
 // pushAttribution appends one closed superstep to the bounded history.
-func (c *Coordinator) pushAttribution(a StepAttribution) {
+func (c *Coordinator) pushAttribution(a obs.ClusterStep) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.attr = append(c.attr, a)
@@ -337,12 +307,12 @@ func (c *Coordinator) DebugHandler() http.Handler {
 			Span        string            `json:"span"`
 			Stats       Stats             `json:"stats"`
 			Report      Report            `json:"report"`
-			Attribution []StepAttribution `json:"attribution"`
+			Attribution []obs.ClusterStep `json:"attribution"`
 		}{
 			Span:        c.cfg.Span,
 			Stats:       c.stats,
 			Report:      c.report,
-			Attribution: append([]StepAttribution(nil), c.attr...),
+			Attribution: append([]obs.ClusterStep(nil), c.attr...),
 		}
 		c.mu.Unlock()
 		w.Header().Set("Content-Type", "application/json")
@@ -546,7 +516,7 @@ func (d *driver) frame(wc *wconn, ftype byte, payload []byte) error {
 			d.meshedFrame(wc, mm)
 		}
 	case fData:
-		d.relay(payload)
+		d.relay(wc, payload)
 	case fResult:
 		return d.resultFrame(wc, payload)
 	case fError:
@@ -830,19 +800,20 @@ func (d *driver) resetBarrierTally() {
 
 // stepDone tallies one barrier report; the last one closes the superstep.
 func (d *driver) stepDone(wc *wconn, sd stepDoneMsg) error {
+	st := sd.Step
 	switch {
-	case sd.Epoch != d.epoch:
+	case st.Epoch != d.epoch:
 		return nil // stale: in flight across a recovery
-	case sd.Shard != wc.shard || d.reports[sd.Shard] != nil || len(sd.Aggs) != d.c.naggs:
-		d.markDead(wc, fmt.Sprintf("bad barrier report for shard %d", sd.Shard))
+	case st.Shard != wc.shard || d.reports[st.Shard] != nil || len(sd.Aggs) != d.c.naggs || st.Superstep != sd.Superstep:
+		d.markDead(wc, fmt.Sprintf("bad barrier report for shard %d", st.Shard))
 		return nil
 	case d.state != stRunning || sd.Superstep != d.superstep:
 		// A worker reports each superstep of an epoch once, and a superstep
 		// closes on every report: this is a second one, and the first may be
 		// in the run's totals already.
-		return fmt.Errorf("cluster: shard %d reported superstep %d of epoch %d twice", sd.Shard, sd.Superstep, sd.Epoch)
+		return fmt.Errorf("cluster: shard %d reported superstep %d of epoch %d twice", st.Shard, sd.Superstep, st.Epoch)
 	}
-	d.reports[sd.Shard] = &sd
+	d.reports[st.Shard] = &sd
 	if slices.Contains(d.reports, nil) {
 		return nil
 	}
@@ -882,93 +853,67 @@ func (d *driver) commit(gen int) {
 }
 
 // closeSuperstep produces the observability output of the superstep the
-// barrier closed: per-shard phase spans, its times in the barrier's totals
-// and its superstep_end, the cluster_step straggler verdict, the
-// /debug/cluster attribution row, and the fleet registry updates.
+// barrier closed: its ClusterStep — each shard's record with the relay clock
+// added — as the trace event and the /debug/cluster row, its times in the
+// barrier's totals and its superstep_end, and the fleet registry updates.
 func (d *driver) closeSuperstep() {
 	now := d.io.now()
 	d.refreshLeaseGauges(now)
-	wallNS := now.Sub(d.stepStarted).Nanoseconds()
-	var sumCompute, sumWait, sumDeliver, sumRelayNS, sumRelayBytes int64
-	var sumPeerSend, sumPeerRecv, sumDirectBytes int64
-	maxCompute, slowest := int64(-1), 0
-	shards := make([]ShardTiming, d.c.cfg.Workers)
-	for s := range d.reports {
-		rep := d.reports[s]
-		// RelayBytes is the coordinator's own forwarding tally toward this
-		// shard — it already includes any per-batch mesh fallbacks, which
-		// arrive here as ordinary fData, so the worker-reported fallback
-		// volume is not added again.
-		shards[s] = ShardTiming{
-			Shard: s, ComputeNS: rep.ComputeNS, WaitNS: rep.WaitNS,
-			DeliverNS: rep.DeliverNS, RelayNS: d.relayNS[s],
-			PeerSendNS: rep.PeerSendNS, PeerRecvNS: rep.PeerRecvNS,
-			DirectBytes: rep.DirectBytes, RelayBytes: d.relayBytes[s],
-		}
-		sumCompute += rep.ComputeNS
-		sumWait += rep.WaitNS
-		sumDeliver += rep.DeliverNS
-		sumRelayNS += d.relayNS[s]
-		sumRelayBytes += d.relayBytes[s]
-		sumPeerSend += rep.PeerSendNS
-		sumPeerRecv += rep.PeerRecvNS
-		sumDirectBytes += rep.DirectBytes
-		if rep.ComputeNS > maxCompute {
-			maxCompute, slowest = rep.ComputeNS, s
+	cs := obs.ClusterStep{
+		Span: d.c.cfg.Span, Superstep: d.superstep, Epoch: d.epoch,
+		WallNS: now.Sub(d.stepStarted).Nanoseconds(), Shards: make([]obs.ShardStep, len(d.reports)),
+	}
+	for s, rep := range d.reports {
+		// The relay volume is the coordinator's own forwarding tally toward
+		// this shard: the worker's per-batch mesh fallbacks arrive here as
+		// ordinary fData.
+		cs.Shards[s] = rep.Step
+		cs.Shards[s].RelayNS, cs.Shards[s].RelayBytes = d.relayNS[s], d.relayBytes[s]
+		if rep.Step.ComputeNS > cs.Shards[cs.SlowestShard].ComputeNS {
+			cs.SlowestShard = s
 		}
 	}
-	skewMilli := int64(1000)
-	if mean := sumCompute / int64(len(shards)); mean > 0 {
-		skewMilli = maxCompute * 1000 / mean
+	sum := cs.Total()
+	maxCompute := cs.Shards[cs.SlowestShard].ComputeNS
+	cs.SkewMilli = 1000
+	if mean := sum.ComputeNS / int64(len(cs.Shards)); mean > 0 {
+		cs.SkewMilli = maxCompute * 1000 / mean
 	}
-
-	span := d.c.cfg.Span
-	for _, st := range shards {
-		d.emit(obs.PhaseSpan{Span: span, Superstep: d.superstep, Shard: st.Shard, Phase: "compute", NS: st.ComputeNS})
-		d.emit(obs.PhaseSpan{Span: span, Superstep: d.superstep, Shard: st.Shard, Phase: "barrier_wait", NS: st.WaitNS})
-		// The relay span is zero when everything went peer-to-peer:
-		// consumers key on its presence per shard.
-		d.emit(obs.PhaseSpan{Span: span, Superstep: d.superstep, Shard: st.Shard, Phase: "relay", NS: st.RelayNS})
-		d.emit(obs.PhaseSpan{Span: span, Superstep: d.superstep, Shard: st.Shard, Phase: "peer_send", NS: st.PeerSendNS})
-		d.emit(obs.PhaseSpan{Span: span, Superstep: d.superstep, Shard: st.Shard, Phase: "peer_recv", NS: st.PeerRecvNS})
-	}
-	d.emit(d.c.barrier.SuperstepEnd(d.superstep, time.Duration(sumCompute),
-		time.Duration(sumWait+sumRelayNS+sumPeerSend), time.Duration(sumDeliver)))
-	d.emit(obs.ClusterStep{
-		Span: span, Superstep: d.superstep, Epoch: d.epoch, WallNS: wallNS,
-		SlowestShard: slowest, SkewMilli: skewMilli,
-		ComputeNS: sumCompute, WaitNS: sumWait, RelayNS: sumRelayNS,
-	})
-	d.c.pushAttribution(StepAttribution{
-		Superstep: d.superstep, Epoch: d.epoch, WallNS: wallNS,
-		SlowestShard: slowest, SkewMilli: skewMilli, Shards: shards,
-	})
+	d.emit(d.c.barrier.SuperstepEnd(d.superstep, time.Duration(sum.ComputeNS),
+		time.Duration(sum.WaitNS+sum.RelayNS+sum.PeerSendNS), time.Duration(sum.DeliverNS)))
+	d.emit(cs)
+	d.c.pushAttribution(cs)
 	reg := d.c.cfg.Registry
 	reg.Histogram(obs.HClusterComputeNS).Observe(time.Duration(maxCompute))
-	reg.Histogram(obs.HClusterWaitNS).Observe(time.Duration(sumWait / int64(len(shards))))
-	reg.Gauge(obs.GClusterSkewMilli).Set(skewMilli)
-	reg.Gauge(obs.GClusterSlowest).Set(int64(slowest))
+	reg.Histogram(obs.HClusterWaitNS).Observe(time.Duration(sum.WaitNS / int64(len(cs.Shards))))
+	reg.Gauge(obs.GClusterSkewMilli).Set(cs.SkewMilli)
+	reg.Gauge(obs.GClusterSlowest).Set(int64(cs.SlowestShard))
 	// All four counters are touched every superstep — Add(0) still registers
 	// the family, so a scrape sees the relay pair on a healthy mesh too.
-	reg.Counter(obs.CClusterRelayBytes).Add(sumRelayBytes)
-	reg.Counter(obs.CClusterRelayNS).Add(sumRelayNS)
-	reg.Counter(obs.CClusterDirectBytes).Add(sumDirectBytes)
-	reg.Counter(obs.CClusterDirectNS).Add(sumPeerSend)
-	for _, st := range shards {
+	reg.Counter(obs.CClusterRelayBytes).Add(sum.RelayBytes)
+	reg.Counter(obs.CClusterRelayNS).Add(sum.RelayNS)
+	reg.Counter(obs.CClusterDirectBytes).Add(sum.DirectBytes)
+	reg.Counter(obs.CClusterDirectNS).Add(sum.PeerSendNS)
+	for _, st := range cs.Shards {
 		reg.Gauge(obs.WithLabels(obs.GClusterShardComputeNS, "shard", strconv.Itoa(st.Shard))).Set(st.ComputeNS)
 	}
 }
 
-// relay forwards one data frame to its destination shard. Stale-epoch
-// frames (in flight across a recovery) are dropped; a missing destination
-// means that worker just died and a rollback is imminent, so the frame is
-// moot either way.
-func (d *driver) relay(payload []byte) {
+// relay forwards one data frame from wc's worker to its destination shard.
+// Stale-epoch frames (in flight across a recovery) are dropped; a missing
+// destination means that worker just died and a rollback is imminent, so the
+// frame is moot either way. A worker ships only its own shard's batches: a
+// frame naming another source is a broken worker's.
+func (d *driver) relay(wc *wconn, payload []byte) {
 	h, _, err := parseDataHeader(payload)
 	if err != nil {
 		return // corrupt header: originator will be caught elsewhere
 	}
 	if h.epoch != d.epoch || d.state != stRunning || h.superstep != d.superstep {
+		return
+	}
+	if h.src != wc.shard {
+		d.markDead(wc, fmt.Sprintf("data frame from shard %d names source %d", wc.shard, h.src))
 		return
 	}
 	if h.dst < 0 || h.dst >= len(d.byShard) {

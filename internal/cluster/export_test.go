@@ -10,6 +10,7 @@ import (
 
 	"graphite/internal/core"
 	"graphite/internal/engine"
+	"graphite/internal/obs"
 )
 
 // Frame types, for the simulator's routing and its injected frames.
@@ -94,9 +95,9 @@ func (a workerAdapter) dialPeers(self, epoch int, addrs []string) error {
 type Worker struct{ w *wrk }
 
 // NewWorker returns a worker keeping its checkpoints in dir, as RunWorker
-// configures one by default.
-func NewWorker(dir string, io WorkerIO, log *slog.Logger) *Worker {
-	cfg := WorkerConfig{Dir: dir, KeepCheckpoints: engine.DefaultKeepGenerations, Logger: log}
+// configures one by default, tracing to tr (nil: no trace).
+func NewWorker(dir string, io WorkerIO, tr obs.Tracer, log *slog.Logger) *Worker {
+	cfg := WorkerConfig{Dir: dir, KeepCheckpoints: engine.DefaultKeepGenerations, Tracer: tr, Logger: log}
 	return &Worker{&wrk{cfg: cfg, io: workerAdapter{io}, pending: map[pendKey][]byte{}}}
 }
 

@@ -32,6 +32,7 @@ import (
 	"graphite/internal/algorithms"
 	"graphite/internal/codec"
 	"graphite/internal/engine"
+	"graphite/internal/obs"
 	"graphite/internal/tgraph"
 )
 
@@ -108,27 +109,17 @@ type stepMsg struct {
 }
 
 // stepDoneMsg is one shard's barrier report: the shard's engine.StepReport,
-// which the coordinator's barrier closes the superstep from. CkptGen is -1
+// which the coordinator's barrier closes the superstep from, and the shard's
+// record of the superstep, which names its shard and epoch and carries the
+// worker's own clock. The record is a named field: encoding/json drops the
+// same-named fields of two structs embedded at one depth. CkptGen is -1
 // unless this superstep captured a checkpoint; the coordinator commits a
-// generation globally only after every shard acknowledges it. The three NS
-// fields piggyback the worker's own phase clock onto the barrier message —
-// compute (compute + outbound + ship), wait (idle until the last peer batch
-// arrived), deliver (delivery + barrier + checkpoint I/O) — which is what the
-// coordinator folds into fleet metrics and straggler attribution without any
-// extra round trip.
+// generation globally only after every shard acknowledges it.
 type stepDoneMsg struct {
-	Epoch int `json:"epoch"`
-	Shard int `json:"shard"`
 	engine.StepReport
-	CkptGen      int   `json:"ckpt_gen"`
-	CkptBytes    int64 `json:"ckpt_bytes"`
-	ComputeNS    int64 `json:"compute_ns,omitempty"`
-	WaitNS       int64 `json:"wait_ns,omitempty"`
-	DeliverNS    int64 `json:"deliver_ns,omitempty"`
-	PeerSendNS   int64 `json:"peer_send_ns,omitempty"`  // time writing batches to mesh peers
-	PeerRecvNS   int64 `json:"peer_recv_ns,omitempty"`  // ship → last direct batch arrival
-	DirectBytes  int64 `json:"direct_bytes,omitempty"`  // batch bytes shipped peer-to-peer
-	RelayedBytes int64 `json:"relayed_bytes,omitempty"` // batch bytes shipped via the coordinator
+	Step      obs.ShardStep `json:"step"`
+	CkptGen   int           `json:"ckpt_gen"`
+	CkptBytes int64         `json:"ckpt_bytes"`
 }
 
 // peersMsg hands every worker the mesh address of every shard for an epoch

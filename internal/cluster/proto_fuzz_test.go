@@ -10,6 +10,7 @@ import (
 	"graphite/internal/codec"
 	"graphite/internal/engine"
 	ival "graphite/internal/interval"
+	"graphite/internal/obs"
 )
 
 // controlMessage returns a zero value of the JSON message a frame type
@@ -62,8 +63,8 @@ func FuzzClusterFrames(f *testing.F) {
 		Params: algorithms.Params{Source: 4, Window: ival.New(2, 9)}, CheckpointEvery: 2, HeartbeatNS: 5e7, Span: "ab12"})
 	seedJSON(fReady, readyMsg{Epoch: 1, Shard: 1, Superstep: 4, Gen: 2, RestoredBytes: 99})
 	seedJSON(fStep, stepMsg{Epoch: 1, Superstep: 4, Checkpoint: true, Gen: 2})
-	seedJSON(fStepDone, stepDoneMsg{Epoch: 1, Shard: 1, StepReport: engine.StepReport{Superstep: 4, Delivered: 7, Active: 3},
-		CkptGen: -1, DirectBytes: 512})
+	seedJSON(fStepDone, stepDoneMsg{StepReport: engine.StepReport{Superstep: 4, Delivered: 7, Active: 3},
+		Step: obs.ShardStep{Span: "ab12", Superstep: 4, Shard: 1, Epoch: 1, ComputeNS: 90, DirectBytes: 512}, CkptGen: -1})
 	seedJSON(fPeers, peersMsg{Epoch: 2, Addrs: []string{"127.0.0.1:1", ""}})
 	seedJSON(fMeshed, meshedMsg{Epoch: 2, Shard: 0})
 	// Fields this decoder does not have (a peer of another build) are ignored.
@@ -81,9 +82,10 @@ func FuzzClusterFrames(f *testing.F) {
 	f.Add(fHeartbeat, []byte(nil))
 	f.Add(byte(0), []byte(`{"shard":1e400}`))
 	seedJSON(fStep, stepMsg{Epoch: 1, Superstep: 5, Phase: 3})
-	seedJSON(fStepDone, stepDoneMsg{Epoch: 1, Shard: 2, CkptGen: -1, StepReport: engine.StepReport{Superstep: 5, Active: 4,
+	seedJSON(fStepDone, stepDoneMsg{StepReport: engine.StepReport{Superstep: 5, Active: 4,
 		ComputeCalls: 9, ScatterCalls: 12, SentMsgs: 6, SentBytes: 70, Spilled: 2,
-		Aggs: []codec.Word{codec.IntWord(1), codec.FloatWord(-0.5)}}})
+		Aggs: []codec.Word{codec.IntWord(1), codec.FloatWord(-0.5)}},
+		Step: obs.ShardStep{Superstep: 5, Shard: 2, Epoch: 1}, CkptGen: -1})
 	// A report from a build whose barrier report listed the counts itself:
 	// the same names, so it decodes to the same report.
 	f.Add(fStepDone, []byte(`{"epoch":1,"superstep":4,"shard":1,"delivered":7,"active":3,"compute_calls":2,`+
@@ -150,9 +152,11 @@ func TestBarrierFieldsOmittedWhenEmpty(t *testing.T) {
 		want string
 	}{
 		{stepMsg{Epoch: 1, Superstep: 4, Checkpoint: true, Gen: 2}, `{"epoch":1,"superstep":4,"checkpoint":true,"gen":2}`},
-		{stepDoneMsg{Epoch: 1, Shard: 1, StepReport: engine.StepReport{Superstep: 4, Delivered: 7, Active: 3}, CkptGen: -1, DirectBytes: 512},
-			`{"epoch":1,"shard":1,"superstep":4,"delivered":7,"active":3,"compute_calls":0,"scatter_calls":0,` +
-				`"sent_msgs":0,"sent_bytes":0,"ckpt_gen":-1,"ckpt_bytes":0,"direct_bytes":512}`},
+		{stepDoneMsg{StepReport: engine.StepReport{Superstep: 4, Delivered: 7, Active: 3},
+			Step: obs.ShardStep{Superstep: 4, Shard: 1, Epoch: 1, DirectBytes: 512}, CkptGen: -1},
+			`{"superstep":4,"delivered":7,"active":3,"compute_calls":0,"scatter_calls":0,"sent_msgs":0,"sent_bytes":0,` +
+				`"step":{"superstep":4,"shard":1,"epoch":1,"compute_ns":0,"wait_ns":0,"deliver_ns":0,"direct_bytes":512},` +
+				`"ckpt_gen":-1,"ckpt_bytes":0}`},
 	} {
 		got, err := json.Marshal(tc.msg)
 		if err != nil || string(got) != tc.want {

@@ -144,6 +144,7 @@ type node struct {
 	dead, hung bool
 	done       bool
 	sent       int // frames sent, to the coordinator and to peers
+	reads      int // clock reads
 	hbEvery    time.Duration
 	nextBeat   time.Time
 	outs       map[int]*node // shard → the peer this incarnation dialed
@@ -181,6 +182,7 @@ type sim struct {
 	stale     int             // deliveries of an earlier epoch's data
 	workerErr []string        // why workers exited, for the repro line
 	frames    map[byte][]byte // the first frame of each type sent
+	traces    []*obs.Recorder // each slot's trace, shared by its incarnations as a worker's trace file is
 }
 
 var discard = slog.New(slog.NewTextHandler(io.Discard, nil))
@@ -202,6 +204,7 @@ func newSim(tb testing.TB, sc schedule, cfg cluster.Config) *sim {
 	base := tb.TempDir()
 	for i := 0; i < testWorkers; i++ {
 		s.dirs = append(s.dirs, filepath.Join(base, fmt.Sprintf("w%d", i)))
+		s.traces = append(s.traces, &obs.Recorder{})
 	}
 	return s
 }
@@ -328,7 +331,7 @@ func (s *sim) spawn(slot int) {
 	n := &node{s: s, slot: slot, inc: s.incs[slot]}
 	s.incs[slot]++
 	n.addr = fmt.Sprintf("sim-w%d.%d", slot, n.inc)
-	n.w = cluster.NewWorker(s.dirs[slot], n, discard)
+	n.w = cluster.NewWorker(s.dirs[slot], n, s.traces[slot], discard)
 	c := &sconn{id: len(s.conns), n: n}
 	c.up = s.newQueue(func() bool { return !c.closed }, func(f simFrame) {
 		if f.eof {
@@ -522,7 +525,13 @@ func (n *node) Heartbeat(every time.Duration) {
 	n.hbEvery, n.nextBeat = every, n.s.now.Add(every)
 }
 
-func (n *node) Now() time.Time { return n.s.now }
+// Now is the worker's clock: the fake clock plus a microsecond per read, so
+// every clock a worker's record carries is non-zero and the trace merge has
+// values to compare.
+func (n *node) Now() time.Time {
+	n.reads++
+	return n.s.now.Add(time.Duration(n.reads) * time.Microsecond)
+}
 
 func (n *node) Kill(phase string, superstep int) {
 	if sc := n.s.sc; sc.kind == faultKill && n.inc == 0 && n.slot == sc.slot && sc.phase == phase && sc.step == superstep {
@@ -557,10 +566,28 @@ func diffResult(g *tgraph.Graph, got, want *core.Result) string {
 	return ""
 }
 
+// merged says why the run's traces do not reconcile — the coordinator's
+// against its workers', one row per superstep of the result — or "".
+func (s *sim) merged(coord *obs.Recorder, res *core.Result) string {
+	var workers [][]obs.Event
+	for _, tr := range s.traces {
+		workers = append(workers, tr.Events())
+	}
+	ct, err := obs.MergeClusterTrace(coord.Events(), workers)
+	switch {
+	case err != nil:
+		return err.Error()
+	case len(ct.Steps) != res.Metrics.Supersteps:
+		return fmt.Sprintf("merged trace has %d supersteps, the run %d", len(ct.Steps), res.Metrics.Supersteps)
+	}
+	return ""
+}
+
 // check runs one schedule and returns its failure as a one-line repro, or
-// "" when it ends identical to core.Run.
+// "" when it ends identical to core.Run and its traces merge.
 func check(t *testing.T, sc schedule, index int) (string, *sim) {
-	s := newSim(t, sc, cluster.Config{})
+	rec := &obs.Recorder{}
+	s := newSim(t, sc, cluster.Config{Tracer: rec})
 	res, err := s.run()
 	fail := ""
 	switch {
@@ -568,6 +595,9 @@ func check(t *testing.T, sc schedule, index int) (string, *sim) {
 		fail = err.Error()
 	default:
 		fail = diffResult(tgraph.TransitExample(), res, simReference(t, sc.algo))
+	}
+	if fail == "" {
+		fail = s.merged(rec, res)
 	}
 	if fail == "" {
 		return "", s
@@ -726,18 +756,24 @@ func TestSimLeaseRecovery(t *testing.T) {
 		t.Errorf("coordinator span = %q, want the configured one", coord.Span())
 	}
 	for _, e := range rec.Events() {
-		span := "lease-test-span"
+		spans := []string{"lease-test-span"}
 		switch ev := e.(type) {
 		case obs.RunStart:
-			span = ev.Span
+			spans = []string{ev.Span}
 		case obs.ClusterStep:
-			span = ev.Span
-		case obs.PhaseSpan:
-			span = ev.Span
+			spans = []string{ev.Span}
+			for _, st := range ev.Shards {
+				spans = append(spans, st.Span)
+			}
 		}
-		if span != "lease-test-span" {
-			t.Errorf("%T carries span %q", e, span)
+		for _, span := range spans {
+			if span != "lease-test-span" {
+				t.Errorf("%T carries span %q", e, span)
+			}
 		}
+	}
+	if msg := s.merged(rec, res); msg != "" {
+		t.Errorf("%s: %s", sc, msg)
 	}
 	// One attribution row per executed superstep (replays included), each
 	// with a timing per shard.
@@ -850,10 +886,16 @@ func driverSeeds(tb testing.TB) []simFrame {
 		simFrame{ftype: cluster.FMeshHello, payload: []byte(`{"shard":1,"epoch":0}`)},
 		simFrame{ftype: cluster.FResult, payload: []byte{0, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 1}})
 	for shard := -1; shard < testWorkers; shard++ {
-		out = append(out, simFrame{ftype: cluster.FStepDone, payload: []byte(fmt.Sprintf(
-			`{"epoch":0,"shard":%d,"superstep":2,"active":0,"compute_calls":1,"ckpt_gen":1}`, shard))})
+		out = append(out, simFrame{ftype: cluster.FStepDone, payload: forgedReport(shard)})
 	}
 	return out
+}
+
+// forgedReport is a barrier report for superstep 2 of epoch 0 from shard,
+// which no worker sent.
+func forgedReport(shard int) []byte {
+	return []byte(fmt.Sprintf(`{"superstep":2,"active":0,"compute_calls":1,`+
+		`"step":{"superstep":2,"shard":%d,"epoch":0},"ckpt_gen":1}`, shard))
 }
 
 // TestSimStrangerFrames delivers each of FuzzDriverFrames' seeds on a
@@ -880,8 +922,7 @@ func TestSimStrangerFrames(t *testing.T) {
 func TestSimForgedBarrierReport(t *testing.T) {
 	for seed := int64(1); seed <= 30; seed++ {
 		for shard := 0; shard < testWorkers; shard++ {
-			forged := &simFrame{ftype: cluster.FStepDone, payload: []byte(fmt.Sprintf(
-				`{"epoch":0,"shard":%d,"superstep":2,"active":0,"compute_calls":1,"ckpt_gen":1}`, shard))}
+			forged := &simFrame{ftype: cluster.FStepDone, payload: forgedReport(shard)}
 			sc := schedule{algo: "pr", seed: seed, slot: 1, step: 2, inject: forged}
 			res, err := newSim(t, sc, cluster.Config{}).run()
 			if err == nil {

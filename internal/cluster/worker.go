@@ -64,26 +64,20 @@ type WorkerConfig struct {
 
 // stepRun is the in-flight superstep, filled one frame at a time.
 type stepRun struct {
-	step    int
 	ckpt    bool
 	gen     int
 	batches [][]byte
 	got     int
 	need    int
 
-	// Phase clock: computeNS covers compute + outbound + shipping the
-	// batches; shipped marks the start of the barrier wait (idle until the
-	// last peer batch lands).
-	computeNS int64
-	shipped   time.Time
-
-	// Which hop this superstep's outbound batches took, plus the arrival
-	// clock of inbound mesh batches (peer_recv ends when the last direct
-	// batch lands).
-	peerSendNS   int64
-	directBytes  int64
-	relayedBytes int64
-	lastDirect   time.Time
+	// rec is the superstep's record while the worker's clock fills it:
+	// compute, peer send and direct bytes once the batches are shipped, the
+	// rest when the superstep finishes. shipped starts the barrier wait (idle
+	// until the last peer batch lands) and lastDirect is when the last mesh
+	// batch arrived.
+	rec        obs.ShardStep
+	shipped    time.Time
+	lastDirect time.Time
 }
 
 // pendKey indexes an early mesh batch: the peer computed a superstep this
@@ -314,7 +308,7 @@ func (w *wrk) handleStep(payload []byte) error {
 	if err != nil {
 		return w.fail(err)
 	}
-	var peerSendNS, directBytes, relayedBytes int64
+	rec := obs.ShardStep{Span: w.span, Superstep: st.Superstep, Shard: w.self, Epoch: w.epoch}
 	sent := 0
 	for dst := 0; dst < w.shards; dst++ {
 		if dst == w.self {
@@ -324,17 +318,15 @@ func (w *wrk) handleStep(payload []byte) error {
 		p = append(p, outs[dst]...)
 		t0 := w.io.now()
 		err := w.io.sendPeer(dst, p)
-		peerSendNS += w.io.now().Sub(t0).Nanoseconds()
+		rec.PeerSendNS += w.io.now().Sub(t0).Nanoseconds()
+		// Per-batch fallback: a batch the mesh did not take goes through the
+		// coordinator. The receiver counts batches whichever hop they took, so
+		// one dead mesh connection costs an extra hop, not the run. The lease
+		// machinery handles a genuinely dead peer.
 		if err == nil {
-			directBytes += int64(len(p))
-		} else {
-			// Per-batch fallback: the receiver counts batches whichever hop
-			// they took, so one dead mesh connection costs an extra hop, not
-			// the run. The lease machinery handles a genuinely dead peer.
-			if err := w.io.send(fData, p); err != nil {
-				return err
-			}
-			relayedBytes += int64(len(p))
+			rec.DirectBytes += int64(len(p))
+		} else if err := w.io.send(fData, p); err != nil {
+			return err
 		}
 		sent++
 		if sent == 1 {
@@ -344,14 +336,14 @@ func (w *wrk) handleStep(payload []byte) error {
 		}
 	}
 	shipped := w.io.now()
+	rec.ComputeNS = shipped.Sub(computeStart).Nanoseconds()
 	// Kill point "compute": batches are on the wire, delivery has not
 	// happened — peers hold partial superstep state when the process dies.
 	w.io.kill("compute", st.Superstep)
 	w.cur = &stepRun{
-		step: st.Superstep, ckpt: st.Checkpoint, gen: st.Gen,
+		ckpt: st.Checkpoint, gen: st.Gen,
 		batches: make([][]byte, w.shards), need: w.shards - 1,
-		computeNS: shipped.Sub(computeStart).Nanoseconds(), shipped: shipped,
-		peerSendNS: peerSendNS, directBytes: directBytes, relayedBytes: relayedBytes,
+		rec: rec, shipped: shipped,
 	}
 	// Batches that beat this fStep across the mesh are already parked;
 	// adopt them before asking whether the barrier is complete.
@@ -380,7 +372,7 @@ func (w *wrk) handleData(payload []byte) error {
 	if err != nil {
 		return err
 	}
-	if h.epoch != w.epoch || w.cur == nil || h.superstep != w.cur.step || h.dst != w.self {
+	if h.epoch != w.epoch || w.cur == nil || h.superstep != w.cur.rec.Superstep || h.dst != w.self {
 		return nil // stale (in flight across a recovery)
 	}
 	if err := w.storeBatch(h.src, batch, false); err != nil {
@@ -406,7 +398,7 @@ func (w *wrk) handleMeshData(payload []byte) error {
 	if h.src < 0 || h.src >= w.shards || h.src == w.self {
 		return w.fail(fmt.Errorf("cluster: shard %d: bad mesh frame source %d", w.self, h.src))
 	}
-	if w.cur != nil && h.superstep == w.cur.step {
+	if w.cur != nil && h.superstep == w.cur.rec.Superstep {
 		if err := w.storeBatch(h.src, batch, true); err != nil {
 			return err
 		}
@@ -440,7 +432,7 @@ func (w *wrk) storeBatch(src int, batch []byte, viaMesh bool) error {
 			return nil
 		}
 		return w.fail(fmt.Errorf("cluster: shard %d: conflicting batches from %d at superstep %d",
-			w.self, src, w.cur.step))
+			w.self, src, w.cur.rec.Superstep))
 	}
 	w.cur.batches[src] = batch
 	w.cur.got++
@@ -461,8 +453,9 @@ func (w *wrk) finishStepIfReady() error {
 	w.cur = nil
 	// The barrier wait ends when the last peer batch has landed; everything
 	// from here to the report is delivery + barrier + checkpoint I/O.
+	rec := &cur.rec
 	deliverStart := w.io.now()
-	waitNS := deliverStart.Sub(cur.shipped).Nanoseconds()
+	rec.WaitNS = deliverStart.Sub(cur.shipped).Nanoseconds()
 	ordered := make([][]byte, 0, cur.need)
 	for src := 0; src < w.shards; src++ {
 		if src != w.self {
@@ -488,35 +481,19 @@ func (w *wrk) finishStepIfReady() error {
 		}
 		ckptGen, ckptBytes = meta.Gen, meta.Bytes
 	}
-	deliverNS := w.io.now().Sub(deliverStart).Nanoseconds()
-	var peerRecvNS int64
+	rec.DeliverNS = w.io.now().Sub(deliverStart).Nanoseconds()
 	if !cur.lastDirect.IsZero() {
-		if d := cur.lastDirect.Sub(cur.shipped).Nanoseconds(); d > 0 {
-			peerRecvNS = d
-		}
+		rec.PeerRecvNS = max(0, cur.lastDirect.Sub(cur.shipped).Nanoseconds())
 	}
-	w.emit(obs.ShardStep{
-		Span: w.span, Superstep: rep.Superstep, Shard: w.self, Epoch: w.epoch,
-		ComputeNS: cur.computeNS, WaitNS: waitNS, DeliverNS: deliverNS,
-		PeerSendNS: cur.peerSendNS, PeerRecvNS: peerRecvNS,
-		ComputeCalls: rep.ComputeCalls, ScatterCalls: rep.ScatterCalls,
-		SentMsgs: rep.SentMsgs, SentBytes: rep.SentBytes,
-		Delivered: rep.Delivered, Active: int64(rep.Active),
-	})
-	err := w.sendJSON(fStepDone, stepDoneMsg{
-		Epoch: w.epoch, Shard: w.self, StepReport: rep,
-		CkptGen: ckptGen, CkptBytes: ckptBytes,
-		ComputeNS: cur.computeNS, WaitNS: waitNS, DeliverNS: deliverNS,
-		PeerSendNS: cur.peerSendNS, PeerRecvNS: peerRecvNS,
-		DirectBytes: cur.directBytes, RelayedBytes: cur.relayedBytes,
-	})
+	w.emit(*rec)
+	err := w.sendJSON(fStepDone, stepDoneMsg{StepReport: rep, Step: *rec, CkptGen: ckptGen, CkptBytes: ckptBytes})
 	if err != nil {
 		return err
 	}
 	// Kill point "barrier": the barrier report is sent — the coordinator
 	// may close the superstep and even commit the checkpoint generation —
 	// but this process dies before seeing the next step.
-	w.io.kill("barrier", cur.step)
+	w.io.kill("barrier", rec.Superstep)
 	return nil
 }
 

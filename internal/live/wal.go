@@ -247,8 +247,9 @@ func (w *wal) rotate(epoch uint64, events int) error {
 }
 
 // syncDir fsyncs the directory containing path so a rename survives a
-// crash of the whole machine, matching engine.CheckpointStore's
-// discipline. Filesystems that refuse directory fsync are tolerated.
+// crash of the whole machine. engine.CheckpointStore does not do this: its
+// Save renames without a directory fsync. Filesystems that refuse directory
+// fsync are tolerated.
 func syncDir(path string) error {
 	d, err := os.Open(filepath.Dir(path))
 	if err != nil {

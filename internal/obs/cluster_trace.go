@@ -3,41 +3,33 @@ package obs
 import (
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"time"
 
 	"graphite/internal/stats"
 )
 
 // Merging cluster traces. A cluster run writes N+1 JSONL traces: the
-// coordinator's (run lifecycle, per-shard PhaseSpans, per-superstep
-// ClusterStep attribution, recoveries) and one per worker process
-// (RunStart + per-superstep ShardStep reports, as measured by the worker
-// itself). MergeClusterTrace folds them into one causally-ordered timeline
-// and cross-checks the two sides: every surviving superstep execution in
-// the coordinator trace must be backed by a worker-measured ShardStep with
-// the same span ID, epoch and phase timings. That catches mixed-up trace
-// files, truncated worker traces and span-propagation bugs — the
-// distributed analogue of ValidateTrace's totals reconciliation.
-
-// ClusterStepRow is one superstep of a merged cluster timeline: the
-// coordinator's attribution, its per-shard spans, and the worker-side
-// reports that back them. Replayed supersteps carry their surviving
-// (last) execution.
-type ClusterStepRow struct {
-	Step   ClusterStep
-	Spans  []PhaseSpan // coordinator-synthesized, surviving execution
-	Shards []ShardStep // worker-measured, matched by (superstep, shard, epoch)
-}
+// coordinator's (run lifecycle, one ClusterStep per closed superstep,
+// recoveries) and one per worker process (RunStart + one ShardStep per
+// superstep it completed). A shard's ShardStep is one record: the worker
+// writes it to its trace and sends it in its barrier report, and the
+// coordinator keeps it, with its relay clock added, in the ClusterStep.
+// MergeClusterTrace folds the traces into one timeline and checks that every
+// record the coordinator kept, relay fields zeroed, is one a worker wrote —
+// which catches mixed-up trace files, truncated worker traces and a record
+// altered on its way — the distributed analogue of ValidateTrace's totals
+// reconciliation.
 
 // ClusterTrace is the merged, reconciled view of one cluster run.
 type ClusterTrace struct {
 	Span    string
 	Workers int
-	// Events is the coordinator timeline with each matched worker ShardStep
-	// spliced in immediately before the ClusterStep it reconciles with.
+	// Events is the coordinator timeline with each ClusterStep preceded by
+	// the worker records it was checked against.
 	Events []Event
-	Steps  []ClusterStepRow
+	// Steps holds supersteps 1..n, each as its surviving (last) execution.
+	Steps []ClusterStep
 	// Recoveries counts coordinator-side recovery events in the timeline.
 	Recoveries int
 }
@@ -46,13 +38,11 @@ type shardStepKey struct {
 	superstep, shard, epoch int
 }
 
-// MergeClusterTrace merges a coordinator trace with N worker traces into
-// one cluster timeline, reconciling worker-measured superstep reports
-// against the coordinator's synthesized spans. Worker traces may contain
-// extra ShardSteps (executions aborted by a rollback, reports from a worker
-// that died before the coordinator closed the superstep); those are
-// tolerated. A missing or mismatched report for a surviving execution is an
-// error.
+// MergeClusterTrace merges a coordinator trace with N worker traces into one
+// cluster timeline. Worker traces may hold records the coordinator never kept
+// (executions aborted by a rollback, reports from a worker that died before
+// the coordinator closed the superstep); those are tolerated. A record the
+// coordinator kept that no worker trace holds is an error.
 func MergeClusterTrace(coord []Event, workers [][]Event) (*ClusterTrace, error) {
 	ct := &ClusterTrace{}
 	for _, e := range coord {
@@ -65,10 +55,9 @@ func MergeClusterTrace(coord []Event, workers [][]Event) (*ClusterTrace, error) 
 		return nil, fmt.Errorf("obs: coordinator trace has no run_start with a span id")
 	}
 
-	// Index worker-side reports. Reports arrive at most once per
-	// (superstep, shard, epoch) per worker process, but a replacement worker
-	// replays with the same epoch as the survivors, so keep a list and match
-	// greedily.
+	// Index the worker records. A worker writes at most one per (superstep,
+	// shard, epoch), but a replacement worker replays with the same epoch as
+	// the survivors, so keep a list.
 	byKey := map[shardStepKey][]ShardStep{}
 	for i, w := range workers {
 		for _, e := range w {
@@ -89,90 +78,35 @@ func MergeClusterTrace(coord []Event, workers [][]Event) (*ClusterTrace, error) 
 		}
 	}
 
-	// Walk the coordinator timeline: buffer spans per superstep, close rows
-	// at each ClusterStep (replays overwrite, so rows hold the surviving
-	// execution), and splice each execution's matched worker reports into
-	// the merged event stream just before its attribution record.
-	rows := map[int]*ClusterStepRow{}
-	pending := map[int][]PhaseSpan{}
+	// Walk the coordinator timeline: check each closed superstep's records,
+	// splice them in before it, and keep the last execution of each superstep.
+	rows := map[int]ClusterStep{}
 	for _, e := range coord {
 		switch ev := e.(type) {
-		case PhaseSpan:
-			pending[ev.Superstep] = append(pending[ev.Superstep], ev)
-			ct.Events = append(ct.Events, e)
 		case ClusterStep:
-			row := &ClusterStepRow{Step: ev, Spans: pending[ev.Superstep]}
-			delete(pending, ev.Superstep)
-			for _, sp := range row.Spans {
-				if sp.Phase != "compute" {
-					continue
+			for _, rec := range ev.Shards {
+				rec.RelayNS, rec.RelayBytes = 0, 0
+				if !slices.Contains(byKey[shardStepKey{rec.Superstep, rec.Shard, rec.Epoch}], rec) {
+					return nil, fmt.Errorf("obs: superstep %d: no worker trace holds the report the coordinator recorded: %+v",
+						ev.Superstep, rec)
 				}
-				k := shardStepKey{ev.Superstep, sp.Shard, ev.Epoch}
-				if got := byKey[k]; len(got) > 0 {
-					row.Shards = append(row.Shards, got[0])
-				}
+				ct.Events = append(ct.Events, rec)
 			}
-			sort.Slice(row.Shards, func(a, b int) bool { return row.Shards[a].Shard < row.Shards[b].Shard })
-			for _, ss := range row.Shards {
-				ct.Events = append(ct.Events, ss)
-			}
-			ct.Events = append(ct.Events, e)
-			rows[ev.Superstep] = row
+			rows[ev.Superstep] = ev
 		case Recovery:
 			ct.Recoveries++
-			ct.Events = append(ct.Events, e)
-		default:
-			ct.Events = append(ct.Events, e)
 		}
+		ct.Events = append(ct.Events, e)
 	}
 	if len(rows) == 0 {
-		return nil, fmt.Errorf("obs: coordinator trace has no cluster_step attribution records")
+		return nil, fmt.Errorf("obs: coordinator trace has no cluster_step records")
 	}
-
-	// Reconcile surviving executions: every compute span needs a
-	// worker-measured twin with identical timings.
-	for step := 1; len(ct.Steps) < len(rows); step++ {
-		row, ok := rows[step]
-		if !ok {
-			return nil, fmt.Errorf("obs: cluster trace superstep %d missing (non-contiguous attribution)", step)
-		}
-		byShard := map[int]ShardStep{}
-		for _, ss := range row.Shards {
-			byShard[ss.Shard] = ss
-		}
-		for _, sp := range row.Spans {
-			switch sp.Phase {
-			case "compute":
-				ss, ok := byShard[sp.Shard]
-				if !ok {
-					return nil, fmt.Errorf("obs: superstep %d shard %d (epoch %d): no worker trace carries its report",
-						step, sp.Shard, row.Step.Epoch)
-				}
-				if ss.ComputeNS != sp.NS {
-					return nil, fmt.Errorf("obs: superstep %d shard %d: worker measured compute %dns, coordinator span says %dns",
-						step, sp.Shard, ss.ComputeNS, sp.NS)
-				}
-			case "barrier_wait":
-				if ss, ok := byShard[sp.Shard]; ok && ss.WaitNS != sp.NS {
-					return nil, fmt.Errorf("obs: superstep %d shard %d: worker measured barrier wait %dns, coordinator span says %dns",
-						step, sp.Shard, ss.WaitNS, sp.NS)
-				}
-			}
-		}
-		ct.Steps = append(ct.Steps, *row)
+	var err error
+	ct.Steps, err = inOrder(rows)
+	if err != nil {
+		return nil, err
 	}
 	return ct, nil
-}
-
-// Slowest returns the shard attribution row's worker-side report for the
-// slowest shard, when present.
-func (r *ClusterStepRow) Slowest() (ShardStep, bool) {
-	for _, ss := range r.Shards {
-		if ss.Shard == r.Step.SlowestShard {
-			return ss, true
-		}
-	}
-	return ShardStep{}, false
 }
 
 // Render prints the merged cluster timeline as a per-superstep straggler
@@ -183,25 +117,19 @@ func (ct *ClusterTrace) Render(w io.Writer) {
 	t := stats.Table{Header: []string{
 		"Step", "Wall", "Compute", "Wait", "Relay", "Slowest", "Skew",
 	}}
-	var wall, compute, wait, relay int64
-	for _, row := range ct.Steps {
-		s := row.Step
+	us := func(ns int64) time.Duration { return time.Duration(ns).Round(time.Microsecond) }
+	var wall int64
+	var all ShardStep
+	for _, s := range ct.Steps {
+		sum := s.Total()
 		wall += s.WallNS
-		compute += s.ComputeNS
-		wait += s.WaitNS
-		relay += s.RelayNS
-		t.Add(s.Superstep,
-			time.Duration(s.WallNS).Round(time.Microsecond),
-			time.Duration(s.ComputeNS).Round(time.Microsecond),
-			time.Duration(s.WaitNS).Round(time.Microsecond),
-			time.Duration(s.RelayNS).Round(time.Microsecond),
+		all.ComputeNS += sum.ComputeNS
+		all.WaitNS += sum.WaitNS
+		all.RelayNS += sum.RelayNS
+		t.Add(s.Superstep, us(s.WallNS), us(sum.ComputeNS), us(sum.WaitNS), us(sum.RelayNS),
 			fmt.Sprintf("shard %d", s.SlowestShard),
 			fmt.Sprintf("%.2f×", float64(s.SkewMilli)/1000))
 	}
-	t.Add("total",
-		time.Duration(wall).Round(time.Microsecond),
-		time.Duration(compute).Round(time.Microsecond),
-		time.Duration(wait).Round(time.Microsecond),
-		time.Duration(relay).Round(time.Microsecond), "-", "-")
+	t.Add("total", us(wall), us(all.ComputeNS), us(all.WaitNS), us(all.RelayNS), "-", "-")
 	t.Render(w)
 }

@@ -8,31 +8,24 @@ import (
 )
 
 // Synthetic cluster-trace builders: a 2-shard fleet, parameterized per
-// superstep by each shard's compute time (wait/deliver derived from it so
-// reconciliation has non-trivial numbers to match).
+// superstep by each shard's compute time (wait derived from it so the records
+// have non-trivial numbers to match).
 
-func coordStep(span string, step, epoch int, computes []int64) []obs.Event {
-	var evs []obs.Event
-	var sumC, sumW int64
-	slowest, maxC := 0, int64(-1)
+func coordStep(span string, step, epoch int, computes []int64) obs.ClusterStep {
+	cs := obs.ClusterStep{Span: span, Superstep: step, Epoch: epoch}
+	var sumC int64
 	for s, c := range computes {
-		evs = append(evs,
-			obs.PhaseSpan{Span: span, Superstep: step, Shard: s, Phase: "compute", NS: c},
-			obs.PhaseSpan{Span: span, Superstep: step, Shard: s, Phase: "barrier_wait", NS: c / 2},
-			obs.PhaseSpan{Span: span, Superstep: step, Shard: s, Phase: "relay", NS: 10},
-		)
+		rec := workerStep(span, step, s, epoch, c)
+		rec.RelayNS = 10 // the coordinator's own clock
+		cs.Shards = append(cs.Shards, rec)
+		cs.WallNS = max(cs.WallNS, c+c/2)
 		sumC += c
-		sumW += c / 2
-		if c > maxC {
-			maxC, slowest = c, s
+		if c > computes[cs.SlowestShard] {
+			cs.SlowestShard = s
 		}
 	}
-	evs = append(evs, obs.ClusterStep{
-		Span: span, Superstep: step, Epoch: epoch, WallNS: sumC + sumW,
-		SlowestShard: slowest, SkewMilli: maxC * 1000 * int64(len(computes)) / sumC,
-		ComputeNS: sumC, WaitNS: sumW, RelayNS: 10 * int64(len(computes)),
-	})
-	return evs
+	cs.SkewMilli = computes[cs.SlowestShard] * 1000 * int64(len(computes)) / sumC
+	return cs
 }
 
 func workerStep(span string, step, shard, epoch int, compute int64) obs.ShardStep {
@@ -45,8 +38,8 @@ func workerStep(span string, step, shard, epoch int, compute int64) obs.ShardSte
 // cleanCluster builds a fault-free 2-shard, 2-superstep cluster trace set.
 func cleanCluster(span string) (coord []obs.Event, workers [][]obs.Event) {
 	coord = []obs.Event{obs.RunStart{Vertices: 10, Workers: 2, Span: span}}
-	coord = append(coord, coordStep(span, 1, 0, []int64{100, 200})...)
-	coord = append(coord, coordStep(span, 2, 0, []int64{300, 150})...)
+	coord = append(coord, coordStep(span, 1, 0, []int64{100, 200}))
+	coord = append(coord, coordStep(span, 2, 0, []int64{300, 150}))
 	coord = append(coord, obs.RunEnd{Supersteps: 2})
 	for shard := 0; shard < 2; shard++ {
 		w := []obs.Event{obs.RunStart{Vertices: 10, Workers: 2, Span: span}}
@@ -71,23 +64,23 @@ func TestMergeClusterTraceCleanRun(t *testing.T) {
 		t.Fatalf("%d steps, want 2", len(ct.Steps))
 	}
 	for i, row := range ct.Steps {
-		if row.Step.Superstep != i+1 {
-			t.Errorf("step %d has superstep %d", i, row.Step.Superstep)
-		}
-		if len(row.Spans) != 6 || len(row.Shards) != 2 {
-			t.Errorf("superstep %d: %d spans, %d shard reports; want 6 and 2", i+1, len(row.Spans), len(row.Shards))
+		if row.Superstep != i+1 || len(row.Shards) != 2 {
+			t.Errorf("step %d: superstep %d with %d shard records; want %d and 2", i, row.Superstep, len(row.Shards), i+1)
 		}
 	}
-	if ss, ok := ct.Steps[1].Slowest(); !ok || ss.Shard != 0 || ss.ComputeNS != 300 {
-		t.Errorf("Slowest() = %+v, %v; want shard 0 / 300ns", ss, ok)
+	if got := ct.Steps[1].SlowestShard; got != 0 {
+		t.Errorf("superstep 2 slowest shard = %d, want 0", got)
 	}
-	// The merged timeline splices worker reports immediately before their
-	// ClusterStep.
+	// The merged timeline splices the worker records, as the workers wrote
+	// them, immediately before their ClusterStep.
 	for i, e := range ct.Events {
 		if cs, ok := e.(obs.ClusterStep); ok {
-			prev, ok := ct.Events[i-1].(obs.ShardStep)
-			if !ok || prev.Superstep != cs.Superstep {
-				t.Errorf("superstep %d ClusterStep not preceded by its ShardStep (got %T)", cs.Superstep, ct.Events[i-1])
+			for j, st := range cs.Shards {
+				st.RelayNS = 0
+				if prev, ok := ct.Events[i-len(cs.Shards)+j].(obs.ShardStep); !ok || prev != st {
+					t.Errorf("superstep %d ClusterStep not preceded by shard %d's record (got %#v)",
+						cs.Superstep, j, ct.Events[i-len(cs.Shards)+j])
+				}
 			}
 		}
 	}
@@ -104,11 +97,11 @@ func TestMergeClusterTraceCleanRun(t *testing.T) {
 func TestMergeClusterTraceReplay(t *testing.T) {
 	span := "span-r"
 	coord := []obs.Event{obs.RunStart{Vertices: 10, Workers: 2, Span: span}}
-	coord = append(coord, coordStep(span, 1, 0, []int64{100, 200})...)
+	coord = append(coord, coordStep(span, 1, 0, []int64{100, 200}))
 	// Superstep 2 first executes at epoch 0... then the coordinator loses a
 	// worker before closing it (no ClusterStep), recovers, and replays.
 	coord = append(coord, obs.Recovery{Failed: 2, ResumeAt: 2, Attempt: 1, Reason: "worker_lost"})
-	coord = append(coord, coordStep(span, 2, 1, []int64{310, 160})...)
+	coord = append(coord, coordStep(span, 2, 1, []int64{310, 160}))
 	coord = append(coord, obs.RunEnd{Supersteps: 2, Recoveries: 1})
 
 	var workers [][]obs.Event
@@ -133,8 +126,8 @@ func TestMergeClusterTraceReplay(t *testing.T) {
 		t.Fatalf("%d steps, want 2", len(ct.Steps))
 	}
 	row := ct.Steps[1]
-	if row.Step.Epoch != 1 || row.Step.ComputeNS != 470 {
-		t.Errorf("surviving superstep 2 = %+v, want epoch 1 compute 470", row.Step)
+	if row.Epoch != 1 || row.Total().ComputeNS != 470 {
+		t.Errorf("surviving superstep 2 = %+v, want epoch 1 compute 470", row)
 	}
 	for _, ss := range row.Shards {
 		if ss.Epoch != 1 {
@@ -161,16 +154,29 @@ func TestMergeClusterTraceRejections(t *testing.T) {
 		{"missing worker report", func(c []obs.Event, w [][]obs.Event) ([]obs.Event, [][]obs.Event) {
 			w[1] = w[1][:2] // drop shard 1's superstep-2 report
 			return c, w
-		}, "no worker trace carries its report"},
+		}, "no worker trace holds the report"},
 		{"compute mismatch", func(c []obs.Event, w [][]obs.Event) ([]obs.Event, [][]obs.Event) {
 			ss := w[0][1].(obs.ShardStep)
 			ss.ComputeNS++
 			w[0][1] = ss
 			return c, w
-		}, "worker measured compute"},
+		}, "no worker trace holds the report"},
+		// Every field of the record is checked, not only the compute and
+		// wait clocks: the coordinator altering a shard's deliver time is
+		// a record no worker wrote.
+		{"deliver mismatch", func(c []obs.Event, w [][]obs.Event) ([]obs.Event, [][]obs.Event) {
+			cs := c[2].(obs.ClusterStep)
+			cs.Shards = append([]obs.ShardStep(nil), cs.Shards...)
+			cs.Shards[1].DeliverNS = 0
+			c[2] = cs
+			return c, w
+		}, "superstep 2: no worker trace holds the report"},
 		{"no attribution", func(c []obs.Event, w [][]obs.Event) ([]obs.Event, [][]obs.Event) {
 			return []obs.Event{c[0], c[len(c)-1]}, w
-		}, "no cluster_step attribution"},
+		}, "no cluster_step records"},
+		{"gap", func(c []obs.Event, w [][]obs.Event) ([]obs.Event, [][]obs.Event) {
+			return []obs.Event{c[0], c[2], c[3]}, w
+		}, "superstep 1 missing"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			coord, workers := cleanCluster(span)

@@ -38,8 +38,6 @@ func newEventOf(kind string) Event {
 		return &WorkerLost{}
 	case "cluster_recovery":
 		return &ClusterRecovery{}
-	case "span":
-		return &PhaseSpan{}
 	case "shard_step":
 		return &ShardStep{}
 	case "cluster_step":
@@ -81,8 +79,6 @@ func deref(e Event) Event {
 	case *WorkerLost:
 		return *v
 	case *ClusterRecovery:
-		return *v
-	case *PhaseSpan:
 		return *v
 	case *ShardStep:
 		return *v
@@ -223,18 +219,32 @@ func Summarize(events []Event) (*Summary, error) {
 			row(ev.Superstep).SendRetries++
 		}
 	}
-	// Order rows by superstep; the map-backed rows are re-collected here.
 	// Replayed supersteps overwrote their metric fields in place, so each
 	// row reflects the successful execution, as the engine's totals do.
-	for step := 1; len(s.Rows) < len(byStep); step++ {
-		if r, ok := byStep[step]; ok {
-			s.Rows = append(s.Rows, *r)
-		}
-		if step > 1<<30 {
-			return nil, fmt.Errorf("obs: non-contiguous superstep numbering in trace")
-		}
+	rows, err := inOrder(byStep)
+	if err != nil {
+		return nil, err
+	}
+	for _, r := range rows {
+		s.Rows = append(s.Rows, *r)
 	}
 	return s, nil
+}
+
+// inOrder returns the rows of supersteps 1..n, where n is how many rows there
+// are, in order; a row numbered outside 1..n leaves one of them missing, which
+// is an error.
+func inOrder[T any](rows map[int]T) ([]T, error) {
+	out := make([]T, 0, len(rows))
+	for step := 1; step <= len(rows); step++ {
+		r, ok := rows[step]
+		if !ok {
+			return nil, fmt.Errorf("obs: superstep %d missing: the trace's %d supersteps are not numbered 1..%d",
+				step, len(rows), len(rows))
+		}
+		out = append(out, r)
+	}
+	return out, nil
 }
 
 // Render prints the summary as the per-superstep breakdown table.

@@ -211,70 +211,67 @@ type ClusterRecovery struct {
 // Kind implements Event.
 func (ClusterRecovery) Kind() string { return "cluster_recovery" }
 
-// PhaseSpan is one shard's share of one phase of a distributed superstep,
-// synthesized by the cluster coordinator from worker barrier reports and its
-// own relay clock: "compute" (the worker's compute + outbound + ship time),
-// "barrier_wait" (the worker idled waiting for peer batches and the step
-// commit), "relay" (coordinator time spent forwarding data batches toward
-// this shard), and — on the direct data plane — "peer_send" (the shard's
-// time writing batches to mesh peers) and "peer_recv" (idle between ship
-// and the last direct batch arrival). All spans of a run carry the run's
-// span ID, so a cluster timeline is a filter over one string.
-type PhaseSpan struct {
-	Span      string `json:"span,omitempty"`
-	Superstep int    `json:"superstep"`
-	Shard     int    `json:"shard"`
-	Phase     string `json:"phase"`
-	NS        int64  `json:"ns"`
-}
-
-// Kind implements Event.
-func (PhaseSpan) Kind() string { return "span" }
-
-// ShardStep is one worker's completed superstep as measured by the worker
-// itself: the record it piggybacks onto its barrier report and writes to its
-// local trace. The coordinator reconciles these against its own synthesized
-// PhaseSpans when N worker traces are merged into a cluster timeline.
+// ShardStep is one shard's share of one distributed superstep, and the one
+// record of it: the worker fills it from its own clock, writes it to its trace
+// and sends it in its barrier report; the coordinator adds its relay clock and
+// keeps it as that shard's row of the superstep's ClusterStep. ComputeNS is
+// compute + outbound + shipping the batches, WaitNS the idle time until the
+// last peer batch landed, DeliverNS delivery + barrier + checkpoint I/O;
+// PeerSendNS and DirectBytes are what the shard wrote to mesh peers, PeerRecvNS
+// the time from shipping to the last direct batch's arrival. RelayNS and
+// RelayBytes are the coordinator's time and volume forwarding batches toward
+// the shard (those whose mesh link was down): zero in a worker's trace.
 type ShardStep struct {
-	Span         string `json:"span,omitempty"`
-	Superstep    int    `json:"superstep"`
-	Shard        int    `json:"shard"`
-	Epoch        int    `json:"epoch"`
-	ComputeNS    int64  `json:"compute_ns"`
-	WaitNS       int64  `json:"wait_ns"`
-	DeliverNS    int64  `json:"deliver_ns"`
-	PeerSendNS   int64  `json:"peer_send_ns,omitempty"`
-	PeerRecvNS   int64  `json:"peer_recv_ns,omitempty"`
-	ComputeCalls int64  `json:"compute_calls,omitempty"`
-	ScatterCalls int64  `json:"scatter_calls,omitempty"`
-	SentMsgs     int64  `json:"sent_msgs,omitempty"`
-	SentBytes    int64  `json:"sent_bytes,omitempty"`
-	Delivered    int64  `json:"delivered,omitempty"`
-	Active       int64  `json:"active,omitempty"`
+	Span        string `json:"span,omitempty"`
+	Superstep   int    `json:"superstep"`
+	Shard       int    `json:"shard"`
+	Epoch       int    `json:"epoch"`
+	ComputeNS   int64  `json:"compute_ns"`
+	WaitNS      int64  `json:"wait_ns"`
+	DeliverNS   int64  `json:"deliver_ns"`
+	PeerSendNS  int64  `json:"peer_send_ns,omitempty"`
+	PeerRecvNS  int64  `json:"peer_recv_ns,omitempty"`
+	DirectBytes int64  `json:"direct_bytes,omitempty"`
+	RelayNS     int64  `json:"relay_ns,omitempty"`
+	RelayBytes  int64  `json:"relay_bytes,omitempty"`
 }
 
 // Kind implements Event.
 func (ShardStep) Kind() string { return "shard_step" }
 
-// ClusterStep is the coordinator's straggler attribution for one distributed
-// superstep: which shard was slowest, how compute skewed across shards
-// (max/mean compute time in thousandths; 1000 = perfectly balanced), and the
-// fleet-wide compute / barrier-wait / relay split. WallNS is the coordinator
-// wall time from step broadcast to the last barrier report.
+// ClusterStep is one closed distributed superstep: the coordinator's trace
+// event and its /debug/cluster row. WallNS is the coordinator's wall time from
+// step broadcast to the last barrier report; SlowestShard has the largest
+// compute time, and SkewMilli is max/mean compute in thousandths (1000 =
+// perfectly balanced). Shards holds each shard's record, shards ascending.
 type ClusterStep struct {
-	Span         string `json:"span,omitempty"`
-	Superstep    int    `json:"superstep"`
-	Epoch        int    `json:"epoch"`
-	WallNS       int64  `json:"wall_ns"`
-	SlowestShard int    `json:"slowest_shard"`
-	SkewMilli    int64  `json:"skew_milli"`
-	ComputeNS    int64  `json:"compute_ns"` // sum across shards
-	WaitNS       int64  `json:"wait_ns"`    // sum across shards
-	RelayNS      int64  `json:"relay_ns"`   // coordinator relay time
+	Span         string      `json:"span,omitempty"`
+	Superstep    int         `json:"superstep"`
+	Epoch        int         `json:"epoch"`
+	WallNS       int64       `json:"wall_ns"`
+	SlowestShard int         `json:"slowest_shard"`
+	SkewMilli    int64       `json:"skew_milli"`
+	Shards       []ShardStep `json:"shards"`
 }
 
 // Kind implements Event.
 func (ClusterStep) Kind() string { return "cluster_step" }
+
+// Total sums the shard records' clocks and volumes: the fleet's share of the
+// superstep.
+func (c ClusterStep) Total() ShardStep {
+	var t ShardStep
+	for _, s := range c.Shards {
+		t.ComputeNS += s.ComputeNS
+		t.WaitNS += s.WaitNS
+		t.DeliverNS += s.DeliverNS
+		t.PeerSendNS += s.PeerSendNS
+		t.DirectBytes += s.DirectBytes
+		t.RelayNS += s.RelayNS
+		t.RelayBytes += s.RelayBytes
+	}
+	return t
+}
 
 // EpochPublish records one live-graph ingest batch becoming visible: the
 // epoch it published, the batch size, the cumulative event count, and the

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 // fullStream is a synthetic fault-free trace of two supersteps whose sums
@@ -280,6 +281,30 @@ func TestSplitRuns(t *testing.T) {
 	// Events before the first run_start are dropped.
 	if got := SplitRuns([]Event{SuperstepStart{Superstep: 1}}); got != nil {
 		t.Errorf("leading orphan events should be dropped, got %v", got)
+	}
+}
+
+// TestSummarizeRejectsBadNumbering: a trace whose supersteps are not numbered
+// 1..n — one numbered 0, or a gap — is an error, returned at once.
+func TestSummarizeRejectsBadNumbering(t *testing.T) {
+	const start = `{"type":"run_start","vertices":1,"workers":1}` + "\n"
+	for _, tc := range []struct{ name, trace string }{
+		{"zero", start + `{"type":"superstep_start","superstep":0,"active":1}`},
+		{"gap", start + `{"type":"superstep_start","superstep":1,"active":1}` + "\n" +
+			`{"type":"superstep_start","superstep":3,"active":1}`},
+	} {
+		events, err := ParseTrace(strings.NewReader(tc.trace))
+		if err != nil {
+			t.Fatalf("%s: ParseTrace: %v", tc.name, err)
+		}
+		began := time.Now()
+		s, err := Summarize(events)
+		if took := time.Since(began); took > 100*time.Millisecond {
+			t.Errorf("%s: Summarize took %v", tc.name, took)
+		}
+		if err == nil || !strings.Contains(err.Error(), "not numbered 1..") {
+			t.Errorf("%s: Summarize = %+v, %v; want a numbering error", tc.name, s, err)
+		}
 	}
 }
 
