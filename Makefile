@@ -23,9 +23,9 @@ test-count:
 		END {print "top-level", top; print "total", all; exit bad != 0}'
 
 # Race-checked run of the fault-tolerance, observability and serving
-# surfaces (the chaos acceptance tests, the concurrent registry tests, the
-# query-service concurrency tests, and the pool-aliasing test), plus the
-# warp/algorithm layers whose per-worker scratch reuse must stay race-free,
+# surfaces (the kill-9 tests, the cluster simulator, the concurrent registry
+# tests, the query-service concurrency tests, and the pool-aliasing test),
+# plus the warp/algorithm layers whose per-worker scratch reuse must stay race-free,
 # and the ICM runtime, whose scatter plan is built once per graph by whichever
 # of several concurrent runs gets there first, on a fresh graph and on a live
 # epoch building from its predecessor's plan (repeated: the window is the
@@ -35,12 +35,13 @@ test-count:
 # The exchange path's tests are repeated too: every worker stages its peers'
 # outboxes and refills its one inbox each superstep, so a read of a buffer
 # another worker is still filling, or a range delivered twice, shows there.
-# So are the failure-channel tests: a program error or a failed exchange
-# crosses worker goroutines through the engine's one recorded failure.
+# So are the failure-channel tests: a program error, a panic or a failed
+# exchange crosses worker goroutines through the engine's one recorded
+# failure.
 race:
 	$(GO) test -race ./internal/engine/... ./internal/chaos/... ./internal/cluster/... ./internal/obs/... ./internal/serve/... ./internal/warp/... ./internal/algorithms/... ./internal/core/... ./internal/tgraph/... ./internal/stream/... ./internal/live/...
 	$(GO) test -race -count=10 -run 'TestPlanSharedByConcurrentRuns' ./internal/core/
-	$(GO) test -race -count=10 -run 'TestPoolNoAliasingAcrossSupersteps|TestReceiveChecksOwnership|FuzzSenderCombine|TestStaleRangeNotDeliveredAgain|TestRollbackNeedsResettableTransport' ./internal/engine/
+	$(GO) test -race -count=10 -run 'TestPoolNoAliasingAcrossSupersteps|TestReceiveChecksOwnership|FuzzSenderCombine|TestStaleRangeNotDeliveredAgain|TestRunSurvivesFaults' ./internal/engine/
 	$(GO) test -race -count=10 -run 'TestProgramErrorEndsItsSuperstep' ./internal/core/
 
 # Fuzz smoke: every fuzz target in the codec (intervals, slices, the word

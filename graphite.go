@@ -29,8 +29,8 @@
 //     coordinator driving shard workers over framed TCP with heartbeats,
 //     durable checkpoints and kill-9 rollback-and-replay recovery
 //     (cmd/graphite-coordinator and cmd/graphite-worker are its daemons);
-//   - internal/chaos — fault injection, from transport faults and scheduled
-//     panics up to a process fleet that SIGKILLs and respawns real workers.
+//   - internal/chaos — fault injection: a process fleet that SIGKILLs and
+//     respawns real workers.
 //
 // A minimal program:
 //
@@ -189,32 +189,20 @@ type (
 	PairCodec = codec.PairCodec
 )
 
-// Fault tolerance: transports, typed failures, and the injection harness.
+// Transports and typed failures.
 type (
 	// Transport ships encoded message batches between BSP workers.
 	Transport = engine.Transport
 	// VertexPanicError reports a recovered user-program panic with the
 	// vertex, superstep and stack that produced it.
 	VertexPanicError = engine.VertexPanicError
-	// ChaosTransportOptions schedules deterministic transport faults.
-	ChaosTransportOptions = chaos.TransportOptions
-	// PanicPlan schedules one injected user-program panic.
-	PanicPlan = chaos.PanicPlan
 )
 
-var (
-	// NewTCPTransport wires n workers into a loopback TCP mesh.
-	NewTCPTransport = engine.NewTCPTransport
-	// NewChaosTransport builds an in-memory mesh with scheduled fault
-	// injection (drops, corruption, duplication, delays).
-	NewChaosTransport = chaos.NewTransport
-	// NewFaultyProgram wraps a program to panic on schedule; use its Wrap
-	// method as Options.WrapProgram.
-	NewFaultyProgram = chaos.NewFaultyProgram
-)
+// NewTCPTransport wires n workers into a loopback TCP mesh.
+var NewTCPTransport = engine.NewTCPTransport
 
-// ErrRecoveryExhausted wraps the run error once rollback-and-replay has hit
-// the Options.MaxRecoveries budget.
+// ErrRecoveryExhausted wraps a cluster run's error once it has lost more
+// workers than the ClusterConfig.MaxRecoveries budget allows.
 var ErrRecoveryExhausted = engine.ErrRecoveryExhausted
 
 // PartitionBalanced builds a skew-aware partitioner for Options.Partitioner

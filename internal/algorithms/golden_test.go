@@ -143,7 +143,7 @@ func steppedShards(gg goldenGraph, algo string, workers int) ([]*core.Shard, *en
 		}
 		opts, pc = o, core.StateCodecOf(prog, o)
 	}
-	b, err := core.NewBarrier(opts)
+	b, err := core.NewBarrier(opts, 0)
 	return shards, b, pc, err
 }
 

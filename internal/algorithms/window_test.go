@@ -85,7 +85,7 @@ func runStepped(g *tgraph.Graph, name string, p Params, workers int) (*core.Resu
 		defer shards[i].Close()
 		opts, pc = o, core.StateCodecOf(prog, o)
 	}
-	b, err := core.NewBarrier(opts)
+	b, err := core.NewBarrier(opts, 0)
 	if err != nil {
 		return nil, err
 	}

@@ -1,13 +1,18 @@
-package chaos
-
-// Process-level chaos: spawn real worker processes, SIGKILL them at planted
-// points (mid-superstep, mid-checkpoint-write, mid-barrier), and respawn
-// replacements on the same checkpoint directory — the harness behind the
-// kill-9 recovery proof. The parent process plays coordinator; workers are
+// Package chaos proves recovery by killing real processes. Fleet spawns
+// cluster workers, lets them SIGKILL themselves at planted points
+// (mid-superstep, mid-checkpoint-write, mid-barrier) and respawns
+// replacements on the same checkpoint directory: the harness behind the
+// kill-9 tests, whose recovered results must be the fault-free run's. The
+// package's other kill-9 tests SIGKILL a process appending to a live graph's
+// WAL, and one that also compacts the WAL into snapshots, and require the
+// graph that reopens to hold every acknowledged batch. The parent process plays coordinator; children are
 // re-executions of the parent binary detected via an environment variable,
-// the standard trick for subprocess tests without a second binary.
+// the standard trick for subprocess tests without a second binary. Its
+// in-process tests inject a vertex panic or a corrupt batch into shards
+// stepped as the coordinator steps them, and recover as the cluster does.
 //
 // chaos imports cluster; cluster must never import chaos.
+package chaos
 
 import (
 	"context"

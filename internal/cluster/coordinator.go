@@ -48,7 +48,7 @@ type Config struct {
 	// worker before the run is abandoned. Zero means DefaultRejoinTimeout.
 	RejoinTimeout time.Duration
 	// MaxRecoveries bounds rollback-and-replay cycles over the run, one per
-	// worker lost, as engine.Config.MaxRecoveries does for Run: zero means
+	// worker lost (engine.Config.MaxRecoveries): zero means
 	// engine.DefaultMaxRecoveries, negative means unlimited.
 	MaxRecoveries int
 	// Span is the run-scoped span ID stamped on the coordinator's trace and
@@ -216,13 +216,13 @@ func New(cfg Config) (*Coordinator, error) {
 	if err != nil {
 		return nil, err
 	}
-	opts.NumWorkers, opts.MaxRecoveries = cfg.Workers, cfg.MaxRecoveries
+	opts.NumWorkers = cfg.Workers
 	if pmeta != nil {
 		// Adopt the embedded assignment so message addressing matches the
 		// partition files; recomputing from a partial graph would diverge.
 		opts.Partitioner = pmeta.Partitioner()
 	}
-	barrier, err := core.NewBarrier(opts)
+	barrier, err := core.NewBarrier(opts, cfg.MaxRecoveries)
 	if err != nil {
 		return nil, err
 	}

@@ -41,6 +41,7 @@ import (
 	"graphite/internal/algorithms"
 	"graphite/internal/cluster"
 	"graphite/internal/core"
+	"graphite/internal/engine"
 	"graphite/internal/obs"
 	"graphite/internal/tgraph"
 )
@@ -77,13 +78,14 @@ type faultKind int
 const (
 	faultNone     faultKind = iota
 	faultCrash              // slot's first worker dies after its n-th frame
-	faultKill               // slot's first worker dies at kill point (phase, step)
+	faultKill               // slot's first worker dies at kill point (phase, step), a replacement at (phase, again)
 	faultHang               // slot's first worker goes silent on receiving step
 	faultDeadLink           // slot's mesh link to dst dies when slot receives step
 )
 
 // schedule is one simulated run: a program, the scheduler's seed and at most
-// one fault. inject, when set, is delivered on slot's connection as if its
+// one fault — a kill strikes a replacement too when again is set.
+// inject, when set, is delivered on slot's connection as if its
 // worker had sent it (slot -1: on a connection that never said hello), right
 // after the coordinator first broadcasts step.
 type schedule struct {
@@ -94,6 +96,7 @@ type schedule struct {
 	n      int
 	phase  string
 	step   int
+	again  int // faultKill: the superstep the replacement dies at, 0 for never
 	dst    int
 	inject *simFrame
 }
@@ -105,6 +108,9 @@ func (sc schedule) String() string {
 		fault = fmt.Sprintf("worker %d crashes after frame %d", sc.slot, sc.n)
 	case faultKill:
 		fault = fmt.Sprintf("worker %d killed at %s:%d", sc.slot, sc.phase, sc.step)
+		if sc.again > 0 {
+			fault += fmt.Sprintf(", its replacement at %s:%d", sc.phase, sc.again)
+		}
 	case faultHang:
 		fault = fmt.Sprintf("worker %d silent from superstep %d", sc.slot, sc.step)
 	case faultDeadLink:
@@ -175,14 +181,15 @@ type sim struct {
 	incs   []int
 	reborn []int // slots waiting for a replacement
 
-	err       error
-	epoch     int // the coordinator's latest epoch, as its rollbacks say
-	broadcast int // the highest superstep broadcast in epoch 0
-	injected  bool
-	stale     int             // deliveries of an earlier epoch's data
-	workerErr []string        // why workers exited, for the repro line
-	frames    map[byte][]byte // the first frame of each type sent
-	traces    []*obs.Recorder // each slot's trace, shared by its incarnations as a worker's trace file is
+	err         error
+	epoch       int // the coordinator's latest epoch, as its rollbacks say
+	broadcast   int // the highest superstep broadcast in epoch 0
+	injected    bool
+	killedAgain bool            // a replacement died at the schedule's again
+	stale       int             // deliveries of an earlier epoch's data
+	workerErr   []string        // why workers exited, for the repro line
+	frames      map[byte][]byte // the first frame of each type sent
+	traces      []*obs.Recorder // each slot's trace, shared by its incarnations as a worker's trace file is
 }
 
 var discard = slog.New(slog.NewTextHandler(io.Discard, nil))
@@ -534,7 +541,15 @@ func (n *node) Now() time.Time {
 }
 
 func (n *node) Kill(phase string, superstep int) {
-	if sc := n.s.sc; sc.kind == faultKill && n.inc == 0 && n.slot == sc.slot && sc.phase == phase && sc.step == superstep {
+	sc := n.s.sc
+	if sc.kind != faultKill || n.slot != sc.slot || sc.phase != phase {
+		return
+	}
+	if n.inc == 0 && superstep == sc.step {
+		panic(simCrash{})
+	}
+	if n.inc > 0 && sc.again > 0 && superstep == sc.again && !n.s.killedAgain {
+		n.s.killedAgain = true
 		panic(simCrash{})
 	}
 }
@@ -827,6 +842,50 @@ func TestSimKillMatrixRows(t *testing.T) {
 				} else if rec := s.coord.Report().Recoveries; len(rec) != 1 {
 					t.Errorf("sim: %s: recoveries %+v", sc, rec)
 				}
+			}
+		})
+	}
+}
+
+// TestSimRecoveryBudget kills worker 1 in the compute phase of superstep 3
+// and its replacement in that of superstep 5: two workers lost. Under a
+// budget of one recovery the second loss ends the run with the barrier's
+// error, which Serve returns, wrapping engine.ErrRecoveryExhausted; without a
+// budget the run recovers twice and ends identical to core.Run.
+func TestSimRecoveryBudget(t *testing.T) {
+	sc := schedule{algo: "pr", seed: 1, kind: faultKill, slot: 1, phase: "compute", step: 3, again: 5}
+	for _, row := range []struct {
+		name      string
+		budget    int
+		exhausted bool
+	}{
+		{"budget of one", 1, true},
+		{"unlimited", -1, false},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			rec := &obs.Recorder{}
+			s := newSim(t, sc, cluster.Config{Tracer: rec, MaxRecoveries: row.budget})
+			res, err := s.run()
+			if row.exhausted {
+				if !errors.Is(err, engine.ErrRecoveryExhausted) {
+					t.Fatalf("%s: run ended with %v, want an error wrapping ErrRecoveryExhausted", sc, err)
+				}
+				if n := rec.Count("worker_lost"); n != 2 {
+					t.Errorf("%s: %d workers lost, want 2", sc, n)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("%s: %v", sc, err)
+			}
+			if d := diffResult(tgraph.TransitExample(), res, simReference(t, sc.algo)); d != "" {
+				t.Errorf("%s: %s", sc, d)
+			}
+			if n := len(s.coord.Report().Recoveries); n != 2 || res.Metrics.Recoveries != 2 {
+				t.Errorf("%s: %d recoveries reported, %d counted, want 2", sc, n, res.Metrics.Recoveries)
+			}
+			if msg := s.merged(rec, res); msg != "" {
+				t.Errorf("%s: %s", sc, msg)
 			}
 		})
 	}

@@ -150,18 +150,9 @@ type Options struct {
 	// CheckInvariants re-verifies the partitioned-state invariant after
 	// every compute call (tests and debugging).
 	CheckInvariants bool
-	// CheckpointEvery enables superstep checkpointing in the engine: every
-	// k-th superstep the vertex states, inboxes, active flags, phase and
-	// merged aggregates are captured, and a failed superstep (user-program
-	// panic, codec failure, transport error) rolls back and replays instead of
-	// aborting (engine.Config.CheckpointEvery). Requires PayloadCodec.
-	CheckpointEvery int
-	// MaxRecoveries bounds rollback-and-replay attempts over the run; zero
-	// means the engine default, negative means unlimited.
-	MaxRecoveries int
 	// WrapProgram, when set, wraps the engine-level program a run or a shard
-	// executes: the fault-injection seam internal/chaos uses to schedule
-	// panics inside an otherwise unmodified ICM run.
+	// executes: the seam tests use to count, record or fault the vertex runs
+	// of an otherwise unmodified ICM run.
 	WrapProgram func(engine.Program) engine.Program
 	// Context, when set, makes the run cancellable: cancellation is observed
 	// at superstep barriers and surfaces as an error wrapping
@@ -331,18 +322,16 @@ func prepare(g *tgraph.Graph, prog Program, opts Options) (*runtime, engine.Prog
 // and the barrier closing either's supersteps alike.
 func engineConfig(opts Options) engine.Config {
 	return engine.Config{
-		NumWorkers:      opts.NumWorkers,
-		MaxSupersteps:   opts.MaxSupersteps,
-		ActivateAll:     opts.ActivateAll,
-		Partitioner:     opts.Partitioner,
-		PayloadCodec:    opts.PayloadCodec,
-		Transport:       opts.Transport,
-		Aggregators:     opts.Aggregators,
-		Master:          opts.Master,
-		CheckpointEvery: opts.CheckpointEvery,
-		MaxRecoveries:   opts.MaxRecoveries,
-		Registry:        opts.Registry,
-		Context:         opts.Context,
-		Span:            opts.Span,
+		NumWorkers:    opts.NumWorkers,
+		MaxSupersteps: opts.MaxSupersteps,
+		ActivateAll:   opts.ActivateAll,
+		Partitioner:   opts.Partitioner,
+		PayloadCodec:  opts.PayloadCodec,
+		Transport:     opts.Transport,
+		Aggregators:   opts.Aggregators,
+		Master:        opts.Master,
+		Registry:      opts.Registry,
+		Context:       opts.Context,
+		Span:          opts.Span,
 	}
 }

@@ -38,9 +38,8 @@ func (a warpTotals) sub(b warpTotals) warpTotals {
 // icmTracer interposes on the engine's event stream to add the ICM layer's
 // per-superstep warp statistics: at each superstep_end it diffs the runtime
 // counters against the previous barrier and emits a WarpStats event before
-// forwarding. The `last` snapshot is only touched on barrier-serial events
-// (superstep_end, recovery), so no locking is needed even though concurrent
-// send_retry events pass through.
+// forwarding. Every event comes from the coordinating goroutine, so `last`
+// needs no lock.
 type icmTracer struct {
 	rt   *runtime
 	next obs.Tracer
@@ -49,8 +48,7 @@ type icmTracer struct {
 
 // Emit implements obs.Tracer.
 func (t *icmTracer) Emit(e obs.Event) {
-	switch ev := e.(type) {
-	case obs.SuperstepEnd:
+	if ev, ok := e.(obs.SuperstepEnd); ok {
 		cur := t.rt.warpTotals()
 		d := cur.sub(t.last)
 		t.last = cur
@@ -68,15 +66,8 @@ func (t *icmTracer) Emit(e obs.Event) {
 			UnitMsgsIn:   d.unitMsgsIn,
 			UnitFraction: uf,
 		})
-		t.next.Emit(e)
-	case obs.Recovery:
-		t.next.Emit(e)
-		// The rollback restored the runtime counters to the checkpoint;
-		// re-baseline so the replayed supersteps diff correctly.
-		t.last = t.rt.warpTotals()
-	default:
-		t.next.Emit(e)
 	}
+	t.next.Emit(e)
 }
 
 // publishStats folds a finished run's ICM stats into a shared registry, the

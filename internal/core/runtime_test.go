@@ -97,48 +97,36 @@ func TestRuntimeRejectsOutOfIntervalWrites(t *testing.T) {
 // TestProgramErrorEndsItsSuperstep: an error the runtime reports — here a
 // SetState outside the compute interval, which vertex 2 first makes at
 // superstep 3, when its message covers only part of its lifespan — ends the
-// superstep it happened in, in Run as in a stepped Shard: no later superstep
-// closes, and under CheckpointEvery it is rolled back like a panic until the
-// recovery budget runs out.
+// superstep it happened in, in Run as in a stepped Shard: Run returns it, and
+// no later superstep closes.
 func TestProgramErrorEndsItsSuperstep(t *testing.T) {
 	const failing = 3
 	g := chain(t)
 	for workers := 1; workers <= 3; workers++ {
 		opts := Options{NumWorkers: workers, ActivateAll: true, MaxSupersteps: 40, PayloadCodec: codec.Int64{}}
-		for _, every := range []int{0, 1} {
-			rec := &obs.Recorder{}
-			o := opts
-			o.CheckpointEvery, o.Tracer = every, rec
-			_, err := Run(g, &floodProgram{badWrite: true}, o)
-			if !errors.Is(err, ErrStateOutOfRange) {
-				t.Fatalf("%d workers, every %d: want ErrStateOutOfRange, got %v", workers, every, err)
-			}
-			if every > 0 && !errors.Is(err, engine.ErrRecoveryExhausted) {
-				t.Errorf("%d workers, every %d: want ErrRecoveryExhausted too, got %v", workers, every, err)
-			}
-			last, closed, recoveries := 0, 0, 0
-			for _, ev := range rec.Events() {
-				switch ev := ev.(type) {
-				case obs.SuperstepStart:
-					last = ev.Superstep
-				case obs.SuperstepEnd:
-					if ev.Superstep >= failing {
-						closed++
-					}
-				case obs.Recovery:
-					recoveries++
+		rec := &obs.Recorder{}
+		o := opts
+		o.Tracer = rec
+		_, err := Run(g, &floodProgram{badWrite: true}, o)
+		if !errors.Is(err, ErrStateOutOfRange) {
+			t.Fatalf("%d workers: want ErrStateOutOfRange, got %v", workers, err)
+		}
+		last, closed := 0, 0
+		for _, ev := range rec.Events() {
+			switch ev := ev.(type) {
+			case obs.SuperstepStart:
+				last = ev.Superstep
+			case obs.SuperstepEnd:
+				if ev.Superstep >= failing {
+					closed++
 				}
 			}
-			if closed != 0 {
-				t.Errorf("%d workers, every %d: %d supersteps closed at or after superstep %d, which failed",
-					workers, every, closed, failing)
-			}
-			if last != failing {
-				t.Errorf("%d workers, every %d: the last superstep started is %d, want %d", workers, every, last, failing)
-			}
-			if want := every * engine.DefaultMaxRecoveries; recoveries != want {
-				t.Errorf("%d workers, every %d: %d recovery events, want %d", workers, every, recoveries, want)
-			}
+		}
+		if closed != 0 {
+			t.Errorf("%d workers: %d supersteps closed at or after superstep %d, which failed", workers, closed, failing)
+		}
+		if last != failing {
+			t.Errorf("%d workers: the last superstep started is %d, want %d", workers, last, failing)
 		}
 
 		shards := make([]*Shard, workers)
@@ -152,7 +140,7 @@ func TestProgramErrorEndsItsSuperstep(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		b, err := NewBarrier(opts)
+		b, err := NewBarrier(opts, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -28,9 +28,9 @@ type Shard struct {
 }
 
 // NewShard prepares shard `shard` of `opts.NumWorkers` for a cluster run,
-// whose supersteps close through NewBarrier(opts). The options must be
-// identical in every process, with an explicit NumWorkers and no Transport,
-// CheckpointEvery or Context. States travel in StateCodecOf(prog, opts).
+// whose supersteps close through NewBarrier(opts, …). The options must be
+// identical in every process, with an explicit NumWorkers and no Transport
+// or Context. States travel in StateCodecOf(prog, opts).
 func NewShard(g *tgraph.Graph, prog Program, opts Options, shard int) (*Shard, error) {
 	rt, eprog, cfg, err := prepare(g, prog, opts)
 	if err != nil {
@@ -45,8 +45,11 @@ func NewShard(g *tgraph.Graph, prog Program, opts Options, shard int) (*Shard, e
 
 // NewBarrier builds the barrier that closes the supersteps of shards built
 // from opts, for whoever steps them: the cluster coordinator, or a test.
-func NewBarrier(opts Options) (*engine.Barrier, error) {
-	return engine.NewBarrier(engineConfig(opts))
+// maxRecoveries is its rewind budget (engine.Config.MaxRecoveries).
+func NewBarrier(opts Options, maxRecoveries int) (*engine.Barrier, error) {
+	cfg := engineConfig(opts)
+	cfg.MaxRecoveries = maxRecoveries
+	return engine.NewBarrier(cfg)
 }
 
 // EncodeOwnedStates serializes the shard's final vertex states and ICM

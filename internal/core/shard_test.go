@@ -44,14 +44,14 @@ func newTestShards(t *testing.T, g *tgraph.Graph, algo string, p algorithms.Para
 }
 
 // driveShards runs the cluster protocol to completion, closing supersteps
-// through core.NewBarrier(opts). When captureAt > 0, a durable checkpoint of
+// through core.NewBarrier. When captureAt > 0, a durable checkpoint of
 // every shard is taken at the barrier after which the next superstep would
 // be captureAt (the cluster's "about to execute s" gen semantics) and
 // returned.
 func driveShards(t *testing.T, shards []*core.Shard, opts core.Options, captureAt int) [][]byte {
 	t.Helper()
 	n := len(shards)
-	b, err := core.NewBarrier(opts)
+	b, err := core.NewBarrier(opts, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +235,7 @@ func TestShardGating(t *testing.T) {
 	if _, err := core.NewShard(g, prog, bad, 0); !errors.Is(err, engine.ErrBadConfig) {
 		t.Errorf("ActivateAll without MaxSupersteps or a Master: %v, want ErrBadConfig", err)
 	}
-	if _, err := core.NewBarrier(bad); !errors.Is(err, engine.ErrBadConfig) {
+	if _, err := core.NewBarrier(bad, 0); !errors.Is(err, engine.ErrBadConfig) {
 		t.Errorf("barrier for ActivateAll without MaxSupersteps or a Master: %v, want ErrBadConfig", err)
 	}
 	bad = opts
@@ -253,7 +253,7 @@ func TestShardGating(t *testing.T) {
 		t.Fatalf("SCC's master and aggregators refused: %v", err)
 	}
 	sh.Close()
-	if _, err := core.NewBarrier(sopts); err != nil {
+	if _, err := core.NewBarrier(sopts, 0); err != nil {
 		t.Errorf("SCC's barrier: %v", err)
 	}
 }

@@ -40,10 +40,10 @@ func BoolOr() *Aggregator {
 // Barrier closes supersteps. It owns the registered aggregators and their
 // merged values, the phase and the master, and the rule that ends a run: the
 // superstep bound, the master's halt, or quiescence. It keeps the run's
-// ledger — the totals its Metrics and trace report — and its recovery point
-// and policy. Engine.Run closes every superstep through its own; whoever
-// steps Shards — the cluster coordinator, a test — builds one from the same
-// Config.
+// ledger — the totals its Metrics and trace report — and the cluster's
+// recovery point and budget (Commit, Rewind). Engine.Run closes every
+// superstep through its own; whoever steps Shards — the cluster coordinator,
+// a test — builds one from the same Config.
 type Barrier struct {
 	maxSteps      int
 	activateAll   bool
@@ -69,8 +69,8 @@ type Barrier struct {
 // BarrierState is what a barrier carries from one superstep to the next: the
 // phase, each aggregator's merged value in name order, the run's totals and
 // the frontier entering the next superstep. No capture holds it: the barrier
-// keeps it beside Run's in-memory checkpoint and the cluster coordinator's
-// committed generation (Commit), and restores it with them (Rewind).
+// keeps it beside the cluster coordinator's committed generation (Commit),
+// and restores it with that generation (Rewind).
 type BarrierState struct {
 	Phase  int
 	Aggs   []codec.Word
@@ -242,9 +242,9 @@ func (b *Barrier) End(makespan time.Duration) (*Metrics, obs.RunEnd) {
 // Executed returns how many supersteps Close closed, replays included.
 func (b *Barrier) Executed() int { return b.executed }
 
-// Commit records the state about to execute superstep next — Run's
-// checkpoint, or a generation every shard has on disk — as the point Rewind
-// returns to, and returns the checkpoint's event.
+// Commit records the state about to execute superstep next — a generation
+// every shard has on disk — as the point Rewind returns to, and returns the
+// checkpoint's event.
 func (b *Barrier) Commit(next int) obs.Checkpoint {
 	b.committed, b.resumeAt = b.State(), next
 	b.checkpoints++

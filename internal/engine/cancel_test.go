@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"graphite/internal/codec"
 	ival "graphite/internal/interval"
 	"graphite/internal/obs"
 )
@@ -83,41 +82,6 @@ func TestRunCanceledBeforeStart(t *testing.T) {
 	if _, err := e.Run(); !errors.Is(err, ErrCanceled) {
 		t.Fatalf("Run error = %v, want ErrCanceled", err)
 	}
-}
-
-// TestCancelSkipsRecovery proves cancellation is an external abort, not a
-// recoverable fault: a checkpointed run must not roll back and replay a
-// canceled superstep.
-func TestCancelSkipsRecovery(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	n := 16
-	reg := obs.NewRegistry()
-	p := &snapPingProgram{pingProgram: pingProgram{n: n}}
-	e, err := New(n, p, Config{
-		NumWorkers:      4,
-		Context:         ctx,
-		Master:          &cancelMaster{at: 4, cancel: cancel},
-		CheckpointEvery: 1,
-		PayloadCodec:    codec.Int64{},
-		Registry:        reg,
-	})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	if _, err := e.Run(); !errors.Is(err, ErrCanceled) {
-		t.Fatalf("Run error = %v, want ErrCanceled", err)
-	}
-	if got := reg.Counter(obs.CRecoveries).Load(); got != 0 {
-		t.Errorf("recoveries = %d after cancellation, want 0", got)
-	}
-}
-
-// snapPingProgram adds the stateless Snapshotter contract checkpointing
-// requires.
-type snapPingProgram struct {
-	pingProgram
-	noSnapshot
 }
 
 // TestCancelNoGoroutineLeak aborts a run mid-flight and asserts the process

@@ -1,8 +1,8 @@
 package engine_test
 
-// Run's captures of real programs: every state the algorithm catalog writes
-// must survive the byte format a checkpoint keeps it in, and the parser a
-// restore runs must hold against whatever a disk hands it.
+// Captures of real programs: every state the algorithm catalog writes must
+// survive the byte format a checkpoint keeps it in, and the parser a restore
+// runs must hold against whatever a disk hands it.
 
 import (
 	"bytes"
@@ -74,9 +74,9 @@ func program(t testing.TB, g *tgraph.Graph, name string, p algorithms.Params, wo
 	return prog, opts
 }
 
-// TestEveryStateCaptures takes Run's checkpoint of every catalog algorithm,
-// and of FFM, at a barrier halfway through and rolls a fresh engine back to
-// it: the fresh engine must capture the same bytes straight back and finish
+// TestEveryStateCaptures captures every worker of a Run of every catalog
+// algorithm, and of FFM, at a barrier halfway through, with the barrier's
+// state, and rolls a fresh engine back to it: the fresh engine must capture the same bytes straight back and finish
 // in the states of the run the checkpoint came from. The four programs whose
 // states are no payload value — LCC, TC, FFM, SCC — encode them with their
 // core.StateCoder.

@@ -9,40 +9,27 @@ import (
 	"graphite/internal/codec"
 )
 
-// Snapshotter is the Program extension every checkpoint requires: Run's
-// in-memory recovery points (Config.CheckpointEvery) and a Shard's durable
-// captures, which are the same bytes. AppendSnapshot appends the program's
-// state to buf; RestoreSnapshot replaces the live state with one
-// AppendSnapshot wrote. The bytes may come from disk, so RestoreSnapshot
-// checks all of them before it changes anything and reports malformed ones
-// as an error wrapping codec.ErrCorrupt or ErrCheckpointCorrupt. One capture
-// may be restored more than once (a later superstep can fail again before
-// the next checkpoint).
+// Snapshotter is the Program extension a Shard's durable capture requires.
+// AppendSnapshot appends the program's state to buf; RestoreSnapshot
+// replaces the live state with one AppendSnapshot wrote. The bytes may come
+// from disk, so RestoreSnapshot checks all of them before it changes
+// anything and reports malformed ones as an error wrapping codec.ErrCorrupt
+// or ErrCheckpointCorrupt. One capture may be restored more than once (the
+// cluster can lose a second worker before its next generation).
 type Snapshotter interface {
 	AppendSnapshot(buf []byte) ([]byte, error)
 	RestoreSnapshot(data []byte) error
 }
 
-// Resettable is an optional Transport extension. Reset discards every
-// in-flight frame so a rolled-back exchange can be replayed from a clean
-// slate; without it the engine refuses to roll back past a transport
-// failure, because frames from the aborted superstep would desynchronize the
-// replay (the loopback TCP mesh is in this category — a broken socket needs
-// a re-dial, which is out of scope, like master failure).
-type Resettable interface {
-	Reset() error
-}
-
 // ErrCapture is wrapped into the error of a capture that cannot encode what
-// it holds — a program state or an inbox payload outside its codec. A run
-// that cannot checkpoint stops: it would have nothing to roll back to.
+// it holds — a program state or an inbox payload outside its codec.
 var ErrCapture = errors.New("engine: checkpoint capture failed")
 
 // ckptVersion tags the capture format.
 const ckptVersion = 1
 
-// capture appends the capture of shards ws — one stepped from outside, or
-// every shard of a Run — to buf:
+// capture appends the capture of shards ws — the one a Shard is, or every
+// shard of an engine — to buf:
 //
 //	u8 version | uvarint superstep | uvarint len, program snapshot
 //	per worker: uvarint n | n active slots, ascending
@@ -183,51 +170,5 @@ func (e *Engine) restore(data []byte, ws []*Shard) error {
 	}
 	e.superstp = superstep
 	e.clearErr()
-	return nil
-}
-
-// saveCheckpoint records Run's recovery point for the state about to execute
-// superstep e.superstp: the capture of every worker here, the barrier's state
-// in the barrier. It runs only at barriers, never concurrently with workers.
-func (e *Engine) saveCheckpoint() error {
-	data, err := e.capture(nil, e.workers)
-	if err != nil {
-		return err
-	}
-	e.ckpt = data
-	ev := e.barrier.Commit(e.superstp)
-	e.ec.checkpoints.Inc()
-	if e.traced {
-		e.tracer.Emit(ev)
-	}
-	return nil
-}
-
-// rollback recovers the current superstep from its failure, cause, by
-// rewinding to the latest checkpoint: it returns nil when the run should
-// resume, else the error the run ends with. exchanged says the exchange phase
-// ran, which may have left frames in flight; over a Transport, recovery then
-// also requires a Resettable one, without which cause stands.
-func (e *Engine) rollback(cause error, exchanged bool) error {
-	reset := exchanged && e.cfg.Transport != nil
-	if e.ckpt == nil {
-		return cause
-	}
-	if r, ok := e.cfg.Transport.(Resettable); reset && (!ok || r.Reset() != nil) {
-		return cause
-	}
-	failed := e.superstp
-	ev, err := e.barrier.Rewind(failed)
-	if err == nil {
-		err = e.restore(e.ckpt, e.workers)
-	}
-	if err != nil {
-		return fmt.Errorf("engine: rollback from superstep %d: %w (after: %w)", failed, err, cause)
-	}
-	e.ec.recoveries.Inc()
-	if e.traced {
-		ev.Reason, ev.Reset = cause.Error(), reset
-		e.tracer.Emit(ev)
-	}
 	return nil
 }

@@ -12,11 +12,10 @@ import (
 	"sync"
 )
 
-// This file is the durable half of the checkpoint subsystem: while
-// checkpoint.go captures in-memory recovery points for single-process
-// rollback-and-replay, the CheckpointStore persists a shard's serialized
-// checkpoints to disk so a worker process that was SIGKILLed can be
-// replaced and reload its shard state. Durability discipline: checkpoint
+// This file is the durable half of the checkpoint subsystem: checkpoint.go
+// captures a shard, and the CheckpointStore persists those captures to disk
+// so a worker process that was SIGKILLed can be replaced and reload its
+// shard state. Durability discipline: checkpoint
 // bytes are written to a temp file, fsynced, and atomically renamed into
 // place; a generation only becomes visible once the versioned manifest —
 // itself updated by atomic rename — records it. Every load verifies a CRC32

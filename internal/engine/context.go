@@ -111,7 +111,6 @@ func (c *Context) AddScatterCalls(n int) { c.w.rep.ScatterCalls += int64(n) }
 func (c *Context) Aggregate(name string, v codec.Word) { c.eng.barrier.fold(c.w.rep.Aggs, name, v) }
 
 // Fail records err as the superstep's failure, as an escaping panic is: the
-// superstep ends — every worker stops claiming vertices — and Run rolls it
-// back under Config.CheckpointEvery or returns err; a stepped Shard's phase
-// returns it. The first failure of a superstep is the one reported.
+// superstep ends — every worker stops claiming vertices — and Run returns
+// err, as a stepped Shard's phase does. The first failure of a superstep is the one reported.
 func (c *Context) Fail(err error) { c.eng.fail(err) }

@@ -100,7 +100,7 @@ type Config struct {
 	Combiner Combiner
 	// PayloadCodec, when set, accounts encoded payload bytes and encodes
 	// every batch that leaves a worker: over a Transport, to a peer shard, or
-	// into a checkpoint.
+	// into a shard's durable capture.
 	PayloadCodec codec.Payload
 	// Transport, when set, routes every cross-worker batch through it
 	// (e.g. TCPTransport's loopback mesh), fully serialized; delivery order
@@ -111,40 +111,25 @@ type Config struct {
 	Aggregators map[string]*Aggregator
 	// Master is the optional master-compute hook.
 	Master Master
-	// CheckpointEvery, when > 0, captures a recovery point after every k-th
-	// superstep barrier (plus one before superstep 1): user vertex state via
-	// the Snapshotter contract, inboxes and active sets — encoded, in the
-	// format of a Shard's durable capture — plus the barrier's state (phase,
-	// merged aggregates, run totals). A failed superstep — user-program
-	// panic, codec failure or transport error — then rolls back to the latest
-	// checkpoint and replays instead of aborting the run. Requires
-	// PayloadCodec and a Program implementing Snapshotter. Masters are
-	// re-invoked on replayed supersteps and must tolerate that (the replayed
-	// aggregates they see are identical).
-	CheckpointEvery int
-	// MaxRecoveries bounds rollback-and-replay attempts per run, counted over
-	// the whole run; zero means DefaultMaxRecoveries and negative means
-	// unlimited. Only meaningful with CheckpointEvery > 0, or for the cluster
-	// coordinator's barrier.
+	// MaxRecoveries is the budget of the Barrier built from this Config:
+	// how many times Barrier.Rewind may return it to its committed state over
+	// the whole run, one per worker the cluster coordinator loses. Zero means
+	// DefaultMaxRecoveries and negative means unlimited. Run never rewinds.
 	MaxRecoveries int
 	// Tracer, when set, receives the typed per-superstep event stream:
-	// run/superstep lifecycle, per-worker phase timings, checkpoint, recovery
-	// and send-retry events. Lifecycle events are emitted from the
-	// coordinating goroutine in deterministic order; only send-retry events
-	// fire from workers. Nil disables tracing with no overhead on the send
-	// path.
+	// run/superstep lifecycle and per-worker phase timings, all emitted from
+	// the coordinating goroutine in deterministic order. Nil disables
+	// tracing.
 	Tracer obs.Tracer
 	// Registry, when set, is where the engine publishes its counters and
-	// histograms (e.g. for the /metrics endpoint) — the work executed,
-	// replays included; nil gives the engine a private registry. Runs may
-	// share one: the Metrics Run returns are its barrier's, not the
-	// registry's.
+	// histograms (e.g. for the /metrics endpoint); nil gives the engine a
+	// private registry. Runs may share one: the Metrics Run returns are its
+	// barrier's, not the registry's.
 	Registry *obs.Registry
 	// Context, when set, makes the run cancellable: workers stop claiming
 	// vertices as soon as they observe cancellation, and Run aborts at the
-	// next superstep barrier with an error wrapping ErrCanceled. Cancellation
-	// is an external abort, never a recoverable fault — it bypasses
-	// checkpoint rollback-and-replay. Nil means the run cannot be canceled.
+	// next superstep barrier with an error wrapping ErrCanceled. Nil means
+	// the run cannot be canceled.
 	Context context.Context
 	// Span, when set, is the run-scoped span ID (obs.NewSpanID) minted by
 	// whoever admitted this query — graphite-serve, a CLI, or the cluster
@@ -153,18 +138,9 @@ type Config struct {
 	Span string
 }
 
-// Fault-tolerance defaults.
-const (
-	// DefaultMaxRecoveries is the rollback-and-replay budget per run when
-	// Config.MaxRecoveries is zero, for Run and the cluster alike.
-	DefaultMaxRecoveries = 3
-	// sendRetries is how many times a failed Transport.Send is retried, with
-	// capped exponential backoff, before the superstep is declared failed.
-	sendRetries = 2
-	// sendRetryBackoff is the initial delay between Send retries; it doubles
-	// per attempt, capped at 16x, with equal jitter (see RetryDelay).
-	sendRetryBackoff = 2 * time.Millisecond
-)
+// DefaultMaxRecoveries is a Barrier's rewind budget when
+// Config.MaxRecoveries is zero.
+const DefaultMaxRecoveries = 3
 
 // Errors reported by Run.
 var (
@@ -200,8 +176,6 @@ type Engine struct {
 	hasErr atomic.Bool // lock-free mirror of runErr != nil
 
 	ctx context.Context // nil when the run is not cancellable
-
-	ckpt []byte // the capture of Run's latest recovery point
 }
 
 // New prepares an engine for numVertices vertices.
@@ -220,14 +194,6 @@ func New(numVertices int, program Program, cfg Config) (*Engine, error) {
 	}
 	if cfg.Transport != nil && cfg.PayloadCodec == nil {
 		return nil, fmt.Errorf("%w: Transport requires PayloadCodec", ErrBadConfig)
-	}
-	if cfg.CheckpointEvery > 0 {
-		if _, ok := program.(Snapshotter); !ok {
-			return nil, fmt.Errorf("%w: CheckpointEvery requires a Program implementing Snapshotter", ErrBadConfig)
-		}
-		if cfg.PayloadCodec == nil {
-			return nil, fmt.Errorf("%w: CheckpointEvery requires PayloadCodec", ErrBadConfig)
-		}
 	}
 	b, err := NewBarrier(cfg)
 	if err != nil {
@@ -309,9 +275,9 @@ func (e *Engine) owner(v int32) (wid, slot int) {
 
 // Run executes supersteps until no vertex is active and no messages are in
 // flight (or the master halts, or MaxSupersteps is reached), and returns the
-// run metrics. Panics escaping user Program code are recovered and surfaced
-// as a *VertexPanicError; with CheckpointEvery set, failed supersteps are
-// rolled back to the latest checkpoint and replayed instead. When
+// run metrics. A failed superstep ends the run with its error: a panic
+// escaping user Program code as a *VertexPanicError, an error reported
+// through Context.Fail, a codec or Transport error as returned. When
 // Config.Context is canceled the run aborts at the next superstep barrier
 // with an error wrapping ErrCanceled, leaving no goroutines behind.
 func (e *Engine) Run() (*Metrics, error) {
@@ -325,12 +291,7 @@ func (e *Engine) Run() (*Metrics, error) {
 	start := time.Now()
 	reps := make([]StepReport, len(e.workers))
 	if e.traced {
-		e.tracer.Emit(obs.RunStart{
-			Vertices:    e.numV,
-			Workers:     len(e.workers),
-			Checkpoints: e.cfg.CheckpointEvery > 0,
-			Span:        e.cfg.Span,
-		})
+		e.tracer.Emit(obs.RunStart{Vertices: e.numV, Workers: len(e.workers), Span: e.cfg.Span})
 	}
 
 	// Superstep 1 initialization: Init on every vertex, all active.
@@ -340,13 +301,7 @@ func (e *Engine) Run() (*Metrics, error) {
 		return nil, err
 	}
 	if err := e.takeErr(); err != nil {
-		// No checkpoint can exist yet: an Init failure is terminal.
 		return nil, err
-	}
-	if e.cfg.CheckpointEvery > 0 {
-		if err := e.saveCheckpoint(); err != nil {
-			return nil, err
-		}
 	}
 
 	for {
@@ -368,26 +323,20 @@ func (e *Engine) Run() (*Metrics, error) {
 		e.parallel((*Shard).compute)
 		t1 := time.Now()
 		// Messaging phase: exclusive message delivery after compute — unless
-		// the compute phase aborted, which leaves no frame in flight.
-		exchanged := !e.aborted()
-		if exchanged {
+		// the compute phase aborted.
+		if !e.aborted() {
 			e.exchange()
 		}
 		t2 := time.Now()
 
-		// Cancellation wins over a concurrent fault: the run is being torn
-		// down either way, and rollback must never replay a canceled phase.
-		// A failure is checked before the barrier merge, so a partial
-		// superstep's metrics are never folded into the totals; only an
-		// exchange can have left frames a rollback must reset.
+		// Cancellation wins over a concurrent fault. Either is returned
+		// before the barrier merge, so a partial superstep's metrics are
+		// never folded into the totals.
 		if err := e.canceled(); err != nil {
 			return nil, err
 		}
 		if err := e.takeErr(); err != nil {
-			if err = e.rollback(err, exchanged); err != nil {
-				return nil, err
-			}
-			continue
+			return nil, err
 		}
 		if e.traced {
 			e.emitWorkerPhases()
@@ -431,12 +380,6 @@ func (e *Engine) Run() (*Metrics, error) {
 			e.tracer.Emit(end)
 		}
 		e.superstp++
-
-		if e.cfg.CheckpointEvery > 0 && (e.superstp-1)%e.cfg.CheckpointEvery == 0 {
-			if err := e.saveCheckpoint(); err != nil {
-				return nil, err
-			}
-		}
 		if quiesced {
 			break
 		}
@@ -498,7 +441,8 @@ func (e *Engine) takeErr() error {
 	return e.runErr
 }
 
-// clearErr resets the failure state after a successful rollback.
+// clearErr forgets the recorded failure: a stepped shard restored to a
+// capture steps again.
 func (e *Engine) clearErr() {
 	e.errMu.Lock()
 	e.runErr = nil
@@ -562,9 +506,7 @@ func (e *Engine) exchange() {
 }
 
 // ship sends the shard's cross-shard batches — what Outbound encodes — over
-// the Transport. A failed Send is retried with capped exponential backoff
-// before the superstep is declared failed: transient faults (a dropped frame,
-// a congested peer) should not force a rollback.
+// the Transport, once each: a failed Send fails the superstep.
 func (s *Shard) ship() {
 	e := s.eng
 	phaseStart := time.Now()
@@ -573,8 +515,8 @@ func (s *Shard) ship() {
 		if dst == s.id {
 			continue
 		}
-		if err := e.sendWithRetry(s.id, dst, batch); err != nil {
-			e.fail(err)
+		if err := e.cfg.Transport.Send(s.id, dst, batch); err != nil {
+			e.fail(fmt.Errorf("engine: send %d->%d: %w", s.id, dst, err))
 		}
 	}
 }
@@ -686,34 +628,4 @@ func (s *Shard) receiveWire(batches [][]byte) (int64, error) {
 	return s.receive(len(batches), func(i int, st *msgSlab) error {
 		return s.eng.decodeBatchInto(st, batches[i])
 	})
-}
-
-// sendWithRetry ships one batch, retrying transient failures sendRetries
-// times before giving up.
-func (e *Engine) sendWithRetry(src, dst int, batch []byte) error {
-	var err error
-	for attempt := 0; attempt <= sendRetries; attempt++ {
-		if attempt > 0 {
-			// Capped exponential backoff with equal jitter: concurrent workers
-			// retrying a congested peer must not re-collide in lockstep.
-			time.Sleep(RetryDelay(sendRetryBackoff, attempt, 16*sendRetryBackoff))
-		}
-		if err = e.cfg.Transport.Send(src, dst, batch); err == nil {
-			return nil
-		}
-		// Retry accounting fires from worker goroutines: the counter is
-		// atomic and tracers are required to be concurrency-safe. superstp
-		// is stable here (only mutated at barriers).
-		e.ec.sendRetries.Inc()
-		if e.traced {
-			e.tracer.Emit(obs.SendRetry{
-				Superstep: e.superstp,
-				Src:       src,
-				Dst:       dst,
-				Attempt:   attempt + 1,
-				Error:     err.Error(),
-			})
-		}
-	}
-	return fmt.Errorf("engine: send %d->%d failed after %d attempts: %w", src, dst, sendRetries+1, err)
 }

@@ -7,8 +7,7 @@ import (
 
 // VertexPanicError reports a panic that escaped user Program code (Init or
 // Run). The engine recovers it inside the worker goroutine so the process
-// stays alive, and surfaces it as the run error — or rolls back to the
-// latest checkpoint when checkpointing is enabled.
+// stays alive, and surfaces it as the run error.
 type VertexPanicError struct {
 	// Vertex is the dense index of the vertex whose user logic panicked,
 	// or -1 when the panic was not attributable to a single vertex.
@@ -27,13 +26,13 @@ func (e *VertexPanicError) Error() string {
 		e.Vertex, e.Superstep, e.Value)
 }
 
-// ErrRecoveryExhausted is wrapped into the run error when rollback-and-replay
-// attempts exceed Config.MaxRecoveries.
+// ErrRecoveryExhausted is wrapped into the error of a Barrier.Rewind past its
+// Config.MaxRecoveries budget: the cluster coordinator's run error once it
+// has lost more workers than the budget allows.
 var ErrRecoveryExhausted = errors.New("engine: recovery attempts exhausted")
 
 // ErrCanceled is wrapped into the run error when Config.Context is canceled.
 // Cancellation is cooperative: workers stop claiming vertices as soon as they
-// observe it, and the run aborts at the next superstep barrier. It is an
-// external abort, not a fault — checkpoint recovery never rolls back and
-// replays a canceled superstep. Test with errors.Is(err, ErrCanceled).
+// observe it, and the run aborts at the next superstep barrier. Test with
+// errors.Is(err, ErrCanceled).
 var ErrCanceled = errors.New("engine: run canceled")

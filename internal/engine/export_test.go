@@ -2,12 +2,12 @@ package engine
 
 // Hooks for this directory's external tests (package engine_test), which
 // may import the ICM runtime and the algorithm catalog — this package may
-// not — to take and restore Run's own captures of real programs. A master
-// runs at a barrier, on the goroutine that checkpoints, so that is where
+// not — to capture and restore every worker of a Run of real programs. A
+// master runs at a barrier, on the coordinating goroutine, so that is where
 // they hang.
 
-// Checkpoint is one of Run's recovery points: the capture of every worker
-// and the barrier's state beside it.
+// Checkpoint is what the cluster keeps of a committed generation, for every
+// worker of a Run: their capture, and the barrier's state beside it.
 type Checkpoint struct {
 	data []byte
 	ctl  BarrierState
@@ -16,11 +16,10 @@ type Checkpoint struct {
 // Bytes returns the checkpoint's capture of every worker.
 func (c Checkpoint) Bytes() []byte { return c.data }
 
-// Checkpoint takes a recovery point at this barrier, as Run does every
-// Config.CheckpointEvery supersteps.
+// Checkpoint captures every worker and the barrier's state at this barrier.
 func (m *MasterControl) Checkpoint() (Checkpoint, error) {
-	err := m.eng.saveCheckpoint()
-	return Checkpoint{m.eng.ckpt, m.b.committed}, err
+	data, err := m.eng.capture(nil, m.eng.workers)
+	return Checkpoint{data, m.b.State()}, err
 }
 
 // Rewind rolls the engine back to c, as a recovery does — c may come from

@@ -4,7 +4,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
+	"reflect"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -15,19 +16,18 @@ import (
 )
 
 // faultProgram propagates BFS levels around a directed ring and injects
-// faults on demand: a panic in Init, panics in Run, or nothing.
+// faults on demand: a panic in Init, a panic in Run, or nothing.
 type faultProgram struct {
 	n           int
 	mu          sync.Mutex
 	dist        []int64
 	panicInit   int // vertex to panic in Init, -1 for never
-	panicRunAt  int // superstep to panic in Run, 0 for never
-	panicTimes  int // how many times it panics there, replays included
+	panicRunAt  int // superstep to panic in Run, once; 0 for never
 	panicsFired int
 }
 
 func newFaultProgram(n int) *faultProgram {
-	return &faultProgram{n: n, dist: make([]int64, n), panicInit: -1, panicTimes: 1}
+	return &faultProgram{n: n, dist: make([]int64, n), panicInit: -1}
 }
 
 func (p *faultProgram) Init(ctx *Context) {
@@ -42,7 +42,7 @@ func (p *faultProgram) Init(ctx *Context) {
 func (p *faultProgram) Run(ctx *Context, msgs []Message) {
 	if p.panicRunAt != 0 && ctx.Superstep() == p.panicRunAt {
 		p.mu.Lock()
-		fire := p.panicsFired < p.panicTimes
+		fire := p.panicsFired == 0
 		if fire {
 			p.panicsFired++
 		}
@@ -104,25 +104,56 @@ func (badCodec) Decode(buf []byte) (any, int, error) {
 	return nil, 0, errors.New("badCodec: always fails")
 }
 
+// errSend is the failure errTransport injects.
+var errSend = errors.New("errTransport: send failed")
+
 // errTransport fails every send.
 type errTransport struct{}
 
-func (errTransport) Send(src, dst int, batch []byte) error {
-	return errors.New("errTransport: send failed")
-}
-func (errTransport) Recv(dst int) ([][]byte, error) { return nil, nil }
-func (errTransport) Close() error                   { return nil }
+func (errTransport) Send(src, dst int, batch []byte) error { return errSend }
+func (errTransport) Recv(dst int) ([][]byte, error)        { return nil, nil }
+func (errTransport) Close() error                          { return nil }
 
-// TestRunSurvivesFaults is the satellite table: every user-level fault —
-// panic in Init, panic in Run, a codec round-trip failure, a rollback to a
-// checkpoint that does not restore, and a mid-run transport error — must
-// surface as an error from Run with the process alive, never as a crash.
+// errInjectedRecv is the failure failingRecv injects.
+var errInjectedRecv = errors.New("injected recv failure")
+
+// failingRecv is the loopback TCP mesh whose Recv for worker 1 fails once, at
+// superstep failAt (worker 1 receives once per superstep).
+type failingRecv struct {
+	*TCPTransport
+	failAt int
+	recvs  atomic.Int64
+}
+
+func (t *failingRecv) Recv(dst int) ([][]byte, error) {
+	if dst == 1 && t.recvs.Add(1) == int64(t.failAt) {
+		return nil, errInjectedRecv
+	}
+	return t.TCPTransport.Recv(dst)
+}
+
+// tcp is a loopback TCP mesh of n workers, closed with the test.
+func tcp(t *testing.T, n int) *TCPTransport {
+	t.Helper()
+	tp, err := NewTCPTransport(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { tp.Close() })
+	return tp
+}
+
+// TestRunSurvivesFaults is the satellite table: every fault — a panic in
+// Init, a panic in Run, a codec round-trip failure, a failed send and a
+// failed receive — must end Run with an error, the process alive, and no
+// superstep closed after the one that failed.
 func TestRunSurvivesFaults(t *testing.T) {
 	const n = 8
 	cases := []struct {
 		name      string
 		configure func(t *testing.T, p *faultProgram) Config
-		wantPanic bool // error must be a *VertexPanicError
+		wantPanic bool  // error must be a *VertexPanicError
+		wantErr   error // else, when set, error must wrap it
 	}{
 		{
 			name: "panic in Init",
@@ -143,36 +174,31 @@ func TestRunSurvivesFaults(t *testing.T) {
 		{
 			name: "codec round-trip failure",
 			configure: func(t *testing.T, _ *faultProgram) Config {
-				tp, err := NewTCPTransport(2)
-				if err != nil {
-					t.Fatal(err)
-				}
-				t.Cleanup(func() { tp.Close() })
-				return Config{NumWorkers: 2, PayloadCodec: badCodec{}, Transport: tp}
+				return Config{NumWorkers: 2, PayloadCodec: badCodec{}, Transport: tcp(t, 2)}
 			},
-		},
-		{
-			// The checkpoint holds an inbox its codec cannot read back: the
-			// rollback fails, and the run with it.
-			name: "checkpoint that does not restore",
-			configure: func(_ *testing.T, p *faultProgram) Config {
-				p.panicRunAt = 3
-				return Config{NumWorkers: 1, PayloadCodec: badCodec{}, CheckpointEvery: 1}
-			},
-			wantPanic: true,
 		},
 		{
 			name: "mid-run transport error",
 			configure: func(_ *testing.T, _ *faultProgram) Config {
-				// The stub's failure is permanent: it outlasts the retries.
 				return Config{NumWorkers: 2, PayloadCodec: codec.Int64{}, Transport: errTransport{}}
 			},
+			wantErr: errSend,
+		},
+		{
+			name: "mid-run receive error",
+			configure: func(t *testing.T, _ *faultProgram) Config {
+				tr := &failingRecv{TCPTransport: tcp(t, 2), failAt: 2}
+				return Config{NumWorkers: 2, PayloadCodec: codec.Int64{}, Transport: tr}
+			},
+			wantErr: errInjectedRecv,
 		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			p := newFaultProgram(n)
 			cfg := tc.configure(t, p)
+			rec := &obs.Recorder{}
+			cfg.Tracer = rec
 			e, err := New(n, p, cfg)
 			if err != nil {
 				t.Fatalf("New: %v", err)
@@ -191,188 +217,171 @@ func TestRunSurvivesFaults(t *testing.T) {
 						vp.Vertex, vp.Superstep, len(vp.Stack))
 				}
 			}
+			if tc.wantErr != nil && !errors.Is(err, tc.wantErr) {
+				t.Errorf("Run error %v, want one wrapping %v", err, tc.wantErr)
+			}
+			// The failed superstep is the last one started, and none closes
+			// after it.
+			started, closed := rec.Count("superstep_start"), rec.Count("superstep_end")
+			if started > 0 && closed != started-1 {
+				t.Errorf("%d supersteps started, %d closed: want every one but the failed one closed", started, closed)
+			}
 		})
 	}
 }
 
-// errInjectedRecv is the failure failingRecv injects.
-var errInjectedRecv = errors.New("injected recv failure")
-
-// failingRecv is a transport without Reset — the loopback TCP mesh under a
-// wrapper that hides nothing else — whose Recv for worker 1 fails once, at
-// superstep failAt (worker 1 receives once per superstep).
-type failingRecv struct {
-	*TCPTransport
-	failAt int
-	recvs  atomic.Int64
+// TestCheckpointRequiresSnapshotter: a shard's durable capture needs the
+// Snapshotter contract and the codec it encodes inboxes with, so NewShard
+// refuses a program without the one and a configuration without the other.
+func TestCheckpointRequiresSnapshotter(t *testing.T) {
+	p := &countProgram{limit: 2}
+	if _, err := NewShard(4, p, Config{NumWorkers: 2, PayloadCodec: codec.Int64{}}, 0); !errors.Is(err, ErrBadConfig) {
+		t.Fatalf("want ErrBadConfig, got %v", err)
+	}
+	if _, err := NewShard(4, newFaultProgram(4), Config{NumWorkers: 2}, 0); !errors.Is(err, ErrBadConfig) {
+		t.Fatalf("without PayloadCodec: want ErrBadConfig, got %v", err)
+	}
 }
 
-func (t *failingRecv) Recv(dst int) ([][]byte, error) {
-	if dst == 1 && t.recvs.Add(1) == int64(t.failAt) {
-		return nil, errInjectedRecv
-	}
-	return t.TCPTransport.Recv(dst)
-}
+// phaseMaster sets the phase to the superstep about to run.
+type phaseMaster struct{}
 
-// TestRollbackNeedsResettableTransport: a failed exchange may leave frames
-// in flight, so over a transport that cannot discard them a rollback is not
-// attempted — the run ends with the exchange's own error, checkpoints or
-// not. A compute-phase failure over the same transport still rolls back: no
-// exchange ran, so there is nothing to discard.
-func TestRollbackNeedsResettableTransport(t *testing.T) {
-	const n = 8
-	run := func(t *testing.T, failRecvAt, panicRunAt int) (*faultProgram, *Metrics, *obs.Recorder, error) {
-		tcp, err := NewTCPTransport(2)
-		if err != nil {
-			t.Fatal(err)
+func (phaseMaster) BeforeSuperstep(mc *MasterControl) { mc.SetPhase(mc.Superstep()) }
+
+// TestBarrierRecoveryLedger is the cluster's rollback on the barrier alone.
+// After a Commit before superstep 3, supersteps 3 and 4 close and 5 fails,
+// over and over: within the budget each Rewind returns the phase, the merged
+// aggregates, the totals and the frontier the Commit recorded, and says where
+// to resume; past it Rewind refuses with an error wrapping
+// ErrRecoveryExhausted. A budget of zero is DefaultMaxRecoveries, a negative
+// one never runs out. What happened is never rewound: Executed, the
+// checkpoints taken and the recoveries taken only grow.
+func TestBarrierRecoveryLedger(t *testing.T) {
+	const attempts = 8
+	rep := func(s int) []StepReport {
+		return []StepReport{
+			{ComputeCalls: int64(s), SentMsgs: 2, SentBytes: 10, Delivered: 2, Active: s, Aggs: []codec.Word{codec.IntWord(int64(s))}},
+			{ComputeCalls: 1, SentMsgs: int64(s), SentBytes: 5, Delivered: 1, Active: 1, Aggs: []codec.Word{codec.IntWord(100)}},
 		}
-		t.Cleanup(func() { tcp.Close() })
-		p := newFaultProgram(n)
-		p.panicRunAt = panicRunAt
-		rec := &obs.Recorder{}
-		tr := &failingRecv{TCPTransport: tcp, failAt: failRecvAt}
-		e, err := New(n, p, Config{NumWorkers: 2, PayloadCodec: codec.Int64{}, Transport: tr,
-			CheckpointEvery: 1, Tracer: rec})
-		if err != nil {
-			t.Fatal(err)
-		}
-		m, err := e.Run()
-		return p, m, rec, err
 	}
-	t.Run("exchange", func(t *testing.T) {
-		_, _, rec, err := run(t, 2, 0)
-		if !errors.Is(err, errInjectedRecv) || errors.Is(err, ErrRecoveryExhausted) {
-			t.Fatalf("want the injected recv failure and no exhausted recovery, got %v", err)
-		}
-		if k := rec.Count("recovery"); k != 0 {
-			t.Errorf("%d recovery events, want none", k)
-		}
-	})
-	t.Run("compute", func(t *testing.T) {
-		p, m, rec, err := run(t, 0, 2)
-		if err != nil {
-			t.Fatalf("Run: %v", err)
-		}
-		if m.Recoveries != 1 || rec.Count("recovery") != 1 {
-			t.Errorf("%d recoveries, %d recovery events, want 1 and 1", m.Recoveries, rec.Count("recovery"))
-		}
-		for i, d := range p.dist {
-			if d != int64(i) {
-				t.Fatalf("dist[%d] = %d, want %d", i, d, i)
+	for _, tc := range []struct {
+		name    string
+		budget  int
+		rewinds int
+	}{
+		{"budget of two", 2, 2},
+		{"default budget", 0, DefaultMaxRecoveries},
+		{"unlimited", -1, attempts},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			b, err := NewBarrier(Config{MaxRecoveries: tc.budget, Master: phaseMaster{},
+				Aggregators: map[string]*Aggregator{"sum": SumInt64()}})
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-	})
+			run := func(s int) {
+				t.Helper()
+				if !b.Open(s) {
+					t.Fatalf("superstep %d did not open", s)
+				}
+				if b.Close(rep(s)) {
+					t.Fatalf("superstep %d quiesced", s)
+				}
+				b.SuperstepEnd(s, 3, 2, 1)
+			}
+			run(1)
+			run(2)
+			ev := b.Commit(3)
+			if ev != (obs.Checkpoint{Superstep: 3, Index: 1}) {
+				t.Fatalf("Commit(3) = %+v", ev)
+			}
+			committed := b.State()
+			if committed.Phase != 2 || committed.Active != 3 || committed.Totals.Supersteps != 2 ||
+				committed.Aggs[0] != codec.IntWord(102) {
+				t.Fatalf("the fixture's committed state is %+v", committed)
+			}
+			for attempt := 1; attempt <= attempts; attempt++ {
+				run(3)
+				run(4)
+				got, err := b.Rewind(5)
+				m := b.Metrics()
+				if b.Executed() != 2+2*attempt || m.Checkpoints != 1 {
+					t.Errorf("attempt %d: executed %d, %d checkpoints; want %d and 1",
+						attempt, b.Executed(), m.Checkpoints, 2+2*attempt)
+				}
+				if attempt > tc.rewinds {
+					if !errors.Is(err, ErrRecoveryExhausted) {
+						t.Fatalf("attempt %d: Rewind = %v, want ErrRecoveryExhausted", attempt, err)
+					}
+					if m.Recoveries != tc.rewinds {
+						t.Errorf("%d recoveries counted, want %d", m.Recoveries, tc.rewinds)
+					}
+					return
+				}
+				if err != nil {
+					t.Fatalf("attempt %d: Rewind: %v", attempt, err)
+				}
+				want := obs.Recovery{Failed: 5, ResumeAt: 3, Attempt: attempt, Replayed: 2}
+				if got != want {
+					t.Errorf("attempt %d: Rewind = %+v, want %+v", attempt, got, want)
+				}
+				if st := b.State(); !reflect.DeepEqual(st, committed) || b.Phase() != 2 || b.Active() != 3 {
+					t.Fatalf("attempt %d: rewound to %+v, want %+v", attempt, st, committed)
+				}
+				if m.Supersteps != 2 || m.Recoveries != attempt {
+					t.Errorf("attempt %d: %d supersteps and %d recoveries in the ledger, want 2 and %d",
+						attempt, m.Supersteps, m.Recoveries, attempt)
+				}
+			}
+			if tc.rewinds != attempts {
+				t.Errorf("the budget of %d never ran out in %d attempts", tc.budget, attempts)
+			}
+		})
+	}
 }
 
-// TestCheckpointRecoversFromPanic: with CheckpointEvery set, a one-shot
-// panic rolls back and replays to the exact fault-free answer and metrics.
+// TestCheckpointRecoversFromPanic: over shards stepped as the cluster steps
+// them, a one-shot panic in superstep 4 rolls back to the capture committed
+// before superstep 1, 2 or 4 — replaying three, two or no closed supersteps —
+// and the run ends in the fault-free answer and counts.
 func TestCheckpointRecoversFromPanic(t *testing.T) {
 	const n = 10
-	clean := newFaultProgram(n)
-	e, err := New(n, clean, Config{NumWorkers: 3, PayloadCodec: codec.Int64{}})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	want, err := e.Run()
-	if err != nil {
-		t.Fatalf("fault-free run: %v", err)
-	}
-
-	for _, every := range []int{1, 2, 4} {
+	cfg := Config{NumWorkers: 3, PayloadCodec: codec.Int64{}}
+	want := runStepped(t, n, newFaultProgram(n), cfg, 0, nil)
+	for _, commitAt := range []int{1, 2, 4} {
 		p := newFaultProgram(n)
 		p.panicRunAt = 4
-		e, err := New(n, p, Config{NumWorkers: 3, PayloadCodec: codec.Int64{}, CheckpointEvery: every})
-		if err != nil {
-			t.Fatalf("New(every=%d): %v", every, err)
-		}
-		got, err := e.Run()
-		if err != nil {
-			t.Fatalf("run with CheckpointEvery=%d: %v", every, err)
-		}
+		got := runStepped(t, n, p, cfg, commitAt, nil)
 		for i := 0; i < n; i++ {
 			if p.dist[i] != int64(i) {
-				t.Fatalf("every=%d: dist[%d] = %d, want %d", every, i, p.dist[i], i)
+				t.Fatalf("commit at %d: dist[%d] = %d, want %d", commitAt, i, p.dist[i], i)
 			}
 		}
-		if p.panicsFired != 1 {
-			t.Errorf("every=%d: panics fired = %d, want 1", every, p.panicsFired)
+		if p.panicsFired != 1 || got.Recoveries != 1 {
+			t.Errorf("commit at %d: %d recoveries from %d panics, want 1 from 1", commitAt, got.Recoveries, p.panicsFired)
 		}
-		if got.Recoveries != 1 {
-			t.Errorf("every=%d: recoveries = %d, want 1", every, got.Recoveries)
-		}
-		if got.Supersteps != want.Supersteps || got.Messages != want.Messages ||
-			got.MessageBytes != want.MessageBytes {
-			t.Errorf("every=%d: metrics diverged:\nclean: %v\nrecovered: %v", every, want, got)
+		if ledger(got) != ledger(want) {
+			t.Errorf("commit at %d: recovered run counted %v, fault-free %v", commitAt, ledger(got), ledger(want))
 		}
 	}
 }
 
-// TestRecoveryExhausted: a deterministic fault that outlives the recovery
-// budget must surface ErrRecoveryExhausted with the original cause wrapped.
-func TestRecoveryExhausted(t *testing.T) {
-	const n = 6
-	p := newFaultProgram(n)
-	p.panicRunAt = 3
-	p.panicTimes = math.MaxInt // refires on every replay
-	e, err := New(n, p, Config{NumWorkers: 2, PayloadCodec: codec.Int64{}, CheckpointEvery: 1, MaxRecoveries: 2})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	_, err = e.Run()
-	if !errors.Is(err, ErrRecoveryExhausted) {
-		t.Fatalf("want ErrRecoveryExhausted, got %v", err)
-	}
-	var vp *VertexPanicError
-	if !errors.As(err, &vp) {
-		t.Fatalf("exhausted error must wrap the underlying panic, got %v", err)
-	}
-	if p.panicsFired != 3 {
-		t.Errorf("panics fired = %d, want 3 (initial + 2 replays)", p.panicsFired)
-	}
-}
-
-// TestUnlimitedRecoveries: a negative MaxRecoveries never runs out — the rule
-// the cluster coordinator's barrier follows too — so a fault that clears
-// after four replays finishes the run.
-func TestUnlimitedRecoveries(t *testing.T) {
-	const n = 6
-	p := newFaultProgram(n)
-	p.panicRunAt, p.panicTimes = 3, 4
-	e, err := New(n, p, Config{NumWorkers: 2, PayloadCodec: codec.Int64{}, CheckpointEvery: 1, MaxRecoveries: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := e.Run()
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if m.Recoveries != 4 || p.panicsFired != 4 {
-		t.Errorf("%d recoveries from %d panics, want 4 from 4", m.Recoveries, p.panicsFired)
-	}
-}
-
-// TestReplayCountsOnce: a rollback rewinds the run's ledger with its
-// capture, so a replayed superstep counts once in Metrics — which equal the
-// fault-free run's — while the registry counts every superstep executed.
+// TestReplayCountsOnce: a rollback rewinds the barrier's ledger with the
+// shards' captures, so a replayed superstep counts once in Metrics — which
+// equal the fault-free run's — while the barrier's Executed and the registry
+// count every superstep executed.
 func TestReplayCountsOnce(t *testing.T) {
 	const n = 10
 	run := func(panicAt int) (*Metrics, *obs.Registry) {
 		p := newFaultProgram(n)
 		p.panicRunAt = panicAt
 		reg := obs.NewRegistry()
-		e, err := New(n, p, Config{NumWorkers: 3, PayloadCodec: codec.Int64{}, CheckpointEvery: 2, Registry: reg})
-		if err != nil {
-			t.Fatal(err)
-		}
-		m, err := e.Run()
-		if err != nil {
-			t.Fatalf("Run(panic at %d): %v", panicAt, err)
-		}
+		// The capture before superstep 3 is the latest when 4 fails: 3 runs
+		// again, and 4 never reached its barrier the first time.
+		m := runStepped(t, n, p, Config{NumWorkers: 3, PayloadCodec: codec.Int64{}, Registry: reg}, 3, nil)
 		return m, reg
 	}
-	want, _ := run(0)
-	// The checkpoint before superstep 3 is the latest when 4 fails: 3 runs
-	// again, and 4 never reached its barrier the first time.
+	want, wantReg := run(0)
 	got, reg := run(4)
 	if got.Recoveries != 1 {
 		t.Fatalf("recoveries = %d, want 1", got.Recoveries)
@@ -380,168 +389,62 @@ func TestReplayCountsOnce(t *testing.T) {
 	if g, w := ledger(got), ledger(want); g != w {
 		t.Errorf("recovered run counted %v, fault-free %v", g, w)
 	}
-	if executed := reg.Counter(obs.CSupersteps).Load(); executed != int64(want.Supersteps+1) {
-		t.Errorf("registry counted %d supersteps, want %d executed", executed, want.Supersteps+1)
+	// Every shard closes every superstep it executes; the ring sends one
+	// message a superstep.
+	if executed, w := reg.Counter(obs.CSupersteps).Load(), int64(3*(want.Supersteps+1)); executed != w {
+		t.Errorf("registry counted %d shard supersteps, want %d executed", executed, w)
+	}
+	if sent, w := reg.Counter(obs.CMessages).Load(), wantReg.Counter(obs.CMessages).Load()+1; sent != w {
+		t.Errorf("registry counted %d messages sent, want %d: the replayed superstep's too", sent, w)
 	}
 }
 
-// TestCheckpointRequiresSnapshotter: checkpointing without the Snapshotter
-// contract, or without the codec a capture encodes inboxes with, is a
-// configuration error, caught up front.
-func TestCheckpointRequiresSnapshotter(t *testing.T) {
-	p := &countProgram{limit: 2}
-	if _, err := New(4, p, Config{NumWorkers: 2, PayloadCodec: codec.Int64{}, CheckpointEvery: 1}); !errors.Is(err, ErrBadConfig) {
-		t.Fatalf("want ErrBadConfig, got %v", err)
-	}
-	if _, err := New(4, newFaultProgram(4), Config{NumWorkers: 2, CheckpointEvery: 1}); !errors.Is(err, ErrBadConfig) {
-		t.Fatalf("without PayloadCodec: want ErrBadConfig, got %v", err)
-	}
-}
-
-// TestCheckpointWithAggregatorsAndMaster: rollback must restore merged
-// aggregates and phase, and masters see identical values on replay.
+// replayMaster records the sum aggregate it sees before each superstep and
+// sets the phase to the superstep.
 type replayMaster struct {
-	mu    sync.Mutex
-	seen  map[int][]int64 // superstep -> aggregate values observed
-	halt  int
-	count int
+	mu   sync.Mutex
+	seen map[int][]int64 // superstep -> aggregate values observed
 }
 
 func (m *replayMaster) BeforeSuperstep(mc *MasterControl) {
 	m.mu.Lock()
-	v := mc.AggValue("sum").Int()
-	m.seen[mc.Superstep()] = append(m.seen[mc.Superstep()], v)
-	m.count++
+	m.seen[mc.Superstep()] = append(m.seen[mc.Superstep()], mc.AggValue("sum").Int())
 	m.mu.Unlock()
 	mc.SetPhase(mc.Superstep())
-	if m.halt > 0 && mc.Superstep() >= m.halt {
-		mc.Halt()
-	}
 }
 
 // aggFaultProgram aggregates 1 per vertex per superstep and panics once.
 type aggFaultProgram struct {
-	faultProgram
+	*faultProgram
 }
 
-func (p *aggFaultProgram) Run(ctx *Context, msgs []Message) {
+func (p aggFaultProgram) Run(ctx *Context, msgs []Message) {
 	ctx.Aggregate("sum", codec.IntWord(1))
 	p.faultProgram.Run(ctx, msgs)
 }
 
+// TestCheckpointWithAggregatorsAndMaster: a rollback restores the merged
+// aggregates with the barrier, so the master sees the same values each time
+// a superstep opens again, and the run ends in the fault-free answer.
 func TestCheckpointWithAggregatorsAndMaster(t *testing.T) {
 	const n = 6
-	p := &aggFaultProgram{faultProgram: *newFaultProgram(n)}
+	p := aggFaultProgram{newFaultProgram(n)}
 	p.panicRunAt = 3
 	master := &replayMaster{seen: map[int][]int64{}}
-	e, err := New(n, p, Config{NumWorkers: 2, PayloadCodec: codec.Int64{}, CheckpointEvery: 1, Master: master,
-		Aggregators: map[string]*Aggregator{"sum": SumInt64()}})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	m, err := e.Run()
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	m := runStepped(t, n, p, Config{NumWorkers: 2, PayloadCodec: codec.Int64{}, Master: master,
+		Aggregators: map[string]*Aggregator{"sum": SumInt64()}}, 2, nil)
 	if m.Recoveries != 1 {
 		t.Fatalf("recoveries = %d, want 1", m.Recoveries)
 	}
-	// Superstep 3 ran twice (original + replay); the master must have seen
-	// the identical aggregate value both times.
-	vals := master.seen[3]
-	if len(vals) != 2 || vals[0] != vals[1] {
-		t.Errorf("replayed master observations at superstep 3 = %v, want two identical", vals)
+	// The commit before superstep 2 is the latest when 3 fails: 2 and 3 each
+	// open twice, on the sums of every vertex in superstep 1 and of the one
+	// active in superstep 2.
+	if s2, s3 := master.seen[2], master.seen[3]; !slices.Equal(s2, []int64{n, n}) || !slices.Equal(s3, []int64{1, 1}) {
+		t.Errorf("master saw %v before superstep 2 and %v before 3, want [%d %d] and [1 1]", s2, s3, n, n)
 	}
 	for i := 0; i < n; i++ {
 		if p.dist[i] != int64(i) {
 			t.Fatalf("dist[%d] = %d, want %d", i, p.dist[i], i)
 		}
-	}
-}
-
-// classByteProgram rings tokens for a fixed number of supersteps, shipping
-// one message of each interval-encoding class per hop, with an optional
-// one-shot injected panic. It carries no user state of its own.
-type classByteProgram struct {
-	noSnapshot
-	n, steps    int
-	panicRunAt  int
-	mu          sync.Mutex
-	panicsFired int
-}
-
-func (p *classByteProgram) Init(*Context) {}
-
-func (p *classByteProgram) Run(ctx *Context, msgs []Message) {
-	if p.panicRunAt != 0 && ctx.Superstep() == p.panicRunAt {
-		p.mu.Lock()
-		fire := p.panicsFired == 0
-		if fire {
-			p.panicsFired++
-		}
-		p.mu.Unlock()
-		if fire {
-			panic("injected class-byte panic")
-		}
-	}
-	if ctx.Superstep() >= p.steps {
-		return
-	}
-	s := ival.Time(ctx.Superstep())
-	dst := (ctx.Vertex() + 1) % p.n
-	ctx.Send(dst, ival.Universe, int64(1))    // unbounded class
-	ctx.Send(dst, ival.Point(s), int64(2))    // unit class
-	ctx.Send(dst, ival.New(1, s+5), int64(3)) // general class
-}
-
-// TestCheckpointRewindDoesNotDoubleCountClassBytes pins the rewind accounting
-// at the registry level: with CheckpointEvery=1, a panicked superstep is
-// rolled back and replayed, and the per-class interval byte counters (and the
-// message totals) must come out identical to a fault-free run — the replay
-// must not re-add what the checkpoint already captured, and the aborted
-// attempt must not leak partial counts.
-func TestCheckpointRewindDoesNotDoubleCountClassBytes(t *testing.T) {
-	const n = 8
-	counters := []string{
-		obs.CIntervalBytesUnit, obs.CIntervalBytesUnbounded,
-		obs.CIntervalBytesGeneral, obs.CIntervalBytesEmpty,
-		obs.CMessages, obs.CMessageBytes,
-	}
-	run := func(panicAt, every int) (*obs.Registry, Metrics) {
-		t.Helper()
-		reg := obs.NewRegistry()
-		p := &classByteProgram{n: n, steps: 5, panicRunAt: panicAt}
-		e, err := New(n, p, Config{
-			NumWorkers:      3,
-			PayloadCodec:    codec.Int64{},
-			Registry:        reg,
-			CheckpointEvery: every,
-		})
-		if err != nil {
-			t.Fatalf("New: %v", err)
-		}
-		m, err := e.Run()
-		if err != nil {
-			t.Fatalf("Run(panicAt=%d): %v", panicAt, err)
-		}
-		return reg, *m
-	}
-
-	cleanReg, _ := run(0, 0)
-	faultReg, fm := run(3, 1)
-	if fm.Recoveries != 1 {
-		t.Fatalf("recoveries = %d, want 1", fm.Recoveries)
-	}
-	for _, name := range counters {
-		clean, fault := cleanReg.Counter(name).Load(), faultReg.Counter(name).Load()
-		if clean != fault {
-			t.Errorf("%s = %d after rollback+replay, want %d (fault-free)", name, fault, clean)
-		}
-	}
-	if got := cleanReg.Counter(obs.CIntervalBytesUnit).Load(); got <= 0 {
-		t.Fatalf("unit-class bytes = %d, want > 0 — the fixture must exercise the class counters", got)
-	}
-	if got := cleanReg.Counter(obs.CIntervalBytesGeneral).Load(); got <= 0 {
-		t.Fatalf("general-class bytes = %d, want > 0", got)
 	}
 }

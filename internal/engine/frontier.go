@@ -95,8 +95,8 @@ func (s *Shard) runSlots(slots []int32) {
 		ctx.slot = slot
 		msgs := s.received(slot)
 		if !e.guardedCall(int(v), func() { e.program.Run(ctx, msgs) }) {
-			// A panicking vertex keeps its range: rollback overwrites every
-			// range before replaying.
+			// A panicking vertex keeps its range: the superstep has failed,
+			// and a restore overwrites every range.
 			return
 		}
 		s.at[slot], s.end[slot] = 0, 0

@@ -7,7 +7,6 @@ import (
 
 	"graphite/internal/codec"
 	ival "graphite/internal/interval"
-	"graphite/internal/obs"
 )
 
 // TestFrontierTracksFlags pins the frontier/bitmap invariant the compute
@@ -59,45 +58,39 @@ func TestFrontierTracksFlags(t *testing.T) {
 	}
 }
 
-// TestCheckpointRestoresFrontier is the rollback half: a run checkpointing
-// every 2 supersteps with one injected panic restores a non-empty frontier
-// and must replay to exactly the fault-free result — which requires the
-// restored frontiers to match the restored active flags bit for bit.
+// TestCheckpointRestoresFrontier is the rollback half, over shards stepped
+// as the cluster steps them: they commit before superstep 3, run 3 and 4,
+// and fail at 5, when the one active vertex panics; every shard restores its
+// capture, whose inboxes lack the range the failed superstep started with,
+// and delivers again. The superstep replayed first starts from the rebuilt,
+// non-empty frontier, and the run ends in the fault-free result — which
+// requires the restored frontiers and inbox ranges to be the captured ones.
 func TestCheckpointRestoresFrontier(t *testing.T) {
 	const n = 24
+	cfg := Config{NumWorkers: 3, PayloadCodec: codec.Int64{}}
 	clean := newFaultProgram(n)
-	e, err := New(n, clean, Config{NumWorkers: 3})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	if _, err := e.Run(); err != nil {
-		t.Fatalf("clean Run: %v", err)
-	}
+	want := runStepped(t, n, clean, cfg, 0, nil)
 
 	faulty := newFaultProgram(n)
 	faulty.panicRunAt = 5
-	rec := &obs.Recorder{}
-	e2, err := New(n, faulty, Config{NumWorkers: 3, PayloadCodec: codec.Int64{}, CheckpointEvery: 2, Tracer: rec})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	m, err := e2.Run()
-	if err != nil {
-		t.Fatalf("faulty Run: %v", err)
-	}
-	if m.Recoveries != 1 {
-		t.Fatalf("recoveries = %d, want 1", m.Recoveries)
-	}
-	// The superstep replayed first starts from the rebuilt frontier.
-	events := rec.Events()
-	for i, ev := range events {
-		if r, ok := ev.(obs.Recovery); ok {
-			next, ok := events[i+1].(obs.SuperstepStart)
-			if !ok || next.Superstep != r.ResumeAt || next.Active == 0 {
-				t.Fatalf("after %+v the trace continues with %+v; want superstep %d starting from a non-empty frontier",
-					r, events[i+1], r.ResumeAt)
+	var at3 []int
+	m := runStepped(t, n, faulty, cfg, 3, func(step int, ss []*Shard) {
+		if step == 3 {
+			active := 0
+			for _, s := range ss {
+				active += len(s.frontier)
 			}
+			at3 = append(at3, active)
 		}
+	})
+	if m.Recoveries != 1 || faulty.panicsFired != 1 {
+		t.Fatalf("%d recoveries from %d panics, want 1 from 1", m.Recoveries, faulty.panicsFired)
+	}
+	if !slices.Equal(at3, []int{1, 1}) {
+		t.Errorf("superstep 3 started from frontiers of %v vertices, want [1 1]: once, and once replayed", at3)
+	}
+	if ledger(m) != ledger(want) {
+		t.Errorf("recovered run counted %v, fault-free %v", ledger(m), ledger(want))
 	}
 	for v := range clean.dist {
 		if faulty.dist[v] != clean.dist[v] {
@@ -239,14 +232,15 @@ func (p *scriptProgram) Run(ctx *Context, msgs []Message) {
 	}
 }
 
-// inboxVertices lists the vertices a capture holds an inbox for.
-func inboxVertices(t *testing.T, e *Engine, data []byte) []int {
+// inboxVertices lists the vertices a capture of workers ws holds an inbox
+// for.
+func inboxVertices(t *testing.T, ws []*Shard, data []byte) []int {
 	t.Helper()
 	r := codec.NewReader(data[1:], ErrCheckpointCorrupt)
 	r.Int("superstep")
 	r.Field("snapshot")
 	var got []int
-	for _, w := range e.workers {
+	for _, w := range ws {
 		n, prev := len(w.local), -1
 		for k := r.Max("active count", uint64(n)); k > 0; k-- {
 			readSlot(&r, "active slot", n, &prev)
@@ -260,7 +254,6 @@ func inboxVertices(t *testing.T, e *Engine, data []byte) []int {
 	if err := r.Done(); err != nil {
 		t.Fatalf("capture does not parse: %v", err)
 	}
-	slices.Sort(got)
 	return got
 }
 
@@ -270,53 +263,74 @@ func inboxVertices(t *testing.T, e *Engine, data []byte) []int {
 // capture at the barrier before superstep 3 must hold no inbox for it: the
 // compute phase empties each range it consumes, and a range left behind
 // would be delivered again, pointing at whatever the next exchange placed
-// there. The rollback row panics in the middle of worker 1's frontier at
-// superstep 2 and replays it from the capture before it.
+// there. The rollback row steps the shards as the cluster does: they commit
+// before superstep 2, and superstep 3 fails at the first of the two vertices
+// of worker 0's frontier, whose ranges stay behind; every shard restores its
+// capture, which holds no inbox for either — they are delivered to at
+// superstep 2 — and delivers again.
 func TestStaleRangeNotDeliveredAgain(t *testing.T) {
 	// Two workers: worker 1 owns vertices 1, 3, 5 and 7.
 	script := map[int]map[int][]int{
 		1: {0: {1, 3}, 2: {5, 5}, 4: {7}},
-		2: {3: {5}, 5: {7, 7}, 7: {3}},
+		2: {1: {4, 6}, 3: {5}, 5: {7, 7}, 7: {3}},
 	}
 	// The messages each vertex is handed at each superstep, and the inboxes
 	// each barrier's capture holds.
-	want := map[[2]int]int{{2, 1}: 1, {2, 3}: 1, {2, 5}: 2, {2, 7}: 1, {3, 3}: 1, {3, 5}: 1, {3, 7}: 2}
-	wantInboxes := map[int][]int{2: {1, 3, 5, 7}, 3: {3, 5, 7}}
+	want := map[[2]int]int{{2, 1}: 1, {2, 3}: 1, {2, 5}: 2, {2, 7}: 1, {3, 3}: 1, {3, 4}: 1, {3, 5}: 1, {3, 6}: 1, {3, 7}: 2}
+	wantInboxes := map[int][]int{2: {1, 3, 5, 7}, 3: {3, 4, 5, 6, 7}}
 	rows := []struct {
-		name string
-		cfg  Config
-		pnc  [2]int
+		name     string
+		cfg      Config
+		stepped  bool
+		pnc      [2]int
+		recovers int
 	}{
-		{"plain", Config{}, [2]int{}},
-		{"activate-all", Config{ActivateAll: true, MaxSupersteps: 4}, [2]int{}},
-		{"rollback", Config{CheckpointEvery: 1}, [2]int{2, 5}},
+		{"plain", Config{}, false, [2]int{}, 0},
+		{"activate-all", Config{ActivateAll: true, MaxSupersteps: 4}, false, [2]int{}, 0},
+		{"rollback", Config{}, true, [2]int{3, 4}, 1},
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
 			p := &scriptProgram{script: script, panicAt: row.pnc, handed: map[[2]int]int{}}
 			captures := map[int][]int{}
-			var e *Engine
 			cfg := row.cfg
 			cfg.NumWorkers, cfg.PayloadCodec = 2, codec.Int64{}
-			cfg.Master = masterFunc(func(mc *MasterControl) {
-				data, err := mc.Capture()
-				if err != nil {
+			var m *Metrics
+			if row.stepped {
+				m = runStepped(t, 8, p, cfg, 2, func(step int, ss []*Shard) {
+					captures[step] = nil
+					for _, s := range ss {
+						data, err := s.CaptureDurable()
+						if err != nil {
+							t.Fatal(err)
+						}
+						captures[step] = append(captures[step], inboxVertices(t, s.eng.workers[s.id:s.id+1], data)...)
+					}
+					slices.Sort(captures[step])
+				})
+			} else {
+				var e *Engine
+				cfg.Master = masterFunc(func(mc *MasterControl) {
+					data, err := mc.Capture()
+					if err != nil {
+						t.Fatal(err)
+					}
+					captures[mc.Superstep()] = inboxVertices(t, e.workers, data)
+					slices.Sort(captures[mc.Superstep()])
+				})
+				var err error
+				if e, err = New(8, p, cfg); err != nil {
 					t.Fatal(err)
 				}
-				captures[mc.Superstep()] = inboxVertices(t, e, data)
-			})
-			var err error
-			if e, err = New(8, p, cfg); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := e.Run(); err != nil {
-				t.Fatal(err)
+				if m, err = e.Run(); err != nil {
+					t.Fatal(err)
+				}
 			}
 			if len(p.foreign) != 0 {
 				t.Errorf("vertices were handed messages for others: %v", p.foreign)
 			}
-			if row.pnc != [2]int{} && p.panics != 1 {
-				t.Fatalf("%d panics injected, want 1", p.panics)
+			if p.panics != row.recovers || m.Recoveries != row.recovers {
+				t.Fatalf("%d panics injected, %d recoveries, want %d of each", p.panics, m.Recoveries, row.recovers)
 			}
 			for k, n := range p.handed {
 				if n != want[k] {

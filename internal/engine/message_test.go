@@ -388,43 +388,47 @@ func (anyCodec) Decode(buf []byte) (any, int, error) {
 
 // TestSpilledPayloadsSurviveEveryMove sends inline and spilled payloads side
 // by side through each way a message travels in one process — outbox to inbox
-// directly, across the TCP mesh, and through an in-memory checkpoint rollback
-// — and requires every vertex to be handed exactly what was sent to it, with
-// the spill count the sends add up to, and all three ways to hand it over in
-// one sequence: there is one delivery order.
+// directly, across the TCP mesh, and through shards stepped as the cluster
+// steps them, which commit before superstep 2, fail at 3 and restore their
+// captures — and requires every vertex to be handed exactly what was sent to
+// it, with the spill count the sends add up to, and all three ways to hand it
+// over in one sequence: there is one delivery order.
 func TestSpilledPayloadsSurviveEveryMove(t *testing.T) {
 	const n, steps = 7, 4
 	want := wantRelay(n, steps)
+	run := func(t *testing.T, p *relayProgram, cfg Config) *Metrics {
+		e, err := New(n, p, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := e.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
 	cases := []struct {
-		name      string
-		configure func(*testing.T, *relayProgram) Config
+		name string
+		run  func(*testing.T, *relayProgram) *Metrics
 	}{
-		{"in process", func(*testing.T, *relayProgram) Config { return Config{NumWorkers: 3} }},
-		{"tcp", func(t *testing.T, _ *relayProgram) Config {
-			tp, err := NewTCPTransport(3)
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { tp.Close() })
-			return Config{NumWorkers: 3, PayloadCodec: anyCodec{}, Transport: tp}
+		{"in process", func(t *testing.T, p *relayProgram) *Metrics { return run(t, p, Config{NumWorkers: 3}) }},
+		{"tcp", func(t *testing.T, p *relayProgram) *Metrics {
+			return run(t, p, Config{NumWorkers: 3, PayloadCodec: anyCodec{}, Transport: tcp(t, 3)})
 		}},
-		{"rollback", func(_ *testing.T, p *relayProgram) Config {
+		{"rollback", func(t *testing.T, p *relayProgram) *Metrics {
 			p.failAt = 3
-			return Config{NumWorkers: 3, PayloadCodec: anyCodec{}, CheckpointEvery: 1}
+			m := runStepped(t, n, p, Config{NumWorkers: 3, PayloadCodec: anyCodec{}}, 2, nil)
+			if m.Recoveries != 1 {
+				t.Errorf("%d recoveries, want 1", m.Recoveries)
+			}
+			return m
 		}},
 	}
 	handed := make([]map[[2]int][]any, len(cases))
 	for c, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			p := &relayProgram{n: n, steps: steps, got: map[[2]int][]any{}}
-			e, err := New(n, p, tc.configure(t, p))
-			if err != nil {
-				t.Fatal(err)
-			}
-			m, err := e.Run()
-			if err != nil {
-				t.Fatal(err)
-			}
+			m := tc.run(t, p)
 			for k, w := range want {
 				if got := p.got[k]; !slices.Equal(sortedAny(got), sortedAny(w)) {
 					t.Errorf("superstep %d vertex %d was handed %v, want %v", k[0], k[1], got, w)
@@ -432,9 +436,6 @@ func TestSpilledPayloadsSurviveEveryMove(t *testing.T) {
 			}
 			if wantSpilled := int64(n * (steps - 1) * 2); m.Spilled != wantSpilled {
 				t.Errorf("%d messages spilled, want %d", m.Spilled, wantSpilled)
-			}
-			if tc.name == "rollback" && m.Recoveries != 1 {
-				t.Errorf("%d recoveries, want 1", m.Recoveries)
 			}
 			handed[c] = p.got
 		})
@@ -452,51 +453,18 @@ func TestSpilledPayloadsSurviveEveryMove(t *testing.T) {
 // stepped shards, with every shard captured mid-run and restored into fresh
 // shards that finish the run.
 func TestSpilledPayloadsSurviveDurableCheckpoint(t *testing.T) {
-	const n, steps, shards = 7, 4, 2
-	build := func(p *relayProgram) []*Shard {
-		out := make([]*Shard, shards)
-		for i := range out {
-			s, err := NewShard(n, p, Config{NumWorkers: shards, PayloadCodec: anyCodec{}}, i)
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(s.Close)
-			if err := s.Init(); err != nil {
-				t.Fatal(err)
-			}
-			out[i] = s
-		}
-		return out
-	}
+	const n, steps = 7, 4
+	cfg := Config{NumWorkers: 2, PayloadCodec: anyCodec{}}
 	step := func(ss []*Shard) {
-		outs := make([][][]byte, len(ss))
-		for i, s := range ss {
-			if err := s.Compute(); err != nil {
-				t.Fatal(err)
-			}
-			var err error
-			if outs[i], err = s.Outbound(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for d, s := range ss {
-			var in [][]byte
-			for src := range ss {
-				if src != d {
-					in = append(in, outs[src][d])
-				}
-			}
-			if _, err := s.Deliver(in); err != nil {
-				t.Fatal(err)
-			}
-			s.Barrier()
+		if _, err := stepShards(t, ss, 0); err != nil {
+			t.Fatal(err)
 		}
 	}
 	p := &relayProgram{n: n, steps: steps, got: map[[2]int][]any{}}
-	first := build(p)
+	first := newShards(t, n, p, cfg)
 	step(first)
 	step(first)
-	fresh := build(p)
+	fresh := newShards(t, n, p, cfg)
 	for i, s := range first {
 		ckpt, err := s.CaptureDurable()
 		if err != nil {

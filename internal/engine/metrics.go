@@ -26,9 +26,9 @@ type Metrics struct {
 	// int64, float64, codec.Int64Pair or nil.
 	Spilled int64
 
-	// Checkpoints and Recoveries count fault-tolerance events: recovery
-	// points captured and rollback-and-replay cycles taken. Both are zero on
-	// a fault-free run without checkpointing.
+	// Checkpoints and Recoveries count the cluster's fault-tolerance events:
+	// generations its barrier committed and rollback-and-replay cycles it
+	// took. Run leaves both zero.
 	Checkpoints int
 	Recoveries  int
 

@@ -6,7 +6,7 @@ import (
 )
 
 // engCounters caches the registry handles the engine touches, so barriers
-// and the send-retry path never take the registry lock.
+// never take the registry lock.
 type engCounters struct {
 	supersteps   *obs.Counter
 	computeCalls *obs.Counter
@@ -14,9 +14,6 @@ type engCounters struct {
 	messages     *obs.Counter
 	messageBytes *obs.Counter
 	delivered    *obs.Counter
-	checkpoints  *obs.Counter
-	recoveries   *obs.Counter
-	sendRetries  *obs.Counter
 	computeNS    *obs.Counter
 	messagingNS  *obs.Counter
 	barrierNS    *obs.Counter
@@ -52,9 +49,6 @@ func (e *Engine) bindRegistry(reg *obs.Registry) {
 		messages:     reg.Counter(obs.CMessages),
 		messageBytes: reg.Counter(obs.CMessageBytes),
 		delivered:    reg.Counter(obs.CDelivered),
-		checkpoints:  reg.Counter(obs.CCheckpoints),
-		recoveries:   reg.Counter(obs.CRecoveries),
-		sendRetries:  reg.Counter(obs.CSendRetries),
 		computeNS:    reg.Counter(obs.CComputePlusNS),
 		messagingNS:  reg.Counter(obs.CMessagingNS),
 		barrierNS:    reg.Counter(obs.CBarrierNS),
@@ -107,8 +101,8 @@ func (s *Shard) report() StepReport {
 }
 
 // publish adds the shard's partials to the registry and starts them over.
-// The registry counts the work executed, replays included; the run's totals
-// are the barrier's.
+// The registry counts the work executed; the run's totals are the
+// barrier's.
 func (s *Shard) publish() {
 	ec := &s.eng.ec
 	ec.computeCalls.Add(s.rep.ComputeCalls)

@@ -88,18 +88,14 @@ type Shard struct {
 // worker count, codec, program construction), which is why NumWorkers must
 // be explicit — a GOMAXPROCS default would diverge between hosts. A Master
 // runs in the coordinator's barrier, not in the shard. Single-process concerns
-// are rejected: Transport (the cluster IS the transport), CheckpointEvery (the
-// coordinator owns durable checkpoints), Context (cancellation arrives as a
-// connection close, not a ctx).
+// are rejected: Transport (the cluster IS the transport) and Context
+// (cancellation arrives as a connection close, not a ctx).
 func NewShard(numVertices int, program Program, cfg Config, shard int) (*Shard, error) {
 	if cfg.NumWorkers <= 0 {
 		return nil, fmt.Errorf("%w: shard execution requires an explicit NumWorkers", ErrBadConfig)
 	}
 	if cfg.Transport != nil {
 		return nil, fmt.Errorf("%w: shard execution replaces Transport", ErrBadConfig)
-	}
-	if cfg.CheckpointEvery > 0 {
-		return nil, fmt.Errorf("%w: shards checkpoint durably via CaptureDurable, not CheckpointEvery", ErrBadConfig)
 	}
 	if cfg.Context != nil {
 		return nil, fmt.Errorf("%w: shard execution is driven externally; Context is unsupported", ErrBadConfig)
@@ -216,9 +212,8 @@ func (s *Shard) Barrier() StepReport {
 
 // CaptureDurable serializes everything a replacement process needs to
 // resume this shard at the current superstep boundary — the capture of its
-// one worker (see Engine.capture), which Run's in-memory checkpoints take of
-// all of them. Call only at a barrier (after Barrier, before the next
-// Compute).
+// one worker (see Engine.capture). Call only at a barrier (after Barrier,
+// before the next Compute).
 func (s *Shard) CaptureDurable() ([]byte, error) {
 	if err := s.eng.takeErr(); err != nil {
 		return nil, err

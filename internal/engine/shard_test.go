@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
 
@@ -185,4 +186,120 @@ func TestShardBarrierPublishesNoImbalance(t *testing.T) {
 			t.Errorf("superstep %d: active vertices gauge %d, report %d, want %d", rep.Superstep, got, rep.Active, want)
 		}
 	}
+}
+
+// newShards builds every shard of an n-vertex engine over p, each Init()ed
+// and closed with the test.
+func newShards(t testing.TB, n int, p Program, cfg Config) []*Shard {
+	t.Helper()
+	ss := make([]*Shard, cfg.NumWorkers)
+	for i := range ss {
+		s, err := NewShard(n, p, cfg, i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(s.Close)
+		if err := s.Init(); err != nil {
+			t.Fatal(err)
+		}
+		ss[i] = s
+	}
+	return ss
+}
+
+// stepShards runs one superstep of phase over shards stepped from outside,
+// in the cluster's order: every shard's Compute and Outbound, then each
+// shard's Deliver of its peers' batches, in ascending source order, and its
+// Barrier. A failed Compute ends the superstep there, with its error.
+func stepShards(t testing.TB, ss []*Shard, phase int) ([]StepReport, error) {
+	t.Helper()
+	outs := make([][][]byte, len(ss))
+	for i, s := range ss {
+		s.SetPhase(phase)
+		if err := s.Compute(); err != nil {
+			return nil, err
+		}
+		var err error
+		if outs[i], err = s.Outbound(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	reps := make([]StepReport, len(ss))
+	for d, s := range ss {
+		var in [][]byte
+		for src := range ss {
+			if src != d {
+				in = append(in, outs[src][d])
+			}
+		}
+		if _, err := s.Deliver(in); err != nil {
+			t.Fatal(err)
+		}
+		reps[d] = s.Barrier()
+	}
+	return reps, nil
+}
+
+// runStepped runs p over every shard of an n-vertex engine as the cluster
+// coordinator does, closing each superstep through one Barrier. At the
+// barrier before superstep commitAt it captures every shard and commits. A
+// failed superstep rewinds the barrier and restores every shard to its
+// capture, which must capture back to the same bytes and hold the frontier
+// the barrier committed, and the run steps on from there. at, when set, sees
+// the shards at every barrier. It returns the barrier's metrics.
+func runStepped(t *testing.T, n int, p Program, cfg Config, commitAt int, at func(step int, ss []*Shard)) *Metrics {
+	t.Helper()
+	b, err := NewBarrier(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ss := newShards(t, n, p, cfg)
+	var ckpts [][]byte
+	for step := 1; b.Open(step); step++ {
+		if step == commitAt && ckpts == nil {
+			for _, s := range ss {
+				c, err := s.CaptureDurable()
+				if err != nil {
+					t.Fatal(err)
+				}
+				ckpts = append(ckpts, c)
+			}
+			b.Commit(step)
+		}
+		if at != nil {
+			at(step, ss)
+		}
+		reps, err := stepShards(t, ss, b.Phase())
+		if err != nil {
+			if ckpts == nil {
+				t.Fatalf("superstep %d failed before the commit: %v", step, err)
+			}
+			if _, err := b.Rewind(step); err != nil {
+				t.Fatal(err)
+			}
+			active := 0
+			for i, s := range ss {
+				if err := s.RestoreDurable(ckpts[i]); err != nil {
+					t.Fatal(err)
+				}
+				if again, err := s.CaptureDurable(); err != nil || !bytes.Equal(again, ckpts[i]) {
+					t.Fatalf("shard %d restored to superstep %d does not capture back to the same bytes (error %v)",
+						i, commitAt, err)
+				}
+				active += len(s.frontier)
+			}
+			if commitAt > 1 && active != b.Active() {
+				t.Fatalf("the shards restored %d active vertices, the barrier committed %d", active, b.Active())
+			}
+			step = commitAt - 1
+			continue
+		}
+		quiesced := b.Close(reps)
+		b.SuperstepEnd(step, 0, 0, 0)
+		if quiesced {
+			break
+		}
+	}
+	m, _ := b.End(0)
+	return m
 }

@@ -30,13 +30,10 @@ const (
 	CMessages      = "engine.messages"
 	CMessageBytes  = "engine.message_bytes"
 	CDelivered     = "engine.delivered" // messages that reached an inbox, after the sender's fold
-	CCheckpoints   = "engine.checkpoints"
-	CRecoveries    = "engine.recoveries"
 	CComputePlusNS = "engine.compute_plus_ns"
 	CMessagingNS   = "engine.messaging_ns"
 	CBarrierNS     = "engine.barrier_ns"
 	CMakespanNS    = "engine.makespan_ns"
-	CSendRetries   = "engine.send_retries"
 
 	// Per-superstep duration distributions.
 	HSuperstepComputeNS   = "engine.superstep.compute_ns"
@@ -110,8 +107,8 @@ const (
 	GClusterShardComputeNS = "cluster.shard_compute_ns"
 )
 
-// Counter is a monotonic (except Store, used by checkpoint rollback) int64
-// metric, safe for concurrent use. The zero value is ready.
+// Counter is a monotonic (except Store) int64 metric, safe for concurrent
+// use. The zero value is ready.
 type Counter struct{ v atomic.Int64 }
 
 // Add increments the counter by n.
@@ -120,8 +117,8 @@ func (c *Counter) Add(n int64) { c.v.Add(n) }
 // Inc increments the counter by one.
 func (c *Counter) Inc() { c.v.Add(1) }
 
-// Store overwrites the counter; the engine's rollback path rewinds totals
-// to a checkpoint with it.
+// Store overwrites the counter with a value that is set, not summed: the
+// latest run's makespan, the events a live graph replayed.
 func (c *Counter) Store(n int64) { c.v.Store(n) }
 
 // Load returns the current value.

@@ -28,8 +28,6 @@ func newEventOf(kind string) Event {
 		return &Checkpoint{}
 	case "recovery":
 		return &Recovery{}
-	case "send_retry":
-		return &SendRetry{}
 	case "run_end":
 		return &RunEnd{}
 	case "worker_join":
@@ -69,8 +67,6 @@ func deref(e Event) Event {
 	case *Checkpoint:
 		return *v
 	case *Recovery:
-		return *v
-	case *SendRetry:
 		return *v
 	case *RunEnd:
 		return *v
@@ -163,7 +159,6 @@ type SuperstepRow struct {
 	Warp         *WarpStats
 	Checkpoint   bool
 	Recoveries   int // replays of this superstep that were rolled back
-	SendRetries  int
 }
 
 // Summary aggregates a trace into per-superstep rows plus the run frame.
@@ -215,8 +210,6 @@ func Summarize(events []Event) (*Summary, error) {
 			row(ev.Superstep).Checkpoint = true
 		case Recovery:
 			row(ev.Failed).Recoveries++
-		case SendRetry:
-			row(ev.Superstep).SendRetries++
 		}
 	}
 	// Replayed supersteps overwrote their metric fields in place, so each
@@ -268,10 +261,7 @@ func (s *Summary) Render(w io.Writer) {
 			events += "ckpt "
 		}
 		if r.Recoveries > 0 {
-			events += fmt.Sprintf("recover×%d ", r.Recoveries)
-		}
-		if r.SendRetries > 0 {
-			events += fmt.Sprintf("retry×%d", r.SendRetries)
+			events += fmt.Sprintf("recover×%d", r.Recoveries)
 		}
 		t.Add(r.Superstep,
 			r.Compute.Round(time.Microsecond), r.Messaging.Round(time.Microsecond),

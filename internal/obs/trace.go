@@ -128,24 +128,10 @@ type Recovery struct {
 	Replayed int    `json:"replayed,omitempty"`
 	Attempt  int    `json:"attempt"` // 1-based recovery count
 	Reason   string `json:"reason"`
-	Reset    bool   `json:"reset,omitempty"` // transport reset was required
 }
 
 // Kind implements Event.
 func (Recovery) Kind() string { return "recovery" }
-
-// SendRetry records one failed Transport.Send attempt that will be (or has
-// exhausted being) retried. Emitted from worker goroutines.
-type SendRetry struct {
-	Superstep int    `json:"superstep"`
-	Src       int    `json:"src"`
-	Dst       int    `json:"dst"`
-	Attempt   int    `json:"attempt"` // 1-based attempt that failed
-	Error     string `json:"error"`
-}
-
-// Kind implements Event.
-func (SendRetry) Kind() string { return "send_retry" }
 
 // RunEnd closes a run with the final totals — the same quantities as the
 // engine.Metrics view, so a trace is self-reconciling.

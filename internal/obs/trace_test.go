@@ -55,12 +55,12 @@ func TestRecorderConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
-				r.Emit(SendRetry{Superstep: i})
+				r.Emit(WorkerPhase{Superstep: i})
 			}
 		}()
 	}
 	wg.Wait()
-	if got := r.Count("send_retry"); got != 8*500 {
+	if got := r.Count("worker_phase"); got != 8*500 {
 		t.Errorf("recorded %d events, want %d", got, 8*500)
 	}
 }
@@ -83,8 +83,7 @@ func TestParseTraceRoundTrip(t *testing.T) {
 	events = append(events, // exercise every remaining event type
 		WarpStats{Superstep: 1, WarpCalls: 2, MsgsIn: 4, UnitMsgsIn: 3, UnitFraction: 0.75},
 		Checkpoint{Superstep: 2, Index: 1},
-		Recovery{Failed: 2, ResumeAt: 1, Attempt: 1, Reason: "panic", Reset: true},
-		SendRetry{Superstep: 1, Src: 0, Dst: 1, Attempt: 1, Error: "drop"},
+		Recovery{Failed: 2, ResumeAt: 1, Attempt: 1, Reason: "panic"},
 	)
 	var sb strings.Builder
 	jt := NewJSONLTracer(&sb)
