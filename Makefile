@@ -136,8 +136,10 @@ bench:
 	$(GO) run ./cmd/graphite-bench -scale 1 -workers 8 all
 
 # End-to-end tracing smoke test: run transit SSSP with a JSONL trace, then
-# validate the trace (schema, superstep contiguity, totals reconciliation)
-# and render the per-superstep breakdown. Then the cluster trace path the
+# validate the trace (schema, superstep contiguity, totals reconciliation),
+# merge it with itself as a cluster trace (its shard_step records against its
+# cluster_step rows) and render the per-superstep breakdown. Then the cluster
+# trace path the
 # README documents: a coordinator running transit PageRank on a fixed
 # loopback port and two workers, all three tracing under a temporary
 # directory; the three traces must merge and reconcile
@@ -146,6 +148,7 @@ TRACE ?= /tmp/graphite-trace-smoke.jsonl
 trace-smoke:
 	$(GO) run ./cmd/graphite-run -graph transit -algo sssp -source 0 -workers 2 -trace $(TRACE) > /dev/null
 	$(GO) run ./cmd/graphite-trace -check $(TRACE)
+	$(GO) run ./cmd/graphite-trace -cluster -check $(TRACE) $(TRACE)
 	$(GO) run ./cmd/graphite-trace $(TRACE)
 	@set -e; dir=$$(mktemp -d); trap 'kill $$(jobs -p) 2>/dev/null || true; rm -rf "$$dir"' EXIT; \
 	$(GO) build -o "$$dir/" ./cmd/graphite-coordinator ./cmd/graphite-worker ./cmd/graphite-trace; \

@@ -1,7 +1,8 @@
 // Command graphite-trace renders a JSONL trace written by graphite-run or
 // graphite-bench (-trace flag) as the paper-style per-superstep breakdown
-// table: compute+/messaging/barrier splits, primitive counts, warp behaviour
-// and fault events per superstep, plus the run totals.
+// table: compute+/messaging/barrier splits, the straggler attribution of the
+// superstep's cluster_step (wall, wait, relay, slowest shard, skew), primitive
+// counts, warp behaviour and fault events per superstep, plus the run totals.
 //
 // Usage:
 //
@@ -22,8 +23,8 @@
 // trace.jsonl per worker directory). The files are merged into one cluster
 // timeline: every shard record the coordinator kept in a cluster_step must,
 // its relay fields aside, equal a shard_step a worker wrote, and the result
-// is rendered as the per-superstep straggler attribution table (compute vs
-// barrier-wait vs relay, slowest shard, skew).
+// is rendered as the same table. An in-process trace merges with itself:
+// graphite-trace -cluster run.jsonl run.jsonl.
 // -cluster -check merges and reconciles without rendering.
 package main
 
@@ -114,7 +115,12 @@ func clusterMain(log *slog.Logger, check bool) {
 			ct.Span, len(workers), len(ct.Steps), ct.Recoveries)
 		return
 	}
-	ct.Render(os.Stdout)
+	s, err := obs.Summarize(ct.Events)
+	if err != nil {
+		log.Error("summarize cluster trace", "err", err)
+		os.Exit(1)
+	}
+	s.Render(os.Stdout)
 }
 
 func parseFile(log *slog.Logger, path string) []obs.Event {

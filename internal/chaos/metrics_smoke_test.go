@@ -340,9 +340,13 @@ func TestClusterObservabilityPlane(t *testing.T) {
 		}
 	}
 
-	// (6) The merged timeline renders.
+	// (6) The merged timeline renders as any trace does.
+	s, err := obs.Summarize(ct.Events)
+	if err != nil {
+		t.Fatalf("summarize the merged trace: %v", err)
+	}
 	var sb strings.Builder
-	ct.Render(&sb)
+	s.Render(&sb)
 	if testing.Verbose() {
 		t.Log("\n" + sb.String())
 	}

@@ -58,7 +58,7 @@ type Config struct {
 	// Registry receives the fleet gauges, counters and histograms; nil
 	// creates a private one. Tracer, when set, receives the coordinator's
 	// full run trace: the standard run/superstep lifecycle events plus the
-	// cluster-specific ones (worker_join/worker_lost/cluster_recovery, and
+	// cluster-specific ones (worker_join/worker_lost/recovery, and
 	// one cluster_step per closed superstep). Logger nil means
 	// slog.Default.
 	Registry *obs.Registry
@@ -703,8 +703,6 @@ func (d *driver) workerLost(dw deadWorker) error {
 	if err != nil {
 		return fmt.Errorf("cluster: shard %d lost (%s): %w", dw.shard, dw.reason, err)
 	}
-	ev.Reason = "worker_lost"
-	d.emit(ev)
 	if !d.recovering {
 		d.detectedAt = d.io.now()
 		d.detectLag = dw.silent
@@ -714,6 +712,8 @@ func (d *driver) workerLost(dw deadWorker) error {
 	d.recovering = true
 	d.rejoinBy = d.io.now().Add(d.c.cfg.RejoinTimeout)
 	d.epoch++
+	ev.Epoch, ev.Gen = d.epoch, d.committedGen
+	d.emit(ev)
 	d.meshing = false // the next full quorum re-runs the mesh exchange
 	d.resetBarrierTally()
 	d.blobCount = 0
@@ -756,11 +756,6 @@ func (d *driver) resume() {
 	reg := d.c.cfg.Registry
 	reg.Counter(obs.CClusterRecoveries).Inc()
 	reg.Counter(obs.CClusterReplayedSupersteps).Add(int64(r.Replayed))
-	d.emit(obs.ClusterRecovery{
-		Epoch: d.epoch, Failed: r.Failed, ResumeAt: r.ResumeAt,
-		Gen: d.committedGen, DetectNS: int64(d.detectLag), MTTRNS: int64(mttr),
-		RestoredBytes: d.restoredBytes,
-	})
 	d.c.cfg.Logger.Info("cluster: recovered", "epoch", d.epoch, "resume_at", r.ResumeAt,
 		"gen", d.committedGen, "mttr", mttr.Round(time.Millisecond), "replayed", r.Replayed)
 	d.setState(stRunning)
@@ -859,26 +854,17 @@ func (d *driver) commit(gen int) {
 func (d *driver) closeSuperstep() {
 	now := d.io.now()
 	d.refreshLeaseGauges(now)
-	cs := obs.ClusterStep{
-		Span: d.c.cfg.Span, Superstep: d.superstep, Epoch: d.epoch,
-		WallNS: now.Sub(d.stepStarted).Nanoseconds(), Shards: make([]obs.ShardStep, len(d.reports)),
-	}
+	shards := make([]obs.ShardStep, len(d.reports))
 	for s, rep := range d.reports {
 		// The relay volume is the coordinator's own forwarding tally toward
 		// this shard: the worker's per-batch mesh fallbacks arrive here as
 		// ordinary fData.
-		cs.Shards[s] = rep.Step
-		cs.Shards[s].RelayNS, cs.Shards[s].RelayBytes = d.relayNS[s], d.relayBytes[s]
-		if rep.Step.ComputeNS > cs.Shards[cs.SlowestShard].ComputeNS {
-			cs.SlowestShard = s
-		}
+		shards[s] = rep.Step
+		shards[s].RelayNS, shards[s].RelayBytes = d.relayNS[s], d.relayBytes[s]
 	}
+	cs := obs.NewClusterStep(d.c.cfg.Span, d.superstep, d.epoch, now.Sub(d.stepStarted).Nanoseconds(), shards)
 	sum := cs.Total()
-	maxCompute := cs.Shards[cs.SlowestShard].ComputeNS
-	cs.SkewMilli = 1000
-	if mean := sum.ComputeNS / int64(len(cs.Shards)); mean > 0 {
-		cs.SkewMilli = maxCompute * 1000 / mean
-	}
+	maxCompute := shards[cs.SlowestShard].ComputeNS
 	d.emit(d.c.barrier.SuperstepEnd(d.superstep, time.Duration(sum.ComputeNS),
 		time.Duration(sum.WaitNS+sum.RelayNS+sum.PeerSendNS), time.Duration(sum.DeliverNS)))
 	d.emit(cs)

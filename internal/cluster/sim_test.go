@@ -753,9 +753,9 @@ func TestSimLeaseRecovery(t *testing.T) {
 			lost++
 		}
 	}
-	if rec.Count("worker_lost") != 1 || lost != 1 || rec.Count("cluster_recovery") != 1 {
+	if rec.Count("worker_lost") != 1 || lost != 1 || rec.Count("recovery") != 1 {
 		t.Errorf("trace events: lost=%d (to the lease %d) recovery=%d",
-			rec.Count("worker_lost"), lost, rec.Count("cluster_recovery"))
+			rec.Count("worker_lost"), lost, rec.Count("recovery"))
 	}
 	joins := 0
 	for _, e := range rec.Events() {

@@ -117,7 +117,7 @@ type Config struct {
 	// DefaultMaxRecoveries and negative means unlimited. Run never rewinds.
 	MaxRecoveries int
 	// Tracer, when set, receives the typed per-superstep event stream:
-	// run/superstep lifecycle and per-worker phase timings, all emitted from
+	// run/superstep lifecycle and each shard's obs.ShardStep, all emitted from
 	// the coordinating goroutine in deterministic order. Nil disables
 	// tracing.
 	Tracer obs.Tracer
@@ -290,6 +290,7 @@ func (e *Engine) Run() (*Metrics, error) {
 	}
 	start := time.Now()
 	reps := make([]StepReport, len(e.workers))
+	steps := make([]obs.ShardStep, len(e.workers))
 	if e.traced {
 		e.tracer.Emit(obs.RunStart{Vertices: e.numV, Workers: len(e.workers), Span: e.cfg.Span})
 	}
@@ -325,7 +326,7 @@ func (e *Engine) Run() (*Metrics, error) {
 		// Messaging phase: exclusive message delivery after compute — unless
 		// the compute phase aborted.
 		if !e.aborted() {
-			e.exchange()
+			e.exchange(t0)
 		}
 		t2 := time.Now()
 
@@ -338,15 +339,14 @@ func (e *Engine) Run() (*Metrics, error) {
 		if err := e.takeErr(); err != nil {
 			return nil, err
 		}
-		if e.traced {
-			e.emitWorkerPhases()
-		}
 
 		// Barrier: every shard reports to the barrier, in shard order — the
 		// aggregates merge, the counts fold into the run's totals, the halt
 		// rule is decided — then the partials go to the registry.
 		for i, s := range e.workers {
 			reps[i] = s.report()
+			s.step.Span, s.step.Superstep, s.step.Shard = e.cfg.Span, e.superstp, s.id
+			steps[i] = s.step
 		}
 		quiesced := e.barrier.Close(reps)
 		var classBytes [codec.NumIntervalClasses]int64
@@ -357,6 +357,7 @@ func (e *Engine) Run() (*Metrics, error) {
 			s.publish()
 		}
 		t3 := time.Now()
+		row := obs.NewClusterStep(e.cfg.Span, e.superstp, 0, t3.Sub(t0).Nanoseconds(), steps)
 
 		computeD, messagingD, barrierD := t1.Sub(t0), t2.Sub(t1), t3.Sub(t2)
 		end := e.barrier.SuperstepEnd(e.superstp, computeD, messagingD, barrierD)
@@ -369,7 +370,7 @@ func (e *Engine) Run() (*Metrics, error) {
 		e.ec.supersteps.Inc()
 		e.setPoolGauges()
 		e.ec.activeVertices.Set(int64(e.countActive()))
-		e.ec.imbalance.Set(e.imbalanceMilli())
+		e.ec.skew.Set(row.SkewMilli)
 		if e.traced {
 			end.Intervals = obs.IntervalBytes{
 				Unit:      classBytes[codec.ClassUnit],
@@ -378,6 +379,11 @@ func (e *Engine) Run() (*Metrics, error) {
 				Empty:     classBytes[codec.ClassEmpty],
 			}
 			e.tracer.Emit(end)
+			for _, st := range steps {
+				e.tracer.Emit(st)
+			}
+			row.Shards = slices.Clone(steps)
+			e.tracer.Emit(row)
 		}
 		e.superstp++
 		if quiesced {
@@ -497,20 +503,27 @@ func (e *Engine) parallel(phase func(*Shard)) {
 
 // exchange moves all outbox batches to destination inboxes, applying the
 // combiner across sources; each shard counts what it delivered. Over a
-// Transport the cross-shard batches are shipped first.
-func (e *Engine) exchange() {
+// Transport the cross-shard batches are shipped first. A shard waits from the
+// end of its compute+ until delivery begins: compute+ plus wait is the wall
+// time since the superstep's start, the same for every shard.
+func (e *Engine) exchange(start time.Time) {
 	if e.cfg.Transport != nil {
 		e.parallel((*Shard).ship)
+	}
+	wall := time.Since(start).Nanoseconds()
+	for _, s := range e.workers {
+		s.step.WaitNS = wall - s.step.ComputeNS
 	}
 	e.parallel((*Shard).exchange)
 }
 
 // ship sends the shard's cross-shard batches — what Outbound encodes — over
-// the Transport, once each: a failed Send fails the superstep.
+// the Transport, once each: a failed Send fails the superstep. Shipping is
+// part of the shard's compute+, as it is a cluster worker's.
 func (s *Shard) ship() {
 	e := s.eng
 	phaseStart := time.Now()
-	defer func() { s.shipNS = time.Since(phaseStart).Nanoseconds() }()
+	s.step.DirectBytes = 0
 	for dst, batch := range s.outbound() {
 		if dst == s.id {
 			continue
@@ -518,7 +531,10 @@ func (s *Shard) ship() {
 		if err := e.cfg.Transport.Send(s.id, dst, batch); err != nil {
 			e.fail(fmt.Errorf("engine: send %d->%d: %w", s.id, dst, err))
 		}
+		s.step.DirectBytes += int64(len(batch))
 	}
+	s.step.PeerSendNS = time.Since(phaseStart).Nanoseconds()
+	s.step.ComputeNS += s.step.PeerSendNS
 }
 
 // exchange is one shard's receive phase within Run, called directly by the
@@ -538,7 +554,7 @@ func (s *Shard) exchange() {
 	if err != nil {
 		e.fail(err)
 	}
-	s.exchangeNS = time.Since(phaseStart).Nanoseconds()
+	s.step.DeliverNS = time.Since(phaseStart).Nanoseconds()
 }
 
 // receive is a shard's receive phase, and the one routine that sets the

@@ -1,6 +1,7 @@
 package engine_test
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -11,66 +12,105 @@ import (
 	"graphite/internal/tgraph"
 )
 
-// TestRunEventSequence pins the order Run reports a superstep in: its
-// superstep_start; the compute phase of every worker, in worker order; over
-// a Transport, every worker's ship phase; every worker's exchange phase; its
-// superstep_end.
+// TestRunEventSequence pins the order Run closes a superstep in, the order a
+// merged cluster timeline has: its superstep_start; its superstep_end; every
+// shard's shard_step, in shard order; the cluster_step holding those records.
+// The records' clocks are those DESIGN §7 defines: compute+ plus wait is the
+// same wall for every shard, within the superstep's compute+ and messaging;
+// delivery is timed, within messaging; only a Transport ships. The trace
+// merges with itself as a cluster trace does with its workers': each row
+// holds the records traced before it.
 func TestRunEventSequence(t *testing.T) {
 	type event struct {
-		kind              string
-		superstep, worker int
-		phase             string
+		kind             string
+		superstep, shard int
 	}
 	for _, tc := range []struct {
 		name string
 		tcp  bool
 	}{{"in process", false}, {"transport", true}} {
+		tcp := tc.tcp
 		t.Run(tc.name, func(t *testing.T) {
-			a := &algorithms.SSSP{Source: 0, StartTime: 0}
-			opts := a.Options()
-			opts.NumWorkers = 2
-			rec := &obs.Recorder{}
-			opts.Tracer = rec
-			phases := []string{"compute", "exchange"}
-			if tc.tcp {
-				tr, err := engine.NewTCPTransport(2)
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer tr.Close()
-				opts.Transport = tr
-				phases = []string{"compute", "ship", "exchange"}
-			}
-			if _, err := core.Run(tgraph.TransitExample(), a, opts); err != nil {
-				t.Fatal(err)
-			}
-			var got, want []event
-			for _, e := range rec.Events() {
-				switch e := e.(type) {
-				case obs.SuperstepStart:
-					got = append(got, event{kind: e.Kind(), superstep: e.Superstep})
-					want = append(want, event{kind: e.Kind(), superstep: e.Superstep})
-					for _, ph := range phases {
-						for w := 0; w < 2; w++ {
-							want = append(want, event{"worker_phase", e.Superstep, w, ph})
+			for workers := 1; workers <= 3; workers++ {
+				t.Run(fmt.Sprintf("%d workers", workers), func(t *testing.T) {
+					a := &algorithms.SSSP{Source: 0, StartTime: 0}
+					opts := a.Options()
+					opts.NumWorkers = workers
+					opts.Span = "events"
+					rec := &obs.Recorder{}
+					opts.Tracer = rec
+					if tcp {
+						tr, err := engine.NewTCPTransport(workers)
+						if err != nil {
+							t.Fatal(err)
+						}
+						defer tr.Close()
+						opts.Transport = tr
+					}
+					if _, err := core.Run(tgraph.TransitExample(), a, opts); err != nil {
+						t.Fatal(err)
+					}
+					events := rec.Events()
+					var got, want []event
+					var end obs.SuperstepEnd
+					var steps []obs.ShardStep
+					for _, e := range events {
+						switch e := e.(type) {
+						case obs.SuperstepStart:
+							got = append(got, event{e.Kind(), e.Superstep, -1})
+							want = append(want, event{e.Kind(), e.Superstep, -1}, event{"superstep_end", e.Superstep, -1})
+							for w := 0; w < workers; w++ {
+								want = append(want, event{"shard_step", e.Superstep, w})
+							}
+							want = append(want, event{"cluster_step", e.Superstep, -1})
+						case obs.SuperstepEnd:
+							got = append(got, event{e.Kind(), e.Superstep, -1})
+							end, steps = e, nil
+						case obs.ShardStep:
+							got = append(got, event{e.Kind(), e.Superstep, e.Shard})
+							steps = append(steps, e)
+							checkRecord(t, e, end, tcp && workers > 1)
+							if wall := steps[0].ComputeNS + steps[0].WaitNS; e.ComputeNS+e.WaitNS != wall {
+								t.Errorf("superstep %d: shard %d compute+wait %d, shard 0's %d",
+									e.Superstep, e.Shard, e.ComputeNS+e.WaitNS, wall)
+							}
+						case obs.ClusterStep:
+							got = append(got, event{e.Kind(), e.Superstep, -1})
 						}
 					}
-					want = append(want, event{kind: "superstep_end", superstep: e.Superstep})
-				case obs.WorkerPhase:
-					got = append(got, event{e.Kind(), e.Superstep, e.Worker, e.Phase})
-				case obs.SuperstepEnd:
-					got = append(got, event{kind: e.Kind(), superstep: e.Superstep})
-				}
-			}
-			if len(want) == 0 {
-				t.Fatal("no superstep traced")
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("event sequence\n  got  %v\n  want %v", got, want)
-			}
-			if err := obs.ValidateTrace(rec.Events()); err != nil {
-				t.Errorf("trace does not validate: %v", err)
+					if len(want) == 0 {
+						t.Fatal("no superstep traced")
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Errorf("event sequence\n  got  %v\n  want %v", got, want)
+					}
+					if err := obs.ValidateTrace(events); err != nil {
+						t.Errorf("trace does not validate: %v", err)
+					}
+					if _, err := obs.MergeClusterTrace(events, [][]obs.Event{events}); err != nil {
+						t.Errorf("trace does not merge with itself: %v", err)
+					}
+				})
 			}
 		})
+	}
+}
+
+// checkRecord holds one shard's record to the superstep_end before it.
+func checkRecord(t *testing.T, st obs.ShardStep, end obs.SuperstepEnd, ships bool) {
+	t.Helper()
+	if st.Superstep != end.Superstep || st.Span != "events" || st.Epoch != 0 || st.RelayNS != 0 || st.RelayBytes != 0 {
+		t.Errorf("superstep %d: record %+v", end.Superstep, st)
+	}
+	if st.ComputeNS <= 0 || st.WaitNS < 0 || st.ComputeNS+st.WaitNS > end.ComputeNS+end.MessagingNS {
+		t.Errorf("superstep %d shard %d: compute %d + wait %d outside the superstep's compute+ %d + messaging %d",
+			st.Superstep, st.Shard, st.ComputeNS, st.WaitNS, end.ComputeNS, end.MessagingNS)
+	}
+	if st.DeliverNS <= 0 || st.DeliverNS > end.MessagingNS {
+		t.Errorf("superstep %d shard %d: deliver %d outside (0, messaging %d]",
+			st.Superstep, st.Shard, st.DeliverNS, end.MessagingNS)
+	}
+	if ships != (st.DirectBytes > 0) {
+		t.Errorf("superstep %d shard %d: shipped %d bytes in %d ns", st.Superstep, st.Shard, st.DirectBytes, st.PeerSendNS)
 	}
 }

@@ -72,7 +72,7 @@ func (s *Shard) init() {
 // once the frontier is done.
 func (s *Shard) compute() {
 	phaseStart := time.Now()
-	defer func() { s.computeNS = time.Since(phaseStart).Nanoseconds() }()
+	defer func() { s.step.ComputeNS = time.Since(phaseStart).Nanoseconds() }()
 	s.cctx = Context{eng: s.eng, w: s}
 	s.runSlots(s.prepareSched())
 	s.finishSched()
@@ -102,28 +102,6 @@ func (s *Shard) runSlots(slots []int32) {
 		s.at[slot], s.end[slot] = 0, 0
 		s.active[slot] = false
 	}
-}
-
-// imbalanceMilli reports the latest compute phase's max/mean worker compute
-// time in thousandths: 1000 is a perfectly balanced superstep, W·1000 is one
-// straggler doing everything.
-func (e *Engine) imbalanceMilli() int64 {
-	var sum, max int64
-	for _, s := range e.workers {
-		ns := s.computeNS
-		sum += ns
-		if ns > max {
-			max = ns
-		}
-	}
-	if sum <= 0 {
-		return 0
-	}
-	mean := sum / int64(len(e.workers))
-	if mean == 0 {
-		return 0
-	}
-	return max * 1000 / mean
 }
 
 // PartitionBalanced returns a Partitioner that greedily bin-packs vertices

@@ -30,9 +30,9 @@ type engCounters struct {
 	bytesReused *obs.Gauge
 
 	// Scheduler gauges: frontier size after the latest delivery barrier and
-	// the latest superstep's worker compute-time imbalance (max/mean ·1000).
+	// the latest superstep's compute skew across shards (max/mean ·1000).
 	activeVertices *obs.Gauge
-	imbalance      *obs.Gauge
+	skew           *obs.Gauge
 
 	hCompute   *obs.Histogram
 	hMessaging *obs.Histogram
@@ -63,7 +63,7 @@ func (e *Engine) bindRegistry(reg *obs.Registry) {
 		poolMisses:     reg.Gauge(obs.GPoolMisses),
 		bytesReused:    reg.Gauge(obs.GBytesReused),
 		activeVertices: reg.Gauge(obs.GActiveVertices),
-		imbalance:      reg.Gauge(obs.GComputeImbalanceMilli),
+		skew:           reg.Gauge(obs.GClusterSkewMilli),
 		hCompute:       reg.Histogram(obs.HSuperstepComputeNS),
 		hMessaging:     reg.Histogram(obs.HSuperstepMessagingNS),
 		hBarrier:       reg.Histogram(obs.HSuperstepBarrierNS),
@@ -123,37 +123,4 @@ func (s *Shard) publish() {
 func (s *Shard) resetPartials() {
 	s.rep = StepReport{Aggs: s.eng.barrier.identities(s.rep.Aggs)}
 	s.classBytes = [codec.NumIntervalClasses]int64{}
-}
-
-// emitWorkerPhases reports the phases of the superstep that reached its
-// barrier — compute, ship (over a Transport), exchange — for every shard, in
-// shard order, from the coordinating goroutine: trace output stays
-// deterministic because shards never emit.
-func (e *Engine) emitWorkerPhases() {
-	for _, phase := range [...]string{"compute", "ship", "exchange"} {
-		if phase == "ship" && e.cfg.Transport == nil {
-			continue
-		}
-		for _, s := range e.workers {
-			ev := obs.WorkerPhase{
-				Superstep: e.superstp,
-				Worker:    s.id,
-				Phase:     phase,
-			}
-			switch phase {
-			case "compute":
-				ev.NS = s.computeNS
-				ev.ComputeCalls = s.rep.ComputeCalls
-				ev.ScatterCalls = s.rep.ScatterCalls
-				ev.SentMsgs = s.rep.SentMsgs
-				ev.SentBytes = s.rep.SentBytes
-			case "ship":
-				ev.NS = s.shipNS
-			case "exchange":
-				ev.NS = s.exchangeNS
-				ev.Delivered = s.rep.Delivered
-			}
-			e.tracer.Emit(ev)
-		}
-	}
 }

@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"graphite/internal/codec"
+	"graphite/internal/obs"
 )
 
 // This file is the engine's worker, the Shard. Run steps every shard of its
@@ -66,12 +67,10 @@ type Shard struct {
 	rep        StepReport
 	classBytes [codec.NumIntervalClasses]int64
 
-	// Per-phase observations for the superstep in flight: each shard
-	// records into its own fields; Run reads them after the phase barrier
-	// (shards are quiescent then), so no synchronization.
-	computeNS  int64
-	shipNS     int64
-	exchangeNS int64
+	// step is the shard's record of the superstep in flight: each phase
+	// writes its own clocks, and Run reads it at the barrier (shards are
+	// quiescent then), so no synchronization.
+	step obs.ShardStep
 
 	scratch  []byte // spilled-payload sizing buffer, reused across sends
 	ckptSize int    // the last durable capture's length, the next one's first allocation
@@ -203,8 +202,8 @@ func (s *Shard) Barrier() StepReport {
 	rep.Aggs = slices.Clone(rep.Aggs)
 	s.publish()
 	e.ec.supersteps.Inc()
-	// No imbalance gauge: only this shard's worker computes in this engine.
-	// The cluster's imbalance is the coordinator's GClusterSkewMilli.
+	// No skew gauge: only this shard's worker computes in this engine. The
+	// cluster's skew is the coordinator's to set.
 	e.ec.activeVertices.Set(int64(rep.Active))
 	e.superstp++
 	return rep

@@ -152,8 +152,8 @@ type snapSelfSendProgram struct {
 // TestShardBarrierPublishesNoImbalance: in a shard's engine only the shard's
 // own worker ever computes, so max/mean compute time over all of the engine's
 // workers would read NumShards × 1000 whatever the cluster's balance is.
-// Barrier publishes the frontier size and leaves the imbalance gauge alone;
-// the cluster's imbalance is the coordinator's to report.
+// Barrier publishes the frontier size and leaves the skew gauge alone; the
+// cluster's skew is the coordinator's to report.
 func TestShardBarrierPublishesNoImbalance(t *testing.T) {
 	reg := obs.NewRegistry()
 	s, err := NewShard(10, snapSelfSendProgram{selfSendProgram: selfSendProgram{val: int64(7)}},
@@ -169,7 +169,7 @@ func TestShardBarrierPublishesNoImbalance(t *testing.T) {
 		if err := s.Compute(); err != nil {
 			t.Fatalf("Compute: %v", err)
 		}
-		if s.computeNS <= 0 {
+		if s.step.ComputeNS <= 0 {
 			t.Fatal("the compute phase was not timed")
 		}
 		if _, err := s.Outbound(); err != nil {
@@ -179,8 +179,8 @@ func TestShardBarrierPublishesNoImbalance(t *testing.T) {
 			t.Fatalf("Deliver: %v", err)
 		}
 		rep := s.Barrier()
-		if got := reg.Gauge(obs.GComputeImbalanceMilli).Load(); got != 0 {
-			t.Errorf("superstep %d: a shard published compute imbalance %d, want none", rep.Superstep, got)
+		if got := reg.Gauge(obs.GClusterSkewMilli).Load(); got != 0 {
+			t.Errorf("superstep %d: a shard published compute skew %d, want none", rep.Superstep, got)
 		}
 		if got, want := reg.Gauge(obs.GActiveVertices).Load(), int64(len(s.local)); got != want || rep.Active != len(s.local) {
 			t.Errorf("superstep %d: active vertices gauge %d, report %d, want %d", rep.Superstep, got, rep.Active, want)

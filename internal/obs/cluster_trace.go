@@ -2,11 +2,7 @@ package obs
 
 import (
 	"fmt"
-	"io"
 	"slices"
-	"time"
-
-	"graphite/internal/stats"
 )
 
 // Merging cluster traces. A cluster run writes N+1 JSONL traces: the
@@ -19,7 +15,8 @@ import (
 // record the coordinator kept, relay fields zeroed, is one a worker wrote —
 // which catches mixed-up trace files, truncated worker traces and a record
 // altered on its way — the distributed analogue of ValidateTrace's totals
-// reconciliation.
+// reconciliation. Engine.Run traces its records before each row, so its trace
+// merges with itself; Summarize renders a merged timeline as any trace.
 
 // ClusterTrace is the merged, reconciled view of one cluster run.
 type ClusterTrace struct {
@@ -107,29 +104,4 @@ func MergeClusterTrace(coord []Event, workers [][]Event) (*ClusterTrace, error) 
 		return nil, err
 	}
 	return ct, nil
-}
-
-// Render prints the merged cluster timeline as a per-superstep straggler
-// attribution table.
-func (ct *ClusterTrace) Render(w io.Writer) {
-	fmt.Fprintf(w, "cluster run: span=%s workers=%d recoveries=%d\n",
-		ct.Span, ct.Workers, ct.Recoveries)
-	t := stats.Table{Header: []string{
-		"Step", "Wall", "Compute", "Wait", "Relay", "Slowest", "Skew",
-	}}
-	us := func(ns int64) time.Duration { return time.Duration(ns).Round(time.Microsecond) }
-	var wall int64
-	var all ShardStep
-	for _, s := range ct.Steps {
-		sum := s.Total()
-		wall += s.WallNS
-		all.ComputeNS += sum.ComputeNS
-		all.WaitNS += sum.WaitNS
-		all.RelayNS += sum.RelayNS
-		t.Add(s.Superstep, us(s.WallNS), us(sum.ComputeNS), us(sum.WaitNS), us(sum.RelayNS),
-			fmt.Sprintf("shard %d", s.SlowestShard),
-			fmt.Sprintf("%.2f×", float64(s.SkewMilli)/1000))
-	}
-	t.Add("total", us(wall), us(all.ComputeNS), us(all.WaitNS), us(all.RelayNS), "-", "-")
-	t.Render(w)
 }

@@ -12,20 +12,15 @@ import (
 // have non-trivial numbers to match).
 
 func coordStep(span string, step, epoch int, computes []int64) obs.ClusterStep {
-	cs := obs.ClusterStep{Span: span, Superstep: step, Epoch: epoch}
-	var sumC int64
+	var shards []obs.ShardStep
+	var wall int64
 	for s, c := range computes {
 		rec := workerStep(span, step, s, epoch, c)
 		rec.RelayNS = 10 // the coordinator's own clock
-		cs.Shards = append(cs.Shards, rec)
-		cs.WallNS = max(cs.WallNS, c+c/2)
-		sumC += c
-		if c > computes[cs.SlowestShard] {
-			cs.SlowestShard = s
-		}
+		shards = append(shards, rec)
+		wall = max(wall, c+c/2)
 	}
-	cs.SkewMilli = computes[cs.SlowestShard] * 1000 * int64(len(computes)) / sumC
-	return cs
+	return obs.NewClusterStep(span, step, epoch, wall, shards)
 }
 
 func workerStep(span string, step, shard, epoch int, compute int64) obs.ShardStep {
@@ -68,8 +63,8 @@ func TestMergeClusterTraceCleanRun(t *testing.T) {
 			t.Errorf("step %d: superstep %d with %d shard records; want %d and 2", i, row.Superstep, len(row.Shards), i+1)
 		}
 	}
-	if got := ct.Steps[1].SlowestShard; got != 0 {
-		t.Errorf("superstep 2 slowest shard = %d, want 0", got)
+	if got := ct.Steps[1]; got.SlowestShard != 0 || got.SkewMilli != 1333 {
+		t.Errorf("superstep 2 slowest shard %d, skew %d; want 0 and 1333 (300 of mean 225)", got.SlowestShard, got.SkewMilli)
 	}
 	// The merged timeline splices the worker records, as the workers wrote
 	// them, immediately before their ClusterStep.
@@ -84,10 +79,14 @@ func TestMergeClusterTraceCleanRun(t *testing.T) {
 			}
 		}
 	}
+	s, err := obs.Summarize(ct.Events)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var sb strings.Builder
-	ct.Render(&sb)
-	if !strings.Contains(sb.String(), "span=span-a workers=2 recoveries=0") {
-		t.Errorf("render header missing:\n%s", sb.String())
+	s.Render(&sb)
+	if !strings.Contains(sb.String(), "2 workers, span=span-a") || !strings.Contains(sb.String(), "1.33×") {
+		t.Errorf("render lost the span header or the skew:\n%s", sb.String())
 	}
 }
 
@@ -100,7 +99,7 @@ func TestMergeClusterTraceReplay(t *testing.T) {
 	coord = append(coord, coordStep(span, 1, 0, []int64{100, 200}))
 	// Superstep 2 first executes at epoch 0... then the coordinator loses a
 	// worker before closing it (no ClusterStep), recovers, and replays.
-	coord = append(coord, obs.Recovery{Failed: 2, ResumeAt: 2, Attempt: 1, Reason: "worker_lost"})
+	coord = append(coord, obs.Recovery{Failed: 2, ResumeAt: 2, Attempt: 1, Epoch: 1})
 	coord = append(coord, coordStep(span, 2, 1, []int64{310, 160}))
 	coord = append(coord, obs.RunEnd{Supersteps: 2, Recoveries: 1})
 

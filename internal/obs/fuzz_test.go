@@ -12,12 +12,21 @@ import (
 
 // FuzzTrace runs arbitrary bytes through the trace readers: ParseTrace, then
 // Summarize, ValidateTrace and MergeClusterTrace with the trace as both the
-// coordinator's and its one worker's. Nothing may panic, and a summary
-// Summarize returns holds supersteps 1..n in order.
+// coordinator's and its one worker's, and Summarize over the merged timeline.
+// Nothing may panic, and a summary Summarize returns holds supersteps 1..n in
+// order.
 func FuzzTrace(f *testing.F) {
 	sssp, err := os.ReadFile(filepath.Join("testdata", "transit_sssp.jsonl"))
 	if err != nil {
 		f.Fatal(err)
+	}
+	// An in-process trace holds its own shard records before each row.
+	evs, err := obs.ParseTrace(bytes.NewReader(sssp))
+	if err == nil {
+		_, err = obs.MergeClusterTrace(evs, [][]obs.Event{evs})
+	}
+	if err != nil {
+		f.Fatalf("the in-process seed does not merge with itself: %v", err)
 	}
 	f.Add(sssp)
 	// A merged cluster timeline is one trace both sides of a merge accept:
@@ -32,7 +41,7 @@ func FuzzTrace(f *testing.F) {
 	for _, e := range ct.Events {
 		jt.Emit(e)
 	}
-	evs, err := obs.ParseTrace(bytes.NewReader(cluster.Bytes()))
+	evs, err = obs.ParseTrace(bytes.NewReader(cluster.Bytes()))
 	if err == nil {
 		_, err = obs.MergeClusterTrace(evs, [][]obs.Event{evs})
 	}
@@ -56,7 +65,9 @@ func FuzzTrace(f *testing.F) {
 		}
 		_ = obs.ValidateTrace(evs)
 		if ct, err := obs.MergeClusterTrace(evs, [][]obs.Event{evs}); err == nil {
-			ct.Render(io.Discard)
+			if s, err := obs.Summarize(ct.Events); err == nil {
+				s.Render(io.Discard)
+			}
 		}
 	})
 }

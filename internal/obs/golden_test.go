@@ -19,8 +19,8 @@ import (
 var update = flag.Bool("update", false, "rewrite golden files")
 
 // runTransitSSSP runs temporal SSSP over the paper's transit example with a
-// fixed worker count and a recorder attached — everything about the run is
-// deterministic except wall-clock timings.
+// fixed worker count, a fixed span and a recorder attached — everything about
+// the run is deterministic except wall-clock timings.
 func runTransitSSSP(t *testing.T) (*core.Result, *obs.Recorder) {
 	t.Helper()
 	g := tgraph.TransitExample()
@@ -29,6 +29,7 @@ func runTransitSSSP(t *testing.T) (*core.Result, *obs.Recorder) {
 		t.Fatalf("algorithms.New: %v", err)
 	}
 	opts.NumWorkers = 2
+	opts.Span = "transit-sssp"
 	rec := &obs.Recorder{}
 	opts.Tracer = rec
 	res, err := core.Run(g, prog, opts)
@@ -38,10 +39,24 @@ func runTransitSSSP(t *testing.T) (*core.Result, *obs.Recorder) {
 	return res, rec
 }
 
-// timingKeys are the JSONL fields that vary run to run; the golden test
-// zeroes them so the comparison pins schema, ordering and every
-// deterministic quantity.
-var timingKeys = []string{"ns", "compute_ns", "messaging_ns", "barrier_ns", "makespan_ns"}
+// timingKeys are the JSONL fields that vary run to run, the last two because
+// they follow from the compute clocks; the golden test zeroes them, in a
+// cluster_step's shard records too, so the comparison pins schema, ordering
+// and every deterministic quantity.
+var timingKeys = []string{"compute_ns", "messaging_ns", "barrier_ns", "makespan_ns",
+	"wait_ns", "deliver_ns", "peer_send_ns", "wall_ns", "slowest_shard", "skew_milli"}
+
+func zeroTimings(m map[string]any) {
+	for _, k := range timingKeys {
+		if _, ok := m[k]; ok {
+			m[k] = 0
+		}
+	}
+	shards, _ := m["shards"].([]any)
+	for _, s := range shards {
+		zeroTimings(s.(map[string]any))
+	}
+}
 
 func normalizeLine(t *testing.T, line []byte) []byte {
 	t.Helper()
@@ -49,11 +64,7 @@ func normalizeLine(t *testing.T, line []byte) []byte {
 	if err := json.Unmarshal(line, &m); err != nil {
 		t.Fatalf("unmarshal trace line %s: %v", line, err)
 	}
-	for _, k := range timingKeys {
-		if _, ok := m[k]; ok {
-			m[k] = 0
-		}
-	}
+	zeroTimings(m)
 	out, err := json.Marshal(m)
 	if err != nil {
 		t.Fatalf("re-marshal trace line: %v", err)

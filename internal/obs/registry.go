@@ -55,12 +55,8 @@ const (
 	GBytesReused = "engine.bytes_reused"
 
 	// Compute phase: the dense-frontier size after the latest delivery
-	// barrier, and the latest superstep's compute-time imbalance across the
-	// workers of an Engine.Run — max/mean worker compute time in thousandths
-	// (1000 = perfectly balanced). A cluster shard leaves the imbalance at 0:
-	// the coordinator's GClusterSkewMilli is the cluster's.
-	GActiveVertices        = "engine.active_vertices"
-	GComputeImbalanceMilli = "engine.compute_imbalance_milli"
+	// barrier.
+	GActiveVertices = "engine.active_vertices"
 
 	// ICM runtime totals.
 	CWarpCalls       = "icm.warp_calls"
@@ -85,12 +81,15 @@ const (
 	GClusterMissedHeartbeats = "cluster.missed_heartbeats"
 
 	// Per-superstep straggler attribution (coordinator-side): the slowest
-	// shard's compute and barrier-wait time distributions, the latest
-	// superstep's compute skew (max/mean across shards in thousandths), the
-	// shard that was slowest last superstep, and the cumulative bytes and
-	// time the coordinator spent relaying data batches between workers.
-	HClusterComputeNS  = "cluster.superstep.compute_ns"
-	HClusterWaitNS     = "cluster.superstep.wait_ns"
+	// shard's compute and barrier-wait time distributions, the shard that was
+	// slowest last superstep, and the cumulative bytes and time the
+	// coordinator spent relaying data batches between workers.
+	HClusterComputeNS = "cluster.superstep.compute_ns"
+	HClusterWaitNS    = "cluster.superstep.wait_ns"
+	// GClusterSkewMilli is the one skew gauge, set by both drivers — the
+	// coordinator and Engine.Run — from the latest ClusterStep's SkewMilli:
+	// max/mean compute across shards in thousandths. A cluster shard's
+	// Barrier leaves it alone.
 	GClusterSkewMilli  = "cluster.step_skew_milli"
 	GClusterSlowest    = "cluster.slowest_shard"
 	CClusterRelayBytes = "cluster.relay_bytes"

@@ -18,8 +18,6 @@ func newEventOf(kind string) Event {
 		return &RunStart{}
 	case "superstep_start":
 		return &SuperstepStart{}
-	case "worker_phase":
-		return &WorkerPhase{}
 	case "superstep_end":
 		return &SuperstepEnd{}
 	case "warp":
@@ -34,8 +32,6 @@ func newEventOf(kind string) Event {
 		return &WorkerJoin{}
 	case "worker_lost":
 		return &WorkerLost{}
-	case "cluster_recovery":
-		return &ClusterRecovery{}
 	case "shard_step":
 		return &ShardStep{}
 	case "cluster_step":
@@ -58,8 +54,6 @@ func deref(e Event) Event {
 		return *v
 	case *SuperstepStart:
 		return *v
-	case *WorkerPhase:
-		return *v
 	case *SuperstepEnd:
 		return *v
 	case *WarpStats:
@@ -73,8 +67,6 @@ func deref(e Event) Event {
 	case *WorkerJoin:
 		return *v
 	case *WorkerLost:
-		return *v
-	case *ClusterRecovery:
 		return *v
 	case *ShardStep:
 		return *v
@@ -91,7 +83,9 @@ func deref(e Event) Event {
 }
 
 // ParseTrace reads a JSONL trace back into typed events. Unknown event
-// types are an error: the schema is versioned by this package.
+// types are an error: the schema is versioned by this package. The two kinds
+// it retired, worker_phase (now shard_step) and cluster_recovery (now
+// recovery), are skipped, so an archived trace still parses.
 func ParseTrace(r io.Reader) ([]Event, error) {
 	var out []Event
 	sc := bufio.NewScanner(r)
@@ -108,6 +102,9 @@ func ParseTrace(r io.Reader) ([]Event, error) {
 		}
 		if err := json.Unmarshal(line, &tag); err != nil {
 			return nil, fmt.Errorf("obs: trace line %d: %w", lineNo, err)
+		}
+		if tag.Type == "worker_phase" || tag.Type == "cluster_recovery" {
+			continue
 		}
 		ev := newEventOf(tag.Type)
 		if ev == nil {
@@ -144,12 +141,19 @@ func SplitRuns(events []Event) [][]Event {
 
 // SuperstepRow is one superstep of a trace summary: the paper-style
 // breakdown row (compute+ / messaging / barrier splits, primitive counts,
-// warp behaviour, fault events).
+// warp behaviour, fault events) and, from the superstep's cluster_step, the
+// driver's wall time, the shards' summed wait and relay clocks, the slowest
+// shard and the skew.
 type SuperstepRow struct {
 	Superstep    int
 	Compute      time.Duration
 	Messaging    time.Duration
 	Barrier      time.Duration
+	Wall         time.Duration
+	Wait         time.Duration
+	Relay        time.Duration
+	Slowest      int
+	SkewMilli    int64 // 0 when the trace has no cluster_step for the superstep
 	ComputeCalls int64
 	ScatterCalls int64
 	Messages     int64
@@ -203,6 +207,10 @@ func Summarize(events []Event) (*Summary, error) {
 			r.Messages = ev.Messages
 			r.MessageBytes = ev.MessageBytes
 			r.ActiveAfter = ev.Active
+		case ClusterStep:
+			r, sum := row(ev.Superstep), ev.Total()
+			r.Wall, r.Wait, r.Relay = time.Duration(ev.WallNS), time.Duration(sum.WaitNS), time.Duration(sum.RelayNS)
+			r.Slowest, r.SkewMilli = ev.SlowestShard, ev.SkewMilli
 		case WarpStats:
 			v := ev
 			row(ev.Superstep).Warp = &v
@@ -243,13 +251,25 @@ func inOrder[T any](rows map[int]T) ([]T, error) {
 // Render prints the summary as the per-superstep breakdown table.
 func (s *Summary) Render(w io.Writer) {
 	if s.Start != nil {
-		fmt.Fprintf(w, "run: %d vertices, %d workers\n", s.Start.Vertices, s.Start.Workers)
+		fmt.Fprintf(w, "run: %d vertices, %d workers", s.Start.Vertices, s.Start.Workers)
+		if s.Start.Span != "" {
+			fmt.Fprintf(w, ", span=%s", s.Start.Span)
+		}
+		fmt.Fprintln(w)
 	}
 	t := stats.Table{Header: []string{
-		"Step", "Compute+", "Messaging", "Barrier", "Calls", "Scatter",
-		"Msgs", "Bytes", "Active", "Warp", "Supp", "Unit%", "Events",
+		"Step", "Compute+", "Messaging", "Barrier", "Wall", "Wait", "Relay", "Slowest", "Skew",
+		"Calls", "Scatter", "Msgs", "Bytes", "Active", "Warp", "Supp", "Unit%", "Events",
 	}}
+	us := func(d time.Duration) time.Duration { return d.Round(time.Microsecond) }
+	var wall, wait, relay time.Duration
 	for _, r := range s.Rows {
+		wall, wait, relay = wall+r.Wall, wait+r.Wait, relay+r.Relay
+		slowest, skew := "-", "-"
+		if r.SkewMilli != 0 {
+			slowest = fmt.Sprintf("shard %d", r.Slowest)
+			skew = fmt.Sprintf("%.2f×", float64(r.SkewMilli)/1000)
+		}
 		warp, supp, unit := "-", "-", "-"
 		if r.Warp != nil {
 			warp = fmt.Sprintf("%d", r.Warp.WarpCalls)
@@ -263,19 +283,17 @@ func (s *Summary) Render(w io.Writer) {
 		if r.Recoveries > 0 {
 			events += fmt.Sprintf("recover×%d", r.Recoveries)
 		}
-		t.Add(r.Superstep,
-			r.Compute.Round(time.Microsecond), r.Messaging.Round(time.Microsecond),
-			r.Barrier.Round(time.Microsecond), r.ComputeCalls, r.ScatterCalls,
-			r.Messages, r.MessageBytes, r.ActiveAfter, warp, supp, unit, events)
+		t.Add(r.Superstep, us(r.Compute), us(r.Messaging), us(r.Barrier),
+			us(r.Wall), us(r.Wait), us(r.Relay), slowest, skew,
+			r.ComputeCalls, r.ScatterCalls, r.Messages, r.MessageBytes, r.ActiveAfter, warp, supp, unit, events)
 	}
 	if e := s.End; e != nil {
 		t.Add("total",
-			time.Duration(e.ComputeNS).Round(time.Microsecond),
-			time.Duration(e.MessagingNS).Round(time.Microsecond),
-			time.Duration(e.BarrierNS).Round(time.Microsecond),
+			us(time.Duration(e.ComputeNS)), us(time.Duration(e.MessagingNS)), us(time.Duration(e.BarrierNS)),
+			us(wall), us(wait), us(relay), "-", "-",
 			e.ComputeCalls, e.ScatterCalls, e.Messages, e.MessageBytes,
 			"-", "-", "-", "-",
-			fmt.Sprintf("makespan=%v", time.Duration(e.MakespanNS).Round(time.Microsecond)))
+			fmt.Sprintf("makespan=%v", us(time.Duration(e.MakespanNS))))
 	}
 	t.Render(w)
 }

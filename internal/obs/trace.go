@@ -39,25 +39,6 @@ type SuperstepStart struct {
 // Kind implements Event.
 func (SuperstepStart) Kind() string { return "superstep_start" }
 
-// WorkerPhase is one worker's share of one phase of a superstep: "compute"
-// (user logic + message emission) or "exchange" (delivery; over a real
-// transport the send half is reported as "ship" and the receive half as
-// "exchange"). Counter fields carry the phase's deltas for that worker.
-type WorkerPhase struct {
-	Superstep    int    `json:"superstep"`
-	Worker       int    `json:"worker"`
-	Phase        string `json:"phase"`
-	NS           int64  `json:"ns"`
-	ComputeCalls int64  `json:"compute_calls,omitempty"`
-	ScatterCalls int64  `json:"scatter_calls,omitempty"`
-	SentMsgs     int64  `json:"sent_msgs,omitempty"`
-	SentBytes    int64  `json:"sent_bytes,omitempty"`
-	Delivered    int64  `json:"delivered,omitempty"`
-}
-
-// Kind implements Event.
-func (WorkerPhase) Kind() string { return "worker_phase" }
-
 // IntervalBytes splits interval-encoded bytes by codec class (Sec. VI
 // "Interval Messages"): the unit/unbounded flag classes are what produce
 // the paper's 59-78% message-size reduction.
@@ -122,12 +103,14 @@ func (Checkpoint) Kind() string { return "checkpoint" }
 
 // Recovery records one rollback-and-replay: superstep Failed was abandoned
 // and the run resumes from ResumeAt, repeating Replayed completed supersteps.
+// The cluster recovers into epoch Epoch from checkpoint generation Gen.
 type Recovery struct {
-	Failed   int    `json:"failed"`
-	ResumeAt int    `json:"resume_at"`
-	Replayed int    `json:"replayed,omitempty"`
-	Attempt  int    `json:"attempt"` // 1-based recovery count
-	Reason   string `json:"reason"`
+	Failed   int `json:"failed"`
+	ResumeAt int `json:"resume_at"`
+	Replayed int `json:"replayed,omitempty"`
+	Attempt  int `json:"attempt"` // 1-based recovery count
+	Epoch    int `json:"epoch"`
+	Gen      int `json:"gen"`
 }
 
 // Kind implements Event.
@@ -178,35 +161,18 @@ type WorkerLost struct {
 // Kind implements Event.
 func (WorkerLost) Kind() string { return "worker_lost" }
 
-// ClusterRecovery closes one distributed recovery: after losing a worker at
-// superstep Failed, the cluster rolled every shard back to checkpoint
-// generation Gen, waited for a replacement, and resumed at ResumeAt.
-// DetectNS is failure→detection; MTTRNS is detection→resumed (the headline
-// recovery metric); RestoredBytes is the checkpoint volume reloaded from
-// disk across shards.
-type ClusterRecovery struct {
-	Epoch         int   `json:"epoch"` // epoch the cluster recovered INTO
-	Failed        int   `json:"failed"`
-	ResumeAt      int   `json:"resume_at"`
-	Gen           int   `json:"gen"`
-	DetectNS      int64 `json:"detect_ns"`
-	MTTRNS        int64 `json:"mttr_ns"`
-	RestoredBytes int64 `json:"restored_bytes"`
-}
-
-// Kind implements Event.
-func (ClusterRecovery) Kind() string { return "cluster_recovery" }
-
-// ShardStep is one shard's share of one distributed superstep, and the one
-// record of it: the worker fills it from its own clock, writes it to its trace
-// and sends it in its barrier report; the coordinator adds its relay clock and
-// keeps it as that shard's row of the superstep's ClusterStep. ComputeNS is
-// compute + outbound + shipping the batches, WaitNS the idle time until the
-// last peer batch landed, DeliverNS delivery + barrier + checkpoint I/O;
-// PeerSendNS and DirectBytes are what the shard wrote to mesh peers, PeerRecvNS
-// the time from shipping to the last direct batch's arrival. RelayNS and
-// RelayBytes are the coordinator's time and volume forwarding batches toward
-// the shard (those whose mesh link was down): zero in a worker's trace.
+// ShardStep is one shard's share of one superstep, and the one record of it,
+// for either driver. A cluster worker fills it from its own clock, writes it to
+// its trace and sends it in its barrier report; the coordinator adds its relay
+// clock and keeps it as that shard's row of the superstep's ClusterStep.
+// Engine.Run fills one per shard and traces it before the row. ComputeNS is
+// compute + outbound + shipping the batches, WaitNS the idle time until
+// delivery began (in a cluster: until the last peer batch landed), DeliverNS
+// delivery, plus barrier and checkpoint I/O in a cluster; PeerSendNS and
+// DirectBytes are what the shard wrote to its peers, PeerRecvNS the time from
+// shipping to the last direct batch's arrival. RelayNS and RelayBytes are the
+// coordinator's time and volume forwarding batches toward the shard (those
+// whose mesh link was down): zero in a worker's trace.
 type ShardStep struct {
 	Span        string `json:"span,omitempty"`
 	Superstep   int    `json:"superstep"`
@@ -225,11 +191,12 @@ type ShardStep struct {
 // Kind implements Event.
 func (ShardStep) Kind() string { return "shard_step" }
 
-// ClusterStep is one closed distributed superstep: the coordinator's trace
-// event and its /debug/cluster row. WallNS is the coordinator's wall time from
-// step broadcast to the last barrier report; SlowestShard has the largest
-// compute time, and SkewMilli is max/mean compute in thousandths (1000 =
-// perfectly balanced). Shards holds each shard's record, shards ascending.
+// ClusterStep is one closed superstep of either driver: a trace event, and in
+// a cluster the coordinator's /debug/cluster row. WallNS is the driver's wall
+// time from the start of the superstep to its barrier's close; SlowestShard
+// has the largest compute time, and SkewMilli is max/mean compute in
+// thousandths (1000 = perfectly balanced). Shards holds each shard's record,
+// shards ascending. NewClusterStep builds one.
 type ClusterStep struct {
 	Span         string      `json:"span,omitempty"`
 	Superstep    int         `json:"superstep"`
@@ -242,6 +209,24 @@ type ClusterStep struct {
 
 // Kind implements Event.
 func (ClusterStep) Kind() string { return "cluster_step" }
+
+// NewClusterStep builds the row of one closed superstep from its shards'
+// records, shards ascending, which it keeps: the slowest shard and the skew
+// follow from their compute clocks.
+func NewClusterStep(span string, superstep, epoch int, wallNS int64, shards []ShardStep) ClusterStep {
+	c := ClusterStep{Span: span, Superstep: superstep, Epoch: epoch, WallNS: wallNS, SkewMilli: 1000, Shards: shards}
+	var sum int64
+	for i, s := range shards {
+		sum += s.ComputeNS
+		if s.ComputeNS > shards[c.SlowestShard].ComputeNS {
+			c.SlowestShard = i
+		}
+	}
+	if mean := sum / int64(len(shards)); mean > 0 {
+		c.SkewMilli = shards[c.SlowestShard].ComputeNS * 1000 / mean
+	}
+	return c
+}
 
 // Total sums the shard records' clocks and volumes: the fleet's share of the
 // superstep.

@@ -10,15 +10,16 @@ import (
 )
 
 // fullStream is a synthetic fault-free trace of two supersteps whose sums
-// reconcile with its run_end — the shape the engine emits.
+// reconcile with its run_end — the shape the engine emits, less the
+// cluster_step rows.
 func fullStream() []Event {
 	return []Event{
 		RunStart{Vertices: 4, Workers: 2},
 		SuperstepStart{Superstep: 1, Active: 4},
-		WorkerPhase{Superstep: 1, Worker: 0, Phase: "compute", NS: 10, ComputeCalls: 2, SentMsgs: 3, SentBytes: 30},
-		WorkerPhase{Superstep: 1, Worker: 1, Phase: "compute", NS: 12, ComputeCalls: 2, SentMsgs: 1, SentBytes: 10},
 		SuperstepEnd{Superstep: 1, ComputeNS: 12, MessagingNS: 5, BarrierNS: 2,
 			ComputeCalls: 4, Messages: 4, MessageBytes: 40, Delivered: 4, Active: 3},
+		ShardStep{Superstep: 1, Shard: 0, ComputeNS: 10, WaitNS: 2, DeliverNS: 4},
+		ShardStep{Superstep: 1, Shard: 1, ComputeNS: 12, DeliverNS: 3},
 		SuperstepStart{Superstep: 2, Active: 3},
 		SuperstepEnd{Superstep: 2, ComputeNS: 8, MessagingNS: 3, BarrierNS: 1,
 			ComputeCalls: 3, Active: 0},
@@ -55,12 +56,12 @@ func TestRecorderConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
-				r.Emit(WorkerPhase{Superstep: i})
+				r.Emit(ShardStep{Superstep: i})
 			}
 		}()
 	}
 	wg.Wait()
-	if got := r.Count("worker_phase"); got != 8*500 {
+	if got := r.Count("shard_step"); got != 8*500 {
 		t.Errorf("recorded %d events, want %d", got, 8*500)
 	}
 }
@@ -83,7 +84,7 @@ func TestParseTraceRoundTrip(t *testing.T) {
 	events = append(events, // exercise every remaining event type
 		WarpStats{Superstep: 1, WarpCalls: 2, MsgsIn: 4, UnitMsgsIn: 3, UnitFraction: 0.75},
 		Checkpoint{Superstep: 2, Index: 1},
-		Recovery{Failed: 2, ResumeAt: 1, Attempt: 1, Reason: "panic"},
+		Recovery{Failed: 2, ResumeAt: 1, Attempt: 1, Epoch: 1, Gen: 1},
 	)
 	var sb strings.Builder
 	jt := NewJSONLTracer(&sb)
@@ -171,18 +172,22 @@ func TestParseTraceRejectsUnknownType(t *testing.T) {
 	}
 }
 
-// TestParseTraceReadsArchivedFields: a trace written when worker_phase still
-// carried the counters of a scheduler since deleted must keep parsing — the
-// fields the event no longer has are dropped, the rest read as before.
+// TestParseTraceReadsArchivedFields: a trace archived with the two retired
+// kinds — worker_phase (here still carrying the counters of a scheduler since
+// deleted) and cluster_recovery — keeps parsing, without them; the fields an
+// event no longer has are dropped, the rest read as before.
 func TestParseTraceReadsArchivedFields(t *testing.T) {
-	const archived = `{"type":"worker_phase","superstep":2,"worker":1,"phase":"compute","ns":900,"compute_calls":3,"steal_ns":120,"steals":2}`
-	events, err := ParseTrace(strings.NewReader(archived + "\n"))
+	const archived = `{"type":"worker_phase","superstep":2,"worker":1,"phase":"compute","ns":900,"compute_calls":3,"steal_ns":120,"steals":2}
+{"type":"recovery","failed":3,"resume_at":3,"attempt":1,"reason":"worker_lost"}
+{"type":"cluster_recovery","epoch":1,"failed":3,"resume_at":3,"gen":1,"detect_ns":5,"mttr_ns":9,"restored_bytes":64}
+`
+	events, err := ParseTrace(strings.NewReader(archived))
 	if err != nil {
 		t.Fatalf("ParseTrace: %v", err)
 	}
-	want := WorkerPhase{Superstep: 2, Worker: 1, Phase: "compute", NS: 900, ComputeCalls: 3}
+	want := Recovery{Failed: 3, ResumeAt: 3, Attempt: 1}
 	if len(events) != 1 || events[0] != want {
-		t.Errorf("parsed %#v, want %#v", events, want)
+		t.Errorf("parsed %#v, want only %#v", events, want)
 	}
 }
 
@@ -205,7 +210,7 @@ func TestValidateTraceReplayAware(t *testing.T) {
 		Checkpoint{Superstep: 2, Index: 2},
 		SuperstepStart{Superstep: 2, Active: 4},
 		SuperstepEnd{Superstep: 2, ComputeCalls: 9, Messages: 9}, // abandoned
-		Recovery{Failed: 3, ResumeAt: 2, Attempt: 1, Reason: "panic"},
+		Recovery{Failed: 3, ResumeAt: 2, Attempt: 1},
 		SuperstepStart{Superstep: 2, Active: 4},
 		SuperstepEnd{Superstep: 2, ComputeCalls: 3, Messages: 3}, // survives
 		RunEnd{Supersteps: 2, ComputeCalls: 7, Messages: 7, Checkpoints: 2, Recoveries: 1},
@@ -228,7 +233,7 @@ func TestValidateTraceRejections(t *testing.T) {
 		{"missing superstep", func() []Event {
 			ev := append([]Event(nil), base...)
 			// Drop superstep 1's end: count check fires first.
-			return append(ev[:4], ev[5:]...)
+			return append(ev[:2], ev[3:]...)
 		}(), "surviving supersteps"},
 		{"end without start", func() []Event {
 			ev := append([]Event(nil), base...)
@@ -314,7 +319,7 @@ func TestSummarizeReplayOverwrite(t *testing.T) {
 		RunStart{Vertices: 4, Workers: 2},
 		SuperstepStart{Superstep: 1, Active: 4},
 		SuperstepEnd{Superstep: 1, ComputeCalls: 9, Messages: 9}, // abandoned
-		Recovery{Failed: 1, ResumeAt: 1, Attempt: 1, Reason: "panic"},
+		Recovery{Failed: 1, ResumeAt: 1, Attempt: 1},
 		SuperstepStart{Superstep: 1, Active: 4},
 		SuperstepEnd{Superstep: 1, ComputeCalls: 4, Messages: 4, Active: 0},
 		RunEnd{Supersteps: 1, ComputeCalls: 4, Messages: 4, Recoveries: 1},
