@@ -359,7 +359,9 @@ type (
 	QueryServerConfig = serve.Config
 	// QueryRequest is one run request against a served graph.
 	QueryRequest = serve.RunRequest
-	// QueryResult is a served run outcome.
+	// QueryResult is a served run outcome. Its Vertices hold the rendered
+	// JSON array; Vertices.Decode returns the per-vertex parts and
+	// FormatLines the lines graphite-run prints.
 	QueryResult = serve.RunResult
 	// QueryWindow restricts a request to a time window.
 	QueryWindow = serve.Window

@@ -171,23 +171,26 @@ func (iv Interval) Translate(delta Time) Interval {
 func (iv Interval) Clamp(bounds Interval) Interval { return iv.Intersect(bounds) }
 
 // String renders the interval in the paper's [s, e) notation, using ∞ for
-// unbounded ends. Result rendering calls it once per state partition, so it
-// formats by hand into a stack buffer: one allocation, the string itself.
+// unbounded ends: Append into a stack buffer, one allocation.
 func (iv Interval) String() string {
-	if iv.IsEmpty() {
-		return "[)"
-	}
 	var buf [2*20 + len("[, )")]byte // two int64s at their widest
-	b := append(buf[:0], '[')
-	b = strconv.AppendInt(b, iv.Start, 10)
+	return string(iv.Append(buf[:0]))
+}
+
+// Append appends the interval as String renders it. Result rendering calls
+// it once per state partition, with no string in between.
+func (iv Interval) Append(b []byte) []byte {
+	if iv.IsEmpty() {
+		return append(b, "[)"...)
+	}
+	b = strconv.AppendInt(append(b, '['), iv.Start, 10)
 	b = append(b, ", "...)
 	if iv.End == Infinity {
 		b = append(b, "∞"...)
 	} else {
 		b = strconv.AppendInt(b, iv.End, 10)
 	}
-	b = append(b, ')')
-	return string(b)
+	return append(b, ')')
 }
 
 // Valid reports whether the interval is non-empty and has a non-negative

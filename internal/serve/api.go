@@ -54,7 +54,7 @@ type RunRequest struct {
 }
 
 // StatePart is one partition of a vertex's final interval state, rendered
-// exactly as the CLI prints it.
+// exactly as the CLI prints it: the decoded form of Vertices.
 type StatePart struct {
 	Interval string `json:"interval"`
 	Value    string `json:"value"`
@@ -101,9 +101,9 @@ type RunResult struct {
 	// Seeded marks a run that started from a prior window's retained
 	// terminal states instead of superstep zero (incremental recomputation);
 	// the result is bit-identical to a cold run either way.
-	Seeded   bool           `json:"seeded,omitempty"`
-	Metrics  RunMetrics     `json:"metrics"`
-	Vertices []VertexResult `json:"vertices"`
+	Seeded   bool       `json:"seeded,omitempty"`
+	Metrics  RunMetrics `json:"metrics"`
+	Vertices Vertices   `json:"vertices"`
 }
 
 // GraphInfo describes one loaded graph for /v1/graphs. Live graphs carry

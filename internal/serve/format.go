@@ -3,30 +3,43 @@ package serve
 import (
 	"fmt"
 	"strconv"
-	"strings"
 
 	"graphite/internal/core"
 )
 
-// This file is the single definition of the canonical per-vertex result
-// rendering. cmd/graphite-run prints through FormatResult and the server
-// ships the same strings inside RunResult, so a served result reconstructs
-// the CLI's output bit for bit — the property the serving tests pin down.
+// This file is the single definition of the canonical per-part rendering:
+// an interval appends through ival.Interval.Append and a value through
+// appendValue, into a cmd/graphite-run line (FormatResult) or, quoted, into a
+// served body (render.go), which FormatLines reads back into the same lines.
 
-// formatValue renders one state value exactly as fmt's %v does, without
-// fmt's reflection for the types the shipped algorithms keep as state.
-func formatValue(v any) string {
+// appendValue appends one state value exactly as fmt's %v renders it, without
+// fmt's reflection for the types the shipped algorithms keep as state; quoted,
+// as encoding/json quotes that string. A number or bool needs no escaping.
+func appendValue(b []byte, v any, quoted bool) []byte {
+	var s string
 	switch x := v.(type) {
 	case int64:
-		return strconv.FormatInt(x, 10)
+		return quote(strconv.AppendInt(quote(b, quoted), x, 10), quoted)
 	case float64:
-		return strconv.FormatFloat(x, 'g', -1, 64)
+		return quote(strconv.AppendFloat(quote(b, quoted), x, 'g', -1, 64), quoted)
 	case bool:
-		return strconv.FormatBool(x)
+		return quote(strconv.AppendBool(quote(b, quoted), x), quoted)
 	case string:
-		return x
+		s = x
+	default:
+		s = fmt.Sprint(v)
 	}
-	return fmt.Sprintf("%v", v)
+	if quoted {
+		return appendString(b, s)
+	}
+	return append(b, s...)
+}
+
+func quote(b []byte, quoted bool) []byte {
+	if quoted {
+		return append(b, '"')
+	}
+	return b
 }
 
 // FormatResult renders a run's final per-vertex states exactly as
@@ -34,24 +47,27 @@ func formatValue(v any) string {
 // line per vertex the run kept, ids ascending, at most top lines when top > 0.
 func FormatResult(r *core.Result, top int) []string {
 	lines := make([]string, 0, r.Graph.NumVertices())
+	var b []byte
 	for v, st := range r.ByID() {
 		if top > 0 && len(lines) == top {
 			break
 		}
-		parts := make([]string, 0, st.NumParts())
-		for _, p := range st.Parts() {
-			parts = append(parts, p.Interval.String()+"="+formatValue(p.Value))
+		b = append(strconv.AppendInt(append(b[:0], "vertex "...), int64(v.ID), 10), ": "...)
+		for i, p := range st.Parts() {
+			if i > 0 {
+				b = append(b, ' ')
+			}
+			b = appendValue(append(p.Interval.Append(b), '='), p.Value, false)
 		}
-		lines = append(lines, fmt.Sprintf("vertex %d: %s", v.ID, strings.Join(parts, " ")))
+		lines = append(lines, string(b))
 	}
 	return lines
 }
 
-// buildResult shapes a finished core run into the wire result. Interval and
-// value strings are rendered as FormatResult renders them so FormatLines
-// round-trips exactly.
+// buildResult shapes a finished core run into the wire result, rendering its
+// vertices array once.
 func buildResult(p *prepared, r *core.Result) *RunResult {
-	res := &RunResult{
+	return &RunResult{
 		Graph:       p.graphName,
 		Algorithm:   p.algo,
 		Fingerprint: p.fp,
@@ -69,34 +85,33 @@ func buildResult(p *prepared, r *core.Result) *RunResult {
 			WarpSuppressed:  r.Stats.WarpSuppressed,
 			ActiveIntervals: r.Stats.ActiveIntervals,
 		},
+		Vertices: renderVertices(r.ByID()),
 	}
-	for vertex, st := range r.ByID() {
-		v := VertexResult{ID: int64(vertex.ID), Parts: make([]StatePart, 0, st.NumParts())}
-		for _, part := range st.Parts() {
-			v.Parts = append(v.Parts, StatePart{
-				Interval: part.Interval.String(),
-				Value:    formatValue(part.Value),
-			})
-		}
-		res.Vertices = append(res.Vertices, v)
-	}
-	return res
 }
 
 // FormatLines reconstructs the cmd/graphite-run rendering from a served
-// result: identical to FormatResult over the same run.
+// result: identical to FormatResult over the same run. Vertices that do not
+// decode, which only a damaged client copy can hold, give one line naming
+// the error, which matches no line of the CLI's.
 func (r *RunResult) FormatLines(top int) []string {
-	vs := r.Vertices
+	vs, err := r.Vertices.Decode()
+	if err != nil {
+		return []string{"vertices: " + err.Error()}
+	}
 	if top > 0 && len(vs) > top {
 		vs = vs[:top]
 	}
 	lines := make([]string, 0, len(vs))
+	var b []byte
 	for _, v := range vs {
-		parts := make([]string, 0, len(v.Parts))
-		for _, p := range v.Parts {
-			parts = append(parts, p.Interval+"="+p.Value)
+		b = append(strconv.AppendInt(append(b[:0], "vertex "...), v.ID, 10), ": "...)
+		for i, p := range v.Parts {
+			if i > 0 {
+				b = append(b, ' ')
+			}
+			b = append(append(append(b, p.Interval...), '='), p.Value...)
 		}
-		lines = append(lines, fmt.Sprintf("vertex %d: %s", v.ID, strings.Join(parts, " ")))
+		lines = append(lines, string(b))
 	}
 	return lines
 }

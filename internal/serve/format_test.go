@@ -1,16 +1,27 @@
 package serve
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 )
 
-// TestFormatValue pins formatValue byte for byte against the fmt %v it
-// replaced: served and CLI results are compared as strings, and cached
+// TestFormatValue pins appendValue byte for byte against the fmt %v it
+// replaced, and its quoted form against encoding/json's quoting of that
+// string: served and CLI results are compared as strings, and cached
 // results outlive the process that rendered them.
 func TestFormatValue(t *testing.T) {
+	formatValue := func(v any) string {
+		s := string(appendValue(nil, v, false))
+		want, _ := json.Marshal(s)
+		if q := appendValue(nil, v, true); !bytes.Equal(q, want) {
+			t.Fatalf("appendValue(%#v) quoted is %s, encoding/json quotes %s", v, q, want)
+		}
+		return s
+	}
 	type pair struct{ A, B int64 }
 	cases := []struct {
 		v    any

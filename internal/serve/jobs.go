@@ -191,7 +191,7 @@ func (s *Server) Submit(req *RunRequest) (JobView, error) {
 	switch {
 	case adm.cached != nil:
 		p.close()
-		s.jobs.finishJob(j, cachedCopy(adm.cached), nil)
+		s.jobs.finishJob(j, resultCopy(adm.cached, true), nil)
 		cancel()
 	case adm.joined != nil:
 		p.close() // joiners wait on the leader's run; ours is not needed
@@ -204,7 +204,7 @@ func (s *Server) Submit(req *RunRequest) (JobView, error) {
 					s.jobs.finishJob(j, nil, adm.joined.err)
 					return
 				}
-				s.jobs.finishJob(j, cachedCopy(adm.joined.res), nil)
+				s.jobs.finishJob(j, resultCopy(adm.joined.res, true), nil)
 			case <-jobCtx.Done():
 				s.jobs.finishJob(j, nil, jobCtx.Err())
 			}
@@ -215,7 +215,7 @@ func (s *Server) Submit(req *RunRequest) (JobView, error) {
 			defer p.close()
 			s.jobs.setRunning(j)
 			res, err := s.runBSP(jobCtx, p)
-			s.finish(p, adm.lead, res, err)
+			res, err = s.finish(p, adm.lead, res, err)
 			s.jobs.finishJob(j, res, err)
 		}()
 	}

@@ -147,9 +147,9 @@ func TestLiveMutationEpochsAndCacheValidity(t *testing.T) {
 	if wide2.Fingerprint == wide1.Fingerprint {
 		t.Errorf("affected window's fingerprint did not move with the epoch")
 	}
-	if wide2.Epoch != 2 || len(wide2.Vertices) != 12 {
+	if wide2.Epoch != 2 || len(wide2.FormatLines(0)) != 12 {
 		t.Errorf("recomputed wide run: epoch %d, %d vertices; want epoch 2, 12 vertices",
-			wide2.Epoch, len(wide2.Vertices))
+			wide2.Epoch, len(wide2.FormatLines(0)))
 	}
 	if lg.EpochsLive() != 1 {
 		t.Errorf("epochs live = %d after all queries returned, want 1", lg.EpochsLive())
@@ -239,7 +239,7 @@ func TestIncrementalServing(t *testing.T) {
 		t.Fatalf("NoCache run must stay cold")
 	}
 	if !reflect.DeepEqual(incr.Vertices, cold.Vertices) {
-		t.Fatalf("seeded run diverged from cold recompute:\nseeded: %+v\ncold:   %+v", incr.Vertices, cold.Vertices)
+		t.Fatalf("seeded run diverged from cold recompute:\nseeded: %q\ncold:   %q", incr.FormatLines(0), cold.FormatLines(0))
 	}
 	if got := srv.Registry().Counter(CSeedHits).Load(); got < 1 {
 		t.Errorf("seed hits = %d, want >= 1", got)
@@ -321,8 +321,8 @@ func TestConcurrentIngestAndQueries(t *testing.T) {
 				}
 				// The window [0,5) predates every concurrent batch: its result
 				// is invariant no matter which epoch served it.
-				if len(res.Vertices) != 4 {
-					errs <- fmt.Errorf("query saw %d vertices in [0,5), want 4", len(res.Vertices))
+				if n := len(res.FormatLines(0)); n != 4 {
+					errs <- fmt.Errorf("query saw %d vertices in [0,5), want 4", n)
 				}
 			}
 		}()

@@ -1,11 +1,18 @@
 package serve
 
 import (
+	"bytes"
+	"encoding/json"
 	"io"
+	"iter"
 	"net/http"
 	"strconv"
 	"sync"
 	"unicode/utf8"
+
+	"graphite/internal/core"
+	"graphite/internal/tgraph"
+	"graphite/internal/warp"
 )
 
 // This file writes every body that carries a run result — a RunResult, or a
@@ -19,12 +26,44 @@ import (
 // carries `"cached": true`, `"metrics": {` and `"seeded": true` as clients
 // that match bytes there expect.
 //
-// The body is streamed, never held whole: it is appended to one pooled
-// buffer that is written to the response each time it holds renderFlush
-// bytes at a vertex boundary. The first failed write ends the render.
+// A result's vertices array is rendered once, when its run finishes, into
+// immutable chunks that every body carrying the result writes as they are.
+// The body is streamed, never gathered whole; the first failed write ends it.
+
+// Vertices is a result's "vertices" array as every body that carries the
+// result writes it, cut after a vertex into chunks of about renderFlush
+// bytes. The chunks are immutable: the cache, jobs and every response share
+// them. The zero value, a run that kept no vertex, is rendered as null.
+type Vertices struct{ chunks [][]byte }
+
+// MarshalJSON returns a copy of the array, or null.
+func (v Vertices) MarshalJSON() ([]byte, error) {
+	if v.chunks == nil {
+		return []byte("null"), nil
+	}
+	return bytes.Join(v.chunks, nil), nil
+}
+
+// UnmarshalJSON keeps a copy of the array, or null, a client read from a body.
+func (v *Vertices) UnmarshalJSON(b []byte) error {
+	v.chunks = [][]byte{bytes.Clone(b)}
+	return nil
+}
+
+// Decode returns the vertices as a fresh slice, nil when the run kept none.
+// A client's copy is one chunk and decodes in place.
+func (v Vertices) Decode() (vs []VertexResult, err error) {
+	b := v.chunks
+	if len(b) != 1 {
+		j, _ := v.MarshalJSON()
+		b = [][]byte{j}
+	}
+	err = json.Unmarshal(b[0], &vs)
+	return vs, err
+}
 
 const (
-	renderFlush = 16 << 10 // write the buffer out once it holds this much, between vertices
+	renderFlush = 16 << 10 // a vertices chunk holds at most this much, or one vertex
 	renderKeep  = 64 << 10 // a buffer one giant vertex grew past this is not pooled
 )
 
@@ -67,7 +106,11 @@ func beginBody(w http.ResponseWriter, code int) *renderer {
 func (r *renderer) end() {
 	r.buf = append(r.buf, '\n')
 	r.flush()
-	r.w, r.err = nil, nil
+	r.release()
+}
+
+func (r *renderer) release() {
+	r.w, r.err, r.buf = nil, nil, r.buf[:0]
 	if cap(r.buf) <= renderKeep {
 		renderers.Put(r)
 	}
@@ -105,46 +148,63 @@ func (r *renderer) runResult(res *RunResult) {
 	b = strconv.AppendInt(append(b, `, "warp_calls": `...), m.WarpCalls, 10)
 	b = strconv.AppendInt(append(b, `, "warp_suppressed": `...), m.WarpSuppressed, 10)
 	b = strconv.AppendInt(append(b, `, "active_intervals": `...), m.ActiveIntervals, 10)
-	b = append(b, `}, "vertices": `...)
-	if res.Vertices == nil {
-		r.buf = append(b, "null}"...)
+	r.buf = append(b, `}, "vertices": `...)
+	chunks := res.Vertices.chunks
+	if chunks == nil {
+		r.buf = append(r.buf, "null}"...)
 		return
 	}
-	b = append(b, '[')
-	for i := range res.Vertices {
-		if i > 0 {
-			b = append(b, ',')
+	// The head goes out with the first chunk and the tail with the last.
+	last := len(chunks) - 1
+	for i, c := range chunks {
+		if i == 0 || i == last {
+			r.buf = append(r.buf, c...)
+		} else if r.err == nil {
+			_, r.err = r.w.Write(c)
 		}
-		b = appendVertex(append(b, '\n'), &res.Vertices[i])
-		if len(b) >= renderFlush {
-			r.buf = b
-			if r.flush(); r.err != nil {
-				return
-			}
-			b = r.buf
+		if i < last {
+			r.flush()
 		}
 	}
-	if len(res.Vertices) > 0 {
-		b = append(b, '\n')
-	}
-	r.buf = append(b, "]}"...)
+	r.buf = append(r.buf, '}')
 }
 
-func appendVertex(b []byte, v *VertexResult) []byte {
-	b = strconv.AppendInt(append(b, `{"id": `...), v.ID, 10)
-	if len(v.Parts) > 0 {
-		b = append(b, `, "parts": [`...)
-		for i := range v.Parts {
-			if i > 0 {
-				b = append(b, ", "...)
-			}
-			b = appendString(append(b, `{"interval": `...), v.Parts[i].Interval)
-			b = appendString(append(b, `, "value": `...), v.Parts[i].Value)
-			b = append(b, '}')
+// renderVertices renders a finished run's vertices, one on a line, into a
+// pooled buffer cut after the vertex that brings it to renderFlush: a chunk
+// is at most renderFlush plus one vertex, and is one allocation, its copy.
+func renderVertices(vs iter.Seq2[*tgraph.Vertex, *core.PartitionedState]) Vertices {
+	r := renderers.Get().(*renderer)
+	var chunks [][]byte
+	b, sep := r.buf, byte('[')
+	for v, st := range vs {
+		b = appendVertex(append(b, sep, '\n'), int64(v.ID), st.Parts())
+		sep = ','
+		if len(b) >= renderFlush {
+			chunks = append(chunks, bytes.Clone(b))
+			b = b[:0]
 		}
-		b = append(b, ']')
 	}
-	return append(b, '}')
+	if sep == ',' {
+		chunks = append(chunks, bytes.Clone(append(b, '\n', ']')))
+	}
+	r.buf = b
+	r.release()
+	return Vertices{chunks}
+}
+
+// appendVertex appends one vertex as a body carries it. An interval is
+// digits, '-', '[', ", ", '∞' and ')', which JSON carries as they are.
+func appendVertex(b []byte, id int64, parts []warp.IntervalValue) []byte {
+	b = strconv.AppendInt(append(b, `{"id": `...), id, 10)
+	b = append(b, `, "parts": [`...)
+	for i, p := range parts {
+		if i > 0 {
+			b = append(b, ", "...)
+		}
+		b = p.Interval.Append(append(b, `{"interval": "`...))
+		b = append(appendValue(append(b, `", "value": `...), p.Value, true), '}')
+	}
+	return append(b, "]}"...)
 }
 
 func (r *renderer) job(jv *JobView) {

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"iter"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -16,15 +17,18 @@ import (
 	"testing"
 
 	"graphite/internal/algorithms"
+	"graphite/internal/core"
 	"graphite/internal/gen"
 	ival "graphite/internal/interval"
 	"graphite/internal/live"
 	"graphite/internal/tgraph"
+	"graphite/internal/warp"
 )
 
 // The oracle of render.go is the encoder it replaced: a json.Encoder with
 // SetIndent("", "  "), which wrote json.MarshalIndent's bytes and a newline
-// (wantJSON). Every body render.go writes must indent to exactly those bytes.
+// (wantJSON) of a result whose vertices were decoded values. Every body
+// render.go writes must indent to exactly those bytes.
 
 // encodeIndented writes v as every /v1/run and /v1/jobs/{id} body was
 // written before render.go.
@@ -32,6 +36,35 @@ func encodeIndented(w io.Writer, v any) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(v)
+}
+
+// decodedRun and decodedJob are a result and a job as the encoder saw them:
+// the vertices as values, not as the result's own bytes.
+type decodedRun struct {
+	RunResult
+	Vertices []VertexResult `json:"vertices"`
+}
+
+type decodedJob struct {
+	JobView
+	Result *decodedRun `json:"result,omitempty"`
+}
+
+func decodeRun(t testing.TB, res *RunResult) *decodedRun {
+	t.Helper()
+	vs, err := res.Vertices.Decode()
+	if err != nil {
+		t.Fatalf("the vertices do not decode: %v", err)
+	}
+	return &decodedRun{RunResult: *res, Vertices: vs}
+}
+
+func decodeJob(t testing.TB, jv *JobView) *decodedJob {
+	d := &decodedJob{JobView: *jv}
+	if jv.Result != nil {
+		d.Result = decodeRun(t, jv.Result)
+	}
+	return d
 }
 
 // discardResponse is a ResponseWriter that keeps only a count of the bytes
@@ -83,18 +116,69 @@ func checkBody[T any](t *testing.T, name string, body []byte, v *T) {
 	}
 }
 
-// syntheticResult is a result of n vertices of two parts each, the second
-// one unbounded.
-func syntheticResult(n int) *RunResult {
-	res := &RunResult{Graph: "twitter", Algorithm: "sssp", Fingerprint: "f00d", Window: "[0,inf)", Span: "0123456789abcdef",
-		Metrics: RunMetrics{Supersteps: 7, ComputeCalls: int64(n), Messages: 3 * int64(n)}}
-	for i := 0; i < n; i++ {
-		res.Vertices = append(res.Vertices, VertexResult{ID: int64(3 * i), Parts: []StatePart{
-			{Interval: ival.New(0, int64(i+1)).String(), Value: "9223372036854775807"},
-			{Interval: ival.From(int64(i + 1)).String(), Value: strconv.Itoa(i)},
-		}})
+// checkRun checks the body of a result against the oracle.
+func checkRun(t *testing.T, name string, res *RunResult) {
+	t.Helper()
+	checkBody(t, name, renderRun(res), decodeRun(t, res))
+}
+
+// state is a vertex's final state: init over lifespan, then each of sets.
+func state(t testing.TB, lifespan ival.Interval, init any, sets ...warp.IntervalValue) *core.PartitionedState {
+	st := core.NewPartitionedState(lifespan, init)
+	for _, p := range sets {
+		if err := st.Set(p.Interval, p.Value); err != nil {
+			t.Fatal(err)
+		}
 	}
-	return res
+	return st
+}
+
+// byID yields vertices ids[i] with states sts[i], as a finished run's
+// Result.ByID does.
+func byID(ids []tgraph.VertexID, sts []*core.PartitionedState) iter.Seq2[*tgraph.Vertex, *core.PartitionedState] {
+	vs := make([]tgraph.Vertex, len(ids))
+	for i, id := range ids {
+		vs[i].ID = id
+	}
+	return func(yield func(*tgraph.Vertex, *core.PartitionedState) bool) {
+		for i := range vs {
+			if !yield(&vs[i], sts[i]) {
+				return
+			}
+		}
+	}
+}
+
+// oldVertices is what the encoder was given before render.go: each part's
+// interval and %v value as strings. Unlike decoded vertices, its strings
+// keep the invalid UTF-8 the body carries as \ufffd.
+func oldVertices(ids []tgraph.VertexID, sts []*core.PartitionedState) []VertexResult {
+	vs := make([]VertexResult, len(ids))
+	for i, st := range sts {
+		vs[i].ID = int64(ids[i])
+		for _, p := range st.Parts() {
+			vs[i].Parts = append(vs[i].Parts, StatePart{p.Interval.String(), fmt.Sprintf("%v", p.Value)})
+		}
+	}
+	return vs
+}
+
+// syntheticStates are n vertices of two parts each, the second one
+// unbounded.
+func syntheticStates(t testing.TB, n int) iter.Seq2[*tgraph.Vertex, *core.PartitionedState] {
+	ids, sts := make([]tgraph.VertexID, n), make([]*core.PartitionedState, n)
+	for i := range n {
+		ids[i] = tgraph.VertexID(3 * i)
+		sts[i] = state(t, ival.From(0), int64(math.MaxInt64), warp.IntervalValue{Interval: ival.From(int64(i + 1)), Value: int64(i)})
+	}
+	return byID(ids, sts)
+}
+
+// syntheticResult is a result of syntheticStates(n).
+func syntheticResult(t testing.TB, n int) *RunResult {
+	return &RunResult{Graph: "twitter", Algorithm: "sssp", Fingerprint: "f00d", Window: "[0,inf)", Span: "0123456789abcdef",
+		Metrics:  RunMetrics{Supersteps: 7, ComputeCalls: int64(n), Messages: 3 * int64(n)},
+		Vertices: renderVertices(syntheticStates(t, n))}
 }
 
 // TestRunBodyIndentsToToday: every body that carries a run result — each
@@ -114,10 +198,6 @@ func TestRunBodyIndentsToToday(t *testing.T) {
 		}
 		return res
 	}
-	check := func(name string, res *RunResult) {
-		t.Helper()
-		checkBody(t, name, renderRun(res), res)
-	}
 	h := int64(built.Horizon())
 	var last *RunRequest
 	for _, win := range []Window{{}, {h / 8, h / 4}} {
@@ -136,13 +216,13 @@ func TestRunBodyIndentsToToday(t *testing.T) {
 			win := win
 			last = &RunRequest{Graph: "g", Algorithm: algo, Window: &win,
 				Params: map[string]int64{"source": int64(src), "target": int64(dst)}}
-			check(fmt.Sprintf("%s over %v", algo, w), exec(last))
+			checkRun(t, fmt.Sprintf("%s over %v", algo, w), exec(last))
 		}
 	}
 	if res := exec(last); !res.Cached {
 		t.Fatal("a repeated request was not served from the cache")
 	} else {
-		check("cached", res)
+		checkRun(t, "cached", res)
 	}
 	src := earlySource(t, built, h/8)
 	for _, end := range []int64{h / 4, h / 2} {
@@ -150,13 +230,13 @@ func TestRunBodyIndentsToToday(t *testing.T) {
 		if res.Seeded != (end == h/2) {
 			t.Fatalf("eat over [0, %d): seeded = %v", end, res.Seeded)
 		}
-		check(fmt.Sprintf("eat over [0, %d)", end), res)
+		checkRun(t, fmt.Sprintf("eat over [0, %d)", end), res)
 	}
 	res := exec(&RunRequest{Graph: "g", Algorithm: "bfs", Span: "0123456789abcdef", Params: map[string]int64{"source": int64(src)}})
 	if res.Span != "0123456789abcdef" {
 		t.Fatalf("span %q, want the client's", res.Span)
 	}
-	check("client span", res)
+	checkRun(t, "client span", res)
 
 	ls, _, _ := newLiveServer(t, live.Options{Name: "g"})
 	if _, err := ls.ApplyEvents("g", chainEvents(0, 8, 1)); err != nil {
@@ -166,20 +246,29 @@ func TestRunBodyIndentsToToday(t *testing.T) {
 	if err != nil || lres.Epoch != 1 {
 		t.Fatalf("live run: epoch %v, %v", lres, err)
 	}
-	check("live epoch", lres)
+	checkRun(t, "live epoch", lres)
 
-	odd := syntheticResult(3)
+	odd := syntheticResult(t, 3)
 	odd.Graph, odd.Algorithm, odd.Fingerprint, odd.Span = "q\"b\\s</script>&\u2028\u2029\x00\x1f\x7f\b\f\n\r\t", "", "∞\xff\xc3", ""
 	odd.Cached, odd.Seeded, odd.Epoch = true, true, math.MaxUint64
 	odd.Metrics = RunMetrics{Supersteps: -1, ComputeCalls: math.MinInt64, ScatterCalls: math.MaxInt64, MakespanNS: -7}
-	odd.Vertices = append(odd.Vertices, VertexResult{ID: -5}, VertexResult{ID: math.MinInt64, Parts: []StatePart{}},
-		VertexResult{ID: 1, Parts: []StatePart{{}, {Interval: "[3, ∞)", Value: "aé\U0001F600<>"}}})
-	check("odd strings and numbers", odd)
-	none := syntheticResult(0)
-	check("nil vertices", none)
-	none.Vertices = []VertexResult{}
-	check("empty vertices", none)
-	check("a body of many flushes", syntheticResult(3000))
+	type pair struct{ A, B int64 }
+	ids := []tgraph.VertexID{-5, math.MinInt64, 1, math.MaxInt64}
+	sts := []*core.PartitionedState{
+		state(t, ival.New(-7, 3), ""),
+		state(t, ival.From(math.MinInt64), math.NaN(), warp.IntervalValue{Interval: ival.From(3), Value: "aé\U0001F600<>\"\\\x00\u2028\xff"}),
+		state(t, ival.New(0, 5), pair{1, -2}, warp.IntervalValue{Interval: ival.New(2, 5), Value: []int64{1, 2}}),
+		state(t, ival.From(0), true, warp.IntervalValue{Interval: ival.From(5), Value: 1e21}),
+	}
+	odd.Vertices = renderVertices(byID(ids, sts))
+	checkBody(t, "odd strings and numbers", renderRun(odd), &decodedRun{RunResult: *odd, Vertices: oldVertices(ids, sts)})
+	none := syntheticResult(t, 0)
+	checkRun(t, "nil vertices", none)
+	if err := none.Vertices.UnmarshalJSON([]byte("[]")); err != nil {
+		t.Fatal(err)
+	}
+	checkRun(t, "a client's empty vertices", none)
+	checkRun(t, "a body of many flushes", syntheticResult(t, 3000))
 
 	jobs := []JobView{
 		{ID: "j1", Status: JobDone, Graph: "g", Algorithm: "sssp", Fingerprint: res.Fingerprint, Result: res},
@@ -191,7 +280,7 @@ func TestRunBodyIndentsToToday(t *testing.T) {
 		t.Fatalf("submit of a cached request: %+v, %v", jv, err)
 	}
 	for _, jv := range append(jobs, jv) {
-		checkBody(t, "job "+jv.ID, renderJob(&jv), &jv)
+		checkBody(t, "job "+jv.ID, renderJob(&jv), decodeJob(t, &jv))
 	}
 }
 
@@ -262,7 +351,7 @@ func TestRunBodyHead(t *testing.T) {
 // each ending at a vertex, never in one piece; the first failed write is the
 // last; a buffer one giant vertex grew is not pooled.
 func TestRenderStreams(t *testing.T) {
-	res := syntheticResult(20000)
+	res := syntheticResult(t, 20000)
 	var sizes []int
 	w := &recordingResponse{ResponseWriter: httptest.NewRecorder(), sizes: &sizes}
 	writeRun(w, http.StatusOK, res)
@@ -284,12 +373,13 @@ func TestRenderStreams(t *testing.T) {
 		t.Errorf("the render went on after a failed write: %d writes", failing.writes)
 	}
 
-	giant := syntheticResult(1)
-	giant.Vertices[0].Parts = syntheticResult(3000).Vertices[0].Parts[:1]
-	for range 3000 {
-		giant.Vertices[0].Parts = append(giant.Vertices[0].Parts, giant.Vertices[0].Parts[0])
+	parts := make([]warp.IntervalValue, 3000)
+	for k := range parts {
+		parts[k] = warp.IntervalValue{Interval: ival.From(int64(k + 1)), Value: int64(k % 2)}
 	}
-	checkBody(t, "one giant vertex", renderRun(giant), giant)
+	giant := syntheticResult(t, 0)
+	giant.Vertices = renderVertices(byID([]tgraph.VertexID{7}, []*core.PartitionedState{state(t, ival.From(0), int64(1), parts...)}))
+	checkRun(t, "one giant vertex", giant)
 	d := newDiscard()
 	for range 10 {
 		writeRun(d, http.StatusOK, giant)
@@ -324,19 +414,22 @@ func (f *failingResponse) Write([]byte) (int, error) {
 }
 
 // TestRenderConcurrentWriters has goroutines share the renderer pool, each
-// with bodies of its own sizes; `make race` runs it under the detector. No
-// body may carry another's bytes.
+// with bodies of its own sizes, rendering vertices and writing bodies; `make
+// race` runs it under the detector. No body may carry another's bytes.
 func TestRenderConcurrentWriters(t *testing.T) {
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
+		states := make([]iter.Seq2[*tgraph.Vertex, *core.PartitionedState], 10)
+		for i := range states {
+			states[i] = syntheticStates(t, (w*370+i*110)%1500)
+		}
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			for i := 0; i < 10; i++ {
-				res := syntheticResult((w*370 + i*110) % 1500)
-				res.Graph = strconv.Itoa(w)
+			for i, st := range states {
+				res := &RunResult{Graph: strconv.Itoa(w), Vertices: renderVertices(st)}
 				var got bytes.Buffer
-				if err := json.Indent(&got, renderRun(res), "", "  "); err != nil || got.String() != wantJSON(t, res) {
+				if err := json.Indent(&got, renderRun(res), "", "  "); err != nil || got.String() != wantJSON(t, decodeRun(t, res)) {
 					t.Errorf("writer %d body %d differs from the encoder's (%v)", w, i, err)
 					return
 				}
@@ -346,33 +439,42 @@ func TestRenderConcurrentWriters(t *testing.T) {
 	wg.Wait()
 }
 
-// TestRenderAllocations: the render allocates a fixed number of objects
-// whatever the result's size — the Content-Type header value, nothing per
-// vertex, part or flush.
+// TestRenderAllocations: writing a cached result allocates a fixed number of
+// objects whatever its size — the Content-Type header value, nothing per
+// vertex, part or write; rendering its vertices allocates one object per
+// chunk and a few more, nothing per vertex or part.
 func TestRenderAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc gate skipped under -race")
 	}
-	small, large := syntheticResult(100), syntheticResult(20000)
+	small, large := syntheticResult(t, 100), syntheticResult(t, 20000)
 	d := newDiscard()
 	allocs := func(res *RunResult) float64 {
 		return testing.AllocsPerRun(50, func() { writeRun(d, http.StatusOK, res) })
 	}
 	a, b := allocs(small), allocs(large)
 	if a != b || a > 1 {
-		t.Errorf("rendering 100 vertices allocates %.0f objects, 20 000 vertices %.0f; want the same, at most 1", a, b)
+		t.Errorf("writing 100 vertices allocates %.0f objects, 20 000 vertices %.0f; want the same, at most 1", a, b)
+	}
+	const few = 16 // the chunk list growing to 161, and the iterator
+	states := syntheticStates(t, 20000)
+	build := testing.AllocsPerRun(10, func() { renderVertices(states) })
+	if chunks := len(large.Vertices.chunks); build > float64(chunks+few) {
+		t.Errorf("rendering 20 000 vertices into %d chunks allocates %.0f objects; want at most %d", chunks, build, chunks+few)
 	}
 }
 
-// FuzzRenderString: arbitrary bytes as a graph name, an interval and a value
-// are quoted exactly as encoding/json quotes them, alone and inside a body.
+// FuzzRenderString: arbitrary bytes as a graph name, a window and two state
+// values are quoted exactly as encoding/json quotes them, alone and inside a
+// body, and the values come back from the rendered vertices.
 func FuzzRenderString(f *testing.F) {
 	f.Add("transit", "[3, ∞)", "42")
 	f.Add("<script>&amp;", "\u2028\u2029", "\x00\x01\x1f\x7f")
 	f.Add("\"\\/", "\b\f\n\r\t", "\xff\xfe\xc3\x28")
 	f.Add("\xed\xa0\x80", "\xf4\x90\x80\x80", "é日本\U0001F600")
 	f.Fuzz(func(t *testing.T, graph, interval, value string) {
-		for _, s := range []string{graph, interval, value} {
+		var back [3]string
+		for i, s := range []string{graph, interval, value} {
 			want, err := json.Marshal(s)
 			if err != nil {
 				t.Fatal(err)
@@ -380,42 +482,69 @@ func FuzzRenderString(f *testing.F) {
 			if got := appendString(nil, s); !bytes.Equal(got, want) {
 				t.Fatalf("%q quotes as %s, encoding/json as %s", s, got, want)
 			}
+			if err := json.Unmarshal(want, &back[i]); err != nil {
+				t.Fatal(err)
+			}
 		}
-		res := &RunResult{Graph: graph, Window: interval, Vertices: []VertexResult{{ID: 1, Parts: []StatePart{{interval, value}}}}}
+		ids := []tgraph.VertexID{1, 2}
+		sts := []*core.PartitionedState{state(t, ival.New(1, 2), interval), state(t, ival.From(3), value)}
+		res := &RunResult{Graph: graph, Window: interval, Vertices: renderVertices(byID(ids, sts))}
 		var indented bytes.Buffer
-		if err := json.Indent(&indented, renderRun(res), "", "  "); err != nil || indented.String() != wantJSON(t, res) {
+		if err := json.Indent(&indented, renderRun(res), "", "  "); err != nil ||
+			indented.String() != wantJSON(t, &decodedRun{RunResult: *res, Vertices: oldVertices(ids, sts)}) {
 			t.Fatalf("the body of %q, %q, %q does not indent to the encoder's (%v)", graph, interval, value, err)
+		}
+		raw, err := res.Vertices.MarshalJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var client Vertices
+		if err := client.UnmarshalJSON(raw); err != nil {
+			t.Fatal(err)
+		}
+		want := []VertexResult{{1, []StatePart{{"[1, 2)", back[1]}}}, {2, []StatePart{{"[3, ∞)", back[2]}}}}
+		if got, err := client.Decode(); err != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("the vertices of %q, %q decode to %q (%v)", interval, value, got, err)
 		}
 	})
 }
 
-// BenchmarkRenderRun writes a served TwitterLike(1) SSSP result to a
-// discarding response, with render.go's appender and with the indenting
-// encoder it replaced, after checking that the appender's body indents to
-// the encoder's. Reported: ns/op and the body's bytes.
+// BenchmarkRenderRun renders a finished TwitterLike(1) SSSP run's vertices
+// into chunks (build), writes the cached result to a discarding response
+// (hit), and writes it with the indenting encoder render.go replaced
+// (encoder), after checking that the body indents to the encoder's.
+// Reported: ns/op, allocations and the body's bytes.
 func BenchmarkRenderRun(b *testing.B) {
 	g, err := gen.Generate(gen.TwitterLike(1), 1)
 	if err != nil {
 		b.Fatal(err)
 	}
-	s, err := New(Config{Graphs: map[string]*tgraph.Graph{"twitter": g}, Workers: 2})
+	prog, opts, err := algorithms.New(g, "sssp", algorithms.Params{Source: g.Edge(0).Src})
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer s.Close()
-	res, err := s.Execute(context.Background(), &RunRequest{Graph: "twitter", Algorithm: "sssp",
-		Params: map[string]int64{"source": int64(g.Edge(0).Src)}})
+	opts.NumWorkers = 2
+	run, err := core.Run(g, prog, opts)
 	if err != nil {
 		b.Fatal(err)
 	}
+	res := &RunResult{Graph: "twitter", Algorithm: "sssp", Vertices: renderVertices(run.ByID())}
+	old := decodeRun(b, res)
 	var want, got bytes.Buffer
-	if err := encodeIndented(&want, res); err != nil {
+	if err := encodeIndented(&want, old); err != nil {
 		b.Fatal(err)
 	}
 	if err := json.Indent(&got, renderRun(res), "", "  "); err != nil || !bytes.Equal(got.Bytes(), want.Bytes()) {
-		b.Fatalf("the appender's body does not indent to the encoder's (%v)", err)
+		b.Fatalf("the body does not indent to the encoder's (%v)", err)
 	}
-	b.Run("appender", func(b *testing.B) {
+	b.Run("build", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			renderVertices(run.ByID())
+		}
+		b.ReportMetric(float64(len(res.Vertices.chunks)), "chunks")
+	})
+	b.Run("hit", func(b *testing.B) {
 		b.ReportAllocs()
 		d := newDiscard()
 		for i := 0; i < b.N; i++ {
@@ -429,7 +558,7 @@ func BenchmarkRenderRun(b *testing.B) {
 		d := newDiscard()
 		for i := 0; i < b.N; i++ {
 			d.n = 0
-			if err := encodeIndented(d, res); err != nil {
+			if err := encodeIndented(d, old); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -419,8 +419,9 @@ func (s *Server) begin(p *prepared, noCache bool) (admission, error) {
 }
 
 // finish completes a leader's call: publish the result to the cache, wake the
-// joiners, release the executor ticket.
-func (s *Server) finish(p *prepared, c *call, res *RunResult, err error) {
+// joiners, release the executor ticket. The leader gets a copy, as joiners
+// and hits do: the shared result itself is never handed out.
+func (s *Server) finish(p *prepared, c *call, res *RunResult, err error) (*RunResult, error) {
 	if err == nil && c.owns {
 		s.cache.put(p.fp, res)
 		s.m.cacheSize.Set(int64(s.cache.len()))
@@ -433,6 +434,10 @@ func (s *Server) finish(p *prepared, c *call, res *RunResult, err error) {
 	s.flightMu.Unlock()
 	close(c.done)
 	s.release()
+	if err != nil {
+		return nil, err
+	}
+	return resultCopy(res, false), nil
 }
 
 // reserve claims one executor ticket (run or queue slot) or rejects.
@@ -524,21 +529,20 @@ func (s *Server) Execute(ctx context.Context, req *RunRequest) (*RunResult, erro
 	}
 	switch {
 	case adm.cached != nil:
-		return cachedCopy(adm.cached), nil
+		return resultCopy(adm.cached, true), nil
 	case adm.joined != nil:
 		select {
 		case <-adm.joined.done:
 			if adm.joined.err != nil {
 				return nil, adm.joined.err
 			}
-			return cachedCopy(adm.joined.res), nil
+			return resultCopy(adm.joined.res, true), nil
 		case <-ctx.Done():
 			return nil, ctx.Err()
 		}
 	default:
 		res, err := s.runBSP(ctx, p)
-		s.finish(p, adm.lead, res, err)
-		return res, err
+		return s.finish(p, adm.lead, res, err)
 	}
 }
 
@@ -667,10 +671,10 @@ func (s *Server) seedValid(p *prepared, e *seedEntry) bool {
 	return p.lg.EffectiveEpoch(ival.New(p.window.Start, e.end)) == e.eff
 }
 
-// cachedCopy returns a response-ready shallow copy of an immutable cached
-// result with the Cached flag set; the shared slices are never mutated.
-func cachedCopy(res *RunResult) *RunResult {
+// resultCopy returns a response's own copy of a shared result, with its
+// Cached flag; the vertices' chunks are shared, and never written.
+func resultCopy(res *RunResult, cached bool) *RunResult {
 	cp := *res
-	cp.Cached = true
+	cp.Cached = cached
 	return &cp
 }

@@ -568,3 +568,39 @@ func TestWorkerCountIsPartOfTheCacheKey(t *testing.T) {
 		}
 	}
 }
+
+// TestExecuteResultDoesNotAliasCache: what a caller does with its result —
+// the leader's, a hit's — never reaches the cache. Each hit serves the run's
+// own bytes after the caller set Cached and Span on the leader's result and
+// edited the decoded vertices of a miss and of a hit.
+func TestExecuteResultDoesNotAliasCache(t *testing.T) {
+	s, _ := newTestServer(t, Config{Workers: 2})
+	ctx := context.Background()
+	req := &RunRequest{Graph: "transit", Algorithm: "sssp", Params: map[string]int64{"source": 0}}
+	tamper := func(res *RunResult) {
+		t.Helper()
+		vs, err := res.Vertices.Decode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		vs[0].Parts[0].Value = "tampered"
+	}
+	miss, err := s.Execute(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := bytes.Replace(renderRun(miss), []byte(`"cached": false`), []byte(`"cached": true`), 1)
+	tamper(miss)
+	miss.Cached, miss.Span = false, "ffffffffffffffff"
+	for i := 0; i < 2; i++ {
+		hit, err := s.Execute(ctx, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := renderRun(hit); !bytes.Equal(got, want) {
+			t.Fatalf("hit %d serves a caller's edit:\n got: %.400s\nwant: %.400s", i, got, want)
+		}
+		tamper(hit)
+		hit.Span = "ffffffffffffffff"
+	}
+}

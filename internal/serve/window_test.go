@@ -44,7 +44,7 @@ func oldFormatResult(r *core.Result, top int) []string {
 		st := r.StateByID(id)
 		parts := make([]string, 0, st.NumParts())
 		for _, p := range st.Parts() {
-			parts = append(parts, p.Interval.String()+"="+formatValue(p.Value))
+			parts = append(parts, p.Interval.String()+"="+fmt.Sprintf("%v", p.Value))
 		}
 		lines = append(lines, fmt.Sprintf("vertex %d: %s", id, strings.Join(parts, " ")))
 	}
