@@ -110,14 +110,15 @@ bench-test:
 # The micro-benchmarks of the ICM runtime (PartitionedState.Set at 1, 8 and
 # 64 partitions; one PageRank-shaped hub's superstep, with its sum combiner
 # and without; one SSSP-shaped vertex's scatter step reading its properties
-# from the plan; the scatter plan's cold build and memoised lookup; the
-# measured traffic's windowed query as a view, whole and over a slice; a live
-# epoch's plan built from scratch and from its predecessor's), of the
-# warp sweep on the inboxes the acceptance benchmark measured (serve_cold's
-# mean and largest, cluster_pr's unit messages), of the engine's exchange on
-# SSSP-shaped traffic (the unit cost of an in-process receive) and on
-# cluster_pr's traffic (unit float messages into its mean and its hub inbox
-# under the sum combiner), of a live epoch's materialization (the whole
+# from the plan, and one scatter step per vertex of TwitterLike(1) through
+# its plan in the order a superstep walks it; the scatter plan's cold build
+# and memoised lookup; the measured traffic's windowed query as a view, whole
+# and over a slice; a live epoch's plan built from scratch and from its
+# predecessor's), of the warp sweep on the inboxes the acceptance benchmark
+# measured (serve_cold's mean and largest, cluster_pr's unit messages), of
+# the engine's exchange on SSSP-shaped traffic (the unit cost of an
+# in-process receive) and on cluster_pr's traffic (unit float messages into
+# its mean and its hub inbox under the sum combiner), of a live epoch's materialization (the whole
 # graph, and one tick patched onto its predecessor, held to the rebuild) and
 # of a served TwitterLike(1) SSSP result's body (its vertices rendered once
 # into chunks, a cached hit written from them, and the indenting encoder
@@ -127,7 +128,7 @@ bench-test:
 # encoder's — so CI running them keeps them honest. For numbers, drop
 # -benchtime and add -benchmem -count.
 bench-core:
-	$(GO) test -run '^$$' -bench 'StateSet|VertexStep|ScatterProps|NewRuntime|WindowedRun|EpochPlan' -benchtime=1x -benchmem ./internal/core
+	$(GO) test -run '^$$' -bench 'StateSet|VertexStep|ScatterProps|ScatterPlan|NewRuntime|WindowedRun|EpochPlan' -benchtime=1x -benchmem ./internal/core
 	$(GO) test -run '^$$' -bench 'PathInbox|HubInbox|RankInbox' -benchtime=1x ./internal/warp
 	$(GO) test -run '^$$' -bench 'ExchangeSteadyState|ExchangeRank' -benchtime=1x -benchmem ./internal/engine
 	$(GO) test -run '^$$' -bench 'AccumulatorGraph|EpochPatch' -benchtime=1x -benchmem ./internal/stream

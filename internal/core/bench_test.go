@@ -7,6 +7,7 @@ import (
 
 	"graphite/internal/codec"
 	"graphite/internal/engine"
+	"graphite/internal/gen"
 	ival "graphite/internal/interval"
 	"graphite/internal/tgraph"
 )
@@ -223,6 +224,62 @@ func BenchmarkScatterProps(b *testing.B) {
 	}
 	if calls != 2*edges {
 		b.Fatalf("one step made %d Scatter calls, want %d", calls, 2*edges)
+	}
+	if allocs != 0 {
+		b.Fatalf("the scatter step allocates %.1f objects, want 0", allocs)
+	}
+	if prog.sink == 0 {
+		b.Fatal("Scatter read no property")
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(calls), "ns/scatter")
+}
+
+// BenchmarkScatterPlan measures the scatter step over a whole graph's plan in
+// the order a superstep walks it: one step per vertex of TwitterLike(1), seed
+// 1, under the travel labels, each over the vertex's whole lifespan, so every
+// piece of the plan is scattered over once per op. BenchmarkScatterProps
+// cannot see the plan's layout — its star's edges are contiguous in any —
+// and this one can. It reports the time per Scatter call and fails if the
+// step allocates.
+func BenchmarkScatterPlan(b *testing.B) {
+	g, err := gen.Generate(gen.TwitterLike(1), 1)
+	if err != nil {
+		b.Fatalf("generate: %v", err)
+	}
+	prog := &scatterPropsProg{}
+	var calls, pieces int
+	var allocs float64
+	opts := Options{
+		NumWorkers:    1,
+		MaxSupersteps: 1,
+		PropLabels:    []string{tgraph.PropTravelTime, tgraph.PropTravelCost},
+	}
+	opts.WrapProgram = func(p engine.Program) engine.Program {
+		return &atVertex{rt: p.(*runtime), fn: func(rt *runtime, ctx *engine.Context) {
+			vc := &rt.workspace(ctx).vc
+			*vc = VertexCtx{rt: rt, eng: ctx}
+			state := any(int64(0))
+			step := func() {
+				for v := 0; v < g.NumVertices(); v++ {
+					vc.idx, vc.v = v, g.VertexAt(v)
+					rt.scatterPart(vc, ctx, rt.plan.targetsOf(v), vc.v.Lifespan, state)
+				}
+			}
+			step()
+			calls, pieces = int(prog.calls), len(rt.plan.pieces)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				step()
+			}
+			b.StopTimer()
+			allocs = testing.AllocsPerRun(3, step)
+		}}
+	}
+	if _, err := Run(g, prog, opts); err != nil {
+		b.Fatal(err)
+	}
+	if calls == 0 || calls != pieces {
+		b.Fatalf("one step made %d Scatter calls over a plan of %d pieces, want one per piece", calls, pieces)
 	}
 	if allocs != 0 {
 		b.Fatalf("the scatter step allocates %.1f objects, want 0", allocs)

@@ -29,7 +29,7 @@ func planDiff(got, want *scatterPlan) error {
 		name string
 		a, b any
 	}{
-		{"pieceOff", got.pieceOff, want.pieceOff}, {"pieces", got.pieces, want.pieces}, {"match", got.match, want.match},
+		{"at", got.at, want.at}, {"pieces", got.pieces, want.pieces}, {"match", got.match, want.match},
 		{"slots", got.slots, want.slots}, {"values", got.values, want.values}, {"present", got.present, want.present},
 		{"targetOff", got.targetOff, want.targetOff}, {"targets", got.targets, want.targets},
 	} {

@@ -16,12 +16,16 @@ import (
 // label. It is immutable once built, laid out CSR-flat in pointer-free arrays,
 // and holds values only — nothing in it points into the graph's storage.
 //
+// The piece arrays are in the order scatter walks them: vertex 0's targets'
+// pieces, then vertex 1's, so targets[k+1].lo == targets[k].hi and an edge
+// traversed in both directions holds its pieces twice.
+//
 // A piece is cut at every value boundary of the declared labels, so each
 // label is constant over it: the value the plan holds is what Props.ValueAt
 // returns at any time-point of the piece, absence included.
 type scatterPlan struct {
-	pieceOff  []int32         // edge i's pieces are pieces[pieceOff[i]:pieceOff[i+1]]
-	pieces    []ival.Interval // every edge's pieces, edge after edge
+	at        []int32         // edge i's first target in target order is targets[at[i]]
+	pieces    []ival.Interval // every target's pieces, target after target
 	match     []ival.Interval // per piece: what an update must intersect; aliases pieces without a slack label
 	slots     int             // value columns per piece: one per Options.PropLabels entry, at most maxPropSlots
 	values    []int64         // piece k's value of label slot s is values[k*slots+s]; 0 where absent
@@ -154,40 +158,36 @@ func (c *planCache) inherit(g *tgraph.Graph, key planKey) (*scatterPlan, []int32
 	return prev, lin.Sources()
 }
 
-// buildScatterPlan lays the plan out in two sweeps over the edges — count the
-// pieces, then fill exactly-sized arrays — sharing one boundary scratch, so
-// the number of allocations does not depend on the size of the graph. Each
-// sweep looks an edge's labels up once: pieces, match intervals and values are
-// all read off the entry slices edgeBounds found.
+// buildScatterPlan lays the plan out in target order directly: a sweep over
+// the edges counts each edge's pieces, the targets are laid out with their
+// piece ranges, a second sweep fills each edge's pieces in at its first
+// target, and a pass over the targets copies the rest and takes the hulls.
+// The sweeps share one boundary scratch, so the number of allocations does
+// not depend on the size of the graph, and each looks an edge's labels up
+// once: pieces, match intervals and values are all read off the entry slices
+// edgeBounds found.
 //
 // Given prev, the plan of g's predecessor under the same key, and from, the
 // predecessor's index of each of g's edges (-1 for an edge the patch gave; see
 // tgraph.Lineage), an edge copied from the predecessor takes its piece count,
 // pieces, match intervals and values from prev instead: it has the lifespan
 // and the property storage it had there, so they are what edgeBounds would
-// find again. Patch keeps untouched edges in order, so they come in runs that
-// are contiguous in prev too, and each run is copied at once. Only the
-// targets, which follow g's adjacency, are laid out anew. Without prev every
-// edge is given.
+// find again. A run of targets whose edges were consecutive targets in prev
+// is copied at once: in a forward or reverse plan an untouched vertex's whole
+// range is one copy. Without prev every edge is given.
 func buildScatterPlan(g *tgraph.Graph, key planKey, prev *scatterPlan, from []int32) *scatterPlan {
 	nE, nV := g.NumEdges(), g.NumVertices()
 	var stack [32]ival.Time
 	bounds := stack[:0]
 	var held [maxPropSlots][]tgraph.PropEntry
-	if prev == nil {
-		from = nil
-	}
+	copied := func(ei int32) bool { return prev != nil && from[ei] >= 0 }
 
-	pieceOff := make([]int32, nE+1)
-	for i := 0; i < nE; i++ {
-		if j := copiedRun(from, i); j > i {
-			// The run's offsets are the predecessor's, shifted.
-			run, shift := pieceOff[i+1:j+1], pieceOff[i]-prev.pieceOff[from[i]]
-			copy(run, prev.pieceOff[from[i]+1:])
-			for k := range run {
-				run[k] += shift
-			}
-			i = j - 1 // the loop's i++ moves past the run
+	// at[i] holds ^(edge i's piece count) until its first target is laid out.
+	at := make([]int32, nE)
+	for i := range at {
+		if copied(int32(i)) {
+			tg := &prev.targets[prev.at[from[i]]]
+			at[i] = ^(tg.hi - tg.lo)
 			continue
 		}
 		bounds = edgeBounds(bounds[:0], g.Edge(i), key.labels, &held)
@@ -197,34 +197,74 @@ func buildScatterPlan(g *tgraph.Graph, key planKey, prev *scatterPlan, from []in
 				n++
 			}
 		}
-		pieceOff[i+1] = pieceOff[i] + n
+		at[i] = ^n
 	}
 
-	p := &scatterPlan{
-		pieceOff: pieceOff,
-		pieces:   make([]ival.Interval, pieceOff[nE]),
-		slots:    min(len(key.labels), maxPropSlots),
+	forward, backward := !key.reverse || key.undirected, key.reverse || key.undirected
+	n := nE // every edge is an out-edge of one vertex and an in-edge of one
+	if key.undirected {
+		n = 2 * nE
 	}
+	p := &scatterPlan{
+		at:        at,
+		slots:     min(len(key.labels), maxPropSlots),
+		targets:   make([]target, 0, n),
+		targetOff: make([]int32, nV+1),
+	}
+	lo := int32(0)
+	add := func(ei int32, dst int) {
+		n := at[ei]
+		if n < 0 {
+			n, at[ei] = ^n, int32(len(p.targets))
+		} else {
+			n = p.targets[n].hi - p.targets[n].lo // the edge's other direction
+		}
+		p.targets = append(p.targets, target{edge: ei, dst: int32(dst), lo: lo, hi: lo + n})
+		lo += n
+	}
+	for v := 0; v < nV; v++ {
+		if forward {
+			for _, ei := range g.OutEdges(v) {
+				add(ei, g.DstIndex(int(ei)))
+			}
+		}
+		if backward {
+			for _, ei := range g.InEdges(v) {
+				add(ei, g.SrcIndex(int(ei)))
+			}
+		}
+		p.targetOff[v+1] = int32(len(p.targets))
+	}
+
+	p.pieces = make([]ival.Interval, lo)
 	p.match = p.pieces
 	if key.slackLabel != "" {
-		p.match = make([]ival.Interval, len(p.pieces))
+		p.match = make([]ival.Interval, lo)
 	}
 	if p.slots > 0 {
-		p.values = make([]int64, len(p.pieces)*p.slots)
-		p.present = make([]uint8, len(p.pieces))
+		p.values = make([]int64, int(lo)*p.slots)
+		p.present = make([]uint8, lo)
+	}
+	// copyFrom copies src's pieces [lo, hi), match intervals and values to k.
+	copyFrom := func(k int32, src *scatterPlan, lo, hi int32) {
+		copy(p.pieces[k:], src.pieces[lo:hi])
+		if key.slackLabel != "" {
+			copy(p.match[k:], src.match[lo:hi])
+		}
+		if p.slots > 0 {
+			copy(p.values[int(k)*p.slots:], src.values[int(lo)*p.slots:int(hi)*p.slots])
+			copy(p.present[k:], src.present[lo:hi])
+		}
+	}
+	// Until the last pass restores it, at[i] is ^(edge i's piece offset): a
+	// fill reading targets[at[i]].lo instead made NewRuntime/cold 1.29× slower.
+	for k, tg := range p.targets {
+		if at[tg.edge] == int32(k) {
+			at[tg.edge] = ^tg.lo
+		}
 	}
 	for i := 0; i < nE; i++ {
-		if j := copiedRun(from, i); j > i {
-			lo, hi, k := prev.pieceOff[from[i]], prev.pieceOff[from[j-1]+1], pieceOff[i]
-			copy(p.pieces[k:], prev.pieces[lo:hi])
-			if key.slackLabel != "" {
-				copy(p.match[k:], prev.match[lo:hi])
-			}
-			if p.slots > 0 {
-				copy(p.values[int(k)*p.slots:], prev.values[int(lo)*p.slots:int(hi)*p.slots])
-				copy(p.present[k:], prev.present[lo:hi])
-			}
-			i = j - 1
+		if copied(int32(i)) {
 			continue
 		}
 		e := g.Edge(i)
@@ -237,7 +277,7 @@ func buildScatterPlan(g *tgraph.Graph, key planKey, prev *scatterPlan, from []in
 		// slice finds every piece's value without searching.
 		var cur [maxPropSlots]int
 		slackCur := 0
-		k := pieceOff[i]
+		k := ^at[i]
 		for b := 0; b+1 < len(bounds); b++ {
 			if bounds[b] == bounds[b+1] {
 				continue
@@ -263,50 +303,30 @@ func buildScatterPlan(g *tgraph.Graph, key planKey, prev *scatterPlan, from []in
 			k++
 		}
 	}
-
-	forward := !key.reverse || key.undirected
-	backward := key.reverse || key.undirected
-	n := 0 // every edge is an out-edge of one vertex and an in-edge of one
-	if forward {
-		n += nE
-	}
-	if backward {
-		n += nE
-	}
-	p.targets = make([]target, 0, n)
-	p.targetOff = make([]int32, nV+1)
-	add := func(ei int32, dst int) {
-		tg := target{edge: ei, dst: int32(dst), lo: pieceOff[ei], hi: pieceOff[ei+1]}
-		for _, m := range p.match[tg.lo:tg.hi] {
-			tg.hull = tg.hull.Union(m)
+	// at[i] is restored at edge i's first target; a later target of the edge
+	// is its other direction, and copies the pieces from there.
+	for k := 0; k < len(p.targets); {
+		tg, j := &p.targets[k], k+1
+		if f := at[tg.edge]; f >= 0 {
+			copyFrom(tg.lo, p, p.targets[f].lo, p.targets[f].hi)
+		} else if copied(tg.edge) {
+			q := prev.at[from[tg.edge]]
+			for j < len(p.targets) && copied(p.targets[j].edge) && prev.at[from[p.targets[j].edge]] == q+int32(j-k) {
+				j++
+			}
+			copyFrom(tg.lo, prev, prev.targets[q].lo, prev.targets[q+int32(j-k)-1].hi)
 		}
-		p.targets = append(p.targets, tg)
-	}
-	for v := 0; v < nV; v++ {
-		if forward {
-			for _, ei := range g.OutEdges(v) {
-				add(ei, g.DstIndex(int(ei)))
+		for ; k < j; k++ {
+			tg := &p.targets[k]
+			if at[tg.edge] < 0 {
+				at[tg.edge] = int32(k)
+			}
+			for _, m := range p.match[tg.lo:tg.hi] {
+				tg.hull = tg.hull.Union(m)
 			}
 		}
-		if backward {
-			for _, ei := range g.InEdges(v) {
-				add(ei, g.SrcIndex(int(ei)))
-			}
-		}
-		p.targetOff[v+1] = int32(len(p.targets))
 	}
 	return p
-}
-
-// copiedRun returns the end of the run of edges from i on that were copied
-// from the predecessor's consecutive edges: i itself when from is nil or edge
-// i was given.
-func copiedRun(from []int32, i int) int {
-	j := i
-	for j < len(from) && from[j] >= 0 && from[j]-from[i] == int32(j-i) {
-		j++
-	}
-	return j
 }
 
 // edgeBounds appends, sorted ascending, the lifespan ends of e and between

@@ -137,7 +137,6 @@ func checkPlanAgainstOracle(g *tgraph.Graph, opts Options) error {
 		return fmt.Errorf("%d labels: %d slots, %d values and %d masks over %d pieces",
 			len(opts.PropLabels), p.slots, len(p.values), len(p.present), len(p.pieces))
 	}
-	refs := 0
 	for v := 0; v < g.NumVertices(); v++ {
 		got := p.targetsOf(v)
 		if len(got) != len(targets[v]) {
@@ -167,17 +166,44 @@ func checkPlanAgainstOracle(g *tgraph.Graph, opts Options) error {
 			if err := checkPieceValues(p, g.Edge(int(tg.edge)), opts.PropLabels, tg.lo, tg.hi); err != nil {
 				return err
 			}
-			refs += len(parts[tg.edge])
 		}
 	}
-	// Every edge is some vertex's target, once per traversed direction, so
-	// the flat array holds exactly the oracle's pieces and nothing else.
+	return checkPlanTiling(g, p, opts)
+}
+
+// checkPlanTiling holds the plan to its layout: the targets' piece ranges
+// tile [0, len(pieces)) in target order, with no gap or overlap, so scatter
+// streams one contiguous run per vertex; every edge is the target of one
+// vertex per traversed direction, so an undirected plan holds each edge's
+// pieces twice and any other plan once; and at names each edge's first
+// target in that order.
+func checkPlanTiling(g *tgraph.Graph, p *scatterPlan, opts Options) error {
 	dirs := 1
 	if opts.Undirected {
 		dirs = 2
 	}
-	if refs != dirs*len(p.pieces) {
-		return fmt.Errorf("targets reference %d pieces over %d directions, plan holds %d", refs, dirs, len(p.pieces))
+	if len(p.targets) != dirs*g.NumEdges() || len(p.at) != g.NumEdges() {
+		return fmt.Errorf("%d targets and %d first targets for %d edges over %d directions",
+			len(p.targets), len(p.at), g.NumEdges(), dirs)
+	}
+	end, seen := int32(0), make([]int, g.NumEdges())
+	for k, tg := range p.targets {
+		if tg.lo != end || tg.hi < tg.lo {
+			return fmt.Errorf("target %d (edge %d) holds pieces [%d, %d), the tiling is at %d", k, tg.edge, tg.lo, tg.hi, end)
+		}
+		end = tg.hi
+		if seen[tg.edge] == 0 && p.at[tg.edge] != int32(k) {
+			return fmt.Errorf("edge %d: first target %d, but target %d is its first", tg.edge, p.at[tg.edge], k)
+		}
+		seen[tg.edge]++
+	}
+	if int(end) != len(p.pieces) {
+		return fmt.Errorf("targets tile %d pieces, plan holds %d", end, len(p.pieces))
+	}
+	for ei, n := range seen {
+		if n != dirs {
+			return fmt.Errorf("edge %d is the target of %d vertices over %d directions", ei, n, dirs)
+		}
 	}
 	return nil
 }
@@ -522,7 +548,7 @@ func TestPlanAllocations(t *testing.T) {
 				t.Errorf("%s: memoised plan lookup allocates %.1f, want 0", oname, hot)
 			}
 		}
-		// The plan, pieceOff, pieces, targets and targetOff; match under a
+		// The plan, at, pieces, targets and targetOff; match under a
 		// slack label; values and present under declared labels.
 		for build, n := range map[string][]float64{"cold": cold, "delta": delta} {
 			if n[0] != n[1] || n[0] > 8 {
