@@ -121,8 +121,9 @@ bench-test:
 # its mean and its hub inbox under the sum combiner), of a live epoch's materialization (the whole
 # graph, and one tick patched onto its predecessor, held to the rebuild) and
 # of a served TwitterLike(1) SSSP result's body (its vertices rendered once
-# into chunks, a cached hit written from them, and the indenting encoder
-# they replaced; ns/op, allocations and body bytes), one iteration each:
+# into chunks, a cached hit written from them to a discarding writer and over
+# loopback, and the indenting encoder they replaced; ns/op, allocations, body
+# bytes and the loopback server's writes per hit), one iteration each:
 # they check their own fixtures — the warp and exchange ones also that, once
 # warmed, they allocate nothing; the render one that its body indents to the
 # encoder's — so CI running them keeps them honest. For numbers, drop

@@ -193,7 +193,18 @@ func (o *viewOracle) at(workers int) oracleRun {
 	} else {
 		opts.NumWorkers = workers
 		opts.CheckInvariants = true
-		opts.Partitioner = func(v, n int) int { return o.orig[v] % n }
+		// The view runs workers shards; the engine gives the slice at most
+		// one per vertex. So each vertex goes to its view shard's rank among
+		// the shards the kept vertices use: every receiver then hears its
+		// own shard first and its peers in the view's ascending order.
+		rank := make([]int, workers)
+		for _, gi := range o.orig {
+			rank[gi%workers] = 1
+		}
+		for w, used := 0, 0; w < workers; w++ {
+			used, rank[w] = used+rank[w], used
+		}
+		opts.Partitioner = func(v, _ int) int { return rank[o.orig[v]%workers] }
 		r.res, r.err = core.Run(o.slice, prog, opts)
 	}
 	o.runs[workers] = r

@@ -63,8 +63,8 @@ func (v Vertices) Decode() (vs []VertexResult, err error) {
 }
 
 const (
-	renderFlush = 16 << 10 // a vertices chunk holds at most this much, or one vertex
-	renderKeep  = 64 << 10 // a buffer one giant vertex grew past this is not pooled
+	renderFlush = 256 << 10 // a vertices chunk, one body write, is cut at the vertex that reaches this
+	renderKeep  = 512 << 10 // a buffer one giant vertex grew past this is not pooled
 )
 
 // renderer is one body being written: the response, the bytes not yet
@@ -154,16 +154,11 @@ func (r *renderer) runResult(res *RunResult) {
 		r.buf = append(r.buf, "null}"...)
 		return
 	}
-	// The head goes out with the first chunk and the tail with the last.
-	last := len(chunks) - 1
-	for i, c := range chunks {
-		if i == 0 || i == last {
-			r.buf = append(r.buf, c...)
-		} else if r.err == nil {
+	// The head goes out alone, then each chunk in one write, then the tail.
+	r.flush()
+	for _, c := range chunks {
+		if r.err == nil {
 			_, r.err = r.w.Write(c)
-		}
-		if i < last {
-			r.flush()
 		}
 	}
 	r.buf = append(r.buf, '}')

@@ -9,11 +9,13 @@ import (
 	"io"
 	"iter"
 	"math"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"graphite/internal/algorithms"
@@ -347,24 +349,32 @@ func TestRunBodyHead(t *testing.T) {
 	}
 }
 
-// TestRenderStreams: a body goes out in writes of at least renderFlush bytes,
-// each ending at a vertex, never in one piece; the first failed write is the
-// last; a buffer one giant vertex grew is not pooled.
+// TestRenderStreams: a body goes out as its head alone, under 1 KiB; then
+// each chunk as it is, in one write — every chunk but the last at least
+// renderFlush and at most renderFlush plus one vertex, ending at a vertex;
+// then the tail. The first failed write is the last; a buffer one giant
+// vertex grew is not pooled.
 func TestRenderStreams(t *testing.T) {
 	res := syntheticResult(t, 20000)
-	var sizes []int
-	w := &recordingResponse{ResponseWriter: httptest.NewRecorder(), sizes: &sizes}
-	writeRun(w, http.StatusOK, res)
-	body := w.ResponseWriter.(*httptest.ResponseRecorder).Body.Bytes()
-	if len(sizes) < len(body)/(renderFlush+1024) {
-		t.Fatalf("a %d-byte body went out in %d writes", len(body), len(sizes))
+	rec := &recordingResponse{ResponseWriter: httptest.NewRecorder()}
+	writeRun(rec, http.StatusOK, res)
+	chunks, writes := res.Vertices.chunks, rec.writes
+	if len(chunks) < 2 || len(writes) != len(chunks)+2 {
+		t.Fatalf("%d chunks went out in %d writes; want the head, one write per chunk, the tail", len(chunks), len(writes))
 	}
-	at := 0
-	for i, n := range sizes {
-		if i < len(sizes)-1 && (n < renderFlush || n > renderFlush+1024 || body[at+n-1] != '}') {
-			t.Fatalf("write %d of %d is %d bytes ending %q", i, len(sizes), n, body[at+n-1])
+	if head := writes[0]; len(head) >= 1024 || !bytes.HasSuffix(head, []byte(`"vertices": `)) {
+		t.Fatalf("the head is a %d-byte write ending %.40q", len(head), head[max(0, len(head)-40):])
+	}
+	for i, c := range chunks {
+		if rec.from[i+1] != &c[0] || !bytes.Equal(writes[i+1], c) {
+			t.Fatalf("write %d is not chunk %d as it is", i+1, i)
 		}
-		at += n
+		if n := len(c); i < len(chunks)-1 && (n < renderFlush || n > renderFlush+1024 || c[n-1] != '}') {
+			t.Fatalf("chunk %d of %d is %d bytes ending %q", i, len(chunks), n, c[n-1])
+		}
+	}
+	if tail := writes[len(writes)-1]; string(tail) != "}\n" {
+		t.Fatalf("the tail is %q", tail)
 	}
 
 	failing := &failingResponse{ResponseWriter: httptest.NewRecorder()}
@@ -373,12 +383,15 @@ func TestRenderStreams(t *testing.T) {
 		t.Errorf("the render went on after a failed write: %d writes", failing.writes)
 	}
 
-	parts := make([]warp.IntervalValue, 3000)
+	parts := make([]warp.IntervalValue, renderKeep/32) // ~40 bytes a part
 	for k := range parts {
 		parts[k] = warp.IntervalValue{Interval: ival.From(int64(k + 1)), Value: int64(k % 2)}
 	}
 	giant := syntheticResult(t, 0)
 	giant.Vertices = renderVertices(byID([]tgraph.VertexID{7}, []*core.PartitionedState{state(t, ival.From(0), int64(1), parts...)}))
+	if n := len(giant.Vertices.chunks[0]); n <= renderKeep {
+		t.Fatalf("the giant vertex is %d bytes, no more than renderKeep", n)
+	}
 	checkRun(t, "one giant vertex", giant)
 	d := newDiscard()
 	for range 10 {
@@ -391,15 +404,114 @@ func TestRenderStreams(t *testing.T) {
 	}
 }
 
-// recordingResponse records the size of every write.
+// recordingResponse records a copy of every write and where its bytes were.
 type recordingResponse struct {
 	http.ResponseWriter
-	sizes *[]int
+	writes [][]byte
+	from   []*byte
 }
 
 func (r *recordingResponse) Write(p []byte) (int, error) {
-	*r.sizes = append(*r.sizes, len(p))
+	r.writes, r.from = append(r.writes, bytes.Clone(p)), append(r.from, &p[0])
 	return r.ResponseWriter.Write(p)
+}
+
+// TestRunBodyWritesOverLoopback: a cached 20 000-vertex result served over a
+// loopback connection costs its server at most 16 conn writes per MiB of
+// body — about two per chunk; 16 KiB chunks take about 128.
+func TestRunBodyWritesOverLoopback(t *testing.T) {
+	res := syntheticResult(t, 20000)
+	lb := newLoopback(t, res)
+	var body bytes.Buffer
+	lb.get(t, &body)
+	if !bytes.Equal(body.Bytes(), renderRun(res)) {
+		t.Fatal("the body over loopback differs from the rendered body")
+	}
+	writes, reads := lb.server.writes.Load(), lb.client.reads.Load()
+	perMiB := float64(writes) * (1 << 20) / float64(body.Len())
+	t.Logf("a %d-byte body in %d chunks: %d server writes (%.1f per MiB), %d client reads",
+		body.Len(), len(res.Vertices.chunks), writes, perMiB, reads)
+	if perMiB > 16 {
+		t.Errorf("%d server writes for a %d-byte body: %.1f per MiB, want at most 16", writes, body.Len(), perMiB)
+	}
+}
+
+// connCounts counts the writes and reads made on conns.
+type connCounts struct{ writes, reads atomic.Int64 }
+
+// countingConn counts each call before it makes it, so a count read once the
+// peer has the bytes includes the write that sent them.
+type countingConn struct {
+	net.Conn
+	n *connCounts
+}
+
+func (c countingConn) Write(p []byte) (int, error) {
+	c.n.writes.Add(1)
+	return c.Conn.Write(p)
+}
+
+func (c countingConn) Read(p []byte) (int, error) {
+	c.n.reads.Add(1)
+	return c.Conn.Read(p)
+}
+
+type countingListener struct {
+	net.Listener
+	n *connCounts
+}
+
+func (l countingListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return countingConn{c, l.n}, nil
+}
+
+// loopback serves one result, as a cache hit writes it, from a loopback
+// server to one keep-alive client, counting the server's conn writes and the
+// client's conn reads from the second request on: the first dials the conn.
+type loopback struct {
+	url            string
+	http           *http.Client
+	server, client connCounts
+}
+
+func newLoopback(tb testing.TB, res *RunResult) *loopback {
+	lb := &loopback{}
+	ts := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		writeRun(w, http.StatusOK, res)
+	}))
+	ts.Listener = countingListener{ts.Listener, &lb.server}
+	ts.Start()
+	tb.Cleanup(ts.Close)
+	tr := &http.Transport{DialContext: func(ctx context.Context, network, addr string) (net.Conn, error) {
+		c, err := (&net.Dialer{}).DialContext(ctx, network, addr)
+		if err != nil {
+			return nil, err
+		}
+		return countingConn{c, &lb.client}, nil
+	}}
+	tb.Cleanup(tr.CloseIdleConnections)
+	lb.url, lb.http = ts.URL, &http.Client{Transport: tr}
+	lb.get(tb, io.Discard)
+	lb.server.writes.Store(0)
+	lb.client.reads.Store(0)
+	return lb
+}
+
+// get reads the body into w.
+func (lb *loopback) get(tb testing.TB, w io.Writer) {
+	resp, err := lb.http.Get(lb.url)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	_, err = io.Copy(w, resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		tb.Fatalf("HTTP %d, %v", resp.StatusCode, err)
+	}
 }
 
 // failingResponse is a client that went away: every write fails.
@@ -456,7 +568,7 @@ func TestRenderAllocations(t *testing.T) {
 	if a != b || a > 1 {
 		t.Errorf("writing 100 vertices allocates %.0f objects, 20 000 vertices %.0f; want the same, at most 1", a, b)
 	}
-	const few = 16 // the chunk list growing to 161, and the iterator
+	const few = 16 // the chunk list growing to 16, and the iterator
 	states := syntheticStates(t, 20000)
 	build := testing.AllocsPerRun(10, func() { renderVertices(states) })
 	if chunks := len(large.Vertices.chunks); build > float64(chunks+few) {
@@ -511,9 +623,11 @@ func FuzzRenderString(f *testing.F) {
 
 // BenchmarkRenderRun renders a finished TwitterLike(1) SSSP run's vertices
 // into chunks (build), writes the cached result to a discarding response
-// (hit), and writes it with the indenting encoder render.go replaced
-// (encoder), after checking that the body indents to the encoder's.
-// Reported: ns/op, allocations and the body's bytes.
+// (hit) and from a loopback server to a net/http client (loopback), and
+// writes it with the indenting encoder render.go replaced (encoder), after
+// checking that the body indents to the encoder's. Reported: ns/op,
+// allocations and the body's bytes; over loopback, the server's conn writes
+// and the client's conn reads per hit, which a discarding response hides.
 func BenchmarkRenderRun(b *testing.B) {
 	g, err := gen.Generate(gen.TwitterLike(1), 1)
 	if err != nil {
@@ -552,6 +666,15 @@ func BenchmarkRenderRun(b *testing.B) {
 			writeRun(d, http.StatusOK, res)
 		}
 		b.ReportMetric(float64(d.n), "body_bytes")
+	})
+	b.Run("loopback", func(b *testing.B) {
+		lb := newLoopback(b, res)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			lb.get(b, io.Discard)
+		}
+		b.ReportMetric(float64(lb.server.writes.Load())/float64(b.N), "server_writes")
+		b.ReportMetric(float64(lb.client.reads.Load())/float64(b.N), "client_reads")
 	})
 	b.Run("encoder", func(b *testing.B) {
 		b.ReportAllocs()
