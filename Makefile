@@ -47,8 +47,9 @@ race:
 # Fuzz smoke: every fuzz target in the codec (intervals, slices, the word
 # forms against the any forms), engine (the batch decoder, the first thing a
 # peer's bytes reach, the checkpoint restore, the first thing a disk's bytes
-# reach — its seeds are up to 150 KB, so minimizing one is capped — and the
-# sender's fold against the arrival-only fold), state, warp and graph-format
+# reach — its seeds are up to 150 KB, so minimizing one is capped — the
+# checkpoint file's frame, and the sender's fold against the arrival-only
+# fold), state, warp and graph-format
 # layers (snapshot round trip and mutation, the text parser, the partition
 # meta decoder), the window view against its slice oracle, the cluster's
 # frame and control-message decoders and what the coordinator's handlers do
@@ -67,6 +68,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzWordRoundTrip -fuzztime $(FUZZTIME) ./internal/codec
 	$(GO) test -run '^$$' -fuzz FuzzDecodeBatch -fuzztime $(FUZZTIME) ./internal/engine
 	$(GO) test -run '^$$' -fuzz FuzzRestoreDurable -fuzztime $(FUZZTIME) -fuzzminimizetime 50x ./internal/engine
+	$(GO) test -run '^$$' -fuzz FuzzCheckpointFrame -fuzztime $(FUZZTIME) ./internal/engine
 	$(GO) test -run '^$$' -fuzz FuzzSenderCombine -fuzztime $(FUZZTIME) ./internal/engine
 	$(GO) test -run '^$$' -fuzz FuzzStateSet -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz 'FuzzWarp$$' -fuzztime $(FUZZTIME) ./internal/warp

@@ -303,7 +303,7 @@ func readShardMarker(dir string) int {
 }
 
 func writeShardMarker(dir string, shard int) error {
-	return os.WriteFile(filepath.Join(dir, shardMarkerName), []byte(strconv.Itoa(shard)+"\n"), 0o644)
+	return codec.WriteFile(filepath.Join(dir, shardMarkerName), []byte(strconv.Itoa(shard)+"\n"))
 }
 
 // CrashEnv names the environment variable the chaos driver sets to plant a

@@ -240,9 +240,9 @@ func (w *wrk) handleAssign(payload []byte) error {
 	if err := sh.Init(); err != nil {
 		return w.fail(err)
 	}
-	// Kill point "checkpoint": between a generation's temp-file write and its
-	// atomic rename — a torn write the manifest never admits. Named by the
-	// superstep the generation closes (0 for generation 0).
+	// Kill point "checkpoint": between a generation's synced temp file and
+	// its rename — a torn write no listing of the directory sees. Named by
+	// the superstep the generation closes (0 for generation 0).
 	store.CommitHook = func(stage string) {
 		if stage == "written" {
 			w.io.kill("checkpoint", w.sh.Superstep()-1)

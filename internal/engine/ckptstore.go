@@ -2,26 +2,30 @@ package engine
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
+	"strconv"
+	"strings"
 	"sync"
+
+	"graphite/internal/codec"
 )
 
 // This file is the durable half of the checkpoint subsystem: checkpoint.go
 // captures a shard, and the CheckpointStore persists those captures to disk
 // so a worker process that was SIGKILLed can be replaced and reload its
-// shard state. Durability discipline: checkpoint
-// bytes are written to a temp file, fsynced, and atomically renamed into
-// place; a generation only becomes visible once the versioned manifest —
-// itself updated by atomic rename — records it. Every load verifies a CRC32
-// over the payload, so a torn or corrupted file is a typed error and never
-// silently loaded; LatestValid walks the manifest newest-first past corrupt
-// generations.
+// shard state. A generation is its file, ckpt-%08d.bin, written through
+// codec's durable writer (temp file, fsync, rename, directory fsync), so the
+// directory is the index: a generation exists once its rename is durable,
+// and a torn write is a .tmp file no listing sees. The frame carries the
+// superstep under its CRC32, so every load verifies the whole file and a
+// torn or corrupted one is a typed error, never silently loaded;
+// LatestValid walks the files newest-first past corrupt generations.
 
 // Checkpoint-store errors. ErrCheckpointCorrupt wraps every integrity
 // failure (bad magic, truncation, CRC mismatch); callers fall back to an
@@ -32,166 +36,112 @@ var (
 )
 
 // ckptMagic opens every checkpoint file: 4 bytes of magic including a
-// format version.
-var ckptMagic = [4]byte{'G', 'C', 'K', '1'}
+// format version. The frame is
+//
+//	"GCK2" | uvarint superstep | uvarint length | payload | u32 CRC32
+//
+// with the CRC (IEEE, little-endian) over everything after the magic. A
+// "GCK1" file (the previous version) is corrupt here: a checkpoint
+// directory belongs to one job, so none outlives a format change.
+var ckptMagic = [4]byte{'G', 'C', 'K', '2'}
 
-const (
-	manifestName = "MANIFEST.json"
-	// DefaultKeepGenerations is how many generations Prune retains by
-	// default. The cluster rollback target is the last globally-committed
-	// generation, which trails any single worker's newest by at most one, so
-	// even two would suffice; the margin keeps forensics possible.
-	DefaultKeepGenerations = 4
-)
+// DefaultKeepGenerations is how many generations Prune retains by default.
+// The cluster rollback target is the last globally-committed generation,
+// which trails any single worker's newest by at most one, so even two would
+// suffice; the margin keeps forensics possible.
+const DefaultKeepGenerations = 4
 
 // CheckpointMeta describes one stored generation.
 type CheckpointMeta struct {
-	Gen       int    `json:"gen"`
-	Superstep int    `json:"superstep"` // superstep about to execute on restore
-	Bytes     int64  `json:"bytes"`
-	CRC       uint32 `json:"crc"`
+	Gen       int
+	Superstep int    // superstep about to execute on restore
+	Bytes     int64  // payload length
+	CRC       uint32 // the frame's CRC32
 }
 
-// ckptManifest is the on-disk index of generations, ascending by Gen.
-type ckptManifest struct {
-	Version     int              `json:"version"`
-	Generations []CheckpointMeta `json:"generations"`
-}
-
-// CheckpointStore persists checkpoint generations in one directory. Safe
-// for use by one process at a time (the worker owning the shard); methods
-// are internally serialized.
+// CheckpointStore persists checkpoint generations in one directory, for one
+// process at a time (the worker owning the shard). Saves are serialized;
+// every other method reads the directory as it stands, where a rename makes
+// a generation appear whole or not at all.
 type CheckpointStore struct {
-	// CommitHook, when set, is invoked at the named stages of Save:
-	// "written" after the temp file is written and synced but before the
-	// atomic rename, and "committed" after the rename but before the
-	// manifest update. It is the seam the process-kill chaos driver uses to
-	// SIGKILL a worker mid-checkpoint and prove recovery falls back to the
-	// previous generation.
+	// CommitHook, when set, is invoked at the "written" stage of Save: after
+	// the temp file is written and synced, before it is renamed into place.
+	// It is the seam the process-kill chaos driver uses to SIGKILL a worker
+	// mid-checkpoint and prove recovery falls back to the previous
+	// generation.
 	CommitHook func(stage string)
 
 	dir string
 	mu  sync.Mutex
-	man ckptManifest
 }
 
-// OpenCheckpointStore opens (creating if needed) a checkpoint directory and
-// loads its manifest. A missing manifest means an empty store; an unreadable
-// one is an error (the directory is in an unknown state).
+// OpenCheckpointStore opens (creating if needed) a checkpoint directory.
 func OpenCheckpointStore(dir string) (*CheckpointStore, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("engine: checkpoint dir: %w", err)
 	}
-	s := &CheckpointStore{dir: dir, man: ckptManifest{Version: 1}}
-	raw, err := os.ReadFile(filepath.Join(dir, manifestName))
-	switch {
-	case errors.Is(err, os.ErrNotExist):
-		return s, nil
-	case err != nil:
-		return nil, fmt.Errorf("engine: read checkpoint manifest: %w", err)
-	}
-	if err := json.Unmarshal(raw, &s.man); err != nil {
-		return nil, fmt.Errorf("engine: parse checkpoint manifest: %w", err)
-	}
-	sort.Slice(s.man.Generations, func(a, b int) bool {
-		return s.man.Generations[a].Gen < s.man.Generations[b].Gen
-	})
-	return s, nil
+	return &CheckpointStore{dir: dir}, nil
 }
 
 // Dir returns the store's directory.
 func (s *CheckpointStore) Dir() string { return s.dir }
 
-func (s *CheckpointStore) genPath(gen int) string {
-	return filepath.Join(s.dir, fmt.Sprintf("ckpt-%08d.bin", gen))
+func genName(gen int) string { return fmt.Sprintf("ckpt-%08d.bin", gen) }
+
+func (s *CheckpointStore) genPath(gen int) string { return filepath.Join(s.dir, genName(gen)) }
+
+// ckptHeader is a frame's magic, superstep and payload length.
+func ckptHeader(superstep, n int) []byte {
+	hdr := append(make([]byte, 0, 24), ckptMagic[:]...)
+	return binary.AppendUvarint(binary.AppendUvarint(hdr, uint64(superstep)), uint64(n))
 }
 
-// Save persists one generation: temp file + fsync + atomic rename, then the
-// manifest (same discipline). Re-saving an existing generation overwrites
-// it. The data is framed as magic, a little-endian length, the payload, and
-// a CRC32 (IEEE) of the payload, written around data rather than copied with
-// it into a frame.
+// decodeCkptFrame verifies a whole checkpoint file and returns its
+// superstep and payload, which aliases frame. Every failure wraps
+// ErrCheckpointCorrupt.
+func decodeCkptFrame(frame []byte) (superstep int, data []byte, err error) {
+	r := codec.NewReader(frame, ErrCheckpointCorrupt)
+	if magic := r.Bytes(len(ckptMagic)); r.Err == nil && [4]byte(magic) != ckptMagic {
+		r.Fail("magic %q, want %q", magic, ckptMagic[:])
+	}
+	superstep = r.Int("superstep")
+	data = r.Field("payload")
+	sum := r.Bytes(4)
+	if err := r.Done(); err != nil {
+		return 0, nil, err
+	}
+	if len(ckptHeader(superstep, len(data)))+len(data)+len(sum) != len(frame) {
+		return 0, nil, fmt.Errorf("%w: header varints not minimal", ErrCheckpointCorrupt)
+	}
+	if got, want := crc32.ChecksumIEEE(frame[len(ckptMagic):len(frame)-len(sum)]), binary.LittleEndian.Uint32(sum); got != want {
+		return 0, nil, fmt.Errorf("%w: CRC mismatch (got %08x, want %08x)", ErrCheckpointCorrupt, got, want)
+	}
+	return superstep, data, nil
+}
+
+// Save persists one generation as its file; re-saving a generation replaces
+// it. The header and CRC are written around data rather than copied with it
+// into a frame.
 func (s *CheckpointStore) Save(gen, superstep int, data []byte) (CheckpointMeta, error) {
+	if superstep < 0 || superstep > math.MaxInt32 {
+		return CheckpointMeta{}, fmt.Errorf("engine: checkpoint gen %d: superstep %d out of range", gen, superstep)
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	meta := CheckpointMeta{
-		Gen:       gen,
-		Superstep: superstep,
-		Bytes:     int64(len(data)),
-		CRC:       crc32.ChecksumIEEE(data),
-	}
-	hdr := binary.LittleEndian.AppendUint64(append([]byte(nil), ckptMagic[:]...), uint64(len(data)))
-	crc := binary.LittleEndian.AppendUint32(nil, meta.CRC)
-
-	final := s.genPath(gen)
-	tmp := final + ".tmp"
-	if err := writeFileSync(tmp, hdr, data, crc); err != nil {
-		return CheckpointMeta{}, err
+	hdr := ckptHeader(superstep, len(data))
+	sum := crc32.Update(crc32.ChecksumIEEE(hdr[len(ckptMagic):]), crc32.IEEETable, data)
+	path := s.genPath(gen)
+	tmp, err := codec.WriteTemp(path, hdr, data, binary.LittleEndian.AppendUint32(nil, sum))
+	if err != nil {
+		return CheckpointMeta{}, fmt.Errorf("engine: save checkpoint gen %d: %w", gen, err)
 	}
 	if s.CommitHook != nil {
 		s.CommitHook("written")
 	}
-	if err := os.Rename(tmp, final); err != nil {
-		return CheckpointMeta{}, fmt.Errorf("engine: commit checkpoint gen %d: %w", gen, err)
+	if err := codec.Publish(tmp, path); err != nil {
+		return CheckpointMeta{}, fmt.Errorf("engine: save checkpoint gen %d: %w", gen, err)
 	}
-	if s.CommitHook != nil {
-		s.CommitHook("committed")
-	}
-
-	gens := s.man.Generations[:0]
-	for _, m := range s.man.Generations {
-		if m.Gen != gen {
-			gens = append(gens, m)
-		}
-	}
-	s.man.Generations = append(gens, meta)
-	sort.Slice(s.man.Generations, func(a, b int) bool {
-		return s.man.Generations[a].Gen < s.man.Generations[b].Gen
-	})
-	if err := s.writeManifest(); err != nil {
-		return CheckpointMeta{}, err
-	}
-	return meta, nil
-}
-
-// writeFileSync writes the parts to path, one after another, and fsyncs
-// once before closing, so a rename never publishes a file whose bytes are
-// still in the page cache only.
-func writeFileSync(path string, parts ...[]byte) error {
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("engine: write checkpoint: %w", err)
-	}
-	for _, p := range parts {
-		if _, err := f.Write(p); err != nil {
-			f.Close()
-			return fmt.Errorf("engine: write checkpoint: %w", err)
-		}
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("engine: sync checkpoint: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("engine: close checkpoint: %w", err)
-	}
-	return nil
-}
-
-func (s *CheckpointStore) writeManifest() error {
-	raw, err := json.MarshalIndent(&s.man, "", "  ")
-	if err != nil {
-		return err
-	}
-	final := filepath.Join(s.dir, manifestName)
-	tmp := final + ".tmp"
-	if err := writeFileSync(tmp, append(raw, '\n')); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, final); err != nil {
-		return fmt.Errorf("engine: commit checkpoint manifest: %w", err)
-	}
-	return nil
+	return CheckpointMeta{Gen: gen, Superstep: superstep, Bytes: int64(len(data)), CRC: sum}, nil
 }
 
 // Load reads and verifies one generation. Any integrity failure — bad
@@ -199,60 +149,50 @@ func (s *CheckpointStore) writeManifest() error {
 // mismatch — returns an error wrapping ErrCheckpointCorrupt; an absent
 // generation returns ErrNoCheckpoint.
 func (s *CheckpointStore) Load(gen int) ([]byte, CheckpointMeta, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.loadLocked(gen)
-}
-
-func (s *CheckpointStore) loadLocked(gen int) ([]byte, CheckpointMeta, error) {
-	var meta CheckpointMeta
-	found := false
-	for _, m := range s.man.Generations {
-		if m.Gen == gen {
-			meta, found = m, true
-			break
-		}
-	}
-	if !found {
-		return nil, CheckpointMeta{}, fmt.Errorf("%w: generation %d not in manifest", ErrNoCheckpoint, gen)
-	}
 	frame, err := os.ReadFile(s.genPath(gen))
 	if errors.Is(err, os.ErrNotExist) {
-		return nil, CheckpointMeta{}, fmt.Errorf("%w: generation %d file missing", ErrCheckpointCorrupt, gen)
+		return nil, CheckpointMeta{}, fmt.Errorf("%w: generation %d", ErrNoCheckpoint, gen)
 	}
 	if err != nil {
 		return nil, CheckpointMeta{}, fmt.Errorf("engine: read checkpoint gen %d: %w", gen, err)
 	}
-	hdr := len(ckptMagic) + 8
-	if len(frame) < hdr+4 || [4]byte(frame[:4]) != ckptMagic {
-		return nil, CheckpointMeta{}, fmt.Errorf("%w: gen %d: bad header (%d bytes)", ErrCheckpointCorrupt, gen, len(frame))
+	superstep, data, err := decodeCkptFrame(frame)
+	if err != nil {
+		return nil, CheckpointMeta{}, fmt.Errorf("engine: checkpoint gen %d: %w", gen, err)
 	}
-	n := binary.LittleEndian.Uint64(frame[4:hdr])
-	if uint64(len(frame)) != uint64(hdr)+n+4 {
-		return nil, CheckpointMeta{}, fmt.Errorf("%w: gen %d: truncated (%d of %d payload bytes)",
-			ErrCheckpointCorrupt, gen, len(frame)-hdr-4, n)
+	crc := binary.LittleEndian.Uint32(frame[len(frame)-4:])
+	return data, CheckpointMeta{Gen: gen, Superstep: superstep, Bytes: int64(len(data)), CRC: crc}, nil
+}
+
+// gens lists the generations the directory holds, ascending: its files
+// named ckpt-%08d.bin. Temp files and anything else are ignored.
+func (s *CheckpointStore) gens() ([]int, error) {
+	ents, err := os.ReadDir(s.dir)
+	if err != nil {
+		return nil, fmt.Errorf("engine: list checkpoints: %w", err)
 	}
-	data := frame[hdr : hdr+int(n)]
-	crc := binary.LittleEndian.Uint32(frame[hdr+int(n):])
-	if got := crc32.ChecksumIEEE(data); got != crc {
-		return nil, CheckpointMeta{}, fmt.Errorf("%w: gen %d: CRC mismatch (got %08x, want %08x)",
-			ErrCheckpointCorrupt, gen, got, crc)
+	var gens []int
+	for _, e := range ents {
+		gen, err := strconv.Atoi(strings.TrimSuffix(strings.TrimPrefix(e.Name(), "ckpt-"), ".bin"))
+		if err == nil && gen >= 0 && genName(gen) == e.Name() {
+			gens = append(gens, gen)
+		}
 	}
-	if meta.Bytes != int64(n) || meta.CRC != crc {
-		return nil, CheckpointMeta{}, fmt.Errorf("%w: gen %d: manifest disagrees with file", ErrCheckpointCorrupt, gen)
-	}
-	return data, meta, nil
+	slices.Sort(gens)
+	return gens, nil
 }
 
 // LatestValid returns the newest generation that loads and verifies
-// cleanly, walking the manifest past corrupt or missing generations — the
-// fallback path a torn checkpoint write must land on. ErrNoCheckpoint when
-// nothing valid remains.
+// cleanly, walking the directory past corrupt generations — the fallback
+// path a torn checkpoint write must land on. ErrNoCheckpoint when nothing
+// valid remains.
 func (s *CheckpointStore) LatestValid() ([]byte, CheckpointMeta, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for i := len(s.man.Generations) - 1; i >= 0; i-- {
-		data, meta, err := s.loadLocked(s.man.Generations[i].Gen)
+	gens, err := s.gens()
+	if err != nil {
+		return nil, CheckpointMeta{}, err
+	}
+	for i := len(gens) - 1; i >= 0; i-- {
+		data, meta, err := s.Load(gens[i])
 		if err == nil {
 			return data, meta, nil
 		}
@@ -263,31 +203,31 @@ func (s *CheckpointStore) LatestValid() ([]byte, CheckpointMeta, error) {
 	return nil, CheckpointMeta{}, ErrNoCheckpoint
 }
 
-// Generations returns the manifest's generations, ascending.
+// Generations returns the generations the directory holds, ascending. One
+// whose file does not verify is listed by its Gen alone; a directory that
+// cannot be listed holds none.
 func (s *CheckpointStore) Generations() []CheckpointMeta {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]CheckpointMeta(nil), s.man.Generations...)
+	gens, _ := s.gens()
+	metas := make([]CheckpointMeta, len(gens))
+	for i, gen := range gens {
+		_, metas[i], _ = s.Load(gen)
+		metas[i].Gen = gen
+	}
+	return metas
 }
 
-// Prune drops all but the newest keep generations (files and manifest
-// entries); keep <= 0 means DefaultKeepGenerations.
+// Prune deletes all but the newest keep generations; keep <= 0 means
+// DefaultKeepGenerations.
 func (s *CheckpointStore) Prune(keep int) error {
 	if keep <= 0 {
 		keep = DefaultKeepGenerations
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if len(s.man.Generations) <= keep {
-		return nil
-	}
-	drop := s.man.Generations[:len(s.man.Generations)-keep]
-	s.man.Generations = append([]CheckpointMeta(nil), s.man.Generations[len(s.man.Generations)-keep:]...)
-	if err := s.writeManifest(); err != nil {
+	gens, err := s.gens()
+	if err != nil {
 		return err
 	}
-	for _, m := range drop {
-		if err := os.Remove(s.genPath(m.Gen)); err != nil && !errors.Is(err, os.ErrNotExist) {
+	for _, gen := range gens[:max(len(gens)-keep, 0)] {
+		if err := os.Remove(s.genPath(gen)); err != nil && !errors.Is(err, os.ErrNotExist) {
 			return err
 		}
 	}

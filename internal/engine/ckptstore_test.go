@@ -41,21 +41,27 @@ func TestCheckpointStoreRoundTrip(t *testing.T) {
 	if !bytes.Equal(got, want) || m2.Superstep != 1 {
 		t.Errorf("round trip mismatch: %q step %d", got, m2.Superstep)
 	}
-	// The file is the frame byte for byte: magic, length, payload, CRC.
-	frame := binary.LittleEndian.AppendUint64([]byte("GCK1"), uint64(len(want)))
-	frame = binary.LittleEndian.AppendUint32(append(frame, want...), crc32.ChecksumIEEE(want))
+	// The file is the frame byte for byte: magic, superstep, length,
+	// payload, and the CRC over everything after the magic.
+	frame := append([]byte("GCK2"), 1, byte(len(want)))
+	frame = append(frame, want...)
+	frame = binary.LittleEndian.AppendUint32(frame, crc32.ChecksumIEEE(frame[4:]))
 	if raw, err := os.ReadFile(s.genPath(0)); err != nil || !bytes.Equal(raw, frame) {
 		t.Errorf("checkpoint file = %x (%v), want %x", raw, err, frame)
 	}
 
-	// Reopen from disk: the manifest must rehydrate the same view.
+	// Reopen from disk: the directory alone gives the same view, superstep
+	// included.
 	s2, err := OpenCheckpointStore(s.Dir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err = s2.LatestValid()
-	if err != nil || !bytes.Equal(got, want) {
-		t.Fatalf("reopened LatestValid = %q, %v", got, err)
+	got, m3, err := s2.LatestValid()
+	if err != nil || !bytes.Equal(got, want) || m3 != meta {
+		t.Fatalf("reopened LatestValid = %q %+v, %v; want %+v", got, m3, err, meta)
+	}
+	if _, m4, err := s2.Load(0); err != nil || m4.Superstep != 1 {
+		t.Fatalf("reopened Load = %+v, %v; want superstep 1", m4, err)
 	}
 }
 
@@ -113,7 +119,7 @@ func TestCheckpointStoreBitFlip(t *testing.T) {
 	}
 	mustSave(t, s, 0, 1, []byte("good"))
 	mustSave(t, s, 1, 3, []byte("payload that will rot on disk"))
-	// Flip one bit inside the payload (past the 12-byte header).
+	// Flip one bit inside the payload (past the 6-byte header).
 	corrupt(t, s, 1, func(raw []byte) []byte {
 		raw[14] ^= 0x40
 		return raw
@@ -169,8 +175,8 @@ func TestCheckpointStoreMissingFile(t *testing.T) {
 	if err := os.Remove(s.genPath(1)); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := s.Load(1); !errors.Is(err, ErrCheckpointCorrupt) {
-		t.Fatalf("missing-file Load err = %v, want ErrCheckpointCorrupt", err)
+	if _, _, err := s.Load(1); !errors.Is(err, ErrNoCheckpoint) {
+		t.Fatalf("missing-file Load err = %v, want ErrNoCheckpoint", err)
 	}
 	if _, meta, err := s.LatestValid(); err != nil || meta.Gen != 0 {
 		t.Fatalf("fallback = gen %d, %v; want gen 0", meta.Gen, err)
@@ -178,8 +184,8 @@ func TestCheckpointStoreMissingFile(t *testing.T) {
 }
 
 // TestCheckpointStoreTornWrite simulates a crash between the temp-file
-// write and the rename: the new generation must be invisible (the manifest
-// never recorded it) and the previous generation still wins.
+// write and the rename: the new generation must be invisible (no listing
+// sees a temp file) and the previous generation still wins.
 func TestCheckpointStoreTornWrite(t *testing.T) {
 	dir := t.TempDir()
 	s, err := OpenCheckpointStore(dir)
@@ -243,4 +249,100 @@ func TestCheckpointStorePrune(t *testing.T) {
 	if _, meta, err := s.LatestValid(); err != nil || meta.Gen != 5 {
 		t.Fatalf("LatestValid after prune = gen %d, %v", meta.Gen, err)
 	}
+}
+
+func TestCheckpointStoreSuperstepFlip(t *testing.T) {
+	s, err := OpenCheckpointStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustSave(t, s, 0, 3, []byte("the superstep is under the CRC"))
+	corrupt(t, s, 0, func(raw []byte) []byte {
+		raw[len(ckptMagic)] ^= 0x01 // superstep 3 reads as 2
+		return raw
+	})
+	if _, _, err := s.Load(0); !errors.Is(err, ErrCheckpointCorrupt) {
+		t.Fatalf("superstep-flipped Load err = %v, want ErrCheckpointCorrupt", err)
+	}
+}
+
+// gck1Frame is a generation as the manifest-indexed store wrote it: magic
+// "GCK1", u64 length, payload, CRC of the payload.
+func gck1Frame(data []byte) []byte {
+	frame := binary.LittleEndian.AppendUint64([]byte("GCK1"), uint64(len(data)))
+	return binary.LittleEndian.AppendUint32(append(frame, data...), crc32.ChecksumIEEE(data))
+}
+
+// TestCheckpointStoreIgnoresLeftovers: the directory is the index, so what
+// else lies in it — a complete temp file whose rename never ran, a stale
+// manifest, a generation in the old frame — never becomes the restore point.
+func TestCheckpointStoreIgnoresLeftovers(t *testing.T) {
+	dir := t.TempDir()
+	s, err := OpenCheckpointStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustSave(t, s, 0, 1, []byte("oldest"))
+	want := mustSave(t, s, 1, 3, []byte("newest valid generation"))
+	mustSave(t, s, 2, 5, []byte("complete, but never renamed"))
+	if err := os.Rename(s.genPath(2), s.genPath(2)+".tmp"); err != nil {
+		t.Fatal(err)
+	}
+	leftovers := map[string][]byte{
+		"MANIFEST.json":      []byte(`{"version":1,"generations":[{"gen":2,"superstep":5}]}`),
+		"ckpt-00000003.bin":  gck1Frame([]byte("an old-format generation")),
+		"ckpt-3.bin":         gck1Frame(nil),
+		"ckpt-00000004.bin~": nil,
+	}
+	for name, b := range leftovers {
+		if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s2, err := OpenCheckpointStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := s2.Load(3); !errors.Is(err, ErrCheckpointCorrupt) {
+		t.Fatalf("GCK1 Load err = %v, want ErrCheckpointCorrupt", err)
+	}
+	data, meta, err := s2.LatestValid()
+	if err != nil || meta != want || string(data) != "newest valid generation" {
+		t.Fatalf("LatestValid = %q %+v, %v; want gen 1 %+v", data, meta, err, want)
+	}
+	gens := s2.Generations()
+	if len(gens) != 3 || gens[1] != want || gens[2] != (CheckpointMeta{Gen: 3}) {
+		t.Fatalf("Generations = %+v, want gens 0, 1 and the unverified 3", gens)
+	}
+}
+
+// FuzzCheckpointFrame feeds the frame decoder arbitrary files: it never
+// panics, and a frame it accepts is exactly the one Save writes for the
+// superstep and payload it decoded.
+func FuzzCheckpointFrame(f *testing.F) {
+	frame := func(superstep int, data []byte) []byte {
+		hdr := ckptHeader(superstep, len(data))
+		b := append(hdr, data...)
+		return binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b[len(ckptMagic):]))
+	}
+	valid := frame(300, []byte("a durable capture"))
+	f.Add(valid)
+	f.Add(frame(0, nil))
+	f.Add(gck1Frame([]byte("a durable capture")))
+	f.Add(valid[:len(valid)-5])                     // truncated
+	f.Add(append(ckptHeader(1, 1<<40), 0, 0, 0, 0)) // a length past the end
+	overlong := []byte("GCK2\x80\x00\x00")          // superstep 0 in two bytes, under a valid CRC
+	f.Add(binary.LittleEndian.AppendUint32(overlong, crc32.ChecksumIEEE(overlong[len(ckptMagic):])))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		superstep, data, err := decodeCkptFrame(b)
+		if err != nil {
+			if !errors.Is(err, ErrCheckpointCorrupt) {
+				t.Fatalf("rejection %v does not wrap ErrCheckpointCorrupt", err)
+			}
+			return
+		}
+		if again := frame(superstep, data); !bytes.Equal(again, b) {
+			t.Fatalf("%x decodes to superstep %d, %d bytes, which frame as %x", b, superstep, len(data), again)
+		}
+	})
 }

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"os"
 	"time"
 
 	"graphite/internal/codec"
@@ -22,7 +21,7 @@ import (
 // Recovery becomes a millisecond mmap open plus replay of only the
 // post-snapshot tail.
 //
-// Crash safety is two atomic renames, snapshot first:
+// Crash safety is two durable renames (codec.WriteFile), snapshot first:
 //
 //	crash before the snapshot rename  -> old snapshot (if any) + full log
 //	crash between rename and rotation -> new snapshot + full log; Open
@@ -140,17 +139,8 @@ func (g *Graph) Compact() (CompactStats, error) {
 func (g *Graph) compactLocked() (CompactStats, error) {
 	start := time.Now()
 	img := tgraph.EncodeSnapshot(g.cur.g, encodeLiveExtra(g.cur.id, g.opts.Horizon, g.acc))
-	tmp := g.snapPath + ".tmp"
-	if err := writeSnapFile(tmp, img, g.opts.NoSync); err != nil {
-		return CompactStats{}, err
-	}
-	if err := os.Rename(tmp, g.snapPath); err != nil {
-		return CompactStats{}, fmt.Errorf("live: commit snapshot: %w", err)
-	}
-	if !g.opts.NoSync {
-		if err := syncDir(g.snapPath); err != nil {
-			return CompactStats{}, err
-		}
+	if err := codec.WriteFile(g.snapPath, img); err != nil {
+		return CompactStats{}, fmt.Errorf("live: write snapshot: %w", err)
 	}
 	walBefore := g.w.size
 	if err := g.w.rotate(g.cur.id, g.acc.Events()); err != nil {
@@ -174,27 +164,4 @@ func (g *Graph) compactLocked() (CompactStats, error) {
 			WallNS: time.Since(start).Nanoseconds()})
 	}
 	return stats, nil
-}
-
-// writeSnapFile writes data and (unless noSync) fsyncs before closing, so
-// the subsequent rename publishes fully durable bytes.
-func writeSnapFile(path string, data []byte, noSync bool) error {
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("live: write snapshot: %w", err)
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return fmt.Errorf("live: write snapshot: %w", err)
-	}
-	if !noSync {
-		if err := f.Sync(); err != nil {
-			f.Close()
-			return fmt.Errorf("live: sync snapshot: %w", err)
-		}
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("live: close snapshot: %w", err)
-	}
-	return nil
 }

@@ -20,8 +20,8 @@
 // Open of its log) wedges: hence a vertex cannot leave while an edge of its
 // is open, and Options.Horizon cuts closed lifespans as it cuts open ones.
 //
-// Durability follows engine.CheckpointStore's discipline: CRC-framed
-// records, single-write appends, fsync before acknowledgment. A SIGKILL at
+// Durability: CRC-framed records, single-write appends, fsync before
+// acknowledgment; whole files go through codec.WriteFile. A SIGKILL at
 // any point loses at most the unacknowledged tail batch; Open replays the
 // log back to the exact acknowledged graph.
 package live
@@ -58,8 +58,10 @@ type Options struct {
 	// snapshots, and cuts the ones closed past it; zero or negative leaves
 	// open entities unbounded.
 	Horizon ival.Time
-	// NoSync skips the per-append fsync. Only for benchmarks measuring the
-	// fsync tax; a SIGKILL under NoSync can lose acknowledged batches.
+	// NoSync skips the per-append fsync (and the one after Open truncates a
+	// torn tail). Only for benchmarks measuring the fsync tax; a SIGKILL
+	// under NoSync can lose acknowledged batches. Whole files — a new log, a
+	// rotated one, a compaction snapshot — are always written durably.
 	NoSync bool
 	// CompactEvery auto-compacts after this many events have accumulated
 	// since the last compaction (or since the snapshot recovery was based

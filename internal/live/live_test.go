@@ -245,6 +245,38 @@ func TestTornTailTruncatedOnReplay(t *testing.T) {
 	}
 }
 
+// TestTornCreationIsRecreated: a log shorter than its magic (a creation an
+// older build tore) holds nothing acknowledged, so Open creates it anew, and
+// what is appended after reads back on the next Open.
+func TestTornCreationIsRecreated(t *testing.T) {
+	for _, stub := range []string{"", "GW", "GWAL"} {
+		path := walPath(t)
+		if err := os.WriteFile(path, []byte(stub), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		g, err := Open(path, Options{})
+		if err != nil {
+			t.Fatalf("open %q: %v", stub, err)
+		}
+		if !g.LastRecovery().Truncated || g.Info().Events != 0 {
+			t.Fatalf("open %q: recovery %+v, %d events; want a truncated empty log", stub, g.LastRecovery(), g.Info().Events)
+		}
+		if _, err := g.Apply(chainBatch(0, 3, 0)); err != nil {
+			t.Fatalf("Apply: %v", err)
+		}
+		events := g.Info().Events
+		g.Close()
+		g2, err := Open(path, Options{})
+		if err != nil {
+			t.Fatalf("reopen after %q: %v", stub, err)
+		}
+		if got := g2.Info().Events; got != events || g2.LastRecovery().Truncated {
+			t.Fatalf("reopen after %q: %d events (recovery %+v), want %d", stub, got, g2.LastRecovery(), events)
+		}
+		g2.Close()
+	}
+}
+
 func TestMidFileCorruptionIsTyped(t *testing.T) {
 	path := walPath(t)
 	g, err := Open(path, Options{})

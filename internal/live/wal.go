@@ -7,8 +7,6 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
-	"path/filepath"
-	"syscall"
 
 	"graphite/internal/codec"
 	ival "graphite/internal/interval"
@@ -21,13 +19,12 @@ import (
 //	"GWAL" 0x01 | record | record | ...
 //	record = u32 length | payload | u32 crc32(payload)
 //
-// (lengths and CRCs little-endian, matching engine.CheckpointStore's frame
-// discipline). One record holds one ingest batch — uvarint event count
-// followed by op-tagged varint-encoded events — so batch atomicity falls
-// out of the framing: a crash mid-append leaves a torn tail that replay
-// truncates, never a half-applied batch. Each append is a single write
-// followed by fsync, so an acknowledged batch is on disk before the epoch
-// that contains it becomes visible.
+// (lengths and CRCs little-endian). One record holds one ingest batch —
+// uvarint event count followed by op-tagged varint-encoded events — so
+// batch atomicity falls out of the framing: a crash mid-append leaves a
+// torn tail that replay truncates, never a half-applied batch. Each append
+// is a single write followed by fsync, so an acknowledged batch is on disk
+// before the epoch that contains it becomes visible.
 
 // walMagic identifies a live-graph WAL, version 1: records start right
 // after the magic and the log describes the graph's entire history.
@@ -36,9 +33,9 @@ var walMagic = [5]byte{'G', 'W', 'A', 'L', 1}
 // walMagicV2 identifies a compacted WAL, version 2: the magic is followed
 // by a u64 base epoch and u64 base event count (little-endian) naming the
 // point in history the log starts from; everything earlier lives in the
-// companion snapshot. Version-2 files are only ever created whole (write
-// to a temp file, fsync, rename), so a header shorter than walV2HeaderLen
-// is corruption, not a torn creation.
+// companion snapshot. Version-2 files are only ever created whole
+// (codec.WriteFile), so a header shorter than walV2HeaderLen is
+// corruption, not a torn creation.
 var walMagicV2 = [5]byte{'G', 'W', 'A', 'L', 2}
 
 const walV2HeaderLen = len("GWAL") + 1 + 8 + 8
@@ -77,49 +74,43 @@ type wal struct {
 // appending. The returned batches are in log order; w.base names the
 // compaction point they continue from (zero for a version-1 log).
 func openWAL(path string, noSync bool) (w *wal, batches [][]stream.Event, truncated bool, err error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
-	if err != nil {
+	w = &wal{path: path, noSync: noSync}
+	var good int64
+	switch f, err := os.Open(path); {
+	case errors.Is(err, os.ErrNotExist):
+	case err != nil:
 		return nil, nil, false, fmt.Errorf("live: open WAL: %w", err)
-	}
-	st, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return nil, nil, false, fmt.Errorf("live: stat WAL: %w", err)
-	}
-	w = &wal{f: f, path: path, noSync: noSync}
-	if st.Size() == 0 {
-		if _, err := f.Write(walMagic[:]); err != nil {
-			f.Close()
-			return nil, nil, false, fmt.Errorf("live: init WAL: %w", err)
+	default:
+		st, err := f.Stat()
+		if err == nil {
+			batches, w.base, good, truncated, err = replayWAL(f, st.Size())
 		}
-		if err := w.sync(); err != nil {
-			f.Close()
+		f.Close()
+		if err != nil {
 			return nil, nil, false, err
 		}
-		w.size = int64(len(walMagic))
-		return w, nil, false, nil
 	}
-	batches, base, good, truncated, err := replayWAL(f, st.Size())
-	if err != nil {
-		f.Close()
+	if good == 0 {
+		// No log yet, or one shorter than its magic (a creation an older
+		// build tore): create it whole.
+		if err := codec.WriteFile(path, walMagic[:]); err != nil {
+			return nil, nil, false, fmt.Errorf("live: create WAL: %w", err)
+		}
+		good = int64(len(walMagic))
+	}
+	if err := w.reopen(good, w.base); err != nil {
 		return nil, nil, false, err
 	}
-	w.base = base
 	if truncated {
-		if err := f.Truncate(good); err != nil {
-			f.Close()
+		if err := w.f.Truncate(good); err != nil {
+			w.close()
 			return nil, nil, false, fmt.Errorf("live: truncate torn WAL tail: %w", err)
 		}
 		if err := w.sync(); err != nil {
-			f.Close()
+			w.close()
 			return nil, nil, false, err
 		}
 	}
-	if _, err := f.Seek(good, io.SeekStart); err != nil {
-		f.Close()
-		return nil, nil, false, fmt.Errorf("live: seek WAL: %w", err)
-	}
-	w.size = good
 	return w, batches, truncated, nil
 }
 
@@ -205,60 +196,38 @@ func replayWAL(f *os.File, size int64) (batches [][]stream.Event, base walBase, 
 	return batches, base, off, false, nil
 }
 
-// rotate atomically replaces the log with an empty version-2 file based
-// at (epoch, events): the new header is written whole to a temp file,
-// fsynced, and renamed over the old log. The caller must have durably
-// written the snapshot covering everything up to the base first — after
-// the rename the compacted history exists only there.
+// rotate replaces the log with an empty version-2 file based at (epoch,
+// events), written whole through codec.WriteFile. The caller must have
+// durably written the snapshot covering everything up to the base first —
+// after the rename the compacted history exists only there.
 func (w *wal) rotate(epoch uint64, events int) error {
 	hdr := make([]byte, 0, walV2HeaderLen)
 	hdr = append(hdr, walMagicV2[:]...)
 	hdr = binary.LittleEndian.AppendUint64(hdr, epoch)
 	hdr = binary.LittleEndian.AppendUint64(hdr, uint64(events))
-	tmp := w.path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
+	if err := codec.WriteFile(w.path, hdr); err != nil {
 		return fmt.Errorf("live: rotate WAL: %w", err)
 	}
-	if _, err := f.Write(hdr); err != nil {
-		f.Close()
-		return fmt.Errorf("live: rotate WAL: %w", err)
-	}
-	if !w.noSync {
-		if err := f.Sync(); err != nil {
-			f.Close()
-			return fmt.Errorf("live: rotate WAL: %w", err)
-		}
-	}
-	if err := os.Rename(tmp, w.path); err != nil {
-		f.Close()
-		return fmt.Errorf("live: rotate WAL: %w", err)
-	}
-	if err := syncDir(w.path); err != nil {
-		f.Close()
-		return err
-	}
-	old := w.f
-	w.f = f
-	w.size = int64(walV2HeaderLen)
-	w.base = walBase{epoch: epoch, events: events}
-	old.Close()
-	return nil
+	return w.reopen(int64(len(hdr)), walBase{epoch: epoch, events: events})
 }
 
-// syncDir fsyncs the directory containing path so a rename survives a
-// crash of the whole machine. engine.CheckpointStore does not do this: its
-// Save renames without a directory fsync. Filesystems that refuse directory
-// fsync are tolerated.
-func syncDir(path string) error {
-	d, err := os.Open(filepath.Dir(path))
+// reopen points w at the file now at w.path, positioned for appending at
+// size, and closes the handle it replaces.
+func (w *wal) reopen(size int64, base walBase) error {
+	f, err := os.OpenFile(w.path, os.O_RDWR, 0)
+	if err == nil {
+		_, err = f.Seek(size, io.SeekStart)
+		if err != nil {
+			f.Close()
+		}
+	}
 	if err != nil {
-		return fmt.Errorf("live: sync dir: %w", err)
+		return fmt.Errorf("live: open WAL: %w", err)
 	}
-	defer d.Close()
-	if err := d.Sync(); err != nil && !errors.Is(err, syscall.EINVAL) {
-		return fmt.Errorf("live: sync dir: %w", err)
+	if w.f != nil {
+		w.f.Close()
 	}
+	w.f, w.size, w.base = f, size, base
 	return nil
 }
 

@@ -365,17 +365,10 @@ func WriteSnapshot(w io.Writer, g *Graph) error {
 	return err
 }
 
-// WriteSnapshotFile serializes the graph to a snapshot (.gsn) file.
+// WriteSnapshotFile serializes the graph to a snapshot (.gsn) file through
+// codec.WriteFile: a graph mapped from path keeps its old bytes.
 func WriteSnapshotFile(path string, g *Graph) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := WriteSnapshot(f, g); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return codec.WriteFile(path, EncodeSnapshot(g, nil))
 }
 
 // ReadSnapshot parses a snapshot from a reader, verifying all CRCs. The

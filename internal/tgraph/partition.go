@@ -18,7 +18,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"os"
 	"slices"
 
 	"graphite/internal/codec"
@@ -159,18 +158,9 @@ func ExtractPartition(g *Graph, assign []int32, shard int) (*Graph, error) {
 }
 
 // WritePartitionFile writes graph g as a .gsn snapshot whose extra section
-// carries meta, via a temp file + rename so readers never see a torn file.
+// carries meta, through codec.WriteFile, so readers never see a torn file.
 func WritePartitionFile(path string, g *Graph, meta *PartitionMeta) error {
-	data := EncodeSnapshot(g, EncodePartitionMeta(meta))
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return nil
+	return codec.WriteFile(path, EncodeSnapshot(g, EncodePartitionMeta(meta)))
 }
 
 // OpenPartition maps a partition file and decodes its meta. The graph
