@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test test-count vet race verify docs-check bench-test bench-core fuzz bench trace-smoke serve-smoke cluster-smoke metrics-smoke stream-smoke load-smoke clean
+.PHONY: all build test test-count vet race verify docs-check bench-test bench-counts bench-core fuzz bench trace-smoke serve-smoke cluster-smoke metrics-smoke stream-smoke load-smoke clean
 
 all: verify
 
@@ -109,6 +109,27 @@ docs-check:
 bench-test:
 	cd benchmark && $(GO) test ./...
 
+# The count gate: one traced run of each workload BENCH_counts.json names
+# (cluster_pr, serve_cold; seed 42, -seconds 2, reports in a temporary
+# directory) must be correct, fail no operation and repeat every count the
+# file commits exactly. The counts (compute and scatter calls, messages and
+# their bytes, supersteps, warp calls, bytes per message, checkpoint bytes)
+# are the paper's causal signal and do not depend on the host; a change that
+# moves one on purpose rewrites its value in the same commit.
+# jq: one line for each check workload $w's traced report fails against BENCH_counts.json.
+COUNTS_JQ = .metrics as $$m | (if .correct != true then "correct: \(.correct)" else empty end), \
+	(if .failed != 0 then "failed: \(.failed)" else empty end), \
+	($$want[0][$$w] | to_entries[] | select(.value != $$m[.key].value) | "\(.key): \($$m[.key].value), committed \(.value)")
+bench-counts:
+	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	for w in $$(jq -r 'keys[]' BENCH_counts.json); do \
+		bash benchmark/run.sh -out "$$tmp" -workload $$w -trace 1 -seconds 2 -seed 42 > "$$tmp/$$w.log" 2>&1 \
+			|| { tail -5 "$$tmp/$$w.log"; echo "bench-counts: $$w: the run failed"; exit 1; }; \
+		bad=$$(jq -r --arg w $$w --slurpfile want BENCH_counts.json '$(COUNTS_JQ)' "$$tmp/$$w-layers.json"); \
+		if [ -n "$$bad" ]; then echo "$$bad" | sed "s/^/bench-counts: $$w: /"; exit 1; fi; \
+		echo "bench-counts: $$w: correct, 0 failed, $$(jq --arg w $$w '.[$$w] | length' BENCH_counts.json) counts repeat"; \
+	done
+
 # The micro-benchmarks of the ICM runtime (PartitionedState.Set at 1, 8 and
 # 64 partitions; one PageRank-shaped hub's superstep, with its sum combiner
 # and without; one SSSP-shaped vertex's scatter step reading its properties
@@ -168,11 +189,17 @@ trace-smoke:
 	"$$dir/graphite-trace" -cluster -check "$$@"; \
 	"$$dir/graphite-trace" -cluster "$$@"
 
-# End-to-end serving smoke test: boot an in-process query server over the
-# transit example, fire a mixed burst of requests at it, and fail unless
-# every request succeeds and /metrics shows live result-cache hits.
+# Serving smoke test: the serve tests that hold the result cache to its
+# contract. A concurrent burst of five distinct requests over transit, then a
+# sequential confirm pass that must be all cache hits, with /metrics showing
+# them (TestConcurrentIdenticalRequestsExecuteOnce); each algorithm's body as
+# a hit serves it, against its golden (TestRunBodyGolden); no caller holding
+# the cached result itself (TestExecuteResultDoesNotAliasCache); the worker
+# count in the cache key (TestWorkerCountIsPartOfTheCacheKey). Under -race,
+# because the leader, joiners and hits share one cached result across
+# goroutines; a cache that stops storing fails the confirm pass.
 serve-smoke:
-	$(GO) run ./cmd/graphite-loadgen -boot
+	$(GO) test -race -count=1 -run '^(TestConcurrentIdenticalRequestsExecuteOnce|TestRunBodyGolden|TestExecuteResultDoesNotAliasCache|TestWorkerCountIsPartOfTheCacheKey)$$' ./internal/serve/
 
 # End-to-end cluster recovery smoke test: the multi-process cluster runtime
 # (coordinator + worker processes) with an SSSP worker SIGKILLed at each

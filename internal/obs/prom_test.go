@@ -1,9 +1,12 @@
 package obs_test
 
 import (
+	"bufio"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -175,5 +178,98 @@ func TestMetricsHandler(t *testing.T) {
 	obs.MetricsHandler(nil).ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
 	if rec.Body.Len() != 0 {
 		t.Errorf("nil registry served %q, want empty", rec.Body.String())
+	}
+}
+
+// scrapeSamples GETs a /metrics exposition and returns every sample in it:
+// sample name, with its label block if it has one, → value.
+func scrapeSamples(t *testing.T, url string) map[string]float64 {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatalf("GET %s: %v", url, err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET %s: HTTP %d", url, resp.StatusCode)
+	}
+	samples := map[string]float64{}
+	sc := bufio.NewScanner(resp.Body)
+	for sc.Scan() {
+		line := sc.Text()
+		if line == "" || line[0] == '#' {
+			continue
+		}
+		// A label value may hold spaces; the sample value never does.
+		i := strings.LastIndexByte(line, ' ')
+		if i < 0 {
+			t.Fatalf("malformed sample %q", line)
+		}
+		v, err := strconv.ParseFloat(line[i+1:], 64)
+		if err != nil {
+			t.Fatalf("sample %q: %v", line, err)
+		}
+		samples[line[:i]] = v
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatalf("read %s: %v", url, err)
+	}
+	return samples
+}
+
+// TestMetricsScrapeMatchesRegistry: what the endpoint publishes decodes and
+// equals the registry — every counter, gauge and histogram written to a
+// registry and served by obs.MetricsHandler reads back through a scrape
+// with the value Registry.Export holds, under the name obs gives it.
+func TestMetricsScrapeMatchesRegistry(t *testing.T) {
+	reg := obs.NewRegistry()
+	reg.Counter("serve.cache.hits").Add(12)
+	reg.Counter("engine.messages_total").Add(3) // already carries the suffix
+	reg.Gauge(obs.GMaxPartitions).Set(-3)
+	reg.Gauge(obs.WithLabels(obs.GClusterShardComputeNS, "shard", "a b")).Set(5)
+	h := reg.Histogram(obs.HSuperstepComputeNS)
+	h.Observe(20 * time.Microsecond)
+	h.Observe(time.Hour) // past every bound
+	ts := httptest.NewServer(obs.MetricsHandler(reg))
+	defer ts.Close()
+
+	got := scrapeSamples(t, ts.URL)
+	ex := reg.Export()
+	want := map[string]float64{
+		// The one labeled series, spelled out: a space inside a label value
+		// must not split the sample.
+		obs.PromName(obs.GClusterShardComputeNS, "gauge") + `{shard="a b"}`: 5,
+	}
+	for n, v := range ex.Counters {
+		pn := obs.PromName(n, "counter")
+		want[pn] = float64(v)
+		if got[pn] != float64(v) {
+			t.Errorf("counter %s = %v, registry holds %d", n, got[pn], v)
+		}
+	}
+	for n, v := range ex.Gauges {
+		if !strings.ContainsRune(n, '{') {
+			want[obs.PromName(n, "gauge")] = float64(v)
+		}
+	}
+	for n, h := range ex.Histograms {
+		pn := obs.PromName(n, "histogram")
+		want[pn+"_count"] = float64(h.Count())
+		want[pn+"_sum"] = float64(h.Sum())
+		for _, b := range h.Cumulative() {
+			le := "+Inf"
+			if b.UpperBound != obs.BucketInf {
+				le = strconv.FormatInt(int64(b.UpperBound), 10)
+			}
+			want[pn+`_bucket{le="`+le+`"}`] = float64(b.Count)
+		}
+	}
+	for name, v := range want {
+		if g, ok := got[name]; !ok || g != v {
+			t.Errorf("sample %s = %v (present %v), registry holds %v", name, g, ok, v)
+		}
+	}
+	if len(got) != len(want) {
+		t.Errorf("scrape has %d samples, the registry accounts for %d: %v", len(got), len(want), got)
 	}
 }

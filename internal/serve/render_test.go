@@ -290,8 +290,8 @@ func TestRunBodyIndentsToToday(t *testing.T) {
 // without decoding the rest. The benchmark client (benchmark/workload.go,
 // cachedTrue/cachedFalse/seededTrue and runMetricsOf) and anything written
 // like it match `"cached": <bool>`, `"seeded": true` and `"metrics": {` by
-// their bytes in the first KiB; loadgen decodes the body. Cached, uncached,
-// seeded and live-epoch bodies all carry them there.
+// their bytes in the first KiB. Cached, uncached, seeded and live-epoch
+// bodies all carry them there.
 func TestRunBodyHead(t *testing.T) {
 	_, _, lts := newLiveServer(t, live.Options{Name: "g"})
 	if code := postEvents(t, lts, "g", chainEvents(0, 10, 1), nil); code != http.StatusOK {

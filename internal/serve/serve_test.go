@@ -6,9 +6,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -139,49 +141,85 @@ func TestServedRunsShareTheRegistry(t *testing.T) {
 	}
 }
 
-// TestConcurrentIdenticalRequestsExecuteOnce is the singleflight pin: many
-// concurrent identical requests must trigger exactly one BSP execution; the
-// rest join the in-flight run or hit the result cache.
+// TestConcurrentIdenticalRequestsExecuteOnce is the singleflight and result
+// cache pin: each distinct request of a row is fired n times at once, then
+// once more each in sequence. Every distinct request executes exactly once;
+// every other request joins the in-flight run or hits the result cache; the
+// sequential confirm pass is all hits; and /metrics shows the hits.
 func TestConcurrentIdenticalRequestsExecuteOnce(t *testing.T) {
-	s, ts := newTestServer(t, Config{})
-	const n = 32
-	req := RunRequest{
-		Graph:     "transit",
-		Algorithm: "pr",
-		Params:    map[string]int64{"iterations": 500},
-	}
-	var wg sync.WaitGroup
-	start := make(chan struct{})
-	codes := make([]int, n)
-	cached := make([]bool, n)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			<-start
-			var res RunResult
-			codes[i] = postRun(t, ts, req, &res)
-			cached[i] = res.Cached
-		}(i)
-	}
-	close(start)
-	wg.Wait()
-	for i, code := range codes {
-		if code != http.StatusOK {
-			t.Fatalf("request %d: HTTP %d", i, code)
-		}
-	}
-	reg := s.Registry()
-	if got := reg.Counter(CRunsExecuted).Load(); got != 1 {
-		t.Fatalf("runs executed: got %d, want exactly 1", got)
-	}
-	hits := reg.Counter(CCacheHits).Load()
-	dedup := reg.Counter(CFlightDedup).Load()
-	if hits+dedup != n-1 {
-		t.Fatalf("hits(%d)+dedup(%d) = %d, want %d", hits, dedup, hits+dedup, n-1)
-	}
-	if got := reg.Counter(CCacheMisses).Load(); got != 1 {
-		t.Fatalf("cache misses: got %d, want 1", got)
+	src := map[string]int64{"source": 1}
+	for _, tc := range []struct {
+		name string
+		n    int
+		reqs []RunRequest
+	}{
+		{"identical", 32, []RunRequest{
+			{Graph: "transit", Algorithm: "pr", Params: map[string]int64{"iterations": 500}},
+		}},
+		{"mixed", 8, []RunRequest{
+			{Graph: "transit", Algorithm: "bfs", Params: src},
+			{Graph: "transit", Algorithm: "sssp", Params: src},
+			{Graph: "transit", Algorithm: "eat", Params: src},
+			{Graph: "transit", Algorithm: "pr", Params: map[string]int64{"iterations": 5}},
+			{Graph: "transit", Algorithm: "tmst", Params: src},
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, ts := newTestServer(t, Config{})
+			burst := tc.n * len(tc.reqs)
+			var wg sync.WaitGroup
+			start := make(chan struct{})
+			codes := make([]int, burst)
+			for i := range codes {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					<-start
+					codes[i] = postRun(t, ts, tc.reqs[i%len(tc.reqs)], nil)
+				}()
+			}
+			close(start)
+			wg.Wait()
+			for i, code := range codes {
+				if code != http.StatusOK {
+					t.Fatalf("request %d (%s): HTTP %d", i, tc.reqs[i%len(tc.reqs)].Algorithm, code)
+				}
+			}
+			for _, req := range tc.reqs {
+				var res RunResult
+				if code := postRun(t, ts, req, &res); code != http.StatusOK || !res.Cached {
+					t.Errorf("confirm %s: HTTP %d, cached %v; want 200 from the cache", req.Algorithm, code, res.Cached)
+				}
+			}
+
+			reg := s.Registry()
+			distinct := int64(len(tc.reqs))
+			total := int64(burst) + distinct
+			executed := reg.Counter(CRunsExecuted).Load()
+			hits := reg.Counter(CCacheHits).Load()
+			dedup := reg.Counter(CFlightDedup).Load()
+			if executed != distinct {
+				t.Errorf("runs executed: got %d, want %d (one per distinct request)", executed, distinct)
+			}
+			if got := reg.Counter(CCacheMisses).Load(); got != distinct {
+				t.Errorf("cache misses: got %d, want %d", got, distinct)
+			}
+			if hits+dedup != total-executed {
+				t.Errorf("hits(%d)+dedup(%d) = %d, want requests(%d)-executed(%d)", hits, dedup, hits+dedup, total, executed)
+			}
+			resp, err := http.Get(ts.URL + "/metrics")
+			if err != nil {
+				t.Fatalf("GET /metrics: %v", err)
+			}
+			defer resp.Body.Close()
+			body, err := io.ReadAll(resp.Body)
+			if err != nil {
+				t.Fatalf("read /metrics: %v", err)
+			}
+			if line := fmt.Sprintf("\n%s %d\n", obs.PromName(CCacheHits, "counter"), hits); hits < distinct || !strings.Contains(string(body), line) {
+				t.Errorf("/metrics: want the line %q, with at least the confirm pass's %d hits", line[1:len(line)-1], distinct)
+			}
+		})
 	}
 }
 
