@@ -168,8 +168,10 @@ bench:
 # trace path the
 # README documents: a coordinator running transit PageRank on a fixed
 # loopback port and two workers, all three tracing under a temporary
-# directory; the three traces must merge and reconcile
-# (graphite-trace -cluster -check), then render.
+# directory; the coordinator's trace must validate as Run's does, its
+# superstep records' interval bytes included (graphite-trace -check), and the
+# three traces must merge and reconcile (graphite-trace -cluster -check),
+# then render.
 TRACE ?= /tmp/graphite-trace-smoke.jsonl
 trace-smoke:
 	$(GO) run ./cmd/graphite-run -graph transit -algo sssp -source 0 -workers 2 -trace $(TRACE) > /dev/null
@@ -186,6 +188,7 @@ trace-smoke:
 	done; \
 	for p in $$coord $$workers; do wait $$p || { cat "$$dir"/*.log; exit 1; }; done; \
 	set -- "$$dir/coord.jsonl" "$$dir/w0/trace.jsonl" "$$dir/w1/trace.jsonl"; \
+	"$$dir/graphite-trace" -check "$$dir/coord.jsonl"; \
 	"$$dir/graphite-trace" -cluster -check "$$@"; \
 	"$$dir/graphite-trace" -cluster "$$@"
 

@@ -22,6 +22,7 @@ import (
 	"graphite/internal/core"
 	"graphite/internal/engine"
 	"graphite/internal/gen"
+	"graphite/internal/obs"
 	"graphite/internal/tgraph"
 )
 
@@ -171,7 +172,7 @@ func steppedRun(t *testing.T, g *tgraph.Graph, build func() (core.Program, core.
 			continue
 		}
 		quiesced := b.Close(reps)
-		b.SuperstepEnd(step, 0, 0, 0)
+		b.SuperstepEnd(step, obs.Totals{})
 		if quiesced {
 			break
 		}

@@ -61,15 +61,20 @@ type serveOutcome struct {
 	err error
 }
 
-func runWorkers(ctx context.Context, t *testing.T, addr string, dirs []string) {
+// runWorkers starts a worker on each directory, each publishing into a
+// registry of its own, which it returns in the directories' order.
+func runWorkers(ctx context.Context, t *testing.T, addr string, dirs []string) []*obs.Registry {
 	t.Helper()
-	for _, dir := range dirs {
-		go func(dir string) {
-			if err := cluster.RunWorker(ctx, cluster.WorkerConfig{Addr: addr, Dir: dir}); err != nil && ctx.Err() == nil {
+	regs := make([]*obs.Registry, len(dirs))
+	for i, dir := range dirs {
+		regs[i] = obs.NewRegistry()
+		go func(dir string, reg *obs.Registry) {
+			if err := cluster.RunWorker(ctx, cluster.WorkerConfig{Addr: addr, Dir: dir, Registry: reg}); err != nil && ctx.Err() == nil {
 				t.Errorf("worker %s: %v", filepath.Base(dir), err)
 			}
-		}(dir)
+		}(dir, regs[i])
 	}
+	return regs
 }
 
 func workerDirs(t *testing.T, n int) []string {
@@ -130,6 +135,17 @@ func compareResults(t *testing.T, g *tgraph.Graph, got, want *core.Result) {
 	}
 }
 
+// intervalBytes sums a trace's superstep_end interval bytes.
+func intervalBytes(events []obs.Event) obs.IntervalBytes {
+	var sum obs.IntervalBytes
+	for _, e := range events {
+		if end, ok := e.(obs.SuperstepEnd); ok {
+			sum.Add(end.Intervals)
+		}
+	}
+	return sum
+}
+
 // runCounts are the counts of a run's metrics every driver must agree on.
 func runCounts(m *engine.Metrics) [7]int64 {
 	return [7]int64{int64(m.Supersteps), m.ComputeCalls, m.ScatterCalls, m.Messages, m.MessageBytes, m.Delivered, m.Spilled}
@@ -149,11 +165,45 @@ func TestClusterMatchesCoreRun(t *testing.T) {
 		t.Run(tc.algo, func(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
-			coord, addr, out := startCluster(t, cluster.Config{Algo: tc.algo, Params: tc.p})
-			runWorkers(ctx, t, addr, workerDirs(t, testWorkers))
+			coordTrace := &obs.Recorder{}
+			coord, addr, out := startCluster(t, cluster.Config{Algo: tc.algo, Params: tc.p, Tracer: coordTrace})
+			regs := runWorkers(ctx, t, addr, workerDirs(t, testWorkers))
 			got := waitResult(t, out, 30*time.Second)
-			want := directRun(t, g, tc.algo, tc.p, testWorkers)
+			prog, opts, err := algorithms.New(g, tc.algo, tc.p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			runTrace := &obs.Recorder{}
+			opts.NumWorkers, opts.Tracer = testWorkers, runTrace
+			want, err := core.Run(g, prog, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
 			compareResults(t, g, got, want)
+			// The coordinator's superstep records carry the interval bytes its
+			// shards reported, as Run's carry its workers'.
+			if g, w := intervalBytes(coordTrace.Events()), intervalBytes(runTrace.Events()); g != w || w == (obs.IntervalBytes{}) {
+				t.Errorf("coordinator traced interval bytes %+v, Run %+v (want equal, non-zero)", g, w)
+			}
+			// Each worker publishes its own share of every superstep: the
+			// fleet's counts are the run's, and its clocks and pool gauges its
+			// own.
+			var fleet [4]int64
+			for i, reg := range regs {
+				for j, name := range []string{obs.CComputeCalls, obs.CMessages, obs.CMessageBytes, obs.CDelivered} {
+					fleet[j] += reg.Counter(name).Load()
+				}
+				if ns, n := reg.Counter(obs.CComputePlusNS).Load(), reg.Histogram(obs.HSuperstepComputeNS).Count(); ns <= 0 || n <= 0 {
+					t.Errorf("worker %d published %s = %d over %d observed supersteps, want both > 0", i, obs.CComputePlusNS, ns, n)
+				}
+				if draws := reg.Gauge(obs.GPoolHits).Load() + reg.Gauge(obs.GPoolMisses).Load(); draws <= 0 {
+					t.Errorf("worker %d published %d pool draws, want > 0", i, draws)
+				}
+			}
+			if m := want.Metrics; fleet != [4]int64{m.ComputeCalls, m.Messages, m.MessageBytes, m.Delivered} {
+				t.Errorf("workers published compute calls, messages, bytes, delivered %v; Run counted %d %d %d %d",
+					fleet, m.ComputeCalls, m.Messages, m.MessageBytes, m.Delivered)
+			}
 			// supersteps, compute, scatter, messages, bytes, delivered, spilled
 			if g, w := runCounts(got.Metrics), runCounts(want.Metrics); g != w {
 				t.Errorf("cluster counted %v, Run %v", g, w)

@@ -865,8 +865,7 @@ func (d *driver) closeSuperstep() {
 	cs := obs.NewClusterStep(d.c.cfg.Span, d.superstep, d.epoch, now.Sub(d.stepStarted).Nanoseconds(), shards)
 	sum := cs.Total()
 	maxCompute := shards[cs.SlowestShard].ComputeNS
-	d.emit(d.c.barrier.SuperstepEnd(d.superstep, time.Duration(sum.ComputeNS),
-		time.Duration(sum.WaitNS+sum.RelayNS+sum.PeerSendNS), time.Duration(sum.DeliverNS)))
+	d.emit(d.c.barrier.SuperstepEnd(d.superstep, sum.Clocks()))
 	d.emit(cs)
 	d.c.pushAttribution(cs)
 	reg := d.c.cfg.Registry

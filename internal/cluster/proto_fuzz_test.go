@@ -84,7 +84,7 @@ func FuzzClusterFrames(f *testing.F) {
 	seedJSON(fStep, stepMsg{Epoch: 1, Superstep: 5, Phase: 3})
 	seedJSON(fStepDone, stepDoneMsg{StepReport: engine.StepReport{Superstep: 5, Active: 4,
 		ComputeCalls: 9, ScatterCalls: 12, SentMsgs: 6, SentBytes: 70, Spilled: 2,
-		Aggs: []codec.Word{codec.IntWord(1), codec.FloatWord(-0.5)}},
+		Aggs: []codec.Word{codec.IntWord(1), codec.FloatWord(-0.5)}, IntervalBytes: [codec.NumIntervalClasses]int64{0, 6, 3, 0}},
 		Step: obs.ShardStep{Superstep: 5, Shard: 2, Epoch: 1}, CkptGen: -1})
 	// A report from a build whose barrier report listed the counts itself:
 	// the same names, so it decodes to the same report.
@@ -143,9 +143,10 @@ func FuzzClusterFrames(f *testing.F) {
 }
 
 // TestBarrierFieldsOmittedWhenEmpty: the phase a step carries, and the
-// aggregator partials and spilled count a barrier report carries, are omitted
-// when empty, so a program without a master, aggregators or spilled payloads
-// puts none of them on the wire.
+// aggregator partials, spilled count and interval bytes a barrier report
+// carries, are omitted when empty, so a program without a master, aggregators
+// or spilled payloads puts none of them on the wire, nor a superstep that
+// sent nothing its interval bytes.
 func TestBarrierFieldsOmittedWhenEmpty(t *testing.T) {
 	for _, tc := range []struct {
 		msg  any

@@ -50,9 +50,10 @@ type WorkerConfig struct {
 	// an externally reachable "<host>:0" (the advertised address is the
 	// listener's).
 	MeshListenAddr string
-	// Registry, when set, receives the worker's engine.* metric families
-	// (the shard is built with it) — the series a worker-side /metrics
-	// endpoint exposes. Nil disables worker-local metrics.
+	// Registry, when set, receives the worker's engine.* and
+	// codec.interval_bytes.* series, which a worker-side /metrics endpoint
+	// exposes: the shard's record of each superstep it executes, with the
+	// worker's own clocks (obs.EngineSeries.Publish). Nil disables them.
 	Registry *obs.Registry
 	// Tracer, when set, receives the worker's run trace: a run_start carrying
 	// the coordinator-minted span and one shard_step per completed superstep,
@@ -115,7 +116,8 @@ type wrk struct {
 	shards     int
 	epoch      int
 	span       string
-	graphBytes int64 // resident graph footprint, reported on every ready
+	graphBytes int64             // resident graph footprint, reported on every ready
+	series     *obs.EngineSeries // the Registry's ledger series; nil without one
 	cur        *stepRun
 
 	pending map[pendKey][]byte // early mesh batches for unopened supersteps
@@ -216,9 +218,9 @@ func (w *wrk) handleAssign(payload []byte) error {
 		}
 		opts.Partitioner = pmeta.Partitioner()
 	}
-	// The shard publishes its engine.* families into the worker's registry
-	// and stamps the coordinator-minted span on everything it traces, so a
-	// worker's /metrics and trace are first-class citizens of the fleet.
+	// The shard sets its pool gauges in the worker's registry and stamps the
+	// coordinator-minted span on everything it traces, so a worker's /metrics
+	// and trace are first-class citizens of the fleet.
 	opts.Registry = w.cfg.Registry
 	opts.Span = as.Span
 	sh, err := core.NewShard(g, prog, opts, as.Shard)
@@ -252,6 +254,9 @@ func (w *wrk) handleAssign(payload []byte) error {
 	w.self, w.shards, w.epoch = as.Shard, as.Shards, as.Epoch
 	w.span = as.Span
 	w.graphBytes = gm.Size()
+	if w.cfg.Registry != nil {
+		w.series = obs.NewEngineSeries(w.cfg.Registry)
+	}
 	w.emit(obs.RunStart{Vertices: g.NumVertices(), Workers: as.Shards, Checkpoints: true, Span: as.Span})
 	var restored int64
 	gen := 0
@@ -486,6 +491,11 @@ func (w *wrk) finishStepIfReady() error {
 		rec.PeerRecvNS = max(0, cur.lastDirect.Sub(cur.shipped).Nanoseconds())
 	}
 	w.emit(*rec)
+	if w.series != nil {
+		end := rep.Record()
+		end.Add(rec.Clocks())
+		w.series.Publish(end)
+	}
 	err := w.sendJSON(fStepDone, stepDoneMsg{StepReport: rep, Step: *rec, CkptGen: ckptGen, CkptBytes: ckptBytes})
 	if err != nil {
 		return err

@@ -54,7 +54,7 @@ type Barrier struct {
 	state         BarrierState
 	halted        bool
 
-	step RunTotals // the counts of the superstep Close closed last
+	step obs.SuperstepEnd // the record of the superstep Close closed last, less its clocks
 
 	// The recovery point Commit recorded: the state about to execute
 	// superstep resumeAt (0 before the first Commit). What happened is never
@@ -82,16 +82,8 @@ type BarrierState struct {
 // and, summed over them, the paper's counts and phase times. A rollback
 // rewinds it, so a replayed superstep counts once.
 type RunTotals struct {
-	Supersteps   int
-	ComputeCalls int64
-	ScatterCalls int64
-	Messages     int64
-	MessageBytes int64
-	Delivered    int64
-	Spilled      int64
-	ComputeNS    int64
-	MessagingNS  int64
-	BarrierNS    int64
+	Supersteps int
+	obs.Totals
 }
 
 // NewBarrier builds the barrier for cfg's runs, with cfg's aggregators in
@@ -156,53 +148,38 @@ func (b *Barrier) open(s int, e *Engine) bool {
 
 // Close closes a superstep from every shard's report — every worker's, in
 // Run — in ascending order: their aggregator partials fold into the merged
-// values and their counts into the run's totals, in that order. It reports
-// whether the run has quiesced: nothing delivered, nothing active, and no
-// ActivateAll to keep vertices going.
+// values and their records into the superstep's and the run's totals, in that
+// order. It reports whether the run has quiesced: nothing delivered, nothing
+// active, and no ActivateAll to keep vertices going.
 func (b *Barrier) Close(reps []StepReport) (quiesced bool) {
 	b.state.Aggs = b.identities(b.state.Aggs)
-	var st RunTotals
-	active := 0
+	var st obs.SuperstepEnd
 	for _, r := range reps {
-		st.ComputeCalls += r.ComputeCalls
-		st.ScatterCalls += r.ScatterCalls
-		st.Messages += r.SentMsgs
-		st.MessageBytes += r.SentBytes
-		st.Delivered += r.Delivered
-		st.Spilled += r.Spilled
-		active += r.Active
+		rec := r.Record()
+		st.Add(rec.Totals)
+		st.Intervals.Add(rec.Intervals)
+		st.Active += rec.Active
 		for i, p := range r.Aggs {
 			b.state.Aggs[i] = b.aggs[i].reduce(b.state.Aggs[i], p)
 		}
 	}
-	t := &b.state.Totals
-	t.Supersteps++
-	t.ComputeCalls += st.ComputeCalls
-	t.ScatterCalls += st.ScatterCalls
-	t.Messages += st.Messages
-	t.MessageBytes += st.MessageBytes
-	t.Delivered += st.Delivered
-	t.Spilled += st.Spilled
-	b.step, b.state.Active = st, active
+	b.state.Totals.Supersteps++
+	b.state.Totals.Add(st.Totals)
+	b.step, b.state.Active = st, st.Active
 	b.executed++
-	return st.Delivered == 0 && active == 0 && !b.activateAll
+	return st.Delivered == 0 && st.Active == 0 && !b.activateAll
 }
 
-// SuperstepEnd adds the phase times of superstep s, the one Close closed, to
-// the totals — Run's wall-clock phases, or the coordinator's sums over its
-// shards — and returns the superstep's superstep_end event.
-func (b *Barrier) SuperstepEnd(s int, compute, messaging, barrier time.Duration) obs.SuperstepEnd {
-	t, st := &b.state.Totals, b.step
-	t.ComputeNS += int64(compute)
-	t.MessagingNS += int64(messaging)
-	t.BarrierNS += int64(barrier)
-	return obs.SuperstepEnd{
-		Superstep: s,
-		ComputeNS: int64(compute), MessagingNS: int64(messaging), BarrierNS: int64(barrier),
-		ComputeCalls: st.ComputeCalls, ScatterCalls: st.ScatterCalls,
-		Messages: st.Messages, MessageBytes: st.MessageBytes,
-		Delivered: st.Delivered, Active: b.state.Active,
-	}
+// SuperstepEnd adds the phase clocks of superstep s, the one Close closed,
+// to the totals — Run's wall-clock phases, or the coordinator's split of its
+// shards' sum (obs.ShardStep.Clocks), counts zero — and returns the
+// superstep's record.
+func (b *Barrier) SuperstepEnd(s int, clocks obs.Totals) obs.SuperstepEnd {
+	b.state.Totals.Add(clocks)
+	rec := b.step
+	rec.Superstep = s
+	rec.Add(clocks)
+	return rec
 }
 
 // Metrics returns the run's metrics from the ledger: the totals of the
@@ -228,15 +205,10 @@ func (b *Barrier) Metrics() *Metrics {
 func (b *Barrier) End(makespan time.Duration) (*Metrics, obs.RunEnd) {
 	m := b.Metrics()
 	m.Makespan, m.MaxMakespan = makespan, makespan
-	return m, obs.RunEnd{
-		Supersteps:   m.Supersteps,
-		ComputeCalls: m.ComputeCalls, ScatterCalls: m.ScatterCalls,
-		Messages: m.Messages, MessageBytes: m.MessageBytes, Delivered: m.Delivered,
-		Checkpoints: m.Checkpoints, Recoveries: m.Recoveries,
-		ComputeNS: int64(m.ComputePlusTime), MessagingNS: int64(m.MessagingTime), BarrierNS: int64(m.BarrierTime),
-		MakespanNS: int64(makespan),
-		Halted:     b.halted,
-	}
+	t := b.state.Totals
+	return m, obs.RunEnd{Supersteps: t.Supersteps, Totals: t.Totals,
+		Checkpoints: b.checkpoints, Recoveries: b.recoveries,
+		MakespanNS: int64(makespan), Halted: b.halted}
 }
 
 // Executed returns how many supersteps Close closed, replays included.

@@ -69,7 +69,7 @@ func (c *Context) SendWord(dst int, when ival.Interval, pw codec.Word, spill []a
 		size += c.payloadSize(pw, spill)
 	}
 	w.rep.SentBytes += size
-	w.classBytes[class] += ivalBytes
+	w.rep.IntervalBytes[class] += ivalBytes
 }
 
 // payloadSize sizes a payload that is not a word of the run's codec: one

@@ -121,9 +121,11 @@ type Config struct {
 	// the coordinating goroutine in deterministic order. Nil disables
 	// tracing.
 	Tracer obs.Tracer
-	// Registry, when set, is where the engine publishes its counters and
-	// histograms (e.g. for the /metrics endpoint); nil gives the engine a
-	// private registry. Runs may share one: the Metrics Run returns are its
+	// Registry, when set, is where the engine publishes (e.g. for the
+	// /metrics endpoint): Run each superstep's record and its run_end
+	// (obs.EngineSeries), both drivers the pool gauges; a stepped Shard's
+	// record is its driver's to publish. Nil gives the engine a private
+	// registry. Runs may share one: the Metrics Run returns are its
 	// barrier's, not the registry's.
 	Registry *obs.Registry
 	// Context, when set, makes the run cancellable: workers stop claiming
@@ -165,9 +167,10 @@ type Engine struct {
 	inline codec.Kind
 
 	// Observability: the registry is a sink for the work executed; the run's
-	// totals, and so its Metrics, are the barrier's.
-	reg    *obs.Registry
-	ec     engCounters
+	// totals, and so its Metrics, are the barrier's. skew is Run's compute
+	// skew across its shards (max/mean ·1000).
+	series *obs.EngineSeries
+	skew   *obs.Gauge
 	tracer obs.Tracer
 	traced bool
 
@@ -215,7 +218,7 @@ func New(numVertices int, program Program, cfg Config) (*Engine, error) {
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
-	e.bindRegistry(reg)
+	e.series, e.skew = obs.NewEngineSeries(reg), reg.Gauge(obs.GClusterSkewMilli)
 	part := cfg.Partitioner
 	if part == nil {
 		part = func(v, n int) int { return v % n }
@@ -342,42 +345,25 @@ func (e *Engine) Run() (*Metrics, error) {
 
 		// Barrier: every shard reports to the barrier, in shard order — the
 		// aggregates merge, the counts fold into the run's totals, the halt
-		// rule is decided — then the partials go to the registry.
+		// rule is decided — and starts its partials over.
 		for i, s := range e.workers {
 			reps[i] = s.report()
 			s.step.Span, s.step.Superstep, s.step.Shard = e.cfg.Span, e.superstp, s.id
 			steps[i] = s.step
 		}
 		quiesced := e.barrier.Close(reps)
-		var classBytes [codec.NumIntervalClasses]int64
 		for _, s := range e.workers {
-			for i, n := range s.classBytes {
-				classBytes[i] += n
-			}
-			s.publish()
+			s.resetPartials()
 		}
 		t3 := time.Now()
 		row := obs.NewClusterStep(e.cfg.Span, e.superstp, 0, t3.Sub(t0).Nanoseconds(), steps)
 
-		computeD, messagingD, barrierD := t1.Sub(t0), t2.Sub(t1), t3.Sub(t2)
-		end := e.barrier.SuperstepEnd(e.superstp, computeD, messagingD, barrierD)
-		e.ec.computeNS.Add(computeD.Nanoseconds())
-		e.ec.messagingNS.Add(messagingD.Nanoseconds())
-		e.ec.barrierNS.Add(barrierD.Nanoseconds())
-		e.ec.hCompute.Observe(computeD)
-		e.ec.hMessaging.Observe(messagingD)
-		e.ec.hBarrier.Observe(barrierD)
-		e.ec.supersteps.Inc()
-		e.setPoolGauges()
-		e.ec.activeVertices.Set(int64(e.countActive()))
-		e.ec.skew.Set(row.SkewMilli)
+		end := e.barrier.SuperstepEnd(e.superstp, obs.Totals{ComputeNS: t1.Sub(t0).Nanoseconds(),
+			MessagingNS: t2.Sub(t1).Nanoseconds(), BarrierNS: t3.Sub(t2).Nanoseconds()})
+		e.series.Publish(end)
+		e.series.SetPools(poolStats())
+		e.skew.Set(row.SkewMilli)
 		if e.traced {
-			end.Intervals = obs.IntervalBytes{
-				Unit:      classBytes[codec.ClassUnit],
-				Unbounded: classBytes[codec.ClassUnbounded],
-				General:   classBytes[codec.ClassGeneral],
-				Empty:     classBytes[codec.ClassEmpty],
-			}
 			e.tracer.Emit(end)
 			for _, st := range steps {
 				e.tracer.Emit(st)
@@ -391,8 +377,8 @@ func (e *Engine) Run() (*Metrics, error) {
 		}
 	}
 	m, end := e.barrier.End(time.Since(start))
-	e.ec.makespanNS.Store(int64(m.Makespan))
-	e.setPoolGauges()
+	e.series.Publish(end)
+	e.series.SetPools(poolStats())
 	if e.traced {
 		e.tracer.Emit(end)
 	}

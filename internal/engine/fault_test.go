@@ -287,7 +287,7 @@ func TestBarrierRecoveryLedger(t *testing.T) {
 				if b.Close(rep(s)) {
 					t.Fatalf("superstep %d quiesced", s)
 				}
-				b.SuperstepEnd(s, 3, 2, 1)
+				b.SuperstepEnd(s, obs.Totals{ComputeNS: 3, MessagingNS: 2, BarrierNS: 1})
 			}
 			run(1)
 			run(2)

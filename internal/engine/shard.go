@@ -41,6 +41,9 @@ type StepReport struct {
 	SentBytes    int64        `json:"sent_bytes"`
 	Spilled      int64        `json:"spilled,omitempty"` // sent messages whose payload is in a spill table
 	Aggs         []codec.Word `json:"aggs,omitempty"`    // aggregator partials, in name order
+	// IntervalBytes splits the sent messages' interval bytes by encoding
+	// class, indexed by codec.IntervalClass.
+	IntervalBytes [codec.NumIntervalClasses]int64 `json:"interval_bytes,omitzero"`
 }
 
 // Shard is one worker of an engine: it owns the vertices the partitioner
@@ -61,11 +64,9 @@ type Shard struct {
 	allSlots []int32 // lazily built 0..len(local)-1 schedule for ActivateAll
 
 	// The superstep's partials, reported to the barrier after every
-	// superstep (report): the counts and the aggregator partials, in the
-	// barrier's name order. The interval bytes by encoding class go to the
-	// registry only.
-	rep        StepReport
-	classBytes [codec.NumIntervalClasses]int64
+	// superstep (report): the counts, the interval bytes by class and the
+	// aggregator partials, in the barrier's name order.
+	rep StepReport
 
 	// step is the shard's record of the superstep in flight: each phase
 	// writes its own clocks, and Run reads it at the barrier (shards are
@@ -193,19 +194,16 @@ func (s *Shard) Deliver(batches [][]byte) (int64, error) {
 	return n, nil
 }
 
-// Barrier closes the current superstep on the shard's side: partials fold
-// into the registry and the report for Barrier.Close is returned. Call after
-// Deliver.
+// Barrier closes the current superstep on the shard's side: it returns the
+// report for Barrier.Close, starts the partials over and refreshes the pool
+// gauges, as Run does at its barrier. The report's Record is the shard's
+// share of the superstep, which its driver publishes. Call after Deliver.
 func (s *Shard) Barrier() StepReport {
-	e := s.eng
 	rep := s.report()
 	rep.Aggs = slices.Clone(rep.Aggs)
-	s.publish()
-	e.ec.supersteps.Inc()
-	// No skew gauge: only this shard's worker computes in this engine. The
-	// cluster's skew is the coordinator's to set.
-	e.ec.activeVertices.Set(int64(rep.Active))
-	e.superstp++
+	s.resetPartials()
+	s.eng.series.SetPools(poolStats())
+	s.eng.superstp++
 	return rep
 }
 

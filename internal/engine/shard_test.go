@@ -152,8 +152,9 @@ type snapSelfSendProgram struct {
 // TestShardBarrierPublishesNoImbalance: in a shard's engine only the shard's
 // own worker ever computes, so max/mean compute time over all of the engine's
 // workers would read NumShards × 1000 whatever the cluster's balance is.
-// Barrier publishes the frontier size and leaves the skew gauge alone; the
-// cluster's skew is the coordinator's to report.
+// Barrier and the record its driver publishes (as a cluster worker does) set
+// the frontier size and leave the skew gauge alone; the cluster's skew is the
+// coordinator's to report.
 func TestShardBarrierPublishesNoImbalance(t *testing.T) {
 	reg := obs.NewRegistry()
 	s, err := NewShard(10, snapSelfSendProgram{selfSendProgram: selfSendProgram{val: int64(7)}},
@@ -179,6 +180,7 @@ func TestShardBarrierPublishesNoImbalance(t *testing.T) {
 			t.Fatalf("Deliver: %v", err)
 		}
 		rep := s.Barrier()
+		s.eng.series.Publish(rep.Record())
 		if got := reg.Gauge(obs.GClusterSkewMilli).Load(); got != 0 {
 			t.Errorf("superstep %d: a shard published compute skew %d, want none", rep.Superstep, got)
 		}
@@ -210,7 +212,8 @@ func newShards(t testing.TB, n int, p Program, cfg Config) []*Shard {
 // stepShards runs one superstep of phase over shards stepped from outside,
 // in the cluster's order: every shard's Compute and Outbound, then each
 // shard's Deliver of its peers' batches, in ascending source order, and its
-// Barrier. A failed Compute ends the superstep there, with its error.
+// Barrier, whose record, with the shard's clocks, it publishes as a cluster
+// worker does. A failed Compute ends the superstep there, with its error.
 func stepShards(t testing.TB, ss []*Shard, phase int) ([]StepReport, error) {
 	t.Helper()
 	outs := make([][][]byte, len(ss))
@@ -236,6 +239,9 @@ func stepShards(t testing.TB, ss []*Shard, phase int) ([]StepReport, error) {
 			t.Fatal(err)
 		}
 		reps[d] = s.Barrier()
+		rec := reps[d].Record()
+		rec.Add(s.step.Clocks())
+		s.eng.series.Publish(rec)
 	}
 	return reps, nil
 }
@@ -295,7 +301,7 @@ func runStepped(t *testing.T, n int, p Program, cfg Config, commitAt int, at fun
 			continue
 		}
 		quiesced := b.Close(reps)
-		b.SuperstepEnd(step, 0, 0, 0)
+		b.SuperstepEnd(step, obs.Totals{})
 		if quiesced {
 			break
 		}

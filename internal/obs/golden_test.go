@@ -174,28 +174,54 @@ func TestTransitSSSPTraceReconciles(t *testing.T) {
 	}
 
 	// The registry the run published into (none was passed, so re-run with
-	// one) exposes the same totals under the canonical names.
+	// one) exposes the same totals under the canonical names, and the
+	// interval bytes its trace carries.
 	g := tgraph.TransitExample()
 	prog, opts, err := algorithms.New(g, "sssp", algorithms.Params{Source: 0})
 	if err != nil {
 		t.Fatalf("algorithms.New: %v", err)
 	}
 	opts.NumWorkers = 2
-	reg := obs.NewRegistry()
-	opts.Registry = reg
+	reg, rec2 := obs.NewRegistry(), &obs.Recorder{}
+	opts.Registry, opts.Tracer = reg, rec2
 	res2, err := core.Run(g, prog, opts)
 	if err != nil {
 		t.Fatalf("core.Run with registry: %v", err)
 	}
-	if got := reg.Counter(obs.CMessages).Load(); got != res2.Metrics.Messages {
-		t.Errorf("registry %s = %d, metrics say %d", obs.CMessages, got, res2.Metrics.Messages)
+	m2 := res2.Metrics
+	for _, c := range []struct {
+		name string
+		want int64
+	}{
+		{obs.CSupersteps, int64(m2.Supersteps)},
+		{obs.CComputeCalls, m2.ComputeCalls},
+		{obs.CScatterCalls, m2.ScatterCalls},
+		{obs.CMessages, m2.Messages},
+		{obs.CMessageBytes, m2.MessageBytes},
+		{obs.CDelivered, m2.Delivered},
+		{obs.CComputePlusNS, int64(m2.ComputePlusTime)},
+		{obs.CMessagingNS, int64(m2.MessagingTime)},
+		{obs.CBarrierNS, int64(m2.BarrierTime)},
+		{obs.CMakespanNS, int64(m2.Makespan)},
+	} {
+		if got := reg.Counter(c.name).Load(); got != c.want {
+			t.Errorf("registry %s = %d, metrics say %d", c.name, got, c.want)
+		}
 	}
-	classTotal := reg.Counter(obs.CIntervalBytesUnit).Load() +
-		reg.Counter(obs.CIntervalBytesUnbounded).Load() +
-		reg.Counter(obs.CIntervalBytesGeneral).Load() +
-		reg.Counter(obs.CIntervalBytesEmpty).Load()
-	if classTotal <= 0 || classTotal > res2.Metrics.MessageBytes {
-		t.Errorf("interval class bytes = %d, want in (0, %d]", classTotal, res2.Metrics.MessageBytes)
+	var traced obs.IntervalBytes
+	for _, e := range rec2.Events() {
+		if end, ok := e.(obs.SuperstepEnd); ok {
+			traced.Add(end.Intervals)
+		}
+	}
+	published := obs.IntervalBytes{
+		Unit:      reg.Counter(obs.CIntervalBytesUnit).Load(),
+		Unbounded: reg.Counter(obs.CIntervalBytesUnbounded).Load(),
+		General:   reg.Counter(obs.CIntervalBytesGeneral).Load(),
+		Empty:     reg.Counter(obs.CIntervalBytesEmpty).Load(),
+	}
+	if published != traced || traced == (obs.IntervalBytes{}) {
+		t.Errorf("registry interval bytes %+v, trace %+v (want equal, non-zero)", published, traced)
 	}
 	if got := reg.Counter(obs.CWarpCalls).Load(); got != res2.Stats.WarpCalls {
 		t.Errorf("registry %s = %d, stats say %d", obs.CWarpCalls, got, res2.Stats.WarpCalls)

@@ -7,9 +7,11 @@
 // The paper's entire evaluation (Sec. VII) is built from per-superstep
 // instrumentation — compute+/messaging/barrier splits, compute-call and
 // message counts, encoded byte sizes — so the same quantities are what the
-// registry names and the trace events carry. engine.Metrics is a view over
-// the registry; a JSONL trace is the per-superstep decomposition of the same
-// totals, and the two reconcile exactly on a fault-free run.
+// registry names and the trace events carry. Both come from one record: the
+// barrier's superstep_end (SuperstepEnd), whose fields a JSONL trace carries
+// and EngineSeries.Publish adds to the registry. engine.Metrics is the
+// barrier's ledger, never the registry; a trace is its per-superstep
+// decomposition, and the two reconcile exactly on a fault-free run.
 package obs
 
 import (
@@ -23,7 +25,7 @@ import (
 // Canonical registry names. The engine and the ICM runtime publish under
 // these; sinks and tests address them by name.
 const (
-	// Engine totals (the Metrics view reads these).
+	// Engine totals: the superstep records' sums (EngineSeries).
 	CSupersteps    = "engine.supersteps"
 	CComputeCalls  = "engine.compute_calls"
 	CScatterCalls  = "engine.scatter_calls"
@@ -105,6 +107,74 @@ const (
 	// shard, the straggler profile a dashboard plots directly.
 	GClusterShardComputeNS = "cluster.shard_compute_ns"
 )
+
+// EngineSeries is one registry's engine series, bound once so a barrier
+// never takes the registry lock: the engine.* counters, phase histograms and
+// gauges and the codec.interval_bytes.* counters. Publish is the only writer
+// of all of them but the pool gauges, which SetPools sets.
+type EngineSeries struct {
+	supersteps, computeCalls, scatterCalls, messages, messageBytes, delivered *Counter
+	computeNS, messagingNS, barrierNS, makespanNS                             *Counter
+	unit, unbounded, general, empty                                           *Counter
+	active, poolHits, poolMisses, bytesReused                                 *Gauge
+	hCompute, hMessaging, hBarrier                                            *Histogram
+}
+
+// NewEngineSeries binds the ledger's series in reg.
+func NewEngineSeries(reg *Registry) *EngineSeries {
+	return &EngineSeries{
+		supersteps: reg.Counter(CSupersteps), computeCalls: reg.Counter(CComputeCalls),
+		scatterCalls: reg.Counter(CScatterCalls), messages: reg.Counter(CMessages),
+		messageBytes: reg.Counter(CMessageBytes), delivered: reg.Counter(CDelivered),
+		computeNS: reg.Counter(CComputePlusNS), messagingNS: reg.Counter(CMessagingNS),
+		barrierNS: reg.Counter(CBarrierNS), makespanNS: reg.Counter(CMakespanNS),
+		unit: reg.Counter(CIntervalBytesUnit), unbounded: reg.Counter(CIntervalBytesUnbounded),
+		general: reg.Counter(CIntervalBytesGeneral), empty: reg.Counter(CIntervalBytesEmpty),
+		active: reg.Gauge(GActiveVertices), poolHits: reg.Gauge(GPoolHits),
+		poolMisses: reg.Gauge(GPoolMisses), bytesReused: reg.Gauge(GBytesReused),
+		hCompute: reg.Histogram(HSuperstepComputeNS), hMessaging: reg.Histogram(HSuperstepMessagingNS),
+		hBarrier: reg.Histogram(HSuperstepBarrierNS),
+	}
+}
+
+// SetPools sets the pool gauges to the shared buffer pools' cumulative
+// statistics, which a driver reads at its barrier.
+func (s *EngineSeries) SetPools(hits, misses, bytesReused int64) {
+	s.poolHits.Set(hits)
+	s.poolMisses.Set(misses)
+	s.bytesReused.Set(bytesReused)
+}
+
+// Publish adds one record of the ledger to the series: a SuperstepEnd's
+// counts, clocks, interval bytes and frontier, or a RunEnd's makespan; other
+// events are not the registry's. Engine.Run publishes every superstep's
+// record and its run_end, a cluster worker its own shard's record of every
+// superstep it executes: the counters count the work executed, replays
+// included.
+func (s *EngineSeries) Publish(e Event) {
+	switch ev := e.(type) {
+	case SuperstepEnd:
+		s.supersteps.Inc()
+		s.computeCalls.Add(ev.ComputeCalls)
+		s.scatterCalls.Add(ev.ScatterCalls)
+		s.messages.Add(ev.Messages)
+		s.messageBytes.Add(ev.MessageBytes)
+		s.delivered.Add(ev.Delivered)
+		s.computeNS.Add(ev.ComputeNS)
+		s.messagingNS.Add(ev.MessagingNS)
+		s.barrierNS.Add(ev.BarrierNS)
+		s.hCompute.Observe(time.Duration(ev.ComputeNS))
+		s.hMessaging.Observe(time.Duration(ev.MessagingNS))
+		s.hBarrier.Observe(time.Duration(ev.BarrierNS))
+		s.active.Set(int64(ev.Active))
+		s.unit.Add(ev.Intervals.Unit)
+		s.unbounded.Add(ev.Intervals.Unbounded)
+		s.general.Add(ev.Intervals.General)
+		s.empty.Add(ev.Intervals.Empty)
+	case RunEnd:
+		s.makespanNS.Store(ev.MakespanNS)
+	}
+}
 
 // Counter is a monotonic (except Store) int64 metric, safe for concurrent
 // use. The zero value is ready.

@@ -140,24 +140,18 @@ func SplitRuns(events []Event) [][]Event {
 }
 
 // SuperstepRow is one superstep of a trace summary: the paper-style
-// breakdown row (compute+ / messaging / barrier splits, primitive counts,
-// warp behaviour, fault events) and, from the superstep's cluster_step, the
-// driver's wall time, the shards' summed wait and relay clocks, the slowest
-// shard and the skew.
+// breakdown row — the superstep_end's compute+ / messaging / barrier splits
+// and primitive counts, warp behaviour, fault events — and, from the
+// superstep's cluster_step, the driver's wall time, the shards' summed wait
+// and relay clocks, the slowest shard and the skew.
 type SuperstepRow struct {
-	Superstep    int
-	Compute      time.Duration
-	Messaging    time.Duration
-	Barrier      time.Duration
+	Superstep int
+	Totals
 	Wall         time.Duration
 	Wait         time.Duration
 	Relay        time.Duration
 	Slowest      int
 	SkewMilli    int64 // 0 when the trace has no cluster_step for the superstep
-	ComputeCalls int64
-	ScatterCalls int64
-	Messages     int64
-	MessageBytes int64
 	ActiveBefore int
 	ActiveAfter  int
 	Warp         *WarpStats
@@ -199,14 +193,7 @@ func Summarize(events []Event) (*Summary, error) {
 			row(ev.Superstep).ActiveBefore = ev.Active
 		case SuperstepEnd:
 			r := row(ev.Superstep)
-			r.Compute = time.Duration(ev.ComputeNS)
-			r.Messaging = time.Duration(ev.MessagingNS)
-			r.Barrier = time.Duration(ev.BarrierNS)
-			r.ComputeCalls = ev.ComputeCalls
-			r.ScatterCalls = ev.ScatterCalls
-			r.Messages = ev.Messages
-			r.MessageBytes = ev.MessageBytes
-			r.ActiveAfter = ev.Active
+			r.Totals, r.ActiveAfter = ev.Totals, ev.Active
 		case ClusterStep:
 			r, sum := row(ev.Superstep), ev.Total()
 			r.Wall, r.Wait, r.Relay = time.Duration(ev.WallNS), time.Duration(sum.WaitNS), time.Duration(sum.RelayNS)
@@ -283,7 +270,8 @@ func (s *Summary) Render(w io.Writer) {
 		if r.Recoveries > 0 {
 			events += fmt.Sprintf("recover×%d", r.Recoveries)
 		}
-		t.Add(r.Superstep, us(r.Compute), us(r.Messaging), us(r.Barrier),
+		t.Add(r.Superstep,
+			us(time.Duration(r.ComputeNS)), us(time.Duration(r.MessagingNS)), us(time.Duration(r.BarrierNS)),
 			us(r.Wall), us(r.Wait), us(r.Relay), slowest, skew,
 			r.ComputeCalls, r.ScatterCalls, r.Messages, r.MessageBytes, r.ActiveAfter, warp, supp, unit, events)
 	}
@@ -300,9 +288,10 @@ func (s *Summary) Render(w io.Writer) {
 
 // ValidateTrace checks a parsed trace against the schema contract: a
 // run_start first and a run_end last, exactly one superstep_start and
-// superstep_end per executed superstep, and — the reconciliation the
-// acceptance tests rely on — per-superstep sums of durations and counters
-// exactly equal to the run_end totals.
+// superstep_end per executed superstep, each superstep's interval bytes
+// between its message count and its message bytes, and — the reconciliation
+// the acceptance tests rely on — per-superstep sums of the ledger's counts
+// and clocks exactly equal to the run_end totals.
 func ValidateTrace(events []Event) error {
 	if len(events) == 0 {
 		return fmt.Errorf("obs: empty trace")
@@ -342,7 +331,7 @@ func ValidateTrace(events []Event) error {
 	if len(ends) != end.Supersteps {
 		return fmt.Errorf("obs: %d surviving supersteps in trace, run_end says %d", len(ends), end.Supersteps)
 	}
-	var sum RunEnd
+	var sum Totals
 	for step := 1; step <= end.Supersteps; step++ {
 		ev, ok := ends[step]
 		if !ok {
@@ -351,35 +340,23 @@ func ValidateTrace(events []Event) error {
 		if !started[step] {
 			return fmt.Errorf("obs: superstep %d ended without a superstep_start", step)
 		}
-		sum.ComputeCalls += ev.ComputeCalls
-		sum.ScatterCalls += ev.ScatterCalls
-		sum.Messages += ev.Messages
-		sum.MessageBytes += ev.MessageBytes
-		sum.Delivered += ev.Delivered
-		sum.ComputeNS += ev.ComputeNS
-		sum.MessagingNS += ev.MessagingNS
-		sum.BarrierNS += ev.BarrierNS
+		// Every message sent encodes its interval in at least one byte, and
+		// its size counts those bytes.
+		iv := ev.Intervals
+		if n := iv.Unit + iv.Unbounded + iv.General + iv.Empty; n < ev.Messages || n > ev.MessageBytes {
+			return fmt.Errorf("obs: superstep %d: interval_bytes total %d outside [messages %d, message_bytes %d]",
+				step, n, ev.Messages, ev.MessageBytes)
+		}
+		sum.Add(ev.Totals)
 	}
-	sum.Checkpoints, sum.Recoveries = checkpoints, recoveries
-	type cmp struct {
-		name      string
-		got, want int64
-	}
-	for _, c := range []cmp{
-		{"compute_calls", sum.ComputeCalls, end.ComputeCalls},
-		{"scatter_calls", sum.ScatterCalls, end.ScatterCalls},
-		{"messages", sum.Messages, end.Messages},
-		{"message_bytes", sum.MessageBytes, end.MessageBytes},
-		{"delivered", sum.Delivered, end.Delivered},
-		{"checkpoints", int64(sum.Checkpoints), int64(end.Checkpoints)},
-		{"recoveries", int64(sum.Recoveries), int64(end.Recoveries)},
-		{"compute_ns", sum.ComputeNS, end.ComputeNS},
-		{"messaging_ns", sum.MessagingNS, end.MessagingNS},
-		{"barrier_ns", sum.BarrierNS, end.BarrierNS},
-	} {
-		if c.got != c.want {
+	got, want := sum.values(), end.Totals.values()
+	keys := append(totalsKeys[:], "checkpoints", "recoveries")
+	gotV := append(got[:], int64(checkpoints), int64(recoveries))
+	wantV := append(want[:], int64(end.Checkpoints), int64(end.Recoveries))
+	for i, key := range keys {
+		if gotV[i] != wantV[i] {
 			return fmt.Errorf("obs: trace does not reconcile: sum(%s) = %d, run_end total = %d",
-				c.name, c.got, c.want)
+				key, gotV[i], wantV[i])
 		}
 	}
 	return nil

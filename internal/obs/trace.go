@@ -49,25 +49,70 @@ type IntervalBytes struct {
 	Empty     int64 `json:"empty,omitempty"`
 }
 
-// SuperstepEnd closes one superstep at its barrier with the superstep's
-// metric deltas — the per-superstep decomposition of engine.Metrics. Sums
-// of these fields across a fault-free trace equal the run totals exactly.
-// Messages counts what the program sent, the paper's count; Delivered counts
-// what reached an inbox: the messages sent, less those a worker folded into
-// another under the run's combiner before handing its batches over. Without
-// a combiner the two are equal.
+// Add adds o's bytes to b, class by class.
+func (b *IntervalBytes) Add(o IntervalBytes) {
+	b.Unit += o.Unit
+	b.Unbounded += o.Unbounded
+	b.General += o.General
+	b.Empty += o.Empty
+}
+
+// Totals is the superstep ledger: the paper's counts and phase clocks
+// (Sec. VII-B2), of one superstep in a SuperstepEnd and summed over a run in
+// a RunEnd and in the barrier's totals. Messages counts what the program
+// sent, the paper's count; Delivered counts what reached an inbox: the
+// messages sent, less those a worker folded into another under the run's
+// combiner before handing its batches over. Without a combiner the two are
+// equal. Spilled counts the sent messages whose payload travelled in a spill
+// table.
+type Totals struct {
+	ComputeCalls int64 `json:"compute_calls"`
+	ScatterCalls int64 `json:"scatter_calls"`
+	Messages     int64 `json:"messages"`
+	MessageBytes int64 `json:"message_bytes"`
+	Delivered    int64 `json:"delivered"`
+	Spilled      int64 `json:"spilled,omitempty"`
+	ComputeNS    int64 `json:"compute_ns"`
+	MessagingNS  int64 `json:"messaging_ns"`
+	BarrierNS    int64 `json:"barrier_ns"`
+}
+
+// Add adds o's counts and clocks to t.
+func (t *Totals) Add(o Totals) {
+	t.ComputeCalls += o.ComputeCalls
+	t.ScatterCalls += o.ScatterCalls
+	t.Messages += o.Messages
+	t.MessageBytes += o.MessageBytes
+	t.Delivered += o.Delivered
+	t.Spilled += o.Spilled
+	t.ComputeNS += o.ComputeNS
+	t.MessagingNS += o.MessagingNS
+	t.BarrierNS += o.BarrierNS
+}
+
+// totalsKeys are the JSON keys of Totals' fields, in the order values
+// returns them.
+var totalsKeys = [...]string{"compute_calls", "scatter_calls", "messages", "message_bytes",
+	"delivered", "spilled", "compute_ns", "messaging_ns", "barrier_ns"}
+
+// values returns t's fields in declaration order.
+func (t Totals) values() [len(totalsKeys)]int64 {
+	return [...]int64{t.ComputeCalls, t.ScatterCalls, t.Messages, t.MessageBytes,
+		t.Delivered, t.Spilled, t.ComputeNS, t.MessagingNS, t.BarrierNS}
+}
+
+// SuperstepEnd closes one superstep at its barrier: the superstep's record
+// in the ledger, whose fields summed over a fault-free trace equal the
+// run_end totals exactly, plus the frontier after delivery and the interval
+// bytes by class. The barrier builds it from its shards' reports and the
+// driver's phase clocks (engine.Barrier.SuperstepEnd); a cluster worker builds
+// its own shard's share (engine.StepReport.Record). Either is published to a
+// registry by EngineSeries.Publish.
 type SuperstepEnd struct {
-	Superstep    int           `json:"superstep"`
-	ComputeNS    int64         `json:"compute_ns"`
-	MessagingNS  int64         `json:"messaging_ns"`
-	BarrierNS    int64         `json:"barrier_ns"`
-	ComputeCalls int64         `json:"compute_calls"`
-	ScatterCalls int64         `json:"scatter_calls"`
-	Messages     int64         `json:"messages"`
-	MessageBytes int64         `json:"message_bytes"`
-	Delivered    int64         `json:"delivered"`
-	Active       int           `json:"active"` // vertices active after delivery
-	Intervals    IntervalBytes `json:"interval_bytes"`
+	Superstep int `json:"superstep"`
+	Totals
+	Active    int           `json:"active"` // vertices active after delivery
+	Intervals IntervalBytes `json:"interval_bytes"`
 }
 
 // Kind implements Event.
@@ -116,22 +161,16 @@ type Recovery struct {
 // Kind implements Event.
 func (Recovery) Kind() string { return "recovery" }
 
-// RunEnd closes a run with the final totals — the same quantities as the
-// engine.Metrics view, so a trace is self-reconciling.
+// RunEnd closes a run with the final totals — the ledger's, as the
+// engine.Metrics the run returns report them — so a trace is
+// self-reconciling.
 type RunEnd struct {
-	Supersteps   int   `json:"supersteps"`
-	ComputeCalls int64 `json:"compute_calls"`
-	ScatterCalls int64 `json:"scatter_calls"`
-	Messages     int64 `json:"messages"`
-	MessageBytes int64 `json:"message_bytes"`
-	Delivered    int64 `json:"delivered"`
-	Checkpoints  int   `json:"checkpoints"`
-	Recoveries   int   `json:"recoveries"`
-	ComputeNS    int64 `json:"compute_ns"`
-	MessagingNS  int64 `json:"messaging_ns"`
-	BarrierNS    int64 `json:"barrier_ns"`
-	MakespanNS   int64 `json:"makespan_ns"`
-	Halted       bool  `json:"halted,omitempty"`
+	Supersteps int `json:"supersteps"`
+	Totals
+	Checkpoints int   `json:"checkpoints"`
+	Recoveries  int   `json:"recoveries"`
+	MakespanNS  int64 `json:"makespan_ns"`
+	Halted      bool  `json:"halted,omitempty"`
 }
 
 // Kind implements Event.
@@ -226,6 +265,15 @@ func NewClusterStep(span string, superstep, epoch int, wallNS int64, shards []Sh
 		c.SkewMilli = shards[c.SlowestShard].ComputeNS * 1000 / mean
 	}
 	return c
+}
+
+// Clocks splits the record's clocks into the superstep's phases, the way
+// both cluster processes account them: compute+ is ComputeNS; messaging is
+// the wait for peer batches, the relay hop and the peer writes; barrier is
+// DeliverNS (delivery, barrier and checkpoint I/O). The coordinator splits
+// the fleet's sum (Total), a worker its own record.
+func (s ShardStep) Clocks() Totals {
+	return Totals{ComputeNS: s.ComputeNS, MessagingNS: s.WaitNS + s.RelayNS + s.PeerSendNS, BarrierNS: s.DeliverNS}
 }
 
 // Total sums the shard records' clocks and volumes: the fleet's share of the

@@ -16,15 +16,16 @@ func fullStream() []Event {
 	return []Event{
 		RunStart{Vertices: 4, Workers: 2},
 		SuperstepStart{Superstep: 1, Active: 4},
-		SuperstepEnd{Superstep: 1, ComputeNS: 12, MessagingNS: 5, BarrierNS: 2,
-			ComputeCalls: 4, Messages: 4, MessageBytes: 40, Delivered: 4, Active: 3},
+		SuperstepEnd{Superstep: 1, Totals: Totals{ComputeNS: 12, MessagingNS: 5, BarrierNS: 2,
+			ComputeCalls: 4, Messages: 4, MessageBytes: 40, Delivered: 4}, Active: 3,
+			Intervals: IntervalBytes{Unit: 8}},
 		ShardStep{Superstep: 1, Shard: 0, ComputeNS: 10, WaitNS: 2, DeliverNS: 4},
 		ShardStep{Superstep: 1, Shard: 1, ComputeNS: 12, DeliverNS: 3},
 		SuperstepStart{Superstep: 2, Active: 3},
-		SuperstepEnd{Superstep: 2, ComputeNS: 8, MessagingNS: 3, BarrierNS: 1,
-			ComputeCalls: 3, Active: 0},
-		RunEnd{Supersteps: 2, ComputeCalls: 7, Messages: 4, MessageBytes: 40, Delivered: 4,
-			ComputeNS: 20, MessagingNS: 8, BarrierNS: 3, MakespanNS: 40, Halted: true},
+		SuperstepEnd{Superstep: 2, Totals: Totals{ComputeNS: 8, MessagingNS: 3, BarrierNS: 1,
+			ComputeCalls: 3}, Active: 0},
+		RunEnd{Supersteps: 2, Totals: Totals{ComputeCalls: 7, Messages: 4, MessageBytes: 40, Delivered: 4,
+			ComputeNS: 20, MessagingNS: 8, BarrierNS: 3}, MakespanNS: 40, Halted: true},
 	}
 }
 
@@ -206,14 +207,18 @@ func TestValidateTraceReplayAware(t *testing.T) {
 		RunStart{Vertices: 4, Workers: 2, Checkpoints: true},
 		Checkpoint{Superstep: 1, Index: 1},
 		SuperstepStart{Superstep: 1, Active: 4},
-		SuperstepEnd{Superstep: 1, ComputeCalls: 4, Messages: 4},
+		SuperstepEnd{Superstep: 1, Totals: Totals{ComputeCalls: 4, Messages: 4, MessageBytes: 8},
+			Intervals: IntervalBytes{Unit: 8}},
 		Checkpoint{Superstep: 2, Index: 2},
 		SuperstepStart{Superstep: 2, Active: 4},
-		SuperstepEnd{Superstep: 2, ComputeCalls: 9, Messages: 9}, // abandoned
+		SuperstepEnd{Superstep: 2, Totals: Totals{ComputeCalls: 9, Messages: 9, MessageBytes: 18},
+			Intervals: IntervalBytes{Unit: 18}}, // abandoned
 		Recovery{Failed: 3, ResumeAt: 2, Attempt: 1},
 		SuperstepStart{Superstep: 2, Active: 4},
-		SuperstepEnd{Superstep: 2, ComputeCalls: 3, Messages: 3}, // survives
-		RunEnd{Supersteps: 2, ComputeCalls: 7, Messages: 7, Checkpoints: 2, Recoveries: 1},
+		SuperstepEnd{Superstep: 2, Totals: Totals{ComputeCalls: 3, Messages: 3, MessageBytes: 6},
+			Intervals: IntervalBytes{Unit: 6}}, // survives
+		RunEnd{Supersteps: 2, Totals: Totals{ComputeCalls: 7, Messages: 7, MessageBytes: 14},
+			Checkpoints: 2, Recoveries: 1},
 	}
 	if err := ValidateTrace(events); err != nil {
 		t.Errorf("replay-aware validation failed: %v", err)
@@ -253,6 +258,13 @@ func TestValidateTraceRejections(t *testing.T) {
 			ev[len(ev)-1] = end
 			return ev
 		}(), "sum(delivered) = 4, run_end total = 3"},
+		{"no interval bytes", func() []Event {
+			ev := append([]Event(nil), base...)
+			end := ev[2].(SuperstepEnd)
+			end.Intervals = IntervalBytes{}
+			ev[2] = end
+			return ev
+		}(), "superstep 1: interval_bytes total 0 outside [messages 4, message_bytes 40]"},
 	}
 	for _, tc := range cases {
 		err := ValidateTrace(tc.events)
@@ -318,11 +330,11 @@ func TestSummarizeReplayOverwrite(t *testing.T) {
 	events := []Event{
 		RunStart{Vertices: 4, Workers: 2},
 		SuperstepStart{Superstep: 1, Active: 4},
-		SuperstepEnd{Superstep: 1, ComputeCalls: 9, Messages: 9}, // abandoned
+		SuperstepEnd{Superstep: 1, Totals: Totals{ComputeCalls: 9, Messages: 9}}, // abandoned
 		Recovery{Failed: 1, ResumeAt: 1, Attempt: 1},
 		SuperstepStart{Superstep: 1, Active: 4},
-		SuperstepEnd{Superstep: 1, ComputeCalls: 4, Messages: 4, Active: 0},
-		RunEnd{Supersteps: 1, ComputeCalls: 4, Messages: 4, Recoveries: 1},
+		SuperstepEnd{Superstep: 1, Totals: Totals{ComputeCalls: 4, Messages: 4}, Active: 0},
+		RunEnd{Supersteps: 1, Totals: Totals{ComputeCalls: 4, Messages: 4}, Recoveries: 1},
 	}
 	s, err := Summarize(events)
 	if err != nil {

@@ -14,10 +14,11 @@ import (
 // The request fingerprint is the cache-correctness linchpin: two requests
 // share a fingerprint exactly when they are guaranteed to produce the same
 // result. Everything semantic (graph, algorithm, effective parameters,
-// normalized time window) is folded in; everything operational (worker
-// count, timeout, tracing) is deliberately excluded — BSP runs are
-// deterministic across worker counts, so execution knobs must not split the
-// cache.
+// normalized time window) is folded in, and so is the effective worker count:
+// a run repeats bit for bit at one worker count, but a float fold such as
+// PageRank's sum adds its messages in an order the partition sets, so its bits
+// can differ across worker counts. Everything else operational (timeout,
+// tracing) is excluded, so it cannot split the cache.
 
 // paramKeys are the algorithm parameters a run request may carry, matching
 // algorithms.Params field for field.
