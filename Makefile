@@ -211,12 +211,12 @@ serve-smoke:
 # simulator's whole enumeration (every crash point, torn write, lease expiry
 # and dead link over SSSP, EAT, PR and SCC) and its named schedules; then,
 # over real sockets and repeated, the lease ticker against silent
-# connections and the parity of the cluster's results and counts with
-# core.Run.
+# connections, the parity of the cluster's results and counts with
+# core.Run, and sequential jobs that leave no partition file mapped.
 cluster-smoke:
 	$(GO) test -race -run 'TestProcessKillRecovery' -v ./internal/chaos/
 	$(GO) test -race -run 'TestSim' -v ./internal/cluster
-	$(GO) test -race -count=3 -run 'TestClusterLeaseOverSockets|TestClusterMatchesCoreRun' ./internal/cluster
+	$(GO) test -race -count=3 -run 'TestClusterLeaseOverSockets|TestClusterMatchesCoreRun|TestClusterJobsReleaseTheirGraph' ./internal/cluster
 
 # Cluster observability smoke test: a coordinator plus a crash-and-respawn
 # worker fleet with per-worker /metrics endpoints and appended JSONL traces;

@@ -327,7 +327,9 @@ func TestLeaseHealthTransitions(t *testing.T) {
 
 // TestLoadGraphAllFormats pins the graph-spec contract: every on-disk
 // format resolves to the identical graph (the partition maps depend on
-// it), a snapshot-backed cluster run matches the fixture-backed run, and
+// it), the coordinator's view of it is heap-backed (its Close is a no-op
+// and the graph stays readable after it: an unmapped snapshot would fault),
+// a snapshot-backed cluster run matches the fixture-backed run, and
 // unknown specs fail loudly.
 func TestLoadGraphAllFormats(t *testing.T) {
 	want := tgraph.TransitExample()
@@ -341,21 +343,23 @@ func TestLoadGraphAllFormats(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, spec := range []string{"transit", "file:" + text, "file:" + snap} {
-		m, err := cluster.LoadGraph(spec)
-		if err != nil {
-			t.Fatalf("LoadGraph(%q): %v", spec, err)
+		m, meta, err := cluster.LoadGraphShard(spec, -1)
+		if err != nil || meta != nil {
+			t.Fatalf("LoadGraphShard(%q, -1): meta %v, %v", spec, meta, err)
+		}
+		if err := m.Close(); err != nil {
+			t.Fatalf("LoadGraphShard(%q, -1): Close: %v", spec, err)
 		}
 		if err := tgraph.Equal(m.Graph, want); err != nil {
-			t.Fatalf("LoadGraph(%q) diverges: %v", spec, err)
+			t.Fatalf("LoadGraphShard(%q, -1) diverges after Close: %v", spec, err)
 		}
-		m.Close()
 	}
-	if _, err := cluster.LoadGraph("nope"); err == nil {
+	if _, _, err := cluster.LoadGraphShard("nope", -1); err == nil {
 		t.Fatal("unknown spec accepted")
 	}
 
-	// A full cluster run over the mapped snapshot must match the
-	// fixture-backed direct run bit for bit.
+	// A full cluster run over the snapshot, which the workers map, must
+	// match the fixture-backed direct run bit for bit.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	p := algorithms.Params{Source: 0}

@@ -31,7 +31,7 @@ type Config struct {
 	// Workers is the cluster width: the number of worker processes, which
 	// is also the shard count and the engine's NumWorkers in every process.
 	Workers int
-	// Graph is the shared graph spec (see LoadGraph).
+	// Graph is the shared graph spec (see LoadGraphShard).
 	Graph string
 	// Algo and Params pick the computation from the algorithm catalog.
 	Algo   string
@@ -202,12 +202,14 @@ func New(cfg Config) (*Coordinator, error) {
 		cfg.Logger = slog.Default()
 	}
 	// The coordinator always loads the full graph (shard -1): it is the
-	// reference for result assembly across every shard.
+	// reference for result assembly across every shard. It lives on the
+	// heap, not in a mapping, because the Result that Serve returns aliases
+	// it and outlives Close.
 	gm, pmeta, err := LoadGraphShard(cfg.Graph, -1)
 	if err != nil {
 		return nil, err
 	}
-	g := gm.Graph // the mapping stays open for the coordinator's lifetime
+	g := gm.Graph
 	if pmeta != nil && pmeta.Shards != cfg.Workers {
 		return nil, fmt.Errorf("cluster: graph partitioned for %d shards but Workers=%d",
 			pmeta.Shards, cfg.Workers)

@@ -9,16 +9,23 @@ package cluster_test
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
+	"io/fs"
 	"net"
 	"os"
 	"path/filepath"
+	"reflect"
+	"runtime"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"graphite/internal/algorithms"
 	"graphite/internal/cluster"
 	"graphite/internal/codec"
+	"graphite/internal/core"
 	"graphite/internal/obs"
 	"graphite/internal/tgraph"
 )
@@ -102,6 +109,83 @@ func TestClusterMeshMatchesSingleProcess(t *testing.T) {
 			})
 		}
 	}
+}
+
+// TestClusterJobsReleaseTheirGraph runs jobs one after another over one
+// partition directory in one process, as the benchmark and any embedding
+// do. Once a job's workers have returned, no file of the directory may be
+// mapped: each worker unmaps its shard when it exits, and the coordinator
+// reads its view into the heap. The job's Result must outlive the
+// coordinator's Close and a collection: StateByID walks the graph's id
+// index, which a coordinator unmapping at Close would have taken away.
+func TestClusterJobsReleaseTheirGraph(t *testing.T) {
+	g := tgraph.TransitExample()
+	partDir, _ := writeTransitPartitions(t)
+	want := directRun(t, g, "pr", algorithms.Params{}, testWorkers)
+	for job := range 3 {
+		got := runJobToExit(t, cluster.Config{Algo: "pr", Graph: "shard:" + partDir})
+		runtime.GC()
+		for i := range g.NumVertices() {
+			id := g.VertexAt(i).ID
+			gs, ws := got.StateByID(id), want.StateByID(id)
+			if gs == nil || ws == nil || !reflect.DeepEqual(gs.Parts(), ws.Parts()) {
+				t.Errorf("job %d: vertex %v after Close: cluster %v, core.Run %v", job, id, gs, ws)
+			}
+		}
+		maps, ok := mappingsUnder(t, partDir)
+		if !ok {
+			t.Log("no /proc/self/maps: the mapping check is skipped")
+		}
+		if len(maps) > 0 {
+			t.Errorf("job %d: %d mappings of partition files left after its workers returned:\n%s",
+				job, len(maps), strings.Join(maps, "\n"))
+		}
+	}
+}
+
+// runJobToExit runs one job and returns its result once the coordinator is
+// closed and every worker has returned.
+func runJobToExit(t *testing.T, cfg cluster.Config) *core.Result {
+	t.Helper()
+	ctx, cancel := context.WithCancel(context.Background())
+	var wg sync.WaitGroup
+	defer func() { cancel(); wg.Wait() }()
+	coord, addr, out := startCluster(t, cfg)
+	for _, dir := range workerDirs(t, testWorkers) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := cluster.RunWorker(ctx, cluster.WorkerConfig{Addr: addr, Dir: dir}); err != nil && ctx.Err() == nil {
+				t.Errorf("worker %s: %v", filepath.Base(dir), err)
+			}
+		}()
+	}
+	got := waitResult(t, out, 30*time.Second)
+	wg.Wait()
+	coord.Close()
+	return got
+}
+
+// mappingsUnder returns the lines of /proc/self/maps that name a file under
+// dir; ok is false where the process has no such file.
+func mappingsUnder(t *testing.T, dir string) (lines []string, ok bool) {
+	t.Helper()
+	b, err := os.ReadFile("/proc/self/maps")
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil, false
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dir, err = filepath.EvalSymlinks(dir); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(string(b), "\n") {
+		if strings.Contains(line, dir+string(filepath.Separator)) {
+			lines = append(lines, line)
+		}
+	}
+	return lines, true
 }
 
 // TestClusterSCCOnTwoWorkers runs SCC — the catalog's one program with a

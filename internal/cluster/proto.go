@@ -233,48 +233,48 @@ func parseResultHeader(p []byte) (epoch, shard int, blob []byte, err error) {
 	return epoch, shard, r.Rest(), r.Err
 }
 
-// LoadGraph resolves a graph spec shared between coordinator and workers:
-// "transit" is the built-in fixture, "file:<path>" loads any tgraph format
-// — text, or a .gsn snapshot, which rejoining workers open as an mmap so a
-// respawn pays page faults instead of a parse — and
-// "shard:<dir>" names a partition directory written by WritePartitions,
-// from which each process maps only its own induced subgraph. Every process
-// must resolve the spec to a graph with identical vertex indexing or the
-// deterministic partition maps diverge. The returned Mapped stays open for
-// the lifetime of the graph: the engine and results alias its memory.
-func LoadGraph(spec string) (*tgraph.Mapped, error) {
-	m, _, err := LoadGraphShard(spec, -1)
-	return m, err
-}
-
-// LoadGraphShard resolves a graph spec for one shard. For "shard:<dir>"
-// specs, shard >= 0 maps that shard's partition file (vertex set intact,
-// edges trimmed to the shard's incident set) and shard == -1 maps the full
-// graph copy (the coordinator's view); the returned PartitionMeta carries
-// the cut's vertex→shard assignment, which every process must adopt as its
-// partitioner. For whole-graph specs the meta is nil and the shard argument
-// is irrelevant.
+// LoadGraphShard resolves a graph spec shared between coordinator and
+// workers: "transit" is the built-in fixture, "file:<path>" loads any tgraph
+// format, and "shard:<dir>" names a partition directory written by
+// WritePartitions, in which shard >= 0 is that shard's induced subgraph
+// (vertex set intact, edges trimmed to the shard's incident set) and
+// shard == -1 the full copy. Every process must resolve the spec to a graph
+// with identical vertex indexing or the deterministic partition maps
+// diverge. For "shard:" specs the returned PartitionMeta carries the cut's
+// vertex→shard assignment, which every process must adopt as its
+// partitioner; for whole-graph specs it is nil.
+//
+// A shard's .gsn snapshot is memory-mapped, so a respawn pays page faults
+// instead of a parse, and its worker closes the mapping when it exits. The
+// coordinator's view (shard == -1) is read into the heap instead: the
+// Result it assembles aliases the graph and outlives the coordinator, so
+// the garbage collector frees it with the last Result, and Close is a no-op.
 func LoadGraphShard(spec string, shard int) (*tgraph.Mapped, *tgraph.PartitionMeta, error) {
 	switch {
 	case spec == "transit":
 		return tgraph.Unmapped(tgraph.TransitExample()), nil, nil
 	case strings.HasPrefix(spec, "file:"):
-		m, err := tgraph.OpenAnyFile(strings.TrimPrefix(spec, "file:"))
-		return m, nil, err
-	case strings.HasPrefix(spec, "shard:"):
-		dir := strings.TrimPrefix(spec, "shard:")
-		name := tgraph.PartitionFullName
+		path := strings.TrimPrefix(spec, "file:")
 		if shard >= 0 {
-			name = tgraph.PartitionFileName(shard)
+			m, err := tgraph.OpenAnyFile(path)
+			return m, nil, err
 		}
-		m, meta, err := tgraph.OpenPartition(filepath.Join(dir, name))
+		g, err := tgraph.ReadAnyFile(path)
 		if err != nil {
 			return nil, nil, err
 		}
-		wantShard := shard
-		if shard < 0 {
-			wantShard = -1
+		return tgraph.Unmapped(g), nil, nil
+	case strings.HasPrefix(spec, "shard:"):
+		dir := strings.TrimPrefix(spec, "shard:")
+		name, open := tgraph.PartitionFullName, tgraph.ReadPartition
+		if shard >= 0 {
+			name, open = tgraph.PartitionFileName(shard), tgraph.OpenPartition
 		}
+		m, meta, err := open(filepath.Join(dir, name))
+		if err != nil {
+			return nil, nil, err
+		}
+		wantShard := max(shard, -1)
 		if meta.Shard != wantShard {
 			m.Close()
 			return nil, nil, fmt.Errorf("%s: %w: file claims shard %d, requested %d",

@@ -582,8 +582,25 @@ func diffResult(g *tgraph.Graph, got, want *core.Result) string {
 }
 
 // merged says why the run's traces do not reconcile — the coordinator's
-// against its workers', one row per superstep of the result — or "".
+// ledger against its own run_end, then against its workers', one row per
+// superstep of the result — or "".
 func (s *sim) merged(coord *obs.Recorder, res *core.Result) string {
+	// Workers join before the run starts, and one that crashes after its
+	// last frame is lost after it ends: the run is what lies between.
+	runs := obs.SplitRuns(coord.Events())
+	if len(runs) != 1 {
+		return fmt.Sprintf("coordinator trace holds %d runs", len(runs))
+	}
+	run := runs[0]
+	for len(run) > 0 {
+		if _, lost := run[len(run)-1].(obs.WorkerLost); !lost {
+			break
+		}
+		run = run[:len(run)-1]
+	}
+	if err := obs.ValidateTrace(run); err != nil {
+		return "coordinator trace: " + err.Error()
+	}
 	var workers [][]obs.Event
 	for _, tr := range s.traces {
 		workers = append(workers, tr.Events())

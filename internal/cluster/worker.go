@@ -12,6 +12,7 @@ import (
 	"graphite/internal/core"
 	"graphite/internal/engine"
 	"graphite/internal/obs"
+	"graphite/internal/tgraph"
 )
 
 // Worker dial defaults: a replacement worker may start before the
@@ -109,6 +110,7 @@ type workerIO interface {
 type wrk struct {
 	cfg   WorkerConfig
 	io    workerIO
+	graph *tgraph.Mapped // the assigned shard's graph, unmapped by close
 	sh    *core.Shard
 	store *engine.CheckpointStore
 
@@ -154,11 +156,13 @@ func (w *wrk) frame(ftype byte, payload []byte) (done bool, err error) {
 	return false, err
 }
 
-// close releases the shard; the frame loop has returned.
+// close releases the shard, then unmaps its graph; the frame loop has
+// returned, and results left as encoded frames, so nothing aliases it.
 func (w *wrk) close() {
 	if w.sh != nil {
 		w.sh.Close()
 	}
+	w.graph.Close()
 }
 
 // handlePeers (re)builds the outbound mesh for an epoch, inline (the
@@ -203,7 +207,8 @@ func (w *wrk) handleAssign(payload []byte) error {
 	if err != nil {
 		return w.fail(err)
 	}
-	g := gm.Graph // the mapping stays open for the worker's lifetime
+	w.graph = gm // mapped until close, on every failure below too
+	g := gm.Graph
 	prog, opts, err := algorithms.New(g, as.Algo, as.Params)
 	if err != nil {
 		return w.fail(err)

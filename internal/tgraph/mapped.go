@@ -47,10 +47,11 @@ func asUint32s(b []byte, n int) []uint32 {
 
 // Mapped is a Graph backed by a read-only memory mapping of a snapshot
 // file: the adjacency, endpoint and index arrays alias the mapped pages
-// directly, so they are faulted in only when touched. Close releases the
-// mapping; the graph and every slice its accessors return must not be
-// used afterwards. A Mapped wrapping an ordinary heap graph (Unmapped, or
-// OpenAnyFile over a text file) has a no-op Close.
+// directly, so they are faulted in only when touched. The mapping lives
+// until Close, for the life of the process if nobody calls it; after Close
+// the graph and every slice its accessors return must not be used. A
+// Mapped wrapping an ordinary heap graph (Unmapped, ReadPartition, or
+// OpenAnyFile over a text file) has a no-op Close: the collector frees it.
 type Mapped struct {
 	*Graph
 	Extra  []byte // opaque application payload from the extra section, nil if absent

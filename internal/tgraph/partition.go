@@ -18,6 +18,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"os"
 	"slices"
 
 	"graphite/internal/codec"
@@ -170,15 +171,35 @@ func OpenPartition(path string) (*Mapped, *PartitionMeta, error) {
 	if err != nil {
 		return nil, nil, err
 	}
+	return partitionOf(path, m)
+}
+
+// ReadPartition is OpenPartition into the heap: the file is read, not
+// mapped, so the graph owns its memory, Close is a no-op, and the garbage
+// collector frees it with the last value that references it.
+func ReadPartition(path string) (*Mapped, *PartitionMeta, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, nil, err
+	}
+	g, extra, err := decodeSnapshot(data)
+	if err != nil {
+		return nil, nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return partitionOf(path, &Mapped{Graph: g, Extra: extra})
+}
+
+// partitionOf decodes m's partition meta and checks that it covers m's
+// vertices, closing m if it does not.
+func partitionOf(path string, m *Mapped) (*Mapped, *PartitionMeta, error) {
 	meta, err := DecodePartitionMeta(m.Extra)
+	if err == nil && meta.Vertices != m.NumVertices() {
+		err = fmt.Errorf("%w: meta says |V|=%d, snapshot has %d",
+			ErrPartitionMismatch, meta.Vertices, m.NumVertices())
+	}
 	if err != nil {
 		m.Close()
 		return nil, nil, fmt.Errorf("%s: %w", path, err)
-	}
-	if meta.Vertices != m.NumVertices() {
-		m.Close()
-		return nil, nil, fmt.Errorf("%s: %w: meta says |V|=%d, snapshot has %d",
-			path, ErrPartitionMismatch, meta.Vertices, m.NumVertices())
 	}
 	return m, meta, nil
 }

@@ -157,76 +157,85 @@ func TestExtractPartitionStructure(t *testing.T) {
 	}
 }
 
+// TestPartitionFileRoundTrip holds both readers of a partition file, the
+// mapping and the heap read, to the graph and meta written, and to the same
+// refusals of a damaged or foreign file.
 func TestPartitionFileRoundTrip(t *testing.T) {
-	g := TransitExample()
-	dir := t.TempDir()
-	pg, err := ExtractPartition(g, transitAssign, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	meta := &PartitionMeta{Shard: 1, Shards: 3, Vertices: g.NumVertices(), Edges: g.NumEdges(), Assign: transitAssign}
-	path := filepath.Join(dir, PartitionFileName(1))
-	if err := WritePartitionFile(path, pg, meta); err != nil {
-		t.Fatal(err)
-	}
-	m, got, err := OpenPartition(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
-	if err := Equal(pg, m.Graph); err != nil {
-		t.Fatalf("mapped partition differs: %v", err)
-	}
-	if got.Shard != 1 || got.Shards != 3 || got.Vertices != 6 {
-		t.Fatalf("meta round trip: %+v", got)
-	}
-	if m.Horizon() != g.Horizon() {
-		t.Errorf("mapped horizon %v, want %v (stored verbatim)", m.Horizon(), g.Horizon())
-	}
-	if m.Size() <= 0 {
-		t.Errorf("mapped Size() = %d, want > 0", m.Size())
-	}
+	for name, open := range map[string]func(string) (*Mapped, *PartitionMeta, error){
+		"mapped": OpenPartition, "read": ReadPartition,
+	} {
+		t.Run(name, func(t *testing.T) {
+			g := TransitExample()
+			dir := t.TempDir()
+			pg, err := ExtractPartition(g, transitAssign, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			meta := &PartitionMeta{Shard: 1, Shards: 3, Vertices: g.NumVertices(), Edges: g.NumEdges(), Assign: transitAssign}
+			path := filepath.Join(dir, PartitionFileName(1))
+			if err := WritePartitionFile(path, pg, meta); err != nil {
+				t.Fatal(err)
+			}
+			m, got, err := open(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer m.Close()
+			if err := Equal(pg, m.Graph); err != nil {
+				t.Fatalf("%s partition differs: %v", name, err)
+			}
+			if got.Shard != 1 || got.Shards != 3 || got.Vertices != 6 {
+				t.Fatalf("meta round trip: %+v", got)
+			}
+			if m.Horizon() != g.Horizon() {
+				t.Errorf("%s horizon %v, want %v (stored verbatim)", name, m.Horizon(), g.Horizon())
+			}
+			if m.Size() <= 0 {
+				t.Errorf("%s Size() = %d, want > 0", name, m.Size())
+			}
 
-	// Torture: a flipped byte inside the file fails the CRC pass.
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bad := append([]byte{}, data...)
-	bad[len(bad)/2] ^= 0x40
-	badPath := filepath.Join(dir, "flipped.gsn")
-	if err := os.WriteFile(badPath, bad, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := OpenPartition(badPath); !errors.Is(err, ErrSnapshotCorrupt) {
-		t.Errorf("bit flip: err = %v, want ErrSnapshotCorrupt", err)
-	}
+			// Torture: a flipped byte inside the file fails the CRC pass.
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bad := append([]byte{}, data...)
+			bad[len(bad)/2] ^= 0x40
+			badPath := filepath.Join(dir, "flipped.gsn")
+			if err := os.WriteFile(badPath, bad, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := open(badPath); !errors.Is(err, ErrSnapshotCorrupt) {
+				t.Errorf("bit flip: err = %v, want ErrSnapshotCorrupt", err)
+			}
 
-	// Torture: truncation fails structurally.
-	truncPath := filepath.Join(dir, "trunc.gsn")
-	if err := os.WriteFile(truncPath, data[:len(data)/2], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := OpenPartition(truncPath); !errors.Is(err, ErrSnapshotCorrupt) {
-		t.Errorf("truncation: err = %v, want ErrSnapshotCorrupt", err)
-	}
+			// Torture: truncation fails structurally.
+			truncPath := filepath.Join(dir, "trunc.gsn")
+			if err := os.WriteFile(truncPath, data[:len(data)/2], 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := open(truncPath); !errors.Is(err, ErrSnapshotCorrupt) {
+				t.Errorf("truncation: err = %v, want ErrSnapshotCorrupt", err)
+			}
 
-	// Torture: a plain snapshot with no partition meta is rejected.
-	plainPath := filepath.Join(dir, "plain.gsn")
-	if err := WriteSnapshotFile(plainPath, g); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := OpenPartition(plainPath); !errors.Is(err, ErrPartitionMeta) {
-		t.Errorf("plain snapshot: err = %v, want ErrPartitionMeta", err)
-	}
+			// Torture: a plain snapshot with no partition meta is rejected.
+			plainPath := filepath.Join(dir, "plain.gsn")
+			if err := WriteSnapshotFile(plainPath, g); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := open(plainPath); !errors.Is(err, ErrPartitionMeta) {
+				t.Errorf("plain snapshot: err = %v, want ErrPartitionMeta", err)
+			}
 
-	// Torture: meta |V| disagreeing with the snapshot is a mismatch.
-	lying := &PartitionMeta{Shard: 1, Shards: 3, Vertices: 2, Edges: 1, Assign: []int32{1, 0}}
-	liePath := filepath.Join(dir, "lie.gsn")
-	if err := WritePartitionFile(liePath, pg, lying); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := OpenPartition(liePath); !errors.Is(err, ErrPartitionMismatch) {
-		t.Errorf("lying meta: err = %v, want ErrPartitionMismatch", err)
+			// Torture: meta |V| disagreeing with the snapshot is a mismatch.
+			lying := &PartitionMeta{Shard: 1, Shards: 3, Vertices: 2, Edges: 1, Assign: []int32{1, 0}}
+			liePath := filepath.Join(dir, "lie.gsn")
+			if err := WritePartitionFile(liePath, pg, lying); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := open(liePath); !errors.Is(err, ErrPartitionMismatch) {
+				t.Errorf("lying meta: err = %v, want ErrPartitionMismatch", err)
+			}
+		})
 	}
 }
