@@ -37,12 +37,14 @@ test-count:
 # another worker is still filling, or a range delivered twice, shows there.
 # So are the failure-channel tests: a program error, a panic or a failed
 # exchange crosses worker goroutines through the engine's one recorded
-# failure.
+# failure. So are the seeded-run tests: in superstep 1 every worker's
+# senders read other vertices' seeds to decide whether a message is sent.
 race:
 	$(GO) test -race ./internal/engine/... ./internal/chaos/... ./internal/cluster/... ./internal/obs/... ./internal/serve/... ./internal/warp/... ./internal/algorithms/... ./internal/core/... ./internal/tgraph/... ./internal/stream/... ./internal/live/...
 	$(GO) test -race -count=10 -run 'TestPlanSharedByConcurrentRuns' ./internal/core/
 	$(GO) test -race -count=10 -run 'TestPoolNoAliasingAcrossSupersteps|TestReceiveChecksOwnership|FuzzSenderCombine|TestStaleRangeNotDeliveredAgain|TestRunSurvivesFaults' ./internal/engine/
 	$(GO) test -race -count=10 -run 'TestProgramErrorEndsItsSuperstep' ./internal/core/
+	$(GO) test -race -count=10 -run '^(TestIncrementalMatchesFullRecompute|TestSeededRunTakesFewerSupersteps|TestIncrementalServing)$$' ./internal/algorithms/ ./internal/serve/
 
 # Fuzz smoke: every fuzz target in the codec (intervals, slices, the word
 # forms against the any forms), engine (the batch decoder, the first thing a
@@ -110,12 +112,14 @@ bench-test:
 	cd benchmark && $(GO) test ./...
 
 # The count gate: one traced run of each workload BENCH_counts.json names
-# (cluster_pr, serve_cold; seed 42, -seconds 2, reports in a temporary
-# directory) must be correct, fail no operation and repeat every count the
-# file commits exactly. The counts (compute and scatter calls, messages and
-# their bytes, supersteps, warp calls, bytes per message, checkpoint bytes)
-# are the paper's causal signal and do not depend on the host; a change that
-# moves one on purpose rewrites its value in the same commit.
+# (cluster_pr, live_refresh, serve_cold; seed 42, -seconds 2, reports in a
+# temporary directory) must be correct, fail no operation and repeat every
+# count the file commits exactly. The counts (compute and scatter calls,
+# messages and their bytes, supersteps, warp calls, bytes per message,
+# checkpoint bytes) are the paper's causal signal and do not depend on the
+# host; live_refresh's seed hit ratio must stay 1, so a change that stops
+# seeding fails too. A change that moves one on purpose rewrites its value in
+# the same commit.
 # jq: one line for each check workload $w's traced report fails against BENCH_counts.json.
 COUNTS_JQ = .metrics as $$m | (if .correct != true then "correct: \(.correct)" else empty end), \
 	(if .failed != 0 then "failed: \(.failed)" else empty end), \

@@ -69,11 +69,9 @@ func main() {
 	}
 
 	if *check {
-		for i, run := range runs {
-			if err := obs.ValidateTrace(run); err != nil {
-				log.Error("trace invalid", "run", i+1, "err", err)
-				os.Exit(1)
-			}
+		if err := validateRuns(runs); err != nil {
+			log.Error("trace invalid", "err", err)
+			os.Exit(1)
 		}
 		fmt.Printf("trace OK: %d events, %d run(s)\n", len(events), len(runs))
 		return
@@ -93,6 +91,16 @@ func main() {
 			fmt.Println()
 		}
 	}
+}
+
+// validateRuns is -check on one trace: each run validates on its own.
+func validateRuns(runs [][]obs.Event) error {
+	for i, run := range runs {
+		if err := obs.ValidateTrace(run); err != nil {
+			return fmt.Errorf("run %d: %w", i+1, err)
+		}
+	}
+	return nil
 }
 
 // clusterMain merges coordinator + worker traces and renders (or, with

@@ -246,7 +246,8 @@ var (
 	ValidateTrace = obs.ValidateTrace
 	// SummarizeTrace folds events into the per-superstep breakdown.
 	SummarizeTrace = obs.Summarize
-	// SplitTraceRuns splits a multi-run trace at each run_start.
+	// SplitTraceRuns splits a multi-run trace into its runs, each from a
+	// run_start to its run_end.
 	SplitTraceRuns = obs.SplitRuns
 	// ServeDebug serves /metrics (the registry, as Prometheus text) and
 	// /debug/pprof on addr until the returned server is closed.

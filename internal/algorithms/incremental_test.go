@@ -12,8 +12,9 @@ import (
 
 // incrementalTestGraph builds a deterministic random temporal graph over
 // [0, 100): staggered vertex births (so window extensions add vertices),
-// edge lifespans inside both endpoints' lifespans, and segmented
-// travel-time properties (so scatter sees property boundaries).
+// edge lifespans inside both endpoints' lifespans, segmented travel-time
+// properties (so scatter sees property boundaries) and a unit travel cost on
+// every edge — the path programs traverse only edges that carry both.
 func incrementalTestGraph(t *testing.T, seed int64) *tgraph.Graph {
 	t.Helper()
 	r := rand.New(rand.NewSource(seed))
@@ -50,6 +51,7 @@ func incrementalTestGraph(t *testing.T, seed int64) *tgraph.Graph {
 			} else {
 				b.SetEdgeProp(eid, tgraph.PropTravelTime, ival.New(start, end), int64(1+r.Intn(4)))
 			}
+			b.SetEdgeProp(eid, tgraph.PropTravelCost, ival.New(start, end), 1)
 			eid++
 		}
 	}
@@ -83,45 +85,114 @@ func requireSameStates(t *testing.T, label string, want, got *core.Result) {
 	}
 }
 
+// reachedOther reports whether the run of the named seedable program reached
+// a vertex other than its source, vertex 0.
+func reachedOther(name string, r *core.Result) bool {
+	for v := range r.ByID() {
+		if v.ID == 0 {
+			continue
+		}
+		switch name {
+		case "eat":
+			if EarliestArrival(r, v.ID) != Unreachable {
+				return true
+			}
+		case "fast":
+			if FastestDuration(r, v.ID) != Unreachable {
+				return true
+			}
+		case "rh":
+			if Reachable(r, v.ID) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// runSeeded runs the named program from vertex 0 over g at a worker count,
+// seeded from seeds (nil: cold).
+func runSeeded(t *testing.T, label string, g *tgraph.Graph, name string, workers int, seeds []*core.PartitionedState) *core.Result {
+	t.Helper()
+	prog, opts, err := New(g, name, Params{Source: 0})
+	if err != nil {
+		t.Fatalf("%s: New: %v", label, err)
+	}
+	opts.NumWorkers = workers
+	opts.SeedStates = seeds
+	r, err := core.Run(g, prog, opts)
+	if err != nil {
+		t.Fatalf("%s: run: %v", label, err)
+	}
+	return r
+}
+
 // TestIncrementalMatchesFullRecompute is the differential acceptance test:
 // for every seedable algorithm, running the extended window from the prior
 // window's terminal state must be bit-identical to a cold recompute of the
-// extended window.
+// extended window — every cold run sending messages and reaching past its
+// source, so the states compared are computed ones. The chained case seeds
+// each of four successive cuts from the previous seeded run, as a live graph
+// re-queried after every tick does; its runs must send the same messages at
+// every worker count, since whether a superstep-1 message is absorbed
+// depends on the destination's seed alone.
 func TestIncrementalMatchesFullRecompute(t *testing.T) {
+	workerCounts := []int{1, 2, 3, 4}
 	for _, seed := range []int64{1, 7, 42} {
 		g := incrementalTestGraph(t, seed)
-		for _, cut := range []ival.Time{30, 60, 85} {
-			g1, err := tgraph.Slice(g, ival.New(0, cut))
-			if err != nil {
-				t.Fatalf("slice [0,%d): %v", cut, err)
+		g2, err := tgraph.Slice(g, ival.New(0, 100))
+		if err != nil {
+			t.Fatalf("slice [0,100): %v", err)
+		}
+		for _, name := range []string{"eat", "fast", "rh"} {
+			if !SupportsIncremental(name) {
+				t.Fatalf("%s lost its incremental support", name)
 			}
-			g2, err := tgraph.Slice(g, ival.New(0, 100))
-			if err != nil {
-				t.Fatalf("slice [0,100): %v", err)
-			}
-			for _, name := range []string{"eat", "fast", "rh"} {
-				if !SupportsIncremental(name) {
-					t.Fatalf("%s lost its incremental support", name)
+			for _, cut := range []ival.Time{30, 60, 85} {
+				g1, err := tgraph.Slice(g, ival.New(0, cut))
+				if err != nil {
+					t.Fatalf("slice [0,%d): %v", cut, err)
 				}
-				for _, workers := range []int{1, 4} {
+				for _, workers := range workerCounts {
 					label := fmt.Sprintf("seed=%d cut=%d algo=%s workers=%d", seed, cut, name, workers)
-					run := func(g *tgraph.Graph, seeds []*core.PartitionedState) *core.Result {
-						prog, opts, err := New(g, name, Params{Source: 0})
-						if err != nil {
-							t.Fatalf("%s: New: %v", label, err)
-						}
-						opts.NumWorkers = workers
-						opts.SeedStates = seeds
-						r, err := core.Run(g, prog, opts)
-						if err != nil {
-							t.Fatalf("%s: run: %v", label, err)
-						}
-						return r
+					prior := runSeeded(t, label, g1, name, workers, nil)
+					full := runSeeded(t, label, g2, name, workers, nil)
+					if full.Metrics.Messages == 0 || !reachedOther(name, full) {
+						t.Fatalf("%s: the cold run sent %d messages and reached no vertex past its source",
+							label, full.Metrics.Messages)
 					}
-					prior := run(g1, nil)
-					full := run(g2, nil)
-					incr := run(g2, prior.Seed().StatesFor(g2))
+					incr := runSeeded(t, label, g2, name, workers, prior.Seed().StatesFor(g2))
 					requireSameStates(t, label, full, incr)
+				}
+			}
+
+			// The chain: [0,25) cold, then [0,50), [0,75) and [0,100) each
+			// seeded from the run before it.
+			var sent []int64
+			for _, workers := range workerCounts {
+				var prev *core.Result
+				var msgs int64
+				for _, end := range []ival.Time{25, 50, 75, 100} {
+					label := fmt.Sprintf("seed=%d chain end=%d algo=%s workers=%d", seed, end, name, workers)
+					gw, err := tgraph.Slice(g, ival.New(0, end))
+					if err != nil {
+						t.Fatalf("slice [0,%d): %v", end, err)
+					}
+					var seeds []*core.PartitionedState
+					if prev != nil {
+						seeds = prev.Seed().StatesFor(gw)
+					}
+					cold := runSeeded(t, label, gw, name, workers, nil)
+					prev = runSeeded(t, label, gw, name, workers, seeds)
+					requireSameStates(t, label, cold, prev)
+					msgs += prev.Metrics.Messages
+				}
+				sent = append(sent, msgs)
+			}
+			for i, n := range sent {
+				if n != sent[0] {
+					t.Errorf("seed=%d chain algo=%s: %d workers sent %d messages, %d workers %d",
+						seed, name, workerCounts[i], n, workerCounts[0], sent[0])
 				}
 			}
 		}
@@ -173,17 +244,7 @@ func TestSeededRunTakesFewerSupersteps(t *testing.T) {
 		}
 		seedable++
 		run := func(g *tgraph.Graph, seeds []*core.PartitionedState) *core.Result {
-			prog, opts, err := New(g, name, Params{Source: 0})
-			if err != nil {
-				t.Fatalf("%s: New: %v", name, err)
-			}
-			opts.NumWorkers = 4
-			opts.SeedStates = seeds
-			r, err := core.Run(g, prog, opts)
-			if err != nil {
-				t.Fatalf("%s: run: %v", name, err)
-			}
-			return r
+			return runSeeded(t, name, g, name, 4, seeds)
 		}
 		cold := run(g, nil)
 		seeded := run(g, run(prefix, nil).Seed().StatesFor(g))

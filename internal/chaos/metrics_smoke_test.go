@@ -83,24 +83,6 @@ func workerURL(dir string) func() (string, error) {
 	}
 }
 
-// trimToRun extracts the first run of a coordinator trace for validation:
-// worker_join events precede run_start (SplitRuns drops those) and a
-// worker's death during the final fBye broadcast can trail a WorkerLost
-// after run_end, which trimming removes.
-func trimToRun(events []obs.Event) []obs.Event {
-	runs := obs.SplitRuns(events)
-	if len(runs) == 0 {
-		return nil
-	}
-	run := runs[0]
-	for i := len(run) - 1; i >= 0; i-- {
-		if _, ok := run[i].(obs.RunEnd); ok {
-			return run[:i+1]
-		}
-	}
-	return run
-}
-
 func parseTraceFile(t *testing.T, path string) []obs.Event {
 	t.Helper()
 	f, err := os.Open(path)
@@ -264,11 +246,14 @@ func TestClusterObservabilityPlane(t *testing.T) {
 
 	// (3) The coordinator trace validates as a standard run trace.
 	coordEvents := rec.Events()
-	run := trimToRun(coordEvents)
-	if run == nil {
+	// worker_join events precede run_start, and a worker's death during the
+	// final fBye broadcast can trail a worker_lost after run_end: SplitRuns
+	// drops both.
+	runs := obs.SplitRuns(coordEvents)
+	if len(runs) == 0 {
 		t.Fatal("coordinator trace has no run")
 	}
-	if err := obs.ValidateTrace(run); err != nil {
+	if err := obs.ValidateTrace(runs[0]); err != nil {
 		t.Fatalf("coordinator trace does not validate: %v", err)
 	}
 

@@ -586,19 +586,12 @@ func diffResult(g *tgraph.Graph, got, want *core.Result) string {
 // superstep of the result — or "".
 func (s *sim) merged(coord *obs.Recorder, res *core.Result) string {
 	// Workers join before the run starts, and one that crashes after its
-	// last frame is lost after it ends: the run is what lies between.
+	// last frame is lost after it ends: SplitRuns keeps what lies between.
 	runs := obs.SplitRuns(coord.Events())
 	if len(runs) != 1 {
 		return fmt.Sprintf("coordinator trace holds %d runs", len(runs))
 	}
-	run := runs[0]
-	for len(run) > 0 {
-		if _, lost := run[len(run)-1].(obs.WorkerLost); !lost {
-			break
-		}
-		run = run[:len(run)-1]
-	}
-	if err := obs.ValidateTrace(run); err != nil {
+	if err := obs.ValidateTrace(runs[0]); err != nil {
 		return "coordinator trace: " + err.Error()
 	}
 	var workers [][]obs.Event

@@ -112,7 +112,7 @@ func (c *VertexCtx) Emit(when ival.Interval, value codec.Word) {
 	if when.IsEmpty() {
 		return
 	}
-	c.eng.SendWord(c.scatterTo, when, value, c.ws.scratch.Spilled())
+	c.send(c.scatterTo, when, value)
 }
 
 // Spill turns a payload outside the word palette (a slice, a struct) into
@@ -167,6 +167,17 @@ func (c *VertexCtx) failPieceProp(slot int) {
 // sent.
 func (c *VertexCtx) SendTo(dst int, when ival.Interval, value codec.Word) {
 	if c.rt.window != ival.Universe && !c.rt.g.VertexAt(dst).Lifespan.Intersects(c.rt.window) {
+		return
+	}
+	c.send(dst, when, value)
+}
+
+// send is the one way a message leaves a vertex: Emit, SendTo and the
+// OutMsgs a Scatter returns. In superstep 1 of a seeded run it drops a
+// message the destination's seed already absorbs (runtime.absorbs); an
+// unseeded run pays one branch.
+func (c *VertexCtx) send(dst int, when ival.Interval, value codec.Word) {
+	if c.rt.absorb != nil && c.eng.Superstep() == 1 && c.rt.absorbs(dst, when, value) {
 		return
 	}
 	c.eng.SendWord(dst, when, value, c.ws.scratch.Spilled())

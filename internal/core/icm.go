@@ -183,7 +183,12 @@ type Options struct {
 	// Only programs whose state is a confluent monotone fold of
 	// forward-in-time messages — each update covering [t, lifespan end) so
 	// terminal partition starts coincide with update starts — replay
-	// bit-identically from a seed; see algorithms.SupportsIncremental.
+	// bit-identically from a seed; see algorithms.SupportsIncremental. For
+	// such a program that is also a WarpCombiner, a superstep-1 message to a
+	// seeded vertex is not sent when the seed absorbs it — combine(s, m) == s
+	// at every point of the message inside the vertex's lifespan, s the value
+	// the overlay puts there — since delivered it could change no state: the
+	// results are those of sending it, the message and compute counts lower.
 	SeedStates []*PartitionedState
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -20,6 +21,7 @@ type runtime struct {
 	prog       Program
 	opts       Options
 	combine    warp.CombineFunc // nil when absent or disabled
+	absorb     warp.CombineFunc // the WarpCombiner of a run with a seed, else nil: see absorbs
 	stateCodec codec.Payload    // StateCodecOf(prog, opts)
 	states     []*PartitionedState
 	plan       *scatterPlan // shared with every run over g under the same planKey; read-only
@@ -81,8 +83,13 @@ func newRuntime(g *tgraph.Graph, prog Program, opts Options) *runtime {
 	if rt.threshold <= 0 {
 		rt.threshold = DefaultSuppressionThreshold
 	}
-	if wc, ok := prog.(WarpCombiner); ok && !opts.DisableWarpCombiner {
-		rt.combine = wc.CombineWarp
+	if wc, ok := prog.(WarpCombiner); ok {
+		if !opts.DisableWarpCombiner {
+			rt.combine = wc.CombineWarp
+		}
+		if slices.ContainsFunc(opts.SeedStates, func(s *PartitionedState) bool { return s != nil }) {
+			rt.absorb = wc.CombineWarp
+		}
 	}
 	return rt
 }
@@ -149,24 +156,62 @@ func (rt *runtime) seedFor(i int) *PartitionedState {
 // would have carried forward until a later message improved it.
 func overlaySeed(st *PartitionedState, seed *PartitionedState) error {
 	life := st.Lifespan()
-	var last warp.IntervalValue
-	have := false
-	for _, p := range seed.Parts() {
-		x := p.Interval.Intersect(life)
-		if x.IsEmpty() {
-			continue
+	cover := life.Intersect(ival.From(seed.Lifespan().Start))
+	parts, _ := seedOver(seed, life, cover)
+	for k, p := range parts {
+		iv := p.Interval.Intersect(cover)
+		if k == len(parts)-1 {
+			iv.End = cover.End
 		}
-		if err := st.Set(x, p.Value); err != nil {
-			return err
-		}
-		last, have = warp.IntervalValue{Interval: x, Value: p.Value}, true
-	}
-	if have && last.Interval.End < life.End {
-		if err := st.Set(ival.New(last.Interval.End, life.End), last.Value); err != nil {
+		if err := st.Set(iv, p.Value); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// seedOver returns the parts of seed that overlaySeed lays over x, an
+// interval inside the lifespan life of the seeded vertex: those x meets, the
+// last one also standing for every point of x past the seed's end. ok is
+// false when x holds a point the overlay leaves to Init: one before the
+// seed's start, or any point, when the seed ends before life begins.
+func seedOver(seed *PartitionedState, life, x ival.Interval) (parts []warp.IntervalValue, ok bool) {
+	sl := seed.Lifespan()
+	if x.IsEmpty() || x.Start < sl.Start || !sl.Intersects(life) {
+		return nil, false
+	}
+	return seed.parts[seed.find(x.Start) : seed.find(x.End-1)+1], true
+}
+
+// absorbs reports whether vertex dst's seed absorbs a message w over when:
+// at every point of when inside dst's lifespan, the value s the overlay puts
+// there is combine(s, w) under rt.absorb. Seeded vertices do not compute in
+// superstep 1, so there dst holds its overlay, and a seedable state is the
+// monotone fold of its messages: every later state absorbs w too, and
+// delivering it would change nothing. A spilled or nil payload, an unseeded
+// vertex, a point the seed does not cover or a value of another kind is
+// never absorbed.
+func (rt *runtime) absorbs(dst int, when ival.Interval, w codec.Word) bool {
+	seed := rt.seedFor(dst)
+	if seed == nil || w.K == codec.KindSpill || w.K == codec.KindNil {
+		return false
+	}
+	life := rt.g.VertexAt(dst).Lifespan.Intersect(rt.window)
+	x := when.Intersect(life)
+	if x.IsEmpty() {
+		return true // the receiver would clip it to nothing
+	}
+	parts, ok := seedOver(seed, life, x)
+	if !ok {
+		return false
+	}
+	for _, p := range parts {
+		s, ok := codec.WordOf(p.Value)
+		if !ok || s.K != w.K || !rt.absorb(s, w).Equal(s) {
+			return false
+		}
+	}
+	return true
 }
 
 // Run implements engine.Program: one superstep for one active vertex. The
@@ -188,9 +233,9 @@ func (rt *runtime) Run(ctx *engine.Context, msgs []engine.Message) {
 		// re-scatter of their captured state: every terminal partition of a
 		// seedable program started life as a state update, so scattering
 		// each partition over its own interval regenerates exactly the
-		// frontier messages the prior run sent — messages into already-
-		// converged regions fold to no-ops, messages past the old cut
-		// propagate the extension.
+		// frontier messages the prior run sent. Those into already-converged
+		// regions are absorbed by their receivers' seeds and not sent
+		// (VertexCtx.send); those past the old cut propagate the extension.
 		targets := rt.plan.targetsOf(i)
 		if len(targets) == 0 {
 			return
@@ -370,7 +415,7 @@ func (rt *runtime) scatterPart(vc *VertexCtx, ctx *engine.Context, targets []tar
 				if when.IsEmpty() {
 					continue
 				}
-				ctx.SendWord(int(tg.dst), when, om.Value, vc.ws.scratch.Spilled())
+				vc.send(int(tg.dst), when, om.Value)
 			}
 			vc.inScatter = false
 		}

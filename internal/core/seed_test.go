@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	ival "graphite/internal/interval"
@@ -95,5 +96,34 @@ func TestSeedAlignsByVertexID(t *testing.T) {
 	}
 	if seeds[2] == nil || seeds[2].Parts()[0].Value != int64(9) {
 		t.Errorf("vertex 3 seed = %v", seeds[2])
+	}
+}
+
+// TestSeedOverCoversWhatTheOverlayLays pins the one walk overlaySeed and the
+// superstep-1 absorb check share: the seed parts over an interval of the
+// seeded vertex's lifespan, the last one standing for the lifespan's growth
+// past the seed, and no answer where the overlay leaves Init's value.
+func TestSeedOverCoversWhatTheOverlayLays(t *testing.T) {
+	seed := seedParts(t, ival.New(5, 10), [3]int64{5, 7, 7}, [3]int64{7, 10, 3})
+	for _, tc := range []struct {
+		life, x ival.Interval
+		want    []int64 // the values of the parts returned; nil: not covered
+	}{
+		{ival.New(0, 20), ival.New(5, 8), []int64{7, 3}},
+		{ival.New(0, 20), ival.New(6, 7), []int64{7}},
+		{ival.New(0, 20), ival.New(8, 20), []int64{3}},  // the growth past the seed
+		{ival.New(0, 20), ival.New(12, 15), []int64{3}}, // inside the growth alone
+		{ival.New(0, 20), ival.New(4, 8), nil},          // a point before the seed
+		{ival.New(0, 20), ival.New(6, 6), nil},          // empty
+		{ival.New(12, 20), ival.New(12, 15), nil},       // the seed ends before life begins
+	} {
+		parts, ok := seedOver(seed, tc.life, tc.x)
+		var got []int64
+		for _, p := range parts {
+			got = append(got, p.Value.(int64))
+		}
+		if ok != (tc.want != nil) || !slices.Equal(got, tc.want) {
+			t.Errorf("seedOver(life %v, x %v) = %v, %v; want %v", tc.life, tc.x, got, ok, tc.want)
+		}
 	}
 }

@@ -121,20 +121,26 @@ func ParseTrace(r io.Reader) ([]Event, error) {
 	return out, nil
 }
 
-// SplitRuns splits an event stream into per-run slices, one per run_start
-// — graphite-bench appends every ICM run to a single trace file, so a
-// parsed file may hold many runs. Events before the first run_start are
-// dropped (a well-formed trace has none).
+// SplitRuns splits an event stream into per-run slices, each from a
+// run_start to its run_end — graphite-bench appends every ICM run to a single
+// trace file, so a parsed file may hold many runs. Events outside a run are
+// dropped: those before the first run_start (a coordinator's worker_join),
+// and those between a run_end and the next run_start (a worker lost after
+// its last frame). A run cut short keeps what it has, and fails validation.
 func SplitRuns(events []Event) [][]Event {
 	var runs [][]Event
+	in := false
 	for _, e := range events {
 		if _, ok := e.(RunStart); ok {
-			runs = append(runs, nil)
+			runs, in = append(runs, nil), true
 		}
-		if len(runs) == 0 {
+		if !in {
 			continue
 		}
 		runs[len(runs)-1] = append(runs[len(runs)-1], e)
+		if _, ok := e.(RunEnd); ok {
+			in = false
+		}
 	}
 	return runs
 }

@@ -298,6 +298,30 @@ func TestSplitRuns(t *testing.T) {
 	if got := SplitRuns([]Event{SuperstepStart{Superstep: 1}}); got != nil {
 		t.Errorf("leading orphan events should be dropped, got %v", got)
 	}
+	// So are those after a run_end: a worker the coordinator loses after the
+	// run has ended, trailing the last run or between two.
+	lost := WorkerLost{Shard: 1, Superstep: 3, Reason: "connection reset"}
+	for _, tc := range []struct {
+		name   string
+		events []Event
+		runs   int
+	}{
+		{"trailing worker_lost", append(append([]Event{}, one...), lost), 1},
+		{"worker_lost between runs", append(append(append([]Event{}, one...), lost), one...), 2},
+	} {
+		runs := SplitRuns(tc.events)
+		if len(runs) != tc.runs {
+			t.Fatalf("%s: SplitRuns found %d runs, want %d", tc.name, len(runs), tc.runs)
+		}
+		for i, run := range runs {
+			if len(run) != len(one) {
+				t.Errorf("%s: run %d has %d events, want %d", tc.name, i, len(run), len(one))
+			}
+			if err := ValidateTrace(run); err != nil {
+				t.Errorf("%s: run %d does not validate: %v", tc.name, i, err)
+			}
+		}
+	}
 }
 
 // TestSummarizeRejectsBadNumbering: a trace whose supersteps are not numbered

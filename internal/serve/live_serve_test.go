@@ -212,9 +212,10 @@ func TestEventsEndpointValidation(t *testing.T) {
 }
 
 // TestIncrementalServing pins the serving half of incremental recomputation:
-// a window-extension request on a seedable algorithm reports Seeded and its
-// result is bit-identical to a cold run; mutations below the prior window
-// end invalidate the seed; non-seedable algorithms never seed.
+// a window-extension request on a seedable algorithm reports Seeded, sends
+// fewer messages than a cold run and returns its result bit-identically;
+// mutations below the prior window end invalidate the seed; non-seedable
+// algorithms never seed.
 func TestIncrementalServing(t *testing.T) {
 	srv, _, ts := newLiveServer(t, live.Options{Name: "g"})
 	if code := postEvents(t, ts, "g", chainEvents(0, 10, 1), nil); code != http.StatusOK {
@@ -240,6 +241,11 @@ func TestIncrementalServing(t *testing.T) {
 	}
 	if !reflect.DeepEqual(incr.Vertices, cold.Vertices) {
 		t.Fatalf("seeded run diverged from cold recompute:\nseeded: %q\ncold:   %q", incr.FormatLines(0), cold.FormatLines(0))
+	}
+	// The seeded run pays for the extension only: the superstep-1 messages
+	// its seeds already absorb are not sent.
+	if incr.Metrics.Messages >= cold.Metrics.Messages {
+		t.Errorf("seeded run sent %d messages, the cold run %d: want fewer", incr.Metrics.Messages, cold.Metrics.Messages)
 	}
 	if got := srv.Registry().Counter(CSeedHits).Load(); got < 1 {
 		t.Errorf("seed hits = %d, want >= 1", got)
