@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test test-count vet race verify docs-check bench-test bench-counts bench-core fuzz bench trace-smoke serve-smoke cluster-smoke metrics-smoke stream-smoke load-smoke clean
+.PHONY: all build test test-count vet fmt-check race verify docs-check bench-test bench-counts bench-core fuzz bench trace-smoke serve-smoke cluster-smoke metrics-smoke stream-smoke load-smoke clean
 
 all: verify
 
@@ -12,6 +12,10 @@ vet:
 
 test:
 	$(GO) test ./...
+
+# Formatting: gofmt must have nothing to say about any tracked Go file.
+fmt-check:
+	@out=$$(gofmt -l $$(git ls-files '*.go')); test -z "$$out" || { echo "gofmt -l:"; echo "$$out"; exit 1; }
 
 # The test ledger: the three figures a PR that deletes tests is judged on —
 # Test/Fuzz/Example functions outside benchmark/, then the top-level and the
@@ -91,9 +95,9 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzRenderString -fuzztime $(FUZZTIME) ./internal/serve
 	$(GO) test -run '^$$' -fuzz FuzzTrace -fuzztime $(FUZZTIME) -fuzzminimizetime 50x ./internal/obs
 
-# The full gate: everything vetted, built, and race-tested. Long-running
-# chaos tests honour -short via `make verify SHORT=-short`.
-verify:
+# The full gate: everything formatted, vetted, built, and race-tested.
+# Long-running chaos tests honour -short via `make verify SHORT=-short`.
+verify: fmt-check
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test $(SHORT) -race ./...

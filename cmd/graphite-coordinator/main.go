@@ -155,7 +155,7 @@ func main() {
 	}
 	rep := coord.Report()
 	log.Info("cluster run complete", "supersteps", rep.Supersteps,
-		"checkpoints", rep.Checkpoints, "recoveries", len(rep.Recoveries),
+		"checkpoints", res.Metrics.Checkpoints, "recoveries", len(rep.Recoveries),
 		"makespan", rep.Makespan.Round(time.Millisecond))
 	for _, r := range rep.Recoveries {
 		log.Info("recovery", "epoch", r.Epoch, "failed_superstep", r.Failed,

@@ -15,6 +15,7 @@
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"log/slog"
@@ -116,7 +117,9 @@ func main() {
 		fatal(log, "run", err)
 	}
 
-	fmt.Printf("metrics: %v\n", r.Metrics)
+	// The run's record, as its trace's run_end line carries it.
+	rec, _ := json.Marshal(r.Metrics)
+	fmt.Printf("metrics: %s\n", rec)
 	fmt.Printf("stats: warp=%d suppressed=%d active-intervals=%d max-partitions=%d\n",
 		r.Stats.WarpCalls, r.Stats.WarpSuppressed, r.Stats.ActiveIntervals, r.Stats.MaxPartitions)
 

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"encoding/json"
 	"fmt"
 	"sort"
 
@@ -71,5 +72,6 @@ func main() {
 	for _, t := range probe {
 		fmt.Printf("  t=%d: %d\n", t, algorithms.TriangleTotal(tc, t))
 	}
-	fmt.Printf("\nPR run cost: %v\n", pr.Metrics)
+	cost, _ := json.Marshal(pr.Metrics)
+	fmt.Printf("\nPR run cost: %s\n", cost)
 }

@@ -297,9 +297,6 @@ var (
 	RunLCC = algorithms.RunLCC
 	// RunTC runs temporal triangle counting.
 	RunTC = algorithms.RunTC
-	// RunFFM runs temporal feed-forward motif counting (an extension: the
-	// transaction-network pattern the paper's introduction motivates).
-	RunFFM = algorithms.RunFFM
 )
 
 // AlgorithmParams parameterizes the algorithm catalog: source/target
@@ -340,8 +337,6 @@ var (
 	TriangleTotal = algorithms.TriangleTotal
 	// Coefficient returns a vertex's clustering coefficient at a time-point.
 	Coefficient = algorithms.Coefficient
-	// FFMTotal counts feed-forward motifs across the graph.
-	FFMTotal = algorithms.FFMTotal
 )
 
 // Unreachable is the sentinel cost/time for vertices no journey reaches.

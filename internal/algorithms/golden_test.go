@@ -214,7 +214,8 @@ func stepShards(g *tgraph.Graph, shards []*core.Shard, b *engine.Barrier, pc cod
 			return fail(err)
 		}
 	}
-	r, err := core.AssembleResult(g, pc, blobs, b.Metrics())
+	m := b.End(0)
+	r, err := core.AssembleResult(g, pc, blobs, &m)
 	return r, batches, ckpts, ctl, err
 }
 

@@ -496,52 +496,3 @@ func TestPerfectSharingOnStaticGraphs(t *testing.T) {
 		t.Errorf("messages %d should be <12.5%% of %d edge-instances", r.Metrics.Messages, perSnapshot)
 	}
 }
-
-// TestFFMMatchesOracle validates the feed-forward motif extension against
-// the brute-force triple enumeration.
-func TestFFMMatchesOracle(t *testing.T) {
-	// Hand-checked instance: 0→1 [0,2), 1→2 [1,4), 0→2 [3,5): t1=0 < t2=1 <
-	// t3=3 works, exactly one motif. Shrinking the closing window kills it.
-	b := tgraph.NewBuilder(3, 3)
-	for v := tgraph.VertexID(0); v < 3; v++ {
-		b.AddVertex(v, ival.New(0, 6))
-	}
-	b.AddEdge(0, 0, 1, ival.New(0, 2))
-	b.AddEdge(1, 1, 2, ival.New(1, 4))
-	b.AddEdge(2, 0, 2, ival.New(3, 5))
-	g := b.MustBuild()
-	r, err := RunFFM(g, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := FFMTotal(r), ref.FeedForwardMotifs(g); got != want || want != 1 {
-		t.Fatalf("motifs = %d, oracle %d, want 1", got, want)
-	}
-
-	b2 := tgraph.NewBuilder(3, 3)
-	for v := tgraph.VertexID(0); v < 3; v++ {
-		b2.AddVertex(v, ival.New(0, 6))
-	}
-	b2.AddEdge(0, 0, 1, ival.New(0, 2))
-	b2.AddEdge(1, 1, 2, ival.New(1, 4))
-	b2.AddEdge(2, 0, 2, ival.New(0, 2)) // closes before the chain can
-	g2 := b2.MustBuild()
-	r2, err := RunFFM(g2, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := FFMTotal(r2); got != 0 || ref.FeedForwardMotifs(g2) != 0 {
-		t.Fatalf("infeasible motif counted: %d", got)
-	}
-
-	// Randomized cross-validation over the usual lifespan regimes.
-	for gi, g := range tinyGraphs(t) {
-		r, err := RunFFM(g, 4)
-		if err != nil {
-			t.Fatalf("graph %d: %v", gi, err)
-		}
-		if got, want := FFMTotal(r), ref.FeedForwardMotifs(g); got != want {
-			t.Fatalf("graph %d: motifs %d, oracle %d", gi, got, want)
-		}
-	}
-}

@@ -13,6 +13,7 @@ import (
 	"graphite/internal/codec"
 	"graphite/internal/engine"
 	ival "graphite/internal/interval"
+	"graphite/internal/obs"
 	"graphite/internal/tgraph"
 	"graphite/internal/vcm"
 	"graphite/internal/warp"
@@ -21,7 +22,7 @@ import (
 // Result holds per-snapshot vertex states and accumulated metrics.
 type Result struct {
 	Graph   *tgraph.Graph
-	Metrics engine.Metrics
+	Metrics obs.RunEnd
 	Batches int
 	states  map[ival.Time][]any
 }
@@ -74,7 +75,7 @@ func Run(g *tgraph.Graph, spec valgo.Spec, batchSize, workers int) (*Result, err
 		if err != nil {
 			return nil, err
 		}
-		out.Metrics.Add(m)
+		out.Metrics.Add(*m)
 		out.Batches++
 		for t := b; t < end; t++ {
 			col := make([]any, g.NumVertices())

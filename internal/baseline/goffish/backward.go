@@ -94,11 +94,11 @@ func RunLD(g *tgraph.Graph, target tgraph.VertexID, deadline ival.Time, workers 
 		res.Metrics.ComputeCalls += calls
 		res.Metrics.Messages += messages
 		res.Metrics.MessageBytes += bytes
-		res.Metrics.ComputePlusTime += time.Since(t0)
+		res.Metrics.ComputeNS += int64(time.Since(t0))
 	}
 	for v := 0; v < n; v++ {
 		res.States[v] = int64(latest[v])
 	}
-	res.Metrics.Makespan = time.Since(start)
+	res.Metrics.MakespanNS = int64(time.Since(start))
 	return res, nil
 }

@@ -4,8 +4,8 @@ import (
 	"sync"
 	"time"
 
-	"graphite/internal/engine"
 	ival "graphite/internal/interval"
+	"graphite/internal/obs"
 	"graphite/internal/tgraph"
 )
 
@@ -15,7 +15,7 @@ import (
 // behaviour).
 type ClusteringResult struct {
 	Graph   *tgraph.Graph
-	Metrics engine.Metrics
+	Metrics obs.RunEnd
 	// Closures[t][v] is vertex v's closure count in snapshot t.
 	Closures map[ival.Time][]int64
 	// Degs[t][v] is vertex v's out-degree in snapshot t (LCC only).
@@ -131,8 +131,8 @@ func runClustering(g *tgraph.Graph, workers int, lcc bool) (*ClusteringResult, e
 		res.Metrics.ComputeCalls += calls
 		res.Metrics.Messages += messages
 		res.Metrics.MessageBytes += bytes
-		res.Metrics.ComputePlusTime += time.Since(t0)
+		res.Metrics.ComputeNS += int64(time.Since(t0))
 	}
-	res.Metrics.Makespan = time.Since(start)
+	res.Metrics.MakespanNS = int64(time.Since(start))
 	return res, nil
 }

@@ -11,15 +11,15 @@ import (
 	"sync"
 	"time"
 
-	"graphite/internal/engine"
 	ival "graphite/internal/interval"
+	"graphite/internal/obs"
 	"graphite/internal/tgraph"
 )
 
 // Result holds the per-vertex final states and the accumulated metrics.
 type Result struct {
 	Graph   *tgraph.Graph
-	Metrics engine.Metrics
+	Metrics obs.RunEnd
 	States  []any
 }
 
@@ -173,7 +173,7 @@ func RunForward(g *tgraph.Graph, logic PathLogic, workers int) (*Result, error) 
 			mu.Unlock()
 		})
 		res.Metrics.ComputeCalls += computeCalls
-		res.Metrics.ComputePlusTime += time.Since(t0)
+		res.Metrics.ComputeNS += int64(time.Since(t0))
 
 		t1 := time.Now()
 		for _, em := range emits {
@@ -183,9 +183,9 @@ func RunForward(g *tgraph.Graph, logic PathLogic, workers int) (*Result, error) 
 		}
 		res.Metrics.Messages += messages
 		res.Metrics.MessageBytes += bytes
-		res.Metrics.MessagingTime += time.Since(t1)
+		res.Metrics.MessagingNS += int64(time.Since(t1))
 	}
-	res.Metrics.Makespan = time.Since(start)
+	res.Metrics.MakespanNS = int64(time.Since(start))
 	return res, nil
 }
 

@@ -7,8 +7,8 @@ package msb
 
 import (
 	"graphite/internal/baseline/valgo"
-	"graphite/internal/engine"
 	ival "graphite/internal/interval"
+	"graphite/internal/obs"
 	"graphite/internal/tgraph"
 	"graphite/internal/vcm"
 )
@@ -16,7 +16,7 @@ import (
 // Result holds per-snapshot vertex states and the accumulated metrics.
 type Result struct {
 	Graph   *tgraph.Graph
-	Metrics engine.Metrics
+	Metrics obs.RunEnd
 	// Snapshots maps a snapshot time-point to its final vertex states.
 	Snapshots map[ival.Time]*vcm.Result
 }
@@ -48,7 +48,7 @@ func Run(g *tgraph.Graph, spec valgo.Spec, workers int) (*Result, error) {
 			return nil, err
 		}
 		out.Snapshots[t] = r
-		out.Metrics.Add(r.Metrics)
+		out.Metrics.Add(*r.Metrics)
 	}
 	return out, nil
 }

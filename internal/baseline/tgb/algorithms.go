@@ -4,8 +4,8 @@ import (
 	"math"
 	"sort"
 
-	"graphite/internal/engine"
 	ival "graphite/internal/interval"
+	"graphite/internal/obs"
 	"graphite/internal/tgraph"
 )
 
@@ -16,7 +16,7 @@ const Unreachable = int64(math.MaxInt64)
 type PathResult struct {
 	Graph   *tgraph.Graph
 	Static  *Static
-	Metrics *engine.Metrics
+	Metrics *obs.RunEnd
 	dist    []int64
 	via     []int64
 }

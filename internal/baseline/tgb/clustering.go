@@ -5,6 +5,7 @@ import (
 
 	"graphite/internal/engine"
 	ival "graphite/internal/interval"
+	"graphite/internal/obs"
 	"graphite/internal/tgraph"
 )
 
@@ -13,7 +14,7 @@ import (
 type ClusteringResult struct {
 	Graph   *tgraph.Graph
 	Static  *Static
-	Metrics *engine.Metrics
+	Metrics *obs.RunEnd
 	closure []int64 // per replica
 }
 

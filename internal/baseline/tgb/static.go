@@ -13,6 +13,7 @@ import (
 	"graphite/internal/codec"
 	"graphite/internal/engine"
 	ival "graphite/internal/interval"
+	"graphite/internal/obs"
 )
 
 // Replica identifies one transformed-graph node: a temporal vertex at a
@@ -116,9 +117,9 @@ func (p *minDistProgram) Run(ctx *engine.Context, msgs []engine.Message) {
 
 // minDist runs the shortest-path program over the static graph (reversed
 // when reverse is set) and returns per-replica distances and via-vertices.
-func (s *Static) minDist(seeds map[int]int64, reverse bool, workers int) ([]int64, []int64, *engine.Metrics, error) {
+func (s *Static) minDist(seeds map[int]int64, reverse bool, workers int) ([]int64, []int64, *obs.RunEnd, error) {
 	if s.NumReplicas() == 0 {
-		return nil, nil, &engine.Metrics{}, nil
+		return nil, nil, &obs.RunEnd{}, nil
 	}
 	p := &minDistProgram{s: s, seeds: seeds}
 	if reverse {

@@ -5,7 +5,7 @@ import (
 	"io"
 	"time"
 
-	"graphite/internal/engine"
+	"graphite/internal/obs"
 	"graphite/internal/stats"
 	"graphite/internal/tgraph"
 )
@@ -54,7 +54,7 @@ type Cell struct {
 	Graph    string
 	Platform Platform
 	Algo     Algo
-	M        engine.Metrics
+	M        obs.RunEnd
 }
 
 // RunMatrix measures every runnable (platform, algorithm) pair on every
@@ -101,7 +101,7 @@ func Table2(cells []Cell) []Table2Row {
 		if mk[c.Graph][c.Platform] == nil {
 			mk[c.Graph][c.Platform] = map[Algo]time.Duration{}
 		}
-		mk[c.Graph][c.Platform][c.Algo] = c.M.Makespan
+		mk[c.Graph][c.Platform][c.Algo] = time.Duration(c.M.MakespanNS)
 	}
 	var rows []Table2Row
 	graphs := orderedGraphs(cells)
@@ -204,9 +204,9 @@ func Fig4(cells []Cell) Fig4Result {
 	perMY := map[Platform][]float64{}
 	for _, c := range cells {
 		cc := float64(c.M.ComputeCalls)
-		ct := c.M.ComputePlusTime.Seconds()
+		ct := time.Duration(c.M.ComputeNS).Seconds()
 		ms := float64(c.M.Messages)
-		mt := c.M.MessagingTime.Seconds()
+		mt := time.Duration(c.M.MessagingNS).Seconds()
 		if cc > 0 && ct > 0 {
 			cx, cy = append(cx, cc), append(cy, ct)
 			perCX[c.Platform] = append(perCX[c.Platform], cc)
@@ -262,8 +262,8 @@ func RenderFig5(w io.Writer, cells []Cell) {
 	}}
 	for _, c := range cells {
 		t.Add(c.Graph, string(c.Algo), string(c.Platform),
-			c.M.Makespan.Round(time.Microsecond), c.M.ComputePlusTime.Round(time.Microsecond),
-			c.M.MessagingTime.Round(time.Microsecond), c.M.BarrierTime.Round(time.Microsecond),
+			time.Duration(c.M.MakespanNS).Round(time.Microsecond), time.Duration(c.M.ComputeNS).Round(time.Microsecond),
+			time.Duration(c.M.MessagingNS).Round(time.Microsecond), time.Duration(c.M.BarrierNS).Round(time.Microsecond),
 			c.M.ComputeCalls, c.M.Messages, c.M.MessageBytes, c.M.Supersteps)
 	}
 	t.Render(w)

@@ -89,10 +89,10 @@ func Fig6b(cfg Config) ([]Fig6bRow, error) {
 		}
 		rows = append(rows, Fig6bRow{
 			Algo:            al,
-			ComputeWith:     with.Metrics.ComputePlusTime,
-			ComputeWithout:  without.Metrics.ComputePlusTime,
-			MakespanWith:    with.Metrics.Makespan,
-			MakespanWithout: without.Metrics.Makespan,
+			ComputeWith:     time.Duration(with.Metrics.ComputeNS),
+			ComputeWithout:  time.Duration(without.Metrics.ComputeNS),
+			MakespanWith:    time.Duration(with.Metrics.MakespanNS),
+			MakespanWithout: time.Duration(without.Metrics.MakespanNS),
 		})
 	}
 	return rows, nil
@@ -107,7 +107,7 @@ func bestOf(k int, fn func() (*core.Result, error)) (*core.Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		if best == nil || r.Metrics.Makespan < best.Metrics.Makespan {
+		if best == nil || r.Metrics.MakespanNS < best.Metrics.MakespanNS {
 			best = r
 		}
 	}
@@ -196,8 +196,8 @@ func Fig6c(cfg Config) ([]Fig6cRow, error) {
 		}
 		rows = append(rows, Fig6cRow{
 			Algo:            al,
-			MakespanWith:    with.Metrics.Makespan,
-			MakespanWithout: without.Metrics.Makespan,
+			MakespanWith:    time.Duration(with.Metrics.MakespanNS),
+			MakespanWithout: time.Duration(without.Metrics.MakespanNS),
 			Suppressed:      with.Stats.WarpSuppressed,
 		})
 	}
@@ -277,7 +277,7 @@ func Fig7(cfg Config, machines []int, algos []Algo) ([]Fig7Row, error) {
 			if err != nil {
 				return nil, fmt.Errorf("bench: fig7 %dm/%s: %w", m, al, err)
 			}
-			rows = append(rows, Fig7Row{Machines: m, Algo: al, Makespan: met.Makespan, ComputeCalls: met.ComputeCalls})
+			rows = append(rows, Fig7Row{Machines: m, Algo: al, Makespan: time.Duration(met.MakespanNS), ComputeCalls: met.ComputeCalls})
 		}
 	}
 	return rows, nil

@@ -18,7 +18,6 @@ import (
 	"graphite/internal/baseline/tgb"
 	"graphite/internal/baseline/valgo"
 	"graphite/internal/core"
-	"graphite/internal/engine"
 	"graphite/internal/gen"
 	"graphite/internal/obs"
 	"graphite/internal/tgraph"
@@ -116,7 +115,7 @@ func Datasets(cfg Config) ([]Dataset, error) {
 
 // Run executes one (platform, algorithm) pair over a graph and returns the
 // run metrics. The source is the first vertex; LD targets the last vertex.
-func Run(cfg Config, pl Platform, al Algo, g *tgraph.Graph) (*engine.Metrics, error) {
+func Run(cfg Config, pl Platform, al Algo, g *tgraph.Graph) (*obs.RunEnd, error) {
 	source := g.VertexAt(0).ID
 	target := g.VertexAt(g.NumVertices() - 1).ID
 	w := cfg.Workers
@@ -184,7 +183,7 @@ func tiSpec(cfg Config, al Algo, source tgraph.VertexID) (valgo.Spec, error) {
 	return valgo.Spec{}, fmt.Errorf("bench: %q is not a TI algorithm", al)
 }
 
-func runTGB(al Algo, g *tgraph.Graph, source, target tgraph.VertexID, w int) (*engine.Metrics, error) {
+func runTGB(al Algo, g *tgraph.Graph, source, target tgraph.VertexID, w int) (*obs.RunEnd, error) {
 	switch al {
 	case SSSP:
 		r, err := tgb.RunSSSP(g, source, 0, w)
@@ -220,14 +219,14 @@ func runTGB(al Algo, g *tgraph.Graph, source, target tgraph.VertexID, w int) (*e
 	return nil, fmt.Errorf("bench: %q is not a TD algorithm", al)
 }
 
-func pathMetrics(r *tgb.PathResult, err error) (*engine.Metrics, error) {
+func pathMetrics(r *tgb.PathResult, err error) (*obs.RunEnd, error) {
 	if err != nil {
 		return nil, err
 	}
 	return r.Metrics, nil
 }
 
-func runGOF(al Algo, g *tgraph.Graph, source, target tgraph.VertexID, w int) (*engine.Metrics, error) {
+func runGOF(al Algo, g *tgraph.Graph, source, target tgraph.VertexID, w int) (*obs.RunEnd, error) {
 	switch al {
 	case SSSP:
 		r, err := goffish.RunForward(g, goffish.NewSSSP(source, 0), w)
@@ -263,7 +262,7 @@ func runGOF(al Algo, g *tgraph.Graph, source, target tgraph.VertexID, w int) (*e
 	return nil, fmt.Errorf("bench: %q is not a TD algorithm", al)
 }
 
-func gofMetrics(r *goffish.Result, err error) (*engine.Metrics, error) {
+func gofMetrics(r *goffish.Result, err error) (*obs.RunEnd, error) {
 	if err != nil {
 		return nil, err
 	}

@@ -18,7 +18,7 @@ import (
 	"graphite/internal/algorithms"
 	"graphite/internal/cluster"
 	"graphite/internal/core"
-	"graphite/internal/engine"
+	"graphite/internal/obs"
 	"graphite/internal/tgraph"
 )
 
@@ -98,7 +98,7 @@ func clusterProcessRun(t *testing.T, graph, algo string, p algorithms.Params, cr
 
 // counts are the metrics a run's result must repeat, whatever it recovered
 // from.
-func counts(m *engine.Metrics) [7]int64 {
+func counts(m *obs.RunEnd) [7]int64 {
 	return [7]int64{int64(m.Supersteps), m.ComputeCalls, m.ScatterCalls, m.Messages, m.MessageBytes, m.Delivered, m.Spilled}
 }
 

@@ -180,14 +180,14 @@ func steppedRun(t *testing.T, g *tgraph.Graph, build func() (core.Program, core.
 			commit(step + 1)
 		}
 	}
-	m, _ := b.End(0)
+	m := b.End(0)
 	blobs := make([][]byte, len(shards))
 	for i, s := range shards {
 		if blobs[i], err = s.EncodeOwnedStates(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	res, err := core.AssembleResult(g, core.StateCodecOf(prog, opts), blobs, m)
+	res, err := core.AssembleResult(g, core.StateCodecOf(prog, opts), blobs, &m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +287,7 @@ func TestChaosRollbackRestoresFrontiers(t *testing.T) {
 	requireSameRun(t, base, got)
 }
 
-// TestChaosSpilledPayloadsMatchFaultFree is the same guarantee for the three
+// TestChaosSpilledPayloadsMatchFaultFree is the same guarantee for the two
 // programs whose messages are slices, which no word holds: their payloads
 // travel in the batches' spill tables and their states in the program's
 // state coder, through the captures a panic and a corrupt batch force the
@@ -300,7 +300,6 @@ func TestChaosSpilledPayloadsMatchFaultFree(t *testing.T) {
 	programs := map[string]func() (core.Program, core.Options){
 		"lcc": func() (core.Program, core.Options) { a := algorithms.NewLCC(g); return a, a.Options() },
 		"tc":  func() (core.Program, core.Options) { a := &algorithms.TC{}; return a, a.Options() },
-		"ffm": func() (core.Program, core.Options) { a := &algorithms.FFM{}; return a, a.Options() },
 	}
 	for name, build := range programs {
 		t.Run(name, func(t *testing.T) {

@@ -22,7 +22,6 @@ import (
 	"graphite/internal/cluster"
 	"graphite/internal/codec"
 	"graphite/internal/core"
-	"graphite/internal/engine"
 	"graphite/internal/obs"
 	"graphite/internal/tgraph"
 )
@@ -147,7 +146,7 @@ func intervalBytes(events []obs.Event) obs.IntervalBytes {
 }
 
 // runCounts are the counts of a run's metrics every driver must agree on.
-func runCounts(m *engine.Metrics) [7]int64 {
+func runCounts(m *obs.RunEnd) [7]int64 {
 	return [7]int64{int64(m.Supersteps), m.ComputeCalls, m.ScatterCalls, m.Messages, m.MessageBytes, m.Delivered, m.Spilled}
 }
 
@@ -209,7 +208,7 @@ func TestClusterMatchesCoreRun(t *testing.T) {
 				t.Errorf("cluster counted %v, Run %v", g, w)
 			}
 			rep := coord.Report()
-			if rep.Supersteps == 0 || rep.Checkpoints == 0 {
+			if rep.Supersteps == 0 || got.Metrics.Checkpoints == 0 {
 				t.Errorf("report missing progress: %+v", rep)
 			}
 			if len(rep.Recoveries) != 0 {

@@ -82,18 +82,17 @@ type RecoveryInfo struct {
 	RestoredBytes int64         `json:"restored_bytes"` // checkpoint bytes reloaded, all shards
 }
 
-// Report summarizes a finished (or aborted) cluster run. Its counts are the
-// barrier's, set when the run finishes; a recovery is listed as it closes.
+// Report summarizes a finished (or aborted) cluster run; its record is the
+// Result's run_end. Supersteps and Makespan are set when the run finishes; a
+// recovery is listed as it closes.
 type Report struct {
-	Supersteps  int            `json:"supersteps"`  // executed, including replays
-	Checkpoints int            `json:"checkpoints"` // generations committed, generation 0 included
-	Recoveries  []RecoveryInfo `json:"recoveries,omitempty"`
-	Makespan    time.Duration  `json:"makespan_ns"`
+	Supersteps int            `json:"supersteps"` // executed, including replays
+	Recoveries []RecoveryInfo `json:"recoveries,omitempty"`
+	Makespan   time.Duration  `json:"makespan_ns"`
 	// WorkerGraphBytes is each shard's reported resident graph size (mapped
 	// snapshot bytes, or in-memory footprint for built graphs) — the
 	// partitioning win: under shard: specs these shrink as shards grow.
-	WorkerGraphBytes []int64         `json:"worker_graph_bytes,omitempty"`
-	Metrics          *engine.Metrics `json:"-"`
+	WorkerGraphBytes []int64 `json:"worker_graph_bytes,omitempty"`
 }
 
 // Stats is a point-in-time view of the cluster for readiness probes.
@@ -947,8 +946,8 @@ func (d *driver) resultFrame(wc *wconn, payload []byte) error {
 	}
 	// The barrier's ledger holds the surviving executions only, as Run's
 	// does; the Report counts every superstep driven, replays included.
-	m, end := d.c.barrier.End(d.io.now().Sub(d.started))
-	res, err := core.AssembleResult(d.c.g, d.c.states, d.blobs, m)
+	end := d.c.barrier.End(d.io.now().Sub(d.started))
+	res, err := core.AssembleResult(d.c.g, d.c.states, d.blobs, &end)
 	if err != nil {
 		return err
 	}
@@ -959,10 +958,8 @@ func (d *driver) resultFrame(wc *wconn, payload []byte) error {
 	d.setState(stDone)
 	d.c.mu.Lock()
 	d.c.report.Supersteps = d.c.barrier.Executed()
-	d.c.report.Checkpoints = m.Checkpoints
-	d.c.report.Makespan = m.Makespan
+	d.c.report.Makespan = time.Duration(end.MakespanNS)
 	d.c.report.WorkerGraphBytes = append([]int64(nil), d.graphBytes...)
-	d.c.report.Metrics = m
 	d.c.mu.Unlock()
 	d.result = res
 	return nil

@@ -114,10 +114,9 @@ type Options struct {
 	// it was called for — which lies inside the window; then its states and
 	// counts equal a run over tgraph.Slice(g, Window) that puts each vertex on
 	// the worker its index in g is given (the slice renumbers). Every catalog
-	// algorithm follows that rule; FFM, which reads whole in-edge lifespans,
-	// does not and is not in the catalog. A ScatterSlackLabel must be
-	// constant over a piece, as one named in PropLabels is. The zero value and
-	// any window containing the graph's lifespan mean no window.
+	// algorithm follows that rule. A ScatterSlackLabel must be constant over a
+	// piece, as one named in PropLabels is. The zero value and any window
+	// containing the graph's lifespan mean no window.
 	Window ival.Interval
 	// DisableWarp bypasses the warp operator unconditionally, degenerating
 	// to time-point-centric execution: the reference path that
@@ -206,7 +205,7 @@ type Stats struct {
 // it, carry the window.
 type Result struct {
 	Graph   *tgraph.Graph
-	Metrics *engine.Metrics
+	Metrics *obs.RunEnd
 	Stats   Stats
 	states  []*PartitionedState
 }

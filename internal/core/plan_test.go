@@ -210,9 +210,9 @@ func checkPlanTiling(g *tgraph.Graph, p *scatterPlan, opts Options) error {
 
 // planOptionShapes are the plan-relevant Options of the algorithm catalog:
 // forward over the travel labels (SSSP, EAT, FAST, TMST, RH), reverse with
-// the travel-time slack (LD), undirected (WCC), a label no edge carries
-// (FFM), and all labels (BFS, PR, ...); plus reverse without slack and a
-// slack label over all labels, which no catalog entry uses today. The rest
+// the travel-time slack (LD), undirected (WCC) and all labels (BFS, PR,
+// ...); plus a label no edge carries, reverse without slack and a slack label
+// over all labels, which no catalog entry uses today. The rest
 // are there for the value columns: the travel labels in the other order, with
 // a label no edge carries between them, under both traversal directions, and
 // more labels than a piece's mask has bits for.
@@ -221,14 +221,14 @@ func planOptionShapes() map[string]Options {
 	nine := []string{tgraph.PropTravelCost, "a", "b", "zone", "c", "d", "e", "f", tgraph.PropTravelTime}
 	return map[string]Options{
 		"forward/labels-swapped":   {PropLabels: []string{tgraph.PropTravelCost, tgraph.PropTravelTime}},
-		"forward/absent-between":   {PropLabels: []string{tgraph.PropTravelTime, "ffm-none", tgraph.PropTravelCost}},
+		"forward/absent-between":   {PropLabels: []string{tgraph.PropTravelTime, "no-such-label", tgraph.PropTravelCost}},
 		"undirected/travel-labels": {Undirected: true, PropLabels: travel},
 		"slack/other-label":        {ScatterSlackLabel: tgraph.PropTravelTime, PropLabels: travel[1:]},
 		"nine-labels":              {PropLabels: nine},
 		"forward/travel-labels":    {PropLabels: travel},
 		"reverse+slack":            {Reverse: true, ScatterSlackLabel: tgraph.PropTravelTime, PropLabels: travel},
 		"undirected":               {Undirected: true},
-		"absent-label":             {PropLabels: []string{"ffm-none"}},
+		"absent-label":             {PropLabels: []string{"no-such-label"}},
 		"all-labels":               {},
 		"reverse":                  {Reverse: true},
 		"slack/all-labels":         {ScatterSlackLabel: tgraph.PropTravelTime},

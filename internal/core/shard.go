@@ -6,6 +6,7 @@ import (
 
 	"graphite/internal/codec"
 	"graphite/internal/engine"
+	"graphite/internal/obs"
 	"graphite/internal/tgraph"
 	"graphite/internal/warp"
 )
@@ -60,12 +61,11 @@ func (s *Shard) EncodeOwnedStates() ([]byte, error) { return s.rt.AppendSnapshot
 // AssembleResult merges per-shard state blobs (EncodeOwnedStates output)
 // into a Result over g; pc is the program's StateCodecOf. Shards own
 // disjoint vertex sets, so the state arrays interleave without conflict; ICM
-// stats sum. The metrics are the caller's (the coordinator aggregates its
-// own engine.Metrics from the superstep reports); nil is replaced by an
-// empty Metrics.
-func AssembleResult(g *tgraph.Graph, pc codec.Payload, blobs [][]byte, m *engine.Metrics) (*Result, error) {
+// stats sum. The record is the caller's (the coordinator's barrier closes
+// it from the superstep reports); nil is replaced by an empty one.
+func AssembleResult(g *tgraph.Graph, pc codec.Payload, blobs [][]byte, m *obs.RunEnd) (*Result, error) {
 	if m == nil {
-		m = &engine.Metrics{}
+		m = &obs.RunEnd{}
 	}
 	states := make([]*PartitionedState, g.NumVertices())
 	var sum [7]int64

@@ -40,7 +40,7 @@ func BoolOr() *Aggregator {
 // Barrier closes supersteps. It owns the registered aggregators and their
 // merged values, the phase and the master, and the rule that ends a run: the
 // superstep bound, the master's halt, or quiescence. It keeps the run's
-// ledger — the totals its Metrics and trace report — and the cluster's
+// ledger — the totals its run_end record reports — and the cluster's
 // recovery point and budget (Commit, Rewind). Engine.Run closes every
 // superstep through its own; whoever steps Shards — the cluster coordinator,
 // a test — builds one from the same Config.
@@ -182,31 +182,12 @@ func (b *Barrier) SuperstepEnd(s int, clocks obs.Totals) obs.SuperstepEnd {
 	return rec
 }
 
-// Metrics returns the run's metrics from the ledger: the totals of the
-// supersteps that count, and the checkpoints and recoveries taken. The
-// makespan is the driver's (End).
-func (b *Barrier) Metrics() *Metrics {
+// End closes the run's ledger: the run_end record of the supersteps that
+// count, the checkpoints and recoveries taken and the driver's makespan —
+// what every driver returns and traces.
+func (b *Barrier) End(makespan time.Duration) obs.RunEnd {
 	t := b.state.Totals
-	return &Metrics{
-		Supersteps:   t.Supersteps,
-		ComputeCalls: t.ComputeCalls, ScatterCalls: t.ScatterCalls,
-		Messages: t.Messages, MessageBytes: t.MessageBytes,
-		Delivered: t.Delivered, Spilled: t.Spilled,
-		Checkpoints: b.checkpoints, Recoveries: b.recoveries,
-		Runs:            1,
-		ComputePlusTime: time.Duration(t.ComputeNS),
-		MessagingTime:   time.Duration(t.MessagingNS),
-		BarrierTime:     time.Duration(t.BarrierNS),
-	}
-}
-
-// End closes the run's ledger: its Metrics with the makespan, and the run_end
-// event that reports them.
-func (b *Barrier) End(makespan time.Duration) (*Metrics, obs.RunEnd) {
-	m := b.Metrics()
-	m.Makespan, m.MaxMakespan = makespan, makespan
-	t := b.state.Totals
-	return m, obs.RunEnd{Supersteps: t.Supersteps, Totals: t.Totals,
+	return obs.RunEnd{Supersteps: t.Supersteps, Totals: t.Totals,
 		Checkpoints: b.checkpoints, Recoveries: b.recoveries,
 		MakespanNS: int64(makespan), Halted: b.halted}
 }

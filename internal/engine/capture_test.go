@@ -52,20 +52,13 @@ func captureGraph(t testing.TB) (*tgraph.Graph, algorithms.Params) {
 	return g, algorithms.Params{Source: e.Src, Target: e.Dst, Iterations: 4}
 }
 
-// program builds a catalog algorithm, or FFM, to run on workers workers with
-// hook as its master.
+// program builds a catalog algorithm to run on workers workers with hook as
+// its master.
 func program(t testing.TB, g *tgraph.Graph, name string, p algorithms.Params, workers int, hook *hookMaster) (core.Program, core.Options) {
 	t.Helper()
-	var prog core.Program
-	var opts core.Options
-	if name == "ffm" {
-		a := &algorithms.FFM{}
-		prog, opts = a, a.Options()
-	} else {
-		var err error
-		if prog, opts, err = algorithms.New(g, name, p); err != nil {
-			t.Fatal(err)
-		}
+	prog, opts, err := algorithms.New(g, name, p)
+	if err != nil {
+		t.Fatal(err)
 	}
 	opts.NumWorkers = workers
 	if hook != nil {
@@ -75,14 +68,14 @@ func program(t testing.TB, g *tgraph.Graph, name string, p algorithms.Params, wo
 }
 
 // TestEveryStateCaptures captures every worker of a Run of every catalog
-// algorithm, and of FFM, at a barrier halfway through, with the barrier's
-// state, and rolls a fresh engine back to it: the fresh engine must capture the same bytes straight back and finish
-// in the states of the run the checkpoint came from. The four programs whose
-// states are no payload value — LCC, TC, FFM, SCC — encode them with their
-// core.StateCoder.
+// algorithm at a barrier halfway through, with the barrier's state, and
+// rolls a fresh engine back to it: the fresh engine must capture the same
+// bytes straight back and finish in the states of the run the checkpoint came
+// from. The three programs whose states are no payload value — LCC, TC, SCC
+// — encode them with their core.StateCoder.
 func TestEveryStateCaptures(t *testing.T) {
 	g, p := captureGraph(t)
-	for _, name := range append(algorithms.Names(), "ffm") {
+	for _, name := range algorithms.Names() {
 		t.Run(name, func(t *testing.T) {
 			prog, opts := program(t, g, name, p, 3, nil)
 			plain, err := core.Run(g, prog, opts)

@@ -125,7 +125,7 @@ type Config struct {
 	// /metrics endpoint): Run each superstep's record and its run_end
 	// (obs.EngineSeries), both drivers the pool gauges; a stepped Shard's
 	// record is its driver's to publish. Nil gives the engine a private
-	// registry. Runs may share one: the Metrics Run returns are its
+	// registry. Runs may share one: the record Run returns is its
 	// barrier's, not the registry's.
 	Registry *obs.Registry
 	// Context, when set, makes the run cancellable: workers stop claiming
@@ -167,7 +167,7 @@ type Engine struct {
 	inline codec.Kind
 
 	// Observability: the registry is a sink for the work executed; the run's
-	// totals, and so its Metrics, are the barrier's. skew is Run's compute
+	// totals, and so its record, are the barrier's. skew is Run's compute
 	// skew across its shards (max/mean ·1000).
 	series *obs.EngineSeries
 	skew   *obs.Gauge
@@ -278,12 +278,13 @@ func (e *Engine) owner(v int32) (wid, slot int) {
 
 // Run executes supersteps until no vertex is active and no messages are in
 // flight (or the master halts, or MaxSupersteps is reached), and returns the
-// run metrics. A failed superstep ends the run with its error: a panic
-// escaping user Program code as a *VertexPanicError, an error reported
-// through Context.Fail, a codec or Transport error as returned. When
+// run's record, the run_end it traces. A failed superstep ends the run with
+// its error: a panic escaping user Program code as a *VertexPanicError, an
+// error reported through Context.Fail, a codec or Transport error as
+// returned. When
 // Config.Context is canceled the run aborts at the next superstep barrier
 // with an error wrapping ErrCanceled, leaving no goroutines behind.
-func (e *Engine) Run() (*Metrics, error) {
+func (e *Engine) Run() (*obs.RunEnd, error) {
 	// Every return below is past a phase barrier: no shard's goroutine is
 	// left to touch a buffer.
 	defer e.releaseBuffers()
@@ -376,13 +377,13 @@ func (e *Engine) Run() (*Metrics, error) {
 			break
 		}
 	}
-	m, end := e.barrier.End(time.Since(start))
+	end := e.barrier.End(time.Since(start))
 	e.series.Publish(end)
 	e.series.SetPools(poolStats())
 	if e.traced {
 		e.tracer.Emit(end)
 	}
-	return m, nil
+	return &end, nil
 }
 
 // fail records the first failure of the current superstep.

@@ -408,21 +408,64 @@ func TestMetricsTimeSplit(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if m.ComputePlusTime <= 0 || m.Makespan <= 0 {
-		t.Errorf("time metrics not populated: %v", m)
+	if m.ComputeNS <= 0 || m.MakespanNS <= 0 {
+		t.Errorf("time metrics not populated: %+v", m)
 	}
-	if m.ComputePlusTime+m.MessagingTime+m.BarrierTime > m.Makespan {
-		t.Errorf("phase times exceed makespan: %v", m)
+	if m.ComputeNS+m.MessagingNS+m.BarrierNS > m.MakespanNS {
+		t.Errorf("phase times exceed makespan: %+v", m)
 	}
-	// Metrics accumulate across Add.
-	var sum Metrics
-	sum.Add(m)
-	sum.Add(m)
-	if sum.Messages != 2*m.Messages || sum.Supersteps != 2*m.Supersteps {
-		t.Errorf("Add accumulation wrong: %v", sum)
+}
+
+// ledger is what a run's record counts, clocks and fault counters aside.
+func ledger(m *obs.RunEnd) [7]int64 {
+	return [7]int64{int64(m.Supersteps), m.ComputeCalls, m.ScatterCalls, m.Messages, m.MessageBytes, m.Delivered, m.Spilled}
+}
+
+// innerRunMaster runs a whole second run, publishing into reg, before
+// superstep 2 of the run it steers.
+type innerRunMaster struct {
+	t   *testing.T
+	reg *obs.Registry
+}
+
+func (m innerRunMaster) BeforeSuperstep(mc *MasterControl) {
+	if mc.Superstep() != 2 {
+		return
 	}
-	if sum.String() == "" {
-		t.Errorf("String should render")
+	e, err := New(6, &distProgram{adj: ring(6), dist: make([]int64, 6)}, Config{NumWorkers: 2, Registry: m.reg})
+	if err == nil {
+		_, err = e.Run()
+	}
+	if err != nil {
+		m.t.Error(err)
+	}
+}
+
+// TestSharedRegistryLeavesMetricsPerRun: runs publishing into one registry —
+// a server's, under concurrent queries — each return their own record,
+// whatever another run adds to the registry while they execute; the
+// registry counts them all.
+func TestSharedRegistryLeavesMetricsPerRun(t *testing.T) {
+	const n = 12
+	run := func(reg *obs.Registry, master Master) *obs.RunEnd {
+		e, err := New(n, &distProgram{adj: ring(n), dist: make([]int64, n)}, Config{NumWorkers: 3, Registry: reg, Master: master})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := e.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	solo := run(nil, nil)
+	reg := obs.NewRegistry()
+	shared := run(reg, innerRunMaster{t, reg})
+	if g, w := ledger(shared), ledger(solo); g != w {
+		t.Errorf("a run sharing its registry counted %v, alone %v", g, w)
+	}
+	if got, want := reg.Counter(obs.CSupersteps).Load(), int64(solo.Supersteps+6+1); got != want {
+		t.Errorf("registry counted %d supersteps, want %d (both runs)", got, want)
 	}
 }
 

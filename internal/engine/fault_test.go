@@ -304,7 +304,7 @@ func TestBarrierRecoveryLedger(t *testing.T) {
 				run(3)
 				run(4)
 				got, err := b.Rewind(5)
-				m := b.Metrics()
+				m := b.End(0)
 				if b.Executed() != 2+2*attempt || m.Checkpoints != 1 {
 					t.Errorf("attempt %d: executed %d, %d checkpoints; want %d and 1",
 						attempt, b.Executed(), m.Checkpoints, 2+2*attempt)
@@ -367,12 +367,12 @@ func TestCheckpointRecoversFromPanic(t *testing.T) {
 }
 
 // TestReplayCountsOnce: a rollback rewinds the barrier's ledger with the
-// shards' captures, so a replayed superstep counts once in Metrics — which
-// equal the fault-free run's — while the barrier's Executed and the registry
+// shards' captures, so a replayed superstep counts once in its record — which
+// equals the fault-free run's — while the barrier's Executed and the registry
 // count every superstep executed.
 func TestReplayCountsOnce(t *testing.T) {
 	const n = 10
-	run := func(panicAt int) (*Metrics, *obs.Registry) {
+	run := func(panicAt int) (*obs.RunEnd, *obs.Registry) {
 		p := newFaultProgram(n)
 		p.panicRunAt = panicAt
 		reg := obs.NewRegistry()

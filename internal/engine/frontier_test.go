@@ -7,6 +7,7 @@ import (
 
 	"graphite/internal/codec"
 	ival "graphite/internal/interval"
+	"graphite/internal/obs"
 )
 
 // TestFrontierTracksFlags pins the frontier/bitmap invariant the compute
@@ -295,7 +296,7 @@ func TestStaleRangeNotDeliveredAgain(t *testing.T) {
 			captures := map[int][]int{}
 			cfg := row.cfg
 			cfg.NumWorkers, cfg.PayloadCodec = 2, codec.Int64{}
-			var m *Metrics
+			var m *obs.RunEnd
 			if row.stepped {
 				m = runStepped(t, 8, p, cfg, 2, func(step int, ss []*Shard) {
 					captures[step] = nil

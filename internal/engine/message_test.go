@@ -13,6 +13,7 @@ import (
 
 	"graphite/internal/codec"
 	ival "graphite/internal/interval"
+	"graphite/internal/obs"
 )
 
 // TestMessageIsWords is the layout the rest rests on: a message is 40 bytes —
@@ -396,7 +397,7 @@ func (anyCodec) Decode(buf []byte) (any, int, error) {
 func TestSpilledPayloadsSurviveEveryMove(t *testing.T) {
 	const n, steps = 7, 4
 	want := wantRelay(n, steps)
-	run := func(t *testing.T, p *relayProgram, cfg Config) *Metrics {
+	run := func(t *testing.T, p *relayProgram, cfg Config) *obs.RunEnd {
 		e, err := New(n, p, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -409,13 +410,13 @@ func TestSpilledPayloadsSurviveEveryMove(t *testing.T) {
 	}
 	cases := []struct {
 		name string
-		run  func(*testing.T, *relayProgram) *Metrics
+		run  func(*testing.T, *relayProgram) *obs.RunEnd
 	}{
-		{"in process", func(t *testing.T, p *relayProgram) *Metrics { return run(t, p, Config{NumWorkers: 3}) }},
-		{"tcp", func(t *testing.T, p *relayProgram) *Metrics {
+		{"in process", func(t *testing.T, p *relayProgram) *obs.RunEnd { return run(t, p, Config{NumWorkers: 3}) }},
+		{"tcp", func(t *testing.T, p *relayProgram) *obs.RunEnd {
 			return run(t, p, Config{NumWorkers: 3, PayloadCodec: anyCodec{}, Transport: tcp(t, 3)})
 		}},
-		{"rollback", func(t *testing.T, p *relayProgram) *Metrics {
+		{"rollback", func(t *testing.T, p *relayProgram) *obs.RunEnd {
 			p.failAt = 3
 			m := runStepped(t, n, p, Config{NumWorkers: 3, PayloadCodec: anyCodec{}}, 2, nil)
 			if m.Recoveries != 1 {

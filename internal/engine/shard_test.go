@@ -252,8 +252,8 @@ func stepShards(t testing.TB, ss []*Shard, phase int) ([]StepReport, error) {
 // failed superstep rewinds the barrier and restores every shard to its
 // capture, which must capture back to the same bytes and hold the frontier
 // the barrier committed, and the run steps on from there. at, when set, sees
-// the shards at every barrier. It returns the barrier's metrics.
-func runStepped(t *testing.T, n int, p Program, cfg Config, commitAt int, at func(step int, ss []*Shard)) *Metrics {
+// the shards at every barrier. It returns the barrier's record.
+func runStepped(t *testing.T, n int, p Program, cfg Config, commitAt int, at func(step int, ss []*Shard)) *obs.RunEnd {
 	t.Helper()
 	b, err := NewBarrier(cfg)
 	if err != nil {
@@ -306,6 +306,6 @@ func runStepped(t *testing.T, n int, p Program, cfg Config, commitAt int, at fun
 			break
 		}
 	}
-	m, _ := b.End(0)
-	return m
+	m := b.End(0)
+	return &m
 }

@@ -82,6 +82,19 @@ func TestIntervalRelations(t *testing.T) {
 	if !a.Intersects(c) || !c.Intersects(b) {
 		t.Errorf("overlapping intervals must intersect")
 	}
+	// Containment intersects both ways, bounded or not: an overlap test that
+	// only asks whether an endpoint of one lies in the other misses the
+	// outer interval.
+	outer, inner := New(0, 10), New(3, 5)
+	if !outer.Intersects(inner) || !inner.Intersects(outer) {
+		t.Errorf("[0,10) and [3,5) must intersect both ways")
+	}
+	if !From(0).Intersects(inner) || !inner.Intersects(From(0)) {
+		t.Errorf("[0,∞) and [3,5) must intersect both ways")
+	}
+	if s := NewSet(outer, New(20, 30)); !s.Intersects(inner) {
+		t.Errorf("%v must intersect [3,5), which its [0,10) contains", s)
+	}
 	if got := a.Intersect(c); got != New(3, 5) {
 		t.Errorf("intersect = %v, want [3,5)", got)
 	}

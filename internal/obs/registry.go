@@ -9,9 +9,10 @@
 // message counts, encoded byte sizes — so the same quantities are what the
 // registry names and the trace events carry. Both come from one record: the
 // barrier's superstep_end (SuperstepEnd), whose fields a JSONL trace carries
-// and EngineSeries.Publish adds to the registry. engine.Metrics is the
-// barrier's ledger, never the registry; a trace is its per-superstep
-// decomposition, and the two reconcile exactly on a fault-free run.
+// and EngineSeries.Publish adds to the registry. The run's record is the
+// barrier's run_end (RunEnd), never the registry; a trace is its
+// per-superstep decomposition, and the two reconcile exactly on a fault-free
+// run.
 package obs
 
 import (

@@ -161,9 +161,12 @@ type Recovery struct {
 // Kind implements Event.
 func (Recovery) Kind() string { return "recovery" }
 
-// RunEnd closes a run with the final totals — the ledger's, as the
-// engine.Metrics the run returns report them — so a trace is
-// self-reconciling.
+// RunEnd closes a run: it is the run's one record, which every driver
+// returns and traces (engine.Barrier.End). Supersteps are those that count
+// toward the result and Totals sums their counts and phase clocks, so a
+// fault-free trace is self-reconciling; Checkpoints and Recoveries are the
+// generations a cluster committed and the rollbacks it took (Engine.Run
+// leaves both zero); MakespanNS is the driver's wall clock.
 type RunEnd struct {
 	Supersteps int `json:"supersteps"`
 	Totals
@@ -171,6 +174,17 @@ type RunEnd struct {
 	Recoveries  int   `json:"recoveries"`
 	MakespanNS  int64 `json:"makespan_ns"`
 	Halted      bool  `json:"halted,omitempty"`
+}
+
+// Add folds o into r, for a baseline that executes one run per snapshot:
+// supersteps, counts, clocks, checkpoints, recoveries and makespans sum.
+// Halted stays r's.
+func (r *RunEnd) Add(o RunEnd) {
+	r.Supersteps += o.Supersteps
+	r.Totals.Add(o.Totals)
+	r.Checkpoints += o.Checkpoints
+	r.Recoveries += o.Recoveries
+	r.MakespanNS += o.MakespanNS
 }
 
 // Kind implements Event.

@@ -29,6 +29,24 @@ func fullStream() []Event {
 	}
 }
 
+// TestRunEndAdd: a baseline that executes one run per snapshot folds their
+// records with Add — every count, clock, supersteps, checkpoints,
+// recoveries and makespan sum, and the receiver keeps its Halted.
+func TestRunEndAdd(t *testing.T) {
+	a := RunEnd{Supersteps: 3, Totals: Totals{ComputeCalls: 1, ScatterCalls: 2, Messages: 3, MessageBytes: 4,
+		Delivered: 5, Spilled: 6, ComputeNS: 7, MessagingNS: 8, BarrierNS: 9},
+		Checkpoints: 1, Recoveries: 2, MakespanNS: 30}
+	var sum RunEnd
+	sum.Add(a)
+	sum.Add(RunEnd{Supersteps: 1, Totals: Totals{Messages: 10, BarrierNS: 1}, Recoveries: 1, MakespanNS: 5, Halted: true})
+	want := RunEnd{Supersteps: 4, Totals: Totals{ComputeCalls: 1, ScatterCalls: 2, Messages: 13, MessageBytes: 4,
+		Delivered: 5, Spilled: 6, ComputeNS: 7, MessagingNS: 8, BarrierNS: 10},
+		Checkpoints: 1, Recoveries: 3, MakespanNS: 35}
+	if sum != want {
+		t.Errorf("folded %+v, want %+v", sum, want)
+	}
+}
+
 func TestRecorderAndMultiTracer(t *testing.T) {
 	var a, b Recorder
 	mt := MultiTracer{&a, &b}

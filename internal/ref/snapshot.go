@@ -303,47 +303,3 @@ func LCCCounts(g *tgraph.Graph, t ival.Time) (counts []int64, degs []int64) {
 	}
 	return counts, degs
 }
-
-// FeedForwardMotifs counts temporal feed-forward triangles: ordered edge
-// instance triples (u→v, v→w, u→w) usable at strictly increasing times
-// t1 < t2 < t3 inside the respective lifespans. Greedy earliest choices
-// decide feasibility exactly because the constraints are monotone.
-func FeedForwardMotifs(g *tgraph.Graph) int64 {
-	var count int64
-	for e1i := 0; e1i < g.NumEdges(); e1i++ {
-		e1 := g.Edge(e1i)
-		u, v := g.SrcIndex(e1i), g.DstIndex(e1i)
-		if u == v {
-			continue
-		}
-		t1 := e1.Lifespan.Start
-		for _, e2ix := range g.OutEdges(v) {
-			e2 := g.Edge(int(e2ix))
-			w := g.DstIndex(int(e2ix))
-			if w == u || w == v {
-				continue
-			}
-			t2 := e2.Lifespan.Start
-			if t1+1 > t2 {
-				t2 = t1 + 1
-			}
-			if t2 >= e2.Lifespan.End {
-				continue
-			}
-			for _, e3ix := range g.OutEdges(u) {
-				if g.DstIndex(int(e3ix)) != w {
-					continue
-				}
-				e3 := g.Edge(int(e3ix))
-				t3 := e3.Lifespan.Start
-				if t2+1 > t3 {
-					t3 = t2 + 1
-				}
-				if t3 < e3.Lifespan.End {
-					count++
-				}
-			}
-		}
-	}
-	return count
-}

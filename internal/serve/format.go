@@ -80,7 +80,7 @@ func buildResult(p *prepared, r *core.Result) *RunResult {
 			ScatterCalls:    r.Metrics.ScatterCalls,
 			Messages:        r.Metrics.Messages,
 			MessageBytes:    r.Metrics.MessageBytes,
-			MakespanNS:      int64(r.Metrics.Makespan),
+			MakespanNS:      r.Metrics.MakespanNS,
 			WarpCalls:       r.Stats.WarpCalls,
 			WarpSuppressed:  r.Stats.WarpSuppressed,
 			ActiveIntervals: r.Stats.ActiveIntervals,

@@ -10,6 +10,7 @@ import (
 	"graphite/internal/codec"
 	"graphite/internal/engine"
 	ival "graphite/internal/interval"
+	"graphite/internal/obs"
 	"graphite/internal/tgraph"
 )
 
@@ -71,7 +72,7 @@ type Options struct {
 
 // Result holds the per-vertex final states of one snapshot run.
 type Result struct {
-	Metrics *engine.Metrics
+	Metrics *obs.RunEnd
 	states  []any
 }
 
