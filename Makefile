@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test test-count vet fmt-check race verify docs-check bench-test bench-counts bench-core fuzz bench trace-smoke serve-smoke cluster-smoke metrics-smoke stream-smoke load-smoke clean
+.PHONY: all build test test-count vet fmt-check race verify docs-check bench-test bench-counts bench-core fuzz bench trace-smoke serve-smoke platforms-smoke cluster-smoke metrics-smoke stream-smoke load-smoke clean
 
 all: verify
 
@@ -211,6 +211,17 @@ trace-smoke:
 # goroutines; a cache that stops storing fails the confirm pass.
 serve-smoke:
 	$(GO) test -race -count=1 -run '^(TestConcurrentIdenticalRequestsExecuteOnce|TestRunBodyGolden|TestExecuteResultDoesNotAliasCache|TestWorkerCountIsPartOfTheCacheKey)$$' ./internal/serve/
+
+# Cross-platform smoke test: graphite-bench's verify experiment runs the 12
+# algorithms on GRAPHITE and on the four baselines and checks every answer
+# against the reference oracles, over the Table 1 datasets at scale 0.05 and
+# then over a .gsn snapshot graphite-datagen writes; a mismatch exits
+# non-zero.
+platforms-smoke:
+	$(GO) run ./cmd/graphite-bench -scale 0.05 verify
+	@set -e; dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
+	$(GO) run ./cmd/graphite-datagen -out "$$dir" -scale 0.05 -format snapshot twitter > /dev/null; \
+	$(GO) run ./cmd/graphite-bench -graph "$$dir/twitter.gsn" verify
 
 # End-to-end cluster recovery smoke test: the multi-process cluster runtime
 # (coordinator + worker processes) with an SSSP worker SIGKILLed at each

@@ -6,7 +6,11 @@
 //	graphite-bench [flags] <experiment>...
 //
 // Experiments: table1, table2, fig4, fig5, fig6a, fig6b, fig6c, fig7,
-// msgsize, loc, all.
+// msgsize, loc, all; and verify, which "all" leaves out: it runs every
+// algorithm on every platform that can run it — over the Table 1 datasets,
+// or over the graph file -graph names — and checks each answer against the
+// reference oracles (Sec. VII-B1: all platforms give identical results); it
+// prints the grid and exits non-zero on a mismatch.
 //
 // With -trace, every ICM run in the selected experiments appends its
 // per-superstep event stream to one JSONL file (render with graphite-trace);
@@ -17,12 +21,14 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
 	"graphite/internal/bench"
 	"graphite/internal/gen"
 	"graphite/internal/obs"
+	"graphite/internal/tgraph"
 )
 
 func main() {
@@ -32,14 +38,15 @@ func main() {
 		batch     = flag.Int("batch", 6, "Chlonos snapshots per batch")
 		prIters   = flag.Int("pr-iters", 10, "PageRank iterations")
 		seed      = flag.Int64("seed", 42, "dataset generator seed")
-		algos     = flag.String("algos", "", "comma-separated algorithm subset for table2/fig4/fig5 (default: all 12)")
+		algos     = flag.String("algos", "", "comma-separated algorithm subset for table2/fig4/fig5/verify (default: all 12)")
+		graphPath = flag.String("graph", "", "verify this temporal graph file instead of the Table 1 datasets")
 		tracePath = flag.String("trace", "", "append every ICM run's JSONL trace to this file")
 		pprofAddr = flag.String("pprof", "", "serve /metrics and /debug/pprof on this address")
 		verbose   = flag.Bool("v", false, "verbose (debug-level) logging")
 	)
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: graphite-bench [flags] <experiment>...\n")
-		fmt.Fprintf(os.Stderr, "experiments: %s\n\n", experiments)
+		fmt.Fprintf(os.Stderr, "experiments: %s verify\n\n", experiments)
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -84,7 +91,7 @@ func main() {
 
 	for _, exp := range flag.Args() {
 		log.Debug("experiment start", "exp", exp)
-		if err := run(cfg, exp, selected); err != nil {
+		if err := run(cfg, exp, selected, *graphPath); err != nil {
 			log.Error("experiment failed", "exp", exp, "err", err)
 			os.Exit(1)
 		}
@@ -119,13 +126,13 @@ func getMatrix(cfg bench.Config, algos []bench.Algo) ([]bench.Cell, error) {
 	return matrix, err
 }
 
-func run(cfg bench.Config, exp string, algos []bench.Algo) error {
+func run(cfg bench.Config, exp string, algos []bench.Algo, graphPath string) error {
 	w := os.Stdout
 	switch exp {
 	case "all":
 		names := strings.Fields(experiments)
 		for _, e := range names[:len(names)-1] {
-			if err := run(cfg, e, algos); err != nil {
+			if err := run(cfg, e, algos, graphPath); err != nil {
 				return err
 			}
 			fmt.Println()
@@ -191,8 +198,48 @@ func run(cfg bench.Config, exp string, algos []bench.Algo) error {
 			return err
 		}
 		bench.RenderLoC(w, rows)
+	case "verify":
+		return verify(w, cfg, algos, graphPath)
 	default:
-		return fmt.Errorf("unknown experiment (try: %s)", experiments)
+		return fmt.Errorf("unknown experiment (try: %s verify)", experiments)
 	}
+	return nil
+}
+
+// verify checks the platform table on the graph file, or on every Table 1
+// dataset, and fails when a cell disagrees with its oracle.
+func verify(w io.Writer, cfg bench.Config, algos []bench.Algo, graphPath string) error {
+	var ds []bench.Dataset
+	if graphPath != "" {
+		// OpenAnyFile maps .gsn snapshots instead of parsing them; the
+		// mapping lives until process exit.
+		m, err := tgraph.OpenAnyFile(graphPath)
+		if err != nil {
+			return err
+		}
+		ds = []bench.Dataset{{Profile: gen.Profile{Name: graphPath}, Graph: m.Graph}}
+	} else {
+		var err error
+		if ds, err = bench.Datasets(cfg); err != nil {
+			return err
+		}
+	}
+	failed := 0
+	for _, d := range ds {
+		checks, err := bench.Verify(d.Graph, cfg, algos...)
+		if err != nil {
+			return err
+		}
+		bench.RenderVerify(w, d.Profile.Name, checks)
+		for _, c := range checks {
+			if !c.Passed() {
+				failed++
+			}
+		}
+	}
+	if failed > 0 {
+		return fmt.Errorf("%d cells disagree with the oracles", failed)
+	}
+	fmt.Fprintln(w, "all platforms agree with the oracles")
 	return nil
 }

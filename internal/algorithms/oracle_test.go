@@ -6,7 +6,6 @@ import (
 	"graphite/internal/core"
 	"graphite/internal/gen"
 	ival "graphite/internal/interval"
-	"graphite/internal/ref"
 	"graphite/internal/tgraph"
 )
 
@@ -46,299 +45,6 @@ func stateAt(r *core.Result, v int, t ival.Time, dflt int64) int64 {
 		return n
 	}
 	return dflt
-}
-
-func TestBFSMatchesSnapshotOracle(t *testing.T) {
-	for gi, g := range tinyGraphs(t) {
-		source := g.VertexAt(0).ID
-		r, err := RunBFS(g, source, 4)
-		if err != nil {
-			t.Fatalf("graph %d: RunBFS: %v", gi, err)
-		}
-		for ts := g.Lifespan().Start; ts < g.Horizon(); ts++ {
-			want := ref.BFSLevels(g, ts, source)
-			for v := 0; v < g.NumVertices(); v++ {
-				got := stateAt(r, v, ts, Unreachable)
-				if got != want[v] {
-					t.Fatalf("graph %d t=%d vertex %d: BFS level %d, oracle %d", gi, ts, v, got, want[v])
-				}
-			}
-		}
-	}
-}
-
-func TestWCCMatchesSnapshotOracle(t *testing.T) {
-	for gi, g := range tinyGraphs(t) {
-		r, err := RunWCC(g, 4)
-		if err != nil {
-			t.Fatalf("graph %d: RunWCC: %v", gi, err)
-		}
-		for ts := g.Lifespan().Start; ts < g.Horizon(); ts++ {
-			want := ref.WCCLabels(g, ts)
-			for v := 0; v < g.NumVertices(); v++ {
-				got := stateAt(r, v, ts, ref.Unreachable)
-				if got != want[v] {
-					t.Fatalf("graph %d t=%d vertex %d: WCC label %d, oracle %d", gi, ts, v, got, want[v])
-				}
-			}
-		}
-	}
-}
-
-func TestSCCMatchesSnapshotOracle(t *testing.T) {
-	for gi, g := range tinyGraphs(t) {
-		r, err := RunSCC(g, 4)
-		if err != nil {
-			t.Fatalf("graph %d: RunSCC: %v", gi, err)
-		}
-		for ts := g.Lifespan().Start; ts < g.Horizon(); ts++ {
-			want := ref.SCCLabels(g, ts)
-			for v := 0; v < g.NumVertices(); v++ {
-				got := int64(-1)
-				if x, ok := r.State(v).Get(ts); ok {
-					if s, ok := x.(interface{ component() int64 }); ok {
-						got = s.component()
-					}
-				}
-				_ = got
-				labels := SCCLabels(r, g.VertexAt(v).ID)
-				got = -1
-				for _, l := range labels {
-					if l.Interval.Contains(ts) {
-						got = l.Value
-					}
-				}
-				if got != want[v] && !(want[v] == -1 && got == -1) {
-					t.Fatalf("graph %d t=%d vertex %d: SCC label %d, oracle %d", gi, ts, v, got, want[v])
-				}
-			}
-		}
-	}
-}
-
-func TestPageRankMatchesSnapshotOracle(t *testing.T) {
-	const iters = 5
-	for gi, g := range tinyGraphs(t) {
-		r, err := RunPageRank(g, iters, 4)
-		if err != nil {
-			t.Fatalf("graph %d: RunPageRank: %v", gi, err)
-		}
-		for ts := g.Lifespan().Start; ts < g.Horizon(); ts++ {
-			want := ref.PageRank(g, ts, iters, 0.85)
-			for v := 0; v < g.NumVertices(); v++ {
-				if !g.VertexAt(v).Lifespan.Contains(ts) {
-					continue
-				}
-				x, ok := r.State(v).Get(ts)
-				if !ok {
-					t.Fatalf("graph %d t=%d vertex %d: no rank state", gi, ts, v)
-				}
-				got := x.(float64)
-				if diff := got - want[v]; diff > 1e-9 || diff < -1e-9 {
-					t.Fatalf("graph %d t=%d vertex %d: rank %g, oracle %g", gi, ts, v, got, want[v])
-				}
-			}
-		}
-	}
-}
-
-func TestSSSPMatchesTemporalOracle(t *testing.T) {
-	for gi, g := range tinyGraphs(t) {
-		source := g.VertexAt(0).ID
-		r, err := RunSSSP(g, source, 0, 4)
-		if err != nil {
-			t.Fatalf("graph %d: RunSSSP: %v", gi, err)
-		}
-		d := ref.SSSP(g, source, 0)
-		for v := 0; v < g.NumVertices(); v++ {
-			for ts := ival.Time(0); ts < d.Tmax; ts++ {
-				if !g.VertexAt(v).Lifespan.Contains(ts) {
-					continue
-				}
-				got := stateAt(r, v, ts, Unreachable)
-				if got != d.Cost[v][ts] {
-					t.Fatalf("graph %d vertex %d t=%d: cost %d, oracle %d", gi, v, ts, got, d.Cost[v][ts])
-				}
-			}
-		}
-	}
-}
-
-func TestEATMatchesTemporalOracle(t *testing.T) {
-	for gi, g := range tinyGraphs(t) {
-		source := g.VertexAt(0).ID
-		r, err := RunEAT(g, source, 0, 4)
-		if err != nil {
-			t.Fatalf("graph %d: RunEAT: %v", gi, err)
-		}
-		want := ref.EAT(g, source, 0)
-		for v := 0; v < g.NumVertices(); v++ {
-			got := EarliestArrival(r, g.VertexAt(v).ID)
-			if got != want[v] {
-				t.Fatalf("graph %d vertex %d: EAT %d, oracle %d", gi, v, got, want[v])
-			}
-		}
-	}
-}
-
-func TestRHMatchesTemporalOracle(t *testing.T) {
-	for gi, g := range tinyGraphs(t) {
-		source := g.VertexAt(0).ID
-		r, err := RunRH(g, source, 0, 4)
-		if err != nil {
-			t.Fatalf("graph %d: RunRH: %v", gi, err)
-		}
-		want := ref.Reachable(g, source, 0)
-		for v := 0; v < g.NumVertices(); v++ {
-			if got := Reachable(r, g.VertexAt(v).ID); got != want[v] {
-				t.Fatalf("graph %d vertex %d: reachable %v, oracle %v", gi, v, got, want[v])
-			}
-		}
-	}
-}
-
-func TestFASTMatchesTemporalOracle(t *testing.T) {
-	for gi, g := range tinyGraphs(t) {
-		source := g.VertexAt(0).ID
-		r, err := RunFAST(g, source, 0, 4)
-		if err != nil {
-			t.Fatalf("graph %d: RunFAST: %v", gi, err)
-		}
-		want := ref.Fastest(g, source, 0)
-		for v := 0; v < g.NumVertices(); v++ {
-			got := FastestDuration(r, g.VertexAt(v).ID)
-			if got != want[v] {
-				t.Fatalf("graph %d vertex %d: duration %d, oracle %d", gi, v, got, want[v])
-			}
-		}
-	}
-}
-
-func TestLDMatchesTemporalOracle(t *testing.T) {
-	for gi, g := range tinyGraphs(t) {
-		target := g.VertexAt(g.NumVertices() - 1).ID
-		deadline := g.Horizon()
-		r, err := RunLD(g, target, deadline, 4)
-		if err != nil {
-			t.Fatalf("graph %d: RunLD: %v", gi, err)
-		}
-		want := ref.LatestDeparture(g, target, deadline)
-		for v := 0; v < g.NumVertices(); v++ {
-			got := LatestDeparture(r, g.VertexAt(v).ID)
-			if got != want[v] {
-				t.Fatalf("graph %d vertex %d: LD %d, oracle %d", gi, v, got, want[v])
-			}
-		}
-	}
-}
-
-func TestTMSTIsAValidEarliestArrivalTree(t *testing.T) {
-	for gi, g := range tinyGraphs(t) {
-		source := g.VertexAt(0).ID
-		r, err := RunTMST(g, source, 0, 4)
-		if err != nil {
-			t.Fatalf("graph %d: RunTMST: %v", gi, err)
-		}
-		eat := ref.EAT(g, source, 0)
-		tree := TMSTTree(r)
-		inTree := map[tgraph.VertexID]TreeEdge{}
-		for _, te := range tree {
-			inTree[te.Vertex] = te
-		}
-		for v := 0; v < g.NumVertices(); v++ {
-			id := g.VertexAt(v).ID
-			if id == source {
-				continue
-			}
-			te, ok := inTree[id]
-			if eat[v] == ref.Unreachable {
-				if ok {
-					t.Fatalf("graph %d: unreachable vertex %d in tree", gi, id)
-				}
-				continue
-			}
-			if !ok {
-				t.Fatalf("graph %d: reachable vertex %d missing from tree", gi, id)
-			}
-			if te.Arrival != eat[v] {
-				t.Fatalf("graph %d vertex %d: tree arrival %d, oracle EAT %d", gi, id, te.Arrival, eat[v])
-			}
-			// The parent hop must be feasible: departing the parent at some
-			// d >= EAT(parent) over an alive edge arrives exactly at Arrival.
-			pi := g.IndexOf(te.Parent)
-			if pi < 0 || eat[pi] == ref.Unreachable {
-				t.Fatalf("graph %d vertex %d: parent %d unreachable", gi, id, te.Parent)
-			}
-			feasible := false
-			for _, ei := range g.OutEdges(pi) {
-				e := g.Edge(int(ei))
-				if e.Dst != id {
-					continue
-				}
-				for d := e.Lifespan.Start; d < e.Lifespan.End; d++ {
-					tt, _, ok := travelProps(e, d)
-					if ok && d >= eat[pi] && d+tt == te.Arrival {
-						feasible = true
-					}
-				}
-			}
-			if !feasible {
-				t.Fatalf("graph %d vertex %d: no feasible parent hop from %d arriving at %d",
-					gi, id, te.Parent, te.Arrival)
-			}
-		}
-	}
-}
-
-func TestTCMatchesSnapshotOracle(t *testing.T) {
-	for gi, g := range tinyGraphs(t) {
-		r, err := RunTC(g, 4)
-		if err != nil {
-			t.Fatalf("graph %d: RunTC: %v", gi, err)
-		}
-		for ts := g.Lifespan().Start; ts < g.Horizon(); ts++ {
-			want := ref.Closures(g, ts)
-			var wantTotal int64
-			for v := 0; v < g.NumVertices(); v++ {
-				wantTotal += want[v]
-				var got int64
-				if x, ok := r.State(v).Get(ts); ok {
-					if s, ok := x.(tcVal); ok {
-						got = s.Count
-					}
-				}
-				if got != want[v] {
-					t.Fatalf("graph %d t=%d vertex %d: closures %d, oracle %d", gi, ts, v, got, want[v])
-				}
-			}
-			if got := TriangleTotal(r, ts); got != wantTotal/3 {
-				t.Fatalf("graph %d t=%d: triangles %d, oracle %d", gi, ts, got, wantTotal/3)
-			}
-		}
-	}
-}
-
-func TestLCCMatchesSnapshotOracle(t *testing.T) {
-	for gi, g := range tinyGraphs(t) {
-		r, err := RunLCC(g, 4)
-		if err != nil {
-			t.Fatalf("graph %d: RunLCC: %v", gi, err)
-		}
-		for ts := g.Lifespan().Start; ts < g.Horizon(); ts++ {
-			counts, degs := ref.LCCCounts(g, ts)
-			for v := 0; v < g.NumVertices(); v++ {
-				want := 0.0
-				if degs[v] >= 2 && counts[v] > 0 {
-					want = float64(counts[v]) / float64(degs[v]*(degs[v]-1))
-				}
-				got := Coefficient(r, g.VertexAt(v).ID, ts)
-				if diff := got - want; diff > 1e-12 || diff < -1e-12 {
-					t.Fatalf("graph %d t=%d vertex %d: lcc %g, oracle %g (count %d deg %d)",
-						gi, ts, v, got, want, counts[v], degs[v])
-				}
-			}
-		}
-	}
 }
 
 // TestICMMessagesFewerOnLongLifespans checks the paper's core performance

@@ -168,27 +168,3 @@ func RunPageRank(g *tgraph.Graph, iterations int, workers int) (*core.Result, er
 	opts.NumWorkers = workers
 	return core.Run(g, a, opts)
 }
-
-// Ranks decodes a vertex's per-interval PageRank.
-func Ranks(r *core.Result, id tgraph.VertexID) []struct {
-	Interval ival.Interval
-	Rank     float64
-} {
-	st := r.StateByID(id)
-	if st == nil {
-		return nil
-	}
-	var out []struct {
-		Interval ival.Interval
-		Rank     float64
-	}
-	for _, p := range st.Parts() {
-		if f, ok := p.Value.(float64); ok {
-			out = append(out, struct {
-				Interval ival.Interval
-				Rank     float64
-			}{p.Interval, f})
-		}
-	}
-	return out
-}

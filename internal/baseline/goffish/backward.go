@@ -93,6 +93,7 @@ func RunLD(g *tgraph.Graph, target tgraph.VertexID, deadline ival.Time, workers 
 		}
 		res.Metrics.ComputeCalls += calls
 		res.Metrics.Messages += messages
+		res.Metrics.Delivered += messages
 		res.Metrics.MessageBytes += bytes
 		res.Metrics.ComputeNS += int64(time.Since(t0))
 	}

@@ -130,6 +130,7 @@ func runClustering(g *tgraph.Graph, workers int, lcc bool) (*ClusteringResult, e
 		res.Degs[t] = degs
 		res.Metrics.ComputeCalls += calls
 		res.Metrics.Messages += messages
+		res.Metrics.Delivered += messages
 		res.Metrics.MessageBytes += bytes
 		res.Metrics.ComputeNS += int64(time.Since(t0))
 	}

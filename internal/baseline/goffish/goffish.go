@@ -17,6 +17,12 @@ import (
 )
 
 // Result holds the per-vertex final states and the accumulated metrics.
+//
+// GoFFish folds no message on its way: a run counts a message delivered when
+// it hands it on, the forward march when it queues an emission for the
+// snapshot it lands in, LD and the clustering protocol when they count it
+// sent. So Delivered equals Messages wherever every emission lands before
+// the march ends.
 type Result struct {
 	Graph   *tgraph.Graph
 	Metrics obs.RunEnd
@@ -179,6 +185,7 @@ func RunForward(g *tgraph.Graph, logic PathLogic, workers int) (*Result, error) 
 		for _, em := range emits {
 			if em.at < endT {
 				future[em.at] = append(future[em.at], em.msg)
+				res.Metrics.Delivered++
 			}
 		}
 		res.Metrics.Messages += messages

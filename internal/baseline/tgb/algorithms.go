@@ -76,12 +76,16 @@ func (r *PathResult) LatestReached(v int) int64 {
 	return -1
 }
 
-// Parent returns the via-vertex at v's earliest reached replica (TMST).
+// Parent returns the id of the via-vertex at v's earliest reached replica
+// (TMST), or -1.
 func (r *PathResult) Parent(v int) int64 {
 	lo, hi := r.replicasOf(v)
 	for i := lo; i < hi; i++ {
 		if r.dist[i] != unreachable {
-			return r.via[i]
+			if r.via[i] < 0 {
+				return -1
+			}
+			return int64(r.Graph.VertexAt(int(r.via[i])).ID)
 		}
 	}
 	return -1

@@ -78,7 +78,7 @@ type minDistProgram struct {
 	s     *Static
 	seeds map[int]int64 // replica index -> initial distance
 	dist  []int64
-	via   []int64 // graph vertex id of the hop that first set the distance
+	via   []int64 // dense index of the hop's origin that first set the distance
 }
 
 const unreachable = int64(1) << 62

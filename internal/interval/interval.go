@@ -167,9 +167,6 @@ func (iv Interval) Translate(delta Time) Interval {
 	return Interval{Start: SatAdd(iv.Start, delta), End: SatAdd(iv.End, delta)}
 }
 
-// Clamp returns iv clipped to bounds.
-func (iv Interval) Clamp(bounds Interval) Interval { return iv.Intersect(bounds) }
-
 // String renders the interval in the paper's [s, e) notation, using ∞ for
 // unbounded ends: Append into a stack buffer, one allocation.
 func (iv Interval) String() string {

@@ -43,13 +43,6 @@ func (s *Set) Add(iv Interval) {
 	s.ivs = out
 }
 
-// AddSet inserts every interval of other.
-func (s *Set) AddSet(other Set) {
-	for _, iv := range other.ivs {
-		s.Add(iv)
-	}
-}
-
 // Contains reports whether time-point t is in the set.
 func (s Set) Contains(t Time) bool {
 	i := sort.Search(len(s.ivs), func(k int) bool { return s.ivs[k].End > t })

@@ -66,8 +66,7 @@ type VertexResult struct {
 	Parts []StatePart `json:"parts,omitempty"`
 }
 
-// RunMetrics summarizes a run for the response; the full breakdown is
-// available by attaching a tracer via Config.RunTracer.
+// RunMetrics summarizes a run for the response.
 type RunMetrics struct {
 	Supersteps      int   `json:"supersteps"`
 	ComputeCalls    int64 `json:"compute_calls"`

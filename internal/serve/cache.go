@@ -5,62 +5,75 @@ import (
 	"sync"
 )
 
-// resultCache is a fingerprint-keyed LRU over finished run results. Entries
-// are immutable once inserted (responses hand out shallow copies), so a hit
-// is a pointer read under a short lock — overlapping and repeated requests
-// are answered without re-running BSP.
-type resultCache struct {
+// lru is a mutex-guarded map that keeps its max most recently used entries;
+// max <= 0 disables it (every get misses, every put is dropped). The result
+// cache maps a fingerprint to a finished run's result — entries are
+// immutable once inserted (responses hand out shallow copies), so a hit is a
+// pointer read under a short lock and overlapping and repeated requests are
+// answered without re-running BSP. The seed cache is one too.
+type lru[K comparable, V any] struct {
 	mu    sync.Mutex
 	max   int
-	ll    *list.List // front = most recently used
-	items map[string]*list.Element
+	ll    *list.List // of *lruEntry; front = most recently used
+	items map[K]*list.Element
 }
 
-type cacheEntry struct {
-	key string
-	res *RunResult
+type lruEntry[K comparable, V any] struct {
+	key K
+	val V
 }
 
-// newResultCache returns an LRU holding at most max entries; max <= 0
-// disables caching (every get misses, every put is dropped).
-func newResultCache(max int) *resultCache {
-	return &resultCache{max: max, ll: list.New(), items: map[string]*list.Element{}}
+func newLRU[K comparable, V any](max int) *lru[K, V] {
+	return &lru[K, V]{max: max, ll: list.New(), items: map[K]*list.Element{}}
 }
 
-func (c *resultCache) get(key string) (*RunResult, bool) {
+// get returns the key's value, when accept (nil: any) takes it, and marks
+// it most recently used.
+func (c *lru[K, V]) get(key K, accept func(V) bool) (V, bool) {
+	var zero V
 	if c.max <= 0 {
-		return nil, false
+		return zero, false
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.items[key]
 	if !ok {
-		return nil, false
+		return zero, false
+	}
+	e := el.Value.(*lruEntry[K, V])
+	if accept != nil && !accept(e.val) {
+		return zero, false
 	}
 	c.ll.MoveToFront(el)
-	return el.Value.(*cacheEntry).res, true
+	return e.val, true
 }
 
-func (c *resultCache) put(key string, res *RunResult) {
+// put stores the key's value and marks it most recently used. A value
+// already held is replaced when replace (nil: always) takes the old one;
+// past max entries the least recently used goes.
+func (c *lru[K, V]) put(key K, val V, replace func(old V) bool) {
 	if c.max <= 0 {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {
+		e := el.Value.(*lruEntry[K, V])
+		if replace == nil || replace(e.val) {
+			e.val = val
+		}
 		c.ll.MoveToFront(el)
-		el.Value.(*cacheEntry).res = res
 		return
 	}
-	c.items[key] = c.ll.PushFront(&cacheEntry{key: key, res: res})
+	c.items[key] = c.ll.PushFront(&lruEntry[K, V]{key: key, val: val})
 	if c.ll.Len() > c.max {
 		oldest := c.ll.Back()
 		c.ll.Remove(oldest)
-		delete(c.items, oldest.Value.(*cacheEntry).key)
+		delete(c.items, oldest.Value.(*lruEntry[K, V]).key)
 	}
 }
 
-func (c *resultCache) len() int {
+func (c *lru[K, V]) len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.ll.Len()

@@ -15,8 +15,7 @@ import (
 // Handler returns the server's HTTP API:
 //
 //	GET    /healthz        liveness: 200 while the process serves at all
-//	GET    /readyz         readiness: 503 while draining or while the
-//	                       Config.Ready hook reports not-ready
+//	GET    /readyz         readiness: 503 while draining
 //	GET    /v1/graphs      the loaded graphs
 //	POST   /v1/run         run an algorithm (sync, or async with a job id)
 //	GET    /v1/jobs        list async jobs
@@ -125,23 +124,13 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleReadyz is readiness: 503 once draining (stop routing new work
-// here) and 503 while the configured Ready hook objects — the seam a
-// cluster coordinator uses to gate traffic on worker quorum.
+// here).
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	status, code, reason := "ready", http.StatusOK, ""
-	switch {
-	case s.Draining():
-		status, code, reason = "draining", http.StatusServiceUnavailable, "server draining"
-	case s.cfg.Ready != nil:
-		if err := s.cfg.Ready(); err != nil {
-			status, code, reason = "not_ready", http.StatusServiceUnavailable, err.Error()
-		}
+	if s.Draining() {
+		writeJSON(w, http.StatusServiceUnavailable, map[string]any{"status": "draining", "reason": "server draining"})
+		return
 	}
-	body := map[string]any{"status": status}
-	if reason != "" {
-		body["reason"] = reason
-	}
-	writeJSON(w, code, body)
+	writeJSON(w, http.StatusOK, map[string]any{"status": "ready"})
 }
 
 func (s *Server) handleGraphs(w http.ResponseWriter, r *http.Request) {

@@ -1,9 +1,6 @@
 package serve
 
 import (
-	"container/list"
-	"sync"
-
 	"graphite/internal/core"
 	ival "graphite/internal/interval"
 )
@@ -16,12 +13,7 @@ import (
 // window start; the window end and the graph's effective epoch ride in the
 // entry and are checked at use time, because an extension needs end < newEnd
 // and an unchanged graph below end.
-type seedCache struct {
-	mu    sync.Mutex
-	max   int
-	ll    *list.List // front = most recently used
-	items map[seedKey]*list.Element
-}
+type seedCache struct{ *lru[seedKey, *seedEntry] }
 
 type seedKey struct {
 	graph  string
@@ -43,27 +35,13 @@ type seedEntry struct {
 }
 
 func newSeedCache(max int) *seedCache {
-	return &seedCache{max: max, ll: list.New(), items: map[seedKey]*list.Element{}}
+	return &seedCache{newLRU[seedKey, *seedEntry](max)}
 }
 
 // lookup returns the retained run for the key if it is a strict prefix of a
 // window ending at end — the extension relation seeding requires.
 func (c *seedCache) lookup(key seedKey, end ival.Time) (*seedEntry, bool) {
-	if c.max <= 0 {
-		return nil, false
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.items[key]
-	if !ok {
-		return nil, false
-	}
-	e := el.Value.(*seedEntry)
-	if e.end >= end {
-		return nil, false
-	}
-	c.ll.MoveToFront(el)
-	return e, true
+	return c.get(key, func(e *seedEntry) bool { return e.end < end })
 }
 
 // put retains a run's terminal states. An existing entry for the key is
@@ -71,29 +49,5 @@ func (c *seedCache) lookup(key seedKey, end ival.Time) (*seedEntry, bool) {
 // seeds more future extensions) or when the graph version moved (the old
 // entry would fail its validity check anyway).
 func (c *seedCache) put(e *seedEntry) {
-	if c.max <= 0 {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.items[e.key]; ok {
-		old := el.Value.(*seedEntry)
-		if e.end >= old.end || e.eff != old.eff {
-			el.Value = e
-		}
-		c.ll.MoveToFront(el)
-		return
-	}
-	c.items[e.key] = c.ll.PushFront(e)
-	if c.ll.Len() > c.max {
-		oldest := c.ll.Back()
-		c.ll.Remove(oldest)
-		delete(c.items, oldest.Value.(*seedEntry).key)
-	}
-}
-
-func (c *seedCache) len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
+	c.lru.put(e.key, e, func(old *seedEntry) bool { return e.end >= old.end || e.eff != old.eff })
 }

@@ -120,17 +120,6 @@ type Config struct {
 	Workers int
 	// Registry receives the serving-layer metrics; nil creates a private one.
 	Registry *obs.Registry
-	// RunTracer, when set, is invoked once per executed (non-cached,
-	// non-deduped) run and may return a tracer to attach to it — the seam for
-	// per-run JSONL traces or sampling. span is the run-scoped span ID the
-	// run will carry (minted at admission unless the client sent one), so
-	// trace sinks can be named by it. Returning nil leaves the run untraced.
-	RunTracer func(graph, algo, fingerprint, span string) obs.Tracer
-	// Ready, when set, gates readiness beyond draining: a non-nil error
-	// marks the server not ready (503 on /readyz, with the error as the
-	// reason) without affecting liveness — the seam for fronting a cluster
-	// coordinator that is below worker quorum or mid-recovery.
-	Ready func() error
 }
 
 // Server is a resident temporal graph query service. Create with New, expose
@@ -142,7 +131,7 @@ type Server struct {
 	liveGraphs map[string]*live.Graph
 	names      []string // sorted graph names, static and live
 
-	cache *resultCache
+	cache *lru[string, *RunResult]
 	seeds *seedCache
 	jobs  *jobStore
 
@@ -221,7 +210,7 @@ func New(cfg Config) (*Server, error) {
 		reg:         reg,
 		graphs:      make(map[string]*tgraph.Graph, len(cfg.Graphs)),
 		liveGraphs:  make(map[string]*live.Graph, len(cfg.Live)),
-		cache:       newResultCache(cfg.CacheSize),
+		cache:       newLRU[string, *RunResult](cfg.CacheSize),
 		seeds:       newSeedCache(cfg.CacheSize),
 		flight:      map[string]*call{},
 		maxAdmitted: cfg.MaxConcurrent + cfg.QueueDepth,
@@ -394,7 +383,7 @@ type admission struct {
 // it (which also releases the ticket).
 func (s *Server) begin(p *prepared, noCache bool) (admission, error) {
 	if !noCache {
-		if res, ok := s.cache.get(p.fp); ok {
+		if res, ok := s.cache.get(p.fp, nil); ok {
 			s.m.cacheHits.Inc()
 			return admission{cached: res}, nil
 		}
@@ -423,7 +412,7 @@ func (s *Server) begin(p *prepared, noCache bool) (admission, error) {
 // and hits do: the shared result itself is never handed out.
 func (s *Server) finish(p *prepared, c *call, res *RunResult, err error) (*RunResult, error) {
 	if err == nil && c.owns {
-		s.cache.put(p.fp, res)
+		s.cache.put(p.fp, res, nil)
 		s.m.cacheSize.Set(int64(s.cache.len()))
 	}
 	s.flightMu.Lock()
@@ -622,11 +611,6 @@ func (s *Server) runBSP(ctx context.Context, p *prepared) (*RunResult, error) {
 	opts.Registry = s.reg
 	opts.Context = runCtx
 	opts.Span = p.span
-	if s.cfg.RunTracer != nil {
-		if tr := s.cfg.RunTracer(p.graphName, p.algo, p.fp, p.span); tr != nil {
-			opts.Tracer = tr
-		}
-	}
 
 	start := time.Now()
 	r, err := core.Run(g, prog, opts)

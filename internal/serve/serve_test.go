@@ -12,7 +12,6 @@ import (
 	"slices"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -338,51 +337,6 @@ func TestGracefulDrain(t *testing.T) {
 	}
 	if got := s.Registry().Counter(CRunsCanceled).Load(); got != 0 {
 		t.Fatalf("runs canceled during graceful drain: %d, want 0", got)
-	}
-}
-
-// TestReadinessHook pins the Ready seam: while the hook reports an error the
-// server is alive (/healthz 200) but not ready (/readyz 503 with the hook's
-// reason); when the hook clears, readiness flips to 200 without a restart —
-// the behaviour a coordinator below worker quorum relies on.
-func TestReadinessHook(t *testing.T) {
-	var notReady atomic.Pointer[string]
-	reason := "cluster: 1/3 workers connected"
-	notReady.Store(&reason)
-	_, ts := newTestServer(t, Config{
-		Ready: func() error {
-			if p := notReady.Load(); p != nil {
-				return errors.New(*p)
-			}
-			return nil
-		},
-	})
-
-	if code := getCode(t, ts.URL+"/healthz"); code != http.StatusOK {
-		t.Fatalf("healthz while below quorum: HTTP %d, want 200", code)
-	}
-	resp, err := http.Get(ts.URL + "/readyz")
-	if err != nil {
-		t.Fatalf("readyz: %v", err)
-	}
-	var body map[string]any
-	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
-		t.Fatalf("readyz body: %v", err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("readyz while below quorum: HTTP %d, want 503", resp.StatusCode)
-	}
-	if body["status"] != "not_ready" || body["reason"] != reason {
-		t.Fatalf("readyz body: %+v, want status=not_ready reason=%q", body, reason)
-	}
-
-	notReady.Store(nil)
-	if code := getCode(t, ts.URL+"/readyz"); code != http.StatusOK {
-		t.Fatalf("readyz after quorum restored: HTTP %d, want 200", code)
-	}
-	if code := getCode(t, ts.URL+"/healthz"); code != http.StatusOK {
-		t.Fatalf("healthz after quorum restored: HTTP %d, want 200", code)
 	}
 }
 

@@ -359,12 +359,6 @@ func encodeSnapProps(n int, props func(i int) Props) []byte {
 	return append(buf, payload...)
 }
 
-// WriteSnapshot serializes the graph in the snapshot format.
-func WriteSnapshot(w io.Writer, g *Graph) error {
-	_, err := w.Write(EncodeSnapshot(g, nil))
-	return err
-}
-
 // WriteSnapshotFile serializes the graph to a snapshot (.gsn) file through
 // codec.WriteFile: a graph mapped from path keeps its old bytes.
 func WriteSnapshotFile(path string, g *Graph) error {
