@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test test-count vet fmt-check race verify docs-check bench-test bench-counts bench-core fuzz bench trace-smoke serve-smoke platforms-smoke cluster-smoke metrics-smoke stream-smoke load-smoke clean
+.PHONY: all build test test-count matrix vet fmt-check race verify docs-check bench-test bench-counts bench-core fuzz bench trace-smoke serve-smoke platforms-smoke cluster-smoke metrics-smoke stream-smoke load-smoke clean
 
 all: verify
 
@@ -25,6 +25,13 @@ test-count:
 	@echo "functions $$(grep -rhE '^func (Test|Fuzz|Example)' --include='*_test.go' --exclude-dir=benchmark . | wc -l)"
 	@$(GO) test -count=1 -v ./... | awk '/^--- PASS/ {top++} /--- PASS/ {all++} /^(--- FAIL|FAIL)/ {bad++; print} \
 		END {print "top-level", top; print "total", all; exit bad != 0}'
+
+# The execution-mode matrix (TestWindowViewMatchesSliceOracle), verbose: the
+# per-cell RUN/PASS lines are dropped, leaving the grid of cells run per
+# algorithm and axis with its holes, and any failing cell.
+matrix:
+	@$(GO) test -count=1 -v -run '^TestWindowViewMatchesSliceOracle$$' ./internal/algorithms | \
+		awk '!/^ *(=== (RUN|PAUSE|CONT|NAME)|--- PASS)/ {print} /^(--- FAIL|FAIL)/ {bad++} END {exit bad != 0}'
 
 # Race-checked run of the fault-tolerance, observability and serving
 # surfaces (the kill-9 tests, the cluster simulator, the concurrent registry

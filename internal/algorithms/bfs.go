@@ -57,7 +57,6 @@ func (a *BFS) CombineWarp(x, y codec.Word) codec.Word { return minInt64(x, y) }
 func (a *BFS) Options() core.Options {
 	return core.Options{
 		PayloadCodec: codec.Int64{},
-		Combine:      true,
 	}
 }
 

@@ -67,7 +67,6 @@ func (a *EAT) Options() core.Options {
 	return core.Options{
 		PropLabels:   travelLabels(),
 		PayloadCodec: codec.Int64{},
-		Combine:      true,
 	}
 }
 

@@ -101,7 +101,6 @@ func (a *FAST) Options() core.Options {
 	return core.Options{
 		PropLabels:   travelLabels(),
 		PayloadCodec: codec.Int64{},
-		Combine:      true,
 	}
 }
 

@@ -34,7 +34,6 @@ import (
 	"testing"
 
 	"graphite/internal/algorithms"
-	"graphite/internal/codec"
 	"graphite/internal/core"
 	"graphite/internal/engine"
 	"graphite/internal/gen"
@@ -125,105 +124,11 @@ func goldenEngine(gg goldenGraph, algo string, workers int, tcp bool) (string, e
 	return cellLine(r, "-", "-"), nil
 }
 
-// steppedShards builds the shards of one stepped run and the barrier that
-// closes its supersteps, and returns them with the codec its states travel
-// in.
-func steppedShards(gg goldenGraph, algo string, workers int) ([]*core.Shard, *engine.Barrier, codec.Payload, error) {
-	shards := make([]*core.Shard, workers)
-	var opts core.Options
-	var pc codec.Payload
-	for i := range shards {
-		prog, o, err := algorithms.New(gg.g, algo, gg.p)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		o.NumWorkers = workers
-		if shards[i], err = core.NewShard(gg.g, prog, o, i); err != nil {
-			return nil, nil, nil, err
-		}
-		opts, pc = o, core.StateCodecOf(prog, o)
-	}
-	b, err := core.NewBarrier(opts, 0)
-	return shards, b, pc, err
-}
-
-// stepShards drives shards from their current superstep to the end through
-// b, the way cluster workers and their coordinator do. It returns the run's
-// result, with b's metrics, every cross-shard batch in (superstep, source,
-// destination) order, and the durable capture of each shard taken before
-// superstep ckptAt (nil when the run ends sooner) with the barrier's state at
-// that point — the coordinator's half of a checkpoint generation.
-func stepShards(g *tgraph.Graph, shards []*core.Shard, b *engine.Barrier, pc codec.Payload, ckptAt int) (*core.Result, [][]byte, [][]byte, engine.BarrierState, error) {
-	n := len(shards)
-	var batches, ckpts [][]byte
-	var ctl engine.BarrierState
-	fail := func(err error) (*core.Result, [][]byte, [][]byte, engine.BarrierState, error) {
-		return nil, nil, nil, ctl, err
-	}
-	for step := shards[0].Superstep(); b.Open(step); step++ {
-		outs := make([][][]byte, n)
-		for i, s := range shards {
-			s.SetPhase(b.Phase())
-			if err := s.Compute(); err != nil {
-				return fail(err)
-			}
-			var err error
-			if outs[i], err = s.Outbound(); err != nil {
-				return fail(err)
-			}
-			for d, batch := range outs[i] {
-				if d != i {
-					batches = append(batches, bytes.Clone(batch))
-				}
-			}
-		}
-		for d, s := range shards {
-			var in [][]byte
-			for src := range shards {
-				if src != d {
-					in = append(in, outs[src][d])
-				}
-			}
-			if _, err := s.Deliver(in); err != nil {
-				return fail(err)
-			}
-		}
-		reps := make([]engine.StepReport, n)
-		for i, s := range shards {
-			reps[i] = s.Barrier()
-		}
-		quiesced := b.Close(reps)
-		if step+1 == ckptAt {
-			for _, s := range shards {
-				data, err := s.CaptureDurable()
-				if err != nil {
-					return fail(err)
-				}
-				ckpts = append(ckpts, data)
-			}
-			ctl = b.State()
-		}
-		if quiesced {
-			break
-		}
-	}
-	blobs := make([][]byte, n)
-	for i, s := range shards {
-		var err error
-		if blobs[i], err = s.EncodeOwnedStates(); err != nil {
-			return fail(err)
-		}
-	}
-	m := b.End(0)
-	r, err := core.AssembleResult(g, pc, blobs, &m)
-	return r, batches, ckpts, ctl, err
-}
-
 // goldenStepped runs one stepped cell and returns its line, the captures
 // taken before goldenCkptStep and the barrier's state beside them.
 func goldenStepped(gg goldenGraph, algo string, workers int) (string, [][]byte, engine.BarrierState, error) {
 	var ctl engine.BarrierState
-	shards, b, pc, err := steppedShards(gg, algo, workers)
+	shards, b, pc, err := algorithms.SteppedShards(gg.g, algo, gg.p, workers)
 	if err != nil {
 		return "", nil, ctl, err
 	}
@@ -233,7 +138,7 @@ func goldenStepped(gg goldenGraph, algo string, workers int) (string, [][]byte, 
 			return "", nil, ctl, err
 		}
 	}
-	r, batches, ckpts, ctl, err := stepShards(gg.g, shards, b, pc, goldenCkptStep)
+	r, batches, ckpts, ctl, err := algorithms.StepShards(gg.g, shards, b, pc, goldenCkptStep)
 	if err != nil {
 		return "", nil, ctl, err
 	}
@@ -369,7 +274,7 @@ func TestGoldenCheckpointRestores(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		shards, b, pc, err := steppedShards(gg, algo, workers)
+		shards, b, pc, err := algorithms.SteppedShards(gg.g, algo, gg.p, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -388,7 +293,7 @@ func TestGoldenCheckpointRestores(t *testing.T) {
 			}
 			data = data[k+int(n):]
 		}
-		r, _, _, _, err := stepShards(gg.g, shards, b, pc, 0)
+		r, _, _, _, err := algorithms.StepShards(gg.g, shards, b, pc, 0)
 		if err != nil {
 			t.Fatalf("%s: %v", key, err)
 		}

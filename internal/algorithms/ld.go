@@ -96,7 +96,6 @@ func (a *LD) Options() core.Options {
 		ScatterSlackLabel: tgraph.PropTravelTime,
 		PropLabels:        travelLabels(),
 		PayloadCodec:      codec.Int64{},
-		Combine:           true,
 	}
 }
 

@@ -157,7 +157,6 @@ func (a *PageRank) Options() core.Options {
 		ActivateAll:   true,
 		MaxSupersteps: a.Iterations + 1,
 		PayloadCodec:  codec.Float64{},
-		Combine:       true,
 	}
 }
 

@@ -135,7 +135,7 @@ func TestDeliveredCountsWhatCrosses(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		opts.NumWorkers, opts.Combine = workers, combine
+		opts.NumWorkers, opts.DisableWarpCombiner = workers, !combine
 		rec, reg := &obs.Recorder{}, obs.NewRegistry()
 		opts.Tracer, opts.Registry = rec, reg
 		r, err := core.Run(g, prog, opts)

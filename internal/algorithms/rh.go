@@ -57,7 +57,6 @@ func (a *RH) Options() core.Options {
 	return core.Options{
 		PropLabels:   travelLabels(),
 		PayloadCodec: codec.Int64{},
-		Combine:      true,
 	}
 }
 

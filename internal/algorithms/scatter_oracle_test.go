@@ -270,7 +270,7 @@ func TestScatterStreamMatchesByLabelOracle(t *testing.T) {
 				log := &inboxLog{steps: map[[2]int][]engine.Message{}}
 				opts := a.opts
 				opts.NumWorkers = 1
-				opts.Combine = false
+				opts.DisableWarpCombiner = true
 				opts.WrapProgram = func(p engine.Program) engine.Program {
 					log.inner = p
 					return log

@@ -71,7 +71,6 @@ func (a *SSSP) Options() core.Options {
 	return core.Options{
 		PropLabels:   travelLabels(),
 		PayloadCodec: codec.Int64{},
-		Combine:      true,
 	}
 }
 

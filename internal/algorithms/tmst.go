@@ -80,7 +80,6 @@ func (a *TMST) Options() core.Options {
 	return core.Options{
 		PropLabels:   travelLabels(),
 		PayloadCodec: codec.PairCodec{},
-		Combine:      true,
 	}
 }
 

@@ -49,7 +49,6 @@ func (a *WCC) Options() core.Options {
 	return core.Options{
 		Undirected:   true,
 		PayloadCodec: codec.Int64{},
-		Combine:      true,
 	}
 }
 

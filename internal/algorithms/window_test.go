@@ -1,19 +1,26 @@
 package algorithms
 
-// The window view (core.Options.Window, Params.Window) of every catalog
-// algorithm against its oracle: the same algorithm run over tgraph.Slice of
-// the window, at the same worker count and with each kept vertex on the
-// worker the view puts it on (its parent index modulo the worker count; the
-// slice renumbers its vertices, and PageRank's sums and LCC's and TC's lists
-// follow the order messages arrive in). States must agree per vertex id,
-// vertices the slice drops must be absent from the view's result, and every
-// count the paper reasons with must be the same number — the view does the
-// slice's work, not different work.
+// The execution-mode matrix, and the window view (core.Options.Window,
+// Params.Window) of every catalog algorithm against its oracle: the same
+// algorithm run over tgraph.Slice of the window, at the same worker count and
+// with each kept vertex on the worker the view puts it on (its parent index
+// modulo the worker count; the slice renumbers its vertices, and PageRank's
+// sums and LCC's and TC's lists follow the order messages arrive in). States
+// must agree per vertex id, vertices the slice drops must be absent from the
+// view's result, and every count the paper reasons with must be the same
+// number — the view does the slice's work, not different work. The universe
+// window is a run over the whole graph, so the matrix's other axes — source,
+// driver, placement, ablation — hang off the same oracle.
 
 import (
+	"bytes"
+	"flag"
+	"fmt"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"graphite/internal/codec"
@@ -21,6 +28,7 @@ import (
 	"graphite/internal/engine"
 	"graphite/internal/gen"
 	ival "graphite/internal/interval"
+	"graphite/internal/stats"
 	"graphite/internal/tgraph"
 )
 
@@ -50,88 +58,139 @@ func countsOf(r *core.Result) viewCounts {
 }
 
 // viewDriver runs a catalog algorithm to completion one of the two ways the
-// repository executes a query.
-type viewDriver func(g *tgraph.Graph, name string, p Params, workers int) (*core.Result, error)
+// repository executes a query, with its options adjusted by tweaks.
+type viewDriver func(g *tgraph.Graph, name string, p Params, workers int, tweaks ...func(*core.Options)) (*core.Result, error)
 
-func runEngine(g *tgraph.Graph, name string, p Params, workers int) (*core.Result, error) {
+func runEngine(g *tgraph.Graph, name string, p Params, workers int, tweaks ...func(*core.Options)) (*core.Result, error) {
 	prog, opts, err := New(g, name, p)
 	if err != nil {
 		return nil, err
 	}
 	opts.NumWorkers = workers
 	opts.CheckInvariants = true
+	for _, tw := range tweaks {
+		tw(&opts)
+	}
 	return core.Run(g, prog, opts)
 }
 
-// runStepped drives core.Shards by hand through the cluster protocol —
-// Compute, Outbound, Deliver in ascending source order, Barrier, the
-// supersteps closed through core.NewBarrier — and assembles the result from
-// their encoded states (in the program's state codec), with the metrics the
-// barrier's ledger holds.
-func runStepped(g *tgraph.Graph, name string, p Params, workers int) (*core.Result, error) {
-	workers = min(workers, g.NumVertices()) // the engine never runs more workers than vertices
+// runStepped drives core.Shards by hand through the cluster protocol, as
+// StepShards does.
+func runStepped(g *tgraph.Graph, name string, p Params, workers int, tweaks ...func(*core.Options)) (*core.Result, error) {
+	// The engine never runs more workers than vertices.
+	shards, b, pc, err := SteppedShards(g, name, p, min(workers, g.NumVertices()), tweaks...)
+	if err != nil {
+		return nil, err
+	}
+	for _, s := range shards {
+		defer s.Close()
+		if err := s.Init(); err != nil {
+			return nil, err
+		}
+	}
+	r, _, _, _, err := StepShards(g, shards, b, pc, 0)
+	return r, err
+}
+
+// SteppedShards builds the shards of one stepped run of the named catalog
+// algorithm, its options adjusted by tweaks, and the barrier that closes
+// their supersteps, and returns them with the codec their states travel in.
+// It and StepShards are exported for the golden tests (package
+// algorithms_test).
+func SteppedShards(g *tgraph.Graph, name string, p Params, workers int, tweaks ...func(*core.Options)) ([]*core.Shard, *engine.Barrier, codec.Payload, error) {
 	shards := make([]*core.Shard, workers)
 	var opts core.Options
 	var pc codec.Payload
 	for i := range shards {
 		prog, o, err := New(g, name, p)
 		if err != nil {
-			return nil, err
+			return nil, nil, nil, err
 		}
 		o.NumWorkers = workers
-		if shards[i], err = core.NewShard(g, prog, o, i); err != nil {
-			return nil, err
+		for _, tw := range tweaks {
+			tw(&o)
 		}
-		defer shards[i].Close()
+		if shards[i], err = core.NewShard(g, prog, o, i); err != nil {
+			return nil, nil, nil, err
+		}
 		opts, pc = o, core.StateCodecOf(prog, o)
 	}
 	b, err := core.NewBarrier(opts, 0)
-	if err != nil {
-		return nil, err
+	return shards, b, pc, err
+}
+
+// StepShards drives shards from their current superstep to the end through
+// b, the way cluster workers and their coordinator do — Compute, Outbound,
+// Deliver in ascending source order, Barrier — and assembles the result from
+// their encoded states (in pc, the program's state codec), with the metrics
+// b's ledger holds. It also returns every cross-shard batch in (superstep,
+// source, destination) order, and the durable capture of each shard taken
+// before superstep ckptAt (nil when the run ends sooner) with the barrier's
+// state at that point — the coordinator's half of a checkpoint generation.
+func StepShards(g *tgraph.Graph, shards []*core.Shard, b *engine.Barrier, pc codec.Payload, ckptAt int) (*core.Result, [][]byte, [][]byte, engine.BarrierState, error) {
+	n := len(shards)
+	var batches, ckpts [][]byte
+	var ctl engine.BarrierState
+	fail := func(err error) (*core.Result, [][]byte, [][]byte, engine.BarrierState, error) {
+		return nil, nil, nil, ctl, err
 	}
-	for _, s := range shards {
-		if err := s.Init(); err != nil {
-			return nil, err
-		}
-	}
-	for step, done := 1, false; !done && b.Open(step); step++ {
-		outs := make([][][]byte, workers)
+	for step := shards[0].Superstep(); b.Open(step); step++ {
+		outs := make([][][]byte, n)
 		for i, s := range shards {
 			s.SetPhase(b.Phase())
 			if err := s.Compute(); err != nil {
-				return nil, err
+				return fail(err)
 			}
 			var err error
 			if outs[i], err = s.Outbound(); err != nil {
-				return nil, err
+				return fail(err)
+			}
+			for d, batch := range outs[i] {
+				if d != i {
+					batches = append(batches, bytes.Clone(batch))
+				}
 			}
 		}
 		for d, s := range shards {
-			var batches [][]byte
+			var in [][]byte
 			for src := range shards {
 				if src != d {
-					batches = append(batches, outs[src][d])
+					in = append(in, outs[src][d])
 				}
 			}
-			if _, err := s.Deliver(batches); err != nil {
-				return nil, err
+			if _, err := s.Deliver(in); err != nil {
+				return fail(err)
 			}
 		}
-		reps := make([]engine.StepReport, workers)
+		reps := make([]engine.StepReport, n)
 		for i, s := range shards {
 			reps[i] = s.Barrier()
 		}
-		done = b.Close(reps)
+		quiesced := b.Close(reps)
+		if step+1 == ckptAt {
+			for _, s := range shards {
+				data, err := s.CaptureDurable()
+				if err != nil {
+					return fail(err)
+				}
+				ckpts = append(ckpts, data)
+			}
+			ctl = b.State()
+		}
+		if quiesced {
+			break
+		}
 	}
-	blobs := make([][]byte, workers)
+	blobs := make([][]byte, n)
 	for i, s := range shards {
 		var err error
 		if blobs[i], err = s.EncodeOwnedStates(); err != nil {
-			return nil, err
+			return fail(err)
 		}
 	}
 	m := b.End(0)
-	return core.AssembleResult(g, pc, blobs, &m)
+	r, err := core.AssembleResult(g, pc, blobs, &m)
+	return r, batches, ckpts, ctl, err
 }
 
 // viewEndpoints picks the query's source and target inside the window: the
@@ -259,74 +318,362 @@ func (o *viewOracle) check(t testing.TB, label string, g *tgraph.Graph, workers 
 	}
 }
 
-// TestWindowViewMatchesSliceOracle is the differential: the 12 catalog
-// algorithms × slice_gen_test.go's window palette × the two profiles the
-// benchmark serves × built and mapped parent × 1, 2 and 3 workers × both
-// superstep drivers. Under -short the graph readers run on MAGLike only.
-func TestWindowViewMatchesSliceOracle(t *testing.T) {
-	drivers := map[string]viewDriver{"engine": runEngine, "stepped": runStepped}
-	var dropped, cut bool
+// orderSensitive are the catalog algorithms whose answer follows the order
+// messages arrive in — PageRank's float sums, LCC's and TC's lists — so only
+// the slice oracle at the same placement can judge a run of theirs. Every
+// other algorithm answers the same bits however its run is placed, warped,
+// suppressed or combined, and the matrix holds all its cells to one another.
+var orderSensitive = map[string]bool{"pr": true, "lcc": true, "tc": true}
+
+// matrixDrivers are the matrix's superstep drivers, in cell-name order.
+var matrixDrivers = []struct {
+	name string
+	run  viewDriver
+}{{"engine", runEngine}, {"stepped", runStepped}}
+
+// matrixVariant is an ablation or a placement that a cell of an
+// order-insensitive algorithm is re-run under, at the worker counts listed;
+// its states must repeat the default cell's bit for bit (the paper: warp
+// suppression "does not affect correctness").
+type matrixVariant struct {
+	name    string
+	workers []int
+	tweak   func(g *tgraph.Graph, o *core.Options)
+}
+
+var matrixVariants = []matrixVariant{
+	{"no-warp", []int{2}, func(_ *tgraph.Graph, o *core.Options) { o.DisableWarp = true }},
+	{"no-suppression", []int{2}, func(_ *tgraph.Graph, o *core.Options) { o.DisableSuppression = true }},
+	{"no-combiner", []int{2}, func(_ *tgraph.Graph, o *core.Options) { o.DisableWarpCombiner = true }},
+	{"balanced", []int{2, 3, 5}, func(g *tgraph.Graph, o *core.Options) {
+		o.Partitioner = engine.PartitionBalanced(g.WorkWeights())
+	}},
+}
+
+// matrixGraph is one graph of the matrix: the profile its cells are named
+// by, the sources it is read back from (built first) and its windows.
+type matrixGraph struct {
+	name    string
+	sources []matrixSource
+	windows []matrixWindow
+	small   bool // of the small-graph set, which runs 5 workers and the variants
+}
+
+type matrixSource struct {
+	name string
+	g    *tgraph.Graph
+}
+
+type matrixWindow struct {
+	name string
+	w    ival.Interval
+}
+
+// matrixGraphs are the two profiles the benchmark serves, built and mapped
+// from a .gsn, and the small-graph set — tinyProfiles at seed 2 and the
+// transit example — built, mapped and read back from text.
+func matrixGraphs(t *testing.T) []matrixGraph {
+	var out []matrixGraph
+	add := func(name string, g *tgraph.Graph, small bool) {
+		dir := t.TempDir()
+		gsn := filepath.Join(dir, "g.gsn")
+		if err := tgraph.WriteSnapshotFile(gsn, g); err != nil {
+			t.Fatal(err)
+		}
+		mapped, err := tgraph.OpenMapped(gsn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { mapped.Close() }) // after the parallel cells
+		mg := matrixGraph{name: name, small: small, windows: windowPalette(g),
+			sources: []matrixSource{{"built", g}, {"mapped", mapped.Graph}}}
+		if small {
+			text := filepath.Join(dir, "g.tg")
+			if err := tgraph.WriteFile(text, g); err != nil {
+				t.Fatal(err)
+			}
+			parsed, err := tgraph.ReadFile(text)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mg.sources = append(mg.sources, matrixSource{"text", parsed})
+		}
+		out = append(out, mg)
+	}
+	generate := func(p gen.Profile, seed int64) *tgraph.Graph {
+		g, err := gen.Generate(p, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}
 	for _, prof := range []gen.Profile{gen.TwitterLike(0.05), gen.MAGLike(0.05)} {
-		built, err := gen.Generate(prof, 11)
-		if err != nil {
-			t.Fatal(err)
-		}
-		path := filepath.Join(t.TempDir(), "g.gsn")
-		if err := tgraph.WriteSnapshotFile(path, built); err != nil {
-			t.Fatal(err)
-		}
-		mapped, err := tgraph.OpenMapped(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer mapped.Close()
-		hull, h := built.Lifespan(), built.Horizon()
-		windows := map[string]ival.Interval{
-			"universe":      ival.Universe,
-			"hull":          hull,
-			"half":          ival.New(0, h/2),
-			"unit":          ival.Point(h / 2),
-			"late":          ival.From(h - h/4),
-			"keeps nothing": ival.New(hull.End, hull.End+5),
-		}
-		for i := range built.Edges() {
-			for _, entries := range built.Edge(i).Props.All() {
-				for _, p := range entries {
-					if _, ok := windows["mid-entry"]; !ok && p.Interval.Length() >= 2 {
-						windows["mid-entry"] = ival.New(0, p.Interval.Start+1)
-					}
+		add(prof.Name, generate(prof, 11), false)
+	}
+	for _, prof := range tinyProfiles() {
+		add(prof.Name, generate(prof, 2), true)
+	}
+	add("transit", tgraph.TransitExample(), true)
+	return out
+}
+
+// windowPalette is slice_gen_test.go's window palette over g, by name: the
+// universe, g's hull, its first half, one time-point, its last quarter,
+// a window past every lifespan (when g has such a time), and one that ends
+// inside the first property entry longer than one time-point.
+func windowPalette(g *tgraph.Graph) []matrixWindow {
+	hull, h := g.Lifespan(), g.Horizon()
+	ws := []matrixWindow{
+		{"universe", ival.Universe},
+		{"hull", hull},
+		{"half", ival.New(0, h/2)},
+		{"unit", ival.Point(h / 2)},
+		{"late", ival.From(h - h/4)},
+	}
+	if hull.End != ival.Infinity {
+		ws = append(ws, matrixWindow{"keeps nothing", ival.New(hull.End, hull.End+5)})
+	}
+	for i := range g.Edges() {
+		for _, entries := range g.Edge(i).Props.All() {
+			for _, p := range entries {
+				if p.Interval.Length() >= 2 {
+					return append(ws, matrixWindow{"mid-entry", ival.New(0, p.Interval.Start+1)})
 				}
 			}
 		}
-		for wname, w := range windows {
-			p := viewEndpoints(built, w)
-			p.StartTime = w.Start
+	}
+	return ws
+}
+
+// TestWindowViewMatchesSliceOracle is the execution-mode matrix, every cell
+// a subtest named profile/window/algorithm/source/driver/workers[/variant]:
+// the 12 catalog algorithms × windowPalette × matrixGraphs × their sources ×
+// Engine.Run and stepped core.Shards × 1–3 workers, each cell held to the
+// slice oracle — states per vertex id, dropped vertices and every count — and
+// to the ledger's rules (obs.Totals.Check). An order-insensitive algorithm's
+// cells must all repeat one another's states; on the small-graph set it also
+// runs at 5 workers, and each of its cells over the built graph is re-run
+// under matrixVariants (and BFS's 1-worker engine cell against the whole
+// graph's run: whole). Under -short the graph readers skip TwitterLike and
+// the small set runs two windows. With -v the test prints the grid of cells
+// run per algorithm and axis, and its holes (make matrix).
+func TestWindowViewMatchesSliceOracle(t *testing.T) {
+	cov := &matrixCoverage{cells: map[string]map[string]int{}}
+	t.Cleanup(func() { cov.report(t) }) // after the parallel groups
+	for _, mg := range matrixGraphs(t) {
+		for _, mw := range mg.windows {
 			for _, name := range Names() {
-				if testing.Short() && graphReaders[name] && prof.Name != "mag" {
+				// Under -short the graph readers skip TwitterLike, and the
+				// small set runs the whole graph and its first half only.
+				if testing.Short() && (graphReaders[name] && mg.name == "twitter" ||
+					mg.small && mw.name != "universe" && mw.name != "half") {
 					continue
 				}
-				oracle := newViewOracle(t, built, w, name, p)
-				if run := oracle.at(1); run.err == nil {
-					dropped = dropped || oracle.slice.NumVertices() < built.NumVertices()
-					cut = cut || (wname == "mid-entry" && run.res.Metrics.Messages > 0)
-				}
-				p.Window = w
-				for src, g := range map[string]*tgraph.Graph{"built": built, "mapped": mapped.Graph} {
-					for dname, drive := range drivers {
-						for workers := 1; workers <= 3; workers++ {
-							label := strings.Join([]string{prof.Name, wname, name, src, dname, string(rune('0' + workers))}, "/")
-							got, err := drive(g, name, p, workers)
-							oracle.check(t, label, g, workers, got, err)
-						}
-					}
-				}
-				p.Window = ival.Interval{}
+				t.Run(mg.name+"/"+mw.name+"/"+name, func(t *testing.T) {
+					t.Parallel()
+					checkMatrixGroup(t, cov, mg, mw, name)
+				})
 			}
 		}
 	}
-	if !dropped || !cut {
-		t.Errorf("matrix lost coverage: a window dropped vertices = %v, a window cut a property entry under traffic = %v", dropped, cut)
+}
+
+// checkMatrixGroup runs every cell of one algorithm over one window of one
+// matrix graph against the oracle they share.
+func checkMatrixGroup(t *testing.T, cov *matrixCoverage, mg matrixGraph, mw matrixWindow, name string) {
+	built := mg.sources[0].g
+	p := viewEndpoints(built, mw.w)
+	p.StartTime = mw.w.Start
+	oracle := newViewOracle(t, built, mw.w, name, p)
+	if run := oracle.at(1); run.err == nil {
+		cov.note(&cov.dropped, oracle.slice.NumVertices() < built.NumVertices())
+		cov.note(&cov.cut, mw.name == "mid-entry" && run.res.Metrics.Messages > 0)
 	}
+	prog, _, err := New(built, name, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, combines := prog.(core.WarpCombiner)
+	p.Window = mw.w
+	workers := []int{1, 2, 3}
+	if mg.small && !orderSensitive[name] {
+		workers = append(workers, 5)
+	}
+	var ref *core.Result // the states every cell of an order-insensitive algorithm repeats
+	for _, src := range mg.sources {
+		for _, d := range matrixDrivers {
+			for _, n := range workers {
+				t.Run(fmt.Sprintf("%s/%s/%d", src.name, d.name, n), func(t *testing.T) {
+					cov.count(name, src.name, d.name, fmt.Sprintf("%dw", n))
+					got, err := d.run(src.g, name, p, n)
+					oracle.check(t, "view", src.g, n, got, err)
+					if err != nil {
+						return
+					}
+					checkLedger(t, got, combines)
+					if orderSensitive[name] {
+						return
+					}
+					if ref == nil {
+						ref = got
+					}
+					sameStates(t, built, got, ref)
+					if !mg.small || src.name != "built" {
+						return // the variants run on the small set; other sources read it back
+					}
+					if name == "bfs" && d.name == "engine" && n == 1 {
+						// BFS answers each snapshot alone: inside the window,
+						// the window's answer is the whole graph's.
+						t.Run("whole", func(t *testing.T) {
+							whole, err := d.run(src.g, name, Params{Source: p.Source}, n)
+							if err != nil {
+								t.Fatal(err)
+							}
+							for v, st := range got.ByID() {
+								for ts := st.Lifespan().Start; ts < min(st.Lifespan().End, built.Horizon()); ts++ {
+									a, _ := st.Get(ts)
+									if b, _ := whole.StateByID(v.ID).Get(ts); a != b {
+										t.Errorf("vertex %d at %d: %v in the window, %v over the whole graph", v.ID, ts, a, b)
+									}
+								}
+							}
+						})
+					}
+					for _, v := range matrixVariants {
+						if slices.Contains(v.workers, n) {
+							t.Run(v.name, func(t *testing.T) {
+								cov.count(name, v.name)
+								vr, err := d.run(src.g, name, p, n, func(o *core.Options) { v.tweak(src.g, o) })
+								if err != nil {
+									t.Fatal(err)
+								}
+								checkLedger(t, vr, combines && v.name != "no-combiner")
+								sameStates(t, built, vr, ref)
+								cov.variant(t, v.name, src.g, n, got, vr)
+							})
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
+// checkLedger holds a cell's record to the ledger's rules; folds says a
+// combiner ran.
+func checkLedger(t *testing.T, r *core.Result, folds bool) {
+	t.Helper()
+	if err := r.Metrics.Check(folds, nil); err != nil {
+		t.Errorf("ledger: %v", err)
+	}
+}
+
+// sameStates holds got to want bit for bit, vertex by vertex id of g.
+func sameStates(t *testing.T, g *tgraph.Graph, got, want *core.Result) {
+	t.Helper()
+	for i := range g.Vertices() {
+		id := g.VertexAt(i).ID
+		if a, b := got.StateByID(id), want.StateByID(id); !reflect.DeepEqual(a, b) {
+			t.Errorf("vertex %d: states differ from the first cell's:\n  got  %v\n  want %v", id, a, b)
+		}
+	}
+}
+
+// matrixCoverage is what the matrix's cells saw: the cells run per algorithm
+// and axis value, for the grid, and the guards, each set once a cell shows
+// what it names. A guard no cell meets fails the matrix, unless a -run or
+// -skip pattern cut cells out.
+type matrixCoverage struct {
+	mu             sync.Mutex
+	cells          map[string]map[string]int
+	total          int
+	dropped, cut   bool // a window dropped vertices; one cut a property entry under traffic
+	suppressed     bool // a default cell suppressed warp where its no-suppression cell ran
+	placed         bool // the balanced placement moved a vertex off its modulo worker
+	deliveredEvery bool // a no-combiner cell delivered every message its default cell folded
+}
+
+func (c *matrixCoverage) note(guard *bool, seen bool) {
+	c.mu.Lock()
+	*guard = *guard || seen
+	c.mu.Unlock()
+}
+
+// count adds one cell of algorithm name to each of its axis values.
+func (c *matrixCoverage) count(name string, axes ...string) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.cells[name] == nil {
+		c.cells[name] = map[string]int{}
+	}
+	for _, a := range axes {
+		c.cells[name][a]++
+	}
+	c.total++
+}
+
+// variant holds a variant cell to what its switch must show against the
+// default cell def, and notes the guard it meets.
+func (c *matrixCoverage) variant(t *testing.T, variant string, g *tgraph.Graph, n int, def, got *core.Result) {
+	switch variant {
+	case "no-suppression":
+		if got.Stats.WarpSuppressed != 0 {
+			t.Errorf("warp suppressed %d times with suppression off", got.Stats.WarpSuppressed)
+		}
+		c.note(&c.suppressed, def.Stats.WarpSuppressed > 0)
+	case "no-combiner":
+		c.note(&c.deliveredEvery, got.Metrics.Delivered == got.Metrics.Messages && def.Metrics.Delivered < def.Metrics.Messages)
+	case "balanced":
+		part := engine.PartitionBalanced(g.WorkWeights())
+		for v := range g.NumVertices() {
+			c.note(&c.placed, part(v, n) != v%n)
+		}
+	}
+}
+
+// matrixAxes are the grid's columns: sources, drivers, worker counts, the
+// variants, then two checks the matrix does not make.
+var matrixAxes = []string{"built", "mapped", "text", "engine", "stepped", "1w", "2w", "3w", "5w",
+	"no-warp", "no-suppression", "no-combiner", "balanced", "stream≥2w", "uncapped"}
+
+// report checks the guards and, under -v, prints the grid.
+func (c *matrixCoverage) report(t *testing.T) {
+	if strings.Contains(flag.Lookup("test.run").Value.String(), "/") || flag.Lookup("test.skip").Value.String() != "" {
+		return
+	}
+	if !c.dropped || !c.cut || !c.suppressed || !c.placed || !c.deliveredEvery {
+		t.Errorf("matrix lost coverage: vertices dropped %v, an entry cut %v, suppression %v, a vertex placed %v, "+
+			"every message delivered %v", c.dropped, c.cut, c.suppressed, c.placed, c.deliveredEvery)
+	}
+	if !testing.Verbose() {
+		return
+	}
+	tab := stats.Table{Header: append([]string{"algorithm"}, matrixAxes...)}
+	for _, name := range Names() {
+		row := []any{name}
+		for _, a := range matrixAxes {
+			switch n := c.cells[name][a]; {
+			case a == "uncapped" && !graphReaders[name]:
+				row = append(row, "+")
+			case n == 0:
+				row = append(row, "-")
+			default:
+				row = append(row, n)
+			}
+		}
+		tab.Add(row...)
+	}
+	var b strings.Builder
+	tab.Render(&b)
+	fmt.Fprintf(&b, `%d cells; a number counts cells run, - is a hole:
+  pr, lcc, tc × 5w and the variants: their answers follow message arrival order, so only the
+    slice oracle at the same placement judges them.
+  stream≥2w: the scatter-stream oracle (checkScatterStream, in the torture and arbitrary-graph
+    tests) runs on one worker, where Scatter calls come in dense vertex order.
+  uncapped: checkArbitraryView caps the graph readers at 8 edges per vertex (TC over ~250
+    parallel edges takes seconds a run); + marks the algorithms it runs uncapped.
+`, c.total)
+	t.Log("\n" + b.String())
 }
 
 // windowTorture is a hand-built graph whose boundaries sit where a window

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"strings"
 	"time"
 
 	"graphite/internal/algorithms"
@@ -79,11 +80,11 @@ func Fig6b(cfg Config) ([]Fig6bRow, error) {
 	source := g.VertexAt(0).ID
 	var rows []Fig6bRow
 	for _, al := range []Algo{BFS, WCC, PR, SSSP, EAT, RH, TMST} {
-		with, err := bestOf(3, func() (*core.Result, error) { return runICMCombiner(cfg, al, g, source, false) })
+		with, err := bestOf(3, func() (*core.Result, error) { return runAblation(cfg, al, g, source, asShipped) })
 		if err != nil {
 			return nil, err
 		}
-		without, err := bestOf(3, func() (*core.Result, error) { return runICMCombiner(cfg, al, g, source, true) })
+		without, err := bestOf(3, func() (*core.Result, error) { return runAblation(cfg, al, g, source, noCombiner) })
 		if err != nil {
 			return nil, err
 		}
@@ -114,43 +115,26 @@ func bestOf(k int, fn func() (*core.Result, error)) (*core.Result, error) {
 	return best, nil
 }
 
-func runICMCombiner(cfg Config, al Algo, g *tgraph.Graph, source tgraph.VertexID, disable bool) (*core.Result, error) {
-	var prog core.Program
-	var opts core.Options
-	switch al {
-	case BFS:
-		a := &algorithms.BFS{Source: source}
-		prog, opts = a, a.Options()
-	case WCC:
-		a := &algorithms.WCC{}
-		prog, opts = a, a.Options()
-	case PR:
-		a := algorithms.NewPageRank(g, cfg.PRIterations, 0.85)
-		prog, opts = a, a.Options()
-	case SSSP:
-		a := &algorithms.SSSP{Source: source}
-		prog, opts = a, a.Options()
-	case EAT:
-		a := &algorithms.EAT{Source: source}
-		prog, opts = a, a.Options()
-	case RH:
-		a := &algorithms.RH{Source: source}
-		prog, opts = a, a.Options()
-	case TMST:
-		a := &algorithms.TMST{Source: source}
-		prog, opts = a, a.Options()
-	default:
-		return nil, fmt.Errorf("bench: %q has no combiner ablation", al)
+// runAblation runs one catalog algorithm from source over g with ablate
+// applied to its options: asShipped, noCombiner (Fig. 6(b)) or
+// noSuppression (Fig. 6(c)).
+func runAblation(cfg Config, al Algo, g *tgraph.Graph, source tgraph.VertexID, ablate func(*core.Options)) (*core.Result, error) {
+	prog, opts, err := algorithms.New(g, strings.ToLower(string(al)), algorithms.Params{
+		Source: source, Iterations: cfg.PRIterations,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("bench: %w", err)
 	}
 	opts.NumWorkers = cfg.Workers
-	opts.DisableWarpCombiner = disable
-	if disable {
-		opts.Combine = false
-	}
+	ablate(&opts)
 	opts.Tracer = cfg.Tracer
 	opts.Registry = cfg.Registry
 	return core.Run(g, prog, opts)
 }
+
+func asShipped(*core.Options)       {}
+func noCombiner(o *core.Options)    { o.DisableWarpCombiner = true }
+func noSuppression(o *core.Options) { o.DisableSuppression = true }
 
 // RenderFig6b prints the combiner ablation.
 func RenderFig6b(w io.Writer, rows []Fig6bRow) {
@@ -186,11 +170,11 @@ func Fig6c(cfg Config) ([]Fig6cRow, error) {
 	source := g.VertexAt(0).ID
 	var rows []Fig6cRow
 	for _, al := range []Algo{BFS, WCC, SSSP, EAT, RH} {
-		with, err := bestOf(3, func() (*core.Result, error) { return runICMSuppression(cfg, al, g, source, false) })
+		with, err := bestOf(3, func() (*core.Result, error) { return runAblation(cfg, al, g, source, asShipped) })
 		if err != nil {
 			return nil, err
 		}
-		without, err := bestOf(3, func() (*core.Result, error) { return runICMSuppression(cfg, al, g, source, true) })
+		without, err := bestOf(3, func() (*core.Result, error) { return runAblation(cfg, al, g, source, noSuppression) })
 		if err != nil {
 			return nil, err
 		}
@@ -202,35 +186,6 @@ func Fig6c(cfg Config) ([]Fig6cRow, error) {
 		})
 	}
 	return rows, nil
-}
-
-func runICMSuppression(cfg Config, al Algo, g *tgraph.Graph, source tgraph.VertexID, disable bool) (*core.Result, error) {
-	var prog core.Program
-	var opts core.Options
-	switch al {
-	case BFS:
-		a := &algorithms.BFS{Source: source}
-		prog, opts = a, a.Options()
-	case WCC:
-		a := &algorithms.WCC{}
-		prog, opts = a, a.Options()
-	case SSSP:
-		a := &algorithms.SSSP{Source: source}
-		prog, opts = a, a.Options()
-	case EAT:
-		a := &algorithms.EAT{Source: source}
-		prog, opts = a, a.Options()
-	case RH:
-		a := &algorithms.RH{Source: source}
-		prog, opts = a, a.Options()
-	default:
-		return nil, fmt.Errorf("bench: %q has no suppression ablation", al)
-	}
-	opts.NumWorkers = cfg.Workers
-	opts.DisableSuppression = disable
-	opts.Tracer = cfg.Tracer
-	opts.Registry = cfg.Registry
-	return core.Run(g, prog, opts)
 }
 
 // RenderFig6c prints the suppression ablation.

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"graphite/internal/core"
-	"graphite/internal/engine"
 	"graphite/internal/obs"
 )
 
@@ -97,7 +96,7 @@ type Worker struct{ w *wrk }
 // NewWorker returns a worker keeping its checkpoints in dir, as RunWorker
 // configures one by default, tracing to tr (nil: no trace).
 func NewWorker(dir string, io WorkerIO, tr obs.Tracer, log *slog.Logger) *Worker {
-	cfg := WorkerConfig{Dir: dir, KeepCheckpoints: engine.DefaultKeepGenerations, Tracer: tr, Logger: log}
+	cfg := WorkerConfig{Dir: dir, Tracer: tr, Logger: log}
 	return &Worker{&wrk{cfg: cfg, io: workerAdapter{io}, pending: map[pendKey][]byte{}}}
 }
 

@@ -186,9 +186,6 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 	if cfg.DialBackoff <= 0 {
 		cfg.DialBackoff = DefaultDialBackoff
 	}
-	if cfg.KeepCheckpoints <= 0 {
-		cfg.KeepCheckpoints = engine.DefaultKeepGenerations
-	}
 	if cfg.Logger == nil {
 		cfg.Logger = slog.Default()
 	}

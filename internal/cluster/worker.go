@@ -43,9 +43,6 @@ type WorkerConfig struct {
 	// Crash plants a kill point for the chaos driver (see CrashEnv); the
 	// zero value never fires.
 	Crash CrashPlan
-	// KeepCheckpoints bounds on-disk generations; zero means
-	// engine.DefaultKeepGenerations.
-	KeepCheckpoints int
 	// MeshListenAddr is the address the mesh endpoint listens on; empty
 	// means an ephemeral loopback port. Multi-host deployments set this to
 	// an externally reachable "<host>:0" (the advertised address is the
@@ -486,7 +483,7 @@ func (w *wrk) finishStepIfReady() error {
 		if err != nil {
 			return w.fail(err)
 		}
-		if err := w.store.Prune(w.cfg.KeepCheckpoints); err != nil {
+		if err := w.store.Prune(engine.DefaultKeepGenerations); err != nil {
 			return w.fail(err)
 		}
 		ckptGen, ckptBytes = meta.Gen, meta.Bytes

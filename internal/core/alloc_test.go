@@ -221,7 +221,6 @@ func TestAlignNoAllocsSSSPTransit(t *testing.T) {
 			NumWorkers:   2,
 			PropLabels:   []string{tgraph.PropTravelTime, tgraph.PropTravelCost},
 			PayloadCodec: codec.Int64{},
-			Combine:      true,
 		})
 }
 
@@ -237,7 +236,6 @@ func TestAlignNoAllocsPageRankTransit(t *testing.T) {
 			ActivateAll:   true,
 			MaxSupersteps: prog.iters + 1,
 			PayloadCodec:  codec.Float64{},
-			Combine:       true,
 		})
 }
 
@@ -307,7 +305,7 @@ func TestSuperstepNoAllocsSteadyState(t *testing.T) {
 			prog := &steadyProg{kind: k.kind, state: int64(7)}
 			sh, err := NewShard(tgraph.TransitExample(), prog, Options{
 				NumWorkers: 1, ActivateAll: true, MaxSupersteps: 1 << 30,
-				PayloadCodec: k.codec, Combine: true,
+				PayloadCodec: k.codec,
 			}, 0)
 			if err != nil {
 				t.Fatal(err)

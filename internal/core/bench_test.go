@@ -117,7 +117,6 @@ func BenchmarkVertexStep(b *testing.B) {
 				ActivateAll:         true,
 				MaxSupersteps:       prog.iters + 1,
 				PayloadCodec:        codec.Float64{},
-				Combine:             combined,
 				DisableWarpCombiner: !combined,
 			}
 			b.ReportAllocs()

@@ -37,8 +37,11 @@ type Program interface {
 // WarpCombiner is an optional Program extension (Sec. VI "Inline Warp
 // Combiner"): when implemented, message groups are folded during the warp
 // sweep and Compute receives a single combined message per tuple. The fold
-// must be commutative and associative, and is for payloads held inline: with
-// Options.Combine a spilled one is never handed to it.
+// must be commutative and associative, and is for payloads held inline: a
+// spilled one is never handed to it. Unless Options.DisableWarpCombiner is
+// set it also folds messages for one vertex and interval before they reach
+// an inbox: each worker folds its batches when its compute phase ends, and
+// the receiver folds the batches of different workers together on arrival.
 type WarpCombiner interface {
 	CombineWarp(a, b codec.Word) codec.Word
 }
@@ -119,20 +122,14 @@ type Options struct {
 	// containing the graph's lifespan mean no window.
 	Window ival.Interval
 	// DisableWarp bypasses the warp operator unconditionally, degenerating
-	// to time-point-centric execution: the reference path that
-	// TestAblationPathsPreserveResults compares the warped runs against.
+	// to time-point-centric execution: the no-warp cells of the execution
+	// matrix (TestWindowViewMatchesSliceOracle) hold the warped runs to it.
 	DisableWarp bool
 	// DisableSuppression turns automatic warp suppression off.
 	DisableSuppression bool
-	// SuppressionThreshold overrides DefaultSuppressionThreshold when > 0.
-	SuppressionThreshold float64
-	// DisableWarpCombiner ignores the program's WarpCombiner (Fig. 6(b)).
+	// DisableWarpCombiner ignores the program's WarpCombiner (Fig. 6(b)), in
+	// the warp sweep and before delivery alike.
 	DisableWarpCombiner bool
-	// Combine additionally applies the warp combiner to messages for the
-	// same vertex and interval (the paper couples both): each worker folds
-	// its batches when its compute phase ends, and the receiver folds the
-	// batches of different workers together on arrival.
-	Combine bool
 	// PayloadCodec encodes message payloads — for byte accounting, over a
 	// Transport, between cluster shards and into checkpoints — and, unless
 	// the program is a StateCoder, state values too.
@@ -312,7 +309,7 @@ func prepare(g *tgraph.Graph, prog Program, opts Options) (*runtime, engine.Prog
 		rt.traced = true
 		cfg.Tracer = &icmTracer{rt: rt, next: opts.Tracer}
 	}
-	if opts.Combine && rt.combine != nil {
+	if rt.combine != nil {
 		cfg.Combiner = engine.Combiner(rt.combine)
 	}
 	var eprog engine.Program = rt

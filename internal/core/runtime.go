@@ -25,7 +25,6 @@ type runtime struct {
 	stateCodec codec.Payload    // StateCodecOf(prog, opts)
 	states     []*PartitionedState
 	plan       *scatterPlan // shared with every run over g under the same planKey; read-only
-	threshold  float64
 	// window is Options.Window, Universe when that clips nothing: a vertex
 	// lives, and holds state, for its lifespan ∩ window. match is what an
 	// update must intersect per piece: the plan's own, except that under a
@@ -65,7 +64,6 @@ func newRuntime(g *tgraph.Graph, prog Program, opts Options) *runtime {
 		stateCodec: StateCodecOf(prog, opts),
 		states:     make([]*PartitionedState, g.NumVertices()),
 		plan:       planFor(g, &opts),
-		threshold:  opts.SuppressionThreshold,
 		window:     ival.Universe,
 		nv:         g.NumVertices(),
 	}
@@ -79,9 +77,6 @@ func newRuntime(g *tgraph.Graph, prog Program, opts Options) *runtime {
 				rt.match[i] = p.Intersect(w).Translate(rt.plan.match[i].Start - p.Start)
 			}
 		}
-	}
-	if rt.threshold <= 0 {
-		rt.threshold = DefaultSuppressionThreshold
 	}
 	if wc, ok := prog.(WarpCombiner); ok {
 		if !opts.DisableWarpCombiner {
@@ -344,7 +339,7 @@ func (rt *runtime) align(ws *workspace, st *PartitionedState, ctx *engine.Contex
 	points := true
 	switch {
 	case rt.opts.DisableWarp:
-	case !rt.opts.DisableSuppression && n > 0 && float64(unit)/float64(n) > rt.threshold:
+	case !rt.opts.DisableSuppression && n > 0 && float64(unit)/float64(n) > DefaultSuppressionThreshold:
 		rt.warpSuppressed.Add(1)
 	default:
 		rt.warpCalls.Add(1)

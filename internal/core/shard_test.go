@@ -1,11 +1,11 @@
 package core_test
 
-// In-process proof of the cluster execution model: driving core.Shards by
-// hand through the Compute → Outbound → Deliver → Barrier protocol must
-// reproduce a single-process core.Run bit for bit (one delivery order: own
-// outbox first, then peers ascending), and a durable capture +
-// restore into FRESH shards must replay to the identical final state —
-// the property the process-kill chaos tests rely on.
+// The cluster execution model in process: core.Shards driven by hand
+// through the Compute → Outbound → Deliver → Barrier protocol, captured
+// durably mid-run and restored into FRESH shards, must replay to the
+// identical final state — the property the process-kill chaos tests rely
+// on. That stepped shards reproduce a single-process run bit for bit is a
+// driver of the execution-mode matrix (algorithms.TestWindowViewMatchesSliceOracle).
 
 import (
 	"encoding/binary"
@@ -142,39 +142,6 @@ func compareStates(t *testing.T, g *tgraph.Graph, got, want *core.Result) {
 			t.Errorf("vertex %d (%v):\n  cluster: %v\n  direct:  %v",
 				i, g.VertexAt(i).ID, gs.Parts(), ws.Parts())
 		}
-	}
-}
-
-// TestShardMatchesCoreRun drives the cluster protocol over the transit graph
-// and compares against core.Run with the same worker count: Deliver and Run's
-// exchange go through one receive routine. PageRank makes the comparison
-// float-order-sensitive.
-func TestShardMatchesCoreRun(t *testing.T) {
-	g := tgraph.TransitExample()
-	for _, tc := range []struct {
-		algo string
-		p    algorithms.Params
-	}{
-		{algo: "sssp", p: algorithms.Params{Source: 0}},
-		{algo: "eat", p: algorithms.Params{Source: 0}},
-		{algo: "pr"},
-	} {
-		t.Run(tc.algo, func(t *testing.T) {
-			shards, opts := newTestShards(t, g, tc.algo, tc.p)
-			driveShards(t, shards, opts, 0)
-			got := collectResult(t, g, shards, opts)
-
-			prog, ropts, err := algorithms.New(g, tc.algo, tc.p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ropts.NumWorkers = testShards
-			want, err := core.Run(g, prog, ropts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			compareStates(t, g, got, want)
-		})
 	}
 }
 

@@ -1,6 +1,9 @@
 package obs
 
-import "sync"
+import (
+	"fmt"
+	"sync"
+)
 
 // Event is one typed trace record. Concrete events are the structs below;
 // Kind returns the stable snake_case tag the JSONL schema uses.
@@ -99,6 +102,29 @@ var totalsKeys = [...]string{"compute_calls", "scatter_calls", "messages", "mess
 func (t Totals) values() [len(totalsKeys)]int64 {
 	return [...]int64{t.ComputeCalls, t.ScatterCalls, t.Messages, t.MessageBytes,
 		t.Delivered, t.Spilled, t.ComputeNS, t.MessagingNS, t.BarrierNS}
+}
+
+// Check holds t to the ledger's rules, wherever it was made: no more
+// delivered than sent, and exactly as many when no combiner folds (folds
+// false); no more spilled than sent; and, where iv records the superstep's
+// interval bytes, at least one interval byte per message sent and no more
+// than the messages' bytes.
+func (t Totals) Check(folds bool, iv *IntervalBytes) error {
+	switch {
+	case t.Delivered > t.Messages:
+		return fmt.Errorf("delivered %d exceeds messages %d", t.Delivered, t.Messages)
+	case !folds && t.Delivered != t.Messages:
+		return fmt.Errorf("delivered %d of %d messages with no combiner", t.Delivered, t.Messages)
+	case t.Spilled > t.Messages:
+		return fmt.Errorf("spilled %d exceeds messages %d", t.Spilled, t.Messages)
+	}
+	if iv != nil {
+		if n := iv.Unit + iv.Unbounded + iv.General + iv.Empty; n < t.Messages || n > t.MessageBytes {
+			return fmt.Errorf("interval_bytes total %d outside [messages %d, message_bytes %d]",
+				n, t.Messages, t.MessageBytes)
+		}
+	}
+	return nil
 }
 
 // SuperstepEnd closes one superstep at its barrier: the superstep's record

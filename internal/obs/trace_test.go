@@ -283,11 +283,54 @@ func TestValidateTraceRejections(t *testing.T) {
 			ev[2] = end
 			return ev
 		}(), "superstep 1: interval_bytes total 0 outside [messages 4, message_bytes 40]"},
+		{"more delivered than sent", func() []Event {
+			ev := append([]Event(nil), base...)
+			end := ev[2].(SuperstepEnd)
+			end.Delivered = 5
+			ev[2] = end
+			return ev
+		}(), "superstep 1: delivered 5 exceeds messages 4"},
+		{"more spilled than sent", func() []Event {
+			ev := append([]Event(nil), base...)
+			end := ev[2].(SuperstepEnd)
+			end.Spilled = 5
+			ev[2] = end
+			return ev
+		}(), "superstep 1: spilled 5 exceeds messages 4"},
 	}
 	for _, tc := range cases {
 		err := ValidateTrace(tc.events)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: error = %v, want substring %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+// TestTotalsCheck: the ledger's rules, each broken once and each edge held.
+func TestTotalsCheck(t *testing.T) {
+	sent := Totals{Messages: 4, MessageBytes: 40, Delivered: 4, Spilled: 4}
+	for _, tc := range []struct {
+		name  string
+		t     Totals
+		folds bool
+		iv    *IntervalBytes
+		want  string // "" when t keeps the rules
+	}{
+		{"all delivered, no combiner", sent, false, &IntervalBytes{Unit: 4, General: 36}, ""},
+		{"folded under a combiner", Totals{Messages: 4, MessageBytes: 40, Delivered: 1}, true, nil, ""},
+		{"folded without a combiner", Totals{Messages: 4, MessageBytes: 40, Delivered: 1}, false, nil,
+			"delivered 1 of 4 messages with no combiner"},
+		{"more delivered than sent", Totals{Messages: 4, Delivered: 5}, true, nil, "delivered 5 exceeds messages 4"},
+		{"more spilled than sent", Totals{Messages: 4, Delivered: 4, Spilled: 5}, false, nil, "spilled 5 exceeds messages 4"},
+		{"interval bytes unrecorded", sent, false, nil, ""},
+		{"fewer interval bytes than messages", sent, false, &IntervalBytes{Unit: 3},
+			"interval_bytes total 3 outside [messages 4, message_bytes 40]"},
+		{"more interval bytes than message bytes", sent, false, &IntervalBytes{General: 41},
+			"interval_bytes total 41 outside [messages 4, message_bytes 40]"},
+	} {
+		err := tc.t.Check(tc.folds, tc.iv)
+		if (tc.want == "") != (err == nil) || err != nil && err.Error() != tc.want {
+			t.Errorf("%s: %v, want %q", tc.name, err, tc.want)
 		}
 	}
 }

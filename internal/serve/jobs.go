@@ -35,19 +35,18 @@ type job struct {
 
 // jobStore tracks async jobs. Active jobs are bounded by admission control
 // (every leader holds an executor ticket); finished jobs are retained for
-// polling and evicted oldest-first past max.
+// polling and evicted oldest-first past DefaultMaxJobs.
 type jobStore struct {
 	mu        sync.Mutex
 	seq       int64
-	max       int
 	jobs      map[string]*job
 	order     []string // insertion order, for eviction
 	active    *obs.Gauge
 	submitted *obs.Counter
 }
 
-func newJobStore(max int, active *obs.Gauge, submitted *obs.Counter) *jobStore {
-	return &jobStore{max: max, jobs: map[string]*job{}, active: active, submitted: submitted}
+func newJobStore(active *obs.Gauge, submitted *obs.Counter) *jobStore {
+	return &jobStore{jobs: map[string]*job{}, active: active, submitted: submitted}
 }
 
 // add registers a new pending job and evicts the oldest finished jobs past
@@ -70,7 +69,7 @@ func (st *jobStore) add(p *prepared, cancel context.CancelFunc) *job {
 	st.order = append(st.order, j.id)
 	st.submitted.Inc()
 	st.active.Add(1)
-	for len(st.jobs) > st.max {
+	for len(st.jobs) > DefaultMaxJobs {
 		evicted := false
 		for i, id := range st.order {
 			if old := st.jobs[id]; old != nil && terminal(old.status) {

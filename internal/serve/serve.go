@@ -85,8 +85,11 @@ const (
 	DefaultQueueDepth = 64
 	DefaultCacheSize  = 128
 	DefaultTimeout    = 30 * time.Second
-	DefaultMaxJobs    = 256
 )
+
+// DefaultMaxJobs caps retained async jobs: finished jobs are evicted oldest
+// first past it.
+const DefaultMaxJobs = 256
 
 // Config parameterizes a Server.
 type Config struct {
@@ -111,9 +114,6 @@ type Config struct {
 	// RequestTimeout is the per-request deadline applied when a request
 	// carries none; zero means DefaultTimeout.
 	RequestTimeout time.Duration
-	// MaxJobs caps retained async jobs (finished jobs are evicted oldest
-	// first past the cap); zero means DefaultMaxJobs.
-	MaxJobs int
 	// Workers is the BSP worker count per run when a request does not choose
 	// one; zero means GOMAXPROCS. PR, LCC and TC's result bits depend on the
 	// worker count, so the effective one is part of the cache fingerprint.
@@ -197,9 +197,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.RequestTimeout <= 0 {
 		cfg.RequestTimeout = DefaultTimeout
 	}
-	if cfg.MaxJobs <= 0 {
-		cfg.MaxJobs = DefaultMaxJobs
-	}
 	reg := cfg.Registry
 	if reg == nil {
 		reg = obs.NewRegistry()
@@ -258,7 +255,7 @@ func New(cfg Config) (*Server, error) {
 		jobsActive:       reg.Gauge(GJobsActive),
 		runLatency:       reg.Histogram(HRunLatencyNS),
 	}
-	s.jobs = newJobStore(cfg.MaxJobs, s.m.jobsActive, s.m.jobsSubmitted)
+	s.jobs = newJobStore(s.m.jobsActive, s.m.jobsSubmitted)
 	return s, nil
 }
 

@@ -6,13 +6,11 @@ package tgraph_test
 
 import (
 	"path/filepath"
-	"reflect"
 	"runtime/debug"
 	"sync"
 	"testing"
 
 	"graphite/internal/algorithms"
-	"graphite/internal/core"
 	"graphite/internal/gen"
 	ival "graphite/internal/interval"
 	"graphite/internal/tgraph"
@@ -165,51 +163,6 @@ func TestSliceAllocations(t *testing.T) {
 	small, large := allocs(0.02), allocs(0.2)
 	if small != large || large > 16 {
 		t.Errorf("Slice allocates %v objects at scale 0.02, %v at 0.2; want equal and <= 16", small, large)
-	}
-}
-
-// TestSliceAlgorithmIdentity: a windowed query answers bit for bit what it
-// answered over the Builder-derived slice — here over a late window, which
-// drops early vertices and so renumbers the rest.
-func TestSliceAlgorithmIdentity(t *testing.T) {
-	g := generate(t, gen.MAGLike(0.1))
-	w := ival.New(g.Horizon()*5/8, g.Horizon())
-	s, err := tgraph.Slice(g, w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.NumVertices() == g.NumVertices() || s.NumEdges() == 0 {
-		t.Fatalf("window %v keeps %d of %d vertices and %d edges; want some vertices dropped, some edges kept",
-			w, s.NumVertices(), g.NumVertices(), s.NumEdges())
-	}
-	want, err := tgraph.SliceOracle(g, w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	source := s.Edge(0).Src
-	runs := map[string]func(*tgraph.Graph) (*core.Result, error){
-		"SSSP": func(g *tgraph.Graph) (*core.Result, error) { return algorithms.RunSSSP(g, source, w.Start, 2) },
-		"EAT":  func(g *tgraph.Graph) (*core.Result, error) { return algorithms.RunEAT(g, source, w.Start, 2) },
-		"RH":   func(g *tgraph.Graph) (*core.Result, error) { return algorithms.RunRH(g, source, w.Start, 2) },
-	}
-	for name, run := range runs {
-		got, err := run(s)
-		if err != nil {
-			t.Fatalf("%s over the slice: %v", name, err)
-		}
-		ref, err := run(want)
-		if err != nil {
-			t.Fatalf("%s over the oracle: %v", name, err)
-		}
-		if got.Metrics.Messages != ref.Metrics.Messages || got.Metrics.ComputeCalls != ref.Metrics.ComputeCalls {
-			t.Errorf("%s: %d messages / %d compute calls over the slice, %d / %d over the oracle", name,
-				got.Metrics.Messages, got.Metrics.ComputeCalls, ref.Metrics.Messages, ref.Metrics.ComputeCalls)
-		}
-		for v := 0; v < s.NumVertices(); v++ {
-			if a, b := got.State(v).Parts(), ref.State(v).Parts(); !reflect.DeepEqual(a, b) {
-				t.Fatalf("%s: vertex %d state diverges between the slice and its oracle:\n%v\nvs\n%v", name, v, a, b)
-			}
-		}
 	}
 }
 
