@@ -119,7 +119,7 @@ func main() {
 		rec := lg.LastRecovery()
 		log.Info("live graph opened", "name", name, "wal", path,
 			"epoch", info.Epoch, "events", info.Events, "vertices", info.Vertices, "edges", info.Edges,
-			"from_snapshot", rec.FromSnapshot, "tail_events", rec.TailEvents)
+			"from_snapshot", rec.FromSnapshot, "tail_events", rec.Events)
 	}
 
 	s, err := serve.New(serve.Config{

@@ -131,9 +131,9 @@ func TestCompactionSurvivesSIGKILL(t *testing.T) {
 	if !rec.FromSnapshot {
 		t.Fatalf("recovery ignored the snapshot: %+v", rec)
 	}
-	if rec.SnapshotEvents <= 0 || rec.TailEvents >= total {
+	if rec.SnapshotEvents <= 0 || rec.Events >= total {
 		t.Fatalf("recovery replayed %d of %d events (snapshot covered %d): want a strict tail",
-			rec.TailEvents, total, rec.SnapshotEvents)
+			rec.Events, total, rec.SnapshotEvents)
 	}
 
 	// Bit-identical to regeneration, exactly as without compaction.
@@ -156,5 +156,5 @@ func TestCompactionSurvivesSIGKILL(t *testing.T) {
 			want.Graph().NumVertices(), want.Graph().NumEdges())
 	}
 	t.Logf("SIGKILL after %d acked batches; snapshot covered %d events, tail replayed %d of %d (graph %d vertices, %d edges)",
-		acked, rec.SnapshotEvents, rec.TailEvents, total, got.Graph().NumVertices(), got.Graph().NumEdges())
+		acked, rec.SnapshotEvents, rec.Events, total, got.Graph().NumVertices(), got.Graph().NumEdges())
 }

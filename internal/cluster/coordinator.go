@@ -70,15 +70,13 @@ type Config struct {
 // /debug/cluster; older supersteps fall off the front.
 const attrRingCap = 512
 
-// RecoveryInfo describes one completed rollback-and-replay cycle.
+// RecoveryInfo describes one completed rollback-and-replay cycle: the
+// barrier's recovery event, in the epoch it ended in, and what the
+// coordinator measured around it.
 type RecoveryInfo struct {
-	Epoch         int           `json:"epoch"`     // epoch recovered into
-	Failed        int           `json:"failed"`    // superstep in flight at detection
-	ResumeAt      int           `json:"resume_at"` // superstep execution resumed from
-	Gen           int           `json:"gen"`       // committed generation restored
-	Detect        time.Duration `json:"detect_ns"` // silence observed before declaring death
-	MTTR          time.Duration `json:"mttr_ns"`   // detection → superstep broadcast resumed
-	Replayed      int           `json:"replayed_supersteps"`
+	obs.Recovery
+	Detect        time.Duration `json:"detect_ns"`      // silence observed before declaring death
+	MTTR          time.Duration `json:"mttr_ns"`        // detection → superstep broadcast resumed
 	RestoredBytes int64         `json:"restored_bytes"` // checkpoint bytes reloaded, all shards
 }
 
@@ -372,7 +370,8 @@ type driver struct {
 	pendingDead []deadWorker
 
 	// Recovery in progress: rewound is the barrier's verdict on its first
-	// worker loss — the superstep that failed, where execution resumes.
+	// worker loss — the superstep that failed, where execution resumes —
+	// in the epoch of the latest.
 	recovering    bool
 	detectedAt    time.Time
 	detectLag     time.Duration
@@ -704,16 +703,17 @@ func (d *driver) workerLost(dw deadWorker) error {
 	if err != nil {
 		return fmt.Errorf("cluster: shard %d lost (%s): %w", dw.shard, dw.reason, err)
 	}
+	d.epoch++
+	ev.Epoch, ev.Gen = d.epoch, d.committedGen
 	if !d.recovering {
 		d.detectedAt = d.io.now()
 		d.detectLag = dw.silent
 		d.rewound = ev
 		d.restoredBytes = 0
 	}
+	d.rewound.Epoch = d.epoch
 	d.recovering = true
 	d.rejoinBy = d.io.now().Add(d.c.cfg.RejoinTimeout)
-	d.epoch++
-	ev.Epoch, ev.Gen = d.epoch, d.committedGen
 	d.emit(ev)
 	d.meshing = false // the next full quorum re-runs the mesh exchange
 	d.resetBarrierTally()
@@ -739,13 +739,9 @@ func (d *driver) resume() {
 	r := d.rewound
 	mttr := d.io.now().Sub(d.detectedAt)
 	info := RecoveryInfo{
-		Epoch:         d.epoch,
-		Failed:        r.Failed,
-		ResumeAt:      r.ResumeAt,
-		Gen:           d.committedGen,
+		Recovery:      r,
 		Detect:        d.detectLag,
 		MTTR:          mttr,
-		Replayed:      r.Replayed,
 		RestoredBytes: d.restoredBytes,
 	}
 	d.c.mu.Lock()
@@ -757,8 +753,8 @@ func (d *driver) resume() {
 	reg := d.c.cfg.Registry
 	reg.Counter(obs.CClusterRecoveries).Inc()
 	reg.Counter(obs.CClusterReplayedSupersteps).Add(int64(r.Replayed))
-	d.c.cfg.Logger.Info("cluster: recovered", "epoch", d.epoch, "resume_at", r.ResumeAt,
-		"gen", d.committedGen, "mttr", mttr.Round(time.Millisecond), "replayed", r.Replayed)
+	d.c.cfg.Logger.Info("cluster: recovered", "epoch", r.Epoch, "resume_at", r.ResumeAt,
+		"gen", r.Gen, "mttr", mttr.Round(time.Millisecond), "replayed", r.Replayed)
 	d.setState(stRunning)
 	d.broadcastStep()
 }

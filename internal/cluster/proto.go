@@ -122,6 +122,21 @@ type stepDoneMsg struct {
 	CkptBytes int64         `json:"ckpt_bytes"`
 }
 
+// MarshalJSON keeps a report's empty fields off the wire: its interval bytes
+// when the superstep sent nothing, and its clocks, which a report leaves at
+// zero (the worker's clocks travel in its step; parseJSON rejects a report
+// that carries one). The fields below shadow the record's, being shallower.
+func (m stepDoneMsg) MarshalJSON() ([]byte, error) {
+	type msg stepDoneMsg // the fields, without this method
+	return json.Marshal(struct {
+		msg
+		Intervals   obs.IntervalBytes `json:"interval_bytes,omitzero"`
+		ComputeNS   struct{}          `json:"compute_ns,omitzero"`
+		MessagingNS struct{}          `json:"messaging_ns,omitzero"`
+		BarrierNS   struct{}          `json:"barrier_ns,omitzero"`
+	}{msg: msg(m), Intervals: m.Intervals})
+}
+
 // peersMsg hands every worker the mesh address of every shard for an epoch
 // (indexed by shard; the receiver skips its own slot). Re-broadcast after
 // every recovery so replacements advertise their fresh listeners.
@@ -177,13 +192,20 @@ func writeConnFrame(w io.Writer, ftype byte, payload []byte) error {
 
 // parseJSON decodes one JSON control frame payload. A barrier report's
 // "aggs":[] and an absent "aggs" mean the same — no aggregator partials — and
-// both decode to nil, the value the sender's omitempty leaves off the wire.
+// both decode to nil, the value the sender's omitempty leaves off the wire. A
+// barrier report carrying a clock is malformed: the barrier adds its own
+// clocks to the reports' sum, so a report's would count twice.
 func parseJSON(payload []byte, v any) error {
 	if err := json.Unmarshal(payload, v); err != nil {
 		return fmt.Errorf("cluster: malformed control frame: %w", err)
 	}
-	if sd, ok := v.(*stepDoneMsg); ok && len(sd.Aggs) == 0 {
-		sd.Aggs = nil
+	if sd, ok := v.(*stepDoneMsg); ok {
+		if sd.ComputeNS != 0 || sd.MessagingNS != 0 || sd.BarrierNS != 0 {
+			return fmt.Errorf("cluster: malformed control frame: a barrier report carries clocks")
+		}
+		if len(sd.Aggs) == 0 {
+			sd.Aggs = nil
+		}
 	}
 	return nil
 }

@@ -63,7 +63,7 @@ func FuzzClusterFrames(f *testing.F) {
 		Params: algorithms.Params{Source: 4, Window: ival.New(2, 9)}, CheckpointEvery: 2, HeartbeatNS: 5e7, Span: "ab12"})
 	seedJSON(fReady, readyMsg{Epoch: 1, Shard: 1, Superstep: 4, Gen: 2, RestoredBytes: 99})
 	seedJSON(fStep, stepMsg{Epoch: 1, Superstep: 4, Checkpoint: true, Gen: 2})
-	seedJSON(fStepDone, stepDoneMsg{StepReport: engine.StepReport{Superstep: 4, Delivered: 7, Active: 3},
+	seedJSON(fStepDone, stepDoneMsg{StepReport: report(4, 3, obs.Totals{Delivered: 7}),
 		Step: obs.ShardStep{Span: "ab12", Superstep: 4, Shard: 1, Epoch: 1, ComputeNS: 90, DirectBytes: 512}, CkptGen: -1})
 	seedJSON(fPeers, peersMsg{Epoch: 2, Addrs: []string{"127.0.0.1:1", ""}})
 	seedJSON(fMeshed, meshedMsg{Epoch: 2, Shard: 0})
@@ -82,14 +82,16 @@ func FuzzClusterFrames(f *testing.F) {
 	f.Add(fHeartbeat, []byte(nil))
 	f.Add(byte(0), []byte(`{"shard":1e400}`))
 	seedJSON(fStep, stepMsg{Epoch: 1, Superstep: 5, Phase: 3})
-	seedJSON(fStepDone, stepDoneMsg{StepReport: engine.StepReport{Superstep: 5, Active: 4,
-		ComputeCalls: 9, ScatterCalls: 12, SentMsgs: 6, SentBytes: 70, Spilled: 2,
-		Aggs: []codec.Word{codec.IntWord(1), codec.FloatWord(-0.5)}, IntervalBytes: [codec.NumIntervalClasses]int64{0, 6, 3, 0}},
-		Step: obs.ShardStep{Superstep: 5, Shard: 2, Epoch: 1}, CkptGen: -1})
-	// A report from a build whose barrier report listed the counts itself:
-	// the same names, so it decodes to the same report.
+	full := report(5, 4, obs.Totals{ComputeCalls: 9, ScatterCalls: 12, Messages: 6, MessageBytes: 70, Spilled: 2})
+	full.Intervals = obs.IntervalBytes{Unit: 6, Unbounded: 3}
+	full.Aggs = []codec.Word{codec.IntWord(1), codec.FloatWord(-0.5)}
+	seedJSON(fStepDone, stepDoneMsg{StepReport: full, Step: obs.ShardStep{Superstep: 5, Shard: 2, Epoch: 1}, CkptGen: -1})
+	// A report carrying fields this decoder does not have (epoch, shard,
+	// direct_bytes at the top level): they are ignored.
 	f.Add(fStepDone, []byte(`{"epoch":1,"superstep":4,"shard":1,"delivered":7,"active":3,"compute_calls":2,`+
-		`"scatter_calls":0,"sent_msgs":5,"sent_bytes":40,"ckpt_gen":-1,"ckpt_bytes":0,"direct_bytes":512}`))
+		`"scatter_calls":0,"messages":5,"message_bytes":40,"interval_bytes":{"unit":5},"ckpt_gen":-1,"ckpt_bytes":0,"direct_bytes":512}`))
+	// A report carrying a clock, which the barrier would count twice.
+	f.Add(fStepDone, []byte(`{"superstep":4,"delivered":7,"active":3,"barrier_ns":40,"step":{"superstep":4},"ckpt_gen":-1}`))
 
 	f.Fuzz(func(t *testing.T, ftype byte, payload []byte) {
 		var wire bytes.Buffer
@@ -142,26 +144,52 @@ func FuzzClusterFrames(f *testing.F) {
 	})
 }
 
+// report is a shard's barrier report of superstep s: its counts and its
+// frontier after delivery.
+func report(s, active int, counts obs.Totals) engine.StepReport {
+	return engine.StepReport{SuperstepEnd: obs.SuperstepEnd{Superstep: s, Totals: counts, Active: active}}
+}
+
 // TestBarrierFieldsOmittedWhenEmpty: the phase a step carries, and the
 // aggregator partials, spilled count and interval bytes a barrier report
 // carries, are omitted when empty, so a program without a master, aggregators
 // or spilled payloads puts none of them on the wire, nor a superstep that
-// sent nothing its interval bytes.
+// sent nothing its interval bytes. The report is the superstep's record under
+// its trace names, without the clocks (a worker's clocks travel in its step).
 func TestBarrierFieldsOmittedWhenEmpty(t *testing.T) {
+	sent := report(4, 3, obs.Totals{Messages: 2, MessageBytes: 9, Delivered: 7})
+	sent.Intervals = obs.IntervalBytes{Unit: 2}
 	for _, tc := range []struct {
 		msg  any
 		want string
 	}{
 		{stepMsg{Epoch: 1, Superstep: 4, Checkpoint: true, Gen: 2}, `{"epoch":1,"superstep":4,"checkpoint":true,"gen":2}`},
-		{stepDoneMsg{StepReport: engine.StepReport{Superstep: 4, Delivered: 7, Active: 3},
+		{stepDoneMsg{StepReport: report(4, 3, obs.Totals{Delivered: 7}),
 			Step: obs.ShardStep{Superstep: 4, Shard: 1, Epoch: 1, DirectBytes: 512}, CkptGen: -1},
-			`{"superstep":4,"delivered":7,"active":3,"compute_calls":0,"scatter_calls":0,"sent_msgs":0,"sent_bytes":0,` +
+			`{"superstep":4,"compute_calls":0,"scatter_calls":0,"messages":0,"message_bytes":0,"delivered":7,"active":3,` +
 				`"step":{"superstep":4,"shard":1,"epoch":1,"compute_ns":0,"wait_ns":0,"deliver_ns":0,"direct_bytes":512},` +
 				`"ckpt_gen":-1,"ckpt_bytes":0}`},
+		{stepDoneMsg{StepReport: sent, Step: obs.ShardStep{Superstep: 4, Shard: 1, Epoch: 1}, CkptGen: -1},
+			`{"superstep":4,"compute_calls":0,"scatter_calls":0,"messages":2,"message_bytes":9,"delivered":7,"active":3,` +
+				`"step":{"superstep":4,"shard":1,"epoch":1,"compute_ns":0,"wait_ns":0,"deliver_ns":0},` +
+				`"ckpt_gen":-1,"ckpt_bytes":0,"interval_bytes":{"unit":2}}`},
 	} {
 		got, err := json.Marshal(tc.msg)
 		if err != nil || string(got) != tc.want {
 			t.Errorf("%T encodes as %s (%v), want %s", tc.msg, got, err, tc.want)
+		}
+	}
+}
+
+// TestBarrierReportWithClocksRejected: the barrier adds the coordinator's
+// clocks to the sum of its reports, so a report carrying a clock of its own
+// would count twice; it does not parse.
+func TestBarrierReportWithClocksRejected(t *testing.T) {
+	for _, clock := range []string{"compute_ns", "messaging_ns", "barrier_ns"} {
+		payload := `{"superstep":4,"delivered":7,"active":3,"` + clock + `":5,"step":{"superstep":4},"ckpt_gen":-1}`
+		var sd stepDoneMsg
+		if err := parseJSON([]byte(payload), &sd); err == nil {
+			t.Errorf("a report carrying %s parsed: %+v", clock, sd)
 		}
 	}
 }

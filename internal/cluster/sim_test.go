@@ -762,6 +762,9 @@ func TestSimLeaseRecovery(t *testing.T) {
 		if l, ok := e.(obs.WorkerLost); ok && strings.HasPrefix(l.Reason, "lease expired") {
 			lost++
 		}
+		if ev, ok := e.(obs.Recovery); ok && ev != r.Recovery {
+			t.Errorf("the report's recovery %+v is not the traced one %+v", r.Recovery, ev)
+		}
 	}
 	if rec.Count("worker_lost") != 1 || lost != 1 || rec.Count("recovery") != 1 {
 		t.Errorf("trace events: lost=%d (to the lease %d) recovery=%d",

@@ -494,7 +494,7 @@ func (w *wrk) finishStepIfReady() error {
 	}
 	w.emit(*rec)
 	if w.series != nil {
-		end := rep.Record()
+		end := rep.SuperstepEnd
 		end.Add(rec.Clocks())
 		w.series.Publish(end)
 	}

@@ -4,8 +4,9 @@ import ival "graphite/internal/interval"
 
 // IntervalClass names the encoding class an interval falls into — the same
 // taxonomy the header flags encode. The observability layer splits message
-// byte counts by class, since the unit/unbounded single-point encodings are
-// where the paper's 59–78% size reduction comes from.
+// byte counts by class (obs.IntervalBytes), since the unit/unbounded
+// single-point encodings are where the paper's 59–78% size reduction comes
+// from.
 type IntervalClass uint8
 
 // Interval encoding classes, in header-flag order.
@@ -14,9 +15,6 @@ const (
 	ClassUnit
 	ClassUnbounded
 	ClassGeneral
-
-	// NumIntervalClasses sizes per-class accumulator arrays.
-	NumIntervalClasses = 4
 )
 
 // ClassAndSize returns the encoding class AppendInterval would use for iv and
@@ -39,19 +37,4 @@ func ClassAndSize(iv ival.Interval) (IntervalClass, int) {
 func ClassOf(iv ival.Interval) IntervalClass {
 	c, _ := ClassAndSize(iv)
 	return c
-}
-
-// String returns the class name as used in registry metric names.
-func (c IntervalClass) String() string {
-	switch c {
-	case ClassEmpty:
-		return "empty"
-	case ClassUnit:
-		return "unit"
-	case ClassUnbounded:
-		return "unbounded"
-	case ClassGeneral:
-		return "general"
-	}
-	return "unknown"
 }

@@ -2,70 +2,47 @@ package core
 
 import "graphite/internal/obs"
 
-// warpTotals are the runtime's cumulative warp counters; the tracer diffs
-// consecutive barrier snapshots to get per-superstep deltas.
-type warpTotals struct {
-	warpCalls  int64
-	suppressed int64
-	tuples     int64
-	merged     int64
-	msgsIn     int64
-	unitMsgsIn int64
-}
-
-func (rt *runtime) warpTotals() warpTotals {
-	return warpTotals{
-		warpCalls:  rt.warpCalls.Load(),
-		suppressed: rt.warpSuppressed.Load(),
-		tuples:     rt.activeIntervals.Load(),
-		merged:     rt.mergedGroups.Load(),
-		msgsIn:     rt.msgsIn.Load(),
-		unitMsgsIn: rt.unitMsgsIn.Load(),
-	}
-}
-
-func (a warpTotals) sub(b warpTotals) warpTotals {
-	return warpTotals{
-		warpCalls:  a.warpCalls - b.warpCalls,
-		suppressed: a.suppressed - b.suppressed,
-		tuples:     a.tuples - b.tuples,
-		merged:     a.merged - b.merged,
-		msgsIn:     a.msgsIn - b.msgsIn,
-		unitMsgsIn: a.unitMsgsIn - b.unitMsgsIn,
+// warpStats returns the runtime's warp counters, cumulative over the run.
+func (rt *runtime) warpStats() obs.WarpStats {
+	return obs.WarpStats{
+		WarpCalls:    rt.warpCalls.Load(),
+		Suppressed:   rt.warpSuppressed.Load(),
+		Tuples:       rt.activeIntervals.Load(),
+		MergedGroups: rt.mergedGroups.Load(),
+		MsgsIn:       rt.msgsIn.Load(),
+		UnitMsgsIn:   rt.unitMsgsIn.Load(),
 	}
 }
 
 // icmTracer interposes on the engine's event stream to add the ICM layer's
-// per-superstep warp statistics: at each superstep_end it diffs the runtime
-// counters against the previous barrier and emits a WarpStats event before
-// forwarding. Every event comes from the coordinating goroutine, so `last`
-// needs no lock.
+// per-superstep warp statistics: at each superstep_end it diffs the runtime's
+// cumulative counters against the previous barrier's and emits the
+// difference as a WarpStats event before forwarding. Every event comes from
+// the coordinating goroutine, so `last` needs no lock.
 type icmTracer struct {
 	rt   *runtime
 	next obs.Tracer
-	last warpTotals
+	last obs.WarpStats
 }
 
 // Emit implements obs.Tracer.
 func (t *icmTracer) Emit(e obs.Event) {
 	if ev, ok := e.(obs.SuperstepEnd); ok {
-		cur := t.rt.warpTotals()
-		d := cur.sub(t.last)
+		cur, last := t.rt.warpStats(), t.last
 		t.last = cur
-		uf := 0.0
-		if d.msgsIn > 0 {
-			uf = float64(d.unitMsgsIn) / float64(d.msgsIn)
-		}
-		t.next.Emit(obs.WarpStats{
+		d := obs.WarpStats{
 			Superstep:    ev.Superstep,
-			WarpCalls:    d.warpCalls,
-			Suppressed:   d.suppressed,
-			Tuples:       d.tuples,
-			MergedGroups: d.merged,
-			MsgsIn:       d.msgsIn,
-			UnitMsgsIn:   d.unitMsgsIn,
-			UnitFraction: uf,
-		})
+			WarpCalls:    cur.WarpCalls - last.WarpCalls,
+			Suppressed:   cur.Suppressed - last.Suppressed,
+			Tuples:       cur.Tuples - last.Tuples,
+			MergedGroups: cur.MergedGroups - last.MergedGroups,
+			MsgsIn:       cur.MsgsIn - last.MsgsIn,
+			UnitMsgsIn:   cur.UnitMsgsIn - last.UnitMsgsIn,
+		}
+		if d.MsgsIn > 0 {
+			d.UnitFraction = float64(d.UnitMsgsIn) / float64(d.MsgsIn)
+		}
+		t.next.Emit(d)
 	}
 	t.next.Emit(e)
 }

@@ -155,10 +155,9 @@ func (b *Barrier) Close(reps []StepReport) (quiesced bool) {
 	b.state.Aggs = b.identities(b.state.Aggs)
 	var st obs.SuperstepEnd
 	for _, r := range reps {
-		rec := r.Record()
-		st.Add(rec.Totals)
-		st.Intervals.Add(rec.Intervals)
-		st.Active += rec.Active
+		st.Add(r.Totals)
+		st.Intervals.Add(r.Intervals)
+		st.Active += r.Active
 		for i, p := range r.Aggs {
 			b.state.Aggs[i] = b.aggs[i].reduce(b.state.Aggs[i], p)
 		}

@@ -59,7 +59,7 @@ func (c *Context) SendWord(dst int, when ival.Interval, pw codec.Word, spill []a
 	w := c.w
 	dw := int(c.eng.part[dst])
 	w.outbox[dw].add(newMessage(int32(dst), when, pw), spill)
-	w.rep.SentMsgs++
+	w.rep.Messages++
 	class, n := codec.ClassAndSize(when)
 	ivalBytes := int64(n)
 	size := ivalBytes
@@ -68,8 +68,8 @@ func (c *Context) SendWord(dst int, when ival.Interval, pw codec.Word, spill []a
 	} else {
 		size += c.payloadSize(pw, spill)
 	}
-	w.rep.SentBytes += size
-	w.rep.IntervalBytes[class] += ivalBytes
+	w.rep.MessageBytes += size
+	w.rep.Intervals.AddClass(class, ivalBytes)
 }
 
 // payloadSize sizes a payload that is not a word of the run's codec: one

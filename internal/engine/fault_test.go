@@ -260,8 +260,12 @@ func TestBarrierRecoveryLedger(t *testing.T) {
 	const attempts = 8
 	rep := func(s int) []StepReport {
 		return []StepReport{
-			{ComputeCalls: int64(s), SentMsgs: 2, SentBytes: 10, Delivered: 2, Active: s, Aggs: []codec.Word{codec.IntWord(int64(s))}},
-			{ComputeCalls: 1, SentMsgs: int64(s), SentBytes: 5, Delivered: 1, Active: 1, Aggs: []codec.Word{codec.IntWord(100)}},
+			{SuperstepEnd: obs.SuperstepEnd{Active: s,
+				Totals: obs.Totals{ComputeCalls: int64(s), Messages: 2, MessageBytes: 10, Delivered: 2}},
+				Aggs: []codec.Word{codec.IntWord(int64(s))}},
+			{SuperstepEnd: obs.SuperstepEnd{Active: 1,
+				Totals: obs.Totals{ComputeCalls: 1, Messages: int64(s), MessageBytes: 5, Delivered: 1}},
+				Aggs: []codec.Word{codec.IntWord(100)}},
 		}
 	}
 	for _, tc := range []struct {

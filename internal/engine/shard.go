@@ -27,23 +27,16 @@ import (
 // cluster run is bit-identical to a single-process run over the same
 // configuration, which is what the kill-recovery chaos tests assert.
 
-// StepReport is one shard's contribution to a superstep barrier: what
-// Barrier.Close decides the superstep's end from — deliveries, frontier and
-// aggregator partials — and the counts it folds into the run's totals. The
-// cluster's barrier report carries it under these JSON names.
+// StepReport is one shard's contribution to a superstep barrier: its share
+// of the superstep's record — counts, frontier after delivery and interval
+// bytes, no clocks — and its aggregator partials, in name order. Delivered
+// counts the messages delivered into this shard, after each sender's fold;
+// Active, its vertices active for the next superstep. Barrier.Close decides
+// the superstep's end from the shares and folds them into the run's totals;
+// the cluster's barrier report carries it under the record's JSON names.
 type StepReport struct {
-	Superstep    int          `json:"superstep"` // the superstep just completed
-	Delivered    int64        `json:"delivered"` // messages delivered into this shard, after each sender's fold
-	Active       int          `json:"active"`    // this shard's vertices active for the next superstep
-	ComputeCalls int64        `json:"compute_calls"`
-	ScatterCalls int64        `json:"scatter_calls"`
-	SentMsgs     int64        `json:"sent_msgs"`
-	SentBytes    int64        `json:"sent_bytes"`
-	Spilled      int64        `json:"spilled,omitempty"` // sent messages whose payload is in a spill table
-	Aggs         []codec.Word `json:"aggs,omitempty"`    // aggregator partials, in name order
-	// IntervalBytes splits the sent messages' interval bytes by encoding
-	// class, indexed by codec.IntervalClass.
-	IntervalBytes [codec.NumIntervalClasses]int64 `json:"interval_bytes,omitzero"`
+	obs.SuperstepEnd
+	Aggs []codec.Word `json:"aggs,omitempty"`
 }
 
 // Shard is one worker of an engine: it owns the vertices the partitioner
@@ -64,8 +57,8 @@ type Shard struct {
 	allSlots []int32 // lazily built 0..len(local)-1 schedule for ActivateAll
 
 	// The superstep's partials, reported to the barrier after every
-	// superstep (report): the counts, the interval bytes by class and the
-	// aggregator partials, in the barrier's name order.
+	// superstep (report): the shard's record and the aggregator partials,
+	// in the barrier's name order.
 	rep StepReport
 
 	// step is the shard's record of the superstep in flight: each phase
@@ -196,7 +189,7 @@ func (s *Shard) Deliver(batches [][]byte) (int64, error) {
 
 // Barrier closes the current superstep on the shard's side: it returns the
 // report for Barrier.Close, starts the partials over and refreshes the pool
-// gauges, as Run does at its barrier. The report's Record is the shard's
+// gauges, as Run does at its barrier. The report's record is the shard's
 // share of the superstep, which its driver publishes. Call after Deliver.
 func (s *Shard) Barrier() StepReport {
 	rep := s.report()

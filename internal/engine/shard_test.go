@@ -180,7 +180,7 @@ func TestShardBarrierPublishesNoImbalance(t *testing.T) {
 			t.Fatalf("Deliver: %v", err)
 		}
 		rep := s.Barrier()
-		s.eng.series.Publish(rep.Record())
+		s.eng.series.Publish(rep.SuperstepEnd)
 		if got := reg.Gauge(obs.GClusterSkewMilli).Load(); got != 0 {
 			t.Errorf("superstep %d: a shard published compute skew %d, want none", rep.Superstep, got)
 		}
@@ -239,7 +239,7 @@ func stepShards(t testing.TB, ss []*Shard, phase int) ([]StepReport, error) {
 			t.Fatal(err)
 		}
 		reps[d] = s.Barrier()
-		rec := reps[d].Record()
+		rec := reps[d].SuperstepEnd
 		rec.Add(s.step.Clocks())
 		s.eng.series.Publish(rec)
 	}

@@ -42,28 +42,10 @@ var ErrSnapshotLost = errors.New("live: compacted WAL without a usable snapshot"
 // SnapshotPath returns the companion snapshot path for a WAL path.
 func SnapshotPath(walPath string) string { return walPath + ".gsn" }
 
-// CompactStats describes one completed compaction.
-type CompactStats struct {
-	Epoch         uint64 // epoch the snapshot captured
-	Events        int    // cumulative events the snapshot covers
-	SnapshotBytes int64
-	WALBefore     int64 // log size before rotation
-	WALAfter      int64 // log size after (just the version-2 header)
-}
-
-// Recovery describes how the last Open reconstructed the graph's state:
-// from a snapshot plus a replayed tail, or from a full log replay.
-type Recovery struct {
-	FromSnapshot   bool
-	SnapshotEpoch  uint64
-	SnapshotEvents int  // events the snapshot covered
-	TailBatches    int  // WAL batches replayed after the snapshot
-	TailEvents     int  // events replayed after the snapshot
-	Truncated      bool // a torn WAL tail was truncated
-}
-
-// LastRecovery reports how Open reconstructed this graph.
-func (g *Graph) LastRecovery() Recovery {
+// LastRecovery reports how Open reconstructed this graph: from a snapshot
+// plus a replayed tail, or from a full log replay — the wal_replay event
+// Open traced.
+func (g *Graph) LastRecovery() obs.WALReplay {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	return g.recovery
@@ -124,44 +106,53 @@ func openLiveSnapshot(path string) (*liveSnapshot, error) {
 
 // Compact checkpoints the current epoch into the companion snapshot and
 // rotates the WAL, so the next Open replays only batches applied after
-// this call. Readers are unaffected: published epochs stay valid, and the
-// files are replaced atomically. On error the graph remains fully usable;
-// at worst the snapshot is newer than the log base, which Open handles.
-func (g *Graph) Compact() (CompactStats, error) {
+// this call, and returns the wal_compact event it traces. Readers are
+// unaffected: published epochs stay valid, and the files are replaced
+// atomically. On error the graph remains usable unless the rotation failed
+// after replacing the log (see compactLocked); at worst the snapshot is
+// newer than the log base, which Open handles.
+func (g *Graph) Compact() (obs.WALCompact, error) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if g.closed {
-		return CompactStats{}, ErrClosed
+	if g.closed != nil {
+		return obs.WALCompact{}, g.closed
 	}
 	return g.compactLocked()
 }
 
-func (g *Graph) compactLocked() (CompactStats, error) {
+// compactLocked compacts under g.mu. A rotation that fails after its rename
+// (the directory fsync, or reopening the new file) leaves the new, empty log
+// at the path and the handle on the old, unlinked one: a batch appended
+// there would be acknowledged and lost at the next Open, so the graph
+// wedges instead.
+func (g *Graph) compactLocked() (obs.WALCompact, error) {
 	start := time.Now()
 	img := tgraph.EncodeSnapshot(g.cur.g, encodeLiveExtra(g.cur.id, g.opts.Horizon, g.acc))
 	if err := codec.WriteFile(g.snapPath, img); err != nil {
-		return CompactStats{}, fmt.Errorf("live: write snapshot: %w", err)
+		return obs.WALCompact{}, fmt.Errorf("live: write snapshot: %w", err)
 	}
-	walBefore := g.w.size
-	if err := g.w.rotate(g.cur.id, g.acc.Events()); err != nil {
-		return CompactStats{}, err
-	}
-	g.lastCompact = g.acc.Events()
-	stats := CompactStats{
+	ev := obs.WALCompact{
+		Graph:         g.name,
 		Epoch:         g.cur.id,
 		Events:        g.acc.Events(),
 		SnapshotBytes: int64(len(img)),
-		WALBefore:     walBefore,
-		WALAfter:      g.w.size,
+		WALBefore:     g.w.size,
 	}
+	if err := g.w.rotate(ev.Epoch, ev.Events); err != nil {
+		if !g.w.atPath() {
+			return obs.WALCompact{}, g.wedge(fmt.Errorf("%w (graph wedged: the log was replaced)", err))
+		}
+		return obs.WALCompact{}, err
+	}
+	g.lastCompact = ev.Events
+	ev.WALAfter = g.w.size
 	g.publishGauges()
 	if g.mCompacts != nil {
 		g.mCompacts.Inc()
 	}
+	ev.WallNS = time.Since(start).Nanoseconds()
 	if g.opts.Tracer != nil {
-		g.opts.Tracer.Emit(obs.WALCompact{Graph: g.name, Epoch: stats.Epoch, Events: stats.Events,
-			SnapshotBytes: stats.SnapshotBytes, WALBefore: stats.WALBefore, WALAfter: stats.WALAfter,
-			WallNS: time.Since(start).Nanoseconds()})
+		g.opts.Tracer.Emit(ev)
 	}
-	return stats, nil
+	return ev, nil
 }

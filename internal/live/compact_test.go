@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"os"
+	"strings"
 	"testing"
 
 	ival "graphite/internal/interval"
@@ -79,12 +80,12 @@ func TestCompactAndReopenMatchesUncompactedReplay(t *testing.T) {
 	defer gb2.Close()
 
 	recA, recB := ga2.LastRecovery(), gb2.LastRecovery()
-	if !recA.FromSnapshot || recA.SnapshotEpoch != 3 || recA.TailBatches != 2 {
+	if !recA.FromSnapshot || recA.SnapshotEpoch != 3 || recA.Batches != 2 {
 		t.Fatalf("compacted recovery = %+v", recA)
 	}
-	if recA.TailEvents >= recB.TailEvents || recB.FromSnapshot {
+	if recA.Events >= recB.Events || recB.FromSnapshot {
 		t.Fatalf("compacted tail (%d events) not shorter than full replay (%d)",
-			recA.TailEvents, recB.TailEvents)
+			recA.Events, recB.Events)
 	}
 
 	// Bit-identical state: same info, same canonical graph bytes.
@@ -121,7 +122,7 @@ func TestCompactNoTailServesMappedEpoch(t *testing.T) {
 		t.Fatalf("reopen: %v", err)
 	}
 	rec := g2.LastRecovery()
-	if !rec.FromSnapshot || rec.TailBatches != 0 || rec.TailEvents != 0 {
+	if !rec.FromSnapshot || rec.Batches != 0 || rec.Events != 0 {
 		t.Fatalf("recovery = %+v, want snapshot-only", rec)
 	}
 	ep2 := g2.Acquire()
@@ -183,7 +184,7 @@ func TestCompactEveryAutoCompacts(t *testing.T) {
 	}
 	defer g2.Close()
 	rec := g2.LastRecovery()
-	if !rec.FromSnapshot || rec.TailEvents >= total {
+	if !rec.FromSnapshot || rec.Events >= total {
 		t.Fatalf("recovery after auto-compaction = %+v (total %d events)", rec, total)
 	}
 }
@@ -248,7 +249,7 @@ func TestSnapshotAheadOfWALBaseSkipsCoveredPrefix(t *testing.T) {
 	}
 	defer g2.Close()
 	rec := g2.LastRecovery()
-	if !rec.FromSnapshot || rec.TailBatches != 0 {
+	if !rec.FromSnapshot || rec.Batches != 0 {
 		t.Fatalf("recovery = %+v, want fully-covered log skipped", rec)
 	}
 	if got := g2.Info(); got.Events != want.Events || got.Vertices != want.Vertices {
@@ -263,5 +264,59 @@ func TestSnapshotAheadOfWALBaseSkipsCoveredPrefix(t *testing.T) {
 	}
 	if _, err := Open(path, Options{}); !errors.Is(err, ErrWALCorrupt) {
 		t.Fatalf("open with under-covered log: %v, want ErrWALCorrupt", err)
+	}
+}
+
+// TestFailedRotationWedgesOnlyAReplacedLog: a compaction whose rotation
+// fails before its rename leaves the log in place, so the graph keeps taking
+// batches and they replay. One that fails after it — the directory fsync,
+// or reopening the new file — leaves a new log at the path and the handle on
+// the old, unlinked one; the test builds that state by renaming a copy of
+// the log over the path, then fails the rotation with a directory where its
+// temp file goes. A batch appended to the orphan would be acknowledged and
+// lost at the next Open, so the graph must take none.
+func TestFailedRotationWedgesOnlyAReplacedLog(t *testing.T) {
+	for _, replaced := range []bool{false, true} {
+		path := walPath(t)
+		g, err := Open(path, Options{})
+		if err != nil {
+			t.Fatalf("Open: %v", err)
+		}
+		if _, err := g.Apply(chainBatch(0, 4, 0)); err != nil {
+			t.Fatalf("Apply: %v", err)
+		}
+		if replaced {
+			if err := os.WriteFile(path+".new", copyFile(t, path), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.Rename(path+".new", path); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := os.Mkdir(path+".tmp", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := g.Compact(); err == nil {
+			t.Fatalf("replaced %v: a rotation that could not write its log succeeded", replaced)
+		}
+		acked := g.Info().Events
+		_, err = g.Apply(chainBatch(4, 6, 5))
+		switch {
+		case replaced && (!errors.Is(err, ErrClosed) || !strings.Contains(err.Error(), "the log was replaced")):
+			t.Fatalf("Apply after the log was replaced: %v, want ErrClosed naming the cause", err)
+		case !replaced && err != nil:
+			t.Fatalf("Apply after a rotation that left the log in place: %v", err)
+		case !replaced:
+			acked = g.Info().Events
+		}
+		g.Close()
+		g2, err := Open(path, Options{})
+		if err != nil {
+			t.Fatalf("replaced %v: reopen: %v", replaced, err)
+		}
+		if got := g2.Info().Events; got != acked {
+			t.Errorf("replaced %v: reopened with %d events, %d acknowledged", replaced, got, acked)
+		}
+		g2.Close()
 	}
 }

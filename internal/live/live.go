@@ -147,9 +147,11 @@ type Graph struct {
 	w        *wal
 	cur      *Epoch
 	marks    []mark
-	closed   bool
 	snapPath string
-	recovery Recovery
+	// closed is nil while the graph takes batches: ErrClosed after Close,
+	// or ErrClosed wrapping the cause after a wedge.
+	closed   error
+	recovery obs.WALReplay
 	// lastCompact is the cumulative event count at the last compaction (or
 	// at the snapshot the last Open recovered from); CompactEvery measures
 	// from here.
@@ -226,7 +228,7 @@ func Open(path string, opts Options) (*Graph, error) {
 		g.gLastT = r.Gauge("live.last_event_time")
 		g.hIngest = r.Histogram("live.ingest_latency_ns")
 	}
-	rec := Recovery{Truncated: truncated}
+	rec := obs.WALReplay{Graph: name, Truncated: truncated}
 	tail := batches
 	var baseEpoch uint64
 	if snap != nil {
@@ -256,8 +258,8 @@ func Open(path string, opts Options) (*Graph, error) {
 			}
 		}
 	}
-	rec.TailBatches = len(tail)
-	rec.TailEvents = g.acc.Events() - rec.SnapshotEvents
+	rec.Batches = len(tail)
+	rec.Events = g.acc.Events() - rec.SnapshotEvents
 	curID := baseEpoch + uint64(len(tail))
 	var cur *tgraph.Graph
 	var drop func()
@@ -281,7 +283,6 @@ func Open(path string, opts Options) (*Graph, error) {
 	g.cur = &Epoch{id: curID, g: cur, events: g.acc.Events(), lastT: g.acc.Now(), owner: g, drop: drop}
 	g.cur.refs.Store(1) // the current pointer's reference
 	g.epochsLive.Store(1)
-	g.recovery = rec
 	g.lastCompact = rec.SnapshotEvents
 	// One conservative mark covers the whole recovered history: in-process
 	// caches are empty at open, so nothing older needs distinguishing.
@@ -291,10 +292,11 @@ func Open(path string, opts Options) (*Graph, error) {
 		g.mEvents.Store(int64(g.acc.Events()))
 		g.mBatches.Store(int64(len(tail)))
 	}
+	rec.Bytes = w.size
+	rec.WallNS = time.Since(start).Nanoseconds()
+	g.recovery = rec
 	if opts.Tracer != nil {
-		opts.Tracer.Emit(obs.WALReplay{Graph: name, Batches: len(tail), Events: rec.TailEvents,
-			Bytes: w.size, Truncated: truncated, FromSnapshot: rec.FromSnapshot,
-			SnapshotEvents: rec.SnapshotEvents, WallNS: time.Since(start).Nanoseconds()})
+		opts.Tracer.Emit(rec)
 	}
 	return g, nil
 }
@@ -313,13 +315,16 @@ func (g *Graph) Apply(batch []stream.Event) (Info, error) {
 	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if g.closed {
-		return Info{}, ErrClosed
+	if g.closed != nil {
+		return Info{}, g.closed
 	}
 	if err := g.acc.Preflight(batch); err != nil {
 		return Info{}, err
 	}
 	if err := g.w.append(batch); err != nil {
+		if errors.Is(err, errWALDiverged) {
+			g.wedge(err)
+		}
 		return Info{}, err
 	}
 	for _, ev := range batch {
@@ -327,14 +332,12 @@ func (g *Graph) Apply(batch []stream.Event) (Info, error) {
 		// it ever does the accumulator may be half-mutated and the only
 		// safe report is corruption.
 		if err := g.acc.Apply(ev); err != nil {
-			g.closed = true
-			return Info{}, fmt.Errorf("live: preflighted event rejected (graph wedged): %w", err)
+			return Info{}, g.wedge(fmt.Errorf("live: preflighted event rejected (graph wedged): %w", err))
 		}
 	}
 	snap, err := g.acc.Patch(g.cur.g, g.opts.Horizon)
 	if err != nil {
-		g.closed = true
-		return Info{}, fmt.Errorf("live: materialize snapshot (graph wedged): %w", err)
+		return Info{}, g.wedge(fmt.Errorf("live: materialize snapshot (graph wedged): %w", err))
 	}
 	ep := &Epoch{id: g.cur.id + 1, g: snap, events: g.acc.Events(), lastT: g.acc.Now(), owner: g}
 	ep.refs.Store(1)
@@ -356,8 +359,11 @@ func (g *Graph) Apply(batch []stream.Event) (Info, error) {
 			Edges: snap.NumEdges(), WallNS: elapsed.Nanoseconds()})
 	}
 	if n := g.opts.CompactEvery; n > 0 && g.acc.Events()-g.lastCompact >= n {
-		// The batch is already durable; a failed compaction costs nothing
-		// but a longer replay, and the next Apply retries.
+		// The batch is already durable. A failed compaction that left the
+		// log in place costs nothing but a longer replay, and the next
+		// Apply retries; one that replaced the log wedges the graph
+		// (compactLocked), and this batch is still acknowledged: it is in
+		// the snapshot the compaction wrote first.
 		if _, err := g.compactLocked(); err != nil && g.mCompErrs != nil {
 			g.mCompErrs.Inc()
 		}
@@ -426,11 +432,21 @@ func (g *Graph) EpochsLive() int64 { return g.epochsLive.Load() }
 func (g *Graph) Close() error {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if g.closed {
+	if g.closed != nil {
 		return nil
 	}
-	g.closed = true
+	g.closed = ErrClosed
 	return g.w.close()
+}
+
+// wedge stops the graph taking batches after cause left its log and its
+// memory in possible disagreement: the WAL is closed, and further Applies
+// and Compacts fail with ErrClosed wrapping cause, so a client sees why.
+// Published epochs stay readable. It returns cause. Callers hold g.mu.
+func (g *Graph) wedge(cause error) error {
+	g.closed = fmt.Errorf("%w: wedged by %v", ErrClosed, cause)
+	g.w.close()
+	return cause
 }
 
 func (g *Graph) reclaim() {

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -537,5 +538,75 @@ func TestWALEncodingRoundTrips(t *testing.T) {
 		if _, err := decodeBatch(enc[:cut]); err == nil {
 			t.Errorf("truncation at %d decoded silently", cut)
 		}
+	}
+}
+
+// TestUntakenAppendWedges: Apply reports a batch whose fsync failed as
+// failed, so the log must not keep its record — a retry would replay twice.
+// Here the log is a pipe's write end: the write succeeds, the fsync fails
+// (EINVAL) and so does cutting the record back off, so the graph must take
+// no further batch.
+func TestUntakenAppendWedges(t *testing.T) {
+	g, err := Open(walPath(t), Options{})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	defer g.Close()
+	if _, err := g.Apply(chainBatch(0, 4, 0)); err != nil {
+		t.Fatalf("Apply: %v", err)
+	}
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	defer w.Close()
+	g.w.f.Close()
+	g.w.f = w
+	before := g.Info()
+	if _, err := g.Apply(chainBatch(4, 6, 5)); err == nil {
+		t.Fatal("an append whose fsync failed was acknowledged")
+	}
+	if _, err := g.Apply(chainBatch(4, 6, 5)); !errors.Is(err, ErrClosed) || !strings.Contains(err.Error(), errWALDiverged.Error()) {
+		t.Fatalf("Apply after an append the log could not take back: %v, want ErrClosed naming the cause", err)
+	}
+	if g.Info() != before {
+		t.Fatalf("failed appends changed the graph: %+v, was %+v", g.Info(), before)
+	}
+}
+
+// TestTakenBackAppendKeepsGoing: an append whose write failed part-way is
+// cut back off the log, which is then positioned at its end, so the graph
+// keeps taking batches and the next record lands right after the last
+// acknowledged one. Were the file left positioned past the cut, the next
+// record would follow a hole that replay reads as a torn tail, dropping it.
+func TestTakenBackAppendKeepsGoing(t *testing.T) {
+	path := walPath(t)
+	g, err := Open(path, Options{})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	if _, err := g.Apply(chainBatch(0, 4, 0)); err != nil {
+		t.Fatalf("Apply: %v", err)
+	}
+	// A write cut part-way: a prefix of a record past the log's end.
+	if _, err := g.w.f.Write([]byte("torn record")); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.w.truncate(); err != nil {
+		t.Fatalf("taking the torn record back: %v", err)
+	}
+	if _, err := g.Apply(chainBatch(4, 6, 5)); err != nil {
+		t.Fatalf("Apply after a taken-back append: %v", err)
+	}
+	acked := g.Info().Events
+	g.Close()
+	g2, err := Open(path, Options{})
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer g2.Close()
+	if got, rec := g2.Info().Events, g2.LastRecovery(); got != acked || rec.Truncated {
+		t.Fatalf("reopened with %d events (recovery %+v), %d acknowledged", got, rec, acked)
 	}
 }

@@ -57,6 +57,11 @@ var (
 	// torn tail this is not silently recoverable: acknowledged batches may
 	// be missing.
 	ErrWALCorrupt = errors.New("live: WAL corrupt")
+
+	// errWALDiverged reports a failed append the log could not take back:
+	// the file may hold a record the graph never applied, so the graph
+	// wedges rather than append after it.
+	errWALDiverged = errors.New("live: WAL holds a record the graph did not apply")
 )
 
 // wal is the durable append half; replay is a package function so recovery
@@ -102,13 +107,9 @@ func openWAL(path string, noSync bool) (w *wal, batches [][]stream.Event, trunca
 		return nil, nil, false, err
 	}
 	if truncated {
-		if err := w.f.Truncate(good); err != nil {
+		if err := w.truncate(); err != nil {
 			w.close()
 			return nil, nil, false, fmt.Errorf("live: truncate torn WAL tail: %w", err)
-		}
-		if err := w.sync(); err != nil {
-			w.close()
-			return nil, nil, false, err
 		}
 	}
 	return w, batches, truncated, nil
@@ -232,21 +233,54 @@ func (w *wal) reopen(size int64, base walBase) error {
 }
 
 // append frames, writes and (by default) fsyncs one batch. The frame goes
-// out in a single Write so a crash leaves at worst a torn prefix of it.
+// out in a single Write so a crash leaves at worst a torn prefix of it. A
+// failed write or fsync is taken back: the file is cut to its size before
+// the append, so neither a torn record mid-log nor a record the caller was
+// told failed can replay. If that fails too, the error wraps
+// errWALDiverged.
 func (w *wal) append(batch []stream.Event) error {
 	payload := encodeBatch(batch)
 	buf := make([]byte, 0, 4+len(payload)+4)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
 	buf = append(buf, payload...)
 	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(payload))
-	if _, err := w.f.Write(buf); err != nil {
-		return fmt.Errorf("live: append WAL: %w", err)
+	_, err := w.f.Write(buf)
+	if err != nil {
+		err = fmt.Errorf("live: append WAL: %w", err)
+	} else {
+		err = w.sync()
 	}
-	if err := w.sync(); err != nil {
+	if err != nil {
+		if uerr := w.truncate(); uerr != nil {
+			return fmt.Errorf("%w: %v; taking it back: %v", errWALDiverged, err, uerr)
+		}
 		return err
 	}
 	w.size += int64(len(buf))
 	return nil
+}
+
+// truncate cuts the file back to w.size, durably, and positions it there
+// (Truncate does not move the offset).
+func (w *wal) truncate() error {
+	if err := w.f.Truncate(w.size); err != nil {
+		return err
+	}
+	if err := w.sync(); err != nil {
+		return err
+	}
+	_, err := w.f.Seek(w.size, io.SeekStart)
+	return err
+}
+
+// atPath reports whether the file at w.path is still the one w appends to.
+func (w *wal) atPath() bool {
+	have, err := w.f.Stat()
+	if err != nil {
+		return false
+	}
+	at, err := os.Stat(w.path)
+	return err == nil && os.SameFile(have, at)
 }
 
 func (w *wal) sync() error {

@@ -3,6 +3,8 @@ package obs
 import (
 	"fmt"
 	"sync"
+
+	"graphite/internal/codec"
 )
 
 // Event is one typed trace record. Concrete events are the structs below;
@@ -50,6 +52,21 @@ type IntervalBytes struct {
 	Unbounded int64 `json:"unbounded,omitempty"`
 	General   int64 `json:"general,omitempty"`
 	Empty     int64 `json:"empty,omitempty"`
+}
+
+// AddClass adds n bytes to class c's field, the one place a codec class
+// names its field.
+func (b *IntervalBytes) AddClass(c codec.IntervalClass, n int64) {
+	switch c {
+	case codec.ClassUnit:
+		b.Unit += n
+	case codec.ClassUnbounded:
+		b.Unbounded += n
+	case codec.ClassGeneral:
+		b.General += n
+	case codec.ClassEmpty:
+		b.Empty += n
+	}
 }
 
 // Add adds o's bytes to b, class by class.
@@ -130,10 +147,11 @@ func (t Totals) Check(folds bool, iv *IntervalBytes) error {
 // SuperstepEnd closes one superstep at its barrier: the superstep's record
 // in the ledger, whose fields summed over a fault-free trace equal the
 // run_end totals exactly, plus the frontier after delivery and the interval
-// bytes by class. The barrier builds it from its shards' reports and the
-// driver's phase clocks (engine.Barrier.SuperstepEnd); a cluster worker builds
-// its own shard's share (engine.StepReport.Record). Either is published to a
-// registry by EngineSeries.Publish.
+// bytes by class. A shard's share, without clocks, is what its
+// engine.StepReport carries to the barrier, which sums the shares and adds
+// the driver's phase clocks (engine.Barrier.SuperstepEnd); a cluster worker
+// adds its own clocks to its own share. Either is published to a registry by
+// EngineSeries.Publish.
 type SuperstepEnd struct {
 	Superstep int `json:"superstep"`
 	Totals
@@ -354,8 +372,9 @@ func (EpochPublish) Kind() string { return "epoch_publish" }
 // batches and events were replayed from the write-ahead log, the bytes
 // consumed, and whether a torn tail (an append cut short by a crash) was
 // truncated. When recovery started from a compacted snapshot,
-// FromSnapshot is set and SnapshotEvents counts the events the snapshot
-// already covered (Batches/Events then describe only the replayed tail).
+// FromSnapshot is set, SnapshotEpoch names the epoch it captured and
+// SnapshotEvents counts the events it already covered (Batches/Events then
+// describe only the replayed tail). live.Graph.LastRecovery returns it.
 type WALReplay struct {
 	Graph          string `json:"graph,omitempty"`
 	Batches        int    `json:"batches"`
@@ -363,6 +382,7 @@ type WALReplay struct {
 	Bytes          int64  `json:"bytes"`
 	Truncated      bool   `json:"truncated,omitempty"`
 	FromSnapshot   bool   `json:"from_snapshot,omitempty"`
+	SnapshotEpoch  uint64 `json:"snapshot_epoch,omitempty"`
 	SnapshotEvents int    `json:"snapshot_events,omitempty"`
 	WallNS         int64  `json:"wall_ns"`
 }
@@ -373,7 +393,7 @@ func (WALReplay) Kind() string { return "wal_replay" }
 // WALCompact records a live graph checkpointing its state: the current
 // epoch was written as a mapped snapshot and the write-ahead log was
 // rotated to an empty file based at that snapshot. WALBefore/WALAfter are
-// the log sizes around the rotation.
+// the log sizes around the rotation. live.Graph.Compact returns it.
 type WALCompact struct {
 	Graph         string `json:"graph,omitempty"`
 	Epoch         uint64 `json:"epoch"`

@@ -6,6 +6,8 @@ package serve
 // makes a served result reconstructible bit-for-bit into the CLI's output
 // (see FormatResult / RunResult.FormatLines).
 
+import "graphite/internal/live"
+
 // Window restricts a run to a time sub-window of the graph: every vertex,
 // edge and property exists only inside it, and vertices it leaves nothing of
 // are absent from the result. The server derives no graph: every algorithm
@@ -147,12 +149,8 @@ type EventsRequest struct {
 // EventsResult acknowledges an ingested batch with the newly published
 // epoch's summary.
 type EventsResult struct {
-	Graph    string `json:"graph"`
-	Epoch    uint64 `json:"epoch"`
-	Events   int    `json:"events"` // cumulative since the log began
-	LastTime int64  `json:"last_time"`
-	Vertices int    `json:"vertices"`
-	Edges    int    `json:"edges"`
+	Graph string `json:"graph"`
+	live.Info
 }
 
 // JobView is the external state of an async job.

@@ -107,12 +107,5 @@ func (s *Server) ApplyEvents(name string, evs []EventWire) (*EventsResult, error
 		}
 		return nil, err
 	}
-	return &EventsResult{
-		Graph:    name,
-		Epoch:    info.Epoch,
-		Events:   info.Events,
-		LastTime: int64(info.LastTime),
-		Vertices: info.Vertices,
-		Edges:    info.Edges,
-	}, nil
+	return &EventsResult{Graph: name, Info: info}, nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -37,7 +38,8 @@ func newLiveServer(t *testing.T, opts live.Options) (*Server, *live.Graph, *http
 }
 
 // postEvents POSTs a mutation batch and decodes the response into out (which
-// may be nil), returning the HTTP status.
+// may be nil; a *[]byte receives the body's bytes), returning the HTTP
+// status.
 func postEvents(t *testing.T, ts *httptest.Server, graph string, evs []EventWire, out any) int {
 	t.Helper()
 	body, err := json.Marshal(EventsRequest{Events: evs})
@@ -49,8 +51,14 @@ func postEvents(t *testing.T, ts *httptest.Server, graph string, evs []EventWire
 		t.Fatalf("POST events: %v", err)
 	}
 	defer resp.Body.Close()
-	if out != nil {
-		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatalf("read events response: %v", err)
+	}
+	if b, ok := out.(*[]byte); ok {
+		*b = raw
+	} else if out != nil {
+		if err := json.Unmarshal(raw, out); err != nil {
 			t.Fatalf("decode events response: %v", err)
 		}
 	}
@@ -87,12 +95,19 @@ func TestLiveMutationEpochsAndCacheValidity(t *testing.T) {
 		t.Fatalf("run on empty live graph: HTTP %d, want 400", code)
 	}
 
-	var ack EventsResult
-	if code := postEvents(t, ts, "g", chainEvents(0, 8, 1), &ack); code != http.StatusOK {
+	// The ack, byte for byte: the graph's name and its new epoch's summary.
+	var body []byte
+	if code := postEvents(t, ts, "g", chainEvents(0, 8, 1), &body); code != http.StatusOK {
 		t.Fatalf("ingest: HTTP %d", code)
 	}
-	if ack.Epoch != 1 || ack.Vertices != 8 || ack.Edges != 7 {
-		t.Fatalf("ack = %+v, want epoch 1, 8 vertices, 7 edges", ack)
+	const wantAck = "{\n  \"graph\": \"g\",\n  \"epoch\": 1,\n  \"events\": 29,\n  \"last_time\": 8,\n" +
+		"  \"vertices\": 8,\n  \"edges\": 7\n}\n"
+	if string(body) != wantAck {
+		t.Fatalf("ack body %q, want %q", body, wantAck)
+	}
+	var ack EventsResult
+	if err := json.Unmarshal(body, &ack); err != nil || ack.Epoch != 1 || ack.Vertices != 8 || ack.Edges != 7 {
+		t.Fatalf("ack = %+v (%v), want epoch 1, 8 vertices, 7 edges", ack, err)
 	}
 
 	// GET /v1/graphs reports the live epoch.
