@@ -96,8 +96,8 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzDriverFrames -fuzztime $(FUZZTIME) ./internal/cluster
 	$(GO) test -run '^$$' -fuzz FuzzWALDecodeBatch -fuzztime $(FUZZTIME) ./internal/live
 	$(GO) test -run '^$$' -fuzz FuzzWALReplay -fuzztime $(FUZZTIME) ./internal/live
+	$(GO) test -run '^$$' -fuzz FuzzLiveSnapshotHeader -fuzztime $(FUZZTIME) ./internal/live
 	$(GO) test -run '^$$' -fuzz FuzzEpochPatch -fuzztime $(FUZZTIME) ./internal/stream
-	$(GO) test -run '^$$' -fuzz FuzzUnmarshalAccumulator -fuzztime $(FUZZTIME) ./internal/stream
 	$(GO) test -run '^$$' -fuzz FuzzEpochPlan -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzRenderString -fuzztime $(FUZZTIME) ./internal/serve
 	$(GO) test -run '^$$' -fuzz FuzzTrace -fuzztime $(FUZZTIME) -fuzzminimizetime 50x ./internal/obs

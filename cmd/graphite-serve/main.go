@@ -17,7 +17,8 @@
 // batches, each durably logged before the new epoch becomes visible. A
 // SIGKILL loses at most the unacknowledged tail batch; restarting on the
 // same WAL restores the exact acknowledged graph. cmd/graphite-feed replays
-// text event logs against this endpoint.
+// text event logs against this endpoint. Live epochs are never clipped at a
+// horizon: a run wanting one sends the window [0, h).
 //
 // Endpoints: GET /v1/graphs, POST /v1/run, GET/DELETE /v1/jobs/{id},
 // GET /healthz, plus /metrics and /debug/pprof. On SIGINT/SIGTERM the
@@ -38,7 +39,6 @@ import (
 	"syscall"
 	"time"
 
-	ival "graphite/internal/interval"
 	"graphite/internal/live"
 	"graphite/internal/obs"
 	"graphite/internal/serve"
@@ -64,7 +64,6 @@ func main() {
 		cacheSize     = flag.Int("cache", serve.DefaultCacheSize, "result cache entries (negative disables)")
 		timeout       = flag.Duration("timeout", serve.DefaultTimeout, "default per-request run deadline")
 		drain         = flag.Duration("drain", 30*time.Second, "graceful drain budget on SIGTERM")
-		horizon       = flag.Int64("live-horizon", 0, "close still-open live entities at this time in snapshots (0: unbounded)")
 		compactEvery  = flag.Int("live-compact", 0, "auto-compact a live graph's WAL every N ingested events (0: never)")
 		verbose       = flag.Bool("v", false, "verbose (debug-level) logging")
 	)
@@ -106,7 +105,6 @@ func main() {
 		}
 		lg, err := live.Open(path, live.Options{
 			Name:         name,
-			Horizon:      ival.Time(*horizon),
 			CompactEvery: *compactEvery,
 			Registry:     reg,
 		})

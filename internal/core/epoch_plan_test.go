@@ -67,7 +67,7 @@ func epochPair(tb testing.TB, p gen.Profile, seed int64, keys ...Options) (prev,
 			break
 		}
 		if ev.T == at && prev == nil {
-			if prev, err = a.Patch(nil, 0); err != nil {
+			if prev, err = a.Patch(); err != nil {
 				tb.Fatal(err)
 			}
 			for _, opts := range keys {
@@ -78,7 +78,7 @@ func epochPair(tb testing.TB, p gen.Profile, seed int64, keys ...Options) (prev,
 			tb.Fatal(err)
 		}
 	}
-	if next, err = a.Patch(prev, 0); err != nil {
+	if next, err = a.Patch(); err != nil {
 		tb.Fatal(err)
 	}
 	if len(keys) > 0 && next.Lineage() == nil {
@@ -92,8 +92,7 @@ func epochPair(tb testing.TB, p gen.Profile, seed int64, keys ...Options) (prev,
 // under every option shape must equal its rebuild. Every epoch patched onto a
 // planned predecessor must inherit (have a lineage) and, once planned under
 // every key its predecessor had, release it. Batch 3 is never planned, so
-// batch 4 starts from scratch, and batch 7 changes the horizon, which
-// rebuilds the epoch and so starts a new chain.
+// batch 4 starts from scratch.
 func TestEpochPlanMatchesRebuild(t *testing.T) {
 	for _, p := range []gen.Profile{gen.MAGLike(0.05), gen.TwitterLike(0.05), gen.USRNLike(0.05)} {
 		g0, err := gen.Generate(p, 11)
@@ -103,8 +102,6 @@ func TestEpochPlanMatchesRebuild(t *testing.T) {
 		evs := stream.EventsOf(g0)
 		r := rand.New(rand.NewSource(5))
 		a := stream.NewAccumulator()
-		var prev *tgraph.Graph
-		horizon := ival.Time(0)
 		batches, inherited, removals := 0, 0, 0
 		for i := 0; i < len(evs); batches++ {
 			last := evs[i].T + ival.Time(r.Intn(4))
@@ -116,15 +113,11 @@ func TestEpochPlanMatchesRebuild(t *testing.T) {
 					t.Fatalf("%s: %v", p.Name, err)
 				}
 			}
-			if batches == 7 {
-				horizon = evs[len(evs)-1].T + 1
-			}
-			g, err := a.Patch(prev, horizon)
+			g, err := a.Patch()
 			if err != nil {
 				t.Fatalf("%s batch %d: %v", p.Name, batches, err)
 			}
-			prev = g
-			fresh := batches == 0 || batches == 4 || batches == 7
+			fresh := batches == 0 || batches == 4
 			if lin := g.Lineage(); (lin == nil) != fresh {
 				t.Fatalf("%s batch %d: has a lineage: %v, want %v", p.Name, batches, lin != nil, !fresh)
 			}
@@ -141,7 +134,7 @@ func TestEpochPlanMatchesRebuild(t *testing.T) {
 				t.Fatalf("%s batch %d: lineage still held once every key was planned", p.Name, batches)
 			}
 		}
-		if batches < 9 || inherited < batches-5 || removals == 0 {
+		if batches < 9 || inherited < batches-4 || removals == 0 {
 			t.Errorf("%s: %d batches, %d planned from their predecessor, %d edge removals; the log exercised too little",
 				p.Name, batches, inherited, removals)
 		}
@@ -151,30 +144,25 @@ func TestEpochPlanMatchesRebuild(t *testing.T) {
 // FuzzEpochPlan decodes bytes into event batches over a few ids, as
 // FuzzEpochPatch does, with property labels drawn from the travel labels so
 // that pieces cut; after every batch Preflight accepts, the epoch's plan under
-// every option shape must equal its rebuild. Byte 0 picks the horizon; then
-// four bytes make an event: op (6 ends the batch, and its second byte, when
-// odd, leaves that epoch unplanned), time step, and two operands.
+// every option shape must equal its rebuild. Four bytes make an event: op (6
+// ends the batch, and its second byte, when odd, leaves that epoch
+// unplanned), time step, and two operands.
 func FuzzEpochPlan(f *testing.F) {
-	// Under horizon 8: two edges, each with one label; then both labels
-	// change on the first and a third edge arrives; then the first is removed
-	// and the second's cost set.
-	f.Add([]byte{4, 0, 0, 1, 0, 0, 0, 2, 0, 0, 0, 3, 0, 2, 0, 1, 13, 2, 0, 2, 20, 5, 0, 1, 1, 5, 0, 2, 2, 6, 0, 0, 0,
+	// Two edges, each with one label; then both labels change on the first
+	// and a third edge arrives; then the first is removed and the second's
+	// cost set.
+	f.Add([]byte{0, 0, 1, 0, 0, 0, 2, 0, 0, 0, 3, 0, 2, 0, 1, 13, 2, 0, 2, 20, 5, 0, 1, 1, 5, 0, 2, 2, 6, 0, 0, 0,
 		5, 2, 1, 4, 5, 1, 1, 3, 2, 0, 3, 9, 6, 0, 0, 0, 3, 2, 1, 0, 5, 0, 2, 5, 6, 0, 0, 0})
 	// A self-loop whose first epoch is left unplanned, so the next starts
 	// from scratch.
-	f.Add([]byte{3, 0, 0, 1, 0, 0, 0, 2, 0, 2, 0, 0, 7, 5, 0, 0, 2, 6, 1, 0, 0, 5, 1, 0, 3, 6, 0, 0, 0, 3, 0, 0, 0, 5, 1, 0, 4})
+	f.Add([]byte{0, 0, 1, 0, 0, 0, 2, 0, 2, 0, 0, 7, 5, 0, 0, 2, 6, 1, 0, 0, 5, 1, 0, 3, 6, 0, 0, 0, 3, 0, 0, 0, 5, 1, 0, 4})
 	// Three edges with properties; then the second is removed at the time it
 	// started, so its lifespan empties and it leaves the table, shifting the
 	// third; then a property change and a new edge.
-	f.Add([]byte{0, 0, 0, 1, 0, 0, 0, 2, 0, 2, 0, 1, 13, 2, 0, 2, 8, 2, 0, 3, 7, 5, 0, 1, 13, 5, 0, 3, 12, 6, 0, 0, 0,
+	f.Add([]byte{0, 0, 1, 0, 0, 0, 2, 0, 2, 0, 1, 13, 2, 0, 2, 8, 2, 0, 3, 7, 5, 0, 1, 13, 5, 0, 3, 12, 6, 0, 0, 0,
 		3, 0, 2, 0, 6, 0, 0, 0, 5, 1, 1, 4, 2, 0, 4, 13, 6, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) == 0 {
-			return
-		}
-		horizon := ival.Time(data[0] % 6 * 2) // 0: unbounded
 		a := stream.NewAccumulator()
-		var prev *tgraph.Graph
 		var batch []stream.Event
 		now := ival.Time(0)
 		flush := func(plan bool) {
@@ -188,11 +176,10 @@ func FuzzEpochPlan(f *testing.F) {
 				}
 			}
 			batch = batch[:0]
-			g, err := a.Patch(prev, horizon)
+			g, err := a.Patch()
 			if err != nil {
 				t.Fatalf("preflighted batch did not materialize: %v", err)
 			}
-			prev = g
 			if !plan {
 				return
 			}
@@ -201,7 +188,7 @@ func FuzzEpochPlan(f *testing.F) {
 			}
 		}
 		labels := []string{tgraph.PropTravelTime, tgraph.PropTravelCost}
-		for data = data[1:]; len(data) >= 4; data = data[4:] {
+		for ; len(data) >= 4; data = data[4:] {
 			op, x, y := data[0]%7, data[2], data[3]
 			if op == 6 {
 				flush(data[1]%2 == 0)

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"graphite/internal/codec"
@@ -16,10 +17,10 @@ import (
 // WAL compaction bounds replay cost: the log otherwise grows — and replay
 // slows — without limit as history accumulates. Compact writes the
 // current epoch as a mapped tgraph snapshot whose extra section carries
-// the live-graph recovery header and the marshaled ingest accumulator,
-// then rotates the WAL to an empty version-2 file based at that snapshot.
-// Recovery becomes a millisecond mmap open plus replay of only the
-// post-snapshot tail.
+// the live-graph header (liveHeader), then rotates the WAL to an empty
+// version-2 file based at that snapshot. The epoch is the accumulator's
+// state, so recovery is a millisecond mmap open, stream.Resume over the
+// mapped graph, and replay of only the post-snapshot tail.
 //
 // Crash safety is two durable renames (codec.WriteFile), snapshot first:
 //
@@ -30,9 +31,15 @@ import (
 //
 // Either way exactly one consistent (snapshot, log) pair survives.
 
-// liveExtraVersion versions the snapshot's extra-section payload:
-// uvarint version | uvarint epoch | varint horizon | accumulator state.
-const liveExtraVersion = 1
+// liveExtraVersion versions the snapshot's extra section, the live graph's
+// header (liveHeader): little-endian 64-bit words,
+//
+//	version | epoch | now | events | n | m | n retired vertex ids | m edge ids
+//
+// Version 1 carried a marshaled accumulator instead, which the graph states.
+const liveExtraVersion = 2
+
+const liveHeaderWords = 6 // before the ids
 
 // ErrSnapshotLost reports a compacted WAL (non-zero base: the prefix of
 // history lives only in the snapshot) whose companion snapshot is missing
@@ -51,40 +58,74 @@ func (g *Graph) LastRecovery() obs.WALReplay {
 	return g.recovery
 }
 
-func encodeLiveExtra(epoch uint64, horizon ival.Time, acc *stream.Accumulator) []byte {
-	buf := binary.AppendUvarint(nil, liveExtraVersion)
-	buf = binary.AppendUvarint(buf, epoch)
-	buf = binary.AppendVarint(buf, horizon)
-	state, _ := acc.MarshalBinary() // never fails
-	return append(buf, state...)
+// liveHeader is what a compaction snapshot holds beside its graph: which
+// epoch it is, and what stream.Resume needs that the graph cannot say.
+type liveHeader struct {
+	epoch   uint64
+	now     ival.Time
+	events  int
+	retired stream.Retired
+}
+
+func encodeLiveExtra(h liveHeader) []byte {
+	words := []uint64{liveExtraVersion, h.epoch, uint64(h.now), uint64(h.events),
+		uint64(len(h.retired.Vertices)), uint64(len(h.retired.Edges))}
+	for _, id := range h.retired.Vertices {
+		words = append(words, uint64(id))
+	}
+	for _, id := range h.retired.Edges {
+		words = append(words, uint64(id))
+	}
+	buf := make([]byte, 0, 8*len(words))
+	for _, w := range words {
+		buf = binary.LittleEndian.AppendUint64(buf, w)
+	}
+	return buf
 }
 
 // errLiveExtra is what a malformed live-graph snapshot header wraps.
 var errLiveExtra = errors.New("live: snapshot header")
 
-func decodeLiveExtra(extra []byte) (epoch uint64, horizon ival.Time, acc *stream.Accumulator, err error) {
-	r := codec.NewReader(extra, errLiveExtra)
-	if v := r.Uvarint(); v != liveExtraVersion {
-		r.Fail("version %d, want %d", v, liveExtraVersion)
+// decodeLiveExtra reads what encodeLiveExtra wrote. Every field is a word
+// and checked, so a header it accepts encodes back to its own bytes.
+func decodeLiveExtra(b []byte) (liveHeader, error) {
+	if len(b) < 8*liveHeaderWords || len(b)%8 != 0 {
+		return liveHeader{}, fmt.Errorf("%w: %d bytes", errLiveExtra, len(b))
 	}
-	epoch, horizon = r.Uvarint(), r.Varint()
-	state := r.Rest()
-	if r.Err != nil {
-		return 0, 0, nil, r.Err
+	w := make([]uint64, len(b)/8)
+	for i := range w {
+		w[i] = binary.LittleEndian.Uint64(b[8*i:])
 	}
-	if acc, err = stream.UnmarshalAccumulator(state); err != nil {
-		return 0, 0, nil, err
+	ids, nv, ne := w[liveHeaderWords:], w[4], w[5]
+	switch {
+	case w[0] != liveExtraVersion:
+		return liveHeader{}, fmt.Errorf("%w: version %d, want %d", errLiveExtra, w[0], liveExtraVersion)
+	case int64(w[2]) < 0 || ival.Time(w[2]) == ival.Infinity || int64(w[3]) < 0:
+		return liveHeader{}, fmt.Errorf("%w: last event time %d, %d events", errLiveExtra, int64(w[2]), int64(w[3]))
+	case nv > uint64(len(ids)) || ne != uint64(len(ids))-nv:
+		return liveHeader{}, fmt.Errorf("%w: %d ids for %d retired vertices and %d edges", errLiveExtra, len(ids), nv, ne)
 	}
-	return epoch, horizon, acc, nil
+	h := liveHeader{epoch: w[1], now: ival.Time(w[2]), events: int(w[3]),
+		retired: stream.Retired{Vertices: asIDs[tgraph.VertexID](ids[:nv]), Edges: asIDs[tgraph.EdgeID](ids[nv:])}}
+	if !slices.IsSorted(h.retired.Vertices) || !slices.IsSorted(h.retired.Edges) {
+		return liveHeader{}, fmt.Errorf("%w: retired ids out of order", errLiveExtra)
+	}
+	return h, nil
 }
 
-// liveSnapshot is a decoded companion snapshot: the mapped graph plus the
-// recovery header and accumulator from its extra section.
+func asIDs[K ~int64](ws []uint64) []K {
+	ids := make([]K, len(ws))
+	for i, w := range ws {
+		ids[i] = K(w)
+	}
+	return ids
+}
+
+// liveSnapshot is a decoded companion snapshot: the mapped graph and the
+// header from its extra section.
 type liveSnapshot struct {
-	m       *tgraph.Mapped
-	epoch   uint64
-	horizon ival.Time
-	acc     *stream.Accumulator
+	m    *tgraph.Mapped
+	head liveHeader
 }
 
 func openLiveSnapshot(path string) (*liveSnapshot, error) {
@@ -96,12 +137,12 @@ func openLiveSnapshot(path string) (*liveSnapshot, error) {
 		m.Close()
 		return nil, fmt.Errorf("live: %s is a graph snapshot but carries no live-graph state", path)
 	}
-	epoch, horizon, acc, err := decodeLiveExtra(m.Extra)
+	head, err := decodeLiveExtra(m.Extra)
 	if err != nil {
 		m.Close()
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	return &liveSnapshot{m: m, epoch: epoch, horizon: horizon, acc: acc}, nil
+	return &liveSnapshot{m: m, head: head}, nil
 }
 
 // Compact checkpoints the current epoch into the companion snapshot and
@@ -127,7 +168,8 @@ func (g *Graph) Compact() (obs.WALCompact, error) {
 // wedges instead.
 func (g *Graph) compactLocked() (obs.WALCompact, error) {
 	start := time.Now()
-	img := tgraph.EncodeSnapshot(g.cur.g, encodeLiveExtra(g.cur.id, g.opts.Horizon, g.acc))
+	img := tgraph.EncodeSnapshot(g.cur.g, encodeLiveExtra(liveHeader{epoch: g.cur.id, now: g.acc.Now(),
+		events: g.acc.Events(), retired: g.acc.Retired()}))
 	if err := codec.WriteFile(g.snapPath, img); err != nil {
 		return obs.WALCompact{}, fmt.Errorf("live: write snapshot: %w", err)
 	}

@@ -10,7 +10,8 @@
 //     tgraph.Graph as a new epoch; in-flight queries keep reading the epoch
 //     they acquired while appends continue. Epochs are refcounted and
 //     reclaimed when the last reader releases them. An epoch is a patch of
-//     the one before (stream.Accumulator.Patch) unless that one is mapped.
+//     the one before (stream.Accumulator.Patch), and the accumulator's state
+//     is the current epoch plus what the batches since touched.
 //   - Cheap cache validity: a batch whose first event is at time t cannot
 //     change any window ending at or before t, so a cached result for
 //     window w stays valid until a batch with first-event time < w.End
@@ -18,7 +19,8 @@
 //
 // A batch Preflight accepts must materialize, or the graph (and every later
 // Open of its log) wedges: hence a vertex cannot leave while an edge of its
-// is open, and Options.Horizon cuts closed lifespans as it cuts open ones.
+// is open. Epochs are never clipped: a query wanting a horizon h asks for
+// the window [0, h).
 //
 // Durability: CRC-framed records, single-write appends, fsync before
 // acknowledgment; whole files go through codec.WriteFile. A SIGKILL at
@@ -54,10 +56,6 @@ var (
 type Options struct {
 	// Name labels traces and log lines; it does not affect storage.
 	Name string
-	// Horizon closes still-open entities at this time when materializing
-	// snapshots, and cuts the ones closed past it; zero or negative leaves
-	// open entities unbounded.
-	Horizon ival.Time
 	// NoSync skips the per-append fsync (and the one after Open truncates a
 	// torn tail). Only for benchmarks measuring the fsync tax; a SIGKILL
 	// under NoSync can lose acknowledged batches. Whole files — a new log, a
@@ -205,12 +203,12 @@ func Open(path string, opts Options) (*Graph, error) {
 		}
 		return nil, fmt.Errorf("%w: %s missing", ErrSnapshotLost, snapPath)
 	}
-	if snap != nil && snap.acc.Events() < w.base.events {
+	if snap != nil && snap.head.events < w.base.events {
 		// Compaction renames the snapshot before rotating the log, so the
 		// snapshot may cover MORE events than the log base — never fewer.
 		abort()
 		return nil, fmt.Errorf("%w: snapshot covers %d events but the log starts after %d",
-			ErrWALCorrupt, snap.acc.Events(), w.base.events)
+			ErrWALCorrupt, snap.head.events, w.base.events)
 	}
 	name := opts.Name
 	if name == "" {
@@ -232,11 +230,12 @@ func Open(path string, opts Options) (*Graph, error) {
 	tail := batches
 	var baseEpoch uint64
 	if snap != nil {
-		g.acc = snap.acc
-		baseEpoch = snap.epoch
+		h := snap.head
+		g.acc = stream.Resume(snap.m.Graph, h.now, h.events, h.retired)
+		baseEpoch = h.epoch
 		rec.FromSnapshot = true
-		rec.SnapshotEpoch = snap.epoch
-		rec.SnapshotEvents = snap.acc.Events()
+		rec.SnapshotEpoch = h.epoch
+		rec.SnapshotEvents = h.events
 		// Skip the log prefix the snapshot already covers. Batches are
 		// atomic, so the covered count must align on a batch boundary.
 		skip := rec.SnapshotEvents - w.base.events
@@ -263,15 +262,18 @@ func Open(path string, opts Options) (*Graph, error) {
 	curID := baseEpoch + uint64(len(tail))
 	var cur *tgraph.Graph
 	var drop func()
-	if snap != nil && len(tail) == 0 && snap.horizon == opts.Horizon {
-		// Nothing landed since the snapshot and the horizon matches: serve
-		// queries straight off the mapping, no materialization at all. The
-		// pages unmap when the epoch's last reader lets go.
+	if snap != nil && len(tail) == 0 {
+		// Nothing landed since the snapshot: serve queries straight off the
+		// mapping, no materialization at all. The pages unmap when the
+		// epoch's last reader lets go; the next batch patches onto it while
+		// the current pointer holds it, and the patch aliases nothing of the
+		// mapping (only its int32 arrays are aliased, and tgraph.Patch builds
+		// those anew).
 		cur = snap.m.Graph
 		m := snap.m
 		drop = func() { m.Close() }
 	} else {
-		cur, err = g.acc.Patch(nil, opts.Horizon)
+		cur, err = g.acc.Patch()
 		if err != nil {
 			abort()
 			return nil, fmt.Errorf("live: materialize replayed graph: %w", err)
@@ -335,7 +337,7 @@ func (g *Graph) Apply(batch []stream.Event) (Info, error) {
 			return Info{}, g.wedge(fmt.Errorf("live: preflighted event rejected (graph wedged): %w", err))
 		}
 	}
-	snap, err := g.acc.Patch(g.cur.g, g.opts.Horizon)
+	snap, err := g.acc.Patch()
 	if err != nil {
 		return Info{}, g.wedge(fmt.Errorf("live: materialize snapshot (graph wedged): %w", err))
 	}

@@ -105,7 +105,7 @@ func TestApplyIsBatchAtomic(t *testing.T) {
 
 func TestReopenReplaysToIdenticalGraph(t *testing.T) {
 	path := walPath(t)
-	g, err := Open(path, Options{Horizon: 100})
+	g, err := Open(path, Options{})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
@@ -124,7 +124,7 @@ func TestReopenReplaysToIdenticalGraph(t *testing.T) {
 	ep.Release()
 	g.Close()
 
-	g2, err := Open(path, Options{Horizon: 100})
+	g2, err := Open(path, Options{})
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
@@ -462,51 +462,6 @@ func TestRemoveVertexWithOpenEdgeIsRejected(t *testing.T) {
 	defer g2.Close()
 	if got := g2.Info(); got != want {
 		t.Fatalf("reopened info = %+v, want %+v", got, want)
-	}
-}
-
-// TestHorizonClipsClosedEnds: under Options.Horizon an edge closed past the
-// horizon is cut there, like an open one, instead of outliving its endpoints
-// (which stay open, so end at the horizon) and wedging the graph.
-func TestHorizonClipsClosedEnds(t *testing.T) {
-	history := func(end ival.Time) []stream.Event {
-		return []stream.Event{
-			{Op: stream.AddVertex, T: 0, V: 1},
-			{Op: stream.AddVertex, T: 0, V: 2},
-			{Op: stream.AddEdge, T: 1, E: 10, Src: 1, Dst: 2},
-			{Op: stream.RemoveEdge, T: end, E: 10},
-		}
-	}
-	path := walPath(t)
-	g, err := Open(path, Options{Horizon: 10})
-	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
-	defer g.Close()
-	evs := history(15)
-	if _, err := g.Apply(evs[:3]); err != nil {
-		t.Fatalf("Apply: %v", err)
-	}
-	if _, err := g.Apply(evs[3:]); err != nil {
-		t.Fatalf("closing edge 10 past the horizon: %v", err)
-	}
-	acc := stream.NewAccumulator()
-	for _, ev := range history(10) {
-		if err := acc.Apply(ev); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := acc.Graph(10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ep := g.Acquire()
-	defer ep.Release()
-	if err := tgraph.Equal(ep.Graph(), want); err != nil {
-		t.Fatalf("epoch differs from the history with the edge closed at the horizon: %v", err)
-	}
-	if _, err := g.Apply([]stream.Event{{Op: stream.AddVertex, T: 20, V: 3}}); err != nil {
-		t.Fatalf("Apply after the clipped close: %v", err)
 	}
 }
 

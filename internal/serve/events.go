@@ -96,7 +96,7 @@ func (s *Server) ApplyEvents(name string, evs []EventWire) (*EventsResult, error
 		switch {
 		case errors.Is(err, live.ErrEmptyBatch),
 			errors.Is(err, stream.ErrOutOfOrder),
-			errors.Is(err, stream.ErrNegativeTime),
+			errors.Is(err, stream.ErrTimeRange),
 			errors.Is(err, stream.ErrReopened),
 			errors.Is(err, stream.ErrStillOpen),
 			errors.Is(err, stream.ErrUnknownOwner),

@@ -13,56 +13,69 @@ import (
 	"graphite/internal/tgraph"
 )
 
-// oracleGraph is the accumulator's materialization as it was before epochs
-// were patched: every entity, in sorted id order, through the Builder, which
-// validates the whole graph. Graph and Patch are held to it.
-func oracleGraph(a *Accumulator, horizon ival.Time) (*tgraph.Graph, error) {
-	end := func(s *openSpan) ival.Time {
-		e := ival.Infinity
-		if s.closed {
-			e = s.end
-		}
-		if horizon > 0 && e > horizon {
-			e = horizon
-		}
-		return e
+// oracleGraph is the materialization of an event log as it was before the
+// accumulator kept its state as an epoch: the log replayed into one row per
+// id, each label's value running from its event to the next one or its
+// owner's end, every entity then built through the Builder in sorted id
+// order, with a positive horizon cutting every end at it. Graph and Patch
+// are held to it.
+func oracleGraph(evs []Event, horizon ival.Time) (*tgraph.Graph, error) {
+	type row struct {
+		life     ival.Interval
+		src, dst tgraph.VertexID
+		sets     map[string][]Event
 	}
-	b := tgraph.NewBuilder(len(a.vspans), len(a.espans))
-	vids := make([]tgraph.VertexID, 0, len(a.vspans))
-	for id := range a.vspans {
-		vids = append(vids, id)
-	}
-	slices.Sort(vids)
-	for _, id := range vids {
-		s := a.vspans[id]
-		life := ival.New(s.start, end(s))
-		if life.IsEmpty() {
-			continue
+	vs, es := map[tgraph.VertexID]*row{}, map[tgraph.EdgeID]*row{}
+	for _, ev := range evs {
+		switch ev.Op {
+		case AddVertex:
+			vs[ev.V] = &row{life: ival.New(ev.T, ival.Infinity), sets: map[string][]Event{}}
+		case RemoveVertex:
+			vs[ev.V].life.End = ev.T
+		case AddEdge:
+			es[ev.E] = &row{life: ival.New(ev.T, ival.Infinity), src: ev.Src, dst: ev.Dst, sets: map[string][]Event{}}
+		case RemoveEdge:
+			es[ev.E].life.End = ev.T
+		case SetVertexProp:
+			vs[ev.V].sets[ev.Label] = append(vs[ev.V].sets[ev.Label], ev)
+		case SetEdgeProp:
+			es[ev.E].sets[ev.Label] = append(es[ev.E].sets[ev.Label], ev)
 		}
-		b.AddVertex(id, life)
-		flushProps(a.vprops[id], a.vruns[id], life, func(label string, entries []tgraph.PropEntry) {
-			for _, p := range entries {
-				b.SetVertexProp(id, label, p.Interval, p.Value)
+	}
+	// cut is r's lifespan cut at the horizon; ok reports it non-empty.
+	cut := func(r *row) (life ival.Interval, ok bool) {
+		life = r.life
+		if horizon > 0 {
+			life.End = min(life.End, horizon)
+		}
+		return life, !life.IsEmpty()
+	}
+	props := func(r *row, life ival.Interval, add func(label string, iv ival.Interval, value int64)) {
+		for label, sets := range r.sets {
+			for i, ev := range sets {
+				end := ival.Infinity
+				if i+1 < len(sets) {
+					end = sets[i+1].T
+				}
+				if iv := ival.New(ev.T, end).Intersect(life); !iv.IsEmpty() {
+					add(label, iv, ev.Value)
+				}
 			}
-		})
-	}
-	eids := make([]tgraph.EdgeID, 0, len(a.espans))
-	for id := range a.espans {
-		eids = append(eids, id)
-	}
-	slices.Sort(eids)
-	for _, id := range eids {
-		s := a.espans[id]
-		life := ival.New(s.start, end(s))
-		if life.IsEmpty() {
-			continue
 		}
-		b.AddEdge(id, s.ends[0], s.ends[1], life)
-		flushProps(a.eprops[id], a.eruns[id], life, func(label string, entries []tgraph.PropEntry) {
-			for _, p := range entries {
-				b.SetEdgeProp(id, label, p.Interval, p.Value)
-			}
-		})
+	}
+	b := tgraph.NewBuilder(len(vs), len(es))
+	for _, id := range sortedKeys(vs) {
+		if life, ok := cut(vs[id]); ok {
+			b.AddVertex(id, life)
+			props(vs[id], life, func(label string, iv ival.Interval, value int64) { b.SetVertexProp(id, label, iv, value) })
+		}
+	}
+	for _, id := range sortedKeys(es) {
+		r := es[id]
+		if life, ok := cut(r); ok {
+			b.AddEdge(id, r.src, r.dst, life)
+			props(r, life, func(label string, iv ival.Interval, value int64) { b.SetEdgeProp(id, label, iv, value) })
+		}
 	}
 	return b.Build()
 }
@@ -71,41 +84,66 @@ func oracleGraph(a *Accumulator, horizon ival.Time) (*tgraph.Graph, error) {
 var sentinels = []error{tgraph.ErrDuplicateVertex, tgraph.ErrDuplicateEdge, tgraph.ErrDanglingEdge,
 	tgraph.ErrEdgeOutlives, tgraph.ErrPropOutlives, tgraph.ErrPropConflict, tgraph.ErrInvalidLifespan}
 
-// patchStep patches the accumulator's state onto prev and holds the result to
-// the oracle: equal graphs, or errors with the same sentinel. prev's snapshot
-// bytes must not move. It returns the patched graph (nil after an error).
-func patchStep(t *testing.T, a *Accumulator, prev *tgraph.Graph, horizon ival.Time) *tgraph.Graph {
+// sameOutcome holds a materialization to the oracle's: equal graphs, or
+// errors with the same sentinel.
+func sameOutcome(t *testing.T, what string, got *tgraph.Graph, gerr error, want *tgraph.Graph, werr error) {
 	t.Helper()
-	var before []byte
-	if prev != nil {
-		before = tgraph.EncodeSnapshot(prev, nil)
-	}
-	got, gerr := a.Patch(prev, horizon)
-	want, werr := oracleGraph(a, horizon)
-	if prev != nil && !bytes.Equal(tgraph.EncodeSnapshot(prev, nil), before) {
-		t.Fatalf("Patch wrote into its predecessor")
-	}
 	if werr != nil || gerr != nil {
 		if werr == nil || gerr == nil {
-			t.Fatalf("patch error %v, oracle error %v", gerr, werr)
+			t.Fatalf("%s error %v, oracle error %v", what, gerr, werr)
 		}
 		for _, s := range sentinels {
 			if errors.Is(werr, s) && !errors.Is(gerr, s) {
-				t.Fatalf("patch error %v, oracle error %v", gerr, werr)
+				t.Fatalf("%s error %v, oracle error %v", what, gerr, werr)
 			}
 		}
-		return nil
+		return
 	}
 	if err := tgraph.Equal(got, want); err != nil {
-		t.Fatalf("patched epoch differs from the rebuild: %v", err)
+		t.Fatalf("%s differs from the rebuild: %v", what, err)
+	}
+}
+
+// patchStep holds the accumulator, after the log evs, to the oracle:
+// Graph(horizon) — when positive — to the oracle at that horizon and to the
+// window [0, horizon) of Graph(0), then the epoch Patch gives to the oracle
+// unbounded. The base's snapshot bytes must not move. It returns the patched
+// graph (nil after an error).
+func patchStep(t *testing.T, a *Accumulator, evs []Event, horizon ival.Time) *tgraph.Graph {
+	t.Helper()
+	before := tgraph.EncodeSnapshot(a.base, nil)
+	prev := a.base
+	if horizon > 0 {
+		got, gerr := a.Graph(horizon)
+		want, werr := oracleGraph(evs, horizon)
+		sameOutcome(t, fmt.Sprintf("Graph(%d)", horizon), got, gerr, want, werr)
+		if whole, err := a.Graph(0); err == nil && gerr == nil {
+			sliced, err := tgraph.Slice(whole, ival.New(0, horizon))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := tgraph.Equal(got, sliced); err != nil {
+				t.Fatalf("Graph(%d) is not the window [0, %d) of Graph(0): %v", horizon, horizon, err)
+			}
+		}
+	}
+	got, gerr := a.Patch()
+	want, werr := oracleGraph(evs, 0)
+	if !bytes.Equal(tgraph.EncodeSnapshot(prev, nil), before) {
+		t.Fatalf("Patch wrote into its predecessor")
+	}
+	sameOutcome(t, "patched epoch", got, gerr, want, werr)
+	if gerr != nil {
+		return nil
 	}
 	return got
 }
 
 // TestEpochPatchMatchesRebuild replays generated graphs' event logs in seeded
-// random batches of 1 to 20 ticks, unbounded and at a horizon half-way
-// through the log: after every batch the patched epoch must equal the
-// rebuild, and its predecessor must be untouched.
+// random batches of 1 to 20 ticks: after every batch the patched epoch must
+// equal the rebuild, its predecessor must be untouched, and Graph at a
+// horizon half-way through the log must equal both the rebuild cut there and
+// that window of the unbounded graph.
 func TestEpochPatchMatchesRebuild(t *testing.T) {
 	for _, p := range []gen.Profile{gen.MAGLike(0.1), gen.TwitterLike(0.1), gen.USRNLike(0.1)} {
 		g, err := gen.Generate(p, 11)
@@ -113,37 +151,28 @@ func TestEpochPatchMatchesRebuild(t *testing.T) {
 			t.Fatal(err)
 		}
 		evs := EventsOf(g)
-		for _, horizon := range []ival.Time{0, evs[len(evs)-1].T / 2} {
-			r := rand.New(rand.NewSource(int64(horizon) + 3))
-			a := NewAccumulator()
-			var prev *tgraph.Graph
-			batches, patched := 0, 0
-			for i := 0; i < len(evs); batches++ {
-				// A batch is every event of the next 1 to 20 ticks.
-				last := evs[i].T + ival.Time(r.Intn(20))
-				for ; i < len(evs) && evs[i].T <= last; i++ {
-					if err := a.Apply(evs[i]); err != nil {
-						t.Fatalf("%s: %v", p.Name, err)
-					}
-				}
-				if prev != nil && prev == a.base {
-					patched++
-				}
-				if prev = patchStep(t, a, prev, horizon); prev == nil {
-					t.Fatalf("%s at horizon %d: batch %d did not materialize", p.Name, horizon, batches)
+		horizon := evs[len(evs)-1].T / 2
+		r := rand.New(rand.NewSource(3))
+		a := NewAccumulator()
+		for i, batches := 0, 0; i < len(evs); batches++ {
+			// A batch is every event of the next 1 to 20 ticks.
+			last := evs[i].T + ival.Time(r.Intn(20))
+			for ; i < len(evs) && evs[i].T <= last; i++ {
+				if err := a.Apply(evs[i]); err != nil {
+					t.Fatalf("%s: %v", p.Name, err)
 				}
 			}
-			if patched != batches-1 {
-				t.Errorf("%s at horizon %d: %d of %d batches patched, want all but the first", p.Name, horizon, patched, batches)
+			if patchStep(t, a, evs[:i], horizon) == nil {
+				t.Fatalf("%s: batch %d did not materialize", p.Name, batches)
 			}
 		}
 	}
 }
 
 // FuzzEpochPatch decodes bytes into event batches over a few ids, applies the
-// ones Preflight accepts, and after each holds the patched epoch to the
-// rebuild. Byte 0 picks the horizon; then four bytes make an event: op (6
-// ends the batch), time step, and two operands.
+// ones Preflight accepts, and after each holds the patched epoch, and Graph
+// at a horizon, to the rebuild. Byte 0 picks the horizon; then four bytes
+// make an event: op (6 ends the batch), time step, and two operands.
 func FuzzEpochPatch(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 1, 0, 0, 0, 2, 0, 2, 1, 3, 1, 7, 0, 0, 0, 5, 1, 3, 9, 7, 0, 0, 0, 3, 1, 3, 0, 1, 0, 1, 0})
 	f.Add([]byte{3, 0, 0, 1, 0, 0, 0, 2, 0, 2, 0, 0, 7, 7, 0, 0, 0, 3, 9, 0, 0, 7, 0, 0, 0, 1, 1, 1, 0})
@@ -154,8 +183,7 @@ func FuzzEpochPatch(f *testing.F) {
 		}
 		horizon := ival.Time(data[0] % 6 * 2) // 0: unbounded
 		a := NewAccumulator()
-		var prev *tgraph.Graph
-		var batch []Event
+		var applied, batch []Event
 		now := ival.Time(0)
 		flush := func() {
 			if len(batch) == 0 || a.Preflight(batch) != nil {
@@ -167,8 +195,9 @@ func FuzzEpochPatch(f *testing.F) {
 					t.Fatalf("preflighted event %+v rejected: %v", ev, err)
 				}
 			}
+			applied = append(applied, batch...)
 			batch = batch[:0]
-			prev = patchStep(t, a, prev, horizon)
+			patchStep(t, a, applied, horizon)
 		}
 		for data = data[1:]; len(data) >= 4; data = data[4:] {
 			op, x, y := data[0]%7, data[2], data[3]
@@ -247,38 +276,54 @@ func TestHorizonClipsClosedEnds(t *testing.T) {
 }
 
 // TestPreflightMatchesApply: Preflight runs Apply's own checks over copies of
-// the lifespans, so on an EventsOf log with one bad event injected — a
-// reopen, a still-open add, an unknown owner, an event out of order, a vertex
-// removed under an open edge — it fails at the index, with the error, at
-// which applying the batch one event at a time to a clone first fails: the
-// injected event, with its sentinel.
+// the rows, so on an EventsOf log with one bad event injected — a reopen, a
+// still-open add, an unknown owner, an event out of order, a vertex removed
+// under an open edge — it fails at the index, with the error, at which
+// applying the batch one event at a time to a clone first fails: the
+// injected event, with its sentinel. The accumulator under test has half its
+// history in its epoch and half in its overlay; a clone resumes from the
+// epoch of the whole history.
 func TestPreflightMatchesApply(t *testing.T) {
 	g, err := gen.Generate(gen.MAGLike(0.05), 5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	evs := EventsOf(g)
-	a := NewAccumulator()
-	for _, ev := range evs[:len(evs)/2] {
+	half := evs[:len(evs)/2]
+	a, ref := NewAccumulator(), NewAccumulator()
+	for i, ev := range half {
+		if i == len(half)/2 {
+			if _, err := a.Patch(); err != nil {
+				t.Fatal(err)
+			}
+		}
 		if err := a.Apply(ev); err != nil {
 			t.Fatal(err)
 		}
+		if err := ref.Apply(ev); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(a.ov.v) == 0 || a.base.NumVertices() == 0 {
+		t.Fatal("the accumulator under test has no overlay over its epoch")
+	}
+	epoch, err := ref.Patch()
+	if err != nil {
+		t.Fatal(err)
 	}
 	batch := evs[len(evs)/2:]
-	clone := func() *Accumulator {
-		data, err := a.MarshalBinary()
-		if err != nil {
-			t.Fatal(err)
+	clone := func() *Accumulator { return Resume(epoch, ref.Now(), ref.Events(), ref.Retired()) }
+	// vertex returns the first vertex of c's epoch or overlay that pick
+	// takes, given its row and its count of open edges.
+	vertex := func(c *Accumulator, pick func(x *entity, open int) bool) (tgraph.VertexID, bool) {
+		ids := sortedKeys(c.ov.v)
+		for _, v := range c.base.Vertices() {
+			ids = append(ids, v.ID)
 		}
-		c, err := UnmarshalAccumulator(data)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return c
-	}
-	vertex := func(c *Accumulator, pick func(s *openSpan) bool) (tgraph.VertexID, bool) {
-		for _, id := range sortedKeys(c.vspans) {
-			if pick(c.vspans[id]) {
+		for _, id := range ids {
+			sv := spanView{a: c, ov: &c.ov}
+			x, _ := sv.vertex(id)
+			if pick(x, sv.openEdges(id)) {
 				return id, true
 			}
 		}
@@ -290,11 +335,11 @@ func TestPreflightMatchesApply(t *testing.T) {
 		"out of order": ErrOutOfOrder, "removed under an open edge": tgraph.ErrEdgeOutlives}
 	bad := map[string]func(c *Accumulator) (Event, bool){
 		"reopen": func(c *Accumulator) (Event, bool) {
-			id, ok := vertex(c, func(s *openSpan) bool { return s.closed })
+			id, ok := vertex(c, func(x *entity, _ int) bool { return x.closed() })
 			return Event{Op: AddVertex, T: c.Now(), V: id}, ok
 		},
 		"still open": func(c *Accumulator) (Event, bool) {
-			id, ok := vertex(c, func(s *openSpan) bool { return !s.closed })
+			id, ok := vertex(c, func(x *entity, _ int) bool { return !x.closed() })
 			return Event{Op: AddVertex, T: c.Now(), V: id}, ok
 		},
 		"unknown owner": func(c *Accumulator) (Event, bool) {
@@ -304,7 +349,7 @@ func TestPreflightMatchesApply(t *testing.T) {
 			return Event{Op: AddVertex, T: c.Now() - 1, V: 1 << 40}, c.Now() > 0
 		},
 		"removed under an open edge": func(c *Accumulator) (Event, bool) {
-			id, ok := vertex(c, func(s *openSpan) bool { return !s.closed && s.open > 0 })
+			id, ok := vertex(c, func(x *entity, open int) bool { return !x.closed() && open > 0 })
 			return Event{Op: RemoveVertex, T: c.Now(), V: id}, ok
 		},
 	}

@@ -3,21 +3,21 @@
 // histories). An Accumulator consumes ordered events (vertex/edge appear,
 // disappear, property changes) and materializes the interval graph the ICM
 // runtime consumes; lifespans are derived from appear/disappear pairs, with
-// still-open entities closed at a configurable horizon or left unbounded.
+// still-open entities left unbounded (or cut at a horizon by Graph).
 //
 // This is the ingestion half of the paper's "streaming temporal graphs"
 // future work: it turns a prefix of an event stream into a fully evolved
 // graph at any cut-off point, and each later cut-off into a patch of the
-// graph before it.
+// graph before it, which is all the state the accumulator keeps.
 package stream
 
 import (
 	"bufio"
+	"cmp"
 	"errors"
 	"fmt"
 	"io"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -63,62 +63,73 @@ var (
 	ErrUnknownOwner = errors.New("stream: event for unknown entity")
 	ErrReopened     = errors.New("stream: entity re-added after removal (Constraint 1)")
 	ErrStillOpen    = errors.New("stream: entity already open")
-	// ErrNegativeTime rejects events before time zero. Interval validity
-	// requires Start >= 0, so a negative event time would otherwise build a
-	// silently wrong lifespan (or an invalid graph) much later, far from the
-	// offending record.
-	ErrNegativeTime = errors.New("stream: negative event time")
+	// ErrTimeRange rejects an event time outside [0, ival.Infinity). Interval
+	// validity requires Start >= 0, so a negative time would otherwise build
+	// a silently wrong lifespan (or an invalid graph) much later, far from
+	// the offending record; and an end at Infinity is what marks a lifespan
+	// open, so an event there could close nothing.
+	ErrTimeRange = errors.New("stream: event time outside [0, ∞)")
 )
 
-// openSpan tracks an entity whose lifespan has begun.
-type openSpan struct {
-	start  ival.Time
-	closed bool
-	end    ival.Time
-	ends   [2]tgraph.VertexID // edges: source, destination
-	open   int                // vertices: incident edges not yet closed
-}
-
-// propRun tracks the active value run of one property label.
-type propRun struct {
-	start ival.Time
-	value int64
-}
-
-// Accumulator consumes events and materializes temporal graphs.
+// Accumulator consumes events and materializes temporal graphs. Its state is
+// the last epoch Patch returned, unclipped (base), and what that epoch cannot
+// say: an overlay of the entities events touched since, the clock, the event
+// count, and the ids whose lifespan came out empty (Retired), which no epoch
+// holds and none may re-add. In an unclipped epoch an entity is open iff its
+// lifespan ends at ival.Infinity, and a label's running value is its last
+// entry when that ends there too: events have no "unset".
 type Accumulator struct {
-	now ival.Time
-
-	vspans map[tgraph.VertexID]*openSpan
-	espans map[tgraph.EdgeID]*openSpan
-
-	vprops map[tgraph.VertexID]map[string][]tgraph.PropEntry
-	eprops map[tgraph.EdgeID]map[string][]tgraph.PropEntry
-	vruns  map[tgraph.VertexID]map[string]propRun
-	eruns  map[tgraph.EdgeID]map[string]propRun
-
-	events int
-
-	// base is the graph the last Patch returned, at baseHorizon; while there
-	// is one, vdirty and edirty collect the ids events touch.
-	base        *tgraph.Graph
-	baseHorizon ival.Time
-	vdirty      map[tgraph.VertexID]struct{}
-	edirty      map[tgraph.EdgeID]struct{}
+	base    *tgraph.Graph
+	ov      overlay
+	now     ival.Time
+	events  int
+	retired Retired
 }
+
+// Retired is the ids whose lifespan came out empty (added and removed at one
+// time-point), each list ascending.
+type Retired struct {
+	Vertices []tgraph.VertexID
+	Edges    []tgraph.EdgeID
+}
+
+// overlay is the entities events touched since base, each row as it now
+// stands, and per vertex the change in its count of open edges.
+type overlay struct {
+	v    map[tgraph.VertexID]*entity
+	e    map[tgraph.EdgeID]*entity
+	open map[tgraph.VertexID]int
+}
+
+func newOverlay() overlay {
+	return overlay{v: map[tgraph.VertexID]*entity{}, e: map[tgraph.EdgeID]*entity{}, open: map[tgraph.VertexID]int{}}
+}
+
+// entity is a row as the checks and the fold see it: its lifespan, open
+// while it ends at ival.Infinity; an edge's endpoints; the properties of its
+// base row; and the labels set since, each whole timeline, unclipped.
+type entity struct {
+	life     ival.Interval
+	src, dst tgraph.VertexID
+	props    tgraph.Props
+	set      map[string][]tgraph.PropEntry
+}
+
+func (x *entity) closed() bool { return x.life.End != ival.Infinity }
 
 // NewAccumulator returns an empty accumulator.
 func NewAccumulator() *Accumulator {
-	return &Accumulator{
-		vspans: map[tgraph.VertexID]*openSpan{},
-		espans: map[tgraph.EdgeID]*openSpan{},
-		vprops: map[tgraph.VertexID]map[string][]tgraph.PropEntry{},
-		eprops: map[tgraph.EdgeID]map[string][]tgraph.PropEntry{},
-		vruns:  map[tgraph.VertexID]map[string]propRun{},
-		eruns:  map[tgraph.EdgeID]map[string]propRun{},
-		vdirty: map[tgraph.VertexID]struct{}{},
-		edirty: map[tgraph.EdgeID]struct{}{},
-	}
+	empty, _ := tgraph.Patch(nil, nil, nil)
+	return Resume(empty, 0, 0, Retired{})
+}
+
+// Resume returns an accumulator whose state is g, an epoch Patch returned,
+// after events events, the last at now, with retired's ids retired. It
+// reads g in place and the next Patch patches onto it, so g must stay
+// readable until then (a mapped graph: until the patched epoch replaced it).
+func Resume(g *tgraph.Graph, now ival.Time, events int, retired Retired) *Accumulator {
+	retired = Retired{slices.Clip(retired.Vertices), slices.Clip(retired.Edges)} // Patch appends to copies
+	return &Accumulator{base: g, ov: newOverlay(), now: now, events: events, retired: retired}
 }
 
 // Events returns the number of events applied.
@@ -127,45 +138,60 @@ func (a *Accumulator) Events() int { return a.events }
 // Now returns the time of the last applied event.
 func (a *Accumulator) Now() ival.Time { return a.now }
 
+// Retired returns the ids retired so far; the caller must not modify them.
+func (a *Accumulator) Retired() Retired { return a.retired }
+
 // Apply folds one event into the accumulator. Events must arrive in
 // non-decreasing time order.
 func (a *Accumulator) Apply(ev Event) error {
-	if err := (spanView{v: a.vspans, e: a.espans}).step(&a.now, ev); err != nil {
+	sv := spanView{a: a, ov: &a.ov}
+	if err := sv.step(&a.now, ev); err != nil {
 		return err
 	}
 	switch ev.Op {
-	case RemoveVertex:
-		a.closeRuns(a.vruns[ev.V], byLabel(a.vprops, ev.V), ev.T)
-		delete(a.vruns, ev.V)
-	case RemoveEdge:
-		a.closeRuns(a.eruns[ev.E], byLabel(a.eprops, ev.E), ev.T)
-		delete(a.eruns, ev.E)
 	case SetVertexProp:
-		a.setProp(byLabel(a.vruns, ev.V), byLabel(a.vprops, ev.V), ev.Label, ev.Value, ev.T)
+		x, _ := sv.vertex(ev.V)
+		a.ov.v[ev.V] = x
+		x.setProp(ev.Label, ev.Value, ev.T)
 	case SetEdgeProp:
-		a.setProp(byLabel(a.eruns, ev.E), byLabel(a.eprops, ev.E), ev.Label, ev.Value, ev.T)
-	}
-	if a.base != nil {
-		switch ev.Op {
-		case AddVertex, RemoveVertex, SetVertexProp:
-			a.vdirty[ev.V] = struct{}{}
-		default:
-			a.edirty[ev.E] = struct{}{}
-		}
+		x, _ := sv.edge(ev.E)
+		a.ov.e[ev.E] = x
+		x.setProp(ev.Label, ev.Value, ev.T)
 	}
 	a.events++
 	return nil
+}
+
+// setProp ends the label's running value at t, dropping it if it began at t,
+// and starts a new one.
+func (x *entity) setProp(label string, value int64, t ival.Time) {
+	es, ok := x.set[label]
+	if !ok {
+		es = slices.Clone(x.props.Entries(label))
+	}
+	if n := len(es); n > 0 && es[n-1].Interval.End == ival.Infinity {
+		if es[n-1].Interval.Start == t {
+			es = es[:n-1]
+		} else {
+			es[n-1].Interval.End = t
+		}
+	}
+	if x.set == nil {
+		x.set = map[string][]tgraph.PropEntry{}
+	}
+	x.set[label] = append(es, tgraph.PropEntry{Interval: ival.New(t, ival.Infinity), Value: value})
 }
 
 // Preflight validates a whole batch against the accumulator's current state
 // without mutating it, so callers can make ingest batch-atomic: either every
 // event in the batch would be accepted by Apply, or the batch is rejected
 // with the index of the first offending event and nothing changes. It runs
-// Apply's own checks, over copies of the lifespans the batch touches;
-// property contents need no validation beyond an alive owner.
+// Apply's own checks, over copies of the rows the batch touches; property
+// contents need no validation beyond an alive owner.
 func (a *Accumulator) Preflight(batch []Event) error {
 	now := a.now
-	sv := spanView{v: map[tgraph.VertexID]*openSpan{}, e: map[tgraph.EdgeID]*openSpan{}, baseV: a.vspans, baseE: a.espans}
+	scratch := newOverlay()
+	sv := spanView{a: a, ov: &scratch}
 	for i, ev := range batch {
 		if err := sv.step(&now, ev); err != nil {
 			return fmt.Errorf("stream: batch event %d: %w", i, err)
@@ -174,41 +200,87 @@ func (a *Accumulator) Preflight(batch []Event) error {
 	return nil
 }
 
-// spanView is the lifespans an event is checked against and recorded in: the
-// accumulator's own (no base), or Preflight's copies, each taken from the
-// base maps on first touch so that the accumulator's own stay as they are.
+// spanView is the rows an event is checked against and recorded in: the
+// accumulator's own overlay, or Preflight's scratch overlay over it, which
+// takes a copy of each row it changes so that the accumulator's stay as
+// they are.
 type spanView struct {
-	v     map[tgraph.VertexID]*openSpan
-	e     map[tgraph.EdgeID]*openSpan
-	baseV map[tgraph.VertexID]*openSpan
-	baseE map[tgraph.EdgeID]*openSpan
+	a  *Accumulator
+	ov *overlay
 }
 
-// lookup returns id's span in m, copied there from base if only base has it.
-func lookup[K comparable](m, base map[K]*openSpan, id K) (*openSpan, bool) {
-	if s, ok := m[id]; ok {
-		return s, true
+// vertex returns id's row as the view shows it, and whether it exists: the
+// view's own, or a copy of the accumulator's overlay row, of an empty
+// lifespan for a retired id, or of base's row.
+func (sv spanView) vertex(id tgraph.VertexID) (*entity, bool) {
+	if x, ok := sv.ov.v[id]; ok {
+		return x, true
 	}
-	if s, ok := base[id]; ok {
-		c := *s
-		m[id] = &c
+	if x, ok := sv.a.ov.v[id]; ok {
+		c := *x
 		return &c, true
+	}
+	if _, ok := slices.BinarySearch(sv.a.retired.Vertices, id); ok {
+		return &entity{}, true
+	}
+	if i := sv.a.base.IndexOf(id); i >= 0 {
+		v := sv.a.base.VertexAt(i)
+		return &entity{life: v.Lifespan, props: v.Props}, true
 	}
 	return nil, false
 }
 
-// alive returns the span of a vertex that exists at t.
-func (sv spanView) alive(id tgraph.VertexID, t ival.Time) (*openSpan, bool) {
-	s, ok := lookup(sv.v, sv.baseV, id)
-	return s, ok && !s.closed && s.start <= t
+// edge is vertex for edges; base's edges are in ascending id order.
+func (sv spanView) edge(id tgraph.EdgeID) (*entity, bool) {
+	if x, ok := sv.ov.e[id]; ok {
+		return x, true
+	}
+	if x, ok := sv.a.ov.e[id]; ok {
+		c := *x
+		return &c, true
+	}
+	if _, ok := slices.BinarySearch(sv.a.retired.Edges, id); ok {
+		return &entity{}, true
+	}
+	es := sv.a.base.Edges()
+	if i, ok := slices.BinarySearchFunc(es, id, func(e tgraph.Edge, id tgraph.EdgeID) int { return cmp.Compare(e.ID, id) }); ok {
+		e := &es[i]
+		return &entity{life: e.Lifespan, src: e.Src, dst: e.Dst, props: e.Props}, true
+	}
+	return nil, false
+}
+
+// alive reports whether vertex id is open.
+func (sv spanView) alive(id tgraph.VertexID) bool {
+	x, ok := sv.vertex(id)
+	return ok && !x.closed()
+}
+
+// openEdges returns the number of vertex id's edges open in the view: those
+// open in base, plus the overlays' changes.
+func (sv spanView) openEdges(id tgraph.VertexID) int {
+	n := sv.ov.open[id]
+	if sv.ov != &sv.a.ov {
+		n += sv.a.ov.open[id]
+	}
+	if b, i := sv.a.base, sv.a.base.IndexOf(id); i >= 0 {
+		for _, adj := range [2][]int32{b.OutEdges(i), b.InEdges(i)} {
+			for _, ei := range adj {
+				if b.Edge(int(ei)).Lifespan.End == ival.Infinity {
+					n++
+				}
+			}
+		}
+	}
+	return n
 }
 
 // step checks ev against the view and records its effect on the lifespans,
-// moving the clock *now to it: order, negative time, reopen/still-open,
+// moving the clock *now to it: time range, order, reopen/still-open,
 // referential integrity, no vertex removed under an open edge.
 func (sv spanView) step(now *ival.Time, ev Event) error {
-	if ev.T < 0 {
-		return fmt.Errorf("%w: %d", ErrNegativeTime, ev.T)
+	if ev.T < 0 || ev.T == ival.Infinity {
+		return fmt.Errorf("%w: %d", ErrTimeRange, ev.T)
 	}
 	if ev.T < *now {
 		return fmt.Errorf("%w: event at %d after %d", ErrOutOfOrder, ev.T, *now)
@@ -216,53 +288,45 @@ func (sv spanView) step(now *ival.Time, ev Event) error {
 	*now = ev.T
 	switch ev.Op {
 	case AddVertex:
-		if s, ok := lookup(sv.v, sv.baseV, ev.V); ok {
-			if s.closed {
-				return fmt.Errorf("%w: vertex %d", ErrReopened, ev.V)
-			}
-			return fmt.Errorf("%w: vertex %d", ErrStillOpen, ev.V)
+		if x, ok := sv.vertex(ev.V); ok {
+			return reopened("vertex", int64(ev.V), x)
 		}
-		sv.v[ev.V] = &openSpan{start: ev.T}
+		sv.ov.v[ev.V] = &entity{life: ival.New(ev.T, ival.Infinity)}
 	case RemoveVertex:
-		s, ok := lookup(sv.v, sv.baseV, ev.V)
-		if !ok || s.closed {
+		x, ok := sv.vertex(ev.V)
+		if !ok || x.closed() {
 			return fmt.Errorf("%w: vertex %d", ErrUnknownOwner, ev.V)
 		}
-		if s.open > 0 {
-			return fmt.Errorf("%w: vertex %d removed with %d edges open", tgraph.ErrEdgeOutlives, ev.V, s.open)
+		if n := sv.openEdges(ev.V); n > 0 {
+			return fmt.Errorf("%w: vertex %d removed with %d edges open", tgraph.ErrEdgeOutlives, ev.V, n)
 		}
-		s.closed, s.end = true, ev.T
+		x.life.End = ev.T
+		sv.ov.v[ev.V] = x
 	case AddEdge:
-		if s, ok := lookup(sv.e, sv.baseE, ev.E); ok {
-			if s.closed {
-				return fmt.Errorf("%w: edge %d", ErrReopened, ev.E)
-			}
-			return fmt.Errorf("%w: edge %d", ErrStillOpen, ev.E)
+		if x, ok := sv.edge(ev.E); ok {
+			return reopened("edge", int64(ev.E), x)
 		}
-		src, okSrc := sv.alive(ev.Src, ev.T)
-		dst, okDst := sv.alive(ev.Dst, ev.T)
-		if !okSrc || !okDst {
+		if !sv.alive(ev.Src) || !sv.alive(ev.Dst) {
 			return fmt.Errorf("%w: edge %d endpoints at t=%d", ErrUnknownOwner, ev.E, ev.T)
 		}
-		sv.e[ev.E] = &openSpan{start: ev.T, ends: [2]tgraph.VertexID{ev.Src, ev.Dst}}
-		src.open++
-		dst.open++
+		sv.ov.e[ev.E] = &entity{life: ival.New(ev.T, ival.Infinity), src: ev.Src, dst: ev.Dst}
+		sv.ov.open[ev.Src]++
+		sv.ov.open[ev.Dst]++
 	case RemoveEdge:
-		s, ok := lookup(sv.e, sv.baseE, ev.E)
-		if !ok || s.closed {
+		x, ok := sv.edge(ev.E)
+		if !ok || x.closed() {
 			return fmt.Errorf("%w: edge %d", ErrUnknownOwner, ev.E)
 		}
-		s.closed, s.end = true, ev.T
-		for _, id := range s.ends {
-			v, _ := lookup(sv.v, sv.baseV, id)
-			v.open--
-		}
+		x.life.End = ev.T
+		sv.ov.e[ev.E] = x
+		sv.ov.open[x.src]--
+		sv.ov.open[x.dst]--
 	case SetVertexProp:
-		if _, ok := sv.alive(ev.V, ev.T); !ok {
+		if !sv.alive(ev.V) {
 			return fmt.Errorf("%w: vertex %d", ErrUnknownOwner, ev.V)
 		}
 	case SetEdgeProp:
-		if s, ok := lookup(sv.e, sv.baseE, ev.E); !ok || s.closed {
+		if x, ok := sv.edge(ev.E); !ok || x.closed() {
 			return fmt.Errorf("%w: edge %d", ErrUnknownOwner, ev.E)
 		}
 	default:
@@ -271,127 +335,104 @@ func (sv spanView) step(now *ival.Time, ev Event) error {
 	return nil
 }
 
-// byLabel returns id's per-label map in m, creating it if absent.
-func byLabel[K comparable, V any](m map[K]map[string]V, id K) map[string]V {
-	p := m[id]
-	if p == nil {
-		p = map[string]V{}
-		m[id] = p
+// reopened is the error for adding an entity that exists, x.
+func reopened(kind string, id int64, x *entity) error {
+	if x.closed() {
+		return fmt.Errorf("%w: %s %d", ErrReopened, kind, id)
+	}
+	return fmt.Errorf("%w: %s %d", ErrStillOpen, kind, id)
+}
+
+// Graph materializes the accumulated state as a valid temporal graph:
+// open entities unbounded when horizon is zero or negative, else the window
+// [0, horizon) of that graph (tgraph.Slice), where no end lies past the
+// horizon. Unlike Patch it leaves the accumulator as it is.
+func (a *Accumulator) Graph(horizon ival.Time) (*tgraph.Graph, error) {
+	g, err := a.fold()
+	if err != nil || horizon <= 0 {
+		return g, err
+	}
+	return tgraph.Slice(g, ival.New(0, horizon))
+}
+
+// Patch materializes the accumulated state as the epoch after the last one
+// Patch returned: only the entities events touched since, patched onto it
+// (tgraph.Patch). The result becomes the accumulator's base, so it must stay
+// readable until the next Patch; the last one does not need to.
+func (a *Accumulator) Patch() (*tgraph.Graph, error) {
+	g, err := a.fold()
+	if err != nil {
+		return nil, err
+	}
+	a.retired.Vertices = retire(a.retired.Vertices, a.ov.v)
+	a.retired.Edges = retire(a.retired.Edges, a.ov.e)
+	a.base, a.ov = g, newOverlay()
+	return g, nil
+}
+
+// retire adds the ids of m whose lifespan is empty to ids.
+func retire[K cmp.Ordered](ids []K, m map[K]*entity) []K {
+	n := len(ids)
+	for id, x := range m {
+		if x.life.IsEmpty() {
+			ids = append(ids, id)
+		}
+	}
+	if len(ids) > n {
+		slices.Sort(ids)
+	}
+	return ids
+}
+
+// fold builds the overlay's rows, by sorted id, and patches them onto base.
+func (a *Accumulator) fold() (*tgraph.Graph, error) {
+	vids, eids := sortedKeys(a.ov.v), sortedKeys(a.ov.e)
+	vs := make([]tgraph.Vertex, len(vids))
+	for i, id := range vids {
+		x := a.ov.v[id]
+		vs[i] = tgraph.Vertex{ID: id, Lifespan: x.life, Props: x.timelines()}
+	}
+	es := make([]tgraph.Edge, len(eids))
+	for i, id := range eids {
+		x := a.ov.e[id]
+		es[i] = tgraph.Edge{ID: id, Src: x.src, Dst: x.dst, Lifespan: x.life, Props: x.timelines()}
+	}
+	return tgraph.Patch(a.base, vs, es)
+}
+
+// timelines returns x's properties clipped to its lifespan: each label's
+// timeline a fresh exactly-sized slice, or none when the clip empties it.
+func (x *entity) timelines() tgraph.Props {
+	var p tgraph.Props
+	add := func(label string, entries []tgraph.PropEntry) {
+		out := make([]tgraph.PropEntry, 0, len(entries))
+		for _, e := range entries {
+			if c := e.Interval.Intersect(x.life); !c.IsEmpty() {
+				out = append(out, tgraph.PropEntry{Interval: c, Value: e.Value})
+			}
+		}
+		if len(out) > 0 {
+			p.AddAll(label, out)
+		}
+	}
+	for label, entries := range x.props.All() {
+		if _, ok := x.set[label]; !ok {
+			add(label, entries)
+		}
+	}
+	for label, entries := range x.set {
+		add(label, entries)
 	}
 	return p
 }
 
-// setProp ends the label's running value at t (if any) and starts a new run.
-func (a *Accumulator) setProp(runs map[string]propRun, sink map[string][]tgraph.PropEntry, label string, value int64, t ival.Time) {
-	if run, ok := runs[label]; ok && run.start < t {
-		sink[label] = append(sink[label], tgraph.PropEntry{Interval: ival.New(run.start, t), Value: run.value})
+func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
+	keys := make([]K, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
 	}
-	runs[label] = propRun{start: t, value: value}
-}
-
-// closeRuns flushes every running property value at the closing time.
-func (a *Accumulator) closeRuns(runs map[string]propRun, sink map[string][]tgraph.PropEntry, t ival.Time) {
-	labels := make([]string, 0, len(runs))
-	for l := range runs {
-		labels = append(labels, l)
-	}
-	sort.Strings(labels)
-	for _, l := range labels {
-		run := runs[l]
-		if run.start < t {
-			sink[l] = append(sink[l], tgraph.PropEntry{Interval: ival.New(run.start, t), Value: run.value})
-		}
-	}
-}
-
-// Graph materializes the accumulated state as a valid temporal graph.
-// Entities still open are closed at the horizon when it is positive, or left
-// unbounded when horizon is zero or negative; a positive horizon also cuts
-// the entities closed past it.
-func (a *Accumulator) Graph(horizon ival.Time) (*tgraph.Graph, error) {
-	return a.materialize(nil, horizon, sortedKeys(a.vspans), sortedKeys(a.espans))
-}
-
-// Patch materializes the accumulated state as the epoch after prev: if prev
-// is what the last Patch returned, at the same horizon, only the entities
-// events touched since, patched onto prev (tgraph.Patch); for any other prev
-// — nil, or a graph mapped off a snapshot, whose storage goes away with its
-// last reader — Graph(horizon).
-func (a *Accumulator) Patch(prev *tgraph.Graph, horizon ival.Time) (*tgraph.Graph, error) {
-	vids, eids := sortedKeys(a.vdirty), sortedKeys(a.edirty)
-	if prev == nil || prev != a.base || horizon != a.baseHorizon {
-		prev, vids, eids = nil, sortedKeys(a.vspans), sortedKeys(a.espans)
-	}
-	clear(a.vdirty)
-	clear(a.edirty)
-	g, err := a.materialize(prev, horizon, vids, eids)
-	a.base, a.baseHorizon = g, horizon
-	return g, err
-}
-
-// materialize builds the given vertices and edges, by sorted id, from the
-// accumulated state and patches them onto prev.
-func (a *Accumulator) materialize(prev *tgraph.Graph, horizon ival.Time, vids []tgraph.VertexID, eids []tgraph.EdgeID) (*tgraph.Graph, error) {
-	vs := make([]tgraph.Vertex, len(vids))
-	for i, id := range vids {
-		v := &vs[i]
-		v.ID, v.Lifespan = id, lifespan(a.vspans[id], horizon)
-		flushProps(a.vprops[id], a.vruns[id], v.Lifespan, v.Props.AddAll)
-	}
-	es := make([]tgraph.Edge, len(eids))
-	for i, id := range eids {
-		s, e := a.espans[id], &es[i]
-		e.ID, e.Src, e.Dst, e.Lifespan = id, s.ends[0], s.ends[1], lifespan(s, horizon)
-		flushProps(a.eprops[id], a.eruns[id], e.Lifespan, e.Props.AddAll)
-	}
-	return tgraph.Patch(prev, vs, es)
-}
-
-// lifespan materializes s: no end, open or closed, lies past a positive horizon.
-func lifespan(s *openSpan, horizon ival.Time) ival.Interval {
-	end := ival.Infinity
-	if s.closed {
-		end = s.end
-	}
-	if horizon > 0 {
-		end = min(end, horizon)
-	}
-	return ival.New(s.start, end)
-}
-
-// flushProps hands set each non-empty label timeline clipped to life: the
-// closed entries, already in time order, then the open run. Each timeline is
-// a fresh exactly-sized slice the receiver keeps.
-func flushProps(closed map[string][]tgraph.PropEntry, runs map[string]propRun, life ival.Interval,
-	set func(label string, entries []tgraph.PropEntry)) {
-	open := func(run propRun) (tgraph.PropEntry, bool) {
-		x := ival.New(run.start, life.End).Intersect(life)
-		return tgraph.PropEntry{Interval: x, Value: run.value}, !x.IsEmpty()
-	}
-	for label, entries := range closed {
-		out := make([]tgraph.PropEntry, 0, len(entries)+1)
-		for _, p := range entries {
-			if x := p.Interval.Intersect(life); !x.IsEmpty() {
-				out = append(out, tgraph.PropEntry{Interval: x, Value: p.Value})
-			}
-		}
-		if run, ok := runs[label]; ok {
-			if p, ok := open(run); ok {
-				out = append(out, p)
-			}
-		}
-		if len(out) > 0 {
-			set(label, out)
-		}
-	}
-	for label, run := range runs {
-		if _, done := closed[label]; done {
-			continue
-		}
-		if p, ok := open(run); ok {
-			set(label, []tgraph.PropEntry{p})
-		}
-	}
+	slices.Sort(keys)
+	return keys
 }
 
 // EventsOf decomposes a graph into the time-ordered event log that builds
@@ -530,8 +571,8 @@ func parseEvent(line string) (Event, error) {
 	if numErr != nil {
 		return Event{}, numErr
 	}
-	if ev.T < 0 {
-		return Event{}, fmt.Errorf("%w: %d", ErrNegativeTime, ev.T)
+	if ev.T < 0 || ev.T == ival.Infinity {
+		return Event{}, fmt.Errorf("%w: %d", ErrTimeRange, ev.T)
 	}
 	return ev, nil
 }

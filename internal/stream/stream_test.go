@@ -2,6 +2,7 @@ package stream
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -165,13 +166,23 @@ func TestReadLogErrorsCarryLineNumber(t *testing.T) {
 	}
 }
 
+// TestNegativeEventTimeRejected: an event time outside [0, ∞) is rejected
+// with one sentinel, by Apply and by ReadLog alike: a negative one would
+// build an invalid lifespan, and one at ∞ would close nothing an epoch shows.
 func TestNegativeEventTimeRejected(t *testing.T) {
-	if err := NewAccumulator().Apply(Event{Op: AddVertex, T: -1, V: 1}); !errors.Is(err, ErrNegativeTime) {
-		t.Errorf("Apply: want ErrNegativeTime, got %v", err)
-	}
-	err := ReadLog(strings.NewReader("av -5 1"), NewAccumulator())
-	if !errors.Is(err, ErrNegativeTime) {
-		t.Errorf("ReadLog: want ErrNegativeTime, got %v", err)
+	for _, tt := range []ival.Time{-1, ival.Infinity} {
+		if err := NewAccumulator().Apply(Event{Op: AddVertex, T: tt, V: 1}); !errors.Is(err, ErrTimeRange) {
+			t.Errorf("Apply at %d: want ErrTimeRange, got %v", tt, err)
+		}
+		a := NewAccumulator()
+		apply(t, a, Event{Op: AddVertex, T: 0, V: 1})
+		if err := a.Apply(Event{Op: RemoveVertex, T: tt, V: 1}); !errors.Is(err, ErrTimeRange) {
+			t.Errorf("Apply remove at %d: want ErrTimeRange, got %v", tt, err)
+		}
+		err := ReadLog(strings.NewReader(fmt.Sprintf("av 0 1\nrv %d 1", tt)), NewAccumulator())
+		if !errors.Is(err, ErrTimeRange) || !strings.Contains(err.Error(), "line 2") {
+			t.Errorf("ReadLog at %d: want ErrTimeRange on line 2, got %v", tt, err)
+		}
 	}
 }
 
@@ -185,6 +196,72 @@ func TestEdgeReAddAfterRemoveRejected(t *testing.T) {
 	)
 	if err := a.Apply(Event{Op: AddEdge, T: 4, E: 7, Src: 1, Dst: 2}); !errors.Is(err, ErrReopened) {
 		t.Errorf("want ErrReopened for edge re-add, got %v", err)
+	}
+}
+
+// TestZeroLengthReAddRejected: an entity added and removed at one
+// time-point has an empty lifespan, so no epoch holds it, yet its id stays
+// taken, before its removal reaches an epoch and after.
+func TestZeroLengthReAddRejected(t *testing.T) {
+	for _, patch := range []bool{false, true} {
+		a := NewAccumulator()
+		apply(t, a,
+			Event{Op: AddVertex, T: 0, V: 1},
+			Event{Op: AddVertex, T: 1, V: 5},
+			Event{Op: RemoveVertex, T: 1, V: 5},
+			Event{Op: AddEdge, T: 1, E: 7, Src: 1, Dst: 1},
+			Event{Op: RemoveEdge, T: 1, E: 7},
+		)
+		if patch {
+			g, err := a.Patch()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if g.NumVertices() != 1 || g.NumEdges() != 0 {
+				t.Fatalf("epoch holds %v, want vertex 1 alone", g)
+			}
+		}
+		if err := a.Apply(Event{Op: AddVertex, T: 2, V: 5}); !errors.Is(err, ErrReopened) {
+			t.Errorf("patched %v: vertex re-add: want ErrReopened, got %v", patch, err)
+		}
+		if err := a.Apply(Event{Op: AddEdge, T: 2, E: 7, Src: 1, Dst: 1}); !errors.Is(err, ErrReopened) {
+			t.Errorf("patched %v: edge re-add: want ErrReopened, got %v", patch, err)
+		}
+	}
+}
+
+// TestGraphLeavesTheAccumulator: Graph folds the overlay without advancing
+// anything, so asking again folds the same rows (graphite-ingest, the
+// examples and the benchmark's materialize probe call it repeatedly), and a
+// Patch after it still publishes every row since the last one.
+func TestGraphLeavesTheAccumulator(t *testing.T) {
+	a := NewAccumulator()
+	apply(t, a,
+		Event{Op: AddVertex, T: 0, V: 1},
+		Event{Op: AddVertex, T: 0, V: 2},
+		Event{Op: AddEdge, T: 1, E: 7, Src: 1, Dst: 2},
+		Event{Op: SetEdgeProp, T: 2, E: 7, Label: "w", Value: 3},
+	)
+	base, rows := a.base, len(a.ov.v)+len(a.ov.e)
+	first, err := a.Graph(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.Graph(2); err != nil {
+		t.Fatal(err)
+	}
+	if a.base != base || len(a.ov.v)+len(a.ov.e) != rows {
+		t.Fatalf("Graph advanced the accumulator: base moved %v, %d rows of %d left", a.base != base, len(a.ov.v)+len(a.ov.e), rows)
+	}
+	epoch, err := a.Patch()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tgraph.Equal(epoch, first); err != nil {
+		t.Fatalf("the epoch after Graph differs from Graph's graph: %v", err)
+	}
+	if a.base != epoch || len(a.ov.v)+len(a.ov.e) != 0 {
+		t.Fatal("Patch did not make its epoch the base")
 	}
 }
 
